@@ -137,7 +137,8 @@ func (c *countingWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); re
 //	("n1")-["worksFor"]->("n2")
 func WriteYARSPG(w io.Writer, st *pg.Store) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	for _, n := range st.Nodes() {
+	for ni := 0; ni < st.NumNodes(); ni++ {
+		n := st.Node(pg.NodeID(ni))
 		fmt.Fprintf(bw, "(\"n%d\"{", n.ID)
 		for i, l := range n.Labels {
 			if i > 0 {
@@ -156,7 +157,8 @@ func WriteYARSPG(w io.Writer, st *pg.Store) error {
 		}
 		bw.WriteString("])\n")
 	}
-	for _, e := range st.Edges() {
+	for ei := 0; ei < st.NumEdges(); ei++ {
+		e := st.Edge(pg.EdgeID(ei))
 		fmt.Fprintf(bw, "(\"n%d\")-[%q]->(\"n%d\")\n", e.From, e.Label, e.To)
 	}
 	return bw.Flush()

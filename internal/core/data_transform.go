@@ -397,20 +397,11 @@ func (t *Transformer) applyAnnotation(tr rdf.Triple) error {
 	if !canonical {
 		return fmt.Errorf("core: annotation value %v has a non-canonical lexical form", tr.O)
 	}
-	edge := t.store.Edge(eid)
-	key, err := t.mapping.EnsureAnnotation(edge.Label, tr.P.Value, dt)
+	key, err := t.mapping.EnsureAnnotation(t.store.Edge(eid).Label, tr.P.Value, dt)
 	if err != nil {
 		return err
 	}
-	if cur, exists := edge.Props[key]; exists {
-		if arr, isArr := cur.([]pg.Value); isArr {
-			edge.Props[key] = append(arr, native)
-		} else {
-			edge.Props[key] = []pg.Value{cur, native}
-		}
-	} else {
-		edge.Props[key] = native
-	}
+	t.store.AppendEdgeProp(eid, key, native)
 	return nil
 }
 

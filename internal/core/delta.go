@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"github.com/s3pg/s3pg/internal/obs"
 	"github.com/s3pg/s3pg/internal/pg"
@@ -125,6 +126,12 @@ type DeltaState struct {
 	t    *Transformer
 	ddl  string
 
+	// keys holds the change-stream key of every node of t's store, by node
+	// id: extended for the nodes a fast batch creates, replaced with the
+	// transformer on a rebuild, so no batch re-derives the keys of nodes it
+	// did not touch.
+	keys []string
+
 	// hasAnnotations disables the monotone fast path: RDF-star annotation
 	// passes are deferred to the end of a full run, so their effects do not
 	// commute with appended triples (an annotation declares its key on every
@@ -145,7 +152,11 @@ func NewDeltaState(g *rdf.Graph, sg *shacl.Schema, mode Mode) (*DeltaState, erro
 	if err := t.Apply(g); err != nil {
 		return nil, err
 	}
-	s := &DeltaState{mode: mode, sg: sg, g: g, t: t, ddl: pgschema.WriteDDL(t.Schema())}
+	keys, err := nodeKeys(t, nil)
+	if err != nil {
+		return nil, err
+	}
+	s := &DeltaState{mode: mode, sg: sg, g: g, t: t, ddl: pgschema.WriteDDL(t.Schema()), keys: keys}
 	s.hasAnnotations = graphHasAnnotations(g)
 	return s, nil
 }
@@ -324,22 +335,33 @@ func (s *DeltaState) applyFast(added []rdf.Triple, rollback func() error) (*PGDe
 		if rerr == nil {
 			rerr = nt.Apply(s.g)
 		}
+		var keys []string
+		if rerr == nil {
+			keys, rerr = nodeKeys(nt, nil)
+		}
 		if rerr != nil {
 			return nil, fmt.Errorf("core: delta rejected: %v (state recovery also failed: %v)", err, rerr)
 		}
-		s.t = nt
+		s.t, s.keys = nt, keys
 		return nil, fmt.Errorf("core: delta rejected: %w", err)
 	}
 	s.fastApplies++
 	cDeltaFast.Inc()
 
-	delta := &PGDelta{}
-	keys, err := nodeKeys(s.t)
+	// Key what the batch could have changed: the nodes it created and (in
+	// the loop below) its subjects' nodes. Every other key, new edges'
+	// endpoints included, is already in the table.
+	keys, err := nodeKeys(s.t, s.keys)
 	if err != nil {
 		return nil, err
 	}
+	s.keys = keys
+	delta := &PGDelta{}
 	for _, sn := range touched {
 		n := store.Node(sn.id)
+		if keys[sn.id], err = nodeKey(s.t.mapping, n); err != nil {
+			return nil, err
+		}
 		props, err := pg.EncodeProps(n.Props)
 		if err != nil {
 			return nil, fmt.Errorf("core: delta: node %d: %w", sn.id, err)
@@ -395,11 +417,11 @@ func (s *DeltaState) applyRebuild(annotated bool, rollback func() error) (*PGDel
 		}
 		return nil, fmt.Errorf("core: delta rejected: %w", err)
 	}
-	delta, err := diffTransformers(s.t, nt)
+	delta, keys, err := diffTransformers(s.t, s.keys, nt)
 	if err != nil {
 		return nil, err
 	}
-	s.t = nt
+	s.t, s.keys = nt, keys
 	s.rebuilds++
 	cDeltaRebuilds.Inc()
 	if annotated {
@@ -459,18 +481,18 @@ func identOf(e *pg.Edge, keys []string) (edgeIdent, error) {
 	return edgeIdent{from: keys[e.From], label: e.Label, to: keys[e.To], props: props}, nil
 }
 
-// nodeKeys computes the stable change-stream key of every node in the
-// transformer's store: "e:<iri>" for entity nodes and a quoted lexical tuple
-// for value nodes, mirroring the node classification of the inverse mapping.
-func nodeKeys(t *Transformer) ([]string, error) {
+// nodeKeys extends keys — the stable change-stream keys of the first
+// len(keys) nodes of the transformer's store — to every node: "e:<iri>" for
+// entity nodes and a quoted lexical tuple for value nodes, mirroring the node
+// classification of the inverse mapping.
+func nodeKeys(t *Transformer, keys []string) ([]string, error) {
 	store := t.Store()
-	keys := make([]string, store.NumNodes())
-	for _, n := range store.Nodes() {
-		k, err := nodeKey(t.mapping, n)
+	for id := len(keys); id < store.NumNodes(); id++ {
+		k, err := nodeKey(t.mapping, store.Node(pg.NodeID(id)))
 		if err != nil {
 			return nil, err
 		}
-		keys[n.ID] = k
+		keys = append(keys, k)
 	}
 	return keys, nil
 }
@@ -488,11 +510,11 @@ func nodeKey(m *Mapping, n *pg.Node) (string, error) {
 	if isValue {
 		if res, _ := n.Props["res"].(bool); res {
 			v, _ := n.Props["value"].(string)
-			return fmt.Sprintf("v:r:%q", v), nil
+			return "v:r:" + strconv.Quote(v), nil
 		}
 		dt, _ := n.Props["dt"].(string)
 		lang, _ := n.Props["lang"].(string)
-		return fmt.Sprintf("v:l:%q:%q:%q", lexicalOf(n), dt, lang), nil
+		return "v:l:" + strconv.Quote(lexicalOf(n)) + ":" + strconv.Quote(dt) + ":" + strconv.Quote(lang), nil
 	}
 	iri, ok := n.Props["iri"].(string)
 	if !ok {
@@ -502,30 +524,26 @@ func nodeKey(m *Mapping, n *pg.Node) (string, error) {
 }
 
 // nodeMap indexes a store's nodes by change-stream key.
-func nodeMap(t *Transformer) (map[string]*pg.Node, []string, error) {
-	keys, err := nodeKeys(t)
-	if err != nil {
-		return nil, nil, err
-	}
+func nodeMap(t *Transformer, keys []string) map[string]*pg.Node {
+	store := t.Store()
 	m := make(map[string]*pg.Node, len(keys))
-	for _, n := range t.Store().Nodes() {
-		m[keys[n.ID]] = n
+	for id, k := range keys {
+		m[k] = store.Node(pg.NodeID(id))
 	}
-	return m, keys, nil
+	return m
 }
 
 // diffTransformers computes the exact old→new difference keyed by stable
 // identities: node creates/updates/deletes by key, edge creates/deletes as
 // multiset count changes per (source, label, target, record) quadruple.
-func diffTransformers(oldT, newT *Transformer) (*PGDelta, error) {
-	oldNodes, oldKeys, err := nodeMap(oldT)
+//
+// oldKeys is the old store's key table; the new store's is returned.
+func diffTransformers(oldT *Transformer, oldKeys []string, newT *Transformer) (*PGDelta, []string, error) {
+	newKeys, err := nodeKeys(newT, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	newNodes, newKeys, err := nodeMap(newT)
-	if err != nil {
-		return nil, err
-	}
+	oldNodes, newNodes := nodeMap(oldT, oldKeys), nodeMap(newT, newKeys)
 	delta := &PGDelta{}
 	encode := func(n *pg.Node) (string, error) {
 		props, err := pg.EncodeProps(n.Props)
@@ -539,20 +557,23 @@ func diffTransformers(oldT, newT *Transformer) (*PGDelta, error) {
 		if !ok {
 			props, err := encode(on)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			delta.Nodes = append(delta.Nodes, NodeChange{
 				Op: OpDelete, Key: key, Labels: append([]string(nil), on.Labels...), Props: props,
 			})
 			continue
 		}
+		if sameProps(on.Props, nn.Props) && sameLabels(on.Labels, nn.Labels) {
+			continue
+		}
 		oldProps, err := encode(on)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		newProps, err := encode(nn)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if oldProps != newProps || !sameLabels(on.Labels, nn.Labels) {
 			delta.Nodes = append(delta.Nodes, NodeChange{
@@ -566,7 +587,7 @@ func diffTransformers(oldT, newT *Transformer) (*PGDelta, error) {
 		}
 		props, err := encode(nn)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		delta.Nodes = append(delta.Nodes, NodeChange{
 			Op: OpCreate, Key: key, Labels: append([]string(nil), nn.Labels...), Props: props,
@@ -574,17 +595,19 @@ func diffTransformers(oldT, newT *Transformer) (*PGDelta, error) {
 	}
 
 	counts := make(map[edgeIdent]int)
-	for _, e := range oldT.Store().Edges() {
+	for ei := 0; ei < oldT.Store().NumEdges(); ei++ {
+		e := oldT.Store().Edge(pg.EdgeID(ei))
 		ident, err := identOf(e, oldKeys)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		counts[ident]--
 	}
-	for _, e := range newT.Store().Edges() {
+	for ei := 0; ei < newT.Store().NumEdges(); ei++ {
+		e := newT.Store().Edge(pg.EdgeID(ei))
 		ident, err := identOf(e, newKeys)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		counts[ident]++
 	}
@@ -600,7 +623,40 @@ func diffTransformers(oldT, newT *Transformer) (*PGDelta, error) {
 			})
 		}
 	}
-	return delta, nil
+	return delta, newKeys, nil
+}
+
+// sameProps reports whether two records are identical key for key and value
+// for value, with no numeric coercion. Identical records encode identically,
+// so the diff encodes only the nodes for which this fails.
+func sameProps(a, b map[string]pg.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, va := range a {
+		if vb, ok := b[k]; !ok || !sameValue(va, vb) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameValue(a, b pg.Value) bool {
+	la, ok := a.([]pg.Value)
+	if !ok {
+		_, bList := b.([]pg.Value)
+		return !bList && a == b
+	}
+	lb, ok := b.([]pg.Value)
+	if !ok || len(la) != len(lb) {
+		return false
+	}
+	for i := range la {
+		if !sameValue(la[i], lb[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func sameLabels(a, b []string) bool {

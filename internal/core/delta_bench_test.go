@@ -1,0 +1,141 @@
+package core_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"github.com/s3pg/s3pg/internal/core"
+	"github.com/s3pg/s3pg/internal/datagen"
+	"github.com/s3pg/s3pg/internal/obs"
+	"github.com/s3pg/s3pg/internal/pg"
+	"github.com/s3pg/s3pg/internal/rdf"
+	"github.com/s3pg/s3pg/internal/shapeex"
+)
+
+// The live-path micro-benchmarks: what one grow update and the publish after
+// it cost, at two graph sizes eight times apart with the same 78-statement
+// delta. They exist to show that the cost follows the delta, not the graph:
+//
+//	go test ./internal/core -run '^$' -bench 'AfterDelta|ApplyDeltaGrow' -benchmem
+//
+// Every iteration is one full live cycle — ApplyDelta, Graph.Clone,
+// Store.Clone — and each benchmark times one of the three. cow.Map folds
+// (amortised O(1) per insert, but O(graph) when they happen) are timed apart:
+// "fold-ns/op" is their cost spread over all iterations, ns/op excludes them.
+
+const benchStmts = 78
+
+var benchScales = []struct {
+	name  string
+	scale float64
+}{{"35k", 0.0003}, {"280k", 0.0024}}
+
+// liveCycle is a DeltaState over a generated graph plus a feed of grow-only
+// batches (no rdf:type statement, subjects typed already: the fast path).
+type liveCycle struct {
+	st      *core.DeltaState
+	batches []*rdf.Delta
+	next    int
+}
+
+func newLiveCycle(tb testing.TB, scale float64, seed int64) *liveCycle {
+	tb.Helper()
+	p := datagen.Profiles()["DBpedia2022"]
+	g := datagen.Generate(p, scale, seed)
+	sg := shapeex.Extract(g, shapeex.Options{MinSupport: 0.02})
+	var stmts []rdf.Triple
+	typed := func(t rdf.Term) bool {
+		return !t.IsIRI() || !strings.HasPrefix(t.Value, p.NS) || g.MatchCount(&t, &rdf.A, nil) > 0
+	}
+	// Enough statements for a few hundred batches whatever the graph size.
+	frac := float64(400*benchStmts) / float64(g.Len())
+	datagen.Evolve(g, p, frac, seed+1).ForEach(func(t rdf.Triple) bool {
+		if t.P != rdf.A && typed(t.S) && typed(t.O) {
+			stmts = append(stmts, t)
+		}
+		return true
+	})
+	lc := &liveCycle{}
+	for lo := 0; lo+benchStmts <= len(stmts); lo += benchStmts {
+		lc.batches = append(lc.batches, &rdf.Delta{Inserts: stmts[lo : lo+benchStmts]})
+	}
+	st, err := core.NewDeltaState(g, sg, core.NonParsimonious)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lc.st = st
+	return lc
+}
+
+func (lc *liveCycle) apply(tb testing.TB) {
+	if _, err := lc.st.ApplyDelta(lc.batches[lc.next]); err != nil {
+		tb.Fatal(err)
+	}
+	lc.next++
+}
+
+var (
+	sinkGraph *rdf.Graph
+	sinkStore *pg.Store
+)
+
+// runLiveCycles drives b.N cycles, timing only the named step ("apply",
+// "graph" or "store").
+func runLiveCycles(b *testing.B, scale float64, step string) {
+	folds := obs.Default.Counter("cow.map.folds")
+	lc := newLiveCycle(b, scale, 1)
+	lc.apply(b)
+	sinkGraph, sinkStore = lc.st.Graph().Clone(), lc.st.Store().Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.StopTimer()
+	var foldNS, nFolds int64
+	timed := func(name string, fn func()) {
+		if name != step {
+			fn()
+			return
+		}
+		f0 := folds.Value()
+		t0 := b.Elapsed()
+		b.StartTimer()
+		fn()
+		b.StopTimer()
+		if n := folds.Value() - f0; n > 0 {
+			nFolds += n
+			foldNS += int64(b.Elapsed() - t0)
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		if lc.next == len(lc.batches) {
+			lc = newLiveCycle(b, scale, int64(i))
+		}
+		timed("apply", func() { lc.apply(b) })
+		timed("graph", func() { sinkGraph = lc.st.Graph().Clone() })
+		timed("store", func() { sinkStore = lc.st.Store().Clone() })
+	}
+	// ns/op as the testing package computes it includes the fold steps;
+	// report the two parts so the table in CHANGES.md can show them apart.
+	total := int64(b.Elapsed())
+	b.ReportMetric(float64(total-foldNS)/float64(b.N), "ns/op")
+	b.ReportMetric(float64(foldNS)/float64(b.N), "fold-ns/op")
+	b.ReportMetric(float64(nFolds)/float64(b.N), "folds/op")
+}
+
+func BenchmarkApplyDeltaGrow(b *testing.B) {
+	for _, sc := range benchScales {
+		b.Run(fmt.Sprintf("triples=%s", sc.name), func(b *testing.B) { runLiveCycles(b, sc.scale, "apply") })
+	}
+}
+
+func BenchmarkGraphCloneAfterDelta(b *testing.B) {
+	for _, sc := range benchScales {
+		b.Run(fmt.Sprintf("triples=%s", sc.name), func(b *testing.B) { runLiveCycles(b, sc.scale, "graph") })
+	}
+}
+
+func BenchmarkStoreCloneAfterDelta(b *testing.B) {
+	for _, sc := range benchScales {
+		b.Run(fmt.Sprintf("triples=%s", sc.name), func(b *testing.B) { runLiveCycles(b, sc.scale, "store") })
+	}
+}

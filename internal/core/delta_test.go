@@ -7,6 +7,7 @@ import (
 
 	"github.com/s3pg/s3pg/internal/core"
 	"github.com/s3pg/s3pg/internal/fixtures"
+	"github.com/s3pg/s3pg/internal/pg"
 	"github.com/s3pg/s3pg/internal/pgschema"
 	"github.com/s3pg/s3pg/internal/rdf"
 	"github.com/s3pg/s3pg/internal/sparql"
@@ -373,5 +374,51 @@ func TestApplyDeltaReplayIsExactlyOnceByDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(n1, n2) || !bytes.Equal(e1, e2) {
 		t.Fatal("replay produced different exports")
+	}
+}
+
+// TestUntypedSubjectSchemaRoundTrips: a live graph that receives a property
+// of a not-yet-typed subject extends the schema with the label-less node type
+// (and an edge type leaving it). The served schema.ddl must be readable by
+// the repo's own parser, and the exports must invert to the live graph.
+func TestUntypedSubjectSchemaRoundTrips(t *testing.T) {
+	for _, mode := range []core.Mode{core.Parsimonious, core.NonParsimonious} {
+		s, err := core.NewDeltaState(fixtures.UniversityGraph(), fixtures.UniversityShapes(), mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := mustUpdate(t, exPrefix+`INSERT DATA {
+			ex:stranger ex:email "who@example.org" .
+			ex:stranger ex:knows ex:alice .
+		}`)
+		pd, err := s.ApplyDelta(d)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if !strings.Contains(pd.SchemaDDL, "anonType") {
+			t.Fatalf("%v: the update did not extend the schema with the label-less node type:\n%s", mode, pd.SchemaDDL)
+		}
+		spg, err := pgschema.ParseDDL(s.SchemaDDL())
+		if err != nil {
+			t.Fatalf("%v: ParseDDL of the served schema: %v\n%s", mode, err, s.SchemaDDL())
+		}
+		if again := pgschema.WriteDDL(spg); again != s.SchemaDDL() {
+			t.Fatalf("%v: DDL does not round-trip byte for byte\n got: %s\nwant: %s", mode, again, s.SchemaDDL())
+		}
+		var nb, eb bytes.Buffer
+		if err := s.WriteCSV(&nb, &eb); err != nil {
+			t.Fatal(err)
+		}
+		store, err := pg.LoadCSV(&nb, &eb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := core.InverseData(store, spg)
+		if err != nil {
+			t.Fatalf("%v: InverseData: %v", mode, err)
+		}
+		if !back.Equal(s.Graph()) {
+			t.Fatalf("%v: inverse of the exports differs from the live graph", mode)
+		}
 	}
 }

@@ -55,7 +55,8 @@ func inverseDataWithMapping(ctx context.Context, store *pg.Store, m *Mapping, sp
 	}
 
 	np := span.StartSpan("nodes")
-	for i, n := range store.Nodes() {
+	for i := 0; i < store.NumNodes(); i++ {
+		n := store.Node(pg.NodeID(i))
 		if i%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -100,7 +101,8 @@ func inverseDataWithMapping(ctx context.Context, store *pg.Store, m *Mapping, sp
 
 	ep := span.StartSpan("edges")
 	edgeStart := g.Len()
-	for i, e := range store.Edges() {
+	for i := 0; i < store.NumEdges(); i++ {
+		e := store.Edge(pg.EdgeID(i))
 		if i%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err

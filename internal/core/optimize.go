@@ -42,7 +42,8 @@ func Optimize(store *pg.Store, spg *pgschema.Schema) (*pg.Store, *pgschema.Schem
 		}
 		return false
 	}
-	for _, e := range store.Edges() {
+	for ei := 0; ei < store.NumEdges(); ei++ {
+		e := store.Edge(pg.EdgeID(ei))
 		info := infos[e.Label]
 		if info == nil {
 			info = &labelInfo{convertible: true}
@@ -103,12 +104,14 @@ func Optimize(store *pg.Store, spg *pgschema.Schema) (*pg.Store, *pgschema.Schem
 	// Phase 2: rebuild the store without converted edges and without value
 	// nodes that only converted edges reached.
 	needed := make([]bool, store.NumNodes())
-	for _, n := range store.Nodes() {
+	for ni := 0; ni < store.NumNodes(); ni++ {
+		n := store.Node(pg.NodeID(ni))
 		if !isValueNode(n) {
 			needed[n.ID] = true
 		}
 	}
-	for _, e := range store.Edges() {
+	for ei := 0; ei < store.NumEdges(); ei++ {
+		e := store.Edge(pg.EdgeID(ei))
 		if !convertible(e.Label) {
 			needed[e.To] = true
 			needed[e.From] = true
@@ -117,7 +120,8 @@ func Optimize(store *pg.Store, spg *pgschema.Schema) (*pg.Store, *pgschema.Schem
 
 	out := pg.NewStore()
 	remap := make([]pg.NodeID, store.NumNodes())
-	for _, n := range store.Nodes() {
+	for ni := 0; ni < store.NumNodes(); ni++ {
+		n := store.Node(pg.NodeID(ni))
 		if !needed[n.ID] {
 			continue
 		}
@@ -127,7 +131,8 @@ func Optimize(store *pg.Store, spg *pgschema.Schema) (*pg.Store, *pgschema.Schem
 		}
 		remap[n.ID] = out.AddNode(n.Labels, props).ID
 	}
-	for _, e := range store.Edges() {
+	for ei := 0; ei < store.NumEdges(); ei++ {
+		e := store.Edge(pg.EdgeID(ei))
 		if convertible(e.Label) {
 			value := store.Node(e.To).Props["value"]
 			out.AppendProp(remap[e.From], e.Label, value)

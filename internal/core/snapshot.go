@@ -133,7 +133,8 @@ func (t *Transformer) rebuildIndexes() error {
 		}
 		return false
 	}
-	for _, n := range t.store.Nodes() {
+	for ni := 0; ni < t.store.NumNodes(); ni++ {
+		n := t.store.Node(pg.NodeID(ni))
 		if isValue(n) {
 			if res, _ := n.Props["res"].(bool); res {
 				v, ok := n.Props["value"].(string)
@@ -158,7 +159,8 @@ func (t *Transformer) rebuildIndexes() error {
 	// inverse correspondences so RDF-star annotations arriving after a
 	// resume still find their edge. Later duplicates overwrite earlier ones,
 	// matching registerStatementEdge's last-writer-wins behaviour.
-	for _, e := range t.store.Edges() {
+	for ei := 0; ei < t.store.NumEdges(); ei++ {
+		e := t.store.Edge(pg.EdgeID(ei))
 		pred, ok := t.mapping.PredOfEdgeLabel(e.Label)
 		if !ok {
 			return fmt.Errorf("core: restore: edge label %q maps to no predicate", e.Label)

@@ -178,11 +178,9 @@ func TestSnapshotRestoreAnnotationAfterResume(t *testing.T) {
 		t.Fatalf("annotation after resume: %v", err)
 	}
 	found := false
-	for _, e := range restored.Store().Edges() {
-		if e.Label == "advisedBy" {
-			if _, ok := e.Props["certainty"]; ok {
-				found = true
-			}
+	for _, id := range restored.Store().EdgesByLabel("advisedBy") {
+		if _, ok := restored.Store().Edge(id).Props["certainty"]; ok {
+			found = true
 		}
 	}
 	if !found {

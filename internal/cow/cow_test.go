@@ -1,0 +1,187 @@
+package cow
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// The three tests below share one shape: a family of containers related by
+// Clone (clones of clones included), each paired with a plain model that is
+// deep-copied at the same moment. Random mutations hit random members; after
+// every step every member must still equal its own model — a write that
+// leaks through a shared page, array or map shows up in another member.
+
+const (
+	steps   = 4000
+	maxFam  = 8
+	idSpace = 5 * pageSize // several pages, so page copies and growth both occur
+)
+
+func TestTableCloneIsolation(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	type member struct {
+		tab   *Table[int]
+		model map[int]int
+		n     int
+	}
+	fam := []*member{{tab: &Table[int]{}, model: map[int]int{}}}
+	for step := 0; step < steps; step++ {
+		m := fam[rng.Intn(len(fam))]
+		if rng.Intn(20) == 0 && len(fam) < maxFam {
+			c := m.tab.Clone()
+			model := make(map[int]int, len(m.model))
+			for k, v := range m.model {
+				model[k] = v
+			}
+			fam = append(fam, &member{tab: &c, model: model, n: m.n})
+			continue
+		}
+		i, v := rng.Intn(idSpace), rng.Int()
+		m.tab.Set(i, v)
+		m.model[i] = v
+		if i >= m.n {
+			m.n = i + 1
+		}
+		for fi, f := range fam {
+			if f.tab.Len() != f.n {
+				t.Fatalf("step %d: member %d Len = %d, want %d", step, fi, f.tab.Len(), f.n)
+			}
+			for k := 0; k < idSpace; k++ {
+				if got := f.tab.At(k); got != f.model[k] {
+					t.Fatalf("step %d: member %d At(%d) = %d, want %d", step, fi, k, got, f.model[k])
+				}
+			}
+		}
+	}
+}
+
+func TestListsCloneIsolation(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	type member struct {
+		lists *Lists[int32]
+		model map[int][]int32
+	}
+	fam := []*member{{lists: &Lists[int32]{}, model: map[int][]int32{}}}
+	check := func(step int) {
+		for fi, f := range fam {
+			for k := 0; k < idSpace; k++ {
+				got, want := f.lists.At(k), f.model[k]
+				if len(got) != len(want) {
+					t.Fatalf("step %d: member %d list %d has %d entries, want %d", step, fi, k, len(got), len(want))
+				}
+				for j := range got {
+					if got[j] != want[j] {
+						t.Fatalf("step %d: member %d list %d[%d] = %d, want %d", step, fi, k, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+	for step := 0; step < steps; step++ {
+		m := fam[rng.Intn(len(fam))]
+		// Few distinct ids, so lists grow long enough to have spare capacity.
+		i := rng.Intn(idSpace) / 40 * 40
+		switch op := rng.Intn(20); {
+		case op == 0 && len(fam) < maxFam:
+			c := m.lists.Clone()
+			model := make(map[int][]int32, len(m.model))
+			for k, v := range m.model {
+				model[k] = append([]int32(nil), v...)
+			}
+			fam = append(fam, &member{lists: &c, model: model})
+		case op == 1:
+			if len(m.model[i]) > 0 {
+				m.lists.Pop(i)
+				m.model[i] = m.model[i][:len(m.model[i])-1]
+			}
+		case op == 2:
+			es := []int32{rng.Int31(), rng.Int31(), rng.Int31()}
+			m.lists.Extend(i, es)
+			m.model[i] = append(m.model[i], es...)
+		default:
+			e := rng.Int31()
+			m.lists.Append(i, e)
+			m.model[i] = append(m.model[i], e)
+		}
+		if step%16 == 0 {
+			check(step)
+		}
+	}
+	check(steps)
+}
+
+// TestListsReceiverKeepsCapacity pins the ownership rule for spare capacity:
+// the table Clone was called on appends in place after the Clone (one array
+// for the life of the list), the clone reallocates on its first append.
+func TestListsReceiverKeepsCapacity(t *testing.T) {
+	var l Lists[int32]
+	for i := int32(0); i < 100; i++ {
+		l.Append(7, i)
+	}
+	before := &l.At(7)[0]
+	c := l.Clone()
+	spare := cap(l.At(7)) - len(l.At(7))
+	if spare == 0 {
+		t.Skip("append left no spare capacity to test with")
+	}
+	l.Append(7, 100)
+	if &l.At(7)[0] != before {
+		t.Fatal("the receiver of Clone reallocated a list it had spare capacity for")
+	}
+	c.Append(7, -1)
+	if &c.At(7)[0] == before {
+		t.Fatal("the clone appended into the array it shares with the original")
+	}
+	if got := l.At(7)[100]; got != 100 {
+		t.Fatalf("the clone's append overwrote the original's: %d", got)
+	}
+}
+
+func TestMapCloneIsolationAndFolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	type member struct {
+		m     *Map[int, int]
+		model map[int]int
+	}
+	fam := []*member{{m: &Map[int, int]{}, model: map[int]int{}}}
+	folds0 := cMapFolds.Value()
+	next := 0
+	for step := 0; step < steps; step++ {
+		m := fam[rng.Intn(len(fam))]
+		if rng.Intn(25) == 0 {
+			c := m.m.Clone()
+			if len(m.m.over)*foldDen > len(m.m.base) {
+				t.Fatalf("step %d: Clone left an overlay of %d over a base of %d", step, len(m.m.over), len(m.m.base))
+			}
+			model := make(map[int]int, len(m.model))
+			for k, v := range m.model {
+				model[k] = v
+			}
+			nm := &member{m: &c, model: model}
+			if len(fam) < maxFam {
+				fam = append(fam, nm)
+			} else {
+				fam[rng.Intn(len(fam))] = nm
+			}
+			continue
+		}
+		// Keys are globally fresh: Put is for keys the map does not hold.
+		m.m.Put(next, step)
+		m.model[next] = step
+		next++
+		if step%16 == 0 {
+			for fi, f := range fam {
+				for k := 0; k < next; k++ {
+					got, ok := f.m.Get(k)
+					want, wok := f.model[k]
+					if ok != wok || got != want {
+						t.Fatalf("step %d: member %d Get(%d) = %d,%v want %d,%v", step, fi, k, got, ok, want, wok)
+					}
+				}
+			}
+		}
+	}
+	if cMapFolds.Value() == folds0 {
+		t.Fatal("no Clone folded its overlay: the test never exercised the fold")
+	}
+}

@@ -304,7 +304,7 @@ func (ev *evaluator) expandPath(path PathPattern, input []binding) ([]binding, e
 // the per-row index lookup used to dominate the allocation profile.
 func (ev *evaluator) bindNode(np NodePattern, key string, input []binding) ([]binding, error) {
 	var out []binding
-	candIDs, candNodes := candidateSet(ev.store, np)
+	candIDs, candNode, all := candidateSet(ev.store, np)
 	for _, b := range input {
 		if err := ev.tick(); err != nil {
 			return nil, err
@@ -317,13 +317,16 @@ func (ev *evaluator) bindNode(np NodePattern, key string, input []binding) ([]bi
 				continue
 			}
 		}
-		if candIDs != nil {
+		switch {
+		case all:
+			for i := 0; i < ev.store.NumNodes(); i++ {
+				out = tryBind(ev.store.Node(pg.NodeID(i)), np, key, b, out)
+			}
+		case candNode != nil:
+			out = tryBind(candNode, np, key, b, out)
+		default:
 			for _, id := range candIDs {
 				out = tryBind(ev.store.Node(id), np, key, b, out)
-			}
-		} else {
-			for _, n := range candNodes {
-				out = tryBind(n, np, key, b, out)
 			}
 		}
 	}
@@ -342,9 +345,9 @@ func tryBind(n *pg.Node, np NodePattern, key string, b binding, out []binding) [
 
 // candidateSet picks the narrowest index for the pattern without
 // materializing a node slice: label patterns reuse the index id slice,
-// iri-equality patterns resolve through the unique index, and only the
-// unconstrained case scans all nodes.
-func candidateSet(store *pg.Store, np NodePattern) ([]pg.NodeID, []*pg.Node) {
+// iri-equality patterns resolve to the one node of the unique index, and
+// only the unconstrained case (all) scans every node.
+func candidateSet(store *pg.Store, np NodePattern) (ids []pg.NodeID, one *pg.Node, all bool) {
 	if len(np.Labels) > 0 {
 		best := store.NodesByLabel(np.Labels[0])
 		for _, l := range np.Labels[1:] {
@@ -352,15 +355,12 @@ func candidateSet(store *pg.Store, np NodePattern) ([]pg.NodeID, []*pg.Node) {
 				best = ids
 			}
 		}
-		return best, nil
+		return best, nil, false
 	}
 	if iri, ok := np.Props["iri"].(string); ok {
-		if n := store.NodeByIRI(iri); n != nil {
-			return nil, []*pg.Node{n}
-		}
-		return nil, nil
+		return nil, store.NodeByIRI(iri), false
 	}
-	return nil, store.Nodes()
+	return nil, nil, true
 }
 
 func nodeMatches(n *pg.Node, np NodePattern) bool {

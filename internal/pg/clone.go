@@ -1,64 +1,34 @@
 package pg
 
-// Clone returns a deep copy of the store: nodes, edges, their label and
-// property data, and all indexes. Mutating the clone (or the original)
-// never affects the other, which is what lets the serving layer freeze a
-// consistent snapshot of a live graph while delta application continues on
-// the original.
+// Clone returns a logical copy of the store: mutating the clone (or the
+// original) never affects the other, which is what lets the serving layer
+// freeze a consistent snapshot of a live graph while delta application
+// continues on the original. Nothing is copied per node or per edge: the
+// node, edge and adjacency tables and the IRI index are shared copy-on-write
+// (package cow), the per-label id lists are shared with the clone's capacity
+// clipped (only s appends to them in place), and every existing record
+// becomes shared — both sides take a fresh stamp, so the first write to a
+// node or edge on either side copies that one record (mutNode, mutEdge).
+// Only the label maps are copied, one slice header per label. Clone writes
+// to s's sharing state, so like any mutation it must not run concurrently
+// with another method of s.
 func (s *Store) Clone() *Store {
+	s.own = new(stamp)
 	c := &Store{
-		nodes:       make([]*Node, len(s.nodes)),
-		edges:       make([]*Edge, len(s.edges)),
+		nodes:       s.nodes.Clone(),
+		edges:       s.edges.Clone(),
 		byLabel:     make(map[string][]NodeID, len(s.byLabel)),
 		byEdgeLabel: make(map[string][]EdgeID, len(s.byEdgeLabel)),
-		out:         make(map[NodeID][]EdgeID, len(s.out)),
-		in:          make(map[NodeID][]EdgeID, len(s.in)),
-		byIRI:       make(map[string]NodeID, len(s.byIRI)),
-	}
-	for i, n := range s.nodes {
-		c.nodes[i] = &Node{
-			ID:     n.ID,
-			Labels: append([]string(nil), n.Labels...),
-			Props:  cloneProps(n.Props),
-		}
-	}
-	for i, e := range s.edges {
-		c.edges[i] = &Edge{
-			ID:    e.ID,
-			From:  e.From,
-			To:    e.To,
-			Label: e.Label,
-			Props: cloneProps(e.Props),
-		}
+		out:         s.out.Clone(),
+		in:          s.in.Clone(),
+		byIRI:       s.byIRI.Clone(),
+		own:         new(stamp),
 	}
 	for l, ids := range s.byLabel {
-		c.byLabel[l] = append([]NodeID(nil), ids...)
+		c.byLabel[l] = ids[:len(ids):len(ids)]
 	}
 	for l, ids := range s.byEdgeLabel {
-		c.byEdgeLabel[l] = append([]EdgeID(nil), ids...)
-	}
-	for id, ids := range s.out {
-		c.out[id] = append([]EdgeID(nil), ids...)
-	}
-	for id, ids := range s.in {
-		c.in[id] = append([]EdgeID(nil), ids...)
-	}
-	for iri, id := range s.byIRI {
-		c.byIRI[iri] = id
-	}
-	return c
-}
-
-// cloneProps copies a property map, including multi-valued ([]Value)
-// entries, which AppendProp mutates in place on the original.
-func cloneProps(props map[string]Value) map[string]Value {
-	c := make(map[string]Value, len(props))
-	for k, v := range props {
-		if list, ok := v.([]Value); ok {
-			c[k] = append([]Value(nil), list...)
-			continue
-		}
-		c[k] = v
+		c.byEdgeLabel[l] = ids[:len(ids):len(ids)]
 	}
 	return c
 }

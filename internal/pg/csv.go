@@ -175,7 +175,8 @@ func decodeProps(s string) (map[string]Value, error) {
 func (s *Store) WriteCSV(nodeW, edgeW io.Writer) error {
 	nw := csv.NewWriter(nodeW)
 	rec := make([]string, 3)
-	for _, n := range s.nodes {
+	for i := 0; i < s.nodes.Len(); i++ {
+		n := s.nodes.At(i)
 		props, err := encodeProps(n.Props)
 		if err != nil {
 			return fmt.Errorf("pg: node %d: %w", n.ID, err)
@@ -194,7 +195,8 @@ func (s *Store) WriteCSV(nodeW, edgeW io.Writer) error {
 
 	ew := csv.NewWriter(edgeW)
 	erec := make([]string, 5)
-	for _, e := range s.edges {
+	for i := 0; i < s.edges.Len(); i++ {
+		e := s.edges.At(i)
 		props, err := encodeProps(e.Props)
 		if err != nil {
 			return fmt.Errorf("pg: edge %d: %w", e.ID, err)
@@ -277,8 +279,8 @@ func (s *Store) Equal(o *Store) bool {
 	if s.NumNodes() != o.NumNodes() || s.NumEdges() != o.NumEdges() {
 		return false
 	}
-	for i, n := range s.nodes {
-		m := o.nodes[i]
+	for i := 0; i < s.nodes.Len(); i++ {
+		n, m := s.nodes.At(i), o.nodes.At(i)
 		if len(n.Labels) != len(m.Labels) {
 			return false
 		}
@@ -291,8 +293,8 @@ func (s *Store) Equal(o *Store) bool {
 			return false
 		}
 	}
-	for i, e := range s.edges {
-		f := o.edges[i]
+	for i := 0; i < s.edges.Len(); i++ {
+		e, f := s.edges.At(i), o.edges.At(i)
 		if e.From != f.From || e.To != f.To || e.Label != f.Label || !propsEqual(e.Props, f.Props) {
 			return false
 		}

@@ -23,8 +23,8 @@ func (s *Store) WriteCSVParallel(nodeW, edgeW io.Writer, workers int) error {
 	if workers <= 1 {
 		return s.WriteCSV(nodeW, edgeW)
 	}
-	if err := writeChunked(nodeW, len(s.nodes), workers, func(w *csv.Writer, rec []string, i int) error {
-		n := s.nodes[i]
+	if err := writeChunked(nodeW, s.nodes.Len(), workers, func(w *csv.Writer, rec []string, i int) error {
+		n := s.nodes.At(i)
 		props, err := encodeProps(n.Props)
 		if err != nil {
 			return fmt.Errorf("pg: node %d: %w", n.ID, err)
@@ -36,8 +36,8 @@ func (s *Store) WriteCSVParallel(nodeW, edgeW io.Writer, workers int) error {
 	}); err != nil {
 		return err
 	}
-	return writeChunked(edgeW, len(s.edges), workers, func(w *csv.Writer, rec []string, i int) error {
-		e := s.edges[i]
+	return writeChunked(edgeW, s.edges.Len(), workers, func(w *csv.Writer, rec []string, i int) error {
+		e := s.edges.At(i)
 		props, err := encodeProps(e.Props)
 		if err != nil {
 			return fmt.Errorf("pg: edge %d: %w", e.ID, err)

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"github.com/s3pg/s3pg/internal/cow"
 )
 
 // Value is a property value: string, int64, float64, bool, or []Value for
@@ -88,11 +90,22 @@ type NodeID uint32
 // EdgeID identifies an edge within a Store.
 type EdgeID uint32
 
-// Node is a property graph node: a set of labels and a record.
+// stamp is the identity of a store between two Clones: a node or edge
+// record carrying the store's current stamp is private to it and may be
+// written in place; any other record is shared with a clone and is copied
+// first (see Store.mutNode).
+type stamp struct{ _ byte }
+
+// Node is a property graph node: a set of labels and a record. Nodes are
+// read through the exported fields and written only through the Store's
+// mutators — a *Node taken from a store stays a consistent view of the node
+// as of the store's last Clone, not of later writes.
 type Node struct {
 	ID     NodeID
 	Labels []string // sorted, duplicate-free
 	Props  map[string]Value
+
+	own *stamp
 }
 
 // HasLabel reports whether the node carries the label.
@@ -106,25 +119,31 @@ func (n *Node) HasLabel(l string) bool {
 }
 
 // Edge is a directed property graph edge with a single label and a record.
+// Like nodes, edges are written only through the Store.
 type Edge struct {
 	ID    EdgeID
 	From  NodeID
 	To    NodeID
 	Label string
 	Props map[string]Value
+
+	own *stamp
 }
 
 // Store is an in-memory property graph. It is not safe for concurrent
-// mutation; concurrent readers are safe once loading completes.
+// mutation (Clone counts as mutation); concurrent readers are safe once
+// loading completes.
 type Store struct {
-	nodes []*Node
-	edges []*Edge
+	nodes cow.Table[*Node]
+	edges cow.Table[*Edge]
 
-	byLabel     map[string][]NodeID
+	byLabel     map[string][]NodeID // per-label lists are append-only
 	byEdgeLabel map[string][]EdgeID
-	out         map[NodeID][]EdgeID
-	in          map[NodeID][]EdgeID
-	byIRI       map[string]NodeID // unique index on the "iri" property
+	out         cow.Lists[EdgeID]
+	in          cow.Lists[EdgeID]
+	byIRI       cow.Map[string, NodeID] // unique index on the "iri" property
+
+	own *stamp // records stamped with it are private to this store
 }
 
 // NewStore returns an empty property graph.
@@ -132,17 +151,14 @@ func NewStore() *Store {
 	return &Store{
 		byLabel:     make(map[string][]NodeID),
 		byEdgeLabel: make(map[string][]EdgeID),
-		out:         make(map[NodeID][]EdgeID),
-		in:          make(map[NodeID][]EdgeID),
-		byIRI:       make(map[string]NodeID),
 	}
 }
 
 // NumNodes returns the node count.
-func (s *Store) NumNodes() int { return len(s.nodes) }
+func (s *Store) NumNodes() int { return s.nodes.Len() }
 
 // NumEdges returns the edge count.
-func (s *Store) NumEdges() int { return len(s.edges) }
+func (s *Store) NumEdges() int { return s.edges.Len() }
 
 // RelTypes returns the number of distinct edge labels.
 func (s *Store) RelTypes() int { return len(s.byEdgeLabel) }
@@ -164,57 +180,46 @@ func (s *Store) AddNode(labels []string, props map[string]Value) *Node {
 	if props == nil {
 		props = make(map[string]Value)
 	}
-	n := &Node{ID: NodeID(len(s.nodes)), Labels: clean, Props: props}
-	s.nodes = append(s.nodes, n)
+	n := &Node{ID: NodeID(s.nodes.Len()), Labels: clean, Props: props, own: s.own}
+	s.nodes.Set(int(n.ID), n)
 	for _, l := range clean {
 		s.byLabel[l] = append(s.byLabel[l], n.ID)
 	}
 	if iri, ok := props["iri"].(string); ok {
-		if _, exists := s.byIRI[iri]; !exists {
-			s.byIRI[iri] = n.ID
-		}
+		s.indexIRI(iri, n.ID)
 	}
 	return n
+}
+
+// indexIRI registers the node under its iri unless the slot is taken.
+func (s *Store) indexIRI(iri string, id NodeID) {
+	if _, exists := s.byIRI.Get(iri); !exists {
+		s.byIRI.Put(iri, id)
+	}
 }
 
 // AddEdge creates a directed labelled edge. It panics if an endpoint id is
 // out of range, which always indicates a caller bug.
 func (s *Store) AddEdge(from, to NodeID, label string, props map[string]Value) *Edge {
-	if int(from) >= len(s.nodes) || int(to) >= len(s.nodes) {
-		panic(fmt.Sprintf("pg: edge endpoint out of range: %d -> %d (have %d nodes)", from, to, len(s.nodes)))
+	if int(from) >= s.nodes.Len() || int(to) >= s.nodes.Len() {
+		panic(fmt.Sprintf("pg: edge endpoint out of range: %d -> %d (have %d nodes)", from, to, s.nodes.Len()))
 	}
 	if props == nil {
 		props = make(map[string]Value)
 	}
-	e := &Edge{ID: EdgeID(len(s.edges)), From: from, To: to, Label: label, Props: props}
-	s.edges = append(s.edges, e)
+	e := &Edge{ID: EdgeID(s.edges.Len()), From: from, To: to, Label: label, Props: props, own: s.own}
+	s.edges.Set(int(e.ID), e)
 	s.byEdgeLabel[label] = append(s.byEdgeLabel[label], e.ID)
-	s.out[from] = append(s.out[from], e.ID)
-	s.in[to] = append(s.in[to], e.ID)
+	s.out.Append(int(from), e.ID)
+	s.in.Append(int(to), e.ID)
 	return e
 }
 
 // Node returns the node by id, or nil when out of range.
-func (s *Store) Node(id NodeID) *Node {
-	if int(id) >= len(s.nodes) {
-		return nil
-	}
-	return s.nodes[id]
-}
+func (s *Store) Node(id NodeID) *Node { return s.nodes.At(int(id)) }
 
 // Edge returns the edge by id, or nil when out of range.
-func (s *Store) Edge(id EdgeID) *Edge {
-	if int(id) >= len(s.edges) {
-		return nil
-	}
-	return s.edges[id]
-}
-
-// Nodes returns all nodes in creation order.
-func (s *Store) Nodes() []*Node { return s.nodes }
-
-// Edges returns all edges in creation order.
-func (s *Store) Edges() []*Edge { return s.edges }
+func (s *Store) Edge(id EdgeID) *Edge { return s.edges.At(int(id)) }
 
 // NodesByLabel returns the ids of nodes carrying the label.
 func (s *Store) NodesByLabel(label string) []NodeID { return s.byLabel[label] }
@@ -223,26 +228,64 @@ func (s *Store) NodesByLabel(label string) []NodeID { return s.byLabel[label] }
 func (s *Store) EdgesByLabel(label string) []EdgeID { return s.byEdgeLabel[label] }
 
 // Out returns the outgoing edge ids of the node.
-func (s *Store) Out(id NodeID) []EdgeID { return s.out[id] }
+func (s *Store) Out(id NodeID) []EdgeID { return s.out.At(int(id)) }
 
 // In returns the incoming edge ids of the node.
-func (s *Store) In(id NodeID) []EdgeID { return s.in[id] }
+func (s *Store) In(id NodeID) []EdgeID { return s.in.At(int(id)) }
 
 // NodeByIRI returns the node whose "iri" property equals iri, or nil.
 func (s *Store) NodeByIRI(iri string) *Node {
-	id, ok := s.byIRI[iri]
+	id, ok := s.byIRI.Get(iri)
 	if !ok {
 		return nil
 	}
-	return s.nodes[id]
+	return s.nodes.At(int(id))
+}
+
+// mutNode returns node id for writing. This and mutEdge are the only places
+// a record of an existing element is written, so they are where copy-on-write
+// is enforced: a record shared with a clone is replaced by a private copy
+// (label slice and array values clipped, so appends reallocate) first.
+func (s *Store) mutNode(id NodeID) *Node {
+	n := s.nodes.At(int(id))
+	if n.own != s.own {
+		n = &Node{ID: n.ID, Labels: n.Labels[:len(n.Labels):len(n.Labels)], Props: cloneProps(n.Props), own: s.own}
+		s.nodes.Set(int(id), n)
+	}
+	return n
+}
+
+func (s *Store) mutEdge(id EdgeID) *Edge {
+	e := s.edges.At(int(id))
+	if e.own != s.own {
+		c := *e
+		c.Props, c.own = cloneProps(e.Props), s.own
+		e = &c
+		s.edges.Set(int(id), e)
+	}
+	return e
+}
+
+// cloneProps copies a property map for a private record. Array values keep
+// their elements but lose their spare capacity: appendProp extends them with
+// append, which must not write into an array a clone still reads.
+func cloneProps(props map[string]Value) map[string]Value {
+	c := make(map[string]Value, len(props))
+	for k, v := range props {
+		if list, ok := v.([]Value); ok {
+			v = list[:len(list):len(list)]
+		}
+		c[k] = v
+	}
+	return c
 }
 
 // AddLabel adds a label to an existing node, keeping indexes consistent.
 func (s *Store) AddLabel(id NodeID, label string) {
-	n := s.nodes[id]
-	if label == "" || n.HasLabel(label) {
+	if label == "" || s.nodes.At(int(id)).HasLabel(label) {
 		return
 	}
+	n := s.mutNode(id)
 	n.Labels = append(n.Labels, label)
 	sort.Strings(n.Labels)
 	s.byLabel[label] = append(s.byLabel[label], id)
@@ -251,31 +294,36 @@ func (s *Store) AddLabel(id NodeID, label string) {
 // SetProp sets a property on a node. Setting "iri" registers the node in the
 // IRI index when the slot is free.
 func (s *Store) SetProp(id NodeID, key string, v Value) {
-	n := s.nodes[id]
-	n.Props[key] = v
+	s.mutNode(id).Props[key] = v
 	if key == "iri" {
 		if iri, ok := v.(string); ok {
-			if _, exists := s.byIRI[iri]; !exists {
-				s.byIRI[iri] = id
-			}
+			s.indexIRI(iri, id)
 		}
 	}
 }
 
-// AppendProp appends a value to a property, promoting a scalar to an array.
-// It is the primitive used for multi-valued key/value properties.
+// AppendProp appends a value to a node property, promoting a scalar to an
+// array. It is the primitive used for multi-valued key/value properties.
 func (s *Store) AppendProp(id NodeID, key string, v Value) {
-	n := s.nodes[id]
-	cur, ok := n.Props[key]
+	appendProp(s.mutNode(id).Props, key, v)
+}
+
+// AppendEdgeProp is AppendProp for an edge record (RDF-star annotations).
+func (s *Store) AppendEdgeProp(id EdgeID, key string, v Value) {
+	appendProp(s.mutEdge(id).Props, key, v)
+}
+
+func appendProp(props map[string]Value, key string, v Value) {
+	cur, ok := props[key]
 	if !ok {
-		n.Props[key] = v
+		props[key] = v
 		return
 	}
 	if arr, isArr := cur.([]Value); isArr {
-		n.Props[key] = append(arr, v)
+		props[key] = append(arr, v)
 		return
 	}
-	n.Props[key] = []Value{cur, v}
+	props[key] = []Value{cur, v}
 }
 
 // Labels returns all distinct node labels, sorted.

@@ -28,7 +28,8 @@ func Check(store *pg.Store, s *Schema) []Violation {
 	var out []Violation
 
 	// Typing of nodes: T(v) = {τ | v ⊨ τ} must be non-empty.
-	for _, n := range store.Nodes() {
+	for ni := 0; ni < store.NumNodes(); ni++ {
+		n := store.Node(pg.NodeID(ni))
 		if !nodeTyped(n, s) {
 			out = append(out, Violation{"node", uint32(n.ID),
 				fmt.Sprintf("labels %v conform to no node type", n.Labels)})
@@ -38,7 +39,8 @@ func Check(store *pg.Store, s *Schema) []Violation {
 	// Strict typing (the STRICT graph-type reading that semantics
 	// preservation relies on): a node carrying a type's label must satisfy
 	// that type's content type, inherited properties included.
-	for _, n := range store.Nodes() {
+	for ni := 0; ni < store.NumNodes(); ni++ {
+		n := store.Node(pg.NodeID(ni))
 		for _, l := range n.Labels {
 			nt := s.NodeTypeByLabel(l)
 			if nt == nil || nt.Value {
@@ -63,7 +65,8 @@ func Check(store *pg.Store, s *Schema) []Violation {
 	}
 
 	// Typing of edges.
-	for _, e := range store.Edges() {
+	for ei := 0; ei < store.NumEdges(); ei++ {
+		e := store.Edge(pg.EdgeID(ei))
 		if !edgeTyped(store, e, s) {
 			out = append(out, Violation{"edge", uint32(e.ID),
 				fmt.Sprintf("label %q between %v and %v conforms to no edge type",

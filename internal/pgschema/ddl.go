@@ -248,9 +248,13 @@ func (p *ddlParser) nodeType(s *Schema) error {
 	if err := p.expect(":"); err != nil {
 		return err
 	}
-	label, err := p.word()
-	if err != nil {
-		return err
+	// The node type of entities that have no rdf:type (yet) has the empty
+	// label set: WriteDDL emits it as "(anonType:  {})".
+	label := ""
+	if !p.lex.peek().is("{") {
+		if label, err = p.word(); err != nil {
+			return err
+		}
 	}
 	nt := &NodeType{Name: name, Label: label}
 	if err := p.expect("{"); err != nil {

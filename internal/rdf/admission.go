@@ -24,8 +24,7 @@ func (g *Graph) IndexOf(t Triple) (int32, bool) {
 	if !ok {
 		return 0, false
 	}
-	idx, ok := g.present[encTriple{s, p, o}]
-	return idx, ok
+	return g.slotOf(encTriple{s, p, o})
 }
 
 // MatchIndexed is Match, additionally passing each triple's admission index.
@@ -54,7 +53,7 @@ func (g *Graph) MatchIndexed(s, p, o *Term, fn func(int32, Triple) bool) {
 	}
 	if se != noID && pe != noID && oe != noID {
 		e := encTriple{se, pe, oe}
-		if idx, ok := g.present[e]; ok {
+		if idx, ok := g.slotOf(e); ok {
 			fn(idx, g.decode(e))
 		}
 		return
@@ -116,10 +115,12 @@ func (g *Graph) Unremove(idx int32, t Triple) bool {
 	if g.triples[idx] != e {
 		return false
 	}
+	g.ownPresent()
 	if _, present := g.present[e]; present {
 		return false
 	}
 	g.present[e] = idx
+	g.ownDead()
 	g.dead[idx] = false
 	g.nDead--
 	return true
@@ -129,31 +130,38 @@ func (g *Graph) Unremove(idx int32, t Triple) bool {
 // un-admitting the most recent Adds. Posting lists are append-ordered, so
 // the truncated entries are exactly their tails. Dictionary entries interned
 // by the truncated Adds are retained (ids are internal and never affect
-// admission order).
+// admission order). The vacated slots may still be visible to a clone, so
+// the graph gives up its spare capacity: the next Add reallocates instead of
+// writing over them.
 func (g *Graph) TruncateFrom(n int) {
 	if n < 0 {
 		n = 0
 	}
+	if n >= len(g.triples) {
+		return
+	}
+	g.ownPresent()
 	for i := len(g.triples) - 1; i >= n; i-- {
 		e := g.triples[i]
-		g.bySubj[e.s] = popIndex(g.bySubj[e.s], int32(i))
-		g.byPred[e.p] = popIndex(g.byPred[e.p], int32(i))
-		g.byObj[e.o] = popIndex(g.byObj[e.o], int32(i))
+		g.popIndex(0, e.s, int32(i))
+		g.popIndex(1, e.p, int32(i))
+		g.popIndex(2, e.o, int32(i))
 		if g.dead[i] {
 			g.nDead--
 		} else {
 			delete(g.present, e)
 		}
 	}
-	g.triples = g.triples[:n]
-	g.dead = g.dead[:n]
+	g.triples = g.triples[:n:n]
+	g.dead = g.dead[:n:n]
 }
 
 // popIndex removes the tail entry of a posting list, asserting it is the
 // expected index (a mismatch means the list lost its append order — a bug).
-func popIndex(list []int32, want int32) []int32 {
+func (g *Graph) popIndex(k int, id TermID, want int32) {
+	list := g.post[k].At(int(id))
 	if len(list) == 0 || list[len(list)-1] != want {
 		panic("rdf: posting list out of admission order during truncate")
 	}
-	return list[:len(list)-1]
+	g.post[k].Pop(int(id))
 }

@@ -29,6 +29,9 @@ type termArena struct {
 	// confirmed by decoding the candidate term, so collisions cannot alias.
 	hash map[uint64]TermID
 	over map[uint64][]TermID
+	// shared is set once a clone's dictionary reads this arena: the next
+	// generation then extends a copy of the index instead of the maps.
+	shared bool
 
 	mu    sync.Mutex
 	cache *lruCache[[]Term]
@@ -180,6 +183,24 @@ func (a *termArena) addHash(t Term, id TermID) {
 		return
 	}
 	a.over[h] = append(a.over[h], id)
+}
+
+// handOffIndex returns the hash index for the next generation to extend
+// with its tail terms: the maps themselves, or copies when a clone still
+// looks terms up through this arena.
+func (a *termArena) handOffIndex() (map[uint64]TermID, map[uint64][]TermID) {
+	if !a.shared {
+		return a.hash, a.over
+	}
+	hash := make(map[uint64]TermID, len(a.hash))
+	for h, id := range a.hash {
+		hash[h] = id
+	}
+	over := make(map[uint64][]TermID, len(a.over))
+	for h, ids := range a.over {
+		over[h] = ids[:len(ids):len(ids)]
+	}
+	return hash, over
 }
 
 func (a *termArena) close() {

@@ -37,9 +37,9 @@ func NewGraphFromEncoded(d *Dict, enc []EncodedTriple, workers int) *Graph {
 	if workers <= 1 || len(g.triples) < minParallelIndex {
 		for i, e := range g.triples {
 			idx := int32(i)
-			g.bySubj[e.s] = append(g.bySubj[e.s], idx)
-			g.byPred[e.p] = append(g.byPred[e.p], idx)
-			g.byObj[e.o] = append(g.byObj[e.o], idx)
+			g.post[0].Append(int(e.s), idx)
+			g.post[1].Append(int(e.p), idx)
+			g.post[2].Append(int(e.o), idx)
 		}
 		return g
 	}
@@ -58,9 +58,7 @@ func (g *Graph) buildIndexesParallel(workers int) {
 	if workers > n {
 		workers = n
 	}
-	type partial struct {
-		bySubj, byPred, byObj map[TermID][]int32
-	}
+	type partial [3]map[TermID][]int32
 	parts := make([]partial, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -68,35 +66,30 @@ func (g *Graph) buildIndexesParallel(workers int) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			p := partial{
-				bySubj: make(map[TermID][]int32),
-				byPred: make(map[TermID][]int32),
-				byObj:  make(map[TermID][]int32),
-			}
+			p := partial{make(map[TermID][]int32), make(map[TermID][]int32), make(map[TermID][]int32)}
 			for i := lo; i < hi; i++ {
 				e := g.triples[i]
 				idx := int32(i)
-				p.bySubj[e.s] = append(p.bySubj[e.s], idx)
-				p.byPred[e.p] = append(p.byPred[e.p], idx)
-				p.byObj[e.o] = append(p.byObj[e.o], idx)
+				p[0][e.s] = append(p[0][e.s], idx)
+				p[1][e.p] = append(p[1][e.p], idx)
+				p[2][e.o] = append(p[2][e.o], idx)
 			}
 			parts[w] = p
 		}(w, lo, hi)
 	}
 	wg.Wait()
 	var mg sync.WaitGroup
-	merge := func(dst map[TermID][]int32, pick func(*partial) map[TermID][]int32) {
-		defer mg.Done()
-		for i := range parts {
-			for k, l := range pick(&parts[i]) {
-				dst[k] = append(dst[k], l...)
+	for k := range g.post {
+		mg.Add(1)
+		go func(k int) {
+			defer mg.Done()
+			for i := range parts {
+				for id, l := range parts[i][k] {
+					g.post[k].Extend(int(id), l)
+				}
 			}
-		}
+		}(k)
 	}
-	mg.Add(3)
-	go merge(g.bySubj, func(p *partial) map[TermID][]int32 { return p.bySubj })
-	go merge(g.byPred, func(p *partial) map[TermID][]int32 { return p.byPred })
-	go merge(g.byObj, func(p *partial) map[TermID][]int32 { return p.byObj })
 	mg.Wait()
 }
 

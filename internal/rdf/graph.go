@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/s3pg/s3pg/internal/cow"
 	"github.com/s3pg/s3pg/internal/obs"
 )
 
@@ -30,20 +31,30 @@ const noID = ^TermID(0)
 // arena and only terms interned afterwards in the resident tail; id
 // assignment is identical either way.
 type Dict struct {
-	ids   map[Term]TermID // resident tail: term → id (all ids when unspilled)
-	terms []Term          // resident tail: ids [base, base+len)
-	arena *termArena      // disk-backed ids [0, base); nil when unspilled
-	base  TermID          // arena term count; 0 when unspilled
+	ids   cow.Map[Term, TermID] // resident tail: term → id (all ids when unspilled)
+	terms []Term                // resident tail: ids [base, base+len); append-only
+	arena *termArena            // disk-backed ids [0, base); nil when unspilled
+	base  TermID                // arena term count; 0 when unspilled
 }
 
 // NewDict returns an empty dictionary.
-func NewDict() *Dict {
-	return &Dict{ids: make(map[Term]TermID)}
+func NewDict() *Dict { return &Dict{} }
+
+// clone returns a dictionary with the same id assignments that either side
+// may keep interning into: the term slice is shared (the clone's capacity
+// clipped, so only d appends in place), the hash index per cow.Map, the
+// arena as the immutable generation it is.
+func (d *Dict) clone() *Dict {
+	if d.arena != nil {
+		d.arena.shared = true
+	}
+	n := len(d.terms)
+	return &Dict{ids: d.ids.Clone(), terms: d.terms[:n:n], arena: d.arena, base: d.base}
 }
 
 // Intern returns the id for the term, assigning a fresh one if necessary.
 func (d *Dict) Intern(t Term) TermID {
-	if id, ok := d.ids[t]; ok {
+	if id, ok := d.ids.Get(t); ok {
 		return id
 	}
 	if d.arena != nil {
@@ -52,7 +63,7 @@ func (d *Dict) Intern(t Term) TermID {
 		}
 	}
 	id := d.base + TermID(len(d.terms))
-	d.ids[t] = id
+	d.ids.Put(t, id)
 	d.terms = append(d.terms, t)
 	cDictTerms.Inc()
 	return id
@@ -60,7 +71,7 @@ func (d *Dict) Intern(t Term) TermID {
 
 // Lookup returns the id for the term and whether it is interned.
 func (d *Dict) Lookup(t Term) (TermID, bool) {
-	if id, ok := d.ids[t]; ok {
+	if id, ok := d.ids.Get(t); ok {
 		return id, true
 	}
 	if d.arena != nil {
@@ -88,8 +99,9 @@ type encTriple struct {
 
 // Graph is a dictionary-encoded RDF graph indexed by subject, predicate,
 // and object, supporting wildcard pattern matching for BGP evaluation.
-// Graph is not safe for concurrent mutation (Spill counts as mutation);
-// concurrent readers are safe once loading is complete, spilled or not.
+// Graph is not safe for concurrent mutation (Spill and Clone count as
+// mutation); concurrent readers are safe once loading is complete, spilled
+// or not.
 //
 // A spilled graph (see Spill) keeps slots [0, spill.slots) on disk and only
 // slots admitted afterwards in the resident tail fields below; slot
@@ -97,14 +109,18 @@ type encTriple struct {
 // way, so spilling is invisible to every accessor.
 type Graph struct {
 	dict    *Dict
-	triples []encTriple // resident tail (all slots when unspilled)
+	triples []encTriple // resident tail (all slots when unspilled); append-only
 	dead    []bool      // tombstones for tail slots
+	// deadShared is set while a clone may hold the dead array: appends past
+	// its length stay in place, flipping a slot copies the array first.
+	deadShared bool
+	// present maps a live tail triple to its slot. It serves the writer
+	// (Add's duplicate check, Remove); a clone starts without one, answers
+	// Has from the posting lists, and builds its own on its first mutation.
 	present map[encTriple]int32
 	nDead   int // tombstone count across spilled and tail slots
 
-	bySubj map[TermID][]int32
-	byPred map[TermID][]int32
-	byObj  map[TermID][]int32
+	post [3]cow.Lists[int32] // tail postings by subject, predicate, object id
 
 	spill *graphSpill // disk-backed slots [0, spill.slots); nil when unspilled
 }
@@ -114,13 +130,7 @@ func NewGraph() *Graph { return NewGraphWithDict(NewDict()) }
 
 // NewGraphWithDict returns an empty graph sharing the given dictionary.
 func NewGraphWithDict(d *Dict) *Graph {
-	return &Graph{
-		dict:    d,
-		present: make(map[encTriple]int32),
-		bySubj:  make(map[TermID][]int32),
-		byPred:  make(map[TermID][]int32),
-		byObj:   make(map[TermID][]int32),
-	}
+	return &Graph{dict: d, present: make(map[encTriple]int32)}
 }
 
 // Dict exposes the graph's term dictionary.
@@ -171,9 +181,32 @@ func (g *Graph) killSlot(i int) {
 	if sp := g.spill; sp != nil && i < sp.slots {
 		sp.setDead(i)
 	} else {
+		g.ownDead()
 		g.dead[i-g.spillBase()] = true
 	}
 	g.nDead++
+}
+
+// ownDead makes the tail tombstones private before a slot is flipped.
+func (g *Graph) ownDead() {
+	if g.deadShared {
+		g.dead = append([]bool(nil), g.dead...)
+		g.deadShared = false
+	}
+}
+
+// ownPresent builds the clone's triple → slot map before its first mutation.
+func (g *Graph) ownPresent() {
+	if g.present != nil {
+		return
+	}
+	g.present = make(map[encTriple]int32, len(g.triples))
+	base := g.spillBase()
+	for i, e := range g.triples {
+		if !g.dead[i] {
+			g.present[e] = int32(base + i)
+		}
+	}
 }
 
 // forEachSlot calls fn for every live slot in admission order until fn
@@ -205,25 +238,13 @@ func (g *Graph) forEachSlot(fn func(slot int, e encTriple) bool) {
 	}
 }
 
-// tailPost returns the resident tail posting map for index k (0=subject,
-// 1=predicate, 2=object).
-func (g *Graph) tailPost(k int) map[TermID][]int32 {
-	switch k {
-	case 0:
-		return g.bySubj
-	case 1:
-		return g.byPred
-	default:
-		return g.byObj
-	}
-}
-
-// postingFor returns the full posting list for id on index k, spilled part
-// first (slots ascend across the concatenation, preserving the admission-
-// order invariant). The result must not be mutated; it aliases cache or
-// index state unless both parts are non-empty.
+// postingFor returns the full posting list for id on index k (0=subject,
+// 1=predicate, 2=object), spilled part first (slots ascend across the
+// concatenation, preserving the admission-order invariant). The result must
+// not be mutated; it aliases cache or index state unless both parts are
+// non-empty.
 func (g *Graph) postingFor(k int, id TermID) []int32 {
-	tail := g.tailPost(k)[id]
+	tail := g.post[k].At(int(id))
 	if g.spill == nil {
 		return tail
 	}
@@ -239,30 +260,42 @@ func (g *Graph) postingFor(k int, id TermID) []int32 {
 	return append(merged, tail...)
 }
 
-// slotOf finds the live slot holding e, consulting the tail's hash map
-// first and falling back to a scan of the shortest spilled posting list
-// (the spilled prefix has no resident hash: that is the point of spilling).
+// slotOf finds the live slot holding e: the tail's hash map when the graph
+// has one, else — a clone that was never mutated, and the spilled prefix,
+// which keeps no resident hash — a scan of e's shortest posting list.
 func (g *Graph) slotOf(e encTriple) (int32, bool) {
-	if idx, ok := g.present[e]; ok {
-		return idx, true
+	if g.present != nil {
+		if idx, ok := g.present[e]; ok {
+			return idx, true
+		}
+	} else {
+		base := g.spillBase()
+		for _, idx := range shortest(g.post[0].At(int(e.s)), g.post[1].At(int(e.p)), g.post[2].At(int(e.o))) {
+			if i := int(idx) - base; !g.dead[i] && g.triples[i] == e {
+				return idx, true
+			}
+		}
 	}
 	sp := g.spill
 	if sp == nil {
 		return 0, false
 	}
-	best := sp.post[0].posting(e.s)
-	if l := sp.post[1].posting(e.p); len(l) < len(best) {
-		best = l
-	}
-	if l := sp.post[2].posting(e.o); len(l) < len(best) {
-		best = l
-	}
-	for _, idx := range best {
+	for _, idx := range shortest(sp.post[0].posting(e.s), sp.post[1].posting(e.p), sp.post[2].posting(e.o)) {
 		if !sp.isDead(int(idx)) && sp.log.triple(int(idx)) == e {
 			return idx, true
 		}
 	}
 	return 0, false
+}
+
+func shortest(s, p, o []int32) []int32 {
+	if len(p) < len(s) {
+		s = p
+	}
+	if len(o) < len(s) {
+		s = o
+	}
+	return s
 }
 
 // Add inserts a triple, returning false if it was already present.
@@ -276,6 +309,7 @@ func (g *Graph) Add(t Triple) bool {
 }
 
 func (g *Graph) addEnc(e encTriple) bool {
+	g.ownPresent()
 	if _, ok := g.slotOf(e); ok {
 		return false
 	}
@@ -283,9 +317,9 @@ func (g *Graph) addEnc(e encTriple) bool {
 	g.triples = append(g.triples, e)
 	g.dead = append(g.dead, false)
 	g.present[e] = idx
-	g.bySubj[e.s] = append(g.bySubj[e.s], idx)
-	g.byPred[e.p] = append(g.byPred[e.p], idx)
-	g.byObj[e.o] = append(g.byObj[e.o], idx)
+	g.post[0].Append(int(e.s), idx)
+	g.post[1].Append(int(e.p), idx)
+	g.post[2].Append(int(e.o), idx)
 	cGraphTriples.Inc()
 	cIndexEntries.Add(3)
 	return true
@@ -307,6 +341,7 @@ func (g *Graph) Remove(t Triple) bool {
 		return false
 	}
 	e := encTriple{s, p, o}
+	g.ownPresent()
 	idx, ok := g.slotOf(e)
 	if !ok {
 		return false
@@ -587,50 +622,30 @@ func (g *Graph) AddAll(other *Graph) int {
 	return n
 }
 
-// Clone returns a deep logical copy: mutations on either side are invisible
-// to the other. For a resident graph it re-interns into a fresh dictionary
-// (compacting tombstones, as before). For a spilled graph it shares the
-// immutable on-disk generation — paying only for the resident tail and the
-// tombstone bitset — so snapshotting an out-of-core graph stays cheap; slot
-// indexes and term ids are preserved in that case.
+// Clone returns a logical copy: mutations on either side are invisible to
+// the other. Nothing is copied per triple or per term — the triple log, the
+// term slice and the posting arrays are shared (only g may append to them
+// in place; the clone's views are clipped), the posting tables and the
+// dictionary's hash index are shared copy-on-write (package cow), a spilled
+// generation is shared as the immutable files it is, and the tombstones are
+// copied by whichever side first flips one. Slot indexes and term ids are
+// preserved. Clone writes to g's sharing state, so like any mutation it must
+// not run concurrently with another method of g.
 func (g *Graph) Clone() *Graph {
-	if g.spill == nil {
-		c := NewGraph()
-		c.AddAll(g)
-		return c
-	}
-	d := &Dict{
-		ids:   make(map[Term]TermID, len(g.dict.ids)),
-		terms: append([]Term(nil), g.dict.terms...),
-		arena: g.dict.arena,
-		base:  g.dict.base,
-	}
-	for t, id := range g.dict.ids {
-		d.ids[t] = id
-	}
+	n := len(g.triples)
+	g.deadShared = true
 	c := &Graph{
-		dict:    d,
-		triples: append([]encTriple(nil), g.triples...),
-		dead:    append([]bool(nil), g.dead...),
-		present: make(map[encTriple]int32, len(g.present)),
-		nDead:   g.nDead,
-		bySubj:  clonePostings(g.bySubj),
-		byPred:  clonePostings(g.byPred),
-		byObj:   clonePostings(g.byObj),
-		spill:   g.spill.share(),
+		dict:       g.dict.clone(),
+		triples:    g.triples[:n:n],
+		dead:       g.dead[:n:n],
+		deadShared: true,
+		nDead:      g.nDead,
+		post:       [3]cow.Lists[int32]{g.post[0].Clone(), g.post[1].Clone(), g.post[2].Clone()},
 	}
-	for e, idx := range g.present {
-		c.present[e] = idx
+	if g.spill != nil {
+		c.spill = g.spill.share()
 	}
 	return c
-}
-
-func clonePostings(m map[TermID][]int32) map[TermID][]int32 {
-	out := make(map[TermID][]int32, len(m))
-	for k, v := range m {
-		out[k] = append([]int32(nil), v...)
-	}
-	return out
 }
 
 // Equal reports whether two graphs contain exactly the same triple set.

@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"github.com/s3pg/s3pg/internal/ckpt"
+	"github.com/s3pg/s3pg/internal/cow"
 	"github.com/s3pg/s3pg/internal/obs"
 )
 
@@ -79,14 +80,17 @@ type graphSpill struct {
 	log   *pageFile
 	post  [3]*postIndex
 	dead  []uint64 // bitset over [0,slots); mutable (Remove after spill)
+	// deadShared is set while another handle may hold the bitset; setDead
+	// copies it first.
+	deadShared bool
 }
 
-// share returns a handle over the same immutable generation with an
-// independent tombstone bitset, for Clone.
+// share returns a second handle over the same immutable generation, for
+// Clone. The tombstone bitset is shared until either handle sets a bit.
 func (sp *graphSpill) share() *graphSpill {
-	dead := make([]uint64, len(sp.dead))
-	copy(dead, sp.dead)
-	return &graphSpill{dir: sp.dir, gen: sp.gen, slots: sp.slots, log: sp.log, post: sp.post, dead: dead}
+	sp.deadShared = true
+	c := *sp
+	return &c
 }
 
 func (sp *graphSpill) isDead(slot int) bool {
@@ -94,6 +98,10 @@ func (sp *graphSpill) isDead(slot int) bool {
 }
 
 func (sp *graphSpill) setDead(slot int) {
+	if sp.deadShared {
+		sp.dead = append([]uint64(nil), sp.dead...)
+		sp.deadShared = false
+	}
 	sp.dead[slot>>6] |= 1 << (uint(slot) & 63)
 }
 
@@ -471,8 +479,7 @@ func (g *Graph) Spill(dir string, fsys ckpt.FS) (err error) {
 	}
 	runtime.SetFinalizer(arena, func(a *termArena) { a.close() })
 	if prev := g.dict.arena; prev != nil {
-		arena.hash = prev.hash
-		arena.over = prev.over
+		arena.hash, arena.over = prev.handOffIndex()
 	}
 	for i, t := range g.dict.terms {
 		arena.addHash(t, g.dict.base+TermID(i))
@@ -492,15 +499,14 @@ func (g *Graph) Spill(dir string, fsys ckpt.FS) (err error) {
 	oldGenFiles := g.spillGenFiles()
 	g.dict.arena = arena
 	g.dict.base = TermID(man.Terms)
-	g.dict.ids = make(map[Term]TermID)
+	g.dict.ids = cow.Map[Term, TermID]{}
 	g.dict.terms = nil
 	g.spill = sp
 	g.triples = nil
 	g.dead = nil
+	g.deadShared = false
 	g.present = make(map[encTriple]int32)
-	g.bySubj = make(map[TermID][]int32)
-	g.byPred = make(map[TermID][]int32)
-	g.byObj = make(map[TermID][]int32)
+	g.post = [3]cow.Lists[int32]{}
 
 	// Best-effort cleanup of the superseded generation. Clones sharing it
 	// keep their open handles (the data outlives the directory entry).
@@ -731,7 +737,7 @@ func loadGeneration(dir string, man *spillManifest) (*Graph, error) {
 			Detail: fmt.Sprintf("bitset has %d tombstones, manifest records %d", nDead, man.NDead)}
 	}
 
-	d := &Dict{ids: make(map[Term]TermID), arena: arena, base: TermID(man.Terms)}
+	d := &Dict{arena: arena, base: TermID(man.Terms)}
 	g := NewGraphWithDict(d)
 	g.spill = sp
 	g.nDead = man.NDead

@@ -106,6 +106,9 @@ func (c *Cache) Get(ctx context.Context, key string, load func() (*Snapshot, err
 	c.loads.Add(1)
 	cCacheLoads.Inc()
 	call.snap, call.err = load()
+	if call.err == nil {
+		call.snap.Bytes() // the costing walk, before the writer lock is taken
+	}
 
 	c.mu.Lock()
 	delete(c.inflight, key)
@@ -130,7 +133,7 @@ func (c *Cache) insertLocked(key string, snap *Snapshot) {
 	e := &entry{snap: snap}
 	e.lastUsed.Store(c.clock.Add(1))
 	next[key] = e
-	c.used += snap.Bytes
+	c.used += snap.Bytes()
 
 	for c.budget > 0 && c.used > c.budget && len(next) > 1 {
 		victimKey := ""
@@ -147,7 +150,7 @@ func (c *Cache) insertLocked(key string, snap *Snapshot) {
 			break
 		}
 		delete(next, victimKey)
-		c.used -= victim.snap.Bytes
+		c.used -= victim.snap.Bytes()
 		c.evictions.Add(1)
 		cCacheEvictions.Inc()
 	}

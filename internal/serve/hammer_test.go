@@ -31,7 +31,7 @@ func TestHammerSnapshotSwapAndEviction(t *testing.T) {
 	// Cache under eviction pressure: budget for ~2 of the 6 keys. Key i
 	// holds 2+i nodes.
 	base := testSnapshot(0, 0)
-	cache := NewCache(base.Bytes * 5 / 2)
+	cache := NewCache(base.Bytes() * 5 / 2)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()

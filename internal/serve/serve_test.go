@@ -28,12 +28,12 @@ func testSnapshot(lsn uint64, extra int) *Snapshot {
 
 func TestSnapshotBytesPositive(t *testing.T) {
 	s := testSnapshot(0, 10)
-	if s.Bytes <= 0 {
-		t.Fatalf("Bytes = %d", s.Bytes)
+	if s.Bytes() <= 0 {
+		t.Fatalf("Bytes = %d", s.Bytes())
 	}
 	big := testSnapshot(0, 100)
-	if big.Bytes <= s.Bytes {
-		t.Fatalf("bigger snapshot not costed higher: %d vs %d", big.Bytes, s.Bytes)
+	if big.Bytes() <= s.Bytes() {
+		t.Fatalf("bigger snapshot not costed higher: %d vs %d", big.Bytes(), s.Bytes())
 	}
 }
 
@@ -99,7 +99,7 @@ func TestCacheLoadError(t *testing.T) {
 func TestCacheEvictsLRUWithinBudget(t *testing.T) {
 	one := testSnapshot(0, 0)
 	// Budget for two snapshots but not three.
-	c := NewCache(one.Bytes*2 + one.Bytes/2)
+	c := NewCache(one.Bytes()*2 + one.Bytes()/2)
 	mk := func(k string) func() (*Snapshot, error) {
 		return func() (*Snapshot, error) { return testSnapshot(0, 0), nil }
 	}
@@ -118,7 +118,7 @@ func TestCacheEvictsLRUWithinBudget(t *testing.T) {
 	if _, hit, _ := c.Get(ctx, "b", mk("b")); hit {
 		t.Fatal("LRU entry survived over-budget insert")
 	}
-	if c.Stats().Bytes > c.budget+one.Bytes {
+	if c.Stats().Bytes > c.budget+one.Bytes() {
 		t.Fatalf("bytes accounting off: %+v vs budget %d", c.Stats(), c.budget)
 	}
 }

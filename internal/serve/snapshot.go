@@ -7,6 +7,8 @@
 package serve
 
 import (
+	"sync"
+
 	"github.com/s3pg/s3pg/internal/pg"
 	"github.com/s3pg/s3pg/internal/rdf"
 )
@@ -23,18 +25,26 @@ type Snapshot struct {
 	// LSN is the last delta applied to the view: 0 for batch-loaded (job)
 	// graphs, the WAL LSN for live graphs.
 	LSN uint64
-	// Bytes is the approximate heap cost of the snapshot, used for LRU
-	// budget accounting.
-	Bytes int64
+
+	costOnce sync.Once
+	cost     int64
 }
 
-// NewSnapshot freezes the given graph pair into a snapshot, computing its
-// byte cost. Ownership of both structures passes to the snapshot: callers
-// must not mutate them afterwards.
+// NewSnapshot freezes the given graph pair into a snapshot. Ownership of
+// both structures passes to the snapshot: callers must not mutate them
+// afterwards. It does not look inside them: a live graph publishes one per
+// update, and only the Cache ever asks what a snapshot costs.
 func NewSnapshot(g *rdf.Graph, store *pg.Store, ddl string, lsn uint64) *Snapshot {
-	s := &Snapshot{Graph: g, Store: store, DDL: ddl, LSN: lsn}
-	s.Bytes = approxGraphBytes(g) + approxStoreBytes(store) + int64(len(ddl))
-	return s
+	return &Snapshot{Graph: g, Store: store, DDL: ddl, LSN: lsn}
+}
+
+// Bytes is the approximate heap cost of the snapshot, used for LRU budget
+// accounting. It walks the graph and the store on first use.
+func (s *Snapshot) Bytes() int64 {
+	s.costOnce.Do(func() {
+		s.cost = approxGraphBytes(s.Graph) + approxStoreBytes(s.Store) + int64(len(s.DDL))
+	})
+	return s.cost
 }
 
 // approxGraphBytes estimates the heap cost of a dictionary-encoded RDF
@@ -64,14 +74,16 @@ func approxStoreBytes(s *pg.Store) int64 {
 		return 0
 	}
 	var b int64
-	for _, n := range s.Nodes() {
+	for ni := 0; ni < s.NumNodes(); ni++ {
+		n := s.Node(pg.NodeID(ni))
 		b += 64 // Node struct + slice/map headers
 		for _, l := range n.Labels {
 			b += 16 + int64(len(l)) + 4 // label string + byLabel posting
 		}
 		b += propsBytes(n.Props)
 	}
-	for _, e := range s.Edges() {
+	for ei := 0; ei < s.NumEdges(); ei++ {
+		e := s.Edge(pg.EdgeID(ei))
 		b += 72 + int64(len(e.Label)) // Edge struct + out/in/byEdgeLabel postings
 		b += propsBytes(e.Props)
 	}

@@ -129,9 +129,9 @@ type graphSession struct {
 
 	// Query serving (internal/serve). lsn is the latest applied LSN, stored
 	// after each successful apply; snap caches the immutable snapshot last
-	// published for queries. Snapshots are materialized lazily — on the first
-	// query that observes a stale snap — rather than eagerly per apply, so
-	// the delta path never pays for cloning when nobody is querying.
+	// published for queries. The first query that observes a stale snap
+	// publishes the next one (see snapshot): nothing is published while
+	// nobody is querying, and one place clones.
 	lsn  atomic.Uint64
 	snap atomic.Pointer[serve.Snapshot]
 }
@@ -497,7 +497,7 @@ func (m *GraphManager) applyOne(gs *graphSession, d *rdf.Delta) (*UpdateResult, 
 	gs.trimHistLocked()
 	gs.histMu.Unlock()
 	// Publishing the LSN (still under applyMu) invalidates the cached query
-	// snapshot; the next query rebuilds it lazily from the new state.
+	// snapshot; the next query publishes a fresh one from the new state.
 	gs.lsn.Store(lsn)
 	gs.cond.Broadcast()
 	cGraphUpdates.Inc()
@@ -726,7 +726,7 @@ func (m *GraphManager) Close() error {
 // readers see a consistent (if momentarily stale) view. A query issued
 // after an Update's 202 sees at least that Update's LSN (read-your-writes):
 // the LSN is published before the ack, so the fast path misses and the
-// rebuild below runs against the post-apply state.
+// publish below runs against the post-apply state.
 func (m *GraphManager) Snapshot(id string) (*serve.Snapshot, error) {
 	gs, err := m.get(id)
 	if err != nil {
@@ -739,9 +739,11 @@ func (gs *graphSession) snapshot() (*serve.Snapshot, error) {
 	if s := gs.snap.Load(); s != nil && s.LSN == gs.lsn.Load() {
 		return s, nil
 	}
-	// Stale (or first) read: materialize under applyMu so the clone sees a
-	// quiescent state. Queries pay this once per applied batch; the delta
-	// path itself never clones.
+	// Stale (or first) read: publish under applyMu — Clone needs a quiescent
+	// state and writes to the live structures' sharing state. The clones
+	// share the live graph's memory (DESIGN.md §9): this costs microseconds
+	// whatever the size of the graph, and the next batch copies the pages
+	// and records it touches.
 	gs.applyMu.Lock()
 	defer gs.applyMu.Unlock()
 	if gs.broken != nil {
