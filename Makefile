@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test bench bench-json bench-obs bench-dist bench-delta bench-serve bench-oocore verify fuzz chaos dist-chaos delta-chaos experiments
+.PHONY: build test bench bench-e2e bench-layers bench-json bench-obs bench-dist bench-delta bench-serve bench-oocore verify fuzz chaos dist-chaos delta-chaos experiments
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,17 @@ test:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-e2e and bench-layers run the repository's benchmark (bench/,
+# BENCHMARK.json): the five workloads end to end against the real binaries,
+# and the traced in-process replay that yields the per-layer numbers and
+# .bench_build/trace-<workload>.jsonl. The bench-* targets below are the older
+# per-feature harnesses of cmd/benchjson.
+bench-e2e:
+	$(GO) run ./bench -workload all
+
+bench-layers:
+	$(GO) run ./bench -workload all -trace 1
 
 # bench-json measures the -workers parallel pipeline against the sequential
 # baseline, verifies byte-identical outputs, and writes BENCH_parallel.json.

@@ -60,15 +60,13 @@ type Transformer struct {
 
 	nodeOf  map[rdf.Term]pg.NodeID // Ψ_ETD companion: entity → PG node
 	valNode map[valKey]pg.NodeID   // literal/resource value → value node
-	// edgeOf indexes statement → PG edge, enabling RDF-star annotations
-	// (quoted-triple subjects) to attach to the statement's edge.
-	edgeOf map[rdf.Term]pg.EdgeID
-
-	// lastEntity short-circuits the nodeOf lookup for runs of triples with
-	// the same subject — serializations group triples by subject, so this
-	// removes a term-hash per triple on the hot path.
-	lastEntity rdf.Term
-	lastNode   pg.NodeID
+	// edgeOf indexes statement → PG edge so RDF-star annotations (quoted-
+	// triple subjects) can attach to the statement's edge. It is lazy: it
+	// covers edges [0, indexedUpTo) and grows only when an annotation pass
+	// runs (indexStatementEdges), so an input without annotations never
+	// builds a statement key.
+	edgeOf      map[rdf.Term]pg.EdgeID
+	indexedUpTo int
 
 	// kvProps counts key/value-inlined literals for span accounting (plain
 	// int: Apply is single-goroutine).
@@ -181,6 +179,14 @@ const ctxCheckInterval = 4096
 // ctxCheckInterval triples and aborts with ctx.Err() when it ends, leaving
 // the store in a consistent (if partial) state.
 func (t *Transformer) ApplyContext(ctx context.Context, g *rdf.Graph, span *obs.Span) error {
+	return t.apply(ctx, g, nil, span)
+}
+
+// apply is Algorithm 1 over the graph's dictionary-encoded triples, in
+// admission order. It is the one statement router every entry point runs:
+// lits is nil when literal values are parsed on demand, or ApplyParallel's
+// prefilled per-term table.
+func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, lits []litVal, span *obs.Span) error {
 	nodes0, edges0 := t.store.NumNodes(), t.store.NumEdges()
 	start := time.Now()
 	defer func() {
@@ -189,6 +195,10 @@ func (t *Transformer) ApplyContext(ctx context.Context, g *rdf.Graph, span *obs.
 		mTransformEdges.Observe(int64(t.store.NumEdges()-edges0), elapsed)
 	}()
 
+	c := newCommit(t, g.Dict(), lits)
+	defer c.flush()
+	aID, hasA := c.dict.Lookup(rdf.A)
+
 	// Phase 1 (Algorithm 1, lines 4–14): collect entity types and create
 	// PG nodes with labels and the iri key. Under the lenient policy,
 	// malformed typing statements degrade instead of aborting: literal
@@ -196,42 +206,47 @@ func (t *Transformer) ApplyContext(ctx context.Context, g *rdf.Graph, span *obs.
 	// property statements, typed quoted triples are skipped.
 	p1 := span.StartSpan("phase1.types")
 	typeTriples, seen := int64(0), 0
-	typePred := rdf.A
 	var err error
-	var coerced []rdf.Triple
-	g.Match(nil, &typePred, nil, func(tr rdf.Triple) bool {
-		if seen%ctxCheckInterval == 0 {
-			if err = ctx.Err(); err != nil {
+	var coerced []rdf.TermID // subject, object pairs
+	if hasA {
+		g.ForEachEncoded(func(_ int, s, p, o rdf.TermID) bool {
+			if p != aID {
+				return true
+			}
+			if seen%ctxCheckInterval == 0 {
+				if err = ctx.Err(); err != nil {
+					return false
+				}
+			}
+			seen++
+			typeTriples++
+			sT, oT := c.dict.Term(s), c.dict.Term(o)
+			if sT.IsTripleTerm() {
+				if t.lenient {
+					t.degrade("skipped: quoted triples cannot be typed", c.triple(s, p, o))
+					return true
+				}
+				err = fmt.Errorf("core: quoted triples cannot be typed: %v", c.triple(s, p, o))
 				return false
 			}
-		}
-		seen++
-		typeTriples++
-		if tr.S.IsTripleTerm() {
-			if t.lenient {
-				t.degrade("skipped: quoted triples cannot be typed", tr)
-				return true
+			if !oT.IsIRI() {
+				if t.lenient {
+					t.degrade("coerced: rdf:type object is not an IRI, realized as a property statement", c.triple(s, p, o))
+					coerced = append(coerced, s, o)
+					return true
+				}
+				err = fmt.Errorf("core: rdf:type object %v is not an IRI", oT)
+				return false
 			}
-			err = fmt.Errorf("core: quoted triples cannot be typed: %v", tr)
-			return false
-		}
-		if !tr.O.IsIRI() {
-			if t.lenient {
-				t.degrade("coerced: rdf:type object is not an IRI, realized as a property statement", tr)
-				coerced = append(coerced, tr)
-				return true
+			id := c.entity(s, sT)
+			label := t.mapping.LabelOfClass(oT.Value)
+			if label == "" {
+				label = t.mapping.EnsureClassLabel(oT.Value)
 			}
-			err = fmt.Errorf("core: rdf:type object %v is not an IRI", tr.O)
-			return false
-		}
-		id := t.ensureEntityNode(tr.S)
-		label := t.mapping.LabelOfClass(tr.O.Value)
-		if label == "" {
-			label = t.mapping.EnsureClassLabel(tr.O.Value)
-		}
-		t.store.AddLabel(id, label)
-		return true
-	})
+			t.store.AddLabel(id, label)
+			return true
+		})
+	}
 	p1.Count("type_triples", typeTriples)
 	p1.Count("nodes_created", int64(t.store.NumNodes()-nodes0))
 	p1.End()
@@ -247,24 +262,19 @@ func (t *Transformer) ApplyContext(ctx context.Context, g *rdf.Graph, span *obs.
 	nodes1, kv1 := t.store.NumNodes(), t.kvProps
 	var annotations []rdf.Triple
 	seen = 0
-	g.ForEach(func(tr rdf.Triple) bool {
+	g.ForEachEncoded(func(_ int, s, p, o rdf.TermID) bool {
 		if seen%ctxCheckInterval == 0 {
 			if err = ctx.Err(); err != nil {
 				return false
 			}
 		}
 		seen++
-		if tr.P == rdf.A {
+		if hasA && p == aID {
 			return true
 		}
-		if tr.S.IsTripleTerm() {
-			annotations = append(annotations, tr)
-			return true
-		}
-		err = t.applyTriple(tr)
-		if err != nil && t.lenient {
-			t.degrade("skipped: "+err.Error(), tr)
-			err = nil
+		var annotation bool
+		if annotation, err = c.statement(s, p, o); annotation {
+			annotations = append(annotations, c.triple(s, p, o))
 		}
 		return err == nil
 	})
@@ -272,10 +282,8 @@ func (t *Transformer) ApplyContext(ctx context.Context, g *rdf.Graph, span *obs.
 		// Deferred literal-typed statements from phase 1 (lenient only):
 		// realized like any other property statement, so the information is
 		// preserved as a string-coerced value node.
-		for _, tr := range coerced {
-			if aerr := t.applyTriple(tr); aerr != nil {
-				t.degrade("skipped: "+aerr.Error(), tr)
-			}
+		for i := 0; i < len(coerced); i += 2 {
+			c.statement(coerced[i], aID, coerced[i+1])
 		}
 	}
 	cTransformKV.Add(t.kvProps - kv1)
@@ -290,6 +298,7 @@ func (t *Transformer) ApplyContext(ctx context.Context, g *rdf.Graph, span *obs.
 		pa := span.StartSpan("phase2.annotations")
 		pa.Count("annotations", int64(len(annotations)))
 		defer pa.End()
+		t.indexStatementEdges()
 		for _, tr := range annotations {
 			if err := t.applyAnnotation(tr); err != nil {
 				if t.lenient {
@@ -303,74 +312,26 @@ func (t *Transformer) ApplyContext(ctx context.Context, g *rdf.Graph, span *obs.
 	return nil
 }
 
-// applyTriple routes one non-type triple.
-func (t *Transformer) applyTriple(tr rdf.Triple) error {
-	if tr.O.IsTripleTerm() {
-		return fmt.Errorf("core: quoted triples in object position are not supported: %v", tr)
-	}
-	sid := t.ensureEntityNode(tr.S)
-	sLabels := t.store.Node(sid).Labels
-	if len(sLabels) == 0 && t.lenient {
-		// Degradation policy: a subject with no rdf:type (hence no shape)
-		// gets the generic rdfs:Resource label so its properties attach to a
-		// labelled node; routes fall back to data-extended edge types.
-		t.degrade("generic label: subject has no rdf:type, labelled as rdfs:Resource", tr)
-		t.store.AddLabel(sid, t.mapping.EnsureClassLabel(GenericClass))
-		sLabels = t.store.Node(sid).Labels
-	}
-	route := t.mapping.Route(sLabels, tr.P.Value)
-
-	// Case 1 (lines 16–20): the object is a known entity → entity edge.
-	if tr.O.IsResource() {
-		var oid pg.NodeID
-		if known, ok := t.nodeOf[tr.O]; ok {
-			oid = known
-		} else {
-			// An IRI or blank object never declared as an entity: encode it
-			// as a resource value node so no information is dropped.
-			oid = t.ensureResourceValueNode(tr.O)
+// indexStatementEdges extends the statement → edge index over the edges
+// created since the last annotation pass, in edge-id order, so when a
+// statement is realized by several edges (the same statement applied in two
+// Apply calls) the last one wins. The key of an edge is the statement the
+// inverse mapping M reconstructs from it — by Prop. 4.1 the statement that
+// created it — so nothing is recorded per edge while statements are routed,
+// and a restored transformer indexes its pre-snapshot edges the same way.
+// An edge M cannot invert, or whose terms a quoted triple cannot carry, is
+// not annotatable and stays out of the index.
+func (t *Transformer) indexStatementEdges() {
+	for ; t.indexedUpTo < t.store.NumEdges(); t.indexedUpTo++ {
+		e := t.store.Edge(pg.EdgeID(t.indexedUpTo))
+		st, err := edgeStatement(t.store, t.mapping, e)
+		if err != nil {
+			continue
 		}
-		label, fallback := t.edgeLabelFor(route, sLabels, tr.P.Value)
-		e := t.store.AddEdge(sid, oid, label, nil)
-		t.registerStatementEdge(tr, e.ID)
-		if fallback {
-			t.extendTargets(label, oid)
-		}
-		return nil
-	}
-
-	// The object is a literal.
-	lex, dt, lang := tr.O.Value, tr.O.DatatypeIRI(), tr.O.Lang
-
-	// Case 2 (lines 21–23): parsimonious key/value encoding, applicable when
-	// the route says KV and the literal's datatype matches canonically.
-	if route != nil && route.Kind == RouteKV && lang == "" && dt == route.Datatype {
-		if native, canonical := nativeValue(lex, dt); canonical {
-			t.store.AppendProp(sid, route.Name, native)
-			t.kvProps++
-			return nil
+		if key, err := rdf.NewTripleTerm(st); err == nil {
+			t.edgeOf[key] = e.ID
 		}
 	}
-
-	// Case 3 (lines 24–31): literal value node plus edge.
-	oid := t.ensureLiteralValueNode(lex, dt, lang)
-	label, fallback := t.edgeLabelFor(route, sLabels, tr.P.Value)
-	e := t.store.AddEdge(sid, oid, label, nil)
-	t.registerStatementEdge(tr, e.ID)
-	if fallback {
-		t.extendTargets(label, oid)
-	}
-	return nil
-}
-
-// registerStatementEdge indexes the edge under its statement so RDF-star
-// annotations can find it.
-func (t *Transformer) registerStatementEdge(tr rdf.Triple, id pg.EdgeID) {
-	key, err := rdf.NewTripleTerm(tr)
-	if err != nil {
-		return // exotic terms cannot be annotated; nothing to register
-	}
-	t.edgeOf[key] = id
 }
 
 // applyAnnotation attaches an RDF-star annotation << s p o >> a v to the PG
@@ -436,22 +397,6 @@ func (t *Transformer) edgeLabelFor(route *Route, sLabels []string, pred string) 
 	return r.Name, true
 }
 
-// ensureEntityNode returns the PG node for an entity, creating it with its
-// iri key on first sight (Algorithm 1, lines 9–14).
-func (t *Transformer) ensureEntityNode(e rdf.Term) pg.NodeID {
-	if e == t.lastEntity {
-		return t.lastNode
-	}
-	id, ok := t.nodeOf[e]
-	if !ok {
-		n := t.store.AddNode(nil, map[string]pg.Value{"iri": termIRI(e)})
-		id = n.ID
-		t.nodeOf[e] = id
-	}
-	t.lastEntity, t.lastNode = e, id
-	return id
-}
-
 // termIRI encodes a resource term as the iri property value.
 func termIRI(e rdf.Term) string {
 	if e.IsBlank() {
@@ -460,42 +405,205 @@ func termIRI(e rdf.Term) string {
 	return e.Value
 }
 
-// ensureLiteralValueNode returns (deduplicated) the value node encoding a
-// literal: label from the datatype, value as a typed scalar, plus dt/lang
-// bookkeeping and the exact lexical when formatting would lose it.
-func (t *Transformer) ensureLiteralValueNode(lex, dt, lang string) pg.NodeID {
-	key := valKey{lex: lex, dt: dt, lang: lang}
-	if id, ok := t.valNode[key]; ok {
-		return id
-	}
-	label := t.mapping.EnsureValueLabel(dt)
-	props := map[string]pg.Value{"dt": dt}
-	native, canonical := nativeValue(lex, dt)
-	props["value"] = native
-	if !canonical {
-		props["lex"] = lex
-	}
-	if lang != "" {
-		props["lang"] = lang
-	}
-	n := t.store.AddNode([]string{label}, props)
-	t.valNode[key] = n.ID
-	return n.ID
+// noNode marks an absent entry in the TermID-indexed node caches.
+const noNode = ^pg.NodeID(0)
+
+// litVal is the realization of one literal term: the typed value xsd parsing
+// yields and whether its lexical form is canonical.
+type litVal struct {
+	native    pg.Value
+	canonical bool
 }
 
-// ensureResourceValueNode encodes an IRI/blank object that is not an entity.
-func (t *Transformer) ensureResourceValueNode(o rdf.Term) pg.NodeID {
-	key := valKey{lex: termIRI(o), res: true}
-	if id, ok := t.valNode[key]; ok {
+// commit is the state of one apply call: TermID-indexed caches in front of
+// the transformer's term-keyed maps, so a term is hashed once per Apply, not
+// once per statement it occurs in. The caches are read-through — a miss
+// consults the map before creating anything, which seeds entries left by
+// earlier Apply calls and snapshot restores, and preserves dedup in the
+// exotic case of distinct terms sharing a value key (an IRI whose text is
+// "_:x" colliding with blank node x). Value nodes are written through;
+// entity nodes created by this call reach nodeOf in one batch (flush), when
+// their number is known — a term has one id per dictionary, so nothing can
+// look them up by term in between.
+type commit struct {
+	t       *Transformer
+	dict    *rdf.Dict
+	nodeID  []pg.NodeID  // entity term → node, noNode when unknown
+	valID   []pg.NodeID  // value term → value node, noNode when unknown
+	created []rdf.TermID // entities created by this call, not yet in nodeOf
+	lits    []litVal     // per-term literal values; nil = parse on demand
+}
+
+func newCommit(t *Transformer, dict *rdf.Dict, lits []litVal) *commit {
+	n := dict.Len()
+	ids := make([]pg.NodeID, 2*n)
+	for i := range ids {
+		ids[i] = noNode
+	}
+	return &commit{t: t, dict: dict, nodeID: ids[:n], valID: ids[n:], lits: lits}
+}
+
+// flush publishes the entities this call created to nodeOf, sizing the map
+// once when it is still empty.
+func (c *commit) flush() {
+	t := c.t
+	if len(t.nodeOf) == 0 {
+		t.nodeOf = make(map[rdf.Term]pg.NodeID, len(c.created))
+	}
+	for _, s := range c.created {
+		t.nodeOf[c.dict.Term(s)] = c.nodeID[s]
+	}
+}
+
+// triple decodes a statement for an error, a degradation or an annotation.
+func (c *commit) triple(s, p, o rdf.TermID) rdf.Triple {
+	return rdf.NewTriple(c.dict.Term(s), c.dict.Term(p), c.dict.Term(o))
+}
+
+// statement routes one non-type triple (Algorithm 1, lines 15–31). It reports
+// an RDF-star annotation (quoted-triple subject) back to the caller, which
+// defers it; a statement strict mode rejects is an error, under the lenient
+// policy a recorded degradation.
+func (c *commit) statement(s, p, o rdf.TermID) (annotation bool, err error) {
+	t := c.t
+	sid := c.nodeID[s]
+	var sT rdf.Term
+	if sid == noNode {
+		if sT = c.dict.Term(s); sT.IsTripleTerm() {
+			return true, nil
+		}
+	}
+	oT := c.dict.Term(o)
+	if oT.IsTripleTerm() {
+		tr := c.triple(s, p, o)
+		err := fmt.Errorf("core: quoted triples in object position are not supported: %v", tr)
+		if t.lenient {
+			t.degrade("skipped: "+err.Error(), tr)
+			return false, nil
+		}
+		return false, err
+	}
+	if sid == noNode {
+		sid = c.entity(s, sT)
+	}
+	sLabels := t.store.Node(sid).Labels
+	if len(sLabels) == 0 && t.lenient {
+		// Degradation policy: a subject with no rdf:type (hence no shape)
+		// gets the generic rdfs:Resource label so its properties attach to a
+		// labelled node; routes fall back to data-extended edge types.
+		t.degrade("generic label: subject has no rdf:type, labelled as rdfs:Resource", c.triple(s, p, o))
+		t.store.AddLabel(sid, t.mapping.EnsureClassLabel(GenericClass))
+		sLabels = t.store.Node(sid).Labels
+	}
+	pred := c.dict.Term(p).Value
+	route := t.mapping.Route(sLabels, pred)
+
+	var oid pg.NodeID
+	if oT.IsResource() {
+		// Case 1 (lines 16–20): the object is a known entity → entity edge.
+		// An IRI or blank object never declared as an entity is encoded as a
+		// resource value node so no information is dropped.
+		if oid = c.nodeID[o]; oid == noNode {
+			if known, ok := t.nodeOf[oT]; ok {
+				c.nodeID[o] = known
+				oid = known
+			} else {
+				oid = c.resourceValue(o, oT)
+			}
+		}
+	} else {
+		// Case 2 (lines 21–23): parsimonious key/value encoding, applicable
+		// when the route says KV and the literal's datatype matches
+		// canonically.
+		dt := oT.DatatypeIRI()
+		if route != nil && route.Kind == RouteKV && oT.Lang == "" && dt == route.Datatype {
+			if lv := c.literal(o, oT.Value, dt); lv.canonical {
+				t.store.AppendProp(sid, route.Name, lv.native)
+				t.kvProps++
+				return false, nil
+			}
+		}
+		// Case 3 (lines 24–31): literal value node plus edge.
+		oid = c.literalValue(o, oT.Value, dt, oT.Lang)
+	}
+	label, fallback := t.edgeLabelFor(route, sLabels, pred)
+	t.store.AddEdge(sid, oid, label, nil)
+	if fallback {
+		t.extendTargets(label, oid)
+	}
+	return false, nil
+}
+
+// entity returns the PG node for an entity, creating it with its iri key on
+// first sight (Algorithm 1, lines 9–14).
+func (c *commit) entity(s rdf.TermID, sT rdf.Term) pg.NodeID {
+	if id := c.nodeID[s]; id != noNode {
 		return id
 	}
-	label := t.mapping.EnsureValueLabel(rdf.XSDAnyURI)
-	n := t.store.AddNode([]string{label}, map[string]pg.Value{
-		"value": termIRI(o),
-		"res":   true,
-	})
-	t.valNode[key] = n.ID
-	return n.ID
+	t := c.t
+	id, ok := t.nodeOf[sT]
+	if !ok {
+		id = t.store.AddNode(nil, map[string]pg.Value{"iri": termIRI(sT)}).ID
+		c.created = append(c.created, s)
+	}
+	c.nodeID[s] = id
+	return id
+}
+
+// literal returns the typed value of literal term o.
+func (c *commit) literal(o rdf.TermID, lex, dt string) litVal {
+	if c.lits != nil {
+		return c.lits[o]
+	}
+	native, canonical := nativeValue(lex, dt)
+	return litVal{native, canonical}
+}
+
+// literalValue returns (deduplicated) the value node encoding a literal:
+// label from the datatype, value as a typed scalar, plus dt/lang bookkeeping
+// and the exact lexical when formatting would lose it.
+func (c *commit) literalValue(o rdf.TermID, lex, dt, lang string) pg.NodeID {
+	if id := c.valID[o]; id != noNode {
+		return id
+	}
+	t := c.t
+	key := valKey{lex: lex, dt: dt, lang: lang}
+	id, ok := t.valNode[key]
+	if !ok {
+		label := t.mapping.EnsureValueLabel(dt)
+		lv := c.literal(o, lex, dt)
+		props := map[string]pg.Value{"dt": dt, "value": lv.native}
+		if !lv.canonical {
+			props["lex"] = lex
+		}
+		if lang != "" {
+			props["lang"] = lang
+		}
+		id = t.store.AddNode([]string{label}, props).ID
+		t.valNode[key] = id
+	}
+	c.valID[o] = id
+	return id
+}
+
+// resourceValue encodes an IRI/blank object that is not an entity.
+func (c *commit) resourceValue(o rdf.TermID, oT rdf.Term) pg.NodeID {
+	if id := c.valID[o]; id != noNode {
+		return id
+	}
+	t := c.t
+	key := valKey{lex: termIRI(oT), res: true}
+	id, ok := t.valNode[key]
+	if !ok {
+		label := t.mapping.EnsureValueLabel(rdf.XSDAnyURI)
+		id = t.store.AddNode([]string{label}, map[string]pg.Value{
+			"value": key.lex,
+			"res":   true,
+		}).ID
+		t.valNode[key] = id
+	}
+	c.valID[o] = id
+	return id
 }
 
 // nativeValue converts a lexical form into the typed PG value, reporting
@@ -547,9 +655,9 @@ func TransformTraced(g *rdf.Graph, sg *shacl.Schema, mode Mode, span *obs.Span) 
 type TransformOptions struct {
 	// Lenient activates the degradation policy (see Transformer.SetLenient).
 	Lenient bool
-	// Workers sets the data-transform parallelism. Values <= 1 run the exact
-	// sequential path; higher values run ApplyParallel, whose output is
-	// byte-identical to the sequential transform.
+	// Workers sets the data-transform parallelism (see ApplyParallel): values
+	// above 1 parse literals on that many goroutines first. The output does
+	// not depend on it.
 	Workers int
 }
 
@@ -571,11 +679,7 @@ func TransformWith(ctx context.Context, g *rdf.Graph, sg *shacl.Schema, mode Mod
 	}
 	t.SetLenient(opts.Lenient)
 	fdt := span.StartSpan("F_dt")
-	if opts.Workers > 1 {
-		err = t.ApplyParallel(ctx, g, opts.Workers, fdt)
-	} else {
-		err = t.ApplyContext(ctx, g, fdt)
-	}
+	err = t.ApplyParallel(ctx, g, opts.Workers, fdt)
 	fdt.Count("triples", int64(g.Len()))
 	fdt.End()
 	if err != nil {

@@ -20,8 +20,9 @@ import (
 //	go test ./internal/core -run '^$' -bench 'AfterDelta|ApplyDeltaGrow' -benchmem
 //
 // Every iteration is one full live cycle — ApplyDelta, Graph.Clone,
-// Store.Clone — and each benchmark times one of the three. cow.Map folds
-// (amortised O(1) per insert, but O(graph) when they happen) are timed apart:
+// Store.Clone — and each benchmark times one of the three. Folds of the IRI
+// index (cow.Map) and of the dictionary's term index (amortised O(1) per
+// insert, but O(graph) when they happen) are timed apart:
 // "fold-ns/op" is their cost spread over all iterations, ns/op excludes them.
 
 const benchStmts = 78
@@ -83,7 +84,8 @@ var (
 // runLiveCycles drives b.N cycles, timing only the named step ("apply",
 // "graph" or "store").
 func runLiveCycles(b *testing.B, scale float64, step string) {
-	folds := obs.Default.Counter("cow.map.folds")
+	mapFolds, indexFolds := obs.Default.Counter("cow.map.folds"), obs.Default.Counter("rdf.dict.index_folds")
+	folds := func() int64 { return mapFolds.Value() + indexFolds.Value() }
 	lc := newLiveCycle(b, scale, 1)
 	lc.apply(b)
 	sinkGraph, sinkStore = lc.st.Graph().Clone(), lc.st.Store().Clone()
@@ -96,12 +98,12 @@ func runLiveCycles(b *testing.B, scale float64, step string) {
 			fn()
 			return
 		}
-		f0 := folds.Value()
+		f0 := folds()
 		t0 := b.Elapsed()
 		b.StartTimer()
 		fn()
 		b.StopTimer()
-		if n := folds.Value() - f0; n > 0 {
+		if n := folds() - f0; n > 0 {
 			nFolds += n
 			foldNS += int64(b.Elapsed() - t0)
 		}

@@ -41,19 +41,6 @@ func InverseDataContext(ctx context.Context, store *pg.Store, spg *pgschema.Sche
 func inverseDataWithMapping(ctx context.Context, store *pg.Store, m *Mapping, span *obs.Span) (*rdf.Graph, error) {
 	g := rdf.NewGraph()
 
-	// Classify nodes: value nodes (reconstructed through edges) vs entities.
-	isValue := func(n *pg.Node) bool {
-		if _, ok := n.Props["value"]; !ok {
-			return false
-		}
-		for _, l := range n.Labels {
-			if _, ok := m.DatatypeOfValueLabel(l); ok {
-				return true
-			}
-		}
-		return false
-	}
-
 	np := span.StartSpan("nodes")
 	for i := 0; i < store.NumNodes(); i++ {
 		n := store.Node(pg.NodeID(i))
@@ -62,7 +49,7 @@ func inverseDataWithMapping(ctx context.Context, store *pg.Store, m *Mapping, sp
 				return nil, err
 			}
 		}
-		if isValue(n) {
+		if m.isValueNode(n) {
 			continue
 		}
 		subj, err := termFromIRIProp(n)
@@ -108,29 +95,10 @@ func inverseDataWithMapping(ctx context.Context, store *pg.Store, m *Mapping, sp
 				return nil, err
 			}
 		}
-		pred, ok := m.PredOfEdgeLabel(e.Label)
-		if !ok {
-			return nil, fmt.Errorf("core: edge label %q maps to no predicate", e.Label)
-		}
-		from := store.Node(e.From)
-		subj, err := termFromIRIProp(from)
+		base, err := edgeStatement(store, m, e)
 		if err != nil {
 			return nil, err
 		}
-		to := store.Node(e.To)
-		var obj rdf.Term
-		if isValue(to) {
-			obj, err = termFromValueNode(to)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			obj, err = termFromIRIProp(to)
-			if err != nil {
-				return nil, err
-			}
-		}
-		base := rdf.NewTriple(subj, rdf.NewIRI(pred), obj)
 		g.Add(base)
 
 		// Edge record keys are RDF-star annotations on the statement.
@@ -156,6 +124,43 @@ func inverseDataWithMapping(ctx context.Context, store *pg.Store, m *Mapping, sp
 	ep.End()
 	span.Count("triples", int64(g.Len()))
 	return g, nil
+}
+
+// isValueNode classifies a node as a value node (reconstructed through the
+// edges that point at it) rather than an entity.
+func (m *Mapping) isValueNode(n *pg.Node) bool {
+	if _, ok := n.Props["value"]; !ok {
+		return false
+	}
+	for _, l := range n.Labels {
+		if _, ok := m.DatatypeOfValueLabel(l); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// edgeStatement is M on one edge: the statement (s, p, o) the edge realizes.
+func edgeStatement(store *pg.Store, m *Mapping, e *pg.Edge) (rdf.Triple, error) {
+	pred, ok := m.PredOfEdgeLabel(e.Label)
+	if !ok {
+		return rdf.Triple{}, fmt.Errorf("core: edge label %q maps to no predicate", e.Label)
+	}
+	subj, err := termFromIRIProp(store.Node(e.From))
+	if err != nil {
+		return rdf.Triple{}, err
+	}
+	to := store.Node(e.To)
+	var obj rdf.Term
+	if m.isValueNode(to) {
+		obj, err = termFromValueNode(to)
+	} else {
+		obj, err = termFromIRIProp(to)
+	}
+	if err != nil {
+		return rdf.Triple{}, err
+	}
+	return rdf.NewTriple(subj, rdf.NewIRI(pred), obj), nil
 }
 
 // termFromIRIProp rebuilds an entity term from a node's iri key.

@@ -2,64 +2,36 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
-	"time"
 
 	"github.com/s3pg/s3pg/internal/obs"
-	"github.com/s3pg/s3pg/internal/pg"
 	"github.com/s3pg/s3pg/internal/rdf"
 )
 
 // cParallelApplies counts data transforms that took the parallel path.
 var cParallelApplies = obs.Default.Counter("core.transform.parallel_applies")
 
-// noNode marks an absent entry in the TermID-indexed node caches.
-const noNode = ^pg.NodeID(0)
-
-// litVal is the precomputed realization of one literal term: the typed value
-// xsd parsing yields and whether its lexical form is canonical.
-type litVal struct {
-	native    pg.Value
-	canonical bool
-}
-
-// ApplyParallel is ApplyContext with the order-independent per-statement work
-// hoisted onto worker goroutines: literal parsing (one xsd parse per unique
-// literal term instead of per statement) and RDF-star statement-key encoding
-// are precomputed in parallel, then a sequential commit replays Algorithm 1
-// in the graph's admission order against TermID-indexed caches. Because every
-// store and schema mutation happens in the commit, in exactly the sequential
-// order, the resulting transformer state — store, schema, mappings,
-// degradations, tallies — is identical to ApplyContext's on the same graph,
-// including across incremental Apply calls. workers <= 1 runs the sequential
-// path unchanged.
+// ApplyParallel is ApplyContext with the one order-independent piece of
+// per-statement work hoisted onto worker goroutines: literal parsing, one xsd
+// parse per unique literal term, filled into a per-term table before the
+// statements are routed. Routing itself is the same sequential pass over the
+// graph's admission order that ApplyContext runs (apply), so the resulting
+// transformer state — store, schema, mappings, degradations, tallies — is
+// identical, including across incremental Apply calls. workers <= 1 fills
+// nothing in advance and parses literals as statements need them.
 func (t *Transformer) ApplyParallel(ctx context.Context, g *rdf.Graph, workers int, span *obs.Span) error {
 	if workers <= 1 {
-		return t.ApplyContext(ctx, g, span)
+		return t.apply(ctx, g, nil, span)
 	}
 	cParallelApplies.Inc()
-	nodes0, edges0 := t.store.NumNodes(), t.store.NumEdges()
-	start := time.Now()
-	defer func() {
-		elapsed := time.Since(start)
-		mTransformNodes.Observe(int64(t.store.NumNodes()-nodes0), elapsed)
-		mTransformEdges.Observe(int64(t.store.NumEdges()-edges0), elapsed)
-	}()
 
+	// Workers write disjoint slots of a pre-sized table, so no
+	// synchronization is needed, and parsing observes no transformer state,
+	// so its order cannot matter.
+	pre := span.StartSpan("parallel.precompute")
 	dict := g.Dict()
 	nTerms := dict.Len()
-	nSlots := g.NumSlots()
-
-	aID, hasA := dict.Lookup(rdf.A)
-
-	// Precompute (parallel): literal values per unique term, statement keys
-	// per live property-triple slot. Workers write disjoint pre-sized slots,
-	// so no synchronization is needed, and neither computation observes
-	// transformer state, so their order cannot matter.
-	pre := span.StartSpan("parallel.precompute")
 	lits := make([]litVal, nTerms)
-	keys := make([]rdf.Term, nSlots)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo, hi := nTerms*w/workers, nTerms*(w+1)/workers
@@ -78,317 +50,11 @@ func (t *Transformer) ApplyParallel(ctx context.Context, g *rdf.Graph, workers i
 			}
 		}(lo, hi)
 	}
-	for w := 0; w < workers; w++ {
-		lo, hi := nSlots*w/workers, nSlots*(w+1)/workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if (i-lo)%ctxCheckInterval == 0 && ctx.Err() != nil {
-					return
-				}
-				s, p, o, live := g.EncodedAt(i)
-				if !live || (hasA && p == aID) {
-					continue
-				}
-				sT := dict.Term(s)
-				if sT.IsTripleTerm() {
-					continue
-				}
-				if key, err := rdf.NewTripleTerm(rdf.NewTriple(sT, dict.Term(p), dict.Term(o))); err == nil {
-					keys[i] = key
-				}
-			}
-		}(lo, hi)
-	}
 	wg.Wait()
 	pre.Count("terms", int64(nTerms))
-	pre.Count("slots", int64(nSlots))
 	pre.End()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-
-	c := &parCommit{
-		t:      t,
-		dict:   dict,
-		aID:    aID,
-		hasA:   hasA,
-		nodeID: make([]pg.NodeID, nTerms),
-		valID:  make([]pg.NodeID, nTerms),
-		lits:   lits,
-		keys:   keys,
-	}
-	for i := range c.nodeID {
-		c.nodeID[i] = noNode
-		c.valID[i] = noNode
-	}
-
-	// Sequential commit, phase 1 (Algorithm 1, lines 4–14): the exact
-	// statement sequence ApplyContext's Match over rdf:type visits, with the
-	// same degradations.
-	p1 := span.StartSpan("phase1.types")
-	typeTriples, seen := int64(0), 0
-	var err error
-	var coerced []rdf.Triple
-	if hasA {
-		g.ForEachEncoded(func(_ int, s, p, o rdf.TermID) bool {
-			if p != c.aID {
-				return true
-			}
-			if seen%ctxCheckInterval == 0 {
-				if err = ctx.Err(); err != nil {
-					return false
-				}
-			}
-			seen++
-			typeTriples++
-			sT := dict.Term(s)
-			oT := dict.Term(o)
-			if sT.IsTripleTerm() {
-				if t.lenient {
-					t.degrade("skipped: quoted triples cannot be typed", rdf.NewTriple(sT, rdf.A, oT))
-					return true
-				}
-				err = fmt.Errorf("core: quoted triples cannot be typed: %v", rdf.NewTriple(sT, rdf.A, oT))
-				return false
-			}
-			if !oT.IsIRI() {
-				if t.lenient {
-					tr := rdf.NewTriple(sT, rdf.A, oT)
-					t.degrade("coerced: rdf:type object is not an IRI, realized as a property statement", tr)
-					coerced = append(coerced, tr)
-					return true
-				}
-				err = fmt.Errorf("core: rdf:type object %v is not an IRI", oT)
-				return false
-			}
-			id := c.ensureEntity(s, sT)
-			label := t.mapping.LabelOfClass(oT.Value)
-			if label == "" {
-				label = t.mapping.EnsureClassLabel(oT.Value)
-			}
-			t.store.AddLabel(id, label)
-			return true
-		})
-	}
-	p1.Count("type_triples", typeTriples)
-	p1.Count("nodes_created", int64(t.store.NumNodes()-nodes0))
-	p1.End()
-	if err != nil {
-		return err
-	}
-
-	// Sequential commit, phase 2 (lines 15–31).
-	p2 := span.StartSpan("phase2.properties")
-	nodes1, kv1 := t.store.NumNodes(), t.kvProps
-	var annotations []rdf.Triple
-	seen = 0
-	g.ForEachEncoded(func(i int, s, p, o rdf.TermID) bool {
-		if seen%ctxCheckInterval == 0 {
-			if err = ctx.Err(); err != nil {
-				return false
-			}
-		}
-		seen++
-		if c.hasA && p == c.aID {
-			return true
-		}
-		sT := dict.Term(s)
-		if sT.IsTripleTerm() {
-			annotations = append(annotations, rdf.NewTriple(sT, dict.Term(p), dict.Term(o)))
-			return true
-		}
-		err = c.applyEnc(i, s, sT, p, o)
-		if err != nil && t.lenient {
-			t.degrade("skipped: "+err.Error(), rdf.NewTriple(sT, dict.Term(p), dict.Term(o)))
-			err = nil
-		}
-		return err == nil
-	})
-	if err == nil {
-		// Deferred literal-typed statements from phase 1 (lenient only),
-		// replayed through the term-keyed slow path exactly as ApplyContext
-		// does. The slow path updates only the shared maps; the TermID caches
-		// are not consulted after this point, so they cannot go stale.
-		for _, tr := range coerced {
-			if aerr := t.applyTriple(tr); aerr != nil {
-				t.degrade("skipped: "+aerr.Error(), tr)
-			}
-		}
-	}
-	cTransformKV.Add(t.kvProps - kv1)
-	p2.Count("edges_created", int64(t.store.NumEdges()-edges0))
-	p2.Count("value_nodes_created", int64(t.store.NumNodes()-nodes1))
-	p2.Count("kv_props", t.kvProps-kv1)
-	p2.End()
-	if err != nil {
-		return err
-	}
-	if len(annotations) > 0 {
-		pa := span.StartSpan("phase2.annotations")
-		pa.Count("annotations", int64(len(annotations)))
-		defer pa.End()
-		for _, tr := range annotations {
-			if err := t.applyAnnotation(tr); err != nil {
-				if t.lenient {
-					t.degrade("skipped: "+err.Error(), tr)
-					continue
-				}
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// parCommit is the sequential-commit state of ApplyParallel: TermID-indexed
-// caches shadowing the transformer's term-keyed maps plus the precomputed
-// analysis arrays. The caches are write-through — every insertion also lands
-// in the shared map, so incremental Apply/ApplyParallel calls and snapshot
-// restores interoperate — and read-through: a cache miss consults the map
-// before creating anything, which both seeds prior-state entries lazily and
-// preserves sequential dedup in the exotic case of distinct terms sharing a
-// value key (an IRI whose text is "_:x" colliding with blank node x).
-type parCommit struct {
-	t      *Transformer
-	dict   *rdf.Dict
-	aID    rdf.TermID
-	hasA   bool
-	nodeID []pg.NodeID // entity term → node, noNode when unknown
-	valID  []pg.NodeID // value term → value node, noNode when unknown
-	lits   []litVal
-	keys   []rdf.Term
-}
-
-// applyEnc routes one non-type triple; it mirrors Transformer.applyTriple
-// statement for statement, substituting precomputed values where the
-// sequential path recomputes them.
-func (c *parCommit) applyEnc(slot int, s rdf.TermID, sT rdf.Term, p, o rdf.TermID) error {
-	t := c.t
-	oT := c.dict.Term(o)
-	if oT.IsTripleTerm() {
-		return fmt.Errorf("core: quoted triples in object position are not supported: %v",
-			rdf.NewTriple(sT, c.dict.Term(p), oT))
-	}
-	sid := c.ensureEntity(s, sT)
-	sLabels := t.store.Node(sid).Labels
-	if len(sLabels) == 0 && t.lenient {
-		t.degrade("generic label: subject has no rdf:type, labelled as rdfs:Resource",
-			rdf.NewTriple(sT, c.dict.Term(p), oT))
-		t.store.AddLabel(sid, t.mapping.EnsureClassLabel(GenericClass))
-		sLabels = t.store.Node(sid).Labels
-	}
-	pred := c.dict.Term(p).Value
-	route := t.mapping.Route(sLabels, pred)
-
-	// Case 1 (lines 16–20): resource object → entity edge or resource value.
-	if oT.IsResource() {
-		var oid pg.NodeID
-		if known := c.nodeID[o]; known != noNode {
-			oid = known
-		} else if known, ok := t.nodeOf[oT]; ok {
-			c.nodeID[o] = known
-			oid = known
-		} else {
-			oid = c.ensureResourceValue(o, oT)
-		}
-		label, fallback := t.edgeLabelFor(route, sLabels, pred)
-		e := t.store.AddEdge(sid, oid, label, nil)
-		if k := c.keys[slot]; !k.IsZero() {
-			t.edgeOf[k] = e.ID
-		}
-		if fallback {
-			t.extendTargets(label, oid)
-		}
-		return nil
-	}
-
-	lex, dt, lang := oT.Value, oT.DatatypeIRI(), oT.Lang
-
-	// Case 2 (lines 21–23): parsimonious key/value encoding.
-	if route != nil && route.Kind == RouteKV && lang == "" && dt == route.Datatype {
-		if lv := c.lits[o]; lv.canonical {
-			t.store.AppendProp(sid, route.Name, lv.native)
-			t.kvProps++
-			return nil
-		}
-	}
-
-	// Case 3 (lines 24–31): literal value node plus edge.
-	oid := c.ensureLiteralValue(o, lex, dt, lang)
-	label, fallback := t.edgeLabelFor(route, sLabels, pred)
-	e := t.store.AddEdge(sid, oid, label, nil)
-	if k := c.keys[slot]; !k.IsZero() {
-		t.edgeOf[k] = e.ID
-	}
-	if fallback {
-		t.extendTargets(label, oid)
-	}
-	return nil
-}
-
-// ensureEntity is ensureEntityNode over the TermID cache.
-func (c *parCommit) ensureEntity(s rdf.TermID, sT rdf.Term) pg.NodeID {
-	if id := c.nodeID[s]; id != noNode {
-		return id
-	}
-	t := c.t
-	id, ok := t.nodeOf[sT]
-	if !ok {
-		n := t.store.AddNode(nil, map[string]pg.Value{"iri": termIRI(sT)})
-		id = n.ID
-		t.nodeOf[sT] = id
-	}
-	c.nodeID[s] = id
-	return id
-}
-
-// ensureLiteralValue is ensureLiteralValueNode over the TermID cache, using
-// the precomputed literal value.
-func (c *parCommit) ensureLiteralValue(o rdf.TermID, lex, dt, lang string) pg.NodeID {
-	if id := c.valID[o]; id != noNode {
-		return id
-	}
-	t := c.t
-	key := valKey{lex: lex, dt: dt, lang: lang}
-	if id, ok := t.valNode[key]; ok {
-		c.valID[o] = id
-		return id
-	}
-	label := t.mapping.EnsureValueLabel(dt)
-	props := map[string]pg.Value{"dt": dt}
-	lv := c.lits[o]
-	props["value"] = lv.native
-	if !lv.canonical {
-		props["lex"] = lex
-	}
-	if lang != "" {
-		props["lang"] = lang
-	}
-	n := t.store.AddNode([]string{label}, props)
-	t.valNode[key] = n.ID
-	c.valID[o] = n.ID
-	return n.ID
-}
-
-// ensureResourceValue is ensureResourceValueNode over the TermID cache.
-func (c *parCommit) ensureResourceValue(o rdf.TermID, oT rdf.Term) pg.NodeID {
-	if id := c.valID[o]; id != noNode {
-		return id
-	}
-	t := c.t
-	key := valKey{lex: termIRI(oT), res: true}
-	if id, ok := t.valNode[key]; ok {
-		c.valID[o] = id
-		return id
-	}
-	label := t.mapping.EnsureValueLabel(rdf.XSDAnyURI)
-	n := t.store.AddNode([]string{label}, map[string]pg.Value{
-		"value": termIRI(oT),
-		"res":   true,
-	})
-	t.valNode[key] = n.ID
-	c.valID[o] = n.ID
-	return n.ID
+	return t.apply(ctx, g, lits, span)
 }

@@ -197,3 +197,41 @@ func TestApplyParallelCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestApplyParallelAnnotationsAcrossChunks: the annotated statements and
+// their annotations arrive in different ApplyParallel calls at different
+// worker counts; the statement index the second call builds covers the first
+// call's edges whatever parallelism made them, and the result is the
+// sequential one-shot run's, byte for byte.
+func TestApplyParallelAnnotationsAcrossChunks(t *testing.T) {
+	var statements, annotations []rdf.Triple
+	starGraph(t).ForEach(func(tr rdf.Triple) bool {
+		if tr.S.IsTripleTerm() {
+			annotations = append(annotations, tr)
+		} else {
+			statements = append(statements, tr)
+		}
+		return true
+	})
+	want := snapshotOf(t, starGraph(t), core.Parsimonious, false, 1)
+	for _, wk := range [][2]int{{1, 4}, {4, 1}, {2, 2}, {4, 4}} {
+		tr, err := core.NewTransformer(fixtures.UniversityShapes(), core.Parsimonious)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, chunk := range [][]rdf.Triple{statements, annotations} {
+			g := rdf.NewGraph()
+			for _, x := range chunk {
+				g.Add(x)
+			}
+			if err := tr.ApplyParallel(context.Background(), g, wk[i], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := tr.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameState(t, want, got, fmt.Sprintf("statements at %d workers, annotations at %d", wk[0], wk[1]))
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"github.com/s3pg/s3pg/internal/pg"
 	"github.com/s3pg/s3pg/internal/pgschema"
-	"github.com/s3pg/s3pg/internal/rdf"
 )
 
 // PipelineState is the serializable state of a Transformer at a clean chunk
@@ -20,7 +19,8 @@ import (
 // its DDL — both formats are exact (tagged value encoding, IRI metadata
 // clauses). The transformer's in-memory indexes (entity → node, value →
 // node, statement → edge) are not serialized: they are recomputed from the
-// store and the mapping, which is possible precisely because the
+// store and the mapping — the first two on restore, the statement index when
+// an annotation first needs it — which is possible precisely because the
 // transformation is invertible (Prop. 4.1).
 type PipelineState struct {
 	// Mode is the transformation mode's String() form.
@@ -79,10 +79,11 @@ func ParseMode(s string) (Mode, error) {
 
 // RestoreTransformer reconstructs a transformer from a snapshot and
 // verifies its consistency: the store is reloaded from the CSV state, the
-// mapping is rebuilt from the DDL (fallback routes re-marked), the entity,
-// value-node, and statement indexes are recomputed via the inverse-mapping
-// correspondences, and the node/edge high-water marks are cross-checked
-// against the snapshot before the transformer is handed back.
+// mapping is rebuilt from the DDL (fallback routes re-marked), the entity and
+// value-node indexes are recomputed via the inverse-mapping correspondences
+// (the statement index is lazy and rebuilds itself when an annotation needs
+// it), and the node/edge high-water marks are cross-checked against the
+// snapshot before the transformer is handed back.
 func RestoreTransformer(st *PipelineState) (*Transformer, error) {
 	mode, err := ParseMode(st.Mode)
 	if err != nil {
@@ -119,23 +120,14 @@ func RestoreTransformer(st *PipelineState) (*Transformer, error) {
 	return t, nil
 }
 
-// rebuildIndexes recomputes nodeOf, valNode, and edgeOf from the restored
-// store, using the same node classification as the inverse mapping M.
+// rebuildIndexes recomputes nodeOf and valNode from the restored store,
+// using the same node classification as the inverse mapping M. The statement
+// index needs no rebuild: it is lazy (indexStatementEdges) and starts empty,
+// so the first annotation pass after the resume indexes the restored edges.
 func (t *Transformer) rebuildIndexes() error {
-	isValue := func(n *pg.Node) bool {
-		if _, ok := n.Props["value"]; !ok {
-			return false
-		}
-		for _, l := range n.Labels {
-			if _, ok := t.mapping.DatatypeOfValueLabel(l); ok {
-				return true
-			}
-		}
-		return false
-	}
 	for ni := 0; ni < t.store.NumNodes(); ni++ {
 		n := t.store.Node(pg.NodeID(ni))
-		if isValue(n) {
+		if t.mapping.isValueNode(n) {
 			if res, _ := n.Props["res"].(bool); res {
 				v, ok := n.Props["value"].(string)
 				if !ok {
@@ -154,36 +146,6 @@ func (t *Transformer) rebuildIndexes() error {
 			return fmt.Errorf("core: restore: entity node %d (labels %v) has no iri key", n.ID, n.Labels)
 		}
 		t.nodeOf[termFromIRIString(iri)] = n.ID
-	}
-	// Statement index: reconstruct each edge's source statement through the
-	// inverse correspondences so RDF-star annotations arriving after a
-	// resume still find their edge. Later duplicates overwrite earlier ones,
-	// matching registerStatementEdge's last-writer-wins behaviour.
-	for ei := 0; ei < t.store.NumEdges(); ei++ {
-		e := t.store.Edge(pg.EdgeID(ei))
-		pred, ok := t.mapping.PredOfEdgeLabel(e.Label)
-		if !ok {
-			return fmt.Errorf("core: restore: edge label %q maps to no predicate", e.Label)
-		}
-		subj, err := termFromIRIProp(t.store.Node(e.From))
-		if err != nil {
-			return fmt.Errorf("core: restore: edge %d: %w", e.ID, err)
-		}
-		to := t.store.Node(e.To)
-		var obj rdf.Term
-		if isValue(to) {
-			obj, err = termFromValueNode(to)
-		} else {
-			obj, err = termFromIRIProp(to)
-		}
-		if err != nil {
-			return fmt.Errorf("core: restore: edge %d: %w", e.ID, err)
-		}
-		key, err := rdf.NewTripleTerm(rdf.NewTriple(subj, rdf.NewIRI(pred), obj))
-		if err != nil {
-			continue // exotic statements are not annotatable; skip, as Apply does
-		}
-		t.edgeOf[key] = e.ID
 	}
 	return nil
 }

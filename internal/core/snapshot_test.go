@@ -144,9 +144,12 @@ func TestSnapshotRestoreLenientDirtyData(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreAnnotationAfterResume pins the edgeOf rebuild: an
-// RDF-star annotation arriving after the resume must find the edge created
-// before the snapshot.
+// TestSnapshotRestoreAnnotationAfterResume pins the lazy statement index
+// across a resume: an RDF-star annotation arriving after RestoreTransformer
+// must find the edge created before the snapshot — the restored transformer
+// indexes its restored edges when the annotation pass first needs them — and
+// the result must be byte-identical to the uninterrupted run and to one
+// one-shot run over all the statements.
 func TestSnapshotRestoreAnnotationAfterResume(t *testing.T) {
 	stmt := rdf.NewTriple(fixtures.Ex("bob"), rdf.NewIRI(fixtures.ExNS+"advisedBy"), fixtures.Ex("alice"))
 	g1 := fixtures.UniversityGraph()
@@ -155,35 +158,45 @@ func TestSnapshotRestoreAnnotationAfterResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	annotation := rdf.NewTriple(qt, rdf.NewIRI(fixtures.ExNS+"certainty"),
+		rdf.NewTypedLiteral("0.9", rdf.XSDNS+"double"))
 	g2 := rdf.NewGraph()
-	g2.Add(rdf.NewTriple(qt, rdf.NewIRI(fixtures.ExNS+"certainty"),
-		rdf.NewTypedLiteral("0.9", rdf.XSDNS+"double")))
+	g2.Add(annotation)
+	oneShot := fixtures.UniversityGraph()
+	oneShot.Add(stmt)
+	oneShot.Add(annotation)
 
-	tr, err := core.NewTransformer(fixtures.UniversityShapes(), core.Parsimonious)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Apply(g1); err != nil {
-		t.Fatal(err)
-	}
-	st, err := tr.SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := core.RestoreTransformer(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Apply(g2); err != nil {
-		t.Fatalf("annotation after resume: %v", err)
-	}
-	found := false
-	for _, id := range restored.Store().EdgesByLabel("advisedBy") {
-		if _, ok := restored.Store().Edge(id).Props["certainty"]; ok {
-			found = true
+	run := func(resume bool, graphs ...*rdf.Graph) *core.PipelineState {
+		t.Helper()
+		tr, err := core.NewTransformer(fixtures.UniversityShapes(), core.Parsimonious)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i, g := range graphs {
+			if resume && i > 0 {
+				st, err := tr.SnapshotState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tr, err = core.RestoreTransformer(st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tr.Apply(g); err != nil {
+				t.Fatalf("graph %d (resume=%v): %v", i, resume, err)
+			}
+		}
+		st, err := tr.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	if !found {
+	want := run(false, oneShot)
+	requireSameState(t, want, run(false, g1, g2), "annotation in a second Apply")
+	resumed := run(true, g1, g2)
+	requireSameState(t, want, resumed, "annotation after RestoreTransformer")
+	if !bytes.Contains(resumed.EdgesCSV, []byte("certainty")) {
 		t.Fatal("annotation did not attach to the pre-snapshot edge")
 	}
 }

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -182,5 +184,158 @@ func TestStarErrors(t *testing.T) {
 	g3.Add(rdf.NewTriple(rdf.MustTripleTerm(base), fixtures.Ex("note"), rdf.NewLangLiteral("bien", "fr")))
 	if _, _, err := core.Transform(g3, fixtures.UniversityShapes(), core.Parsimonious); err == nil {
 		t.Error("language-tagged annotation should be rejected")
+	}
+}
+
+// The statement → edge index is lazy: it is extended, by inverting edges back
+// to their statements, when an annotation pass runs. The tests below pin the
+// cases where the annotated edge was not created by the Apply call that
+// carries the annotation; each checks the store CSV and the DDL byte for byte
+// against one sequential one-shot run over the same statements.
+
+// starAnnotations returns starGraph's three annotation statements.
+func starAnnotations(t *testing.T) []rdf.Triple {
+	t.Helper()
+	var out []rdf.Triple
+	starGraph(t).ForEach(func(tr rdf.Triple) bool {
+		if tr.S.IsTripleTerm() {
+			out = append(out, tr)
+		}
+		return true
+	})
+	if len(out) != 3 {
+		t.Fatalf("star graph has %d annotations, want 3", len(out))
+	}
+	return out
+}
+
+// applyChunks applies each chunk as its own graph with a transformer-wide
+// worker count and returns the final serialized state.
+func applyChunks(t *testing.T, workers int, chunks ...[]rdf.Triple) *core.PipelineState {
+	t.Helper()
+	tr, err := core.NewTransformer(fixtures.UniversityShapes(), core.Parsimonious)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, chunk := range chunks {
+		g := rdf.NewGraph()
+		for _, x := range chunk {
+			g.Add(x)
+		}
+		if err := tr.ApplyParallel(context.Background(), g, workers, nil); err != nil {
+			t.Fatalf("chunk %d: %v", i, err)
+		}
+	}
+	st, err := tr.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func TestStarAnnotationOfEarlierApply(t *testing.T) {
+	base := fixtures.UniversityGraph().Triples()
+	ann := starAnnotations(t)
+	want := applyChunks(t, 1, append(append([]rdf.Triple(nil), base...), ann...))
+	for _, workers := range []int{1, 2, 4} {
+		got := applyChunks(t, workers, base, ann)
+		requireSameState(t, want, got, fmt.Sprintf("annotations one Apply after their statements, workers=%d", workers))
+	}
+}
+
+func TestStarIndexExtendedAcrossApplies(t *testing.T) {
+	// Chunk 1 annotates one of its own edges; chunk 2 brings a new edge and
+	// annotates it and an edge of chunk 1, so the index is extended twice.
+	base := fixtures.UniversityGraph().Triples()
+	ann := starAnnotations(t) // [0] on advisedBy, [1] and [2] on takesCourse
+	extra := rdf.NewTriple(fixtures.Ex("bob"), fixtures.Ex("advisedBy"), fixtures.Ex("DB"))
+	onExtra := rdf.NewTriple(rdf.MustTripleTerm(extra), fixtures.Ex("since"),
+		rdf.NewTypedLiteral("2023", rdf.XSDInteger))
+	chunk1 := append(append([]rdf.Triple(nil), base...), ann[0])
+	chunk2 := []rdf.Triple{extra, onExtra, ann[1], ann[2]}
+
+	want := applyChunks(t, 1, append(append([]rdf.Triple(nil), chunk1...), chunk2...))
+	for _, workers := range []int{1, 2, 4} {
+		got := applyChunks(t, workers, chunk1, chunk2)
+		requireSameState(t, want, got, fmt.Sprintf("two annotated chunks, workers=%d", workers))
+	}
+	if !strings.Contains(string(want.EdgesCSV), "since") || !strings.Contains(string(want.EdgesCSV), "certainty") {
+		t.Fatalf("annotations missing from the edge export:\n%s", want.EdgesCSV)
+	}
+}
+
+func TestStarDuplicateStatementLastEdgeWins(t *testing.T) {
+	// The same statement applied in two Apply calls is realized as two edges
+	// (each delta graph is a set; the transformer does not dedup across
+	// calls). An annotation arriving later attaches to the last of them.
+	stmt := rdf.NewTriple(fixtures.Ex("bob"), fixtures.Ex("advisedBy"), fixtures.Ex("alice"))
+	ann := rdf.NewTriple(rdf.MustTripleTerm(stmt), fixtures.Ex("since"), rdf.NewTypedLiteral("2021", rdf.XSDInteger))
+	base := fixtures.UniversityGraph().Triples()
+
+	var ref *core.PipelineState
+	for _, workers := range []int{1, 2, 4} {
+		tr, err := core.NewTransformer(fixtures.UniversityShapes(), core.Parsimonious)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range [][]rdf.Triple{base, {stmt}, {ann}} {
+			g := rdf.NewGraph()
+			for _, x := range chunk {
+				g.Add(x)
+			}
+			if err := tr.ApplyParallel(context.Background(), g, workers, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ids := tr.Store().EdgesByLabel("advisedBy")
+		if len(ids) != 2 {
+			t.Fatalf("workers=%d: %d advisedBy edges, want the statement realized twice", workers, len(ids))
+		}
+		if first := tr.Store().Edge(ids[0]); len(first.Props) != 0 {
+			t.Fatalf("workers=%d: annotation attached to the earlier edge: %+v", workers, first)
+		}
+		if last := tr.Store().Edge(ids[1]); last.Props["since"] != int64(2021) {
+			t.Fatalf("workers=%d: annotation missing from the last edge: %+v", workers, last)
+		}
+		st, err := tr.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = st
+		} else {
+			requireSameState(t, ref, st, fmt.Sprintf("duplicate statement, workers=%d", workers))
+		}
+	}
+}
+
+// TestStarAnnotationErrorTexts pins the strict error and the lenient
+// Degradation for an annotation whose statement is not an edge — missing from
+// the data, or key/value-routed — at every worker count.
+func TestStarAnnotationErrorTexts(t *testing.T) {
+	missing := rdf.NewTriple(fixtures.Ex("bob"), fixtures.Ex("advisedBy"), fixtures.Ex("nobody"))
+	kvStmt := rdf.NewTriple(fixtures.Ex("bob"), fixtures.Ex("regNo"), rdf.NewLiteral("Bs12"))
+	for name, stmt := range map[string]rdf.Triple{"orphaned": missing, "kv-routed": kvStmt} {
+		wantErr := fmt.Sprintf("core: annotated statement %v is not realized as an edge "+
+			"(missing from the data, or key/value-routed — use the non-parsimonious mode)", stmt)
+		ann := rdf.NewTriple(rdf.MustTripleTerm(stmt), fixtures.Ex("verified"), rdf.NewLiteral("yes"))
+		g := fixtures.UniversityGraph()
+		g.Add(ann)
+		for _, workers := range []int{1, 2, 4} {
+			_, err := core.TransformWith(context.Background(), g, fixtures.UniversityShapes(), core.Parsimonious, nil,
+				core.TransformOptions{Workers: workers})
+			if err == nil || err.Error() != wantErr {
+				t.Fatalf("%s workers=%d: strict error = %v\nwant %s", name, workers, err, wantErr)
+			}
+			tr, err := core.TransformWith(context.Background(), g, fixtures.UniversityShapes(), core.Parsimonious, nil,
+				core.TransformOptions{Lenient: true, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: lenient: %v", name, workers, err)
+			}
+			want := core.Degradation{Reason: "skipped: " + wantErr, Triple: ann}
+			if ds := tr.Degradations(); len(ds) != 1 || ds[0] != want {
+				t.Fatalf("%s workers=%d: degradations = %v\nwant %v", name, workers, ds, want)
+			}
+		}
 	}
 }

@@ -185,6 +185,17 @@ func (m *Map[K, V]) Put(k K, v V) {
 	m.over[k] = v
 }
 
+// GetOrPut returns the value stored for k, storing v first when there is
+// none; present reports which. It is Get then Put: the built-in map the
+// overlay is made of has no insert-if-absent, so a miss still probes twice.
+func (m *Map[K, V]) GetOrPut(k K, v V) (got V, present bool) {
+	if got, present = m.Get(k); !present {
+		m.Put(k, v)
+		got = v
+	}
+	return got, present
+}
+
 // Clone returns a map with the same entries. It copies the overlay, or —
 // once the overlay has outgrown 1/foldDen of the base — folds it into a new
 // base both sides share.

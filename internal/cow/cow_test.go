@@ -185,3 +185,55 @@ func TestMapCloneIsolationAndFolds(t *testing.T) {
 		t.Fatal("no Clone folded its overlay: the test never exercised the fold")
 	}
 }
+
+// TestMapGetOrPut: GetOrPut keeps the first value whichever layer holds the
+// key — the shared base, the private overlay, a base made by a fold — and an
+// insertion on one side of a Clone stays invisible to the other.
+func TestMapGetOrPut(t *testing.T) {
+	check := func(m *Map[string, int], k string, v, want int, wantPresent bool) {
+		t.Helper()
+		if got, present := m.GetOrPut(k, v); got != want || present != wantPresent {
+			t.Fatalf("GetOrPut(%q, %d) = %d, %v; want %d, %v", k, v, got, present, want, wantPresent)
+		}
+		if got, ok := m.Get(k); !ok || got != want {
+			t.Fatalf("Get(%q) after GetOrPut = %d, %v; want %d", k, got, ok, want)
+		}
+	}
+
+	var m Map[string, int]
+	check(&m, "a", 1, 1, false) // zero map: inserted
+	check(&m, "a", 2, 1, true)  // overlay hit keeps the first value
+
+	c := m.Clone() // "a" is now in the shared base of both
+	if m.base == nil {
+		t.Fatal("Clone did not fold the overlay of a map that had no base")
+	}
+	check(&m, "a", 3, 1, true) // base hit
+	check(&c, "a", 4, 1, true)
+	check(&m, "b", 5, 5, false) // overlay insert over a base
+	check(&m, "b", 6, 5, true)
+	if _, ok := c.Get("b"); ok {
+		t.Fatal("the original's insertion is visible in the clone")
+	}
+	check(&c, "b", 7, 7, false) // the clone inserts its own
+	check(&m, "b", 8, 5, true)
+
+	// Outgrow the base so the next Clone folds, then hit keys of every age.
+	folds0 := cMapFolds.Value()
+	for i := 0; i < 4*foldDen; i++ {
+		check(&m, string(rune('k'+i)), 100+i, 100+i, false)
+	}
+	f := m.Clone()
+	if cMapFolds.Value() == folds0 {
+		t.Fatal("Clone did not fold an overlay larger than its base")
+	}
+	for _, mm := range []*Map[string, int]{&m, &f} {
+		check(mm, "a", 9, 1, true)
+		check(mm, "b", 9, 5, true)
+		check(mm, "k", 9, 100, true)
+	}
+	check(&f, "z-new", 10, 10, false)
+	if _, ok := m.Get("z-new"); ok {
+		t.Fatal("the clone's insertion after a fold is visible in the original")
+	}
+}

@@ -42,41 +42,42 @@ var propUnescaper = strings.NewReplacer(
 	"\\\\", "\\", "\\g", "\x1d", "\\r", "\x1e", "\\u", "\x1f",
 )
 
-func appendValue(b *strings.Builder, v Value, nested bool) error {
+// appendEscaped appends a key or a string payload, escaping the separators.
+func appendEscaped(dst []byte, s string) []byte {
+	if strings.ContainsAny(s, "\\\x1d\x1e\x1f") {
+		s = propEscaper.Replace(s)
+	}
+	return append(dst, s...)
+}
+
+func appendValue(dst []byte, v Value, nested bool) ([]byte, error) {
 	switch x := v.(type) {
 	case string:
-		b.WriteString("s:")
-		if strings.ContainsAny(x, "\\\x1d\x1e\x1f") {
-			b.WriteString(propEscaper.Replace(x))
-		} else {
-			b.WriteString(x)
-		}
+		dst = appendEscaped(append(dst, "s:"...), x)
 	case int64:
-		b.WriteString("i:")
-		b.WriteString(strconv.FormatInt(x, 10))
+		dst = strconv.AppendInt(append(dst, "i:"...), x, 10)
 	case float64:
-		b.WriteString("f:")
-		b.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
+		dst = strconv.AppendFloat(append(dst, "f:"...), x, 'g', -1, 64)
 	case bool:
-		b.WriteString("b:")
-		b.WriteString(strconv.FormatBool(x))
+		dst = strconv.AppendBool(append(dst, "b:"...), x)
 	case []Value:
 		if nested {
-			return fmt.Errorf("pg: nested arrays are not supported")
+			return dst, fmt.Errorf("pg: nested arrays are not supported")
 		}
-		b.WriteString("a:")
+		dst = append(dst, "a:"...)
 		for i, e := range x {
 			if i > 0 {
-				b.WriteByte(sepElem)
+				dst = append(dst, sepElem)
 			}
-			if err := appendValue(b, e, true); err != nil {
-				return err
+			var err error
+			if dst, err = appendValue(dst, e, true); err != nil {
+				return dst, err
 			}
 		}
 	default:
-		return fmt.Errorf("pg: unsupported property value type %T", v)
+		return dst, fmt.Errorf("pg: unsupported property value type %T", v)
 	}
-	return nil
+	return dst, nil
 }
 
 func parseValue(s string) (Value, error) {
@@ -115,7 +116,16 @@ func parseValue(s string) (Value, error) {
 	}
 }
 
-func encodeProps(props map[string]Value) (string, error) {
+// propEncoder serializes property records, one after another, through a key
+// list and a byte buffer it keeps between records: an export allocates the
+// encoded strings and nothing else per record. The zero value is ready to
+// use; it is not safe for concurrent use.
+type propEncoder struct {
+	keys []string
+	buf  []byte
+}
+
+func (pe *propEncoder) encode(props map[string]Value) (string, error) {
 	if len(props) == 0 {
 		return "", nil
 	}
@@ -123,27 +133,27 @@ func encodeProps(props map[string]Value) (string, error) {
 	// the crash-resume equivalence guarantee (a resumed run's outputs are
 	// bit-identical to an uninterrupted run's) depends on it, and it makes
 	// repeated exports diffable.
-	keys := make([]string, 0, len(props))
+	keys := pe.keys[:0]
 	for k := range props {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
+	if len(keys) > 1 {
+		sort.Strings(keys)
+	}
+	pe.keys = keys
+	buf := pe.buf[:0]
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(sepEntry)
+			buf = append(buf, sepEntry)
 		}
-		if strings.ContainsAny(k, "\\\x1d\x1e\x1f") {
-			b.WriteString(propEscaper.Replace(k))
-		} else {
-			b.WriteString(k)
-		}
-		b.WriteByte(sepKV)
-		if err := appendValue(&b, props[k], false); err != nil {
+		buf = append(appendEscaped(buf, k), sepKV)
+		var err error
+		if buf, err = appendValue(buf, props[k], false); err != nil {
 			return "", fmt.Errorf("property %q: %w", k, err)
 		}
 	}
-	return b.String(), nil
+	pe.buf = buf
+	return string(buf), nil
 }
 
 func decodeProps(s string) (map[string]Value, error) {
@@ -173,11 +183,12 @@ func decodeProps(s string) (map[string]Value, error) {
 // WriteCSV exports the store: nodes as (id, labels, props) and edges as
 // (id, from, to, label, props).
 func (s *Store) WriteCSV(nodeW, edgeW io.Writer) error {
+	var pe propEncoder
 	nw := csv.NewWriter(nodeW)
 	rec := make([]string, 3)
 	for i := 0; i < s.nodes.Len(); i++ {
 		n := s.nodes.At(i)
-		props, err := encodeProps(n.Props)
+		props, err := pe.encode(n.Props)
 		if err != nil {
 			return fmt.Errorf("pg: node %d: %w", n.ID, err)
 		}
@@ -197,7 +208,7 @@ func (s *Store) WriteCSV(nodeW, edgeW io.Writer) error {
 	erec := make([]string, 5)
 	for i := 0; i < s.edges.Len(); i++ {
 		e := s.edges.At(i)
-		props, err := encodeProps(e.Props)
+		props, err := pe.encode(e.Props)
 		if err != nil {
 			return fmt.Errorf("pg: edge %d: %w", e.ID, err)
 		}

@@ -14,7 +14,7 @@ import (
 // each worker renders a contiguous chunk of records into its own buffer
 // through its own csv.Writer, and the buffers are written out in chunk
 // order. Go's csv.Writer keeps no state across rows (rows always end in a
-// single "\n" here, since UseCRLF is never set) and encodeProps emits sorted
+// single "\n" here, since UseCRLF is never set) and propEncoder emits sorted
 // keys, so the concatenation is byte-identical to the sequential export.
 // workers <= 1 runs WriteCSV unchanged. On an encoding error nothing is
 // written to the failing file, and the error is the earliest chunk's —
@@ -23,9 +23,9 @@ func (s *Store) WriteCSVParallel(nodeW, edgeW io.Writer, workers int) error {
 	if workers <= 1 {
 		return s.WriteCSV(nodeW, edgeW)
 	}
-	if err := writeChunked(nodeW, s.nodes.Len(), workers, func(w *csv.Writer, rec []string, i int) error {
+	if err := writeChunked(nodeW, s.nodes.Len(), workers, func(w *csv.Writer, pe *propEncoder, rec []string, i int) error {
 		n := s.nodes.At(i)
-		props, err := encodeProps(n.Props)
+		props, err := pe.encode(n.Props)
 		if err != nil {
 			return fmt.Errorf("pg: node %d: %w", n.ID, err)
 		}
@@ -36,9 +36,9 @@ func (s *Store) WriteCSVParallel(nodeW, edgeW io.Writer, workers int) error {
 	}); err != nil {
 		return err
 	}
-	return writeChunked(edgeW, s.edges.Len(), workers, func(w *csv.Writer, rec []string, i int) error {
+	return writeChunked(edgeW, s.edges.Len(), workers, func(w *csv.Writer, pe *propEncoder, rec []string, i int) error {
 		e := s.edges.At(i)
-		props, err := encodeProps(e.Props)
+		props, err := pe.encode(e.Props)
 		if err != nil {
 			return fmt.Errorf("pg: edge %d: %w", e.ID, err)
 		}
@@ -53,7 +53,7 @@ func (s *Store) WriteCSVParallel(nodeW, edgeW io.Writer, workers int) error {
 
 // writeChunked renders records [0, n) into per-chunk buffers on workers and
 // concatenates them in order.
-func writeChunked(out io.Writer, n, workers int, row func(w *csv.Writer, rec []string, i int) error) error {
+func writeChunked(out io.Writer, n, workers int, row func(w *csv.Writer, pe *propEncoder, rec []string, i int) error) error {
 	if workers > n {
 		workers = n
 	}
@@ -69,9 +69,10 @@ func writeChunked(out io.Writer, n, workers int, row func(w *csv.Writer, rec []s
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			cw := csv.NewWriter(&bufs[w])
+			var pe propEncoder
 			rec := make([]string, 5)
 			for i := lo; i < hi; i++ {
-				if err := row(cw, rec, i); err != nil {
+				if err := row(cw, &pe, rec, i); err != nil {
 					errs[w] = err
 					return
 				}

@@ -193,9 +193,7 @@ func (s *Store) AddNode(labels []string, props map[string]Value) *Node {
 
 // indexIRI registers the node under its iri unless the slot is taken.
 func (s *Store) indexIRI(iri string, id NodeID) {
-	if _, exists := s.byIRI.Get(iri); !exists {
-		s.byIRI.Put(iri, id)
-	}
+	s.byIRI.GetOrPut(iri, id)
 }
 
 // AddEdge creates a directed labelled edge. It panics if an endpoint id is

@@ -5,7 +5,10 @@ package pg
 // equal records always encode to equal strings — the property that lets the
 // incremental-transformation layer use encoded records as change-detection
 // fingerprints and stream them to change subscribers verbatim.
-func EncodeProps(props map[string]Value) (string, error) { return encodeProps(props) }
+func EncodeProps(props map[string]Value) (string, error) {
+	var pe propEncoder
+	return pe.encode(props)
+}
 
 // DecodeProps parses a record serialized by EncodeProps.
 func DecodeProps(s string) (map[string]Value, error) { return decodeProps(s) }

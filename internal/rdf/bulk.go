@@ -21,7 +21,7 @@ const minParallelIndex = 1 << 14
 // workers <= 1, or inputs too small to amortize goroutines, build everything
 // on the calling goroutine.
 func NewGraphFromEncoded(d *Dict, enc []EncodedTriple, workers int) *Graph {
-	g := NewGraphWithDict(d)
+	g := &Graph{dict: d, present: make(map[encTriple]int32, len(enc))}
 	g.triples = make([]encTriple, 0, len(enc))
 	for _, e := range enc {
 		et := encTriple{e.S, e.P, e.O}

@@ -58,7 +58,7 @@ type cloneMember struct {
 // TestCloneContract is the property test for "mutating either side after
 // Clone is invisible to the other": a family of graphs related by Clone
 // (clones of clones included), each checked against its own model after
-// random Add, Remove, Unremove, TruncateFrom and Spill calls on random
+// random Add, Remove, Unremove, TruncateFrom, Grow and Spill calls on random
 // members. bench/inputs.go and exp/experiments.go rely on exactly this.
 func TestCloneContract(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
@@ -162,6 +162,9 @@ func cloneContract(t *testing.T, seed int64) {
 			m.frozen = false
 		case m.frozen:
 			continue
+		case op < 13:
+			what = "Grow"
+			m.g.Grow(rng.Intn(300)) // a capacity hint: nothing observable may change
 		case op < 55:
 			what = "Add"
 			tr := randTriple()

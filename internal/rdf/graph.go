@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/s3pg/s3pg/internal/cow"
@@ -31,10 +32,10 @@ const noID = ^TermID(0)
 // arena and only terms interned afterwards in the resident tail; id
 // assignment is identical either way.
 type Dict struct {
-	ids   cow.Map[Term, TermID] // resident tail: term → id (all ids when unspilled)
-	terms []Term                // resident tail: ids [base, base+len); append-only
-	arena *termArena            // disk-backed ids [0, base); nil when unspilled
-	base  TermID                // arena term count; 0 when unspilled
+	idx   termIndex  // resident tail: term → position in terms
+	terms []Term     // resident tail: ids [base, base+len); append-only
+	arena *termArena // disk-backed ids [0, base); nil when unspilled
+	base  TermID     // arena term count; 0 when unspilled
 }
 
 // NewDict returns an empty dictionary.
@@ -42,37 +43,45 @@ func NewDict() *Dict { return &Dict{} }
 
 // clone returns a dictionary with the same id assignments that either side
 // may keep interning into: the term slice is shared (the clone's capacity
-// clipped, so only d appends in place), the hash index per cow.Map, the
-// arena as the immutable generation it is.
+// clipped, so only d appends in place), the hash index as termIndex.share
+// says, the arena as the immutable generation it is.
 func (d *Dict) clone() *Dict {
 	if d.arena != nil {
 		d.arena.shared = true
 	}
 	n := len(d.terms)
-	return &Dict{ids: d.ids.Clone(), terms: d.terms[:n:n], arena: d.arena, base: d.base}
+	return &Dict{idx: d.idx.share(), terms: d.terms[:n:n], arena: d.arena, base: d.base}
+}
+
+// grow reserves room for n more terms.
+func (d *Dict) grow(n int) {
+	d.idx.grow(n)
+	d.terms = slices.Grow(d.terms, n)
 }
 
 // Intern returns the id for the term, assigning a fresh one if necessary.
+// The term is hashed once: a miss inserts where the lookup ended.
 func (d *Dict) Intern(t Term) TermID {
-	if id, ok := d.ids.Get(t); ok {
-		return id
+	h := termHash(t)
+	slot, pos, ok := d.idx.find(h, t, d.terms)
+	if ok {
+		return d.base + TermID(pos)
 	}
 	if d.arena != nil {
 		if id, ok := d.arena.lookup(t); ok {
 			return id
 		}
 	}
-	id := d.base + TermID(len(d.terms))
-	d.ids.Put(t, id)
+	d.idx.insert(slot, h, len(d.terms))
 	d.terms = append(d.terms, t)
 	cDictTerms.Inc()
-	return id
+	return d.base + TermID(len(d.terms)-1)
 }
 
 // Lookup returns the id for the term and whether it is interned.
 func (d *Dict) Lookup(t Term) (TermID, bool) {
-	if id, ok := d.ids.Get(t); ok {
-		return id, true
+	if _, pos, ok := d.idx.find(termHash(t), t, d.terms); ok {
+		return d.base + TermID(pos), true
 	}
 	if d.arena != nil {
 		return d.arena.lookup(t)
@@ -123,6 +132,45 @@ type Graph struct {
 	post [3]cow.Lists[int32] // tail postings by subject, predicate, object id
 
 	spill *graphSpill // disk-backed slots [0, spill.slots); nil when unspilled
+
+	recent *recentTerms // Add's id reuse; nil until the first Add
+}
+
+// recentTerms lets Add resolve a repeated subject or predicate by comparing
+// terms instead of hashing them: serializations group statements by subject
+// and draw predicates from a small vocabulary, so most subject and predicate
+// occurrences repeat one seen a few statements ago. Dictionary ids never
+// change once assigned (not by Spill, not by TruncateFrom), so a remembered
+// (term, id) pair stays valid for the life of the graph.
+type recentTerms struct {
+	s   Term
+	sid TermID
+	// preds is direct-mapped by the IRI's length and last byte — a slot
+	// choice, not a hash of the term; a slot holding another predicate is
+	// simply overwritten.
+	preds [16]struct {
+		p  Term
+		id TermID
+	}
+}
+
+func (r *recentTerms) subject(d *Dict, s Term) TermID {
+	if s != r.s {
+		r.s, r.sid = s, d.Intern(s)
+	}
+	return r.sid
+}
+
+func (r *recentTerms) predicate(d *Dict, p Term) TermID {
+	slot := len(p.Value)
+	if slot > 0 {
+		slot += int(p.Value[slot-1])
+	}
+	e := &r.preds[slot%len(r.preds)]
+	if p != e.p {
+		e.p, e.id = p, d.Intern(p)
+	}
+	return e.id
 }
 
 // NewGraph returns an empty graph with a fresh dictionary.
@@ -298,13 +346,39 @@ func shortest(s, p, o []int32) []int32 {
 	return s
 }
 
+// Grow reserves room for n more triples, so that adding them regrows neither
+// the triple log, the tombstones, the duplicate index nor the dictionary. It
+// is a hint from a loader that knows how much input is coming: a graph that
+// receives more, fewer or no triples afterwards behaves the same. The
+// dictionary is sized for one new term every other triple — knowledge graphs
+// sit on either side of that, and its index costs 16 bytes per reserved term.
+func (g *Graph) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	g.ownPresent()
+	present := make(map[encTriple]int32, len(g.present)+n)
+	for e, slot := range g.present {
+		present[e] = slot
+	}
+	g.present = present
+	g.triples = slices.Grow(g.triples, n)
+	if cap(g.dead)-len(g.dead) < n {
+		g.dead, g.deadShared = slices.Grow(g.dead, n), false // a fresh array is private
+	}
+	g.dict.grow(n / 2)
+}
+
 // Add inserts a triple, returning false if it was already present.
 // It panics on a malformed triple, which indicates a caller bug.
 func (g *Graph) Add(t Triple) bool {
 	if !t.Valid() {
 		panic(fmt.Sprintf("rdf: invalid triple %v", t))
 	}
-	e := encTriple{g.dict.Intern(t.S), g.dict.Intern(t.P), g.dict.Intern(t.O)}
+	if g.recent == nil {
+		g.recent = new(recentTerms)
+	}
+	e := encTriple{g.recent.subject(g.dict, t.S), g.recent.predicate(g.dict, t.P), g.dict.Intern(t.O)}
 	return g.addEnc(e)
 }
 

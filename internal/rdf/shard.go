@@ -147,6 +147,7 @@ func NewDenser(sd *ShardedDict) *Denser { return NewDenserInto(sd, NewDict()) }
 // already-interned terms keep their ids, new terms extend the dictionary.
 func NewDenserInto(sd *ShardedDict, d *Dict) *Denser {
 	dn := &Denser{sd: sd, dict: d}
+	d.grow(sd.Len()) // an upper bound: terms d already holds are not new
 	for i := range dn.dense {
 		n := len(sd.shards[i].terms)
 		if n == 0 {

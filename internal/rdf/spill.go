@@ -499,7 +499,7 @@ func (g *Graph) Spill(dir string, fsys ckpt.FS) (err error) {
 	oldGenFiles := g.spillGenFiles()
 	g.dict.arena = arena
 	g.dict.base = TermID(man.Terms)
-	g.dict.ids = cow.Map[Term, TermID]{}
+	g.dict.idx = termIndex{}
 	g.dict.terms = nil
 	g.spill = sp
 	g.triples = nil

@@ -1,0 +1,112 @@
+package rio
+
+import (
+	"bytes"
+	"io"
+	"runtime"
+	"testing"
+
+	"github.com/s3pg/s3pg/internal/datagen"
+	"github.com/s3pg/s3pg/internal/rdf"
+)
+
+// hintDocument serializes a generated DBpedia-like graph as N-Triples.
+func hintDocument(tb testing.TB) ([]byte, int) {
+	tb.Helper()
+	g := datagen.Generate(datagen.Profiles()["DBpedia2022"], 0.0002, 1)
+	var buf bytes.Buffer
+	if err := WriteNTriples(&buf, g); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes(), g.Len()
+}
+
+// opaque hides everything about a reader but Read, so the loader cannot size
+// the graph.
+type opaque struct{ io.Reader }
+
+// TestLoadNTriplesHintIsInvisible: a reader that reports its size gets a
+// pre-sized graph, any other reader does not, and the two graphs are the same
+// graph — ids, admission order, everything an accessor can see.
+func TestLoadNTriplesHintIsInvisible(t *testing.T) {
+	doc, triples := hintDocument(t)
+	if triples <= hintAfter {
+		t.Fatalf("fixture has %d triples, the hint needs more than %d", triples, hintAfter)
+	}
+	hinted, err := LoadNTriples(bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := LoadNTriples(opaque{bytes.NewReader(doc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hinted.Len() != triples || plain.Len() != triples || hinted.Dict().Len() != plain.Dict().Len() {
+		t.Fatalf("hinted %d triples / %d terms, plain %d / %d, want %d triples",
+			hinted.Len(), hinted.Dict().Len(), plain.Len(), plain.Dict().Len(), triples)
+	}
+	type enc struct{ s, p, o rdf.TermID }
+	var want []enc
+	plain.ForEachEncoded(func(_ int, s, p, o rdf.TermID) bool {
+		want = append(want, enc{s, p, o})
+		return true
+	})
+	i := 0
+	hinted.ForEachEncoded(func(_ int, s, p, o rdf.TermID) bool {
+		if (enc{s, p, o}) != want[i] {
+			t.Fatalf("slot %d: hinted graph has %v, plain graph %v", i, enc{s, p, o}, want[i])
+		}
+		i++
+		return true
+	})
+	for id := 0; id < plain.Dict().Len(); id++ {
+		if a, b := hinted.Dict().Term(rdf.TermID(id)), plain.Dict().Term(rdf.TermID(id)); a != b {
+			t.Fatalf("term %d: hinted %v, plain %v", id, a, b)
+		}
+	}
+}
+
+// TestLoadNTriplesHintedAllocs guards the sized load: once the hint is taken
+// nothing the graph owns grows again, so what is left per triple is the
+// scanner's line and term strings and the posting-list appends. A regrowth is
+// few allocations but many bytes, so the unsized load of the same document is
+// held against it in bytes.
+func TestLoadNTriplesHintedAllocs(t *testing.T) {
+	doc, triples := hintDocument(t)
+	load := func(r func() io.Reader) (allocs, bytes float64) {
+		const runs = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := LoadNTriples(r()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		n := float64(runs * triples)
+		return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	allocs, hinted := load(func() io.Reader { return bytes.NewReader(doc) })
+	_, plain := load(func() io.Reader { return opaque{bytes.NewReader(doc)} })
+	t.Logf("hinted: %.2f allocs and %.0f bytes per triple; unsized: %.0f bytes", allocs, hinted, plain)
+	if allocs > 3.5 {
+		t.Fatalf("hinted LoadNTriples allocates %.2f times per triple, want <= 3.5", allocs)
+	}
+	if hinted > 0.85*plain {
+		t.Fatalf("hinted load allocates %.0f bytes per triple, the unsized load %.0f: something still regrows", hinted, plain)
+	}
+}
+
+// BenchmarkLoadNTriplesHinted is the sequential loader over a reader that
+// reports its size (what the CLI hands it: a file).
+func BenchmarkLoadNTriplesHinted(b *testing.B) {
+	doc, triples := hintDocument(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(doc)))
+	for i := 0; i < b.N; i++ {
+		g, err := LoadNTriples(bytes.NewReader(doc))
+		if err != nil || g.Len() != triples {
+			b.Fatalf("loaded %d triples, err %v", g.Len(), err)
+		}
+	}
+}

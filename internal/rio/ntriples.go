@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"io/fs"
 	"strconv"
 	"strings"
 
@@ -48,7 +49,10 @@ const ctxCheckInterval = 4096
 // Lines are read through a bufio.Reader, so there is no upper bound on line
 // length (bufio.Scanner's token limit does not apply).
 func ReadNTriplesWith(ctx context.Context, r io.Reader, opts Options, fn TripleHandler) error {
-	sc := NewNTriplesScanner(r, opts)
+	return scanAll(ctx, NewNTriplesScanner(r, opts), fn)
+}
+
+func scanAll(ctx context.Context, sc *NTriplesScanner, fn TripleHandler) error {
 	for {
 		if sc.Line()%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
@@ -73,18 +77,48 @@ func LoadNTriples(r io.Reader) (*rdf.Graph, error) {
 	return LoadNTriplesWith(context.Background(), r, Options{})
 }
 
+// hintAfter is how many statements LoadNTriplesWith reads before it sizes the
+// graph: enough for a stable bytes-per-statement figure, few enough that the
+// graph has hardly grown yet.
+const hintAfter = 1024
+
 // LoadNTriplesWith is LoadNTriples with cancellation and fault-tolerance
-// control (see ReadNTriplesWith).
+// control (see ReadNTriplesWith). When r can tell how long the document is
+// (inputSize), the graph is sized once, hintAfter statements in, for the
+// statements the remaining bytes should hold at the bytes-per-statement seen
+// so far.
 func LoadNTriplesWith(ctx context.Context, r io.Reader, opts Options) (*rdf.Graph, error) {
 	g := rdf.NewGraph()
-	err := ReadNTriplesWith(ctx, r, opts, func(t rdf.Triple) error {
+	size, sized := inputSize(r)
+	sc := NewNTriplesScanner(r, opts)
+	err := scanAll(ctx, sc, func(t rdf.Triple) error {
 		g.Add(t)
+		if sized && sc.Triples() == hintAfter {
+			g.Grow(int((size - sc.Offset()) * hintAfter / sc.Offset()))
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return g, nil
+}
+
+// inputSize reports the length in bytes of the document r delivers, when r is
+// a reader that knows: a regular file, a section of one, or an in-memory
+// reader.
+func inputSize(r io.Reader) (int64, bool) {
+	switch v := r.(type) {
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
+			return fi.Size(), true
+		}
+	case interface{ Size() int64 }:
+		return v.Size(), true
+	case interface{ Len() int }:
+		return int64(v.Len()), true
+	}
+	return 0, false
 }
 
 // ParseNTriplesLine parses one N-Triples statement (without trailing newline).
