@@ -95,9 +95,10 @@ verify:
 	$(MAKE) fuzz
 
 # fuzz runs every native fuzz target for FUZZTIME each: the N-Triples and
-# Turtle parsers (strict and lenient), the Cypher lexer and parser, and the
-# SPARQL parser. New crashers land in testdata/fuzz/ and become regression
-# tests.
+# Turtle parsers (strict and lenient), the Cypher lexer and parser, the
+# SPARQL parser, both engines' executor against the reference evaluator it
+# replaced, and the /query JSON writer against encoding/json. New crashers
+# land in testdata/fuzz/ and become regression tests.
 FUZZ_TARGETS = \
 	FuzzParseNTriplesLine:./internal/rio \
 	FuzzReadNTriplesLenient:./internal/rio \
@@ -105,7 +106,10 @@ FUZZ_TARGETS = \
 	FuzzLexer:./internal/cypher \
 	FuzzParse:./internal/cypher \
 	FuzzParse:./internal/sparql \
-	FuzzParseUpdate:./internal/sparql
+	FuzzParseUpdate:./internal/sparql \
+	FuzzEvalDifferential:./internal/cypher \
+	FuzzEvalDifferential:./internal/sparql \
+	FuzzRowJSON:./internal/serve
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

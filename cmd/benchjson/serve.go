@@ -319,7 +319,7 @@ func buildServeCases(g *rdf.Graph, shapesTTL, data, jobID string) ([]serveCase, 
 		if err != nil {
 			return nil, fmt.Errorf("reference eval %q: %w", r.Query, err)
 		}
-		expect, err := json.Marshal([]any{resp.Columns, resp.Rows})
+		expect, err := json.Marshal([]any{resp.Columns, resp.Rows()})
 		if err != nil {
 			return nil, err
 		}

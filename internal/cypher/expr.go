@@ -2,139 +2,297 @@ package cypher
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/s3pg/s3pg/internal/pg"
 )
 
-// sortSlice is a tiny generic wrapper so eval.go reads cleanly.
-func sortSlice[T any](s []T, less func(a, b T) bool) {
-	sort.SliceStable(s, func(i, j int) bool { return less(s[i], s[j]) })
+// cval is the value of an expression: null, a graph element by id, or a
+// plain value (v, never nil). Graph elements stay ids until a result row or
+// a comparison needs what they render as.
+type cval struct {
+	kind uint8 // kNull, kNode, kEdge or kValue
+	id   uint32
+	v    pg.Value
 }
 
-// evalExpr evaluates an expression under a binding. Results follow Cypher's
-// ternary logic loosely: nil propagates and comparisons with nil are nil,
-// which isTrue treats as false.
-func (ev *evaluator) evalExpr(e Expr, b binding) (any, error) {
+// valueOf wraps a property or parameter value.
+func valueOf(v pg.Value) cval {
+	if v == nil {
+		return cval{kind: kNull}
+	}
+	return cval{kind: kValue, v: v}
+}
+
+// lexpr is a lowered expression: the AST with variables resolved to slots
+// and parameters to their values — *lVar, *lProp, *lConst, *lNoParam, *lNot,
+// *lIsNull, *lIn, *lBinary or *lCall.
+type lexpr interface{}
+
+type lVar struct {
+	slot int // -1: no clause of the part binds the name
+	name string
+}
+
+type lProp struct {
+	slot      int
+	name, key string
+}
+
+type lConst struct{ v cval }
+
+// lNoParam is a $name the caller supplied no value for.
+type lNoParam struct{ name string }
+
+type lNot struct{ e lexpr }
+
+type lIsNull struct {
+	e   lexpr
+	neg bool
+}
+
+type lIn struct {
+	e    lexpr
+	list []lexpr
+}
+
+type lBinary struct {
+	op   string
+	l, r lexpr
+}
+
+type lCall struct {
+	fn   string
+	args []lexpr
+}
+
+// lowerExpr resolves an expression against the part's slots as bound so
+// far. total reports that evaluating it cannot fail, whatever the row: every
+// variable it reads is bound by now, every property access is on what can
+// only be a graph element or null, every parameter is supplied, and every
+// builtin gets the kind of argument it insists on.
+func (p *partPlan) lowerExpr(e Expr) (out lexpr, total bool) {
+	all := func(es ...Expr) ([]lexpr, bool) {
+		ls, ok := make([]lexpr, len(es)), true
+		for i, e := range es {
+			l, t := p.lowerExpr(e)
+			ls[i], ok = l, ok && t
+		}
+		return ls, ok
+	}
+	// kindsOf is the kinds a variable expression can take (0: not a bound
+	// variable).
+	kindsOf := func(e Expr) uint8 {
+		if v, ok := e.(VarExpr); ok {
+			if s := p.slotOf(v.Name); s >= 0 {
+				return p.kinds[s]
+			}
+		}
+		return 0
+	}
 	switch x := e.(type) {
 	case VarExpr:
-		v, ok := b.get(x.Name)
-		if !ok {
-			return nil, fmt.Errorf("cypher: unbound variable %q", x.Name)
-		}
-		return v, nil
+		s := p.slotOf(x.Name)
+		return &lVar{slot: s, name: x.Name}, s >= 0 && p.kinds[s] != 0
 	case PropExpr:
-		v, ok := b.get(x.Var)
-		if !ok {
-			return nil, fmt.Errorf("cypher: unbound variable %q", x.Var)
-		}
-		switch ref := v.(type) {
-		case nodeRef:
-			return ev.store.Node(pg.NodeID(ref)).Props[x.Key], nil
-		case edgeRef:
-			return ev.store.Edge(pg.EdgeID(ref)).Props[x.Key], nil
-		case nil:
-			return nil, nil
-		default:
-			return nil, fmt.Errorf("cypher: %q is not a node or relationship", x.Var)
-		}
+		s := p.slotOf(x.Var)
+		const element = 1<<kNull | 1<<kNode | 1<<kEdge
+		return &lProp{slot: s, name: x.Var, key: x.Key}, s >= 0 && p.kinds[s] != 0 && p.kinds[s]&^element == 0
 	case ConstExpr:
-		return x.Value, nil
-	case ParamExpr:
-		v, ok := ev.params[x.Name]
-		if !ok {
-			return nil, fmt.Errorf("cypher: no value supplied for parameter $%s", x.Name)
-		}
-		return v, nil
+		return &lConst{valueOf(x.Value)}, true
 	case NullExpr:
-		return nil, nil
+		return &lConst{cval{kind: kNull}}, true
+	case ParamExpr:
+		v, ok := p.ev.params[x.Name]
+		if !ok {
+			return &lNoParam{x.Name}, false
+		}
+		return &lConst{valueOf(v)}, true
 	case NotExpr:
-		v, err := ev.evalExpr(x.E, b)
-		if err != nil {
-			return nil, err
-		}
-		if v == nil {
-			return nil, nil
-		}
-		return !isTrue(v), nil
+		l, t := p.lowerExpr(x.E)
+		return &lNot{l}, t
 	case IsNullExpr:
-		v, err := ev.evalExpr(x.E, b)
-		if err != nil {
-			return nil, err
-		}
-		if x.Neg {
-			return v != nil, nil
-		}
-		return v == nil, nil
+		l, t := p.lowerExpr(x.E)
+		return &lIsNull{l, x.Neg}, t
 	case InExpr:
-		v, err := ev.evalExpr(x.E, b)
-		if err != nil {
-			return nil, err
-		}
-		for _, le := range x.List {
-			lv, err := ev.evalExpr(le, b)
-			if err != nil {
-				return nil, err
-			}
-			if pg.ValueEqual(ev.materialize(v), ev.materialize(lv)) {
-				return true, nil
-			}
-		}
-		return false, nil
+		l, t := p.lowerExpr(x.E)
+		list, lt := all(x.List...)
+		return &lIn{l, list}, t && lt
 	case BinaryExpr:
-		return ev.evalBinary(x, b)
+		ls, t := all(x.L, x.R)
+		switch x.Op {
+		case "AND", "OR", "=", "<>", "<", "<=", ">", ">=":
+		default:
+			t = false
+		}
+		return &lBinary{x.Op, ls[0], ls[1]}, t
 	case CallExpr:
-		return ev.evalCall(x, b)
+		args, t := all(x.Args...)
+		switch x.Func {
+		case "COALESCE":
+		case "LABELS":
+			t = t && len(args) > 0 && kindsOf(x.Args[0]) == 1<<kNode
+		case "TYPE":
+			t = t && len(args) > 0 && kindsOf(x.Args[0]) == 1<<kEdge
+		case "ID":
+			k := uint8(0)
+			if len(args) > 0 {
+				k = kindsOf(x.Args[0])
+			}
+			t = t && k != 0 && k&^(1<<kNode|1<<kEdge) == 0
+		case "TOSTRING", "SIZE":
+			t = t && len(args) > 0
+		case "STARTSWITH", "CONTAINS":
+			t = t && len(args) > 1
+		default:
+			t = false
+		}
+		return &lCall{x.Func, args}, t
 	default:
-		return nil, fmt.Errorf("cypher: unknown expression %T", e)
+		return nil, false // evalExpr reports it
 	}
 }
 
-func (ev *evaluator) evalBinary(x BinaryExpr, b binding) (any, error) {
-	l, err := ev.evalExpr(x.L, b)
-	if err != nil {
-		return nil, err
+// exprSlots appends the slots an expression reads.
+func exprSlots(e lexpr, out []int) []int {
+	switch x := e.(type) {
+	case *lVar:
+		out = append(out, x.slot)
+	case *lProp:
+		out = append(out, x.slot)
+	case *lNot:
+		out = exprSlots(x.e, out)
+	case *lIsNull:
+		out = exprSlots(x.e, out)
+	case *lIn:
+		out = exprSlots(x.e, out)
+		for _, l := range x.list {
+			out = exprSlots(l, out)
+		}
+	case *lBinary:
+		out = exprSlots(x.r, exprSlots(x.l, out))
+	case *lCall:
+		for _, a := range x.args {
+			out = exprSlots(a, out)
+		}
 	}
-	if x.Op == "AND" || x.Op == "OR" {
-		r, err := ev.evalExpr(x.R, b)
+	return out
+}
+
+// lookup reads a variable's slot as a value.
+func (ev *evaluator) lookup(slot int, name string, row []slot) (cval, error) {
+	if slot < 0 || row[slot].kind() == kUnbound {
+		return cval{}, fmt.Errorf("cypher: unbound variable %q", name)
+	}
+	s := row[slot]
+	if s.kind() == kValue {
+		return cval{kind: kValue, v: ev.vals[s.id()]}, nil
+	}
+	return cval{kind: s.kind(), id: s.id()}, nil
+}
+
+// evalExpr evaluates an expression over a row. Results follow Cypher's
+// ternary logic loosely: null propagates and comparisons with null are
+// null, which isTrue treats as false.
+func (ev *evaluator) evalExpr(e lexpr, row []slot) (cval, error) {
+	switch x := e.(type) {
+	case *lVar:
+		return ev.lookup(x.slot, x.name, row)
+	case *lProp:
+		v, err := ev.lookup(x.slot, x.name, row)
 		if err != nil {
-			return nil, err
+			return cval{}, err
 		}
-		if x.Op == "AND" {
-			return isTrue(l) && isTrue(r), nil
+		switch v.kind {
+		case kNode:
+			return valueOf(ev.store.Node(pg.NodeID(v.id)).Props[x.key]), nil
+		case kEdge:
+			return valueOf(ev.store.Edge(pg.EdgeID(v.id)).Props[x.key]), nil
+		case kNull:
+			return v, nil
+		default:
+			return cval{}, fmt.Errorf("cypher: %q is not a node or relationship", x.name)
 		}
-		return isTrue(l) || isTrue(r), nil
+	case *lConst:
+		return x.v, nil
+	case *lNoParam:
+		return cval{}, fmt.Errorf("cypher: no value supplied for parameter $%s", x.name)
+	case *lNot:
+		v, err := ev.evalExpr(x.e, row)
+		if err != nil || v.kind == kNull {
+			return v, err
+		}
+		return valueOf(!isTrue(v)), nil
+	case *lIsNull:
+		v, err := ev.evalExpr(x.e, row)
+		if err != nil {
+			return cval{}, err
+		}
+		return valueOf((v.kind == kNull) != x.neg), nil
+	case *lIn:
+		v, err := ev.evalExpr(x.e, row)
+		if err != nil {
+			return cval{}, err
+		}
+		for _, le := range x.list {
+			lv, err := ev.evalExpr(le, row)
+			if err != nil {
+				return cval{}, err
+			}
+			if pg.ValueEqual(ev.materialize(v), ev.materialize(lv)) {
+				return valueOf(true), nil
+			}
+		}
+		return valueOf(false), nil
+	case *lBinary:
+		return ev.evalBinary(x, row)
+	case *lCall:
+		return ev.evalCall(x, row)
+	default:
+		return cval{}, fmt.Errorf("cypher: unknown expression %T", e)
 	}
-	r, err := ev.evalExpr(x.R, b)
+}
+
+func (ev *evaluator) evalBinary(x *lBinary, row []slot) (cval, error) {
+	l, err := ev.evalExpr(x.l, row)
 	if err != nil {
-		return nil, err
+		return cval{}, err
 	}
-	if l == nil || r == nil {
-		return nil, nil
+	r, err := ev.evalExpr(x.r, row)
+	if err != nil {
+		return cval{}, err
+	}
+	switch x.op {
+	case "AND":
+		return valueOf(isTrue(l) && isTrue(r)), nil
+	case "OR":
+		return valueOf(isTrue(l) || isTrue(r)), nil
+	}
+	if l.kind == kNull || r.kind == kNull {
+		return cval{kind: kNull}, nil
 	}
 	lv, rv := ev.materialize(l), ev.materialize(r)
-	switch x.Op {
+	switch x.op {
 	case "=":
-		return pg.ValueEqual(lv, rv), nil
+		return valueOf(pg.ValueEqual(lv, rv)), nil
 	case "<>":
-		return !pg.ValueEqual(lv, rv), nil
+		return valueOf(!pg.ValueEqual(lv, rv)), nil
 	}
 	cmp, ok := compareValues(lv, rv)
 	if !ok {
-		return nil, nil
+		return cval{kind: kNull}, nil
 	}
-	switch x.Op {
+	switch x.op {
 	case "<":
-		return cmp < 0, nil
+		return valueOf(cmp < 0), nil
 	case "<=":
-		return cmp <= 0, nil
+		return valueOf(cmp <= 0), nil
 	case ">":
-		return cmp > 0, nil
+		return valueOf(cmp > 0), nil
 	case ">=":
-		return cmp >= 0, nil
+		return valueOf(cmp >= 0), nil
 	default:
-		return nil, fmt.Errorf("cypher: unknown operator %q", x.Op)
+		return cval{}, fmt.Errorf("cypher: unknown operator %q", x.op)
 	}
 }
 
@@ -158,87 +316,97 @@ func compareValues(a, b pg.Value) (int, bool) {
 	return 0, false
 }
 
-func (ev *evaluator) evalCall(x CallExpr, b binding) (any, error) {
-	args := make([]any, len(x.Args))
-	for i, a := range x.Args {
-		v, err := ev.evalExpr(a, b)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
+func toFloatValue(v pg.Value) (float64, bool) {
+	switch x := v.(type) {
+	case int64:
+		return float64(x), true
+	case float64:
+		return x, true
 	}
-	switch x.Func {
-	case "COALESCE":
+	return 0, false
+}
+
+func (ev *evaluator) evalCall(x *lCall, row []slot) (cval, error) {
+	var buf [4]cval
+	args := buf[:0]
+	for _, a := range x.args {
+		v, err := ev.evalExpr(a, row)
+		if err != nil {
+			return cval{}, err
+		}
+		args = append(args, v)
+	}
+	if x.fn == "COALESCE" {
 		for _, a := range args {
-			if a != nil {
+			if a.kind != kNull {
 				return a, nil
 			}
 		}
-		return nil, nil
+		return cval{kind: kNull}, nil
+	}
+	if len(args) == 0 {
+		return cval{}, fmt.Errorf("cypher: %s() requires an argument", strings.ToLower(x.fn))
+	}
+	arg := args[0]
+	switch x.fn {
 	case "LABELS":
-		ref, ok := args[0].(nodeRef)
-		if !ok {
-			return nil, fmt.Errorf("cypher: labels() requires a node")
+		if arg.kind != kNode {
+			return cval{}, fmt.Errorf("cypher: labels() requires a node")
 		}
-		labels := ev.store.Node(pg.NodeID(ref)).Labels
+		labels := ev.store.Node(pg.NodeID(arg.id)).Labels
 		out := make([]pg.Value, len(labels))
 		for i, l := range labels {
 			out[i] = l
 		}
-		return out, nil
+		return valueOf(out), nil
 	case "TYPE":
-		ref, ok := args[0].(edgeRef)
-		if !ok {
-			return nil, fmt.Errorf("cypher: type() requires a relationship")
+		if arg.kind != kEdge {
+			return cval{}, fmt.Errorf("cypher: type() requires a relationship")
 		}
-		return ev.store.Edge(pg.EdgeID(ref)).Label, nil
+		return valueOf(ev.store.Edge(pg.EdgeID(arg.id)).Label), nil
 	case "TOSTRING":
-		if args[0] == nil {
-			return nil, nil
+		if arg.kind == kNull {
+			return arg, nil
 		}
-		return pg.FormatValue(ev.materialize(args[0])), nil
+		return valueOf(pg.FormatValue(ev.materialize(arg))), nil
 	case "SIZE":
-		switch v := args[0].(type) {
-		case nil:
-			return nil, nil
+		if arg.kind == kNull {
+			return arg, nil
+		}
+		switch v := arg.v.(type) {
 		case string:
-			return int64(len(v)), nil
+			return valueOf(int64(len(v))), nil
 		case []pg.Value:
-			return int64(len(v)), nil
+			return valueOf(int64(len(v))), nil
 		default:
-			return int64(1), nil
+			return valueOf(int64(1)), nil
 		}
 	case "ID":
-		switch ref := args[0].(type) {
-		case nodeRef:
-			return int64(ref), nil
-		case edgeRef:
-			return int64(ref), nil
-		default:
-			return nil, fmt.Errorf("cypher: id() requires a graph element")
+		if arg.kind != kNode && arg.kind != kEdge {
+			return cval{}, fmt.Errorf("cypher: id() requires a graph element")
 		}
-	case "STARTSWITH":
-		s, ok1 := args[0].(string)
-		p, ok2 := args[1].(string)
+		return valueOf(int64(arg.id)), nil
+	case "STARTSWITH", "CONTAINS":
+		if len(args) < 2 {
+			return cval{}, fmt.Errorf("cypher: %s requires two operands", x.fn)
+		}
+		s, ok1 := arg.v.(string)
+		t, ok2 := args[1].v.(string)
 		if !ok1 || !ok2 {
-			return nil, nil
+			return cval{kind: kNull}, nil
 		}
-		return strings.HasPrefix(s, p), nil
-	case "CONTAINS":
-		s, ok1 := args[0].(string)
-		sub, ok2 := args[1].(string)
-		if !ok1 || !ok2 {
-			return nil, nil
+		if x.fn == "CONTAINS" {
+			return valueOf(strings.Contains(s, t)), nil
 		}
-		return strings.Contains(s, sub), nil
+		return valueOf(strings.HasPrefix(s, t)), nil
 	default:
-		return nil, fmt.Errorf("cypher: unsupported function %s", x.Func)
+		return cval{}, fmt.Errorf("cypher: unsupported function %s", x.fn)
 	}
 }
 
 // isTrue converts a value to the boolean used by WHERE: only the boolean
-// true passes (nil and everything else is false).
-func isTrue(v any) bool {
-	b, ok := v.(bool)
+// true passes (null and everything else is false).
+func isTrue(v cval) bool {
+	b, ok := v.v.(bool)
 	return ok && b
 }

@@ -35,15 +35,23 @@ func FuzzLexer(f *testing.F) {
 	})
 }
 
+// ParseSeeds is the seed corpus of FuzzParse; the differential tests also
+// evaluate every seed that parses.
+var ParseSeeds = []string{
+	`MATCH (p:Person) WHERE p.name = "Alice" OR p.dob < 2000 RETURN p`,
+	`MATCH (a)-->(b) RETURN labels(a), type(a) UNION ALL MATCH (c) RETURN c, c`,
+	`MATCH (n:Person) WHERE n.name = $who AND n.age >= $min RETURN n.name, $tag`,
+	`MATCH (n) WHERE n.x = $ RETURN n`,
+	`RETURN $1`,
+	`MATCH ((((`,
+}
+
 // FuzzParse checks that the full Cypher parser rejects or accepts arbitrary
 // input without panicking. Input length is capped to bound recursion depth.
 func FuzzParse(f *testing.F) {
-	f.Add(`MATCH (p:Person) WHERE p.name = "Alice" OR p.dob < 2000 RETURN p`)
-	f.Add(`MATCH (a)-->(b) RETURN labels(a), type(a) UNION ALL MATCH (c) RETURN c, c`)
-	f.Add(`MATCH (n:Person) WHERE n.name = $who AND n.age >= $min RETURN n.name, $tag`)
-	f.Add(`MATCH (n) WHERE n.x = $ RETURN n`)
-	f.Add(`RETURN $1`)
-	f.Add(`MATCH ((((`)
+	for _, s := range ParseSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 2048 {
 			return

@@ -7,9 +7,10 @@ import (
 
 // lexer is a pull-based tokenizer with one token of lookahead.
 type lexer struct {
-	src    string
-	pos    int
-	peeked *token
+	src     string
+	pos     int
+	peeked  token // the lookahead token, valid while hasPeek
+	hasPeek bool
 }
 
 type tokenKind uint8
@@ -42,16 +43,15 @@ func (l *lexer) context() string {
 }
 
 func (l *lexer) peek() token {
-	if l.peeked == nil {
-		t := l.scan()
-		l.peeked = &t
+	if !l.hasPeek {
+		l.peeked, l.hasPeek = l.scan(), true
 	}
-	return *l.peeked
+	return l.peeked
 }
 
 func (l *lexer) next() token {
 	t := l.peek()
-	l.peeked = nil
+	l.hasPeek = false
 	return t
 }
 

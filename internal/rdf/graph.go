@@ -539,6 +539,45 @@ func (g *Graph) matchEnc(se, pe, oe TermID, fn func(Triple) bool) {
 	}
 }
 
+// MatchEncoded is Match over dictionary ids, for callers that join on ids
+// and decode only what they keep: a component equal to ^TermID(0) — an id no
+// dictionary assigns — is a wildcard, every other component must be an id of
+// this graph's dictionary. Triples arrive in the order Match yields them and
+// are never decoded; fn returning false stops the iteration.
+func (g *Graph) MatchEncoded(se, pe, oe TermID, fn func(s, p, o TermID) bool) {
+	if se != noID && pe != noID && oe != noID {
+		if _, ok := g.slotOf(encTriple{se, pe, oe}); ok {
+			fn(se, pe, oe)
+		}
+		return
+	}
+	list, bound := g.candidateList(se, pe, oe)
+	if !bound {
+		g.forEachSlot(func(_ int, e encTriple) bool {
+			return fn(e.s, e.p, e.o)
+		})
+		return
+	}
+	for _, idx := range list {
+		if g.slotDead(int(idx)) {
+			continue
+		}
+		e := g.encAt(int(idx))
+		if se != noID && e.s != se {
+			continue
+		}
+		if pe != noID && e.p != pe {
+			continue
+		}
+		if oe != noID && e.o != oe {
+			continue
+		}
+		if !fn(e.s, e.p, e.o) {
+			return
+		}
+	}
+}
+
 // candidateList picks the shortest posting list among the bound components.
 // The second result reports whether any component was bound; when it is true
 // the returned list (possibly empty) is authoritative.

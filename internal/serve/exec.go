@@ -25,79 +25,90 @@ type Request struct {
 	Query string
 	// Params supplies Cypher $name parameters (decoded JSON values).
 	Params map[string]any
-	// MaxRows truncates the answer; 0 means unlimited.
+	// MaxRows caps the answer; 0 means unlimited.
 	MaxRows int
 }
 
-// Response is the answer to a Request. Rows hold JSON-encodable values:
-// property values for Cypher, canonical term strings (tr(µ)) for SPARQL.
+// Response is the answer to a Request: the envelope fields and the engine's
+// typed answer, which AppendJSON writes to the wire without materializing
+// it. The HTTP layer fills in Graph or Job and Cache.
 type Response struct {
-	Lang      string   `json:"lang"`
-	LSN       uint64   `json:"lsn"`
-	Cache     string   `json:"cache"`
-	Columns   []string `json:"columns"`
-	Rows      [][]any  `json:"rows"`
-	Truncated bool     `json:"truncated,omitempty"`
+	Graph     string
+	Job       string
+	Lang      string
+	LSN       uint64
+	Cache     string
+	Columns   []string
+	Truncated bool
+
+	// Exactly one is set: property values for Cypher, terms — serialized in
+	// their canonical string form tr(µ) — for SPARQL.
+	cypher *cypher.Answer
+	sparql *sparql.Answer
+}
+
+// Len returns the number of answer rows.
+func (r *Response) Len() int {
+	if r.cypher != nil {
+		return r.cypher.Len()
+	}
+	return r.sparql.Len()
+}
+
+// Rows materializes the answer as the values AppendJSON writes: property
+// values for Cypher, canonical term strings for SPARQL. It is for callers
+// that inspect an answer in process; the serving path never builds it.
+func (r *Response) Rows() [][]any {
+	rows := make([][]any, r.Len())
+	for i := range rows {
+		rows[i] = make([]any, len(r.Columns))
+		for j := range rows[i] {
+			if r.cypher != nil {
+				rows[i][j] = r.cypher.Row(i)[j]
+			} else {
+				rows[i][j] = sparql.CanonicalTerm(r.sparql.Term(i, j))
+			}
+		}
+	}
+	return rows
 }
 
 // Execute runs one query against an immutable snapshot. The ctx deadline is
-// enforced cooperatively inside both engines; MaxRows truncates the
-// materialized answer and sets Truncated.
+// enforced cooperatively inside both engines; MaxRows caps the answer, sets
+// Truncated, and — where the query needs no sort, DISTINCT or aggregate —
+// stops the evaluation one row past the cap.
 func Execute(ctx context.Context, snap *Snapshot, req Request) (*Response, error) {
 	resp := &Response{Lang: req.Lang, LSN: snap.LSN}
+	var err error
 	switch req.Lang {
 	case "cypher":
-		q, err := cypher.Parse(req.Query)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+		q, perr := cypher.Parse(req.Query)
+		if perr != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadQuery, perr)
 		}
-		params, err := convertParams(req.Params)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+		params, perr := convertParams(req.Params)
+		if perr != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadQuery, perr)
 		}
-		res, err := cypher.EvalWith(snap.Store, q, cypher.EvalOptions{Ctx: ctx, Params: params})
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-		}
-		resp.Columns = res.Cols
-		resp.Rows = make([][]any, 0, len(res.Rows))
-		for _, row := range res.Rows {
-			out := make([]any, len(row))
-			for i, v := range row {
-				out[i] = v
-			}
-			resp.Rows = append(resp.Rows, out)
+		if resp.cypher, err = cypher.Run(snap.Store, q, cypher.EvalOptions{Ctx: ctx, Params: params}, req.MaxRows); err == nil {
+			resp.Columns, resp.Truncated = resp.cypher.Cols, resp.cypher.Truncated
 		}
 	case "sparql":
-		q, err := sparql.Parse(req.Query)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+		q, perr := sparql.Parse(req.Query)
+		if perr != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadQuery, perr)
 		}
-		res, err := sparql.EvalCtx(ctx, snap.Graph, q)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-		}
-		resp.Columns = res.Vars
-		resp.Rows = make([][]any, 0, len(res.Rows))
-		for _, row := range res.Rows {
-			out := make([]any, len(row))
-			for i, t := range row {
-				out[i] = sparql.CanonicalTerm(t)
-			}
-			resp.Rows = append(resp.Rows, out)
+		if resp.sparql, err = sparql.Run(ctx, snap.Graph, q, req.MaxRows); err == nil {
+			resp.Columns, resp.Truncated = resp.sparql.Vars, resp.sparql.Truncated
 		}
 	default:
 		return nil, fmt.Errorf("%w: unknown language %q (want cypher or sparql)", ErrBadQuery, req.Lang)
 	}
-	if req.MaxRows > 0 && len(resp.Rows) > req.MaxRows {
-		resp.Rows = resp.Rows[:req.MaxRows]
-		resp.Truncated = true
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 	return resp, nil
 }

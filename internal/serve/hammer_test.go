@@ -73,7 +73,7 @@ func TestHammerSnapshotSwapAndEviction(t *testing.T) {
 					return
 				}
 				want := int64(2 + resp.LSN%50)
-				if got := resp.Rows[0][0]; got != want {
+				if got := resp.Rows()[0][0]; got != want {
 					failures.Add(1)
 					t.Errorf("torn read: LSN %d has count %v, want %d", resp.LSN, got, want)
 					return
@@ -85,7 +85,7 @@ func TestHammerSnapshotSwapAndEviction(t *testing.T) {
 					t.Errorf("live sparql query: %v", err)
 					return
 				}
-				if got := sresp.Rows[0][0]; got != fmt.Sprint(want) {
+				if got := sresp.Rows()[0][0]; got != fmt.Sprint(want) {
 					failures.Add(1)
 					t.Errorf("torn sparql read: LSN %d has count %v, want %d", sresp.LSN, got, want)
 					return
@@ -108,7 +108,7 @@ func TestHammerSnapshotSwapAndEviction(t *testing.T) {
 					t.Errorf("cache query: %v", err)
 					return
 				}
-				if got := cresp.Rows[0][0]; got != int64(2+key) {
+				if got := cresp.Rows()[0][0]; got != int64(2+key) {
 					failures.Add(1)
 					t.Errorf("cache served wrong snapshot for key %d: count %v", key, got)
 					return

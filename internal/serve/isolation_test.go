@@ -86,7 +86,7 @@ func answer(t *testing.T, snap *Snapshot, req Request) string {
 	b, err := json.Marshal(struct {
 		Columns []string
 		Rows    [][]any
-	}{resp.Columns, resp.Rows})
+	}{resp.Columns, resp.Rows()})
 	if err != nil {
 		t.Errorf("%s %q: %v", req.Lang, req.Query, err)
 	}

@@ -1,0 +1,166 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math"
+	"testing"
+
+	"github.com/s3pg/s3pg/internal/pg"
+	"github.com/s3pg/s3pg/internal/rdf"
+)
+
+// oldResponse and oldQueryResponse are the structs the /query handler used
+// to hand to encoding/json: the wire format AppendJSON is pinned to.
+type oldResponse struct {
+	Lang      string   `json:"lang"`
+	LSN       uint64   `json:"lsn"`
+	Cache     string   `json:"cache"`
+	Columns   []string `json:"columns"`
+	Rows      [][]any  `json:"rows"`
+	Truncated bool     `json:"truncated,omitempty"`
+}
+
+type oldQueryResponse struct {
+	Graph string `json:"graph,omitempty"`
+	Job   string `json:"job,omitempty"`
+	*oldResponse
+}
+
+// encodingJSON is the body the handler used to write for r.
+func encodingJSON(r *Response) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(oldQueryResponse{Graph: r.Graph, Job: r.Job, oldResponse: &oldResponse{
+		Lang: r.Lang, LSN: r.LSN, Cache: r.Cache, Columns: r.Columns, Rows: r.Rows(), Truncated: r.Truncated,
+	}})
+	return buf.Bytes(), err
+}
+
+// checkWire holds AppendJSON to encodingJSON on one response: the same
+// bytes, or an error from both.
+func checkWire(t *testing.T, r *Response) {
+	t.Helper()
+	want, wantErr := encodingJSON(r)
+	got, gotErr := r.AppendJSON(nil)
+	if (wantErr != nil) != (gotErr != nil) {
+		t.Fatalf("error outcome: encoding/json %v, AppendJSON %v", wantErr, gotErr)
+	}
+	if wantErr == nil && !bytes.Equal(want, got) {
+		t.Fatalf("wire bytes differ\nencoding/json:\n%s\nAppendJSON:\n%s", want, got)
+	}
+	// Appending must not disturb what the buffer already holds.
+	if pre, _ := r.AppendJSON([]byte("xy")); gotErr == nil && !bytes.Equal(pre, append([]byte("xy"), got...)) {
+		t.Fatal("AppendJSON onto a non-empty buffer differs")
+	}
+}
+
+// valueSnapshot is a snapshot whose :T nodes each carry one of the values
+// under "v" (and its position under "i"), and whose graph has one statement
+// per string: subject IRI, blank node and literal object all made of it.
+func valueSnapshot(values []pg.Value, strs []string) *Snapshot {
+	st := pg.NewStore()
+	for i, v := range values {
+		props := map[string]pg.Value{"i": int64(i)}
+		if v != nil {
+			props["v"] = v
+		}
+		st.AddNode([]string{"T"}, props)
+	}
+	g := rdf.NewGraph()
+	p := rdf.NewIRI("http://x/p")
+	for _, s := range strs {
+		g.Add(rdf.NewTriple(rdf.NewIRI("http://x/"+s), p, rdf.NewLiteral(s)))
+		g.Add(rdf.NewTriple(rdf.NewBlank(s), p, rdf.NewLangLiteral(s, "en")))
+	}
+	return NewSnapshot(g, st, "", 42)
+}
+
+var wireStrings = []string{
+	"", "plain", "<a href=\"x\">&amp;</a>", "line\u2028sep\u2029arator", "\x00\x01\x1f\x7f\b\f\n\r\t",
+	"bad \xff\xfe utf8 \xc3", `quote" back\slash /`, "日本語 🜚", "é́",
+}
+
+func wireValues() []pg.Value {
+	vals := []pg.Value{
+		nil, true, false,
+		int64(0), int64(-1), int64(255), int64(256), int64(math.MaxInt64), int64(math.MinInt64),
+		0.0, math.Copysign(0, -1), 1.0, -2.5, 1e-7, 9.99e-7, 1e-6, 1.5e-9, -1e-9, 1e20, 1e21, 1.5e300,
+		123456789.125, 5e-324, math.MaxFloat64, 100000000000000000000.0, 1e-10, 1e-5,
+		[]pg.Value{},
+		[]pg.Value{int64(1), "x<y", 2.5, nil, true},
+		[]pg.Value{[]pg.Value{}, []pg.Value{nil, []pg.Value{"deep", []pg.Value{1e21}}}},
+	}
+	for _, s := range wireStrings {
+		vals = append(vals, s)
+	}
+	return vals
+}
+
+func mustExecute(t *testing.T, snap *Snapshot, req Request) *Response {
+	t.Helper()
+	r, err := Execute(context.Background(), snap, req)
+	if err != nil {
+		t.Fatalf("%s %q: %v", req.Lang, req.Query, err)
+	}
+	return r
+}
+
+// TestRowJSONMatchesEncodingJSON pins the wire format: AppendJSON equals
+// json.Encoder + SetIndent byte for byte, the traps included.
+func TestRowJSONMatchesEncodingJSON(t *testing.T) {
+	snap := valueSnapshot(wireValues(), wireStrings)
+	requests := []Request{
+		{Lang: "cypher", Query: `MATCH (n:T) RETURN n.i AS i, n.v AS v`},
+		{Lang: "cypher", Query: `MATCH (n:T) RETURN n.v AS v`, MaxRows: 5},
+		{Lang: "cypher", Query: `MATCH (n:T) RETURN n.v AS v LIMIT 5`, MaxRows: 5},
+		{Lang: "cypher", Query: `MATCH (n:Nothing) RETURN n.v AS v, n AS n`},
+		{Lang: "cypher", Query: "MATCH (n:T) RETURN count(*) AS n, labels(n) AS `<&>`"},
+		{Lang: "cypher", Query: `MATCH (n:T) RETURN count(*) AS n`},
+		{Lang: "sparql", Query: `SELECT ?s ?p ?o WHERE { ?s ?p ?o }`},
+		{Lang: "sparql", Query: `SELECT ?s ?o ?unbound WHERE { ?s ?p ?o } ORDER BY ?o`, MaxRows: 7},
+		{Lang: "sparql", Query: `SELECT ?s WHERE { ?s <http://x/none> ?o }`},
+		{Lang: "sparql", Query: `SELECT * WHERE { }`},
+		{Lang: "sparql", Query: `SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }`},
+		{Lang: "sparql", Query: `ASK { ?s ?p ?o }`},
+	}
+	envelopes := []struct{ graph, job, cache string }{
+		{"g<1>", "", "live"}, {"", "job-7", "hit"}, {"", "", "miss"}, {"both", "set", ""},
+	}
+	for i, req := range requests {
+		r := mustExecute(t, snap, req)
+		env := envelopes[i%len(envelopes)]
+		r.Graph, r.Job, r.Cache = env.graph, env.job, env.cache
+		checkWire(t, r)
+		if req.MaxRows > 0 && !r.Truncated && req.Query != requests[2].Query {
+			t.Errorf("%q: cap %d did not truncate", req.Query, req.MaxRows)
+		}
+	}
+
+	// What JSON cannot carry fails in both encoders.
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := valueSnapshot([]pg.Value{1.5, []pg.Value{"in a list", f}}, nil)
+		checkWire(t, mustExecute(t, bad, requests[0]))
+		if _, err := mustExecute(t, bad, requests[0]).AppendJSON(nil); err == nil {
+			t.Errorf("%v encoded without error", f)
+		}
+	}
+}
+
+// FuzzRowJSON feeds arbitrary strings and numbers through both engines'
+// answers and both encoders.
+func FuzzRowJSON(f *testing.F) {
+	for i, s := range wireStrings {
+		f.Add(s, int64(i)<<uint(7*i), math.Float64frombits(uint64(i)<<57|uint64(i)), i%2 == 0)
+	}
+	f.Add("e", int64(-0), 1e21, true)
+	f.Add("e", int64(1), 9.999999999999999e-7, false)
+	f.Fuzz(func(t *testing.T, s string, i int64, fl float64, b bool) {
+		values := []pg.Value{s, i, fl, b, nil, []pg.Value{s, []pg.Value{fl, i}, b}}
+		snap := valueSnapshot(values, []string{s})
+		checkWire(t, mustExecute(t, snap, Request{Lang: "cypher", Query: `MATCH (n:T) RETURN n.i AS i, n.v AS v`}))
+		checkWire(t, mustExecute(t, snap, Request{Lang: "sparql", Query: `SELECT ?s ?o WHERE { ?s ?p ?o }`}))
+	})
+}

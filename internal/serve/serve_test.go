@@ -177,7 +177,7 @@ func TestExecuteCypherAndSparql(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.LSN != 7 || len(r.Rows) != 1 || r.Rows[0][0] != int64(5) {
+	if r.LSN != 7 || len(r.Rows()) != 1 || r.Rows()[0][0] != int64(5) {
 		t.Fatalf("cypher resp = %+v", r)
 	}
 
@@ -185,7 +185,7 @@ func TestExecuteCypherAndSparql(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 1 || r.Rows[0][0] != "5" {
+	if len(r.Rows()) != 1 || r.Rows()[0][0] != "5" {
 		t.Fatalf("sparql resp = %+v", r)
 	}
 
@@ -193,7 +193,7 @@ func TestExecuteCypherAndSparql(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Rows[0][0] != "true" {
+	if r.Rows()[0][0] != "true" {
 		t.Fatalf("ask resp = %+v", r)
 	}
 }
@@ -241,8 +241,8 @@ func TestExecuteOverSpilledSnapshot(t *testing.T) {
 					t.Errorf("%s over spilled snapshot: %v", q.Lang, err)
 					return
 				}
-				if len(r.Rows) != 1 || r.Rows[0][0] != wants[i] {
-					t.Errorf("%s %q = %+v, want %v", q.Lang, q.Query, r.Rows, wants[i])
+				if len(r.Rows()) != 1 || r.Rows()[0][0] != wants[i] {
+					t.Errorf("%s %q = %+v, want %v", q.Lang, q.Query, r.Rows(), wants[i])
 				}
 			}
 		}()
@@ -260,7 +260,7 @@ func TestExecuteParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 1 || r.Rows[0][0] != "http://x/n1" {
+	if len(r.Rows()) != 1 || r.Rows()[0][0] != "http://x/n1" {
 		t.Fatalf("resp = %+v", r)
 	}
 }
@@ -273,8 +273,8 @@ func TestExecuteMaxRowsTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 4 || !r.Truncated {
-		t.Fatalf("rows=%d truncated=%v", len(r.Rows), r.Truncated)
+	if len(r.Rows()) != 4 || !r.Truncated {
+		t.Fatalf("rows=%d truncated=%v", len(r.Rows()), r.Truncated)
 	}
 }
 

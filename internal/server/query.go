@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"strconv"
+	"sync"
 	"time"
 
 	"github.com/s3pg/s3pg/internal/jobs"
@@ -42,12 +44,26 @@ type QueryRequest struct {
 	MaxRows int `json:"max_rows,omitempty"`
 }
 
-// QueryResponse echoes the target identity around the engine answer.
+// QueryResponse is the POST /query answer as a client decodes it: the target
+// identity around the engine answer. The server does not encode through it —
+// serve.Response.AppendJSON writes these fields, in this order, straight
+// from the typed answer — so it is also the schema that writer is tested
+// against.
 type QueryResponse struct {
-	Graph string `json:"graph,omitempty"`
-	Job   string `json:"job,omitempty"`
-	*serve.Response
+	Graph     string   `json:"graph,omitempty"`
+	Job       string   `json:"job,omitempty"`
+	Lang      string   `json:"lang"`
+	LSN       uint64   `json:"lsn"`
+	Cache     string   `json:"cache"`
+	Columns   []string `json:"columns"`
+	Rows      [][]any  `json:"rows"`
+	Truncated bool     `json:"truncated,omitempty"`
 }
+
+// queryBufs recycles response buffers: a /query body is built whole before
+// its first byte is written (that is what lets Content-Length be set), and
+// at thousands of requests a second the buffers would otherwise be garbage.
+var queryBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	cReqQuery.Inc()
@@ -148,8 +164,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	serve.ObserveQuery(resp.Lang, cacheState, time.Since(start).Seconds())
-	resp.Cache = cacheState
-	s.writeJSON(w, http.StatusOK, QueryResponse{Graph: req.Graph, Job: req.Job, Response: resp})
+	resp.Graph, resp.Job, resp.Cache = req.Graph, req.Job, cacheState
+
+	buf := queryBufs.Get().(*[]byte)
+	defer queryBufs.Put(buf)
+	out, err := resp.AppendJSON((*buf)[:0])
+	*buf = out[:0]
+	if err != nil {
+		// A value JSON cannot carry (NaN): nothing was written yet.
+		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding answer: %w", err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(out); err != nil {
+		s.cfg.Log.Warn("response_write_failed", "error", err)
+	}
 }
 
 // querySourceStatus maps snapshot-resolution failures to HTTP statuses.

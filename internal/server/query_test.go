@@ -29,6 +29,17 @@ func postQuery(t *testing.T, ts *httptest.Server, req QueryRequest) (QueryRespon
 		if err := json.Unmarshal(body, &qr); err != nil {
 			t.Fatalf("query response: %v\n%s", err, body)
 		}
+		// The body is complete before its first byte is sent, so it carries
+		// its length, and it is what encoding/json would have written.
+		if resp.ContentLength != int64(len(body)) {
+			t.Fatalf("Content-Length %d for a body of %d bytes", resp.ContentLength, len(body))
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(qr); err != nil || want.String() != string(body) {
+			t.Fatalf("body is not the indented encoding of its own decoding (%v):\n%s", err, body)
+		}
 	}
 	return qr, resp.StatusCode, string(body)
 }
@@ -37,7 +48,7 @@ func postQuery(t *testing.T, ts *httptest.Server, req QueryRequest) (QueryRespon
 // decode as float64.
 func rowCount(t *testing.T, qr QueryResponse, raw string) float64 {
 	t.Helper()
-	if qr.Response == nil || len(qr.Rows) != 1 || len(qr.Rows[0]) != 1 {
+	if len(qr.Rows) != 1 || len(qr.Rows[0]) != 1 {
 		t.Fatalf("unexpected shape: %s", raw)
 	}
 	n, ok := qr.Rows[0][0].(float64)
