@@ -148,3 +148,41 @@ func FuzzEvalDifferential(f *testing.F) {
 		}
 	})
 }
+
+// TestSharedIRIFallsBackToScan covers the store S3PG never builds: two nodes
+// under one iri. WHERE n.iri = … promises both, which the first-writer-wins
+// index cannot give, so the executor must notice and scan as the reference
+// evaluator does.
+func TestSharedIRIFallsBackToScan(t *testing.T) {
+	store := pg.NewStore()
+	a := store.AddNode(nil, map[string]pg.Value{"iri": "http://x/a", "n": int64(1)})
+	store.AddNode([]string{"T"}, map[string]pg.Value{"iri": "http://x/a", "n": int64(2)})
+	moved := store.AddNode(nil, map[string]pg.Value{"iri": "http://x/b", "n": int64(3)})
+	store.SetProp(moved.ID, "iri", "http://x/a")
+	store.AddEdge(a.ID, moved.ID, "r", nil)
+	if store.IRIUnique() {
+		t.Fatal("store with a shared iri reports IRIUnique")
+	}
+	for _, st := range []*pg.Store{store, store.Clone()} {
+		for _, c := range []struct {
+			text string
+			rows int
+		}{
+			{`MATCH (n) WHERE n.iri = $iri RETURN n.n AS n`, 3},
+			{`MATCH (n) WHERE "http://x/a" = n.iri RETURN n.n AS n`, 3},
+			{`MATCH (n)-[:r]->(m) WHERE m.iri = $iri RETURN n.n AS n, m.n AS m`, 1},
+			{`MATCH (n) WHERE n.iri = "http://x/b" RETURN n.n AS n`, 0},
+		} {
+			q, err := cypher.Parse(c.text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got, wantErr, gotErr := evalBoth(st, q, map[string]pg.Value{"iri": "http://x/a"})
+			if d := diffResults(want, got, wantErr, gotErr); d != "" {
+				t.Errorf("%s\n%s", d, c.text)
+			} else if gotErr != nil || len(got.Rows) != c.rows {
+				t.Errorf("%s: %d rows (err %v), want %d", c.text, len(got.Rows), gotErr, c.rows)
+			}
+		}
+	}
+}

@@ -213,10 +213,10 @@ func run(x *qexec.Exec, store *pg.Store, q *Query, opt EvalOptions, maxRows int)
 type partPlan struct {
 	ev    *evaluator
 	names []string // slot → variable; "" for an anonymous pattern element
-	// kinds is, per slot, the set of kinds (bit 1<<k) its value can have at
-	// the current point of lowering; 0 while nothing has bound it. It is what
-	// lets lowering prove that an expression cannot fail.
-	kinds   []uint8
+	// holds is, per slot, what its value can be at the current point of
+	// lowering (hUnbound, hElement, hAny). It is what lets lowering prove
+	// that an expression cannot fail.
+	holds   []uint8
 	clauses []clauseOp
 	ret     *ReturnClause
 	items   []lexpr // lowered RETURN expressions; nil for count(*)
@@ -226,6 +226,12 @@ type partPlan struct {
 	// of the part can fail — so a row limit may cut the matching short.
 	streams bool
 }
+
+const (
+	hUnbound = iota // nothing has bound the variable yet
+	hElement        // a node, an edge or null: what a pattern binds
+	hAny            // any value: an UNWIND alias
+)
 
 // clauseOp is one lowered reading clause: it appends to out the rows in
 // yields, stopping once out holds limit rows (limit <= 0: no bound).
@@ -249,7 +255,7 @@ func (p *partPlan) bind(name string) int {
 		return s
 	}
 	p.names = append(p.names, name)
-	p.kinds = append(p.kinds, 0)
+	p.holds = append(p.holds, hUnbound)
 	return len(p.names) - 1
 }
 
@@ -263,7 +269,7 @@ func (ev *evaluator) lowerPart(sq *SingleQuery) *partPlan {
 			e, total := p.lowerExpr(c.Expr)
 			p.streams = p.streams && total
 			s := p.bind(c.Alias)
-			p.kinds[s] = 1<<kNull | 1<<kNode | 1<<kEdge | 1<<kValue
+			p.holds[s] = hAny
 			p.clauses = append(p.clauses, &unwindOp{p: p, e: e, alias: s})
 		}
 	}
@@ -344,42 +350,41 @@ type matchStep struct {
 func (p *partPlan) lowerMatch(mc MatchClause) *matchOp {
 	m := &matchOp{p: p, optional: mc.Optional}
 	// boundAt is, per slot, one more than the step after which this clause
-	// has settled its kind; 0 for a slot the clause does not mention, which
-	// was settled before it.
+	// has bound it; 0 for a slot the clause does not mention, which was
+	// settled before it.
 	boundAt := make([]int, len(p.names), len(p.names)+4)
-	during := append(make([]uint8, 0, len(p.kinds)+4), p.kinds...) // kinds as WHERE sees them
-	mention := func(name string, kind uint8) int {
+	during := append(make([]uint8, 0, len(p.holds)+4), p.holds...) // holds as WHERE sees them
+	mention := func(name string) int {
 		s := p.bind(name)
 		if s == len(boundAt) {
 			boundAt, during = append(boundAt, 0), append(during, 0)
 		}
 		if boundAt[s] == 0 {
 			boundAt[s] = len(m.steps) + 1
-			during[s] = 0 // whatever it held, a match leaves it what the pattern says
+			during[s] = hElement // whatever it held, a match leaves it what the pattern says
 			if name != "" {
 				m.vars = append(m.vars, s)
 			}
 		}
-		during[s] |= 1 << kind // both, for a name the pattern uses as node and edge
 		return s
 	}
 	for _, path := range mc.Paths {
-		prev := mention(path.Head.Var, kNode)
+		prev := mention(path.Head.Var)
 		m.steps = append(m.steps, matchStep{node: path.Head, nslot: prev, from: -1, rslot: -1})
 		for _, hop := range path.Hops {
 			st := matchStep{node: hop.Node, from: prev, rel: hop.Rel, rslot: -1}
 			if hop.Rel.Var != "" {
-				st.rslot = mention(hop.Rel.Var, kEdge)
+				st.rslot = mention(hop.Rel.Var)
 			}
-			st.nslot = mention(hop.Node.Var, kNode)
+			st.nslot = mention(hop.Node.Var)
 			m.steps = append(m.steps, st)
 			prev = st.nslot
 		}
 	}
 
 	if mc.Where != nil {
-		after := p.kinds
-		p.kinds = during
+		after := p.holds
+		p.holds = during
 		var reads [][]int
 		allTotal := true
 		for _, c := range conjuncts(mc.Where, nil) {
@@ -388,7 +393,7 @@ func (p *partPlan) lowerMatch(mc MatchClause) *matchOp {
 			reads = append(reads, exprSlots(e, nil))
 			allTotal = allTotal && total
 		}
-		p.kinds = after
+		p.holds = after
 		if allTotal {
 			for i, e := range m.where {
 				at := 0
@@ -416,17 +421,9 @@ func (p *partPlan) lowerMatch(mc MatchClause) *matchOp {
 	// What the clause leaves behind: a mentioned variable is a node or an
 	// edge in every row that matched; an OPTIONAL clause's null fill keeps
 	// whatever an already bound variable held and nulls the others.
-	for s, k := range during {
-		if boundAt[s] == 0 {
-			continue
-		}
-		switch {
-		case !mc.Optional:
-			p.kinds[s] = k
-		case p.kinds[s] == 0:
-			p.kinds[s] = k | 1<<kNull
-		default:
-			p.kinds[s] |= k
+	for s, at := range boundAt {
+		if at > 0 && (!mc.Optional || p.holds[s] == hUnbound) {
+			p.holds[s] = hElement
 		}
 	}
 	return m
@@ -606,10 +603,11 @@ func (m *matchOp) candidates(st *matchStep) (ids []pg.NodeID, one *pg.Node, all 
 	if iri, ok := st.node.Props["iri"].(string); ok {
 		return nil, store.NodeByIRI(iri), false
 	}
-	if c, ok := st.iri.(*lConst); ok {
+	if c, ok := st.iri.(*lConst); ok && store.IRIUnique() {
 		if iri, ok := c.v.v.(string); ok {
-			// The filter re-checks the property, so a stale index entry only
-			// costs the lookup.
+			// WHERE promises every node with this iri, which the index has
+			// only while no two nodes share one; the filter re-checks the
+			// property, so a stale index entry only costs the lookup.
 			return nil, store.NodeByIRI(iri), false
 		}
 	}

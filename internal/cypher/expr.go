@@ -69,8 +69,9 @@ type lCall struct {
 // lowerExpr resolves an expression against the part's slots as bound so
 // far. total reports that evaluating it cannot fail, whatever the row: every
 // variable it reads is bound by now, every property access is on what can
-// only be a graph element or null, every parameter is supplied, and every
-// builtin gets the kind of argument it insists on.
+// only be a graph element or null, every parameter is supplied, and the
+// builtins it calls take any value (labels, type and id insist on a node or
+// an edge, so an expression calling them counts as fallible).
 func (p *partPlan) lowerExpr(e Expr) (out lexpr, total bool) {
 	all := func(es ...Expr) ([]lexpr, bool) {
 		ls, ok := make([]lexpr, len(es)), true
@@ -80,24 +81,13 @@ func (p *partPlan) lowerExpr(e Expr) (out lexpr, total bool) {
 		}
 		return ls, ok
 	}
-	// kindsOf is the kinds a variable expression can take (0: not a bound
-	// variable).
-	kindsOf := func(e Expr) uint8 {
-		if v, ok := e.(VarExpr); ok {
-			if s := p.slotOf(v.Name); s >= 0 {
-				return p.kinds[s]
-			}
-		}
-		return 0
-	}
 	switch x := e.(type) {
 	case VarExpr:
 		s := p.slotOf(x.Name)
-		return &lVar{slot: s, name: x.Name}, s >= 0 && p.kinds[s] != 0
+		return &lVar{slot: s, name: x.Name}, s >= 0 && p.holds[s] != hUnbound
 	case PropExpr:
 		s := p.slotOf(x.Var)
-		const element = 1<<kNull | 1<<kNode | 1<<kEdge
-		return &lProp{slot: s, name: x.Var, key: x.Key}, s >= 0 && p.kinds[s] != 0 && p.kinds[s]&^element == 0
+		return &lProp{slot: s, name: x.Var, key: x.Key}, s >= 0 && p.holds[s] == hElement
 	case ConstExpr:
 		return &lConst{valueOf(x.Value)}, true
 	case NullExpr:
@@ -130,16 +120,6 @@ func (p *partPlan) lowerExpr(e Expr) (out lexpr, total bool) {
 		args, t := all(x.Args...)
 		switch x.Func {
 		case "COALESCE":
-		case "LABELS":
-			t = t && len(args) > 0 && kindsOf(x.Args[0]) == 1<<kNode
-		case "TYPE":
-			t = t && len(args) > 0 && kindsOf(x.Args[0]) == 1<<kEdge
-		case "ID":
-			k := uint8(0)
-			if len(args) > 0 {
-				k = kindsOf(x.Args[0])
-			}
-			t = t && k != 0 && k&^(1<<kNode|1<<kEdge) == 0
 		case "TOSTRING", "SIZE":
 			t = t && len(args) > 0
 		case "STARTSWITH", "CONTAINS":

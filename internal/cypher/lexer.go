@@ -5,7 +5,9 @@ import (
 	"strings"
 )
 
-// lexer is a pull-based tokenizer with one token of lookahead.
+// lexer is a pull-based tokenizer with one token of lookahead, held by value
+// so that peeking allocates nothing: parsing is most of what a one-row lookup
+// allocates, and TestQmixAllocBudget bounds the whole request.
 type lexer struct {
 	src     string
 	pos     int

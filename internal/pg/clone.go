@@ -22,6 +22,7 @@ func (s *Store) Clone() *Store {
 		out:         s.out.Clone(),
 		in:          s.in.Clone(),
 		byIRI:       s.byIRI.Clone(),
+		iriShared:   s.iriShared,
 		own:         new(stamp),
 	}
 	for l, ids := range s.byLabel {

@@ -141,7 +141,8 @@ type Store struct {
 	byEdgeLabel map[string][]EdgeID
 	out         cow.Lists[EdgeID]
 	in          cow.Lists[EdgeID]
-	byIRI       cow.Map[string, NodeID] // unique index on the "iri" property
+	byIRI       cow.Map[string, NodeID] // first node registered under each "iri" property
+	iriShared   bool                    // some iri was registered by a second node
 
 	own *stamp // records stamped with it are private to this store
 }
@@ -191,9 +192,13 @@ func (s *Store) AddNode(labels []string, props map[string]Value) *Node {
 	return n
 }
 
-// indexIRI registers the node under its iri unless the slot is taken.
+// indexIRI registers the node under its iri unless the slot is taken; a
+// slot taken by another node is remembered, because from then on the index
+// no longer finds every node of an iri.
 func (s *Store) indexIRI(iri string, id NodeID) {
-	s.byIRI.GetOrPut(iri, id)
+	if first, _ := s.byIRI.GetOrPut(iri, id); first != id {
+		s.iriShared = true
+	}
 }
 
 // AddEdge creates a directed labelled edge. It panics if an endpoint id is
@@ -231,7 +236,14 @@ func (s *Store) Out(id NodeID) []EdgeID { return s.out.At(int(id)) }
 // In returns the incoming edge ids of the node.
 func (s *Store) In(id NodeID) []EdgeID { return s.in.At(int(id)) }
 
-// NodeByIRI returns the node whose "iri" property equals iri, or nil.
+// IRIUnique reports whether NodeByIRI can stand in for a scan: no iri was
+// ever registered by two nodes, so a node whose "iri" property is a given
+// string is the one the index holds. S3PG stores keep it true (one node per
+// resource); the Store itself does not enforce it.
+func (s *Store) IRIUnique() bool { return !s.iriShared }
+
+// NodeByIRI returns the first node registered under iri — the node whose
+// "iri" property equals it, unless the property was rewritten since — or nil.
 func (s *Store) NodeByIRI(iri string) *Node {
 	id, ok := s.byIRI.Get(iri)
 	if !ok {

@@ -28,10 +28,17 @@ func TestIRIIndex(t *testing.T) {
 	if got := s.NodeByIRI("http://x/a"); got != a {
 		t.Fatal("NodeByIRI missed")
 	}
-	// First writer wins on duplicate IRIs.
+	s.SetProp(a.ID, "iri", "http://x/a") // the same node again shares nothing
+	if !s.IRIUnique() || !s.Clone().IRIUnique() {
+		t.Fatal("one node per iri, yet not IRIUnique")
+	}
+	// First writer wins on duplicate IRIs, and the store remembers it.
 	s.AddNode([]string{"B"}, map[string]Value{"iri": "http://x/a"})
 	if got := s.NodeByIRI("http://x/a"); got != a {
 		t.Fatal("duplicate IRI displaced original")
+	}
+	if s.IRIUnique() || s.Clone().IRIUnique() {
+		t.Fatal("two nodes under one iri, yet IRIUnique")
 	}
 	if s.NodeByIRI("http://x/none") != nil {
 		t.Fatal("missing IRI should be nil")

@@ -55,10 +55,6 @@ func (x *Exec) Tick() error {
 	return nil
 }
 
-// Steps is the number of ticks so far: rows read plus leaf candidates
-// visited.
-func (x *Exec) Steps() int { return x.steps }
-
 // Table is a sequence of N rows of Stride elements in one backing array.
 // N is kept apart from len(Data) because a row may be zero elements wide.
 type Table[T any] struct {

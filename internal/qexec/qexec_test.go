@@ -66,8 +66,8 @@ func TestFilterMapDistinct(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(in.Data, []int{3, 0, 1, 1, 2, 3}) {
 		t.Fatalf("Distinct = %v, %v", in.Data, err)
 	}
-	if x.Steps() != 3+5+5 {
-		t.Fatalf("a filter cut at three rows and two passes over five took %d steps", x.Steps())
+	if x.steps != 3+5+5 {
+		t.Fatalf("a filter cut at three rows and two passes over five took %d steps", x.steps)
 	}
 }
 
@@ -129,8 +129,8 @@ func TestOrderIsInterruptible(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("total=%v: a sort cancelled at its second poll returned %v", total, err)
 		}
-		if x.Steps() > 3*256 {
-			t.Fatalf("total=%v: the sort kept comparing after the cancellation: %d steps", total, x.Steps())
+		if x.steps > 3*256 {
+			t.Fatalf("total=%v: the sort kept comparing after the cancellation: %d steps", total, x.steps)
 		}
 	}
 	if _, err := New(&countdown{Context: context.Background()}, "test"); !errors.Is(err, context.Canceled) {

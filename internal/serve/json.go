@@ -12,15 +12,27 @@ import (
 	"github.com/s3pg/s3pg/internal/rdf"
 )
 
+// Body is the /query body as a client decodes it, and the one statement of
+// its schema: AppendJSON writes these fields in this order, and its tests
+// hold it to what encoding/json makes of a Body. Nothing on the serving path
+// encodes through it.
+type Body struct {
+	Graph     string   `json:"graph,omitempty"`
+	Job       string   `json:"job,omitempty"`
+	Lang      string   `json:"lang"`
+	LSN       uint64   `json:"lsn"`
+	Cache     string   `json:"cache"`
+	Columns   []string `json:"columns"`
+	Rows      [][]any  `json:"rows"`
+	Truncated bool     `json:"truncated,omitempty"`
+}
+
 // AppendJSON appends the response as the /query body: byte for byte what
-// encoding/json's Encoder with SetIndent("", "  ") writes for the object
-//
-//	graph,omitempty job,omitempty lang lsn cache columns rows truncated,omitempty
-//
-// with rows as arrays of values — its HTML-safe string escaping, its float
-// formatting and its trailing newline included — but straight from the typed
-// answer: no [][]any, no reflection, no second pass to indent. A value JSON
-// cannot carry (NaN, ±Inf) is the same error encoding/json reports.
+// encoding/json's Encoder with SetIndent("", "  ") writes for the Body of
+// this response — its HTML-safe string escaping, its float formatting and
+// its trailing newline included — but straight from the typed answer: no
+// [][]any, no reflection, no second pass to indent. A value JSON cannot
+// carry (NaN, ±Inf) is the same error encoding/json reports.
 func (r *Response) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, '{')
 	if r.Graph != "" {
@@ -90,12 +102,19 @@ func appendClose(dst []byte, n, depth int) []byte {
 	return append(dst, ']')
 }
 
-// appendTerm writes a SPARQL cell: the term's canonical string tr(µ).
+// appendTerm writes a SPARQL cell: the term's canonical string tr(µ), kind
+// for kind what sparql.CanonicalTerm returns.
 func appendTerm(dst []byte, t rdf.Term) []byte {
-	if t.Kind != rdf.Blank {
-		return appendString(dst, t.Value) // "" for an unbound variable
+	switch t.Kind {
+	case rdf.IRI, rdf.Literal:
+		return appendString(dst, t.Value)
+	case rdf.Blank:
+		return append(appendEscaped(append(dst, `"_:`...), t.Value), '"')
+	default:
+		// An unbound variable, and a quoted triple: its Value is the
+		// dictionary's internal key, which never leaves the process.
+		return append(dst, `""`...)
 	}
-	return append(appendEscaped(append(dst, `"_:`...), t.Value), '"')
 }
 
 // appendValue writes a property value at the given depth (of the line it

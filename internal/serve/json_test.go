@@ -11,31 +11,16 @@ import (
 	"github.com/s3pg/s3pg/internal/rdf"
 )
 
-// oldResponse and oldQueryResponse are the structs the /query handler used
-// to hand to encoding/json: the wire format AppendJSON is pinned to.
-type oldResponse struct {
-	Lang      string   `json:"lang"`
-	LSN       uint64   `json:"lsn"`
-	Cache     string   `json:"cache"`
-	Columns   []string `json:"columns"`
-	Rows      [][]any  `json:"rows"`
-	Truncated bool     `json:"truncated,omitempty"`
-}
-
-type oldQueryResponse struct {
-	Graph string `json:"graph,omitempty"`
-	Job   string `json:"job,omitempty"`
-	*oldResponse
-}
-
-// encodingJSON is the body the handler used to write for r.
+// encodingJSON is the body the handler used to write for r: its Body through
+// json.Encoder + SetIndent, the wire format AppendJSON is pinned to.
 func encodingJSON(r *Response) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	err := enc.Encode(oldQueryResponse{Graph: r.Graph, Job: r.Job, oldResponse: &oldResponse{
-		Lang: r.Lang, LSN: r.LSN, Cache: r.Cache, Columns: r.Columns, Rows: r.Rows(), Truncated: r.Truncated,
-	}})
+	err := enc.Encode(Body{
+		Graph: r.Graph, Job: r.Job, Lang: r.Lang, LSN: r.LSN, Cache: r.Cache,
+		Columns: r.Columns, Rows: r.Rows(), Truncated: r.Truncated,
+	})
 	return buf.Bytes(), err
 }
 
@@ -58,8 +43,9 @@ func checkWire(t *testing.T, r *Response) {
 }
 
 // valueSnapshot is a snapshot whose :T nodes each carry one of the values
-// under "v" (and its position under "i"), and whose graph has one statement
-// per string: subject IRI, blank node and literal object all made of it.
+// under "v" (and its position under "i"), and whose graph has, per string,
+// statements whose subject IRI, blank node and literal object are all made of
+// it, plus an RDF-star annotation whose subject quotes the first of them.
 func valueSnapshot(values []pg.Value, strs []string) *Snapshot {
 	st := pg.NewStore()
 	for i, v := range values {
@@ -74,6 +60,10 @@ func valueSnapshot(values []pg.Value, strs []string) *Snapshot {
 	for _, s := range strs {
 		g.Add(rdf.NewTriple(rdf.NewIRI("http://x/"+s), p, rdf.NewLiteral(s)))
 		g.Add(rdf.NewTriple(rdf.NewBlank(s), p, rdf.NewLangLiteral(s, "en")))
+		// A string holding the quoted-triple key's own separators cannot be quoted.
+		if quoted, err := rdf.NewTripleTerm(rdf.NewTriple(rdf.NewIRI("http://x/"+s), p, rdf.NewLiteral(s))); err == nil {
+			g.Add(rdf.NewTriple(quoted, rdf.NewIRI("http://x/since"), quoted))
+		}
 	}
 	return NewSnapshot(g, st, "", 42)
 }
@@ -122,6 +112,7 @@ func TestRowJSONMatchesEncodingJSON(t *testing.T) {
 		{Lang: "sparql", Query: `SELECT ?s ?p ?o WHERE { ?s ?p ?o }`},
 		{Lang: "sparql", Query: `SELECT ?s ?o ?unbound WHERE { ?s ?p ?o } ORDER BY ?o`, MaxRows: 7},
 		{Lang: "sparql", Query: `SELECT ?s WHERE { ?s <http://x/none> ?o }`},
+		{Lang: "sparql", Query: `SELECT ?s ?o WHERE { ?s <http://x/since> ?o }`},
 		{Lang: "sparql", Query: `SELECT * WHERE { }`},
 		{Lang: "sparql", Query: `SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }`},
 		{Lang: "sparql", Query: `ASK { ?s ?p ?o }`},

@@ -45,25 +45,20 @@ type QueryRequest struct {
 }
 
 // QueryResponse is the POST /query answer as a client decodes it: the target
-// identity around the engine answer. The server does not encode through it —
-// serve.Response.AppendJSON writes these fields, in this order, straight
-// from the typed answer — so it is also the schema that writer is tested
-// against.
-type QueryResponse struct {
-	Graph     string   `json:"graph,omitempty"`
-	Job       string   `json:"job,omitempty"`
-	Lang      string   `json:"lang"`
-	LSN       uint64   `json:"lsn"`
-	Cache     string   `json:"cache"`
-	Columns   []string `json:"columns"`
-	Rows      [][]any  `json:"rows"`
-	Truncated bool     `json:"truncated,omitempty"`
-}
+// identity around the engine answer. The server does not encode through it;
+// serve.Response.AppendJSON writes the same fields straight from the typed
+// answer.
+type QueryResponse = serve.Body
 
 // queryBufs recycles response buffers: a /query body is built whole before
 // its first byte is written (that is what lets Content-Length be set), and
 // at thousands of requests a second the buffers would otherwise be garbage.
+// A buffer one large answer grew past maxPooledBuf is left to the collector
+// instead (as fmt and encoding/json do with theirs), or it would stay pinned
+// in the pool for as long as traffic continues.
 var queryBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBuf = 1 << 20
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	cReqQuery.Inc()
@@ -167,9 +162,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp.Graph, resp.Job, resp.Cache = req.Graph, req.Job, cacheState
 
 	buf := queryBufs.Get().(*[]byte)
-	defer queryBufs.Put(buf)
 	out, err := resp.AppendJSON((*buf)[:0])
-	*buf = out[:0]
+	if cap(out) <= maxPooledBuf {
+		*buf = out[:0]
+		defer queryBufs.Put(buf)
+	}
 	if err != nil {
 		// A value JSON cannot carry (NaN): nothing was written yet.
 		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding answer: %w", err))
