@@ -416,13 +416,16 @@ func loadData(ctx context.Context, path string, rf *resFlags, span *obs.Span) (*
 	if span != nil {
 		sp = span.StartSpan("ingest")
 	}
+	// The parallel loader cuts blocks by offset, which takes a file that has
+	// a length and can be read at one: a pipe, a device or /dev/stdin streams
+	// through the sequential loader at every -workers.
 	var g *s3pg.Graph
-	if rf.workers > 1 {
-		var size int64
-		if size, err = fileSize(f); err == nil {
-			g, err = rio.LoadNTriplesParallelTraced(ctx, f, size, rf.rioOptions(), rf.workers, sp)
-		}
-	} else {
+	fi, err := f.Stat()
+	switch {
+	case err != nil:
+	case rf.workers > 1 && fi.Mode().IsRegular() && fi.Size() > 0:
+		g, err = rio.LoadNTriplesParallelTraced(ctx, f, fi.Size(), rf.rioOptions(), rf.workers, sp)
+	default:
 		g, err = rio.LoadNTriplesWith(ctx, f, rf.rioOptions())
 	}
 	if err == nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"github.com/s3pg/s3pg"
@@ -285,6 +286,62 @@ func TestRunMetricsToFile(t *testing.T) {
 	for _, p := range []string{"cpu.pprof", "heap.pprof"} {
 		if fi, err := os.Stat(filepath.Join(pprofDir, p)); err != nil || fi.Size() == 0 {
 			t.Fatalf("profile %s missing or empty (err=%v)", p, err)
+		}
+	}
+}
+
+// TestCmdDataFromPipe feeds -data through a FIFO — what /dev/stdin is under
+// `cat d.nt | s3pg data -data /dev/stdin` — at -workers 1 and 4: a pipe has
+// no length and cannot be read at an offset, and every output must still be
+// the regular file's, byte for byte.
+func TestCmdDataFromPipe(t *testing.T) {
+	dir, shapes, data := writeFixtures(t)
+	src, err := os.ReadFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outputs := func(tag, dataPath, workers string) [3][]byte {
+		var out [3][]byte
+		paths := [3]string{filepath.Join(dir, tag+"-nodes.csv"), filepath.Join(dir, tag+"-edges.csv"), filepath.Join(dir, tag+"-schema.ddl")}
+		if err := cmdData([]string{
+			"-workers", workers, "-shapes", shapes, "-data", dataPath,
+			"-nodes", paths[0], "-edges", paths[1], "-schema", paths[2],
+		}, io.Discard, io.Discard); err != nil {
+			t.Fatalf("data %s: %v", tag, err)
+		}
+		for i, p := range paths {
+			if out[i], err = os.ReadFile(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	want := outputs("file", data, "1")
+	if len(want[0]) == 0 || len(want[1]) == 0 {
+		t.Fatal("reference run wrote empty outputs")
+	}
+	for _, workers := range []string{"1", "4"} {
+		fifo := filepath.Join(dir, "fifo-"+workers)
+		if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+			t.Skipf("mkfifo: %v", err)
+		}
+		wrote := make(chan error, 1)
+		go func() {
+			w, err := os.OpenFile(fifo, os.O_WRONLY, 0)
+			if err == nil {
+				_, err = w.Write(src)
+				w.Close()
+			}
+			wrote <- err
+		}()
+		got := outputs("pipe-"+workers, fifo, workers)
+		if err := <-wrote; err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range []string{"nodes.csv", "edges.csv", "schema.ddl"} {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("-workers %s from a pipe: %s differs from the regular file's (%d bytes, want %d)", workers, name, len(got[i]), len(want[i]))
+			}
 		}
 	}
 }

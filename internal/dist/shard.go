@@ -157,8 +157,7 @@ func ScanShard(data string, shard int, lenient bool, maxBuffered int) (*ShardRes
 
 // MergeResults replays shard results in shard order into one graph,
 // reproducing exactly what a sequential scan of the whole input would have
-// built — the same argument as rio.LoadNTriplesParallel's merge, across
-// processes instead of goroutines:
+// built:
 //
 //   - Fault replay runs first, in input order: the earliest shard's strict
 //     parse error (with its line number recovered by prefix-summing shard

@@ -4,7 +4,7 @@ import "sync"
 
 // EncodedTriple is a dictionary-encoded triple for bulk graph construction.
 // Components must be ids of the dictionary the graph is built over; the bulk
-// constructor trusts them (ids are only produced by Intern/Dense).
+// constructor trusts them (ids are only produced by Intern).
 type EncodedTriple struct {
 	S, P, O TermID
 }

@@ -2,7 +2,6 @@ package rdf
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -24,72 +23,6 @@ func genTerms(n int) []Term {
 		}
 	}
 	return out
-}
-
-// TestShardedDictDenseRemapMatchesSequential interns a term stream
-// concurrently through a ShardedDict and checks that the Denser remap, walked
-// in stream order, reproduces exactly the ids (and dictionary contents) of
-// sequential interning.
-func TestShardedDictDenseRemapMatchesSequential(t *testing.T) {
-	stream := genTerms(20000)
-
-	seq := NewDict()
-	want := make([]TermID, len(stream))
-	for i, tm := range stream {
-		want[i] = seq.Intern(tm)
-	}
-
-	sd := NewShardedDict()
-	prov := make([]ProvID, len(stream))
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := len(stream)*w/workers, len(stream)*(w+1)/workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				prov[i] = sd.Intern(stream[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	if sd.Len() != seq.Len() {
-		t.Fatalf("sharded dict has %d terms, sequential %d", sd.Len(), seq.Len())
-	}
-
-	dn := NewDenser(sd)
-	for i := range stream {
-		if got := dn.Dense(prov[i]); got != want[i] {
-			t.Fatalf("stream[%d]=%v: dense id %d, sequential id %d", i, stream[i], got, want[i])
-		}
-	}
-	d := dn.Dict()
-	if d.Len() != seq.Len() {
-		t.Fatalf("densed dict has %d terms, sequential %d", d.Len(), seq.Len())
-	}
-	for id := 0; id < d.Len(); id++ {
-		if d.Term(TermID(id)) != seq.Term(TermID(id)) {
-			t.Fatalf("term %d: densed %v, sequential %v", id, d.Term(TermID(id)), seq.Term(TermID(id)))
-		}
-	}
-}
-
-// TestDenserIntoSharedDict checks the incremental form: remapping into a
-// dictionary that already holds terms keeps existing ids and extends densely.
-func TestDenserIntoSharedDict(t *testing.T) {
-	base := NewDict()
-	a := base.Intern(NewIRI("http://ex.org/a"))
-	sd := NewShardedDict()
-	pa := sd.Intern(NewIRI("http://ex.org/a"))
-	pb := sd.Intern(NewIRI("http://ex.org/b"))
-	dn := NewDenserInto(sd, base)
-	if got := dn.Dense(pa); got != a {
-		t.Fatalf("existing term remapped to %d, want %d", got, a)
-	}
-	if got := dn.Dense(pb); got != TermID(1) {
-		t.Fatalf("new term remapped to %d, want 1", got)
-	}
 }
 
 func encodeAll(d *Dict, ts []Triple) []EncodedTriple {

@@ -1,10 +1,11 @@
 package rio
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,235 +14,305 @@ import (
 	"github.com/s3pg/s3pg/internal/rdf"
 )
 
-// cParRanges counts byte ranges scanned by the parallel N-Triples loader.
+// cParRanges counts the blocks the parallel N-Triples loader cut its input
+// into.
 var cParRanges = obs.Default.Counter("rio.ntriples.parallel_ranges")
 
-// rangesPerWorker over-partitions the input so a range that happens to be
-// dense (long lines parse slower than short ones) does not stall the tail.
-const rangesPerWorker = 4
+const (
+	// ntBlockSize is how many input bytes one parse task covers: large enough
+	// that handing a block over costs nothing beside parsing it, small enough
+	// that the first block is ready half a millisecond into the load and the
+	// window's triple buffers stay around a megabyte.
+	ntBlockSize = 128 << 10
+	// ntLookAhead bounds the blocks that exist at once — being parsed, parsed
+	// and waiting, or being admitted — whatever the input size and the worker
+	// count. Admission is one goroutine, so parsers beyond a handful only
+	// queue up behind it.
+	ntLookAhead = 4
+)
 
-// ntRange is a half-open byte range [start, end) of the input. A range owns
-// exactly the lines whose first byte falls inside it; a line that merely
-// crosses into the range from the left is skipped (its owner is the range
-// containing its first byte).
-type ntRange struct {
+// ntBlock is one parse task and its outcome. A block owns exactly the lines
+// whose first byte lies in [start, end); a line that crosses into the block
+// from the left belongs to the block holding its first byte. Line numbers in
+// errs and parseErr are 1-based within the block; the in-order stage adds the
+// lines of the blocks before it.
+type ntBlock struct {
 	start, end int64
-}
+	done       chan struct{} // closed by the parser once the fields below are final
 
-// provTriple is a triple encoded with provisional sharded-dictionary ids.
-type provTriple struct {
-	s, p, o rdf.ProvID
-}
-
-// ntRangeResult is one range's scan outcome. Line numbers in errs/parseErr
-// are 1-based *within the range*; the merge step prefix-sums range line
-// counts to recover global line numbers.
-type ntRangeResult struct {
-	triples  []provTriple
-	errs     []ParseError
-	lines    int
+	triples  []rdf.Triple
+	errs     []ParseError // lenient mode: the block's malformed lines
+	parseErr *ParseError  // strict mode: the block's first malformed line
 	ioErr    error
-	parseErr *ParseError // strict mode: the range's first malformed line
+	lines    int
+	bytes    int // length of the owned lines
 }
 
 // LoadNTriplesParallel parses an N-Triples document of the given size from r
-// on the given number of workers and returns the loaded graph.
+// and returns the loaded graph, parsing on up to the given number of workers.
 //
-// The input is split into newline-aligned byte ranges; each worker parses its
-// ranges independently, interning terms through a sharded dictionary, and a
-// deterministic merge replays the per-range results in input order: term ids
-// are dense-remapped in first-occurrence order, duplicate triples are dropped
-// first-wins, and lenient-mode parse errors are re-delivered to opts.OnError
-// in line order against the same MaxErrors budget. The resulting graph —
-// dictionary ids, triple admission order, posting lists — and every error
-// outcome (strict *ParseError, ErrTooManyErrors, I/O failure, cancellation)
-// are identical to LoadNTriplesWith over the same bytes. workers <= 1 runs
-// the sequential loader unchanged.
+// The input is cut into fixed-size blocks. The workers only parse: each turns
+// a block's lines into triples and parse errors. One in-order stage — the
+// calling goroutine — takes block k as soon as it is parsed, delivers its
+// lenient-mode errors through the sequential reader's error budget and admits
+// its triples with Graph.Add, while the workers parse the blocks after it.
+// Only that stage writes the dictionary and the graph, and it makes the calls
+// LoadNTriplesWith makes in the order LoadNTriplesWith makes them, so term
+// ids, admission order, posting lists and every error outcome (strict
+// *ParseError with its global line number, OnError sequence,
+// ErrTooManyErrors, I/O failure, cancellation) are those of LoadNTriplesWith
+// over the same bytes. At most ntLookAhead blocks are in memory at a time,
+// and a failure stops the workers within that window. workers <= 1 runs the
+// sequential loader unchanged.
 func LoadNTriplesParallel(ctx context.Context, r io.ReaderAt, size int64, opts Options, workers int) (*rdf.Graph, error) {
 	return LoadNTriplesParallelTraced(ctx, r, size, opts, workers, nil)
 }
 
-// LoadNTriplesParallelTraced is LoadNTriplesParallel recording the scan and
-// merge steps as child spans of span (nil disables tracing).
+// LoadNTriplesParallelTraced is LoadNTriplesParallel recording its two
+// overlapping stages as child spans of span (nil disables tracing): "parse"
+// (blocks, bytes, busy_ns summed over the workers) and "intern" (triples,
+// skipped, busy_ns, and wait_ns spent waiting for the next block — the stage
+// with no wait is the bottleneck).
 func LoadNTriplesParallelTraced(ctx context.Context, r io.ReaderAt, size int64, opts Options, workers int, span *obs.Span) (*rdf.Graph, error) {
 	if workers <= 1 {
 		return LoadNTriplesWith(ctx, io.NewSectionReader(r, 0, size), opts)
 	}
-	start := time.Now()
-	ranges := splitByteRanges(size, workers*rangesPerWorker)
-	cParRanges.Add(int64(len(ranges)))
+	return loadNTriplesBlocks(ctx, r, size, opts, workers, span, ntBlockSize)
+}
 
-	// Lenient ranges buffer at most budget+1 errors each: replaying budget+1
-	// errors from any single range already exhausts the global budget, so
-	// deeper buffering could never be observed.
+// loadNTriplesBlocks is the parallel loader at a given block size (tests cut
+// small inputs into hundreds of blocks).
+func loadNTriplesBlocks(ctx context.Context, r io.ReaderAt, size int64, opts Options, workers int, span *obs.Span, blockSize int64) (*rdf.Graph, error) {
+	start := time.Now()
+	nb := int((size + blockSize - 1) / blockSize)
+	cParRanges.Add(int64(nb))
+	parse, intern := span.StartSpan("parse"), span.StartSpan("intern")
+
+	// A lenient block buffers at most budget+1 errors: replaying that many
+	// from one block already exhausts the budget.
 	capErrs := -1
 	if m := opts.maxErrors(); m < int(^uint(0)>>1) {
 		capErrs = m + 1
 	}
 
-	sc := span.StartSpan("scan")
-	sd := rdf.NewShardedDict()
-	results := make([]ntRangeResult, len(ranges))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	// The in-order stage hands out block k+ntLookAhead-1 no earlier than it
+	// takes block k, so a send on work never blocks and the parsers cannot run
+	// ahead of the window.
+	work := make(chan *ntBlock, ntLookAhead)
+	var (
+		wg        sync.WaitGroup
+		stop      atomic.Bool // set on return: blocks still queued are not parsed
+		parseBusy atomic.Int64
+		parsed    atomic.Int64 // bytes
+	)
+	for w := min(workers, ntLookAhead, nb); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ranges) {
-					return
+			p := ntBlockParser{r: r, size: size, slack: int(blockSize/32) + 1, lenient: opts.Lenient, capErrs: capErrs}
+			for b := range work {
+				if !stop.Load() {
+					t0 := time.Now()
+					p.parse(b)
+					parsed.Add(int64(b.bytes))
+					parseBusy.Add(int64(time.Since(t0)))
 				}
-				scanNTRange(ctx, r, size, ranges[i], opts.Lenient, capErrs, sd, &results[i])
+				close(b.done)
 			}
 		}()
 	}
-	wg.Wait()
-	sc.Count("ranges", int64(len(ranges)))
-	sc.Count("terms_staged", int64(sd.Len()))
-	sc.End()
 
-	if err := ctx.Err(); err != nil {
+	g := rdf.NewGraph()
+	sink := errorSink{opts: &opts, counter: ntSkipped}
+	var (
+		window  [ntLookAhead]*ntBlock
+		spare   [][]rdf.Triple // triple buffers of admitted blocks, for the blocks handed out next
+		next    int            // first block not handed out yet
+		line    int            // lines in the blocks before the current one
+		triples int64
+		wait    time.Duration
+	)
+	admit := func() error {
+		for k := 0; ; k++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if k == nb {
+				return nil
+			}
+			for ; next < nb && next < k+ntLookAhead; next++ {
+				b := &ntBlock{start: int64(next) * blockSize, end: min(int64(next+1)*blockSize, size), done: make(chan struct{})}
+				if n := len(spare); n > 0 {
+					b.triples, spare = spare[n-1], spare[:n-1]
+				}
+				window[next%ntLookAhead] = b
+				work <- b
+			}
+			b := window[k%ntLookAhead]
+			t0 := time.Now()
+			select {
+			case <-b.done:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			wait += time.Since(t0)
+
+			// The block's outcome in the order a sequential scan would have
+			// met it. (Errors before triples: nothing a caller can observe
+			// orders a skipped line against an admitted one.)
+			if b.parseErr != nil {
+				b.parseErr.Line += line
+				return fmt.Errorf("rio: %w", b.parseErr)
+			}
+			for i := range b.errs {
+				pe := b.errs[i]
+				pe.Line += line
+				if err := sink.record(pe); err != nil {
+					return err
+				}
+			}
+			if b.ioErr != nil {
+				return b.ioErr
+			}
+			for i := range b.triples {
+				g.Add(b.triples[i])
+			}
+			if k == 0 && b.bytes > 0 {
+				// The sequential loader's size hint, from the first block's
+				// bytes per statement instead of the first hintAfter lines'.
+				g.Grow(int((size - int64(b.bytes)) * int64(len(b.triples)) / int64(b.bytes)))
+			}
+			triples += int64(len(b.triples))
+			line += b.lines
+			spare = append(spare, b.triples[:0])
+		}
+	}
+	err := admit()
+	stop.Store(true)
+	close(work)
+	wg.Wait()
+
+	elapsed := time.Since(start)
+	parse.Count("blocks", int64(nb))
+	parse.Count("bytes", parsed.Load())
+	parse.Count("busy_ns", parseBusy.Load())
+	parse.End()
+	intern.Count("triples", triples)
+	intern.Count("skipped", int64(sink.n))
+	intern.Count("busy_ns", int64(elapsed-wait))
+	intern.Count("wait_ns", int64(wait))
+	intern.End()
+	ntMeter.Observe(triples, elapsed)
+	if err != nil {
 		return nil, err
 	}
-
-	// Merge step 1: fault replay in input order. Whichever failure occupies
-	// the earliest range is the one an uninterrupted sequential scan would
-	// have hit first, so it wins; lenient parse errors are replayed through
-	// the same errorSink as the sequential reader, preserving OnError
-	// delivery order, skip counting, and the ErrTooManyErrors cutoff.
-	mg := span.StartSpan("merge")
-	defer mg.End()
-	sink := errorSink{opts: &opts, counter: ntSkipped}
-	line := 0
-	skipped := int64(0)
-	for i := range ranges {
-		res := &results[i]
-		if res.parseErr != nil {
-			res.parseErr.Line += line
-			return nil, fmt.Errorf("rio: %w", res.parseErr)
-		}
-		for j := range res.errs {
-			pe := res.errs[j]
-			pe.Line += line
-			skipped++
-			if err := sink.record(pe); err != nil {
-				return nil, err
-			}
-		}
-		if res.ioErr != nil {
-			return nil, res.ioErr
-		}
-		line += res.lines
-	}
-
-	// Merge step 2: dense-remap provisional ids in input order and bulk-build
-	// the graph. The Denser walk assigns TermIDs in exactly the order
-	// sequential interning would, and NewGraphFromEncoded preserves admission
-	// order, so the result is byte-for-byte the sequential graph.
-	total := 0
-	for i := range results {
-		total += len(results[i].triples)
-	}
-	dn := rdf.NewDenser(sd)
-	enc := make([]rdf.EncodedTriple, 0, total)
-	for i := range results {
-		for _, pt := range results[i].triples {
-			enc = append(enc, rdf.EncodedTriple{S: dn.Dense(pt.s), P: dn.Dense(pt.p), O: dn.Dense(pt.o)})
-		}
-	}
-	g := rdf.NewGraphFromEncoded(dn.Dict(), enc, workers)
-	mg.Count("triples", int64(total))
-	mg.Count("skipped", skipped)
-	ntMeter.Observe(int64(total), time.Since(start))
 	return g, nil
 }
 
-// splitByteRanges cuts [0, size) into at most n contiguous ranges.
-func splitByteRanges(size int64, n int) []ntRange {
-	if int64(n) > size {
-		n = int(size)
-	}
-	rs := make([]ntRange, 0, n)
-	for i := 0; i < n; i++ {
-		rs = append(rs, ntRange{size * int64(i) / int64(n), size * int64(i+1) / int64(n)})
-	}
-	return rs
+var newline = []byte{'\n'}
+
+// ntBlockParser is one worker's parse state: the input and a read buffer it
+// reuses from block to block.
+type ntBlockParser struct {
+	r       io.ReaderAt
+	size    int64
+	slack   int // bytes read past a block's end in the hope of finding its last newline
+	lenient bool
+	capErrs int
+	buf     []byte
 }
 
-// scanNTRange parses the lines owned by one byte range, staging triples with
-// provisional ids. It mirrors NTriplesScanner.Scan line for line: blank and
-// comment lines are skipped (but counted), malformed lines abort in strict
-// mode and are buffered in lenient mode, and I/O errors abort the range.
-func scanNTRange(ctx context.Context, r io.ReaderAt, size int64, rg ntRange, lenient bool, capErrs int, sd *rdf.ShardedDict, res *ntRangeResult) {
-	br := newByteCountReader(io.NewSectionReader(r, rg.start, size-rg.start), 128*1024)
-	br.base = rg.start
-	if rg.start > 0 {
-		// Ownership probe: if the byte before the range is not a newline, the
-		// range starts mid-line and that line belongs to the previous range —
-		// consume and discard it. (A line spanning several whole ranges makes
-		// the skip run past rg.end, leaving those ranges empty, which is
-		// exactly right.)
-		var prev [1]byte
-		if _, err := r.ReadAt(prev[:], rg.start-1); err != nil {
-			res.ioErr = err
+// parse fills in b's outcome. It mirrors NTriplesScanner.Scan line for line:
+// blank and comment lines are counted and skipped, a malformed line ends the
+// block in strict mode and is buffered in lenient mode.
+func (p *ntBlockParser) parse(b *ntBlock) {
+	text, err := p.read(b)
+	if err != nil {
+		b.ioErr = err
+		return
+	}
+	b.bytes = len(text)
+	if b.triples == nil {
+		b.triples = make([]rdf.Triple, 0, len(text)/96+1)
+	}
+	for len(text) > 0 {
+		var raw []byte
+		raw, text, _ = bytes.Cut(text, newline)
+		b.lines++
+		raw = bytes.TrimSpace(raw)
+		if len(raw) == 0 || raw[0] == '#' {
+			continue
+		}
+		// One string per statement, as the sequential reader makes: the terms
+		// of a statement share it, so the dictionary keeps alive the lines
+		// that introduced a term and not the blocks around them.
+		tr, perr := parseNTriplesLine(string(raw))
+		if perr == nil {
+			b.triples = append(b.triples, tr)
+			continue
+		}
+		perr.Line = b.lines
+		if !p.lenient {
+			b.parseErr = perr
 			return
 		}
-		if prev[0] != '\n' {
-			if _, err := br.readLine(); err != nil {
-				if err != io.EOF {
-					res.ioErr = err
-				}
-				return // the partial line ran to end of input; nothing owned
-			}
+		if p.capErrs < 0 || len(b.errs) < p.capErrs {
+			b.errs = append(b.errs, *perr)
 		}
 	}
+}
+
+// read returns the lines b owns, in the parser's buffer. It reads
+// [b.start-1, b.end+slack) in one call: the byte before the block tells
+// whether the block starts a line, and the slack almost always holds the
+// newline that ends its last one.
+func (p *ntBlockParser) read(b *ntBlock) ([]byte, error) {
+	lo := max(b.start-1, 0)
+	p.buf = p.buf[:0]
+	eof, err := p.extend(lo, int(min(b.end+int64(p.slack), p.size)-lo))
+	if err != nil {
+		return nil, err
+	}
+	first := 0
+	if b.start > 0 {
+		// A line is owned when the newline before it sits in
+		// [b.start-1, b.end-1). No such newline: the block is the inside of
+		// one long line.
+		i := bytes.IndexByte(p.buf[:min(int(b.end-lo)-1, len(p.buf))], '\n')
+		if i < 0 {
+			return nil, nil
+		}
+		first = i + 1
+	}
+	// The last owned line ends at the first newline at or after b.end-1, or
+	// with the input.
+	from := int(b.end - 1 - lo)
 	for {
-		if br.consumed() >= rg.end {
-			return
-		}
-		if res.lines%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				res.ioErr = err
-				return
+		if from < len(p.buf) {
+			if i := bytes.IndexByte(p.buf[from:], '\n'); i >= 0 {
+				return p.buf[first : from+i+1], nil
 			}
+			from = len(p.buf)
 		}
-		raw, rerr := br.readLine()
-		if rerr != nil && rerr != io.EOF {
-			res.ioErr = rerr
-			return
+		off := lo + int64(len(p.buf))
+		if eof || off >= p.size {
+			return p.buf[first:], nil
 		}
-		atEOF := rerr == io.EOF
-		if raw == "" && atEOF {
-			return
-		}
-		res.lines++
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			if atEOF {
-				return
-			}
-			continue
-		}
-		tr, perr := parseNTriplesLine(line)
-		if perr != nil {
-			perr.Line = res.lines
-			if !lenient {
-				res.parseErr = perr
-				return
-			}
-			if capErrs < 0 || len(res.errs) < capErrs {
-				res.errs = append(res.errs, *perr)
-			}
-			if atEOF {
-				return
-			}
-			continue
-		}
-		res.triples = append(res.triples, provTriple{sd.Intern(tr.S), sd.Intern(tr.P), sd.Intern(tr.O)})
-		if atEOF {
-			return
+		if eof, err = p.extend(off, int(min(int64(len(p.buf)), p.size-off))); err != nil {
+			return nil, err
 		}
 	}
+}
+
+// extend appends the n input bytes at off to the buffer. eof reports an input
+// that ended before the size the caller declared.
+func (p *ntBlockParser) extend(off int64, n int) (eof bool, err error) {
+	old := len(p.buf)
+	p.buf = slices.Grow(p.buf, n)[:old+n]
+	m, err := p.r.ReadAt(p.buf[old:], off)
+	p.buf = p.buf[:old+m]
+	if err == io.EOF {
+		return m < n, nil
+	}
+	return false, err
 }

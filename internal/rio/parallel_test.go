@@ -1,40 +1,84 @@
 package rio
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/s3pg/s3pg/internal/rdf"
 )
 
-// loadBoth parses src sequentially and in parallel with the given worker
-// count, returning both results.
-func loadBoth(t *testing.T, src string, opts Options, workers int) (seq, par *rdf.Graph, seqErr, parErr error) {
-	t.Helper()
-	seq, seqErr = LoadNTriplesWith(context.Background(), strings.NewReader(src), opts)
-	par, parErr = LoadNTriplesParallel(context.Background(), strings.NewReader(src), int64(len(src)), opts, workers)
-	return seq, par, seqErr, parErr
+// ntOutcome is everything a caller can observe of one load.
+type ntOutcome struct {
+	g       *rdf.Graph
+	err     error
+	onError []ParseError
+	skipped int64 // growth of rio.ntriples.skipped
+	metered int64 // growth of the rio.ntriples.triples meter
 }
 
-// requireIdentical asserts the two graphs are byte-identical in every way the
-// pipeline can observe: serialization (triple order and term rendering) and
-// dictionary id assignment.
+// observeLoad runs load with opts and an OnError hook that records what it is
+// handed.
+func observeLoad(opts Options, load func(Options) (*rdf.Graph, error)) ntOutcome {
+	var out ntOutcome
+	opts.OnError = func(pe ParseError) { out.onError = append(out.onError, pe) }
+	skipped, metered := ntSkipped.Value(), ntMeter.Count()
+	out.g, out.err = load(opts)
+	out.skipped, out.metered = ntSkipped.Value()-skipped, ntMeter.Count()-metered
+	return out
+}
+
+// requireSameOutcome asserts that a parallel load did what the sequential
+// loader did: the same error (text, and *ParseError field for field), the
+// same OnError sequence and skip count, and on success the same meter reading
+// and the same graph.
+func requireSameOutcome(t *testing.T, seq, par ntOutcome) {
+	t.Helper()
+	if (seq.err == nil) != (par.err == nil) || seq.err != nil && seq.err.Error() != par.err.Error() {
+		t.Fatalf("errors differ:\nsequential: %v\nparallel:   %v", seq.err, par.err)
+	}
+	var spe, ppe *ParseError
+	if errors.As(seq.err, &spe) != errors.As(par.err, &ppe) || spe != nil && *spe != *ppe {
+		t.Fatalf("parse errors differ: sequential %+v, parallel %+v", spe, ppe)
+	}
+	if errors.Is(seq.err, ErrTooManyErrors) != errors.Is(par.err, ErrTooManyErrors) {
+		t.Fatalf("ErrTooManyErrors: sequential %v, parallel %v", seq.err, par.err)
+	}
+	if len(seq.onError) != len(par.onError) {
+		t.Fatalf("%d errors delivered, sequential %d", len(par.onError), len(seq.onError))
+	}
+	for i := range seq.onError {
+		if seq.onError[i] != par.onError[i] {
+			t.Fatalf("OnError call %d: parallel %+v, sequential %+v", i, par.onError[i], seq.onError[i])
+		}
+	}
+	if seq.skipped != par.skipped {
+		t.Fatalf("rio.ntriples.skipped grew by %d, sequential %d", par.skipped, seq.skipped)
+	}
+	if seq.err != nil {
+		if par.g != nil {
+			t.Fatal("a failed load returned a graph")
+		}
+		return
+	}
+	if seq.metered != par.metered {
+		t.Fatalf("rio.ntriples.triples metered %d statements, sequential %d", par.metered, seq.metered)
+	}
+	requireIdentical(t, seq.g, par.g)
+}
+
+// requireIdentical asserts the two graphs are the same in every way the
+// pipeline can observe: dictionary id assignment, the triple in every slot,
+// and the order of every posting list.
 func requireIdentical(t *testing.T, seq, par *rdf.Graph) {
 	t.Helper()
-	var sb, pb bytes.Buffer
-	if err := WriteNTriples(&sb, seq); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteNTriples(&pb, par); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
-		t.Fatalf("serializations differ:\nsequential %d bytes, parallel %d bytes", sb.Len(), pb.Len())
-	}
 	sd, pd := seq.Dict(), par.Dict()
 	if sd.Len() != pd.Len() {
 		t.Fatalf("dict sizes differ: sequential %d, parallel %d", sd.Len(), pd.Len())
@@ -42,6 +86,33 @@ func requireIdentical(t *testing.T, seq, par *rdf.Graph) {
 	for i := 0; i < sd.Len(); i++ {
 		if sd.Term(rdf.TermID(i)) != pd.Term(rdf.TermID(i)) {
 			t.Fatalf("dict id %d: sequential %v, parallel %v", i, sd.Term(rdf.TermID(i)), pd.Term(rdf.TermID(i)))
+		}
+	}
+	if seq.NumSlots() != par.NumSlots() {
+		t.Fatalf("slot counts differ: sequential %d, parallel %d", seq.NumSlots(), par.NumSlots())
+	}
+	for i := 0; i < seq.NumSlots(); i++ {
+		ss, sp, so, sl := seq.EncodedAt(i)
+		ps, pp, po, pl := par.EncodedAt(i)
+		if ss != ps || sp != pp || so != po || sl != pl {
+			t.Fatalf("slot %d: sequential (%d %d %d live=%v), parallel (%d %d %d live=%v)", i, ss, sp, so, sl, ps, pp, po, pl)
+		}
+	}
+	const any = ^rdf.TermID(0)
+	posting := func(g *rdf.Graph, s, p, o rdf.TermID) (out [][3]rdf.TermID) {
+		g.MatchEncoded(s, p, o, func(s, p, o rdf.TermID) bool {
+			out = append(out, [3]rdf.TermID{s, p, o})
+			return true
+		})
+		return out
+	}
+	for i := 0; i < sd.Len(); i++ {
+		id := rdf.TermID(i)
+		for k, pat := range [3][3]rdf.TermID{{id, any, any}, {any, id, any}, {any, any, id}} {
+			a, b := posting(seq, pat[0], pat[1], pat[2]), posting(par, pat[0], pat[1], pat[2])
+			if !slices.Equal(a, b) {
+				t.Fatalf("posting list %d of term %d differs: sequential %v, parallel %v", k, id, a, b)
+			}
 		}
 	}
 }
@@ -69,38 +140,6 @@ func syntheticNT(n int) string {
 	return b.String()
 }
 
-func TestLoadNTriplesParallelMatchesSequential(t *testing.T) {
-	src := syntheticNT(5000)
-	for _, workers := range []int{2, 3, 8} {
-		seq, par, serr, perr := loadBoth(t, src, Options{}, workers)
-		if serr != nil || perr != nil {
-			t.Fatalf("workers=%d: sequential err %v, parallel err %v", workers, serr, perr)
-		}
-		requireIdentical(t, seq, par)
-	}
-}
-
-func TestLoadNTriplesParallelEdgeInputs(t *testing.T) {
-	long := "<http://ex.org/long> <http://ex.org/p> \"" + strings.Repeat("x", 64*1024) + "\" ."
-	cases := map[string]string{
-		"empty":                      "",
-		"only_comment":               "# nothing here\n",
-		"no_trailing_newline":        "<http://ex.org/a> <http://ex.org/p> \"v\" .",
-		"tiny":                       "<http://ex.org/a> <http://ex.org/p> \"v\" .\n",
-		"long_line_spans_all_ranges": long + "\n<http://ex.org/b> <http://ex.org/p> \"w\" .\n",
-		"crlf_absent_blank_heavy":    "\n\n\n<http://ex.org/a> <http://ex.org/p> \"v\" .\n\n",
-	}
-	for name, src := range cases {
-		for _, workers := range []int{2, 8} {
-			seq, par, serr, perr := loadBoth(t, src, Options{}, workers)
-			if serr != nil || perr != nil {
-				t.Fatalf("%s workers=%d: sequential err %v, parallel err %v", name, workers, serr, perr)
-			}
-			requireIdentical(t, seq, par)
-		}
-	}
-}
-
 // dirtyNT interleaves malformed lines into a synthetic document.
 func dirtyNT(n, everyN int) string {
 	clean := strings.Split(strings.TrimRight(syntheticNT(n), "\n"), "\n")
@@ -115,70 +154,224 @@ func dirtyNT(n, everyN int) string {
 	return b.String()
 }
 
-func TestLoadNTriplesParallelLenientErrorReplay(t *testing.T) {
-	src := dirtyNT(2000, 40)
-	collect := func(errs *[]ParseError) Options {
-		return Options{Lenient: true, MaxErrors: -1, OnError: func(pe ParseError) { *errs = append(*errs, pe) }}
+// TestLoadNTriplesParallelMatchesSequential is the loader's contract: over
+// any input, error policy, worker count and block size, a caller cannot tell
+// LoadNTriplesParallel from LoadNTriplesWith. The small block sizes cut the
+// inputs into hundreds to thousands of blocks, so every boundary case — a
+// block inside one long line, a block of comments only, an error in the last
+// block, a budget that runs out between two blocks of one error burst — is
+// hit many times.
+func TestLoadNTriplesParallelMatchesSequential(t *testing.T) {
+	const stmt = "<http://ex.org/a> <http://ex.org/p> \"v\" .\n"
+	long := "<http://ex.org/long> <http://ex.org/p> \"" + strings.Repeat("x", 5000) + "\" .\n"
+	inputs := []struct{ name, src string }{
+		{"synthetic", syntheticNT(3000)},
+		{"empty", ""},
+		{"one_newline", "\n"},
+		{"only_comment", "# nothing here\n"},
+		{"tiny", stmt},
+		{"no_trailing_newline", syntheticNT(40) + strings.TrimSuffix(stmt, "\n")},
+		{"line_longer_than_blocks", stmt + long + stmt + long + long + "<http://ex.org/b> <http://ex.org/p> \"w\" .\n"},
+		{"long_line_last_unterminated", stmt + strings.TrimSuffix(long, "\n")},
+		{"crlf", strings.ReplaceAll(syntheticNT(300), "\n", "\r\n")},
+		{"comment_and_blank_blocks", stmt + strings.Repeat("# a comment line that fills blocks\n\n   \n", 200) + stmt + strings.Repeat("\n", 700) + stmt},
+		{"duplicates_across_blocks", strings.Repeat(stmt+"_:b <http://ex.org/q> <http://ex.org/a> .\n", 400)},
+		{"dirty", dirtyNT(2000, 40)},
+		{"error_first_line", "garbage first\n" + syntheticNT(200)},
+		{"error_last_block", syntheticNT(400) + "garbage last\n"},
+		{"error_last_line_unterminated", syntheticNT(400) + "<http://ex.org/a> <http://ex.org/p> ."},
+		{"error_burst", syntheticNT(100) + strings.Repeat("garbage burst\n", 40) + syntheticNT(100)},
+		{"all_garbage", strings.Repeat("x\n", 3000)},
 	}
-	var seqErrs []ParseError
-	seq, serr := LoadNTriplesWith(context.Background(), strings.NewReader(src), collect(&seqErrs))
-	if serr != nil {
-		t.Fatal(serr)
+	policies := []struct {
+		name string
+		opts Options
+	}{
+		{"strict", Options{}},
+		{"lenient", Options{Lenient: true, MaxErrors: -1}},
+		{"budget5", Options{Lenient: true, MaxErrors: 5}},
+		{"budget_default", Options{Lenient: true}},
 	}
-	for _, workers := range []int{2, 8} {
-		var parErrs []ParseError
-		par, perr := LoadNTriplesParallel(context.Background(), strings.NewReader(src), int64(len(src)), collect(&parErrs), workers)
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		requireIdentical(t, seq, par)
-		if len(parErrs) != len(seqErrs) {
-			t.Fatalf("workers=%d: %d errors delivered, sequential %d", workers, len(parErrs), len(seqErrs))
-		}
-		for i := range parErrs {
-			if parErrs[i] != seqErrs[i] {
-				t.Fatalf("workers=%d error %d: parallel %+v, sequential %+v", workers, i, parErrs[i], seqErrs[i])
+	ctx := context.Background()
+	for _, in := range inputs {
+		for _, pol := range policies {
+			seq := observeLoad(pol.opts, func(o Options) (*rdf.Graph, error) {
+				return LoadNTriplesWith(ctx, strings.NewReader(in.src), o)
+			})
+			for _, workers := range []int{2, 3, 8} {
+				for _, blockSize := range []int64{61, 1000, ntBlockSize} {
+					t.Run(fmt.Sprintf("%s/%s/workers=%d/block=%d", in.name, pol.name, workers, blockSize), func(t *testing.T) {
+						blocks := cParRanges.Value()
+						par := observeLoad(pol.opts, func(o Options) (*rdf.Graph, error) {
+							return loadNTriplesBlocks(ctx, strings.NewReader(in.src), int64(len(in.src)), o, workers, nil, blockSize)
+						})
+						requireSameOutcome(t, seq, par)
+						if got, want := cParRanges.Value()-blocks, (int64(len(in.src))+blockSize-1)/blockSize; got != want {
+							t.Fatalf("rio.ntriples.parallel_ranges grew by %d, want %d blocks", got, want)
+						}
+					})
+				}
 			}
 		}
 	}
 }
 
-func TestLoadNTriplesParallelStrictErrorMatches(t *testing.T) {
-	src := dirtyNT(500, 90)
-	_, _, serr, perr := loadBoth(t, src, Options{}, 4)
-	if serr == nil || perr == nil {
-		t.Fatalf("expected both to fail: sequential %v, parallel %v", serr, perr)
-	}
-	if serr.Error() != perr.Error() {
-		t.Fatalf("error texts differ:\nsequential: %v\nparallel:   %v", serr, perr)
-	}
-	var spe, ppe *ParseError
-	if !errors.As(serr, &spe) || !errors.As(perr, &ppe) {
-		t.Fatalf("expected *ParseError from both, got %T / %T", serr, perr)
-	}
-	if *spe != *ppe {
-		t.Fatalf("parse errors differ: sequential %+v, parallel %+v", *spe, *ppe)
-	}
-}
-
-func TestLoadNTriplesParallelErrorBudgetMatches(t *testing.T) {
-	src := dirtyNT(2000, 20)
-	opts := Options{Lenient: true, MaxErrors: 5}
-	_, _, serr, perr := loadBoth(t, src, opts, 8)
-	if !errors.Is(serr, ErrTooManyErrors) || !errors.Is(perr, ErrTooManyErrors) {
-		t.Fatalf("expected ErrTooManyErrors from both, got %v / %v", serr, perr)
-	}
-	if serr.Error() != perr.Error() {
-		t.Fatalf("error texts differ:\nsequential: %v\nparallel:   %v", serr, perr)
+// TestLoadNTriplesParallelShortInput declares more bytes than the reader
+// holds: the load ends where the input does, as the sequential loader over a
+// section reader of that size does.
+func TestLoadNTriplesParallelShortInput(t *testing.T) {
+	src := syntheticNT(500)
+	for _, extra := range []int64{1, 100, 5000} {
+		seq := observeLoad(Options{}, func(o Options) (*rdf.Graph, error) {
+			return LoadNTriplesWith(context.Background(), io.NewSectionReader(strings.NewReader(src), 0, int64(len(src))+extra), o)
+		})
+		par := observeLoad(Options{}, func(o Options) (*rdf.Graph, error) {
+			return loadNTriplesBlocks(context.Background(), strings.NewReader(src), int64(len(src))+extra, o, 3, nil, 1000)
+		})
+		requireSameOutcome(t, seq, par)
 	}
 }
 
 func TestLoadNTriplesParallelCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	src := syntheticNT(100)
-	_, err := LoadNTriplesParallel(ctx, strings.NewReader(src), int64(len(src)), Options{}, 4)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, src := range []string{syntheticNT(100), ""} {
+		_, err := LoadNTriplesParallel(ctx, strings.NewReader(src), int64(len(src)), Options{}, 4)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	}
+}
+
+// countingReaderAt counts the bytes read through it and can fail or cancel
+// from a given offset on.
+type countingReaderAt struct {
+	r      io.ReaderAt
+	read   atomic.Int64
+	failAt int64 // reads reaching this offset fail (negative: never)
+	onRead func(off int64)
+}
+
+var errInjectedRead = errors.New("injected read failure")
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if c.onRead != nil {
+		c.onRead(off)
+	}
+	if c.failAt >= 0 && off+int64(len(p)) > c.failAt {
+		return 0, errInjectedRead
+	}
+	n, err := c.r.ReadAt(p, off)
+	c.read.Add(int64(n))
+	return n, err
+}
+
+// TestLoadNTriplesParallelStopsEarly: whatever ends a load — a strict parse
+// error, an exhausted error budget, a failed read, a cancelled context — ends
+// it within the look-ahead window of where it happened, not after the rest of
+// a multi-megabyte input has been read and parsed, and no goroutine of the
+// load outlives the call.
+func TestLoadNTriplesParallelStopsEarly(t *testing.T) {
+	body := syntheticNT(60000) // ~5 MB, some twenty blocks
+	if len(body) < 2*ntLookAhead*ntBlockSize {
+		t.Fatalf("input of %d bytes is too short to tell an early stop from a full read", len(body))
+	}
+	// What the window may hold: each block's bytes, the byte before it and
+	// the slack read past its end.
+	window := int64(ntLookAhead) * (ntBlockSize + ntBlockSize/32 + 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cases := []struct {
+		name   string
+		src    string
+		ctx    context.Context
+		opts   Options
+		failAt int64
+		onRead func(off int64)
+		within int64 // bytes the load may read
+		check  func(error) bool
+	}{
+		{name: "strict_error_line_3", src: "<http://ex.org/a> <http://ex.org/p> \"v\" .\n\ngarbage\n" + body, failAt: -1, within: window,
+			check: func(err error) bool {
+				var pe *ParseError
+				return errors.As(err, &pe) && pe.Line == 3
+			}},
+		{name: "budget_exhausted_in_first_block", src: strings.Repeat("garbage\n", 10) + body, opts: Options{Lenient: true, MaxErrors: 3}, failAt: -1, within: window,
+			check: func(err error) bool { return errors.Is(err, ErrTooManyErrors) }},
+		{name: "read_failure_in_first_block", src: body, failAt: 0, within: window,
+			check: func(err error) bool { return errors.Is(err, errInjectedRead) }},
+		{name: "cancelled_at_third_block", src: body, ctx: ctx, failAt: -1, within: 3*ntBlockSize + window,
+			onRead: func(off int64) {
+				if off >= 3*ntBlockSize-1 {
+					cancel()
+				}
+			},
+			check: func(err error) bool { return errors.Is(err, context.Canceled) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			r := &countingReaderAt{r: strings.NewReader(tc.src), failAt: tc.failAt, onRead: tc.onRead}
+			c := tc.ctx
+			if c == nil {
+				c = context.Background()
+			}
+			g, err := LoadNTriplesParallel(c, r, int64(len(tc.src)), tc.opts, 4)
+			if g != nil || !tc.check(err) {
+				t.Fatalf("graph %v, err %v", g != nil, err)
+			}
+			if n := r.read.Load(); n > tc.within {
+				t.Fatalf("read %d of %d bytes before stopping, want at most %d", n, len(tc.src), tc.within)
+			}
+			// The call waits for its workers; give their exit a moment to
+			// show in the count.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the load, %d before", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestLoadNTriplesParallelLookAheadBound holds the in-order stage back (its
+// OnError hook dawdles) while parsing is as cheap as it gets, and checks on
+// every read that the parsers never work further ahead of the block being
+// delivered than the look-ahead window.
+func TestLoadNTriplesParallelLookAheadBound(t *testing.T) {
+	const (
+		lineLen   = 8
+		blockSize = 64 // eight lines exactly, so a line number names its block
+		blocks    = 300
+	)
+	src := strings.Repeat("garbage\n", blocks*blockSize/lineLen)
+	var delivering atomic.Int64 // block whose errors the in-order stage last delivered
+	var maxAhead atomic.Int64
+	r := &countingReaderAt{r: strings.NewReader(src), failAt: -1, onRead: func(off int64) {
+		ahead := (off+1)/blockSize - delivering.Load()
+		for {
+			m := maxAhead.Load()
+			if ahead <= m || maxAhead.CompareAndSwap(m, ahead) {
+				break
+			}
+		}
+	}}
+	opts := Options{Lenient: true, MaxErrors: -1, OnError: func(pe ParseError) {
+		delivering.Store(int64(pe.Line-1) * lineLen / blockSize)
+		if pe.Line%(blockSize/lineLen) == 1 {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}}
+	if _, err := loadNTriplesBlocks(context.Background(), r, int64(len(src)), opts, 8, nil, blockSize); err != nil {
+		t.Fatal(err)
+	}
+	// A read for block j happens once the stage has taken block j-lookAhead+1,
+	// that is, after it delivered block j-lookAhead.
+	if m := maxAhead.Load(); m > ntLookAhead {
+		t.Fatalf("a parser read %d blocks ahead of the in-order stage, look-ahead is %d", m, ntLookAhead)
+	} else if m < 1 {
+		t.Fatalf("parsers never ran ahead (max %d): the test exercised nothing", m)
 	}
 }

@@ -2,8 +2,8 @@ package rio
 
 // ErrorReplayer re-applies lenient-mode error accounting for parse errors
 // that were collected elsewhere — on another goroutine, or on another machine
-// entirely. LoadNTriplesParallel uses the same mechanism internally when it
-// replays per-range errors in input order; internal/dist exposes it so a
+// entirely. LoadNTriplesParallel's in-order stage delivers each parsed
+// block's errors through the same mechanism; internal/dist exposes it so a
 // coordinator merging shard results from remote workers drives the identical
 // Options semantics (OnError callbacks in input order, the rio.ntriples.skipped
 // counter, and the MaxErrors budget with the same ErrTooManyErrors wrapping) as
