@@ -97,8 +97,10 @@ verify:
 # fuzz runs every native fuzz target for FUZZTIME each: the N-Triples and
 # Turtle parsers (strict and lenient), the Cypher lexer and parser, the
 # SPARQL parser, both engines' executor against the reference evaluator it
-# replaced, and the /query JSON writer against encoding/json. New crashers
-# land in testdata/fuzz/ and become regression tests.
+# replaced, the /query JSON writer against encoding/json, and a spilled
+# graph under random Add/Remove/Spill/Clone schedules against a twin that
+# never spilled. New crashers land in testdata/fuzz/ and become regression
+# tests.
 FUZZ_TARGETS = \
 	FuzzParseNTriplesLine:./internal/rio \
 	FuzzReadNTriplesLenient:./internal/rio \
@@ -109,7 +111,8 @@ FUZZ_TARGETS = \
 	FuzzParseUpdate:./internal/sparql \
 	FuzzEvalDifferential:./internal/cypher \
 	FuzzEvalDifferential:./internal/sparql \
-	FuzzRowJSON:./internal/serve
+	FuzzRowJSON:./internal/serve \
+	FuzzSpillSchedule:./internal/rdf
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

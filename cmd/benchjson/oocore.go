@@ -3,7 +3,7 @@ package main
 // -mode oocore gates the out-of-core transformation path (DESIGN.md §10):
 // an XL-profile dataset whose in-RAM graph footprint is at least three times
 // the configured heap budget is ingested under a memory-pressure governor,
-// spilled to a CRC-framed on-disk generation, transformed over paged reads,
+// spilled to CRC-framed on-disk segments, transformed over paged reads,
 // and the resulting nodes.csv/edges.csv/schema.ddl must byte-equal the
 // unconstrained in-RAM run. The budget applies to the graph — the structure
 // spilling sheds — measured as live heap attributable to the run (sampled
@@ -43,7 +43,7 @@ type OocoreReport struct {
 	// dataset qualifies only when it is ≥ 3× the budget.
 	InRAMGraphBytes uint64 `json:"in_ram_graph_bytes"`
 	// SpilledGraphBytes is the governed run's live graph footprint after
-	// ingest — what remains resident once the generations are on disk. The
+	// ingest — what remains resident once the segments are on disk. The
 	// budget is a hard ceiling on it.
 	SpilledGraphBytes uint64 `json:"spilled_graph_bytes"`
 	// PeakGovernedBytes is the largest post-spill resident footprint seen at

@@ -3,8 +3,8 @@ package main
 // Out-of-core support for the whole-graph data path (DESIGN.md §10): when
 // -max-mem is set without -checkpoint, the ingest loop runs under a
 // memory-pressure governor that spills the graph's dictionary, triple log,
-// and posting lists to a CRC-framed on-disk generation and continues over
-// paged reads, instead of dying at the watermark. The chunked (-checkpoint)
+// and posting lists to CRC-framed on-disk segments and continues over paged
+// reads, instead of dying at the watermark. The chunked (-checkpoint)
 // path keeps its checkpoint-and-exit-5 contract: its cumulative memory lives
 // in the transformer, which graph spilling cannot shrink.
 
@@ -25,8 +25,9 @@ import (
 
 // crashDuringSpillEnv is the spill crash hook: S3PG_CRASH_DURING_SPILL=N
 // kills the process (exit 86, no cleanup) immediately before the N-th atomic
-// rename of a spill commit — mid-spill, with earlier generation files
-// already durable and later ones absent or still temporaries.
+// rename of the run's spill commits. A spill makes two — its segment file,
+// then the MANIFEST — so odd N dies with the segment still a temporary, even
+// N with it durable but not yet named by a MANIFEST.
 const crashDuringSpillEnv = "S3PG_CRASH_DURING_SPILL"
 
 // governEvery is how many scanned statements pass between heap checks; a
@@ -52,8 +53,8 @@ func (s spillCrashFS) Rename(oldpath, newpath string) error {
 // retryFS retries transient faults around each filesystem operation of a
 // spill commit — the same per-commit resilience the checkpoint path gets
 // from commitAtomic. Without it, one transient fault anywhere in a spill's
-// multi-file commit sequence would restart the entire spill, which under a
-// deterministic fault schedule never converges.
+// two commits would restart the entire spill, which under a deterministic
+// fault schedule never converges.
 type retryFS struct {
 	inner ckpt.FS
 }
@@ -135,8 +136,8 @@ func loadDataGoverned(ctx context.Context, path string, rf *resFlags, span *obs.
 	g := rdf.NewGraph()
 	sc := rio.NewNTriplesScanner(f, rf.rioOptions())
 	// A failed Spill leaves the graph untouched (the in-memory swap happens
-	// only after every file commits), so retrying a transient fault is safe:
-	// the retry rewrites the same generation from scratch.
+	// only after the MANIFEST commits), so retrying a transient fault is
+	// safe: the retry writes the same segment again.
 	maybeSpill := func() (bool, error) {
 		var spilled bool
 		err := faultio.Retry(ctx, commitRetryPolicy(), func() error {

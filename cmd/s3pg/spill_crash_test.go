@@ -3,9 +3,9 @@ package main
 // Crash matrix for the out-of-core spill path (DESIGN.md §10): a run under
 // -max-mem without -checkpoint must survive being killed at any point inside
 // a spill commit, and injected filesystem faults on spill writes, without
-// ever leaving a torn generation — recovery (a plain rerun) is byte-identical
-// to an undisturbed run, and LoadSpilled over the crashed directory either
-// opens a fully-committed generation or reports none at all.
+// ever leaving a torn spill directory — recovery (a plain rerun) is
+// byte-identical to an undisturbed run, and LoadSpilled over the crashed
+// directory either opens a fully-committed state or reports none at all.
 
 import (
 	"bytes"
@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -85,31 +87,58 @@ func TestMaxMemWithoutCheckpointSpillOff(t *testing.T) {
 	}
 }
 
-// TestCrashDuringSpillRecovery kills the process immediately before the N-th
-// spill-file rename, for N sweeping the whole commit sequence of a
-// generation (7 data files + MANIFEST), and asserts the two recovery
-// invariants: the spill directory is never torn (LoadSpilled opens a
-// complete generation or reports ErrNoSpill), and a plain rerun over the
-// leftovers converges to byte-identical outputs.
+// TestCrashDuringSpillRecovery kills the process immediately before a
+// rename of a spill commit — a spill makes two, the segment file's and then
+// the MANIFEST's — in the first spill, a middle one and the one that folds
+// the first tier, and asserts the two recovery invariants: the spill
+// directory is never torn (LoadSpilled opens exactly the state the last
+// completed spill committed, or reports ErrNoSpill before the first), and a
+// plain rerun over the leftovers converges to byte-identical outputs.
 func TestCrashDuringSpillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
 	dir := t.TempDir()
-	shapes, data := writeGeneratedDataset(t, dir, 0.5, false)
+	// Big enough that the governor, which re-spills once the tail holds
+	// 10 000 triples, spills often enough to fill a tier and fold it.
+	shapes, data := writeGeneratedDataset(t, dir, 22, false)
 
 	bn, be, bs, _ := outPaths(t, filepath.Join(dir, "base"))
 	if code, _, errOut := execCLI(t, nil, "data", "-shapes", shapes, "-data", data,
 		"-nodes", bn, "-edges", be, "-schema", bs); code != 0 {
 		t.Fatalf("baseline exit %d: %s", code, errOut)
 	}
+	// The uncrashed governed run says how many slots each spill committed.
+	n, e, s, _ := outPaths(t, filepath.Join(dir, "schedule"))
+	code, _, errOut := execCLI(t, nil, spillArgsFor(shapes, data, n, e, s, filepath.Join(dir, "schedule.spill"))...)
+	if code != 0 {
+		t.Fatalf("governed run exit %d: %s", code, errOut)
+	}
+	var committed []int // committed[i]: slots on disk once spill i+1 completed
+	for _, m := range regexp.MustCompile(`spilled (\d+) triple slots`).FindAllStringSubmatch(errOut, -1) {
+		slots, _ := strconv.Atoi(m[1])
+		committed = append(committed, slots)
+	}
+	const fold = 9 // the spill that finds eight tier-0 segments
+	if len(committed) <= fold {
+		t.Fatalf("governed run spilled %d times, want more than %d: %s", len(committed), fold, errOut)
+	}
 
-	for _, crashAt := range []int{1, 2, 4, 7, 8} {
-		t.Run(fmt.Sprintf("rename-%d", crashAt), func(t *testing.T) {
-			caseDir := filepath.Join(dir, fmt.Sprintf("crash-%d", crashAt))
+	for _, tc := range []struct {
+		name          string
+		spill, rename int // crash before this rename (1 segment, 2 MANIFEST) of this spill
+	}{
+		{"first-segment", 1, 1}, {"first-manifest", 1, 2},
+		{"middle-segment", 5, 1}, {"middle-manifest", 5, 2},
+		{"fold-segment", fold, 1}, {"fold-manifest", fold, 2},
+		{"after-fold", fold + 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			caseDir := filepath.Join(dir, "crash-"+tc.name)
 			n, e, s, _ := outPaths(t, caseDir)
 			spillDir := filepath.Join(caseDir, "graph.spill")
 
+			crashAt := 2*(tc.spill-1) + tc.rename
 			code, _, errOut := execCLI(t, []string{fmt.Sprintf("%s=%d", crashDuringSpillEnv, crashAt)},
 				spillArgsFor(shapes, data, n, e, s, spillDir)...)
 			if code != crashExitCode {
@@ -121,14 +150,33 @@ func TestCrashDuringSpillRecovery(t *testing.T) {
 				}
 			}
 
-			// Never torn: the directory holds either a complete committed
-			// generation or none — a partial one must not load.
-			if g, err := rdf.LoadSpilled(spillDir); err == nil {
-				if g.NumSlots() == 0 {
-					t.Fatal("LoadSpilled returned an empty committed generation")
+			// Never torn: the directory holds what the previous spill
+			// committed, complete, or nothing — whatever the crashed spill
+			// had written so far must not show.
+			g, err := rdf.LoadSpilled(spillDir)
+			switch {
+			case tc.spill == 1:
+				if !errors.Is(err, rdf.ErrNoSpill) {
+					t.Fatalf("crash inside the first spill: LoadSpilled = %v, want ErrNoSpill", err)
 				}
-			} else if !errors.Is(err, rdf.ErrNoSpill) {
+			case err != nil:
 				t.Fatalf("crashed spill dir is torn: %v", err)
+			case g.NumSlots() != committed[tc.spill-2]:
+				t.Fatalf("LoadSpilled opened %d slots, spill %d committed %d", g.NumSlots(), tc.spill-1, committed[tc.spill-2])
+			}
+			segs, err := filepath.Glob(filepath.Join(spillDir, "seg-[0-9][0-9][0-9][0-9][0-9][0-9]"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.spill - 1 // one file per completed spill...
+			if tc.rename == 2 {
+				want++ // ...plus the crashed spill's, renamed but not yet named by a MANIFEST
+			}
+			if tc.spill > fold {
+				want -= fold - 1 // ...and the fold replaced nine with one
+			}
+			if len(segs) != want {
+				t.Fatalf("spill directory holds %d segment files %v, want %d", len(segs), segs, want)
 			}
 
 			// Recovery: rerun from scratch over the leftover partial files.
@@ -148,7 +196,7 @@ func TestCrashDuringSpillRecovery(t *testing.T) {
 // TestFaultInjectedSpill drives the governed run through the fault-injecting
 // filesystem. Transient regimes must be absorbed by the retry policy and
 // converge to byte-identical outputs in one run; hard regimes must fail the
-// run cleanly — no committed outputs, no torn spill generation — after which
+// run cleanly — no committed outputs, no torn spill directory — after which
 // a fault-free rerun recovers byte-identically.
 func TestFaultInjectedSpill(t *testing.T) {
 	if testing.Short() {

@@ -319,7 +319,9 @@ func TestDistChaosMatrix(t *testing.T) {
 	if counters["dist.shard.reassigned"] == 0 {
 		t.Errorf("dist.shard.reassigned is 0; counters: %v (log: %s)", counters, c2.logPath)
 	}
-	if !logHasEvent(t, c2.logPath, "worker_evicted") {
+	// The victim may have died within a lease of the last shard completing:
+	// the lingering coordinator still notices, a lease later at most.
+	if !logWaitEvent(t, c2.logPath, "worker_evicted", 10*time.Second) {
 		t.Errorf("coordinator log missing worker_evicted (log: %s)", c2.logPath)
 	}
 

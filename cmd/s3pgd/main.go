@@ -448,12 +448,9 @@ func runCoordinator(cfg coordCfg, logger *obs.Logger, stderr io.Writer) int {
 		// Keep the control surface up briefly so harnesses and dashboards can
 		// scrape the terminal state before the process goes away.
 		if cfg.linger > 0 {
-			t := time.NewTimer(cfg.linger)
-			select {
-			case <-ctx.Done(): // the signal goroutine cancels on SIGTERM
-			case <-t.C:
-			}
-			t.Stop()
+			lingering, stop := context.WithTimeout(ctx, cfg.linger) // the signal goroutine cancels ctx on SIGTERM
+			c.Linger(lingering)
+			stop()
 		}
 		writeExitReason("dist-done")
 		return exitOK

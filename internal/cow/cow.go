@@ -124,6 +124,21 @@ func (l *Lists[E]) Len() int { return l.t.n }
 // At returns list i (nil when empty). The caller must not modify it.
 func (l *Lists[E]) At(i int) []E { return l.t.At(i) }
 
+// Next returns the smallest id >= i whose list is non-empty, or -1. Pages
+// never written are skipped whole, so a walk of the non-empty lists costs
+// what they hold plus a pointer check per page below Len.
+func (l *Lists[E]) Next(i int) int {
+	for ; i < l.t.n; i++ {
+		p := l.t.pages[i>>pageBits]
+		if p == nil {
+			i |= pageMask
+		} else if len(p.v[i&pageMask]) > 0 {
+			return i
+		}
+	}
+	return -1
+}
+
 // Append adds e to the end of list i.
 func (l *Lists[E]) Append(i int, e E) {
 	s := l.slot(i)

@@ -1,6 +1,7 @@
 package cow
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -235,5 +236,30 @@ func TestMapGetOrPut(t *testing.T) {
 	check(&f, "z-new", 10, 10, false)
 	if _, ok := m.Get("z-new"); ok {
 		t.Fatal("the clone's insertion after a fold is visible in the original")
+	}
+}
+
+// TestListsNext: Next walks exactly the non-empty lists in id order, across
+// pages never written and lists emptied by Pop.
+func TestListsNext(t *testing.T) {
+	var l Lists[int32]
+	if got := l.Next(0); got != -1 {
+		t.Fatalf("Next on empty lists = %d", got)
+	}
+	want := []int{3, pageSize - 1, pageSize, 5*pageSize + 17, 9 * pageSize}
+	for _, id := range want {
+		l.Append(id, int32(id))
+	}
+	l.Append(4*pageSize+1, 7)
+	l.Pop(4*pageSize + 1) // written page, empty list
+	var got []int
+	for id := l.Next(0); id >= 0; id = l.Next(id + 1) {
+		got = append(got, id)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Next visited %v, want %v", got, want)
+	}
+	if id := l.Next(9*pageSize + 1); id != -1 {
+		t.Fatalf("Next past the last list = %d", id)
 	}
 }

@@ -273,11 +273,7 @@ func (c *Coordinator) dispatch(ctx context.Context) error {
 			led.Commit()
 			return context.Cause(ctx)
 		}
-		for _, id := range c.reg.Reap() {
-			cut := led.DropWorker(id)
-			c.cfg.Log.Warn("worker_evicted", "worker", id, "requeued", cut)
-			led.Commit()
-		}
+		c.evictExpired()
 		claim, ok := led.Claim(c.cfg.SpeculateAfter)
 		if !ok {
 			c.pause(ctx, 25*time.Millisecond)
@@ -320,6 +316,34 @@ func (c *Coordinator) dispatch(ctx context.Context) error {
 	stopSends(errors.New("dist: all shards complete"))
 	wg.Wait()
 	return led.Commit()
+}
+
+// evictExpired drops every worker whose lease has lapsed, requeueing the
+// shards only it was sending.
+func (c *Coordinator) evictExpired() {
+	led := c.Ledger()
+	for _, id := range c.reg.Reap() {
+		cut := led.DropWorker(id)
+		c.cfg.Log.Warn("worker_evicted", "worker", id, "requeued", cut)
+		led.Commit()
+	}
+}
+
+// Linger blocks until ctx is done, evicting workers whose lease lapses in
+// the meantime. A coordinator kept up after Run to be scraped calls it, so
+// that a worker that died just before the last shard completed — too late
+// for dispatch to notice — still leaves the status and the log.
+func (c *Coordinator) Linger(ctx context.Context) {
+	t := time.NewTicker(c.reg.TTL() / 2)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			c.evictExpired()
+		}
+	}
 }
 
 // workerDrought reports whether the registry has been empty for longer than

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/s3pg/s3pg/internal/faultio"
+	"github.com/s3pg/s3pg/internal/obs"
 	"github.com/s3pg/s3pg/internal/rio"
 )
 
@@ -154,6 +155,61 @@ func TestCoordinatorNoWorkersDegradesLocal(t *testing.T) {
 			t.Fatalf("shard %d ran on %q with no workers registered", s.ID, s.Worker)
 		}
 	}
+}
+
+// TestLingerEvictsAfterRun: a worker whose lease lapses once every shard is
+// done — too late for dispatch to see — is still evicted, and logged, by a
+// coordinator that lingers to be scraped.
+func TestLingerEvictsAfterRun(t *testing.T) {
+	dataPath, shapesPath, _, _ := writeInputs(t)
+	var logged syncBuffer
+	c := New(Config{
+		DataPath: dataPath, ShapesPath: shapesPath,
+		OutDir: filepath.Join(t.TempDir(), "out"), StateDir: filepath.Join(t.TempDir(), "state"),
+		ShardCount: 2, LeaseTTL: 40 * time.Millisecond, WaitWorkers: time.Millisecond, SpeculateAfter: time.Hour,
+		Log: obs.NewLogger(&logged, "coordinator"),
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := c.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	c.RegisterWorker("late", "http://127.0.0.1:1") // never heartbeats again
+	lingering, stop := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Linger(lingering)
+	}()
+	for c.reg.Live() > 0 && ctx.Err() == nil {
+		time.Sleep(5 * time.Millisecond)
+	}
+	stop()
+	<-done
+	if c.reg.Live() != 0 || !strings.Contains(logged.String(), "worker_evicted") {
+		t.Fatalf("lingering coordinator kept the dead worker (live=%d); log:\n%s", c.reg.Live(), logged.String())
+	}
+	if !c.Ledger().Merged() {
+		t.Fatal("eviction after the merge disturbed the ledger")
+	}
+}
+
+// syncBuffer is a bytes.Buffer a logger and the test may use at once.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
 }
 
 // TestCoordinatorSpeculationReassigns parks one shard on a straggler and

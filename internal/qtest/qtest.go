@@ -72,6 +72,23 @@ func Fixtures() []Fixture {
 	return out
 }
 
+// SpillIn returns g rebuilt in k installments of equal size, spilled to dir
+// after each: the same ids, slots and admission order, read across k spill
+// segments with triples of one subject on both sides of a boundary.
+func SpillIn(g *rdf.Graph, k int, dir string) (*rdf.Graph, error) {
+	out := rdf.NewGraph()
+	triples := g.Triples()
+	for i := 1; i <= k; i++ {
+		for _, t := range triples[len(triples)*(i-1)/k : len(triples)*i/k] {
+			out.Add(t)
+		}
+		if err := out.Spill(dir, nil); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // Transform runs F_st and F_dt over the fixture in the given mode.
 func (f Fixture) Transform(mode core.Mode) (*pg.Store, *pgschema.Schema, error) {
 	return core.Transform(f.Graph, f.Shapes, mode)

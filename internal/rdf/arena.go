@@ -1,53 +1,71 @@
 package rdf
 
 import (
+	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 )
 
 // termArena is the disk-backed term dictionary of a spilled graph: every
-// term interned before the spill lives in a string arena file as a sequence
-// of CRC-framed blocks of arenaBlockTerms terms each, decoded on demand
-// through a bounded LRU. What stays resident per spilled term is a block
-// offset share (8 bytes / arenaBlockTerms) and one entry in the 64-bit hash
-// index that serves Intern/Lookup — the strings themselves live on disk.
+// term interned before the last spill lives in the term section of one of
+// the spill's segments (ascending, disjoint id ranges) as
+// CRC-framed blocks of arenaBlockTerms records, read on demand through a
+// bounded LRU. What stays resident per spilled term is a block offset share
+// (8 bytes / arenaBlockTerms) and one entry in the 64-bit hash index that
+// serves Intern/Lookup — the strings themselves live on disk.
 //
-// The arena is immutable once written; terms interned after the spill go to
-// the Dict's in-memory tail. Readers are goroutine-safe (the cache is
-// mutex-guarded, file reads use ReadAt), which is what lets serve snapshots
-// share one spilled generation across concurrent queries.
+// An arena is immutable: a spill installs a new one over the longer segment
+// list. Terms interned after the spill go to the Dict's in-memory tail.
+// Readers are goroutine-safe (the cache is mutex-guarded, file reads use
+// ReadAt), which is what lets serve snapshots share one spilled graph across
+// concurrent queries.
 type termArena struct {
-	path     string
-	f        *os.File
-	n        int     // spilled term count; ids [0,n) resolve here
-	blockOff []int64 // file offset of each block frame
+	segs []*segment // ids [0, Dict.base) resolve here
 
 	// hash serves Lookup/Intern over spilled terms: 64-bit FNV-1a of the
 	// term → id, with a rare overflow list when two terms collide. A hit is
-	// confirmed by decoding the candidate term, so collisions cannot alias.
+	// confirmed against the candidate's record, so collisions cannot alias.
 	hash map[uint64]TermID
 	over map[uint64][]TermID
 	// shared is set once a clone's dictionary reads this arena: the next
-	// generation then extends a copy of the index instead of the maps.
+	// spill then extends a copy of the index instead of the maps.
 	shared bool
 
 	mu    sync.Mutex
-	cache *lruCache[[]Term]
+	cache *lruCache[*termBlock]
+}
+
+// termBlock is a cached term block: the frame's payload, CRC-verified and
+// walked once when it entered the cache, plus where each record starts. A
+// term is compared in place, or materialised one record at a time; what
+// Term has materialised stays with the block, so a reader going back to the
+// same terms (a scan's predicates, a subject's statements) builds each once
+// per residency, as it would from a block decoded whole.
+type termBlock struct {
+	buf []byte
+	off []uint32 // off[i] is the start of record i; one past the last is len(buf)
+	// terms[i] is record i once its Kind is set. The table is made when Term
+	// comes back to the block (again), not for its first read. Both are
+	// guarded by termArena.mu.
+	terms []Term
+	again bool
 }
 
 const (
 	// arenaBlockTerms is the term-block granularity: large enough that the
-	// resident offset table is negligible, small enough that decoding a
+	// resident offset table is negligible, small enough that reading a
 	// block to serve one term stays cheap and cache-friendly.
 	arenaBlockTerms = 256
-	// arenaCacheBlocks bounds resident decoded term blocks (~16k terms).
+	// arenaCacheBlocks bounds resident term blocks (~16k terms).
 	arenaCacheBlocks = 64
 	// maxSpillPayload caps any single frame a spill reader will allocate
 	// for, so a corrupt length prefix cannot drive an OOM.
 	maxSpillPayload = 1 << 30
 )
+
+func newArena(segs []*segment) *termArena {
+	return &termArena{segs: segs, cache: newLRU[*termBlock](arenaCacheBlocks)}
+}
 
 // termHash64 is 64-bit FNV-1a over all identity fields of a term, with 0x1f
 // separators so field boundaries cannot alias.
@@ -86,94 +104,69 @@ func appendTermRecord(dst []byte, t Term) []byte {
 	return dst
 }
 
-func readTermRecord(buf []byte, pos int) (Term, int, error) {
-	if pos >= len(buf) {
-		return Term{}, 0, fmt.Errorf("truncated term record at %d", pos)
-	}
-	t := Term{Kind: Kind(buf[pos])}
-	pos++
-	readStr := func(pos int) (string, int, error) {
-		n, pos, err := readUvarint(buf, pos)
-		if err != nil {
-			return "", 0, err
+// walkTermRecords checks that buf is exactly count well-formed records and
+// returns where each starts.
+func walkTermRecords(buf []byte, count int) ([]uint32, error) {
+	off := make([]uint32, count+1)
+	pos := 0
+	for i := 0; i < count; i++ {
+		off[i] = uint32(pos)
+		if pos >= len(buf) {
+			return nil, fmt.Errorf("truncated term record at %d", pos)
 		}
-		if pos+int(n) > len(buf) {
-			return "", 0, fmt.Errorf("term string overruns block at %d", pos)
+		pos++ // kind
+		for f := 0; f < 3; f++ {
+			if pos >= len(buf) {
+				return nil, fmt.Errorf("truncated term record at %d", pos)
+			}
+			n, next := uint64(buf[pos]), pos+1
+			if n >= 0x80 { // a string of 128 bytes or more: the general decoder
+				var err error
+				if n, next, err = readUvarint(buf, pos); err != nil {
+					return nil, err
+				}
+			}
+			if n > uint64(len(buf)-next) {
+				return nil, fmt.Errorf("term string overruns block at %d", next)
+			}
+			pos = next + int(n)
 		}
-		return string(buf[pos : pos+int(n)]), pos + int(n), nil
 	}
-	var err error
-	if t.Value, pos, err = readStr(pos); err != nil {
-		return Term{}, 0, err
+	if pos != len(buf) {
+		return nil, fmt.Errorf("term block has %d trailing bytes", len(buf)-pos)
 	}
-	if t.Datatype, pos, err = readStr(pos); err != nil {
-		return Term{}, 0, err
-	}
-	if t.Lang, pos, err = readStr(pos); err != nil {
-		return Term{}, 0, err
-	}
-	return t, pos, nil
+	off[count] = uint32(pos)
+	return off, nil
 }
 
-// writeArena streams n terms (term(i) for i in [0,n)) as CRC-framed blocks
-// to w and returns the frame offset of each block.
-func writeArena(w io.Writer, n int, term func(int) Term) ([]int64, error) {
-	var (
-		blockOff []int64
-		off      int64
-		payload  []byte
-		frame    []byte
-	)
-	for base := 0; base < n; base += arenaBlockTerms {
-		end := base + arenaBlockTerms
-		if end > n {
-			end = n
-		}
-		payload = payload[:0]
-		for i := base; i < end; i++ {
-			payload = appendTermRecord(payload, term(i))
-		}
-		frame = appendFrame(frame[:0], payload)
-		if _, err := w.Write(frame); err != nil {
-			return nil, err
-		}
-		blockOff = append(blockOff, off)
-		off += int64(len(frame))
-	}
-	return blockOff, nil
+// field splits the length-prefixed string at the head of rec from the rest.
+// The lengths were checked when the block was walked.
+func field(rec []byte) (str, rest []byte) {
+	n, w := binary.Uvarint(rec)
+	return rec[w : w+int(n)], rec[w+int(n):]
 }
 
-// openArena opens an arena file for reading. When buildIndex is true it
-// scans every block — verifying all CRCs up front — and builds the hash
-// index from the decoded terms; otherwise the caller supplies the index
-// (the in-process spill path already has every hash).
-func openArena(path string, n int, blockOff []int64, buildIndex bool) (*termArena, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// term materialises record i.
+func (b *termBlock) term(i int) Term {
+	rec := b.buf[b.off[i]:b.off[i+1]]
+	t := Term{Kind: Kind(rec[0])}
+	v, rec := field(rec[1:])
+	dt, rec := field(rec)
+	lang, _ := field(rec)
+	t.Value, t.Datatype, t.Lang = string(v), string(dt), string(lang)
+	return t
+}
+
+// equal reports whether record i is t, without building a Term.
+func (b *termBlock) equal(i int, t Term) bool {
+	rec := b.buf[b.off[i]:b.off[i+1]]
+	if Kind(rec[0]) != t.Kind {
+		return false
 	}
-	a := &termArena{
-		path:     path,
-		f:        f,
-		n:        n,
-		blockOff: blockOff,
-		hash:     make(map[uint64]TermID, n),
-		over:     make(map[uint64][]TermID),
-		cache:    newLRU[[]Term](arenaCacheBlocks),
-	}
-	if buildIndex {
-		for b := range blockOff {
-			terms, err := a.decodeBlock(b)
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
-			for i, t := range terms {
-				a.addHash(t, TermID(b*arenaBlockTerms+i))
-			}
-		}
-	}
-	return a, nil
+	v, rec := field(rec[1:])
+	dt, rec := field(rec)
+	lang, _ := field(rec)
+	return string(v) == t.Value && string(dt) == t.Datatype && string(lang) == t.Lang
 }
 
 func (a *termArena) addHash(t Term, id TermID) {
@@ -185,9 +178,9 @@ func (a *termArena) addHash(t Term, id TermID) {
 	a.over[h] = append(a.over[h], id)
 }
 
-// handOffIndex returns the hash index for the next generation to extend
-// with its tail terms: the maps themselves, or copies when a clone still
-// looks terms up through this arena.
+// handOffIndex returns the hash index for the next arena to extend with its
+// tail terms: the maps themselves, or copies when a clone still looks terms
+// up through this arena.
 func (a *termArena) handOffIndex() (map[uint64]TermID, map[uint64][]TermID) {
 	if !a.shared {
 		return a.hash, a.over
@@ -203,58 +196,101 @@ func (a *termArena) handOffIndex() (map[uint64]TermID, map[uint64][]TermID) {
 	return hash, over
 }
 
-func (a *termArena) close() {
-	if a.f != nil {
-		a.f.Close()
-	}
-}
-
-// decodeBlock reads and decodes block b straight from disk (no cache).
-func (a *termArena) decodeBlock(b int) ([]Term, error) {
-	payload, _, err := readFrameAt(a.f, a.blockOff[b], maxSpillPayload)
+// readTermBlock reads block b of sg straight from disk (no cache).
+func readTermBlock(sg *segment, b int) (*termBlock, int64, error) {
+	payload, next, err := readFrameAt(sg.f, sg.blockOff[b], maxSpillPayload)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	count := arenaBlockTerms
-	if rem := a.n - b*arenaBlockTerms; rem < count {
+	if rem := int(sg.t1-sg.t0) - b*arenaBlockTerms; rem < count {
 		count = rem
 	}
-	terms := make([]Term, 0, count)
-	pos := 0
-	for len(terms) < count {
-		t, next, derr := readTermRecord(payload, pos)
-		if derr != nil {
-			return nil, &CorruptSpillError{File: a.path, Offset: a.blockOff[b], Detail: derr.Error()}
-		}
-		terms = append(terms, t)
-		pos = next
+	off, err := walkTermRecords(payload, count)
+	if err != nil {
+		return nil, 0, sg.corrupt(sg.blockOff[b], "%v", err)
 	}
-	return terms, nil
+	return &termBlock{buf: payload, off: off}, next, nil
 }
 
-// block returns decoded block b through the LRU, panicking on corruption:
-// the CRC was verified when the generation was loaded, so a mid-run failure
-// means the bytes rotted underneath us and no correct answer exists.
-func (a *termArena) block(b int) []Term {
-	a.mu.Lock()
-	if terms, ok := a.cache.get(b); ok {
-		a.mu.Unlock()
-		return terms
+// where resolves id to its segment's position in the list, its block within
+// the segment, and its index within the block.
+func (a *termArena) where(id TermID) (si, b, i int) {
+	lo, hi := 0, len(a.segs)
+	for lo < hi { // first segment ending past id
+		if mid := (lo + hi) / 2; a.segs[mid].t1 <= id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	a.mu.Unlock()
-	terms, err := a.decodeBlock(b)
+	rel := int(id - a.segs[lo].t0)
+	return lo, rel / arenaBlockTerms, rel % arenaBlockTerms
+}
+
+// load reads a block into the cache, panicking on corruption: the CRC was
+// verified when the segment was written or loaded, so a mid-run failure
+// means the bytes rotted underneath us and no correct answer exists.
+func (a *termArena) load(si, b int) *termBlock {
+	blk, _, err := readTermBlock(a.segs[si], b)
 	if err != nil {
 		panic(err.Error())
 	}
 	a.mu.Lock()
-	a.cache.put(b, terms)
+	a.cache.put(frameKey(si, b), blk)
 	a.mu.Unlock()
-	return terms
+	return blk
+}
+
+// locate returns the cached block holding id and id's index in it.
+func (a *termArena) locate(id TermID) (*termBlock, int) {
+	si, b, i := a.where(id)
+	a.mu.Lock()
+	blk, ok := a.cache.get(frameKey(si, b))
+	a.mu.Unlock()
+	if !ok {
+		blk = a.load(si, b)
+	}
+	return blk, i
 }
 
 // term resolves a spilled term id.
 func (a *termArena) term(id TermID) Term {
-	return a.block(int(id) / arenaBlockTerms)[int(id)%arenaBlockTerms]
+	si, b, i := a.where(id)
+	a.mu.Lock()
+	blk, ok := a.cache.get(frameKey(si, b))
+	if !ok {
+		a.mu.Unlock()
+		blk = a.load(si, b)
+		a.mu.Lock()
+	}
+	if blk.terms == nil {
+		if !blk.again { // a block read for a single term is not worth the table
+			blk.again = true
+			a.mu.Unlock()
+			return blk.term(i)
+		}
+		blk.terms = make([]Term, len(blk.off)-1)
+	}
+	t := blk.terms[i]
+	if t.Kind == 0 {
+		t = blk.term(i)
+		blk.terms[i] = t
+	}
+	a.mu.Unlock()
+	return t
+}
+
+// record returns the serialized form of a spilled term (appendTermRecord's
+// bytes), which a fold copies without decoding.
+func (a *termArena) record(id TermID) []byte {
+	blk, i := a.locate(id)
+	return blk.buf[blk.off[i]:blk.off[i+1]]
+}
+
+func (a *termArena) is(id TermID, t Term) bool {
+	blk, i := a.locate(id)
+	return blk.equal(i, t)
 }
 
 // lookup finds the id of a spilled term, if present.
@@ -264,11 +300,11 @@ func (a *termArena) lookup(t Term) (TermID, bool) {
 	if !ok {
 		return 0, false
 	}
-	if a.term(id) == t {
+	if a.is(id, t) {
 		return id, true
 	}
 	for _, cand := range a.over[h] {
-		if a.term(cand) == t {
+		if a.is(cand, t) {
 			return cand, true
 		}
 	}

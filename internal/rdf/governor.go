@@ -13,7 +13,7 @@ var gSpillPressure = obs.Default.Gauge("rdf.spill.pressure")
 
 // SpillConfig parameterizes a memory-pressure Governor.
 type SpillConfig struct {
-	// Dir receives the spill generations.
+	// Dir receives the spill segments and their MANIFEST.
 	Dir string
 	// FS is the commit seam for spill writes (nil = real filesystem).
 	FS ckpt.FS
@@ -104,5 +104,5 @@ func (gv *Governor) UnderPressure() bool { return gv.latched }
 // Spills returns the number of spill operations the governor has run.
 func (gv *Governor) Spills() int { return gv.spills }
 
-// Dir returns the spill directory the governor writes generations to.
+// Dir returns the spill directory the governor writes to.
 func (gv *Governor) Dir() string { return gv.cfg.Dir }

@@ -28,8 +28,8 @@ const noID = ^TermID(0)
 // (for example between two snapshots of an evolving KG) so that ids are
 // comparable across them.
 //
-// A spilled dictionary (see Graph.Spill) keeps ids [0, base) in a disk
-// arena and only terms interned afterwards in the resident tail; id
+// A spilled dictionary (see Graph.Spill) keeps ids [0, base) in the spill's
+// segment files and only terms interned afterwards in the resident tail; id
 // assignment is identical either way.
 type Dict struct {
 	idx   termIndex  // resident tail: term → position in terms
@@ -44,7 +44,7 @@ func NewDict() *Dict { return &Dict{} }
 // clone returns a dictionary with the same id assignments that either side
 // may keep interning into: the term slice is shared (the clone's capacity
 // clipped, so only d appends in place), the hash index as termIndex.share
-// says, the arena as the immutable generation it is.
+// says, the arena as the immutable value it is.
 func (d *Dict) clone() *Dict {
 	if d.arena != nil {
 		d.arena.shared = true
@@ -262,15 +262,17 @@ func (g *Graph) ownPresent() {
 // over an out-of-core graph keeps only one page resident at a time.
 func (g *Graph) forEachSlot(fn func(slot int, e encTriple) bool) {
 	if sp := g.spill; sp != nil {
-		for pg := 0; pg < sp.log.numPages(); pg++ {
-			base := pg * pageTriples
-			for j, e := range sp.log.page(pg) {
-				slot := base + j
-				if sp.isDead(slot) {
-					continue
-				}
-				if !fn(slot, e) {
-					return
+		for si, sg := range sp.segs {
+			for pg := 0; pg < sg.numPages(); pg++ {
+				base := sg.s0 + pg*pageTriples
+				for j, e := range sp.log.page(si, pg) {
+					slot := base + j
+					if sp.isDead(slot) {
+						continue
+					}
+					if !fn(slot, e) {
+						return
+					}
 				}
 			}
 		}
@@ -309,8 +311,8 @@ func (g *Graph) postingFor(k int, id TermID) []int32 {
 }
 
 // slotOf finds the live slot holding e: the tail's hash map when the graph
-// has one, else — a clone that was never mutated, and the spilled prefix,
-// which keeps no resident hash — a scan of e's shortest posting list.
+// has one, else — a clone that was never mutated — a scan of e's shortest
+// posting list; then the spilled prefix, which keeps no resident hash.
 func (g *Graph) slotOf(e encTriple) (int32, bool) {
 	if g.present != nil {
 		if idx, ok := g.present[e]; ok {
@@ -328,12 +330,7 @@ func (g *Graph) slotOf(e encTriple) (int32, bool) {
 	if sp == nil {
 		return 0, false
 	}
-	for _, idx := range shortest(sp.post[0].posting(e.s), sp.post[1].posting(e.p), sp.post[2].posting(e.o)) {
-		if !sp.isDead(int(idx)) && sp.log.triple(int(idx)) == e {
-			return idx, true
-		}
-	}
-	return 0, false
+	return sp.slotOf(e)
 }
 
 func shortest(s, p, o []int32) []int32 {
@@ -739,8 +736,8 @@ func (g *Graph) AddAll(other *Graph) int {
 // the other. Nothing is copied per triple or per term — the triple log, the
 // term slice and the posting arrays are shared (only g may append to them
 // in place; the clone's views are clipped), the posting tables and the
-// dictionary's hash index are shared copy-on-write (package cow), a spilled
-// generation is shared as the immutable files it is, and the tombstones are
+// dictionary's hash index are shared copy-on-write (package cow), spilled
+// segments are shared as the immutable files they are, and the tombstones are
 // copied by whichever side first flips one. Slot indexes and term ids are
 // preserved. Clone writes to g's sharing state, so like any mutation it must
 // not run concurrently with another method of g.

@@ -1,16 +1,17 @@
 // Out-of-core graph representation (DESIGN.md §10). Spill moves the three
 // heavy resident structures of a Graph — the term dictionary's strings, the
-// triple log, and the subject/predicate/object posting lists — into a
-// CRC-framed on-disk generation, leaving behind a small in-memory "tail"
-// that absorbs writes arriving after the spill. Slot indexes and term ids
-// are preserved exactly, so every accessor (ForEach, Match, EncodedAt, CSV
-// export, the evaluators) observes the same admission order and the same
-// bytes as the fully-resident graph: spilling is invisible to output.
+// triple log, and the subject/predicate/object posting lists — to disk,
+// leaving behind a small in-memory "tail" that absorbs writes arriving after
+// the spill. Slot indexes and term ids are preserved exactly, so every
+// accessor (ForEach, Match, EncodedAt, CSV export, the evaluators) observes
+// the same admission order and the same bytes as the fully-resident graph:
+// spilling is invisible to output.
 //
-// A generation is a set of flat files sharing a "gen-N." prefix plus a
-// MANIFEST committed last and atomically; a crash mid-spill leaves the
-// previous MANIFEST (or none) pointing at complete files, never torn ones.
-// All writes go through the ckpt.FS seam so faultio can inject faults.
+// The disk side is an append-only list of immutable segment files, one per
+// spill, each holding only what the tail held, plus a MANIFEST naming the
+// list, committed last and atomically; a crash mid-spill leaves the previous
+// MANIFEST (or none) pointing at complete files, never torn ones. All writes
+// go through the ckpt.FS seam so faultio can inject faults.
 package rdf
 
 import (
@@ -20,9 +21,10 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math/bits"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"sync"
 
 	"github.com/s3pg/s3pg/internal/ckpt"
@@ -30,20 +32,27 @@ import (
 	"github.com/s3pg/s3pg/internal/obs"
 )
 
-// Spill observability (obs.Default registry): bytes written to spill files,
-// posting segments written, and completed spill operations.
+// Spill observability (obs.Default registry): bytes written to the spill
+// directory, segment files written (folds included), and completed spills.
 var (
 	cSpillBytes    = obs.Default.Counter("rdf.spill.bytes")
 	cSpillSegments = obs.Default.Counter("rdf.spill.segments")
 	cSpillOps      = obs.Default.Counter("rdf.spill.ops")
 )
 
-// ErrNoSpill reports that a directory holds no committed spill generation.
-var ErrNoSpill = errors.New("rdf: no committed spill generation")
+// ErrNoSpill reports that a directory holds no committed spill.
+var ErrNoSpill = errors.New("rdf: no committed spill")
 
 const (
-	spillVersion = 1
+	spillVersion = 2
 	manifestName = "MANIFEST"
+
+	// spillFanIn is how many segments a tier holds before the next spill
+	// folds them, with the tail, into one segment of the tier above. A byte
+	// is rewritten once per tier and k spills reach ⌈log₉ k⌉ tiers, a read
+	// fans out over at most spillFanIn segments per tier: 8 keeps a million
+	// spills within 7 tiers and 56 segments.
+	spillFanIn = 8
 
 	// pageTriples is the triple-log page granularity: 4096 triples = 48 KiB
 	// payload per frame, a good unit for both sequential scans and the LRU.
@@ -51,41 +60,59 @@ const (
 	pageFrameBytes = frameOverhead + 12*pageTriples
 	pageCacheSize  = 32
 
-	// postSegTarget cuts a posting segment once its payload reaches this
-	// size; segments are the unit of paged posting reads ("coldest segments
-	// live on disk") and of CRC verification.
-	postSegTarget = 128 << 10
-	segCacheSize  = 32
+	// postFrameTarget cuts a posting frame once its payload reaches this
+	// size; frames are the unit of paged posting reads ("coldest frames live
+	// on disk") and of CRC verification.
+	postFrameTarget = 128 << 10
+	postCacheSize   = 32
 )
 
-// spillManifest is the commit record of a generation, written last.
+// spillManifest is the commit record of a spill directory, written last.
 type spillManifest struct {
-	Version  int    `json:"version"`
-	Gen      int    `json:"gen"`
-	Prefix   string `json:"prefix"`
-	Terms    int    `json:"terms"`
-	Slots    int    `json:"slots"`
-	NDead    int    `json:"n_dead"`
-	Segments [3]int `json:"segments"` // posting segment count per index (s,p,o)
+	Version  int           `json:"version"`
+	NextSeq  int           `json:"next_seq"` // sequence numbers below it have named a committed segment
+	Terms    int           `json:"terms"`
+	Slots    int           `json:"slots"`
+	NDead    int           `json:"n_dead"`
+	Segments []manifestSeg `json:"segments"`
+	// Dead is the tombstone bitset in sparse form: one frame holding the
+	// dead slots ascending, delta-varint, so it costs what was removed.
+	Dead []byte `json:"dead"`
 }
 
-func (m *spillManifest) file(name string) string { return m.Prefix + name }
+type manifestSeg struct {
+	File   string `json:"file"`
+	Tier   int    `json:"tier"`
+	Terms  [2]int `json:"terms"` // id range [t0,t1)
+	Slots  [2]int `json:"slots"` // slot range [s0,s1)
+	Footer int64  `json:"footer"`
+}
 
-// graphSpill is the resident handle on a spilled generation: open files,
-// bounded caches, and the mutable tombstone bitset over spilled slots.
+// graphSpill is the resident handle on a graph's spilled slots: the segment
+// list, bounded caches, and the mutable tombstone bitset over spilled slots.
 type graphSpill struct {
-	dir   string
-	gen   int
-	slots int
-	log   *pageFile
-	post  [3]*postIndex
-	dead  []uint64 // bitset over [0,slots); mutable (Remove after spill)
+	dir     string
+	segs    []*segment // ascending, disjoint slot ranges covering [0,slots)
+	slots   int
+	nextSeq int
+	log     *pageLog
+	post    [3]*postIndex
+	dead    []uint64 // bitset over [0,slots); mutable (Remove after spill)
 	// deadShared is set while another handle may hold the bitset; setDead
 	// copies it first.
 	deadShared bool
 }
 
-// share returns a second handle over the same immutable generation, for
+func newGraphSpill(dir string, segs []*segment, slots, nextSeq int, dead []uint64) *graphSpill {
+	sp := &graphSpill{dir: dir, segs: segs, slots: slots, nextSeq: nextSeq, dead: dead,
+		log: &pageLog{segs: segs, cache: newLRU[[]encTriple](pageCacheSize)}}
+	for k := range sp.post {
+		sp.post[k] = &postIndex{k: k, segs: segs, cache: newLRU[*postFrame](postCacheSize)}
+	}
+	return sp
+}
+
+// share returns a second handle over the same immutable segments, for
 // Clone. The tombstone bitset is shared until either handle sets a bit.
 func (sp *graphSpill) share() *graphSpill {
 	sp.deadShared = true
@@ -105,41 +132,53 @@ func (sp *graphSpill) setDead(slot int) {
 	sp.dead[slot>>6] |= 1 << (uint(slot) & 63)
 }
 
-// pageFile reads the CRC-framed triple log. Frames are fixed-size (the last
-// may be short), so a page's offset is computed, not indexed.
-type pageFile struct {
-	path  string
-	f     *os.File
-	slots int
+// slotOf finds the live spilled slot holding e. A segment written before one
+// of e's terms was interned cannot hold it, and segments ascend in t1, so a
+// triple naming a term newer than the last spill returns before any read.
+// Within a segment the predicate's list — the longest — is fetched only when
+// subject and object both occur there.
+func (sp *graphSpill) slotOf(e encTriple) (int32, bool) {
+	newest := max(e.s, e.p, e.o)
+	for si := len(sp.segs) - 1; si >= 0 && newest < sp.segs[si].t1; si-- {
+		s := sp.post[0].in(si, e.s)
+		if len(s) == 0 {
+			continue
+		}
+		o := sp.post[2].in(si, e.o)
+		if len(o) == 0 {
+			continue
+		}
+		for _, idx := range shortest(s, sp.post[1].in(si, e.p), o) {
+			if !sp.isDead(int(idx)) && sp.log.triple(int(idx)) == e {
+				return idx, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// pageLog reads the spilled triple log: per segment, fixed-size CRC-framed
+// pages (the last may be short), so a page's offset is computed, not indexed.
+type pageLog struct {
+	segs []*segment
 
 	mu    sync.Mutex
 	cache *lruCache[[]encTriple]
 }
 
-func openPageFile(path string, slots int) (*pageFile, error) {
-	f, err := os.Open(path)
+// readPage reads page pg of sg straight from disk (no cache).
+func readPage(sg *segment, pg int) ([]encTriple, int64, error) {
+	off := sg.pageOff + int64(pg)*pageFrameBytes
+	payload, next, err := readFrameAt(sg.f, off, 12*pageTriples)
 	if err != nil {
-		return nil, err
-	}
-	p := &pageFile{path: path, f: f, slots: slots, cache: newLRU[[]encTriple](pageCacheSize)}
-	runtime.SetFinalizer(p, func(p *pageFile) { p.f.Close() })
-	return p, nil
-}
-
-func (p *pageFile) numPages() int { return (p.slots + pageTriples - 1) / pageTriples }
-
-func (p *pageFile) decodePage(pg int) ([]encTriple, error) {
-	payload, _, err := readFrameAt(p.f, int64(pg)*pageFrameBytes, 12*pageTriples)
-	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	count := pageTriples
-	if rem := p.slots - pg*pageTriples; rem < count {
+	if rem := sg.s1 - sg.s0 - pg*pageTriples; rem < count {
 		count = rem
 	}
 	if len(payload) != 12*count {
-		return nil, &CorruptSpillError{File: p.path, Offset: int64(pg) * pageFrameBytes,
-			Detail: fmt.Sprintf("page %d holds %d bytes, want %d", pg, len(payload), 12*count)}
+		return nil, 0, sg.corrupt(off, "page %d holds %d bytes, want %d", pg, len(payload), 12*count)
 	}
 	ts := make([]encTriple, count)
 	for i := range ts {
@@ -150,184 +189,395 @@ func (p *pageFile) decodePage(pg int) ([]encTriple, error) {
 			o: TermID(binary.LittleEndian.Uint32(b[8:])),
 		}
 	}
-	return ts, nil
+	return ts, next, nil
 }
 
-// page returns decoded page pg through the LRU; corruption panics (see
-// termArena.block for the rationale).
-func (p *pageFile) page(pg int) []encTriple {
+// page returns page pg of segment si through the LRU; corruption panics (see
+// termArena.locate for the rationale).
+func (p *pageLog) page(si, pg int) []encTriple {
+	key := frameKey(si, pg)
 	p.mu.Lock()
-	if ts, ok := p.cache.get(pg); ok {
-		p.mu.Unlock()
+	ts, ok := p.cache.get(key)
+	p.mu.Unlock()
+	if ok {
 		return ts
 	}
-	p.mu.Unlock()
-	ts, err := p.decodePage(pg)
+	ts, _, err := readPage(p.segs[si], pg)
 	if err != nil {
 		panic(err.Error())
 	}
 	p.mu.Lock()
-	p.cache.put(pg, ts)
+	p.cache.put(key, ts)
 	p.mu.Unlock()
 	return ts
 }
 
-func (p *pageFile) triple(slot int) encTriple {
-	return p.page(slot / pageTriples)[slot%pageTriples]
-}
-
-// postIndex reads one spilled posting-list file: delta/varint-encoded
-// segments, each covering a contiguous ascending TermID range, found by
-// binary search over the resident segment directory.
-type postIndex struct {
-	path string
-	f    *os.File
-	segs []postSeg
-
-	mu    sync.Mutex
-	cache *lruCache[map[TermID][]int32]
-}
-
-type postSeg struct {
-	first, last TermID
-	off         int64
-}
-
-func openPostIndex(path string, segs []postSeg) (*postIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	pi := &postIndex{path: path, f: f, segs: segs, cache: newLRU[map[TermID][]int32](segCacheSize)}
-	runtime.SetFinalizer(pi, func(pi *postIndex) { pi.f.Close() })
-	return pi, nil
-}
-
-// appendPostEntry encodes one term's posting list: term-id delta from the
-// previous entry, list length, then slot deltas (slots ascend strictly, the
-// admission-order invariant, so deltas are positive and varint-small).
-func appendPostEntry(dst []byte, idDelta uint64, list []int32) []byte {
-	dst = appendUvarint(dst, idDelta)
-	dst = appendUvarint(dst, uint64(len(list)))
-	prev := int32(0)
-	for i, v := range list {
-		if i == 0 {
-			dst = appendUvarint(dst, uint64(v))
-		} else {
-			dst = appendUvarint(dst, uint64(v-prev))
-		}
-		prev = v
-	}
-	return dst
-}
-
-func decodePostSegment(payload []byte, path string, off int64) (map[TermID][]int32, TermID, TermID, error) {
-	fail := func(err error) (map[TermID][]int32, TermID, TermID, error) {
-		return nil, 0, 0, &CorruptSpillError{File: path, Offset: off, Detail: err.Error()}
-	}
-	n, pos, err := readUvarint(payload, 0)
-	if err != nil {
-		return fail(err)
-	}
-	m := make(map[TermID][]int32, n)
-	var first, last, id TermID
-	for i := uint64(0); i < n; i++ {
-		d, p2, err := readUvarint(payload, pos)
-		if err != nil {
-			return fail(err)
-		}
-		pos = p2
-		if i == 0 {
-			id = TermID(d)
-			first = id
-		} else {
-			id += TermID(d)
-		}
-		last = id
-		ln, p3, err := readUvarint(payload, pos)
-		if err != nil {
-			return fail(err)
-		}
-		pos = p3
-		list := make([]int32, ln)
-		var slot int32
-		for j := range list {
-			v, p4, err := readUvarint(payload, pos)
-			if err != nil {
-				return fail(err)
-			}
-			pos = p4
-			if j == 0 {
-				slot = int32(v)
-			} else {
-				slot += int32(v)
-			}
-			list[j] = slot
-		}
-		m[id] = list
-	}
-	if pos != len(payload) {
-		return fail(fmt.Errorf("segment has %d trailing bytes", len(payload)-pos))
-	}
-	return m, first, last, nil
-}
-
-// segment returns decoded segment i through the LRU; corruption panics.
-func (pi *postIndex) segment(i int) map[TermID][]int32 {
-	pi.mu.Lock()
-	if m, ok := pi.cache.get(i); ok {
-		pi.mu.Unlock()
-		return m
-	}
-	pi.mu.Unlock()
-	payload, _, err := readFrameAt(pi.f, pi.segs[i].off, maxSpillPayload)
-	if err != nil {
-		panic(err.Error())
-	}
-	m, _, _, derr := decodePostSegment(payload, pi.path, pi.segs[i].off)
-	if derr != nil {
-		panic(derr.Error())
-	}
-	pi.mu.Lock()
-	pi.cache.put(i, m)
-	pi.mu.Unlock()
-	return m
-}
-
-// posting returns the spilled posting list for id (nil when empty). The
-// returned slice is shared cache state and must not be mutated.
-func (pi *postIndex) posting(id TermID) []int32 {
-	lo, hi := 0, len(pi.segs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if pi.segs[mid].last < id {
+func (p *pageLog) triple(slot int) encTriple {
+	lo, hi := 0, len(p.segs)
+	for lo < hi { // first segment ending past slot
+		if mid := (lo + hi) / 2; p.segs[mid].s1 <= slot {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo == len(pi.segs) || pi.segs[lo].first > id {
+	rel := slot - p.segs[lo].s0
+	return p.page(lo, rel/pageTriples)[rel%pageTriples]
+}
+
+// postIndex reads one index (subject, predicate or object) of the spilled
+// posting lists: per segment, delta/varint-encoded frames each covering a
+// contiguous ascending TermID range, found by binary search over the
+// segment's resident frame directory.
+type postIndex struct {
+	k    int
+	segs []*segment
+
+	mu    sync.Mutex
+	cache *lruCache[*postFrame]
+}
+
+// postFrame is a decoded posting frame: ids ascending, the slots of ids[i]
+// at slots[start[i]:start[i+1]].
+type postFrame struct {
+	ids   []TermID
+	start []uint32
+	slots []int32
+}
+
+func (f *postFrame) list(id TermID) []int32 {
+	lo, hi := 0, len(f.ids)
+	for lo < hi {
+		if mid := (lo + hi) / 2; f.ids[mid] < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(f.ids) || f.ids[lo] != id {
 		return nil
 	}
-	return pi.segment(lo)[id]
+	return f.slots[f.start[lo]:f.start[lo+1]]
 }
 
-// countingWriter tracks spill bytes as they stream to a file.
-type countingWriter struct {
-	w io.Writer
-	n *int64
+// postFrameEncoder builds posting frames: entry and slot counts, then per
+// term the id delta from the previous entry, the list length, and the slot
+// deltas (slots ascend strictly, the admission-order invariant, so deltas
+// are positive and varint-small).
+type postFrameEncoder struct {
+	body           []byte
+	entries, slots uint64
+	first, prev    TermID
+	prevSlot       int32
+	payload        []byte
 }
 
-func (c countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	*c.n += int64(n)
-	return n, err
+func (enc *postFrameEncoder) entry(id TermID, n int) {
+	if enc.entries == 0 {
+		enc.first, enc.prev = id, 0
+	}
+	enc.body = appendUvarint(enc.body, uint64(id-enc.prev))
+	enc.body = appendUvarint(enc.body, uint64(n))
+	enc.prev, enc.prevSlot = id, 0
+	enc.entries++
+	enc.slots += uint64(n)
 }
 
-// Spilled reports whether the graph has a disk-resident generation.
+func (enc *postFrameEncoder) list(l []int32) {
+	for _, v := range l {
+		enc.body = appendUvarint(enc.body, uint64(v-enc.prevSlot))
+		enc.prevSlot = v
+	}
+}
+
+// flush writes the pending frame, if any, and records it in dir.
+func (enc *postFrameEncoder) flush(fw *frameWriter, dir *[]postDir) error {
+	if enc.entries == 0 {
+		return nil
+	}
+	enc.payload = appendUvarint(enc.payload[:0], enc.entries)
+	enc.payload = appendUvarint(enc.payload, enc.slots)
+	enc.payload = append(enc.payload, enc.body...)
+	off, err := fw.frame(enc.payload)
+	*dir = append(*dir, postDir{first: enc.first, last: enc.prev, off: off})
+	enc.body, enc.entries, enc.slots = enc.body[:0], 0, 0
+	return err
+}
+
+func decodePostFrame(payload []byte) (*postFrame, error) {
+	n, pos, err := readUvarint(payload, 0)
+	if err != nil {
+		return nil, err
+	}
+	total, pos, err := readUvarint(payload, pos)
+	if err != nil {
+		return nil, err
+	}
+	// Every entry and every slot costs at least a byte.
+	if n > uint64(len(payload)) || total > uint64(len(payload)) {
+		return nil, fmt.Errorf("frame of %d bytes claims %d entries, %d slots", len(payload), n, total)
+	}
+	f := &postFrame{ids: make([]TermID, n), start: make([]uint32, n+1), slots: make([]int32, 0, total)}
+	var id TermID
+	for i := range f.ids {
+		d, p2, err := readUvarint(payload, pos)
+		if err != nil {
+			return nil, err
+		}
+		ln, p3, err := readUvarint(payload, p2)
+		if err != nil {
+			return nil, err
+		}
+		pos = p3
+		if i > 0 && d == 0 || ln == 0 || ln > total-uint64(len(f.slots)) {
+			return nil, fmt.Errorf("entry %d: id delta %d, list length %d", i, d, ln)
+		}
+		id += TermID(d)
+		f.ids[i] = id
+		var slot int32
+		for j := uint64(0); j < ln; j++ {
+			v, p4, err := readUvarint(payload, pos)
+			if err != nil {
+				return nil, err
+			}
+			pos = p4
+			slot += int32(v)
+			f.slots = append(f.slots, slot)
+		}
+		f.start[i+1] = uint32(len(f.slots))
+	}
+	if pos != len(payload) || uint64(len(f.slots)) != total {
+		return nil, fmt.Errorf("frame has %d trailing bytes, %d of %d slots", len(payload)-pos, len(f.slots), total)
+	}
+	return f, nil
+}
+
+// readPostFrame reads frame fi of sg's index k straight from disk.
+func readPostFrame(sg *segment, k, fi int) (*postFrame, int64, error) {
+	d := sg.post[k][fi]
+	payload, next, err := readFrameAt(sg.f, d.off, maxSpillPayload)
+	if err != nil {
+		return nil, 0, err
+	}
+	f, err := decodePostFrame(payload)
+	if err != nil {
+		return nil, 0, sg.corrupt(d.off, "%v", err)
+	}
+	if len(f.ids) == 0 || f.ids[0] != d.first || f.ids[len(f.ids)-1] != d.last {
+		return nil, 0, sg.corrupt(d.off, "posting frame does not cover ids [%d,%d] as its directory entry says", d.first, d.last)
+	}
+	return f, next, nil
+}
+
+// in returns id's posting list within segment si (nil when empty). The
+// returned slice is shared cache state and must not be mutated.
+func (pi *postIndex) in(si int, id TermID) []int32 {
+	dir := pi.segs[si].post[pi.k]
+	lo, hi := 0, len(dir)
+	for lo < hi {
+		if mid := (lo + hi) / 2; dir[mid].last < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(dir) || dir[lo].first > id {
+		return nil
+	}
+	key := frameKey(si, lo)
+	pi.mu.Lock()
+	f, ok := pi.cache.get(key)
+	pi.mu.Unlock()
+	if !ok {
+		var err error
+		if f, _, err = readPostFrame(pi.segs[si], pi.k, lo); err != nil {
+			panic(err.Error()) // see termArena.locate
+		}
+		pi.mu.Lock()
+		pi.cache.put(key, f)
+		pi.mu.Unlock()
+	}
+	return f.list(id)
+}
+
+// posting returns the spilled posting list for id: the concatenation over
+// segments, whose slot ranges ascend, so admission order is preserved. The
+// result must not be mutated; it is cache state when one segment holds it.
+func (pi *postIndex) posting(id TermID) []int32 {
+	var out []int32
+	owned := false
+	for si, sg := range pi.segs {
+		if id >= sg.t1 {
+			continue
+		}
+		l := pi.in(si, id)
+		switch {
+		case len(l) == 0:
+		case out == nil:
+			out = l
+		case !owned:
+			out, owned = append(append([]int32(nil), out...), l...), true
+		default:
+			out = append(out, l...)
+		}
+	}
+	return out
+}
+
+// postCursor walks one source of posting entries for an index in ascending
+// id order: a segment's frames, read one at a time past the cache, or the
+// resident tail.
+type postCursor struct {
+	sg    *segment // nil for the tail
+	tail  *cow.Lists[int32]
+	k     int
+	fi, i int // next frame of sg and next entry of frame; next id of tail
+	frame *postFrame
+
+	id   TermID
+	list []int32
+	ok   bool
+}
+
+func (c *postCursor) advance() error {
+	if c.sg == nil {
+		id := c.tail.Next(c.i)
+		if c.ok = id >= 0; c.ok {
+			c.id, c.list, c.i = TermID(id), c.tail.At(id), id+1
+		}
+		return nil
+	}
+	for c.frame == nil || c.i == len(c.frame.ids) {
+		if c.ok = c.fi < len(c.sg.post[c.k]); !c.ok {
+			return nil
+		}
+		f, _, err := readPostFrame(c.sg, c.k, c.fi)
+		if err != nil {
+			return err
+		}
+		c.frame, c.fi, c.i = f, c.fi+1, 0
+	}
+	c.id, c.list, c.ok = c.frame.ids[c.i], c.frame.slots[c.frame.start[c.i]:c.frame.start[c.i+1]], true
+	c.i++
+	return nil
+}
+
+// writePostings merges index k of the folded segments and the tail into
+// sg's posting section. The sources' slot ranges ascend in the order given,
+// so a term's merged list is the concatenation of its lists in that order.
+func (g *Graph) writePostings(fw *frameWriter, sg *segment, k int, folded []*segment) error {
+	curs := make([]*postCursor, 0, len(folded)+1)
+	for _, f := range folded {
+		curs = append(curs, &postCursor{sg: f, k: k})
+	}
+	curs = append(curs, &postCursor{tail: &g.post[k]})
+	for _, c := range curs {
+		if err := c.advance(); err != nil {
+			return err
+		}
+	}
+	var enc postFrameEncoder
+	for {
+		id, n := noID, 0
+		for _, c := range curs {
+			switch {
+			case !c.ok || c.id > id:
+			case c.id < id:
+				id, n = c.id, len(c.list)
+			default:
+				n += len(c.list)
+			}
+		}
+		if id == noID {
+			return enc.flush(fw, &sg.post[k])
+		}
+		enc.entry(id, n)
+		for _, c := range curs {
+			if c.ok && c.id == id {
+				enc.list(c.list)
+				if err := c.advance(); err != nil {
+					return err
+				}
+			}
+		}
+		if len(enc.body) >= postFrameTarget {
+			if err := enc.flush(fw, &sg.post[k]); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// writeSegment streams sg's sections — terms [t0,t1), slots [s0,s1), their
+// postings, the footer — filling in sg's directory as the offsets are known,
+// and returns the bytes written.
+func (g *Graph) writeSegment(w io.Writer, sg *segment, folded []*segment) (int64, error) {
+	fw := &frameWriter{w: w}
+	var payload []byte
+	d := g.dict
+	for base := sg.t0; base < sg.t1; base += arenaBlockTerms {
+		payload = payload[:0]
+		for id := base; id < min(base+arenaBlockTerms, sg.t1); id++ {
+			if id < d.base {
+				payload = append(payload, d.arena.record(id)...)
+			} else {
+				payload = appendTermRecord(payload, d.terms[id-d.base])
+			}
+		}
+		off, err := fw.frame(payload)
+		if err != nil {
+			return 0, err
+		}
+		sg.blockOff = append(sg.blockOff, off)
+	}
+
+	sg.pageOff = fw.off
+	for base := sg.s0; base < sg.s1; base += pageTriples {
+		payload = payload[:0]
+		for i := base; i < min(base+pageTriples, sg.s1); i++ {
+			e := g.encAt(i)
+			payload = binary.LittleEndian.AppendUint32(payload, uint32(e.s))
+			payload = binary.LittleEndian.AppendUint32(payload, uint32(e.p))
+			payload = binary.LittleEndian.AppendUint32(payload, uint32(e.o))
+		}
+		if _, err := fw.frame(payload); err != nil {
+			return 0, err
+		}
+	}
+
+	for k := range sg.post {
+		if err := g.writePostings(fw, sg, k, folded); err != nil {
+			return 0, err
+		}
+	}
+
+	sg.footer = fw.off
+	_, err := fw.frame(sg.appendFooter(payload[:0]))
+	return fw.off, err
+}
+
+// foldStart picks what the next spill rewrites: segs[n:] are folded with the
+// tail into one segment of the returned tier. While the newest tier has room
+// that is nothing (n = len(segs), tier 0); a full tier is folded into the
+// tier above, which may be full in turn.
+func foldStart(segs []*segment) (n, tier int) {
+	n = len(segs)
+	for {
+		m := n
+		for m > 0 && segs[m-1].tier == tier {
+			m--
+		}
+		if n-m < spillFanIn {
+			return n, tier
+		}
+		n, tier = m, tier+1
+	}
+}
+
+// Spilled reports whether part of the graph is disk-resident.
 func (g *Graph) Spilled() bool { return g.spill != nil }
 
-// SpillDir returns the directory of the current spill generation, or "".
+// SpillDir returns the directory of the graph's last spill, or "".
 func (g *Graph) SpillDir() string {
 	if g.spill == nil {
 		return ""
@@ -340,274 +590,179 @@ func (g *Graph) SpillDir() string {
 // Spill would move to disk.
 func (g *Graph) TailLen() int { return len(g.triples) }
 
-// Spill writes the graph's dictionary, triple log, and posting lists to a
-// new on-disk generation under dir and swaps the in-memory representation
-// to paged reads over it, freeing the resident copies. Ids, slot indexes,
-// and every iteration order are preserved exactly; the operation is
-// output-invisible. fsys is the commit seam (nil = the real filesystem);
-// every file is written atomically and the MANIFEST — written last — is the
-// commit point, so a crash at any moment leaves the previous generation (or
-// none) intact, never a torn one.
+// Spill moves the graph's resident tail — the terms, triple slots and
+// posting entries admitted since the last spill; everything, the first time —
+// to a new segment file under dir and swaps the in-memory representation to
+// paged reads over it, freeing the resident copies. Ids, slot indexes, and
+// every iteration order are preserved exactly; the operation is
+// output-invisible. fsys is the commit seam (nil = the real filesystem). A
+// spill is two atomic commits: the segment, then the MANIFEST that lists it
+// — the commit point, so a crash at any moment leaves the previously
+// committed state (or none) intact, never a torn one. Files the new MANIFEST
+// no longer names are unlinked afterwards.
+//
+// When a tier of the segment list is full (see spillFanIn) the spill folds
+// it: the one file it writes then holds those segments' contents as well as
+// the tail, and replaces them in the list. The same rewrite, over the whole
+// graph, serves the cases a tail-only segment cannot: dir is not where the
+// graph last spilled, or the dictionary's spilled terms are not this graph's
+// segments (a Dict shared with another spilled graph).
 //
 // Spill is a mutation: like Add/Remove it must not run concurrently with
-// readers. Re-spilling an already-spilled graph folds the tail into a fresh
-// generation. Graphs sharing this graph's Dict observe the dictionary's
-// representation change but keep identical id assignments.
-func (g *Graph) Spill(dir string, fsys ckpt.FS) (err error) {
+// readers. Graphs sharing this graph's Dict observe the dictionary's
+// representation change but keep identical id assignments. A dir holding
+// another layout version's MANIFEST is overwritten.
+func (g *Graph) Spill(dir string, fsys ckpt.FS) error {
 	if fsys == nil {
 		fsys = ckpt.OSFS
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	gen := 1
-	if old, lerr := readManifest(dir); lerr == nil {
-		gen = old.Gen + 1
+	// What the directory's MANIFEST names now must stay loadable until this
+	// spill's own MANIFEST replaces it, so its sequence numbers are not
+	// reused; afterwards its files are garbage.
+	onDisk, _ := readManifest(dir)
+
+	sp, d := g.spill, g.dict
+	var kept, folded []*segment
+	seq, tier := 0, 0
+	if sp != nil {
+		folded, seq = sp.segs, sp.nextSeq
+		if sp.dir == dir && d.arena != nil && slices.Equal(d.arena.segs, sp.segs) {
+			var n int
+			n, tier = foldStart(sp.segs)
+			kept, folded = sp.segs[:n:n], sp.segs[n:]
+		}
 	}
-	if g.spill != nil && g.spill.gen >= gen {
-		gen = g.spill.gen + 1
+	if onDisk != nil {
+		seq = max(seq, onDisk.NextSeq)
 	}
-	man := &spillManifest{
-		Version: spillVersion,
-		Gen:     gen,
-		Prefix:  fmt.Sprintf("gen-%d.", gen),
-		Terms:   g.dict.Len(),
-		Slots:   g.numSlots(),
-		NDead:   g.nDead,
+	sg := &segment{path: filepath.Join(dir, fmt.Sprintf("seg-%06d", seq)), tier: tier,
+		t1: TermID(d.Len()), s1: g.numSlots()}
+	if len(kept) > 0 {
+		sg.t0, sg.s0 = kept[len(kept)-1].t1, kept[len(kept)-1].s1
 	}
+
 	var written int64
-	commit := func(name string, fn func(io.Writer) error) error {
-		path := filepath.Join(dir, man.file(name))
-		return ckpt.WriteFileAtomicFS(fsys, path, 0o644, func(w io.Writer) error {
-			return fn(countingWriter{w, &written})
-		})
-	}
-
-	// 1. Term arena + block offset index.
-	var blockOff []int64
-	if err := commit("terms.arena", func(w io.Writer) error {
-		var werr error
-		blockOff, werr = writeArena(w, man.Terms, func(i int) Term { return g.dict.Term(TermID(i)) })
-		return werr
+	if err := ckpt.WriteFileAtomicFS(fsys, sg.path, 0o644, func(w io.Writer) (err error) {
+		written, err = g.writeSegment(w, sg, folded)
+		return err
 	}); err != nil {
 		return err
 	}
-	if err := commit("terms.idx", func(w io.Writer) error {
-		payload := make([]byte, 8*len(blockOff))
-		for i, off := range blockOff {
-			binary.LittleEndian.PutUint64(payload[8*i:], uint64(off))
+	segs := append(kept, sg)
+
+	// Tombstones over [0,s1): the spilled prefix's bitset plus the tail's.
+	dead := make([]uint64, (sg.s1+63)/64)
+	tailBase := 0
+	if sp != nil {
+		copy(dead, sp.dead)
+		tailBase = sp.slots
+	}
+	for i, dd := range g.dead {
+		if dd {
+			dead[(tailBase+i)>>6] |= 1 << (uint(tailBase+i) & 63)
 		}
-		_, werr := w.Write(appendFrame(nil, payload))
-		return werr
-	}); err != nil {
+	}
+
+	man := &spillManifest{Version: spillVersion, NextSeq: seq + 1, Terms: int(sg.t1), Slots: sg.s1,
+		NDead: g.nDead, Dead: appendFrame(nil, appendDeadSlots(nil, dead))}
+	for _, s := range segs {
+		man.Segments = append(man.Segments, manifestSeg{File: filepath.Base(s.path), Tier: s.tier,
+			Terms: [2]int{int(s.t0), int(s.t1)}, Slots: [2]int{s.s0, s.s1}, Footer: s.footer})
+	}
+	manJSON, err := json.Marshal(man)
+	if err != nil {
 		return err
 	}
-
-	// 2. Triple log pages.
-	if err := commit("triples.log", func(w io.Writer) error {
-		payload := make([]byte, 12*pageTriples)
-		var frame []byte
-		for base := 0; base < man.Slots; base += pageTriples {
-			end := base + pageTriples
-			if end > man.Slots {
-				end = man.Slots
-			}
-			pp := payload[:12*(end-base)]
-			for i := base; i < end; i++ {
-				e := g.encAt(i)
-				b := pp[12*(i-base):]
-				binary.LittleEndian.PutUint32(b, uint32(e.s))
-				binary.LittleEndian.PutUint32(b[4:], uint32(e.p))
-				binary.LittleEndian.PutUint32(b[8:], uint32(e.o))
-			}
-			frame = appendFrame(frame[:0], pp)
-			if _, werr := w.Write(frame); werr != nil {
-				return werr
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	// 3. Posting-list segments, one file per index.
-	var segDirs [3][]postSeg
-	for k, name := range [3]string{"post.s", "post.p", "post.o"} {
-		if err := commit(name, func(w io.Writer) error {
-			var werr error
-			segDirs[k], werr = g.writePostings(w, k, man.Terms)
-			return werr
-		}); err != nil {
-			return err
-		}
-		man.Segments[k] = len(segDirs[k])
-	}
-
-	// 4. Tombstone bitset.
-	nWords := (man.Slots + 63) / 64
-	deadBits := make([]uint64, nWords)
-	for i := 0; i < man.Slots; i++ {
-		if g.slotDead(i) {
-			deadBits[i>>6] |= 1 << (uint(i) & 63)
-		}
-	}
-	if err := commit("dead.bits", func(w io.Writer) error {
-		payload := make([]byte, 8*nWords)
-		for i, word := range deadBits {
-			binary.LittleEndian.PutUint64(payload[8*i:], word)
-		}
-		_, werr := w.Write(appendFrame(nil, payload))
-		return werr
-	}); err != nil {
-		return err
-	}
-
-	// 5. MANIFEST: the commit point. Unlike the data files it is not
-	// generation-prefixed — it is the single pointer that names the live
-	// generation, atomically replaced.
+	// A failure here may have renamed the MANIFEST and lost only the
+	// directory sync, so the segment stays: a retry replaces or unlinks it.
 	if err := ckpt.WriteFileAtomicFS(fsys, filepath.Join(dir, manifestName), 0o644, func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(man)
+		_, werr := w.Write(manJSON)
+		return werr
 	}); err != nil {
 		return err
 	}
-
-	// 6. Open the new generation and swap. The hash index is carried over
-	// from the previous arena (ids are stable) and extended with the tail.
-	arena, err := openArena(filepath.Join(dir, man.file("terms.arena")), man.Terms, blockOff, false)
-	if err != nil {
-		return err
-	}
-	runtime.SetFinalizer(arena, func(a *termArena) { a.close() })
-	if prev := g.dict.arena; prev != nil {
-		arena.hash, arena.over = prev.handOffIndex()
-	}
-	for i, t := range g.dict.terms {
-		arena.addHash(t, g.dict.base+TermID(i))
-	}
-	log, err := openPageFile(filepath.Join(dir, man.file("triples.log")), man.Slots)
-	if err != nil {
-		return err
-	}
-	sp := &graphSpill{dir: dir, gen: gen, slots: man.Slots, log: log, dead: deadBits}
-	for k, name := range [3]string{"post.s", "post.p", "post.o"} {
-		sp.post[k], err = openPostIndex(filepath.Join(dir, man.file(name)), segDirs[k])
-		if err != nil {
-			return err
+	if onDisk != nil {
+		for _, old := range onDisk.Segments {
+			if !slices.ContainsFunc(man.Segments, func(s manifestSeg) bool { return s.File == old.File }) {
+				fsys.Remove(filepath.Join(dir, old.File)) // best effort; open handles keep reading
+			}
 		}
 	}
 
-	oldGenFiles := g.spillGenFiles()
-	g.dict.arena = arena
-	g.dict.base = TermID(man.Terms)
-	g.dict.idx = termIndex{}
-	g.dict.terms = nil
-	g.spill = sp
+	if err := sg.open(); err != nil {
+		return err
+	}
+
+	// The hash index is carried over from the previous arena (ids are
+	// stable) and extended with the tail.
+	arena := newArena(segs)
+	if d.arena != nil {
+		arena.hash, arena.over = d.arena.handOffIndex()
+	} else {
+		arena.hash, arena.over = make(map[uint64]TermID, len(d.terms)), make(map[uint64][]TermID)
+	}
+	for i, t := range d.terms {
+		arena.addHash(t, d.base+TermID(i))
+	}
+	d.arena = arena
+	d.base = sg.t1
+	d.idx = termIndex{}
+	d.terms = nil
+	g.spill = newGraphSpill(dir, segs, sg.s1, seq+1, dead)
 	g.triples = nil
 	g.dead = nil
 	g.deadShared = false
 	g.present = make(map[encTriple]int32)
 	g.post = [3]cow.Lists[int32]{}
 
-	// Best-effort cleanup of the superseded generation. Clones sharing it
-	// keep their open handles (the data outlives the directory entry).
-	for _, f := range oldGenFiles {
-		fsys.Remove(f)
-	}
-
-	segs := int64(man.Segments[0] + man.Segments[1] + man.Segments[2])
-	cSpillBytes.Add(written)
-	cSpillSegments.Add(segs)
+	cSpillBytes.Add(written + int64(len(manJSON)))
+	cSpillSegments.Inc()
 	cSpillOps.Inc()
 	return nil
 }
 
-// spillGenFiles lists the on-disk files of the graph's current generation.
-func (g *Graph) spillGenFiles() []string {
-	if g.spill == nil {
-		return nil
+// appendDeadSlots encodes the set bits of a tombstone bitset, ascending, as
+// delta varints.
+func appendDeadSlots(dst []byte, dead []uint64) []byte {
+	prev := 0
+	for w, word := range dead {
+		for ; word != 0; word &= word - 1 {
+			slot := w<<6 + bits.TrailingZeros64(word)
+			dst = appendUvarint(dst, uint64(slot-prev))
+			prev = slot
+		}
 	}
-	prefix := fmt.Sprintf("gen-%d.", g.spill.gen)
-	var out []string
-	for _, name := range [...]string{"terms.arena", "terms.idx", "triples.log", "post.s", "post.p", "post.o", "dead.bits"} {
-		out = append(out, filepath.Join(g.spill.dir, prefix+name))
-	}
-	return out
+	return dst
 }
 
-// writePostings streams index k's posting lists (merged spilled + tail, ids
-// ascending) as CRC-framed segments and returns the segment directory.
-func (g *Graph) writePostings(w io.Writer, k int, terms int) ([]postSeg, error) {
-	var (
-		segs     []postSeg
-		payload  []byte
-		frame    []byte
-		off      int64
-		nEntries uint64
-		first    TermID
-		prevID   TermID
-	)
-	flush := func(last TermID) error {
-		if nEntries == 0 {
-			return nil
-		}
-		full := appendUvarint(nil, nEntries)
-		full = append(full, payload...)
-		frame = appendFrame(frame[:0], full)
-		if _, err := w.Write(frame); err != nil {
-			return err
-		}
-		segs = append(segs, postSeg{first: first, last: last, off: off})
-		off += int64(len(frame))
-		payload = payload[:0]
-		nEntries = 0
-		return nil
-	}
-	for id := TermID(0); int(id) < terms; id++ {
-		list := g.postingFor(k, id)
-		if len(list) == 0 {
-			continue
-		}
-		if nEntries == 0 {
-			first = id
-			payload = appendPostEntry(payload, uint64(id), list)
-		} else {
-			payload = appendPostEntry(payload, uint64(id-prevID), list)
-		}
-		prevID = id
-		nEntries++
-		if len(payload) >= postSegTarget {
-			if err := flush(id); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := flush(prevID); err != nil {
-		return nil, err
-	}
-	return segs, nil
-}
-
+// readManifest reads dir's MANIFEST. A missing file is fs.ErrNotExist, a
+// MANIFEST of another layout version a *SpillVersionError.
 func readManifest(dir string) (*spillManifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, err
 	}
+	// The version first: the other fields' types belong to it.
+	var v struct{ Version int }
 	man := &spillManifest{}
+	if err := json.Unmarshal(data, &v); err == nil && v.Version != spillVersion {
+		return nil, &SpillVersionError{Dir: dir, Got: v.Version, Want: spillVersion}
+	}
 	if err := json.Unmarshal(data, man); err != nil {
 		return nil, fmt.Errorf("rdf: spill manifest %s: %w", filepath.Join(dir, manifestName), err)
-	}
-	if man.Version != spillVersion {
-		return nil, fmt.Errorf("rdf: spill manifest version %d, want %d", man.Version, spillVersion)
 	}
 	return man, nil
 }
 
-// LoadSpilled opens the committed spill generation under dir as a Graph,
-// verifying the CRC of every frame in every file before returning: a
-// flipped bit anywhere fails the load loudly with a CorruptSpillError (and
-// the offending file renamed aside, quarantined) rather than serving wrong
-// data. The returned graph has an empty write tail; it reflects the state
-// at spill time.
+// LoadSpilled opens the committed spill under dir as a Graph, verifying the
+// CRC of every frame in every segment before returning: a flipped bit
+// anywhere fails the load loudly with a CorruptSpillError (and the offending
+// file renamed aside, quarantined) rather than serving wrong data. The
+// returned graph has an empty write tail; it reflects the state at spill
+// time.
 func LoadSpilled(dir string) (*Graph, error) {
 	man, err := readManifest(dir)
 	if err != nil {
@@ -616,7 +771,7 @@ func LoadSpilled(dir string) (*Graph, error) {
 		}
 		return nil, err
 	}
-	g, err := loadGeneration(dir, man)
+	g, err := loadSegments(dir, man)
 	if err != nil {
 		var ce *CorruptSpillError
 		if errors.As(err, &ce) {
@@ -627,119 +782,120 @@ func LoadSpilled(dir string) (*Graph, error) {
 	return g, nil
 }
 
-func loadGeneration(dir string, man *spillManifest) (*Graph, error) {
-	path := func(name string) string { return filepath.Join(dir, man.file(name)) }
-
-	// Block offset index.
-	idxF, err := os.Open(path("terms.idx"))
-	if err != nil {
-		return nil, err
-	}
-	payload, _, err := readFrameAt(idxF, 0, maxSpillPayload)
-	idxF.Close()
-	if err != nil {
-		return nil, err
-	}
-	wantBlocks := (man.Terms + arenaBlockTerms - 1) / arenaBlockTerms
-	if len(payload) != 8*wantBlocks {
-		return nil, &CorruptSpillError{File: path("terms.idx"), Offset: 0,
-			Detail: fmt.Sprintf("offset table holds %d blocks, manifest implies %d", len(payload)/8, wantBlocks)}
-	}
-	blockOff := make([]int64, wantBlocks)
-	for i := range blockOff {
-		blockOff[i] = int64(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
-
-	// Arena: full scan verifies every block and builds the hash index.
-	arena, err := openArena(path("terms.arena"), man.Terms, blockOff, true)
-	if err != nil {
-		return nil, err
-	}
-	runtime.SetFinalizer(arena, func(a *termArena) { a.close() })
-
-	// Triple log: verify every page.
-	log, err := openPageFile(path("triples.log"), man.Slots)
-	if err != nil {
-		arena.close()
-		return nil, err
-	}
-	for pg := 0; pg < log.numPages(); pg++ {
-		if _, err := log.decodePage(pg); err != nil {
+func loadSegments(dir string, man *spillManifest) (*Graph, error) {
+	manPath := filepath.Join(dir, manifestName)
+	arena := newArena(nil)
+	arena.hash, arena.over = make(map[uint64]TermID, man.Terms), make(map[uint64][]TermID)
+	var segs []*segment
+	terms, slots := 0, 0
+	for _, ms := range man.Segments {
+		if ms.Terms[0] != terms || ms.Slots[0] != slots || ms.Terms[1] < terms || ms.Slots[1] < slots {
+			return nil, &CorruptSpillError{File: manPath, Detail: fmt.Sprintf(
+				"segment %s covers ids %v slots %v, want them to start at %d and %d", ms.File, ms.Terms, ms.Slots, terms, slots)}
+		}
+		terms, slots = ms.Terms[1], ms.Slots[1]
+		sg := &segment{path: filepath.Join(dir, ms.File), tier: ms.Tier,
+			t0: TermID(ms.Terms[0]), t1: TermID(ms.Terms[1]), s0: ms.Slots[0], s1: ms.Slots[1], footer: ms.Footer}
+		if err := sg.open(); err != nil {
 			return nil, err
 		}
+		if err := sg.verify(arena); err != nil {
+			return nil, err
+		}
+		segs = append(segs, sg)
 	}
-
-	// Posting files: scan segments sequentially, verifying CRCs and
-	// rebuilding each directory from the decoded id ranges.
-	sp := &graphSpill{dir: dir, gen: man.Gen, slots: man.Slots}
-	sp.log = log
-	for k, name := range [3]string{"post.s", "post.p", "post.o"} {
-		f, err := os.Open(path(name))
-		if err != nil {
-			return nil, err
-		}
-		size, err := f.Seek(0, io.SeekEnd)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		var segs []postSeg
-		for off := int64(0); off < size; {
-			payload, next, err := readFrameAt(f, off, maxSpillPayload)
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
-			_, firstID, lastID, derr := decodePostSegment(payload, path(name), off)
-			if derr != nil {
-				f.Close()
-				return nil, derr
-			}
-			segs = append(segs, postSeg{first: firstID, last: lastID, off: off})
-			off = next
-		}
-		f.Close()
-		if len(segs) != man.Segments[k] {
-			return nil, &CorruptSpillError{File: path(name), Offset: 0,
-				Detail: fmt.Sprintf("found %d segments, manifest records %d", len(segs), man.Segments[k])}
-		}
-		if sp.post[k], err = openPostIndex(path(name), segs); err != nil {
-			return nil, err
-		}
+	if terms != man.Terms || slots != man.Slots {
+		return nil, &CorruptSpillError{File: manPath, Detail: fmt.Sprintf(
+			"segments hold %d terms and %d slots, manifest records %d and %d", terms, slots, man.Terms, man.Slots)}
 	}
+	arena.segs = segs
 
 	// Tombstones.
-	deadF, err := os.Open(path("dead.bits"))
+	payload, err := unframe(man.Dead)
 	if err != nil {
-		return nil, err
+		return nil, &CorruptSpillError{File: manPath, Detail: "tombstones: " + err.Error()}
 	}
-	payload, _, err = readFrameAt(deadF, 0, maxSpillPayload)
-	deadF.Close()
-	if err != nil {
-		return nil, err
-	}
-	nWords := (man.Slots + 63) / 64
-	if len(payload) != 8*nWords {
-		return nil, &CorruptSpillError{File: path("dead.bits"), Offset: 0,
-			Detail: fmt.Sprintf("bitset holds %d words, want %d", len(payload)/8, nWords)}
-	}
-	sp.dead = make([]uint64, nWords)
+	dead := make([]uint64, (man.Slots+63)/64)
 	nDead := 0
-	for i := range sp.dead {
-		word := binary.LittleEndian.Uint64(payload[8*i:])
-		sp.dead[i] = word
-		for ; word != 0; word &= word - 1 {
-			nDead++
+	for pos, slot := 0, 0; pos < len(payload); nDead++ {
+		var d uint64
+		if d, pos, err = readUvarint(payload, pos); err == nil && (d >= uint64(man.Slots-slot) || nDead > 0 && d == 0) {
+			err = fmt.Errorf("tombstone %d past slot %d is out of range", d, slot)
 		}
+		if err != nil {
+			return nil, &CorruptSpillError{File: manPath, Detail: "tombstones: " + err.Error()}
+		}
+		slot += int(d)
+		dead[slot>>6] |= 1 << (uint(slot) & 63)
 	}
 	if nDead != man.NDead {
-		return nil, &CorruptSpillError{File: path("dead.bits"), Offset: 0,
-			Detail: fmt.Sprintf("bitset has %d tombstones, manifest records %d", nDead, man.NDead)}
+		return nil, &CorruptSpillError{File: manPath, Detail: fmt.Sprintf(
+			"%d tombstones listed, manifest records %d", nDead, man.NDead)}
 	}
 
-	d := &Dict{arena: arena, base: TermID(man.Terms)}
-	g := NewGraphWithDict(d)
-	g.spill = sp
+	g := NewGraphWithDict(&Dict{arena: arena, base: TermID(man.Terms)})
+	g.spill = newGraphSpill(dir, segs, man.Slots, man.NextSeq, dead)
 	g.nDead = man.NDead
 	return g, nil
+}
+
+// verify reads every frame of the segment in file order — the footer first,
+// for the directory — checking that each starts where the previous one ended
+// and decodes to what the directory says, and adds the terms to index.
+func (sg *segment) verify(index *termArena) error {
+	end, err := sg.readFooter()
+	if err != nil {
+		return err
+	}
+	off := int64(0)
+	at := func(want int64, what string) error {
+		if want != off {
+			return sg.corrupt(want, "%s expected at byte %d", what, off)
+		}
+		return nil
+	}
+	for b := range sg.blockOff {
+		if err := at(sg.blockOff[b], "term block"); err != nil {
+			return err
+		}
+		blk, next, err := readTermBlock(sg, b)
+		if err != nil {
+			return err
+		}
+		for i := 0; i+1 < len(blk.off); i++ {
+			index.addHash(blk.term(i), sg.t0+TermID(b*arenaBlockTerms+i))
+		}
+		off = next
+	}
+	if err := at(sg.pageOff, "triple log"); err != nil {
+		return err
+	}
+	for pg := 0; pg < sg.numPages(); pg++ {
+		_, next, err := readPage(sg, pg)
+		if err != nil {
+			return err
+		}
+		off = next
+	}
+	for k := range sg.post {
+		for fi, d := range sg.post[k] {
+			if err := at(d.off, "posting frame"); err != nil {
+				return err
+			}
+			_, next, err := readPostFrame(sg, k, fi)
+			if err != nil {
+				return err
+			}
+			off = next
+		}
+	}
+	if err := at(sg.footer, "footer"); err != nil {
+		return err
+	}
+	if st, err := sg.f.Stat(); err != nil {
+		return err
+	} else if st.Size() != end {
+		return sg.corrupt(end, "%d bytes follow the footer", st.Size()-end)
+	}
+	return nil
 }

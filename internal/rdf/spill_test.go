@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/s3pg/s3pg/internal/ckpt"
 )
 
 // spillFixture builds a deterministic graph of n subjects with typed, lang,
@@ -42,8 +45,10 @@ func assertGraphsEqual(t *testing.T, got, want *Graph) {
 	if !reflect.DeepEqual(gt, wt) {
 		t.Fatalf("Triples diverge: got %d triples, want %d", len(gt), len(wt))
 	}
-	// Match with every binding pattern over a sample of triples.
-	for _, tr := range wt[:min(len(wt), 40)] {
+	// Match with every binding pattern over a sample spread across the
+	// admission order, so every segment of a spilled twin is probed.
+	for i := 0; i < len(wt); i += len(wt)/40 + 1 {
+		tr := wt[i]
 		s, p, o := tr.S, tr.P, tr.O
 		for mask := 0; mask < 8; mask++ {
 			var sp, pp, op *Term
@@ -89,24 +94,53 @@ func assertGraphsEqual(t *testing.T, got, want *Graph) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// spillIn rebuilds g in k installments of equal slot count, spilling to dir
+// after each, so reads of the result cross k segments (fewer once a tier has
+// folded) and subjects straddle segment boundaries.
+func spillIn(t testing.TB, g *Graph, k int, dir string) *Graph {
+	t.Helper()
+	out := NewGraph()
+	n, done := g.NumSlots(), 0
+	for i := 1; i <= k; i++ {
+		for ; done < n*i/k; done++ {
+			s, p, o, live := g.EncodedAt(done)
+			d := g.Dict()
+			tr := NewTriple(d.Term(s), d.Term(p), d.Term(o))
+			if out.Add(tr); !live {
+				out.Remove(tr)
+			}
+		}
+		if err := out.Spill(dir, nil); err != nil {
+			t.Fatalf("Spill %d of %d: %v", i, k, err)
+		}
 	}
-	return b
+	return out
+}
+
+// segmentFiles lists the seg-* files under dir.
+func segmentFiles(t testing.TB, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "seg-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range names {
+		names[i] = filepath.Base(names[i])
+	}
+	return names
 }
 
 func TestSpillEquivalence(t *testing.T) {
 	want := spillFixture(300)
-	got := spillFixture(300)
-	if err := got.Spill(t.TempDir(), nil); err != nil {
-		t.Fatalf("Spill: %v", err)
-	}
+	got := spillIn(t, want, 4, t.TempDir())
 	if !got.Spilled() {
 		t.Fatal("Spilled() = false after Spill")
 	}
 	if got.TailLen() != 0 {
 		t.Fatalf("TailLen = %d after spill, want 0", got.TailLen())
+	}
+	if n := len(got.spill.segs); n != 4 {
+		t.Fatalf("%d segments after 4 spills, want 4", n)
 	}
 	assertGraphsEqual(t, got, want)
 
@@ -114,6 +148,9 @@ func TestSpillEquivalence(t *testing.T) {
 	d := got.Dict()
 	for i := 0; i < d.Len(); i++ {
 		term := d.Term(TermID(i))
+		if term != want.Dict().Term(TermID(i)) {
+			t.Fatalf("Term(%d) = %v, want %v", i, term, want.Dict().Term(TermID(i)))
+		}
 		id, ok := d.Lookup(term)
 		if !ok || id != TermID(i) {
 			t.Fatalf("Lookup(Term(%d)) = (%d,%v)", i, id, ok)
@@ -126,13 +163,10 @@ func TestSpillEquivalence(t *testing.T) {
 
 func TestSpillThenMutate(t *testing.T) {
 	want := spillFixture(200)
-	got := spillFixture(200)
-	if err := got.Spill(t.TempDir(), nil); err != nil {
-		t.Fatalf("Spill: %v", err)
-	}
+	got := spillIn(t, want, 3, t.TempDir())
 	mutate := func(g *Graph) {
-		// Remove a spilled triple, re-add it (gets a new slot in the twin
-		// semantics? No: re-add admits a fresh slot in both), add new data.
+		// Remove a spilled triple, re-add it (a fresh slot on both sides),
+		// add new data.
 		victim := NewTriple(ex("p3"), ex("knows"), ex("p4"))
 		if !g.Remove(victim) {
 			panic("Remove returned false")
@@ -151,23 +185,75 @@ func TestSpillThenMutate(t *testing.T) {
 		t.Fatalf("TailLen = %d, want 3", got.TailLen())
 	}
 
-	// Duplicate admission must be refused both across the spill boundary and
+	// Duplicate admission must be refused across every segment boundary and
 	// within the tail.
-	if got.Add(NewTriple(ex("p0"), A, ex("Person"))) {
-		t.Fatal("duplicate of spilled triple admitted")
+	for _, i := range []int{0, 70, 130, 199} {
+		if got.Add(NewTriple(ex(fmt.Sprintf("p%d", i)), A, ex("Person"))) {
+			t.Fatalf("duplicate of spilled triple of p%d admitted", i)
+		}
 	}
 	if got.Add(NewTriple(ex("fresh"), A, ex("Person"))) {
 		t.Fatal("duplicate of tail triple admitted")
 	}
 }
 
+// TestSlotOfSkipsSpilledPrefix: a triple naming a term interned after the
+// last spill cannot sit in a spilled slot, so admitting it reads no posting
+// frame and no page.
+func TestSlotOfSkipsSpilledPrefix(t *testing.T) {
+	g := spillIn(t, spillFixture(200), 3, t.TempDir())
+	for i := 0; i < 50; i++ {
+		// New subject; old predicate and object.
+		if !g.Add(NewTriple(ex(fmt.Sprintf("late%d", i)), A, ex("Person"))) {
+			t.Fatal("fresh triple refused")
+		}
+		// Old subject and predicate; new object.
+		if !g.Add(NewTriple(ex("p5"), ex("name"), NewLiteral(fmt.Sprintf("alias %d", i)))) {
+			t.Fatal("fresh triple refused")
+		}
+	}
+	sp := g.spill
+	if n := len(sp.post[0].cache.entries) + len(sp.post[1].cache.entries) + len(sp.post[2].cache.entries) + len(sp.log.cache.entries); n != 0 {
+		t.Fatalf("admitting triples with fresh terms read %d spilled frames", n)
+	}
+	// The predicate's list is the last resort: a known subject and object
+	// that never met are told apart without it.
+	if g.Has(NewTriple(ex("p5"), ex("knows"), ex("p150"))) {
+		t.Fatal("Has reports a triple that was never added")
+	}
+	if n := len(sp.post[1].cache.entries); n != 0 {
+		t.Fatalf("a miss decided by subject and object lists still read %d predicate frames", n)
+	}
+	if !g.Has(NewTriple(ex("p5"), ex("knows"), ex("p6"))) {
+		t.Fatal("Has misses a spilled triple")
+	}
+}
+
+// TestArenaReadsOneRecord: a cached term block serves Term by materialising
+// one record and Lookup by comparing bytes in place.
+func TestArenaReadsOneRecord(t *testing.T) {
+	g := spillIn(t, spillFixture(300), 2, t.TempDir())
+	d := g.Dict()
+	typed := NewTypedLiteral("27", XSDInteger)
+	id, ok := d.Lookup(typed)
+	if !ok || d.Term(id) != typed {
+		t.Fatalf("Lookup(%v) = %d,%v", typed, id, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Lookup(typed) }); n != 0 {
+		t.Fatalf("Lookup of a spilled term allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Term(id) }); n > 2 {
+		t.Fatalf("Term of a spilled typed literal allocates %v times, want its two strings", n)
+	}
+	if _, ok := d.Lookup(NewTypedLiteral("27", XSDString)); ok {
+		t.Fatal("Lookup confused two literals that differ in datatype")
+	}
+}
+
 func TestRespillMultiGeneration(t *testing.T) {
 	dir := t.TempDir()
 	want := spillFixture(150)
-	got := spillFixture(150)
-	if err := got.Spill(dir, nil); err != nil {
-		t.Fatalf("Spill gen 1: %v", err)
-	}
+	got := spillIn(t, want, 3, dir)
 	extend := func(g *Graph) {
 		for i := 0; i < 100; i++ {
 			g.Add(NewTriple(ex(fmt.Sprintf("x%d", i)), ex("score"), NewTypedLiteral(fmt.Sprintf("%d", i), XSDInteger)))
@@ -177,7 +263,7 @@ func TestRespillMultiGeneration(t *testing.T) {
 	extend(got)
 	extend(want)
 	if err := got.Spill(dir, nil); err != nil {
-		t.Fatalf("Spill gen 2: %v", err)
+		t.Fatalf("Spill 4: %v", err)
 	}
 	assertGraphsEqual(t, got, want)
 
@@ -185,15 +271,34 @@ func TestRespillMultiGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("readManifest: %v", err)
 	}
-	if man.Gen != 2 {
-		t.Fatalf("manifest gen = %d, want 2", man.Gen)
+	if len(man.Segments) != 4 || man.NDead != 1 || man.Slots != want.NumSlots() || man.Terms != want.Dict().Len() {
+		t.Fatalf("manifest = %+v, want 4 segments, 1 tombstone, %d slots, %d terms", man, want.NumSlots(), want.Dict().Len())
 	}
-	// Superseded generation files are removed.
-	ents, _ := os.ReadDir(dir)
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "gen-1.") {
-			t.Fatalf("stale generation file survived: %s", e.Name())
+	// The fourth spill wrote only its tail: the earlier segments are the
+	// files the first three spills committed.
+	if last := man.Segments[3]; last.Slots[0] != man.Segments[2].Slots[1] || last.Slots[1]-last.Slots[0] != 100 {
+		t.Fatalf("last segment covers slots %v, want the 100 admitted since the third spill", last.Slots)
+	}
+	if files := segmentFiles(t, dir); len(files) != 4 {
+		t.Fatalf("directory holds %v, want the manifest's 4 segments", files)
+	}
+
+	// A spill elsewhere cannot append to this directory's list: the new
+	// directory gets everything, in one self-contained segment.
+	other := t.TempDir()
+	if err := got.Spill(other, nil); err != nil {
+		t.Fatalf("Spill to a second directory: %v", err)
+	}
+	assertGraphsEqual(t, got, want)
+	if got.SpillDir() != other || len(segmentFiles(t, other)) != 1 {
+		t.Fatalf("SpillDir = %s holding %v, want %s holding one segment", got.SpillDir(), segmentFiles(t, other), other)
+	}
+	for _, d := range []string{dir, other} {
+		re, err := LoadSpilled(d)
+		if err != nil {
+			t.Fatalf("LoadSpilled(%s): %v", d, err)
 		}
+		assertGraphsEqual(t, re, want)
 	}
 }
 
@@ -201,7 +306,10 @@ func TestLoadSpilledRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := spillFixture(250)
 	want.Remove(NewTriple(ex("p9"), ex("knows"), ex("p10")))
-	if err := want.Spill(dir, nil); err != nil {
+	spilled := spillIn(t, want, 3, dir)
+	spilled.Remove(NewTriple(ex("p0"), A, ex("Person")))
+	want.Remove(NewTriple(ex("p0"), A, ex("Person")))
+	if err := spilled.Spill(dir, nil); err != nil { // an empty tail still commits the tombstone
 		t.Fatalf("Spill: %v", err)
 	}
 	got, err := LoadSpilled(dir)
@@ -210,9 +318,18 @@ func TestLoadSpilledRoundTrip(t *testing.T) {
 	}
 	assertGraphsEqual(t, got, want)
 
-	// The reloaded graph is writable: tail admission continues.
-	if !got.Add(NewTriple(ex("later"), A, ex("Person"))) {
-		t.Fatal("Add to reloaded graph refused")
+	// The reloaded graph is writable, and spills on where it left off.
+	for _, g := range []*Graph{got, want} {
+		if !g.Add(NewTriple(ex("later"), A, ex("Person"))) {
+			t.Fatal("Add to reloaded graph refused")
+		}
+	}
+	if err := got.Spill(dir, nil); err != nil {
+		t.Fatalf("Spill of the reloaded graph: %v", err)
+	}
+	assertGraphsEqual(t, got, want)
+	if n := len(got.spill.segs); n != 5 {
+		t.Fatalf("%d segments, want the 4 loaded and 1 appended", n)
 	}
 }
 
@@ -223,11 +340,31 @@ func TestLoadSpilledNoManifest(t *testing.T) {
 	}
 }
 
-func TestCloneOfSpilledGraph(t *testing.T) {
-	g := spillFixture(120)
-	if err := g.Spill(t.TempDir(), nil); err != nil {
-		t.Fatalf("Spill: %v", err)
+// TestLoadSpilledOtherVersion: a directory in another layout version is a
+// typed refusal, and Spill overwrites it.
+func TestLoadSpilledOtherVersion(t *testing.T) {
+	dir := t.TempDir()
+	v1 := `{"version":1,"gen":3,"prefix":"gen-3.","terms":10,"slots":20,"n_dead":0,"segments":[1,1,1]}`
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	_, err := LoadSpilled(dir)
+	var ve *SpillVersionError
+	if !errors.As(err, &ve) || ve.Got != 1 || ve.Want != spillVersion {
+		t.Fatalf("err = %v, want a SpillVersionError{Got: 1}", err)
+	}
+	want := spillFixture(50)
+	spillIn(t, want, 2, dir)
+	got, err := LoadSpilled(dir)
+	if err != nil {
+		t.Fatalf("LoadSpilled after Spill overwrote the directory: %v", err)
+	}
+	assertGraphsEqual(t, got, want)
+}
+
+func TestCloneOfSpilledGraph(t *testing.T) {
+	dir := t.TempDir()
+	g := spillIn(t, spillFixture(120), 3, dir)
 	g.Add(NewTriple(ex("tailish"), A, ex("Person")))
 	c := g.Clone()
 	assertGraphsEqual(t, c, g)
@@ -247,61 +384,214 @@ func TestCloneOfSpilledGraph(t *testing.T) {
 	if c.Has(NewTriple(ex("only-orig"), A, ex("Person"))) {
 		t.Fatal("Add on original leaked into clone")
 	}
+
+	// Nor do spills: each side appends its own segment to the shared three.
+	twinG, twinC := deepClone(g), deepClone(c)
+	if err := g.Spill(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Spill(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !g.Equal(twinG) || !c.Equal(twinC) || g.Has(NewTriple(ex("p1"), ex("knows"), ex("p2"))) == c.Has(NewTriple(ex("p1"), ex("knows"), ex("p2"))) {
+		t.Fatal("original and clone diverged from their twins after spilling side by side")
+	}
 }
 
-// TestSpillCorruptionQuarantine flips a single byte in each spill file in
-// turn and asserts the load fails loudly with a quarantine error (satellite:
-// spill-file corruption coverage).
+// TestSharedDictSpill: two graphs over one Dict both spill. The second spill
+// finds spilled terms that are not its own segments' and writes a
+// self-contained segment; ids stay put for both graphs.
+func TestSharedDictSpill(t *testing.T) {
+	d := NewDict()
+	a, b := NewGraphWithDict(d), NewGraphWithDict(d)
+	wantA, wantB := NewGraph(), NewGraph()
+	for i := 0; i < 300; i++ {
+		ta := NewTriple(ex(fmt.Sprintf("a%d", i)), ex("knows"), ex(fmt.Sprintf("b%d", i)))
+		tb := NewTriple(ex(fmt.Sprintf("b%d", i)), ex("name"), NewLiteral(fmt.Sprintf("b %d", i)))
+		a.Add(ta)
+		wantA.Add(ta)
+		b.Add(tb)
+		wantB.Add(tb)
+		if i%100 == 99 {
+			if err := a.Spill(filepath.Join(t.TempDir(), "a"), nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Spill(filepath.Join(t.TempDir(), "b"), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if gt, wt := a.Triples(), wantA.Triples(); !reflect.DeepEqual(gt, wt) {
+		t.Fatalf("graph a diverges: %d triples, want %d", len(gt), len(wt))
+	}
+	if gt, wt := b.Triples(), wantB.Triples(); !reflect.DeepEqual(gt, wt) {
+		t.Fatalf("graph b diverges: %d triples, want %d", len(gt), len(wt))
+	}
+	for i := 0; i < d.Len(); i++ {
+		if id, ok := d.Lookup(d.Term(TermID(i))); !ok || id != TermID(i) {
+			t.Fatalf("Lookup(Term(%d)) = %d,%v", i, id, ok)
+		}
+	}
+}
+
+// TestSpillFoldsTiers spills 90 times: tier 0 fills and folds nine times,
+// tier 1 once, and a clone taken before each of those keeps reading the
+// files the fold unlinked.
+func TestSpillFoldsTiers(t *testing.T) {
+	dir := t.TempDir()
+	want, got := NewGraph(), NewGraph()
+	type held struct {
+		clone, twin *Graph
+		spill       int
+	}
+	var clones []held
+	segs0 := cSpillSegments.Value()
+	for i := 1; i <= 90; i++ {
+		for j := 0; j < 40; j++ {
+			n := i*40 + j
+			tr := NewTriple(ex(fmt.Sprintf("s%d", n/3)), ex(fmt.Sprintf("q%d", n%7)), NewLiteral(fmt.Sprintf("v%d", n%500)))
+			got.Add(tr)
+			want.Add(tr)
+		}
+		if i%6 == 0 {
+			tr := NewTriple(ex(fmt.Sprintf("s%d", i*5)), ex(fmt.Sprintf("q%d", i*15%7)), NewLiteral(fmt.Sprintf("v%d", i*15%500)))
+			if got.Remove(tr) != want.Remove(tr) {
+				t.Fatalf("spill %d: Remove(%v) differs from the resident twin", i, tr)
+			}
+		}
+		if i == 8 || i == 17 || i == 80 { // the next spill folds
+			clones = append(clones, held{got.Clone(), deepClone(want), i})
+		}
+		if err := got.Spill(dir, nil); err != nil {
+			t.Fatalf("Spill %d: %v", i, err)
+		}
+		// Tiers descend along the list and none holds more than the fan-in.
+		perTier := map[int]int{}
+		for si, sg := range got.spill.segs {
+			perTier[sg.tier]++
+			if si > 0 && got.spill.segs[si-1].tier < sg.tier {
+				t.Fatalf("spill %d: tier %d follows tier %d", i, sg.tier, got.spill.segs[si-1].tier)
+			}
+		}
+		for tier, n := range perTier {
+			if n > spillFanIn {
+				t.Fatalf("spill %d: tier %d holds %d segments", i, tier, n)
+			}
+		}
+		if files := segmentFiles(t, dir); len(files) != len(got.spill.segs) {
+			t.Fatalf("spill %d: directory holds %v for %d listed segments", i, files, len(got.spill.segs))
+		}
+		if i == 9 || i == 18 || i == 81 || i == 90 {
+			assertGraphsEqual(t, got, want)
+		}
+	}
+	// 90 = 81 + 9: one tier-2 segment, one tier-1, none above or below.
+	if segs := got.spill.segs; len(segs) != 2 || segs[0].tier != 2 || segs[1].tier != 1 {
+		t.Fatalf("after 90 spills the list is %d segments, want a tier-2 and a tier-1", len(segs))
+	}
+	if n := cSpillSegments.Value() - segs0; n != 90 {
+		t.Fatalf("rdf.spill.segments advanced by %d over 90 spills", n)
+	}
+	for _, h := range clones {
+		for _, sg := range h.clone.spill.segs {
+			if _, err := os.Stat(sg.path); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("clone held at spill %d: %s was not unlinked by the fold (err %v)", h.spill, sg.path, err)
+			}
+		}
+		if !h.clone.Equal(h.twin) || !reflect.DeepEqual(h.clone.Triples(), h.twin.Triples()) {
+			t.Fatalf("clone held across the fold after spill %d no longer reads what it held", h.spill)
+		}
+	}
+	re, err := LoadSpilled(dir)
+	if err != nil {
+		t.Fatalf("LoadSpilled: %v", err)
+	}
+	assertGraphsEqual(t, re, want)
+}
+
+// TestSpillWriteAmplification: k equal installments write the data once per
+// tier they pass through, not k/2 times.
+func TestSpillWriteAmplification(t *testing.T) {
+	for _, tc := range []struct {
+		k     int
+		bound float64
+	}{{8, 1.5}, {64, 3.5}} {
+		dir := t.TempDir()
+		before := cSpillBytes.Value()
+		spillIn(t, spillFixture(1600), tc.k, dir)
+		wrote := cSpillBytes.Value() - before
+		var size int64
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			size += info.Size()
+		}
+		ratio := float64(wrote) / float64(size)
+		t.Logf("k=%d: wrote %d bytes for a %d-byte directory (%.2fx)", tc.k, wrote, size, ratio)
+		if ratio > tc.bound {
+			t.Fatalf("k=%d installments wrote %.2fx the final directory size, bound %.1fx", tc.k, ratio, tc.bound)
+		}
+	}
+}
+
+// TestSpillCorruptionQuarantine flips a single byte in each part of a
+// three-segment spill in turn and asserts the load fails loudly with a
+// quarantine error.
 func TestSpillCorruptionQuarantine(t *testing.T) {
 	base := t.TempDir()
 	src := filepath.Join(base, "src")
-	g := spillFixture(300)
-	if err := g.Spill(src, nil); err != nil {
-		t.Fatalf("Spill: %v", err)
-	}
+	want := spillFixture(300)
+	spillIn(t, want, 3, src)
 	man, err := readManifest(src)
 	if err != nil {
 		t.Fatalf("readManifest: %v", err)
 	}
-	names := []string{"terms.arena", "terms.idx", "triples.log", "post.s", "post.p", "post.o", "dead.bits"}
-	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			dir := filepath.Join(base, "case-"+name)
+	mid := man.Segments[1]
+	info, err := os.Stat(filepath.Join(src, mid.File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, file string
+		at         int64
+	}{
+		{"first-segment-terms", man.Segments[0].File, 40},
+		{"middle-segment", mid.File, mid.Footer / 2},
+		{"middle-segment-postings", mid.File, mid.Footer - 20},
+		{"middle-segment-footer", mid.File, (mid.Footer + info.Size()) / 2},
+		{"last-segment-footer-crc", man.Segments[2].File, -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(base, "case-"+tc.name)
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)
 			}
-			for _, n := range append(names, "MANIFEST") {
-				from := filepath.Join(src, man.file(n))
-				if n == "MANIFEST" {
-					from = filepath.Join(src, n)
-				}
-				data, err := os.ReadFile(from)
+			for _, n := range append(segmentFiles(t, src), manifestName) {
+				data, err := os.ReadFile(filepath.Join(src, n))
 				if err != nil {
 					t.Fatal(err)
 				}
-				to := filepath.Join(dir, man.file(n))
-				if n == "MANIFEST" {
-					to = filepath.Join(dir, n)
+				if n == tc.file {
+					at := tc.at
+					if at < 0 {
+						at += int64(len(data))
+					}
+					data[at] ^= 0x40
 				}
-				if err := os.WriteFile(to, data, 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, n), data, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-			victim := filepath.Join(dir, man.file(name))
-			data, err := os.ReadFile(victim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(data) == 0 {
-				t.Fatalf("%s is empty", name)
-			}
-			data[len(data)/2] ^= 0x40
-			if err := os.WriteFile(victim, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err = LoadSpilled(dir)
+			_, err := LoadSpilled(dir)
 			if err == nil {
-				t.Fatalf("LoadSpilled succeeded over corrupt %s", name)
+				t.Fatalf("LoadSpilled succeeded over corrupt %s", tc.file)
 			}
 			if !errors.Is(err, ErrSpillCorrupt) {
 				t.Fatalf("err = %v, want ErrSpillCorrupt", err)
@@ -310,14 +600,43 @@ func TestSpillCorruptionQuarantine(t *testing.T) {
 			if !errors.As(err, &ce) {
 				t.Fatalf("err %v is not a CorruptSpillError", err)
 			}
-			if !strings.Contains(err.Error(), "quarantined") {
-				t.Fatalf("error does not mention quarantine: %v", err)
+			if !strings.Contains(err.Error(), "quarantined") || filepath.Base(ce.File) != tc.file {
+				t.Fatalf("error does not name %s as quarantined: %v", tc.file, err)
 			}
 			if _, serr := os.Stat(ce.File + ".quarantined"); serr != nil {
 				t.Fatalf("corrupt file was not renamed aside: %v", serr)
 			}
 		})
 	}
+	// The tombstone list travels in the MANIFEST under its own CRC.
+	t.Run("manifest-tombstones", func(t *testing.T) {
+		dir := filepath.Join(base, "case-manifest")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range segmentFiles(t, src) {
+			data, err := os.ReadFile(filepath.Join(src, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, n), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bad := *man
+		bad.Dead = append([]byte(nil), man.Dead...)
+		bad.Dead[len(bad.Dead)-1] ^= 1
+		data, err := json.Marshal(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSpilled(dir); !errors.Is(err, ErrSpillCorrupt) {
+			t.Fatalf("err = %v, want ErrSpillCorrupt", err)
+		}
+	})
 }
 
 func TestGovernorHysteresis(t *testing.T) {
@@ -421,4 +740,95 @@ func TestSpilledGraphSortedAccessors(t *testing.T) {
 		// InstancesOf has no sort contract; just ensure determinism vs twin.
 		t.Log("InstancesOf unsorted (acceptable, matches resident twin)")
 	}
+}
+
+// noSyncFS is the real filesystem without the fsyncs, for a fuzz target that
+// spills thousands of times a second; what a crash leaves behind is
+// cmd/s3pg's TestCrashDuringSpillRecovery's business.
+type noSyncFS struct{ ckpt.FS }
+
+type noSyncFile struct{ ckpt.File }
+
+func (noSyncFile) Sync() error { return nil }
+
+func (fs noSyncFS) CreateTemp(dir, pattern string) (ckpt.File, error) {
+	f, err := fs.FS.CreateTemp(dir, pattern)
+	return noSyncFile{f}, err
+}
+
+func (noSyncFS) SyncDir(string) error { return nil }
+
+// FuzzSpillSchedule interleaves Add, Remove, Spill and Clone on one graph,
+// two bytes an operation, and holds it — and every clone taken on the way,
+// whatever was spilled, folded and unlinked after it — to a twin that never
+// spilled.
+func FuzzSpillSchedule(f *testing.F) {
+	f.Add([]byte("\x00\x01\x00\x12\x06\x00\x00\x23\x04\x01\x07\x00\x06\x00\x00\x01\x06\x00"))
+	var folding []byte // ten spills with a clone held across the fold
+	for i := byte(0); i < 10; i++ {
+		folding = append(folding, 0, i, 1, i+40, 4, i/2, 6, 0)
+		if i == 7 {
+			folding = append(folding, 7, 0)
+		}
+	}
+	f.Add(folding)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 512 {
+			return
+		}
+		triple := func(b byte) Triple {
+			s := ex(fmt.Sprintf("s%d", b&7))
+			if b&7 == 7 {
+				s = NewBlank("b7")
+			}
+			p := ex(fmt.Sprintf("p%d", b>>3&3))
+			switch b >> 5 {
+			case 0, 1:
+				return NewTriple(s, p, ex(fmt.Sprintf("s%d", b>>5&7)))
+			case 2:
+				return NewTriple(s, p, NewTypedLiteral(fmt.Sprint(b), XSDInteger))
+			case 3:
+				return NewTriple(s, p, NewLangLiteral("v", "en"))
+			case 4:
+				return NewTriple(s, A, ex("C"))
+			}
+			return NewTriple(s, p, NewLiteral(fmt.Sprint(b>>5)))
+		}
+		dir := t.TempDir()
+		got, want := NewGraph(), NewGraph()
+		var clones [][2]*Graph
+		for i := 0; i+1 < len(ops); i += 2 {
+			switch tr := triple(ops[i+1]); ops[i] & 7 {
+			case 0, 1, 2, 3:
+				if got.Add(tr) != want.Add(tr) {
+					t.Fatalf("op %d: Add(%v) differs from the resident twin", i/2, tr)
+				}
+			case 4, 5:
+				if got.Remove(tr) != want.Remove(tr) {
+					t.Fatalf("op %d: Remove(%v) differs from the resident twin", i/2, tr)
+				}
+			case 6:
+				if err := got.Spill(dir, noSyncFS{ckpt.OSFS}); err != nil {
+					t.Fatalf("op %d: Spill: %v", i/2, err)
+				}
+			case 7:
+				if len(clones) < 4 {
+					clones = append(clones, [2]*Graph{got.Clone(), want.Clone()})
+				}
+			}
+		}
+		assertGraphsEqual(t, got, want)
+		for _, c := range clones {
+			assertGraphsEqual(t, c[0], c[1])
+		}
+		if got.Spilled() {
+			re, err := LoadSpilled(dir)
+			if err != nil {
+				t.Fatalf("LoadSpilled: %v", err)
+			}
+			if re.NumSlots() != got.spill.slots {
+				t.Fatalf("LoadSpilled opened %d slots, the last spill committed %d", re.NumSlots(), got.spill.slots)
+			}
+		}
+	})
 }

@@ -5,15 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
+	"runtime"
 )
 
-// This file holds the low-level on-disk encoding shared by the spill files
-// (DESIGN.md §10): CRC-framed blocks, varint primitives, the corruption
-// error that quarantines a bad file, and the small LRU that bounds how much
-// of a spilled structure is resident at once.
+// This file holds the low-level on-disk encoding of a spill (DESIGN.md
+// §10a): CRC-framed blocks, varint primitives, the segment file's footer
+// directory, the errors a bad spill directory surfaces as, and the small LRU
+// that bounds how much of a spilled structure is resident at once.
 //
-// Every spill file is a sequence of frames:
+// Every segment file is a sequence of frames:
 //
 //	[u32le payload length][payload][u32le CRC-32 (IEEE) of payload]
 //
@@ -42,12 +44,15 @@ func (e *CorruptSpillError) Error() string {
 
 func (e *CorruptSpillError) Unwrap() error { return ErrSpillCorrupt }
 
-// quarantineFile renames a corrupt spill file aside (best effort) so a
-// retry cannot silently re-read the same bad bytes, and returns the error
-// that loaders propagate.
-func quarantineFile(path string, off int64, detail string) error {
-	os.Rename(path, path+".quarantined")
-	return &CorruptSpillError{File: path, Offset: off, Detail: detail}
+// SpillVersionError reports a spill directory written in another layout
+// version. LoadSpilled does not read it; Spill overwrites its MANIFEST.
+type SpillVersionError struct {
+	Dir       string
+	Got, Want int
+}
+
+func (e *SpillVersionError) Error() string {
+	return fmt.Sprintf("rdf: spill directory %s has layout version %d, this build reads %d", e.Dir, e.Got, e.Want)
 }
 
 // appendFrame wraps payload in a length+CRC frame and appends it to dst.
@@ -77,12 +82,27 @@ func readFrameAt(f *os.File, off int64, maxPayload int) (payload []byte, next in
 	if _, err := f.ReadAt(buf, off+4); err != nil {
 		return nil, 0, &CorruptSpillError{File: f.Name(), Offset: off, Detail: "short frame body: " + err.Error()}
 	}
-	payload, sum := buf[:n], binary.LittleEndian.Uint32(buf[n:])
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, 0, &CorruptSpillError{File: f.Name(), Offset: off,
-			Detail: fmt.Sprintf("crc mismatch: stored %08x, computed %08x", sum, got)}
+	if err := checkCRC(buf[:n], buf[n:]); err != nil {
+		return nil, 0, &CorruptSpillError{File: f.Name(), Offset: off, Detail: err.Error()}
 	}
-	return payload, off + 4 + int64(n) + 4, nil
+	return buf[:n], off + 4 + int64(n) + 4, nil
+}
+
+// checkCRC holds a frame's payload against its stored little-endian CRC.
+func checkCRC(payload, stored []byte) error {
+	if got, sum := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(stored); got != sum {
+		return fmt.Errorf("crc mismatch: stored %08x, computed %08x", sum, got)
+	}
+	return nil
+}
+
+// unframe verifies a frame held in memory and returns its payload.
+func unframe(frame []byte) ([]byte, error) {
+	if len(frame) < frameOverhead || int(binary.LittleEndian.Uint32(frame)) != len(frame)-frameOverhead {
+		return nil, fmt.Errorf("frame of %d bytes has a bad length prefix", len(frame))
+	}
+	payload := frame[4 : len(frame)-4]
+	return payload, checkCRC(payload, frame[len(frame)-4:])
 }
 
 // uvarint helpers over byte slices (append-style write, cursor-style read).
@@ -99,18 +119,148 @@ func readUvarint(buf []byte, pos int) (uint64, int, error) {
 	return v, pos + n, nil
 }
 
-// lruCache is a tiny int-keyed LRU used for decoded spill frames (term
-// blocks, posting segments, triple pages). It is NOT goroutine-safe; owners
-// guard it with their own mutex.
+// frameWriter streams frames to a segment file, tracking each one's offset.
+type frameWriter struct {
+	w   io.Writer
+	off int64
+	buf []byte
+}
+
+// frame writes payload as one frame and returns the offset it starts at.
+func (fw *frameWriter) frame(payload []byte) (int64, error) {
+	at := fw.off
+	fw.buf = appendFrame(fw.buf[:0], payload)
+	n, err := fw.w.Write(fw.buf)
+	fw.off += int64(n)
+	return at, err
+}
+
+// segment is one immutable spill file: the terms with ids [t0,t1), the
+// triple slots [s0,s1) and the posting entries of those slots, then a footer
+// frame holding the directory below. Handles are shared by every arena and
+// graphSpill that lists the segment (clones included) and closed when the
+// last of them is collected, so an unlinked segment stays readable.
+type segment struct {
+	path string
+	f    *os.File
+	tier int // times its contents have been folded
+
+	t0, t1 TermID
+	s0, s1 int
+
+	blockOff []int64      // frame offset of each arenaBlockTerms-term block
+	pageOff  int64        // offset of the first triple page; pages are fixed-size
+	post     [3][]postDir // posting frames per index (s,p,o), ids ascending
+	footer   int64        // offset of the footer frame
+}
+
+// postDir locates one posting frame and the id range it covers.
+type postDir struct {
+	first, last TermID
+	off         int64
+}
+
+// open opens the committed file for reading.
+func (sg *segment) open() (err error) {
+	if sg.f, err = os.Open(sg.path); err == nil {
+		runtime.SetFinalizer(sg, func(sg *segment) { sg.f.Close() })
+	}
+	return err
+}
+
+func (sg *segment) numPages() int { return (sg.s1 - sg.s0 + pageTriples - 1) / pageTriples }
+
+func (sg *segment) corrupt(off int64, format string, args ...any) error {
+	return &CorruptSpillError{File: sg.path, Offset: off, Detail: fmt.Sprintf(format, args...)}
+}
+
+// frameKey keys a per-graph LRU by (position of the segment in the graph's
+// list, frame within the segment's section).
+func frameKey(seg, frame int) uint64 { return uint64(seg)<<32 | uint64(uint32(frame)) }
+
+// appendFooter serializes the segment's ranges and frame directory.
+func (sg *segment) appendFooter(dst []byte) []byte {
+	for _, v := range [...]uint64{uint64(sg.t0), uint64(sg.t1), uint64(sg.s0), uint64(sg.s1), uint64(sg.pageOff), uint64(len(sg.blockOff))} {
+		dst = appendUvarint(dst, v)
+	}
+	for _, off := range sg.blockOff {
+		dst = appendUvarint(dst, uint64(off))
+	}
+	for _, dir := range sg.post {
+		dst = appendUvarint(dst, uint64(len(dir)))
+		for _, d := range dir {
+			dst = appendUvarint(dst, uint64(d.first))
+			dst = appendUvarint(dst, uint64(d.last))
+			dst = appendUvarint(dst, uint64(d.off))
+		}
+	}
+	return dst
+}
+
+// readFooter reads the footer frame at sg.footer into the directory fields,
+// checks it against the ranges the MANIFEST recorded in sg, and returns the
+// offset the frame ends at.
+func (sg *segment) readFooter() (int64, error) {
+	payload, end, err := readFrameAt(sg.f, sg.footer, maxSpillPayload)
+	if err != nil {
+		return 0, err
+	}
+	pos := 0
+	next := func() uint64 {
+		if err != nil {
+			return 0
+		}
+		var v uint64
+		v, pos, err = readUvarint(payload, pos)
+		return v
+	}
+	// A count is bounded by the bytes left (an entry costs at least one), so
+	// a corrupt one cannot drive a huge allocation.
+	count := func() int {
+		n := next()
+		if err == nil && n > uint64(len(payload)-pos) {
+			err = fmt.Errorf("directory count %d overruns the footer", n)
+		}
+		return int(n)
+	}
+	t0, t1, s0, s1 := TermID(next()), TermID(next()), int(next()), int(next())
+	sg.pageOff = int64(next())
+	sg.blockOff = make([]int64, count())
+	for i := range sg.blockOff {
+		sg.blockOff[i] = int64(next())
+	}
+	for k := range sg.post {
+		sg.post[k] = make([]postDir, count())
+		for i := range sg.post[k] {
+			sg.post[k][i] = postDir{first: TermID(next()), last: TermID(next()), off: int64(next())}
+		}
+	}
+	switch {
+	case err != nil:
+		return 0, sg.corrupt(sg.footer, "footer: %v", err)
+	case pos != len(payload):
+		return 0, sg.corrupt(sg.footer, "footer has %d trailing bytes", len(payload)-pos)
+	case t0 != sg.t0 || t1 != sg.t1 || s0 != sg.s0 || s1 != sg.s1:
+		return 0, sg.corrupt(sg.footer, "footer covers ids [%d,%d) slots [%d,%d), manifest records ids [%d,%d) slots [%d,%d)",
+			t0, t1, s0, s1, sg.t0, sg.t1, sg.s0, sg.s1)
+	case len(sg.blockOff) != (int(t1-t0)+arenaBlockTerms-1)/arenaBlockTerms:
+		return 0, sg.corrupt(sg.footer, "footer lists %d term blocks for %d terms", len(sg.blockOff), t1-t0)
+	}
+	return end, nil
+}
+
+// lruCache is a tiny LRU over spill frames (term blocks, posting frames,
+// triple pages), keyed by frameKey. It is NOT goroutine-safe; owners guard
+// it with their own mutex.
 type lruCache[V any] struct {
 	cap     int
-	entries map[int]*lruEntry[V]
+	entries map[uint64]*lruEntry[V]
 	head    *lruEntry[V] // most recent
 	tail    *lruEntry[V] // least recent
 }
 
 type lruEntry[V any] struct {
-	key        int
+	key        uint64
 	val        V
 	prev, next *lruEntry[V]
 }
@@ -119,10 +269,10 @@ func newLRU[V any](capacity int) *lruCache[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &lruCache[V]{cap: capacity, entries: make(map[int]*lruEntry[V], capacity)}
+	return &lruCache[V]{cap: capacity, entries: make(map[uint64]*lruEntry[V], capacity)}
 }
 
-func (c *lruCache[V]) get(k int) (V, bool) {
+func (c *lruCache[V]) get(k uint64) (V, bool) {
 	e, ok := c.entries[k]
 	if !ok {
 		var zero V
@@ -132,7 +282,7 @@ func (c *lruCache[V]) get(k int) (V, bool) {
 	return e.val, true
 }
 
-func (c *lruCache[V]) put(k int, v V) {
+func (c *lruCache[V]) put(k uint64, v V) {
 	if e, ok := c.entries[k]; ok {
 		e.val = v
 		c.touch(e)

@@ -200,23 +200,26 @@ func TestExecuteCypherAndSparql(t *testing.T) {
 
 // TestExecuteOverSpilledSnapshot pins the serve/out-of-core contract
 // (DESIGN.md §10): a snapshot can point at a Clone of a spilled graph — the
-// clone shares the immutable on-disk generation — and queries read through
+// clone shares the immutable on-disk segments — and queries read through
 // the paged files to the same answers as an in-RAM snapshot, concurrently,
 // and isolated from later writes to the original graph.
 func TestExecuteOverSpilledSnapshot(t *testing.T) {
 	g := rdf.NewGraph()
 	st := pg.NewStore()
+	dir := t.TempDir()
 	const n = 500
 	for i := 0; i < n; i++ {
 		iri := fmt.Sprintf("http://x/n%d", i)
 		g.Add(rdf.NewTriple(rdf.NewIRI(iri), rdf.A, rdf.NewIRI("http://x/T")))
 		g.Add(rdf.NewTriple(rdf.NewIRI(iri), rdf.NewIRI("http://x/v"), rdf.NewLiteral(fmt.Sprint(i))))
 		st.AddNode([]string{"T"}, map[string]pg.Value{"iri": iri})
+		if i%200 == 150 || i == n-1 { // three installments, the rdf:type list in each
+			if err := g.Spill(dir, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if err := g.Spill(t.TempDir(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if !g.Spilled() {
+	if !g.Spilled() || g.TailLen() != 0 {
 		t.Fatal("graph not spilled")
 	}
 	snap := NewSnapshot(g.Clone(), st, "CREATE NODE TABLE T(...)", 3)

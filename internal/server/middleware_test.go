@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/s3pg/s3pg/internal/jobs"
 	"github.com/s3pg/s3pg/internal/obs"
@@ -144,16 +145,24 @@ func TestMetricsJSONDeterministic(t *testing.T) {
 	j := submitOne(t, srv)
 	waitDone(t, srv, j.ID)
 
-	a, err := json.Marshal(obs.Default.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(obs.Default.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatalf("snapshot JSON not deterministic:\n%s\n---\n%s", a, b)
+	// The job reads as done a moment before its runner's last counter and
+	// gauge updates land, so the pair is retaken while the registry still
+	// moves; an ordering bug never yields two equal renderings of ~150 keys.
+	var a, b []byte
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var err error
+		if a, err = json.Marshal(obs.Default.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		if b, err = json.Marshal(obs.Default.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		if string(a) == string(b) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("snapshot JSON not deterministic:\n%s\n---\n%s", a, b)
+		}
 	}
 
 	// And the default /metrics stays JSON with the documented top-level shape.
