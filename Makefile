@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test bench bench-e2e bench-layers bench-json bench-obs bench-dist bench-delta bench-serve bench-oocore verify fuzz chaos dist-chaos delta-chaos experiments
+.PHONY: build test race bench bench-e2e bench-layers verify fuzz chaos dist-chaos delta-chaos experiments
 
 build:
 	$(GO) build ./...
@@ -15,82 +15,33 @@ bench:
 # bench-e2e and bench-layers run the repository's benchmark (bench/,
 # BENCHMARK.json): the five workloads end to end against the real binaries,
 # and the traced in-process replay that yields the per-layer numbers and
-# .bench_build/trace-<workload>.jsonl. The bench-* targets below are the older
-# per-feature harnesses of cmd/benchjson.
+# .bench_build/trace-<workload>.jsonl.
 bench-e2e:
 	$(GO) run ./bench -workload all
 
 bench-layers:
 	$(GO) run ./bench -workload all -trace 1
 
-# bench-json measures the -workers parallel pipeline against the sequential
-# baseline, verifies byte-identical outputs, and writes BENCH_parallel.json.
-# MIN_SPEEDUP > 0 turns it into a gate (auto-skipped on <4-CPU machines).
-MIN_SPEEDUP ?= 0
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_parallel.json -min-speedup $(MIN_SPEEDUP)
+# race runs the packages where goroutines share memory by design under the
+# race detector: the obs instruments, the parallel pipeline (block-pipelined
+# ingest, parallel F_dt and export), and everything a live graph's writer
+# shares with its snapshots' readers (cow containers, the dictionary's term
+# index, store, query executor and both engines, serving tier, daemon).
+# verify and CI's fail-fast race step both call it.
+RACE_PKGS = ./internal/obs ./internal/rio ./internal/rdf ./internal/core \
+	./internal/cow ./internal/pg ./internal/qexec ./internal/sparql \
+	./internal/cypher ./internal/serve ./internal/server
+race:
+	$(GO) test -race $(RACE_PKGS)
 
-# bench-obs measures the telemetry layer's overhead: the pipeline run bare
-# versus run with the daemon's per-job instrumentation (span tree, lifecycle
-# logs, histograms, JSONL trace) live, writing BENCH_obs.json.
-# MAX_OBS_OVERHEAD > 0 turns it into a gate (auto-skipped on <4-CPU machines).
-MAX_OBS_OVERHEAD ?= 0
-bench-obs:
-	$(GO) run ./cmd/benchjson -mode obs -out BENCH_obs.json -reps 5 -max-overhead-pct $(MAX_OBS_OVERHEAD)
-
-# bench-dist times the coordinator/worker distributed transform (real loopback
-# HTTP, real spool writes, dense-remap merge) against the sequential pipeline,
-# writing BENCH_dist.json. Byte-equality of the merged outputs is a hard gate;
-# the speedup number is informational (on one machine the protocol overhead is
-# what is being tracked).
-bench-dist:
-	$(GO) run ./cmd/benchjson -mode dist -out BENCH_dist.json
-
-# bench-delta measures change-based incremental maintenance (ApplyDelta)
-# against full re-transformation, writing BENCH_delta.json. Two workloads:
-# grow-only batches ride the monotone fast path (the speedup gate), and
-# mixed churn (deletes + mutations) takes the deterministic rebuild path
-# (informational). Byte-equality of the incrementally maintained exports
-# with a from-scratch transform is a hard gate on both.
-MIN_DELTA_SPEEDUP ?= 0
-bench-delta:
-	$(GO) run ./cmd/benchjson -mode delta -out BENCH_delta.json -min-speedup $(MIN_DELTA_SPEEDUP)
-
-# bench-serve load-tests the online query tier: first the -race hammer test
-# (the concurrency proof for lock-free snapshot swaps + LRU eviction), then
-# SERVE_CLIENTS concurrent clients firing mixed Cypher/SPARQL queries at a
-# real in-process daemon for SERVE_DURATION, writing BENCH_serve.json with
-# p50/p95/p99 and QPS. Hard gates (CPU-independent): every answer byte-equals
-# a single-threaded evaluation, and the snapshot cache records zero loads
-# during the run.
-SERVE_CLIENTS ?= 1000
-SERVE_DURATION ?= 2s
-bench-serve:
-	$(GO) test -race -count=1 ./internal/serve
-	$(GO) run ./cmd/benchjson -mode serve -out BENCH_serve.json \
-		-scale 0.0002 -serve-clients $(SERVE_CLIENTS) -serve-duration $(SERVE_DURATION)
-
-# bench-oocore gates the out-of-core transformation path: an XL-profile
-# dataset whose in-RAM graph footprint is ≥ 3× OOCORE_BUDGET_MB is ingested
-# under the spill governor, held under the budget on disk, and transformed
-# over paged reads, writing BENCH_oocore.json. All gates are hard and
-# CPU-independent: the 3× dataset-to-budget ratio, the post-spill residency
-# ceiling, at least one spill, and byte-equality of nodes.csv/edges.csv/
-# schema.ddl with the unconstrained in-RAM run.
-OOCORE_BUDGET_MB ?= 16
-bench-oocore:
-	$(GO) run ./cmd/benchjson -mode oocore -out BENCH_oocore.json \
-		-oocore-budget-mb $(OOCORE_BUDGET_MB)
-
-# verify is the pre-commit gate: static checks, formatting, the racy
-# packages (the obs instruments and the core transformer they instrument)
-# under the race detector, the full test suite (including the corrupted-input
-# corpus tests), and a short fuzz pass over every parser entry point.
+# verify is the pre-commit gate: static checks, formatting, the race list,
+# the full test suite (including the corrupted-input corpus tests), and a
+# short fuzz pass over every parser entry point.
 verify:
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
-	$(GO) test -race ./internal/obs/... ./internal/core/...
+	$(MAKE) race
 	$(GO) test ./...
 	$(MAKE) fuzz
 

@@ -5,16 +5,12 @@
 //	go test -bench=. -benchmem
 //
 // The benches use small dataset scales so the whole suite stays fast;
-// cmd/experiments runs the same measurements at arbitrary scales, and
-// cmd/benchjson runs the BenchmarkParallel* set as a speedup gate.
+// cmd/experiments runs the same measurements at arbitrary scales.
 package s3pg_test
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"testing"
 
 	"github.com/s3pg/s3pg/internal/baseline/neosem"
@@ -26,7 +22,6 @@ import (
 	"github.com/s3pg/s3pg/internal/obs"
 	"github.com/s3pg/s3pg/internal/pg"
 	"github.com/s3pg/s3pg/internal/rdf"
-	"github.com/s3pg/s3pg/internal/rio"
 	"github.com/s3pg/s3pg/internal/shacl"
 	"github.com/s3pg/s3pg/internal/shapeex"
 	"github.com/s3pg/s3pg/internal/sparql"
@@ -317,119 +312,6 @@ func BenchmarkMonotonicity_IncrementalDelta(b *testing.B) {
 		if err := tr.Apply(delta); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Parallel pipeline (-workers) ---
-
-// benchWorkerCounts picks the worker counts the BenchmarkParallel* set runs
-// at: always 1 (the sequential contract baseline), 2, and 4, plus GOMAXPROCS
-// when the machine has more cores. On boxes with fewer cores the higher
-// counts still run — they measure goroutine overhead, not speedup.
-func benchWorkerCounts() []int {
-	counts := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
-// benchNTDocument serializes the benchmark dataset to N-Triples once so the
-// ingest benches measure parsing, not generation.
-func benchNTDocument(b *testing.B) []byte {
-	b.Helper()
-	var nt bytes.Buffer
-	if err := rio.WriteNTriples(&nt, benchEnv().Graph("DBpedia2022")); err != nil {
-		b.Fatal(err)
-	}
-	return nt.Bytes()
-}
-
-// BenchmarkParallelIngest measures the block-pipelined N-Triples loader
-// (parsers beside one in-order admission stage) against the sequential loader
-// it is byte-equivalent to, which is what workers=1 runs: MB/s and allocs/op
-// of both show side by side.
-func BenchmarkParallelIngest(b *testing.B) {
-	data := benchNTDocument(b)
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				g, err := rio.LoadNTriplesParallel(context.Background(), bytes.NewReader(data), int64(len(data)), rio.Options{}, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if g.Len() == 0 {
-					b.Fatal("empty graph")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelTransform measures F_dt under ApplyParallel's
-// precompute-then-commit split at increasing worker counts.
-func BenchmarkParallelTransform(b *testing.B) {
-	e := benchEnv()
-	g := e.Graph("DBpedia2022")
-	sg := e.Shapes("DBpedia2022")
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.TransformWith(context.Background(), g, sg, core.Parsimonious, nil,
-					core.TransformOptions{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelExport measures the chunked CSV writer.
-func BenchmarkParallelExport(b *testing.B) {
-	e := benchEnv()
-	store, _ := e.S3PG("DBpedia2022")
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var nodes, edges discardCounter
-				if err := store.WriteCSVParallel(&nodes, &edges, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelPipeline measures ingest + transform + export end to end —
-// the composition cmd/s3pg's -workers flag drives, and the measurement
-// cmd/benchjson gates CI on.
-func BenchmarkParallelPipeline(b *testing.B) {
-	data := benchNTDocument(b)
-	sg := benchEnv().Shapes("DBpedia2022")
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				g, err := rio.LoadNTriplesParallel(context.Background(), bytes.NewReader(data), int64(len(data)), rio.Options{}, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tr, err := core.TransformWith(context.Background(), g, sg, core.Parsimonious, nil,
-					core.TransformOptions{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var nodes, edges discardCounter
-				if err := tr.Store().WriteCSVParallel(&nodes, &edges, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

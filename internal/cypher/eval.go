@@ -98,12 +98,6 @@ func Eval(store *pg.Store, q *Query) (*Results, error) {
 	return EvalWith(store, q, EvalOptions{})
 }
 
-// EvalTraced is Eval recording each UNION part as a child span with its row
-// count (nil span disables tracing at no cost).
-func EvalTraced(store *pg.Store, q *Query, span *obs.Span) (*Results, error) {
-	return EvalWith(store, q, EvalOptions{Span: span})
-}
-
 // EvalWith executes a query with cancellation, parameters, and tracing.
 func EvalWith(store *pg.Store, q *Query, opt EvalOptions) (*Results, error) {
 	a, err := Run(store, q, opt, 0)

@@ -8,6 +8,7 @@ import (
 	"github.com/s3pg/s3pg/internal/core"
 	"github.com/s3pg/s3pg/internal/datagen"
 	"github.com/s3pg/s3pg/internal/exp"
+	"github.com/s3pg/s3pg/internal/obs"
 	"github.com/s3pg/s3pg/internal/pgschema"
 	"github.com/s3pg/s3pg/internal/rio"
 	"github.com/s3pg/s3pg/internal/shapeex"
@@ -22,16 +23,23 @@ type pipelineOutputs struct {
 
 // runPipeline executes the complete S3PG pipeline — parallel N-Triples
 // ingest, shape extraction, parallel transform, parallel CSV export — at the
-// given worker count over a serialized dataset.
+// given worker count over a serialized dataset. The parallel runs carry a
+// live span tree and the workers = 1 reference none, so the comparison also
+// holds telemetry output-invisible.
 func runPipeline(t *testing.T, nt []byte, workers int) pipelineOutputs {
 	t.Helper()
 	ctx := context.Background()
+	var span *obs.Span
+	if workers > 1 {
+		span = obs.NewSpan("pipeline")
+		defer span.End()
+	}
 	g, err := rio.LoadNTriplesParallel(ctx, bytes.NewReader(nt), int64(len(nt)), rio.Options{}, workers)
 	if err != nil {
 		t.Fatalf("workers=%d: ingest: %v", workers, err)
 	}
 	shapes := shapeex.Extract(g, shapeex.Options{MinSupport: 0.02})
-	tr, err := core.TransformWith(ctx, g, shapes, core.Parsimonious, nil, core.TransformOptions{Workers: workers})
+	tr, err := core.TransformWith(ctx, g, shapes, core.Parsimonious, span, core.TransformOptions{Workers: workers})
 	if err != nil {
 		t.Fatalf("workers=%d: transform: %v", workers, err)
 	}

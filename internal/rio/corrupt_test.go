@@ -24,7 +24,7 @@ var corruptNTLines = []string{
 
 func TestNTriplesStrictRejectsCorruptLines(t *testing.T) {
 	for _, line := range corruptNTLines {
-		err := ReadNTriples(strings.NewReader(line+"\n"), func(rdf.Triple) error { return nil })
+		err := ReadNTriplesWith(context.Background(), strings.NewReader(line+"\n"), Options{}, func(rdf.Triple) error { return nil })
 		if err == nil {
 			t.Errorf("strict parse accepted %q", line)
 			continue
@@ -94,7 +94,7 @@ func TestNTriplesLongLine(t *testing.T) {
 	src := `<http://e.org/s> <http://e.org/p> "` + lex + "\" .\n" +
 		"<http://e.org/s> <http://e.org/p2> <http://e.org/o> .\n"
 	var got []rdf.Triple
-	if err := ReadNTriples(strings.NewReader(src), func(tr rdf.Triple) error {
+	if err := ReadNTriplesWith(context.Background(), strings.NewReader(src), Options{}, func(tr rdf.Triple) error {
 		got = append(got, tr)
 		return nil
 	}); err != nil {

@@ -28,24 +28,18 @@ var (
 // parse and is propagated to the caller.
 type TripleHandler func(rdf.Triple) error
 
-// ReadNTriples parses an N-Triples document from r, streaming each triple to
-// fn. Lines that are empty or comments are skipped. The reader allocates no
-// intermediate graph, so arbitrarily large files can be processed. It is the
-// strict, non-cancellable form of ReadNTriplesWith.
-func ReadNTriples(r io.Reader, fn TripleHandler) error {
-	return ReadNTriplesWith(context.Background(), r, Options{}, fn)
-}
-
 // ctxCheckInterval is how many lines/statements the readers process between
 // context cancellation checks: frequent enough that cancellation is prompt,
 // rare enough that the per-statement cost is unmeasurable.
 const ctxCheckInterval = 4096
 
-// ReadNTriplesWith is ReadNTriples with cancellation and fault-tolerance
-// control. In strict mode (the zero Options) the first malformed line aborts
-// with a *ParseError; in lenient mode malformed lines are skipped, reported
-// to opts.OnError, counted in the rio.ntriples.skipped counter, and the
-// parse hard-stops with ErrTooManyErrors once opts.MaxErrors is exceeded.
+// ReadNTriplesWith parses an N-Triples document from r, streaming each triple
+// to fn without building a graph, so arbitrarily large files can be processed.
+// Empty lines and comments are skipped. In strict mode (the zero Options) the
+// first malformed line aborts with a *ParseError; in lenient mode malformed
+// lines are skipped, reported to opts.OnError, counted in the
+// rio.ntriples.skipped counter, and the parse hard-stops with
+// ErrTooManyErrors once opts.MaxErrors is exceeded.
 // Lines are read through a bufio.Reader, so there is no upper bound on line
 // length (bufio.Scanner's token limit does not apply).
 func ReadNTriplesWith(ctx context.Context, r io.Reader, opts Options, fn TripleHandler) error {

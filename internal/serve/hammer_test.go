@@ -14,8 +14,7 @@ import (
 // pointer that a writer keeps swapping and (b) a small-budget LRU cache
 // that is evicting continuously, while asserting that every answer is
 // internally consistent with the LSN of the snapshot it was served from —
-// i.e. no torn reads. Run under -race (the Makefile bench-serve target and
-// CI do).
+// i.e. no torn reads. Run under -race (make race and CI do).
 func TestHammerSnapshotSwapAndEviction(t *testing.T) {
 	const (
 		readers   = 8

@@ -16,15 +16,22 @@ import (
 	"github.com/s3pg/s3pg/internal/datagen"
 	"github.com/s3pg/s3pg/internal/jobs"
 	"github.com/s3pg/s3pg/internal/obs"
+	"github.com/s3pg/s3pg/internal/rdf"
 	"github.com/s3pg/s3pg/internal/rio"
 	"github.com/s3pg/s3pg/internal/shacl"
 	"github.com/s3pg/s3pg/internal/shapeex"
 )
 
 var testDataset = sync.OnceValues(func() (string, string) {
-	p := datagen.University()
-	g := datagen.Generate(p, 0.2, 7)
-	shapes := shapeex.Extract(g, shapeex.Options{MinSupport: 0.01})
+	_, _, shapes, data := generateDataset(datagen.University(), 0.2, 7, 0.01)
+	return shapes, data
+})
+
+// generateDataset returns a generated graph and its extracted shapes, both
+// also in the forms the daemon takes: Turtle and N-Triples.
+func generateDataset(p *datagen.Profile, scale float64, seed int64, minSupport float64) (*rdf.Graph, *shacl.Schema, string, string) {
+	g := datagen.Generate(p, scale, seed)
+	shapes := shapeex.Extract(g, shapeex.Options{MinSupport: minSupport})
 	var sb bytes.Buffer
 	tw := rio.NewTurtleWriter()
 	tw.Prefix("d", p.NS)
@@ -36,8 +43,8 @@ var testDataset = sync.OnceValues(func() (string, string) {
 	if err := rio.WriteNTriples(&db, g); err != nil {
 		panic(err)
 	}
-	return sb.String(), db.String()
-})
+	return g, shapes, sb.String(), db.String()
+}
 
 // newTestServer stands up a manager + server over a temp spool.
 func newTestServer(t *testing.T, mcfg jobs.Config) (*Server, *jobs.Manager) {

@@ -3,14 +3,10 @@
 package stats
 
 import (
-	"github.com/s3pg/s3pg/internal/obs"
 	"github.com/s3pg/s3pg/internal/pg"
 	"github.com/s3pg/s3pg/internal/rdf"
 	"github.com/s3pg/s3pg/internal/shacl"
 )
-
-// cScanned counts triples scanned by the streaming statistics pass.
-var cScanned = obs.Default.Counter("stats.dataset.triples_scanned")
 
 // Dataset mirrors one column of Table 2.
 type Dataset struct {
@@ -52,57 +48,6 @@ func ComputeDataset(g *rdf.Graph) Dataset {
 	d.Literals = len(literals)
 	d.Instances = len(instances)
 	d.Classes = len(g.Classes())
-	d.Properties = len(preds)
-	return d
-}
-
-// ComputeDatasetStreaming derives the same Table 2 statistics as
-// ComputeDataset in a single ForEach pass: the class census (objects of
-// rdf:type plus both ends of rdfs:subClassOf, the definition Graph.Classes
-// uses) folds into the main scan instead of re-matching the graph, and every
-// scanned triple increments the "stats.dataset.triples_scanned" obs counter.
-func ComputeDatasetStreaming(g *rdf.Graph) Dataset {
-	var d Dataset
-	d.Triples = g.Len()
-	subjects := make(map[rdf.Term]struct{})
-	objects := make(map[rdf.Term]struct{})
-	literals := make(map[rdf.Term]struct{})
-	instances := make(map[rdf.Term]struct{})
-	preds := make(map[rdf.Term]struct{})
-	classes := make(map[rdf.Term]struct{})
-	subClassOf := rdf.NewIRI(rdf.RDFSSubClassOf)
-	scanned := int64(0)
-	g.ForEach(func(t rdf.Triple) bool {
-		scanned++
-		subjects[t.S] = struct{}{}
-		objects[t.O] = struct{}{}
-		preds[t.P] = struct{}{}
-		if t.O.IsLiteral() {
-			literals[t.O] = struct{}{}
-		}
-		switch t.P {
-		case rdf.A:
-			instances[t.S] = struct{}{}
-			if t.O.IsIRI() {
-				classes[t.O] = struct{}{}
-			}
-		case subClassOf:
-			if t.S.IsIRI() {
-				classes[t.S] = struct{}{}
-			}
-			if t.O.IsIRI() {
-				classes[t.O] = struct{}{}
-			}
-		}
-		d.SizeBytes += int64(len(t.S.Value) + len(t.P.Value) + len(t.O.Value) + len(t.O.Datatype) + 12)
-		return true
-	})
-	cScanned.Add(scanned)
-	d.Subjects = len(subjects)
-	d.Objects = len(objects)
-	d.Literals = len(literals)
-	d.Instances = len(instances)
-	d.Classes = len(classes)
 	d.Properties = len(preds)
 	return d
 }

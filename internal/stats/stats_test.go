@@ -1,12 +1,10 @@
 package stats_test
 
 import (
-	"reflect"
 	"testing"
 
 	"github.com/s3pg/s3pg/internal/core"
 	"github.com/s3pg/s3pg/internal/fixtures"
-	"github.com/s3pg/s3pg/internal/obs"
 	"github.com/s3pg/s3pg/internal/stats"
 )
 
@@ -27,22 +25,6 @@ func TestComputeDataset(t *testing.T) {
 	}
 	if d.SizeBytes <= 0 {
 		t.Fatalf("size = %d", d.SizeBytes)
-	}
-}
-
-// TestComputeDatasetStreamingMatches pins the single-pass variant to the
-// multi-pass reference implementation, and checks the scan counter advanced.
-func TestComputeDatasetStreamingMatches(t *testing.T) {
-	g := fixtures.UniversityGraph()
-	before := obs.Default.Counter("stats.dataset.triples_scanned").Value()
-	want := stats.ComputeDataset(g)
-	got := stats.ComputeDatasetStreaming(g)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streaming stats diverge:\n got %+v\nwant %+v", got, want)
-	}
-	after := obs.Default.Counter("stats.dataset.triples_scanned").Value()
-	if after-before != int64(g.Len()) {
-		t.Fatalf("scan counter advanced by %d, want %d", after-before, g.Len())
 	}
 }
 
