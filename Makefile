@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race bench bench-e2e bench-layers verify fuzz chaos dist-chaos delta-chaos experiments
+.PHONY: build test race bench bench-e2e bench-layers verify fuzz chaos delta-chaos experiments
 
 build:
 	$(GO) build ./...
@@ -80,19 +80,6 @@ CHAOS_LOG_DIR ?= $(CURDIR)/chaos-logs
 chaos:
 	S3PGD_CHAOS_LOG_DIR=$(CHAOS_LOG_DIR) \
 		$(GO) test -race -count=1 ./internal/jobs ./internal/server ./cmd/s3pgd
-
-# dist-chaos runs the distributed-transform fault matrix: a coordinator and
-# three worker daemons (one straggler, one with injected FS faults, one
-# healthy) through SIGKILL-a-worker, SIGTERM-and-restart-the-coordinator,
-# lease eviction, and speculative reassignment — asserting every shard
-# completes exactly once and the merged output is byte-identical to the
-# sequential pipeline. The dist package's ledger/merge/registry unit tests
-# ride along under the same race detector. Daemon and coordinator logs land
-# in CHAOS_LOG_DIR for post-mortem.
-dist-chaos:
-	$(GO) test -race -count=1 ./internal/dist
-	S3PGD_CHAOS_LOG_DIR=$(CHAOS_LOG_DIR) \
-		$(GO) test -race -count=1 -run 'TestDist' ./cmd/s3pgd
 
 # delta-chaos runs the crash-safe incremental-transform matrix: the WAL and
 # live-graph layers under the race detector, then the SIGKILL matrix against

@@ -640,6 +640,27 @@ func TestPprofGate(t *testing.T) {
 	d2.wait()
 }
 
+// TestRemovedDistFlagsAreUsageErrors: a deployment script that still passes
+// the deleted distributed-mode flags must fail loudly (exit 2, flag named on
+// stderr) instead of silently starting a plain job server.
+func TestRemovedDistFlagsAreUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-coordinator", []string{"-coordinator"}},
+		{"-join", []string{"-spool", t.TempDir(), "-join", "http://127.0.0.1:1"}},
+	} {
+		var stderr bytes.Buffer
+		if code := run(tc.args, io.Discard, &stderr); code != exitUsage {
+			t.Errorf("run(%q) = %d, want %d", tc.args, code, exitUsage)
+		}
+		if !strings.Contains(stderr.String(), "not defined: "+tc.flag) {
+			t.Errorf("run(%q) stderr does not name %s: %.200s", tc.args, tc.flag, stderr.String())
+		}
+	}
+}
+
 // TestTraceFileJSONL: with -trace-file the daemon appends one JSONL record
 // per lifecycle transition, and one completed job yields the full
 // spool→…→done phase sequence with the job's id on every record.

@@ -11,7 +11,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,7 +26,6 @@ import (
 	"time"
 
 	"github.com/s3pg/s3pg/internal/ckpt"
-	"github.com/s3pg/s3pg/internal/dist"
 	"github.com/s3pg/s3pg/internal/faultio"
 	"github.com/s3pg/s3pg/internal/jobs"
 	"github.com/s3pg/s3pg/internal/obs"
@@ -53,9 +51,6 @@ const (
 //   - S3PGD_EXIT_FILE, when set, receives the daemon's exit reason just
 //     before it terminates — the chaos harness reads it to distinguish a
 //     clean drain from a forced abort.
-//   - S3PGD_SHARD_DELAY stalls every shard scan in worker mode by the given
-//     duration, turning the worker into a straggler so the chaos matrix can
-//     open wide SIGKILL and speculation windows.
 //   - S3PGD_DELTA_STALL ("apply=50ms", "wal=50ms", or both comma-separated)
 //     stalls every live-graph update at the named point — just before
 //     ApplyDelta or just before the WAL append — so the delta chaos matrix
@@ -63,7 +58,6 @@ const (
 const (
 	faultFSEnv    = "S3PG_FAULT_FS"
 	exitFileEnv   = "S3PGD_EXIT_FILE"
-	shardDelayEnv = "S3PGD_SHARD_DELAY"
 	deltaStallEnv = "S3PGD_DELTA_STALL"
 )
 
@@ -98,41 +92,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		queryQueue   = fs.Int("query-queue", 0, "queries waiting behind the slots before 429 (0 = 256, negative = none)")
 		queryTimeout = fs.Duration("query-timeout", 0, "per-query deadline ceiling (0 = 30s)")
 		queryMaxRows = fs.Int("query-max-rows", 0, "rows returned per query at most (0 = 100000)")
-
-		// Distributed transform: coordinator mode.
-		coordinator    = fs.Bool("coordinator", false, "run as a distributed-transform coordinator instead of a job server")
-		dataPath       = fs.String("data", "", "coordinator: N-Triples input `file`")
-		shapesPath     = fs.String("shapes", "", "coordinator: SHACL shapes Turtle `file`")
-		outDir         = fs.String("out", "", "coordinator: output `directory` for nodes.csv/edges.csv/schema.ddl")
-		stateDir       = fs.String("state", "", "coordinator: `directory` for the shard ledger and result blobs (restart resumes from it)")
-		distShards     = fs.Int("dist-shards", 8, "coordinator: number of input shards")
-		mode           = fs.String("mode", "", "coordinator: transform mode (default parsimonious)")
-		lenient        = fs.Bool("lenient", false, "coordinator: skip-and-report malformed statements")
-		lease          = fs.Duration("lease", 10*time.Second, "coordinator: worker heartbeat lease; silent workers are evicted after this")
-		speculateAfter = fs.Duration("speculate-after", 0, "coordinator: launch a duplicate send for shards in flight this long (0 = 2×lease)")
-		waitWorkers    = fs.Duration("wait-workers", 3*time.Second, "coordinator: empty-registry grace before shards degrade to local execution")
-		shardAttempts  = fs.Int("shard-attempts", 4, "coordinator: remote sends per shard before local fallback")
-		linger         = fs.Duration("linger", 0, "coordinator: keep serving status/metrics this long after the merge commits")
-
-		// Distributed transform: worker mode (composes with the job server).
-		join             = fs.String("join", "", "coordinator `url` to register with as a shard worker")
-		workerURL        = fs.String("worker-url", "", "advertised base `url` for shard requests (default http://<listen addr>)")
-		workerID         = fs.String("worker-id", "", "worker `name` in the coordinator's registry (default the listen address)")
-		shardConcurrency = fs.Int("shard-concurrency", 2, "concurrent shard scans before requests bounce with 429")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
 	logger := obs.NewLogger(obs.NewLockedWriter(stderr), "s3pgd")
-	if *coordinator {
-		return runCoordinator(coordCfg{
-			addr: *addr, addrFile: *addrFile,
-			data: *dataPath, shapes: *shapesPath, out: *outDir, state: *stateDir,
-			shards: *distShards, mode: *mode, lenient: *lenient,
-			lease: *lease, speculateAfter: *speculateAfter, waitWorkers: *waitWorkers,
-			shardAttempts: *shardAttempts, linger: *linger,
-		}, logger, stderr)
-	}
 	if *spool == "" {
 		fmt.Fprintln(stderr, "s3pgd: error: -spool is required")
 		fs.Usage()
@@ -200,32 +164,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer graphs.Close()
 
-	var shardWorker *dist.Worker
-	if *join != "" {
-		shardWorker = &dist.Worker{
-			SpoolDir:      filepath.Join(*spool, "shards"),
-			FS:            commitFS,
-			MaxConcurrent: *shardConcurrency,
-			Log:           logger.With("component", "dist"),
-		}
-		if spec := os.Getenv(shardDelayEnv); spec != "" {
-			d, derr := time.ParseDuration(spec)
-			if derr != nil {
-				fmt.Fprintf(stderr, "s3pgd: error: %s: %v\n", shardDelayEnv, derr)
-				return exitUsage
-			}
-			shardWorker.Delay = d
-			logger.Info("shard_delay_active", "env", shardDelayEnv, "delay", spec)
-		}
-	}
-
 	srv := server.New(server.Config{
 		Manager:            mgr,
 		MaxBodyBytes:       *maxBody,
 		Log:                logger.With("component", "server"),
 		Version:            version,
 		EnablePprof:        *pprofHTTP,
-		ShardWorker:        shardWorker,
 		Graphs:             graphs,
 		QueryCacheBytes:    int64(*queryCacheMB) << 20,
 		QueryMaxConcurrent: *queryConc,
@@ -258,21 +202,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	logger.Info("serving", "addr", ln.Addr().String(), "spool", *spool,
 		"workers", *workers, "queue_depth", *queueDepth, "pprof", *pprofHTTP, "version", version)
-
-	if shardWorker != nil {
-		id := *workerID
-		if id == "" {
-			id = ln.Addr().String()
-		}
-		shardWorker.ID = id
-		self := *workerURL
-		if self == "" {
-			self = "http://" + ln.Addr().String()
-		}
-		joinCtx, stopJoin := context.WithCancel(context.Background())
-		defer stopJoin()
-		go dist.JoinLoop(joinCtx, *join, id, self, logger.With("component", "dist"))
-	}
 
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
@@ -359,111 +288,6 @@ func parseDeltaStall(spec string, cfg *server.GraphConfig) error {
 		}
 	}
 	return nil
-}
-
-// coordCfg carries the coordinator-mode flags.
-type coordCfg struct {
-	addr, addrFile           string
-	data, shapes, out, state string
-	shards                   int
-	mode                     string
-	lenient                  bool
-	lease, speculateAfter    time.Duration
-	waitWorkers, linger      time.Duration
-	shardAttempts            int
-}
-
-// runCoordinator is the -coordinator entrypoint: serve the control endpoints
-// (worker registration, status, metrics), drive the distributed transform to
-// a committed merge, and exit. SIGTERM checkpoints the shard ledger and exits
-// cleanly so a restart against the same -state resumes instead of restarting.
-func runCoordinator(cfg coordCfg, logger *obs.Logger, stderr io.Writer) int {
-	for _, req := range []struct{ name, v string }{
-		{"-data", cfg.data}, {"-shapes", cfg.shapes}, {"-out", cfg.out}, {"-state", cfg.state},
-	} {
-		if req.v == "" {
-			fmt.Fprintf(stderr, "s3pgd: error: %s is required with -coordinator\n", req.name)
-			return exitUsage
-		}
-	}
-	commitFS := ckpt.FS(ckpt.OSFS)
-	if spec := os.Getenv(faultFSEnv); spec != "" {
-		injected, err := faultio.ParseFS(spec)
-		if err != nil {
-			fmt.Fprintf(stderr, "s3pgd: error: %s: %v\n", faultFSEnv, err)
-			return exitUsage
-		}
-		commitFS = injected
-		logger.Info("fault_injection_active", "env", faultFSEnv, "spec", spec)
-	}
-	c := dist.New(dist.Config{
-		DataPath: cfg.data, ShapesPath: cfg.shapes, OutDir: cfg.out, StateDir: cfg.state,
-		Mode: cfg.mode, Lenient: cfg.lenient, ShardCount: cfg.shards,
-		LeaseTTL: cfg.lease, SpeculateAfter: cfg.speculateAfter,
-		WaitWorkers: cfg.waitWorkers, ShardAttempts: cfg.shardAttempts,
-		FS: commitFS, Log: logger.With("component", "coordinator"),
-	})
-
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		logger.Error("listen_failed", "addr", cfg.addr, "error", err)
-		return exitError
-	}
-	if cfg.addrFile != "" {
-		if err := ckpt.WriteFileAtomic(cfg.addrFile, 0o644, func(w io.Writer) error {
-			_, werr := fmt.Fprintln(w, ln.Addr().String())
-			return werr
-		}); err != nil {
-			logger.Error("addr_file_failed", "path", cfg.addrFile, "error", err)
-			return exitError
-		}
-	}
-	httpSrv := &http.Server{
-		Handler:  c.Handler(),
-		ErrorLog: slog.NewLogLogger(logger.With("component", "http").Handler(), slog.LevelWarn),
-	}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	logger.Info("coordinating", "addr", ln.Addr().String(), "data", cfg.data,
-		"shards", cfg.shards, "lease", cfg.lease.String(), "version", version)
-
-	errInterrupted := errors.New("interrupted by signal")
-	ctx, cancel := context.WithCancelCause(context.Background())
-	defer cancel(nil)
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s, ok := <-sigs
-		if !ok {
-			return
-		}
-		logger.Info("interrupting_on_signal", "signal", s.String())
-		cancel(errInterrupted)
-	}()
-
-	runErr := c.Run(ctx)
-	switch {
-	case runErr == nil:
-		logger.Info("dist_done", "out", cfg.out)
-		// Keep the control surface up briefly so harnesses and dashboards can
-		// scrape the terminal state before the process goes away.
-		if cfg.linger > 0 {
-			lingering, stop := context.WithTimeout(ctx, cfg.linger) // the signal goroutine cancels ctx on SIGTERM
-			c.Linger(lingering)
-			stop()
-		}
-		writeExitReason("dist-done")
-		return exitOK
-	case errors.Is(runErr, errInterrupted):
-		// Ledger committed; a restart resumes.
-		logger.Info("dist_interrupted")
-		writeExitReason("dist-interrupted")
-		return exitOK
-	default:
-		logger.Error("dist_failed", "error", runErr)
-		writeExitReason("dist-failed")
-		return exitError
-	}
 }
 
 // writeExitReason records why the process exited for the chaos harness.

@@ -145,12 +145,6 @@ func (l *Lists[E]) Append(i int, e E) {
 	*s = append(*s, e)
 }
 
-// Extend adds es to the end of list i.
-func (l *Lists[E]) Extend(i int, es []E) {
-	s := l.slot(i)
-	*s = append(*s, es...)
-}
-
 // Pop removes the last element of list i. The list gives up its spare
 // capacity: the slot it vacates may still be visible to a clone, so the
 // next Append must not reuse it.

@@ -95,10 +95,6 @@ func TestListsCloneIsolation(t *testing.T) {
 				m.lists.Pop(i)
 				m.model[i] = m.model[i][:len(m.model[i])-1]
 			}
-		case op == 2:
-			es := []int32{rng.Int31(), rng.Int31(), rng.Int31()}
-			m.lists.Extend(i, es)
-			m.model[i] = append(m.model[i], es...)
 		default:
 			e := rng.Int31()
 			m.lists.Append(i, e)

@@ -25,71 +25,6 @@ func genTerms(n int) []Term {
 	return out
 }
 
-func encodeAll(d *Dict, ts []Triple) []EncodedTriple {
-	enc := make([]EncodedTriple, len(ts))
-	for i, tr := range ts {
-		enc[i] = EncodedTriple{d.Intern(tr.S), d.Intern(tr.P), d.Intern(tr.O)}
-	}
-	return enc
-}
-
-func genTriples(n int) []Triple {
-	out := make([]Triple, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, NewTriple(
-			NewIRI(fmt.Sprintf("http://ex.org/s%d", i%211)),
-			NewIRI(fmt.Sprintf("http://ex.org/p%d", i%13)),
-			NewTypedLiteral(fmt.Sprintf("%d", i%307), XSDInteger),
-		))
-	}
-	return out
-}
-
-// TestNewGraphFromEncodedMatchesAdd checks that the bulk constructor with
-// parallel index build is observationally identical to sequential Add calls:
-// same admission (dedup), same iteration order, same posting lists.
-func TestNewGraphFromEncodedMatchesAdd(t *testing.T) {
-	ts := genTriples(20000) // above minParallelIndex after dedup? ensure volume below is also covered
-	seq := NewGraph()
-	for _, tr := range ts {
-		seq.Add(tr)
-	}
-
-	d := NewDict()
-	g := NewGraphFromEncoded(d, encodeAll(d, ts), 4)
-
-	if g.Len() != seq.Len() {
-		t.Fatalf("bulk graph has %d triples, sequential %d", g.Len(), seq.Len())
-	}
-	a, b := g.Triples(), seq.Triples()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("triple %d: bulk %v, sequential %v", i, a[i], b[i])
-		}
-	}
-	// Posting lists: every single-component pattern must enumerate matches in
-	// the same order.
-	for _, probe := range []Triple{ts[0], ts[len(ts)/2], ts[len(ts)-1]} {
-		for _, pat := range [][3]*Term{
-			{&probe.S, nil, nil},
-			{nil, &probe.P, nil},
-			{nil, nil, &probe.O},
-		} {
-			var got, want []Triple
-			g.Match(pat[0], pat[1], pat[2], func(tr Triple) bool { got = append(got, tr); return true })
-			seq.Match(pat[0], pat[1], pat[2], func(tr Triple) bool { want = append(want, tr); return true })
-			if len(got) != len(want) {
-				t.Fatalf("pattern %v: bulk %d matches, sequential %d", pat, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("pattern %v match %d: bulk %v, sequential %v", pat, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // TestGraphIterationOrderInterleavedAddRemove is the regression test for the
 // documented iteration-order guarantee: interleaved Add/Remove never reorders
 // survivors, and a re-added triple moves to the end of the order.

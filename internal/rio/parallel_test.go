@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/s3pg/s3pg/internal/datagen"
 	"github.com/s3pg/s3pg/internal/rdf"
 )
 
@@ -154,6 +155,16 @@ func dirtyNT(n, everyN int) string {
 	return b.String()
 }
 
+// universityNT renders a generated University-profile graph (the shape of the
+// paper's running example) as one document, as WriteNTriples escapes it.
+func universityNT(t *testing.T) string {
+	var b strings.Builder
+	if err := WriteNTriples(&b, datagen.Generate(datagen.University(), 0.2, 7)); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 // TestLoadNTriplesParallelMatchesSequential is the loader's contract: over
 // any input, error policy, worker count and block size, a caller cannot tell
 // LoadNTriplesParallel from LoadNTriplesWith. The small block sizes cut the
@@ -182,6 +193,8 @@ func TestLoadNTriplesParallelMatchesSequential(t *testing.T) {
 		{"error_last_line_unterminated", syntheticNT(400) + "<http://ex.org/a> <http://ex.org/p> ."},
 		{"error_burst", syntheticNT(100) + strings.Repeat("garbage burst\n", 40) + syntheticNT(100)},
 		{"all_garbage", strings.Repeat("x\n", 3000)},
+		{"error_mid_statement", syntheticNT(60) + "<http://ex.org/a> <http://ex.org/p .\n\n# comment\n" + syntheticNT(60) + "not a triple\n" + stmt},
+		{"university_profile", universityNT(t)},
 	}
 	policies := []struct {
 		name string

@@ -31,18 +31,14 @@ func ParseTurtleWith(ctx context.Context, src string, opts Options) (*rdf.Graph,
 	return g, nil
 }
 
-// ReadTurtle parses a Turtle document from r, streaming triples to fn.
-func ReadTurtle(r io.Reader, fn TripleHandler) error {
-	return ReadTurtleWith(context.Background(), r, Options{}, fn)
-}
-
-// ReadTurtleWith is ReadTurtle with cancellation and fault-tolerance
-// control. In strict mode (the zero Options) the first malformed statement
-// aborts with a *ParseError; in lenient mode the parser reports the error to
-// opts.OnError, re-synchronizes at the next top-level '.' terminator, and
-// keeps parsing — triples already streamed from the failed statement's
-// prefix stand. Parsing hard-stops with ErrTooManyErrors once opts.MaxErrors
-// malformed statements have been skipped.
+// ReadTurtleWith parses a Turtle document from r, streaming triples to fn,
+// with cancellation and fault-tolerance control. In strict mode (the zero
+// Options) the first malformed statement aborts with a *ParseError; in
+// lenient mode the parser reports the error to opts.OnError, re-synchronizes
+// at the next top-level '.' terminator, and keeps parsing — triples already
+// streamed from the failed statement's prefix stand. Parsing hard-stops with
+// ErrTooManyErrors once opts.MaxErrors malformed statements have been
+// skipped.
 func ReadTurtleWith(ctx context.Context, r io.Reader, opts Options, fn TripleHandler) error {
 	data, err := io.ReadAll(r)
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/s3pg/s3pg/internal/dist"
 	"github.com/s3pg/s3pg/internal/faultio"
 	"github.com/s3pg/s3pg/internal/jobs"
 	"github.com/s3pg/s3pg/internal/obs"
@@ -54,12 +53,6 @@ type Config struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (off by
 	// default: the profile endpoints expose internals and cost CPU).
 	EnablePprof bool
-	// ShardWorker, when non-nil, mounts POST /shards so this daemon can
-	// serve shard scans for a distributed-transform coordinator. Shard
-	// requests share the server's admission gates: a draining or shedding
-	// daemon bounces them with 503 + Retry-After instead of taking on work
-	// it is trying to get rid of.
-	ShardWorker *dist.Worker
 	// Graphs, when non-nil, mounts the live-graph surface: named graphs
 	// under /graphs/{id} that accept SPARQL Update batches and stream the
 	// resulting PG deltas to resumable subscribers.
@@ -146,9 +139,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if cfg.ShardWorker != nil {
-		s.mux.HandleFunc("POST /shards", s.handleShard)
-	}
 	if cfg.Graphs != nil {
 		s.mux.HandleFunc("PUT /graphs/{id}", s.handleGraphCreate)
 		s.mux.HandleFunc("GET /graphs", s.handleGraphList)
@@ -326,22 +316,6 @@ func (s *Server) handleOutput(w http.ResponseWriter, r *http.Request) {
 	if _, err := io.Copy(w, f); err != nil {
 		s.cfg.Log.Warn("output_stream_failed", "request_id", RequestID(r.Context()), "path", path, "error", err)
 	}
-}
-
-// handleShard admits a coordinator's shard-scan request through the same
-// gates as job submission, then hands it to the dist worker. The coordinator
-// treats the resulting 503s exactly like a busy worker's: back off for
-// Retry-After, try again or reroute.
-func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	if s.lameduck.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, jobs.ErrDraining)
-		return
-	}
-	if err := s.cfg.Manager.Ready(); err != nil {
-		s.writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	s.cfg.ShardWorker.Handle(w, r)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

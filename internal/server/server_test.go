@@ -269,8 +269,8 @@ func TestHealthReadyAndLameDuck(t *testing.T) {
 
 // TestReadyz503CarriesRetryAfter: every 503 the server produces — readyz and
 // submit rejections alike — carries a positive Retry-After hint so
-// distributed clients (the dist coordinator included) back off instead of
-// hammering a server that is guaranteed to shed them.
+// clients back off instead of hammering a server that is guaranteed to shed
+// them.
 func TestReadyz503CarriesRetryAfter(t *testing.T) {
 	srv, _ := newTestServer(t, jobs.Config{})
 	srv.EnterLameDuck()
