@@ -48,10 +48,11 @@ verify:
 # fuzz runs every native fuzz target for FUZZTIME each: the N-Triples and
 # Turtle parsers (strict and lenient), the Cypher lexer and parser, the
 # SPARQL parser, both engines' executor against the reference evaluator it
-# replaced, the /query JSON writer against encoding/json, and a spilled
+# replaced, the /query JSON writer against encoding/json, a spilled
 # graph under random Add/Remove/Spill/Clone schedules against a twin that
-# never spilled. New crashers land in testdata/fuzz/ and become regression
-# tests.
+# never spilled, and a live graph edited in place under random update
+# scripts against a twin that rebuilds on every batch. New crashers land in
+# testdata/fuzz/ and become regression tests.
 FUZZ_TARGETS = \
 	FuzzParseNTriplesLine:./internal/rio \
 	FuzzReadNTriplesLenient:./internal/rio \
@@ -63,7 +64,8 @@ FUZZ_TARGETS = \
 	FuzzEvalDifferential:./internal/cypher \
 	FuzzEvalDifferential:./internal/sparql \
 	FuzzRowJSON:./internal/serve \
-	FuzzSpillSchedule:./internal/rdf
+	FuzzSpillSchedule:./internal/rdf \
+	FuzzApplyDeltaInPlace:./internal/core
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

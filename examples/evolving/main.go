@@ -1,12 +1,13 @@
 // evolving demonstrates S3PG's change-based incremental maintenance
 // (§4.2.1/§5.4): a knowledge graph is transformed once and then evolves
-// through typed change batches. A grow-only batch rides the monotone fast
-// path (Prop 4.3); mixed churn — deletions and in-place literal mutations,
-// arriving as a SPARQL Update request — falls back to a deterministic
-// rebuild (Prop 4.1 invertibility makes the removed statements exactly
-// identifiable). Either way the maintained property graph must be
-// byte-identical to a full re-transformation of the evolved snapshot, and
-// this example asserts exactly that after every batch.
+// through typed change batches. A grow-only batch is appended (Prop 4.3);
+// mixed churn — deletions and in-place literal mutations, arriving as a
+// SPARQL Update request — is applied as an edit script on the property
+// graph, unless it deletes an rdf:type statement or otherwise changes what
+// earlier statements would have done, in which case the state is rebuilt
+// from the graph (Prop 4.1 invertibility). Either way the maintained property
+// graph must be byte-identical to a full re-transformation of the evolved
+// snapshot, and this example asserts exactly that after every batch.
 package main
 
 import (
@@ -87,7 +88,7 @@ func main() {
 
 	// Batch 1 — grow-only: new property values on existing subjects (the
 	// paper's ≈5.21% growth). No deletions and no new rdf:type statements,
-	// so this is the Prop 4.3 monotone case and takes the fast path.
+	// so this is the Prop 4.3 monotone case: the batch is only appended.
 	growth := &s3pg.Delta{}
 	datagen.Evolve(base, profile, 0.0521, 1007).ForEach(func(t s3pg.Triple) bool {
 		if t.P != rdf.A {
@@ -104,7 +105,7 @@ func main() {
 	fmt.Printf("grow-only batch: +%d triples applied in %v (%d node changes, %d edge changes)\n",
 		len(growth.Inserts), fastTime.Round(time.Microsecond), len(pd.Nodes), len(pd.Edges))
 	fullTime := assertIdentical(state, shapes, "after growth")
-	fmt.Printf("  fast path: %v vs %v from scratch (%.0fx faster, %d fast applies / %d rebuilds)\n",
+	fmt.Printf("  in place: %v vs %v from scratch (%.0fx faster, %d in place / %d rebuilds)\n",
 		fastTime.Round(time.Microsecond), fullTime.Round(time.Microsecond),
 		float64(fullTime)/float64(fastTime), state.FastApplies(), state.Rebuilds())
 
@@ -127,6 +128,6 @@ func main() {
 		len(parsed.Deletes), len(parsed.Inserts), len(request),
 		time.Since(start).Round(time.Microsecond), len(pd.Nodes), len(pd.Edges))
 	assertIdentical(state, shapes, "after churn")
-	fmt.Printf("  deletions force the deterministic rebuild path (%d fast applies / %d rebuilds)\n",
-		state.FastApplies(), state.Rebuilds())
+	path, reason := state.LastPath()
+	fmt.Printf("  served by %s %s (%d in place / %d rebuilds)\n", path, reason, state.FastApplies(), state.Rebuilds())
 }

@@ -58,8 +58,12 @@ type Transformer struct {
 	mapping *Mapping
 	store   *pg.Store
 
-	nodeOf  map[rdf.Term]pg.NodeID // Ψ_ETD companion: entity → PG node
-	valNode map[valKey]pg.NodeID   // literal/resource value → value node
+	nodeOf map[rdf.Term]pg.NodeID // Ψ_ETD companion: entity → PG node
+	// valNode maps a literal/resource value to its value node. The ids sit in
+	// cells (valCell allocates them a slab at a time) so that renumbering the
+	// store rewrites them in one walk over the map, hashing no key.
+	valNode map[valKey]*pg.NodeID
+	idSlab  []pg.NodeID
 	// edgeOf indexes statement → PG edge so RDF-star annotations (quoted-
 	// triple subjects) can attach to the statement's edge. It is lazy: it
 	// covers edges [0, indexedUpTo) and grows only when an annotation pass
@@ -71,6 +75,16 @@ type Transformer struct {
 	// kvProps counts key/value-inlined literals for span accounting (plain
 	// int: Apply is single-goroutine).
 	kvProps int64
+
+	// What a DeltaState needs to edit the store in place. typedNodes is how
+	// many nodes phase 1 of the last apply call created. triggers holds the
+	// slots of the statements whose routing extended the schema (the mapping's
+	// revision moved): what they added — its name, its place in the DDL —
+	// depends on their being where they are in the stream. slotBase is added
+	// to the slots recorded: the live graph's slot of a delta graph's slot 0.
+	typedNodes int
+	triggers   map[int]struct{}
+	slotBase   int
 
 	// lenient enables the degradation policy: statements that strict mode
 	// rejects are realized through documented fallbacks or skipped and
@@ -111,8 +125,10 @@ func NewTransformerForSchema(spg *pgschema.Schema, mode Mode) (*Transformer, err
 		mapping: m,
 		store:   pg.NewStore(),
 		nodeOf:  make(map[rdf.Term]pg.NodeID),
-		valNode: make(map[valKey]pg.NodeID),
+		valNode: make(map[valKey]*pg.NodeID),
 		edgeOf:  make(map[rdf.Term]pg.EdgeID),
+
+		triggers: make(map[int]struct{}),
 	}, nil
 }
 
@@ -209,7 +225,7 @@ func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, lits []litVal, sp
 	var err error
 	var coerced []rdf.TermID // subject, object pairs
 	if hasA {
-		g.ForEachEncoded(func(_ int, s, p, o rdf.TermID) bool {
+		g.ForEachEncoded(func(slot int, s, p, o rdf.TermID) bool {
 			if p != aID {
 				return true
 			}
@@ -242,13 +258,15 @@ func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, lits []litVal, sp
 			label := t.mapping.LabelOfClass(oT.Value)
 			if label == "" {
 				label = t.mapping.EnsureClassLabel(oT.Value)
+				t.triggers[t.slotBase+slot] = struct{}{}
 			}
 			t.store.AddLabel(id, label)
 			return true
 		})
 	}
+	t.typedNodes = t.store.NumNodes() - nodes0
 	p1.Count("type_triples", typeTriples)
-	p1.Count("nodes_created", int64(t.store.NumNodes()-nodes0))
+	p1.Count("nodes_created", int64(t.typedNodes))
 	p1.End()
 	if err != nil {
 		return err
@@ -262,7 +280,7 @@ func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, lits []litVal, sp
 	nodes1, kv1 := t.store.NumNodes(), t.kvProps
 	var annotations []rdf.Triple
 	seen = 0
-	g.ForEachEncoded(func(_ int, s, p, o rdf.TermID) bool {
+	g.ForEachEncoded(func(slot int, s, p, o rdf.TermID) bool {
 		if seen%ctxCheckInterval == 0 {
 			if err = ctx.Err(); err != nil {
 				return false
@@ -272,9 +290,13 @@ func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, lits []litVal, sp
 		if hasA && p == aID {
 			return true
 		}
+		rev := t.mapping.rev
 		var annotation bool
 		if annotation, err = c.statement(s, p, o); annotation {
 			annotations = append(annotations, c.triple(s, p, o))
+		}
+		if t.mapping.rev != rev {
+			t.triggers[t.slotBase+slot] = struct{}{}
 		}
 		return err == nil
 	})
@@ -406,7 +428,7 @@ func termIRI(e rdf.Term) string {
 }
 
 // noNode marks an absent entry in the TermID-indexed node caches.
-const noNode = ^pg.NodeID(0)
+const noNode = pg.NoNode
 
 // litVal is the realization of one literal term: the typed value xsd parsing
 // yields and whether its lexical form is canonical.
@@ -568,8 +590,10 @@ func (c *commit) literalValue(o rdf.TermID, lex, dt, lang string) pg.NodeID {
 	}
 	t := c.t
 	key := valKey{lex: lex, dt: dt, lang: lang}
-	id, ok := t.valNode[key]
-	if !ok {
+	var id pg.NodeID
+	if cell, ok := t.valNode[key]; ok {
+		id = *cell
+	} else {
 		label := t.mapping.EnsureValueLabel(dt)
 		lv := c.literal(o, lex, dt)
 		props := map[string]pg.Value{"dt": dt, "value": lv.native}
@@ -580,7 +604,7 @@ func (c *commit) literalValue(o rdf.TermID, lex, dt, lang string) pg.NodeID {
 			props["lang"] = lang
 		}
 		id = t.store.AddNode([]string{label}, props).ID
-		t.valNode[key] = id
+		t.valNode[key] = t.valCell(id)
 	}
 	c.valID[o] = id
 	return id
@@ -593,17 +617,30 @@ func (c *commit) resourceValue(o rdf.TermID, oT rdf.Term) pg.NodeID {
 	}
 	t := c.t
 	key := valKey{lex: termIRI(oT), res: true}
-	id, ok := t.valNode[key]
-	if !ok {
+	var id pg.NodeID
+	if cell, ok := t.valNode[key]; ok {
+		id = *cell
+	} else {
 		label := t.mapping.EnsureValueLabel(rdf.XSDAnyURI)
 		id = t.store.AddNode([]string{label}, map[string]pg.Value{
 			"value": key.lex,
 			"res":   true,
 		}).ID
-		t.valNode[key] = id
+		t.valNode[key] = t.valCell(id)
 	}
 	c.valID[o] = id
 	return id
+}
+
+// valCell returns a cell of the id slab holding id.
+func (t *Transformer) valCell(id pg.NodeID) *pg.NodeID {
+	if len(t.idSlab) == 0 {
+		t.idSlab = make([]pg.NodeID, 512)
+	}
+	cell := &t.idSlab[0]
+	t.idSlab = t.idSlab[1:]
+	*cell = id
+	return cell
 }
 
 // nativeValue converts a lexical form into the typed PG value, reporting

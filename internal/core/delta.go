@@ -16,12 +16,36 @@ import (
 	"github.com/s3pg/s3pg/internal/shacl"
 )
 
+// Why a batch left the in-place path (the reason label of
+// core.delta.rebuilds). Each names a way the from-scratch transformation of
+// the post-batch graph can differ from the edited store beyond what the edit
+// script models; DESIGN.md §8 has the table.
+const (
+	reasonAnnotation   = "annotation"
+	reasonTypeDelete   = "type_delete"
+	reasonRetyped      = "retyped_subject"
+	reasonFirstTrigger = "schema_first_trigger"
+	reasonPhase1Schema = "schema_phase1_extension"
+	reasonUntyped      = "untyped_subject"
+	reasonApplyError   = "apply_error"
+
+	// reasonForced is the differential tests' twin; it has no counter.
+	reasonForced = "forced"
+)
+
 // Incremental-transformation counters (obs.Default registry).
 var (
 	cDeltaBatches  = obs.Default.Counter("core.delta.batches")
 	cDeltaFast     = obs.Default.Counter("core.delta.fast_applies")
-	cDeltaRebuilds = obs.Default.Counter("core.delta.rebuilds")
 	cDeltaRejected = obs.Default.Counter("core.delta.rejected")
+	cDeltaRebuilds = func() map[string]*obs.Counter {
+		m := make(map[string]*obs.Counter)
+		for _, r := range []string{reasonAnnotation, reasonTypeDelete, reasonRetyped, reasonFirstTrigger,
+			reasonPhase1Schema, reasonUntyped, reasonApplyError} {
+			m[r] = obs.Default.Counter(obs.LabeledName("core.delta.rebuilds", "reason", r))
+		}
+		return m
+	}()
 )
 
 // Change operations of a PGDelta entry.
@@ -125,60 +149,73 @@ type DeltaState struct {
 	g    *rdf.Graph
 	t    *Transformer
 	ddl  string
+	rev  uint64 // the mapping revision ddl was rendered at
 
 	// keys holds the change-stream key of every node of t's store, by node
-	// id: extended for the nodes a fast batch creates, replaced with the
-	// transformer on a rebuild, so no batch re-derives the keys of nodes it
-	// did not touch.
+	// id: extended for the nodes a batch creates, permuted with the store by
+	// an in-place edit, replaced with the transformer on a rebuild, so no
+	// batch re-derives the keys of nodes it did not touch.
 	keys []string
 
-	// hasAnnotations disables the monotone fast path: RDF-star annotation
-	// passes are deferred to the end of a full run, so their effects do not
-	// commute with appended triples (an annotation declares its key on every
-	// edge type with the label at that point of the stream).
-	hasAnnotations bool
+	// typed is where phase 2 begins in t's store. A from-scratch store is the
+	// typed entities, in the order of their first rdf:type triple, then the
+	// untyped subjects and value nodes in the order of their first mention,
+	// and its edges are in statement order; the in-place path edits the store
+	// so that it stays that.
+	typed int
+
+	// quoted counts the live triples whose subject is a quoted triple. While
+	// there are any, every batch is rebuilt: RDF-star annotation passes are
+	// deferred to the end of a full run, so their effects do not commute with
+	// edits (an annotation declares its key on every edge type with the label
+	// at that point of the stream).
+	quoted int
+
+	// forceRebuild sends every batch down the rebuild path. It is set by the
+	// differential tests only, on the twin the in-place path is compared with.
+	forceRebuild bool
 
 	fastApplies, rebuilds int64
+	lastReason            string // why the last batch was rebuilt; "" when it was not
 }
 
 // NewDeltaState runs the initial full transformation of g under the shapes
 // and returns the incremental state. The graph is owned by the state
 // afterwards.
 func NewDeltaState(g *rdf.Graph, sg *shacl.Schema, mode Mode) (*DeltaState, error) {
-	t, err := newStrictTransformer(sg, mode)
+	s := &DeltaState{mode: mode, sg: sg, g: g}
+	t, err := s.retransform()
 	if err != nil {
-		return nil, err
-	}
-	if err := t.Apply(g); err != nil {
 		return nil, err
 	}
 	keys, err := nodeKeys(t, nil)
 	if err != nil {
 		return nil, err
 	}
-	s := &DeltaState{mode: mode, sg: sg, g: g, t: t, ddl: pgschema.WriteDDL(t.Schema()), keys: keys}
-	s.hasAnnotations = graphHasAnnotations(g)
-	return s, nil
-}
-
-func newStrictTransformer(sg *shacl.Schema, mode Mode) (*Transformer, error) {
-	spg, err := TransformSchema(sg, mode)
-	if err != nil {
-		return nil, err
-	}
-	return NewTransformerForSchema(spg, mode)
-}
-
-func graphHasAnnotations(g *rdf.Graph) bool {
-	found := false
-	g.ForEach(func(tr rdf.Triple) bool {
-		if tr.S.IsTripleTerm() {
-			found = true
-			return false
+	s.t, s.keys, s.typed = t, keys, t.typedNodes
+	s.stampSchema(&PGDelta{})
+	dict := g.Dict()
+	g.ForEachEncoded(func(_ int, sub, _, _ rdf.TermID) bool {
+		if dict.Term(sub).IsTripleTerm() {
+			s.quoted++
 		}
 		return true
 	})
-	return found
+	return s, nil
+}
+
+// retransform runs the strict transformation of the live graph from the base
+// shapes: the initial state, and what the rebuild path replaces the state by.
+func (s *DeltaState) retransform() (*Transformer, error) {
+	spg, err := TransformSchema(s.sg, s.mode)
+	if err != nil {
+		return nil, err
+	}
+	t, err := NewTransformerForSchema(spg, s.mode)
+	if err != nil {
+		return nil, err
+	}
+	return t, t.Apply(s.g)
 }
 
 // Graph returns the live RDF graph (owned by the state; do not mutate).
@@ -198,11 +235,26 @@ func (s *DeltaState) WriteCSV(nodeW, edgeW io.Writer) error {
 	return s.t.Store().WriteCSV(nodeW, edgeW)
 }
 
-// FastApplies returns how many batches rode the monotone fast path.
+// FastApplies returns how many batches were applied in place.
 func (s *DeltaState) FastApplies() int64 { return s.fastApplies }
 
 // Rebuilds returns how many batches took the recompute path.
 func (s *DeltaState) Rebuilds() int64 { return s.rebuilds }
+
+// LastPath reports how the last applied batch was served: "in_place", or
+// "rebuild" with the reason it fell back.
+func (s *DeltaState) LastPath() (path, reason string) {
+	if s.lastReason == "" {
+		return "in_place", ""
+	}
+	return "rebuild", s.lastReason
+}
+
+// removal is a triple a batch deleted and the slot it held.
+type removal struct {
+	slot int32
+	tr   rdf.Triple
+}
 
 // ApplyDelta applies one batch atomically — deletes first, then inserts, the
 // SPARQL Update semantics — and returns the exact property-graph effect.
@@ -211,16 +263,18 @@ func (s *DeltaState) Rebuilds() int64 { return s.rebuilds }
 // keeps its admission order, the property graph is untouched, and a later
 // retry of a corrected batch behaves as if the rejected one never arrived.
 //
-// Batches of pure insertions with no rdf:type statements and no RDF-star
-// annotations ride Prop. 4.3 (monotonicity): the transformer state is advanced
-// by applying just the new triples, touching only their subjects. Any deletion
-// — and any insertion that Algorithm 1's phase structure would hoist out of
-// stream order (type statements feed phase 1, annotations the deferred pass) —
-// invalidates the processed prefix, so by Prop. 4.1 (invertibility: the
-// retained RDF graph determines the property graph exactly) the state is
-// recomputed from the live graph and the effect emitted as a diff. Both paths
-// produce output byte-identical to a from-scratch transform of the final
-// graph.
+// A batch is applied in place when its effect on the from-scratch
+// transformation of the graph is an edit script the store can take (plan):
+// edges and key/value entries removed, value nodes and untyped subjects
+// removed or moved, new typed entities spliced in before phase 2, everything
+// else appended by applying just the new triples (Prop. 4.3). Any other batch
+// — one that changes what earlier statements would have done: an rdf:type
+// deleted or added to a known resource, the first use of a schema extension
+// deleted, an RDF-star annotation anywhere — is answered by Prop. 4.1
+// (invertibility: the retained RDF graph determines the property graph
+// exactly): the state is recomputed from the live graph and the effect
+// emitted as a diff. Both paths produce output, and a PGDelta, byte-identical
+// to what a from-scratch transform of the final graph gives.
 func (s *DeltaState) ApplyDelta(d *rdf.Delta) (*PGDelta, error) {
 	cDeltaBatches.Inc()
 	for _, tr := range d.Inserts {
@@ -240,15 +294,15 @@ func (s *DeltaState) ApplyDelta(d *rdf.Delta) (*PGDelta, error) {
 		}
 	}
 
-	type removal struct {
-		idx int32
-		tr  rdf.Triple
-	}
+	quoted0 := s.quoted
 	var removed []removal
 	for _, tr := range d.Deletes {
-		if idx, ok := s.g.IndexOf(tr); ok {
+		if slot, ok := s.g.IndexOf(tr); ok {
 			s.g.Remove(tr)
-			removed = append(removed, removal{idx, tr})
+			removed = append(removed, removal{slot, tr})
+			if tr.S.IsTripleTerm() {
+				s.quoted--
+			}
 		}
 	}
 	nPre := s.g.NumSlots()
@@ -256,112 +310,486 @@ func (s *DeltaState) ApplyDelta(d *rdf.Delta) (*PGDelta, error) {
 	for _, tr := range d.Inserts {
 		if s.g.Add(tr) {
 			added = append(added, tr)
+			if tr.S.IsTripleTerm() {
+				s.quoted++
+			}
 		}
 	}
 	if len(removed) == 0 && len(added) == 0 {
+		s.lastReason = ""
 		return &PGDelta{}, nil
 	}
 	rollback := func() error {
+		s.quoted = quoted0
 		// The batch's Adds must be truncated before resurrecting tombstones:
 		// Unremove refuses while the triple is re-admitted elsewhere.
 		s.g.TruncateFrom(nPre)
 		for _, r := range removed {
-			if !s.g.Unremove(r.idx, r.tr) {
-				return fmt.Errorf("core: delta rollback failed to restore %v at slot %d", r.tr, r.idx)
+			if !s.g.Unremove(r.slot, r.tr) {
+				return fmt.Errorf("core: delta rollback failed to restore %v at slot %d", r.tr, r.slot)
 			}
 		}
 		return nil
 	}
 
-	fast := len(removed) == 0 && !s.hasAnnotations
-	annotated := false
-	for _, tr := range added {
-		if tr.P == rdf.A {
-			fast = false
-		}
-		if tr.S.IsTripleTerm() {
-			fast = false
-			annotated = true
-		}
+	var es *editScript
+	reason := reasonForced
+	switch {
+	case s.forceRebuild:
+	case quoted0 > 0 || s.quoted > 0:
+		reason = reasonAnnotation
+	default:
+		es, reason = s.plan(removed, added)
 	}
-	if fast {
-		return s.applyFast(added, rollback)
+	if es == nil {
+		return s.rebuild(reason, rollback)
 	}
-	return s.applyRebuild(annotated, rollback)
+	return s.applyInPlace(es, added, nPre, rollback)
 }
 
-// applyFast advances the live transformer by the appended triples only.
-// Eligibility (checked by the caller) guarantees stream equivalence with a
-// full run — no phase-1 or annotation-pass statements cross the old/new
-// boundary — and that strict-mode Apply cannot fail on the batch.
-func (s *DeltaState) applyFast(added []rdf.Triple, rollback func() error) (*PGDelta, error) {
-	store := s.t.Store()
-	n0, e0 := store.NumNodes(), store.NumEdges()
-
-	// The only pre-existing elements a monotone batch can change are its
-	// subjects' nodes (key/value property appends); snapshot their records.
-	type snap struct {
-		id    pg.NodeID
-		props string
+// rejected rolls the graph back and words the rejection.
+func rejected(err error, rollback func() error) error {
+	cDeltaRejected.Inc()
+	if rollback != nil {
+		if rerr := rollback(); rerr != nil {
+			return fmt.Errorf("core: delta rejected: %v (and %v)", err, rerr)
+		}
 	}
-	var touched []snap
-	seen := make(map[pg.NodeID]bool)
+	return fmt.Errorf("core: delta rejected: %w", err)
+}
+
+// rebuild recomputes the transformation of the live graph from the base
+// shapes and replaces the state, emitting the old→new difference. A strict-
+// mode rejection (an orphaned annotation after its statement was deleted, a
+// malformed annotation value, …) rolls the graph back and leaves the previous
+// state untouched. It is the fallback of the in-place path, its recovery, and
+// the oracle the differential tests hold it to.
+func (s *DeltaState) rebuild(reason string, rollback func() error) (*PGDelta, error) {
+	nt, err := s.retransform()
+	if err != nil {
+		return nil, rejected(err, rollback)
+	}
+	delta, keys, err := diffTransformers(s.t, s.keys, nt)
+	if err != nil {
+		return nil, err
+	}
+	s.t, s.keys, s.typed = nt, keys, nt.typedNodes
+	s.rebuilds++
+	s.lastReason = reason
+	cDeltaRebuilds[reason].Inc()
+	s.stampSchema(delta)
+	delta.canonicalize()
+	return delta, nil
+}
+
+// kvRemoval is a key/value-routed statement to take back out of its node.
+type kvRemoval struct {
+	node  pg.NodeID
+	key   string
+	value pg.Value
+}
+
+// editScript is what a batch does to the store before its new triples are
+// appended: the difference between the store and the from-scratch
+// transformation of the graph without the deleted triples, as node and edge
+// positions (pg.Resequence's input) plus the transformer's own bookkeeping.
+type editScript struct {
+	dropEdges []pg.EdgeID
+	dropNodes []pg.NodeID
+	moves     []pg.NodeMove
+	kv        []kvRemoval
+	entities  []rdf.Term // nodeOf keys of the dropped untyped subjects
+	values    []valKey   // valNode keys of the dropped value nodes
+	newTyped  int        // entities the batch's rdf:type inserts create
+}
+
+// resourceKey is the value-node key of a resource that is not an entity.
+func resourceKey(t rdf.Term) valKey { return valKey{lex: termIRI(t), res: true} }
+
+// plan decides, without writing anything, whether the batch can be applied in
+// place, and lays out the edit script if so; otherwise it names the reason.
+// removed and added are what the batch changed in the graph, which already
+// holds the result.
+func (s *DeltaState) plan(removed []removal, added []rdf.Triple) (*editScript, string) {
+	t := s.t
+	store, m := t.store, t.mapping
+	es := &editScript{}
+
+	// An rdf:type insert is phase-1 work: it may only create an entity, after
+	// every typed entity there is, with a label the schema already has.
+	// Typing a resource the graph knows would change how its statements were
+	// routed (its labels select the routes) and whether mentions of it are
+	// edges to an entity or to a value node.
+	var newTyped map[rdf.Term]struct{}
 	for _, tr := range added {
-		id, ok := s.t.nodeOf[tr.S]
-		if !ok || seen[id] {
+		if tr.P != rdf.A {
 			continue
+		}
+		if m.LabelOfClass(tr.O.Value) == "" {
+			return nil, reasonPhase1Schema
+		}
+		if _, seen := newTyped[tr.S]; seen {
+			continue
+		}
+		if _, known := t.nodeOf[tr.S]; known {
+			return nil, reasonRetyped
+		}
+		if _, known := t.valNode[resourceKey(tr.S)]; known {
+			return nil, reasonRetyped
+		}
+		if newTyped == nil {
+			newTyped = make(map[rdf.Term]struct{})
+		}
+		newTyped[tr.S] = struct{}{}
+	}
+	es.newTyped = len(newTyped)
+
+	// Find what realizes each deleted statement.
+	dropped := make(map[pg.EdgeID]struct{}, len(removed))
+	type lost struct {
+		id    pg.NodeID
+		value valKey   // of a value node that lost a mention
+		term  rdf.Term // of an untyped subject that lost a statement
+	}
+	var values, subjects []lost
+	seen := make(map[pg.NodeID]struct{})
+	for _, r := range removed {
+		if r.tr.P == rdf.A {
+			return nil, reasonTypeDelete
+		}
+		if _, first := t.triggers[int(r.slot)]; first {
+			return nil, reasonFirstTrigger
+		}
+		sid, ok := t.nodeOf[r.tr.S]
+		if !ok {
+			return nil, reasonApplyError
+		}
+		sn := store.Node(sid)
+		hit, hits, value, vk := s.edgeOf(sid, r.tr)
+		switch {
+		case hits == 1:
+			es.dropEdges = append(es.dropEdges, hit.ID)
+			dropped[hit.ID] = struct{}{}
+			if _, again := seen[hit.To]; !again && hit.To == value {
+				seen[hit.To] = struct{}{}
+				values = append(values, lost{id: value, value: vk})
+			}
+			if _, again := seen[sid]; !again && len(sn.Labels) == 0 {
+				seen[sid] = struct{}{}
+				subjects = append(subjects, lost{id: sid, term: r.tr.S})
+			}
+		case hits == 0:
+			kv, ok := s.kvEntry(sn, r.tr)
+			if !ok {
+				return nil, reasonApplyError
+			}
+			es.kv = append(es.kv, kv)
+		default:
+			// Two edges one statement could be (terms sharing a value key):
+			// which of them goes decides the order of those that stay.
+			return nil, reasonApplyError
+		}
+	}
+
+	// A phase-2 node is created by its first mention: a value node by the
+	// first edge that reaches it, an untyped subject by its first statement.
+	// Without any it is gone; without the first it is created later.
+	surviving := func(list []pg.EdgeID) int {
+		i := 0
+		for i < len(list) {
+			if _, gone := dropped[list[i]]; !gone {
+				break
+			}
+			i++
+		}
+		return i
+	}
+	type pending struct {
+		id  pg.NodeID
+		key uint64
+	}
+	var moving []pending
+	for _, v := range values {
+		in := store.In(v.id)
+		switch i := surviving(in); {
+		case i == len(in):
+			es.dropNodes = append(es.dropNodes, v.id)
+			es.values = append(es.values, v.value)
+		case i > 0:
+			moving = append(moving, pending{v.id, creationKey(in[i], false)})
+		}
+	}
+	for _, u := range subjects {
+		out, in := store.Out(u.id), store.In(u.id)
+		i, j := surviving(out), surviving(in)
+		switch {
+		case i == 0:
+		// A statement that has u as its object is an edge to the entity
+		// from u's first statement on and an edge to a value node before:
+		// the edit script moves no edge from the one to the other.
+		case i == len(out) && j == len(in):
+			es.dropNodes = append(es.dropNodes, u.id)
+			es.entities = append(es.entities, u.term)
+		case i < len(out) && (j == len(in) || in[j] > out[i]):
+			moving = append(moving, pending{u.id, creationKey(out[i], true)})
+		default:
+			return nil, reasonUntyped
+		}
+	}
+
+	n0 := store.NumNodes()
+	if es.newTyped > 0 && s.typed < n0 {
+		for i := 0; i < es.newTyped; i++ {
+			es.moves = append(es.moves, pg.NodeMove{ID: pg.NodeID(n0 + i), Before: pg.NodeID(s.typed)})
+		}
+	}
+	// Phase-2 nodes are in the order of their creation keys; a moved node
+	// goes before the first one created after it.
+	sort.Slice(moving, func(i, j int) bool { return moving[i].key < moving[j].key })
+	sound := true
+	for _, mv := range moving {
+		at := sort.Search(n0-s.typed, func(i int) bool {
+			id := pg.NodeID(s.typed + i)
+			list, subject := store.In(id), false
+			if len(store.Node(id).Labels) == 0 {
+				list, subject = store.Out(id), true
+			}
+			if len(list) == 0 {
+				sound = false
+				return true
+			}
+			return creationKey(list[0], subject) > mv.key
+		})
+		es.moves = append(es.moves, pg.NodeMove{ID: mv.id, Before: pg.NodeID(s.typed + at), Relist: true})
+	}
+	if !sound {
+		return nil, reasonApplyError
+	}
+	return es, ""
+}
+
+// edgeOf looks for the edge realizing a live statement of the node sid: from
+// it, to the node its object has as an entity or as a value, with a label of
+// its predicate. It returns the last such edge and how many there are, and
+// the value node the object has (noNode when none) with its valNode key.
+func (s *DeltaState) edgeOf(sid pg.NodeID, tr rdf.Triple) (hit *pg.Edge, hits int, value pg.NodeID, vk valKey) {
+	t := s.t
+	entity := noNode
+	if o := tr.O; o.IsResource() {
+		if id, ok := t.nodeOf[o]; ok {
+			entity = id
+		}
+		vk = resourceKey(o)
+	} else {
+		vk = valKey{lex: o.Value, dt: o.DatatypeIRI(), lang: o.Lang}
+	}
+	value = noNode
+	if cell, ok := t.valNode[vk]; ok {
+		value = *cell
+	}
+	// The shorter side: a hub's out-list can be long, a common value's in-list too.
+	lists := [2][]pg.EdgeID{t.store.Out(sid)}
+	if a, b := t.store.In(entity), t.store.In(value); len(a)+len(b) < len(lists[0]) {
+		lists = [2][]pg.EdgeID{a, b}
+	}
+	for _, list := range lists {
+		for _, eid := range list {
+			e := t.store.Edge(eid)
+			if e.From != sid || (e.To != entity && e.To != value) {
+				continue
+			}
+			if p, ok := t.mapping.PredOfEdgeLabel(e.Label); ok && p == tr.P.Value {
+				hit = e
+				hits++
+			}
+		}
+	}
+	return hit, hits, value, vk
+}
+
+// creationKey orders the phase-2 nodes: by the edge of the statement that
+// created them, the subject before the object within one statement.
+func creationKey(first pg.EdgeID, subject bool) uint64 {
+	if subject {
+		return uint64(first) << 1
+	}
+	return uint64(first)<<1 | 1
+}
+
+// kvEntry finds the key/value entry realizing a statement of node sn that no
+// edge realizes.
+func (s *DeltaState) kvEntry(sn *pg.Node, tr rdf.Triple) (kvRemoval, bool) {
+	if !tr.O.IsLiteral() || tr.O.Lang != "" {
+		return kvRemoval{}, false
+	}
+	dt := tr.O.DatatypeIRI()
+	native, canonical := nativeValue(tr.O.Value, dt)
+	if !canonical {
+		return kvRemoval{}, false
+	}
+	for _, l := range sn.Labels {
+		r := s.t.mapping.routes[routeKey{l, tr.P.Value}]
+		if r != nil && r.Kind == RouteKV && r.Datatype == dt && s.t.store.HasPropValue(sn.ID, r.Name, native) {
+			return kvRemoval{sn.ID, r.Name, native}, true
+		}
+	}
+	return kvRemoval{}, false
+}
+
+// netEffect is what an in-place batch takes away and may change, recorded
+// before it writes: the delta is the net effect, so a node or an edge that
+// goes and comes back the same is no change.
+type netEffect struct {
+	gone    map[string]NodeChange // the dropped nodes, by key
+	edges   map[edgeIdent]int     // count changes per edge identity
+	touched []nodeSnap            // the nodes key/value entries leave or join: the batch's subjects
+}
+
+// nodeSnap is a node's encoded record before a batch wrote to it.
+type nodeSnap struct {
+	id    pg.NodeID
+	props string
+}
+
+// effectBefore records the script's removals and the batch's subjects as the
+// store has them now. It writes nothing.
+func (s *DeltaState) effectBefore(es *editScript, added []rdf.Triple) (*netEffect, error) {
+	store := s.t.store
+	ne := &netEffect{gone: make(map[string]NodeChange, len(es.dropNodes)), edges: make(map[edgeIdent]int)}
+	seen := make(map[pg.NodeID]bool)
+	for _, id := range es.dropNodes {
+		n := store.Node(id)
+		props, err := pg.EncodeProps(n.Props)
+		if err != nil {
+			return nil, fmt.Errorf("node %d: %w", id, err)
+		}
+		ne.gone[s.keys[id]] = NodeChange{Op: OpDelete, Key: s.keys[id], Labels: append([]string(nil), n.Labels...), Props: props}
+		seen[id] = true
+	}
+	for _, id := range es.dropEdges {
+		ident, err := identOf(store.Edge(id), s.keys)
+		if err != nil {
+			return nil, err
+		}
+		ne.edges[ident]--
+	}
+	touch := func(id pg.NodeID) error {
+		if seen[id] {
+			return nil
 		}
 		seen[id] = true
 		props, err := pg.EncodeProps(store.Node(id).Props)
 		if err != nil {
-			return nil, fmt.Errorf("core: delta: snapshot node %d: %w", id, err)
+			return fmt.Errorf("node %d: %w", id, err)
 		}
-		touched = append(touched, snap{id, props})
+		ne.touched = append(ne.touched, nodeSnap{id, props})
+		return nil
 	}
-
-	dg := rdf.NewGraph()
+	for _, r := range es.kv {
+		if err := touch(r.node); err != nil {
+			return nil, err
+		}
+	}
 	for _, tr := range added {
-		dg.Add(tr)
+		if id, ok := s.t.nodeOf[tr.S]; ok {
+			if err := touch(id); err != nil {
+				return nil, err
+			}
+		}
 	}
-	if err := s.t.Apply(dg); err != nil {
-		// Eligibility should have made this impossible; the store may be
-		// partially advanced, so restore consistency by recomputing from the
-		// rolled-back graph before reporting the rejection.
-		cDeltaRejected.Inc()
-		if rerr := rollback(); rerr != nil {
-			return nil, fmt.Errorf("core: delta rejected: %v (and %v)", err, rerr)
-		}
-		nt, rerr := newStrictTransformer(s.sg, s.mode)
-		if rerr == nil {
-			rerr = nt.Apply(s.g)
-		}
-		var keys []string
-		if rerr == nil {
-			keys, rerr = nodeKeys(nt, nil)
-		}
-		if rerr != nil {
-			return nil, fmt.Errorf("core: delta rejected: %v (state recovery also failed: %v)", err, rerr)
-		}
-		s.t, s.keys = nt, keys
-		return nil, fmt.Errorf("core: delta rejected: %w", err)
-	}
-	s.fastApplies++
-	cDeltaFast.Inc()
+	return ne, nil
+}
 
-	// Key what the batch could have changed: the nodes it created and (in
-	// the loop below) its subjects' nodes. Every other key, new edges'
-	// endpoints included, is already in the table.
-	keys, err := nodeKeys(s.t, s.keys)
+// applyInPlace edits the store by the script and advances the transformer by
+// the appended triples only. plan guarantees that the result equals the
+// from-scratch transformation and that strict-mode Apply cannot fail on the
+// batch; nothing is written before the script's first removal, and an error
+// past it (which planning should have made impossible) leaves a partly edited
+// store: the graph is rolled back, the state recomputed from it, and the
+// batch rejected.
+func (s *DeltaState) applyInPlace(es *editScript, added []rdf.Triple, nPre int, rollback func() error) (*PGDelta, error) {
+	t := s.t
+	ne, err := s.effectBefore(es, added)
+	if err != nil {
+		return nil, rejected(err, rollback)
+	}
+
+	for _, k := range es.entities {
+		delete(t.nodeOf, k)
+	}
+	for _, k := range es.values {
+		delete(t.valNode, k)
+	}
+	for _, r := range es.kv {
+		t.store.RemovePropValue(r.node, r.key, r.value)
+	}
+	delta, err := s.appendAndEmit(ne, added, nPre, es.newTyped)
+	if err != nil {
+		err = rejected(err, rollback)
+		if _, rerr := s.rebuild(reasonApplyError, nil); rerr != nil {
+			return nil, fmt.Errorf("%v (state recovery also failed: %v)", err, rerr)
+		}
+		return nil, err
+	}
+
+	if len(es.dropNodes)+len(es.moves)+len(es.dropEdges) > 0 {
+		nodeMap := t.store.Resequence(es.dropNodes, es.moves, es.dropEdges)
+		keys := make([]string, t.store.NumNodes())
+		for old, id := range nodeMap {
+			if id != noNode {
+				keys[id] = s.keys[old]
+			}
+		}
+		s.keys = keys
+		for k, id := range t.nodeOf {
+			if nodeMap[id] != id {
+				t.nodeOf[k] = nodeMap[id]
+			}
+		}
+		for _, cell := range t.valNode {
+			*cell = nodeMap[*cell]
+		}
+	}
+	s.typed += es.newTyped
+	s.fastApplies++
+	s.lastReason = ""
+	cDeltaFast.Inc()
+	if t.mapping.rev != s.rev {
+		s.stampSchema(delta)
+	}
+	delta.canonicalize()
+	return delta, nil
+}
+
+// appendAndEmit applies the batch's new triples to the edited store and
+// returns the net effect of the batch. Ids are still the pre-batch ones, with
+// what was appended after them.
+func (s *DeltaState) appendAndEmit(ne *netEffect, added []rdf.Triple, nPre, newTyped int) (*PGDelta, error) {
+	t := s.t
+	store := t.store
+	n0, e0 := len(s.keys), store.NumEdges()
+	if len(added) > 0 {
+		dg := rdf.NewGraph()
+		for _, tr := range added {
+			dg.Add(tr)
+		}
+		t.slotBase = nPre
+		if err := t.Apply(dg); err != nil {
+			return nil, err
+		}
+		if t.typedNodes != newTyped {
+			return nil, fmt.Errorf("core: delta: phase 1 created %d entities, the plan has %d", t.typedNodes, newTyped)
+		}
+	}
+	keys, err := nodeKeys(t, s.keys)
 	if err != nil {
 		return nil, err
 	}
 	s.keys = keys
+
 	delta := &PGDelta{}
-	for _, sn := range touched {
+	for _, sn := range ne.touched {
 		n := store.Node(sn.id)
-		if keys[sn.id], err = nodeKey(s.t.mapping, n); err != nil {
-			return nil, err
-		}
 		props, err := pg.EncodeProps(n.Props)
 		if err != nil {
 			return nil, fmt.Errorf("core: delta: node %d: %w", sn.id, err)
@@ -378,70 +806,43 @@ func (s *DeltaState) applyFast(added []rdf.Triple, rollback func() error) (*PGDe
 		if err != nil {
 			return nil, fmt.Errorf("core: delta: node %d: %w", id, err)
 		}
-		delta.Nodes = append(delta.Nodes, NodeChange{
-			Op: OpCreate, Key: keys[n.ID], Labels: append([]string(nil), n.Labels...), Props: props,
-		})
+		nc := NodeChange{Op: OpCreate, Key: keys[id], Labels: append([]string(nil), n.Labels...), Props: props}
+		if was, back := ne.gone[nc.Key]; back {
+			delete(ne.gone, nc.Key)
+			if was.Props == props && sameLabels(was.Labels, nc.Labels) {
+				continue
+			}
+			nc.Op = OpUpdate
+		}
+		delta.Nodes = append(delta.Nodes, nc)
 	}
-	created := make(map[edgeIdent]int)
+	for _, nc := range ne.gone {
+		delta.Nodes = append(delta.Nodes, nc)
+	}
 	for id := e0; id < store.NumEdges(); id++ {
-		e := store.Edge(pg.EdgeID(id))
-		ident, err := identOf(e, keys)
+		ident, err := identOf(store.Edge(pg.EdgeID(id)), keys)
 		if err != nil {
 			return nil, err
 		}
-		created[ident]++
+		ne.edges[ident]++
 	}
-	for ident, n := range created {
-		delta.Edges = append(delta.Edges, EdgeChange{
-			Op: OpCreate, From: ident.from, Label: ident.label, To: ident.to, Props: ident.props, Count: n,
-		})
-	}
-	s.finishDelta(delta)
+	delta.Edges = edgeChanges(ne.edges)
 	return delta, nil
 }
 
-// applyRebuild recomputes the transformation of the live graph from the base
-// shapes and replaces the state, emitting the old→new difference. A strict-
-// mode rejection (an orphaned annotation after its statement was deleted, a
-// malformed annotation value, …) rolls the graph back and leaves the previous
-// state untouched.
-func (s *DeltaState) applyRebuild(annotated bool, rollback func() error) (*PGDelta, error) {
-	nt, err := newStrictTransformer(s.sg, s.mode)
-	if err == nil {
-		err = nt.Apply(s.g)
-	}
-	if err != nil {
-		cDeltaRejected.Inc()
-		if rerr := rollback(); rerr != nil {
-			return nil, fmt.Errorf("core: delta rejected: %v (and %v)", err, rerr)
-		}
-		return nil, fmt.Errorf("core: delta rejected: %w", err)
-	}
-	delta, keys, err := diffTransformers(s.t, s.keys, nt)
-	if err != nil {
-		return nil, err
-	}
-	s.t, s.keys = nt, keys
-	s.rebuilds++
-	cDeltaRebuilds.Inc()
-	if annotated {
-		s.hasAnnotations = true
-	} else {
-		// Deletions may have removed the last annotation; recompute so the
-		// fast path can re-enable.
-		s.hasAnnotations = graphHasAnnotations(s.g)
-	}
-	s.finishDelta(delta)
-	return delta, nil
-}
-
-// finishDelta stamps the schema change and puts the entry lists in canonical
-// order: deletes, then updates, then creates, each sorted by identity.
-func (s *DeltaState) finishDelta(delta *PGDelta) {
+// stampSchema renders the schema and records it in the delta when the batch
+// changed it.
+func (s *DeltaState) stampSchema(delta *PGDelta) {
+	s.rev = s.t.mapping.rev
 	if ddl := pgschema.WriteDDL(s.t.Schema()); ddl != s.ddl {
 		s.ddl = ddl
 		delta.SchemaDDL = ddl
 	}
+}
+
+// canonicalize puts the entry lists in canonical order: deletes, then
+// updates, then creates, each sorted by identity.
+func (delta *PGDelta) canonicalize() {
 	rank := map[string]int{OpDelete: 0, OpUpdate: 1, OpCreate: 2}
 	sort.Slice(delta.Nodes, func(i, j int) bool {
 		a, b := delta.Nodes[i], delta.Nodes[j]
@@ -466,6 +867,24 @@ func (s *DeltaState) finishDelta(delta *PGDelta) {
 		}
 		return a.Props < b.Props
 	})
+}
+
+// edgeChanges turns multiset count changes per edge identity into entries.
+func edgeChanges(counts map[edgeIdent]int) []EdgeChange {
+	var out []EdgeChange
+	for ident, n := range counts {
+		switch {
+		case n > 0:
+			out = append(out, EdgeChange{
+				Op: OpCreate, From: ident.from, Label: ident.label, To: ident.to, Props: ident.props, Count: n,
+			})
+		case n < 0:
+			out = append(out, EdgeChange{
+				Op: OpDelete, From: ident.from, Label: ident.label, To: ident.to, Props: ident.props, Count: -n,
+			})
+		}
+	}
+	return out
 }
 
 // edgeIdent is the structural identity of an edge for multiset diffing.
@@ -539,6 +958,12 @@ func nodeMap(t *Transformer, keys []string) map[string]*pg.Node {
 //
 // oldKeys is the old store's key table; the new store's is returned.
 func diffTransformers(oldT *Transformer, oldKeys []string, newT *Transformer) (*PGDelta, []string, error) {
+	// The old table is short when the old store is an in-place edit that was
+	// given up half way.
+	oldKeys, err := nodeKeys(oldT, oldKeys)
+	if err != nil {
+		return nil, nil, err
+	}
 	newKeys, err := nodeKeys(newT, nil)
 	if err != nil {
 		return nil, nil, err
@@ -611,18 +1036,7 @@ func diffTransformers(oldT *Transformer, oldKeys []string, newT *Transformer) (*
 		}
 		counts[ident]++
 	}
-	for ident, n := range counts {
-		switch {
-		case n > 0:
-			delta.Edges = append(delta.Edges, EdgeChange{
-				Op: OpCreate, From: ident.from, Label: ident.label, To: ident.to, Props: ident.props, Count: n,
-			})
-		case n < 0:
-			delta.Edges = append(delta.Edges, EdgeChange{
-				Op: OpDelete, From: ident.from, Label: ident.label, To: ident.to, Props: ident.props, Count: -n,
-			})
-		}
-	}
+	delta.Edges = edgeChanges(counts)
 	return delta, newKeys, nil
 }
 

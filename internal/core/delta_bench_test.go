@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -127,6 +128,49 @@ func runLiveCycles(b *testing.B, scale float64, step string) {
 func BenchmarkApplyDeltaGrow(b *testing.B) {
 	for _, sc := range benchScales {
 		b.Run(fmt.Sprintf("triples=%s", sc.name), func(b *testing.B) { runLiveCycles(b, sc.scale, "apply") })
+	}
+}
+
+// BenchmarkApplyDeltaChurn is the other half of a live round: the batch with
+// deletes, literal mutations, new typed entities and growth that the
+// benchmark's script sends every tenth cycle (datagen.EvolveChurn at its
+// fractions, rdf:type deletes taken out as there, so the batch is applied in
+// place). Both clones are taken after every batch, as a query between two
+// updates makes the daemon do, so every record the sweep renumbers is one a
+// snapshot still shares. Reported, not gated.
+func BenchmarkApplyDeltaChurn(b *testing.B) {
+	p := datagen.Profiles()["DBpedia2022"]
+	for _, sc := range benchScales {
+		b.Run(fmt.Sprintf("triples=%s", sc.name), func(b *testing.B) {
+			g := datagen.Generate(p, sc.scale, 1)
+			st, err := core.NewDeltaState(g, shapeex.Extract(g, shapeex.Options{MinSupport: 0.02}), core.NonParsimonious)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sinkGraph, sinkStore = st.Graph().Clone(), st.Store().Clone()
+				d := datagen.EvolveChurn(st.Graph(), p, datagen.Churn{AddFrac: 0.002, DeleteFrac: 0.001, MutateFrac: 0.001}, int64(i))
+				kept := d.Deletes[:0]
+				for _, t := range d.Deletes {
+					if t.P != rdf.A {
+						kept = append(kept, t)
+					}
+				}
+				d.Deletes = kept
+				runtime.GC() // the generator's garbage is not the batch's to collect
+				b.StartTimer()
+				if _, err := st.ApplyDelta(d); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if st.Rebuilds() > int64(b.N)/5 {
+				b.Logf("%d of %d batches were rebuilt", st.Rebuilds(), b.N)
+			}
+		})
 	}
 }
 

@@ -97,7 +97,7 @@ func TestApplyDeltaInsertOnlyRidesFastPath(t *testing.T) {
 	assertMatchesBaseline(t, s, "insert-only")
 }
 
-func TestApplyDeltaTypeInsertTakesRebuildPath(t *testing.T) {
+func TestApplyDeltaTypeInsertIsAppliedInPlace(t *testing.T) {
 	s := newUniversityState(t)
 	d := mustUpdate(t, exPrefix+`INSERT DATA {
 		ex:carol a ex:Person, ex:Student ;
@@ -108,12 +108,24 @@ func TestApplyDeltaTypeInsertTakesRebuildPath(t *testing.T) {
 	if _, err := s.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
-	// A type statement would be hoisted into phase 1 of a full run, so it
-	// cannot ride the append-only fast path.
-	if s.Rebuilds() != 1 {
-		t.Fatalf("rebuilds=%d, want 1", s.Rebuilds())
+	// A type statement is hoisted into phase 1 of a full run; for a subject
+	// new to the graph that only puts its node before the phase-2 nodes,
+	// which the in-place path does by splicing it in there.
+	if s.FastApplies() != 1 || s.Rebuilds() != 0 {
+		t.Fatalf("fast=%d rebuilds=%d, want 1/0", s.FastApplies(), s.Rebuilds())
 	}
 	assertMatchesBaseline(t, s, "typed insert")
+
+	// Typing a resource the graph already knows changes how its statements
+	// are routed: that is still a rebuild.
+	d = mustUpdate(t, exPrefix+`INSERT DATA { ex:DB a ex:Person . }`)
+	if _, err := s.ApplyDelta(d); err != nil {
+		t.Fatal(err)
+	}
+	if path, reason := s.LastPath(); s.Rebuilds() != 1 || path != "rebuild" || reason != "retyped_subject" {
+		t.Fatalf("rebuilds=%d, served by %s (%s), want a retyped_subject rebuild", s.Rebuilds(), path, reason)
+	}
+	assertMatchesBaseline(t, s, "retyped")
 }
 
 func TestApplyDeltaDeleteHeavy(t *testing.T) {

@@ -62,6 +62,12 @@ type Mapping struct {
 
 	names    *namer
 	edgeSeen map[string]int
+
+	// rev counts the extensions instance data has made (the Ensure* methods
+	// and ExtendEdgeTargets, when they add something): the schema's DDL is
+	// the same for as long as rev is, and a statement during whose routing
+	// it moves is the first trigger of what was added.
+	rev uint64
 }
 
 // BuildMapping derives the mapping from a PG-Schema produced by
@@ -203,6 +209,7 @@ func (m *Mapping) EnsureAnnotation(edgeLabel, pred, datatype string) (string, er
 	m.annotDT[key] = datatype
 	for _, et := range m.spg.EdgeTypesByLabel(edgeLabel) {
 		if et.Prop(key) == nil {
+			m.rev++
 			et.Properties = append(et.Properties, &pgschema.Property{
 				Key: key, Type: xsd.ShortName(datatype),
 				Optional: true, Array: true, Min: 0, Max: pgschema.Unbounded,
@@ -273,6 +280,7 @@ func (m *Mapping) EnsureClassLabel(class string) string {
 	m.spg.AddNodeType(nt)
 	m.labelOfClass[class] = label
 	m.classOfLabel[label] = class
+	m.rev++
 	return label
 }
 
@@ -298,6 +306,7 @@ func (m *Mapping) EnsureValueLabel(datatype string) string {
 	m.spg.AddNodeType(nt)
 	m.dtOfValLabel[nt.Label] = datatype
 	m.valLabelOfDT[datatype] = nt.Label
+	m.rev++
 	return nt.Label
 }
 
@@ -329,6 +338,7 @@ func (m *Mapping) EnsureEdgeRoute(label, pred string) *Route {
 	})
 	r := &Route{Kind: RouteEdge, PredIRI: pred, Name: edgeLabel, Fallback: true}
 	m.routes[routeKey{label, pred}] = r
+	m.rev++
 	return r
 }
 
@@ -343,6 +353,7 @@ func (m *Mapping) EnsureKVEscapeEdge(sourceLabel string, route *Route) {
 		return
 	}
 	m.predOfEdge[route.Name] = route.PredIRI
+	m.rev++
 	src := m.spg.NodeTypeByLabel(sourceLabel)
 	if src == nil {
 		return
@@ -410,6 +421,7 @@ func (m *Mapping) ExtendEdgeTargets(edgeLabel, targetLabel string) {
 		}
 		if !has {
 			et.Targets = append(et.Targets, target.Name)
+			m.rev++
 		}
 	}
 }

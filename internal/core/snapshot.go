@@ -133,12 +133,12 @@ func (t *Transformer) rebuildIndexes() error {
 				if !ok {
 					return fmt.Errorf("core: restore: resource value node %d has non-string value", n.ID)
 				}
-				t.valNode[valKey{lex: v, res: true}] = n.ID
+				t.valNode[valKey{lex: v, res: true}] = t.valCell(n.ID)
 				continue
 			}
 			dt, _ := n.Props["dt"].(string)
 			lang, _ := n.Props["lang"].(string)
-			t.valNode[valKey{lex: lexicalOf(n), dt: dt, lang: lang}] = n.ID
+			t.valNode[valKey{lex: lexicalOf(n), dt: dt, lang: lang}] = t.valCell(n.ID)
 			continue
 		}
 		iri, ok := n.Props["iri"].(string)

@@ -1,6 +1,6 @@
 // Package cow holds the copy-on-write containers behind rdf.Graph.Clone and
 // pg.Store.Clone: an id-indexed paged Table (and its slice-valued form,
-// Lists) and an insert-only Map. A Clone of either costs a page-table or
+// Lists) and a Map without deletion. A Clone of either costs a page-table or
 // overlay copy, never a walk of the elements; afterwards either side may be
 // mutated and the other never observes it. Sharing rules are in DESIGN.md §9.
 //
@@ -154,6 +154,10 @@ func (l *Lists[E]) Pop(i int) {
 	*s = (*s)[:n:n]
 }
 
+// Set replaces list i with list. The caller hands the slice over: nobody
+// else may append into its spare capacity afterwards.
+func (l *Lists[E]) Set(i int, list []E) { *l.slot(i) = list }
+
 func (l *Lists[E]) slot(i int) *[]E {
 	p, foreign := l.t.writable(i)
 	if foreign {
@@ -167,9 +171,10 @@ func (l *Lists[E]) slot(i int) *[]E {
 // Clone returns lists with the same contents, sharing pages and arrays.
 func (l *Lists[E]) Clone() Lists[E] { return Lists[E]{t: l.t.Clone()} }
 
-// Map is an insert-only hash map: an immutable base shared between clones
-// plus a private overlay holding the keys put since. The zero Map is empty
-// and ready to use; until its first Clone it is a plain Go map.
+// Map is a hash map without deletion: an immutable base shared between clones
+// plus a private overlay holding the keys put since, which wins over the
+// base for a key put again. The zero Map is empty and ready to use; until its
+// first Clone it is a plain Go map.
 type Map[K comparable, V any] struct {
 	base map[K]V // shared; never written once a clone holds it
 	over map[K]V // private
@@ -177,21 +182,34 @@ type Map[K comparable, V any] struct {
 
 // Get returns the value stored for k.
 func (m *Map[K, V]) Get(k K) (V, bool) {
-	if m.base != nil {
-		if v, ok := m.base[k]; ok {
-			return v, true
-		}
+	if v, ok := m.over[k]; ok || m.base == nil {
+		return v, ok
 	}
-	v, ok := m.over[k]
+	v, ok := m.base[k]
 	return v, ok
 }
 
-// Put stores v for a key that is not in the map yet.
+// Put stores v for k, replacing the value a key already in the map had.
 func (m *Map[K, V]) Put(k K, v V) {
 	if m.over == nil {
 		m.over = make(map[K]V)
 	}
 	m.over[k] = v
+}
+
+// Range calls fn for every entry, in no particular order, until fn returns
+// false. fn must not write to the map.
+func (m *Map[K, V]) Range(fn func(K, V) bool) {
+	for k, v := range m.over {
+		if !fn(k, v) {
+			return
+		}
+	}
+	for k, v := range m.base {
+		if _, replaced := m.over[k]; !replaced && !fn(k, v) {
+			return
+		}
+	}
 }
 
 // GetOrPut returns the value stored for k, storing v first when there is
@@ -221,7 +239,9 @@ func (m *Map[K, V]) Clone() Map[K, V] {
 		// The overlay is private, so the smaller base is merged into it and
 		// it becomes the base (O(1) for a map that was never cloned).
 		for k, v := range m.base {
-			m.over[k] = v
+			if _, replaced := m.over[k]; !replaced {
+				m.over[k] = v
+			}
 		}
 		m.base, m.over = m.over, nil
 		cMapFolds.Inc()

@@ -162,10 +162,16 @@ func TestMapCloneIsolationAndFolds(t *testing.T) {
 			}
 			continue
 		}
-		// Keys are globally fresh: Put is for keys the map does not hold.
-		m.m.Put(next, step)
-		m.model[next] = step
-		next++
+		// Three Puts in four add a key no member holds, the fourth replaces
+		// the value of one some member does, in whichever layer it is.
+		k := next
+		if next > 0 && rng.Intn(4) == 0 {
+			k = rng.Intn(next)
+		} else {
+			next++
+		}
+		m.m.Put(k, step)
+		m.model[k] = step
 		if step%16 == 0 {
 			for fi, f := range fam {
 				for k := 0; k < next; k++ {

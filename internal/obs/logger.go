@@ -62,11 +62,6 @@ func (l *Logger) Handler() slog.Handler {
 	return l.h
 }
 
-// Slog returns a *slog.Logger over the same handler, for call sites that
-// want the full slog API. Safe on a nil receiver.
-func (l *Logger) Slog() *slog.Logger { return slog.New(l.Handler()) }
-
-func (l *Logger) Debug(msg string, kv ...any) { l.log(slog.LevelDebug, msg, kv) }
 func (l *Logger) Info(msg string, kv ...any)  { l.log(slog.LevelInfo, msg, kv) }
 func (l *Logger) Warn(msg string, kv ...any)  { l.log(slog.LevelWarn, msg, kv) }
 func (l *Logger) Error(msg string, kv ...any) { l.log(slog.LevelError, msg, kv) }

@@ -67,7 +67,6 @@ func TestLoggerNilSafe(t *testing.T) {
 	if h := l.Handler(); h == nil {
 		t.Fatal("nil logger Handler returned nil")
 	}
-	l.Slog().Info("also dropped")
 }
 
 // TestLoggerConcurrent verifies a shared logger produces whole lines from

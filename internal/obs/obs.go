@@ -14,9 +14,7 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -235,36 +233,4 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteText writes the snapshot as sorted "name value" lines, one instrument
-// per line, followed by the trace tree when present.
-func (s Snapshot) WriteText(w io.Writer) error {
-	var lines []string
-	for name, v := range s.Counters {
-		lines = append(lines, fmt.Sprintf("counter %s %d", name, v))
-	}
-	for name, v := range s.Gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s %d", name, v))
-	}
-	for name, m := range s.Meters {
-		lines = append(lines, fmt.Sprintf("meter %s count=%d busy=%s rate=%.0f/s",
-			name, m.Count, FormatDuration(m.Busy()), m.PerSec))
-	}
-	for name, h := range s.Histograms {
-		lines = append(lines, fmt.Sprintf("histogram %s count=%d sum=%.6f p50=%.6f p95=%.6f p99=%.6f",
-			name, h.Count, h.Sum, h.P50, h.P95, h.P99))
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		if _, err := fmt.Fprintln(w, l); err != nil {
-			return err
-		}
-	}
-	if s.Trace != nil {
-		if err := s.Trace.WriteTree(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

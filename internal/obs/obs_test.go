@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -61,7 +60,7 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	}
 }
 
-func TestSnapshotJSONAndText(t *testing.T) {
+func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pipeline.triples").Add(12)
 	r.Gauge("pipeline.depth").Set(3)
@@ -81,21 +80,6 @@ func TestSnapshotJSONAndText(t *testing.T) {
 	}
 	if m := back.Meters["pipeline.rate"]; m.Count != 100 || m.PerSec != 50 {
 		t.Fatalf("meter lost in JSON round trip: %+v", m)
-	}
-
-	var textBuf bytes.Buffer
-	if err := s.WriteText(&textBuf); err != nil {
-		t.Fatal(err)
-	}
-	text := textBuf.String()
-	for _, want := range []string{
-		"counter pipeline.triples 12",
-		"gauge pipeline.depth 3",
-		"meter pipeline.rate count=100",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("text snapshot missing %q:\n%s", want, text)
-		}
 	}
 }
 

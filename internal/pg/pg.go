@@ -7,6 +7,7 @@ package pg
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -321,6 +322,65 @@ func (s *Store) AppendProp(id NodeID, key string, v Value) {
 // AppendEdgeProp is AppendProp for an edge record (RDF-star annotations).
 func (s *Store) AppendEdgeProp(id EdgeID, key string, v Value) {
 	appendProp(s.mutEdge(id).Props, key, v)
+}
+
+// HasPropValue reports whether a node property is v or an array holding v.
+func (s *Store) HasPropValue(id NodeID, key string, v Value) bool {
+	arr, at := propValues(s.nodes.At(int(id)).Props, key, v)
+	return at < len(arr)
+}
+
+// RemovePropValue undoes one AppendProp: it takes the first occurrence of v
+// out of a node property, an array left with one value becomes that scalar
+// again, and a property left with none is deleted. It reports whether v was
+// there.
+func (s *Store) RemovePropValue(id NodeID, key string, v Value) bool {
+	arr, at := propValues(s.nodes.At(int(id)).Props, key, v)
+	if at == len(arr) {
+		return false
+	}
+	props := s.mutNode(id).Props
+	switch len(arr) {
+	case 1:
+		delete(props, key)
+	case 2:
+		props[key] = arr[1-at]
+	default:
+		// A new array: a clone may be reading the old one.
+		rest := make([]Value, 0, len(arr)-1)
+		props[key] = append(append(rest, arr[:at]...), arr[at+1:]...)
+	}
+	return true
+}
+
+// propValues returns the values of a property as a list and the index of the
+// first that is v (the list's length when none is).
+func propValues(props map[string]Value, key string, v Value) (arr []Value, at int) {
+	cur, ok := props[key]
+	if !ok {
+		return nil, 0
+	}
+	if arr, ok = cur.([]Value); !ok {
+		arr = []Value{cur}
+	}
+	for at < len(arr) && !sameScalar(arr[at], v) {
+		at++
+	}
+	return arr, at
+}
+
+// sameScalar is identity of two non-array values: floats compare by bits, so
+// that NaN finds itself and -0 does not find 0.
+func sameScalar(a, b Value) bool {
+	switch x := a.(type) {
+	case float64:
+		y, ok := b.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
+	case []Value:
+		return false
+	}
+	_, bList := b.([]Value)
+	return !bList && a == b
 }
 
 func appendProp(props map[string]Value, key string, v Value) {

@@ -1,0 +1,273 @@
+package pg
+
+import (
+	"fmt"
+	"sort"
+
+	"github.com/s3pg/s3pg/internal/cow"
+)
+
+// NoNode is the id Resequence's result holds for a dropped node.
+const NoNode = ^NodeID(0)
+
+const noEdge = ^EdgeID(0)
+
+// slabRecords is how many re-allocated records Resequence makes per
+// allocation.
+const slabRecords = 256
+
+// NodeMove takes node ID out of the sequence and puts it back immediately
+// before the node that holds id Before when Resequence is called
+// (Before = NumNodes() is the end). Before names a position, not a node: it
+// stays meaningful when that node is itself dropped or moved. Moves to the
+// same position land in script order.
+//
+// A per-label list is in labelling order. Relist says the node was labelled
+// when it was created, so its place in its lists moves with it: it is taken
+// out of each and put back in id order. Without Relist the node keeps its
+// place in its lists.
+type NodeMove struct {
+	ID, Before NodeID
+	Relist     bool
+}
+
+// Resequence applies an order-preserving edit script: the dropped nodes and
+// edges disappear, the moved nodes take their new positions, every other
+// element keeps its place relative to the others, and ids are made dense
+// again (ids are positions: the CSV export and every index address elements
+// by them). It returns the old → new node id map, NoNode for dropped nodes.
+//
+// It is one pass of integer work over the store: Node.ID, Edge.ID/From/To,
+// both adjacency tables and the label lists are rewritten through the map;
+// labels, records and property values are not touched. A record whose ids
+// change is updated in place when the store owns it and re-allocated
+// (sharing its labels and properties, still copy-on-write) when a clone may
+// read it.
+//
+// Every edge of a dropped node must be dropped with it; Resequence panics on
+// a script that is not one (a caller bug, like an AddEdge out of range).
+func (s *Store) Resequence(dropNodes []NodeID, moves []NodeMove, dropEdges []EdgeID) []NodeID {
+	nodeMap := s.newNodeIDs(dropNodes, moves)
+	edgeMap := make([]EdgeID, s.edges.Len())
+	for _, id := range dropEdges {
+		edgeMap[id] = noEdge
+	}
+	kept := EdgeID(0)
+	for i, v := range edgeMap {
+		if v != noEdge {
+			edgeMap[i] = kept
+			kept++
+		}
+	}
+
+	// Records a clone may read are replaced, and allocated a slab at a time:
+	// nearly all of them are when ids shift, and they stay or go together.
+	var nodeSlab []Node
+	var nodes cow.Table[*Node]
+	for i := 0; i < s.nodes.Len(); i++ {
+		n, id := s.nodes.At(i), nodeMap[i]
+		if id == NoNode {
+			continue
+		}
+		if id != n.ID {
+			if n.own != s.own {
+				if len(nodeSlab) == 0 {
+					nodeSlab = make([]Node, slabRecords)
+				}
+				nodeSlab[0] = *n
+				n, nodeSlab = &nodeSlab[0], nodeSlab[1:]
+			}
+			n.ID = id
+		}
+		nodes.Set(int(id), n)
+	}
+
+	var edgeSlab []Edge
+	var edges cow.Table[*Edge]
+	for i := 0; i < s.edges.Len(); i++ {
+		id := edgeMap[i]
+		if id == noEdge {
+			continue
+		}
+		e := s.edges.At(i)
+		from, to := nodeMap[e.From], nodeMap[e.To]
+		if from == NoNode || to == NoNode {
+			panic(fmt.Sprintf("pg: Resequence keeps edge %d of a dropped node (%d -> %d)", i, e.From, e.To))
+		}
+		if id != e.ID || from != e.From || to != e.To {
+			if e.own != s.own {
+				if len(edgeSlab) == 0 {
+					edgeSlab = make([]Edge, slabRecords)
+				}
+				edgeSlab[0] = *e
+				e, edgeSlab = &edgeSlab[0], edgeSlab[1:]
+			}
+			e.ID, e.From, e.To = id, from, to
+		}
+		edges.Set(int(id), e)
+	}
+
+	s.out = remapAdjacency(&s.out, nodeMap, edgeMap, int(kept))
+	s.in = remapAdjacency(&s.in, nodeMap, edgeMap, int(kept))
+	s.nodes, s.edges = nodes, edges
+
+	relist := make(map[string][]NodeID)
+	for _, mv := range moves {
+		if mv.Relist {
+			id := nodeMap[mv.ID]
+			for _, l := range nodes.At(int(id)).Labels {
+				relist[l] = append(relist[l], id)
+			}
+		}
+	}
+	for l, ids := range s.byLabel {
+		ids = remapIDs(ids, nodeMap, NoNode)
+		if moved := relist[l]; len(moved) > 0 {
+			ids = placeByID(ids, moved)
+		}
+		if len(ids) == 0 {
+			delete(s.byLabel, l)
+		} else {
+			s.byLabel[l] = ids
+		}
+	}
+	for l, ids := range s.byEdgeLabel {
+		if ids = remapIDs(ids, edgeMap, noEdge); len(ids) == 0 {
+			delete(s.byEdgeLabel, l)
+		} else {
+			s.byEdgeLabel[l] = ids
+		}
+	}
+	s.remapIRIs(nodeMap)
+	return nodeMap
+}
+
+// remapIRIs takes the iri index through the node id map. The index cannot
+// forget a key, so when a node it holds was dropped it is built again, first
+// node in id order first.
+func (s *Store) remapIRIs(nodeMap []NodeID) {
+	type entry struct {
+		iri string
+		id  NodeID
+	}
+	var changed []entry
+	rebuild := false
+	s.byIRI.Range(func(iri string, id NodeID) bool {
+		if to := nodeMap[id]; to == NoNode {
+			rebuild = true
+		} else if to != id {
+			changed = append(changed, entry{iri, to})
+		}
+		return !rebuild
+	})
+	if !rebuild {
+		for _, e := range changed {
+			s.byIRI.Put(e.iri, e.id)
+		}
+		return
+	}
+	s.byIRI, s.iriShared = cow.Map[string, NodeID]{}, false
+	for i := 0; i < s.nodes.Len(); i++ {
+		if iri, ok := s.nodes.At(i).Props["iri"].(string); ok {
+			s.indexIRI(iri, NodeID(i))
+		}
+	}
+}
+
+// newNodeIDs lays the node part of the script out as the old → new id map.
+func (s *Store) newNodeIDs(dropNodes []NodeID, moves []NodeMove) []NodeID {
+	n := s.nodes.Len()
+	nodeMap := make([]NodeID, n)
+	lifted := make([]bool, n) // dropped, or moved and placed by its move
+	for _, id := range dropNodes {
+		nodeMap[id], lifted[id] = NoNode, true
+	}
+	for _, mv := range moves {
+		if lifted[mv.ID] {
+			panic(fmt.Sprintf("pg: Resequence moves node %d twice, or drops it too", mv.ID))
+		}
+		lifted[mv.ID] = true
+	}
+	byPos := func(i, j int) bool { return moves[i].Before < moves[j].Before }
+	if !sort.SliceIsSorted(moves, byPos) {
+		moves = append([]NodeMove(nil), moves...)
+		sort.SliceStable(moves, byPos)
+	}
+	next, mi := NodeID(0), 0
+	for i := 0; i <= n; i++ {
+		for ; mi < len(moves) && (int(moves[mi].Before) == i || i == n); mi++ {
+			nodeMap[moves[mi].ID] = next
+			next++
+		}
+		if i < n && !lifted[i] {
+			nodeMap[i] = next
+			next++
+		}
+	}
+	return nodeMap
+}
+
+// remapAdjacency rebuilds an adjacency table under new node and edge ids. The
+// lists are carved, without spare capacity, out of one array: nothing is
+// shared with the old table, whoever else reads it.
+func remapAdjacency(old *cow.Lists[EdgeID], nodeMap []NodeID, edgeMap []EdgeID, nEdges int) cow.Lists[EdgeID] {
+	var lists cow.Lists[EdgeID]
+	slab := make([]EdgeID, 0, nEdges)
+	for i := old.Next(0); i >= 0; i = old.Next(i + 1) {
+		if nodeMap[i] == NoNode {
+			continue
+		}
+		start := len(slab)
+		for _, e := range old.At(i) {
+			if id := edgeMap[e]; id != noEdge {
+				slab = append(slab, id)
+			}
+		}
+		if len(slab) > start {
+			lists.Set(int(nodeMap[i]), slab[start:len(slab):len(slab)])
+		}
+	}
+	return lists
+}
+
+// remapIDs rewrites an id list through idMap, leaving out the ids mapped to
+// gone. A list nothing changes in is returned as it is; any other is built
+// anew, because a clone may be reading the old array.
+func remapIDs[ID NodeID | EdgeID](ids, idMap []ID, gone ID) []ID {
+	i := 0
+	for i < len(ids) && idMap[ids[i]] == ids[i] {
+		i++
+	}
+	if i == len(ids) {
+		return ids
+	}
+	out := make([]ID, i, len(ids))
+	copy(out, ids)
+	for _, id := range ids[i:] {
+		if id = idMap[id]; id != gone {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// placeByID takes the moved ids out of the list and merges them back in id
+// order.
+func placeByID(ids, moved []NodeID) []NodeID {
+	sort.Slice(moved, func(i, j int) bool { return moved[i] < moved[j] })
+	isMoved := make(map[NodeID]bool, len(moved))
+	for _, id := range moved {
+		isMoved[id] = true
+	}
+	out := make([]NodeID, 0, len(ids))
+	for _, id := range ids {
+		if isMoved[id] {
+			continue
+		}
+		for len(moved) > 0 && moved[0] < id {
+			out, moved = append(out, moved[0]), moved[1:]
+		}
+		out = append(out, id)
+	}
+	return append(out, moved...)
+}

@@ -27,69 +27,6 @@ func (g *Graph) IndexOf(t Triple) (int32, bool) {
 	return g.slotOf(encTriple{s, p, o})
 }
 
-// MatchIndexed is Match, additionally passing each triple's admission index.
-func (g *Graph) MatchIndexed(s, p, o *Term, fn func(int32, Triple) bool) {
-	var se, pe, oe = noID, noID, noID
-	if s != nil {
-		id, ok := g.dict.Lookup(*s)
-		if !ok {
-			return
-		}
-		se = id
-	}
-	if p != nil {
-		id, ok := g.dict.Lookup(*p)
-		if !ok {
-			return
-		}
-		pe = id
-	}
-	if o != nil {
-		id, ok := g.dict.Lookup(*o)
-		if !ok {
-			return
-		}
-		oe = id
-	}
-	if se != noID && pe != noID && oe != noID {
-		e := encTriple{se, pe, oe}
-		if idx, ok := g.slotOf(e); ok {
-			fn(idx, g.decode(e))
-		}
-		return
-	}
-	list, bound := g.candidateList(se, pe, oe)
-	if !bound {
-		for i, e := range g.triples {
-			if g.dead[i] {
-				continue
-			}
-			if !fn(int32(i), g.decode(e)) {
-				return
-			}
-		}
-		return
-	}
-	for _, idx := range list {
-		if g.dead[idx] {
-			continue
-		}
-		e := g.triples[idx]
-		if se != noID && e.s != se {
-			continue
-		}
-		if pe != noID && e.p != pe {
-			continue
-		}
-		if oe != noID && e.o != oe {
-			continue
-		}
-		if !fn(idx, g.decode(e)) {
-			return
-		}
-	}
-}
-
 // Unremove resurrects a triple tombstoned by Remove at its original slot,
 // restoring the exact pre-Remove admission order. It reports whether the
 // slot was restored; it refuses (returning false) when the slot is not a

@@ -88,31 +88,3 @@ func TestTruncateFromUndoesAdds(t *testing.T) {
 		t.Fatalf("re-add after truncate got index %d, want %d", idx, n)
 	}
 }
-
-func TestMatchIndexedAgreesWithIndexOf(t *testing.T) {
-	g := NewGraph()
-	for i := 0; i < 6; i++ {
-		g.Add(tr(i))
-	}
-	g.Remove(tr(3))
-	p := NewIRI("p")
-	g.MatchIndexed(nil, &p, nil, func(idx int32, x Triple) bool {
-		want, ok := g.IndexOf(x)
-		if !ok || want != idx {
-			t.Fatalf("MatchIndexed idx %d disagrees with IndexOf %d (%v)", idx, want, ok)
-		}
-		return true
-	})
-	s := NewIRI("s4")
-	count := 0
-	g.MatchIndexed(&s, nil, nil, func(idx int32, x Triple) bool {
-		count++
-		if idx != 4 {
-			t.Fatalf("subject-bound MatchIndexed idx = %d, want 4", idx)
-		}
-		return true
-	})
-	if count != 1 {
-		t.Fatalf("subject-bound MatchIndexed matched %d triples", count)
-	}
-}

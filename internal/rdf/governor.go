@@ -21,8 +21,8 @@ type SpillConfig struct {
 	HighMB int
 	// LowMB clears the pressure latch once the post-spill heap drops under
 	// it; 0 defaults to 80% of HighMB. The high/low gap is the hysteresis
-	// band that keeps spilling (and admission decisions derived from
-	// UnderPressure) from flapping around a single threshold.
+	// band that keeps spilling (and the rdf.spill.pressure gauge admission
+	// decisions read) from flapping around a single threshold.
 	LowMB int
 	// MinTailTriples is the smallest resident tail worth a re-spill;
 	// below it a spill could not meaningfully shrink the heap. 0 defaults
@@ -96,10 +96,6 @@ func (gv *Governor) Maybe(g *Graph) (bool, error) {
 	}
 	return true, nil
 }
-
-// UnderPressure reports the hysteresis latch: true from the moment the high
-// watermark trips until the heap falls back under the low one.
-func (gv *Governor) UnderPressure() bool { return gv.latched }
 
 // Spills returns the number of spill operations the governor has run.
 func (gv *Governor) Spills() int { return gv.spills }

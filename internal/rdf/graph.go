@@ -668,21 +668,6 @@ func (g *Graph) Classes() []Term {
 	return out
 }
 
-// Predicates returns all distinct predicate IRIs, sorted.
-func (g *Graph) Predicates() []Term {
-	seen := make(map[TermID]struct{})
-	g.forEachSlot(func(_ int, e encTriple) bool {
-		seen[e.p] = struct{}{}
-		return true
-	})
-	out := make([]Term, 0, len(seen))
-	for id := range seen {
-		out = append(out, g.dict.Term(id))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
-	return out
-}
-
 // SuperClasses returns the transitive rdfs:subClassOf closure of the class,
 // excluding the class itself.
 func (g *Graph) SuperClasses(class Term) []Term {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -216,7 +217,7 @@ func TestClassesAndPredicates(t *testing.T) {
 			t.Fatalf("unexpected class %v", c)
 		}
 	}
-	preds := g.Predicates()
+	preds := g.predicates()
 	if len(preds) != 5 { // type, advisedBy, regNo, name, subClassOf
 		t.Fatalf("Predicates = %v", preds)
 	}
@@ -353,4 +354,19 @@ func TestEscapeLiteral(t *testing.T) {
 			t.Errorf("EscapeLiteral(%q) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// predicates returns all distinct predicate IRIs, sorted (a test oracle).
+func (g *Graph) predicates() []Term {
+	seen := make(map[TermID]struct{})
+	g.forEachSlot(func(_ int, e encTriple) bool {
+		seen[e.p] = struct{}{}
+		return true
+	})
+	out := make([]Term, 0, len(seen))
+	for id := range seen {
+		out = append(out, g.dict.Term(id))
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
+	return out
 }

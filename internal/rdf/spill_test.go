@@ -89,7 +89,7 @@ func assertGraphsEqual(t *testing.T, got, want *Graph) {
 	if !reflect.DeepEqual(gotSlots, wantSlots) {
 		t.Fatalf("ForEachEncoded slot order diverges")
 	}
-	if gp, wp := got.Predicates(), want.Predicates(); !reflect.DeepEqual(gp, wp) {
+	if gp, wp := got.predicates(), want.predicates(); !reflect.DeepEqual(gp, wp) {
 		t.Fatalf("Predicates diverge: %v vs %v", gp, wp)
 	}
 }
@@ -655,8 +655,8 @@ func TestGovernorHysteresis(t *testing.T) {
 	if sp, err := gv.Maybe(g); err != nil || sp {
 		t.Fatalf("Maybe under watermark: (%v,%v)", sp, err)
 	}
-	if gv.UnderPressure() {
-		t.Fatal("UnderPressure before trip")
+	if gv.latched {
+		t.Fatal("under pressure before trip")
 	}
 
 	// Trip the high watermark: spill runs, and since the fake heap stays
@@ -665,7 +665,7 @@ func TestGovernorHysteresis(t *testing.T) {
 	if sp, err := gv.Maybe(g); err != nil || !sp {
 		t.Fatalf("Maybe over watermark: (%v,%v)", sp, err)
 	}
-	if !gv.UnderPressure() {
+	if !gv.latched {
 		t.Fatal("latch not set after trip")
 	}
 	if !g.Spilled() {
@@ -677,7 +677,7 @@ func TestGovernorHysteresis(t *testing.T) {
 	if sp, err := gv.Maybe(g); err != nil || sp {
 		t.Fatalf("Maybe inside band: (%v,%v)", sp, err)
 	}
-	if !gv.UnderPressure() {
+	if !gv.latched {
 		t.Fatal("latch cleared inside band")
 	}
 
@@ -686,7 +686,7 @@ func TestGovernorHysteresis(t *testing.T) {
 	if sp, err := gv.Maybe(g); err != nil || sp {
 		t.Fatalf("Maybe under low watermark: (%v,%v)", sp, err)
 	}
-	if gv.UnderPressure() {
+	if gv.latched {
 		t.Fatal("latch not cleared under low watermark")
 	}
 	if gv.Spills() != 1 {

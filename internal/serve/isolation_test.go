@@ -177,7 +177,7 @@ func snapshotIsolation(t *testing.T, mode core.Mode) {
 	}
 
 	publish("initial")
-	fast, rebuilds, rejected := st.FastApplies(), st.Rebuilds(), 0
+	fast, rebuilds, rejected, swept := st.FastApplies(), st.Rebuilds(), 0, 0
 	for round := 0; round < 3; round++ {
 		// Grow-only batches: no rdf:type statement, so they ride the fast path.
 		var grown []rdf.Triple
@@ -219,12 +219,30 @@ func snapshotIsolation(t *testing.T, mode core.Mode) {
 			t.Fatalf("churn batch: %v", err)
 		}
 		publish(fmt.Sprintf("round %d churn", round))
+
+		// The same without rdf:type deletes: applied in place, by a sweep
+		// that renumbers the store every held snapshot shares records with.
+		churn = datagen.EvolveChurn(st.Graph(), p, datagen.Churn{DeleteFrac: 0.01, MutateFrac: 0.01}, int64(300+round))
+		kept := churn.Deletes[:0]
+		for _, tr := range churn.Deletes {
+			if tr.P != rdf.A {
+				kept = append(kept, tr)
+			}
+		}
+		churn.Deletes = kept
+		if _, err := st.ApplyDelta(churn); err != nil {
+			t.Fatalf("in-place churn batch: %v", err)
+		}
+		if path, _ := st.LastPath(); path == "in_place" {
+			swept++
+		}
+		publish(fmt.Sprintf("round %d in-place churn", round))
 	}
 	close(done)
 	readers.Wait()
-	if st.FastApplies() == fast || st.Rebuilds() == rebuilds || rejected == 0 {
-		t.Fatalf("the script did not cover all three paths: %d fast, %d rebuilds, %d rejected",
-			st.FastApplies()-fast, st.Rebuilds()-rebuilds, rejected)
+	if st.FastApplies() == fast || st.Rebuilds() == rebuilds || rejected == 0 || swept == 0 {
+		t.Fatalf("the script did not cover all paths: %d in place (%d with deletes), %d rebuilds, %d rejected",
+			st.FastApplies()-fast, swept, st.Rebuilds()-rebuilds, rejected)
 	}
 
 	// Every snapshot, the first included, must have survived everything that

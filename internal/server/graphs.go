@@ -501,9 +501,14 @@ func (m *GraphManager) applyOne(gs *graphSession, d *rdf.Delta) (*UpdateResult, 
 	gs.lsn.Store(lsn)
 	gs.cond.Broadcast()
 	cGraphUpdates.Inc()
-	m.cfg.Log.Info("graph_update_applied", "graph", gs.id, "lsn", lsn,
+	path, reason := gs.state.LastPath()
+	fields := []any{"graph", gs.id, "lsn", lsn,
 		"deletes", len(d.Deletes), "inserts", len(d.Inserts),
-		"nodes_changed", len(pd.Nodes), "edges_changed", len(pd.Edges))
+		"nodes_changed", len(pd.Nodes), "edges_changed", len(pd.Edges), "path", path}
+	if reason != "" {
+		fields = append(fields, "reason", reason)
+	}
+	m.cfg.Log.Info("graph_update_applied", fields...)
 	return &UpdateResult{LSN: lsn, Digest: digest, Nodes: len(pd.Nodes), Edges: len(pd.Edges)}, nil
 }
 

@@ -129,6 +129,10 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"s3pgd_rdf_spill_segments",
 		"s3pgd_rdf_spill_ops",
 		"s3pgd_rdf_spill_pressure",
+		// How live-graph batches were served: in place, or rebuilt and why.
+		"s3pgd_core_delta_fast_applies",
+		`s3pgd_core_delta_rebuilds{reason="type_delete"}`,
+		`s3pgd_core_delta_rebuilds{reason="apply_error"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %s:\n%s", want, body)
