@@ -50,9 +50,11 @@ verify:
 # SPARQL parser, both engines' executor against the reference evaluator it
 # replaced, the /query JSON writer against encoding/json, a spilled
 # graph under random Add/Remove/Spill/Clone schedules against a twin that
-# never spilled, and a live graph edited in place under random update
-# scripts against a twin that rebuilds on every batch. New crashers land in
-# testdata/fuzz/ and become regression tests.
+# never spilled, a live graph edited in place under random update scripts
+# against a twin that rebuilds on every batch, the property-graph store under
+# random mutator/Clone/Resequence scripts against its map-based model, and
+# pg.LoadCSV on arbitrary bytes. New crashers land in testdata/fuzz/ and
+# become regression tests.
 FUZZ_TARGETS = \
 	FuzzParseNTriplesLine:./internal/rio \
 	FuzzReadNTriplesLenient:./internal/rio \
@@ -65,7 +67,9 @@ FUZZ_TARGETS = \
 	FuzzEvalDifferential:./internal/sparql \
 	FuzzRowJSON:./internal/serve \
 	FuzzSpillSchedule:./internal/rdf \
-	FuzzApplyDeltaInPlace:./internal/core
+	FuzzApplyDeltaInPlace:./internal/core \
+	FuzzStoreOps:./internal/pg \
+	FuzzLoadCSV:./internal/pg
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

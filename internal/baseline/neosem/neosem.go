@@ -64,7 +64,7 @@ func Transform(g *rdf.Graph) (*pg.Store, *Stats) {
 		}
 		// n10s MERGE semantics: a second lookup through the URI index
 		// before creating, as the plugin issues MERGE on the uri key.
-		if n := st.NodeByIRI(uri); n != nil {
+		if n, ok := st.NodeByIRI(uri); ok {
 			nodeOf[t] = n.ID
 			return n.ID
 		}
@@ -95,8 +95,7 @@ func Transform(g *rdf.Graph) (*pg.Store, *Stats) {
 		key := localName(tr.P.Value)
 		dt := storageDT(tr.O.DatatypeIRI())
 		pk := propKey{sid, key}
-		node := st.Node(sid)
-		if _, exists := node.Props[key]; !exists {
+		if st.Node(sid).Prop(key) == nil {
 			arrayType[pk] = dt
 			st.SetProp(sid, key, nativeNeoValue(tr.O.Value, dt))
 			return true
@@ -150,8 +149,9 @@ func (t *txLog) touch(id pg.NodeID) {
 
 func (t *txLog) writeRecord(w *bufio.Writer, id pg.NodeID) {
 	n := t.st.Node(id)
-	fmt.Fprintf(w, "%d|%v|", n.ID, n.Labels)
-	for k, v := range n.Props {
+	fmt.Fprintf(w, "%d|%v|", n.ID, n.Labels())
+	for i := 0; i < n.NumProps(); i++ {
+		k, v := n.PropAt(i)
 		fmt.Fprintf(w, "%s=%s;", k, pg.FormatValue(v))
 	}
 	w.WriteByte('\n')

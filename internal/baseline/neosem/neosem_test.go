@@ -14,29 +14,29 @@ func TestTransformBasics(t *testing.T) {
 	if stats.DroppedValues != 0 {
 		t.Fatalf("unexpected drops: %+v", stats)
 	}
-	bob := st.NodeByIRI(fixtures.ExNS + "bob")
-	if bob == nil {
+	bob, bobOK := st.NodeByIRI(fixtures.ExNS + "bob")
+	if !bobOK {
 		t.Fatal("bob missing")
 	}
 	// Labels: Resource + the three classes.
 	for _, l := range []string{"Resource", "Person", "Student", "GraduateStudent"} {
 		if !bob.HasLabel(l) {
-			t.Fatalf("bob labels = %v, missing %s", bob.Labels, l)
+			t.Fatalf("bob labels = %v, missing %s", bob.Labels(), l)
 		}
 	}
 	// All literals are properties — including the heterogeneous course.
-	if bob.Props["regNo"] != "Bs12" {
-		t.Fatalf("regNo = %v", bob.Props["regNo"])
+	if bob.Prop("regNo") != "Bs12" {
+		t.Fatalf("regNo = %v", bob.Prop("regNo"))
 	}
-	if bob.Props["takesCourse"] != "Intro to Logic" {
-		t.Fatalf("takesCourse prop = %v", bob.Props["takesCourse"])
+	if bob.Prop("takesCourse") != "Intro to Logic" {
+		t.Fatalf("takesCourse prop = %v", bob.Prop("takesCourse"))
 	}
 	// The IRI course is a relationship.
-	db := st.NodeByIRI(fixtures.ExNS + "DB")
+	db, _ := st.NodeByIRI(fixtures.ExNS + "DB")
 	foundRel := false
 	for _, eid := range st.Out(bob.ID) {
 		e := st.Edge(eid)
-		if e.Label == "takesCourse" && e.To == db.ID {
+		if e.Label() == "takesCourse" && e.To == db.ID {
 			foundRel = true
 		}
 	}
@@ -61,10 +61,10 @@ func TestMultivalueArrayCoercion(t *testing.T) {
 	if stats.DroppedValues != 1 {
 		t.Fatalf("dropped = %d, want 1", stats.DroppedValues)
 	}
-	n := st.NodeByIRI("http://x/s")
-	arr, ok := n.Props["val"].([]pg.Value)
+	n, _ := st.NodeByIRI("http://x/s")
+	arr, ok := n.Prop("val").([]pg.Value)
 	if !ok || len(arr) != 2 || arr[0] != int64(1) || arr[1] != int64(2) {
-		t.Fatalf("val = %v", n.Props["val"])
+		t.Fatalf("val = %v", n.Prop("val"))
 	}
 }
 
@@ -88,8 +88,8 @@ func TestUntypedObjectsBecomeResources(t *testing.T) {
 	g.Add(rdf.NewTriple(s, rdf.A, rdf.NewIRI("http://x/T")))
 	g.Add(rdf.NewTriple(s, rdf.NewIRI("http://x/knows"), rdf.NewIRI("http://x/other")))
 	st, _ := neosem.Transform(g)
-	other := st.NodeByIRI("http://x/other")
-	if other == nil || !other.HasLabel("Resource") {
+	other, otherOK := st.NodeByIRI("http://x/other")
+	if !otherOK || !other.HasLabel("Resource") {
 		t.Fatalf("other = %+v", other)
 	}
 }
@@ -100,8 +100,8 @@ func TestBlankNodes(t *testing.T) {
 	g.Add(rdf.NewTriple(b, rdf.A, rdf.NewIRI("http://x/T")))
 	g.Add(rdf.NewTriple(b, rdf.NewIRI("http://x/p"), rdf.NewLiteral("v")))
 	st, _ := neosem.Transform(g)
-	n := st.NodeByIRI("_:b0")
-	if n == nil || n.Props["p"] != "v" {
+	n, nOK := st.NodeByIRI("_:b0")
+	if !nOK || n.Prop("p") != "v" {
 		t.Fatalf("blank node = %+v", n)
 	}
 }

@@ -140,26 +140,25 @@ func WriteYARSPG(w io.Writer, st *pg.Store) error {
 	for ni := 0; ni < st.NumNodes(); ni++ {
 		n := st.Node(pg.NodeID(ni))
 		fmt.Fprintf(bw, "(\"n%d\"{", n.ID)
-		for i, l := range n.Labels {
+		for i, l := range n.Labels() {
 			if i > 0 {
 				bw.WriteString(", ")
 			}
 			fmt.Fprintf(bw, "%q", l)
 		}
 		bw.WriteString("}[")
-		first := true
-		for k, v := range n.Props {
-			if !first {
+		for i := 0; i < n.NumProps(); i++ {
+			if i > 0 {
 				bw.WriteString(", ")
 			}
-			first = false
+			k, v := n.PropAt(i)
 			fmt.Fprintf(bw, "%q: %q", k, pg.FormatValue(v))
 		}
 		bw.WriteString("])\n")
 	}
 	for ei := 0; ei < st.NumEdges(); ei++ {
 		e := st.Edge(pg.EdgeID(ei))
-		fmt.Fprintf(bw, "(\"n%d\")-[%q]->(\"n%d\")\n", e.From, e.Label, e.To)
+		fmt.Fprintf(bw, "(\"n%d\")-[%q]->(\"n%d\")\n", e.From, e.Label(), e.To)
 	}
 	return bw.Flush()
 }

@@ -27,13 +27,13 @@ func TestHeterogeneousPropertyLosesMinority(t *testing.T) {
 	if stats.DroppedLiterals != 1 {
 		t.Fatalf("dropped literals = %d, want 1", stats.DroppedLiterals)
 	}
-	album := st.NodeByIRI("http://x/a")
-	if _, ok := album.Props["writer"]; ok {
+	album, _ := st.NodeByIRI("http://x/a")
+	if album.Prop("writer") != nil {
 		t.Fatal("writer literal should have been dropped, not stored")
 	}
 	edges := 0
 	for _, eid := range st.Out(album.ID) {
-		if st.Edge(eid).Label == "writer" {
+		if st.Edge(eid).Label() == "writer" {
 			edges++
 		}
 	}
@@ -55,9 +55,9 @@ func TestDatatypePropertyDropsIRIs(t *testing.T) {
 	if stats.DroppedResources != 1 {
 		t.Fatalf("dropped resources = %d, want 1", stats.DroppedResources)
 	}
-	album := st.NodeByIRI("http://x/a")
+	album, _ := st.NodeByIRI("http://x/a")
 	for _, eid := range st.Out(album.ID) {
-		if st.Edge(eid).Label == "writer" {
+		if st.Edge(eid).Label() == "writer" {
 			t.Fatal("writer edge should have been dropped")
 		}
 	}
@@ -76,10 +76,10 @@ func TestDatatypeCoercion(t *testing.T) {
 	if stats.DroppedLiterals != 1 {
 		t.Fatalf("dropped = %+v", stats)
 	}
-	n := st.NodeByIRI("http://x/s")
-	arr, ok := n.Props["v"].([]pg.Value)
+	n, _ := st.NodeByIRI("http://x/s")
+	arr, ok := n.Prop("v").([]pg.Value)
 	if !ok || len(arr) != 3 { // 1, 2, and the coerced "3"
-		t.Fatalf("v = %v", n.Props["v"])
+		t.Fatalf("v = %v", n.Prop("v"))
 	}
 	for _, v := range arr {
 		if _, isInt := v.(int64); !isInt {
@@ -95,8 +95,8 @@ func TestUniversityMostlyPreserved(t *testing.T) {
 	if stats.DroppedLiterals == 0 {
 		t.Fatalf("expected the heterogeneous course literal to be dropped: %+v", stats)
 	}
-	bob := st.NodeByIRI(fixtures.ExNS + "bob")
-	if bob == nil || bob.Props["regNo"] != "Bs12" {
+	bob, bobOK := st.NodeByIRI(fixtures.ExNS + "bob")
+	if !bobOK || bob.Prop("regNo") != "Bs12" {
 		t.Fatalf("bob = %+v", bob)
 	}
 }

@@ -168,34 +168,34 @@ func TestDataTransformUniversityStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bob := store.NodeByIRI(fixtures.ExNS + "bob")
-	if bob == nil {
+	bob, bobOK := store.NodeByIRI(fixtures.ExNS + "bob")
+	if !bobOK {
 		t.Fatal("bob node missing")
 	}
 	wantLabels := []string{"GraduateStudent", "Person", "Student"}
-	if len(bob.Labels) != 3 {
-		t.Fatalf("bob labels = %v", bob.Labels)
+	if len(bob.Labels()) != 3 {
+		t.Fatalf("bob labels = %v", bob.Labels())
 	}
 	for i, l := range wantLabels {
-		if bob.Labels[i] != l {
-			t.Fatalf("bob labels = %v, want %v", bob.Labels, wantLabels)
+		if bob.Labels()[i] != l {
+			t.Fatalf("bob labels = %v, want %v", bob.Labels(), wantLabels)
 		}
 	}
 	// Parsimonious key/values.
-	if bob.Props["name"] != "Bob" || bob.Props["regNo"] != "Bs12" {
-		t.Fatalf("bob props = %v", bob.Props)
+	if bob.Prop("name") != "Bob" || bob.Prop("regNo") != "Bs12" {
+		t.Fatalf("bob props = %v %v", bob.Prop("name"), bob.Prop("regNo"))
 	}
 	// dob is multi-type → value node, not a key/value.
-	if _, ok := bob.Props["dob"]; ok {
+	if bob.Prop("dob") != nil {
 		t.Fatal("dob must not be a key/value property")
 	}
 
 	// advisedBy edge to alice.
-	alice := store.NodeByIRI(fixtures.ExNS + "alice")
+	alice, _ := store.NodeByIRI(fixtures.ExNS + "alice")
 	foundAdvised := false
 	for _, eid := range store.Out(bob.ID) {
 		e := store.Edge(eid)
-		if e.Label == "advisedBy" && e.To == alice.ID {
+		if e.Label() == "advisedBy" && e.To == alice.ID {
 			foundAdvised = true
 		}
 	}
@@ -207,14 +207,14 @@ func TestDataTransformUniversityStructure(t *testing.T) {
 	var toEntity, toValue int
 	for _, eid := range store.Out(bob.ID) {
 		e := store.Edge(eid)
-		if e.Label != "takesCourse" {
+		if e.Label() != "takesCourse" {
 			continue
 		}
 		target := store.Node(e.To)
 		if target.HasLabel("STRING") {
 			toValue++
-			if target.Props["value"] != "Intro to Logic" {
-				t.Fatalf("string course value = %v", target.Props["value"])
+			if target.Prop("value") != "Intro to Logic" {
+				t.Fatalf("string course value = %v", target.Prop("value"))
 			}
 		} else {
 			toEntity++
@@ -239,15 +239,15 @@ func TestDataTransformNonParsimoniousStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bob := store.NodeByIRI(fixtures.ExNS + "bob")
-	if len(bob.Props) != 1 { // only iri
-		t.Fatalf("non-parsimonious bob props = %v", bob.Props)
+	bob, _ := store.NodeByIRI(fixtures.ExNS + "bob")
+	if bob.NumProps() != 1 { // only iri
+		t.Fatalf("non-parsimonious bob has %d props", bob.NumProps())
 	}
 	// name is now an edge to a STRING value node.
 	found := false
 	for _, eid := range store.Out(bob.ID) {
 		e := store.Edge(eid)
-		if e.Label == "name" && store.Node(e.To).Props["value"] == "Bob" {
+		if e.Label() == "name" && store.Node(e.To).Prop("value") == "Bob" {
 			found = true
 		}
 	}

@@ -64,6 +64,9 @@ type Transformer struct {
 	// store rewrites them in one walk over the map, hashing no key.
 	valNode map[valKey]*pg.NodeID
 	idSlab  []pg.NodeID
+	// dtValue holds each datatype IRI as the "dt" value of its value nodes:
+	// boxed once, not once per node.
+	dtValue map[string]pg.Value
 	// edgeOf indexes statement → PG edge so RDF-star annotations (quoted-
 	// triple subjects) can attach to the statement's edge. It is lazy: it
 	// covers edges [0, indexedUpTo) and grows only when an annotation pass
@@ -126,6 +129,7 @@ func NewTransformerForSchema(spg *pgschema.Schema, mode Mode) (*Transformer, err
 		store:   pg.NewStore(),
 		nodeOf:  make(map[rdf.Term]pg.NodeID),
 		valNode: make(map[valKey]*pg.NodeID),
+		dtValue: make(map[string]pg.Value),
 		edgeOf:  make(map[rdf.Term]pg.EdgeID),
 
 		triggers: make(map[int]struct{}),
@@ -380,7 +384,7 @@ func (t *Transformer) applyAnnotation(tr rdf.Triple) error {
 	if !canonical {
 		return fmt.Errorf("core: annotation value %v has a non-canonical lexical form", tr.O)
 	}
-	key, err := t.mapping.EnsureAnnotation(t.store.Edge(eid).Label, tr.P.Value, dt)
+	key, err := t.mapping.EnsureAnnotation(t.store.Edge(eid).Label(), tr.P.Value, dt)
 	if err != nil {
 		return err
 	}
@@ -391,7 +395,7 @@ func (t *Transformer) applyAnnotation(tr rdf.Triple) error {
 // extendTargets widens a fallback edge type to accept the target node's
 // first label (schema evolution driven by uncovered data).
 func (t *Transformer) extendTargets(edgeLabel string, target pg.NodeID) {
-	labels := t.store.Node(target).Labels
+	labels := t.store.Node(target).Labels()
 	if len(labels) > 0 {
 		t.mapping.ExtendEdgeTargets(edgeLabel, labels[0])
 	}
@@ -508,14 +512,14 @@ func (c *commit) statement(s, p, o rdf.TermID) (annotation bool, err error) {
 	if sid == noNode {
 		sid = c.entity(s, sT)
 	}
-	sLabels := t.store.Node(sid).Labels
+	sLabels := t.store.Node(sid).Labels()
 	if len(sLabels) == 0 && t.lenient {
 		// Degradation policy: a subject with no rdf:type (hence no shape)
 		// gets the generic rdfs:Resource label so its properties attach to a
 		// labelled node; routes fall back to data-extended edge types.
 		t.degrade("generic label: subject has no rdf:type, labelled as rdfs:Resource", c.triple(s, p, o))
 		t.store.AddLabel(sid, t.mapping.EnsureClassLabel(GenericClass))
-		sLabels = t.store.Node(sid).Labels
+		sLabels = t.store.Node(sid).Labels()
 	}
 	pred := c.dict.Term(p).Value
 	route := t.mapping.Route(sLabels, pred)
@@ -596,7 +600,12 @@ func (c *commit) literalValue(o rdf.TermID, lex, dt, lang string) pg.NodeID {
 	} else {
 		label := t.mapping.EnsureValueLabel(dt)
 		lv := c.literal(o, lex, dt)
-		props := map[string]pg.Value{"dt": dt, "value": lv.native}
+		dtv, ok := t.dtValue[dt]
+		if !ok {
+			dtv = dt
+			t.dtValue[dt] = dtv
+		}
+		props := map[string]pg.Value{"dt": dtv, "value": lv.native}
 		if !lv.canonical {
 			props["lex"] = lex
 		}

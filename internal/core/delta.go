@@ -62,11 +62,13 @@ const (
 // deleted, while the RDF-derived key names the same node across any sequence
 // of updates.
 type NodeChange struct {
-	Op     string   `json:"op"`
-	Key    string   `json:"key"`
+	Op  string `json:"op"`
+	Key string `json:"key"`
+	// Labels is the store's own list for the node's label set, shared by every
+	// node and change with the same labels: read-only.
 	Labels []string `json:"labels,omitempty"`
-	// Props is the node's record in the pg.EncodeProps codec (the post-change
-	// record for create/update, the removed record for delete).
+	// Props is the node's record as pg.Node.EncodeProps gives it (the
+	// post-change record for create/update, the removed record for delete).
 	Props string `json:"props,omitempty"`
 }
 
@@ -474,7 +476,7 @@ func (s *DeltaState) plan(removed []removal, added []rdf.Triple) (*editScript, s
 				seen[hit.To] = struct{}{}
 				values = append(values, lost{id: value, value: vk})
 			}
-			if _, again := seen[sid]; !again && len(sn.Labels) == 0 {
+			if _, again := seen[sid]; !again && len(sn.Labels()) == 0 {
 				seen[sid] = struct{}{}
 				subjects = append(subjects, lost{id: sid, term: r.tr.S})
 			}
@@ -551,7 +553,7 @@ func (s *DeltaState) plan(removed []removal, added []rdf.Triple) (*editScript, s
 		at := sort.Search(n0-s.typed, func(i int) bool {
 			id := pg.NodeID(s.typed + i)
 			list, subject := store.In(id), false
-			if len(store.Node(id).Labels) == 0 {
+			if len(store.Node(id).Labels()) == 0 {
 				list, subject = store.Out(id), true
 			}
 			if len(list) == 0 {
@@ -572,7 +574,7 @@ func (s *DeltaState) plan(removed []removal, added []rdf.Triple) (*editScript, s
 // it, to the node its object has as an entity or as a value, with a label of
 // its predicate. It returns the last such edge and how many there are, and
 // the value node the object has (noNode when none) with its valNode key.
-func (s *DeltaState) edgeOf(sid pg.NodeID, tr rdf.Triple) (hit *pg.Edge, hits int, value pg.NodeID, vk valKey) {
+func (s *DeltaState) edgeOf(sid pg.NodeID, tr rdf.Triple) (hit pg.Edge, hits int, value pg.NodeID, vk valKey) {
 	t := s.t
 	entity := noNode
 	if o := tr.O; o.IsResource() {
@@ -598,7 +600,7 @@ func (s *DeltaState) edgeOf(sid pg.NodeID, tr rdf.Triple) (hit *pg.Edge, hits in
 			if e.From != sid || (e.To != entity && e.To != value) {
 				continue
 			}
-			if p, ok := t.mapping.PredOfEdgeLabel(e.Label); ok && p == tr.P.Value {
+			if p, ok := t.mapping.PredOfEdgeLabel(e.Label()); ok && p == tr.P.Value {
 				hit = e
 				hits++
 			}
@@ -618,7 +620,7 @@ func creationKey(first pg.EdgeID, subject bool) uint64 {
 
 // kvEntry finds the key/value entry realizing a statement of node sn that no
 // edge realizes.
-func (s *DeltaState) kvEntry(sn *pg.Node, tr rdf.Triple) (kvRemoval, bool) {
+func (s *DeltaState) kvEntry(sn pg.Node, tr rdf.Triple) (kvRemoval, bool) {
 	if !tr.O.IsLiteral() || tr.O.Lang != "" {
 		return kvRemoval{}, false
 	}
@@ -627,7 +629,7 @@ func (s *DeltaState) kvEntry(sn *pg.Node, tr rdf.Triple) (kvRemoval, bool) {
 	if !canonical {
 		return kvRemoval{}, false
 	}
-	for _, l := range sn.Labels {
+	for _, l := range sn.Labels() {
 		r := s.t.mapping.routes[routeKey{l, tr.P.Value}]
 		if r != nil && r.Kind == RouteKV && r.Datatype == dt && s.t.store.HasPropValue(sn.ID, r.Name, native) {
 			return kvRemoval{sn.ID, r.Name, native}, true
@@ -659,11 +661,11 @@ func (s *DeltaState) effectBefore(es *editScript, added []rdf.Triple) (*netEffec
 	seen := make(map[pg.NodeID]bool)
 	for _, id := range es.dropNodes {
 		n := store.Node(id)
-		props, err := pg.EncodeProps(n.Props)
+		props, err := n.EncodeProps()
 		if err != nil {
 			return nil, fmt.Errorf("node %d: %w", id, err)
 		}
-		ne.gone[s.keys[id]] = NodeChange{Op: OpDelete, Key: s.keys[id], Labels: append([]string(nil), n.Labels...), Props: props}
+		ne.gone[s.keys[id]] = NodeChange{Op: OpDelete, Key: s.keys[id], Labels: n.Labels(), Props: props}
 		seen[id] = true
 	}
 	for _, id := range es.dropEdges {
@@ -678,7 +680,7 @@ func (s *DeltaState) effectBefore(es *editScript, added []rdf.Triple) (*netEffec
 			return nil
 		}
 		seen[id] = true
-		props, err := pg.EncodeProps(store.Node(id).Props)
+		props, err := store.Node(id).EncodeProps()
 		if err != nil {
 			return fmt.Errorf("node %d: %w", id, err)
 		}
@@ -790,23 +792,23 @@ func (s *DeltaState) appendAndEmit(ne *netEffect, added []rdf.Triple, nPre, newT
 	delta := &PGDelta{}
 	for _, sn := range ne.touched {
 		n := store.Node(sn.id)
-		props, err := pg.EncodeProps(n.Props)
+		props, err := n.EncodeProps()
 		if err != nil {
 			return nil, fmt.Errorf("core: delta: node %d: %w", sn.id, err)
 		}
 		if props != sn.props {
 			delta.Nodes = append(delta.Nodes, NodeChange{
-				Op: OpUpdate, Key: keys[sn.id], Labels: append([]string(nil), n.Labels...), Props: props,
+				Op: OpUpdate, Key: keys[sn.id], Labels: n.Labels(), Props: props,
 			})
 		}
 	}
 	for id := n0; id < store.NumNodes(); id++ {
 		n := store.Node(pg.NodeID(id))
-		props, err := pg.EncodeProps(n.Props)
+		props, err := n.EncodeProps()
 		if err != nil {
 			return nil, fmt.Errorf("core: delta: node %d: %w", id, err)
 		}
-		nc := NodeChange{Op: OpCreate, Key: keys[id], Labels: append([]string(nil), n.Labels...), Props: props}
+		nc := NodeChange{Op: OpCreate, Key: keys[id], Labels: n.Labels(), Props: props}
 		if was, back := ne.gone[nc.Key]; back {
 			delete(ne.gone, nc.Key)
 			if was.Props == props && sameLabels(was.Labels, nc.Labels) {
@@ -892,12 +894,12 @@ type edgeIdent struct {
 	from, label, to, props string
 }
 
-func identOf(e *pg.Edge, keys []string) (edgeIdent, error) {
-	props, err := pg.EncodeProps(e.Props)
+func identOf(e pg.Edge, keys []string) (edgeIdent, error) {
+	props, err := e.EncodeProps()
 	if err != nil {
 		return edgeIdent{}, fmt.Errorf("core: delta: edge %d: %w", e.ID, err)
 	}
-	return edgeIdent{from: keys[e.From], label: e.Label, to: keys[e.To], props: props}, nil
+	return edgeIdent{from: keys[e.From], label: e.Label(), to: keys[e.To], props: props}, nil
 }
 
 // nodeKeys extends keys — the stable change-stream keys of the first
@@ -916,10 +918,10 @@ func nodeKeys(t *Transformer, keys []string) ([]string, error) {
 	return keys, nil
 }
 
-func nodeKey(m *Mapping, n *pg.Node) (string, error) {
+func nodeKey(m *Mapping, n pg.Node) (string, error) {
 	isValue := false
-	if _, ok := n.Props["value"]; ok {
-		for _, l := range n.Labels {
+	if n.Prop("value") != nil {
+		for _, l := range n.Labels() {
 			if _, ok := m.DatatypeOfValueLabel(l); ok {
 				isValue = true
 				break
@@ -927,25 +929,25 @@ func nodeKey(m *Mapping, n *pg.Node) (string, error) {
 		}
 	}
 	if isValue {
-		if res, _ := n.Props["res"].(bool); res {
-			v, _ := n.Props["value"].(string)
+		if res, _ := n.Prop("res").(bool); res {
+			v, _ := n.Prop("value").(string)
 			return "v:r:" + strconv.Quote(v), nil
 		}
-		dt, _ := n.Props["dt"].(string)
-		lang, _ := n.Props["lang"].(string)
+		dt, _ := n.Prop("dt").(string)
+		lang, _ := n.Prop("lang").(string)
 		return "v:l:" + strconv.Quote(lexicalOf(n)) + ":" + strconv.Quote(dt) + ":" + strconv.Quote(lang), nil
 	}
-	iri, ok := n.Props["iri"].(string)
+	iri, ok := n.Prop("iri").(string)
 	if !ok {
-		return "", fmt.Errorf("core: delta: node %d (labels %v) has neither an iri key nor a value", n.ID, n.Labels)
+		return "", fmt.Errorf("core: delta: node %d (labels %v) has neither an iri key nor a value", n.ID, n.Labels())
 	}
 	return "e:" + iri, nil
 }
 
 // nodeMap indexes a store's nodes by change-stream key.
-func nodeMap(t *Transformer, keys []string) map[string]*pg.Node {
+func nodeMap(t *Transformer, keys []string) map[string]pg.Node {
 	store := t.Store()
-	m := make(map[string]*pg.Node, len(keys))
+	m := make(map[string]pg.Node, len(keys))
 	for id, k := range keys {
 		m[k] = store.Node(pg.NodeID(id))
 	}
@@ -970,8 +972,8 @@ func diffTransformers(oldT *Transformer, oldKeys []string, newT *Transformer) (*
 	}
 	oldNodes, newNodes := nodeMap(oldT, oldKeys), nodeMap(newT, newKeys)
 	delta := &PGDelta{}
-	encode := func(n *pg.Node) (string, error) {
-		props, err := pg.EncodeProps(n.Props)
+	encode := func(n pg.Node) (string, error) {
+		props, err := n.EncodeProps()
 		if err != nil {
 			return "", fmt.Errorf("core: delta: node %d: %w", n.ID, err)
 		}
@@ -985,11 +987,11 @@ func diffTransformers(oldT *Transformer, oldKeys []string, newT *Transformer) (*
 				return nil, nil, err
 			}
 			delta.Nodes = append(delta.Nodes, NodeChange{
-				Op: OpDelete, Key: key, Labels: append([]string(nil), on.Labels...), Props: props,
+				Op: OpDelete, Key: key, Labels: on.Labels(), Props: props,
 			})
 			continue
 		}
-		if sameProps(on.Props, nn.Props) && sameLabels(on.Labels, nn.Labels) {
+		if sameProps(on, nn) && sameLabels(on.Labels(), nn.Labels()) {
 			continue
 		}
 		oldProps, err := encode(on)
@@ -1000,9 +1002,9 @@ func diffTransformers(oldT *Transformer, oldKeys []string, newT *Transformer) (*
 		if err != nil {
 			return nil, nil, err
 		}
-		if oldProps != newProps || !sameLabels(on.Labels, nn.Labels) {
+		if oldProps != newProps || !sameLabels(on.Labels(), nn.Labels()) {
 			delta.Nodes = append(delta.Nodes, NodeChange{
-				Op: OpUpdate, Key: key, Labels: append([]string(nil), nn.Labels...), Props: newProps,
+				Op: OpUpdate, Key: key, Labels: nn.Labels(), Props: newProps,
 			})
 		}
 	}
@@ -1015,7 +1017,7 @@ func diffTransformers(oldT *Transformer, oldKeys []string, newT *Transformer) (*
 			return nil, nil, err
 		}
 		delta.Nodes = append(delta.Nodes, NodeChange{
-			Op: OpCreate, Key: key, Labels: append([]string(nil), nn.Labels...), Props: props,
+			Op: OpCreate, Key: key, Labels: nn.Labels(), Props: props,
 		})
 	}
 
@@ -1043,12 +1045,14 @@ func diffTransformers(oldT *Transformer, oldKeys []string, newT *Transformer) (*
 // sameProps reports whether two records are identical key for key and value
 // for value, with no numeric coercion. Identical records encode identically,
 // so the diff encodes only the nodes for which this fails.
-func sameProps(a, b map[string]pg.Value) bool {
-	if len(a) != len(b) {
+func sameProps(a, b pg.Node) bool {
+	if a.NumProps() != b.NumProps() {
 		return false
 	}
-	for k, va := range a {
-		if vb, ok := b[k]; !ok || !sameValue(va, vb) {
+	for i := 0; i < a.NumProps(); i++ {
+		ka, va := a.PropAt(i)
+		kb, vb := b.PropAt(i)
+		if ka != kb || !sameValue(va, vb) {
 			return false
 		}
 	}

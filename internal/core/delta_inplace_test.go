@@ -110,8 +110,9 @@ func (tw *twins) compare(t testing.TB, step string) {
 		if n := a.Node(id); n.ID != id {
 			t.Fatalf("%s: node at %d says it is %d", step, i, n.ID)
 		}
-		if iri, ok := a.Node(id).Props["iri"].(string); ok {
-			if x, y := a.NodeByIRI(iri), b.NodeByIRI(iri); x == nil || y == nil || x.ID != y.ID {
+		if iri, ok := a.Node(id).Prop("iri").(string); ok {
+			x, xOK := a.NodeByIRI(iri)
+			if y, yOK := b.NodeByIRI(iri); !xOK || !yOK || x.ID != y.ID {
 				t.Fatalf("%s: NodeByIRI(%s) = %v, rebuilt %v", step, iri, x, y)
 			}
 		}
@@ -159,6 +160,11 @@ func (tw *twins) baseline(t testing.TB, step string) {
 func univ(local string) rdf.Term { return fixtures.Ex(local) }
 
 func lit(s string) rdf.Term { return rdf.NewLiteral(s) }
+
+func bobOf(store *pg.Store) pg.Node {
+	n, _ := store.NodeByIRI(univ("bob").Value)
+	return n
+}
 
 func tr(s, p string, o rdf.Term) rdf.Triple { return rdf.NewTriple(univ(s), univ(p), o) }
 
@@ -234,7 +240,7 @@ func TestApplyDeltaInPlaceCorners(t *testing.T) {
 			},
 			want: "in_place",
 			check: func(t *testing.T, tw *twins, last *PGDelta) {
-				if v := tw.free.t.store.NodeByIRI(univ("bob").Value).Props["name"]; v != "Bobby" {
+				if v := bobOf(tw.free.t.store).Prop("name"); v != "Bobby" {
 					t.Fatalf("name = %#v, want the scalar Bobby", v)
 				}
 			},
@@ -244,7 +250,7 @@ func TestApplyDeltaInPlaceCorners(t *testing.T) {
 			batches: []*rdf.Delta{{Deletes: []rdf.Triple{tr("bob", "name", lit("Bob"))}}},
 			want:    "in_place",
 			check: func(t *testing.T, tw *twins, last *PGDelta) {
-				if _, has := tw.free.t.store.NodeByIRI(univ("bob").Value).Props["name"]; has {
+				if bobOf(tw.free.t.store).Prop("name") != nil {
 					t.Fatal("the name key outlived its only value")
 				}
 				if len(last.Nodes) != 1 || last.Nodes[0].Op != OpUpdate {

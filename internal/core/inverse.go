@@ -57,7 +57,7 @@ func inverseDataWithMapping(ctx context.Context, store *pg.Store, m *Mapping, sp
 			return nil, err
 		}
 		// Labels → rdf:type triples.
-		for _, l := range n.Labels {
+		for _, l := range n.Labels() {
 			class := m.ClassOfLabel(l)
 			if class == "" {
 				return nil, fmt.Errorf("core: node %d label %q maps to no class", n.ID, l)
@@ -65,13 +65,14 @@ func inverseDataWithMapping(ctx context.Context, store *pg.Store, m *Mapping, sp
 			g.Add(rdf.NewTriple(subj, rdf.A, rdf.NewIRI(class)))
 		}
 		// Key/value properties → literal triples.
-		for key, val := range n.Props {
+		for pi := 0; pi < n.NumProps(); pi++ {
+			key, val := n.PropAt(pi)
 			if key == "iri" {
 				continue
 			}
-			route := m.KVRoute(n.Labels, key)
+			route := m.KVRoute(n.Labels(), key)
 			if route == nil {
-				return nil, fmt.Errorf("core: node %d property %q has no KV route for labels %v", n.ID, key, n.Labels)
+				return nil, fmt.Errorf("core: node %d property %q has no KV route for labels %v", n.ID, key, n.Labels())
 			}
 			values, ok := val.([]pg.Value)
 			if !ok {
@@ -102,7 +103,8 @@ func inverseDataWithMapping(ctx context.Context, store *pg.Store, m *Mapping, sp
 		g.Add(base)
 
 		// Edge record keys are RDF-star annotations on the statement.
-		for key, val := range e.Props {
+		for pi := 0; pi < e.NumProps(); pi++ {
+			key, val := e.PropAt(pi)
 			annotPred, dt, ok := m.Annotation(key)
 			if !ok {
 				return nil, fmt.Errorf("core: edge %d property %q maps to no annotation predicate", e.ID, key)
@@ -128,11 +130,11 @@ func inverseDataWithMapping(ctx context.Context, store *pg.Store, m *Mapping, sp
 
 // isValueNode classifies a node as a value node (reconstructed through the
 // edges that point at it) rather than an entity.
-func (m *Mapping) isValueNode(n *pg.Node) bool {
-	if _, ok := n.Props["value"]; !ok {
+func (m *Mapping) isValueNode(n pg.Node) bool {
+	if n.Prop("value") == nil {
 		return false
 	}
-	for _, l := range n.Labels {
+	for _, l := range n.Labels() {
 		if _, ok := m.DatatypeOfValueLabel(l); ok {
 			return true
 		}
@@ -141,10 +143,10 @@ func (m *Mapping) isValueNode(n *pg.Node) bool {
 }
 
 // edgeStatement is M on one edge: the statement (s, p, o) the edge realizes.
-func edgeStatement(store *pg.Store, m *Mapping, e *pg.Edge) (rdf.Triple, error) {
-	pred, ok := m.PredOfEdgeLabel(e.Label)
+func edgeStatement(store *pg.Store, m *Mapping, e pg.Edge) (rdf.Triple, error) {
+	pred, ok := m.PredOfEdgeLabel(e.Label())
 	if !ok {
-		return rdf.Triple{}, fmt.Errorf("core: edge label %q maps to no predicate", e.Label)
+		return rdf.Triple{}, fmt.Errorf("core: edge label %q maps to no predicate", e.Label())
 	}
 	subj, err := termFromIRIProp(store.Node(e.From))
 	if err != nil {
@@ -164,10 +166,10 @@ func edgeStatement(store *pg.Store, m *Mapping, e *pg.Edge) (rdf.Triple, error) 
 }
 
 // termFromIRIProp rebuilds an entity term from a node's iri key.
-func termFromIRIProp(n *pg.Node) (rdf.Term, error) {
-	iri, ok := n.Props["iri"].(string)
+func termFromIRIProp(n pg.Node) (rdf.Term, error) {
+	iri, ok := n.Prop("iri").(string)
 	if !ok {
-		return rdf.Term{}, fmt.Errorf("core: node %d (labels %v) has no iri key", n.ID, n.Labels)
+		return rdf.Term{}, fmt.Errorf("core: node %d (labels %v) has no iri key", n.ID, n.Labels())
 	}
 	return termFromIRIString(iri), nil
 }
@@ -181,16 +183,16 @@ func termFromIRIString(iri string) rdf.Term {
 
 // termFromValueNode rebuilds the literal (or untyped resource) a value node
 // encodes.
-func termFromValueNode(n *pg.Node) (rdf.Term, error) {
-	if res, _ := n.Props["res"].(bool); res {
-		s, ok := n.Props["value"].(string)
+func termFromValueNode(n pg.Node) (rdf.Term, error) {
+	if res, _ := n.Prop("res").(bool); res {
+		s, ok := n.Prop("value").(string)
 		if !ok {
 			return rdf.Term{}, fmt.Errorf("core: resource value node %d has non-string value", n.ID)
 		}
 		return termFromIRIString(s), nil
 	}
-	dt, _ := n.Props["dt"].(string)
-	if lang, ok := n.Props["lang"].(string); ok && lang != "" {
+	dt, _ := n.Prop("dt").(string)
+	if lang, ok := n.Prop("lang").(string); ok && lang != "" {
 		lex := lexicalOf(n)
 		return rdf.NewLangLiteral(lex, lang), nil
 	}
@@ -199,11 +201,11 @@ func termFromValueNode(n *pg.Node) (rdf.Term, error) {
 
 // lexicalOf recovers the exact lexical form of a value node: the preserved
 // lex key when formatting was lossy, else the formatted value.
-func lexicalOf(n *pg.Node) string {
-	if lex, ok := n.Props["lex"].(string); ok {
+func lexicalOf(n pg.Node) string {
+	if lex, ok := n.Prop("lex").(string); ok {
 		return lex
 	}
-	return pg.FormatValue(n.Props["value"])
+	return pg.FormatValue(n.Prop("value"))
 }
 
 // literalFromNative rebuilds a literal from a KV value and its datatype.

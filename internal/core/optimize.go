@@ -31,50 +31,39 @@ func Optimize(store *pg.Store, spg *pgschema.Schema) (*pg.Store, *pgschema.Schem
 		seen        bool
 	}
 	infos := make(map[string]*labelInfo)
-	isValueNode := func(n *pg.Node) bool {
-		if _, ok := n.Props["value"]; !ok {
-			return false
-		}
-		for _, l := range n.Labels {
-			if _, ok := m.DatatypeOfValueLabel(l); ok {
-				return true
-			}
-		}
-		return false
-	}
 	for ei := 0; ei < store.NumEdges(); ei++ {
 		e := store.Edge(pg.EdgeID(ei))
-		info := infos[e.Label]
+		info := infos[e.Label()]
 		if info == nil {
 			info = &labelInfo{convertible: true}
-			infos[e.Label] = info
+			infos[e.Label()] = info
 		}
 		target := store.Node(e.To)
 		if !info.convertible {
 			continue
 		}
-		if len(e.Props) > 0 {
+		if e.NumProps() > 0 {
 			// RDF-star annotations live on the edge; inlining would drop them.
 			info.convertible = false
 			continue
 		}
-		if !isValueNode(target) {
+		if !m.isValueNode(target) {
 			info.convertible = false
 			continue
 		}
-		if _, hasLang := target.Props["lang"]; hasLang {
+		if target.Prop("lang") != nil {
 			info.convertible = false
 			continue
 		}
-		if _, hasLex := target.Props["lex"]; hasLex {
+		if target.Prop("lex") != nil {
 			info.convertible = false
 			continue
 		}
-		if res, _ := target.Props["res"].(bool); res {
+		if res, _ := target.Prop("res").(bool); res {
 			info.convertible = false
 			continue
 		}
-		dt, _ := target.Props["dt"].(string)
+		dt, _ := target.Prop("dt").(string)
 		if xsd.FromShortName(xsd.ShortName(dt)) != dt {
 			info.convertible = false // datatype would not survive the round trip
 			continue
@@ -106,13 +95,13 @@ func Optimize(store *pg.Store, spg *pgschema.Schema) (*pg.Store, *pgschema.Schem
 	needed := make([]bool, store.NumNodes())
 	for ni := 0; ni < store.NumNodes(); ni++ {
 		n := store.Node(pg.NodeID(ni))
-		if !isValueNode(n) {
+		if !m.isValueNode(n) {
 			needed[n.ID] = true
 		}
 	}
 	for ei := 0; ei < store.NumEdges(); ei++ {
 		e := store.Edge(pg.EdgeID(ei))
-		if !convertible(e.Label) {
+		if !convertible(e.Label()) {
 			needed[e.To] = true
 			needed[e.From] = true
 		}
@@ -125,24 +114,16 @@ func Optimize(store *pg.Store, spg *pgschema.Schema) (*pg.Store, *pgschema.Schem
 		if !needed[n.ID] {
 			continue
 		}
-		props := make(map[string]pg.Value, len(n.Props))
-		for k, v := range n.Props {
-			props[k] = v
-		}
-		remap[n.ID] = out.AddNode(n.Labels, props).ID
+		remap[n.ID] = out.AddNode(n.Labels(), propMap(n.NumProps(), n.PropAt)).ID
 	}
 	for ei := 0; ei < store.NumEdges(); ei++ {
 		e := store.Edge(pg.EdgeID(ei))
-		if convertible(e.Label) {
-			value := store.Node(e.To).Props["value"]
-			out.AppendProp(remap[e.From], e.Label, value)
+		if convertible(e.Label()) {
+			value := store.Node(e.To).Prop("value")
+			out.AppendProp(remap[e.From], e.Label(), value)
 			continue
 		}
-		props := make(map[string]pg.Value, len(e.Props))
-		for k, v := range e.Props {
-			props[k] = v
-		}
-		out.AddEdge(remap[e.From], remap[e.To], e.Label, props)
+		out.AddEdge(remap[e.From], remap[e.To], e.Label(), propMap(e.NumProps(), e.PropAt))
 	}
 
 	// Phase 3: rewrite the schema — converted edge types become Table 1
@@ -190,4 +171,14 @@ func Optimize(store *pg.Store, spg *pgschema.Schema) (*pg.Store, *pgschema.Schem
 	}
 	newSchema.RemoveKeys(func(k *pgschema.Key) bool { return convertible(k.EdgeLabel) })
 	return out, newSchema, nil
+}
+
+// propMap collects a record's n properties as the map AddNode and AddEdge read.
+func propMap(n int, at func(int) (string, pg.Value)) map[string]pg.Value {
+	props := make(map[string]pg.Value, n)
+	for i := 0; i < n; i++ {
+		k, v := at(i)
+		props[k] = v
+	}
+	return props
 }

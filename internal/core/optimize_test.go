@@ -28,8 +28,8 @@ func TestOptimizeCompactsNonParsimoniousGraph(t *testing.T) {
 		t.Fatalf("not compacted: %d/%d nodes, %d/%d edges",
 			opt.NumNodes(), store.NumNodes(), opt.NumEdges(), store.NumEdges())
 	}
-	bob := opt.NodeByIRI(fixtures.ExNS + "bob")
-	if bob == nil || bob.Props["name"] != "Bob" {
+	bob, bobOK := opt.NodeByIRI(fixtures.ExNS + "bob")
+	if !bobOK || bob.Prop("name") != "Bob" {
 		t.Fatalf("bob not inlined: %+v", bob)
 	}
 
@@ -60,13 +60,13 @@ func TestOptimizeKeepsHeterogeneousAsEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	// takesCourse mixes entity and string targets → must stay edges.
-	bob := opt.NodeByIRI(fixtures.ExNS + "bob")
-	if _, inlined := bob.Props["takesCourse"]; inlined {
+	bob, _ := opt.NodeByIRI(fixtures.ExNS + "bob")
+	if bob.Prop("takesCourse") != nil {
 		t.Fatal("heterogeneous property must not be inlined")
 	}
 	edges := 0
 	for _, eid := range opt.Out(bob.ID) {
-		if opt.Edge(eid).Label == "takesCourse" {
+		if opt.Edge(eid).Label() == "takesCourse" {
 			edges++
 		}
 	}
@@ -74,7 +74,7 @@ func TestOptimizeKeepsHeterogeneousAsEdges(t *testing.T) {
 		t.Fatalf("takesCourse edges = %d", edges)
 	}
 	// dob mixes datatypes (gYear here, date on alice) → stays as edges too.
-	if _, inlined := bob.Props["dob"]; inlined {
+	if bob.Prop("dob") != nil {
 		t.Fatal("mixed-datatype property must not be inlined")
 	}
 }

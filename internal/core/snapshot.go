@@ -128,22 +128,22 @@ func (t *Transformer) rebuildIndexes() error {
 	for ni := 0; ni < t.store.NumNodes(); ni++ {
 		n := t.store.Node(pg.NodeID(ni))
 		if t.mapping.isValueNode(n) {
-			if res, _ := n.Props["res"].(bool); res {
-				v, ok := n.Props["value"].(string)
+			if res, _ := n.Prop("res").(bool); res {
+				v, ok := n.Prop("value").(string)
 				if !ok {
 					return fmt.Errorf("core: restore: resource value node %d has non-string value", n.ID)
 				}
 				t.valNode[valKey{lex: v, res: true}] = t.valCell(n.ID)
 				continue
 			}
-			dt, _ := n.Props["dt"].(string)
-			lang, _ := n.Props["lang"].(string)
+			dt, _ := n.Prop("dt").(string)
+			lang, _ := n.Prop("lang").(string)
 			t.valNode[valKey{lex: lexicalOf(n), dt: dt, lang: lang}] = t.valCell(n.ID)
 			continue
 		}
-		iri, ok := n.Props["iri"].(string)
+		iri, ok := n.Prop("iri").(string)
 		if !ok {
-			return fmt.Errorf("core: restore: entity node %d (labels %v) has no iri key", n.ID, n.Labels)
+			return fmt.Errorf("core: restore: entity node %d (labels %v) has no iri key", n.ID, n.Labels())
 		}
 		t.nodeOf[termFromIRIString(iri)] = n.ID
 	}

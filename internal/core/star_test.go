@@ -36,21 +36,21 @@ func TestStarAnnotationsBecomeEdgeProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bob := store.NodeByIRI(fixtures.ExNS + "bob")
-	var advised, takes *pg.Edge
+	bob, _ := store.NodeByIRI(fixtures.ExNS + "bob")
+	var advised, takes pg.Edge // the zero Edge has no property
 	for _, eid := range store.Out(bob.ID) {
 		e := store.Edge(eid)
 		switch {
-		case e.Label == "advisedBy":
+		case e.Label() == "advisedBy":
 			advised = e
-		case e.Label == "takesCourse" && len(e.Props) > 0:
+		case e.Label() == "takesCourse" && e.NumProps() > 0:
 			takes = e
 		}
 	}
-	if advised == nil || advised.Props["since"] != int64(2021) {
+	if advised.NumProps() == 0 || advised.Prop("since") != int64(2021) {
 		t.Fatalf("advisedBy edge = %+v", advised)
 	}
-	if takes == nil || takes.Props["grade"] != "A" || takes.Props["certainty"] != 0.9 {
+	if takes.NumProps() == 0 || takes.Prop("grade") != "A" || takes.Prop("certainty") != 0.9 {
 		t.Fatalf("takesCourse edge = %+v", takes)
 	}
 
@@ -291,10 +291,10 @@ func TestStarDuplicateStatementLastEdgeWins(t *testing.T) {
 		if len(ids) != 2 {
 			t.Fatalf("workers=%d: %d advisedBy edges, want the statement realized twice", workers, len(ids))
 		}
-		if first := tr.Store().Edge(ids[0]); len(first.Props) != 0 {
+		if first := tr.Store().Edge(ids[0]); first.NumProps() != 0 {
 			t.Fatalf("workers=%d: annotation attached to the earlier edge: %+v", workers, first)
 		}
-		if last := tr.Store().Edge(ids[1]); last.Props["since"] != int64(2021) {
+		if last := tr.Store().Edge(ids[1]); last.Prop("since") != int64(2021) {
 			t.Fatalf("workers=%d: annotation missing from the last edge: %+v", workers, last)
 		}
 		st, err := tr.SnapshotState()

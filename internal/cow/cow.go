@@ -68,16 +68,25 @@ func (t *Table[T]) At(i int) T {
 	return zero
 }
 
-// Set stores v as element i, growing the table to include it.
-func (t *Table[T]) Set(i int, v T) {
-	p, _ := t.writable(i)
-	p.v[i&pageMask] = v
+// Edit returns element i for writing in place, growing the table to include
+// it. When that copies a page a clone shares, shared (unless nil) is first
+// called on every element of the copy: it is where an element that points to
+// memory it writes (a slice it appends to, say) gives up that right, because
+// the page left behind still points there too.
+func (t *Table[T]) Edit(i int, shared func(*T)) *T {
+	p, copied, _ := t.writable(i)
+	if copied && shared != nil {
+		for j := range p.v {
+			shared(&p.v[j])
+		}
+	}
+	return &p.v[i&pageMask]
 }
 
 // writable returns the page holding element i, private to t: grown or
 // allocated when absent, copied when it is shared with a clone. foreign
 // reports a copy of a page another lineage made.
-func (t *Table[T]) writable(i int) (p *page[T], foreign bool) {
+func (t *Table[T]) writable(i int) (p *page[T], copied, foreign bool) {
 	pi := i >> pageBits
 	for pi >= len(t.pages) {
 		t.pages = append(t.pages, nil)
@@ -91,11 +100,11 @@ func (t *Table[T]) writable(i int) (p *page[T], foreign bool) {
 		p = &page[T]{own: t.own, line: t.line}
 		t.pages[pi] = p
 	case p.own != t.own:
-		foreign = p.line != t.line
+		copied, foreign = true, p.line != t.line
 		p = &page[T]{own: t.own, line: t.line, v: p.v}
 		t.pages[pi] = p
 	}
-	return p, foreign
+	return p, copied, foreign
 }
 
 // Clone returns a table with the same elements, sharing every page. Both
@@ -159,7 +168,7 @@ func (l *Lists[E]) Pop(i int) {
 func (l *Lists[E]) Set(i int, list []E) { *l.slot(i) = list }
 
 func (l *Lists[E]) slot(i int) *[]E {
-	p, foreign := l.t.writable(i)
+	p, _, foreign := l.t.writable(i)
 	if foreign {
 		for j, s := range p.v {
 			p.v[j] = s[:len(s):len(s)]

@@ -38,7 +38,7 @@ func TestTableCloneIsolation(t *testing.T) {
 			continue
 		}
 		i, v := rng.Intn(idSpace), rng.Int()
-		m.tab.Set(i, v)
+		*m.tab.Edit(i, nil) = v
 		m.model[i] = v
 		if i >= m.n {
 			m.n = i + 1
@@ -53,6 +53,30 @@ func TestTableCloneIsolation(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTableEditSharesOncePerPageCopy: the hook runs on every element of a page
+// when a write copies it away from a clone, and not on writes to a page that
+// is private already.
+func TestTableEditSharesOncePerPageCopy(t *testing.T) {
+	var tab Table[int]
+	calls := 0
+	shared := func(*int) { calls++ }
+	*tab.Edit(3, shared) = 1
+	*tab.Edit(pageSize+1, shared) = 2
+	if calls != 0 {
+		t.Fatalf("%d calls while nothing is shared", calls)
+	}
+	c := tab.Clone()
+	*tab.Edit(4, shared) = 3
+	*tab.Edit(5, shared) = 4
+	if calls != pageSize {
+		t.Fatalf("%d calls after two writes to one shared page, want %d", calls, pageSize)
+	}
+	*c.Edit(pageSize+2, shared) = 5
+	if calls != 2*pageSize || c.At(4) != 0 || tab.At(pageSize+2) != 0 || tab.At(4) != 3 {
+		t.Fatalf("calls = %d, c[4] = %d, tab[%d] = %d", calls, c.At(4), pageSize+2, tab.At(pageSize+2))
 	}
 }
 

@@ -321,6 +321,7 @@ type matchOp struct {
 	vars  []int // named slots the clause mentions, for OPTIONAL's null fill
 
 	scratch []slot
+	one     [1]pg.NodeID // candidates' list for an iri lookup
 	out     *matchTable
 	limit   int
 	matched int
@@ -336,9 +337,49 @@ type matchStep struct {
 	rel     RelPattern
 	rslot   int // -1: the relationship is not named
 	filters []lexpr
+	// The patterns' names as the store interned them (evaluator.sym). labels
+	// and types are slices of symbuf while they fit: resolve runs on the step
+	// in its final place, so a lowered query allocates nothing for them.
+	labels, types []pg.Sym
+	symbuf        [4]pg.Sym
+	props         []propWant
 	// iri, when set, is an expression the clause requires to equal the
 	// node's iri property: the unique index then names the one candidate.
 	iri lexpr
+}
+
+// propWant is one entry of a node pattern's property map.
+type propWant struct {
+	key  pg.Sym
+	want pg.Value
+}
+
+// noSym stands for a name the store never interned: no node has it as a
+// label, no edge as its type, no record as a key.
+const noSym = ^pg.Sym(0)
+
+// sym resolves a label, type or key name of the query against the store.
+func (ev *evaluator) sym(name string) pg.Sym {
+	if id, ok := ev.store.Sym(name); ok {
+		return id
+	}
+	return noSym
+}
+
+// resolve looks the step's label, key and type names up in the store, once.
+func (st *matchStep) resolve(ev *evaluator) {
+	ids := st.symbuf[:0]
+	for _, l := range st.node.Labels {
+		ids = append(ids, ev.sym(l))
+	}
+	n := len(ids)
+	for _, t := range st.rel.Types {
+		ids = append(ids, ev.sym(t))
+	}
+	st.labels, st.types = ids[:n:n], ids[n:]
+	for k, want := range st.node.Props {
+		st.props = append(st.props, propWant{ev.sym(k), want})
+	}
 }
 
 func (p *partPlan) lowerMatch(mc MatchClause) *matchOp {
@@ -374,6 +415,9 @@ func (p *partPlan) lowerMatch(mc MatchClause) *matchOp {
 			m.steps = append(m.steps, st)
 			prev = st.nslot
 		}
+	}
+	for i := range m.steps {
+		m.steps[i].resolve(p.ev)
 	}
 
 	if mc.Where != nil {
@@ -545,19 +589,17 @@ func (m *matchOp) run(k int) error {
 func (m *matchOp) bindHead(k int, st *matchStep) error {
 	ev := m.p.ev
 	if cur := m.scratch[st.nslot]; cur.kind() != kUnbound {
-		if cur.kind() != kNode || !nodeMatches(ev.store.Node(pg.NodeID(cur.id())), st.node) {
+		if cur.kind() != kNode || !st.nodeMatches(ev.store.Node(pg.NodeID(cur.id()))) {
 			return nil
 		}
 		return m.enter(k, st)
 	}
 	var err error
-	switch ids, one, all := m.candidates(st); {
+	switch ids, all := m.candidates(st); {
 	case all:
 		for i, n := 0, ev.store.NumNodes(); i < n && err == nil && !m.stop; i++ {
 			err = m.tryHead(k, st, ev.store.Node(pg.NodeID(i)))
 		}
-	case one != nil:
-		err = m.tryHead(k, st, one)
 	default:
 		for i := 0; i < len(ids) && err == nil && !m.stop; i++ {
 			err = m.tryHead(k, st, ev.store.Node(ids[i]))
@@ -567,11 +609,11 @@ func (m *matchOp) bindHead(k int, st *matchStep) error {
 	return err
 }
 
-func (m *matchOp) tryHead(k int, st *matchStep, n *pg.Node) error {
+func (m *matchOp) tryHead(k int, st *matchStep, n pg.Node) error {
 	if err := m.p.ev.x.Tick(); err != nil {
 		return err
 	}
-	if !nodeMatches(n, st.node) {
+	if !st.nodeMatches(n) {
 		return nil
 	}
 	m.scratch[st.nslot] = mkSlot(kNode, uint32(n.ID))
@@ -581,9 +623,9 @@ func (m *matchOp) tryHead(k int, st *matchStep, n *pg.Node) error {
 // candidates picks the narrowest index for a head pattern without
 // materializing a node slice: label patterns reuse the index id slice,
 // iri-equality patterns (in the property map, or proven by WHERE) resolve to
-// the one node of the unique index, and only the unconstrained case (all)
-// scans every node.
-func (m *matchOp) candidates(st *matchStep) (ids []pg.NodeID, one *pg.Node, all bool) {
+// the node the unique index holds, if any, and only the unconstrained case
+// (all) scans every node.
+func (m *matchOp) candidates(st *matchStep) (ids []pg.NodeID, all bool) {
 	store := m.p.ev.store
 	if labels := st.node.Labels; len(labels) > 0 {
 		best := store.NodesByLabel(labels[0])
@@ -592,34 +634,33 @@ func (m *matchOp) candidates(st *matchStep) (ids []pg.NodeID, one *pg.Node, all 
 				best = ids
 			}
 		}
-		return best, nil, false
+		return best, false
 	}
-	if iri, ok := st.node.Props["iri"].(string); ok {
-		return nil, store.NodeByIRI(iri), false
+	iri, ok := st.node.Props["iri"].(string)
+	if c, isConst := st.iri.(*lConst); !ok && isConst && store.IRIUnique() {
+		// WHERE promises every node with this iri, which the index has only
+		// while no two nodes share one; the filter re-checks the property,
+		// so a stale index entry only costs the lookup.
+		iri, ok = c.v.v.(string)
 	}
-	if c, ok := st.iri.(*lConst); ok && store.IRIUnique() {
-		if iri, ok := c.v.v.(string); ok {
-			// WHERE promises every node with this iri, which the index has
-			// only while no two nodes share one; the filter re-checks the
-			// property, so a stale index entry only costs the lookup.
-			return nil, store.NodeByIRI(iri), false
-		}
+	if !ok {
+		return nil, true
 	}
-	return nil, nil, true
+	if n, found := store.NodeByIRI(iri); found {
+		m.one[0] = n.ID
+		return m.one[:], false
+	}
+	return nil, false
 }
 
-func nodeMatches(n *pg.Node, np NodePattern) bool {
-	if n == nil {
-		return false
-	}
-	for _, l := range np.Labels {
-		if !n.HasLabel(l) {
+func (st *matchStep) nodeMatches(n pg.Node) bool {
+	for _, l := range st.labels {
+		if !n.HasLabelSym(l) {
 			return false
 		}
 	}
-	for k, want := range np.Props {
-		have, ok := n.Props[k]
-		if !ok || !pg.ValueEqual(have, want) {
+	for _, p := range st.props {
+		if have := n.PropSym(p.key); have == nil || !pg.ValueEqual(have, p.want) {
 			return false
 		}
 	}
@@ -628,24 +669,17 @@ func nodeMatches(n *pg.Node, np NodePattern) bool {
 
 // tryHop takes one edge if it and its far node satisfy the hop pattern and
 // agree with what the row already binds.
-func (m *matchOp) tryHop(k int, st *matchStep, e *pg.Edge, target pg.NodeID) error {
+func (m *matchOp) tryHop(k int, st *matchStep, e pg.Edge, target pg.NodeID) error {
 	ev := m.p.ev
 	if err := ev.x.Tick(); err != nil {
 		return err
 	}
 	if len(st.rel.Types) > 0 {
-		match := false
-		for _, t := range st.rel.Types {
-			if t == e.Label {
-				match = true
-				break
-			}
-		}
-		if !match {
+		if !slices.Contains(st.types, e.LabelSym()) {
 			return nil
 		}
 	}
-	if !nodeMatches(ev.store.Node(target), st.node) {
+	if !st.nodeMatches(ev.store.Node(target)) {
 		return nil
 	}
 	row := m.scratch
@@ -873,13 +907,13 @@ func (p *partPlan) returnRows(rows *matchTable, out *valueTable) error {
 func (ev *evaluator) materialize(v cval) pg.Value {
 	switch v.kind {
 	case kNode:
-		iri := ev.store.Node(pg.NodeID(v.id)).Props["iri"]
+		iri := ev.store.Node(pg.NodeID(v.id)).Prop("iri")
 		if _, ok := iri.(string); ok {
 			return iri // the stored interface value: no new box
 		}
 		return int64(v.id)
 	case kEdge:
-		return ev.store.Edge(pg.EdgeID(v.id)).Label
+		return ev.store.Edge(pg.EdgeID(v.id)).Label()
 	case kValue:
 		return v.v
 	default:

@@ -37,6 +37,7 @@ type lVar struct {
 type lProp struct {
 	slot      int
 	name, key string
+	id        pg.Sym // key as the store interned it
 }
 
 type lConst struct{ v cval }
@@ -87,7 +88,7 @@ func (p *partPlan) lowerExpr(e Expr) (out lexpr, total bool) {
 		return &lVar{slot: s, name: x.Name}, s >= 0 && p.holds[s] != hUnbound
 	case PropExpr:
 		s := p.slotOf(x.Var)
-		return &lProp{slot: s, name: x.Var, key: x.Key}, s >= 0 && p.holds[s] == hElement
+		return &lProp{slot: s, name: x.Var, key: x.Key, id: p.ev.sym(x.Key)}, s >= 0 && p.holds[s] == hElement
 	case ConstExpr:
 		return &lConst{valueOf(x.Value)}, true
 	case NullExpr:
@@ -185,9 +186,9 @@ func (ev *evaluator) evalExpr(e lexpr, row []slot) (cval, error) {
 		}
 		switch v.kind {
 		case kNode:
-			return valueOf(ev.store.Node(pg.NodeID(v.id)).Props[x.key]), nil
+			return valueOf(ev.store.Node(pg.NodeID(v.id)).PropSym(x.id)), nil
 		case kEdge:
-			return valueOf(ev.store.Edge(pg.EdgeID(v.id)).Props[x.key]), nil
+			return valueOf(ev.store.Edge(pg.EdgeID(v.id)).PropSym(x.id)), nil
 		case kNull:
 			return v, nil
 		default:
@@ -333,7 +334,7 @@ func (ev *evaluator) evalCall(x *lCall, row []slot) (cval, error) {
 		if arg.kind != kNode {
 			return cval{}, fmt.Errorf("cypher: labels() requires a node")
 		}
-		labels := ev.store.Node(pg.NodeID(arg.id)).Labels
+		labels := ev.store.Node(pg.NodeID(arg.id)).Labels()
 		out := make([]pg.Value, len(labels))
 		for i, l := range labels {
 			out[i] = l
@@ -343,7 +344,7 @@ func (ev *evaluator) evalCall(x *lCall, row []slot) (cval, error) {
 		if arg.kind != kEdge {
 			return cval{}, fmt.Errorf("cypher: type() requires a relationship")
 		}
-		return valueOf(ev.store.Edge(pg.EdgeID(arg.id)).Label), nil
+		return valueOf(ev.store.Edge(pg.EdgeID(arg.id)).Label()), nil
 	case "TOSTRING":
 		if arg.kind == kNull {
 			return arg, nil

@@ -298,7 +298,7 @@ func (ev *refEvaluator) refBindNode(np NodePattern, key string, input []refBindi
 				out = refTryBind(ev.store.Node(pg.NodeID(i)), np, key, b, out)
 			}
 		case candNode != nil:
-			out = refTryBind(candNode, np, key, b, out)
+			out = refTryBind(*candNode, np, key, b, out)
 		default:
 			for _, id := range candIDs {
 				out = refTryBind(ev.store.Node(id), np, key, b, out)
@@ -310,7 +310,7 @@ func (ev *refEvaluator) refBindNode(np NodePattern, key string, input []refBindi
 
 // refTryBind appends a refBinding extended with the candidate node if it matches
 // the pattern. A plain function, not a per-row closure.
-func refTryBind(n *pg.Node, np NodePattern, key string, b refBinding, out []refBinding) []refBinding {
+func refTryBind(n pg.Node, np NodePattern, key string, b refBinding, out []refBinding) []refBinding {
 	if !refNodeMatches(n, np) {
 		return out
 	}
@@ -333,23 +333,23 @@ func refCandidateSet(store *pg.Store, np NodePattern) (ids []pg.NodeID, one *pg.
 		return best, nil, false
 	}
 	if iri, ok := np.Props["iri"].(string); ok {
-		return nil, store.NodeByIRI(iri), false
+		if n, ok := store.NodeByIRI(iri); ok {
+			return nil, &n, false
+		}
+		return nil, nil, false
 	}
 	return nil, nil, true
 }
 
-func refNodeMatches(n *pg.Node, np NodePattern) bool {
-	if n == nil {
-		return false
-	}
+func refNodeMatches(n pg.Node, np NodePattern) bool {
 	for _, l := range np.Labels {
 		if !n.HasLabel(l) {
 			return false
 		}
 	}
 	for k, want := range np.Props {
-		have, ok := n.Props[k]
-		if !ok || !pg.ValueEqual(have, want) {
+		have := n.Prop(k)
+		if have == nil || !pg.ValueEqual(have, want) {
 			return false
 		}
 	}
@@ -392,11 +392,11 @@ func (ev *refEvaluator) refExpandHop(fromVar string, hop Hop, input []refBinding
 // refTryHop appends the extended refBinding if the edge and target node satisfy
 // the hop pattern. A method rather than a closure: the old per-input-row
 // closure allocation showed up directly in the eval benchmarks.
-func (ev *refEvaluator) refTryHop(hop Hop, nodeKey string, b refBinding, e *pg.Edge, target pg.NodeID, out []refBinding) []refBinding {
+func (ev *refEvaluator) refTryHop(hop Hop, nodeKey string, b refBinding, e pg.Edge, target pg.NodeID, out []refBinding) []refBinding {
 	if len(hop.Rel.Types) > 0 {
 		match := false
 		for _, t := range hop.Rel.Types {
-			if t == e.Label {
+			if t == e.Label() {
 				match = true
 				break
 			}
@@ -593,12 +593,12 @@ func (ev *refEvaluator) refMaterialize(v any) pg.Value {
 	switch x := v.(type) {
 	case refNodeRef:
 		n := ev.store.Node(pg.NodeID(x))
-		if iri, ok := n.Props["iri"].(string); ok {
+		if iri, ok := n.Prop("iri").(string); ok {
 			return iri
 		}
 		return int64(x)
 	case refEdgeRef:
-		return ev.store.Edge(pg.EdgeID(x)).Label
+		return ev.store.Edge(pg.EdgeID(x)).Label()
 	case nil:
 		return nil
 	default:
@@ -717,9 +717,9 @@ func (ev *refEvaluator) refEvalExpr(e Expr, b refBinding) (any, error) {
 		}
 		switch ref := v.(type) {
 		case refNodeRef:
-			return ev.store.Node(pg.NodeID(ref)).Props[x.Key], nil
+			return ev.store.Node(pg.NodeID(ref)).Prop(x.Key), nil
 		case refEdgeRef:
-			return ev.store.Edge(pg.EdgeID(ref)).Props[x.Key], nil
+			return ev.store.Edge(pg.EdgeID(ref)).Prop(x.Key), nil
 		case nil:
 			return nil, nil
 		default:
@@ -866,7 +866,7 @@ func (ev *refEvaluator) refEvalCall(x CallExpr, b refBinding) (any, error) {
 		if !ok {
 			return nil, fmt.Errorf("cypher: labels() requires a node")
 		}
-		labels := ev.store.Node(pg.NodeID(ref)).Labels
+		labels := ev.store.Node(pg.NodeID(ref)).Labels()
 		out := make([]pg.Value, len(labels))
 		for i, l := range labels {
 			out[i] = l
@@ -877,7 +877,7 @@ func (ev *refEvaluator) refEvalCall(x CallExpr, b refBinding) (any, error) {
 		if !ok {
 			return nil, fmt.Errorf("cypher: type() requires a relationship")
 		}
-		return ev.store.Edge(pg.EdgeID(ref)).Label, nil
+		return ev.store.Edge(pg.EdgeID(ref)).Label(), nil
 	case "TOSTRING":
 		if args[0] == nil {
 			return nil, nil

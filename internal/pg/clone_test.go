@@ -14,13 +14,36 @@ func deepClone(s *Store) *Store {
 	c := NewStore()
 	for i := 0; i < s.NumNodes(); i++ {
 		n := s.Node(NodeID(i))
-		c.AddNode(n.Labels, deepProps(n.Props))
+		c.AddNode(n.Labels(), deepProps(n.asMap()))
 	}
 	for i := 0; i < s.NumEdges(); i++ {
 		e := s.Edge(EdgeID(i))
-		c.AddEdge(e.From, e.To, e.Label, deepProps(e.Props))
+		c.AddEdge(e.From, e.To, e.Label(), deepProps(e.asMap()))
 	}
 	return c
+}
+
+// asMap is a record the way the reference model holds it.
+func (r record) asMap() map[string]Value {
+	m := make(map[string]Value, r.NumProps())
+	for i := 0; i < r.NumProps(); i++ {
+		k, v := r.PropAt(i)
+		m[k] = v
+	}
+	return m
+}
+
+func mapsEqual(a, b map[string]Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, va := range a {
+		vb, ok := b[k]
+		if !ok || !ValueEqual(va, vb) {
+			return false
+		}
+	}
+	return true
 }
 
 func deepProps(props map[string]Value) map[string]Value {
@@ -120,17 +143,17 @@ func cloneContract(t *testing.T, seed int64) {
 			byLabel := map[string][]NodeID{}
 			for i, want := range m.model.nodes {
 				n := m.s.Node(NodeID(i))
-				if fmt.Sprint(n.Labels) != fmt.Sprint(want.labels) || !propsEqual(n.Props, want.props) {
-					t.Fatalf("%s: node %d = %v %v, want %v %v", ctx, i, n.Labels, n.Props, want.labels, want.props)
+				if fmt.Sprint(n.Labels()) != fmt.Sprint(want.labels) || !mapsEqual(n.asMap(), want.props) {
+					t.Fatalf("%s: node %d = %v %v, want %v %v", ctx, i, n.Labels(), n.asMap(), want.labels, want.props)
 				}
 				for _, l := range want.labels {
 					byLabel[l] = append(byLabel[l], NodeID(i))
 				}
-				if got := m.s.NodeByIRI(iriOf(i)); got == nil || got.ID != NodeID(i) {
+				if got, ok := m.s.NodeByIRI(iriOf(i)); !ok || got.ID != NodeID(i) {
 					t.Fatalf("%s: NodeByIRI(%s) = %v", ctx, iriOf(i), got)
 				}
 			}
-			if m.s.NodeByIRI(iriOf(len(m.model.nodes))) != nil {
+			if _, ok := m.s.NodeByIRI(iriOf(len(m.model.nodes))); ok {
 				t.Fatalf("%s: the iri index knows a node this member never added", ctx)
 			}
 			for _, l := range labels {
@@ -143,7 +166,7 @@ func cloneContract(t *testing.T, seed int64) {
 			out, in, byEdgeLabel := map[NodeID][]EdgeID{}, map[NodeID][]EdgeID{}, map[string][]EdgeID{}
 			for i, want := range m.model.edges {
 				e := m.s.Edge(EdgeID(i))
-				if e.From != want.from || e.To != want.to || e.Label != want.label || !propsEqual(e.Props, want.props) {
+				if e.From != want.from || e.To != want.to || e.Label() != want.label || !mapsEqual(e.asMap(), want.props) {
 					t.Fatalf("%s: edge %d = %+v, want %+v", ctx, i, e, want)
 				}
 				out[want.from] = append(out[want.from], EdgeID(i))

@@ -4,7 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -80,7 +80,7 @@ func appendValue(dst []byte, v Value, nested bool) ([]byte, error) {
 	return dst, nil
 }
 
-func parseValue(s string) (Value, error) {
+func parseValue(s string, nested bool) (Value, error) {
 	if len(s) < 2 || s[1] != ':' {
 		return nil, fmt.Errorf("pg: malformed value %q", s)
 	}
@@ -98,13 +98,16 @@ func parseValue(s string) (Value, error) {
 	case 'b':
 		return strconv.ParseBool(payload)
 	case 'a':
+		if nested {
+			return nil, fmt.Errorf("pg: nested arrays are not supported")
+		}
 		if payload == "" {
 			return []Value{}, nil
 		}
 		parts := strings.Split(payload, string(sepElem))
 		arr := make([]Value, len(parts))
 		for i, p := range parts {
-			v, err := parseValue(p)
+			v, err := parseValue(p, true)
 			if err != nil {
 				return nil, err
 			}
@@ -116,53 +119,50 @@ func parseValue(s string) (Value, error) {
 	}
 }
 
-// propEncoder serializes property records, one after another, through a key
-// list and a byte buffer it keeps between records: an export allocates the
-// encoded strings and nothing else per record. The zero value is ready to
-// use; it is not safe for concurrent use.
-type propEncoder struct {
-	keys []string
-	buf  []byte
-}
+// propEncoder serializes property records, one after another, through a byte
+// buffer it keeps between records: an export allocates the encoded strings
+// and nothing else per record. The zero value is ready to use; it is not safe
+// for concurrent use.
+type propEncoder struct{ buf []byte }
 
-func (pe *propEncoder) encode(props map[string]Value) (string, error) {
+// encode walks the record in its own order, which is key order: exports are
+// byte-deterministic — the crash-resume equivalence guarantee (a resumed
+// run's outputs are bit-identical to an uninterrupted run's) depends on it,
+// and it makes repeated exports diffable.
+func (pe *propEncoder) encode(st *names, props []prop) (string, error) {
 	if len(props) == 0 {
 		return "", nil
 	}
-	// Keys are emitted in sorted order so exports are byte-deterministic:
-	// the crash-resume equivalence guarantee (a resumed run's outputs are
-	// bit-identical to an uninterrupted run's) depends on it, and it makes
-	// repeated exports diffable.
-	keys := pe.keys[:0]
-	for k := range props {
-		keys = append(keys, k)
-	}
-	if len(keys) > 1 {
-		sort.Strings(keys)
-	}
-	pe.keys = keys
 	buf := pe.buf[:0]
-	for i, k := range keys {
+	for i, p := range props {
 		if i > 0 {
 			buf = append(buf, sepEntry)
 		}
-		buf = append(appendEscaped(buf, k), sepKV)
+		key := st.names[p.key]
+		buf = append(appendEscaped(buf, key), sepKV)
 		var err error
-		if buf, err = appendValue(buf, props[k], false); err != nil {
-			return "", fmt.Errorf("property %q: %w", k, err)
+		if buf, err = appendValue(buf, p.val, false); err != nil {
+			return "", fmt.Errorf("property %q: %w", key, err)
 		}
 	}
 	pe.buf = buf
 	return string(buf), nil
 }
 
-func decodeProps(s string) (map[string]Value, error) {
-	if s == "" {
-		return map[string]Value{}, nil
+// decodeProps parses a record cell into a record, in key order whatever the
+// cell's; a key twice is an error.
+func (st *names) decodeProps(cell string) ([]prop, error) {
+	if cell == "" {
+		return nil, nil
 	}
-	entries := strings.Split(s, string(sepEntry))
-	props := make(map[string]Value, len(entries))
-	for _, e := range entries {
+	props := make([]prop, 0, strings.Count(cell, string(sepEntry))+1)
+	for len(cell) > 0 {
+		e := cell
+		if i := strings.IndexByte(cell, sepEntry); i >= 0 {
+			e, cell = cell[:i], cell[i+1:]
+		} else {
+			cell = ""
+		}
 		i := strings.IndexByte(e, sepKV)
 		if i < 0 {
 			return nil, fmt.Errorf("pg: malformed property entry %q", e)
@@ -171,11 +171,16 @@ func decodeProps(s string) (map[string]Value, error) {
 		if strings.ContainsRune(key, '\\') {
 			key = propUnescaper.Replace(key)
 		}
-		v, err := parseValue(e[i+1:])
+		v, err := parseValue(e[i+1:], false)
 		if err != nil {
 			return nil, fmt.Errorf("property %q: %w", key, err)
 		}
-		props[key] = v
+		k := st.intern(key)
+		at, found := st.search(props, k)
+		if found {
+			return nil, fmt.Errorf("property %q occurs twice", key)
+		}
+		props = slices.Insert(props, at, prop{k, v})
 	}
 	return props, nil
 }
@@ -184,102 +189,133 @@ func decodeProps(s string) (map[string]Value, error) {
 // (id, from, to, label, props).
 func (s *Store) WriteCSV(nodeW, edgeW io.Writer) error {
 	var pe propEncoder
-	nw := csv.NewWriter(nodeW)
-	rec := make([]string, 3)
-	for i := 0; i < s.nodes.Len(); i++ {
-		n := s.nodes.At(i)
-		props, err := pe.encode(n.Props)
-		if err != nil {
-			return fmt.Errorf("pg: node %d: %w", n.ID, err)
-		}
-		rec[0] = strconv.FormatUint(uint64(n.ID), 10)
-		rec[1] = strings.Join(n.Labels, ";")
-		rec[2] = props
-		if err := nw.Write(rec); err != nil {
-			return err
-		}
-	}
-	nw.Flush()
-	if err := nw.Error(); err != nil {
+	rec := make([]string, 5)
+	if err := writeRows(csv.NewWriter(nodeW), &pe, rec, 0, s.nodes.Len(), s.nodeRow); err != nil {
 		return err
 	}
+	return writeRows(csv.NewWriter(edgeW), &pe, rec, 0, s.edges.Len(), s.edgeRow)
+}
 
-	ew := csv.NewWriter(edgeW)
-	erec := make([]string, 5)
-	for i := 0; i < s.edges.Len(); i++ {
-		e := s.edges.At(i)
-		props, err := pe.encode(e.Props)
+// writeRows writes rows [lo, hi) and flushes.
+func writeRows(w *csv.Writer, pe *propEncoder, rec []string, lo, hi int, row func(*propEncoder, []string, int) ([]string, error)) error {
+	for i := lo; i < hi; i++ {
+		fields, err := row(pe, rec, i)
 		if err != nil {
-			return fmt.Errorf("pg: edge %d: %w", e.ID, err)
+			return err
 		}
-		erec[0] = strconv.FormatUint(uint64(e.ID), 10)
-		erec[1] = strconv.FormatUint(uint64(e.From), 10)
-		erec[2] = strconv.FormatUint(uint64(e.To), 10)
-		erec[3] = e.Label
-		erec[4] = props
-		if err := ew.Write(erec); err != nil {
+		if err := w.Write(fields); err != nil {
 			return err
 		}
 	}
-	ew.Flush()
-	return ew.Error()
+	w.Flush()
+	return w.Error()
+}
+
+// nodeRow and edgeRow render one record as the fields of its CSV row.
+func (s *Store) nodeRow(pe *propEncoder, rec []string, i int) ([]string, error) {
+	n := s.nodes.At(i)
+	set := &s.names.sets[n.set]
+	if set.sep {
+		return nil, fmt.Errorf("pg: node %d: a label in %q contains the separator ';'", i, set.names)
+	}
+	props, err := pe.encode(&s.names, n.props)
+	if err != nil {
+		return nil, fmt.Errorf("pg: node %d: %w", i, err)
+	}
+	rec[0] = strconv.Itoa(i)
+	rec[1] = set.csv
+	rec[2] = props
+	return rec[:3], nil
+}
+
+func (s *Store) edgeRow(pe *propEncoder, rec []string, i int) ([]string, error) {
+	e := s.edges.At(i)
+	props, err := pe.encode(&s.names, e.props)
+	if err != nil {
+		return nil, fmt.Errorf("pg: edge %d: %w", i, err)
+	}
+	rec[0] = strconv.Itoa(i)
+	rec[1] = strconv.FormatUint(uint64(e.from), 10)
+	rec[2] = strconv.FormatUint(uint64(e.to), 10)
+	rec[3] = s.names.names[e.label]
+	rec[4] = props
+	return rec[:5], nil
 }
 
 // LoadCSV bulk-imports a store previously exported with WriteCSV, rebuilding
-// every index. This is the "loading" phase measured in Table 4.
+// every index. This is the "loading" phase measured in Table 4. Input that
+// WriteCSV cannot have written — an id out of sequence, an edge between
+// nodes that are not there, a key twice in one record — is an error naming
+// the file and the row.
 func LoadCSV(nodeR, edgeR io.Reader) (*Store, error) {
 	s := NewStore()
-	nr := csv.NewReader(nodeR)
-	nr.FieldsPerRecord = 3
-	nr.ReuseRecord = true
-	for {
-		rec, err := nr.Read()
-		if err == io.EOF {
-			break
+	st := &s.names
+	sets := make(map[string]uint32) // labels cell → label set
+	err := readRows(nodeR, "nodes", 3, func(rec []string) error {
+		set, ok := sets[rec[1]]
+		if !ok {
+			for _, l := range strings.Split(rec[1], ";") {
+				if l != "" {
+					set = st.with(set, st.intern(l))
+				}
+			}
+			sets[strings.Clone(rec[1])] = set
 		}
-		if err != nil {
-			return nil, fmt.Errorf("pg: nodes csv: %w", err)
+		props, err := st.decodeProps(rec[2])
+		if err == nil {
+			s.addNode(set, props)
 		}
-		props, err := decodeProps(rec[2])
-		if err != nil {
-			return nil, fmt.Errorf("pg: nodes csv id %s: %w", rec[0], err)
-		}
-		var labels []string
-		if rec[1] != "" {
-			labels = strings.Split(rec[1], ";")
-		}
-		n := s.AddNode(labels, props)
-		if got := strconv.FormatUint(uint64(n.ID), 10); got != rec[0] {
-			return nil, fmt.Errorf("pg: nodes csv: non-contiguous id %s (assigned %s)", rec[0], got)
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	er := csv.NewReader(edgeR)
-	er.FieldsPerRecord = 5
-	er.ReuseRecord = true
-	for {
-		rec, err := er.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("pg: edges csv: %w", err)
-		}
+	err = readRows(edgeR, "edges", 5, func(rec []string) error {
 		from, err := strconv.ParseUint(rec[1], 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("pg: edges csv: bad from id %q", rec[1])
+			return fmt.Errorf("bad from id %q", rec[1])
 		}
 		to, err := strconv.ParseUint(rec[2], 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("pg: edges csv: bad to id %q", rec[2])
+			return fmt.Errorf("bad to id %q", rec[2])
 		}
-		props, err := decodeProps(rec[4])
-		if err != nil {
-			return nil, fmt.Errorf("pg: edges csv id %s: %w", rec[0], err)
+		if n := uint64(s.NumNodes()); from >= n || to >= n {
+			return fmt.Errorf("endpoint out of range: %d -> %d (have %d nodes)", from, to, n)
 		}
-		s.AddEdge(NodeID(from), NodeID(to), rec[3], props)
+		props, err := st.decodeProps(rec[4])
+		if err == nil {
+			s.addEdge(NodeID(from), NodeID(to), st.intern(rec[3]), props)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// readRows feeds the rows of one export file to row. The id column must count
+// up from 0: ids are positions. Every error names the file and the row's id.
+func readRows(r io.Reader, file string, fields int, row func(rec []string) error) error {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = fields
+	cr.ReuseRecord = true
+	var id [20]byte
+	for i := int64(0); ; i++ {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("pg: %s csv: %w", file, err)
+		}
+		if rec[0] != string(strconv.AppendInt(id[:0], i, 10)) {
+			return fmt.Errorf("pg: %s csv: non-contiguous id %s (row %d)", file, rec[0], i)
+		}
+		if err := row(rec); err != nil {
+			return fmt.Errorf("pg: %s csv id %s: %w", file, rec[0], err)
+		}
+	}
 }
 
 // Equal reports whether two stores are isomorphic under the identity mapping
@@ -291,35 +327,29 @@ func (s *Store) Equal(o *Store) bool {
 		return false
 	}
 	for i := 0; i < s.nodes.Len(); i++ {
-		n, m := s.nodes.At(i), o.nodes.At(i)
-		if len(n.Labels) != len(m.Labels) {
-			return false
-		}
-		for j := range n.Labels {
-			if n.Labels[j] != m.Labels[j] {
-				return false
-			}
-		}
-		if !propsEqual(n.Props, m.Props) {
+		n, m := s.Node(NodeID(i)), o.Node(NodeID(i))
+		if !slices.Equal(n.Labels(), m.Labels()) || !propsEqual(n.record, m.record) {
 			return false
 		}
 	}
 	for i := 0; i < s.edges.Len(); i++ {
-		e, f := s.edges.At(i), o.edges.At(i)
-		if e.From != f.From || e.To != f.To || e.Label != f.Label || !propsEqual(e.Props, f.Props) {
+		e, f := s.Edge(EdgeID(i)), o.Edge(EdgeID(i))
+		if e.From != f.From || e.To != f.To || e.Label() != f.Label() || !propsEqual(e.record, f.record) {
 			return false
 		}
 	}
 	return true
 }
 
-func propsEqual(a, b map[string]Value) bool {
-	if len(a) != len(b) {
+// propsEqual compares two records, each in key order, entry by entry.
+func propsEqual(a, b record) bool {
+	if len(a.props) != len(b.props) {
 		return false
 	}
-	for k, va := range a {
-		vb, ok := b[k]
-		if !ok || !ValueEqual(va, vb) {
+	for i := range a.props {
+		ka, va := a.PropAt(i)
+		kb, vb := b.PropAt(i)
+		if ka != kb || !ValueEqual(va, vb) {
 			return false
 		}
 	}

@@ -1,13 +1,21 @@
 // Package pg implements the property graph data model of Definition 2.4:
 // a node- and edge-labelled directed attributed multigraph whose nodes and
-// edges carry records (key → value maps). The in-memory Store indexes nodes
-// by label and by the unique "iri" property, and edges by label, which is
-// what the Cypher engine and the transformation algorithms traverse.
+// edges carry records (key → value). The in-memory Store indexes nodes by
+// label and by the unique "iri" property, and edges by label, which is what
+// the Cypher engine and the transformation algorithms traverse.
+//
+// A node or an edge is a small record held by value in a paged table (package
+// cow). Labels, edge labels and property keys are interned once per store; a
+// node carries one id into a table of sorted label lists, and a record's
+// properties are a slice sorted by key name. Records are read through the
+// Node and Edge handles and written only through the Store's mutators
+// (DESIGN.md §4 item 9; the sharing rules are in §9).
 package pg
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -91,69 +99,235 @@ type NodeID uint32
 // EdgeID identifies an edge within a Store.
 type EdgeID uint32
 
-// stamp is the identity of a store between two Clones: a node or edge
-// record carrying the store's current stamp is private to it and may be
-// written in place; any other record is shared with a clone and is copied
-// first (see Store.mutNode).
-type stamp struct{ _ byte }
+// Sym is a name the store interned: a node label, an edge label or a property
+// key. It means the same name in the store and in every clone taken after the
+// name was first used, so a query resolves its names once (Store.Sym) and
+// compares integers after.
+type Sym uint32
 
-// Node is a property graph node: a set of labels and a record. Nodes are
-// read through the exported fields and written only through the Store's
-// mutators — a *Node taken from a store stays a consistent view of the node
-// as of the store's last Clone, not of later writes.
-type Node struct {
-	ID     NodeID
-	Labels []string // sorted, duplicate-free
-	Props  map[string]Value
+// iriKey is the "iri" key: NewStore interns it first.
+const iriKey Sym = 0
 
-	own *stamp
+type prop struct {
+	key Sym
+	val Value
 }
 
-// HasLabel reports whether the node carries the label.
-func (n *Node) HasLabel(l string) bool {
-	for _, x := range n.Labels {
-		if x == l {
-			return true
+// nodeRec and edgeRec are what the tables hold. own says that this store
+// made the props slice and every array value in it since the record's page
+// became private to it: only then may they be written in place. A page copy
+// clears it (disown), because the page left behind points to the same memory.
+type nodeRec struct {
+	set   uint32 // index into names.sets
+	own   bool
+	props []prop // sorted by key name; nil when empty
+}
+
+type edgeRec struct {
+	from, to NodeID
+	label    Sym
+	own      bool
+	props    []prop
+}
+
+func disownNode(r *nodeRec) { r.own = false }
+func disownEdge(r *edgeRec) { r.own = false }
+
+// record is the read side of a node's or an edge's properties; Node and
+// Edge embed it.
+type record struct {
+	props []prop
+	st    *names
+}
+
+// Prop returns the value of a property, nil when the record has none.
+func (r record) Prop(key string) Value {
+	for _, p := range r.props {
+		if r.st.names[p.key] == key {
+			return p.val
 		}
 	}
-	return false
+	return nil
 }
 
-// Edge is a directed property graph edge with a single label and a record.
-// Like nodes, edges are written only through the Store.
-type Edge struct {
-	ID    EdgeID
-	From  NodeID
-	To    NodeID
-	Label string
-	Props map[string]Value
+// PropSym is Prop for a key resolved by Store.Sym.
+func (r record) PropSym(k Sym) Value {
+	for _, p := range r.props {
+		if p.key == k {
+			return p.val
+		}
+	}
+	return nil
+}
 
-	own *stamp
+// NumProps returns the number of properties.
+func (r record) NumProps() int { return len(r.props) }
+
+// PropAt returns the i-th property in key order.
+func (r record) PropAt(i int) (key string, v Value) {
+	return r.st.names[r.props[i].key], r.props[i].val
+}
+
+// EncodeProps serializes the record in the tagged CSV cell codec (see the
+// format comment in csv.go). Keys are emitted in sorted order, so equal
+// records always encode to equal strings — the property that lets the
+// incremental-transformation layer use encoded records as change-detection
+// fingerprints and stream them to change subscribers verbatim.
+func (r record) EncodeProps() (string, error) {
+	pe := propEncoder{buf: make([]byte, 0, 128)}
+	return pe.encode(r.st, r.props)
+}
+
+// Node is a read handle on a node as it was when taken from the store: its
+// id, its label set and its record. The zero Node has neither.
+type Node struct {
+	ID NodeID
+	record
+	set uint32
+}
+
+func (n Node) labelSet() *labelSet {
+	if n.st == nil {
+		return &labelSet{}
+	}
+	return &n.st.sets[n.set]
+}
+
+// Labels returns the node's labels, sorted and duplicate-free. The slice is
+// shared by every node with the same labels: the caller must not modify it.
+func (n Node) Labels() []string { return n.labelSet().names }
+
+// HasLabel reports whether the node carries the label.
+func (n Node) HasLabel(l string) bool { return slices.Contains(n.labelSet().names, l) }
+
+// HasLabelSym is HasLabel for a label resolved by Store.Sym.
+func (n Node) HasLabelSym(l Sym) bool { return slices.Contains(n.labelSet().syms, l) }
+
+// Edge is a read handle on a directed edge with a single label and a record.
+type Edge struct {
+	ID   EdgeID
+	From NodeID
+	To   NodeID
+	record
+	label Sym
+}
+
+// Label returns the edge's label.
+func (e Edge) Label() string {
+	if e.st == nil {
+		return ""
+	}
+	return e.st.names[e.label]
+}
+
+// LabelSym returns the edge's label as the store interned it.
+func (e Edge) LabelSym() Sym { return e.label }
+
+// labelSet is one sorted label list. csv is the list as the node file's
+// labels cell; sep says a label contains the cell's separator.
+type labelSet struct {
+	names []string
+	syms  []Sym
+	csv   string
+	sep   bool
+}
+
+// names holds what a store interned. Nothing is reused or forgotten, so a
+// clone's tables extend the ones it was taken from; like every append-only
+// array here they are shared up to the clone's length, and only the store
+// Clone was called on appends in place.
+type names struct {
+	names []string
+	ids   cow.Map[string, Sym]
+
+	// sets[0] is the empty set. Two ids may list the same labels when they
+	// were reached in different orders; sets are compared by their names.
+	sets  []labelSet
+	wider cow.Map[uint64, uint32] // (set, label) → the set with the label added
+}
+
+// intern keeps a copy of a new name: callers pass slices of input lines.
+func (st *names) intern(name string) Sym {
+	id, ok := st.ids.Get(name)
+	if !ok {
+		id, name = Sym(len(st.names)), strings.Clone(name)
+		st.names = append(st.names, name)
+		st.ids.Put(name, id)
+	}
+	return id
+}
+
+func (st *names) clone() names {
+	return names{names: slices.Clip(st.names), ids: st.ids.Clone(), sets: slices.Clip(st.sets), wider: st.wider.Clone()}
+}
+
+// with returns the set that is set plus label l.
+func (st *names) with(set uint32, l Sym) uint32 {
+	key := uint64(set)<<32 | uint64(l)
+	if to, ok := st.wider.Get(key); ok {
+		return to
+	}
+	cur, name, to := st.sets[set], st.names[l], set
+	if at, has := slices.BinarySearch(cur.names, name); !has {
+		next := labelSet{names: slices.Insert(slices.Clone(cur.names), at, name), syms: slices.Insert(slices.Clone(cur.syms), at, l)}
+		next.csv, next.sep = strings.Join(next.names, ";"), cur.sep || strings.Contains(name, ";")
+		to = uint32(len(st.sets))
+		st.sets = append(st.sets, next)
+	}
+	st.wider.Put(key, to)
+	return to
+}
+
+// search returns the index of key k in props, or where it goes and false.
+func (st *names) search(props []prop, k Sym) (int, bool) {
+	name := st.names[k]
+	for i, p := range props {
+		if p.key == k {
+			return i, true
+		}
+		if st.names[p.key] > name {
+			return i, false
+		}
+	}
+	return len(props), false
+}
+
+// record lays a property map out as a record.
+func (st *names) record(props map[string]Value) []prop {
+	if len(props) == 0 {
+		return nil
+	}
+	list := make([]prop, 0, len(props))
+	for key, v := range props {
+		k := st.intern(key)
+		at, _ := st.search(list, k)
+		list = slices.Insert(list, at, prop{k, v})
+	}
+	return list
 }
 
 // Store is an in-memory property graph. It is not safe for concurrent
 // mutation (Clone counts as mutation); concurrent readers are safe once
 // loading completes.
 type Store struct {
-	nodes cow.Table[*Node]
-	edges cow.Table[*Edge]
+	nodes cow.Table[nodeRec]
+	edges cow.Table[edgeRec]
+	names names
 
-	byLabel     map[string][]NodeID // per-label lists are append-only
-	byEdgeLabel map[string][]EdgeID
+	byLabel     [][]NodeID // by Sym; per-label lists are append-only
+	byEdgeLabel [][]EdgeID // by Sym
 	out         cow.Lists[EdgeID]
 	in          cow.Lists[EdgeID]
 	byIRI       cow.Map[string, NodeID] // first node registered under each "iri" property
 	iriShared   bool                    // some iri was registered by a second node
-
-	own *stamp // records stamped with it are private to this store
 }
 
 // NewStore returns an empty property graph.
 func NewStore() *Store {
-	return &Store{
-		byLabel:     make(map[string][]NodeID),
-		byEdgeLabel: make(map[string][]EdgeID),
-	}
+	s := &Store{}
+	s.names.sets = []labelSet{{}}
+	s.names.intern("iri")
+	return s
 }
 
 // NumNodes returns the node count.
@@ -163,34 +337,46 @@ func (s *Store) NumNodes() int { return s.nodes.Len() }
 func (s *Store) NumEdges() int { return s.edges.Len() }
 
 // RelTypes returns the number of distinct edge labels.
-func (s *Store) RelTypes() int { return len(s.byEdgeLabel) }
+func (s *Store) RelTypes() int { return len(s.EdgeLabels()) }
+
+// Sym resolves a label, an edge label or a key; ok is false when the store
+// never held the name.
+func (s *Store) Sym(name string) (Sym, bool) { return s.names.ids.Get(name) }
 
 // AddNode creates a node with the given labels and properties and returns it.
-// Labels are deduplicated and sorted; the props map is owned by the store
-// afterwards. If props contains a string "iri" property it is registered in
-// the unique IRI index (first writer wins).
-func (s *Store) AddNode(labels []string, props map[string]Value) *Node {
-	set := make(map[string]bool, len(labels))
-	clean := make([]string, 0, len(labels))
+// Labels are deduplicated and sorted; the props map is read, not kept. If
+// props contains a string "iri" property it is registered in the unique IRI
+// index (first writer wins).
+func (s *Store) AddNode(labels []string, props map[string]Value) Node {
+	set := uint32(0)
 	for _, l := range labels {
-		if l != "" && !set[l] {
-			set[l] = true
-			clean = append(clean, l)
+		if l != "" {
+			set = s.names.with(set, s.names.intern(l))
 		}
 	}
-	sort.Strings(clean)
-	if props == nil {
-		props = make(map[string]Value)
+	return s.addNode(set, s.names.record(props))
+}
+
+func (s *Store) addNode(set uint32, list []prop) Node {
+	id := NodeID(s.nodes.Len())
+	*s.nodes.Edit(int(id), disownNode) = nodeRec{set: set, own: true, props: list}
+	for _, l := range s.names.sets[set].syms {
+		s.byLabel = listed(s.byLabel, l, id)
 	}
-	n := &Node{ID: NodeID(s.nodes.Len()), Labels: clean, Props: props, own: s.own}
-	s.nodes.Set(int(n.ID), n)
-	for _, l := range clean {
-		s.byLabel[l] = append(s.byLabel[l], n.ID)
-	}
-	if iri, ok := props["iri"].(string); ok {
-		s.indexIRI(iri, n.ID)
+	n := Node{ID: id, record: record{list, &s.names}, set: set}
+	if iri, ok := n.PropSym(iriKey).(string); ok {
+		s.indexIRI(iri, id)
 	}
 	return n
+}
+
+// listed appends id to the list of l, growing lists to hold it.
+func listed[ID NodeID | EdgeID](lists [][]ID, l Sym, id ID) [][]ID {
+	for int(l) >= len(lists) {
+		lists = append(lists, nil)
+	}
+	lists[l] = append(lists[l], id)
+	return lists
 }
 
 // indexIRI registers the node under its iri unless the slot is taken; a
@@ -204,32 +390,47 @@ func (s *Store) indexIRI(iri string, id NodeID) {
 
 // AddEdge creates a directed labelled edge. It panics if an endpoint id is
 // out of range, which always indicates a caller bug.
-func (s *Store) AddEdge(from, to NodeID, label string, props map[string]Value) *Edge {
+func (s *Store) AddEdge(from, to NodeID, label string, props map[string]Value) Edge {
 	if int(from) >= s.nodes.Len() || int(to) >= s.nodes.Len() {
 		panic(fmt.Sprintf("pg: edge endpoint out of range: %d -> %d (have %d nodes)", from, to, s.nodes.Len()))
 	}
-	if props == nil {
-		props = make(map[string]Value)
-	}
-	e := &Edge{ID: EdgeID(s.edges.Len()), From: from, To: to, Label: label, Props: props, own: s.own}
-	s.edges.Set(int(e.ID), e)
-	s.byEdgeLabel[label] = append(s.byEdgeLabel[label], e.ID)
-	s.out.Append(int(from), e.ID)
-	s.in.Append(int(to), e.ID)
-	return e
+	return s.addEdge(from, to, s.names.intern(label), s.names.record(props))
 }
 
-// Node returns the node by id, or nil when out of range.
-func (s *Store) Node(id NodeID) *Node { return s.nodes.At(int(id)) }
+func (s *Store) addEdge(from, to NodeID, l Sym, list []prop) Edge {
+	id := EdgeID(s.edges.Len())
+	*s.edges.Edit(int(id), disownEdge) = edgeRec{from: from, to: to, label: l, own: true, props: list}
+	s.byEdgeLabel = listed(s.byEdgeLabel, l, id)
+	s.out.Append(int(from), id)
+	s.in.Append(int(to), id)
+	return Edge{ID: id, From: from, To: to, record: record{list, &s.names}, label: l}
+}
 
-// Edge returns the edge by id, or nil when out of range.
-func (s *Store) Edge(id EdgeID) *Edge { return s.edges.At(int(id)) }
+// Node returns the node by id; an id out of range gives a node with no
+// label and no property.
+func (s *Store) Node(id NodeID) Node {
+	r := s.nodes.At(int(id))
+	return Node{ID: id, record: record{r.props, &s.names}, set: r.set}
+}
+
+// Edge returns the edge by id.
+func (s *Store) Edge(id EdgeID) Edge {
+	r := s.edges.At(int(id))
+	return Edge{ID: id, From: r.from, To: r.to, record: record{r.props, &s.names}, label: r.label}
+}
 
 // NodesByLabel returns the ids of nodes carrying the label.
-func (s *Store) NodesByLabel(label string) []NodeID { return s.byLabel[label] }
+func (s *Store) NodesByLabel(label string) []NodeID { return listOf(s, s.byLabel, label) }
 
 // EdgesByLabel returns the ids of edges carrying the label.
-func (s *Store) EdgesByLabel(label string) []EdgeID { return s.byEdgeLabel[label] }
+func (s *Store) EdgesByLabel(label string) []EdgeID { return listOf(s, s.byEdgeLabel, label) }
+
+func listOf[ID NodeID | EdgeID](s *Store, lists [][]ID, label string) []ID {
+	if l, ok := s.Sym(label); ok && int(l) < len(lists) {
+		return lists[l]
+	}
+	return nil
+}
 
 // Out returns the outgoing edge ids of the node.
 func (s *Store) Out(id NodeID) []EdgeID { return s.out.At(int(id)) }
@@ -244,89 +445,109 @@ func (s *Store) In(id NodeID) []EdgeID { return s.in.At(int(id)) }
 func (s *Store) IRIUnique() bool { return !s.iriShared }
 
 // NodeByIRI returns the first node registered under iri — the node whose
-// "iri" property equals it, unless the property was rewritten since — or nil.
-func (s *Store) NodeByIRI(iri string) *Node {
+// "iri" property equals it, unless the property was rewritten since.
+func (s *Store) NodeByIRI(iri string) (Node, bool) {
 	id, ok := s.byIRI.Get(iri)
 	if !ok {
+		return Node{}, false
+	}
+	return s.Node(id), true
+}
+
+// mutNode returns node id's record for writing, its props slice (with room
+// for that many more entries) and array values private to this store. This
+// and mutEdge are the only places a record of an existing element is written,
+// so they are where copy-on-write is enforced.
+func (s *Store) mutNode(id NodeID, room int) *nodeRec {
+	r := s.nodes.Edit(int(id), disownNode)
+	if !r.own {
+		r.props, r.own = privateProps(r.props, room), true
+	}
+	return r
+}
+
+func (s *Store) mutEdge(id EdgeID, room int) *edgeRec {
+	r := s.edges.Edit(int(id), disownEdge)
+	if !r.own {
+		r.props, r.own = privateProps(r.props, room), true
+	}
+	return r
+}
+
+// privateProps copies a record a clone may read. Array values keep their
+// elements but lose their spare capacity: appendProp extends them with
+// append, which must not write into an array a clone still reads.
+func privateProps(props []prop, room int) []prop {
+	if len(props)+room == 0 {
 		return nil
 	}
-	return s.nodes.At(int(id))
-}
-
-// mutNode returns node id for writing. This and mutEdge are the only places
-// a record of an existing element is written, so they are where copy-on-write
-// is enforced: a record shared with a clone is replaced by a private copy
-// (label slice and array values clipped, so appends reallocate) first.
-func (s *Store) mutNode(id NodeID) *Node {
-	n := s.nodes.At(int(id))
-	if n.own != s.own {
-		n = &Node{ID: n.ID, Labels: n.Labels[:len(n.Labels):len(n.Labels)], Props: cloneProps(n.Props), own: s.own}
-		s.nodes.Set(int(id), n)
-	}
-	return n
-}
-
-func (s *Store) mutEdge(id EdgeID) *Edge {
-	e := s.edges.At(int(id))
-	if e.own != s.own {
-		c := *e
-		c.Props, c.own = cloneProps(e.Props), s.own
-		e = &c
-		s.edges.Set(int(id), e)
-	}
-	return e
-}
-
-// cloneProps copies a property map for a private record. Array values keep
-// their elements but lose their spare capacity: appendProp extends them with
-// append, which must not write into an array a clone still reads.
-func cloneProps(props map[string]Value) map[string]Value {
-	c := make(map[string]Value, len(props))
-	for k, v := range props {
-		if list, ok := v.([]Value); ok {
-			v = list[:len(list):len(list)]
+	c := make([]prop, len(props), len(props)+room)
+	for i, p := range props {
+		if list, ok := p.val.([]Value); ok && cap(list) > len(list) {
+			p.val = slices.Clip(list)
 		}
-		c[k] = v
+		c[i] = p
 	}
 	return c
 }
 
 // AddLabel adds a label to an existing node, keeping indexes consistent.
 func (s *Store) AddLabel(id NodeID, label string) {
-	if label == "" || s.nodes.At(int(id)).HasLabel(label) {
+	if label == "" {
 		return
 	}
-	n := s.mutNode(id)
-	n.Labels = append(n.Labels, label)
-	sort.Strings(n.Labels)
-	s.byLabel[label] = append(s.byLabel[label], id)
+	l, set := s.names.intern(label), s.nodes.At(int(id)).set
+	if to := s.names.with(set, l); to != set {
+		s.nodes.Edit(int(id), disownNode).set = to
+		s.byLabel = listed(s.byLabel, l, id)
+	}
 }
 
 // SetProp sets a property on a node. Setting "iri" registers the node in the
 // IRI index when the slot is free.
 func (s *Store) SetProp(id NodeID, key string, v Value) {
-	s.mutNode(id).Props[key] = v
-	if key == "iri" {
-		if iri, ok := v.(string); ok {
-			s.indexIRI(iri, id)
-		}
+	k, r := s.names.intern(key), s.mutNode(id, 1)
+	if at, found := s.names.search(r.props, k); found {
+		r.props[at].val = v
+	} else {
+		r.props = slices.Insert(r.props, at, prop{k, v})
+	}
+	if iri, ok := v.(string); ok && k == iriKey {
+		s.indexIRI(iri, id)
 	}
 }
 
 // AppendProp appends a value to a node property, promoting a scalar to an
 // array. It is the primitive used for multi-valued key/value properties.
 func (s *Store) AppendProp(id NodeID, key string, v Value) {
-	appendProp(s.mutNode(id).Props, key, v)
+	r := s.mutNode(id, 1)
+	r.props = s.names.appendProp(r.props, key, v)
 }
 
 // AppendEdgeProp is AppendProp for an edge record (RDF-star annotations).
 func (s *Store) AppendEdgeProp(id EdgeID, key string, v Value) {
-	appendProp(s.mutEdge(id).Props, key, v)
+	r := s.mutEdge(id, 1)
+	r.props = s.names.appendProp(r.props, key, v)
+}
+
+// appendProp is AppendProp on a private record.
+func (st *names) appendProp(props []prop, key string, v Value) []prop {
+	k := st.intern(key)
+	at, found := st.search(props, k)
+	if !found {
+		return slices.Insert(props, at, prop{k, v})
+	}
+	if arr, isArr := props[at].val.([]Value); isArr {
+		props[at].val = append(arr, v)
+	} else {
+		props[at].val = []Value{props[at].val, v}
+	}
+	return props
 }
 
 // HasPropValue reports whether a node property is v or an array holding v.
 func (s *Store) HasPropValue(id NodeID, key string, v Value) bool {
-	arr, at := propValues(s.nodes.At(int(id)).Props, key, v)
+	arr, at := propValues(s.Node(id).Prop(key), v)
 	return at < len(arr)
 }
 
@@ -335,32 +556,34 @@ func (s *Store) HasPropValue(id NodeID, key string, v Value) bool {
 // again, and a property left with none is deleted. It reports whether v was
 // there.
 func (s *Store) RemovePropValue(id NodeID, key string, v Value) bool {
-	arr, at := propValues(s.nodes.At(int(id)).Props, key, v)
+	arr, at := propValues(s.Node(id).Prop(key), v)
 	if at == len(arr) {
 		return false
 	}
-	props := s.mutNode(id).Props
+	r := s.mutNode(id, 0)
+	i, _ := s.names.search(r.props, s.names.intern(key))
 	switch len(arr) {
 	case 1:
-		delete(props, key)
+		if r.props = slices.Delete(r.props, i, i+1); len(r.props) == 0 {
+			r.props = nil
+		}
 	case 2:
-		props[key] = arr[1-at]
+		r.props[i].val = arr[1-at]
 	default:
 		// A new array: a clone may be reading the old one.
-		rest := make([]Value, 0, len(arr)-1)
-		props[key] = append(append(rest, arr[:at]...), arr[at+1:]...)
+		r.props[i].val = slices.Delete(slices.Clone(arr), at, at+1)
 	}
 	return true
 }
 
 // propValues returns the values of a property as a list and the index of the
 // first that is v (the list's length when none is).
-func propValues(props map[string]Value, key string, v Value) (arr []Value, at int) {
-	cur, ok := props[key]
-	if !ok {
+func propValues(cur, v Value) (arr []Value, at int) {
+	if cur == nil {
 		return nil, 0
 	}
-	if arr, ok = cur.([]Value); !ok {
+	arr, ok := cur.([]Value)
+	if !ok {
 		arr = []Value{cur}
 	}
 	for at < len(arr) && !sameScalar(arr[at], v) {
@@ -383,34 +606,19 @@ func sameScalar(a, b Value) bool {
 	return !bList && a == b
 }
 
-func appendProp(props map[string]Value, key string, v Value) {
-	cur, ok := props[key]
-	if !ok {
-		props[key] = v
-		return
-	}
-	if arr, isArr := cur.([]Value); isArr {
-		props[key] = append(arr, v)
-		return
-	}
-	props[key] = []Value{cur, v}
-}
-
 // Labels returns all distinct node labels, sorted.
-func (s *Store) Labels() []string {
-	out := make([]string, 0, len(s.byLabel))
-	for l := range s.byLabel {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *Store) Labels() []string { return used(s.names.names, s.byLabel) }
 
 // EdgeLabels returns all distinct edge labels, sorted.
-func (s *Store) EdgeLabels() []string {
-	out := make([]string, 0, len(s.byEdgeLabel))
-	for l := range s.byEdgeLabel {
-		out = append(out, l)
+func (s *Store) EdgeLabels() []string { return used(s.names.names, s.byEdgeLabel) }
+
+// used returns, sorted, the names whose id list is not empty.
+func used[ID NodeID | EdgeID](names []string, lists [][]ID) []string {
+	out := make([]string, 0, len(lists))
+	for l, ids := range lists {
+		if len(ids) > 0 {
+			out = append(out, names[l])
+		}
 	}
 	sort.Strings(out)
 	return out

@@ -11,8 +11,8 @@ import (
 func TestAddNodeLabelsDedupSorted(t *testing.T) {
 	s := NewStore()
 	n := s.AddNode([]string{"Student", "Person", "Student", ""}, nil)
-	if len(n.Labels) != 2 || n.Labels[0] != "Person" || n.Labels[1] != "Student" {
-		t.Fatalf("labels = %v", n.Labels)
+	if l := n.Labels(); len(l) != 2 || l[0] != "Person" || l[1] != "Student" {
+		t.Fatalf("labels = %v", l)
 	}
 	if !n.HasLabel("Person") || n.HasLabel("Robot") {
 		t.Fatal("HasLabel wrong")
@@ -25,7 +25,7 @@ func TestAddNodeLabelsDedupSorted(t *testing.T) {
 func TestIRIIndex(t *testing.T) {
 	s := NewStore()
 	a := s.AddNode([]string{"A"}, map[string]Value{"iri": "http://x/a"})
-	if got := s.NodeByIRI("http://x/a"); got != a {
+	if got, ok := s.NodeByIRI("http://x/a"); !ok || got.ID != a.ID {
 		t.Fatal("NodeByIRI missed")
 	}
 	s.SetProp(a.ID, "iri", "http://x/a") // the same node again shares nothing
@@ -34,19 +34,19 @@ func TestIRIIndex(t *testing.T) {
 	}
 	// First writer wins on duplicate IRIs, and the store remembers it.
 	s.AddNode([]string{"B"}, map[string]Value{"iri": "http://x/a"})
-	if got := s.NodeByIRI("http://x/a"); got != a {
+	if got, ok := s.NodeByIRI("http://x/a"); !ok || got.ID != a.ID {
 		t.Fatal("duplicate IRI displaced original")
 	}
 	if s.IRIUnique() || s.Clone().IRIUnique() {
 		t.Fatal("two nodes under one iri, yet IRIUnique")
 	}
-	if s.NodeByIRI("http://x/none") != nil {
+	if _, ok := s.NodeByIRI("http://x/none"); ok {
 		t.Fatal("missing IRI should be nil")
 	}
 	// SetProp registers too.
 	c := s.AddNode([]string{"C"}, nil)
 	s.SetProp(c.ID, "iri", "http://x/c")
-	if got := s.NodeByIRI("http://x/c"); got != c {
+	if got, ok := s.NodeByIRI("http://x/c"); !ok || got.ID != c.ID {
 		t.Fatal("SetProp did not index IRI")
 	}
 }
@@ -56,7 +56,7 @@ func TestEdgesAndAdjacency(t *testing.T) {
 	a := s.AddNode([]string{"A"}, nil)
 	b := s.AddNode([]string{"B"}, nil)
 	e := s.AddEdge(a.ID, b.ID, "knows", map[string]Value{"since": int64(2020)})
-	if e.From != a.ID || e.To != b.ID || e.Label != "knows" {
+	if e.From != a.ID || e.To != b.ID || e.Label() != "knows" {
 		t.Fatalf("edge = %+v", e)
 	}
 	if got := s.Out(a.ID); len(got) != 1 || got[0] != e.ID {
@@ -88,8 +88,8 @@ func TestAddLabel(t *testing.T) {
 	n := s.AddNode([]string{"B"}, nil)
 	s.AddLabel(n.ID, "A")
 	s.AddLabel(n.ID, "A") // idempotent
-	if len(n.Labels) != 2 || n.Labels[0] != "A" {
-		t.Fatalf("labels = %v", n.Labels)
+	if l := s.Node(n.ID).Labels(); len(l) != 2 || l[0] != "A" {
+		t.Fatalf("labels = %v", l)
 	}
 	if got := s.NodesByLabel("A"); len(got) != 1 {
 		t.Fatalf("NodesByLabel(A) = %v", got)
@@ -100,16 +100,16 @@ func TestAppendProp(t *testing.T) {
 	s := NewStore()
 	n := s.AddNode(nil, nil)
 	s.AppendProp(n.ID, "k", "a")
-	if got := n.Props["k"]; got != "a" {
+	if got := s.Node(n.ID).Prop("k"); got != "a" {
 		t.Fatalf("scalar = %v", got)
 	}
 	s.AppendProp(n.ID, "k", "b")
-	arr, ok := n.Props["k"].([]Value)
+	arr, ok := s.Node(n.ID).Prop("k").([]Value)
 	if !ok || len(arr) != 2 || arr[0] != "a" || arr[1] != "b" {
-		t.Fatalf("after second append = %v", n.Props["k"])
+		t.Fatalf("after second append = %v", s.Node(n.ID).Prop("k"))
 	}
 	s.AppendProp(n.ID, "k", "c")
-	arr = n.Props["k"].([]Value)
+	arr = s.Node(n.ID).Prop("k").([]Value)
 	if len(arr) != 3 || arr[2] != "c" {
 		t.Fatalf("after third append = %v", arr)
 	}
@@ -185,7 +185,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("csv round trip mismatch\nnodes:\n%s\nedges:\n%s", nodes.String(), edges.String())
 	}
 	// Indexes must be rebuilt.
-	if back.NodeByIRI("http://x/bob") == nil {
+	if _, ok := back.NodeByIRI("http://x/bob"); !ok {
 		t.Fatal("IRI index not rebuilt after load")
 	}
 	if got := back.NodesByLabel("Person"); len(got) != 2 {

@@ -12,10 +12,6 @@ const NoNode = ^NodeID(0)
 
 const noEdge = ^EdgeID(0)
 
-// slabRecords is how many re-allocated records Resequence makes per
-// allocation.
-const slabRecords = 256
-
 // NodeMove takes node ID out of the sequence and puts it back immediately
 // before the node that holds id Before when Resequence is called
 // (Before = NumNodes() is the end). Before names a position, not a node: it
@@ -37,12 +33,12 @@ type NodeMove struct {
 // again (ids are positions: the CSV export and every index address elements
 // by them). It returns the old → new node id map, NoNode for dropped nodes.
 //
-// It is one pass of integer work over the store: Node.ID, Edge.ID/From/To,
-// both adjacency tables and the label lists are rewritten through the map;
-// labels, records and property values are not touched. A record whose ids
-// change is updated in place when the store owns it and re-allocated
-// (sharing its labels and properties, still copy-on-write) when a clone may
-// read it.
+// It is one pass of integer work over the store: every kept record is
+// written to its new slot in fresh pages (a record is a few words; nothing is
+// allocated per record), the edges' endpoints, both adjacency tables and the
+// label lists are rewritten through the map; label sets, property slices and
+// values are not touched and stay shared with any clone, so the records come
+// out disowned.
 //
 // Every edge of a dropped node must be dropped with it; Resequence panics on
 // a script that is not one (a caller bug, like an AddEdge out of range).
@@ -60,83 +56,50 @@ func (s *Store) Resequence(dropNodes []NodeID, moves []NodeMove, dropEdges []Edg
 		}
 	}
 
-	// Records a clone may read are replaced, and allocated a slab at a time:
-	// nearly all of them are when ids shift, and they stay or go together.
-	var nodeSlab []Node
-	var nodes cow.Table[*Node]
-	for i := 0; i < s.nodes.Len(); i++ {
-		n, id := s.nodes.At(i), nodeMap[i]
-		if id == NoNode {
-			continue
+	var nodes cow.Table[nodeRec]
+	for i, id := range nodeMap {
+		if id != NoNode {
+			r := s.nodes.At(i)
+			r.own = false
+			*nodes.Edit(int(id), nil) = r
 		}
-		if id != n.ID {
-			if n.own != s.own {
-				if len(nodeSlab) == 0 {
-					nodeSlab = make([]Node, slabRecords)
-				}
-				nodeSlab[0] = *n
-				n, nodeSlab = &nodeSlab[0], nodeSlab[1:]
-			}
-			n.ID = id
-		}
-		nodes.Set(int(id), n)
 	}
-
-	var edgeSlab []Edge
-	var edges cow.Table[*Edge]
-	for i := 0; i < s.edges.Len(); i++ {
-		id := edgeMap[i]
+	var edges cow.Table[edgeRec]
+	for i, id := range edgeMap {
 		if id == noEdge {
 			continue
 		}
 		e := s.edges.At(i)
-		from, to := nodeMap[e.From], nodeMap[e.To]
+		from, to := nodeMap[e.from], nodeMap[e.to]
 		if from == NoNode || to == NoNode {
-			panic(fmt.Sprintf("pg: Resequence keeps edge %d of a dropped node (%d -> %d)", i, e.From, e.To))
+			panic(fmt.Sprintf("pg: Resequence keeps edge %d of a dropped node (%d -> %d)", i, e.from, e.to))
 		}
-		if id != e.ID || from != e.From || to != e.To {
-			if e.own != s.own {
-				if len(edgeSlab) == 0 {
-					edgeSlab = make([]Edge, slabRecords)
-				}
-				edgeSlab[0] = *e
-				e, edgeSlab = &edgeSlab[0], edgeSlab[1:]
-			}
-			e.ID, e.From, e.To = id, from, to
-		}
-		edges.Set(int(id), e)
+		e.from, e.to, e.own = from, to, false
+		*edges.Edit(int(id), nil) = e
 	}
 
 	s.out = remapAdjacency(&s.out, nodeMap, edgeMap, int(kept))
 	s.in = remapAdjacency(&s.in, nodeMap, edgeMap, int(kept))
 	s.nodes, s.edges = nodes, edges
 
-	relist := make(map[string][]NodeID)
+	relist := make(map[Sym][]NodeID)
 	for _, mv := range moves {
 		if mv.Relist {
 			id := nodeMap[mv.ID]
-			for _, l := range nodes.At(int(id)).Labels {
+			for _, l := range s.names.sets[nodes.At(int(id)).set].syms {
 				relist[l] = append(relist[l], id)
 			}
 		}
 	}
 	for l, ids := range s.byLabel {
 		ids = remapIDs(ids, nodeMap, NoNode)
-		if moved := relist[l]; len(moved) > 0 {
+		if moved := relist[Sym(l)]; len(moved) > 0 {
 			ids = placeByID(ids, moved)
 		}
-		if len(ids) == 0 {
-			delete(s.byLabel, l)
-		} else {
-			s.byLabel[l] = ids
-		}
+		s.byLabel[l] = ids
 	}
 	for l, ids := range s.byEdgeLabel {
-		if ids = remapIDs(ids, edgeMap, noEdge); len(ids) == 0 {
-			delete(s.byEdgeLabel, l)
-		} else {
-			s.byEdgeLabel[l] = ids
-		}
+		s.byEdgeLabel[l] = remapIDs(ids, edgeMap, noEdge)
 	}
 	s.remapIRIs(nodeMap)
 	return nodeMap
@@ -168,7 +131,7 @@ func (s *Store) remapIRIs(nodeMap []NodeID) {
 	}
 	s.byIRI, s.iriShared = cow.Map[string, NodeID]{}, false
 	for i := 0; i < s.nodes.Len(); i++ {
-		if iri, ok := s.nodes.At(i).Props["iri"].(string); ok {
+		if iri, ok := s.Node(NodeID(i)).PropSym(iriKey).(string); ok {
 			s.indexIRI(iri, NodeID(i))
 		}
 	}

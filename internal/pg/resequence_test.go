@@ -48,8 +48,9 @@ func sameStore(t *testing.T, ctx string, got, want *Store) {
 		if fmt.Sprint(got.Out(id)) != fmt.Sprint(want.Out(id)) || fmt.Sprint(got.In(id)) != fmt.Sprint(want.In(id)) {
 			t.Fatalf("%s: adjacency of node %d = %v / %v, want %v / %v", ctx, i, got.Out(id), got.In(id), want.Out(id), want.In(id))
 		}
-		if iri, ok := want.Node(id).Props["iri"].(string); ok {
-			if g, w := got.NodeByIRI(iri), want.NodeByIRI(iri); g == nil || g.ID != w.ID {
+		if iri, ok := want.Node(id).Prop("iri").(string); ok {
+			w, _ := want.NodeByIRI(iri)
+			if g, ok := got.NodeByIRI(iri); !ok || g.ID != w.ID {
 				t.Fatalf("%s: NodeByIRI(%s) = %v, want node %d", ctx, iri, g, w.ID)
 			}
 		}
@@ -179,7 +180,7 @@ func resequenceContract(t *testing.T, seed int64) {
 				modelAppend(props, "alias", v)
 				break
 			}
-			arr, at := propValues(props, "alias", v)
+			arr, at := propValues(props["alias"], v)
 			if got := m.s.RemovePropValue(id, "alias", v); got != (at < len(arr)) {
 				t.Fatalf("step %d: RemovePropValue = %v on %v", step, got, props["alias"])
 			}
@@ -293,22 +294,22 @@ func TestRemovePropValue(t *testing.T) {
 	if !s.RemovePropValue(id, "k", math.Copysign(0, -1)) {
 		t.Fatal("-0 not found")
 	}
-	if arr := s.Node(id).Props["k"].([]Value); len(arr) != 3 || math.Signbit(arr[1].(float64)) {
+	if arr := s.Node(id).Prop("k").([]Value); len(arr) != 3 || math.Signbit(arr[1].(float64)) {
 		t.Fatalf("removing -0 took 0: %v", arr)
 	}
 	if !s.RemovePropValue(id, "k", math.NaN()) || !s.RemovePropValue(id, "k", 0.0) {
 		t.Fatal("NaN or 0 not found")
 	}
-	if v := s.Node(id).Props["k"]; v != "x" {
+	if v := s.Node(id).Prop("k"); v != "x" {
 		t.Fatalf("one value left = %#v, want the scalar", v)
 	}
 	if !s.RemovePropValue(id, "k", "x") {
 		t.Fatal("scalar not found")
 	}
-	if _, has := s.Node(id).Props["k"]; has {
+	if s.Node(id).Prop("k") != nil {
 		t.Fatal("the key outlived its last value")
 	}
-	if arr := snapshot.Node(id).Props["k"].([]Value); len(arr) != 4 {
+	if arr := snapshot.Node(id).Prop("k").([]Value); len(arr) != 4 {
 		t.Fatalf("the clone saw the removals: %v", arr)
 	}
 }

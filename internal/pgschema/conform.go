@@ -32,7 +32,7 @@ func Check(store *pg.Store, s *Schema) []Violation {
 		n := store.Node(pg.NodeID(ni))
 		if !nodeTyped(n, s) {
 			out = append(out, Violation{"node", uint32(n.ID),
-				fmt.Sprintf("labels %v conform to no node type", n.Labels)})
+				fmt.Sprintf("labels %v conform to no node type", n.Labels())})
 		}
 	}
 
@@ -41,14 +41,14 @@ func Check(store *pg.Store, s *Schema) []Violation {
 	// that type's content type, inherited properties included.
 	for ni := 0; ni < store.NumNodes(); ni++ {
 		n := store.Node(pg.NodeID(ni))
-		for _, l := range n.Labels {
+		for _, l := range n.Labels() {
 			nt := s.NodeTypeByLabel(l)
 			if nt == nil || nt.Value {
 				continue
 			}
 			for _, p := range s.EffectiveProperties(nt.Name) {
-				v, present := n.Props[p.Key]
-				if !present {
+				v := n.Prop(p.Key)
+				if v == nil {
 					if p.Optional || p.Min == 0 {
 						continue
 					}
@@ -70,7 +70,7 @@ func Check(store *pg.Store, s *Schema) []Violation {
 		if !edgeTyped(store, e, s) {
 			out = append(out, Violation{"edge", uint32(e.ID),
 				fmt.Sprintf("label %q between %v and %v conforms to no edge type",
-					e.Label, store.Node(e.From).Labels, store.Node(e.To).Labels)})
+					e.Label(), store.Node(e.From).Labels(), store.Node(e.To).Labels())})
 		}
 	}
 
@@ -82,7 +82,7 @@ func Check(store *pg.Store, s *Schema) []Violation {
 }
 
 // nodeTyped reports whether the node conforms to at least one node type.
-func nodeTyped(n *pg.Node, s *Schema) bool {
+func nodeTyped(n pg.Node, s *Schema) bool {
 	for _, nt := range s.NodeTypes() {
 		if nodeConforms(n, nt, s) {
 			return true
@@ -95,7 +95,7 @@ func nodeTyped(n *pg.Node, s *Schema) bool {
 // set and its record satisfies the effective content type. Types are open:
 // undeclared keys are permitted (the transformation adds bookkeeping keys
 // such as "iri", "value", "dt", and "lang").
-func nodeConforms(n *pg.Node, nt *NodeType, s *Schema) bool {
+func nodeConforms(n pg.Node, nt *NodeType, s *Schema) bool {
 	for _, l := range s.EffectiveLabels(nt.Name) {
 		if !n.HasLabel(l) {
 			return false
@@ -103,12 +103,11 @@ func nodeConforms(n *pg.Node, nt *NodeType, s *Schema) bool {
 	}
 	if nt.Value {
 		// A value node must carry its encoded value.
-		_, ok := n.Props["value"]
-		return ok
+		return n.Prop("value") != nil
 	}
 	for _, p := range s.EffectiveProperties(nt.Name) {
-		v, present := n.Props[p.Key]
-		if !present {
+		v := n.Prop(p.Key)
+		if v == nil {
 			if p.Optional || p.Min == 0 {
 				continue
 			}
@@ -174,9 +173,9 @@ func scalarConforms(v pg.Value, contentType string) bool {
 // edgeTyped reports whether the edge conforms to at least one edge type:
 // matching label, source endpoint carrying the source type's label, and
 // target endpoint carrying one of the target types' labels.
-func edgeTyped(store *pg.Store, e *pg.Edge, s *Schema) bool {
+func edgeTyped(store *pg.Store, e pg.Edge, s *Schema) bool {
 	from, to := store.Node(e.From), store.Node(e.To)
-	for _, et := range s.EdgeTypesByLabel(e.Label) {
+	for _, et := range s.EdgeTypesByLabel(e.Label()) {
 		srcType := s.NodeType(et.Source)
 		if srcType == nil || !from.HasLabel(srcType.Label) {
 			continue
@@ -196,7 +195,7 @@ func edgeTyped(store *pg.Store, e *pg.Edge, s *Schema) bool {
 // label whose targets carry one of the target labels must lie within bounds.
 func checkKey(store *pg.Store, k *Key) []Violation {
 	var out []Violation
-	targetOK := func(n *pg.Node) bool {
+	targetOK := func(n pg.Node) bool {
 		for _, l := range k.TargetLabels {
 			if n.HasLabel(l) {
 				return true
@@ -208,7 +207,7 @@ func checkKey(store *pg.Store, k *Key) []Violation {
 		count := 0
 		for _, eid := range store.Out(id) {
 			e := store.Edge(eid)
-			if e.Label != k.EdgeLabel {
+			if e.Label() != k.EdgeLabel {
 				continue
 			}
 			if targetOK(store.Node(e.To)) {

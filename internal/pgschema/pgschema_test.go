@@ -217,8 +217,8 @@ func TestConformsEdgeViolations(t *testing.T) {
 	st := buildConformingStore()
 	// worksFor from a Student to a Department matches no edge type (source
 	// must be Professor).
-	bob := st.NodeByIRI("http://x/bob")
-	cs := st.NodeByIRI("http://x/cs")
+	bob, _ := st.NodeByIRI("http://x/bob")
+	cs, _ := st.NodeByIRI("http://x/cs")
 	st.AddEdge(bob.ID, cs.ID, "worksFor", nil)
 	vs := Check(st, s)
 	found := false
@@ -236,8 +236,8 @@ func TestConformsKeyViolations(t *testing.T) {
 	s := buildUniversitySchema()
 	st := buildConformingStore()
 	// A second worksFor edge breaks COUNT 1..1.
-	alice := st.NodeByIRI("http://x/alice")
-	cs := st.NodeByIRI("http://x/cs")
+	alice, _ := st.NodeByIRI("http://x/alice")
+	cs, _ := st.NodeByIRI("http://x/cs")
 	st.AddEdge(alice.ID, cs.ID, "worksFor", nil)
 	vs := Check(st, s)
 	found := false

@@ -290,6 +290,9 @@ func (p *ntParser) literal() (rdf.Term, error) {
 // decodeEscape decodes a backslash escape at the start of s, returning the
 // decoded string and the number of input bytes consumed.
 func decodeEscape(s string) (string, int, error) {
+	if len(s) < 2 {
+		return "", 0, fmt.Errorf("input ends inside an escape")
+	}
 	switch s[1] {
 	case 't':
 		return "\t", 2, nil

@@ -35,9 +35,10 @@ func deepGraph(g *rdf.Graph) *rdf.Graph {
 }
 
 func deepStore(s *pg.Store) *pg.Store {
-	props := func(in map[string]pg.Value) map[string]pg.Value {
-		out := make(map[string]pg.Value, len(in))
-		for k, v := range in {
+	props := func(n int, at func(int) (string, pg.Value)) map[string]pg.Value {
+		out := make(map[string]pg.Value, n)
+		for i := 0; i < n; i++ {
+			k, v := at(i)
 			if list, ok := v.([]pg.Value); ok {
 				v = append([]pg.Value(nil), list...)
 			}
@@ -48,11 +49,11 @@ func deepStore(s *pg.Store) *pg.Store {
 	c := pg.NewStore()
 	for i := 0; i < s.NumNodes(); i++ {
 		n := s.Node(pg.NodeID(i))
-		c.AddNode(n.Labels, props(n.Props))
+		c.AddNode(n.Labels(), props(n.NumProps(), n.PropAt))
 	}
 	for i := 0; i < s.NumEdges(); i++ {
 		e := s.Edge(pg.EdgeID(i))
-		c.AddEdge(e.From, e.To, e.Label, props(e.Props))
+		c.AddEdge(e.From, e.To, e.Label(), props(e.NumProps(), e.PropAt))
 	}
 	return c
 }

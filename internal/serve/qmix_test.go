@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"github.com/s3pg/s3pg/internal/core"
 	"github.com/s3pg/s3pg/internal/datagen"
 	"github.com/s3pg/s3pg/internal/exp"
+	"github.com/s3pg/s3pg/internal/pg"
 	"github.com/s3pg/s3pg/internal/rdf"
 	"github.com/s3pg/s3pg/internal/shapeex"
 )
@@ -126,4 +128,37 @@ func TestQmixAllocBudget(t *testing.T) {
 	if limit := uint64(39e6 / 4); round > limit {
 		t.Errorf("one round of the mix allocates %d bytes, want <= %d", round, limit)
 	}
+}
+
+// TestApproxStoreBytesTracksHeap: the estimate the snapshot cache evicts on is
+// within 30 % of what a store costs the heap. The store measured is the qmix
+// store loaded from its export — how a finished job's snapshot reaches the
+// cache, and the one way to have a store share no string with a graph.
+func TestApproxStoreBytesTracksHeap(t *testing.T) {
+	snap, _ := qmix(t)
+	var nodes, edges bytes.Buffer
+	if err := snap.Store.WriteCSV(&nodes, &edges); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	store, err := pg.LoadCSV(bytes.NewReader(nodes.Bytes()), bytes.NewReader(edges.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured := heap() - before
+	runtime.KeepAlive(&nodes) // or the export's death would count as the store's saving
+	runtime.KeepAlive(&edges)
+	est := approxStoreBytes(store)
+	t.Logf("estimate %d B, measured %d B (%.2f), %d nodes, %d edges", est, measured, float64(est)/float64(measured), store.NumNodes(), store.NumEdges())
+	if ratio := float64(est) / float64(measured); ratio < 0.7 || ratio > 1.3 {
+		t.Fatalf("approxStoreBytes = %d, the heap grew by %d: off by more than 30 %%", est, measured)
+	}
+	runtime.KeepAlive(store)
 }

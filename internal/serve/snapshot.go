@@ -66,9 +66,11 @@ func approxGraphBytes(g *rdf.Graph) int64 {
 	return b
 }
 
-// approxStoreBytes estimates the heap cost of a property graph store:
-// struct overheads per element plus label/property payloads and index
-// postings.
+// approxStoreBytes estimates the heap cost of a property graph store from
+// its layout (DESIGN.md §4): a node is a 32-byte record plus its two
+// adjacency-list headers, an edge a 40-byte record plus its three postings;
+// label and key names are interned, so they cost nothing per element; a
+// property is a 24-byte entry plus its boxed value.
 func approxStoreBytes(s *pg.Store) int64 {
 	if s == nil {
 		return 0
@@ -76,29 +78,34 @@ func approxStoreBytes(s *pg.Store) int64 {
 	var b int64
 	for ni := 0; ni < s.NumNodes(); ni++ {
 		n := s.Node(pg.NodeID(ni))
-		b += 64 // Node struct + slice/map headers
-		for _, l := range n.Labels {
-			b += 16 + int64(len(l)) + 4 // label string + byLabel posting
+		b += 32 + 2*24                  // record + out/in list headers
+		b += 4 * int64(len(n.Labels())) // byLabel postings
+		if _, ok := n.Prop("iri").(string); ok {
+			b += 48 // byIRI entry: key header, id, the map's slack
 		}
-		b += propsBytes(n.Props)
+		b += propsBytes(n.NumProps(), n.PropAt)
 	}
 	for ei := 0; ei < s.NumEdges(); ei++ {
 		e := s.Edge(pg.EdgeID(ei))
-		b += 72 + int64(len(e.Label)) // Edge struct + out/in/byEdgeLabel postings
-		b += propsBytes(e.Props)
+		b += 40 + 3*4 // record + out/in/byEdgeLabel postings
+		b += propsBytes(e.NumProps(), e.PropAt)
 	}
 	return b
 }
 
-func propsBytes(props map[string]pg.Value) int64 {
+// propsBytes is the cost of a record of n properties: 24 bytes an entry plus
+// what its value holds.
+func propsBytes(n int, at func(int) (string, pg.Value)) int64 {
 	var b int64
-	for k, v := range props {
-		b += 48 + int64(len(k)) // map entry + key
-		b += valueBytes(v)
+	for i := 0; i < n; i++ {
+		_, v := at(i)
+		b += 24 + valueBytes(v)
 	}
 	return b
 }
 
+// valueBytes is what a value holds beyond the interface word pair that
+// carries it: the box and, for strings and arrays, the payload.
 func valueBytes(v pg.Value) int64 {
 	switch x := v.(type) {
 	case string:
@@ -106,10 +113,12 @@ func valueBytes(v pg.Value) int64 {
 	case []pg.Value:
 		var b int64 = 24
 		for _, e := range x {
-			b += valueBytes(e)
+			b += 16 + valueBytes(e)
 		}
 		return b
+	case bool:
+		return 0
 	default:
-		return 16
+		return 8
 	}
 }
