@@ -32,36 +32,25 @@
 //	-max-errors n   lenient mode: hard-stop once more than n malformed
 //	                statements were skipped (0 = 1000, negative = unlimited)
 //
-// The data subcommand additionally supports crash-safe, resumable runs:
+// The data subcommand additionally takes a heap budget:
 //
-//	-checkpoint file          stream the input in chunks and record progress
-//	                          in a checkpoint file after each chunk
-//	-checkpoint-every n       statements per chunk (default 50000)
-//	-checkpoint-interval d    minimum time between checkpoint saves
-//	                          (0 = save at every chunk boundary)
-//	-resume                   continue from the checkpoint file instead of
-//	                          starting over
-//	-max-mem n                soft heap watermark in MiB: without -checkpoint
+//	-max-mem n                soft heap watermark in MiB (0 = off): past it
 //	                          the graph spills to disk and the run continues
-//	                          out-of-core; with -checkpoint the run
-//	                          checkpoints and exits with status 5
-//	-spill policy             out-of-core policy for -max-mem without
-//	                          -checkpoint: auto (spill beside the data file,
-//	                          the default), off (disable spilling; -max-mem
-//	                          then requires -checkpoint), or a directory
+//	                          out-of-core
+//	-spill policy             where -max-mem spills: auto (beside the data
+//	                          file, the default) or a directory
 //
 // All file outputs are committed atomically (temp file + rename), so an
 // interrupted run leaves either the previous complete file or the new
-// complete file, never a torn prefix. On the first SIGINT/SIGTERM the run
-// cancels, flushes a checkpoint when one is configured, and exits with
-// status 4; a second signal aborts immediately.
+// complete file, never a torn prefix; running it again is the recovery. On
+// the first SIGINT/SIGTERM the run cancels at its next safe point and exits
+// with status 4; a second signal aborts immediately.
 //
 // Exit status is 0 on success, 1 on runtime errors (unreadable files,
 // failed transformations, validation violations, internal panics), 2 on
 // usage errors (unknown commands, bad flags, missing required flags), 3
-// when -timeout expires before the run completes, 4 when the run was
-// interrupted by a signal, and 5 when the -max-mem watermark forced a
-// checkpoint-and-exit.
+// when -timeout expires before the run completes, and 4 when the run was
+// interrupted by a signal.
 package main
 
 import (
@@ -74,6 +63,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -81,7 +71,9 @@ import (
 	"github.com/s3pg/s3pg"
 	"github.com/s3pg/s3pg/internal/ckpt"
 	"github.com/s3pg/s3pg/internal/core"
+	"github.com/s3pg/s3pg/internal/faultio"
 	"github.com/s3pg/s3pg/internal/obs"
+	"github.com/s3pg/s3pg/internal/pg"
 	"github.com/s3pg/s3pg/internal/rdf"
 	"github.com/s3pg/s3pg/internal/rio"
 	"github.com/s3pg/s3pg/internal/shacl"
@@ -93,13 +85,8 @@ const (
 	exitError     = 1 // runtime failure: missing file, bad input, violations, panic
 	exitUsage     = 2 // usage failure: unknown command, bad or missing flags
 	exitTimeout   = 3 // the -timeout budget expired before the run completed
-	exitInterrupt = 4 // SIGINT/SIGTERM: run cancelled, checkpoint flushed if configured
-	exitMemLimit  = 5 // the -max-mem watermark forced a checkpoint-and-exit
+	exitInterrupt = 4 // SIGINT/SIGTERM: run cancelled before its outputs were committed
 )
-
-// errMemLimit marks a run that stopped at the -max-mem watermark after
-// flushing a checkpoint; run maps it to exitMemLimit.
-var errMemLimit = errors.New("memory watermark exceeded (state checkpointed)")
 
 // interrupted records that a termination signal arrived, so run can
 // distinguish signal-driven cancellation (exit 4) from other cancellations.
@@ -110,8 +97,8 @@ var interrupted atomic.Bool
 var baseContext = context.Background()
 
 // signalContext cancels the returned context on the first SIGINT/SIGTERM so
-// commands can flush checkpoints and commit or abandon outputs cleanly; a
-// second signal aborts the process at once.
+// commands stop before committing their outputs; a second signal aborts the
+// process at once.
 func signalContext(stderr io.Writer) (context.Context, func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ch := make(chan os.Signal, 2)
@@ -184,9 +171,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if errors.Is(err, context.DeadlineExceeded) {
 			return exitTimeout
-		}
-		if errors.Is(err, errMemLimit) {
-			return exitMemLimit
 		}
 		if interrupted.Load() && errors.Is(err, context.Canceled) {
 			return exitInterrupt
@@ -435,6 +419,61 @@ func loadData(ctx context.Context, path string, rf *resFlags, span *obs.Span) (*
 	return g, err
 }
 
+// S3PG_FAULT_FS is a test hook that routes every atomic commit through a
+// fault-injecting filesystem, so the robustness tests can exercise the real
+// binary. Its value is a comma-separated k=v list over the faultio Plan and
+// FS knobs, e.g. "seed=7,shortevery=3,failsync=1".
+const faultFSEnv = "S3PG_FAULT_FS"
+
+var cCommitRetries = obs.Default.Counter("cli.commit.retries")
+
+// commitFS resolves the filesystem all atomic commits go through, once per
+// process: the real one, or the env-configured fault injector.
+var commitFS = sync.OnceValue(func() ckpt.FS {
+	spec := os.Getenv(faultFSEnv)
+	if spec == "" {
+		return ckpt.OSFS
+	}
+	fsys, err := faultio.ParseFS(spec)
+	if err != nil {
+		panic(fmt.Sprintf("%s: %v", faultFSEnv, err))
+	}
+	return fsys
+})
+
+// commitRetryPolicy is the default backoff with per-retry accounting: each
+// scheduled retry bumps the cli.commit.retries counter, so a -metrics
+// snapshot distinguishes this process's commit retry storms from the global
+// faultio.retry.attempts tally.
+func commitRetryPolicy() faultio.RetryPolicy {
+	p := faultio.DefaultRetryPolicy
+	p.OnRetry = func(attempt int, err error) { cCommitRetries.Inc() }
+	return p
+}
+
+// commitAtomic writes one output file atomically through the (possibly
+// fault-injecting) commit filesystem, retrying transient faults with capped
+// exponential backoff. Hard failures abort with the output path untouched.
+// A commit that has started runs to its end: a signal stops the run before
+// its first commit, not between two.
+func commitAtomic(path string, fn func(io.Writer) error) error {
+	return faultio.Retry(context.Background(), commitRetryPolicy(), func() error {
+		return ckpt.WriteFileAtomicFS(commitFS(), path, 0o644, fn)
+	})
+}
+
+// writeStoreAtomic commits the node and edge CSV exports. Each file is
+// individually complete-or-absent; the edges file commits first, so a crash
+// between the two renames leaves a stale-nodes/new-edges pair at worst —
+// running the command again repairs it.
+func writeStoreAtomic(store *pg.Store, nodesPath, edgesPath string, workers int) error {
+	return commitAtomic(nodesPath, func(nw io.Writer) error {
+		return commitAtomic(edgesPath, func(ew io.Writer) error {
+			return store.WriteCSVParallel(nw, ew, workers)
+		})
+	})
+}
+
 // writeOut emits content to stdout, or commits it atomically to path: a
 // crash or injected fault mid-write never leaves a torn file behind.
 func writeOut(path, content string, stdout io.Writer) error {
@@ -497,14 +536,14 @@ func cmdData(args []string, stdout, stderr io.Writer) error {
 	ob := addObsFlags(fs)
 	rf := addResFlags(fs, true)
 	addWorkersFlag(fs, rf)
-	ck := addCkptFlags(fs)
+	mem := addMemFlags(fs)
 	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
 	if *shapesPath == "" || *dataPath == "" {
 		return usagef("-shapes and -data are required")
 	}
-	if err := ck.validate(); err != nil {
+	if err := mem.validate(); err != nil {
 		return err
 	}
 	m, err := parseMode(*mode)
@@ -517,25 +556,16 @@ func cmdData(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if ck.path != "" {
-		if err := cmdDataCheckpointed(ctx, span, ck, rf, m, dataArgs{
-			shapes: *shapesPath, data: *dataPath,
-			nodes: *nodesOut, edges: *edgesOut, schema: *schemaOut,
-		}, stdout, stderr); err != nil {
-			return err
-		}
-		return finish()
-	}
 	shapes, err := loadShapes(ctx, *shapesPath, rf)
 	if err != nil {
 		return err
 	}
 	var g *s3pg.Graph
 	var gov *rdf.Governor
-	if ck.maxMemMB > 0 {
-		// Whole-graph path under a heap budget: governed sequential ingest,
-		// spilling the graph out-of-core at the watermark instead of dying.
-		g, gov, err = loadDataGoverned(ctx, *dataPath, rf, span, ck, *dataPath, stderr)
+	if mem.maxMemMB > 0 {
+		// Under a heap budget: governed sequential ingest, spilling the graph
+		// out-of-core at the watermark instead of dying.
+		g, gov, err = loadDataGoverned(ctx, *dataPath, rf, span, mem, stderr)
 	} else {
 		g, err = loadData(ctx, *dataPath, rf, span)
 	}
@@ -563,6 +593,11 @@ func cmdData(args []string, stdout, stderr io.Writer) error {
 	}
 	tr, err := core.TransformWith(ctx, g, shapes, m, span, core.TransformOptions{Lenient: rf.lenient, Workers: rf.workers})
 	if err != nil {
+		return err
+	}
+	// The last safe point: a signal that arrived after the transform's own
+	// checks still leaves the outputs untouched.
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	store, schema := tr.Store(), tr.Schema()

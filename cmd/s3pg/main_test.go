@@ -169,6 +169,11 @@ func TestRunExitCodes(t *testing.T) {
 		0o644); err != nil {
 		t.Fatal(err)
 	}
+	dataRun := func(extra ...string) []string {
+		return append([]string{"data", "-shapes", shapes, "-data", data,
+			"-nodes", filepath.Join(dir, "n.csv"), "-edges", filepath.Join(dir, "e.csv"),
+			"-schema", filepath.Join(dir, "s.ddl")}, extra...)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -181,6 +186,13 @@ func TestRunExitCodes(t *testing.T) {
 		{"bad mode value", []string{"schema", "-shapes", shapes, "-mode", "bogus"}, exitUsage},
 		{"missing input file", []string{"schema", "-shapes", filepath.Join(dir, "absent.ttl")}, exitError},
 		{"validation violations", []string{"validate", "-shapes", shapes, "-data", bad}, exitError},
+		// Options of the deleted chunked checkpoint pipeline fail loudly
+		// rather than being ignored.
+		{"removed -checkpoint", dataRun("-checkpoint", filepath.Join(dir, "run.ckpt")), exitUsage},
+		{"removed -resume", dataRun("-resume"), exitUsage},
+		{"removed -checkpoint-every", dataRun("-checkpoint-every", "100"), exitUsage},
+		{"removed -checkpoint-interval", dataRun("-checkpoint-interval", "1s"), exitUsage},
+		{"removed -spill off", dataRun("-max-mem", "64", "-spill", "off"), exitUsage},
 		{"help", []string{"schema", "-h"}, exitOK},
 		{"success", []string{"validate", "-shapes", shapes, "-data", data}, exitOK},
 	}

@@ -1,15 +1,14 @@
 package main
 
-// Out-of-core support for the whole-graph data path (DESIGN.md §10): when
-// -max-mem is set without -checkpoint, the ingest loop runs under a
-// memory-pressure governor that spills the graph's dictionary, triple log,
-// and posting lists to CRC-framed on-disk segments and continues over paged
-// reads, instead of dying at the watermark. The chunked (-checkpoint)
-// path keeps its checkpoint-and-exit-5 contract: its cumulative memory lives
-// in the transformer, which graph spilling cannot shrink.
+// Out-of-core support for the data path (DESIGN.md §10): when -max-mem is
+// set, the ingest loop runs under a memory-pressure governor that spills the
+// graph's dictionary, triple log, and posting lists to CRC-framed on-disk
+// segments and continues over paged reads, instead of dying at the
+// watermark.
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -28,7 +27,43 @@ import (
 // rename of the run's spill commits. A spill makes two — its segment file,
 // then the MANIFEST — so odd N dies with the segment still a temporary, even
 // N with it durable but not yet named by a MANIFEST.
-const crashDuringSpillEnv = "S3PG_CRASH_DURING_SPILL"
+const (
+	crashDuringSpillEnv = "S3PG_CRASH_DURING_SPILL"
+	crashExitCode       = 86
+)
+
+// memFlags carries the data subcommand's heap budget.
+type memFlags struct {
+	maxMemMB int
+	spill    string
+}
+
+func addMemFlags(fs *flag.FlagSet) *memFlags {
+	mem := &memFlags{}
+	fs.IntVar(&mem.maxMemMB, "max-mem", 0, "soft heap watermark in `MiB` (0 = off): past it the graph spills to disk (-spill) and the run continues out-of-core")
+	fs.StringVar(&mem.spill, "spill", "auto", "where -max-mem spills: auto (beside the data file) or a `directory`")
+	return mem
+}
+
+func (mem *memFlags) validate() error {
+	// "off" once disabled spilling, when -max-mem could instead stop a run
+	// at the watermark; a directory of that name is refused, not used.
+	if mem.spill == "" || mem.spill == "off" {
+		return usagef("-spill must be auto or a directory")
+	}
+	if mem.maxMemMB < 0 {
+		return usagef("-max-mem must be non-negative")
+	}
+	return nil
+}
+
+// spillDir resolves the spill directory for a run over dataPath.
+func (mem *memFlags) spillDir(dataPath string) string {
+	if mem.spill == "auto" {
+		return dataPath + ".spill"
+	}
+	return mem.spill
+}
 
 // governEvery is how many scanned statements pass between heap checks; a
 // runtime.ReadMemStats per statement would dominate ingest.
@@ -51,8 +86,8 @@ func (s spillCrashFS) Rename(oldpath, newpath string) error {
 }
 
 // retryFS retries transient faults around each filesystem operation of a
-// spill commit — the same per-commit resilience the checkpoint path gets
-// from commitAtomic. Without it, one transient fault anywhere in a spill's
+// spill commit — the same per-commit resilience the outputs get from
+// commitAtomic. Without it, one transient fault anywhere in a spill's
 // two commits would restart the entire spill, which under a deterministic
 // fault schedule never converges.
 type retryFS struct {
@@ -118,16 +153,16 @@ func spillCommitFS() ckpt.FS {
 // ingest continues out-of-core. Parallel ingest is not used here — the
 // governor needs to interleave with admission, and a run that asked for a
 // heap budget has opted into trading speed for footprint.
-func loadDataGoverned(ctx context.Context, path string, rf *resFlags, span *obs.Span, ck *ckptFlags, dataPath string, stderr io.Writer) (*s3pg.Graph, *rdf.Governor, error) {
+func loadDataGoverned(ctx context.Context, path string, rf *resFlags, span *obs.Span, mem *memFlags, stderr io.Writer) (*s3pg.Graph, *rdf.Governor, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
 	gv := rdf.NewGovernor(rdf.SpillConfig{
-		Dir:    ck.spillDir(dataPath),
+		Dir:    mem.spillDir(path),
 		FS:     spillCommitFS(),
-		HighMB: ck.maxMemMB,
+		HighMB: mem.maxMemMB,
 	})
 	var sp *obs.Span
 	if span != nil {
@@ -171,7 +206,7 @@ func loadDataGoverned(ctx context.Context, path string, rf *resFlags, span *obs.
 			}
 			if spilled {
 				fmt.Fprintf(stderr, "s3pg: heap over -max-mem %d MiB: spilled %d triple slots to %s, continuing out-of-core\n",
-					ck.maxMemMB, g.NumSlots(), gv.Dir())
+					mem.maxMemMB, g.NumSlots(), gv.Dir())
 			}
 		}
 	}
@@ -182,7 +217,7 @@ func loadDataGoverned(ctx context.Context, path string, rf *resFlags, span *obs.
 		return nil, nil, fmt.Errorf("spill: %w", gerr)
 	} else if spilled {
 		fmt.Fprintf(stderr, "s3pg: heap over -max-mem %d MiB: spilled %d triple slots to %s, continuing out-of-core\n",
-			ck.maxMemMB, g.NumSlots(), gv.Dir())
+			mem.maxMemMB, g.NumSlots(), gv.Dir())
 	}
 	sp.Count("triples", int64(g.Len()))
 	sp.End()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,9 +17,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/s3pg/s3pg/internal/core"
 	"github.com/s3pg/s3pg/internal/datagen"
+	"github.com/s3pg/s3pg/internal/fixtures"
 	"github.com/s3pg/s3pg/internal/jobs"
 	"github.com/s3pg/s3pg/internal/obs"
+	"github.com/s3pg/s3pg/internal/pgschema"
 	"github.com/s3pg/s3pg/internal/rio"
 	"github.com/s3pg/s3pg/internal/shacl"
 	"github.com/s3pg/s3pg/internal/shapeex"
@@ -37,13 +41,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// chunkEvery is the chunk size shared by every daemon start and the
-// baseline: byte-identical resume is guaranteed against same-chunking runs.
-const chunkEvery = 64
-
-var testDataset = sync.OnceValues(func() (string, string) {
+// universityDataset generates seeded University data and its extracted
+// shapes, in the forms the daemon takes: Turtle and N-Triples.
+func universityDataset(scale float64) (string, string) {
 	p := datagen.University()
-	g := datagen.Generate(p, 0.3, 7)
+	g := datagen.Generate(p, scale, 7)
 	shapes := shapeex.Extract(g, shapeex.Options{MinSupport: 0.01})
 	var sb bytes.Buffer
 	tw := rio.NewTurtleWriter()
@@ -57,52 +59,41 @@ var testDataset = sync.OnceValues(func() (string, string) {
 		panic(err)
 	}
 	return sb.String(), db.String()
-})
+}
 
-// baselineOutputs runs one fault-free in-process transform with the same
-// chunking as the daemons and returns the expected bytes of each output.
+// testDataset is the live graphs' base data.
+var testDataset = sync.OnceValues(func() (string, string) { return universityDataset(0.3) })
+
+// jobDataset is what every job transforms: ≈ 18 k triples, so a job the test
+// has seen start is still running when its signal lands.
+var jobDataset = sync.OnceValues(func() (string, string) { return universityDataset(3) })
+
+// baselineOutputs is what `s3pg data` writes for jobDataset — the whole graph
+// through core.TransformWith, fault-free, in-process — and so what every job
+// must serve, byte for byte.
 var baselineOutputs = sync.OnceValue(func() map[string][]byte {
-	dir, err := os.MkdirTemp("", "s3pgd-baseline")
+	shapes, data := jobDataset()
+	sg, err := shacl.FromGraph(fixtures.MustParseTurtle(shapes))
 	if err != nil {
 		panic(err)
 	}
-	defer os.RemoveAll(dir)
-	mgr, err := jobs.Open(jobs.Config{Dir: dir, ChunkSize: chunkEvery, Workers: 1})
+	g, err := rio.LoadNTriples(strings.NewReader(data))
 	if err != nil {
 		panic(err)
 	}
-	defer mgr.Close()
-	shapes, data := testDataset()
-	j, err := mgr.Submit(jobs.Spec{}, shapes, data)
+	tr, err := core.TransformWith(context.Background(), g, sg, core.Parsimonious, nil, core.TransformOptions{Workers: 1})
 	if err != nil {
 		panic(err)
 	}
-	for deadline := time.Now().Add(60 * time.Second); ; {
-		got, err := mgr.Get(j.ID)
-		if err != nil {
-			panic(err)
-		}
-		if got.State == jobs.StateDone {
-			break
-		}
-		if got.State.Terminal() || time.Now().After(deadline) {
-			panic(fmt.Sprintf("baseline job: %s (%s)", got.State, got.Error))
-		}
-		time.Sleep(5 * time.Millisecond)
+	var nodes, edges bytes.Buffer
+	if err := tr.Store().WriteCSV(&nodes, &edges); err != nil {
+		panic(err)
 	}
-	out := map[string][]byte{}
-	for _, name := range jobs.OutputFiles {
-		p, err := mgr.OutputPath(j.ID, name)
-		if err != nil {
-			panic(err)
-		}
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			panic(err)
-		}
-		out[name] = raw
+	return map[string][]byte{
+		"nodes.csv":  nodes.Bytes(),
+		"edges.csv":  edges.Bytes(),
+		"schema.ddl": []byte(pgschema.WriteDDL(tr.Schema())),
 	}
-	return out
 })
 
 // daemon wraps one re-executed s3pgd subprocess.
@@ -147,7 +138,6 @@ func startDaemon(t *testing.T, spool, name string, extraEnv []string, extraArgs 
 		"-addr", "127.0.0.1:0",
 		"-addr-file", addrFile,
 		"-spool", spool,
-		"-checkpoint-every", fmt.Sprint(chunkEvery),
 		"-workers", "2",
 		"-lameduck", "250ms",
 		"-drain-timeout", "60s",
@@ -223,10 +213,11 @@ func (d *daemon) get(path string) (int, []byte, error) {
 	return resp.StatusCode, raw, err
 }
 
-// submit posts one transform job and returns the accepted job record.
+// submit posts one transform job over jobDataset and returns the accepted
+// job record.
 func (d *daemon) submit(t *testing.T) jobs.Job {
 	t.Helper()
-	shapes, data := testDataset()
+	shapes, data := jobDataset()
 	body, err := json.Marshal(map[string]any{"shapes": shapes, "data": data})
 	if err != nil {
 		t.Fatal(err)
@@ -306,6 +297,36 @@ func (d *daemon) waitAllDone(t *testing.T, ids []string) map[string]jobs.Job {
 		t.Fatalf("only %d/%d jobs finished in time (log: %s)", len(out), len(ids), d.logPath)
 	}
 	return out
+}
+
+// waitJobRunning polls until one of the jobs is running and returns it.
+func (d *daemon) waitJobRunning(t *testing.T, ids []string) jobs.Job {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); {
+		for _, id := range ids {
+			if j, err := d.jobStatus(t, id); err == nil && j.State == jobs.StateRunning {
+				return j
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("no job of %v seen running (log: %s)", ids, d.logPath)
+	return jobs.Job{}
+}
+
+// assertLandedMidRun requires that the job seen running was still running
+// when the signal was sent at sentAt: its final timeline records nothing
+// between the pickup that was seen and sentAt — its commit, or the requeue
+// the drain or the restart recorded, comes after.
+func assertLandedMidRun(t *testing.T, seen, final jobs.Job, sentAt time.Time) {
+	t.Helper()
+	pickup := seen.Timeline[len(seen.Timeline)-1].At
+	for _, ev := range final.Timeline {
+		if ev.At.After(pickup) && !ev.At.After(sentAt) {
+			t.Errorf("job %s recorded %s at %s, before the signal at %s: it was not running when the signal landed (timeline %+v)",
+				final.ID, ev.Phase, ev.At.Format(time.RFC3339Nano), sentAt.UTC().Format(time.RFC3339Nano), final.Timeline)
+		}
+	}
 }
 
 // assertOutputsMatchBaseline downloads every output of every job and
@@ -442,9 +463,9 @@ func readExitReason(t *testing.T, d *daemon) string {
 
 // TestChaosMatrix is the headline robustness proof: for each fault regime ×
 // kill signal, a daemon accepts concurrent jobs while seed-deterministic I/O
-// faults hit every commit, the signal lands mid-flight, and a restarted
-// daemon on the same spool must finish every accepted job with outputs
-// byte-identical to a fault-free run — no torn files, no lost jobs, and
+// faults hit every commit, the signal lands while a job is running, and a
+// restarted daemon on the same spool must finish every accepted job with
+// outputs byte-identical to `s3pg data`'s — no torn files, no lost jobs, and
 // /readyz flipping correctly throughout a graceful drain.
 func TestChaosMatrix(t *testing.T) {
 	if testing.Short() {
@@ -490,8 +511,10 @@ func TestChaosMatrix(t *testing.T) {
 				// Scrape Prometheus mid-run, with jobs in flight and faults
 				// active: the exposition must stay parseable under chaos.
 				d.scrapePrometheus(t)
-				// The signal lands mid-flight: jobs checkpoint every 64
-				// statements across ~28 chunks, so work is in progress now.
+				// The signal lands mid-flight: sent once a job is seen
+				// running, checked against the timelines after the restart.
+				seen := d.waitJobRunning(t, ids)
+				sentAt := time.Now()
 				if err := d.cmd.Process.Signal(sc.sig); err != nil {
 					t.Fatal(err)
 				}
@@ -532,12 +555,13 @@ func TestChaosMatrix(t *testing.T) {
 					d.wait()
 				}
 
-				// Restart on the same spool, same fault regime, same
-				// chunking: every accepted job must be known and complete
-				// with byte-identical outputs.
+				// Restart on the same spool, same fault regime: every
+				// accepted job must be known and complete with
+				// byte-identical outputs.
 				d2 := startDaemon(t, spool, "phase2", fc.env)
 				finished := d2.waitAllDone(t, ids)
-				// Every accepted job — SIGKILL-resumed ones included — must
+				assertLandedMidRun(t, seen, finished[seen.ID], sentAt)
+				// Every accepted job — SIGKILL-rerun ones included — must
 				// carry a complete, monotone lifecycle timeline.
 				for _, j := range finished {
 					assertCompleteTimeline(t, j)
@@ -641,8 +665,9 @@ func TestPprofGate(t *testing.T) {
 }
 
 // TestRemovedDistFlagsAreUsageErrors: a deployment script that still passes
-// the deleted distributed-mode flags must fail loudly (exit 2, flag named on
-// stderr) instead of silently starting a plain job server.
+// a deleted flag — of the distributed mode or of chunked checkpointing — must
+// fail loudly (exit 2, flag named on stderr) instead of silently starting a
+// plain job server.
 func TestRemovedDistFlagsAreUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		flag string
@@ -650,6 +675,8 @@ func TestRemovedDistFlagsAreUsageErrors(t *testing.T) {
 	}{
 		{"-coordinator", []string{"-coordinator"}},
 		{"-join", []string{"-spool", t.TempDir(), "-join", "http://127.0.0.1:1"}},
+		// Chunked checkpointing is gone from the job service too.
+		{"-checkpoint-every", []string{"-spool", t.TempDir(), "-checkpoint-every", "64"}},
 	} {
 		var stderr bytes.Buffer
 		if code := run(tc.args, io.Discard, &stderr); code != exitUsage {

@@ -1,12 +1,12 @@
 // Command s3pgd serves the RDF→PG transformation as a long-running job
 // service: POST /jobs accepts N-Triples data plus SHACL shapes into a
-// bounded, spool-backed queue; a worker pool runs each job through the same
-// chunked checkpoint/resume pipeline as the CLI; GET /jobs/{id} reports
-// progress and serves results. SIGTERM triggers a graceful drain — stop
-// admitting, checkpoint in-flight jobs, flush atomic outputs, exit — after
-// which a restart on the same -spool resumes every accepted job to
-// byte-identical outputs. A second signal aborts immediately; the spool's
-// last committed checkpoints stay valid.
+// bounded, spool-backed queue; a worker pool runs each job on the same
+// whole-graph path as `s3pg data`; GET /jobs/{id} reports progress and
+// serves results. SIGTERM triggers a graceful drain — stop admitting, cancel
+// and requeue in-flight jobs, exit — after which a restart on the same
+// -spool runs every accepted job to the outputs `s3pg data` writes for it.
+// A second signal aborts immediately; the spool's committed manifests and
+// inputs stay valid.
 package main
 
 import (
@@ -73,15 +73,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8787", "listen `address` (host:port; port 0 picks a free one)")
 		addrFile     = fs.String("addr-file", "", "write the resolved listen address to this `file` once serving")
-		spool        = fs.String("spool", "", "job spool `directory` (required; holds inputs, checkpoints, outputs)")
+		spool        = fs.String("spool", "", "job spool `directory` (required; holds inputs and outputs)")
 		queueDepth   = fs.Int("queue-depth", 64, "maximum queued jobs before submissions get 429")
 		workers      = fs.Int("workers", 2, "concurrent transform jobs")
 		jobWorkers   = fs.Int("job-workers", runtime.GOMAXPROCS(0), "per-job transform parallelism")
-		chunkSize    = fs.Int("checkpoint-every", 50000, "statements per chunk (checkpoints at chunk boundaries)")
 		maxMemMB     = fs.Int("max-mem", 0, "soft heap watermark in `MiB`: reject submissions with 503 while exceeded (0 = off)")
 		maxAttempts  = fs.Int("max-attempts", 5, "worker pickups per job before a failing commit becomes permanent")
 		lameduck     = fs.Duration("lameduck", 0, "`duration` to keep serving (with /readyz failing) before the drain starts")
-		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "`duration` to wait for in-flight jobs to checkpoint on shutdown")
+		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "`duration` to wait for in-flight jobs to stop and requeue on shutdown")
 		maxBody      = fs.Int64("max-body", server.DefaultMaxBodyBytes, "maximum request body `bytes`")
 		pprofHTTP    = fs.Bool("pprof-http", false, "mount /debug/pprof/* profiling handlers (off by default)")
 		traceFile    = fs.String("trace-file", "", "append job lifecycle phase events to this JSONL `file`")
@@ -131,7 +130,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		QueueDepth:  *queueDepth,
 		Workers:     *workers,
 		JobWorkers:  *jobWorkers,
-		ChunkSize:   *chunkSize,
 		MaxMemMB:    *maxMemMB,
 		MaxAttempts: *maxAttempts,
 		FS:          commitFS,
@@ -215,8 +213,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Second signal anywhere in the drain: abort immediately. The spool's
-	// committed checkpoints and manifests stay valid — only in-flight
-	// progress since the last chunk boundary is lost.
+	// committed manifests and inputs stay valid — only the in-flight runs
+	// are lost, and a restart runs those jobs again.
 	abort := make(chan struct{})
 	go func() {
 		<-sigs
@@ -241,7 +239,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // shutdown is the graceful-drain sequence: fail readiness first (lame-duck
 // window for load balancers), stop the listener, then drain the job manager
-// so every in-flight job checkpoints and requeues durably.
+// so every in-flight job stops and requeues durably.
 func shutdown(srv *server.Server, httpSrv *http.Server, mgr *jobs.Manager, graphs *server.GraphManager, lameduck, drainTimeout time.Duration, logger *obs.Logger) int {
 	srv.EnterLameDuck()
 	if lameduck > 0 {

@@ -1,12 +1,8 @@
 // Package ckpt provides the crash-safety substrate of the pipeline: atomic
-// output commits (temp file in the destination directory → Sync → Rename, so
-// a reader of the destination path never observes a torn file) and a
-// CRC-checksummed, versioned checkpoint file recording how far a
-// transformation got, so an interrupted run can resume instead of starting
-// over. The soundness of prefix resume rests on Prop. 4.3 (monotonicity):
-// the transformation of a prefix of the input is a valid sub-graph of the
-// transformation of the whole input, so committed checkpoint state never has
-// to be retracted.
+// file commits (temp file in the destination directory → Sync → Rename →
+// directory sync), so a reader of the destination path never observes a
+// torn file. An interrupted run leaves each output complete or absent and is
+// recovered by running it again.
 package ckpt
 
 import (

@@ -116,8 +116,9 @@ func NewTransformer(sg *shacl.Schema, mode Mode) (*Transformer, error) {
 	return NewTransformerForSchema(spg, mode)
 }
 
-// NewTransformerForSchema returns a transformer for an existing PG-Schema
-// (for example one parsed back from DDL).
+// NewTransformerForSchema returns a transformer for an existing PG-Schema.
+// Every caller passes fresh F_st output: a schema data has already extended,
+// parsed back from its DDL, would not route like the live mapping did.
 func NewTransformerForSchema(spg *pgschema.Schema, mode Mode) (*Transformer, error) {
 	m, err := BuildMapping(spg)
 	if err != nil {
@@ -343,8 +344,7 @@ func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, lits []litVal, sp
 // statement is realized by several edges (the same statement applied in two
 // Apply calls) the last one wins. The key of an edge is the statement the
 // inverse mapping M reconstructs from it — by Prop. 4.1 the statement that
-// created it — so nothing is recorded per edge while statements are routed,
-// and a restored transformer indexes its pre-snapshot edges the same way.
+// created it — so nothing is recorded per edge while statements are routed.
 // An edge M cannot invert, or whose terms a quoted triple cannot carry, is
 // not annotatable and stays out of the index.
 func (t *Transformer) indexStatementEdges() {
@@ -445,7 +445,7 @@ type litVal struct {
 // the transformer's term-keyed maps, so a term is hashed once per Apply, not
 // once per statement it occurs in. The caches are read-through — a miss
 // consults the map before creating anything, which seeds entries left by
-// earlier Apply calls and snapshot restores, and preserves dedup in the
+// earlier Apply calls, and preserves dedup in the
 // exotic case of distinct terms sharing a value key (an IRI whose text is
 // "_:x" colliding with blank node x). Value nodes are written through;
 // entity nodes created by this call reach nodeOf in one batch (flush), when

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/s3pg/s3pg/internal/pgschema"
 	"github.com/s3pg/s3pg/internal/xsd"
@@ -367,41 +366,6 @@ func (m *Mapping) EnsureKVEscapeEdge(sourceLabel string, route *Route) {
 	m.spg.AddEdgeType(&pgschema.EdgeType{
 		Name: name, Label: route.Name, IRI: route.PredIRI, Source: src.Name,
 	})
-}
-
-// FallbackRoutes returns the (source label, predicate IRI) pairs of every
-// edge route invented for data the shapes do not cover, sorted for
-// deterministic serialization. The Fallback flag does not survive a DDL
-// round trip (BuildMapping cannot distinguish shape-derived from invented
-// edge types), so checkpoints carry these pairs explicitly and re-mark them
-// via MarkFallback after restore.
-func (m *Mapping) FallbackRoutes() [][2]string {
-	var out [][2]string
-	for k, r := range m.routes {
-		if r.Fallback {
-			out = append(out, [2]string{k.label, k.pred})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
-// MarkFallback re-marks the route for (label, pred) as a fallback route
-// after a restore from serialized state. It reports whether the route
-// exists; a missing route means the serialized schema and the fallback list
-// disagree (a corrupted or hand-edited checkpoint).
-func (m *Mapping) MarkFallback(label, pred string) bool {
-	r, ok := m.routes[routeKey{label, pred}]
-	if !ok {
-		return false
-	}
-	r.Fallback = true
-	return true
 }
 
 // ExtendEdgeTargets makes sure every edge type with the label accepts the

@@ -71,8 +71,8 @@ func TestOutOfCoreShedsGraphSameBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes, edges, ddl := dump(t, tr)
-		return [3]string{ddl, string(nodes), string(edges)}
+		out := outputsOf(t, tr)
+		return [3]string{out.ddl, string(out.nodes), string(out.edges)}
 	}
 
 	// Unconstrained: the reference outputs, and the proof that the dataset

@@ -210,8 +210,8 @@ func starAnnotations(t *testing.T) []rdf.Triple {
 }
 
 // applyChunks applies each chunk as its own graph with a transformer-wide
-// worker count and returns the final serialized state.
-func applyChunks(t *testing.T, workers int, chunks ...[]rdf.Triple) *core.PipelineState {
+// worker count and returns the final outputs.
+func applyChunks(t *testing.T, workers int, chunks ...[]rdf.Triple) outputs {
 	t.Helper()
 	tr, err := core.NewTransformer(fixtures.UniversityShapes(), core.Parsimonious)
 	if err != nil {
@@ -226,11 +226,7 @@ func applyChunks(t *testing.T, workers int, chunks ...[]rdf.Triple) *core.Pipeli
 			t.Fatalf("chunk %d: %v", i, err)
 		}
 	}
-	st, err := tr.SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return outputsOf(t, tr)
 }
 
 func TestStarAnnotationOfEarlierApply(t *testing.T) {
@@ -239,7 +235,7 @@ func TestStarAnnotationOfEarlierApply(t *testing.T) {
 	want := applyChunks(t, 1, append(append([]rdf.Triple(nil), base...), ann...))
 	for _, workers := range []int{1, 2, 4} {
 		got := applyChunks(t, workers, base, ann)
-		requireSameState(t, want, got, fmt.Sprintf("annotations one Apply after their statements, workers=%d", workers))
+		requireSameOutputs(t, want, got, fmt.Sprintf("annotations one Apply after their statements, workers=%d", workers))
 	}
 }
 
@@ -257,10 +253,10 @@ func TestStarIndexExtendedAcrossApplies(t *testing.T) {
 	want := applyChunks(t, 1, append(append([]rdf.Triple(nil), chunk1...), chunk2...))
 	for _, workers := range []int{1, 2, 4} {
 		got := applyChunks(t, workers, chunk1, chunk2)
-		requireSameState(t, want, got, fmt.Sprintf("two annotated chunks, workers=%d", workers))
+		requireSameOutputs(t, want, got, fmt.Sprintf("two annotated chunks, workers=%d", workers))
 	}
-	if !strings.Contains(string(want.EdgesCSV), "since") || !strings.Contains(string(want.EdgesCSV), "certainty") {
-		t.Fatalf("annotations missing from the edge export:\n%s", want.EdgesCSV)
+	if !strings.Contains(string(want.edges), "since") || !strings.Contains(string(want.edges), "certainty") {
+		t.Fatalf("annotations missing from the edge export:\n%s", want.edges)
 	}
 }
 
@@ -272,7 +268,7 @@ func TestStarDuplicateStatementLastEdgeWins(t *testing.T) {
 	ann := rdf.NewTriple(rdf.MustTripleTerm(stmt), fixtures.Ex("since"), rdf.NewTypedLiteral("2021", rdf.XSDInteger))
 	base := fixtures.UniversityGraph().Triples()
 
-	var ref *core.PipelineState
+	var ref *outputs
 	for _, workers := range []int{1, 2, 4} {
 		tr, err := core.NewTransformer(fixtures.UniversityShapes(), core.Parsimonious)
 		if err != nil {
@@ -297,14 +293,11 @@ func TestStarDuplicateStatementLastEdgeWins(t *testing.T) {
 		if last := tr.Store().Edge(ids[1]); last.Prop("since") != int64(2021) {
 			t.Fatalf("workers=%d: annotation missing from the last edge: %+v", workers, last)
 		}
-		st, err := tr.SnapshotState()
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := outputsOf(t, tr)
 		if ref == nil {
-			ref = st
+			ref = &st
 		} else {
-			requireSameState(t, ref, st, fmt.Sprintf("duplicate statement, workers=%d", workers))
+			requireSameOutputs(t, *ref, st, fmt.Sprintf("duplicate statement, workers=%d", workers))
 		}
 	}
 }

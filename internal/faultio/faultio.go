@@ -5,8 +5,8 @@
 //
 // Every injected fault is a pure function of the Plan (seed and thresholds)
 // and the byte/operation position at which it fires, so a failing run can be
-// replayed exactly: the crash-safety tests use this to kill the pipeline at
-// byte K, at every checkpoint boundary, and under short writes, and to assert
+// replayed exactly: the crash-safety tests use this to fail commits at byte
+// K, at every filesystem operation, and under short writes, and to assert
 // that the recovery path always produces either a complete output or none.
 package faultio
 

@@ -1,12 +1,12 @@
 // Package jobs turns the one-shot RDF→PG transformation pipeline into a
 // long-running job service: transformation requests are accepted into a
 // bounded queue with admission control, persisted to a spool directory
-// before they are acknowledged, and executed by a worker pool that reuses
-// the chunked checkpoint/resume machinery of the CLI (core.SnapshotState +
-// internal/ckpt). Every accepted job therefore either completes or survives
-// a crash, a graceful drain, or a restart, and resumes to the byte-identical
-// outputs an uninterrupted run would have produced (Prop. 4.3 monotonicity;
-// see DESIGN.md §4d and §6).
+// before they are acknowledged, and executed by a worker pool on the path
+// `s3pg data` takes — load, core.TransformWith, atomic commit. Every accepted
+// job therefore either completes or survives a crash, a graceful drain, or a
+// restart: the spool holds its inputs, a drained or crashed run is run again
+// from them, and the outputs are those of `s3pg data` on the same input,
+// byte for byte (see DESIGN.md §4d and §6).
 //
 // Failure model:
 //
@@ -18,8 +18,8 @@
 //     with faultio.Retry backoff; when commits keep failing, the Breaker
 //     opens, new work is shed, and readiness reports not-ready.
 //   - Durable spool: a job's acknowledgment (manifest commit) happens before
-//     Submit returns, so an accepted job is never lost; the manifest and
-//     checkpoint are the recovery record a restart resumes from.
+//     Submit returns, so an accepted job is never lost; the manifest and the
+//     spooled inputs are the recovery record a restart reruns from.
 package jobs
 
 import (
@@ -53,29 +53,24 @@ func (s State) Terminal() bool { return s == StateDone || s == StateFailed }
 // Lifecycle phases of a job timeline, in the order a clean run visits them.
 // They mirror the paper's Table 4 phase breakdown at per-job granularity:
 // spool (input persistence), queued (admission / every requeue), running
-// (worker pickup), checkpoint (chunk-boundary saves, coalesced), commit
-// (output files committed), then a terminal done or failed.
+// (worker pickup), commit (output files committed), then a terminal done or
+// failed. Manifests written before the chunked pipeline was deleted may also
+// hold "checkpoint" events; they load like any other.
 const (
-	PhaseSpool      = "spool"
-	PhaseQueued     = "queued"
-	PhaseRunning    = "running"
-	PhaseCheckpoint = "checkpoint"
-	PhaseCommit     = "commit"
-	PhaseDone       = "done"
-	PhaseFailed     = "failed"
+	PhaseSpool   = "spool"
+	PhaseQueued  = "queued"
+	PhaseRunning = "running"
+	PhaseCommit  = "commit"
+	PhaseDone    = "done"
+	PhaseFailed  = "failed"
 )
 
-// PhaseEvent is one entry of a job's lifecycle timeline. Consecutive
-// checkpoint events are coalesced in place (At advances, Count accumulates)
-// so a million-chunk job keeps a bounded timeline. Timestamps are
+// PhaseEvent is one entry of a job's lifecycle timeline. Timestamps are
 // non-decreasing along the timeline, across restarts included, because the
 // timeline is persisted in the manifest and only ever appended to.
 type PhaseEvent struct {
 	Phase string    `json:"phase"`
 	At    time.Time `json:"at"`
-	// Count is the number of coalesced occurrences (checkpoint events only;
-	// 0 means 1).
-	Count int `json:"count,omitempty"`
 	// Note qualifies a transition: "recovered" on a restart-requeue, "drain"
 	// or "retry" on a live requeue.
 	Note string `json:"note,omitempty"`
@@ -87,13 +82,14 @@ type Spec struct {
 	Mode string `json:"mode,omitempty"`
 	// Lenient enables skip-and-degrade handling of dirty input.
 	Lenient bool `json:"lenient,omitempty"`
-	// Timeout bounds the job's total running time (0 = no limit). Time
-	// spent queued does not count; the clock restarts on resume.
+	// Timeout bounds the job's running time (0 = no limit). Time spent
+	// queued does not count; the clock restarts with every run.
 	Timeout time.Duration `json:"timeout,omitempty"`
 }
 
 // Job is the durable record of one accepted request — the manifest persisted
-// at <spool>/<id>/job.json. Progress fields are updated at chunk boundaries.
+// at <spool>/<id>/job.json. Unknown fields of older manifests (resumes) are
+// ignored on load.
 type Job struct {
 	ID string `json:"id"`
 	Spec
@@ -104,18 +100,18 @@ type Job struct {
 	Started  time.Time `json:"started,omitempty"`
 	Finished time.Time `json:"finished,omitempty"`
 
-	// Statements/Skipped are input-side progress tallies; Nodes/Edges and
-	// Degraded describe the emitted property graph once done.
+	// Statements (distinct statements loaded) and Skipped (malformed lines
+	// lenient mode dropped) describe the input; Nodes/Edges and Degraded the
+	// emitted property graph. All are set once the job is done.
 	Statements int64 `json:"statements,omitempty"`
 	Skipped    int64 `json:"skipped,omitempty"`
 	Nodes      int64 `json:"nodes,omitempty"`
 	Edges      int64 `json:"edges,omitempty"`
 	Degraded   int64 `json:"degraded,omitempty"`
 
-	// Attempts counts worker pickups; Resumes counts checkpoint resumes
-	// (after a drain, crash, or requeued commit failure).
+	// Attempts counts worker pickups (a drain's requeue gives its pickup
+	// back).
 	Attempts int `json:"attempts,omitempty"`
-	Resumes  int `json:"resumes,omitempty"`
 
 	// Outputs lists the committed result files (relative to the job's spool
 	// directory) once the job is done.
@@ -137,10 +133,11 @@ const (
 	manifestFile = "job.json"
 	dataFile     = "data.nt"
 	shapesFile   = "shapes.ttl"
-	ckptFile     = "run.ckpt"
 	nodesFile    = "nodes.csv"
 	edgesFile    = "edges.csv"
 	schemaFile   = "schema.ddl"
+	// staleCkptFile is the chunked pipeline's checkpoint, swept on Open.
+	staleCkptFile = "run.ckpt"
 )
 
 // OutputFiles is the fixed set of result files a finished job exposes.

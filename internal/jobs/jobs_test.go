@@ -66,11 +66,10 @@ func testLogger(t *testing.T) *obs.Logger { return obs.NewLogger(tlogWriter{t}, 
 func testConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
-		Dir:       filepath.Join(t.TempDir(), "spool"),
-		ChunkSize: 64, // small chunks → every job crosses many checkpoints
-		Workers:   2,
-		Retry:     quickRetry,
-		Log:       testLogger(t),
+		Dir:     filepath.Join(t.TempDir(), "spool"),
+		Workers: 2,
+		Retry:   quickRetry,
+		Log:     testLogger(t),
 	}
 }
 
@@ -145,10 +144,6 @@ func TestSubmitRunsToDone(t *testing.T) {
 			t.Fatalf("output %s is empty", name)
 		}
 	}
-	// The consumed checkpoint must be gone.
-	if _, err := os.Stat(filepath.Join(m.jobDir(j.ID), ckptFile)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("checkpoint survived completion: %v", err)
-	}
 }
 
 func TestSubmitValidation(t *testing.T) {
@@ -185,7 +180,7 @@ func TestAdmissionControl(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	started := make(chan struct{})
-	cfg.BeforeChunk = func(string, int) {
+	cfg.BeforeRun = func(string) {
 		once.Do(func() { close(started) })
 		<-release
 	}
@@ -287,90 +282,6 @@ func TestAdmissionDraining(t *testing.T) {
 	}
 }
 
-// TestDrainRequeuesAndResumesByteIdentical is the core drain contract: a
-// drain mid-transform checkpoints the job, a fresh Manager over the same
-// spool resumes it, and the outputs are byte-identical to an uninterrupted
-// run with the same chunking (Prop. 4.3).
-func TestDrainRequeuesAndResumesByteIdentical(t *testing.T) {
-	shapes, data := testDataset()
-
-	// Uninterrupted baseline.
-	base := mustOpen(t, testConfig(t))
-	bj, err := base.Submit(Spec{}, shapes, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := waitTerminal(t, base, bj.ID); got.State != StateDone {
-		t.Fatalf("baseline failed: %s", got.Error)
-	}
-	want := readOutputs(t, base, bj.ID)
-
-	// Interrupted run: block the worker a few chunks in, drain underneath it.
-	cfg := testConfig(t)
-	cfg.Workers = 1
-	blocked := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	cfg.BeforeChunk = func(_ string, chunk int) {
-		if chunk == 3 {
-			once.Do(func() { close(blocked) })
-			<-release
-		}
-	}
-	m, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := m.Submit(Spec{}, shapes, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-blocked
-	drained := make(chan error, 1)
-	go func() { drained <- m.Drain(context.Background()) }()
-	// Drain flips the flag synchronously; wait until it is visible, then let
-	// the worker run into the canceled context.
-	for m.Stats().Draining == false {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	if err := <-drained; err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Get(j.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.State != StateQueued {
-		t.Fatalf("drained job state: %s (%s)", got.State, got.Error)
-	}
-	if _, err := os.Stat(filepath.Join(m.jobDir(j.ID), ckptFile)); err != nil {
-		t.Fatalf("drained job has no checkpoint: %v", err)
-	}
-
-	// Restart: a fresh Manager on the same spool recovers and finishes it.
-	cfg2 := testConfig(t)
-	cfg2.Dir = cfg.Dir
-	m2 := mustOpen(t, cfg2)
-	final := waitTerminal(t, m2, j.ID)
-	if final.State != StateDone {
-		t.Fatalf("resumed job failed: %s", final.Error)
-	}
-	if final.Resumes == 0 {
-		t.Fatal("resumed job did not count a checkpoint resume")
-	}
-	gotOut := readOutputs(t, m2, j.ID)
-	for _, name := range OutputFiles {
-		if !bytes.Equal(gotOut[name], want[name]) {
-			t.Errorf("%s differs between drained/resumed run and baseline (%d vs %d bytes)",
-				name, len(gotOut[name]), len(want[name]))
-		}
-	}
-	if final.Statements != waitTerminal(t, base, bj.ID).Statements {
-		t.Fatalf("statement tallies diverged: %d vs baseline", final.Statements)
-	}
-}
-
 // TestPanicIsolation: a panicking job is marked failed with the panic in its
 // error, and the worker pool keeps serving other jobs.
 func TestPanicIsolation(t *testing.T) {
@@ -379,7 +290,7 @@ func TestPanicIsolation(t *testing.T) {
 	cfg.Workers = 1 // the panicking job and the healthy one share one worker
 	var poisoned string
 	var mu sync.Mutex
-	cfg.BeforeChunk = func(id string, _ int) {
+	cfg.BeforeRun = func(id string) {
 		mu.Lock()
 		bad := id == poisoned
 		mu.Unlock()
@@ -414,10 +325,8 @@ func TestPanicIsolation(t *testing.T) {
 func TestDeadlinePropagation(t *testing.T) {
 	shapes, data := testDataset()
 	cfg := testConfig(t)
-	cfg.BeforeChunk = func(_ string, chunk int) {
-		if chunk > 0 {
-			time.Sleep(20 * time.Millisecond) // guarantee the deadline lands mid-run
-		}
+	cfg.BeforeRun = func(string) {
+		time.Sleep(100 * time.Millisecond) // guarantee the deadline lands mid-run
 	}
 	m := mustOpen(t, cfg)
 	j, err := m.Submit(Spec{Timeout: 50 * time.Millisecond}, shapes, data)
@@ -469,7 +378,7 @@ func TestRecoverRunningJobOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2 := mustOpen(t, Config{Dir: cfg.Dir, ChunkSize: 64, Retry: quickRetry, Log: testLogger(t)})
+	m2 := mustOpen(t, Config{Dir: cfg.Dir, Retry: quickRetry, Log: testLogger(t)})
 	if _, err := m2.Get("j999999-deadbeef"); !errors.Is(err, ErrUnknownJob) {
 		t.Fatal("torn spool directory was recovered as a job")
 	}

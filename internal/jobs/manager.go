@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -49,7 +48,6 @@ var (
 	cFailed       = obs.Default.Counter("jobs.failed")
 	cPanics       = obs.Default.Counter("jobs.panics")
 	cRequeued     = obs.Default.Counter("jobs.requeued")
-	cResumedCkpt  = obs.Default.Counter("jobs.resumed_from_checkpoint")
 	cRecovered    = obs.Default.Counter("jobs.recovered_on_open")
 	cCommitRetry  = obs.Default.Counter("jobs.commit.retries")
 	gQueued       = obs.Default.Gauge("jobs.queued")
@@ -59,31 +57,26 @@ var (
 	gMemPressure = obs.Default.Gauge("jobs.mem.pressure")
 
 	// Latency distributions (seconds): time spent waiting in the queue
-	// before a worker pickup, whole-attempt run time, and per-checkpoint
-	// commit time. Exposed as s3pgd_job_*_seconds in Prometheus format.
+	// before a worker pickup, and whole-attempt run time. Exposed as
+	// s3pgd_job_*_seconds in Prometheus format.
 	hQueueWait = obs.Default.Histogram("job.queue_wait.seconds")
 	hRunTime   = obs.Default.Histogram("job.run.seconds")
-	hCkptTime  = obs.Default.Histogram("job.checkpoint.seconds")
 )
 
 // Config parameterizes a Manager. The zero value of every field resolves to
 // a usable default except Dir, which is required.
 type Config struct {
 	// Dir is the spool directory: one subdirectory per job holding its
-	// manifest, inputs, checkpoint, and outputs.
+	// manifest, inputs, and outputs.
 	Dir string
 	// QueueDepth bounds the number of queued (accepted, not yet running)
 	// jobs; further submissions are rejected with ErrQueueFull. Default 64.
 	QueueDepth int
 	// Workers is the worker-pool size. Default 2.
 	Workers int
-	// JobWorkers is the per-job transform parallelism handed to
-	// core.ApplyParallel. Default 1.
+	// JobWorkers is the per-job parallelism of the ingest and of
+	// core.TransformWith. Default 1.
 	JobWorkers int
-	// ChunkSize is the statements-per-chunk granularity of checkpointing.
-	// Resume byte-identity is guaranteed against runs with the same chunk
-	// size (see DESIGN.md §4d), so restarts must reuse it. Default 50000.
-	ChunkSize int
 	// MaxMemMB is the soft high heap watermark: once exceeded, submissions
 	// are rejected with ErrMemPressure and readiness reports not-ready until
 	// the heap falls back under the low watermark. 0 = off.
@@ -110,9 +103,10 @@ type Config struct {
 	// Trace, when non-nil, receives one JSONL record per job lifecycle
 	// phase transition (the -trace-file sink).
 	Trace *obs.JSONL
-	// BeforeChunk, when non-nil, runs before each chunk of each job — a
-	// test seam for panic isolation and scheduling tests.
-	BeforeChunk func(jobID string, chunk int)
+	// BeforeRun, when non-nil, runs at the start of every run of every job,
+	// inside its deadline — a test seam for panic isolation and scheduling
+	// tests.
+	BeforeRun func(jobID string)
 }
 
 func (c Config) withDefaults() Config {
@@ -124,9 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobWorkers <= 0 {
 		c.JobWorkers = 1
-	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 50000
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 5
@@ -171,8 +162,8 @@ type Manager struct {
 
 // Open initializes the spool directory, recovers every incomplete job left
 // by a previous process (queued jobs re-enter the queue; jobs that were
-// running when the process died are requeued and resume from their last
-// checkpoint), and starts the worker pool.
+// running when the process died are requeued and rerun from their spooled
+// inputs), and starts the worker pool.
 func Open(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -199,7 +190,7 @@ func Open(cfg Config) (*Manager, error) {
 			continue
 		}
 		dir := filepath.Join(cfg.Dir, e.Name())
-		m.sweepTempFiles(dir)
+		m.sweepAbandoned(dir)
 		j, err := loadManifest(dir)
 		if err != nil {
 			// Never-acknowledged (or foreign) directory: not a lost job.
@@ -212,8 +203,7 @@ func Open(cfg Config) (*Manager, error) {
 		}
 		m.jobs[j.ID] = j
 		if j.State == StateRunning {
-			// The previous process died mid-run; the checkpoint (if any) is
-			// the resume point.
+			// The previous process died mid-run: run it again.
 			j.State = StateQueued
 		}
 		if j.State == StateQueued {
@@ -244,30 +234,16 @@ func Open(cfg Config) (*Manager, error) {
 
 // recordPhase appends a phase event to a job's timeline and returns it.
 // Callers must hold m.mu (or own the job exclusively, as Submit and Open
-// do). Consecutive checkpoint events coalesce in place so timelines stay
-// bounded on long runs.
+// do).
 func (m *Manager) recordPhase(j *Job, phase, note string) PhaseEvent {
-	now := time.Now().UTC()
-	if phase == PhaseCheckpoint && len(j.Timeline) > 0 {
-		last := &j.Timeline[len(j.Timeline)-1]
-		if last.Phase == PhaseCheckpoint {
-			last.At = now
-			last.Count++
-			return *last
-		}
-	}
-	ev := PhaseEvent{Phase: phase, At: now, Note: note}
-	if phase == PhaseCheckpoint {
-		ev.Count = 1
-	}
+	ev := PhaseEvent{Phase: phase, At: time.Now().UTC(), Note: note}
 	j.Timeline = append(j.Timeline, ev)
 	return ev
 }
 
 // snapshotJob deep-copies a job record (timeline and outputs included) so
 // the copy can be read or encoded outside m.mu while workers keep mutating
-// the original — checkpoint coalescing edits timeline entries in place, so
-// a shared backing array would be a data race. Callers must hold m.mu.
+// the original. Callers must hold m.mu.
 func snapshotJob(j *Job) Job {
 	c := *j
 	if len(j.Timeline) > 0 {
@@ -288,27 +264,29 @@ func (m *Manager) trace(id string, ev PhaseEvent) {
 		JobID string    `json:"job_id"`
 		Phase string    `json:"phase"`
 		At    time.Time `json:"at"`
-		Count int       `json:"count,omitempty"`
 		Note  string    `json:"note,omitempty"`
-	}{JobID: id, Phase: ev.Phase, At: ev.At, Count: ev.Count, Note: ev.Note}); err != nil {
+	}{JobID: id, Phase: ev.Phase, At: ev.At, Note: ev.Note}); err != nil {
 		m.cfg.Log.Warn("trace_write_failed", "job_id", id, "error", err)
 	}
 }
 
-// sweepTempFiles removes abandoned atomic-commit temp files from a job
-// directory. At Open time no commit is in flight, so every *.tmp-* entry is
-// litter from a process that died mid-commit (the committed files themselves
-// are rename-complete and untouched).
-func (m *Manager) sweepTempFiles(dir string) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.tmp-*"))
-	if err != nil {
-		return
+// sweepAbandoned removes abandoned files from a job directory. At Open time
+// no commit is in flight, so every *.tmp-* entry is litter from a process
+// that died mid-commit (the committed files themselves are rename-complete
+// and untouched). A run.ckpt is what a daemon of the deleted chunked
+// pipeline left beside a job it was killed in; nothing reads it, the job
+// reruns from its inputs.
+func (m *Manager) sweepAbandoned(dir string) {
+	var matches []string
+	for _, pattern := range []string{"*.tmp-*", staleCkptFile} {
+		found, _ := filepath.Glob(filepath.Join(dir, pattern))
+		matches = append(matches, found...)
 	}
 	for _, p := range matches {
 		if err := os.Remove(p); err != nil {
-			m.cfg.Log.Warn("temp_sweep_failed", "path", p, "error", err)
+			m.cfg.Log.Warn("abandoned_sweep_failed", "path", p, "error", err)
 		} else {
-			m.cfg.Log.Info("temp_file_removed", "path", p)
+			m.cfg.Log.Info("abandoned_file_removed", "path", p)
 		}
 	}
 }
@@ -409,7 +387,7 @@ func (m *Manager) Stats() Stats {
 
 // Submit runs admission control, persists the request durably in the spool,
 // and enqueues it. When Submit returns nil, the job is accepted: it will
-// either complete or remain resumable across restarts. The returned Job is a
+// either complete or stay queued across restarts. The returned Job is a
 // snapshot.
 func (m *Manager) Submit(spec Spec, shapes, data string) (Job, error) {
 	m.mu.Lock()
@@ -571,10 +549,10 @@ func (m *Manager) QuerySource(id string) (shapesPath, dataPath, mode string, err
 }
 
 // Drain stops accepting work, wakes idle workers, cancels running jobs with
-// cause ErrDraining (they checkpoint at their next chunk boundary and
-// requeue), and waits for the pool to quiesce or ctx to expire. After a
-// clean drain every non-terminal job is back in StateQueued with a durable
-// manifest, ready for the next process to resume.
+// cause ErrDraining (they stop and requeue), and waits for the pool to
+// quiesce or ctx to expire. After a clean drain every non-terminal job is
+// back in StateQueued with a durable manifest, ready for the next process to
+// run.
 func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
 	already := m.draining
@@ -636,8 +614,9 @@ func (m *Manager) commitManifest(ctx context.Context, j *Job) error {
 }
 
 // persistManifest is commitManifest with failures logged instead of
-// returned: manifest updates along the run are advisory (the checkpoint is
-// the recovery record); only the Submit-time commit is load-bearing.
+// returned: manifest updates along the run are advisory (the spooled inputs
+// are the recovery record); only the Submit-time commit and the
+// done-transition are load-bearing.
 func (m *Manager) persistManifest(j *Job) {
 	if err := m.commitManifest(context.Background(), j); err != nil {
 		m.cfg.Log.Warn("manifest_update_failed", "job_id", j.ID, "error", err)
@@ -700,18 +679,19 @@ func (m *Manager) runJob(id string) {
 		jctx, cancel = context.WithTimeout(jctx, spec.Timeout)
 		defer cancel()
 	}
+	if hook := m.cfg.BeforeRun; hook != nil {
+		hook(id)
+	}
 	err := m.transform(jctx, id, spec)
 	switch {
 	case err == nil, errors.Is(err, errRequeue):
 	case errors.Is(err, context.DeadlineExceeded):
 		m.fail(id, fmt.Errorf("deadline exceeded after %v", spec.Timeout))
-	case draining(jctx) && (errors.Is(err, context.Canceled) || errors.Is(err, ErrDraining)):
-		// The drain canceled the job in a phase with no boundary-requeue
-		// path of its own (e.g. mid shapes parse, or a commit retry that
-		// burned its budget on the canceled context — faultio.Retry
-		// surfaces that as the cancellation cause, ErrDraining). The spool
-		// still holds the last checkpoint — or nothing, for a fresh job —
-		// so putting it back on the queue is always sound.
+	case draining(jctx):
+		// The drain canceled the run wherever it was — mid transform, or in
+		// a commit retry that burned its budget on the canceled context. The
+		// spool still holds the inputs and the rerun is deterministic, so
+		// putting the job back on the queue is always sound.
 		m.requeue(id, true)
 	default:
 		m.fail(id, err)
@@ -723,178 +703,40 @@ func draining(ctx context.Context) bool {
 	return errors.Is(context.Cause(ctx), ErrDraining)
 }
 
-// transform is the chunked pipeline of one job: restore-or-build the
-// transformer, stream the spooled input in ChunkSize-statement chunks,
-// checkpoint at each boundary, and commit the outputs at EOF. It mirrors the
-// CLI's cmdDataCheckpointed, so the same Prop. 4.3 argument applies: a drain
-// or crash at any point resumes to byte-identical outputs.
+// transform is one run of a job, on the path `s3pg data` takes: load the
+// spooled shapes and data, core.TransformWith, commit the outputs. A drain
+// or a crash loses the run, never the job — the spool holds its inputs and
+// the rerun produces the same bytes.
 func (m *Manager) transform(ctx context.Context, id string, spec Spec) error {
 	dir := m.jobDir(id)
-	f, err := os.Open(filepath.Join(dir, dataFile))
+	shapesSrc, err := os.ReadFile(filepath.Join(dir, shapesFile))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	st, err := f.Stat()
+	sg, err := rio.ParseTurtleWith(ctx, string(shapesSrc), rio.Options{})
 	if err != nil {
 		return err
 	}
-	inputSize := st.Size()
-	ckptPath := filepath.Join(dir, ckptFile)
-
-	var tr *core.Transformer
-	var base struct{ off, lines, stmts, skipped int64 }
-	cp, lerr := ckpt.Load(ckptPath)
-	switch {
-	case errors.Is(lerr, fs.ErrNotExist):
-		// Fresh run.
-	case lerr != nil:
-		return lerr // checkpoints commit atomically; corruption is a real fault
-	default:
-		if cp.InputSize != inputSize {
-			return fmt.Errorf("jobs: %s: spooled input is %d bytes, checkpoint recorded %d", id, inputSize, cp.InputSize)
-		}
-		tr, err = core.RestoreTransformer(&core.PipelineState{
-			Mode: cp.Mode, Lenient: cp.Lenient, SchemaDDL: cp.SchemaDDL,
-			NodesCSV: cp.NodesCSV, EdgesCSV: cp.EdgesCSV,
-			FallbackRoutes: cp.FallbackRoutes, KVProps: cp.KVProps, Degraded: cp.Degraded,
-			Nodes: int(cp.Nodes), Edges: int(cp.Edges),
-		})
-		if err != nil {
-			return err
-		}
-		if _, err := f.Seek(cp.ByteOffset, io.SeekStart); err != nil {
-			return err
-		}
-		base.off, base.lines = cp.ByteOffset, cp.Lines
-		base.stmts, base.skipped = cp.Statements, cp.Skipped
-		cResumedCkpt.Inc()
-		m.mu.Lock()
-		m.jobs[id].Resumes++
-		m.mu.Unlock()
-		m.cfg.Log.Info("job_resumed", "job_id", id, "byte_offset", cp.ByteOffset, "statements", cp.Statements)
+	shapes, err := shacl.FromGraph(sg)
+	if err != nil {
+		return err
 	}
-	if tr == nil {
-		shapesSrc, err := os.ReadFile(filepath.Join(dir, shapesFile))
-		if err != nil {
-			return err
-		}
-		g, err := rio.ParseTurtleWith(ctx, string(shapesSrc), rio.Options{})
-		if err != nil {
-			return err
-		}
-		sg, err := shacl.FromGraph(g)
-		if err != nil {
-			return err
-		}
-		mode, err := core.ParseMode(spec.Mode)
-		if err != nil {
-			return err
-		}
-		tr, err = core.NewTransformer(sg, mode)
-		if err != nil {
-			return err
-		}
-		tr.SetLenient(spec.Lenient)
+	mode, err := core.ParseMode(spec.Mode)
+	if err != nil {
+		return err
 	}
-
-	sc := rio.NewNTriplesScanner(f, rio.Options{Lenient: spec.Lenient, MaxErrors: -1})
-	sc.SetPos(base.off, int(base.lines))
-	bound := base
-	saveCkpt := func(ctx context.Context) error {
-		pst, err := tr.SnapshotState()
-		if err != nil {
-			return err
-		}
-		c := &ckpt.Checkpoint{
-			InputPath: dataFile, InputSize: inputSize,
-			ByteOffset: bound.off, Lines: bound.lines,
-			Statements: bound.stmts, Skipped: bound.skipped,
-			Mode: pst.Mode, Lenient: pst.Lenient, ShapesPath: shapesFile,
-			Nodes: int64(pst.Nodes), Edges: int64(pst.Edges),
-			KVProps: pst.KVProps, Degraded: pst.Degraded,
-			SchemaDDL: pst.SchemaDDL, NodesCSV: pst.NodesCSV, EdgesCSV: pst.EdgesCSV,
-			FallbackRoutes: pst.FallbackRoutes,
-		}
-		start := time.Now()
-		if err := m.commit(ctx, ckptPath, c.Encode); err != nil {
-			return err
-		}
-		hCkptTime.ObserveSince(start)
-		m.mu.Lock()
-		ev := m.recordPhase(m.jobs[id], PhaseCheckpoint, "")
-		m.mu.Unlock()
-		m.trace(id, ev)
-		return nil
+	var skipped int64
+	g, err := m.loadData(ctx, filepath.Join(dir, dataFile), rio.Options{
+		Lenient: spec.Lenient, MaxErrors: -1,
+		OnError: func(rio.ParseError) { skipped++ },
+	})
+	if err != nil {
+		return err
 	}
-	// requeueFromBoundary: the in-memory state at the last clean boundary is
-	// checkpointable; save it (using a fresh context — the job context is
-	// already canceled during a drain) and put the job back on the queue. A
-	// failed save is demoted to the previous on-disk checkpoint: resume just
-	// replays more of the input, with identical results.
-	requeueFromBoundary := func(clean bool) error {
-		if clean {
-			if err := saveCkpt(context.Background()); err != nil {
-				m.cfg.Log.Warn("drain_checkpoint_failed", "job_id", id, "error", err)
-			}
-		}
-		m.requeue(id, true)
-		return errRequeue
-	}
-
-	chunkN := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			if draining(ctx) {
-				return requeueFromBoundary(true)
-			}
-			return context.Cause(ctx)
-		}
-		if hook := m.cfg.BeforeChunk; hook != nil {
-			hook(id, chunkN)
-		}
-		chunk := rdf.NewGraph()
-		for chunk.Len() < m.cfg.ChunkSize {
-			t, ok, err := sc.Scan()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			chunk.Add(t)
-		}
-		atEOF := chunk.Len() < m.cfg.ChunkSize
-		if chunk.Len() > 0 {
-			if err := tr.ApplyParallel(ctx, chunk, m.cfg.JobWorkers, nil); err != nil {
-				if draining(ctx) {
-					// Mid-Apply state is dirty: resume from the last on-disk
-					// checkpoint instead of snapshotting.
-					return requeueFromBoundary(false)
-				}
-				return err
-			}
-			bound.off, bound.lines = sc.Offset(), int64(sc.Line())
-			bound.stmts = base.stmts + sc.Triples()
-			bound.skipped = base.skipped + sc.Skipped()
-			chunkN++
-			m.mu.Lock()
-			j := m.jobs[id]
-			j.Statements, j.Skipped = bound.stmts, bound.skipped
-			m.mu.Unlock()
-		}
-		if atEOF {
-			break
-		}
-		if err := saveCkpt(ctx); err != nil {
-			if draining(ctx) {
-				// The drain landed while the save was in flight; the boundary
-				// is clean, so take the drain path (fresh-context flush,
-				// attempt budget untouched) instead of burning an attempt.
-				return requeueFromBoundary(true)
-			}
-			return m.requeueOrFail(id, err)
-		}
+	tr, err := core.TransformWith(ctx, g, shapes, mode, nil,
+		core.TransformOptions{Lenient: spec.Lenient, Workers: m.cfg.JobWorkers})
+	if err != nil {
+		return err
 	}
 
 	// Commit the outputs. Each file is complete-or-absent; the manifest
@@ -914,22 +756,16 @@ func (m *Manager) transform(ctx context.Context, id string, spec Spec) error {
 	for _, out := range outputs {
 		if err := m.commit(ctx, filepath.Join(dir, out.name), out.write); err != nil {
 			if draining(ctx) {
-				return requeueFromBoundary(true)
+				return err // runJob requeues
 			}
 			return m.requeueOrFail(id, err)
 		}
 	}
 
-	// The checkpoint is consumed; removing it keeps a restart from resuming
-	// a finished job. Removal happens before the done-transition: a crash in
-	// between just reruns the job from scratch, deterministically.
-	if err := os.Remove(ckptPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		m.cfg.Log.Warn("checkpoint_cleanup_failed", "job_id", id, "error", err)
-	}
 	m.mu.Lock()
 	j := m.jobs[id]
 	j.Finished = time.Now().UTC()
-	j.Statements, j.Skipped = bound.stmts, bound.skipped
+	j.Statements, j.Skipped = int64(g.Len()), skipped
 	j.Nodes, j.Edges = int64(store.NumNodes()), int64(store.NumEdges())
 	j.Degraded = tr.DegradedCount()
 	j.Outputs = append([]string(nil), OutputFiles...)
@@ -956,12 +792,27 @@ func (m *Manager) transform(ctx context.Context, id string, spec Spec) error {
 	hRunTime.Observe(runFor.Seconds())
 	cCompleted.Inc()
 	m.cfg.Log.Info("job_done", "job_id", id,
-		"statements", bound.stmts, "nodes", store.NumNodes(), "edges", store.NumEdges(),
+		"statements", g.Len(), "nodes", store.NumNodes(), "edges", store.NumEdges(),
 		"run_seconds", runFor.Seconds())
 	// Advisory rewrite so the manifest carries the done event too; the
 	// load-bearing done-transition is the commit above.
 	m.persistManifest(j)
 	return nil
+}
+
+// loadData reads a spooled N-Triples file at the job parallelism, as the
+// CLI's loader does.
+func (m *Manager) loadData(ctx context.Context, path string, opts rio.Options) (*rdf.Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return rio.LoadNTriplesParallel(ctx, f, fi.Size(), opts, m.cfg.JobWorkers)
 }
 
 // requeue puts a job back on the queue in StateQueued. free drains do not

@@ -126,9 +126,8 @@ func parseValue(s string, nested bool) (Value, error) {
 type propEncoder struct{ buf []byte }
 
 // encode walks the record in its own order, which is key order: exports are
-// byte-deterministic — the crash-resume equivalence guarantee (a resumed
-// run's outputs are bit-identical to an uninterrupted run's) depends on it,
-// and it makes repeated exports diffable.
+// byte-deterministic — a rerun's outputs are bit-identical to the first
+// run's, and repeated exports are diffable.
 func (pe *propEncoder) encode(st *names, props []prop) (string, error) {
 	if len(props) == 0 {
 		return "", nil

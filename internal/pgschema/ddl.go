@@ -433,7 +433,7 @@ func (p *ddlParser) edgeType(s *Schema) error {
 	}
 	// A fallback edge type whose targets the data has not revealed yet
 	// serializes with an empty alternative list "()"; accept it so extended
-	// schemas (and checkpointed state) always round-trip.
+	// schemas always round-trip.
 	for !p.lex.peek().is(")") {
 		if err := p.expect(":"); err != nil {
 			return err

@@ -140,7 +140,7 @@ func TestParseDDLErrors(t *testing.T) {
 
 // TestParseDDLEmptyTargets: a fallback edge type whose targets the data has
 // not revealed yet serializes with an empty alternative list; it must parse
-// back so extended schemas and checkpointed state round-trip.
+// back so extended schemas round-trip.
 func TestParseDDLEmptyTargets(t *testing.T) {
 	const src = "CREATE EDGE TYPE (:a)-[e: l]->();"
 	s, err := ParseDDL(src)

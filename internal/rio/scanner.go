@@ -11,10 +11,7 @@ import (
 )
 
 // NTriplesScanner streams an N-Triples document one statement at a time while
-// tracking the exact byte offset of the first unconsumed input byte. That
-// offset is the durable resume position a checkpoint records: re-opening the
-// input, seeking to Offset(), and continuing with a scanner seeded via
-// SetPos yields the same statement stream as an uninterrupted scan.
+// tracking the exact byte offset of the first unconsumed input byte.
 //
 // Offsets advance line by line — after Scan returns, Offset() covers every
 // line consumed to produce (or skip past) the returned statement, so it
@@ -35,21 +32,11 @@ type NTriplesScanner struct {
 	observed bool
 }
 
-// NewNTriplesScanner wraps r. If resuming, the caller must position r at the
-// recorded offset first (e.g. io.Seeker.Seek) and then call SetPos so
-// offsets and line numbers continue from the checkpointed values.
+// NewNTriplesScanner wraps r.
 func NewNTriplesScanner(r io.Reader, opts Options) *NTriplesScanner {
 	s := &NTriplesScanner{br: newByteCountReader(r, 64*1024), opts: opts}
 	s.sink = errorSink{opts: &s.opts, counter: ntSkipped}
 	return s
-}
-
-// SetPos seeds the scanner's position counters for a resumed input. base is
-// the byte offset the underlying reader was seeked to; line is the number of
-// lines already consumed before it.
-func (s *NTriplesScanner) SetPos(base int64, line int) {
-	s.br.base = base
-	s.line = line
 }
 
 // Offset returns the byte offset of the first unconsumed input byte.
@@ -127,14 +114,12 @@ func (s *NTriplesScanner) observe() {
 }
 
 // byteCountReader is a buffered line reader that knows how many bytes of the
-// underlying stream the lines it returned account for. base holds the offset
-// the underlying reader started at (non-zero when resuming mid-file).
+// underlying stream the lines it returned account for.
 type byteCountReader struct {
 	r    io.Reader
 	buf  []byte
-	pos  int // next unread byte in buf
-	n    int // valid bytes in buf
-	base int64
+	pos  int   // next unread byte in buf
+	n    int   // valid bytes in buf
 	read int64 // bytes handed out via readLine
 	err  error
 }
@@ -145,7 +130,7 @@ func newByteCountReader(r io.Reader, size int) *byteCountReader {
 
 // consumed returns the stream offset of the first byte readLine has not yet
 // returned.
-func (b *byteCountReader) consumed() int64 { return b.base + b.read }
+func (b *byteCountReader) consumed() int64 { return b.read }
 
 // readLine returns the next line including its trailing newline, like
 // bufio.Reader.ReadString('\n'): at end of input it returns the final

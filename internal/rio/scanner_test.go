@@ -16,17 +16,12 @@ const scannerDoc = "" +
 	"<http://x/d> <http://x/p> <http://x/a> ." // no trailing newline
 
 // TestScannerOffsets: after every Scan, Offset() must point at the start of
-// the next unread line, and resuming from that offset must reproduce the
-// remaining statements exactly. This is the property checkpoint resume
-// depends on.
+// the next unread line: scanning from that offset reproduces the remaining
+// statements exactly.
 func TestScannerOffsets(t *testing.T) {
 	sc := NewNTriplesScanner(strings.NewReader(scannerDoc), Options{})
-	type pos struct {
-		off  int64
-		line int
-	}
 	var stmts []string
-	var marks []pos
+	var marks []int64
 	for {
 		tr, ok, err := sc.Scan()
 		if err != nil {
@@ -36,7 +31,7 @@ func TestScannerOffsets(t *testing.T) {
 			break
 		}
 		stmts = append(stmts, tr.String())
-		marks = append(marks, pos{sc.Offset(), sc.Line()})
+		marks = append(marks, sc.Offset())
 	}
 	if len(stmts) != 4 {
 		t.Fatalf("got %d statements, want 4", len(stmts))
@@ -44,16 +39,15 @@ func TestScannerOffsets(t *testing.T) {
 	if got := sc.Offset(); got != int64(len(scannerDoc)) {
 		t.Fatalf("final offset %d, want %d", got, len(scannerDoc))
 	}
-	// Every offset is a resumable position: seek there and the suffix of the
-	// statement stream matches.
-	for i, m := range marks {
-		rs := NewNTriplesScanner(strings.NewReader(scannerDoc[m.off:]), Options{})
-		rs.SetPos(m.off, m.line)
+	// Every offset is a line start: the suffix of the document from there
+	// holds exactly the rest of the statement stream.
+	for i, off := range marks {
+		rs := NewNTriplesScanner(strings.NewReader(scannerDoc[off:]), Options{})
 		var rest []string
 		for {
 			tr, ok, err := rs.Scan()
 			if err != nil {
-				t.Fatalf("resume at %d: %v", m.off, err)
+				t.Fatalf("scan from %d: %v", off, err)
 			}
 			if !ok {
 				break
@@ -62,15 +56,15 @@ func TestScannerOffsets(t *testing.T) {
 		}
 		want := stmts[i+1:]
 		if len(rest) != len(want) {
-			t.Fatalf("resume after stmt %d: got %d statements, want %d", i, len(rest), len(want))
+			t.Fatalf("scan after stmt %d: got %d statements, want %d", i, len(rest), len(want))
 		}
 		for j := range rest {
 			if rest[j] != want[j] {
-				t.Fatalf("resume after stmt %d: statement %d = %q, want %q", i, j, rest[j], want[j])
+				t.Fatalf("scan after stmt %d: statement %d = %q, want %q", i, j, rest[j], want[j])
 			}
 		}
-		if rs.Offset() != int64(len(scannerDoc)) {
-			t.Fatalf("resume after stmt %d: final offset %d, want %d", i, rs.Offset(), len(scannerDoc))
+		if got := off + rs.Offset(); got != int64(len(scannerDoc)) {
+			t.Fatalf("scan after stmt %d: final offset %d, want %d", i, got, len(scannerDoc))
 		}
 	}
 }

@@ -193,7 +193,7 @@ func TestPprofMountViaConfig(t *testing.T) {
 		t.Fatalf("pprof without EnablePprof: %d, want 404", rr.Code)
 	}
 
-	mcfg := jobs.Config{Dir: filepath.Join(t.TempDir(), "spool"), ChunkSize: 64, Log: testLogger(t)}
+	mcfg := jobs.Config{Dir: filepath.Join(t.TempDir(), "spool"), Log: testLogger(t)}
 	mgr, err := jobs.Open(mcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -52,9 +52,6 @@ func newTestServer(t *testing.T, mcfg jobs.Config) (*Server, *jobs.Manager) {
 	if mcfg.Dir == "" {
 		mcfg.Dir = filepath.Join(t.TempDir(), "spool")
 	}
-	if mcfg.ChunkSize == 0 {
-		mcfg.ChunkSize = 64
-	}
 	mcfg.Log = testLogger(t)
 	mgr, err := jobs.Open(mcfg)
 	if err != nil {
@@ -195,9 +192,9 @@ func TestQueueFullGets429WithRetryAfter(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	srv, _ := newTestServer(t, jobs.Config{
-		Workers:     1,
-		QueueDepth:  1,
-		BeforeChunk: func(string, int) { <-release },
+		Workers:    1,
+		QueueDepth: 1,
+		BeforeRun:  func(string) { <-release },
 	})
 	submitOne(t, srv) // occupies the worker
 	// Wait for the worker to pick it up so the queue slot frees.
@@ -227,7 +224,7 @@ func TestQueueFullGets429WithRetryAfter(t *testing.T) {
 func TestUnknownJobAndOutputErrors(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	srv, _ := newTestServer(t, jobs.Config{BeforeChunk: func(string, int) { <-release }})
+	srv, _ := newTestServer(t, jobs.Config{BeforeRun: func(string) { <-release }})
 	if rr, _ := doJSON(t, srv, "GET", "/jobs/nope", nil); rr.Code != http.StatusNotFound {
 		t.Fatalf("unknown job: %d", rr.Code)
 	}
