@@ -46,7 +46,8 @@ verify:
 	$(MAKE) fuzz
 
 # fuzz runs every native fuzz target for FUZZTIME each: the N-Triples and
-# Turtle parsers (strict and lenient), the Cypher lexer and parser, the
+# Turtle parsers (strict and lenient), the three N-Triples graph loaders
+# against each other, the Cypher lexer and parser, the
 # SPARQL parser, both engines' executor against the reference evaluator it
 # replaced, the /query JSON writer against encoding/json, a spilled
 # graph under random Add/Remove/Spill/Clone schedules against a twin that
@@ -58,6 +59,7 @@ verify:
 FUZZ_TARGETS = \
 	FuzzParseNTriplesLine:./internal/rio \
 	FuzzReadNTriplesLenient:./internal/rio \
+	FuzzLoadNTriplesPaths:./internal/rio \
 	FuzzReadTurtle:./internal/rio \
 	FuzzLexer:./internal/cypher \
 	FuzzParse:./internal/cypher \

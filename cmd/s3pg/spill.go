@@ -188,7 +188,7 @@ func loadDataGoverned(ctx context.Context, path string, rf *resFlags, span *obs.
 			sp.End()
 			return nil, nil, err
 		}
-		t, ok, serr := sc.Scan()
+		ok, serr := sc.ScanInto(g)
 		if serr != nil {
 			sp.End()
 			return nil, nil, serr
@@ -196,7 +196,6 @@ func loadDataGoverned(ctx context.Context, path string, rf *resFlags, span *obs.
 		if !ok {
 			break
 		}
-		g.Add(t)
 		n++
 		if n%governEvery == 0 {
 			spilled, gerr := maybeSpill()

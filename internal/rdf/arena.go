@@ -67,25 +67,25 @@ func newArena(segs []*segment) *termArena {
 	return &termArena{segs: segs, cache: newLRU[*termBlock](arenaCacheBlocks)}
 }
 
-// termHash64 is 64-bit FNV-1a over all identity fields of a term, with 0x1f
+// hash64 is 64-bit FNV-1a over all identity fields of the term, with 0x1f
 // separators so field boundaries cannot alias.
-func termHash64(t Term) uint64 {
+func (k *termKey[S]) hash64() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	h = (h ^ uint64(t.Kind)) * prime64
-	for i := 0; i < len(t.Value); i++ {
-		h = (h ^ uint64(t.Value[i])) * prime64
+	h = (h ^ uint64(k.Kind)) * prime64
+	for i := 0; i < len(k.Value); i++ {
+		h = (h ^ uint64(k.Value[i])) * prime64
 	}
 	h = (h ^ 0x1f) * prime64
-	for i := 0; i < len(t.Datatype); i++ {
-		h = (h ^ uint64(t.Datatype[i])) * prime64
+	for i := 0; i < len(k.Datatype); i++ {
+		h = (h ^ uint64(k.Datatype[i])) * prime64
 	}
 	h = (h ^ 0x1f) * prime64
-	for i := 0; i < len(t.Lang); i++ {
-		h = (h ^ uint64(t.Lang[i])) * prime64
+	for i := 0; i < len(k.Lang); i++ {
+		h = (h ^ uint64(k.Lang[i])) * prime64
 	}
 	return h
 }
@@ -146,31 +146,24 @@ func field(rec []byte) (str, rest []byte) {
 	return rec[w : w+int(n)], rec[w+int(n):]
 }
 
+// key returns record i's fields, in place.
+func (b *termBlock) key(i int) termKey[[]byte] {
+	rec := b.buf[b.off[i]:b.off[i+1]]
+	k := termKey[[]byte]{Kind: Kind(rec[0])}
+	k.Value, rec = field(rec[1:])
+	k.Datatype, rec = field(rec)
+	k.Lang, _ = field(rec)
+	return k
+}
+
 // term materialises record i.
 func (b *termBlock) term(i int) Term {
-	rec := b.buf[b.off[i]:b.off[i+1]]
-	t := Term{Kind: Kind(rec[0])}
-	v, rec := field(rec[1:])
-	dt, rec := field(rec)
-	lang, _ := field(rec)
-	t.Value, t.Datatype, t.Lang = string(v), string(dt), string(lang)
-	return t
+	k := b.key(i)
+	return Term{Kind: k.Kind, Value: string(k.Value), Datatype: string(k.Datatype), Lang: string(k.Lang)}
 }
 
-// equal reports whether record i is t, without building a Term.
-func (b *termBlock) equal(i int, t Term) bool {
-	rec := b.buf[b.off[i]:b.off[i+1]]
-	if Kind(rec[0]) != t.Kind {
-		return false
-	}
-	v, rec := field(rec[1:])
-	dt, rec := field(rec)
-	lang, _ := field(rec)
-	return string(v) == t.Value && string(dt) == t.Datatype && string(lang) == t.Lang
-}
-
-func (a *termArena) addHash(t Term, id TermID) {
-	h := termHash64(t)
+// addHash indexes the spilled term with hash64 h under id.
+func (a *termArena) addHash(h uint64, id TermID) {
 	if _, ok := a.hash[h]; !ok {
 		a.hash[h] = id
 		return
@@ -288,23 +281,25 @@ func (a *termArena) record(id TermID) []byte {
 	return blk.buf[blk.off[i]:blk.off[i+1]]
 }
 
-func (a *termArena) is(id TermID, t Term) bool {
+// arenaHas reports whether spilled term id is k, compared in its block.
+func arenaHas[S string | []byte](a *termArena, id TermID, k *termKey[S]) bool {
 	blk, i := a.locate(id)
-	return blk.equal(i, t)
+	rec := blk.key(i)
+	return k.matches(&rec)
 }
 
-// lookup finds the id of a spilled term, if present.
-func (a *termArena) lookup(t Term) (TermID, bool) {
-	h := termHash64(t)
+// arenaLookup finds the id of a spilled term, if present.
+func arenaLookup[S string | []byte](a *termArena, k *termKey[S]) (TermID, bool) {
+	h := k.hash64()
 	id, ok := a.hash[h]
 	if !ok {
 		return 0, false
 	}
-	if a.is(id, t) {
+	if arenaHas(a, id, k) {
 		return id, true
 	}
 	for _, cand := range a.over[h] {
-		if a.is(cand, t) {
+		if arenaHas(a, cand, k) {
 			return cand, true
 		}
 	}

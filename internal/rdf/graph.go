@@ -36,6 +36,10 @@ type Dict struct {
 	terms []Term     // resident tail: ids [base, base+len); append-only
 	arena *termArena // disk-backed ids [0, base); nil when unspilled
 	base  TermID     // arena term count; 0 when unspilled
+	// names holds the datatype IRIs and language tags that terms interned
+	// from bytes carry, one string each: they repeat on every typed or
+	// tagged literal.
+	names map[string]string
 }
 
 // NewDict returns an empty dictionary.
@@ -61,30 +65,54 @@ func (d *Dict) grow(n int) {
 
 // Intern returns the id for the term, assigning a fresh one if necessary.
 // The term is hashed once: a miss inserts where the lookup ended.
-func (d *Dict) Intern(t Term) TermID {
-	h := termHash(t)
-	slot, pos, ok := d.idx.find(h, t, d.terms)
+func (d *Dict) Intern(t Term) TermID { return intern(d, keyOf(&t)) }
+
+// intern is Intern for either key form. Only a miss in both the resident
+// index and the spilled arena stores a term, and only then is a key over
+// borrowed bytes copied.
+func intern[S string | []byte](d *Dict, k *termKey[S]) TermID {
+	h := k.hash()
+	slot, pos, ok := find(&d.idx, h, k, d.terms)
 	if ok {
 		return d.base + TermID(pos)
 	}
 	if d.arena != nil {
-		if id, ok := d.arena.lookup(t); ok {
+		if id, ok := arenaLookup(d.arena, k); ok {
 			return id
 		}
 	}
 	d.idx.insert(slot, h, len(d.terms))
-	d.terms = append(d.terms, t)
+	d.terms = append(d.terms, Term{Kind: k.Kind, Value: string(k.Value), Datatype: name(d, k.Datatype), Lang: name(d, k.Lang)})
 	cDictTerms.Inc()
 	return d.base + TermID(len(d.terms)-1)
 }
 
+// name returns s as a string: s itself when it is one, else the copy of
+// these bytes the dictionary holds in names, made on first use.
+func name[S string | []byte](d *Dict, s S) string {
+	b, ok := any(s).([]byte)
+	if !ok || len(b) == 0 {
+		return string(s)
+	}
+	if n, ok := d.names[string(b)]; ok {
+		return n
+	}
+	if d.names == nil {
+		d.names = make(map[string]string)
+	}
+	n := string(b)
+	d.names[n] = n
+	return n
+}
+
 // Lookup returns the id for the term and whether it is interned.
 func (d *Dict) Lookup(t Term) (TermID, bool) {
-	if _, pos, ok := d.idx.find(termHash(t), t, d.terms); ok {
+	k := keyOf(&t)
+	if _, pos, ok := find(&d.idx, k.hash(), k, d.terms); ok {
 		return d.base + TermID(pos), true
 	}
 	if d.arena != nil {
-		return d.arena.lookup(t)
+		return arenaLookup(d.arena, k)
 	}
 	return 0, false
 }
@@ -133,7 +161,7 @@ type Graph struct {
 
 	spill *graphSpill // disk-backed slots [0, spill.slots); nil when unspilled
 
-	recent *recentTerms // Add's id reuse; nil until the first Add
+	recent *recentTerms // id reuse for Add and AddBytes; nil until the first one
 }
 
 // recentTerms lets Add resolve a repeated subject or predicate by comparing
@@ -143,34 +171,42 @@ type Graph struct {
 // change once assigned (not by Spill, not by TruncateFrom), so a remembered
 // (term, id) pair stays valid for the life of the graph.
 type recentTerms struct {
-	s   Term
-	sid TermID
+	s recentTerm
 	// preds is direct-mapped by the IRI's length and last byte — a slot
 	// choice, not a hash of the term; a slot holding another predicate is
 	// simply overwritten.
-	preds [16]struct {
-		p  Term
-		id TermID
-	}
+	preds [16]recentTerm
 }
 
-func (r *recentTerms) subject(d *Dict, s Term) TermID {
-	if s != r.s {
-		r.s, r.sid = s, d.Intern(s)
-	}
-	return r.sid
+// recentTerm is one remembered (term, id) pair. The entry keeps its own copy
+// of the term's bytes, so a key over a read buffer can be remembered, and a
+// spilled id is never resolved to compare against.
+type recentTerm struct {
+	key termKey[[]byte] // slices of buf; Kind 0 while empty
+	buf []byte
+	id  TermID
 }
 
-func (r *recentTerms) predicate(d *Dict, p Term) TermID {
-	slot := len(p.Value)
+// recall returns k's id, from r when r holds k, else from the dictionary,
+// and then remembers k in r.
+func recall[S string | []byte](r *recentTerm, d *Dict, k *termKey[S]) TermID {
+	if k.matches(&r.key) {
+		return r.id
+	}
+	r.id = intern(d, k)
+	v, dt := len(k.Value), len(k.Value)+len(k.Datatype)
+	r.buf = append(append(append(r.buf[:0], k.Value...), k.Datatype...), k.Lang...)
+	r.key = termKey[[]byte]{k.Kind, r.buf[:v:v], r.buf[v:dt:dt], r.buf[dt:]}
+	return r.id
+}
+
+// predicateSlot returns the entry predicate k is remembered in, if at all.
+func predicateSlot[S string | []byte](r *recentTerms, k *termKey[S]) *recentTerm {
+	slot := len(k.Value)
 	if slot > 0 {
-		slot += int(p.Value[slot-1])
+		slot += int(k.Value[slot-1])
 	}
-	e := &r.preds[slot%len(r.preds)]
-	if p != e.p {
-		e.p, e.id = p, d.Intern(p)
-	}
-	return e.id
+	return &r.preds[slot%len(r.preds)]
 }
 
 // NewGraph returns an empty graph with a fresh dictionary.
@@ -372,11 +408,29 @@ func (g *Graph) Add(t Triple) bool {
 	if !t.Valid() {
 		panic(fmt.Sprintf("rdf: invalid triple %v", t))
 	}
-	if g.recent == nil {
-		g.recent = new(recentTerms)
+	return add(g, keyOf(&t.S), keyOf(&t.P), keyOf(&t.O))
+}
+
+// AddBytes is Add for a statement whose terms are read straight out of a
+// buffer (see TermBytes): the same ids, slot and duplicate semantics as Add
+// of the equivalent Triple, but a term the dictionary already holds is found
+// without building a string, and only a new term's bytes are copied. The
+// terms are passed by pointer only to spare the copies; AddBytes neither
+// writes nor keeps them. It panics when the kinds cannot form a triple.
+func (g *Graph) AddBytes(s, p, o *TermBytes) bool {
+	if !validKinds(s.Kind, p.Kind, o.Kind) {
+		panic(fmt.Sprintf("rdf: invalid statement of kinds %v %v %v", s.Kind, p.Kind, o.Kind))
 	}
-	e := encTriple{g.recent.subject(g.dict, t.S), g.recent.predicate(g.dict, t.P), g.dict.Intern(t.O)}
-	return g.addEnc(e)
+	return add(g, bytesKey(s), bytesKey(p), bytesKey(o))
+}
+
+func add[S string | []byte](g *Graph, s, p, o *termKey[S]) bool {
+	r := g.recent
+	if r == nil {
+		r = new(recentTerms)
+		g.recent = r
+	}
+	return g.addEnc(encTriple{recall(&r.s, g.dict, s), recall(predicateSlot(r, p), g.dict, p), intern(g.dict, o)})
 }
 
 func (g *Graph) addEnc(e encTriple) bool {

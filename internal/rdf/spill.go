@@ -704,8 +704,8 @@ func (g *Graph) Spill(dir string, fsys ckpt.FS) error {
 	} else {
 		arena.hash, arena.over = make(map[uint64]TermID, len(d.terms)), make(map[uint64][]TermID)
 	}
-	for i, t := range d.terms {
-		arena.addHash(t, d.base+TermID(i))
+	for i := range d.terms {
+		arena.addHash(keyOf(&d.terms[i]).hash64(), d.base+TermID(i))
 	}
 	d.arena = arena
 	d.base = sg.t1
@@ -863,7 +863,8 @@ func (sg *segment) verify(index *termArena) error {
 			return err
 		}
 		for i := 0; i+1 < len(blk.off); i++ {
-			index.addHash(blk.term(i), sg.t0+TermID(b*arenaBlockTerms+i))
+			rec := blk.key(i)
+			index.addHash(rec.hash64(), sg.t0+TermID(b*arenaBlockTerms+i))
 		}
 		off = next
 	}

@@ -55,6 +55,16 @@ type Term struct {
 	Lang     string
 }
 
+// TermBytes is a term read straight out of a buffer its caller owns: a
+// Term's fields as byte slices, in the form the Term constructors give them
+// (an xsd:string datatype empty, a language tag in lower case). It is what
+// Graph.AddBytes admits. The graph keeps no reference to the slices; a term
+// its dictionary has not seen is copied, one it has seen costs nothing.
+type TermBytes struct {
+	Kind                  Kind
+	Value, Datatype, Lang []byte
+}
+
 // NewIRI returns an IRI term.
 func NewIRI(iri string) Term { return Term{Kind: IRI, Value: iri} }
 
@@ -192,6 +202,8 @@ func (t Triple) String() string {
 // Valid reports whether the triple is well formed per Definition 2.1,
 // extended with RDF-star: the subject is a resource or quoted triple, the
 // predicate an IRI, the object any term.
-func (t Triple) Valid() bool {
-	return (t.S.IsResource() || t.S.IsTripleTerm()) && t.P.IsIRI() && !t.O.IsZero()
+func (t Triple) Valid() bool { return validKinds(t.S.Kind, t.P.Kind, t.O.Kind) }
+
+func validKinds(s, p, o Kind) bool {
+	return (s == IRI || s == Blank || s == TripleTerm) && p == IRI && o != 0
 }

@@ -42,21 +42,55 @@ const indexFoldDen = 8
 
 var termSeed = maphash.MakeSeed()
 
-// termHash hashes every identity field of a term.
-func termHash(t Term) uint32 {
-	h := maphash.String(termSeed, t.Value) ^ uint64(t.Kind)
-	if t.Datatype != "" {
-		h = h*0x9E3779B97F4A7C15 ^ maphash.String(termSeed, t.Datatype)
+// termKey is what the dictionary looks a term up by: the identity fields of a
+// term as strings (S = string) or as bytes its caller owns (S = []byte). Its
+// two instances have the layouts of Term and TermBytes, so either converts to
+// a key in place. The two forms of one term hash alike — maphash.Bytes and
+// maphash.String agree on equal contents, and so does hash64 — and match the
+// same stored term, so they map to one id. Keys are passed by pointer: a
+// non-inlined call copies a key passed by value, 80 bytes at a time.
+type termKey[S string | []byte] struct {
+	Kind                  Kind
+	Value, Datatype, Lang S
+}
+
+func keyOf(t *Term) *termKey[string] { return (*termKey[string])(t) }
+
+func bytesKey(t *TermBytes) *termKey[[]byte] { return (*termKey[[]byte])(t) }
+
+func mapHash[S string | []byte](s S) uint64 {
+	if v, ok := any(s).(string); ok {
+		return maphash.String(termSeed, v)
 	}
-	if t.Lang != "" {
-		h = h*0x9E3779B97F4A7C15 ^ maphash.String(termSeed, t.Lang)
+	return maphash.Bytes(termSeed, any(s).([]byte))
+}
+
+// hash hashes every identity field of the term.
+func (k *termKey[S]) hash() uint32 {
+	h := mapHash(k.Value) ^ uint64(k.Kind)
+	if len(k.Datatype) > 0 {
+		h = h*0x9E3779B97F4A7C15 ^ mapHash(k.Datatype)
+	}
+	if len(k.Lang) > 0 {
+		h = h*0x9E3779B97F4A7C15 ^ mapHash(k.Lang)
 	}
 	return uint32((h * 0x9E3779B97F4A7C15) >> 32)
 }
 
-// find looks t up among terms. When t is absent, slot is where insert would
-// put it (valid until the next insert or grow).
-func (tt *termTable) find(h uint32, t Term, terms []Term) (slot, pos int, ok bool) {
+// is reports whether the key is the term t.
+func (k *termKey[S]) is(t *Term) bool {
+	return k.Kind == t.Kind && string(k.Value) == t.Value && string(k.Datatype) == t.Datatype && string(k.Lang) == t.Lang
+}
+
+// matches reports whether the key is the term r holds the bytes of.
+func (k *termKey[S]) matches(r *termKey[[]byte]) bool {
+	return k.Kind == r.Kind && string(k.Value) == string(r.Value) &&
+		string(k.Datatype) == string(r.Datatype) && string(k.Lang) == string(r.Lang)
+}
+
+// findIn looks k up among terms. When k is absent, slot is where insert
+// would put it (valid until the next insert or grow).
+func findIn[S string | []byte](tt *termTable, h uint32, k *termKey[S], terms []Term) (slot, pos int, ok bool) {
 	if len(tt.slots) == 0 {
 		return 0, 0, false
 	}
@@ -67,7 +101,7 @@ func (tt *termTable) find(h uint32, t Term, terms []Term) (slot, pos int, ok boo
 			return i, 0, false
 		}
 		if uint32(s>>32) == h {
-			if pos := int(uint32(s)) - 1; terms[pos] == t {
+			if pos := int(uint32(s)) - 1; k.is(&terms[pos]) {
 				return i, pos, true
 			}
 		}
@@ -128,14 +162,14 @@ func (x *termIndex) len() int {
 	return x.base.n + x.over.n
 }
 
-// find is termTable.find over both tables; slot belongs to the overlay.
-func (x *termIndex) find(h uint32, t Term, terms []Term) (slot, pos int, ok bool) {
+// find is findIn over both tables; slot belongs to the overlay.
+func find[S string | []byte](x *termIndex, h uint32, k *termKey[S], terms []Term) (slot, pos int, ok bool) {
 	if x.base != nil {
-		if _, pos, ok := x.base.find(h, t, terms); ok {
+		if _, pos, ok := findIn(x.base, h, k, terms); ok {
 			return 0, pos, true
 		}
 	}
-	return x.over.find(h, t, terms)
+	return findIn(&x.over, h, k, terms)
 }
 
 func (x *termIndex) insert(slot int, h uint32, pos int) { x.over.insert(slot, h, pos) }

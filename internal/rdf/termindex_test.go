@@ -201,3 +201,69 @@ func TestAddReusesRecentIds(t *testing.T) {
 		}
 	}
 }
+
+// TestBothKeyFormsMapToOneID: a term admitted as a Term and met again as
+// TermBytes — or the other way round — gets one id, on a resident graph and
+// on one whose dictionary has spilled in between; the second form never
+// adds a term. Re-admitting a spilled statement from bytes allocates nothing.
+func TestBothKeyFormsMapToOneID(t *testing.T) {
+	var terms []Term
+	seen := map[Term]bool{}
+	for _, tm := range append(genTerms(1000), NewTypedLiteral("x", "http://ex.org/dt"), NewLangLiteral("x", "en-gb")) {
+		if !seen[tm] {
+			seen[tm] = true
+			terms = append(terms, tm)
+		}
+	}
+	asBytes := func(tm Term) TermBytes {
+		return TermBytes{Kind: tm.Kind, Value: []byte(tm.Value), Datatype: []byte(tm.Datatype), Lang: []byte(tm.Lang)}
+	}
+	s, p1, p2 := NewIRI("http://ex.org/s"), NewIRI("http://ex.org/p1"), NewIRI("http://ex.org/p2")
+	for _, spill := range []bool{false, true} {
+		for _, bytesFirst := range []bool{false, true} {
+			t.Run(fmt.Sprintf("spill=%v/bytes_first=%v", spill, bytesFirst), func(t *testing.T) {
+				g := NewGraph()
+				add := func(asTermBytes bool, tr Triple) {
+					if !asTermBytes {
+						g.Add(tr)
+						return
+					}
+					bs, bp, bo := asBytes(tr.S), asBytes(tr.P), asBytes(tr.O)
+					g.AddBytes(&bs, &bp, &bo)
+				}
+				for _, tm := range terms {
+					add(bytesFirst, NewTriple(s, p1, tm))
+				}
+				want := make([]TermID, len(terms))
+				for i, tm := range terms {
+					id, ok := g.Dict().Lookup(tm)
+					if !ok || g.Dict().Term(id) != tm {
+						t.Fatalf("%v: Lookup = %d, %v; Term = %v", tm, id, ok, g.Dict().Term(id))
+					}
+					want[i] = id
+				}
+				if spill {
+					if err := g.Spill(t.TempDir(), nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				n := g.Dict().Len()
+				for i, tm := range terms {
+					add(!bytesFirst, NewTriple(s, p2, tm))
+					if _, _, o, _ := g.EncodedAt(g.NumSlots() - 1); o != want[i] {
+						t.Fatalf("%v: id %d in the other form, %d in the first", tm, o, want[i])
+					}
+				}
+				if got := g.Dict().Len(); got != n+1 { // p2 only
+					t.Fatalf("the second form added %d terms, want 1", got-n)
+				}
+				if spill {
+					bs, bp, bo := asBytes(s), asBytes(p1), asBytes(terms[len(terms)-1])
+					if a := testing.AllocsPerRun(100, func() { g.AddBytes(&bs, &bp, &bo) }); a != 0 {
+						t.Fatalf("re-admitting a spilled statement from bytes allocates %v times", a)
+					}
+				}
+			})
+		}
+	}
+}

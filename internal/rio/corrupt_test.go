@@ -18,8 +18,12 @@ var corruptNTLines = []string{
 	`<http://e.org/x> <http://e.org/age> "41"`, // missing '.'
 	"\xff\xfe\x00 binary garbage \x80 .",
 	`this is not an n-triples statement at all .`,
-	`"literal subject" <http://e.org/p> <http://e.org/o> .`, // term kinds violate positions
-	strings.Repeat("<<", maxQuotedDepth+2) + " x",           // nesting past the depth guard
+	`"literal subject" <http://e.org/p> <http://e.org/o> .`,                                                     // term kinds violate positions
+	strings.Repeat("<<", maxQuotedDepth+2) + " x",                                                               // nesting past the depth guard
+	`<http://e.org/x> <http://e.org/p> <http://e.org/y> . <http://e.org/x> <http://e.org/p> <http://e.org/z> .`, // two statements on one line
+	`<http://e.org/x> <http://e.org/p> <http://e.org/y> .junk`,                                                  // text after the '.'
+	`<http://e.org/x> <http://e.org/p> "x"@ .`,                                                                  // empty language tag
+	`<http://e.org/x> <http://e.org/p> "\uDBFF\uDC00" .`,                                                        // surrogates, not a code point
 }
 
 func TestNTriplesStrictRejectsCorruptLines(t *testing.T) {

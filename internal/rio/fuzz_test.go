@@ -105,3 +105,51 @@ func FuzzReadTurtle(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLoadNTriplesPaths holds the graph loaders against each other on any
+// input, strict and lenient: LoadNTriplesWith (statements admitted from the
+// read buffer), ReadNTriplesWith + Graph.Add (rdf.Terms), and the block
+// loader with tiny blocks on 2 and 4 workers must build the same graph — the
+// same term under every id, the same encoded triple in every slot — or fail
+// the same way, after the same OnError calls.
+func FuzzLoadNTriplesPaths(f *testing.F) {
+	long := `<http://example.org/s> <http://example.org/p> "` + strings.Repeat("x", 70<<10) + `" .`
+	for _, s := range []string{
+		strings.Join(ntSeeds, "\n"),
+		"<http://example.org/s> <http://example.org/p> \"tab\\there \\\"q\\\" \\u00e9 \\U0001F600\" .\n<http://example.org/s> <http://example.org/p> \"tab\\there \\\"q\\\" é 😀\" .",
+		"_:b <http://example.org/p> \"Hello\"@EN-gb .\n_:b <http://example.org/p> \"Hello\"@en-GB .\n_:b <http://example.org/p> \"Hello\"@en-gb .",
+		"<http://example.org/s> <http://example.org/p> \"v\"^^<http://www.w3.org/2001/XMLSchema#string> .\n<http://example.org/s> <http://example.org/p> \"v\" .",
+		"<< <http://example.org/s> <http://example.org/p> \"o\" >> <http://example.org/w> \"1\" .\n<http://example.org/s> <http://example.org/p> \"o\" .",
+		"<http://example.org/a> <http://example.org/p> <http://example.org/b> .\r\n\r\n# comment\r\n<http://example.org/b> <http://example.org/p> <http://example.org/a> . # trailing\r\n",
+		"\n\n   \n# only comments\n\t\n",
+		long + "\n<http://example.org/s> <http://example.org/p> <http://example.org/o> .\n" + long,
+		"<http://example.org/a> <http://example.org/p> <http://example.org/b> . <http://example.org/c> <http://example.org/p> <http://example.org/d> .\ngarbage\n<http://example.org/a> <http://example.org/p> \"x\"@ .",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		ctx := context.Background()
+		for _, opts := range []Options{{}, {Lenient: true, MaxErrors: 3}} {
+			fused := observeLoad(opts, func(o Options) (*rdf.Graph, error) {
+				return LoadNTriplesWith(ctx, strings.NewReader(src), o)
+			})
+			viaTerms := observeLoad(opts, func(o Options) (*rdf.Graph, error) {
+				g := rdf.NewGraph()
+				if err := ReadNTriplesWith(ctx, strings.NewReader(src), o, func(tr rdf.Triple) error {
+					g.Add(tr)
+					return nil
+				}); err != nil {
+					return nil, err
+				}
+				return g, nil
+			})
+			requireSameOutcome(t, fused, viaTerms)
+			for _, workers := range []int{2, 4} {
+				blocks := observeLoad(opts, func(o Options) (*rdf.Graph, error) {
+					return loadNTriplesBlocks(ctx, strings.NewReader(src), int64(len(src)), o, workers, nil, 37)
+				})
+				requireSameOutcome(t, fused, blocks)
+			}
+		}
+	})
+}

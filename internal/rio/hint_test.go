@@ -2,8 +2,11 @@ package rio
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/s3pg/s3pg/internal/datagen"
@@ -68,9 +71,9 @@ func TestLoadNTriplesHintIsInvisible(t *testing.T) {
 
 // TestLoadNTriplesHintedAllocs guards the sized load: once the hint is taken
 // nothing the graph owns grows again, so what is left per triple is the
-// scanner's line and term strings and the posting-list appends. A regrowth is
-// few allocations but many bytes, so the unsized load of the same document is
-// held against it in bytes.
+// strings of the terms it introduces and the posting-list appends. A regrowth
+// is few allocations but many bytes, so the unsized load of the same document
+// is held against it in bytes.
 func TestLoadNTriplesHintedAllocs(t *testing.T) {
 	doc, triples := hintDocument(t)
 	load := func(r func() io.Reader) (allocs, bytes float64) {
@@ -89,11 +92,56 @@ func TestLoadNTriplesHintedAllocs(t *testing.T) {
 	allocs, hinted := load(func() io.Reader { return bytes.NewReader(doc) })
 	_, plain := load(func() io.Reader { return opaque{bytes.NewReader(doc)} })
 	t.Logf("hinted: %.2f allocs and %.0f bytes per triple; unsized: %.0f bytes", allocs, hinted, plain)
-	if allocs > 3.5 {
-		t.Fatalf("hinted LoadNTriples allocates %.2f times per triple, want <= 3.5", allocs)
+	if allocs > 2.5 {
+		t.Fatalf("hinted LoadNTriples allocates %.2f times per triple, want <= 2.5", allocs)
 	}
 	if hinted > 0.85*plain {
 		t.Fatalf("hinted load allocates %.0f bytes per triple, the unsized load %.0f: something still regrows", hinted, plain)
+	}
+}
+
+// TestLoadNTriplesAllocsFollowTerms: a statement whose terms the dictionary
+// holds costs the loader no allocation — not for the line, not for an
+// escaped lexical form, an upper-case language tag or an xsd:string
+// datatype. The document cycles through 5000 distinct statements over 154
+// terms, so doubling its lines from 5000 adds parsing, interning and
+// duplicate checks but no term and no triple, and must add (almost) no
+// allocation; what a line cost before was at least its string.
+func TestLoadNTriplesAllocsFollowTerms(t *testing.T) {
+	const subjects, preds, objects = 50, 4, 100
+	doc := func(n int) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "<http://ex.org/s%d> <http://ex.org/p%d> ", i%subjects, i%preds)
+			switch o := (i / subjects) % objects; o % 4 {
+			case 0:
+				fmt.Fprintf(&b, "\"v\\u00e9 \\\"%d\\\"\" .\n", o)
+			case 1:
+				fmt.Fprintf(&b, "\"v%d\"@EN-GB .\n", o)
+			case 2:
+				fmt.Fprintf(&b, "\"%d\"^^<http://www.w3.org/2001/XMLSchema#string> .\n", o)
+			default:
+				fmt.Fprintf(&b, "_:b%d .\n", o)
+			}
+		}
+		return b.String()
+	}
+	allocs := func(n int) float64 {
+		src := doc(n)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := LoadNTriplesWith(context.Background(), strings.NewReader(src), Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n = 5000
+	a1, a2, a4 := allocs(n), allocs(2*n), allocs(4*n)
+	t.Logf("allocations for %d / %d / %d lines: %.0f / %.0f / %.0f", n, 2*n, 4*n, a1, a2, a4)
+	// The graph is sized from the input's length (Graph.Grow), and a larger
+	// duplicate index is a few more tables.
+	const bound = 64
+	if a2-a1 > bound || a4-a2 > bound {
+		t.Fatalf("doubling the lines added %.0f then %.0f allocations, want at most %d each: something is allocated per line", a2-a1, a4-a2, bound)
 	}
 }
 

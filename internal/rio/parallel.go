@@ -40,12 +40,21 @@ type ntBlock struct {
 	start, end int64
 	done       chan struct{} // closed by the parser once the fields below are final
 
-	triples  []rdf.Triple
+	ntBuffers
 	errs     []ParseError // lenient mode: the block's malformed lines
 	parseErr *ParseError  // strict mode: the block's first malformed line
 	ioErr    error
 	lines    int
 	bytes    int // length of the owned lines
+}
+
+// ntBuffers is what a block's statements point into, and the statements. A
+// block owns its buffers until it is admitted; then they pass to a block
+// handed out later.
+type ntBuffers struct {
+	text    []byte // the input bytes read for the block
+	scratch []byte // the parser's scratch (decoded lexical forms and tags)
+	stmts   []ntStatement[[]byte]
 }
 
 // LoadNTriplesParallel parses an N-Triples document of the given size from r
@@ -126,13 +135,13 @@ func loadNTriplesBlocks(ctx context.Context, r io.ReaderAt, size int64, opts Opt
 	sink := errorSink{opts: &opts, counter: ntSkipped}
 	var (
 		window  [ntLookAhead]*ntBlock
-		spare   [][]rdf.Triple // triple buffers of admitted blocks, for the blocks handed out next
-		next    int            // first block not handed out yet
-		line    int            // lines in the blocks before the current one
+		spare   []ntBuffers // buffers of admitted blocks, for the blocks handed out next
+		next    int         // first block not handed out yet
+		line    int         // lines in the blocks before the current one
 		triples int64
 		wait    time.Duration
 	)
-	admit := func() error {
+	inOrder := func() error {
 		for k := 0; ; k++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -143,7 +152,7 @@ func loadNTriplesBlocks(ctx context.Context, r io.ReaderAt, size int64, opts Opt
 			for ; next < nb && next < k+ntLookAhead; next++ {
 				b := &ntBlock{start: int64(next) * blockSize, end: min(int64(next+1)*blockSize, size), done: make(chan struct{})}
 				if n := len(spare); n > 0 {
-					b.triples, spare = spare[n-1], spare[:n-1]
+					b.ntBuffers, spare = spare[n-1], spare[:n-1]
 				}
 				window[next%ntLookAhead] = b
 				work <- b
@@ -174,20 +183,20 @@ func loadNTriplesBlocks(ctx context.Context, r io.ReaderAt, size int64, opts Opt
 			if b.ioErr != nil {
 				return b.ioErr
 			}
-			for i := range b.triples {
-				g.Add(b.triples[i])
+			for i := range b.stmts {
+				admit(g, &b.stmts[i])
 			}
 			if k == 0 && b.bytes > 0 {
 				// The sequential loader's size hint, from the first block's
 				// bytes per statement instead of the first hintAfter lines'.
-				g.Grow(int((size - int64(b.bytes)) * int64(len(b.triples)) / int64(b.bytes)))
+				g.Grow(int((size - int64(b.bytes)) * int64(len(b.stmts)) / int64(b.bytes)))
 			}
-			triples += int64(len(b.triples))
+			triples += int64(len(b.stmts))
 			line += b.lines
-			spare = append(spare, b.triples[:0])
+			spare = append(spare, ntBuffers{b.text[:0], b.scratch[:0], b.stmts[:0]})
 		}
 	}
-	err := admit()
+	err := inOrder()
 	stop.Store(true)
 	close(work)
 	wg.Wait()
@@ -211,20 +220,21 @@ func loadNTriplesBlocks(ctx context.Context, r io.ReaderAt, size int64, opts Opt
 
 var newline = []byte{'\n'}
 
-// ntBlockParser is one worker's parse state: the input and a read buffer it
-// reuses from block to block.
+// ntBlockParser is one worker's parse state: the input and how to treat
+// malformed lines.
 type ntBlockParser struct {
 	r       io.ReaderAt
 	size    int64
 	slack   int // bytes read past a block's end in the hope of finding its last newline
 	lenient bool
 	capErrs int
-	buf     []byte
 }
 
-// parse fills in b's outcome. It mirrors NTriplesScanner.Scan line for line:
-// blank and comment lines are counted and skipped, a malformed line ends the
-// block in strict mode and is buffered in lenient mode.
+// parse fills in b's outcome. It mirrors NTriplesScanner.ScanInto line for
+// line: blank and comment lines are counted and skipped, a malformed line
+// ends the block in strict mode and is buffered in lenient mode. The
+// statements point into b's text and scratch, which stay as they are until
+// the block is admitted.
 func (p *ntBlockParser) parse(b *ntBlock) {
 	text, err := p.read(b)
 	if err != nil {
@@ -232,9 +242,11 @@ func (p *ntBlockParser) parse(b *ntBlock) {
 		return
 	}
 	b.bytes = len(text)
-	if b.triples == nil {
-		b.triples = make([]rdf.Triple, 0, len(text)/96+1)
+	if b.stmts == nil {
+		b.stmts = make([]ntStatement[[]byte], 0, len(text)/96+1)
 	}
+	lp := ntParser[[]byte]{scratch: b.scratch}
+	defer func() { b.scratch = lp.scratch }()
 	for len(text) > 0 {
 		var raw []byte
 		raw, text, _ = bytes.Cut(text, newline)
@@ -243,14 +255,12 @@ func (p *ntBlockParser) parse(b *ntBlock) {
 		if len(raw) == 0 || raw[0] == '#' {
 			continue
 		}
-		// One string per statement, as the sequential reader makes: the terms
-		// of a statement share it, so the dictionary keeps alive the lines
-		// that introduced a term and not the blocks around them.
-		tr, perr := parseNTriplesLine(string(raw))
+		b.stmts = append(b.stmts, ntStatement[[]byte]{})
+		perr := lp.parse(raw, &b.stmts[len(b.stmts)-1])
 		if perr == nil {
-			b.triples = append(b.triples, tr)
 			continue
 		}
+		b.stmts = b.stmts[:len(b.stmts)-1]
 		perr.Line = b.lines
 		if !p.lenient {
 			b.parseErr = perr
@@ -262,14 +272,14 @@ func (p *ntBlockParser) parse(b *ntBlock) {
 	}
 }
 
-// read returns the lines b owns, in the parser's buffer. It reads
+// read returns the lines b owns, in b's text buffer. It reads
 // [b.start-1, b.end+slack) in one call: the byte before the block tells
 // whether the block starts a line, and the slack almost always holds the
 // newline that ends its last one.
 func (p *ntBlockParser) read(b *ntBlock) ([]byte, error) {
 	lo := max(b.start-1, 0)
-	p.buf = p.buf[:0]
-	eof, err := p.extend(lo, int(min(b.end+int64(p.slack), p.size)-lo))
+	b.text = b.text[:0]
+	eof, err := p.extend(b, lo, int(min(b.end+int64(p.slack), p.size)-lo))
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +288,7 @@ func (p *ntBlockParser) read(b *ntBlock) ([]byte, error) {
 		// A line is owned when the newline before it sits in
 		// [b.start-1, b.end-1). No such newline: the block is the inside of
 		// one long line.
-		i := bytes.IndexByte(p.buf[:min(int(b.end-lo)-1, len(p.buf))], '\n')
+		i := bytes.IndexByte(b.text[:min(int(b.end-lo)-1, len(b.text))], '\n')
 		if i < 0 {
 			return nil, nil
 		}
@@ -288,29 +298,29 @@ func (p *ntBlockParser) read(b *ntBlock) ([]byte, error) {
 	// with the input.
 	from := int(b.end - 1 - lo)
 	for {
-		if from < len(p.buf) {
-			if i := bytes.IndexByte(p.buf[from:], '\n'); i >= 0 {
-				return p.buf[first : from+i+1], nil
+		if from < len(b.text) {
+			if i := bytes.IndexByte(b.text[from:], '\n'); i >= 0 {
+				return b.text[first : from+i+1], nil
 			}
-			from = len(p.buf)
+			from = len(b.text)
 		}
-		off := lo + int64(len(p.buf))
+		off := lo + int64(len(b.text))
 		if eof || off >= p.size {
-			return p.buf[first:], nil
+			return b.text[first:], nil
 		}
-		if eof, err = p.extend(off, int(min(int64(len(p.buf)), p.size-off))); err != nil {
+		if eof, err = p.extend(b, off, int(min(int64(len(b.text)), p.size-off))); err != nil {
 			return nil, err
 		}
 	}
 }
 
-// extend appends the n input bytes at off to the buffer. eof reports an input
+// extend appends the n input bytes at off to b's text. eof reports an input
 // that ended before the size the caller declared.
-func (p *ntBlockParser) extend(off int64, n int) (eof bool, err error) {
-	old := len(p.buf)
-	p.buf = slices.Grow(p.buf, n)[:old+n]
-	m, err := p.r.ReadAt(p.buf[old:], off)
-	p.buf = p.buf[:old+m]
+func (p *ntBlockParser) extend(b *ntBlock, off int64, n int) (eof bool, err error) {
+	old := len(b.text)
+	b.text = slices.Grow(b.text, n)[:old+n]
+	m, err := p.r.ReadAt(b.text[old:], off)
+	b.text = b.text[:old+m]
 	if err == io.EOF {
 		return m < n, nil
 	}

@@ -44,6 +44,26 @@ func TestParseNTriplesLine(t *testing.T) {
 			`<http://a/s> <http://a/p> "été" .`,
 			rdf.NewTriple(rdf.NewIRI("http://a/s"), rdf.NewIRI("http://a/p"), rdf.NewLiteral("été")),
 		},
+		{
+			`<http://a/s> <http://a/p> "\u00e9t\u00E9 \U0001F600\t" .`,
+			rdf.NewTriple(rdf.NewIRI("http://a/s"), rdf.NewIRI("http://a/p"), rdf.NewLiteral("été 😀\t")),
+		},
+		{
+			`<http://a/s> <http://a/p> "colour"@EN-GB .`,
+			rdf.NewTriple(rdf.NewIRI("http://a/s"), rdf.NewIRI("http://a/p"), rdf.NewLangLiteral("colour", "en-gb")),
+		},
+		{
+			`<http://a/s> <http://a/p> "s"^^<http://www.w3.org/2001/XMLSchema#string> .`,
+			rdf.NewTriple(rdf.NewIRI("http://a/s"), rdf.NewIRI("http://a/p"), rdf.NewLiteral("s")),
+		},
+		{
+			"<http://a/s>\t<http://a/p>\t<http://a/o>\t.\t# a comment after the statement",
+			rdf.NewTriple(rdf.NewIRI("http://a/s"), rdf.NewIRI("http://a/p"), rdf.NewIRI("http://a/o")),
+		},
+		{
+			`<http://a/s> <http://a/p> <http://a/o>.#`,
+			rdf.NewTriple(rdf.NewIRI("http://a/s"), rdf.NewIRI("http://a/p"), rdf.NewIRI("http://a/o")),
+		},
 	}
 	for _, c := range cases {
 		got, err := ParseNTriplesLine(c.line)
@@ -57,13 +77,46 @@ func TestParseNTriplesLine(t *testing.T) {
 	}
 }
 
+// TestParseNTriplesLineAllocs: the terms ParseNTriplesLine returns are
+// substrings of the line, so a line allocates only for what is not in it —
+// a decoded lexical form or a lower-cased language tag (one string each, plus
+// the scratch buffer they are decoded into) and a quoted triple's encoding.
+func TestParseNTriplesLineAllocs(t *testing.T) {
+	for _, c := range []struct {
+		line string
+		max  float64
+	}{
+		{`<http://a/s> <http://a/p> <http://a/o> .`, 0},
+		{`_:b1 <http://a/p> _:b2 .`, 0},
+		{`<http://a/s> <http://a/p> "plain literal" .`, 0},
+		{`<http://a/s> <http://a/p> "5"^^<http://www.w3.org/2001/XMLSchema#integer> .`, 0},
+		{`<http://a/s> <http://a/p> "s"^^<http://www.w3.org/2001/XMLSchema#string> .`, 0},
+		{`<http://a/s> <http://a/p> "bonjour"@fr .`, 0},
+		{`<http://a/s> <http://a/p> "Bonjour"@FR-fr .`, 2},
+		{`<http://a/s> <http://a/p> "say \"hi\"\n twice: \"hi\"\n" .`, 2},
+		{`<http://a/s> <http://a/p> "say \"hi\""@EN .`, 3},
+		{`<< <http://a/s> <http://a/p> "o" >> <http://a/c> "0.9" .`, 7},
+	} {
+		if got := testing.AllocsPerRun(100, func() { ParseNTriplesLine(c.line) }); got > c.max {
+			t.Errorf("ParseNTriplesLine(%q) allocates %v times, want at most %v", c.line, got, c.max)
+		}
+	}
+}
+
 func TestParseNTriplesErrors(t *testing.T) {
 	bad := []string{
-		`<http://a/s> <http://a/p> <http://a/o>`,    // no dot
-		`<http://a/s> <http://a/p>`,                 // missing object
-		`"lit" <http://a/p> <http://a/o> .`,         // literal subject
-		`<http://a/s> _:b <http://a/o> .`,           // blank predicate
-		`<http://a/s> <http://a/p> "unterminated .`, // bad literal
+		`<http://a/s> <http://a/p> <http://a/o>`,                                             // no dot
+		`<http://a/s> <http://a/p>`,                                                          // missing object
+		`"lit" <http://a/p> <http://a/o> .`,                                                  // literal subject
+		`<http://a/s> _:b <http://a/o> .`,                                                    // blank predicate
+		`<http://a/s> <http://a/p> "unterminated .`,                                          // bad literal
+		`<http://a/s> <http://a/p> <http://a/o> . <http://a/s> <http://a/p> <http://a/o2> .`, // second statement on the line
+		`<http://a/s> <http://a/p> <http://a/o> .junk`,                                       // text after the '.'
+		`<http://a/s> <http://a/p> <http://a/o> ..`,                                          // two terminators
+		`<http://a/s> <http://a/p> "x"@ .`,                                                   // empty language tag
+		`<http://a/s> <http://a/p> "\uD800" .`,                                               // \u escape of a surrogate
+		`<http://a/s> <http://a/p> "\U00110000" .`,                                           // \U escape past U+10FFFF
+		`<http://a/s> <http://a/p> "\uZZZZ" .`,                                               // not hex
 	}
 	for _, line := range bad {
 		if _, err := ParseNTriplesLine(line); err == nil {
@@ -250,11 +303,14 @@ shape:Student a sh:NodeShape ;
 
 func TestParseTurtleErrors(t *testing.T) {
 	bad := []string{
-		`ex:s ex:p ex:o .`,                               // undeclared prefix
-		`@prefix ex: <http://x/> . ex:s ex:p ex:o`,       // missing dot
-		`@prefix ex: <http://x/> . ex:s ex:p "open .`,    // unterminated string
-		`@prefix ex: <http://x/> . ex:s ex:p ( ex:a  .`,  // unterminated collection
-		`@prefix ex: <http://x/> . ex:s ex:p [ ex:q 1 .`, // unterminated bnode list
+		`ex:s ex:p ex:o .`,                                   // undeclared prefix
+		`@prefix ex: <http://x/> . ex:s ex:p ex:o`,           // missing dot
+		`@prefix ex: <http://x/> . ex:s ex:p "open .`,        // unterminated string
+		`@prefix ex: <http://x/> . ex:s ex:p ( ex:a  .`,      // unterminated collection
+		`@prefix ex: <http://x/> . ex:s ex:p [ ex:q 1 .`,     // unterminated bnode list
+		`@prefix ex: <http://x/> . ex:s ex:p "x"@ .`,         // empty language tag
+		`@prefix ex: <http://x/> . ex:s ex:p "\uDFFF" .`,     // \u escape of a surrogate
+		`@prefix ex: <http://x/> . ex:s ex:p "\UFFFFFFFF" .`, // \U escape past U+10FFFF
 	}
 	for _, src := range bad {
 		if _, err := ParseTurtle(src); err == nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"github.com/s3pg/s3pg/internal/rdf"
@@ -23,6 +22,12 @@ type NTriplesScanner struct {
 	opts Options
 	sink errorSink
 
+	// One parser per line form: Scan parses a string made of the line,
+	// ScanInto the line's bytes in the read buffer.
+	asString ntParser[string]
+	inBuffer ntParser[[]byte]
+	st       ntStatement[[]byte] // ScanInto's statement
+
 	line    int
 	skipped int64
 	triples int64
@@ -30,6 +35,7 @@ type NTriplesScanner struct {
 	start    time.Time
 	started  bool
 	observed bool
+	eof      bool
 }
 
 // NewNTriplesScanner wraps r.
@@ -45,7 +51,7 @@ func (s *NTriplesScanner) Offset() int64 { return s.br.consumed() }
 // Line returns the number of input lines consumed so far.
 func (s *NTriplesScanner) Line() int { return s.line }
 
-// Triples returns how many statements Scan has produced.
+// Triples returns how many statements Scan or ScanInto has produced.
 func (s *NTriplesScanner) Triples() int64 { return s.triples }
 
 // Skipped returns how many malformed statements lenient mode dropped.
@@ -56,51 +62,89 @@ func (s *NTriplesScanner) Skipped() int64 { return s.skipped }
 // always abort. The throughput meter is observed once, when the scan
 // finishes (either end of input or an abort).
 func (s *NTriplesScanner) Scan() (t rdf.Triple, ok bool, err error) {
-	if !s.started {
-		s.started = true
-		s.start = time.Now()
-	}
 	for {
-		raw, rerr := s.br.readLine()
-		if rerr != nil && rerr != io.EOF {
-			s.observe()
-			return rdf.Triple{}, false, rerr
+		raw, ok, err := s.next()
+		if !ok {
+			return rdf.Triple{}, false, err
 		}
-		atEOF := rerr == io.EOF
-		if raw == "" && atEOF {
-			s.observe()
-			return rdf.Triple{}, false, nil
-		}
-		s.line++
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			if atEOF {
-				s.observe()
-				return rdf.Triple{}, false, nil
-			}
-			continue
-		}
-		tr, perr := parseNTriplesLine(line)
-		if perr != nil {
-			perr.Line = s.line
-			if !s.opts.Lenient {
-				s.observe()
-				return rdf.Triple{}, false, fmt.Errorf("rio: %w", perr)
-			}
-			s.skipped++
-			if err := s.sink.record(*perr); err != nil {
-				s.observe()
+		// One string per statement: its terms share it.
+		s.asString.scratch = s.asString.scratch[:0]
+		var st ntStatement[string]
+		if perr := s.asString.parse(string(raw), &st); perr != nil {
+			if err := s.reject(perr); err != nil {
 				return rdf.Triple{}, false, err
-			}
-			if atEOF {
-				s.observe()
-				return rdf.Triple{}, false, nil
 			}
 			continue
 		}
 		s.triples++
-		return tr, true, nil
+		return st.triple(), true, nil
 	}
+}
+
+// ScanInto admits the next statement into g and reports false at end of
+// input; malformed lines and errors are handled as Scan handles them. The
+// statement is parsed where it lies in the read buffer and admitted with
+// rdf.Graph.AddBytes, so a term g's dictionary already holds costs no
+// allocation.
+func (s *NTriplesScanner) ScanInto(g *rdf.Graph) (ok bool, err error) {
+	for {
+		raw, ok, err := s.next()
+		if !ok {
+			return false, err
+		}
+		s.inBuffer.scratch = s.inBuffer.scratch[:0]
+		if perr := s.inBuffer.parse(raw, &s.st); perr != nil {
+			if err := s.reject(perr); err != nil {
+				return false, err
+			}
+			continue
+		}
+		s.triples++
+		admit(g, &s.st)
+		return true, nil
+	}
+}
+
+// next returns the next line that holds a statement, trimmed, valid until
+// the next call. ok is false at end of input and on a read error.
+func (s *NTriplesScanner) next() (line []byte, ok bool, err error) {
+	if !s.started {
+		s.started = true
+		s.start = time.Now()
+	}
+	for !s.eof {
+		raw, rerr := s.br.readLine()
+		if rerr != nil && rerr != io.EOF {
+			s.observe()
+			return nil, false, rerr
+		}
+		s.eof = rerr == io.EOF
+		if len(raw) == 0 && s.eof {
+			break
+		}
+		s.line++
+		if line := bytes.TrimSpace(raw); len(line) > 0 && line[0] != '#' {
+			return line, true, nil
+		}
+	}
+	s.observe()
+	return nil, false, nil
+}
+
+// reject handles a malformed line: the error that ends the scan in strict
+// mode or once the error budget is spent, else nil after reporting it.
+func (s *NTriplesScanner) reject(perr *ParseError) error {
+	perr.Line = s.line
+	if !s.opts.Lenient {
+		s.observe()
+		return fmt.Errorf("rio: %w", perr)
+	}
+	s.skipped++
+	if err := s.sink.record(*perr); err != nil {
+		s.observe()
+		return err
+	}
+	return nil
 }
 
 // observe reports the document's throughput to the ingestion meter exactly
@@ -118,9 +162,10 @@ func (s *NTriplesScanner) observe() {
 type byteCountReader struct {
 	r    io.Reader
 	buf  []byte
-	pos  int   // next unread byte in buf
-	n    int   // valid bytes in buf
-	read int64 // bytes handed out via readLine
+	long []byte // a line that did not fit in buf, assembled
+	pos  int    // next unread byte in buf
+	n    int    // valid bytes in buf
+	read int64  // bytes handed out via readLine
 	err  error
 }
 
@@ -133,35 +178,36 @@ func newByteCountReader(r io.Reader, size int) *byteCountReader {
 func (b *byteCountReader) consumed() int64 { return b.read }
 
 // readLine returns the next line including its trailing newline, like
-// bufio.Reader.ReadString('\n'): at end of input it returns the final
-// (possibly empty) unterminated line together with io.EOF. There is no upper
-// bound on line length.
-func (b *byteCountReader) readLine() (string, error) {
-	var pending []byte
+// bufio.Reader.ReadSlice('\n'): in the reader's buffer, valid until the next
+// call. At end of input it returns the final (possibly empty) unterminated
+// line together with io.EOF. There is no upper bound on line length.
+func (b *byteCountReader) readLine() ([]byte, error) {
+	b.long = b.long[:0]
 	for {
 		if b.pos < b.n {
 			if i := bytes.IndexByte(b.buf[b.pos:b.n], '\n'); i >= 0 {
 				line := b.buf[b.pos : b.pos+i+1]
 				b.pos += i + 1
 				b.read += int64(i + 1)
-				if pending == nil {
-					return string(line), nil
+				if len(b.long) == 0 {
+					return line, nil
 				}
-				return string(append(pending, line...)), nil
+				b.long = append(b.long, line...)
+				return b.long, nil
 			}
-			pending = append(pending, b.buf[b.pos:b.n]...)
+			b.long = append(b.long, b.buf[b.pos:b.n]...)
 			b.read += int64(b.n - b.pos)
 			b.pos = b.n
 		}
 		if b.err != nil {
-			return string(pending), b.err
+			return b.long, b.err
 		}
 		n, err := b.r.Read(b.buf)
 		b.pos, b.n = 0, n
 		if err != nil {
 			b.err = err
 			if b.err != io.EOF && n == 0 {
-				return string(pending), b.err
+				return b.long, b.err
 			}
 		}
 	}

@@ -503,11 +503,11 @@ func (p *ttlParser) stringLiteral() (rdf.Term, error) {
 				return rdf.Term{}, p.errf("newline in short string")
 			}
 			if c == '\\' {
-				esc, n, err := decodeEscape(p.src[p.pos:])
+				r, n, err := decodeEscape(p.src[p.pos:])
 				if err != nil {
 					return rdf.Term{}, p.errf("%v", err)
 				}
-				b.WriteString(esc)
+				b.WriteRune(r)
 				p.pos += n
 				continue
 			}
@@ -522,6 +522,9 @@ func (p *ttlParser) stringLiteral() (rdf.Term, error) {
 		start := p.pos
 		for p.pos < len(p.src) && (isAlphaNum(p.src[p.pos]) || p.src[p.pos] == '-') {
 			p.pos++
+		}
+		if p.pos == start {
+			return rdf.Term{}, p.errf("empty language tag")
 		}
 		return rdf.NewLangLiteral(lex, p.src[start:p.pos]), nil
 	}
