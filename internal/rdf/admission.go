@@ -1,5 +1,7 @@
 package rdf
 
+import "fmt"
+
 // This file exposes the graph's admission order — the slot index assigned to
 // each triple by the Add call that created it — plus the exact-rollback
 // primitives the incremental transformation needs. Admission order is the
@@ -28,12 +30,14 @@ func (g *Graph) IndexOf(t Triple) (int32, bool) {
 }
 
 // Unremove resurrects a triple tombstoned by Remove at its original slot,
-// restoring the exact pre-Remove admission order. It reports whether the
-// slot was restored; it refuses (returning false) when the slot is not a
-// tombstone or when the triple was re-added elsewhere in the meantime —
-// callers rolling back a batch must truncate the batch's Adds first.
+// restoring the exact pre-Remove admission order. idx is a slot as IndexOf
+// and NumSlots count them, spilled or not. It reports whether the slot was
+// restored; it refuses (returning false) when the slot is not a tombstone or
+// when the triple was re-added elsewhere in the meantime — callers rolling
+// back a batch must truncate the batch's Adds first.
 func (g *Graph) Unremove(idx int32, t Triple) bool {
-	if int(idx) >= len(g.triples) || !g.dead[idx] {
+	i := int(idx)
+	if i < 0 || i >= g.numSlots() || !g.slotDead(i) {
 		return false
 	}
 	s, ok := g.dict.Lookup(t.S)
@@ -49,48 +53,69 @@ func (g *Graph) Unremove(idx int32, t Triple) bool {
 		return false
 	}
 	e := encTriple{s, p, o}
-	if g.triples[idx] != e {
+	if g.encAt(i) != e {
 		return false
 	}
 	g.ownPresent()
-	if _, present := g.present[e]; present {
+	h := e.hash()
+	slot, _, live := findTriple(g.present, h, e, g.triples)
+	if live {
 		return false
 	}
-	g.present[e] = idx
-	g.ownDead()
-	g.dead[idx] = false
+	if sp := g.spill; sp != nil {
+		if _, live := sp.slotOf(e); live {
+			return false
+		}
+	}
+	if base := g.spillBase(); i < base {
+		g.spill.setDead(i, false)
+	} else {
+		g.present.insert(slot, h, i-base)
+		g.ownDead()
+		g.dead[i-base] = false
+	}
 	g.nDead--
 	return true
 }
 
 // TruncateFrom removes every admission slot >= n, live or tombstoned,
-// un-admitting the most recent Adds. Posting lists are append-ordered, so
-// the truncated entries are exactly their tails. Dictionary entries interned
-// by the truncated Adds are retained (ids are internal and never affect
-// admission order). The vacated slots may still be visible to a clone, so
-// the graph gives up its spare capacity: the next Add reallocates instead of
-// writing over them.
+// un-admitting the most recent Adds. n counts slots as NumSlots does; the
+// spilled prefix is on disk and cannot be un-admitted, so an n below it is a
+// caller bug and panics. Posting lists are append-ordered, so the entries the
+// index holds for the truncated slots are exactly their tails. Dictionary
+// entries interned by the truncated Adds are retained (ids are internal and
+// never affect admission order). The vacated slots may still be visible to a
+// clone, so the graph gives up its spare capacity: the next Add reallocates
+// instead of writing over them.
 func (g *Graph) TruncateFrom(n int) {
-	if n < 0 {
-		n = 0
+	n = max(n, 0)
+	base := g.spillBase()
+	if n < base {
+		panic(fmt.Sprintf("rdf: TruncateFrom(%d) below the %d spilled slots", n, base))
 	}
-	if n >= len(g.triples) {
+	if n >= g.numSlots() {
 		return
 	}
 	g.ownPresent()
-	for i := len(g.triples) - 1; i >= n; i-- {
-		e := g.triples[i]
-		g.popIndex(0, e.s, int32(i))
-		g.popIndex(1, e.p, int32(i))
-		g.popIndex(2, e.o, int32(i))
+	tail := n - base
+	if indexed := int(g.indexed.Load()); indexed > tail {
+		for i := indexed - 1; i >= tail; i-- {
+			e, idx := g.triples[i], int32(base+i)
+			g.popIndex(0, e.s, idx)
+			g.popIndex(1, e.p, idx)
+			g.popIndex(2, e.o, idx)
+		}
+		g.indexed.Store(int64(tail))
+	}
+	for i := len(g.triples) - 1; i >= tail; i-- {
 		if g.dead[i] {
 			g.nDead--
-		} else {
-			delete(g.present, e)
+		} else if slot, _, ok := findTriple(g.present, g.triples[i].hash(), g.triples[i], g.triples); ok {
+			g.present.remove(slot)
 		}
 	}
-	g.triples = g.triples[:n:n]
-	g.dead = g.dead[:n:n]
+	g.triples = g.triples[:tail:tail]
+	g.dead = g.dead[:tail:tail]
 }
 
 // popIndex removes the tail entry of a posting list, asserting it is the

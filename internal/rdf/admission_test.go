@@ -59,6 +59,61 @@ func TestUnremoveRestoresExactOrder(t *testing.T) {
 	}
 }
 
+// TestRollbackTakesGlobalSlotsOnSpilledGraph: over 10 spilled and 5 tail
+// slots, Unremove and TruncateFrom count slots as NumSlots and IndexOf do,
+// both in the tail and — for Unremove — in the spilled prefix, and keep the
+// graph equal to a twin that never spilled.
+func TestRollbackTakesGlobalSlotsOnSpilledGraph(t *testing.T) {
+	g, want := NewGraph(), NewGraph()
+	for i := 0; i < 15; i++ {
+		g.Add(tr(i))
+		want.Add(tr(i))
+		if i == 9 {
+			if err := g.Spill(t.TempDir(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	both := func(f func(*Graph) bool) bool {
+		a, b := f(g), f(want)
+		if a != b {
+			t.Fatalf("spilled graph answers %v, its resident twin %v", a, b)
+		}
+		return a
+	}
+	for _, i := range []int{12, 3} { // a tail slot, then a spilled one
+		both(func(x *Graph) bool { return x.Remove(tr(i)) })
+		if !both(func(x *Graph) bool { return x.Unremove(int32(i), tr(i)) }) {
+			t.Fatalf("Unremove(%d) of a removed slot refused", i)
+		}
+		if idx, ok := g.IndexOf(tr(i)); !ok || idx != int32(i) {
+			t.Fatalf("IndexOf(tr(%d)) after Unremove = %d,%v", i, idx, ok)
+		}
+	}
+	// A spilled tombstone whose triple was re-added in the tail stays dead.
+	both(func(x *Graph) bool { return x.Remove(tr(3)) })
+	both(func(x *Graph) bool { return x.Add(tr(3)) })
+	if both(func(x *Graph) bool { return x.Unremove(3, tr(3)) }) {
+		t.Fatal("Unremove resurrected a spilled slot whose triple is live at slot 15")
+	}
+	g.TruncateFrom(12)
+	want.TruncateFrom(12)
+	if g.NumSlots() != 12 || g.Has(tr(12)) || g.Has(tr(3)) || !g.Has(tr(11)) {
+		t.Fatalf("TruncateFrom(12): NumSlots = %d, Has(12, 3, 11) = %v %v %v", g.NumSlots(), g.Has(tr(12)), g.Has(tr(3)), g.Has(tr(11)))
+	}
+	if !both(func(x *Graph) bool { return x.Unremove(3, tr(3)) }) {
+		t.Fatal("Unremove(3) refused once the re-added copy was truncated")
+	}
+	assertGraphsEqual(t, g, want)
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("TruncateFrom into the spilled prefix did not panic")
+		}
+	}()
+	g.TruncateFrom(5)
+}
+
 func TestTruncateFromUndoesAdds(t *testing.T) {
 	g := NewGraph()
 	for i := 0; i < 3; i++ {

@@ -59,7 +59,9 @@ type cloneMember struct {
 // Clone is invisible to the other": a family of graphs related by Clone
 // (clones of clones included), each checked against its own model after
 // random Add, Remove, Unremove, TruncateFrom, Grow and Spill calls on random
-// members. bench/inputs.go and exp/experiments.go rely on exactly this.
+// members, spilled or not. Reads (one Match per component) at random steps
+// make the posting lists catch up between every kind of mutation.
+// bench/inputs.go and exp/experiments.go rely on exactly this.
 func TestCloneContract(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { cloneContract(t, seed) })
@@ -93,6 +95,23 @@ func cloneContract(t *testing.T, seed int64) {
 		}
 	}
 
+	// matchEach runs one bound-component scan per index.
+	matchEach := func(ctx string, m *cloneMember, tr Triple) {
+		t.Helper()
+		for k, pat := range [3][3]*Term{{&tr.S, nil, nil}, {nil, &tr.P, nil}, {nil, nil, &tr.O}} {
+			var gotM, wantM []Triple
+			m.g.Match(pat[0], pat[1], pat[2], func(x Triple) bool { gotM = append(gotM, x); return true })
+			for _, x := range m.model.live() {
+				if (k == 0 && x.S == tr.S) || (k == 1 && x.P == tr.P) || (k == 2 && x.O == tr.O) {
+					wantM = append(wantM, x)
+				}
+			}
+			if fmt.Sprint(gotM) != fmt.Sprint(wantM) {
+				t.Fatalf("%s: Match on component %d of %v = %v, want %v", ctx, k, tr, gotM, wantM)
+			}
+		}
+	}
+
 	check := func(step int, what string) {
 		t.Helper()
 		for mi, m := range fam {
@@ -107,31 +126,18 @@ func cloneContract(t *testing.T, seed int64) {
 					t.Fatalf("%s: triple %d in admission order = %v, want %v", ctx, i, got[i], want[i])
 				}
 			}
-			// Point lookups (the clone answers them without a hash map) and
-			// one bound-component scan per index.
+			// Point lookups (the clone answers them without a duplicate
+			// index) and one bound-component scan per index.
 			for i := 0; i < 12; i++ {
 				tr := randTriple()
 				if has, want := m.g.Has(tr), m.model.slotOf(tr) >= 0; has != want {
 					t.Fatalf("%s: Has(%v) = %v, want %v", ctx, tr, has, want)
 				}
-				if !m.spilled {
-					idx, ok := m.g.IndexOf(tr)
-					if w := m.model.slotOf(tr); ok != (w >= 0) || (ok && int(idx) != w) {
-						t.Fatalf("%s: IndexOf(%v) = %d,%v, want slot %d", ctx, tr, idx, ok, w)
-					}
+				idx, ok := m.g.IndexOf(tr)
+				if w := m.model.slotOf(tr); ok != (w >= 0) || (ok && int(idx) != w) {
+					t.Fatalf("%s: IndexOf(%v) = %d,%v, want slot %d", ctx, tr, idx, ok, w)
 				}
-				for k, pat := range [3][3]*Term{{&tr.S, nil, nil}, {nil, &tr.P, nil}, {nil, nil, &tr.O}} {
-					var gotM, wantM []Triple
-					m.g.Match(pat[0], pat[1], pat[2], func(x Triple) bool { gotM = append(gotM, x); return true })
-					for _, x := range want {
-						if (k == 0 && x.S == tr.S) || (k == 1 && x.P == tr.P) || (k == 2 && x.O == tr.O) {
-							wantM = append(wantM, x)
-						}
-					}
-					if fmt.Sprint(gotM) != fmt.Sprint(wantM) {
-						t.Fatalf("%s: Match on component %d of %v = %v, want %v", ctx, k, tr, gotM, wantM)
-					}
-				}
+				matchEach(ctx, m, tr)
 			}
 			if m.frozen && !m.g.Equal(m.oracle) {
 				t.Fatalf("%s: a clone nobody mutated no longer equals the deep copy taken beside it", ctx)
@@ -160,6 +166,11 @@ func cloneContract(t *testing.T, seed int64) {
 		case op < 10 && len(fam) > 2 && rng.Intn(3) == 0:
 			// Thaw a frozen clone: from now on it is mutated like the others.
 			m.frozen = false
+		case op < 18 && rng.Intn(2) == 0:
+			// A read, frozen members included: the posting lists catch up on
+			// whatever was admitted, removed or truncated since the last one.
+			what = "Match"
+			matchEach(fmt.Sprintf("step %d (Match)", step), m, randTriple())
 		case m.frozen:
 			continue
 		case op < 13:
@@ -186,7 +197,7 @@ func cloneContract(t *testing.T, seed int64) {
 			if w >= 0 {
 				m.model.slots[w].dead = true
 			}
-		case op < 90 && !m.spilled && len(m.model.slots) > 0:
+		case op < 90 && len(m.model.slots) > 0:
 			what = "Unremove"
 			idx := rng.Intn(len(m.model.slots))
 			s := m.model.slots[idx]
@@ -197,9 +208,9 @@ func cloneContract(t *testing.T, seed int64) {
 			if want {
 				m.model.slots[idx].dead = false
 			}
-		case !m.spilled && len(m.model.slots) > 0:
+		case len(m.model.slots) > 0:
 			what = "TruncateFrom"
-			n := len(m.model.slots) - rng.Intn(4)
+			n := max(len(m.model.slots)-rng.Intn(4), m.g.spillBase()) // the spilled prefix is not for rollback
 			m.g.TruncateFrom(n)
 			m.model.slots = m.model.slots[:n]
 		default:

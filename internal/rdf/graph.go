@@ -2,8 +2,11 @@ package rdf
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"github.com/s3pg/s3pg/internal/cow"
 	"github.com/s3pg/s3pg/internal/obs"
@@ -11,7 +14,8 @@ import (
 
 // Always-on encoding/index counters (obs.Default registry): terms interned
 // into dictionaries, triples admitted into graphs, and posting-list entries
-// appended across the subject/predicate/object indexes.
+// indexed across the subject/predicate/object indexes (counted when a read
+// builds them, see Graph.index).
 var (
 	cDictTerms    = obs.Default.Counter("rdf.dict.terms")
 	cGraphTriples = obs.Default.Counter("rdf.graph.triples")
@@ -134,11 +138,40 @@ type encTriple struct {
 	s, p, o TermID
 }
 
+// hash spreads the triple's ids over 32 bits for the duplicate index: one
+// 64×64→128-bit multiply of the ids against fixed odd constants, folded.
+func (e encTriple) hash() uint32 {
+	hi, lo := bits.Mul64(uint64(e.s)<<32|uint64(e.p)^0xa0761d6478bd642f, uint64(e.o)^0xe7037ed1a0b428db)
+	h := hi ^ lo
+	return uint32(h ^ h>>32)
+}
+
+// findTriple looks e up among the live tail triples the duplicate index tt
+// holds. When e is absent, slot is where insert would put it (valid until the
+// next insert, remove or grow).
+func findTriple(tt *slotTable, h uint32, e encTriple, triples []encTriple) (slot, pos int, ok bool) {
+	if len(tt.slots) == 0 {
+		return 0, 0, false
+	}
+	mask := len(tt.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := tt.slots[i]
+		if s == 0 {
+			return i, 0, false
+		}
+		if uint32(s>>32) == h {
+			if pos := int(uint32(s)) - 1; triples[pos] == e {
+				return i, pos, true
+			}
+		}
+	}
+}
+
 // Graph is a dictionary-encoded RDF graph indexed by subject, predicate,
 // and object, supporting wildcard pattern matching for BGP evaluation.
 // Graph is not safe for concurrent mutation (Spill and Clone count as
 // mutation); concurrent readers are safe once loading is complete, spilled
-// or not.
+// or not, and whether or not anything has read the graph before.
 //
 // A spilled graph (see Spill) keeps slots [0, spill.slots) on disk and only
 // slots admitted afterwards in the resident tail fields below; slot
@@ -151,13 +184,20 @@ type Graph struct {
 	// deadShared is set while a clone may hold the dead array: appends past
 	// its length stay in place, flipping a slot copies the array first.
 	deadShared bool
-	// present maps a live tail triple to its slot. It serves the writer
-	// (Add's duplicate check, Remove); a clone starts without one, answers
-	// Has from the posting lists, and builds its own on its first mutation.
-	present map[encTriple]int32
+	// present is the duplicate index: a slotTable over the live tail
+	// triples, by position in triples. It serves the writer (Add's duplicate
+	// check, Remove, Unremove, TruncateFrom); a clone starts without one
+	// (nil), answers Has from the posting lists, and builds its own on its
+	// first mutation.
+	present *slotTable
 	nDead   int // tombstone count across spilled and tail slots
 
-	post [3]cow.Lists[int32] // tail postings by subject, predicate, object id
+	// post holds the tail postings by subject, predicate and object id for
+	// the first indexed tail slots. Admission does not write them; index
+	// brings them up to date before anything reads them.
+	post    [3]cow.Lists[int32]
+	indexed atomic.Int64
+	indexMu sync.Mutex // serializes index between concurrent readers
 
 	spill *graphSpill // disk-backed slots [0, spill.slots); nil when unspilled
 
@@ -214,7 +254,7 @@ func NewGraph() *Graph { return NewGraphWithDict(NewDict()) }
 
 // NewGraphWithDict returns an empty graph sharing the given dictionary.
 func NewGraphWithDict(d *Dict) *Graph {
-	return &Graph{dict: d, present: make(map[encTriple]int32)}
+	return &Graph{dict: d, present: &slotTable{}}
 }
 
 // Dict exposes the graph's term dictionary.
@@ -263,7 +303,7 @@ func (g *Graph) slotDead(i int) bool {
 // killSlot tombstones (global) slot i.
 func (g *Graph) killSlot(i int) {
 	if sp := g.spill; sp != nil && i < sp.slots {
-		sp.setDead(i)
+		sp.setDead(i, true)
 	} else {
 		g.ownDead()
 		g.dead[i-g.spillBase()] = true
@@ -279,18 +319,95 @@ func (g *Graph) ownDead() {
 	}
 }
 
-// ownPresent builds the clone's triple → slot map before its first mutation.
+// ownPresent builds the clone's duplicate index before its first mutation.
 func (g *Graph) ownPresent() {
 	if g.present != nil {
 		return
 	}
-	g.present = make(map[encTriple]int32, len(g.triples))
-	base := g.spillBase()
+	tt := &slotTable{}
+	tt.grow(len(g.triples))
 	for i, e := range g.triples {
 		if !g.dead[i] {
-			g.present[e] = int32(base + i)
+			h := e.hash()
+			tt.insert(tt.free(h), h, i)
 		}
 	}
+	g.present = tt
+}
+
+// index brings the tail's posting lists up to date before a read of them:
+// from empty by one counting sort (sortPostings), otherwise by appending the
+// slots admitted since the last read. Readers of a graph nobody mutates may
+// call it concurrently — the first one builds under indexMu, the others find
+// the watermark current and take no lock — so a freshly loaded graph can be
+// shared before anything has read it.
+func (g *Graph) index() {
+	n := int64(len(g.triples))
+	if g.indexed.Load() == n {
+		return
+	}
+	g.indexMu.Lock()
+	defer g.indexMu.Unlock()
+	from := g.indexed.Load()
+	if from == n {
+		return
+	}
+	base := g.spillBase()
+	if from == 0 {
+		g.post = sortPostings(g.triples, base, g.dict.Len())
+	} else {
+		for i := int(from); i < len(g.triples); i++ {
+			e, idx := g.triples[i], int32(base+i)
+			g.post[0].Append(int(e.s), idx)
+			g.post[1].Append(int(e.p), idx)
+			g.post[2].Append(int(e.o), idx)
+		}
+	}
+	cIndexEntries.Add(3 * (n - from))
+	g.indexed.Store(n)
+}
+
+// sortPostings builds the subject, predicate and object postings of triples,
+// whose first slot is base and whose ids are below ids, by counting sort: per
+// index one array holding every slot grouped by id, each id's list a window of
+// it with its capacity clipped, so an append to one list never writes into the
+// next. Slots ascend within a list as they do in triples.
+func sortPostings(triples []encTriple, base, ids int) (post [3]cow.Lists[int32]) {
+	var next, slots [3][]int32 // next[k][id]: where id's next slot goes in slots[k]
+	for k := range next {
+		next[k] = make([]int32, ids+1)
+		slots[k] = make([]int32, len(triples))
+	}
+	for _, e := range triples {
+		next[0][e.s+1]++
+		next[1][e.p+1]++
+		next[2][e.o+1]++
+	}
+	for k := range next {
+		for id := 1; id <= ids; id++ {
+			next[k][id] += next[k][id-1]
+		}
+	}
+	for i, e := range triples {
+		slot := int32(base + i)
+		slots[0][next[0][e.s]] = slot
+		next[0][e.s]++
+		slots[1][next[1][e.p]] = slot
+		next[1][e.p]++
+		slots[2][next[2][e.o]] = slot
+		next[2][e.o]++
+	}
+	// next[k][id] is now where id's list ends and id+1's begins.
+	for k := range post {
+		lo := int32(0)
+		for id, hi := range next[k][:ids] {
+			if hi > lo {
+				post[k].Set(id, slots[k][lo:hi:hi])
+			}
+			lo = hi
+		}
+	}
+	return post
 }
 
 // forEachSlot calls fn for every live slot in admission order until fn
@@ -330,6 +447,7 @@ func (g *Graph) forEachSlot(fn func(slot int, e encTriple) bool) {
 // not be mutated; it aliases cache or index state unless both parts are
 // non-empty.
 func (g *Graph) postingFor(k int, id TermID) []int32 {
+	g.index()
 	tail := g.post[k].At(int(id))
 	if g.spill == nil {
 		return tail
@@ -346,15 +464,17 @@ func (g *Graph) postingFor(k int, id TermID) []int32 {
 	return append(merged, tail...)
 }
 
-// slotOf finds the live slot holding e: the tail's hash map when the graph
-// has one, else — a clone that was never mutated — a scan of e's shortest
-// posting list; then the spilled prefix, which keeps no resident hash.
+// slotOf finds the live slot holding e: the tail's duplicate index when the
+// graph has one, else — a clone that was never mutated — a scan of e's
+// shortest posting list; then the spilled prefix, which keeps no resident
+// hash.
 func (g *Graph) slotOf(e encTriple) (int32, bool) {
 	if g.present != nil {
-		if idx, ok := g.present[e]; ok {
-			return idx, true
+		if _, pos, ok := findTriple(g.present, e.hash(), e, g.triples); ok {
+			return int32(g.spillBase() + pos), true
 		}
 	} else {
+		g.index()
 		base := g.spillBase()
 		for _, idx := range shortest(g.post[0].At(int(e.s)), g.post[1].At(int(e.p)), g.post[2].At(int(e.o))) {
 			if i := int(idx) - base; !g.dead[i] && g.triples[i] == e {
@@ -390,11 +510,7 @@ func (g *Graph) Grow(n int) {
 		return
 	}
 	g.ownPresent()
-	present := make(map[encTriple]int32, len(g.present)+n)
-	for e, slot := range g.present {
-		present[e] = slot
-	}
-	g.present = present
+	g.present.grow(n)
 	g.triples = slices.Grow(g.triples, n)
 	if cap(g.dead)-len(g.dead) < n {
 		g.dead, g.deadShared = slices.Grow(g.dead, n), false // a fresh array is private
@@ -433,20 +549,25 @@ func add[S string | []byte](g *Graph, s, p, o *termKey[S]) bool {
 	return g.addEnc(encTriple{recall(&r.s, g.dict, s), recall(predicateSlot(r, p), g.dict, p), intern(g.dict, o)})
 }
 
+// addEnc admits e unless it is live already. Admission writes the triple log,
+// the tombstones and the duplicate index; the posting lists catch up on the
+// next read.
 func (g *Graph) addEnc(e encTriple) bool {
 	g.ownPresent()
-	if _, ok := g.slotOf(e); ok {
+	h := e.hash()
+	slot, _, ok := findTriple(g.present, h, e, g.triples)
+	if ok {
 		return false
 	}
-	idx := int32(g.numSlots())
+	if sp := g.spill; sp != nil {
+		if _, ok := sp.slotOf(e); ok {
+			return false
+		}
+	}
+	g.present.insert(slot, h, len(g.triples))
 	g.triples = append(g.triples, e)
 	g.dead = append(g.dead, false)
-	g.present[e] = idx
-	g.post[0].Append(int(e.s), idx)
-	g.post[1].Append(int(e.p), idx)
-	g.post[2].Append(int(e.o), idx)
 	cGraphTriples.Inc()
-	cIndexEntries.Add(3)
 	return true
 }
 
@@ -467,13 +588,19 @@ func (g *Graph) Remove(t Triple) bool {
 	}
 	e := encTriple{s, p, o}
 	g.ownPresent()
-	idx, ok := g.slotOf(e)
-	if !ok {
+	if slot, pos, ok := findTriple(g.present, e.hash(), e, g.triples); ok {
+		g.present.remove(slot)
+		g.killSlot(g.spillBase() + pos)
+		return true
+	}
+	if g.spill == nil {
 		return false
 	}
-	delete(g.present, e) // no-op when the slot is spilled
-	g.killSlot(int(idx))
-	return true
+	idx, ok := g.spill.slotOf(e)
+	if ok {
+		g.killSlot(int(idx))
+	}
+	return ok
 }
 
 // Has reports whether the triple is present.
@@ -778,9 +905,12 @@ func (g *Graph) AddAll(other *Graph) int {
 // dictionary's hash index are shared copy-on-write (package cow), spilled
 // segments are shared as the immutable files they are, and the tombstones are
 // copied by whichever side first flips one. Slot indexes and term ids are
-// preserved. Clone writes to g's sharing state, so like any mutation it must
-// not run concurrently with another method of g.
+// preserved. Clone first brings g's posting lists up to date, so the clone
+// starts indexed and a snapshot that is only read never builds an index.
+// Clone writes to g's sharing state, so like any mutation it must not run
+// concurrently with another method of g.
 func (g *Graph) Clone() *Graph {
+	g.index()
 	n := len(g.triples)
 	g.deadShared = true
 	c := &Graph{
@@ -791,6 +921,7 @@ func (g *Graph) Clone() *Graph {
 		nDead:      g.nDead,
 		post:       [3]cow.Lists[int32]{g.post[0].Clone(), g.post[1].Clone(), g.post[2].Clone()},
 	}
+	c.indexed.Store(int64(n))
 	if g.spill != nil {
 		c.spill = g.spill.share()
 	}

@@ -2,6 +2,8 @@ package rdf
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -99,5 +101,77 @@ func TestDictInternNoAllocsOnHit(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Dict.Intern of interned terms allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestConcurrentFirstReaders: eight goroutines query a graph nothing has read
+// yet — resident, and spilled with an unread tail — so that one of them
+// builds the posting lists while the others wait for it or read after it.
+// Every answer (Match, MatchEncoded and Has per pattern) must equal the one a
+// twin gives that was read once before it was shared. make race runs it
+// under the race detector.
+func TestConcurrentFirstReaders(t *testing.T) {
+	build := func(spilled bool) *Graph {
+		if !spilled {
+			return spillFixture(120)
+		}
+		g := spillIn(t, spillFixture(120), 2, t.TempDir())
+		for i := 0; i < 100; i++ {
+			g.Add(NewTriple(ex(fmt.Sprintf("p%d", i%40)), ex("knows"), ex(fmt.Sprintf("late%d", i))))
+		}
+		return g
+	}
+	answer := func(g *Graph, tr Triple, mask int) string {
+		comps := [3]Term{tr.S, tr.P, tr.O}
+		var pat [3]*Term
+		ids := [3]TermID{noID, noID, noID}
+		for k := range pat {
+			if mask>>k&1 != 0 {
+				pat[k] = &comps[k]
+				ids[k], _ = g.Dict().Lookup(comps[k])
+			}
+		}
+		var b strings.Builder
+		g.Match(pat[0], pat[1], pat[2], func(x Triple) bool { b.WriteString(x.String()); return true })
+		g.MatchEncoded(ids[0], ids[1], ids[2], func(s, p, o TermID) bool { fmt.Fprint(&b, s, p, o, ";"); return true })
+		fmt.Fprint(&b, g.Has(tr))
+		return b.String()
+	}
+	for _, spilled := range []bool{false, true} {
+		t.Run(fmt.Sprint("spilled=", spilled), func(t *testing.T) {
+			twin, g := build(spilled), build(spilled)
+			if g.indexed.Load() != 0 || len(g.triples) == 0 {
+				t.Fatalf("the graph under test has %d of %d tail slots indexed, want an unread tail", g.indexed.Load(), len(g.triples))
+			}
+			var pats []Triple
+			all := twin.Triples()
+			for i := 0; i < len(all); i += 13 {
+				pats = append(pats, all[i], NewTriple(all[i].S, all[i].P, all[(i+7)%len(all)].O))
+			}
+			want := make([]string, 0, 7*len(pats))
+			for _, tr := range pats {
+				for mask := 1; mask < 8; mask++ {
+					want = append(want, answer(twin, tr, mask))
+				}
+			}
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := 0; r < 8; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					<-start
+					for j := range want {
+						q := (j + r*len(want)/8) % len(want) // each reader starts elsewhere
+						if got := answer(g, pats[q/7], q%7+1); got != want[q] {
+							t.Errorf("reader %d, pattern %v mask %03b: got %q, want %q", r, pats[q/7], q%7+1, got, want[q])
+							return
+						}
+					}
+				}(r)
+			}
+			close(start)
+			wg.Wait()
+		})
 	}
 }

@@ -124,12 +124,17 @@ func (sp *graphSpill) isDead(slot int) bool {
 	return sp.dead[slot>>6]&(1<<(uint(slot)&63)) != 0
 }
 
-func (sp *graphSpill) setDead(slot int) {
+// setDead tombstones (dead) or restores a spilled slot.
+func (sp *graphSpill) setDead(slot int, dead bool) {
 	if sp.deadShared {
 		sp.dead = append([]uint64(nil), sp.dead...)
 		sp.deadShared = false
 	}
-	sp.dead[slot>>6] |= 1 << (uint(slot) & 63)
+	if dead {
+		sp.dead[slot>>6] |= 1 << (uint(slot) & 63)
+	} else {
+		sp.dead[slot>>6] &^= 1 << (uint(slot) & 63)
+	}
 }
 
 // slotOf finds the live spilled slot holding e. A segment written before one
@@ -466,6 +471,7 @@ func (c *postCursor) advance() error {
 // sg's posting section. The sources' slot ranges ascend in the order given,
 // so a term's merged list is the concatenation of its lists in that order.
 func (g *Graph) writePostings(fw *frameWriter, sg *segment, k int, folded []*segment) error {
+	g.index()
 	curs := make([]*postCursor, 0, len(folded)+1)
 	for _, f := range folded {
 		curs = append(curs, &postCursor{sg: f, k: k})
@@ -715,8 +721,9 @@ func (g *Graph) Spill(dir string, fsys ckpt.FS) error {
 	g.triples = nil
 	g.dead = nil
 	g.deadShared = false
-	g.present = make(map[encTriple]int32)
+	g.present = &slotTable{}
 	g.post = [3]cow.Lists[int32]{}
+	g.indexed.Store(0)
 
 	cSpillBytes.Add(written + int64(len(manJSON)))
 	cSpillSegments.Inc()

@@ -758,10 +758,12 @@ func (fs noSyncFS) CreateTemp(dir, pattern string) (ckpt.File, error) {
 
 func (noSyncFS) SyncDir(string) error { return nil }
 
-// FuzzSpillSchedule interleaves Add, Remove, Spill and Clone on one graph,
-// two bytes an operation, and holds it — and every clone taken on the way,
-// whatever was spilled, folded and unlinked after it — to a twin that never
-// spilled.
+// FuzzSpillSchedule interleaves Add, Remove, Spill, Clone, TruncateFrom,
+// Unremove of the last removed slot and Match reads on one graph, two bytes an
+// operation, and holds it — and every clone taken on the way, whatever was
+// spilled, folded and unlinked after it — to a twin that never spilled. The
+// first byte's low four bits pick the operation; 0-7 mean what they meant
+// before the last three operations existed.
 func FuzzSpillSchedule(f *testing.F) {
 	f.Add([]byte("\x00\x01\x00\x12\x06\x00\x00\x23\x04\x01\x07\x00\x06\x00\x00\x01\x06\x00"))
 	var folding []byte // ten spills with a clone held across the fold
@@ -772,6 +774,8 @@ func FuzzSpillSchedule(f *testing.F) {
 		}
 	}
 	f.Add(folding)
+	// Reads, a truncation and an Unremove on either side of a spill.
+	f.Add([]byte("\x00\x01\x00\x12\x00\x23\x0c\x01\x04\x12\x06\x00\x00\x34\x0d\x12\x08\x01\x0a\x00\x0e\x23\x04\x01\x0a\x00\x0c\x01"))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 512 {
 			return
@@ -797,15 +801,20 @@ func FuzzSpillSchedule(f *testing.F) {
 		dir := t.TempDir()
 		got, want := NewGraph(), NewGraph()
 		var clones [][2]*Graph
+		var removed Triple // the last triple Remove took, and its slot
+		removedAt := int32(-1)
 		for i := 0; i+1 < len(ops); i += 2 {
-			switch tr := triple(ops[i+1]); ops[i] & 7 {
+			switch tr := triple(ops[i+1]); ops[i] & 15 {
 			case 0, 1, 2, 3:
 				if got.Add(tr) != want.Add(tr) {
 					t.Fatalf("op %d: Add(%v) differs from the resident twin", i/2, tr)
 				}
 			case 4, 5:
-				if got.Remove(tr) != want.Remove(tr) {
+				slot, _ := want.IndexOf(tr)
+				if ok := got.Remove(tr); ok != want.Remove(tr) {
 					t.Fatalf("op %d: Remove(%v) differs from the resident twin", i/2, tr)
+				} else if ok {
+					removed, removedAt = tr, slot
 				}
 			case 6:
 				if err := got.Spill(dir, noSyncFS{ckpt.OSFS}); err != nil {
@@ -814,6 +823,27 @@ func FuzzSpillSchedule(f *testing.F) {
 			case 7:
 				if len(clones) < 4 {
 					clones = append(clones, [2]*Graph{got.Clone(), want.Clone()})
+				}
+			case 8, 9:
+				// Un-admit up to three slots, never into the spilled prefix.
+				n := max(want.NumSlots()-int(ops[i+1]&3), got.spillBase())
+				got.TruncateFrom(n)
+				want.TruncateFrom(n)
+			case 10, 11:
+				if removedAt >= 0 && got.Unremove(removedAt, removed) != want.Unremove(removedAt, removed) {
+					t.Fatalf("op %d: Unremove(%d, %v) differs from the resident twin", i/2, removedAt, removed)
+				}
+			default:
+				// A read: the graph's posting lists catch up on the ops since
+				// the last one.
+				comps := [3]Term{tr.S, tr.P, tr.O}
+				var pat [3]*Term
+				pat[ops[i+1]%3] = &comps[ops[i+1]%3]
+				var a, b []Triple
+				got.Match(pat[0], pat[1], pat[2], func(x Triple) bool { a = append(a, x); return true })
+				want.Match(pat[0], pat[1], pat[2], func(x Triple) bool { b = append(b, x); return true })
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("op %d: Match(%v, %v, %v) = %v, the resident twin %v", i/2, pat[0], pat[1], pat[2], a, b)
 				}
 			}
 		}

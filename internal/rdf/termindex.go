@@ -12,26 +12,16 @@ import (
 // whole index.
 var cIndexFolds = obs.Default.Counter("rdf.dict.index_folds")
 
-// termTable is an open-addressing hash table over the resident terms of a
-// dictionary: linear probing, a slot holding 32 bits of a term's hash and the
-// term's position in Dict.terms. The term itself is not stored a second time
-// — a candidate slot is confirmed against the terms slice — so a slot is 8
-// bytes whatever the term, a lookup hashes the term once, and a miss can be
-// turned into an insert at the slot the lookup ended on.
-type termTable struct {
-	slots []uint64 // hash<<32 | position+1; 0 is empty; len is a power of two
-	n     int
-}
-
-// termIndex is the dictionary's hash index. Like cow.Map it is insert-only
+// termIndex is the dictionary's hash index, slotTables over the resident
+// terms, each slot confirmed against Dict.terms. Like cow.Map it is insert-only
 // and split in two so that a Clone does not walk it: an immutable base shared
 // by all clones plus a private overlay holding the terms interned since.
 // Until its first Clone the overlay is the whole index. Both tables store
 // positions in the same terms slice (a clone's view of it is clipped, never
 // renumbered).
 type termIndex struct {
-	base *termTable // shared; never written once a clone holds it
-	over termTable  // private
+	base *slotTable // shared; never written once a clone holds it
+	over slotTable  // private
 }
 
 // indexFoldDen bounds the overlay at 1/indexFoldDen of the base, as
@@ -90,7 +80,7 @@ func (k *termKey[S]) matches(r *termKey[[]byte]) bool {
 
 // findIn looks k up among terms. When k is absent, slot is where insert
 // would put it (valid until the next insert or grow).
-func findIn[S string | []byte](tt *termTable, h uint32, k *termKey[S], terms []Term) (slot, pos int, ok bool) {
+func findIn[S string | []byte](tt *slotTable, h uint32, k *termKey[S], terms []Term) (slot, pos int, ok bool) {
 	if len(tt.slots) == 0 {
 		return 0, 0, false
 	}
@@ -106,53 +96,6 @@ func findIn[S string | []byte](tt *termTable, h uint32, k *termKey[S], terms []T
 			}
 		}
 	}
-}
-
-// insert records that the term with hash h sits at terms[pos]; slot is what
-// find returned for it.
-func (tt *termTable) insert(slot int, h uint32, pos int) {
-	if 2*(tt.n+1) > len(tt.slots) { // keep the table at most half full
-		tt.resize(max(16, 2*len(tt.slots)))
-		slot = tt.free(h)
-	}
-	tt.slots[slot] = uint64(h)<<32 | uint64(pos+1)
-	tt.n++
-}
-
-// free returns the first empty slot on h's probe sequence.
-func (tt *termTable) free(h uint32) int {
-	mask := len(tt.slots) - 1
-	i := int(h) & mask
-	for tt.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// resize moves the entries into a table of size slots (a power of two).
-func (tt *termTable) resize(size int) {
-	old := tt.slots
-	tt.slots = make([]uint64, size)
-	tt.addAll(old)
-}
-
-// addAll re-inserts the entries of another table's slots. The stored hash
-// bits place them; no term is read.
-func (tt *termTable) addAll(slots []uint64) {
-	for _, s := range slots {
-		if s != 0 {
-			tt.slots[tt.free(uint32(s>>32))] = s
-		}
-	}
-}
-
-// tableSize is the slot count that holds n entries at most half full.
-func tableSize(n int) int {
-	size := 16
-	for size < 2*n {
-		size *= 2
-	}
-	return size
 }
 
 func (x *termIndex) len() int {
@@ -175,11 +118,7 @@ func find[S string | []byte](x *termIndex, h uint32, k *termKey[S], terms []Term
 func (x *termIndex) insert(slot int, h uint32, pos int) { x.over.insert(slot, h, pos) }
 
 // grow makes room for n more terms without another resize.
-func (x *termIndex) grow(n int) {
-	if size := tableSize(x.over.n + n); size > len(x.over.slots) {
-		x.over.resize(size)
-	}
-}
+func (x *termIndex) grow(n int) { x.over.grow(n) }
 
 // share returns an index with the same entries for a clone of the
 // dictionary. It copies the overlay's slots, or — once the overlay has
@@ -192,14 +131,14 @@ func (x *termIndex) share() termIndex {
 		// Never cloned: the overlay is the whole index and becomes the base
 		// as it is.
 		over := x.over
-		x.base, x.over = &over, termTable{}
+		x.base, x.over = &over, slotTable{}
 	case x.over.n*indexFoldDen <= x.base.n:
-		return termIndex{base: x.base, over: termTable{slots: slices.Clone(x.over.slots), n: x.over.n}}
+		return termIndex{base: x.base, over: slotTable{slots: slices.Clone(x.over.slots), n: x.over.n}}
 	default:
-		merged := &termTable{slots: make([]uint64, tableSize(x.len())), n: x.len()}
+		merged := &slotTable{slots: make([]uint64, tableSize(x.len())), n: x.len()}
 		merged.addAll(x.base.slots)
 		merged.addAll(x.over.slots)
-		x.base, x.over = merged, termTable{}
+		x.base, x.over = merged, slotTable{}
 		cIndexFolds.Inc()
 	}
 	return termIndex{base: x.base}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/s3pg/s3pg/internal/datagen"
@@ -71,9 +72,9 @@ func TestLoadNTriplesHintIsInvisible(t *testing.T) {
 
 // TestLoadNTriplesHintedAllocs guards the sized load: once the hint is taken
 // nothing the graph owns grows again, so what is left per triple is the
-// strings of the terms it introduces and the posting-list appends. A regrowth
-// is few allocations but many bytes, so the unsized load of the same document
-// is held against it in bytes.
+// strings of the terms it introduces. A regrowth is few allocations but many
+// bytes, so the unsized load of the same document is held against it in
+// bytes.
 func TestLoadNTriplesHintedAllocs(t *testing.T) {
 	doc, triples := hintDocument(t)
 	load := func(r func() io.Reader) (allocs, bytes float64) {
@@ -92,8 +93,8 @@ func TestLoadNTriplesHintedAllocs(t *testing.T) {
 	allocs, hinted := load(func() io.Reader { return bytes.NewReader(doc) })
 	_, plain := load(func() io.Reader { return opaque{bytes.NewReader(doc)} })
 	t.Logf("hinted: %.2f allocs and %.0f bytes per triple; unsized: %.0f bytes", allocs, hinted, plain)
-	if allocs > 2.5 {
-		t.Fatalf("hinted LoadNTriples allocates %.2f times per triple, want <= 2.5", allocs)
+	if allocs > 1.0 {
+		t.Fatalf("hinted LoadNTriples allocates %.2f times per triple, want <= 1.0", allocs)
 	}
 	if hinted > 0.85*plain {
 		t.Fatalf("hinted load allocates %.0f bytes per triple, the unsized load %.0f: something still regrows", hinted, plain)
@@ -157,4 +158,60 @@ func BenchmarkLoadNTriplesHinted(b *testing.B) {
 			b.Fatalf("loaded %d triples, err %v", g.Len(), err)
 		}
 	}
+}
+
+// batchSeqDocument is the input of the bench's batch_seq workload:
+// DBpedia2022 @ 0.001 as N-Triples, 116 k triples.
+var batchSeqDocument = sync.OnceValues(func() ([]byte, int) {
+	g := datagen.Generate(datagen.Profiles()["DBpedia2022"], 0.001, 1)
+	var buf bytes.Buffer
+	if err := WriteNTriples(&buf, g); err != nil {
+		panic(err)
+	}
+	return buf.Bytes(), g.Len()
+})
+
+// BenchmarkLoadThenMatch is a load followed by the graph's first read,
+// Match(?, rdf:type, ?) to the end, on batch_seq's input. Admission leaves
+// the posting lists to that read, so this is what ingest costs a graph that
+// is read. It also reports the live heap of one graph per triple after the
+// load (loaded-B/triple) and after the read built its index
+// (indexed-B/triple).
+func BenchmarkLoadThenMatch(b *testing.B) {
+	doc, triples := batchSeqDocument()
+	typ := rdf.A
+	match := func(g *rdf.Graph) (n int) {
+		g.Match(nil, &typ, nil, func(rdf.Triple) bool { n++; return true })
+		return n
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	base := heap()
+	g, err := LoadNTriples(bytes.NewReader(doc))
+	if err != nil {
+		b.Fatal(err)
+	}
+	loaded := heap()
+	types := match(g)
+	indexed := heap()
+	runtime.KeepAlive(g)
+
+	b.ReportAllocs()
+	b.SetBytes(int64(len(doc)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := LoadNTriples(bytes.NewReader(doc))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := match(g); n != types {
+			b.Fatalf("the first Match found %d rdf:type triples, %d before", n, types)
+		}
+	}
+	b.ReportMetric(float64(loaded-base)/float64(triples), "loaded-B/triple")
+	b.ReportMetric(float64(indexed-base)/float64(triples), "indexed-B/triple")
 }

@@ -61,7 +61,8 @@ func approxGraphBytes(g *rdf.Graph) int64 {
 		// Term struct (~56B incl. string headers) plus string payloads.
 		b += 56 + int64(len(t.Value)+len(t.Datatype)+len(t.Lang))
 	}
-	// encTriple (12B) + ~3 index postings (4B each) + present-map entry.
+	// encTriple (12B) + ~3 index postings (4B each) + duplicate-index slots
+	// (8B each, at most half full).
 	b += int64(g.Len()) * (12 + 12 + 16)
 	return b
 }
