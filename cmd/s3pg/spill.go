@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"github.com/s3pg/s3pg"
 	"github.com/s3pg/s3pg/internal/ckpt"
@@ -20,16 +19,6 @@ import (
 	"github.com/s3pg/s3pg/internal/obs"
 	"github.com/s3pg/s3pg/internal/rdf"
 	"github.com/s3pg/s3pg/internal/rio"
-)
-
-// crashDuringSpillEnv is the spill crash hook: S3PG_CRASH_DURING_SPILL=N
-// kills the process (exit 86, no cleanup) immediately before the N-th atomic
-// rename of the run's spill commits. A spill makes two — its segment file,
-// then the MANIFEST — so odd N dies with the segment still a temporary, even
-// N with it durable but not yet named by a MANIFEST.
-const (
-	crashDuringSpillEnv = "S3PG_CRASH_DURING_SPILL"
-	crashExitCode       = 86
 )
 
 // memFlags carries the data subcommand's heap budget.
@@ -69,26 +58,10 @@ func (mem *memFlags) spillDir(dataPath string) string {
 // runtime.ReadMemStats per statement would dominate ingest.
 const governEvery = 4096
 
-// spillCrashFS counts atomic renames and crashes the process before the
-// target one completes, simulating a SIGKILL mid-spill.
-type spillCrashFS struct {
-	ckpt.FS
-	after int
-	count *int
-}
-
-func (s spillCrashFS) Rename(oldpath, newpath string) error {
-	*s.count++
-	if *s.count == s.after {
-		os.Exit(crashExitCode) // test hook: simulated crash, no cleanup
-	}
-	return s.FS.Rename(oldpath, newpath)
-}
-
 // retryFS retries transient faults around each filesystem operation of a
 // spill commit — the same per-commit resilience the outputs get from
 // commitAtomic. Without it, one transient fault anywhere in a spill's
-// two commits would restart the entire spill, which under a deterministic
+// commit would restart the entire spill, which under a deterministic
 // fault schedule never converges.
 type retryFS struct {
 	inner ckpt.FS
@@ -136,16 +109,8 @@ func (f retryFile) Sync() error { return f.r.retry(func() error { return f.File.
 
 // spillCommitFS is the filesystem spill writes go through: the process-wide
 // commit FS (possibly fault-injecting via S3PG_FAULT_FS) behind per-op
-// transient retries, optionally wrapped with the crash-during-spill hook
-// (outermost, so it counts logical renames, not retry attempts).
-func spillCommitFS() ckpt.FS {
-	base := ckpt.FS(retryFS{inner: commitFS()})
-	if n, _ := strconv.Atoi(os.Getenv(crashDuringSpillEnv)); n > 0 {
-		count := 0
-		return spillCrashFS{FS: base, after: n, count: &count}
-	}
-	return base
-}
+// transient retries.
+func spillCommitFS() ckpt.FS { return retryFS{inner: commitFS()} }
 
 // loadDataGoverned streams the input sequentially under a memory-pressure
 // governor: every governEvery statements the heap is checked against the
@@ -171,8 +136,8 @@ func loadDataGoverned(ctx context.Context, path string, rf *resFlags, span *obs.
 	g := rdf.NewGraph()
 	sc := rio.NewNTriplesScanner(f, rf.rioOptions())
 	// A failed Spill leaves the graph untouched (the in-memory swap happens
-	// only after the MANIFEST commits), so retrying a transient fault is
-	// safe: the retry writes the same segment again.
+	// only after the segment commits), so retrying a transient fault is
+	// safe: the retry writes the same contents again.
 	maybeSpill := func() (bool, error) {
 		var spilled bool
 		err := faultio.Retry(ctx, commitRetryPolicy(), func() error {

@@ -225,14 +225,13 @@ func TestAdmissionMemWatermark(t *testing.T) {
 }
 
 // TestAdmissionMemHysteresis: the pressure latch sets at the MaxMemMB high
-// watermark and clears only under the MemLowMB low one — inside the band the
-// decision holds whatever side it last latched to, so admission cannot flap
-// while the heap hovers around a single threshold.
+// watermark and clears only under the low one (80% of it) — inside the band
+// the decision holds whatever side it last latched to, so admission cannot
+// flap while the heap hovers around a single threshold.
 func TestAdmissionMemHysteresis(t *testing.T) {
 	shapes, data := testDataset()
 	cfg := testConfig(t)
 	cfg.MaxMemMB = 100
-	cfg.MemLowMB = 80
 	m := mustOpen(t, cfg)
 	heap := uint64(50) << 20
 	m.readHeap = func() uint64 { return heap }

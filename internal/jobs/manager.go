@@ -38,6 +38,12 @@ var (
 // on the queue (drain or retryable commit failure), not by finishing it.
 var errRequeue = errors.New("jobs: requeued")
 
+// memLowPercent places the low watermark of the admission hysteresis band at
+// this share of MaxMemMB: the pressure latch set at MaxMemMB clears only once
+// the heap drops under it, so admission does not flap around a single
+// threshold while the heap hovers there.
+const memLowPercent = 80
+
 // Observability instruments (obs.Default registry).
 var (
 	cAccepted     = obs.Default.Counter("jobs.accepted")
@@ -53,7 +59,7 @@ var (
 	gQueued       = obs.Default.Gauge("jobs.queued")
 	gRunning      = obs.Default.Gauge("jobs.running")
 	// gMemPressure mirrors the admission hysteresis latch: 1 from the
-	// moment the heap crosses MaxMemMB until it falls under MemLowMB.
+	// moment the heap crosses MaxMemMB until it falls under the low watermark.
 	gMemPressure = obs.Default.Gauge("jobs.mem.pressure")
 
 	// Latency distributions (seconds): time spent waiting in the queue
@@ -79,13 +85,9 @@ type Config struct {
 	JobWorkers int
 	// MaxMemMB is the soft high heap watermark: once exceeded, submissions
 	// are rejected with ErrMemPressure and readiness reports not-ready until
-	// the heap falls back under the low watermark. 0 = off.
+	// the heap falls back under the low watermark (memLowPercent of it).
+	// 0 = off.
 	MaxMemMB int
-	// MemLowMB is the low watermark of the admission hysteresis band: the
-	// pressure latch set at MaxMemMB clears only once the heap drops under
-	// it, so admission does not flap around a single threshold while the
-	// heap hovers there. 0 defaults to 80% of MaxMemMB.
-	MemLowMB int
 	// MaxAttempts bounds worker pickups per job before a retryable commit
 	// failure becomes permanent (drain requeues do not consume attempts).
 	// Default 5.
@@ -125,9 +127,6 @@ func (c Config) withDefaults() Config {
 	if c.FS == nil {
 		c.FS = ckpt.OSFS
 	}
-	if c.MemLowMB <= 0 || c.MemLowMB > c.MaxMemMB {
-		c.MemLowMB = c.MaxMemMB * 4 / 5
-	}
 	return c
 }
 
@@ -150,7 +149,7 @@ type Manager struct {
 	draining  bool
 	seq       int64
 	// memLatched is the admission hysteresis latch: set when the heap
-	// crosses MaxMemMB, cleared only once it drops under MemLowMB.
+	// crosses MaxMemMB, cleared only once it drops under the low watermark.
 	memLatched bool
 
 	// readHeap samples the live heap; overridable in tests. Nil means
@@ -205,6 +204,14 @@ func Open(cfg Config) (*Manager, error) {
 		if j.State == StateRunning {
 			// The previous process died mid-run: run it again.
 			j.State = StateQueued
+		}
+		if n := len(j.Timeline); j.State == StateDone && n > 0 && j.Timeline[n-1].Phase != PhaseDone {
+			// The previous process died, or its advisory rewrite failed,
+			// between the done-marker commit and the rewrite that carries
+			// the done event.
+			ev := m.recordPhase(j, PhaseDone, "recovered")
+			m.persistManifest(j)
+			m.trace(j.ID, ev)
 		}
 		if j.State == StateQueued {
 			recovered = append(recovered, j)
@@ -302,9 +309,9 @@ func (m *Manager) updateGauges() {
 
 // memPressure reports the admission hysteresis latch: it sets when the heap
 // crosses the MaxMemMB high watermark and clears only once the heap falls
-// back under MemLowMB, so admission decisions do not flap while the heap
-// hovers around a single threshold. The jobs.mem.pressure gauge mirrors the
-// latch on /metrics.
+// back under memLowPercent of it, so admission decisions do not flap while
+// the heap hovers around a single threshold. The jobs.mem.pressure gauge
+// mirrors the latch on /metrics.
 func (m *Manager) memPressure() bool {
 	if m.cfg.MaxMemMB <= 0 {
 		return false
@@ -313,7 +320,7 @@ func (m *Manager) memPressure() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.memLatched {
-		if heap <= uint64(m.cfg.MemLowMB)<<20 {
+		if heap <= uint64(m.cfg.MaxMemMB*memLowPercent/100)<<20 {
 			m.memLatched = false
 			gMemPressure.Set(0)
 		}
@@ -795,7 +802,10 @@ func (m *Manager) transform(ctx context.Context, id string, spec Spec) error {
 		"statements", g.Len(), "nodes", store.NumNodes(), "edges", store.NumEdges(),
 		"run_seconds", runFor.Seconds())
 	// Advisory rewrite so the manifest carries the done event too; the
-	// load-bearing done-transition is the commit above.
+	// load-bearing done-transition is the commit above. The event is stamped
+	// only once the job shows as done, so a reader that saw it running never
+	// finds a done event from before that read. Open appends the event to a
+	// done manifest this rewrite never reached.
 	m.persistManifest(j)
 	return nil
 }

@@ -4,9 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/s3pg/s3pg/internal/ckpt"
 )
 
 // timelinePhases extracts the phase sequence of a job's timeline.
@@ -74,6 +80,71 @@ func TestTimelineSurvivesManifestRoundTrip(t *testing.T) {
 	gp := strings.Join(timelinePhases(got), ",")
 	if !strings.HasPrefix(gp, strings.Join(timelinePhases(done), ",")) {
 		t.Fatalf("recovered timeline %v does not extend %v", timelinePhases(got), timelinePhases(done))
+	}
+	assertMonotone(t, got)
+}
+
+// diesAfterDoneFS passes commits through until a manifest in state done has
+// been renamed into place, then fails every later operation: the process is
+// as good as killed right after the done-marker commit.
+type diesAfterDoneFS struct {
+	ckpt.FS
+	dead *atomic.Bool
+}
+
+var errDied = errors.New("process died")
+
+func (f diesAfterDoneFS) CreateTemp(dir, pattern string) (ckpt.File, error) {
+	if f.dead.Load() {
+		return nil, errDied
+	}
+	return f.FS.CreateTemp(dir, pattern)
+}
+
+func (f diesAfterDoneFS) Rename(oldpath, newpath string) error {
+	if f.dead.Load() {
+		return errDied
+	}
+	if err := f.FS.Rename(oldpath, newpath); err != nil {
+		return err
+	}
+	if filepath.Base(newpath) == manifestFile {
+		var j Job
+		if raw, err := os.ReadFile(newpath); err == nil && json.Unmarshal(raw, &j) == nil && j.State == StateDone {
+			f.dead.Store(true)
+		}
+	}
+	return nil
+}
+
+// TestRecoveredDoneJobEndsWithDone: the commit that flips a manifest to done
+// may be the last write a job gets — the process can die before the rewrite
+// that adds the done event — and the reopened spool must still report the
+// job done with a complete timeline ending in done.
+func TestRecoveredDoneJobEndsWithDone(t *testing.T) {
+	shapes, data := testDataset()
+	cfg := testConfig(t)
+	cfg.FS = diesAfterDoneFS{FS: ckpt.OSFS, dead: new(atomic.Bool)}
+	m := mustOpen(t, cfg)
+	j, err := m.Submit(Spec{}, shapes, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitTerminal(t, m, j.ID); got.State != StateDone {
+		t.Fatalf("job: %s (%s)", got.State, got.Error)
+	}
+	m.Close()
+
+	cfg2 := testConfig(t)
+	cfg2.Dir = cfg.Dir
+	got, err := mustOpen(t, cfg2).Get(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := strings.Join(timelinePhases(got), ",")
+	want := strings.Join([]string{PhaseSpool, PhaseQueued, PhaseRunning, PhaseCommit, PhaseDone}, ",")
+	if got.State != StateDone || phases != want {
+		t.Fatalf("recovered job %s with timeline %s, want done with %s", got.State, phases, want)
 	}
 	assertMonotone(t, got)
 }

@@ -190,10 +190,10 @@ func (a *termArena) handOffIndex() (map[uint64]TermID, map[uint64][]TermID) {
 }
 
 // readTermBlock reads block b of sg straight from disk (no cache).
-func readTermBlock(sg *segment, b int) (*termBlock, int64, error) {
-	payload, next, err := readFrameAt(sg.f, sg.blockOff[b], maxSpillPayload)
+func readTermBlock(sg *segment, b int) (*termBlock, error) {
+	payload, err := readFrameAt(sg.f, sg.blockOff[b], maxSpillPayload)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	count := arenaBlockTerms
 	if rem := int(sg.t1-sg.t0) - b*arenaBlockTerms; rem < count {
@@ -201,9 +201,9 @@ func readTermBlock(sg *segment, b int) (*termBlock, int64, error) {
 	}
 	off, err := walkTermRecords(payload, count)
 	if err != nil {
-		return nil, 0, sg.corrupt(sg.blockOff[b], "%v", err)
+		return nil, sg.corrupt(sg.blockOff[b], "%v", err)
 	}
-	return &termBlock{buf: payload, off: off}, next, nil
+	return &termBlock{buf: payload, off: off}, nil
 }
 
 // where resolves id to its segment's position in the list, its block within
@@ -221,13 +221,13 @@ func (a *termArena) where(id TermID) (si, b, i int) {
 	return lo, rel / arenaBlockTerms, rel % arenaBlockTerms
 }
 
-// load reads a block into the cache, panicking on corruption: the CRC was
-// verified when the segment was written or loaded, so a mid-run failure
-// means the bytes rotted underneath us and no correct answer exists.
+// load reads a block into the cache, panicking with the *CorruptSpillError
+// on a failed check: this process wrote the bytes, so a mismatch means they
+// changed underneath it and no correct answer exists.
 func (a *termArena) load(si, b int) *termBlock {
-	blk, _, err := readTermBlock(a.segs[si], b)
+	blk, err := readTermBlock(a.segs[si], b)
 	if err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 	a.mu.Lock()
 	a.cache.put(frameKey(si, b), blk)

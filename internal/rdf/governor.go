@@ -11,23 +11,26 @@ import (
 // watermark since last tripping the high one), 0 otherwise.
 var gSpillPressure = obs.Default.Gauge("rdf.spill.pressure")
 
+const (
+	// spillLowPercent places the low watermark, which clears the pressure
+	// latch once the post-spill heap drops under it, at this share of
+	// HighMB. The high/low gap is the hysteresis band that keeps spilling
+	// (and the rdf.spill.pressure gauge admission decisions read) from
+	// flapping around a single threshold.
+	spillLowPercent = 80
+	// minTailTriples is the smallest resident tail worth a re-spill; below
+	// it a spill could not meaningfully shrink the heap.
+	minTailTriples = 10000
+)
+
 // SpillConfig parameterizes a memory-pressure Governor.
 type SpillConfig struct {
-	// Dir receives the spill segments and their MANIFEST.
+	// Dir receives the spill segments.
 	Dir string
 	// FS is the commit seam for spill writes (nil = real filesystem).
 	FS ckpt.FS
 	// HighMB is the heap watermark (HeapAlloc, MiB) that triggers a spill.
 	HighMB int
-	// LowMB clears the pressure latch once the post-spill heap drops under
-	// it; 0 defaults to 80% of HighMB. The high/low gap is the hysteresis
-	// band that keeps spilling (and the rdf.spill.pressure gauge admission
-	// decisions read) from flapping around a single threshold.
-	LowMB int
-	// MinTailTriples is the smallest resident tail worth a re-spill;
-	// below it a spill could not meaningfully shrink the heap. 0 defaults
-	// to 10000.
-	MinTailTriples int
 	// ReadHeap overrides the heap sampler (tests); nil = runtime.MemStats.
 	ReadHeap func() uint64
 }
@@ -38,18 +41,13 @@ type SpillConfig struct {
 // the graph mutations it performs.
 type Governor struct {
 	cfg     SpillConfig
+	lowMB   int
 	latched bool
 	spills  int
 }
 
 // NewGovernor returns a governor over the config, applying defaults.
 func NewGovernor(cfg SpillConfig) *Governor {
-	if cfg.LowMB <= 0 || cfg.LowMB > cfg.HighMB {
-		cfg.LowMB = cfg.HighMB * 4 / 5
-	}
-	if cfg.MinTailTriples <= 0 {
-		cfg.MinTailTriples = 10000
-	}
 	if cfg.ReadHeap == nil {
 		cfg.ReadHeap = func() uint64 {
 			var ms runtime.MemStats
@@ -57,7 +55,7 @@ func NewGovernor(cfg SpillConfig) *Governor {
 			return ms.HeapAlloc
 		}
 	}
-	return &Governor{cfg: cfg}
+	return &Governor{cfg: cfg, lowMB: cfg.HighMB * spillLowPercent / 100}
 }
 
 // Maybe spills g if the heap is over the high watermark and the graph has a
@@ -73,7 +71,7 @@ func (gv *Governor) Maybe(g *Graph) (bool, error) {
 		}
 		gv.latched = true
 		gSpillPressure.Set(1)
-	} else if heap <= uint64(gv.cfg.LowMB)<<20 {
+	} else if heap <= uint64(gv.lowMB)<<20 {
 		gv.latched = false
 		gSpillPressure.Set(0)
 		return false, nil
@@ -82,7 +80,7 @@ func (gv *Governor) Maybe(g *Graph) (bool, error) {
 		// Inside the hysteresis band: under pressure but not spill-worthy.
 		return false, nil
 	}
-	if g.Spilled() && g.TailLen() < gv.cfg.MinTailTriples {
+	if g.Spilled() && g.TailLen() < minTailTriples {
 		return false, nil
 	}
 	if err := g.Spill(gv.cfg.Dir, gv.cfg.FS); err != nil {
@@ -90,7 +88,7 @@ func (gv *Governor) Maybe(g *Graph) (bool, error) {
 	}
 	gv.spills++
 	runtime.GC()
-	if gv.cfg.ReadHeap() <= uint64(gv.cfg.LowMB)<<20 {
+	if gv.cfg.ReadHeap() <= uint64(gv.lowMB)<<20 {
 		gv.latched = false
 		gSpillPressure.Set(0)
 	}

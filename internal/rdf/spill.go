@@ -8,24 +8,21 @@
 // spilling is invisible to output.
 //
 // The disk side is an append-only list of immutable segment files, one per
-// spill, each holding only what the tail held, plus a MANIFEST naming the
-// list, committed last and atomically; a crash mid-spill leaves the previous
-// MANIFEST (or none) pointing at complete files, never torn ones. All writes
-// go through the ckpt.FS seam so faultio can inject faults.
+// spill, each holding only what the tail held. The files are scratch: only
+// the process that wrote them reads them, through the directory it kept in
+// memory, so a spill directory left by a dead process is garbage, not state.
+// All writes go through the ckpt.FS seam so faultio can inject faults.
 package rdf
 
 import (
 	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/s3pg/s3pg/internal/ckpt"
 	"github.com/s3pg/s3pg/internal/cow"
@@ -40,13 +37,12 @@ var (
 	cSpillOps      = obs.Default.Counter("rdf.spill.ops")
 )
 
-// ErrNoSpill reports that a directory holds no committed spill.
-var ErrNoSpill = errors.New("rdf: no committed spill")
+// spillSeq numbers segment files process-wide, so no two spills of this
+// process — a graph's, its clone's, another graph's — name the same file,
+// whichever directories they share.
+var spillSeq atomic.Int64
 
 const (
-	spillVersion = 2
-	manifestName = "MANIFEST"
-
 	// spillFanIn is how many segments a tier holds before the next spill
 	// folds them, with the tail, into one segment of the tier above. A byte
 	// is rewritten once per tier and k spills reach ⌈log₉ k⌉ tiers, a read
@@ -67,44 +63,22 @@ const (
 	postCacheSize   = 32
 )
 
-// spillManifest is the commit record of a spill directory, written last.
-type spillManifest struct {
-	Version  int           `json:"version"`
-	NextSeq  int           `json:"next_seq"` // sequence numbers below it have named a committed segment
-	Terms    int           `json:"terms"`
-	Slots    int           `json:"slots"`
-	NDead    int           `json:"n_dead"`
-	Segments []manifestSeg `json:"segments"`
-	// Dead is the tombstone bitset in sparse form: one frame holding the
-	// dead slots ascending, delta-varint, so it costs what was removed.
-	Dead []byte `json:"dead"`
-}
-
-type manifestSeg struct {
-	File   string `json:"file"`
-	Tier   int    `json:"tier"`
-	Terms  [2]int `json:"terms"` // id range [t0,t1)
-	Slots  [2]int `json:"slots"` // slot range [s0,s1)
-	Footer int64  `json:"footer"`
-}
-
 // graphSpill is the resident handle on a graph's spilled slots: the segment
 // list, bounded caches, and the mutable tombstone bitset over spilled slots.
 type graphSpill struct {
-	dir     string
-	segs    []*segment // ascending, disjoint slot ranges covering [0,slots)
-	slots   int
-	nextSeq int
-	log     *pageLog
-	post    [3]*postIndex
-	dead    []uint64 // bitset over [0,slots); mutable (Remove after spill)
+	dir   string
+	segs  []*segment // ascending, disjoint slot ranges covering [0,slots)
+	slots int
+	log   *pageLog
+	post  [3]*postIndex
+	dead  []uint64 // bitset over [0,slots); mutable (Remove after spill)
 	// deadShared is set while another handle may hold the bitset; setDead
 	// copies it first.
 	deadShared bool
 }
 
-func newGraphSpill(dir string, segs []*segment, slots, nextSeq int, dead []uint64) *graphSpill {
-	sp := &graphSpill{dir: dir, segs: segs, slots: slots, nextSeq: nextSeq, dead: dead,
+func newGraphSpill(dir string, segs []*segment, slots int, dead []uint64) *graphSpill {
+	sp := &graphSpill{dir: dir, segs: segs, slots: slots, dead: dead,
 		log: &pageLog{segs: segs, cache: newLRU[[]encTriple](pageCacheSize)}}
 	for k := range sp.post {
 		sp.post[k] = &postIndex{k: k, segs: segs, cache: newLRU[*postFrame](postCacheSize)}
@@ -172,18 +146,18 @@ type pageLog struct {
 }
 
 // readPage reads page pg of sg straight from disk (no cache).
-func readPage(sg *segment, pg int) ([]encTriple, int64, error) {
+func readPage(sg *segment, pg int) ([]encTriple, error) {
 	off := sg.pageOff + int64(pg)*pageFrameBytes
-	payload, next, err := readFrameAt(sg.f, off, 12*pageTriples)
+	payload, err := readFrameAt(sg.f, off, 12*pageTriples)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	count := pageTriples
 	if rem := sg.s1 - sg.s0 - pg*pageTriples; rem < count {
 		count = rem
 	}
 	if len(payload) != 12*count {
-		return nil, 0, sg.corrupt(off, "page %d holds %d bytes, want %d", pg, len(payload), 12*count)
+		return nil, sg.corrupt(off, "page %d holds %d bytes, want %d", pg, len(payload), 12*count)
 	}
 	ts := make([]encTriple, count)
 	for i := range ts {
@@ -194,11 +168,11 @@ func readPage(sg *segment, pg int) ([]encTriple, int64, error) {
 			o: TermID(binary.LittleEndian.Uint32(b[8:])),
 		}
 	}
-	return ts, next, nil
+	return ts, nil
 }
 
 // page returns page pg of segment si through the LRU; corruption panics (see
-// termArena.locate for the rationale).
+// termArena.load for the rationale).
 func (p *pageLog) page(si, pg int) []encTriple {
 	key := frameKey(si, pg)
 	p.mu.Lock()
@@ -207,9 +181,9 @@ func (p *pageLog) page(si, pg int) []encTriple {
 	if ok {
 		return ts
 	}
-	ts, _, err := readPage(p.segs[si], pg)
+	ts, err := readPage(p.segs[si], pg)
 	if err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 	p.mu.Lock()
 	p.cache.put(key, ts)
@@ -358,20 +332,20 @@ func decodePostFrame(payload []byte) (*postFrame, error) {
 }
 
 // readPostFrame reads frame fi of sg's index k straight from disk.
-func readPostFrame(sg *segment, k, fi int) (*postFrame, int64, error) {
+func readPostFrame(sg *segment, k, fi int) (*postFrame, error) {
 	d := sg.post[k][fi]
-	payload, next, err := readFrameAt(sg.f, d.off, maxSpillPayload)
+	payload, err := readFrameAt(sg.f, d.off, maxSpillPayload)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	f, err := decodePostFrame(payload)
 	if err != nil {
-		return nil, 0, sg.corrupt(d.off, "%v", err)
+		return nil, sg.corrupt(d.off, "%v", err)
 	}
 	if len(f.ids) == 0 || f.ids[0] != d.first || f.ids[len(f.ids)-1] != d.last {
-		return nil, 0, sg.corrupt(d.off, "posting frame does not cover ids [%d,%d] as its directory entry says", d.first, d.last)
+		return nil, sg.corrupt(d.off, "posting frame does not cover ids [%d,%d] as its directory entry says", d.first, d.last)
 	}
-	return f, next, nil
+	return f, nil
 }
 
 // in returns id's posting list within segment si (nil when empty). The
@@ -395,8 +369,8 @@ func (pi *postIndex) in(si int, id TermID) []int32 {
 	pi.mu.Unlock()
 	if !ok {
 		var err error
-		if f, _, err = readPostFrame(pi.segs[si], pi.k, lo); err != nil {
-			panic(err.Error()) // see termArena.locate
+		if f, err = readPostFrame(pi.segs[si], pi.k, lo); err != nil {
+			panic(err) // see termArena.load
 		}
 		pi.mu.Lock()
 		pi.cache.put(key, f)
@@ -456,7 +430,7 @@ func (c *postCursor) advance() error {
 		if c.ok = c.fi < len(c.sg.post[c.k]); !c.ok {
 			return nil
 		}
-		f, _, err := readPostFrame(c.sg, c.k, c.fi)
+		f, err := readPostFrame(c.sg, c.k, c.fi)
 		if err != nil {
 			return err
 		}
@@ -515,8 +489,8 @@ func (g *Graph) writePostings(fw *frameWriter, sg *segment, k int, folded []*seg
 }
 
 // writeSegment streams sg's sections — terms [t0,t1), slots [s0,s1), their
-// postings, the footer — filling in sg's directory as the offsets are known,
-// and returns the bytes written.
+// postings — filling in sg's directory as the offsets are known, and returns
+// the bytes written.
 func (g *Graph) writeSegment(w io.Writer, sg *segment, folded []*segment) (int64, error) {
 	fw := &frameWriter{w: w}
 	var payload []byte
@@ -556,10 +530,7 @@ func (g *Graph) writeSegment(w io.Writer, sg *segment, folded []*segment) (int64
 			return 0, err
 		}
 	}
-
-	sg.footer = fw.off
-	_, err := fw.frame(sg.appendFooter(payload[:0]))
-	return fw.off, err
+	return fw.off, nil
 }
 
 // foldStart picks what the next spill rewrites: segs[n:] are folded with the
@@ -602,22 +573,20 @@ func (g *Graph) TailLen() int { return len(g.triples) }
 // paged reads over it, freeing the resident copies. Ids, slot indexes, and
 // every iteration order are preserved exactly; the operation is
 // output-invisible. fsys is the commit seam (nil = the real filesystem). A
-// spill is two atomic commits: the segment, then the MANIFEST that lists it
-// — the commit point, so a crash at any moment leaves the previously
-// committed state (or none) intact, never a torn one. Files the new MANIFEST
-// no longer names are unlinked afterwards.
+// spill is one atomic commit, the segment's; a failed one leaves the graph
+// as it was, so the spill can be retried.
 //
 // When a tier of the segment list is full (see spillFanIn) the spill folds
 // it: the one file it writes then holds those segments' contents as well as
-// the tail, and replaces them in the list. The same rewrite, over the whole
-// graph, serves the cases a tail-only segment cannot: dir is not where the
-// graph last spilled, or the dictionary's spilled terms are not this graph's
-// segments (a Dict shared with another spilled graph).
+// the tail, replaces them in the list, and the folded files are unlinked
+// (open handles, a clone's included, keep reading them). The same rewrite,
+// over the whole graph, serves the cases a tail-only segment cannot: dir is
+// not where the graph last spilled, or the dictionary's spilled terms are not
+// this graph's segments (a Dict shared with another spilled graph).
 //
 // Spill is a mutation: like Add/Remove it must not run concurrently with
 // readers. Graphs sharing this graph's Dict observe the dictionary's
-// representation change but keep identical id assignments. A dir holding
-// another layout version's MANIFEST is overwritten.
+// representation change but keep identical id assignments.
 func (g *Graph) Spill(dir string, fsys ckpt.FS) error {
 	if fsys == nil {
 		fsys = ckpt.OSFS
@@ -625,26 +594,18 @@ func (g *Graph) Spill(dir string, fsys ckpt.FS) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	// What the directory's MANIFEST names now must stay loadable until this
-	// spill's own MANIFEST replaces it, so its sequence numbers are not
-	// reused; afterwards its files are garbage.
-	onDisk, _ := readManifest(dir)
-
 	sp, d := g.spill, g.dict
 	var kept, folded []*segment
-	seq, tier := 0, 0
+	tier := 0
 	if sp != nil {
-		folded, seq = sp.segs, sp.nextSeq
+		folded = sp.segs
 		if sp.dir == dir && d.arena != nil && slices.Equal(d.arena.segs, sp.segs) {
 			var n int
 			n, tier = foldStart(sp.segs)
 			kept, folded = sp.segs[:n:n], sp.segs[n:]
 		}
 	}
-	if onDisk != nil {
-		seq = max(seq, onDisk.NextSeq)
-	}
-	sg := &segment{path: filepath.Join(dir, fmt.Sprintf("seg-%06d", seq)), tier: tier,
+	sg := &segment{path: filepath.Join(dir, fmt.Sprintf("seg-%06d", spillSeq.Add(1)-1)), tier: tier,
 		t1: TermID(d.Len()), s1: g.numSlots()}
 	if len(kept) > 0 {
 		sg.t0, sg.s0 = kept[len(kept)-1].t1, kept[len(kept)-1].s1
@@ -656,6 +617,14 @@ func (g *Graph) Spill(dir string, fsys ckpt.FS) error {
 		return err
 	}); err != nil {
 		return err
+	}
+	if err := sg.open(); err != nil {
+		return err
+	}
+	for _, f := range folded {
+		if filepath.Dir(f.path) == filepath.Dir(sg.path) {
+			fsys.Remove(f.path) // best effort; open handles keep reading
+		}
 	}
 	segs := append(kept, sg)
 
@@ -670,36 +639,6 @@ func (g *Graph) Spill(dir string, fsys ckpt.FS) error {
 		if dd {
 			dead[(tailBase+i)>>6] |= 1 << (uint(tailBase+i) & 63)
 		}
-	}
-
-	man := &spillManifest{Version: spillVersion, NextSeq: seq + 1, Terms: int(sg.t1), Slots: sg.s1,
-		NDead: g.nDead, Dead: appendFrame(nil, appendDeadSlots(nil, dead))}
-	for _, s := range segs {
-		man.Segments = append(man.Segments, manifestSeg{File: filepath.Base(s.path), Tier: s.tier,
-			Terms: [2]int{int(s.t0), int(s.t1)}, Slots: [2]int{s.s0, s.s1}, Footer: s.footer})
-	}
-	manJSON, err := json.Marshal(man)
-	if err != nil {
-		return err
-	}
-	// A failure here may have renamed the MANIFEST and lost only the
-	// directory sync, so the segment stays: a retry replaces or unlinks it.
-	if err := ckpt.WriteFileAtomicFS(fsys, filepath.Join(dir, manifestName), 0o644, func(w io.Writer) error {
-		_, werr := w.Write(manJSON)
-		return werr
-	}); err != nil {
-		return err
-	}
-	if onDisk != nil {
-		for _, old := range onDisk.Segments {
-			if !slices.ContainsFunc(man.Segments, func(s manifestSeg) bool { return s.File == old.File }) {
-				fsys.Remove(filepath.Join(dir, old.File)) // best effort; open handles keep reading
-			}
-		}
-	}
-
-	if err := sg.open(); err != nil {
-		return err
 	}
 
 	// The hash index is carried over from the previous arena (ids are
@@ -717,7 +656,7 @@ func (g *Graph) Spill(dir string, fsys ckpt.FS) error {
 	d.base = sg.t1
 	d.idx = termIndex{}
 	d.terms = nil
-	g.spill = newGraphSpill(dir, segs, sg.s1, seq+1, dead)
+	g.spill = newGraphSpill(dir, segs, sg.s1, dead)
 	g.triples = nil
 	g.dead = nil
 	g.deadShared = false
@@ -725,185 +664,8 @@ func (g *Graph) Spill(dir string, fsys ckpt.FS) error {
 	g.post = [3]cow.Lists[int32]{}
 	g.indexed.Store(0)
 
-	cSpillBytes.Add(written + int64(len(manJSON)))
+	cSpillBytes.Add(written)
 	cSpillSegments.Inc()
 	cSpillOps.Inc()
-	return nil
-}
-
-// appendDeadSlots encodes the set bits of a tombstone bitset, ascending, as
-// delta varints.
-func appendDeadSlots(dst []byte, dead []uint64) []byte {
-	prev := 0
-	for w, word := range dead {
-		for ; word != 0; word &= word - 1 {
-			slot := w<<6 + bits.TrailingZeros64(word)
-			dst = appendUvarint(dst, uint64(slot-prev))
-			prev = slot
-		}
-	}
-	return dst
-}
-
-// readManifest reads dir's MANIFEST. A missing file is fs.ErrNotExist, a
-// MANIFEST of another layout version a *SpillVersionError.
-func readManifest(dir string) (*spillManifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, err
-	}
-	// The version first: the other fields' types belong to it.
-	var v struct{ Version int }
-	man := &spillManifest{}
-	if err := json.Unmarshal(data, &v); err == nil && v.Version != spillVersion {
-		return nil, &SpillVersionError{Dir: dir, Got: v.Version, Want: spillVersion}
-	}
-	if err := json.Unmarshal(data, man); err != nil {
-		return nil, fmt.Errorf("rdf: spill manifest %s: %w", filepath.Join(dir, manifestName), err)
-	}
-	return man, nil
-}
-
-// LoadSpilled opens the committed spill under dir as a Graph, verifying the
-// CRC of every frame in every segment before returning: a flipped bit
-// anywhere fails the load loudly with a CorruptSpillError (and the offending
-// file renamed aside, quarantined) rather than serving wrong data. The
-// returned graph has an empty write tail; it reflects the state at spill
-// time.
-func LoadSpilled(dir string) (*Graph, error) {
-	man, err := readManifest(dir)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("%w under %s", ErrNoSpill, dir)
-		}
-		return nil, err
-	}
-	g, err := loadSegments(dir, man)
-	if err != nil {
-		var ce *CorruptSpillError
-		if errors.As(err, &ce) {
-			os.Rename(ce.File, ce.File+".quarantined")
-		}
-		return nil, err
-	}
-	return g, nil
-}
-
-func loadSegments(dir string, man *spillManifest) (*Graph, error) {
-	manPath := filepath.Join(dir, manifestName)
-	arena := newArena(nil)
-	arena.hash, arena.over = make(map[uint64]TermID, man.Terms), make(map[uint64][]TermID)
-	var segs []*segment
-	terms, slots := 0, 0
-	for _, ms := range man.Segments {
-		if ms.Terms[0] != terms || ms.Slots[0] != slots || ms.Terms[1] < terms || ms.Slots[1] < slots {
-			return nil, &CorruptSpillError{File: manPath, Detail: fmt.Sprintf(
-				"segment %s covers ids %v slots %v, want them to start at %d and %d", ms.File, ms.Terms, ms.Slots, terms, slots)}
-		}
-		terms, slots = ms.Terms[1], ms.Slots[1]
-		sg := &segment{path: filepath.Join(dir, ms.File), tier: ms.Tier,
-			t0: TermID(ms.Terms[0]), t1: TermID(ms.Terms[1]), s0: ms.Slots[0], s1: ms.Slots[1], footer: ms.Footer}
-		if err := sg.open(); err != nil {
-			return nil, err
-		}
-		if err := sg.verify(arena); err != nil {
-			return nil, err
-		}
-		segs = append(segs, sg)
-	}
-	if terms != man.Terms || slots != man.Slots {
-		return nil, &CorruptSpillError{File: manPath, Detail: fmt.Sprintf(
-			"segments hold %d terms and %d slots, manifest records %d and %d", terms, slots, man.Terms, man.Slots)}
-	}
-	arena.segs = segs
-
-	// Tombstones.
-	payload, err := unframe(man.Dead)
-	if err != nil {
-		return nil, &CorruptSpillError{File: manPath, Detail: "tombstones: " + err.Error()}
-	}
-	dead := make([]uint64, (man.Slots+63)/64)
-	nDead := 0
-	for pos, slot := 0, 0; pos < len(payload); nDead++ {
-		var d uint64
-		if d, pos, err = readUvarint(payload, pos); err == nil && (d >= uint64(man.Slots-slot) || nDead > 0 && d == 0) {
-			err = fmt.Errorf("tombstone %d past slot %d is out of range", d, slot)
-		}
-		if err != nil {
-			return nil, &CorruptSpillError{File: manPath, Detail: "tombstones: " + err.Error()}
-		}
-		slot += int(d)
-		dead[slot>>6] |= 1 << (uint(slot) & 63)
-	}
-	if nDead != man.NDead {
-		return nil, &CorruptSpillError{File: manPath, Detail: fmt.Sprintf(
-			"%d tombstones listed, manifest records %d", nDead, man.NDead)}
-	}
-
-	g := NewGraphWithDict(&Dict{arena: arena, base: TermID(man.Terms)})
-	g.spill = newGraphSpill(dir, segs, man.Slots, man.NextSeq, dead)
-	g.nDead = man.NDead
-	return g, nil
-}
-
-// verify reads every frame of the segment in file order — the footer first,
-// for the directory — checking that each starts where the previous one ended
-// and decodes to what the directory says, and adds the terms to index.
-func (sg *segment) verify(index *termArena) error {
-	end, err := sg.readFooter()
-	if err != nil {
-		return err
-	}
-	off := int64(0)
-	at := func(want int64, what string) error {
-		if want != off {
-			return sg.corrupt(want, "%s expected at byte %d", what, off)
-		}
-		return nil
-	}
-	for b := range sg.blockOff {
-		if err := at(sg.blockOff[b], "term block"); err != nil {
-			return err
-		}
-		blk, next, err := readTermBlock(sg, b)
-		if err != nil {
-			return err
-		}
-		for i := 0; i+1 < len(blk.off); i++ {
-			rec := blk.key(i)
-			index.addHash(rec.hash64(), sg.t0+TermID(b*arenaBlockTerms+i))
-		}
-		off = next
-	}
-	if err := at(sg.pageOff, "triple log"); err != nil {
-		return err
-	}
-	for pg := 0; pg < sg.numPages(); pg++ {
-		_, next, err := readPage(sg, pg)
-		if err != nil {
-			return err
-		}
-		off = next
-	}
-	for k := range sg.post {
-		for fi, d := range sg.post[k] {
-			if err := at(d.off, "posting frame"); err != nil {
-				return err
-			}
-			_, next, err := readPostFrame(sg, k, fi)
-			if err != nil {
-				return err
-			}
-			off = next
-		}
-	}
-	if err := at(sg.footer, "footer"); err != nil {
-		return err
-	}
-	if st, err := sg.f.Stat(); err != nil {
-		return err
-	} else if st.Size() != end {
-		return sg.corrupt(end, "%d bytes follow the footer", st.Size()-end)
-	}
 	return nil
 }

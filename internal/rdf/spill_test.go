@@ -1,14 +1,14 @@
 package rdf
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
-	"strings"
 	"testing"
 
 	"github.com/s3pg/s3pg/internal/ckpt"
@@ -115,19 +115,6 @@ func spillIn(t testing.TB, g *Graph, k int, dir string) *Graph {
 		}
 	}
 	return out
-}
-
-// segmentFiles lists the seg-* files under dir.
-func segmentFiles(t testing.TB, dir string) []string {
-	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "seg-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range names {
-		names[i] = filepath.Base(names[i])
-	}
-	return names
 }
 
 func TestSpillEquivalence(t *testing.T) {
@@ -267,21 +254,17 @@ func TestRespillMultiGeneration(t *testing.T) {
 	}
 	assertGraphsEqual(t, got, want)
 
-	man, err := readManifest(dir)
-	if err != nil {
-		t.Fatalf("readManifest: %v", err)
-	}
-	if len(man.Segments) != 4 || man.NDead != 1 || man.Slots != want.NumSlots() || man.Terms != want.Dict().Len() {
-		t.Fatalf("manifest = %+v, want 4 segments, 1 tombstone, %d slots, %d terms", man, want.NumSlots(), want.Dict().Len())
+	segs := got.spill.segs
+	if len(segs) != 4 || bitCount(got.spill.dead) != 1 || got.spill.slots != want.NumSlots() || segs[3].t1 != TermID(want.Dict().Len()) {
+		t.Fatalf("%d segments, %d tombstones, %d slots, %d terms; want 4, 1, %d, %d",
+			len(segs), bitCount(got.spill.dead), got.spill.slots, segs[3].t1, want.NumSlots(), want.Dict().Len())
 	}
 	// The fourth spill wrote only its tail: the earlier segments are the
 	// files the first three spills committed.
-	if last := man.Segments[3]; last.Slots[0] != man.Segments[2].Slots[1] || last.Slots[1]-last.Slots[0] != 100 {
-		t.Fatalf("last segment covers slots %v, want the 100 admitted since the third spill", last.Slots)
+	if last := segs[3]; last.s0 != segs[2].s1 || last.s1-last.s0 != 100 {
+		t.Fatalf("last segment covers slots [%d,%d), want the 100 admitted since the third spill", last.s0, last.s1)
 	}
-	if files := segmentFiles(t, dir); len(files) != 4 {
-		t.Fatalf("directory holds %v, want the manifest's 4 segments", files)
-	}
+	assertDirHolds(t, dir, got)
 
 	// A spill elsewhere cannot append to this directory's list: the new
 	// directory gets everything, in one self-contained segment.
@@ -290,76 +273,47 @@ func TestRespillMultiGeneration(t *testing.T) {
 		t.Fatalf("Spill to a second directory: %v", err)
 	}
 	assertGraphsEqual(t, got, want)
-	if got.SpillDir() != other || len(segmentFiles(t, other)) != 1 {
-		t.Fatalf("SpillDir = %s holding %v, want %s holding one segment", got.SpillDir(), segmentFiles(t, other), other)
+	if got.SpillDir() != other || len(got.spill.segs) != 1 {
+		t.Fatalf("SpillDir = %s listing %d segments, want %s listing one", got.SpillDir(), len(got.spill.segs), other)
 	}
-	for _, d := range []string{dir, other} {
-		re, err := LoadSpilled(d)
-		if err != nil {
-			t.Fatalf("LoadSpilled(%s): %v", d, err)
-		}
-		assertGraphsEqual(t, re, want)
-	}
+	assertDirHolds(t, other, got)
 }
 
-func TestLoadSpilledRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	want := spillFixture(250)
-	want.Remove(NewTriple(ex("p9"), ex("knows"), ex("p10")))
-	spilled := spillIn(t, want, 3, dir)
-	spilled.Remove(NewTriple(ex("p0"), A, ex("Person")))
-	want.Remove(NewTriple(ex("p0"), A, ex("Person")))
-	if err := spilled.Spill(dir, nil); err != nil { // an empty tail still commits the tombstone
-		t.Fatalf("Spill: %v", err)
+// bitCount counts the set bits of a tombstone bitset.
+func bitCount(set []uint64) int {
+	n := 0
+	for _, w := range set {
+		n += bits.OnesCount64(w)
 	}
-	got, err := LoadSpilled(dir)
+	return n
+}
+
+// assertDirHolds checks that dir holds exactly the files of the graphs'
+// segment lists: no spill leaked a file, no fold unlinked a live one, and no
+// two segments share a name.
+func assertDirHolds(t testing.TB, dir string, gs ...*Graph) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("LoadSpilled: %v", err)
-	}
-	assertGraphsEqual(t, got, want)
-
-	// The reloaded graph is writable, and spills on where it left off.
-	for _, g := range []*Graph{got, want} {
-		if !g.Add(NewTriple(ex("later"), A, ex("Person"))) {
-			t.Fatal("Add to reloaded graph refused")
-		}
-	}
-	if err := got.Spill(dir, nil); err != nil {
-		t.Fatalf("Spill of the reloaded graph: %v", err)
-	}
-	assertGraphsEqual(t, got, want)
-	if n := len(got.spill.segs); n != 5 {
-		t.Fatalf("%d segments, want the 4 loaded and 1 appended", n)
-	}
-}
-
-func TestLoadSpilledNoManifest(t *testing.T) {
-	_, err := LoadSpilled(t.TempDir())
-	if !errors.Is(err, ErrNoSpill) {
-		t.Fatalf("err = %v, want ErrNoSpill", err)
-	}
-}
-
-// TestLoadSpilledOtherVersion: a directory in another layout version is a
-// typed refusal, and Spill overwrites it.
-func TestLoadSpilledOtherVersion(t *testing.T) {
-	dir := t.TempDir()
-	v1 := `{"version":1,"gen":3,"prefix":"gen-3.","terms":10,"slots":20,"n_dead":0,"segments":[1,1,1]}`
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := LoadSpilled(dir)
-	var ve *SpillVersionError
-	if !errors.As(err, &ve) || ve.Got != 1 || ve.Want != spillVersion {
-		t.Fatalf("err = %v, want a SpillVersionError{Got: 1}", err)
+	var have, want []string
+	for _, e := range ents {
+		have = append(have, e.Name())
 	}
-	want := spillFixture(50)
-	spillIn(t, want, 2, dir)
-	got, err := LoadSpilled(dir)
-	if err != nil {
-		t.Fatalf("LoadSpilled after Spill overwrote the directory: %v", err)
+	listed := map[*segment]bool{} // a clone lists its origin's segments too
+	for _, g := range gs {
+		for _, sg := range g.spill.segs {
+			if !listed[sg] {
+				listed[sg] = true
+				want = append(want, filepath.Base(sg.path))
+			}
+		}
 	}
-	assertGraphsEqual(t, got, want)
+	slices.Sort(want)
+	if !slices.Equal(have, want) {
+		t.Fatalf("%s holds %v, the segment lists name %v", dir, have, want)
+	}
 }
 
 func TestCloneOfSpilledGraph(t *testing.T) {
@@ -396,6 +350,44 @@ func TestCloneOfSpilledGraph(t *testing.T) {
 	if !g.Equal(twinG) || !c.Equal(twinC) || g.Has(NewTriple(ex("p1"), ex("knows"), ex("p2"))) == c.Has(NewTriple(ex("p1"), ex("knows"), ex("p2"))) {
 		t.Fatal("original and clone diverged from their twins after spilling side by side")
 	}
+}
+
+// TestCloneAndOriginFoldInOneDir: a clone and its origin go on spilling into
+// the directory they share, each past a fold of the tier-0 segments they
+// hold in common. Their segment files never take each other's names, so
+// once both have folded the directory holds exactly the files the two lists
+// name, and each side still reads its own data.
+func TestCloneAndOriginFoldInOneDir(t *testing.T) {
+	dir := t.TempDir()
+	g := spillIn(t, spillFixture(120), 6, dir)
+	c := g.Clone()
+	twinG, twinC := deepClone(g), deepClone(c)
+	for i := 0; i < 4; i++ { // the third round folds on both sides
+		for j := 0; j < 30; j++ {
+			trG := NewTriple(ex(fmt.Sprintf("g%d", j)), ex(fmt.Sprintf("q%d", i)), NewLiteral(fmt.Sprint(j)))
+			trC := NewTriple(ex(fmt.Sprintf("c%d", j)), ex(fmt.Sprintf("q%d", i)), NewLiteral(fmt.Sprint(j)))
+			g.Add(trG)
+			twinG.Add(trG)
+			c.Add(trC)
+			twinC.Add(trC)
+		}
+		victim := NewTriple(ex(fmt.Sprintf("p%d", i)), ex("knows"), ex(fmt.Sprintf("p%d", i+1)))
+		if c.Remove(victim) != twinC.Remove(victim) {
+			t.Fatalf("round %d: Remove on the clone differs from its twin", i)
+		}
+		if err := g.Spill(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Spill(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		assertDirHolds(t, dir, g, c)
+	}
+	if g.spill.segs[0].tier != 1 || c.spill.segs[0].tier != 1 {
+		t.Fatal("neither side folded its tier-0 segments")
+	}
+	assertGraphsEqual(t, g, twinG)
+	assertGraphsEqual(t, c, twinC)
 }
 
 // TestSharedDictSpill: two graphs over one Dict both spill. The second spill
@@ -478,9 +470,7 @@ func TestSpillFoldsTiers(t *testing.T) {
 				t.Fatalf("spill %d: tier %d holds %d segments", i, tier, n)
 			}
 		}
-		if files := segmentFiles(t, dir); len(files) != len(got.spill.segs) {
-			t.Fatalf("spill %d: directory holds %v for %d listed segments", i, files, len(got.spill.segs))
-		}
+		assertDirHolds(t, dir, got)
 		if i == 9 || i == 18 || i == 81 || i == 90 {
 			assertGraphsEqual(t, got, want)
 		}
@@ -502,11 +492,6 @@ func TestSpillFoldsTiers(t *testing.T) {
 			t.Fatalf("clone held across the fold after spill %d no longer reads what it held", h.spill)
 		}
 	}
-	re, err := LoadSpilled(dir)
-	if err != nil {
-		t.Fatalf("LoadSpilled: %v", err)
-	}
-	assertGraphsEqual(t, re, want)
 }
 
 // TestSpillWriteAmplification: k equal installments write the data once per
@@ -540,114 +525,76 @@ func TestSpillWriteAmplification(t *testing.T) {
 	}
 }
 
-// TestSpillCorruptionQuarantine flips a single byte in each part of a
-// three-segment spill in turn and asserts the load fails loudly with a
-// quarantine error.
-func TestSpillCorruptionQuarantine(t *testing.T) {
-	base := t.TempDir()
-	src := filepath.Join(base, "src")
-	want := spillFixture(300)
-	spillIn(t, want, 3, src)
-	man, err := readManifest(src)
-	if err != nil {
-		t.Fatalf("readManifest: %v", err)
-	}
-	mid := man.Segments[1]
-	info, err := os.Stat(filepath.Join(src, mid.File))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name, file string
-		at         int64
+// TestSpillCorruptionPanicsOnRead flips one byte of the first, the middle or
+// the last segment of a live three-segment spill — in a term block, a triple
+// page, a posting frame — and asserts that the read which brings that frame
+// in past the LRU panics with a CorruptSpillError naming the file and the
+// frame, instead of returning wrong data.
+func TestSpillCorruptionPanicsOnRead(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		at   func(sg *segment) int64 // offset of the frame to corrupt
+		read func(g *Graph, sg *segment)
 	}{
-		{"first-segment-terms", man.Segments[0].File, 40},
-		{"middle-segment", mid.File, mid.Footer / 2},
-		{"middle-segment-postings", mid.File, mid.Footer - 20},
-		{"middle-segment-footer", mid.File, (mid.Footer + info.Size()) / 2},
-		{"last-segment-footer-crc", man.Segments[2].File, -1},
-	}
-	for _, tc := range cases {
+		{"term-block", func(sg *segment) int64 { return sg.blockOff[0] },
+			func(g *Graph, sg *segment) { g.Dict().Term(sg.t0) }},
+		{"triple-page", func(sg *segment) int64 { return sg.pageOff },
+			func(g *Graph, sg *segment) { g.EncodedAt(sg.s0) }},
+		{"posting-frame", func(sg *segment) int64 { return sg.post[0][0].off },
+			func(g *Graph, sg *segment) {
+				s := g.Dict().Term(sg.post[0][0].first)
+				g.Match(&s, nil, nil, func(Triple) bool { return true })
+			}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := filepath.Join(base, "case-"+tc.name)
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			for _, n := range append(segmentFiles(t, src), manifestName) {
-				data, err := os.ReadFile(filepath.Join(src, n))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n == tc.file {
-					at := tc.at
-					if at < 0 {
-						at += int64(len(data))
+			for i, at := range []string{"first", "middle", "last"} {
+				t.Run(at, func(t *testing.T) {
+					g := spillIn(t, spillFixture(300), 3, t.TempDir())
+					if n := len(g.spill.segs); n != 3 {
+						t.Fatalf("three spills left %d segments", n)
 					}
-					data[at] ^= 0x40
-				}
-				if err := os.WriteFile(filepath.Join(dir, n), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			_, err := LoadSpilled(dir)
-			if err == nil {
-				t.Fatalf("LoadSpilled succeeded over corrupt %s", tc.file)
-			}
-			if !errors.Is(err, ErrSpillCorrupt) {
-				t.Fatalf("err = %v, want ErrSpillCorrupt", err)
-			}
-			var ce *CorruptSpillError
-			if !errors.As(err, &ce) {
-				t.Fatalf("err %v is not a CorruptSpillError", err)
-			}
-			if !strings.Contains(err.Error(), "quarantined") || filepath.Base(ce.File) != tc.file {
-				t.Fatalf("error does not name %s as quarantined: %v", tc.file, err)
-			}
-			if _, serr := os.Stat(ce.File + ".quarantined"); serr != nil {
-				t.Fatalf("corrupt file was not renamed aside: %v", serr)
+					sg := g.spill.segs[i]
+					frame := tc.at(sg)
+					f, err := os.OpenFile(sg.path, os.O_RDWR, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b := make([]byte, 1)
+					if _, err := f.ReadAt(b, frame+5); err != nil {
+						t.Fatal(err)
+					}
+					b[0] ^= 0x40
+					if _, err := f.WriteAt(b, frame+5); err != nil {
+						t.Fatal(err)
+					}
+					f.Close()
+
+					var r any
+					func() {
+						defer func() { r = recover() }()
+						tc.read(g, sg)
+					}()
+					err, _ = r.(error)
+					var ce *CorruptSpillError
+					if !errors.Is(err, ErrSpillCorrupt) || !errors.As(err, &ce) {
+						t.Fatalf("read over a flipped byte: recovered %v, want a *CorruptSpillError panic", r)
+					}
+					if ce.File != sg.path || ce.Offset != frame {
+						t.Fatalf("panic names %s at byte %d, want %s at byte %d", ce.File, ce.Offset, sg.path, frame)
+					}
+				})
 			}
 		})
 	}
-	// The tombstone list travels in the MANIFEST under its own CRC.
-	t.Run("manifest-tombstones", func(t *testing.T) {
-		dir := filepath.Join(base, "case-manifest")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range segmentFiles(t, src) {
-			data, err := os.ReadFile(filepath.Join(src, n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, n), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		bad := *man
-		bad.Dead = append([]byte(nil), man.Dead...)
-		bad.Dead[len(bad.Dead)-1] ^= 1
-		data, err := json.Marshal(&bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadSpilled(dir); !errors.Is(err, ErrSpillCorrupt) {
-			t.Fatalf("err = %v, want ErrSpillCorrupt", err)
-		}
-	})
 }
 
 func TestGovernorHysteresis(t *testing.T) {
 	heap := uint64(0)
 	dir := t.TempDir()
 	gv := NewGovernor(SpillConfig{
-		Dir:            dir,
-		HighMB:         100,
-		LowMB:          80,
-		MinTailTriples: 1,
-		ReadHeap:       func() uint64 { return heap },
+		Dir:      dir,
+		HighMB:   100,
+		ReadHeap: func() uint64 { return heap },
 	})
 	g := spillFixture(100)
 
@@ -743,7 +690,7 @@ func TestSpilledGraphSortedAccessors(t *testing.T) {
 }
 
 // noSyncFS is the real filesystem without the fsyncs, for a fuzz target that
-// spills thousands of times a second; what a crash leaves behind is
+// spills thousands of times a second; what a failed run leaves behind is
 // cmd/s3pg's TestCrashDuringSpillRecovery's business.
 type noSyncFS struct{ ckpt.FS }
 
@@ -852,13 +799,7 @@ func FuzzSpillSchedule(f *testing.F) {
 			assertGraphsEqual(t, c[0], c[1])
 		}
 		if got.Spilled() {
-			re, err := LoadSpilled(dir)
-			if err != nil {
-				t.Fatalf("LoadSpilled: %v", err)
-			}
-			if re.NumSlots() != got.spill.slots {
-				t.Fatalf("LoadSpilled opened %d slots, the last spill committed %d", re.NumSlots(), got.spill.slots)
-			}
+			assertDirHolds(t, dir, got)
 		}
 	})
 }

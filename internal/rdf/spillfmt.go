@@ -11,9 +11,9 @@ import (
 )
 
 // This file holds the low-level on-disk encoding of a spill (DESIGN.md
-// §10a): CRC-framed blocks, varint primitives, the segment file's footer
-// directory, the errors a bad spill directory surfaces as, and the small LRU
-// that bounds how much of a spilled structure is resident at once.
+// §10a): CRC-framed blocks, varint primitives, the error a bad frame
+// surfaces as, and the small LRU that bounds how much of a spilled structure
+// is resident at once.
 //
 // Every segment file is a sequence of frames:
 //
@@ -21,7 +21,9 @@ import (
 //
 // A frame is the unit of both paged reads and integrity: a reader never
 // hands out bytes whose checksum it has not verified, so a flipped bit on
-// disk surfaces as ErrSpillCorrupt — loudly — instead of as wrong data.
+// disk surfaces as ErrSpillCorrupt — loudly — instead of as wrong data. The
+// directory that locates the frames lives only in the memory of the process
+// that wrote the file; no other process reads a segment.
 
 const frameOverhead = 8 // 4-byte length prefix + 4-byte CRC suffix
 
@@ -29,9 +31,9 @@ const frameOverhead = 8 // 4-byte length prefix + 4-byte CRC suffix
 // spill file. Callers match it with errors.Is.
 var ErrSpillCorrupt = errors.New("spill data corrupt")
 
-// CorruptSpillError reports a spill file that failed its integrity check.
-// The file is quarantined (renamed aside) by the loader so the same bytes
-// are never trusted twice.
+// CorruptSpillError reports a spill frame that failed its integrity check
+// on a read. The reader panics with it: the bytes this process wrote have
+// changed underneath it, and no correct answer exists.
 type CorruptSpillError struct {
 	File   string // path of the corrupt file
 	Offset int64  // frame offset at which the check failed
@@ -39,21 +41,10 @@ type CorruptSpillError struct {
 }
 
 func (e *CorruptSpillError) Error() string {
-	return fmt.Sprintf("rdf: spill file quarantined: %s: frame at byte %d: %s", e.File, e.Offset, e.Detail)
+	return fmt.Sprintf("rdf: spill file corrupt: %s: frame at byte %d: %s", e.File, e.Offset, e.Detail)
 }
 
 func (e *CorruptSpillError) Unwrap() error { return ErrSpillCorrupt }
-
-// SpillVersionError reports a spill directory written in another layout
-// version. LoadSpilled does not read it; Spill overwrites its MANIFEST.
-type SpillVersionError struct {
-	Dir       string
-	Got, Want int
-}
-
-func (e *SpillVersionError) Error() string {
-	return fmt.Sprintf("rdf: spill directory %s has layout version %d, this build reads %d", e.Dir, e.Got, e.Want)
-}
 
 // appendFrame wraps payload in a length+CRC frame and appends it to dst.
 func appendFrame(dst, payload []byte) []byte {
@@ -65,44 +56,28 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, hdr[:]...)
 }
 
-// readFrameAt reads and verifies the frame starting at off in f, returning
-// its payload and the offset of the next frame. maxPayload bounds the length
-// prefix so a corrupt header cannot drive a huge allocation.
-func readFrameAt(f *os.File, off int64, maxPayload int) (payload []byte, next int64, err error) {
+// readFrameAt reads and verifies the frame starting at off in f and returns
+// its payload. maxPayload bounds the length prefix so a corrupt header
+// cannot drive a huge allocation.
+func readFrameAt(f *os.File, off int64, maxPayload int) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := f.ReadAt(hdr[:], off); err != nil {
-		return nil, 0, &CorruptSpillError{File: f.Name(), Offset: off, Detail: "short frame header: " + err.Error()}
+		return nil, &CorruptSpillError{File: f.Name(), Offset: off, Detail: "short frame header: " + err.Error()}
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if int(n) > maxPayload {
-		return nil, 0, &CorruptSpillError{File: f.Name(), Offset: off,
+		return nil, &CorruptSpillError{File: f.Name(), Offset: off,
 			Detail: fmt.Sprintf("frame length %d exceeds limit %d", n, maxPayload)}
 	}
 	buf := make([]byte, int(n)+4)
 	if _, err := f.ReadAt(buf, off+4); err != nil {
-		return nil, 0, &CorruptSpillError{File: f.Name(), Offset: off, Detail: "short frame body: " + err.Error()}
+		return nil, &CorruptSpillError{File: f.Name(), Offset: off, Detail: "short frame body: " + err.Error()}
 	}
-	if err := checkCRC(buf[:n], buf[n:]); err != nil {
-		return nil, 0, &CorruptSpillError{File: f.Name(), Offset: off, Detail: err.Error()}
+	if got, sum := crc32.ChecksumIEEE(buf[:n]), binary.LittleEndian.Uint32(buf[n:]); got != sum {
+		return nil, &CorruptSpillError{File: f.Name(), Offset: off,
+			Detail: fmt.Sprintf("crc mismatch: stored %08x, computed %08x", sum, got)}
 	}
-	return buf[:n], off + 4 + int64(n) + 4, nil
-}
-
-// checkCRC holds a frame's payload against its stored little-endian CRC.
-func checkCRC(payload, stored []byte) error {
-	if got, sum := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(stored); got != sum {
-		return fmt.Errorf("crc mismatch: stored %08x, computed %08x", sum, got)
-	}
-	return nil
-}
-
-// unframe verifies a frame held in memory and returns its payload.
-func unframe(frame []byte) ([]byte, error) {
-	if len(frame) < frameOverhead || int(binary.LittleEndian.Uint32(frame)) != len(frame)-frameOverhead {
-		return nil, fmt.Errorf("frame of %d bytes has a bad length prefix", len(frame))
-	}
-	payload := frame[4 : len(frame)-4]
-	return payload, checkCRC(payload, frame[len(frame)-4:])
+	return buf[:n], nil
 }
 
 // uvarint helpers over byte slices (append-style write, cursor-style read).
@@ -136,10 +111,11 @@ func (fw *frameWriter) frame(payload []byte) (int64, error) {
 }
 
 // segment is one immutable spill file: the terms with ids [t0,t1), the
-// triple slots [s0,s1) and the posting entries of those slots, then a footer
-// frame holding the directory below. Handles are shared by every arena and
-// graphSpill that lists the segment (clones included) and closed when the
-// last of them is collected, so an unlinked segment stays readable.
+// triple slots [s0,s1) and the posting entries of those slots. The directory
+// below is filled in while the file is written and kept only in memory.
+// Handles are shared by every arena and graphSpill that lists the segment
+// (clones included) and closed when the last of them is collected, so an
+// unlinked segment stays readable.
 type segment struct {
 	path string
 	f    *os.File
@@ -151,7 +127,6 @@ type segment struct {
 	blockOff []int64      // frame offset of each arenaBlockTerms-term block
 	pageOff  int64        // offset of the first triple page; pages are fixed-size
 	post     [3][]postDir // posting frames per index (s,p,o), ids ascending
-	footer   int64        // offset of the footer frame
 }
 
 // postDir locates one posting frame and the id range it covers.
@@ -177,77 +152,6 @@ func (sg *segment) corrupt(off int64, format string, args ...any) error {
 // frameKey keys a per-graph LRU by (position of the segment in the graph's
 // list, frame within the segment's section).
 func frameKey(seg, frame int) uint64 { return uint64(seg)<<32 | uint64(uint32(frame)) }
-
-// appendFooter serializes the segment's ranges and frame directory.
-func (sg *segment) appendFooter(dst []byte) []byte {
-	for _, v := range [...]uint64{uint64(sg.t0), uint64(sg.t1), uint64(sg.s0), uint64(sg.s1), uint64(sg.pageOff), uint64(len(sg.blockOff))} {
-		dst = appendUvarint(dst, v)
-	}
-	for _, off := range sg.blockOff {
-		dst = appendUvarint(dst, uint64(off))
-	}
-	for _, dir := range sg.post {
-		dst = appendUvarint(dst, uint64(len(dir)))
-		for _, d := range dir {
-			dst = appendUvarint(dst, uint64(d.first))
-			dst = appendUvarint(dst, uint64(d.last))
-			dst = appendUvarint(dst, uint64(d.off))
-		}
-	}
-	return dst
-}
-
-// readFooter reads the footer frame at sg.footer into the directory fields,
-// checks it against the ranges the MANIFEST recorded in sg, and returns the
-// offset the frame ends at.
-func (sg *segment) readFooter() (int64, error) {
-	payload, end, err := readFrameAt(sg.f, sg.footer, maxSpillPayload)
-	if err != nil {
-		return 0, err
-	}
-	pos := 0
-	next := func() uint64 {
-		if err != nil {
-			return 0
-		}
-		var v uint64
-		v, pos, err = readUvarint(payload, pos)
-		return v
-	}
-	// A count is bounded by the bytes left (an entry costs at least one), so
-	// a corrupt one cannot drive a huge allocation.
-	count := func() int {
-		n := next()
-		if err == nil && n > uint64(len(payload)-pos) {
-			err = fmt.Errorf("directory count %d overruns the footer", n)
-		}
-		return int(n)
-	}
-	t0, t1, s0, s1 := TermID(next()), TermID(next()), int(next()), int(next())
-	sg.pageOff = int64(next())
-	sg.blockOff = make([]int64, count())
-	for i := range sg.blockOff {
-		sg.blockOff[i] = int64(next())
-	}
-	for k := range sg.post {
-		sg.post[k] = make([]postDir, count())
-		for i := range sg.post[k] {
-			sg.post[k][i] = postDir{first: TermID(next()), last: TermID(next()), off: int64(next())}
-		}
-	}
-	switch {
-	case err != nil:
-		return 0, sg.corrupt(sg.footer, "footer: %v", err)
-	case pos != len(payload):
-		return 0, sg.corrupt(sg.footer, "footer has %d trailing bytes", len(payload)-pos)
-	case t0 != sg.t0 || t1 != sg.t1 || s0 != sg.s0 || s1 != sg.s1:
-		return 0, sg.corrupt(sg.footer, "footer covers ids [%d,%d) slots [%d,%d), manifest records ids [%d,%d) slots [%d,%d)",
-			t0, t1, s0, s1, sg.t0, sg.t1, sg.s0, sg.s1)
-	case len(sg.blockOff) != (int(t1-t0)+arenaBlockTerms-1)/arenaBlockTerms:
-		return 0, sg.corrupt(sg.footer, "footer lists %d term blocks for %d terms", len(sg.blockOff), t1-t0)
-	}
-	return end, nil
-}
 
 // lruCache is a tiny LRU over spill frames (term blocks, posting frames,
 // triple pages), keyed by frameKey. It is NOT goroutine-safe; owners guard
