@@ -9,6 +9,7 @@
 package s3pg_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -119,7 +120,7 @@ func BenchmarkObsOverhead_Transform(b *testing.B) {
 	b.Run("untraced", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.TransformTraced(g, sg, core.Parsimonious, nil); err != nil {
+			if _, err := core.TransformWith(context.Background(), g, sg, core.Parsimonious, nil, core.TransformOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -128,7 +129,7 @@ func BenchmarkObsOverhead_Transform(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			root := obs.NewSpan("bench")
-			if _, _, err := core.TransformTraced(g, sg, core.Parsimonious, root); err != nil {
+			if _, err := core.TransformWith(context.Background(), g, sg, core.Parsimonious, root, core.TransformOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			root.End()
@@ -242,7 +243,7 @@ func BenchmarkFig6_QueryRuntime(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range parsed {
-					if _, err := sparql.Eval(g, q); err != nil {
+					if _, err := sparql.EvalCtx(context.Background(), g, q); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -262,7 +263,7 @@ func BenchmarkFig6_QueryRuntime(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for _, q := range parsed {
-						if _, err := cypher.Eval(store, q); err != nil {
+						if _, err := cypher.EvalWith(store, q, cypher.EvalOptions{}); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -337,7 +337,7 @@ func TestSemanticsPreservationNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pgschema.Conforms(store1, spg1) {
+	if len(pgschema.Check(store1, spg1)) == 0 {
 		t.Fatal("missing regNo: PG should not conform")
 	}
 
@@ -349,7 +349,7 @@ func TestSemanticsPreservationNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pgschema.Conforms(store2, spg2) {
+	if len(pgschema.Check(store2, spg2)) == 0 {
 		t.Fatal("integer name: PG should not conform")
 	}
 	// …and the non-conforming value must still round-trip.
@@ -370,7 +370,7 @@ func TestSemanticsPreservationNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pgschema.Conforms(store3, spg3) {
+	if len(pgschema.Check(store3, spg3)) == 0 {
 		t.Fatal("double worksFor: PG should not conform")
 	}
 }

@@ -181,27 +181,12 @@ func (t *Transformer) Mapping() *Mapping { return t.mapping }
 // delta graph performs the monotone incremental update: existing nodes are
 // reused and only elements for new triples are created.
 func (t *Transformer) Apply(g *rdf.Graph) error {
-	return t.ApplyTraced(g, nil)
-}
-
-// ApplyTraced is Apply recording Algorithm 1's two phases (and the deferred
-// RDF-star annotation pass) as child spans with per-phase element counts.
-// A nil span disables tracing at no cost; the Default-registry transform
-// meters are always fed.
-func (t *Transformer) ApplyTraced(g *rdf.Graph, span *obs.Span) error {
-	return t.ApplyContext(context.Background(), g, span)
+	return t.ApplyParallel(context.Background(), g, 1, nil)
 }
 
 // ctxCheckInterval is how many triples each phase processes between context
 // cancellation checks.
 const ctxCheckInterval = 4096
-
-// ApplyContext is ApplyTraced with cancellation: each phase checks ctx every
-// ctxCheckInterval triples and aborts with ctx.Err() when it ends, leaving
-// the store in a consistent (if partial) state.
-func (t *Transformer) ApplyContext(ctx context.Context, g *rdf.Graph, span *obs.Span) error {
-	return t.apply(ctx, g, nil, span)
-}
 
 // apply is Algorithm 1 over the graph's dictionary-encoded triples, in
 // admission order. It is the one statement router every entry point runs:
@@ -681,15 +666,7 @@ func nativeValue(lex, dt string) (pg.Value, bool) {
 // Transform is a convenience: build the transformer, apply the graph, and
 // return the property graph with its (possibly extended) schema.
 func Transform(g *rdf.Graph, sg *shacl.Schema, mode Mode) (*pg.Store, *pgschema.Schema, error) {
-	return TransformTraced(g, sg, mode, nil)
-}
-
-// TransformTraced is Transform with the whole pipeline traced under span:
-// F_st (schema transformation), the F_st↔F_dt correspondence-table build,
-// and F_dt's phases each become child spans. A nil span runs the exact
-// uninstrumented path.
-func TransformTraced(g *rdf.Graph, sg *shacl.Schema, mode Mode, span *obs.Span) (*pg.Store, *pgschema.Schema, error) {
-	t, err := TransformWith(context.Background(), g, sg, mode, span, TransformOptions{})
+	t, err := TransformWith(context.Background(), g, sg, mode, nil, TransformOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -707,9 +684,11 @@ type TransformOptions struct {
 	Workers int
 }
 
-// TransformWith runs the traced pipeline with cancellation and the chosen
+// TransformWith runs the pipeline with cancellation and the chosen
 // resilience options, returning the transformer so callers can inspect the
-// store, the (possibly extended) schema, and the recorded degradations.
+// store, the (possibly extended) schema, and the recorded degradations. F_st
+// (schema transformation), the F_st↔F_dt correspondence-table build, and
+// F_dt's phases each become a child span of span; a nil span traces nothing.
 func TransformWith(ctx context.Context, g *rdf.Graph, sg *shacl.Schema, mode Mode, span *obs.Span, opts TransformOptions) (*Transformer, error) {
 	fst := span.StartSpan("F_st")
 	spg, err := TransformSchemaTraced(sg, mode, fst)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -209,15 +210,7 @@ func NewDeltaState(g *rdf.Graph, sg *shacl.Schema, mode Mode) (*DeltaState, erro
 // retransform runs the strict transformation of the live graph from the base
 // shapes: the initial state, and what the rebuild path replaces the state by.
 func (s *DeltaState) retransform() (*Transformer, error) {
-	spg, err := TransformSchema(s.sg, s.mode)
-	if err != nil {
-		return nil, err
-	}
-	t, err := NewTransformerForSchema(spg, s.mode)
-	if err != nil {
-		return nil, err
-	}
-	return t, t.Apply(s.g)
+	return TransformWith(context.Background(), s.g, s.sg, s.mode, nil, TransformOptions{})
 }
 
 // Graph returns the live RDF graph (owned by the state; do not mutate).

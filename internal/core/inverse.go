@@ -18,18 +18,12 @@ import (
 // and the PG-Schema the transformation produced (the schema carries all the
 // label/key/edge ↔ IRI correspondences).
 func InverseData(store *pg.Store, spg *pgschema.Schema) (*rdf.Graph, error) {
-	return InverseDataTraced(store, spg, nil)
+	return InverseDataContext(context.Background(), store, spg, nil)
 }
 
-// InverseDataTraced is InverseData recording its node and edge
-// reconstruction passes under the given span (nil disables tracing).
-func InverseDataTraced(store *pg.Store, spg *pgschema.Schema, span *obs.Span) (*rdf.Graph, error) {
-	return InverseDataContext(context.Background(), store, spg, span)
-}
-
-// InverseDataContext is InverseDataTraced with cancellation: the node and
-// edge reconstruction passes check ctx periodically and abort with ctx.Err()
-// when it ends.
+// InverseDataContext is InverseData with cancellation and tracing: the node
+// and edge reconstruction passes are recorded under span (nil disables
+// tracing), check ctx periodically, and abort with ctx.Err() when it ends.
 func InverseDataContext(ctx context.Context, store *pg.Store, spg *pgschema.Schema, span *obs.Span) (*rdf.Graph, error) {
 	m, err := BuildMapping(spg)
 	if err != nil {

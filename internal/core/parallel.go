@@ -11,14 +11,20 @@ import (
 // cParallelApplies counts data transforms that took the parallel path.
 var cParallelApplies = obs.Default.Counter("core.transform.parallel_applies")
 
-// ApplyParallel is ApplyContext with the one order-independent piece of
-// per-statement work hoisted onto worker goroutines: literal parsing, one xsd
-// parse per unique literal term, filled into a per-term table before the
-// statements are routed. Routing itself is the same sequential pass over the
-// graph's admission order that ApplyContext runs (apply), so the resulting
-// transformer state — store, schema, mappings, degradations, tallies — is
-// identical, including across incremental Apply calls. workers <= 1 fills
-// nothing in advance and parses literals as statements need them.
+// ApplyParallel is Apply with cancellation, tracing and literal parsing
+// spread over workers goroutines. ctx is checked every ctxCheckInterval
+// triples of each phase, and its end aborts the call with ctx.Err(), leaving
+// the store consistent if partial. Algorithm 1's two phases (and the deferred
+// RDF-star annotation pass) become child spans of span with per-phase element
+// counts; a nil span traces nothing, and the Default-registry transform
+// meters are always fed. workers > 1 hoists the one order-independent piece
+// of per-statement work onto goroutines: one xsd parse per unique literal
+// term, filled into a per-term table before the statements are routed.
+// Routing itself is the same sequential pass over the graph's admission
+// order (apply), so the resulting transformer state — store, schema,
+// mappings, degradations, tallies — is identical, including across
+// incremental calls. workers <= 1 fills nothing in advance and parses
+// literals as statements need them.
 func (t *Transformer) ApplyParallel(ctx context.Context, g *rdf.Graph, workers int, span *obs.Span) error {
 	if workers <= 1 {
 		return t.apply(ctx, g, nil, span)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -23,7 +24,7 @@ func checkQueryPreservation(t *testing.T, sparqlQuery string) {
 	if err != nil {
 		t.Fatalf("sparql parse: %v", err)
 	}
-	want, err := sparql.Eval(g, sq)
+	want, err := sparql.EvalCtx(context.Background(), g, sq)
 	if err != nil {
 		t.Fatalf("sparql eval: %v", err)
 	}
@@ -36,7 +37,7 @@ func checkQueryPreservation(t *testing.T, sparqlQuery string) {
 	if err != nil {
 		t.Fatalf("cypher parse of translation: %v\n%s", err, translated)
 	}
-	got, err := cypher.Eval(store, cq)
+	got, err := cypher.EvalWith(store, cq, cypher.EvalOptions{})
 	if err != nil {
 		t.Fatalf("cypher eval: %v\n%s", err, translated)
 	}

@@ -59,7 +59,7 @@ func BenchmarkEvalHop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Eval(store, q)
+		res, err := EvalWith(store, q, EvalOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func BenchmarkEvalCross(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Eval(store, q)
+		res, err := EvalWith(store, q, EvalOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

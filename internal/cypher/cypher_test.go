@@ -45,7 +45,7 @@ func run(t *testing.T, src string) *cypher.Results {
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	res, err := cypher.Eval(buildStore(), q)
+	res, err := cypher.EvalWith(buildStore(), q, cypher.EvalOptions{})
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}

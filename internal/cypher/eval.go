@@ -43,15 +43,13 @@ type (
 )
 
 // EvalOptions configures evaluation beyond the defaults. The zero value is
-// valid: no cancellation, no parameters, no tracing.
+// valid: no cancellation, no parameters.
 type EvalOptions struct {
 	// Ctx cancels a running evaluation: every operator checks it every few
 	// hundred rows or candidates, so a deadline bounds runaway cross products.
 	Ctx context.Context
 	// Params supplies values for $name parameter expressions.
 	Params map[string]pg.Value
-	// Span records each UNION part as a child span with its row count.
-	Span *obs.Span
 }
 
 // Answer is a query's result as one flat array of values, which Results cuts
@@ -93,12 +91,8 @@ type evaluator struct {
 	vals   []pg.Value
 }
 
-// Eval executes a query against a property graph store.
-func Eval(store *pg.Store, q *Query) (*Results, error) {
-	return EvalWith(store, q, EvalOptions{})
-}
-
-// EvalWith executes a query with cancellation, parameters, and tracing.
+// EvalWith executes a query against a property graph store, with the
+// cancellation and parameters opt gives.
 func EvalWith(store *pg.Store, q *Query, opt EvalOptions) (*Results, error) {
 	a, err := Run(store, q, opt, 0)
 	if err != nil {
@@ -152,10 +146,6 @@ func run(x *qexec.Exec, store *pg.Store, q *Query, opt EvalOptions, maxRows int)
 
 	a := &Answer{}
 	for i, p := range parts {
-		var sp *obs.Span
-		if opt.Span != nil {
-			sp = opt.Span.StartSpan("part" + strconv.Itoa(i+1))
-		}
 		if i == 0 {
 			a.Cols = p.cols
 			a.rows.Stride = len(p.cols)
@@ -174,8 +164,6 @@ func run(x *qexec.Exec, store *pg.Store, q *Query, opt EvalOptions, maxRows int)
 				return nil, err
 			}
 		}
-		sp.Count("rows", int64(a.rows.N-before))
-		sp.End()
 		if len(p.cols) != a.rows.Stride {
 			return nil, fmt.Errorf("cypher: UNION parts have different arities (%d vs %d)",
 				a.rows.Stride, len(p.cols))
@@ -197,7 +185,6 @@ func run(x *qexec.Exec, store *pg.Store, q *Query, opt EvalOptions, maxRows int)
 		a.Truncated = true
 	}
 	cEvalRows.Add(int64(a.rows.N))
-	opt.Span.Count("rows", int64(a.rows.N))
 	return a, nil
 }
 

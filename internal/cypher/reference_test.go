@@ -9,10 +9,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
-	"github.com/s3pg/s3pg/internal/obs"
 	"github.com/s3pg/s3pg/internal/pg"
 )
 
@@ -99,7 +97,7 @@ func (ev *refEvaluator) tick() error {
 	return nil
 }
 
-// refEvalWith executes a query with cancellation, parameters, and tracing.
+// refEvalWith executes a query with cancellation and parameters.
 func refEvalWith(store *pg.Store, q *Query, opt EvalOptions) (*Results, error) {
 	if opt.Ctx != nil {
 		if err := opt.Ctx.Err(); err != nil {
@@ -108,17 +106,11 @@ func refEvalWith(store *pg.Store, q *Query, opt EvalOptions) (*Results, error) {
 	}
 	ev := &refEvaluator{store: store, ctx: opt.Ctx, params: opt.Params}
 	var combined *Results
-	for i, part := range q.Parts {
-		var sp *obs.Span
-		if opt.Span != nil {
-			sp = opt.Span.StartSpan("part" + strconv.Itoa(i+1))
-		}
+	for _, part := range q.Parts {
 		res, err := ev.refEvalSingle(part)
 		if err != nil {
 			return nil, err
 		}
-		sp.Count("rows", int64(len(res.Rows)))
-		sp.End()
 		if combined == nil {
 			combined = res
 			continue
@@ -141,7 +133,6 @@ func refEvalWith(store *pg.Store, q *Query, opt EvalOptions) (*Results, error) {
 	if q.Limit >= 0 && len(combined.Rows) > q.Limit {
 		combined.Rows = combined.Rows[:q.Limit]
 	}
-	opt.Span.Count("rows", int64(len(combined.Rows)))
 	return combined, nil
 }
 

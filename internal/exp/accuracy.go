@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/s3pg/s3pg/internal/cypher"
@@ -40,7 +41,7 @@ func GroundTruth(g *rdf.Graph, q Query) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", q.ID, err)
 	}
-	res, err := sparql.Eval(g, parsed)
+	res, err := sparql.EvalCtx(context.Background(), g, parsed)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", q.ID, err)
 	}
@@ -54,7 +55,7 @@ func PGAnswers(store *pg.Store, q Query) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", q.ID, err)
 	}
-	res, err := cypher.Eval(store, parsed)
+	res, err := cypher.EvalWith(store, parsed, cypher.EvalOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", q.ID, err)
 	}

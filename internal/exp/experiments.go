@@ -264,7 +264,7 @@ func RunFig6(e *Env) ([]Fig6Row, error) {
 			return nil, err
 		}
 		row.SPARQL = avgTime(reps, func() {
-			if _, err := sparql.Eval(g, sq); err != nil {
+			if _, err := sparql.EvalCtx(context.Background(), g, sq); err != nil {
 				panic(err)
 			}
 		})
@@ -283,7 +283,7 @@ func RunFig6(e *Env) ([]Fig6Row, error) {
 		} {
 			store := m.store
 			*m.dst = avgTime(reps, func() {
-				if _, err := cypher.Eval(store, cq); err != nil {
+				if _, err := cypher.EvalWith(store, cq, cypher.EvalOptions{}); err != nil {
 					panic(err)
 				}
 			})
@@ -346,12 +346,12 @@ func RunMonotonicity(e *Env) (*MonotonicityResult, error) {
 	res := &MonotonicityResult{BaseTriples: s1.Len(), DeltaTriples: delta.Len()}
 
 	res.FullParsimonious = measure("full.s1.parsimonious", func(sp *obs.Span) {
-		if _, _, err := core.TransformTraced(s1, sg, core.Parsimonious, sp); err != nil {
+		if _, err := core.TransformWith(context.Background(), s1, sg, core.Parsimonious, sp, core.TransformOptions{}); err != nil {
 			panic(err)
 		}
 	}).Wall()
 	res.FullNonParsimonious = measure("full.s1.nonparsimonious", func(sp *obs.Span) {
-		if _, _, err := core.TransformTraced(s1, sg, core.NonParsimonious, sp); err != nil {
+		if _, err := core.TransformWith(context.Background(), s1, sg, core.NonParsimonious, sp, core.TransformOptions{}); err != nil {
 			panic(err)
 		}
 	}).Wall()
@@ -359,7 +359,7 @@ func RunMonotonicity(e *Env) (*MonotonicityResult, error) {
 	s2 := s1.Clone()
 	s2.AddAll(delta)
 	res.FullS2Parsimonious = measure("full.s2.parsimonious", func(sp *obs.Span) {
-		if _, _, err := core.TransformTraced(s2, sg, core.Parsimonious, sp); err != nil {
+		if _, err := core.TransformWith(context.Background(), s2, sg, core.Parsimonious, sp, core.TransformOptions{}); err != nil {
 			panic(err)
 		}
 	}).Wall()
@@ -373,7 +373,7 @@ func RunMonotonicity(e *Env) (*MonotonicityResult, error) {
 		return nil, err
 	}
 	res.IncrementalDelta = measure("incremental.delta", func(sp *obs.Span) {
-		if err := tr.ApplyTraced(delta, sp); err != nil {
+		if err := tr.ApplyParallel(context.Background(), delta, 1, sp); err != nil {
 			panic(err)
 		}
 	}).Wall()

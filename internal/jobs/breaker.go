@@ -65,15 +65,8 @@ type Breaker struct {
 }
 
 // NewBreaker returns a closed breaker that opens after threshold consecutive
-// failures and re-probes after cooldown. threshold <= 0 means 5; cooldown
-// <= 0 means 5s.
+// failures and re-probes after cooldown.
 func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	if threshold <= 0 {
-		threshold = 5
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
 	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
 }
 

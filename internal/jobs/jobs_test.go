@@ -471,20 +471,23 @@ func (f *toggleFS) SyncDir(dir string) error               { return ckpt.OSFS.Sy
 func TestBreakerShedsAndRecovers(t *testing.T) {
 	shapes, data := testDataset()
 	cfg := testConfig(t)
-	cfg.BreakerThreshold = 2
-	cfg.BreakerCooldown = 30 * time.Millisecond
 	tfs := &toggleFS{broken: true}
 	cfg.FS = tfs
 	m := mustOpen(t, cfg)
+	// A low threshold and a clock the test steps through the cooldown, set
+	// before any work arrives.
+	const threshold, cooldown = 2, time.Minute
+	b, clk := newTestBreaker(threshold, cooldown)
+	m.breaker = b
 
 	// Each failed submission is one retry-exhausted commit; threshold trips.
-	for i := 0; i < cfg.BreakerThreshold; i++ {
+	for i := 0; i < threshold; i++ {
 		if _, err := m.Submit(Spec{}, shapes, data); !errors.Is(err, faultio.ErrTransient) {
 			t.Fatalf("submit %d through broken storage: %v", i, err)
 		}
 	}
 	if got := m.breaker.State(); got != "open" {
-		t.Fatalf("breaker after %d exhausted commits: %s", cfg.BreakerThreshold, got)
+		t.Fatalf("breaker after %d exhausted commits: %s", threshold, got)
 	}
 	if err := m.Ready(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("readiness with the breaker open: %v", err)
@@ -494,12 +497,12 @@ func TestBreakerShedsAndRecovers(t *testing.T) {
 		t.Fatalf("open breaker did not shed: %v", err)
 	}
 
-	// Heal the storage, wait out the cooldown: the next submission is the
+	// Heal the storage, step past the cooldown: the next submission is the
 	// half-open trial, closes the breaker, and the job completes.
 	tfs.mu.Lock()
 	tfs.broken = false
 	tfs.mu.Unlock()
-	time.Sleep(2 * cfg.BreakerCooldown)
+	clk.advance(2 * cooldown)
 	j, err := m.Submit(Spec{}, shapes, data)
 	if err != nil {
 		t.Fatalf("submission after heal+cooldown: %v", err)

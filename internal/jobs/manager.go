@@ -44,6 +44,13 @@ var errRequeue = errors.New("jobs: requeued")
 // threshold while the heap hovers there.
 const memLowPercent = 80
 
+// The commit circuit breaker (see Breaker) opens after breakerThreshold
+// consecutive exhausted commits and re-probes after breakerCooldown.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 5 * time.Second
+)
+
 // Observability instruments (obs.Default registry).
 var (
 	cAccepted     = obs.Default.Counter("jobs.accepted")
@@ -96,10 +103,6 @@ type Config struct {
 	FS ckpt.FS
 	// Retry is the backoff policy around every atomic commit.
 	Retry faultio.RetryPolicy
-	// BreakerThreshold/BreakerCooldown parameterize the commit circuit
-	// breaker (see Breaker). Defaults 5 and 5s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Log receives structured operational log records. Nil discards them.
 	Log *obs.Logger
 	// Trace, when non-nil, receives one JSONL record per job lifecycle
@@ -173,7 +176,7 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:     cfg,
-		breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		breaker: NewBreaker(breakerThreshold, breakerCooldown),
 		jobs:    make(map[string]*Job),
 	}
 	m.cond = sync.NewCond(&m.mu)

@@ -18,9 +18,6 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s %d: %s", v.Kind, v.ID, v.Message)
 }
 
-// Conforms reports whether PG ⊨ S_PG per Definition 2.6.
-func Conforms(store *pg.Store, s *Schema) bool { return len(Check(store, s)) == 0 }
-
 // Check validates the property graph against the schema: every node must
 // conform to at least one node type, every edge to at least one edge type,
 // and every PG-Key cardinality constraint must hold.

@@ -178,14 +178,14 @@ func TestTurtleStrictParseErrorPosition(t *testing.T) {
 	}
 }
 
-// TestTurtleHandlerErrorPropagatesInLenientMode pins the discrimination
-// between parse errors (recoverable) and handler errors (never swallowed).
-func TestTurtleHandlerErrorPropagatesInLenientMode(t *testing.T) {
-	boom := errors.New("handler boom")
-	err := ReadTurtleWith(context.Background(), strings.NewReader("<a> <b> <c> ."),
-		Options{Lenient: true}, func(rdf.Triple) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want handler error", err)
+// TestTurtleCancelPropagatesInLenientMode pins the discrimination between
+// parse errors (recoverable) and every other error (never swallowed).
+func TestTurtleCancelPropagatesInLenientMode(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := ParseTurtleWith(ctx, "<a> <b> <c> .", Options{Lenient: true})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 	"unicode"
@@ -19,47 +18,28 @@ func ParseTurtle(src string) (*rdf.Graph, error) {
 }
 
 // ParseTurtleWith is ParseTurtle with cancellation and fault-tolerance
-// control (see ReadTurtleWith).
+// control. In strict mode (the zero Options) the first malformed statement
+// aborts with a *ParseError; in lenient mode the parser reports the error to
+// opts.OnError, re-synchronizes at the next top-level '.' terminator, and
+// keeps parsing — triples already added from the failed statement's prefix
+// stand. Parsing hard-stops with ErrTooManyErrors once opts.MaxErrors
+// malformed statements have been skipped.
 func ParseTurtleWith(ctx context.Context, src string, opts Options) (*rdf.Graph, error) {
-	g := rdf.NewGraph()
-	if err := ReadTurtleWith(ctx, strings.NewReader(src), opts, func(t rdf.Triple) error {
-		g.Add(t)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// ReadTurtleWith parses a Turtle document from r, streaming triples to fn,
-// with cancellation and fault-tolerance control. In strict mode (the zero
-// Options) the first malformed statement aborts with a *ParseError; in
-// lenient mode the parser reports the error to opts.OnError, re-synchronizes
-// at the next top-level '.' terminator, and keeps parsing — triples already
-// streamed from the failed statement's prefix stand. Parsing hard-stops with
-// ErrTooManyErrors once opts.MaxErrors malformed statements have been
-// skipped.
-func ReadTurtleWith(ctx context.Context, r io.Reader, opts Options, fn TripleHandler) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	triples := int64(0)
 	start := time.Now()
-	defer func() { ttlMeter.Observe(triples, time.Since(start)) }()
-	counted := func(t rdf.Triple) error {
-		triples++
-		return fn(t)
-	}
 	p := &ttlParser{
 		ctx:      ctx,
 		opts:     opts,
 		sink:     errorSink{opts: &opts, counter: ttlSkipped},
-		src:      string(data),
+		src:      src,
 		prefixes: map[string]string{},
-		emit:     counted,
+		g:        rdf.NewGraph(),
 	}
-	return p.parse()
+	err := p.parse()
+	ttlMeter.Observe(p.triples, time.Since(start))
+	if err != nil {
+		return nil, err
+	}
+	return p.g, nil
 }
 
 // maxTurtleDepth bounds blank-node property list, collection, and quoted
@@ -78,13 +58,20 @@ type ttlParser struct {
 	stmts    int
 	prefixes map[string]string
 	base     string
-	emit     TripleHandler
 	blankSeq int
+	g        *rdf.Graph
+	triples  int64 // triples emitted, duplicates included
+}
+
+// emit adds one parsed triple to the graph.
+func (p *ttlParser) emit(t rdf.Triple) {
+	p.g.Add(t)
+	p.triples++
 }
 
 // errf builds a parse error as a wrapped *ParseError carrying line, column,
 // and an input snippet, so lenient mode can tell parse failures apart from
-// handler and cancellation errors.
+// cancellation errors.
 func (p *ttlParser) errf(format string, args ...any) error {
 	col := p.pos - strings.LastIndexByte(p.src[:min(p.pos, len(p.src))], '\n')
 	return fmt.Errorf("rio: turtle: %w", &ParseError{
@@ -121,7 +108,7 @@ func (p *ttlParser) parse() error {
 		if err := p.statement(); err != nil {
 			var pe *ParseError
 			if !p.opts.Lenient || !errors.As(err, &pe) {
-				return err // strict mode, handler error, or cancellation
+				return err // strict mode, or not a parse error
 			}
 			p.recoverStatement()
 			if err := p.sink.record(*pe); err != nil {
@@ -279,9 +266,7 @@ func (p *ttlParser) objectList(subj, pred rdf.Term) error {
 		if err != nil {
 			return err
 		}
-		if err := p.emit(rdf.NewTriple(subj, pred, obj)); err != nil {
-			return err
-		}
+		p.emit(rdf.NewTriple(subj, pred, obj))
 		p.skipWS()
 		if !p.eat(',') {
 			return nil
@@ -439,18 +424,12 @@ func (p *ttlParser) collection() (rdf.Term, error) {
 		if i == 0 {
 			head = cell
 		} else {
-			if err := p.emit(rdf.NewTriple(prev, rest, cell)); err != nil {
-				return rdf.Term{}, err
-			}
+			p.emit(rdf.NewTriple(prev, rest, cell))
 		}
-		if err := p.emit(rdf.NewTriple(cell, first, it)); err != nil {
-			return rdf.Term{}, err
-		}
+		p.emit(rdf.NewTriple(cell, first, it))
 		prev = cell
 	}
-	if err := p.emit(rdf.NewTriple(prev, rest, nilT)); err != nil {
-		return rdf.Term{}, err
-	}
+	p.emit(rdf.NewTriple(prev, rest, nilT))
 	return head, nil
 }
 

@@ -60,6 +60,3 @@ func (g *Gate) Acquire(ctx context.Context) error {
 
 // Release frees a slot taken by Acquire.
 func (g *Gate) Release() { <-g.slots }
-
-// InFlight returns the number of currently executing queries.
-func (g *Gate) InFlight() int { return len(g.slots) }

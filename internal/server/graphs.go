@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -65,6 +66,12 @@ var (
 	ErrGraphDraining = errors.New("graphs: draining")
 )
 
+// historyLimit bounds the in-memory PG delta history per graph (and the
+// history rebuilt on restart). Subscribers whose cursor has fallen behind the
+// window are served by deterministically replaying the snapshot + WAL, so the
+// stream contract is unchanged — only the memory footprint is.
+const historyLimit = 1024
+
 // graphIDPattern keeps graph ids filesystem- and URL-safe.
 var graphIDPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
 
@@ -78,14 +85,6 @@ type GraphConfig struct {
 	// QueueDepth bounds concurrently admitted updates per graph; excess
 	// submissions are bounced with ErrGraphBusy (429). 0 means 16.
 	QueueDepth int
-	// HistoryLimit bounds the in-memory PG delta history per graph (and the
-	// history rebuilt on restart). Subscribers whose cursor has fallen behind
-	// the window are served by deterministically replaying the snapshot + WAL,
-	// so the stream contract is unchanged — only the memory footprint is.
-	// 0 means 1024; negative means unbounded.
-	HistoryLimit int
-	// SegmentBytes is the per-graph WAL rotation threshold (0 = wal default).
-	SegmentBytes int64
 	// Log receives structured records. Nil discards them.
 	Log *obs.Logger
 	// StallApply and StallWAL are chaos-test hooks: a sleep inserted before
@@ -97,7 +96,8 @@ type GraphConfig struct {
 
 // GraphManager owns the live graph sessions.
 type GraphManager struct {
-	cfg GraphConfig
+	cfg       GraphConfig
+	histLimit int // per-graph retention window of the delta history
 
 	mu       sync.Mutex
 	graphs   map[string]*graphSession
@@ -124,7 +124,7 @@ type graphSession struct {
 	cond      *sync.Cond
 	histBase  uint64          // LSN of the last delta trimmed from the window (0 = none)
 	hist      []*core.PGDelta // hist[i] is the delta acknowledged as LSN histBase+i+1
-	histLimit int             // retention window; <= 0 means unbounded
+	histLimit int             // retention window
 	drain     bool
 
 	// Query serving (internal/serve). lsn is the latest applied LSN, stored
@@ -167,19 +167,22 @@ type graphMeta struct {
 // diverges from its recorded APPLIED digests fails the open loudly — that is
 // a determinism bug, not something to serve through.
 func OpenGraphs(cfg GraphConfig) (*GraphManager, error) {
+	return openGraphs(cfg, historyLimit)
+}
+
+// openGraphs is OpenGraphs with the history window as a parameter, so a test
+// can trim it after a handful of updates.
+func openGraphs(cfg GraphConfig, histLimit int) (*GraphManager, error) {
 	if cfg.FS == nil {
 		cfg.FS = ckpt.OSFS
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
 	}
-	if cfg.HistoryLimit == 0 {
-		cfg.HistoryLimit = 1024
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	m := &GraphManager{cfg: cfg, graphs: make(map[string]*graphSession)}
+	m := &GraphManager{cfg: cfg, histLimit: histLimit, graphs: make(map[string]*graphSession)}
 	entries, err := os.ReadDir(cfg.Dir)
 	if err != nil {
 		return nil, err
@@ -270,7 +273,7 @@ func (m *GraphManager) createLocked(id, mode, shapesTTL, dataNT string) (*graphS
 	}); err != nil {
 		return nil, err
 	}
-	wlog, recs, err := wal.Open(filepath.Join(dir, graphWALDir), wal.Options{FS: m.cfg.FS, SegmentBytes: m.cfg.SegmentBytes})
+	wlog, recs, err := wal.Open(filepath.Join(dir, graphWALDir), wal.Options{FS: m.cfg.FS})
 	if err != nil {
 		return nil, err
 	}
@@ -278,13 +281,13 @@ func (m *GraphManager) createLocked(id, mode, shapesTTL, dataNT string) (*graphS
 		wlog.Close()
 		return nil, fmt.Errorf("graphs: fresh graph %s has %d WAL records", id, len(recs))
 	}
-	return m.newSession(id, dir, md, state, wlog), nil
+	gs := m.newSession(id, dir, wlog)
+	gs.state, gs.mode = state, md
+	return gs, nil
 }
 
-// loadGraph recovers one session from its spool directory: snapshot, then
-// WAL replay. Every UPDATE record must re-apply cleanly (only applied batches
-// are logged), and where an APPLIED digest was recorded the replayed delta
-// must reproduce it exactly.
+// loadGraph recovers one session from its spool directory: the snapshot,
+// then every UPDATE record of the WAL (replay).
 func (m *GraphManager) loadGraph(id string) (*graphSession, error) {
 	dir := filepath.Join(m.cfg.Dir, id)
 	metaRaw, err := os.ReadFile(filepath.Join(dir, graphMetaFile))
@@ -295,23 +298,47 @@ func (m *GraphManager) loadGraph(id string) (*graphSession, error) {
 	if err := json.Unmarshal(metaRaw, &meta); err != nil {
 		return nil, fmt.Errorf("bad %s: %w", graphMetaFile, err)
 	}
-	shapesRaw, err := os.ReadFile(filepath.Join(dir, graphShapesFile))
+	wlog, recs, err := wal.Open(filepath.Join(dir, graphWALDir), wal.Options{FS: m.cfg.FS})
 	if err != nil {
 		return nil, err
+	}
+	gs := m.newSession(id, dir, wlog)
+	gs.state, gs.mode, err = replay(dir, meta.Mode, recs, math.MaxUint64, func(pd *core.PGDelta) error {
+		gs.hist = append(gs.hist, pd)
+		gs.trimHistLocked() // bound restart memory the same way live appends are
+		cGraphRecovered.Inc()
+		return nil
+	})
+	if err != nil {
+		wlog.Close()
+		return nil, err
+	}
+	gs.lsn.Store(gs.histBase + uint64(len(gs.hist)))
+	return gs, nil
+}
+
+// replay rebuilds a graph's state from the snapshot in dir (shapes.ttl and
+// source.nt) and re-applies the UPDATE records of recs with LSN <= hi in
+// order, handing each replayed delta to emit; an error from emit stops the
+// replay and is returned as is. It is the one recovery path: the reopen and a
+// subscriber behind the history window both run it. Only applied batches are
+// logged and apply is deterministic, so every record must re-apply cleanly,
+// and where an APPLIED digest was recorded the replayed delta must reproduce
+// it exactly: either failing means the snapshot or the engine changed
+// underneath the log.
+func replay(dir, mode string, recs []wal.Record, hi uint64, emit func(*core.PGDelta) error) (*core.DeltaState, core.Mode, error) {
+	shapesRaw, err := os.ReadFile(filepath.Join(dir, graphShapesFile))
+	if err != nil {
+		return nil, 0, err
 	}
 	dataRaw, err := os.ReadFile(filepath.Join(dir, graphSourceFile))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	state, md, err := buildDeltaState(meta.Mode, string(shapesRaw), string(dataRaw))
+	state, md, err := buildDeltaState(mode, string(shapesRaw), string(dataRaw))
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+		return nil, 0, fmt.Errorf("snapshot: %w", err)
 	}
-	wlog, recs, err := wal.Open(filepath.Join(dir, graphWALDir), wal.Options{FS: m.cfg.FS, SegmentBytes: m.cfg.SegmentBytes})
-	if err != nil {
-		return nil, err
-	}
-	gs := m.newSession(id, dir, md, state, wlog)
 	applied := make(map[uint64]string)
 	for _, r := range recs {
 		if r.Kind == wal.KindApplied {
@@ -322,44 +349,38 @@ func (m *GraphManager) loadGraph(id string) (*graphSession, error) {
 		if r.Kind != wal.KindUpdate {
 			continue
 		}
+		if r.LSN > hi {
+			break
+		}
 		d, err := rdf.DecodeDelta(r.Payload, rio.ParseNTriplesLine)
 		if err != nil {
-			wlog.Close()
-			return nil, fmt.Errorf("wal lsn %d: %w", r.LSN, err)
+			return nil, 0, fmt.Errorf("wal lsn %d: %w", r.LSN, err)
 		}
 		pd, err := state.ApplyDelta(d)
 		if err != nil {
-			// Only successfully applied batches are logged, and apply is
-			// deterministic: a replay rejection means the snapshot or the
-			// engine changed underneath the log.
-			wlog.Close()
-			return nil, fmt.Errorf("wal lsn %d: replay rejected: %w", r.LSN, err)
+			return nil, 0, fmt.Errorf("wal lsn %d: replay rejected: %w", r.LSN, err)
 		}
 		pd.LSN = r.LSN
 		digest, err := pd.Digest()
 		if err != nil {
-			wlog.Close()
-			return nil, fmt.Errorf("wal lsn %d: %w", r.LSN, err)
+			return nil, 0, fmt.Errorf("wal lsn %d: %w", r.LSN, err)
 		}
 		if want, ok := applied[r.LSN]; ok && want != digest {
-			wlog.Close()
-			return nil, fmt.Errorf("wal lsn %d: replay digest %s != recorded %s (nondeterministic apply)",
+			return nil, 0, fmt.Errorf("wal lsn %d: replay digest %s != recorded %s (nondeterministic apply)",
 				r.LSN, digest, want)
 		}
-		gs.hist = append(gs.hist, pd)
-		gs.trimHistLocked() // bound restart memory the same way live appends are
-		cGraphRecovered.Inc()
+		if err := emit(pd); err != nil {
+			return nil, 0, err
+		}
 	}
-	gs.lsn.Store(gs.histBase + uint64(len(gs.hist)))
-	return gs, nil
+	return state, md, nil
 }
 
-func (m *GraphManager) newSession(id, dir string, md core.Mode, state *core.DeltaState, wlog *wal.Log) *graphSession {
+func (m *GraphManager) newSession(id, dir string, wlog *wal.Log) *graphSession {
 	gs := &graphSession{
-		id: id, dir: dir, mode: md,
-		sem:   make(chan struct{}, m.cfg.QueueDepth),
-		state: state, wlog: wlog,
-		histLimit: m.cfg.HistoryLimit,
+		id: id, dir: dir, wlog: wlog,
+		sem:       make(chan struct{}, m.cfg.QueueDepth),
+		histLimit: m.histLimit,
 	}
 	gs.cond = sync.NewCond(&gs.histMu)
 	return gs
@@ -566,19 +587,34 @@ func (m *GraphManager) Changes(id string, from uint64, follow bool, done <-chan 
 		}
 		gs.histMu.Unlock()
 		if next <= base {
-			// The cursor predates the retention window: reconstruct the
-			// missing [next, base] prefix from durable state, stream it, and
-			// loop back into the live window.
-			pds, err := m.replayHistory(gs, next, base)
+			// The cursor predates the retention window: replay the snapshot and
+			// the WAL, streaming the missing [next, base] prefix as it is
+			// rebuilt, and loop back into the live window. Appends are paused
+			// (applyMu) only for the raw WAL read. Every LSN <= base has a
+			// durable UPDATE record (applyOne publishes a delta only after its
+			// record is fsynced), so a short replay is a corruption signal, not
+			// a race.
+			gs.applyMu.Lock()
+			recs, err := wal.ReadRecords(filepath.Join(gs.dir, graphWALDir))
+			gs.applyMu.Unlock()
 			if err != nil {
 				return err
 			}
-			for _, pd := range pds {
+			if _, _, err := replay(gs.dir, gs.mode.String(), recs, base, func(pd *core.PGDelta) error {
+				if pd.LSN < next {
+					return nil
+				}
 				if err := send(pd); err != nil {
 					return err
 				}
 				cGraphStreamRec.Inc()
 				next++
+				return nil
+			}); err != nil {
+				return err
+			}
+			if next <= base {
+				return fmt.Errorf("graphs: replay %s: the wal ends before lsn %d", gs.id, next)
 			}
 			continue
 		}
@@ -591,60 +627,6 @@ func (m *GraphManager) Changes(id string, from uint64, follow bool, done <-chan 
 		cGraphStreamRec.Inc()
 		next++
 	}
-}
-
-// replayHistory rebuilds the PG deltas for LSNs in [lo, hi] by re-running the
-// deterministic apply pipeline over the graph's immutable snapshot and its
-// WAL — the same computation loadGraph performs at startup, scoped to a
-// cursor catch-up. Appends are paused (applyMu) only for the raw WAL read;
-// the expensive replay happens unlocked. Every LSN <= hi has a durable UPDATE
-// record (applyOne publishes a delta only after its record is fsynced), so a
-// short result is a corruption signal, not a race.
-func (m *GraphManager) replayHistory(gs *graphSession, lo, hi uint64) ([]*core.PGDelta, error) {
-	shapesRaw, err := os.ReadFile(filepath.Join(gs.dir, graphShapesFile))
-	if err != nil {
-		return nil, err
-	}
-	dataRaw, err := os.ReadFile(filepath.Join(gs.dir, graphSourceFile))
-	if err != nil {
-		return nil, err
-	}
-	gs.applyMu.Lock()
-	recs, err := wal.ReadRecords(filepath.Join(gs.dir, graphWALDir))
-	gs.applyMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	state, _, err := buildDeltaState(gs.mode.String(), string(shapesRaw), string(dataRaw))
-	if err != nil {
-		return nil, fmt.Errorf("graphs: replay %s: snapshot: %w", gs.id, err)
-	}
-	var out []*core.PGDelta
-	for _, r := range recs {
-		if r.Kind != wal.KindUpdate {
-			continue
-		}
-		if r.LSN > hi {
-			break
-		}
-		d, err := rdf.DecodeDelta(r.Payload, rio.ParseNTriplesLine)
-		if err != nil {
-			return nil, fmt.Errorf("graphs: replay %s: wal lsn %d: %w", gs.id, r.LSN, err)
-		}
-		pd, err := state.ApplyDelta(d)
-		if err != nil {
-			return nil, fmt.Errorf("graphs: replay %s: wal lsn %d: %w", gs.id, r.LSN, err)
-		}
-		pd.LSN = r.LSN
-		if r.LSN >= lo {
-			out = append(out, pd)
-		}
-	}
-	if uint64(len(out)) != hi-lo+1 {
-		return nil, fmt.Errorf("graphs: replay %s: wal holds %d of %d deltas in [%d, %d]",
-			gs.id, len(out), hi-lo+1, lo, hi)
-	}
-	return out, nil
 }
 
 func closed(c <-chan struct{}) bool {
@@ -774,7 +756,7 @@ func (gs *graphSession) lastLSN() uint64 {
 
 // trimHistLocked drops deltas beyond the retention window from the front of
 // hist, advancing histBase so LSN bookkeeping is unaffected. The trimmed
-// prefix is reconstructed on demand by replayHistory. Caller holds histMu
+// prefix is reconstructed on demand by replay. Caller holds histMu
 // (or has exclusive access during load).
 func (gs *graphSession) trimHistLocked() {
 	if gs.histLimit <= 0 {

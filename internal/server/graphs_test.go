@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +22,7 @@ import (
 	"github.com/s3pg/s3pg/internal/pgschema"
 	"github.com/s3pg/s3pg/internal/rio"
 	"github.com/s3pg/s3pg/internal/sparql"
+	"github.com/s3pg/s3pg/internal/wal"
 )
 
 // universityNT returns the university fixture as N-Triples (the graph
@@ -477,7 +480,17 @@ func TestGraphChangesHugeCursor(t *testing.T) {
 // digests delta-for-delta. The same must hold after a close/reopen cycle.
 func TestGraphHistoryCompaction(t *testing.T) {
 	dir := t.TempDir()
-	m := newGraphManager(t, GraphConfig{Dir: dir, HistoryLimit: 2})
+	// A history window of 2, so the 7 updates below trim 5.
+	open := func() *GraphManager {
+		t.Helper()
+		m, err := openGraphs(GraphConfig{Dir: dir}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		return m
+	}
+	m := open()
 	if _, err := m.Create("uni", "parsimonious", fixtures.UniversityShapesTurtle, universityNT(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +541,7 @@ func TestGraphHistoryCompaction(t *testing.T) {
 	}
 	// Reopen trims during recovery too, and the replay path still serves the
 	// full stream.
-	m2 := newGraphManager(t, GraphConfig{Dir: dir, HistoryLimit: 2})
+	m2 := open()
 	verify(m2, 0)
 	verify(m2, 3)
 	// Updates keep flowing at the next LSN after compacted recovery.
@@ -538,6 +551,69 @@ func TestGraphHistoryCompaction(t *testing.T) {
 	}
 	if res, err := m2.Update("uni", d); err != nil || res.LSN != n+1 {
 		t.Fatalf("post-compaction update: %+v err=%v", res, err)
+	}
+}
+
+// TestReplayChecksDigestsOnBothPaths forges the APPLIED digest of LSN 1 in a
+// graph's WAL: a subscriber behind the history window (served by replaying the
+// snapshot and the WAL) and a reopen (the same replay) must both refuse the
+// log rather than serve a delta that differs from the acknowledged one.
+func TestReplayChecksDigestsOnBothPaths(t *testing.T) {
+	dir := t.TempDir()
+	m, err := openGraphs(GraphConfig{Dir: dir}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	if _, err := m.Create("uni", "parsimonious", fixtures.UniversityShapesTurtle, universityNT(t)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		d, err := sparql.ParseUpdate(fmt.Sprintf(exPrefixDecl+`INSERT DATA { ex:bob ex:email "bob%d@example.org" . }`, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Update("uni", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walDir := filepath.Join(dir, "uni", graphWALDir)
+	recs, err := wal.ReadRecords(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(walDir, walDir+".orig"); err != nil {
+		t.Fatal(err)
+	}
+	forged, _, err := wal.Open(walDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Kind == wal.KindUpdate {
+			_, err = forged.AppendUpdate(r.Payload)
+		} else if r.LSN == 1 {
+			err = forged.AppendApplied(r.LSN, []byte(strings.Repeat("0", len(r.Payload))))
+		} else {
+			err = forged.AppendApplied(r.LSN, r.Payload)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := forged.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	err = m.Changes("uni", 0, false, nil, func(*core.PGDelta) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "replay digest") {
+		t.Fatalf("stale-cursor stream over a forged digest: %v, want a digest mismatch", err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openGraphs(GraphConfig{Dir: dir}, 1); err == nil || !strings.Contains(err.Error(), "replay digest") {
+		t.Fatalf("reopen over a forged digest: %v, want a digest mismatch", err)
 	}
 }
 

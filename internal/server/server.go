@@ -46,8 +46,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// Log receives structured request-level log records. Nil discards them.
 	Log *obs.Logger
-	// RetryAfter is the hint returned with 429/503 responses. 0 means 1s.
-	RetryAfter time.Duration
 	// Version is reported in s3pgd_build_info. Empty means "dev".
 	Version string
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (off by
@@ -107,9 +105,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	if cfg.Version == "" {
 		cfg.Version = "dev"
@@ -193,21 +188,17 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// retryAfterSeconds is the Retry-After hint for 429/503 responses: the static
-// Config.RetryAfter floor, raised to the breaker's remaining cooldown when the
-// manager is shedding because the commit breaker is open — retrying before
-// that is guaranteed to be shed again. Always at least 1 second so distributed
-// clients never busy-loop on a zero hint.
+// retryAfterFloor is the least Retry-After hint of a 429/503 response, so
+// distributed clients never busy-loop on a zero hint.
+const retryAfterFloor = time.Second
+
+// retryAfterSeconds is the Retry-After hint for 429/503 responses: the floor,
+// raised to the breaker's remaining cooldown when the manager is shedding
+// because the commit breaker is open — retrying before that is guaranteed to
+// be shed again.
 func (s *Server) retryAfterSeconds() int {
-	d := s.cfg.RetryAfter
-	if hint := s.cfg.Manager.RetryAfterHint(); hint > d {
-		d = hint
-	}
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
+	d := max(retryAfterFloor, s.cfg.Manager.RetryAfterHint())
+	return int((d + time.Second - 1) / time.Second)
 }
 
 func (s *Server) setRetryAfter(w http.ResponseWriter) {

@@ -82,36 +82,23 @@ func NewValidator(g *rdf.Graph, s *Schema) *Validator {
 // Validate checks every target entity against its node shapes and returns
 // all violations (empty means G ⊨ S_G).
 func Validate(g *rdf.Graph, s *Schema) []Violation {
-	return NewValidator(g, s).ValidateAll()
-}
-
-// ValidateContext is Validate with cancellation: it returns the violations
-// found so far together with ctx.Err() when the context ends mid-pass.
-func ValidateContext(ctx context.Context, g *rdf.Graph, s *Schema) ([]Violation, error) {
-	return NewValidator(g, s).ValidateAllContext(ctx)
-}
-
-// Conforms reports whether G ⊨ S_G.
-func Conforms(g *rdf.Graph, s *Schema) bool { return len(Validate(g, s)) == 0 }
-
-// ValidateAll checks all node shapes with target classes.
-func (v *Validator) ValidateAll() []Violation {
-	out, _ := v.ValidateAllContext(context.Background())
+	out, _ := ValidateContext(context.Background(), g, s)
 	return out
 }
 
-// ValidateAllContext checks all node shapes with target classes, checking
-// for cancellation between entities. On cancellation the violations found so
-// far are returned alongside ctx.Err().
-func (v *Validator) ValidateAllContext(ctx context.Context) ([]Violation, error) {
+// ValidateContext is Validate with cancellation, checked between entities:
+// it returns the violations found so far together with ctx.Err() when the
+// context ends mid-pass.
+func ValidateContext(ctx context.Context, g *rdf.Graph, s *Schema) ([]Violation, error) {
+	v := NewValidator(g, s)
 	var out []Violation
 	checked := 0
 	defer func() { cViolations.Add(int64(len(out))) }()
-	for _, ns := range v.s.Shapes() {
+	for _, ns := range s.Shapes() {
 		if ns.TargetClass == "" {
 			continue
 		}
-		for _, e := range v.g.InstancesOf(rdf.NewIRI(ns.TargetClass)) {
+		for _, e := range g.InstancesOf(rdf.NewIRI(ns.TargetClass)) {
 			if checked%1024 == 0 {
 				if err := ctx.Err(); err != nil {
 					return out, err

@@ -69,13 +69,9 @@ func (a *Answer) Results() *Results {
 	return &Results{Vars: a.Vars, Rows: rows}
 }
 
-// Eval evaluates a query against a graph.
-func Eval(g *rdf.Graph, q *Query) (*Results, error) {
-	return EvalCtx(nil, g, q)
-}
-
-// EvalCtx is Eval with cooperative cancellation: every operator checks ctx
-// every few hundred rows or index candidates. A nil ctx disables the checks.
+// EvalCtx evaluates a query against a graph with cooperative cancellation:
+// every operator checks ctx every few hundred rows or index candidates. A nil
+// ctx disables the checks.
 func EvalCtx(ctx context.Context, g *rdf.Graph, q *Query) (*Results, error) {
 	a, err := Run(ctx, g, q, 0)
 	if err != nil {

@@ -1,6 +1,7 @@
 package sparql_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/s3pg/s3pg/internal/fixtures"
@@ -19,7 +20,7 @@ func evalUni(t *testing.T, query string) *sparql.Results {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := sparql.Eval(fixtures.UniversityGraph(), q)
+	res, err := sparql.EvalCtx(context.Background(), fixtures.UniversityGraph(), q)
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -90,7 +91,7 @@ func TestFilterComparison(t *testing.T) {
 	g.Add(rdf.NewTriple(fixtures.Ex("bob"), fixtures.Ex("credits"), rdf.NewTypedLiteral("30", rdf.XSDInteger)))
 	g.Add(rdf.NewTriple(fixtures.Ex("alice"), fixtures.Ex("credits"), rdf.NewTypedLiteral("120", rdf.XSDInteger)))
 	q := sparql.MustParse(prefixes + `SELECT ?s WHERE { ?s ex:credits ?c . FILTER(?c > 100) }`)
-	res, err := sparql.Eval(g, q)
+	res, err := sparql.EvalCtx(context.Background(), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestOptional(t *testing.T) {
 	g := fixtures.UniversityGraph()
 	g.Remove(rdf.NewTriple(fixtures.Ex("bob"), fixtures.Ex("dob"), rdf.NewTypedLiteral("1999", rdf.XSDGYear)))
 	q := sparql.MustParse(prefixes + `SELECT ?p ?d WHERE { ?p a ex:Person . OPTIONAL { ?p ex:dob ?d . } }`)
-	res2, err := sparql.Eval(g, q)
+	res2, err := sparql.EvalCtx(context.Background(), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,20 +248,6 @@ func (l *Log) AppendApplied(lsn uint64, digest []byte) error {
 	return nil
 }
 
-// LastLSN returns the LSN of the most recent UPDATE record (0 if none).
-func (l *Log) LastLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastUpdate
-}
-
-// LastApplied returns the LSN of the most recent APPLIED record (0 if none).
-func (l *Log) LastApplied() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastApplied
-}
-
 // Close finalizes the active segment. Further appends return ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()

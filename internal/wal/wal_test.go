@@ -72,10 +72,14 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 			t.Fatalf("record %d = %+v, want %+v", i, r, want[i])
 		}
 	}
-	if l2.LastLSN() != 10 || l2.LastApplied() != 9 {
-		t.Fatalf("LastLSN=%d LastApplied=%d, want 10/9", l2.LastLSN(), l2.LastApplied())
+	// Recovery resumes the APPLIED sequence after 9 (9 is refused, 10 taken)
+	// and the dense UPDATE sequence after 10.
+	if err := l2.AppendApplied(9, []byte("again")); err == nil {
+		t.Fatal("post-recovery AppendApplied(9) accepted, want out of order")
 	}
-	// The next append continues the dense sequence.
+	if err := l2.AppendApplied(10, []byte("digest-10")); err != nil {
+		t.Fatalf("post-recovery AppendApplied(10): %v", err)
+	}
 	if lsn, err := l2.AppendUpdate([]byte("next")); err != nil || lsn != 11 {
 		t.Fatalf("post-recovery append: lsn=%d err=%v", lsn, err)
 	}

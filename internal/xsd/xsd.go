@@ -73,12 +73,6 @@ func KindOf(datatype string) ValueKind {
 	}
 }
 
-// IsNumeric reports whether the datatype maps to a numeric value space.
-func IsNumeric(datatype string) bool {
-	k := KindOf(datatype)
-	return k == KindInt || k == KindFloat
-}
-
 // Parse parses a lexical form against a datatype IRI and returns its value.
 func Parse(lexical, datatype string) (Value, error) {
 	switch KindOf(datatype) {

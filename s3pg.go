@@ -291,7 +291,7 @@ func EvalSPARQL(g *Graph, query string) (*SPARQLResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sparql.Eval(g, q)
+	return sparql.EvalCtx(context.Background(), g, q)
 }
 
 // EvalCypher runs a Cypher query (supported subset: MATCH with label and
@@ -302,7 +302,7 @@ func EvalCypher(store *Store, query string) (*CypherResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cypher.Eval(store, q)
+	return cypher.EvalWith(store, q, cypher.EvalOptions{})
 }
 
 // TranslateQuery is F_qt: it translates a SPARQL SELECT query over the

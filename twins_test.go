@@ -1,0 +1,121 @@
+package s3pg_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// twinAllowlist names the exported wrappers under internal/ that forward to a
+// longer-named entry point of their own package and must stay, each with the
+// caller that pins it. Keys are "pkg.Func" or "pkg.Recv.Method".
+var twinAllowlist = map[string]string{
+	"ckpt.WriteFileAtomic":     "bench/layers.go:379, the CSV and DDL commits of ckpt.commit_ms",
+	"core.InverseData":         "bench/batch.go:98 and the s3pg.InverseData facade",
+	"core.TransformSchema":     "bench/layers.go:341 (core.fst_ms) and the s3pg.TransformSchema facade",
+	"core.Transformer.Apply":   "bench/layers.go:363 (core.fdt_ns_per_triple) and s3pg.Transformer users",
+	"rdf.NewGraph":             "bench/layers.go:247 and :328, and the s3pg.NewGraph facade",
+	"rio.LoadNTriples":         "bench/layers.go:490 and the s3pg.LoadNTriples facade",
+	"rio.LoadNTriplesParallel": "bench/layers.go:312 (rio.load_par_ns_per_byte)",
+	"rio.ParseTurtle":          "bench/layers.go:176 (shacl.load_ms) and the s3pg.ParseTurtle facade",
+}
+
+// TestNoTwinEntryPoints fails when an exported function or method under
+// internal/ is only a second name for another entry point: its whole body
+// returns a call to an exported function of the same package (or a method of
+// the same receiver) whose name extends its own, as Eval → EvalWith does.
+// Such a twin either goes, its callers moving to the survivor, or it is
+// listed in twinAllowlist with the caller that needs it.
+func TestNoTwinEntryPoints(t *testing.T) {
+	var found []string
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				if key := twinOf(f.Name.Name, fn); key != "" {
+					found = append(found, key)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(found)
+	seen := make(map[string]bool)
+	for _, key := range found {
+		seen[key] = true
+		if _, ok := twinAllowlist[key]; !ok {
+			t.Errorf("%s only forwards to a longer-named entry point: move its callers to that one, or list it in twinAllowlist with the caller that needs it", key)
+		}
+	}
+	for key, why := range twinAllowlist {
+		if why == "" {
+			t.Errorf("twinAllowlist[%q] gives no reason", key)
+		}
+		if !seen[key] {
+			t.Errorf("twinAllowlist[%q] names no twin: drop the entry", key)
+		}
+	}
+}
+
+// twinOf returns the key of fn when it is a twin, else "".
+func twinOf(pkg string, fn *ast.FuncDecl) string {
+	name := fn.Name.Name
+	if !ast.IsExported(name) || fn.Body == nil || len(fn.Body.List) != 1 {
+		return ""
+	}
+	ret, ok := fn.Body.List[0].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return ""
+	}
+	call, ok := ret.Results[0].(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	var callee string
+	switch f := call.Fun.(type) {
+	case *ast.Ident:
+		if fn.Recv == nil {
+			callee = f.Name
+		}
+	case *ast.SelectorExpr:
+		if recv, ok := f.X.(*ast.Ident); ok && fn.Recv != nil && len(fn.Recv.List[0].Names) == 1 &&
+			recv.Name == fn.Recv.List[0].Names[0].Name {
+			callee = f.Sel.Name
+		}
+	}
+	if !ast.IsExported(callee) || len(callee) <= len(name) || !strings.HasPrefix(callee, name) {
+		return ""
+	}
+	if fn.Recv == nil {
+		return pkg + "." + name
+	}
+	typ := fn.Recv.List[0].Type
+	for {
+		switch x := typ.(type) {
+		case *ast.StarExpr:
+			typ = x.X
+		case *ast.IndexExpr:
+			typ = x.X
+		case *ast.IndexListExpr:
+			typ = x.X
+		case *ast.Ident:
+			return pkg + "." + x.Name + "." + name
+		default:
+			return pkg + "." + name
+		}
+	}
+}
