@@ -53,9 +53,10 @@ verify:
 # graph under random Add/Remove/Spill/Clone schedules against a twin that
 # never spilled, a live graph edited in place under random update scripts
 # against a twin that rebuilds on every batch, the property-graph store under
-# random mutator/Clone/Resequence scripts against its map-based model, and
-# pg.LoadCSV on arbitrary bytes. New crashers land in testdata/fuzz/ and
-# become regression tests.
+# random mutator/Clone/Resequence scripts against its map-based model,
+# pg.LoadCSV on arbitrary bytes, and the CSV row encoder against
+# encoding/csv over the same fields, read back by pg.LoadCSV. New crashers
+# land in testdata/fuzz/ and become regression tests.
 FUZZ_TARGETS = \
 	FuzzParseNTriplesLine:./internal/rio \
 	FuzzReadNTriplesLenient:./internal/rio \
@@ -71,7 +72,8 @@ FUZZ_TARGETS = \
 	FuzzSpillSchedule:./internal/rdf \
 	FuzzApplyDeltaInPlace:./internal/core \
 	FuzzStoreOps:./internal/pg \
-	FuzzLoadCSV:./internal/pg
+	FuzzLoadCSV:./internal/pg \
+	FuzzWriteCSV:./internal/pg
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

@@ -462,16 +462,38 @@ func commitAtomic(path string, fn func(io.Writer) error) error {
 	})
 }
 
-// writeStoreAtomic commits the node and edge CSV exports. Each file is
-// individually complete-or-absent; the edges file commits first, so a crash
-// between the two renames leaves a stale-nodes/new-edges pair at worst —
-// running the command again repairs it.
-func writeStoreAtomic(store *pg.Store, nodesPath, edgesPath string, workers int) error {
-	return commitAtomic(nodesPath, func(nw io.Writer) error {
+// writeStoreAtomic commits the node and edge CSV exports, counting each
+// file's rows and bytes on span. Each file is individually
+// complete-or-absent; the edges file commits first, so a crash between the
+// two renames leaves a stale-nodes/new-edges pair at worst — running the
+// command again repairs it.
+func writeStoreAtomic(store *pg.Store, nodesPath, edgesPath string, workers int, span *obs.Span) error {
+	var nodeBytes, edgeBytes int64
+	err := commitAtomic(nodesPath, func(nw io.Writer) error {
 		return commitAtomic(edgesPath, func(ew io.Writer) error {
-			return store.WriteCSVParallel(nw, ew, workers)
+			n, e := &byteCounter{w: nw}, &byteCounter{w: ew}
+			err := store.WriteCSVParallel(n, e, workers)
+			nodeBytes, edgeBytes = n.n, e.n // the last attempt's
+			return err
 		})
 	})
+	span.Count("nodes_rows", int64(store.NumNodes()))
+	span.Count("nodes_bytes", nodeBytes)
+	span.Count("edges_rows", int64(store.NumEdges()))
+	span.Count("edges_bytes", edgeBytes)
+	return err
+}
+
+// byteCounter counts what is written through it.
+type byteCounter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // writeOut emits content to stdout, or commits it atomically to path: a
@@ -604,10 +626,16 @@ func cmdData(args []string, stdout, stderr io.Writer) error {
 	if n := tr.DegradedCount(); n > 0 {
 		fmt.Fprintf(stderr, "s3pg: lenient: %d statement(s) transformed via degradation fallbacks\n", n)
 	}
-	if err := writeStoreAtomic(store, *nodesOut, *edgesOut, rf.workers); err != nil {
-		return err
+	// The export span covers the three files' rendering and atomic commits.
+	ex := span.StartSpan("export")
+	err = writeStoreAtomic(store, *nodesOut, *edgesOut, rf.workers, ex)
+	if err == nil {
+		ddl := s3pg.WriteDDL(schema)
+		ex.Count("schema_bytes", int64(len(ddl)))
+		err = writeOut(*schemaOut, ddl, stdout)
 	}
-	if err := writeOut(*schemaOut, s3pg.WriteDDL(schema), stdout); err != nil {
+	ex.End()
+	if err != nil {
 		return err
 	}
 	if gov != nil && gov.Spills() > 0 {

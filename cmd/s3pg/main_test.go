@@ -255,6 +255,24 @@ func TestRunMetricsSnapshot(t *testing.T) {
 	if fdt.WallNS <= 0 {
 		t.Fatalf("F_dt wall time = %d", fdt.WallNS)
 	}
+	ex := findSpan(*snap.Trace, "export")
+	if ex == nil || ex.WallNS <= 0 {
+		t.Fatalf("trace has no export span:\n%s", stdout.String())
+	}
+	for _, f := range [...]struct{ file, bytes, rows string }{
+		{"nodes.csv", "nodes_bytes", "nodes_rows"}, {"edges.csv", "edges_bytes", "edges_rows"}, {"schema.ddl", "schema_bytes", ""},
+	} {
+		fi, err := os.Stat(filepath.Join(dir, f.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ex.Counters[f.bytes]; got != fi.Size() {
+			t.Errorf("export %s = %d, want %s's size %d", f.bytes, got, f.file, fi.Size())
+		}
+		if f.rows != "" && ex.Counters[f.rows] <= 0 {
+			t.Errorf("export %s = %d, want > 0", f.rows, ex.Counters[f.rows])
+		}
+	}
 	if !strings.Contains(stderr.String(), "F_dt") {
 		t.Fatalf("-trace did not print the span tree to stderr: %s", stderr.String())
 	}

@@ -67,6 +67,8 @@ type Transformer struct {
 	// dtValue holds each datatype IRI as the "dt" value of its value nodes:
 	// boxed once, not once per node.
 	dtValue map[string]pg.Value
+	// keys are the record keys F_dt writes, interned in the store.
+	keys struct{ iri, dt, lang, lex, res, value pg.Sym }
 	// edgeOf indexes statement → PG edge so RDF-star annotations (quoted-
 	// triple subjects) can attach to the statement's edge. It is lazy: it
 	// covers edges [0, indexedUpTo) and grows only when an annotation pass
@@ -124,7 +126,7 @@ func NewTransformerForSchema(spg *pgschema.Schema, mode Mode) (*Transformer, err
 	if err != nil {
 		return nil, err
 	}
-	return &Transformer{
+	t := &Transformer{
 		mode:    mode,
 		mapping: m,
 		store:   pg.NewStore(),
@@ -134,7 +136,11 @@ func NewTransformerForSchema(spg *pgschema.Schema, mode Mode) (*Transformer, err
 		edgeOf:  make(map[rdf.Term]pg.EdgeID),
 
 		triggers: make(map[int]struct{}),
-	}, nil
+	}
+	k, st := &t.keys, t.store
+	k.iri, k.dt, k.lang = st.Intern("iri"), st.Intern("dt"), st.Intern("lang")
+	k.lex, k.res, k.value = st.Intern("lex"), st.Intern("res"), st.Intern("value")
+	return t, nil
 }
 
 // Mode returns the transformation mode.
@@ -226,31 +232,39 @@ func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, lits []litVal, sp
 			}
 			seen++
 			typeTriples++
-			sT, oT := c.dict.Term(s), c.dict.Term(o)
-			if sT.IsTripleTerm() {
-				if t.lenient {
-					t.degrade("skipped: quoted triples cannot be typed", c.triple(s, p, o))
-					return true
+			var sT, oT rdf.Term
+			if c.nodeID[s] == noNode {
+				if sT = c.dict.Term(s); sT.IsTripleTerm() {
+					if t.lenient {
+						t.degrade("skipped: quoted triples cannot be typed", c.triple(s, p, o))
+						return true
+					}
+					err = fmt.Errorf("core: quoted triples cannot be typed: %v", c.triple(s, p, o))
+					return false
 				}
-				err = fmt.Errorf("core: quoted triples cannot be typed: %v", c.triple(s, p, o))
-				return false
 			}
-			if !oT.IsIRI() {
-				if t.lenient {
-					t.degrade("coerced: rdf:type object is not an IRI, realized as a property statement", c.triple(s, p, o))
-					coerced = append(coerced, s, o)
-					return true
+			label, known := c.classes[o]
+			if !known {
+				if oT = c.dict.Term(o); !oT.IsIRI() {
+					if t.lenient {
+						t.degrade("coerced: rdf:type object is not an IRI, realized as a property statement", c.triple(s, p, o))
+						coerced = append(coerced, s, o)
+						return true
+					}
+					err = fmt.Errorf("core: rdf:type object %v is not an IRI", oT)
+					return false
 				}
-				err = fmt.Errorf("core: rdf:type object %v is not an IRI", oT)
-				return false
 			}
 			id := c.entity(s, sT)
-			label := t.mapping.LabelOfClass(oT.Value)
-			if label == "" {
-				label = t.mapping.EnsureClassLabel(oT.Value)
-				t.triggers[t.slotBase+slot] = struct{}{}
+			if !known {
+				name := t.mapping.LabelOfClass(oT.Value)
+				if name == "" {
+					name = t.mapping.EnsureClassLabel(oT.Value)
+					t.triggers[t.slotBase+slot] = struct{}{}
+				}
+				label = c.class(o, name)
 			}
-			t.store.AddLabel(id, label)
+			t.store.AddLabelSym(id, label)
 			return true
 		})
 	}
@@ -428,9 +442,11 @@ type litVal struct {
 
 // commit is the state of one apply call: TermID-indexed caches in front of
 // the transformer's term-keyed maps, so a term is hashed once per Apply, not
-// once per statement it occurs in. The caches are read-through — a miss
-// consults the map before creating anything, which seeds entries left by
-// earlier Apply calls, and preserves dedup in the
+// once per statement it occurs in, and the names the router resolves — a
+// class's label, a predicate's route for a label set — as pg.Syms, resolved
+// once per Apply, so the store is written by integers. The node caches are
+// read-through — a miss consults the map before creating anything, which
+// seeds entries left by earlier Apply calls, and preserves dedup in the
 // exotic case of distinct terms sharing a value key (an IRI whose text is
 // "_:x" colliding with blank node x). Value nodes are written through;
 // entity nodes created by this call reach nodeOf in one batch (flush), when
@@ -443,6 +459,27 @@ type commit struct {
 	valID   []pg.NodeID  // value term → value node, noNode when unknown
 	created []rdf.TermID // entities created by this call, not yet in nodeOf
 	lits    []litVal     // per-term literal values; nil = parse on demand
+
+	// The name caches, made on first use: a delta of a few statements
+	// allocates none it does not need.
+	classes map[rdf.TermID]pg.Sym // class term → its label
+	routes  map[uint64]*routed    // (subject label set, predicate) → its routing
+}
+
+// routed is the routing of a (subject label set, predicate) pair as of
+// mapping revision rev: the route, the key a KV route writes and, once a
+// statement of the pair became an edge, the edge label edgeLabelFor gave.
+// Anything that changes how a pair routes moves the revision, so an entry of
+// the current revision is what resolving the pair again would give, with
+// edgeLabelFor's side effects already had; an older entry is resolved again.
+type routed struct {
+	rev      uint64
+	route    *Route
+	key      pg.Sym
+	hasEdge  bool
+	fallback bool
+	edge     pg.Sym
+	edgeName string
 }
 
 func newCommit(t *Transformer, dict *rdf.Dict, lits []litVal) *commit {
@@ -497,17 +534,16 @@ func (c *commit) statement(s, p, o rdf.TermID) (annotation bool, err error) {
 	if sid == noNode {
 		sid = c.entity(s, sT)
 	}
-	sLabels := t.store.Node(sid).Labels()
-	if len(sLabels) == 0 && t.lenient {
+	sn := t.store.Node(sid)
+	if len(sn.Labels()) == 0 && t.lenient {
 		// Degradation policy: a subject with no rdf:type (hence no shape)
 		// gets the generic rdfs:Resource label so its properties attach to a
 		// labelled node; routes fall back to data-extended edge types.
 		t.degrade("generic label: subject has no rdf:type, labelled as rdfs:Resource", c.triple(s, p, o))
 		t.store.AddLabel(sid, t.mapping.EnsureClassLabel(GenericClass))
-		sLabels = t.store.Node(sid).Labels()
+		sn = t.store.Node(sid)
 	}
-	pred := c.dict.Term(p).Value
-	route := t.mapping.Route(sLabels, pred)
+	r := c.route(sn, p)
 
 	var oid pg.NodeID
 	if oT.IsResource() {
@@ -527,9 +563,9 @@ func (c *commit) statement(s, p, o rdf.TermID) (annotation bool, err error) {
 		// when the route says KV and the literal's datatype matches
 		// canonically.
 		dt := oT.DatatypeIRI()
-		if route != nil && route.Kind == RouteKV && oT.Lang == "" && dt == route.Datatype {
+		if route := r.route; route != nil && route.Kind == RouteKV && oT.Lang == "" && dt == route.Datatype {
 			if lv := c.literal(o, oT.Value, dt); lv.canonical {
-				t.store.AppendProp(sid, route.Name, lv.native)
+				t.store.AppendPropSym(sid, r.key, lv.native)
 				t.kvProps++
 				return false, nil
 			}
@@ -537,12 +573,47 @@ func (c *commit) statement(s, p, o rdf.TermID) (annotation bool, err error) {
 		// Case 3 (lines 24–31): literal value node plus edge.
 		oid = c.literalValue(o, oT.Value, dt, oT.Lang)
 	}
-	label, fallback := t.edgeLabelFor(route, sLabels, pred)
-	t.store.AddEdge(sid, oid, label, nil)
-	if fallback {
-		t.extendTargets(label, oid)
+	if !r.hasEdge {
+		r.edgeName, r.fallback = t.edgeLabelFor(r.route, sn.Labels(), c.dict.Term(p).Value)
+		r.edge, r.hasEdge = t.store.Intern(r.edgeName), true
+	}
+	t.store.AddEdgeSym(sid, oid, r.edge)
+	if r.fallback {
+		t.extendTargets(r.edgeName, oid)
 	}
 	return false, nil
+}
+
+// class records the label of class term o for the rest of the call.
+func (c *commit) class(o rdf.TermID, name string) pg.Sym {
+	if c.classes == nil {
+		c.classes = make(map[rdf.TermID]pg.Sym)
+	}
+	l := c.t.store.Intern(name)
+	c.classes[o] = l
+	return l
+}
+
+// route returns the routing of predicate p for the subject node sn, resolving
+// it when the pair is new to this call or the mapping has moved since.
+func (c *commit) route(sn pg.Node, p rdf.TermID) *routed {
+	m, key := c.t.mapping, uint64(sn.LabelSet())<<32|uint64(p)
+	r := c.routes[key]
+	if r != nil && r.rev == m.rev {
+		return r
+	}
+	if r == nil {
+		if c.routes == nil {
+			c.routes = make(map[uint64]*routed)
+		}
+		r = new(routed)
+		c.routes[key] = r
+	}
+	*r = routed{rev: m.rev, route: m.Route(sn.Labels(), c.dict.Term(p).Value)}
+	if r.route != nil && r.route.Kind == RouteKV {
+		r.key = c.t.store.Intern(r.route.Name)
+	}
+	return r
 }
 
 // entity returns the PG node for an entity, creating it with its iri key on
@@ -554,7 +625,8 @@ func (c *commit) entity(s rdf.TermID, sT rdf.Term) pg.NodeID {
 	t := c.t
 	id, ok := t.nodeOf[sT]
 	if !ok {
-		id = t.store.AddNode(nil, map[string]pg.Value{"iri": termIRI(sT)}).ID
+		props := [...]pg.KV{{Key: t.keys.iri, Value: termIRI(sT)}}
+		id = t.store.AddNodeSym(nil, props[:]).ID
 		c.created = append(c.created, s)
 	}
 	c.nodeID[s] = id
@@ -583,21 +655,26 @@ func (c *commit) literalValue(o rdf.TermID, lex, dt, lang string) pg.NodeID {
 	if cell, ok := t.valNode[key]; ok {
 		id = *cell
 	} else {
-		label := t.mapping.EnsureValueLabel(dt)
+		label := t.store.Intern(t.mapping.EnsureValueLabel(dt))
 		lv := c.literal(o, lex, dt)
 		dtv, ok := t.dtValue[dt]
 		if !ok {
 			dtv = dt
 			t.dtValue[dt] = dtv
 		}
-		props := map[string]pg.Value{"dt": dtv, "value": lv.native}
-		if !lv.canonical {
-			props["lex"] = lex
-		}
+		// The record in key order: dt, lang, lex, value.
+		props := [4]pg.KV{{Key: t.keys.dt, Value: dtv}}
+		n := 1
 		if lang != "" {
-			props["lang"] = lang
+			props[n] = pg.KV{Key: t.keys.lang, Value: lang}
+			n++
 		}
-		id = t.store.AddNode([]string{label}, props).ID
+		if !lv.canonical {
+			props[n] = pg.KV{Key: t.keys.lex, Value: lex}
+			n++
+		}
+		props[n] = pg.KV{Key: t.keys.value, Value: lv.native}
+		id = t.store.AddNodeSym([]pg.Sym{label}, props[:n+1]).ID
 		t.valNode[key] = t.valCell(id)
 	}
 	c.valID[o] = id
@@ -615,11 +692,9 @@ func (c *commit) resourceValue(o rdf.TermID, oT rdf.Term) pg.NodeID {
 	if cell, ok := t.valNode[key]; ok {
 		id = *cell
 	} else {
-		label := t.mapping.EnsureValueLabel(rdf.XSDAnyURI)
-		id = t.store.AddNode([]string{label}, map[string]pg.Value{
-			"value": key.lex,
-			"res":   true,
-		}).ID
+		label := t.store.Intern(t.mapping.EnsureValueLabel(rdf.XSDAnyURI))
+		props := [...]pg.KV{{Key: t.keys.res, Value: true}, {Key: t.keys.value, Value: key.lex}}
+		id = t.store.AddNodeSym([]pg.Sym{label}, props[:]).ID
 		t.valNode[key] = t.valCell(id)
 	}
 	c.valID[o] = id

@@ -225,7 +225,8 @@ func (s *DeltaState) SchemaDDL() string { return s.ddl }
 // Mode returns the transformation mode.
 func (s *DeltaState) Mode() Mode { return s.mode }
 
-// WriteCSV exports the maintained property graph in the bulk CSV format.
+// WriteCSV exports the maintained property graph in the bulk CSV format; a
+// nil writer's file is not rendered.
 func (s *DeltaState) WriteCSV(nodeW, edgeW io.Writer) error {
 	return s.t.Store().WriteCSV(nodeW, edgeW)
 }

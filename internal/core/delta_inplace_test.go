@@ -97,11 +97,6 @@ func (tw *twins) compare(t testing.TB, step string) {
 			t.Fatalf("%s: NodesByLabel(%s) = %v, rebuilt %v", step, l, a.NodesByLabel(l), b.NodesByLabel(l))
 		}
 	}
-	for _, l := range a.EdgeLabels() {
-		if !reflect.DeepEqual(a.EdgesByLabel(l), b.EdgesByLabel(l)) {
-			t.Fatalf("%s: EdgesByLabel(%s) = %v, rebuilt %v", step, l, a.EdgesByLabel(l), b.EdgesByLabel(l))
-		}
-	}
 	for i := 0; i < a.NumNodes(); i++ {
 		id := pg.NodeID(i)
 		if fmt.Sprint(a.Out(id)) != fmt.Sprint(b.Out(id)) || fmt.Sprint(a.In(id)) != fmt.Sprint(b.In(id)) {

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/s3pg/s3pg/internal/core"
+	"github.com/s3pg/s3pg/internal/datagen"
 	"github.com/s3pg/s3pg/internal/fixtures"
 	"github.com/s3pg/s3pg/internal/pgschema"
 	"github.com/s3pg/s3pg/internal/rdf"
+	"github.com/s3pg/s3pg/internal/rio"
 )
 
 // outputs is what the CLI commits for a transformer — nodes.csv, edges.csv
@@ -237,5 +240,87 @@ func TestApplyParallelAnnotationsAcrossChunks(t *testing.T) {
 			}
 		}
 		requireSameOutputs(t, want, outputsOf(t, tr), fmt.Sprintf("statements at %d workers, annotations at %d", wk[0], wk[1]))
+	}
+}
+
+// TestRouteCacheInvisible: a transformer routes each (label set, predicate)
+// pair once per Apply and writes the store by pg.Sym after. Routing every
+// statement in an Apply call of its own — where nothing can be reused from
+// one statement to the next — must give the same bytes: the cache is only
+// ever an earlier answer to the same question, dropped when the mapping
+// moves. The input leaves most classes and predicates uncovered (fallback
+// routes whose targets grow), sends KV-routed properties down their escape
+// edges after KV writes, has untyped subjects, and has a fallback route for
+// (Person, regNo) take over, mid-stream, the pair (Person+Student, regNo)
+// that had been routed to Student's key.
+func TestRouteCacheInvisible(t *testing.T) {
+	g := fixtures.UniversityGraph()
+	extra, err := rio.LoadNTriples(strings.NewReader(`
+<http://example.org/univ#carol> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/univ#Student> .
+<http://example.org/univ#carol> <http://example.org/univ#name> "Carol" .
+<http://example.org/univ#carol> <http://example.org/univ#name> "Caroline"@en .
+<http://example.org/univ#carol> <http://example.org/univ#regNo> "007"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<http://example.org/univ#carol> <http://example.org/univ#hobby> <http://example.org/univ#chess> .
+<http://example.org/univ#carol> <http://example.org/univ#hobby> "go" .
+<http://example.org/univ#carol> <http://example.org/univ#hobby> <http://example.org/univ#alice> .
+<http://example.org/univ#bob> <http://example.org/univ#hobby> <http://example.org/univ#DB> .
+<http://example.org/univ#dan> <http://example.org/univ#knows> <http://example.org/univ#carol> .
+<http://example.org/univ#dan> <http://example.org/univ#name> "Dan" .
+<http://example.org/univ#carol> <http://example.org/univ#hobby> <http://example.org/univ#dan> .
+<http://example.org/univ#erin> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/univ#Person> .
+<http://example.org/univ#erin> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/univ#Student> .
+<http://example.org/univ#frank> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/univ#Person> .
+<http://example.org/univ#erin> <http://example.org/univ#regNo> "E1" .
+<http://example.org/univ#frank> <http://example.org/univ#regNo> "F1" .
+<http://example.org/univ#erin> <http://example.org/univ#regNo> "E2" .
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra.ForEach(func(tr rdf.Triple) bool { g.Add(tr); return true })
+	datagen.Generate(datagen.Profiles()["DBpedia2022"], 0.0001, 3).ForEach(func(tr rdf.Triple) bool { g.Add(tr); return true })
+
+	for _, mode := range []core.Mode{core.Parsimonious, core.NonParsimonious} {
+		for _, lenient := range []bool{false, true} {
+			label := fmt.Sprintf("mode=%v lenient=%v", mode, lenient)
+			whole, err := core.NewTransformer(fixtures.UniversityShapes(), mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole.SetLenient(lenient)
+			wholeErr := whole.Apply(g)
+
+			// The type statements first, as phase 1 takes them, then every
+			// other statement alone, in admission order.
+			each, err := core.NewTransformer(fixtures.UniversityShapes(), mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			each.SetLenient(lenient)
+			types, rest := rdf.NewGraph(), []rdf.Triple{}
+			g.ForEach(func(tr rdf.Triple) bool {
+				if tr.P == rdf.A {
+					types.Add(tr)
+				} else {
+					rest = append(rest, tr)
+				}
+				return true
+			})
+			eachErr := each.Apply(types)
+			for _, tr := range rest {
+				if eachErr != nil {
+					break
+				}
+				one := rdf.NewGraph()
+				one.Add(tr)
+				eachErr = each.Apply(one)
+			}
+			if (wholeErr == nil) != (eachErr == nil) || wholeErr != nil && wholeErr.Error() != eachErr.Error() {
+				t.Fatalf("%s: one Apply: %v; an Apply per statement: %v", label, wholeErr, eachErr)
+			}
+			if wholeErr == nil {
+				requireSameOutputs(t, outputsOf(t, each), outputsOf(t, whole), label)
+			}
+		}
 	}
 }

@@ -283,7 +283,12 @@ func TestStarDuplicateStatementLastEdgeWins(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ids := tr.Store().EdgesByLabel("advisedBy")
+		var ids []pg.EdgeID
+		for i := 0; i < tr.Store().NumEdges(); i++ {
+			if tr.Store().Edge(pg.EdgeID(i)).Label() == "advisedBy" {
+				ids = append(ids, pg.EdgeID(i))
+			}
+		}
 		if len(ids) != 2 {
 			t.Fatalf("workers=%d: %d advisedBy edges, want the statement realized twice", workers, len(ids))
 		}

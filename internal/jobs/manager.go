@@ -756,8 +756,8 @@ func (m *Manager) transform(ctx context.Context, id string, spec Spec) error {
 		name  string
 		write func(io.Writer) error
 	}{
-		{nodesFile, func(w io.Writer) error { return store.WriteCSV(w, io.Discard) }},
-		{edgesFile, func(w io.Writer) error { return store.WriteCSV(io.Discard, w) }},
+		{nodesFile, func(w io.Writer) error { return store.WriteCSV(w, nil) }},
+		{edgesFile, func(w io.Writer) error { return store.WriteCSV(nil, w) }},
 		{schemaFile, func(w io.Writer) error {
 			_, err := io.WriteString(w, pgschema.WriteDDL(schema))
 			return err

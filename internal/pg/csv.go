@@ -1,12 +1,15 @@
 package pg
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"slices"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The CSV bulk format mirrors the pipeline the paper uses to load the
@@ -34,26 +37,50 @@ const (
 	sepElem  = '\x1d' // GS: between array elements
 )
 
-var propEscaper = strings.NewReplacer(
-	"\\", "\\\\", "\x1d", "\\g", "\x1e", "\\r", "\x1f", "\\u",
-)
-
 var propUnescaper = strings.NewReplacer(
 	"\\\\", "\\", "\\g", "\x1d", "\\r", "\x1e", "\\u", "\x1f",
 )
 
-// appendEscaped appends a key or a string payload, escaping the separators.
-func appendEscaped(dst []byte, s string) []byte {
-	if strings.ContainsAny(s, "\\\x1d\x1e\x1f") {
-		s = propEscaper.Replace(s)
-	}
-	return append(dst, s...)
+// cellByte is what the row encoder does with a byte: 0 copies it, quoteByte
+// copies it and makes encoding/csv quote the field, and any other value is
+// the letter the cell codec escapes it with, after a backslash (the inverse
+// of propUnescaper).
+var cellByte = [256]byte{
+	'\\': '\\', sepElem: 'g', sepEntry: 'r', sepKV: 'u',
+	',': quoteByte, '"': quoteByte, '\r': quoteByte, '\n': quoteByte,
 }
 
-func appendValue(dst []byte, v Value, nested bool) ([]byte, error) {
+const quoteByte = 1
+
+// appendEscaped appends a key or a string payload, escaping the separators,
+// and reports whether it holds a byte that makes the CSV field quoted: one
+// pass does both.
+func appendEscaped(dst []byte, s string) ([]byte, bool) {
+	quote := false
+	for {
+		i := 0
+		for i < len(s) && cellByte[s[i]] == 0 {
+			i++
+		}
+		dst = append(dst, s[:i]...)
+		if i == len(s) {
+			return dst, quote
+		}
+		if e := cellByte[s[i]]; e == quoteByte {
+			dst, quote = append(dst, s[i]), true
+		} else {
+			dst = append(dst, '\\', e)
+		}
+		s = s[i+1:]
+	}
+}
+
+// appendValue appends a tagged value; quote is appendEscaped's, for its
+// strings.
+func appendValue(dst []byte, v Value, nested bool) (out []byte, quote bool, err error) {
 	switch x := v.(type) {
 	case string:
-		dst = appendEscaped(append(dst, "s:"...), x)
+		dst, quote = appendEscaped(append(dst, "s:"...), x)
 	case int64:
 		dst = strconv.AppendInt(append(dst, "i:"...), x, 10)
 	case float64:
@@ -62,22 +89,23 @@ func appendValue(dst []byte, v Value, nested bool) ([]byte, error) {
 		dst = strconv.AppendBool(append(dst, "b:"...), x)
 	case []Value:
 		if nested {
-			return dst, fmt.Errorf("pg: nested arrays are not supported")
+			return dst, false, fmt.Errorf("pg: nested arrays are not supported")
 		}
 		dst = append(dst, "a:"...)
 		for i, e := range x {
 			if i > 0 {
 				dst = append(dst, sepElem)
 			}
-			var err error
-			if dst, err = appendValue(dst, e, true); err != nil {
-				return dst, err
+			var q bool
+			if dst, q, err = appendValue(dst, e, true); err != nil {
+				return dst, false, err
 			}
+			quote = quote || q
 		}
 	default:
-		return dst, fmt.Errorf("pg: unsupported property value type %T", v)
+		return dst, false, fmt.Errorf("pg: unsupported property value type %T", v)
 	}
-	return dst, nil
+	return dst, quote, nil
 }
 
 func parseValue(s string, nested bool) (Value, error) {
@@ -119,33 +147,24 @@ func parseValue(s string, nested bool) (Value, error) {
 	}
 }
 
-// propEncoder serializes property records, one after another, through a byte
-// buffer it keeps between records: an export allocates the encoded strings
-// and nothing else per record. The zero value is ready to use; it is not safe
-// for concurrent use.
-type propEncoder struct{ buf []byte }
-
-// encode walks the record in its own order, which is key order: exports are
-// byte-deterministic — a rerun's outputs are bit-identical to the first
-// run's, and repeated exports are diffable.
-func (pe *propEncoder) encode(st *names, props []prop) (string, error) {
-	if len(props) == 0 {
-		return "", nil
-	}
-	buf := pe.buf[:0]
+// appendProps appends a record as its cell, walking it in its own order,
+// which is key order: exports are byte-deterministic — a rerun's outputs are
+// bit-identical to the first run's, and repeated exports are diffable. quote
+// reports a byte that makes the CSV field quoted.
+func (st *names) appendProps(dst []byte, props []prop) (out []byte, quote bool, err error) {
 	for i, p := range props {
 		if i > 0 {
-			buf = append(buf, sepEntry)
+			dst = append(dst, sepEntry)
 		}
 		key := st.names[p.key]
-		buf = append(appendEscaped(buf, key), sepKV)
-		var err error
-		if buf, err = appendValue(buf, p.val, false); err != nil {
-			return "", fmt.Errorf("property %q: %w", key, err)
+		var qk, qv bool
+		dst, qk = appendEscaped(dst, key)
+		if dst, qv, err = appendValue(append(dst, sepKV), p.val, false); err != nil {
+			return dst, false, fmt.Errorf("property %q: %w", key, err)
 		}
+		quote = quote || qk || qv
 	}
-	pe.buf = buf
-	return string(buf), nil
+	return dst, quote, nil
 }
 
 // decodeProps parses a record cell into a record, in key order whatever the
@@ -184,62 +203,161 @@ func (st *names) decodeProps(cell string) ([]prop, error) {
 	return props, nil
 }
 
-// WriteCSV exports the store: nodes as (id, labels, props) and edges as
-// (id, from, to, label, props).
-func (s *Store) WriteCSV(nodeW, edgeW io.Writer) error {
-	var pe propEncoder
-	rec := make([]string, 5)
-	if err := writeRows(csv.NewWriter(nodeW), &pe, rec, 0, s.nodes.Len(), s.nodeRow); err != nil {
-		return err
+// WriteCSV exports the store: nodes as (id, labels, props) to nodeW and
+// edges as (id, from, to, label, props) to edgeW, each file in rows of
+// encoding/csv's syntax. A nil writer's file is not rendered. An encoding
+// error stops the export at the failing row, with every row before it
+// written; the edges file is not begun when the nodes file fails.
+func (s *Store) WriteCSV(nodeW, edgeW io.Writer) error { return s.writeCSV(nodeW, edgeW, 1) }
+
+// writeCSV is the export on up to workers goroutines (WriteCSVParallel).
+func (s *Store) writeCSV(nodeW, edgeW io.Writer, workers int) error {
+	if nodeW != nil {
+		if err := writeRowsParallel(nodeW, s.nodes.Len(), workers, s.appendNodeRow); err != nil {
+			return err
+		}
 	}
-	return writeRows(csv.NewWriter(edgeW), &pe, rec, 0, s.edges.Len(), s.edgeRow)
+	if edgeW != nil {
+		return writeRowsParallel(edgeW, s.edges.Len(), workers, s.appendEdgeRow)
+	}
+	return nil
 }
 
-// writeRows writes rows [lo, hi) and flushes.
-func writeRows(w *csv.Writer, pe *propEncoder, rec []string, lo, hi int, row func(*propEncoder, []string, int) ([]string, error)) error {
+// csvBlockRows is how many rows the export renders into its buffer before it
+// writes them: one Write per block, whatever the file size.
+const csvBlockRows = 512
+
+// rowFunc appends row i of a file to dst; on an error it returns dst as it
+// was.
+type rowFunc func(dst []byte, i int) ([]byte, error)
+
+// writeRows writes rows [0, n) block by block through one buffer.
+func writeRows(w io.Writer, n int, row rowFunc) error {
+	var buf []byte
+	for lo := 0; lo < n; lo += csvBlockRows {
+		var err error
+		buf, err = renderBlock(buf[:0], lo, min(lo+csvBlockRows, n), row)
+		if err = writeBlock(w, buf, err); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// renderBlock appends rows [lo, hi) to dst, stopping at the first that
+// fails.
+func renderBlock(dst []byte, lo, hi int, row rowFunc) ([]byte, error) {
 	for i := lo; i < hi; i++ {
-		fields, err := row(pe, rec, i)
-		if err != nil {
-			return err
+		var err error
+		if dst, err = row(dst, i); err != nil {
+			return dst, err
 		}
-		if err := w.Write(fields); err != nil {
+	}
+	return dst, nil
+}
+
+// writeBlock writes what a block rendered — up to its failing row, if any —
+// and returns the write's error, else the render's.
+func writeBlock(w io.Writer, b []byte, renderErr error) error {
+	if len(b) > 0 {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
-	w.Flush()
-	return w.Error()
+	return renderErr
 }
 
-// nodeRow and edgeRow render one record as the fields of its CSV row.
-func (s *Store) nodeRow(pe *propEncoder, rec []string, i int) ([]string, error) {
+// appendNodeRow and appendEdgeRow append one record's CSV row.
+func (s *Store) appendNodeRow(dst []byte, i int) ([]byte, error) {
 	n := s.nodes.At(i)
 	set := &s.names.sets[n.set]
 	if set.sep {
-		return nil, fmt.Errorf("pg: node %d: a label in %q contains the separator ';'", i, set.names)
+		return dst, fmt.Errorf("pg: node %d: a label in %q contains the separator ';'", i, set.names)
 	}
-	props, err := pe.encode(&s.names, n.props)
+	row := len(dst)
+	dst = strconv.AppendInt(dst, int64(i), 10)
+	dst = appendField(append(dst, ','), set.csv)
+	dst, err := s.names.appendPropsField(append(dst, ','), n.props)
 	if err != nil {
-		return nil, fmt.Errorf("pg: node %d: %w", i, err)
+		return dst[:row], fmt.Errorf("pg: node %d: %w", i, err)
 	}
-	rec[0] = strconv.Itoa(i)
-	rec[1] = set.csv
-	rec[2] = props
-	return rec[:3], nil
+	return append(dst, '\n'), nil
 }
 
-func (s *Store) edgeRow(pe *propEncoder, rec []string, i int) ([]string, error) {
+func (s *Store) appendEdgeRow(dst []byte, i int) ([]byte, error) {
 	e := s.edges.At(i)
-	props, err := pe.encode(&s.names, e.props)
+	row := len(dst)
+	dst = strconv.AppendInt(dst, int64(i), 10)
+	dst = strconv.AppendUint(append(dst, ','), uint64(e.from), 10)
+	dst = strconv.AppendUint(append(dst, ','), uint64(e.to), 10)
+	dst = appendField(append(dst, ','), s.names.names[e.label])
+	dst, err := s.names.appendPropsField(append(dst, ','), e.props)
 	if err != nil {
-		return nil, fmt.Errorf("pg: edge %d: %w", i, err)
+		return dst[:row], fmt.Errorf("pg: edge %d: %w", i, err)
 	}
-	rec[0] = strconv.Itoa(i)
-	rec[1] = strconv.FormatUint(uint64(e.from), 10)
-	rec[2] = strconv.FormatUint(uint64(e.to), 10)
-	rec[3] = s.names.names[e.label]
-	rec[4] = props
-	return rec[:5], nil
+	return append(dst, '\n'), nil
 }
+
+// appendField appends a label cell as encoding/csv writes it.
+func appendField(dst []byte, s string) []byte {
+	quote := false
+	for i := 0; i < len(s) && !quote; i++ {
+		quote = cellByte[s[i]] == quoteByte
+	}
+	start := len(dst)
+	return quoteField(append(dst, s...), start, quote)
+}
+
+// appendPropsField appends a record cell as encoding/csv writes it.
+func (st *names) appendPropsField(dst []byte, props []prop) ([]byte, error) {
+	start := len(dst)
+	dst, quote, err := st.appendProps(dst, props)
+	if err != nil {
+		return dst, err
+	}
+	return quoteField(dst, start, quote), nil
+}
+
+// quoteField quotes the field dst[start:] where encoding/csv's Writer would:
+// when quote says it holds a ',', '"', '\r' or '\n', when it is `\.`, or when
+// its first rune is a space (unicode.IsSpace). A quoted field has its '"'
+// doubled and its other bytes as they are (the Writer's UseCRLF is off).
+func quoteField(dst []byte, start int, quote bool) []byte {
+	f := dst[start:]
+	if !quote {
+		if len(f) == 0 {
+			return dst
+		}
+		if r := rune(f[0]); r >= utf8.RuneSelf {
+			r, _ = utf8.DecodeRune(f)
+			quote = unicode.IsSpace(r)
+		} else {
+			quote = asciiSpace[r] || string(f) == `\.`
+		}
+		if !quote {
+			return dst
+		}
+	}
+	q := bytes.Count(f, []byte{'"'})
+	end := len(dst)
+	dst = slices.Grow(dst, q+2)[:end+q+2]
+	// Right to left, so that no byte is overwritten before it is moved.
+	j := len(dst) - 1
+	dst[j] = '"'
+	for i := end - 1; i >= start; i-- {
+		j--
+		dst[j] = dst[i]
+		if dst[i] == '"' {
+			j--
+			dst[j] = '"'
+		}
+	}
+	dst[start] = '"'
+	return dst
+}
+
+// asciiSpace is unicode.IsSpace below utf8.RuneSelf.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // LoadCSV bulk-imports a store previously exported with WriteCSV, rebuilding
 // every index. This is the "loading" phase measured in Table 4. Input that

@@ -1,61 +1,86 @@
 package pg
 
 import (
-	"bytes"
-	"encoding/csv"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
-// WriteCSVParallel is WriteCSV with row encoding fanned out across workers:
-// each worker renders a contiguous chunk of records into its own buffer
-// through its own csv.Writer, and the buffers are written out in chunk
-// order. Go's csv.Writer keeps no state across rows (rows always end in a
-// single "\n" here, since UseCRLF is never set) and records are encoded in
-// key order, so the concatenation is byte-identical to the sequential export.
-// workers <= 1 runs WriteCSV unchanged. On an encoding error nothing is
-// written to the failing file, and the error is the earliest chunk's —
-// matching the statement sequential encoding would have rejected.
+// csvLookAhead bounds the blocks of rows that exist at once — being rendered,
+// rendered and waiting, or being written — whatever the file size and the
+// worker count.
+const csvLookAhead = 8
+
+// WriteCSVParallel is WriteCSV with row encoding fanned out across workers.
+// Each file is cut into blocks of csvBlockRows rows; workers render blocks
+// into buffers while the calling goroutine writes them in order, one Write
+// per block, and hands each written block's buffer to a block further on. At
+// most csvLookAhead blocks exist at a time. A row's bytes depend on nothing
+// but its record, so the output is byte-identical to WriteCSV's, and so is an
+// error: the earliest failing row's, with every row before it written.
+// workers <= 1 renders on the calling goroutine.
 func (s *Store) WriteCSVParallel(nodeW, edgeW io.Writer, workers int) error {
-	if workers <= 1 {
-		return s.WriteCSV(nodeW, edgeW)
-	}
-	if err := writeChunked(nodeW, s.nodes.Len(), workers, s.nodeRow); err != nil {
-		return err
-	}
-	return writeChunked(edgeW, s.edges.Len(), workers, s.edgeRow)
+	return s.writeCSV(nodeW, edgeW, workers)
 }
 
-// writeChunked renders records [0, n) into per-chunk buffers on workers and
-// concatenates them in order.
-func writeChunked(out io.Writer, n, workers int, row func(*propEncoder, []string, int) ([]string, error)) error {
-	if workers > n {
-		workers = n
+// csvBlock is one render task: rows [lo, hi), and what rendering them gave.
+// done carries one token per task, so the block can be handed out again.
+type csvBlock struct {
+	lo, hi int
+	buf    []byte
+	err    error
+	done   chan struct{}
+}
+
+// writeRowsParallel is writeRows with the blocks rendered on workers.
+func writeRowsParallel(w io.Writer, n, workers int, row rowFunc) error {
+	nb := (n + csvBlockRows - 1) / csvBlockRows
+	if workers = min(workers, csvLookAhead, nb); workers <= 1 {
+		return writeRows(w, n, row)
 	}
-	if workers < 1 {
-		workers = 1
+	// The window's slot k%csvLookAhead holds block k: block k+csvLookAhead-1
+	// is handed out no earlier than block k is taken, into the slot of the
+	// block written last, so a send on work never blocks.
+	var window [csvLookAhead]csvBlock
+	for i := range window {
+		window[i].done = make(chan struct{}, 1)
 	}
-	bufs := make([]bytes.Buffer, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	work := make(chan *csvBlock, csvLookAhead)
+	var (
+		wg   sync.WaitGroup
+		stop atomic.Bool // set on return: blocks still queued are not rendered
+	)
+	for ; workers > 0; workers-- {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			var pe propEncoder
-			errs[w] = writeRows(csv.NewWriter(&bufs[w]), &pe, make([]string, 5), n*w/workers, n*(w+1)/workers, row)
-		}(w)
+			for b := range work {
+				if !stop.Load() {
+					b.buf, b.err = renderBlock(b.buf[:0], b.lo, b.hi, row)
+				}
+				b.done <- struct{}{}
+			}
+		}()
 	}
+	inOrder := func() error {
+		next := 0
+		for k := 0; k < nb; k++ {
+			for ; next < nb && next < k+csvLookAhead; next++ {
+				b := &window[next%csvLookAhead]
+				b.lo, b.hi = next*csvBlockRows, min((next+1)*csvBlockRows, n)
+				work <- b
+			}
+			b := &window[k%csvLookAhead]
+			<-b.done
+			if err := writeBlock(w, b.buf, b.err); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	err := inOrder()
+	stop.Store(true)
+	close(work)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for i := range bufs {
-		if _, err := out.Write(bufs[i].Bytes()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }

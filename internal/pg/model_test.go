@@ -16,25 +16,57 @@ import (
 // pages lives on here, as the reference model (storeModel, clone_test.go)
 // every store operation is checked against.
 
-// modelEncode is the record codec over a map: sort the keys, then encode.
+// modelEncode is the record codec over a map: sort the keys, then encode
+// each entry with the reference codec below.
 func modelEncode(t testing.TB, props map[string]Value) string {
 	keys := make([]string, 0, len(props))
 	for k := range props {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var buf []byte
+	var b strings.Builder
 	for i, k := range keys {
 		if i > 0 {
-			buf = append(buf, sepEntry)
+			b.WriteByte(sepEntry)
 		}
-		buf = append(appendEscaped(buf, k), sepKV)
-		var err error
-		if buf, err = appendValue(buf, props[k], false); err != nil {
+		v, err := refValue(props[k], false)
+		if err != nil {
 			t.Fatal(err)
 		}
+		b.WriteString(refEscaper.Replace(k) + string(rune(sepKV)) + v)
 	}
-	return string(buf)
+	return b.String()
+}
+
+// refEscaper and refValue are the cell codec as it was written before the row
+// encoder escaped and decided CSV quoting in one pass: the oracle for
+// appendEscaped and appendValue.
+var refEscaper = strings.NewReplacer("\\", "\\\\", "\x1d", "\\g", "\x1e", "\\r", "\x1f", "\\u")
+
+func refValue(v Value, nested bool) (string, error) {
+	switch x := v.(type) {
+	case string:
+		return "s:" + refEscaper.Replace(x), nil
+	case int64:
+		return "i:" + strconv.FormatInt(x, 10), nil
+	case float64:
+		return "f:" + strconv.FormatFloat(x, 'g', -1, 64), nil
+	case bool:
+		return "b:" + strconv.FormatBool(x), nil
+	case []Value:
+		if nested {
+			return "", fmt.Errorf("pg: nested arrays are not supported")
+		}
+		parts := make([]string, len(x))
+		for i, e := range x {
+			var err error
+			if parts[i], err = refValue(e, true); err != nil {
+				return "", err
+			}
+		}
+		return "a:" + strings.Join(parts, string(rune(sepElem))), nil
+	}
+	return "", fmt.Errorf("pg: unsupported property value type %T", v)
 }
 
 // csv renders the model as the two export files.
@@ -50,6 +82,16 @@ func (m *storeModel) csv(t testing.TB) (nodes, edges []byte) {
 	nw.Flush()
 	ew.Flush()
 	return nb.Bytes(), eb.Bytes()
+}
+
+// sortedSet returns the members of a set, sorted.
+func sortedSet(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // removeValue is RemovePropValue on the model.
@@ -129,7 +171,7 @@ func (m *storeModel) agrees(t testing.TB, ctx string, s *Store, labels, keys []s
 		t.Fatalf("%s: Labels() = %v, want %v", ctx, s.Labels(), used)
 	}
 
-	out, in, byEdgeLabel := map[NodeID][]EdgeID{}, map[NodeID][]EdgeID{}, map[string][]EdgeID{}
+	out, in, edgeLabels := map[NodeID][]EdgeID{}, map[NodeID][]EdgeID{}, map[string]bool{}
 	for i, want := range m.edges {
 		e := s.Edge(EdgeID(i))
 		if e.ID != EdgeID(i) || e.From != want.from || e.To != want.to || e.Label() != want.label {
@@ -141,7 +183,7 @@ func (m *storeModel) agrees(t testing.TB, ctx string, s *Store, labels, keys []s
 		m.recordAgrees(t, fmt.Sprintf("%s: edge %d", ctx, i), s, e.record, want.props, keys)
 		out[want.from] = append(out[want.from], EdgeID(i))
 		in[want.to] = append(in[want.to], EdgeID(i))
-		byEdgeLabel[want.label] = append(byEdgeLabel[want.label], EdgeID(i))
+		edgeLabels[want.label] = true
 	}
 	for i := range m.nodes {
 		id := NodeID(i)
@@ -149,13 +191,8 @@ func (m *storeModel) agrees(t testing.TB, ctx string, s *Store, labels, keys []s
 			t.Fatalf("%s: adjacency of node %d = %v / %v, want %v / %v", ctx, i, s.Out(id), s.In(id), out[id], in[id])
 		}
 	}
-	if s.RelTypes() != len(byEdgeLabel) || len(s.EdgeLabels()) != len(byEdgeLabel) {
-		t.Fatalf("%s: RelTypes %d, EdgeLabels %v, want %d labels", ctx, s.RelTypes(), s.EdgeLabels(), len(byEdgeLabel))
-	}
-	for l, want := range byEdgeLabel {
-		if fmt.Sprint(s.EdgesByLabel(l)) != fmt.Sprint(want) {
-			t.Fatalf("%s: EdgesByLabel(%s) = %v, want %v", ctx, l, s.EdgesByLabel(l), want)
-		}
+	if want := sortedSet(edgeLabels); s.RelTypes() != len(want) || fmt.Sprint(s.EdgeLabels()) != fmt.Sprint(want) {
+		t.Fatalf("%s: RelTypes %d, EdgeLabels %v, want %v", ctx, s.RelTypes(), s.EdgeLabels(), want)
 	}
 
 	wantN, wantE := m.csv(t)

@@ -1,8 +1,8 @@
 // Package pg implements the property graph data model of Definition 2.4:
 // a node- and edge-labelled directed attributed multigraph whose nodes and
 // edges carry records (key → value). The in-memory Store indexes nodes by
-// label and by the unique "iri" property, and edges by label, which is what
-// the Cypher engine and the transformation algorithms traverse.
+// label and by the unique "iri" property, and edges by their endpoints, which
+// is what the Cypher engine and the transformation algorithms traverse.
 //
 // A node or an edge is a small record held by value in a paged table (package
 // cow). Labels, edge labels and property keys are interned once per store; a
@@ -174,8 +174,15 @@ func (r record) PropAt(i int) (key string, v Value) {
 // incremental-transformation layer use encoded records as change-detection
 // fingerprints and stream them to change subscribers verbatim.
 func (r record) EncodeProps() (string, error) {
-	pe := propEncoder{buf: make([]byte, 0, 128)}
-	return pe.encode(r.st, r.props)
+	if len(r.props) == 0 {
+		return "", nil
+	}
+	var scratch [128]byte
+	buf, _, err := r.st.appendProps(scratch[:0], r.props)
+	if err != nil {
+		return "", err
+	}
+	return string(buf), nil
 }
 
 // Node is a read handle on a node as it was when taken from the store: its
@@ -192,6 +199,10 @@ func (n Node) labelSet() *labelSet {
 	}
 	return &n.st.sets[n.set]
 }
+
+// LabelSet identifies the node's label list: nodes with equal LabelSets have
+// equal labels (the converse does not hold).
+func (n Node) LabelSet() uint32 { return n.set }
 
 // Labels returns the node's labels, sorted and duplicate-free. The slice is
 // shared by every node with the same labels: the caller must not modify it.
@@ -314,12 +325,12 @@ type Store struct {
 	edges cow.Table[edgeRec]
 	names names
 
-	byLabel     [][]NodeID // by Sym; per-label lists are append-only
-	byEdgeLabel [][]EdgeID // by Sym
-	out         cow.Lists[EdgeID]
-	in          cow.Lists[EdgeID]
-	byIRI       cow.Map[string, NodeID] // first node registered under each "iri" property
-	iriShared   bool                    // some iri was registered by a second node
+	byLabel   [][]NodeID // by Sym; per-label lists are append-only
+	edgeCount []int      // by Sym: how many edges carry the label
+	out       cow.Lists[EdgeID]
+	in        cow.Lists[EdgeID]
+	byIRI     cow.Map[string, NodeID] // first node registered under each "iri" property
+	iriShared bool                    // some iri was registered by a second node
 }
 
 // NewStore returns an empty property graph.
@@ -343,6 +354,17 @@ func (s *Store) RelTypes() int { return len(s.EdgeLabels()) }
 // never held the name.
 func (s *Store) Sym(name string) (Sym, bool) { return s.names.ids.Get(name) }
 
+// Intern returns the Sym of a label, an edge label or a key, adding the name
+// to the store's names if it is new: a writer resolves its names once and
+// passes Syms to the *Sym mutators after.
+func (s *Store) Intern(name string) Sym { return s.names.intern(name) }
+
+// KV is one property of a record created by Sym.
+type KV struct {
+	Key   Sym
+	Value Value
+}
+
 // AddNode creates a node with the given labels and properties and returns it.
 // Labels are deduplicated and sorted; the props map is read, not kept. If
 // props contains a string "iri" property it is registered in the unique IRI
@@ -355,6 +377,28 @@ func (s *Store) AddNode(labels []string, props map[string]Value) Node {
 		}
 	}
 	return s.addNode(set, s.names.record(props))
+}
+
+// AddNodeSym is AddNode by Sym. props must be in key-name order with no key
+// twice, the order a record keeps; it is read, not kept.
+func (s *Store) AddNodeSym(labels []Sym, props []KV) Node {
+	set := uint32(0)
+	for _, l := range labels {
+		set = s.names.with(set, l)
+	}
+	return s.addNode(set, recordOf(props))
+}
+
+// recordOf copies KVs in key order into a record.
+func recordOf(props []KV) []prop {
+	if len(props) == 0 {
+		return nil
+	}
+	list := make([]prop, len(props))
+	for i, p := range props {
+		list[i] = prop{p.Key, p.Value}
+	}
+	return list
 }
 
 func (s *Store) addNode(set uint32, list []prop) Node {
@@ -371,7 +415,7 @@ func (s *Store) addNode(set uint32, list []prop) Node {
 }
 
 // listed appends id to the list of l, growing lists to hold it.
-func listed[ID NodeID | EdgeID](lists [][]ID, l Sym, id ID) [][]ID {
+func listed(lists [][]NodeID, l Sym, id NodeID) [][]NodeID {
 	for int(l) >= len(lists) {
 		lists = append(lists, nil)
 	}
@@ -391,16 +435,24 @@ func (s *Store) indexIRI(iri string, id NodeID) {
 // AddEdge creates a directed labelled edge. It panics if an endpoint id is
 // out of range, which always indicates a caller bug.
 func (s *Store) AddEdge(from, to NodeID, label string, props map[string]Value) Edge {
-	if int(from) >= s.nodes.Len() || int(to) >= s.nodes.Len() {
-		panic(fmt.Sprintf("pg: edge endpoint out of range: %d -> %d (have %d nodes)", from, to, s.nodes.Len()))
-	}
 	return s.addEdge(from, to, s.names.intern(label), s.names.record(props))
 }
 
+// AddEdgeSym is AddEdge by Sym, for an edge with no properties.
+func (s *Store) AddEdgeSym(from, to NodeID, label Sym) Edge {
+	return s.addEdge(from, to, label, nil)
+}
+
 func (s *Store) addEdge(from, to NodeID, l Sym, list []prop) Edge {
+	if int(from) >= s.nodes.Len() || int(to) >= s.nodes.Len() {
+		panic(fmt.Sprintf("pg: edge endpoint out of range: %d -> %d (have %d nodes)", from, to, s.nodes.Len()))
+	}
 	id := EdgeID(s.edges.Len())
 	*s.edges.Edit(int(id), disownEdge) = edgeRec{from: from, to: to, label: l, own: true, props: list}
-	s.byEdgeLabel = listed(s.byEdgeLabel, l, id)
+	for int(l) >= len(s.edgeCount) {
+		s.edgeCount = append(s.edgeCount, 0)
+	}
+	s.edgeCount[l]++
 	s.out.Append(int(from), id)
 	s.in.Append(int(to), id)
 	return Edge{ID: id, From: from, To: to, record: record{list, &s.names}, label: l}
@@ -420,14 +472,9 @@ func (s *Store) Edge(id EdgeID) Edge {
 }
 
 // NodesByLabel returns the ids of nodes carrying the label.
-func (s *Store) NodesByLabel(label string) []NodeID { return listOf(s, s.byLabel, label) }
-
-// EdgesByLabel returns the ids of edges carrying the label.
-func (s *Store) EdgesByLabel(label string) []EdgeID { return listOf(s, s.byEdgeLabel, label) }
-
-func listOf[ID NodeID | EdgeID](s *Store, lists [][]ID, label string) []ID {
-	if l, ok := s.Sym(label); ok && int(l) < len(lists) {
-		return lists[l]
+func (s *Store) NodesByLabel(label string) []NodeID {
+	if l, ok := s.Sym(label); ok && int(l) < len(s.byLabel) {
+		return s.byLabel[l]
 	}
 	return nil
 }
@@ -493,10 +540,16 @@ func privateProps(props []prop, room int) []prop {
 
 // AddLabel adds a label to an existing node, keeping indexes consistent.
 func (s *Store) AddLabel(id NodeID, label string) {
-	if label == "" {
-		return
+	if label != "" {
+		s.addLabel(id, s.names.intern(label))
 	}
-	l, set := s.names.intern(label), s.nodes.At(int(id)).set
+}
+
+// AddLabelSym is AddLabel by Sym.
+func (s *Store) AddLabelSym(id NodeID, l Sym) { s.addLabel(id, l) }
+
+func (s *Store) addLabel(id NodeID, l Sym) {
+	set := s.nodes.At(int(id)).set
 	if to := s.names.with(set, l); to != set {
 		s.nodes.Edit(int(id), disownNode).set = to
 		s.byLabel = listed(s.byLabel, l, id)
@@ -521,18 +574,23 @@ func (s *Store) SetProp(id NodeID, key string, v Value) {
 // array. It is the primitive used for multi-valued key/value properties.
 func (s *Store) AppendProp(id NodeID, key string, v Value) {
 	r := s.mutNode(id, 1)
-	r.props = s.names.appendProp(r.props, key, v)
+	r.props = s.names.appendProp(r.props, s.names.intern(key), v)
+}
+
+// AppendPropSym is AppendProp by Sym.
+func (s *Store) AppendPropSym(id NodeID, k Sym, v Value) {
+	r := s.mutNode(id, 1)
+	r.props = s.names.appendProp(r.props, k, v)
 }
 
 // AppendEdgeProp is AppendProp for an edge record (RDF-star annotations).
 func (s *Store) AppendEdgeProp(id EdgeID, key string, v Value) {
 	r := s.mutEdge(id, 1)
-	r.props = s.names.appendProp(r.props, key, v)
+	r.props = s.names.appendProp(r.props, s.names.intern(key), v)
 }
 
 // appendProp is AppendProp on a private record.
-func (st *names) appendProp(props []prop, key string, v Value) []prop {
-	k := st.intern(key)
+func (st *names) appendProp(props []prop, k Sym, v Value) []prop {
 	at, found := st.search(props, k)
 	if !found {
 		return slices.Insert(props, at, prop{k, v})
@@ -607,16 +665,20 @@ func sameScalar(a, b Value) bool {
 }
 
 // Labels returns all distinct node labels, sorted.
-func (s *Store) Labels() []string { return used(s.names.names, s.byLabel) }
+func (s *Store) Labels() []string {
+	return used(s.names.names, len(s.byLabel), func(l int) bool { return len(s.byLabel[l]) > 0 })
+}
 
 // EdgeLabels returns all distinct edge labels, sorted.
-func (s *Store) EdgeLabels() []string { return used(s.names.names, s.byEdgeLabel) }
+func (s *Store) EdgeLabels() []string {
+	return used(s.names.names, len(s.edgeCount), func(l int) bool { return s.edgeCount[l] > 0 })
+}
 
-// used returns, sorted, the names whose id list is not empty.
-func used[ID NodeID | EdgeID](names []string, lists [][]ID) []string {
-	out := make([]string, 0, len(lists))
-	for l, ids := range lists {
-		if len(ids) > 0 {
+// used returns, sorted, the names of the first n Syms that are in use.
+func used(names []string, n int, inUse func(l int) bool) []string {
+	out := make([]string, 0, n)
+	for l := range n {
+		if inUse(l) {
 			out = append(out, names[l])
 		}
 	}

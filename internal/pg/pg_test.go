@@ -65,8 +65,8 @@ func TestEdgesAndAdjacency(t *testing.T) {
 	if got := s.In(b.ID); len(got) != 1 || got[0] != e.ID {
 		t.Fatalf("In = %v", got)
 	}
-	if got := s.EdgesByLabel("knows"); len(got) != 1 {
-		t.Fatalf("EdgesByLabel = %v", got)
+	if got := s.EdgeLabels(); len(got) != 1 || got[0] != "knows" {
+		t.Fatalf("EdgeLabels = %v", got)
 	}
 	if s.RelTypes() != 1 {
 		t.Fatalf("RelTypes = %d", s.RelTypes())

@@ -36,7 +36,8 @@ type NodeMove struct {
 // It is one pass of integer work over the store: every kept record is
 // written to its new slot in fresh pages (a record is a few words; nothing is
 // allocated per record), the edges' endpoints, both adjacency tables and the
-// label lists are rewritten through the map; label sets, property slices and
+// node label lists are rewritten through the map, the dropped edges leave the
+// per-label edge counts; label sets, property slices and
 // values are not touched and stay shared with any clone, so the records come
 // out disowned.
 //
@@ -66,10 +67,11 @@ func (s *Store) Resequence(dropNodes []NodeID, moves []NodeMove, dropEdges []Edg
 	}
 	var edges cow.Table[edgeRec]
 	for i, id := range edgeMap {
+		e := s.edges.At(i)
 		if id == noEdge {
+			s.edgeCount[e.label]--
 			continue
 		}
-		e := s.edges.At(i)
 		from, to := nodeMap[e.from], nodeMap[e.to]
 		if from == NoNode || to == NoNode {
 			panic(fmt.Sprintf("pg: Resequence keeps edge %d of a dropped node (%d -> %d)", i, e.from, e.to))
@@ -92,14 +94,11 @@ func (s *Store) Resequence(dropNodes []NodeID, moves []NodeMove, dropEdges []Edg
 		}
 	}
 	for l, ids := range s.byLabel {
-		ids = remapIDs(ids, nodeMap, NoNode)
+		ids = remapIDs(ids, nodeMap)
 		if moved := relist[Sym(l)]; len(moved) > 0 {
 			ids = placeByID(ids, moved)
 		}
 		s.byLabel[l] = ids
-	}
-	for l, ids := range s.byEdgeLabel {
-		s.byEdgeLabel[l] = remapIDs(ids, edgeMap, noEdge)
 	}
 	s.remapIRIs(nodeMap)
 	return nodeMap
@@ -194,9 +193,9 @@ func remapAdjacency(old *cow.Lists[EdgeID], nodeMap []NodeID, edgeMap []EdgeID, 
 }
 
 // remapIDs rewrites an id list through idMap, leaving out the ids mapped to
-// gone. A list nothing changes in is returned as it is; any other is built
+// NoNode. A list nothing changes in is returned as it is; any other is built
 // anew, because a clone may be reading the old array.
-func remapIDs[ID NodeID | EdgeID](ids, idMap []ID, gone ID) []ID {
+func remapIDs(ids, idMap []NodeID) []NodeID {
 	i := 0
 	for i < len(ids) && idMap[ids[i]] == ids[i] {
 		i++
@@ -204,10 +203,10 @@ func remapIDs[ID NodeID | EdgeID](ids, idMap []ID, gone ID) []ID {
 	if i == len(ids) {
 		return ids
 	}
-	out := make([]ID, i, len(ids))
+	out := make([]NodeID, i, len(ids))
 	copy(out, ids)
 	for _, id := range ids[i:] {
-		if id = idMap[id]; id != gone {
+		if id = idMap[id]; id != NoNode {
 			out = append(out, id)
 		}
 	}

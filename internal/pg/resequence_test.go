@@ -35,11 +35,6 @@ func sameStore(t *testing.T, ctx string, got, want *Store) {
 			t.Fatalf("%s: NodesByLabel(%s) = %v, want %v", ctx, l, got.NodesByLabel(l), want.NodesByLabel(l))
 		}
 	}
-	for _, l := range want.EdgeLabels() {
-		if fmt.Sprint(got.EdgesByLabel(l)) != fmt.Sprint(want.EdgesByLabel(l)) {
-			t.Fatalf("%s: EdgesByLabel(%s) = %v, want %v", ctx, l, got.EdgesByLabel(l), want.EdgesByLabel(l))
-		}
-	}
 	for i := 0; i < want.NumNodes(); i++ {
 		id := NodeID(i)
 		if got.Node(id).ID != id {

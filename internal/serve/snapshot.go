@@ -69,7 +69,7 @@ func approxGraphBytes(g *rdf.Graph) int64 {
 
 // approxStoreBytes estimates the heap cost of a property graph store from
 // its layout (DESIGN.md §4): a node is a 32-byte record plus its two
-// adjacency-list headers, an edge a 40-byte record plus its three postings;
+// adjacency-list headers, an edge a 40-byte record plus its two postings;
 // label and key names are interned, so they cost nothing per element; a
 // property is a 24-byte entry plus its boxed value.
 func approxStoreBytes(s *pg.Store) int64 {
@@ -88,7 +88,7 @@ func approxStoreBytes(s *pg.Store) int64 {
 	}
 	for ei := 0; ei < s.NumEdges(); ei++ {
 		e := s.Edge(pg.EdgeID(ei))
-		b += 40 + 3*4 // record + out/in/byEdgeLabel postings
+		b += 40 + 2*4 // record + out/in postings
 		b += propsBytes(e.NumProps(), e.PropAt)
 	}
 	return b

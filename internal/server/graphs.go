@@ -652,9 +652,9 @@ func (m *GraphManager) Export(id, name string, w io.Writer) error {
 		_, err = io.WriteString(w, gs.state.SchemaDDL())
 		return err
 	case "nodes.csv":
-		return gs.state.WriteCSV(w, io.Discard)
+		return gs.state.WriteCSV(w, nil)
 	case "edges.csv":
-		return gs.state.WriteCSV(io.Discard, w)
+		return gs.state.WriteCSV(nil, w)
 	default:
 		return fmt.Errorf("%w: no export %q (want nodes.csv, edges.csv, or schema.ddl)", ErrDeltaRejected, name)
 	}
