@@ -29,18 +29,14 @@ var (
 // being dropped.
 const GenericClass = rdf.RDFSNS + "Resource"
 
-// Degradation records one statement the lenient policy could not realize
+// degradation records one statement the lenient policy could not realize
 // faithfully: it was either skipped (unrepresentable) or coerced through the
-// documented fallback (generic label, string-coerced value).
-type Degradation struct {
-	// Reason says which fallback applied or why the statement was skipped.
-	Reason string
-	// Triple is the statement concerned.
-	Triple rdf.Triple
+// documented fallback (generic label, string-coerced value). The details are
+// for this package's tests; callers see the tally (DegradedCount).
+type degradation struct {
+	reason string // which fallback applied or why the statement was skipped
+	triple rdf.Triple
 }
-
-// String renders the degradation for diagnostics.
-func (d Degradation) String() string { return fmt.Sprintf("%s: %v", d.Reason, d.Triple) }
 
 // maxRetainedDegradations caps the per-transformer detail list; the count
 // keeps growing past it (DegradedCount) but details are dropped so dirty
@@ -58,7 +54,12 @@ type Transformer struct {
 	mapping *Mapping
 	store   *pg.Store
 
-	nodeOf map[rdf.Term]pg.NodeID // Ψ_ETD companion: entity → PG node
+	// nodeOf is the Ψ_ETD companion, entity → PG node, read through
+	// entities(): an apply call leaves the entities it created in pending,
+	// by dictionary id, and the first read folds them in, so a transform
+	// nothing asks by term hashes none.
+	nodeOf  map[rdf.Term]pg.NodeID
+	pending []createdEntities
 	// valNode maps a literal/resource value to its value node. The ids sit in
 	// cells (valCell allocates them a slab at a time) so that renumbering the
 	// store rewrites them in one walk over the map, hashing no key.
@@ -95,7 +96,7 @@ type Transformer struct {
 	// rejects are realized through documented fallbacks or skipped and
 	// recorded instead of aborting the transformation.
 	lenient       bool
-	degraded      []Degradation
+	degraded      []degradation // the first maxRetainedDegradations
 	degradedCount int64
 }
 
@@ -143,6 +144,45 @@ func NewTransformerForSchema(spg *pgschema.Schema, mode Mode) (*Transformer, err
 	return t, nil
 }
 
+// createdEntities are the entities one apply call created: their terms, by
+// id in dict, with their nodes.
+type createdEntities struct {
+	dict    *rdf.Dict
+	created []createdEntity
+}
+
+type createdEntity struct {
+	term rdf.TermID
+	node pg.NodeID
+}
+
+// entities returns nodeOf with the pending entities folded in. Every read and
+// write of nodeOf goes through it.
+func (t *Transformer) entities() map[rdf.Term]pg.NodeID {
+	if len(t.pending) > 0 {
+		t.foldPending()
+	}
+	return t.nodeOf
+}
+
+// foldPending moves the pending entities into nodeOf, sizing the map once
+// when it is still empty.
+func (t *Transformer) foldPending() {
+	if len(t.nodeOf) == 0 {
+		n := 0
+		for _, p := range t.pending {
+			n += len(p.created)
+		}
+		t.nodeOf = make(map[rdf.Term]pg.NodeID, n)
+	}
+	for _, p := range t.pending {
+		for _, e := range p.created {
+			t.nodeOf[p.dict.Term(e.term)] = e.node
+		}
+	}
+	t.pending = nil
+}
+
 // Mode returns the transformation mode.
 func (t *Transformer) Mode() Mode { return t.mode }
 
@@ -151,15 +191,11 @@ func (t *Transformer) Mode() Mode { return t.mode }
 // label, literal rdf:type objects are string-coerced into ordinary property
 // statements, and unrepresentable statements (typed or object-position
 // quoted triples, malformed annotations) are skipped — each case recorded as
-// a Degradation and counted in the core.transform.degraded counter.
+// a degradation and counted in the core.transform.degraded counter.
 func (t *Transformer) SetLenient(on bool) { t.lenient = on }
 
 // Lenient reports whether the degradation policy is active.
 func (t *Transformer) Lenient() bool { return t.lenient }
-
-// Degradations returns the recorded degradation details, capped at
-// maxRetainedDegradations entries (DegradedCount keeps the full tally).
-func (t *Transformer) Degradations() []Degradation { return t.degraded }
 
 // DegradedCount returns how many statements were degraded or skipped.
 func (t *Transformer) DegradedCount() int64 { return t.degradedCount }
@@ -169,7 +205,7 @@ func (t *Transformer) degrade(reason string, tr rdf.Triple) {
 	t.degradedCount++
 	cTransformDegrade.Inc()
 	if len(t.degraded) < maxRetainedDegradations {
-		t.degraded = append(t.degraded, Degradation{Reason: reason, Triple: tr})
+		t.degraded = append(t.degraded, degradation{reason, tr})
 	}
 }
 
@@ -449,16 +485,16 @@ type litVal struct {
 // seeds entries left by earlier Apply calls, and preserves dedup in the
 // exotic case of distinct terms sharing a value key (an IRI whose text is
 // "_:x" colliding with blank node x). Value nodes are written through;
-// entity nodes created by this call reach nodeOf in one batch (flush), when
-// their number is known — a term has one id per dictionary, so nothing can
-// look them up by term in between.
+// entity nodes created by this call go to the transformer's pending list in
+// one batch (flush) — a term has one id per dictionary, so nothing can look
+// them up by term in between — and reach nodeOf on its next read.
 type commit struct {
 	t       *Transformer
 	dict    *rdf.Dict
-	nodeID  []pg.NodeID  // entity term → node, noNode when unknown
-	valID   []pg.NodeID  // value term → value node, noNode when unknown
-	created []rdf.TermID // entities created by this call, not yet in nodeOf
-	lits    []litVal     // per-term literal values; nil = parse on demand
+	nodeID  []pg.NodeID     // entity term → node, noNode when unknown
+	valID   []pg.NodeID     // value term → value node, noNode when unknown
+	created []createdEntity // entities created by this call, not yet in nodeOf
+	lits    []litVal        // per-term literal values; nil = parse on demand
 
 	// The name caches, made on first use: a delta of a few statements
 	// allocates none it does not need.
@@ -491,15 +527,11 @@ func newCommit(t *Transformer, dict *rdf.Dict, lits []litVal) *commit {
 	return &commit{t: t, dict: dict, nodeID: ids[:n], valID: ids[n:], lits: lits}
 }
 
-// flush publishes the entities this call created to nodeOf, sizing the map
-// once when it is still empty.
+// flush hands the entities this call created to the transformer's pending
+// list.
 func (c *commit) flush() {
-	t := c.t
-	if len(t.nodeOf) == 0 {
-		t.nodeOf = make(map[rdf.Term]pg.NodeID, len(c.created))
-	}
-	for _, s := range c.created {
-		t.nodeOf[c.dict.Term(s)] = c.nodeID[s]
+	if len(c.created) > 0 {
+		c.t.pending = append(c.t.pending, createdEntities{c.dict, c.created})
 	}
 }
 
@@ -551,7 +583,7 @@ func (c *commit) statement(s, p, o rdf.TermID) (annotation bool, err error) {
 		// An IRI or blank object never declared as an entity is encoded as a
 		// resource value node so no information is dropped.
 		if oid = c.nodeID[o]; oid == noNode {
-			if known, ok := t.nodeOf[oT]; ok {
+			if known, ok := t.entities()[oT]; ok {
 				c.nodeID[o] = known
 				oid = known
 			} else {
@@ -623,11 +655,11 @@ func (c *commit) entity(s rdf.TermID, sT rdf.Term) pg.NodeID {
 		return id
 	}
 	t := c.t
-	id, ok := t.nodeOf[sT]
+	id, ok := t.entities()[sT]
 	if !ok {
 		props := [...]pg.KV{{Key: t.keys.iri, Value: termIRI(sT)}}
 		id = t.store.AddNodeSym(nil, props[:]).ID
-		c.created = append(c.created, s)
+		c.created = append(c.created, createdEntity{s, id})
 	}
 	c.nodeID[s] = id
 	return id

@@ -210,7 +210,12 @@ func NewDeltaState(g *rdf.Graph, sg *shacl.Schema, mode Mode) (*DeltaState, erro
 // retransform runs the strict transformation of the live graph from the base
 // shapes: the initial state, and what the rebuild path replaces the state by.
 func (s *DeltaState) retransform() (*Transformer, error) {
-	return TransformWith(context.Background(), s.g, s.sg, s.mode, nil, TransformOptions{})
+	t, err := TransformWith(context.Background(), s.g, s.sg, s.mode, nil, TransformOptions{})
+	if err != nil {
+		return nil, err
+	}
+	t.entities() // a rebuilt batch pays for the entity map, no grow batch after it
+	return t, nil
 }
 
 // Graph returns the live RDF graph (owned by the state; do not mutate).
@@ -427,7 +432,7 @@ func (s *DeltaState) plan(removed []removal, added []rdf.Triple) (*editScript, s
 		if _, seen := newTyped[tr.S]; seen {
 			continue
 		}
-		if _, known := t.nodeOf[tr.S]; known {
+		if _, known := t.entities()[tr.S]; known {
 			return nil, reasonRetyped
 		}
 		if _, known := t.valNode[resourceKey(tr.S)]; known {
@@ -456,7 +461,7 @@ func (s *DeltaState) plan(removed []removal, added []rdf.Triple) (*editScript, s
 		if _, first := t.triggers[int(r.slot)]; first {
 			return nil, reasonFirstTrigger
 		}
-		sid, ok := t.nodeOf[r.tr.S]
+		sid, ok := t.entities()[r.tr.S]
 		if !ok {
 			return nil, reasonApplyError
 		}
@@ -572,7 +577,7 @@ func (s *DeltaState) edgeOf(sid pg.NodeID, tr rdf.Triple) (hit pg.Edge, hits int
 	t := s.t
 	entity := noNode
 	if o := tr.O; o.IsResource() {
-		if id, ok := t.nodeOf[o]; ok {
+		if id, ok := t.entities()[o]; ok {
 			entity = id
 		}
 		vk = resourceKey(o)
@@ -687,7 +692,7 @@ func (s *DeltaState) effectBefore(es *editScript, added []rdf.Triple) (*netEffec
 		}
 	}
 	for _, tr := range added {
-		if id, ok := s.t.nodeOf[tr.S]; ok {
+		if id, ok := s.t.entities()[tr.S]; ok {
 			if err := touch(id); err != nil {
 				return nil, err
 			}
@@ -711,7 +716,7 @@ func (s *DeltaState) applyInPlace(es *editScript, added []rdf.Triple, nPre int, 
 	}
 
 	for _, k := range es.entities {
-		delete(t.nodeOf, k)
+		delete(t.entities(), k)
 	}
 	for _, k := range es.values {
 		delete(t.valNode, k)
@@ -737,9 +742,10 @@ func (s *DeltaState) applyInPlace(es *editScript, added []rdf.Triple, nPre int, 
 			}
 		}
 		s.keys = keys
-		for k, id := range t.nodeOf {
+		nodeOf := t.entities()
+		for k, id := range nodeOf {
 			if nodeMap[id] != id {
-				t.nodeOf[k] = nodeMap[id]
+				nodeOf[k] = nodeMap[id]
 			}
 		}
 		for _, cell := range t.valNode {

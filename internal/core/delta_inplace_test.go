@@ -124,7 +124,7 @@ func (tw *twins) compare(t testing.TB, step string) {
 	if !reflect.DeepEqual(tw.free.keys, tw.forced.keys) {
 		t.Fatalf("%s: key tables differ", step)
 	}
-	if !reflect.DeepEqual(ft.nodeOf, rt.nodeOf) || !reflect.DeepEqual(ft.valNode, rt.valNode) {
+	if !reflect.DeepEqual(ft.entities(), rt.entities()) || !reflect.DeepEqual(ft.valNode, rt.valNode) {
 		t.Fatalf("%s: the transformers' node tables differ", step)
 	}
 	if !reflect.DeepEqual(ft.triggers, rt.triggers) {

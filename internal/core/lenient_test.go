@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -39,13 +40,13 @@ func TestLenientUntypedSubject(t *testing.T) {
 		t.Fatal("no degradation recorded for the untyped subject")
 	}
 	found := false
-	for _, d := range tr.Degradations() {
-		if strings.Contains(d.Reason, "generic label") && d.Triple == dirty {
+	for _, d := range tr.degraded {
+		if strings.Contains(d.reason, "generic label") && d.triple == dirty {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("degradations lack the generic-label record: %v", tr.Degradations())
+		t.Fatalf("degradations lack the generic-label record: %v", tr.degraded)
 	}
 
 	back, err := InverseData(tr.Store(), tr.Schema())
@@ -82,13 +83,13 @@ func TestLenientLiteralType(t *testing.T) {
 
 	tr := lenientTransform(t, g)
 	coerced := false
-	for _, d := range tr.Degradations() {
-		if strings.Contains(d.Reason, "coerced") && d.Triple == dirty {
+	for _, d := range tr.degraded {
+		if strings.Contains(d.reason, "coerced") && d.triple == dirty {
 			coerced = true
 		}
 	}
 	if !coerced {
-		t.Fatalf("degradations lack the coercion record: %v", tr.Degradations())
+		t.Fatalf("degradations lack the coercion record: %v", tr.degraded)
 	}
 	back, err := InverseData(tr.Store(), tr.Schema())
 	if err != nil {
@@ -116,13 +117,13 @@ func TestLenientTypedQuotedTriple(t *testing.T) {
 
 	tr := lenientTransform(t, g)
 	skipped := false
-	for _, d := range tr.Degradations() {
-		if strings.Contains(d.Reason, "quoted triples cannot be typed") {
+	for _, d := range tr.degraded {
+		if strings.Contains(d.reason, "quoted triples cannot be typed") {
 			skipped = true
 		}
 	}
 	if !skipped {
-		t.Fatalf("degradations lack the skip record: %v", tr.Degradations())
+		t.Fatalf("degradations lack the skip record: %v", tr.degraded)
 	}
 	back, err := InverseData(tr.Store(), tr.Schema())
 	if err != nil {
@@ -138,7 +139,7 @@ func TestLenientTypedQuotedTriple(t *testing.T) {
 func TestLenientCleanGraphIsExact(t *testing.T) {
 	tr := lenientTransform(t, fixtures.UniversityGraph())
 	if n := tr.DegradedCount(); n != 0 {
-		t.Fatalf("clean graph recorded %d degradations: %v", n, tr.Degradations())
+		t.Fatalf("clean graph recorded %d degradations: %v", n, tr.degraded)
 	}
 	back, err := InverseData(tr.Store(), tr.Schema())
 	if err != nil {
@@ -161,8 +162,8 @@ func TestDegradationCap(t *testing.T) {
 	if int(tr.DegradedCount()) != g.Len() {
 		t.Fatalf("DegradedCount = %d, want %d", tr.DegradedCount(), g.Len())
 	}
-	if len(tr.Degradations()) != maxRetainedDegradations {
-		t.Fatalf("retained %d degradation details, want cap %d", len(tr.Degradations()), maxRetainedDegradations)
+	if len(tr.degraded) != maxRetainedDegradations {
+		t.Fatalf("retained %d degradation details, want cap %d", len(tr.degraded), maxRetainedDegradations)
 	}
 }
 
@@ -187,5 +188,36 @@ func TestInverseDataContextCancel(t *testing.T) {
 	cancel()
 	if _, err := InverseDataContext(ctx, store, schema, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestStarAnnotationErrorTexts pins the strict error and the lenient
+// degradation for an annotation whose statement is not an edge — missing from
+// the data, or key/value-routed — at every worker count.
+func TestStarAnnotationErrorTexts(t *testing.T) {
+	missing := rdf.NewTriple(fixtures.Ex("bob"), fixtures.Ex("advisedBy"), fixtures.Ex("nobody"))
+	kvStmt := rdf.NewTriple(fixtures.Ex("bob"), fixtures.Ex("regNo"), rdf.NewLiteral("Bs12"))
+	for name, stmt := range map[string]rdf.Triple{"orphaned": missing, "kv-routed": kvStmt} {
+		wantErr := fmt.Sprintf("core: annotated statement %v is not realized as an edge "+
+			"(missing from the data, or key/value-routed — use the non-parsimonious mode)", stmt)
+		ann := rdf.NewTriple(rdf.MustTripleTerm(stmt), fixtures.Ex("verified"), rdf.NewLiteral("yes"))
+		g := fixtures.UniversityGraph()
+		g.Add(ann)
+		for _, workers := range []int{1, 2, 4} {
+			_, err := TransformWith(context.Background(), g, fixtures.UniversityShapes(), Parsimonious, nil,
+				TransformOptions{Workers: workers})
+			if err == nil || err.Error() != wantErr {
+				t.Fatalf("%s workers=%d: strict error = %v\nwant %s", name, workers, err, wantErr)
+			}
+			tr, err := TransformWith(context.Background(), g, fixtures.UniversityShapes(), Parsimonious, nil,
+				TransformOptions{Lenient: true, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: lenient: %v", name, workers, err)
+			}
+			want := degradation{"skipped: " + wantErr, ann}
+			if ds := tr.degraded; len(ds) != 1 || ds[0] != want {
+				t.Fatalf("%s workers=%d: degradations = %v\nwant %v", name, workers, ds, want)
+			}
+		}
 	}
 }

@@ -306,34 +306,3 @@ func TestStarDuplicateStatementLastEdgeWins(t *testing.T) {
 		}
 	}
 }
-
-// TestStarAnnotationErrorTexts pins the strict error and the lenient
-// Degradation for an annotation whose statement is not an edge — missing from
-// the data, or key/value-routed — at every worker count.
-func TestStarAnnotationErrorTexts(t *testing.T) {
-	missing := rdf.NewTriple(fixtures.Ex("bob"), fixtures.Ex("advisedBy"), fixtures.Ex("nobody"))
-	kvStmt := rdf.NewTriple(fixtures.Ex("bob"), fixtures.Ex("regNo"), rdf.NewLiteral("Bs12"))
-	for name, stmt := range map[string]rdf.Triple{"orphaned": missing, "kv-routed": kvStmt} {
-		wantErr := fmt.Sprintf("core: annotated statement %v is not realized as an edge "+
-			"(missing from the data, or key/value-routed — use the non-parsimonious mode)", stmt)
-		ann := rdf.NewTriple(rdf.MustTripleTerm(stmt), fixtures.Ex("verified"), rdf.NewLiteral("yes"))
-		g := fixtures.UniversityGraph()
-		g.Add(ann)
-		for _, workers := range []int{1, 2, 4} {
-			_, err := core.TransformWith(context.Background(), g, fixtures.UniversityShapes(), core.Parsimonious, nil,
-				core.TransformOptions{Workers: workers})
-			if err == nil || err.Error() != wantErr {
-				t.Fatalf("%s workers=%d: strict error = %v\nwant %s", name, workers, err, wantErr)
-			}
-			tr, err := core.TransformWith(context.Background(), g, fixtures.UniversityShapes(), core.Parsimonious, nil,
-				core.TransformOptions{Lenient: true, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: lenient: %v", name, workers, err)
-			}
-			want := core.Degradation{Reason: "skipped: " + wantErr, Triple: ann}
-			if ds := tr.Degradations(); len(ds) != 1 || ds[0] != want {
-				t.Fatalf("%s workers=%d: degradations = %v\nwant %v", name, workers, ds, want)
-			}
-		}
-	}
-}

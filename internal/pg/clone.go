@@ -12,9 +12,18 @@ import "slices"
 // every existing record becomes shared — the first write to a node or edge on
 // either side copies its page, and then that one record's properties
 // (mutNode, mutEdge). Only the label lists' headers and the per-label edge
-// counts are copied, one per label. Clone writes to s's sharing state, so like any mutation it must not
-// run concurrently with another method of s.
+// counts are copied, one per label.
+//
+// Clone first brings s's adjacency and iri indexes up to date, as
+// rdf.Graph.Clone does its postings, so both sides share one watermark at the
+// element count: a snapshot that is only read never builds an index, and a
+// live store pays at each publish for the edges and nodes added since the
+// last one. Either side catches up on its own after that. Clone writes to
+// s's sharing state, so like any mutation it must not run concurrently with
+// another method of s.
 func (s *Store) Clone() *Store {
+	s.indexEdges()
+	s.indexIRIs()
 	c := &Store{
 		nodes:     s.nodes.Clone(),
 		edges:     s.edges.Clone(),
@@ -26,6 +35,8 @@ func (s *Store) Clone() *Store {
 		byIRI:     s.byIRI.Clone(),
 		iriShared: s.iriShared,
 	}
+	c.edgesIndexed.Store(s.edgesIndexed.Load())
+	c.nodesIndexed.Store(s.nodesIndexed.Load())
 	for l, ids := range s.byLabel {
 		c.byLabel[l] = ids[:len(ids):len(ids)]
 	}

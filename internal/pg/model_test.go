@@ -258,16 +258,21 @@ var (
 
 // runStoreOps applies the script, checking every member against its model
 // after every step: a clone taken along the way must keep equalling the
-// model's copy from that moment, whatever the others do.
+// model's copy from that moment, whatever the others do. Every member has a
+// twin that takes the same mutations, Clone and Resequence included, and that
+// nothing reads until the last step: then it must equal the model too, and
+// its indexes, built from scratch by that first read, must answer as the
+// member's, which were caught up after every step.
 func runStoreOps(t testing.TB, ops []storeOp) {
 	t.Helper()
 	type member struct {
-		s *Store
-		m *storeModel
+		s, twin *Store
+		m       *storeModel
 	}
-	fam := []*member{{NewStore(), &storeModel{}}}
+	fam := []*member{{NewStore(), NewStore(), &storeModel{}}}
 	for step, op := range ops {
 		x := fam[op.on%len(fam)]
+		both := func(mutate func(s *Store)) { mutate(x.s); mutate(x.twin) }
 		nn, ne := len(x.m.nodes), len(x.m.edges)
 		node := func(i int) NodeID { return NodeID(i % nn) }
 		switch {
@@ -280,7 +285,7 @@ func runStoreOps(t testing.TB, ops []storeOp) {
 			for i := 0; i < op.c%8; i++ { // up to seven: more than a small record
 				props[opKeys[(op.a+i)%len(opKeys)]] = opValues[(op.b+i)%len(opValues)]
 			}
-			x.s.AddNode(labels, deepProps(props))
+			both(func(s *Store) { s.AddNode(labels, deepProps(props)) })
 			sort.Strings(labels)
 			dedup := labels[:0]
 			for i, l := range labels {
@@ -290,33 +295,36 @@ func runStoreOps(t testing.TB, ops []storeOp) {
 			}
 			x.m.nodes = append(x.m.nodes, nodeModel{labels: dedup, props: props})
 		case op.kind == "Clone" && len(fam) < 5:
-			fam = append(fam, &member{x.s.Clone(), x.m.clone()})
+			fam = append(fam, &member{x.s.Clone(), x.twin.Clone(), x.m.clone()})
 		case nn == 0:
 		case op.kind == "AddLabel":
-			x.s.AddLabel(node(op.a), op.label)
+			both(func(s *Store) { s.AddLabel(node(op.a), op.label) })
 			if op.label != "" {
 				x.m.addLabel(node(op.a), op.label)
 			}
 		case op.kind == "SetProp":
-			x.s.SetProp(node(op.a), op.key, op.v)
+			both(func(s *Store) { s.SetProp(node(op.a), op.key, op.v) })
 			x.m.nodes[node(op.a)].props[op.key] = op.v
 		case op.kind == "AppendProp":
-			x.s.AppendProp(node(op.a), op.key, op.v)
+			both(func(s *Store) { s.AppendProp(node(op.a), op.key, op.v) })
 			modelAppend(x.m.nodes[node(op.a)].props, op.key, op.v)
 		case op.kind == "RemovePropValue":
-			if got, want := x.s.RemovePropValue(node(op.a), op.key, op.v), x.m.removeValue(node(op.a), op.key, op.v); got != want {
-				t.Fatalf("step %d: RemovePropValue = %v, want %v", step, got, want)
-			}
+			want := x.m.removeValue(node(op.a), op.key, op.v)
+			both(func(s *Store) {
+				if got := s.RemovePropValue(node(op.a), op.key, op.v); got != want {
+					t.Fatalf("step %d: RemovePropValue = %v, want %v", step, got, want)
+				}
+			})
 		case op.kind == "HasPropValue":
 			arr, at := propValues(x.m.nodes[node(op.a)].props[op.key], op.v)
 			if got := x.s.HasPropValue(node(op.a), op.key, op.v); got != (at < len(arr)) {
 				t.Fatalf("step %d: HasPropValue = %v on %v", step, got, arr)
 			}
 		case op.kind == "AddEdge":
-			x.s.AddEdge(node(op.a), node(op.b), op.label, nil)
+			both(func(s *Store) { s.AddEdge(node(op.a), node(op.b), op.label, nil) })
 			x.m.edges = append(x.m.edges, edgeModel{from: node(op.a), to: node(op.b), label: op.label, props: map[string]Value{}})
 		case op.kind == "AppendEdgeProp" && ne > 0:
-			x.s.AppendEdgeProp(EdgeID(op.a%ne), op.key, op.v)
+			both(func(s *Store) { s.AppendEdgeProp(EdgeID(op.a%ne), op.key, op.v) })
 			modelAppend(x.m.edges[op.a%ne].props, op.key, op.v)
 		case op.kind == "Resequence":
 			drop := map[NodeID]bool{}
@@ -335,14 +343,32 @@ func runStoreOps(t testing.TB, ops []storeOp) {
 					dropEdges = append(dropEdges, EdgeID(i))
 				}
 			}
-			x.s.Resequence(dropNodes, moves, dropEdges)
+			both(func(s *Store) { s.Resequence(dropNodes, moves, dropEdges) })
 			x.m.resequence(dropNodes, moves, dropEdges)
 		}
 		for mi, f := range fam {
 			f.m.agrees(t, fmt.Sprintf("step %d (%s on %d), member %d", step, op.kind, op.on%len(fam), mi), f.s, opLabels, opKeys)
 		}
 	}
+	for mi, f := range fam {
+		ctx := fmt.Sprintf("after step %d, the unread twin of member %d", len(ops)-1, mi)
+		f.m.agrees(t, ctx, f.twin, opLabels, opKeys)
+		sameIndexes(t, ctx, f.twin, f.s)
+	}
 }
+
+// sameIndexes checks that got's adjacency and iri index answer as want's.
+func sameIndexes(t testing.TB, ctx string, got, want *Store) {
+	t.Helper()
+	for i := range want.NumNodes() {
+		if g, w := indexAnswer(got, NodeID(i)), indexAnswer(want, NodeID(i)); g != w {
+			t.Fatalf("%s: node %d: %s, want %s", ctx, i, g, w)
+		}
+	}
+}
+
+// iriNode adds a node whose one property is an iri, opValues[v].
+func iriNode(v int) storeOp { return storeOp{kind: "AddNode", a: 0, b: v, c: 1} }
 
 // TestStoreOpsCorners runs the scripts that must exist by name.
 func TestStoreOpsCorners(t *testing.T) {
@@ -385,6 +411,24 @@ func TestStoreOpsCorners(t *testing.T) {
 			{kind: "AddNode", a: 1, b: 0, c: 1}, {kind: "AddNode"}, {kind: "SetProp", a: 1, key: "iri", v: "http://ex.org/n2"},
 			{kind: "SetProp", a: 0, key: "iri", v: "http://ex.org/n9"}, {kind: "Clone"},
 			{kind: "SetProp", a: 1, key: "iri", v: "http://ex.org/n1"}, {kind: "Resequence", a: 1, b: 0},
+		}},
+		{"Resequence of a store whose index was never read", []storeOp{
+			// Three nodes share iri n1, and node 0 takes n2, which node 1
+			// holds; the first Resequence moves the last n1 node to the
+			// front, the second drops the node without an iri.
+			iriNode(7), iriNode(8), iriNode(7), {kind: "AddNode"}, iriNode(7),
+			{kind: "SetProp", a: 0, key: "iri", v: opValues[8]},
+			{kind: "AddEdge", a: 0, b: 1, label: "knows"}, {kind: "AddEdge", a: 2, b: 3, label: "knows"},
+			{kind: "AddEdge", a: 1, b: 2, label: "likes"}, {kind: "AddEdge", a: 4, b: 0, label: "knows"},
+			{kind: "Resequence", a: 6, b: 0, c: 4}, {kind: "AddEdge", a: 3, b: 0, label: "likes"},
+			{kind: "Resequence", a: 1, b: 4, c: 1}, iriNode(8),
+		}},
+		{"Clone of an unread store, both sides written before the first read", []storeOp{
+			iriNode(7), iriNode(8), {kind: "AddNode", a: 1}, {kind: "AddEdge", a: 0, b: 1, label: "knows"},
+			{kind: "AddEdge", a: 1, b: 2, label: "knows"}, {kind: "Clone"},
+			{kind: "AddEdge", a: 0, b: 2, label: "likes"}, {kind: "AddEdge", on: 1, a: 2, b: 0, label: "knows"},
+			iriNode(7), {kind: "AddNode", on: 1, a: 0, b: 8, c: 1}, {kind: "AddEdge", on: 1, a: 3, b: 1, label: "likes"},
+			{kind: "SetProp", on: 1, a: 2, key: "iri", v: "http://ex.org/n1"}, {kind: "AddEdge", a: 1, b: 3, label: "knows"},
 		}},
 		{"records shifted by Resequence are written after it", []storeOp{
 			sixProps, {kind: "AddNode", a: 1}, {kind: "AddNode", a: 2}, {kind: "AddEdge", a: 1, b: 2, label: "knows"},

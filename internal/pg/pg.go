@@ -2,7 +2,10 @@
 // a node- and edge-labelled directed attributed multigraph whose nodes and
 // edges carry records (key → value). The in-memory Store indexes nodes by
 // label and by the unique "iri" property, and edges by their endpoints, which
-// is what the Cypher engine and the transformation algorithms traverse.
+// is what the Cypher engine and the transformation algorithms traverse. A
+// mutator writes the record and the label lists only; the endpoint and iri
+// indexes are brought up to date by the first read that needs them (index.go),
+// so a store that is only built and exported never holds them.
 //
 // A node or an edge is a small record held by value in a paged table (package
 // cow). Labels, edge labels and property keys are interned once per store; a
@@ -19,6 +22,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"github.com/s3pg/s3pg/internal/cow"
 )
@@ -319,7 +324,7 @@ func (st *names) record(props map[string]Value) []prop {
 
 // Store is an in-memory property graph. It is not safe for concurrent
 // mutation (Clone counts as mutation); concurrent readers are safe once
-// loading completes.
+// loading completes, including the first ones, which build the indexes.
 type Store struct {
 	nodes cow.Table[nodeRec]
 	edges cow.Table[edgeRec]
@@ -327,10 +332,17 @@ type Store struct {
 
 	byLabel   [][]NodeID // by Sym; per-label lists are append-only
 	edgeCount []int      // by Sym: how many edges carry the label
-	out       cow.Lists[EdgeID]
-	in        cow.Lists[EdgeID]
-	byIRI     cow.Map[string, NodeID] // first node registered under each "iri" property
-	iriShared bool                    // some iri was registered by a second node
+
+	// The derived indexes, up to date for the first edgesIndexed edges and
+	// nodesIndexed nodes: the mutators do not write them, indexEdges and
+	// indexIRIs catch them up before a read.
+	out          cow.Lists[EdgeID]
+	in           cow.Lists[EdgeID]
+	byIRI        cow.Map[string, NodeID] // first node registered under each "iri" property
+	iriShared    bool                    // some iri was registered by a second node
+	edgesIndexed atomic.Int64
+	nodesIndexed atomic.Int64
+	indexMu      sync.Mutex // serializes the catch-up between concurrent readers
 }
 
 // NewStore returns an empty property graph.
@@ -367,8 +379,8 @@ type KV struct {
 
 // AddNode creates a node with the given labels and properties and returns it.
 // Labels are deduplicated and sorted; the props map is read, not kept. If
-// props contains a string "iri" property it is registered in the unique IRI
-// index (first writer wins).
+// props contains a string "iri" property the node is registered in the unique
+// IRI index (first writer wins) when the index is next read.
 func (s *Store) AddNode(labels []string, props map[string]Value) Node {
 	set := uint32(0)
 	for _, l := range labels {
@@ -407,11 +419,7 @@ func (s *Store) addNode(set uint32, list []prop) Node {
 	for _, l := range s.names.sets[set].syms {
 		s.byLabel = listed(s.byLabel, l, id)
 	}
-	n := Node{ID: id, record: record{list, &s.names}, set: set}
-	if iri, ok := n.PropSym(iriKey).(string); ok {
-		s.indexIRI(iri, id)
-	}
-	return n
+	return Node{ID: id, record: record{list, &s.names}, set: set}
 }
 
 // listed appends id to the list of l, growing lists to hold it.
@@ -421,15 +429,6 @@ func listed(lists [][]NodeID, l Sym, id NodeID) [][]NodeID {
 	}
 	lists[l] = append(lists[l], id)
 	return lists
-}
-
-// indexIRI registers the node under its iri unless the slot is taken; a
-// slot taken by another node is remembered, because from then on the index
-// no longer finds every node of an iri.
-func (s *Store) indexIRI(iri string, id NodeID) {
-	if first, _ := s.byIRI.GetOrPut(iri, id); first != id {
-		s.iriShared = true
-	}
 }
 
 // AddEdge creates a directed labelled edge. It panics if an endpoint id is
@@ -453,8 +452,6 @@ func (s *Store) addEdge(from, to NodeID, l Sym, list []prop) Edge {
 		s.edgeCount = append(s.edgeCount, 0)
 	}
 	s.edgeCount[l]++
-	s.out.Append(int(from), id)
-	s.in.Append(int(to), id)
 	return Edge{ID: id, From: from, To: to, record: record{list, &s.names}, label: l}
 }
 
@@ -479,21 +476,31 @@ func (s *Store) NodesByLabel(label string) []NodeID {
 	return nil
 }
 
-// Out returns the outgoing edge ids of the node.
-func (s *Store) Out(id NodeID) []EdgeID { return s.out.At(int(id)) }
+// Out returns the outgoing edge ids of the node, in id order.
+func (s *Store) Out(id NodeID) []EdgeID {
+	s.indexEdges()
+	return s.out.At(int(id))
+}
 
-// In returns the incoming edge ids of the node.
-func (s *Store) In(id NodeID) []EdgeID { return s.in.At(int(id)) }
+// In returns the incoming edge ids of the node, in id order.
+func (s *Store) In(id NodeID) []EdgeID {
+	s.indexEdges()
+	return s.in.At(int(id))
+}
 
 // IRIUnique reports whether NodeByIRI can stand in for a scan: no iri was
 // ever registered by two nodes, so a node whose "iri" property is a given
 // string is the one the index holds. S3PG stores keep it true (one node per
 // resource); the Store itself does not enforce it.
-func (s *Store) IRIUnique() bool { return !s.iriShared }
+func (s *Store) IRIUnique() bool {
+	s.indexIRIs()
+	return !s.iriShared
+}
 
 // NodeByIRI returns the first node registered under iri — the node whose
 // "iri" property equals it, unless the property was rewritten since.
 func (s *Store) NodeByIRI(iri string) (Node, bool) {
+	s.indexIRIs()
 	id, ok := s.byIRI.Get(iri)
 	if !ok {
 		return Node{}, false
@@ -501,11 +508,16 @@ func (s *Store) NodeByIRI(iri string) (Node, bool) {
 	return s.Node(id), true
 }
 
-// mutNode returns node id's record for writing, its props slice (with room
-// for that many more entries) and array values private to this store. This
-// and mutEdge are the only places a record of an existing element is written,
-// so they are where copy-on-write is enforced.
-func (s *Store) mutNode(id NodeID, room int) *nodeRec {
+// mutNode returns node id's record for writing its key k, its props slice
+// (with room for that many more entries) and array values private to this
+// store. This and mutEdge are the only places a record of an existing element
+// is written, so they are where copy-on-write is enforced — and, for the iri
+// key, where the iri index catches up first: it registers a node's iri as it
+// was when the node was added.
+func (s *Store) mutNode(id NodeID, k Sym, room int) *nodeRec {
+	if k == iriKey {
+		s.indexIRIs()
+	}
 	r := s.nodes.Edit(int(id), disownNode)
 	if !r.own {
 		r.props, r.own = privateProps(r.props, room), true
@@ -559,7 +571,8 @@ func (s *Store) addLabel(id NodeID, l Sym) {
 // SetProp sets a property on a node. Setting "iri" registers the node in the
 // IRI index when the slot is free.
 func (s *Store) SetProp(id NodeID, key string, v Value) {
-	k, r := s.names.intern(key), s.mutNode(id, 1)
+	k := s.names.intern(key)
+	r := s.mutNode(id, k, 1)
 	if at, found := s.names.search(r.props, k); found {
 		r.props[at].val = v
 	} else {
@@ -573,13 +586,12 @@ func (s *Store) SetProp(id NodeID, key string, v Value) {
 // AppendProp appends a value to a node property, promoting a scalar to an
 // array. It is the primitive used for multi-valued key/value properties.
 func (s *Store) AppendProp(id NodeID, key string, v Value) {
-	r := s.mutNode(id, 1)
-	r.props = s.names.appendProp(r.props, s.names.intern(key), v)
+	s.AppendPropSym(id, s.names.intern(key), v)
 }
 
 // AppendPropSym is AppendProp by Sym.
 func (s *Store) AppendPropSym(id NodeID, k Sym, v Value) {
-	r := s.mutNode(id, 1)
+	r := s.mutNode(id, k, 1)
 	r.props = s.names.appendProp(r.props, k, v)
 }
 
@@ -618,8 +630,9 @@ func (s *Store) RemovePropValue(id NodeID, key string, v Value) bool {
 	if at == len(arr) {
 		return false
 	}
-	r := s.mutNode(id, 0)
-	i, _ := s.names.search(r.props, s.names.intern(key))
+	k := s.names.intern(key)
+	r := s.mutNode(id, k, 0)
+	i, _ := s.names.search(r.props, k)
 	switch len(arr) {
 	case 1:
 		if r.props = slices.Delete(r.props, i, i+1); len(r.props) == 0 {

@@ -35,15 +35,17 @@ type NodeMove struct {
 //
 // It is one pass of integer work over the store: every kept record is
 // written to its new slot in fresh pages (a record is a few words; nothing is
-// allocated per record), the edges' endpoints, both adjacency tables and the
-// node label lists are rewritten through the map, the dropped edges leave the
-// per-label edge counts; label sets, property slices and
-// values are not touched and stay shared with any clone, so the records come
-// out disowned.
+// allocated per record), the edges' endpoints, the node label lists and the
+// iri index are rewritten through the map, the dropped edges leave the
+// per-label edge counts; label sets, property slices and values are not
+// touched and stay shared with any clone, so the records come out disowned.
+// The adjacency tables are dropped: edges keep their order, so the next read
+// sorts the new edge table into the lists remapping them would give.
 //
 // Every edge of a dropped node must be dropped with it; Resequence panics on
 // a script that is not one (a caller bug, like an AddEdge out of range).
 func (s *Store) Resequence(dropNodes []NodeID, moves []NodeMove, dropEdges []EdgeID) []NodeID {
+	s.indexIRIs()
 	nodeMap := s.newNodeIDs(dropNodes, moves)
 	edgeMap := make([]EdgeID, s.edges.Len())
 	for _, id := range dropEdges {
@@ -80,9 +82,9 @@ func (s *Store) Resequence(dropNodes []NodeID, moves []NodeMove, dropEdges []Edg
 		*edges.Edit(int(id), nil) = e
 	}
 
-	s.out = remapAdjacency(&s.out, nodeMap, edgeMap, int(kept))
-	s.in = remapAdjacency(&s.in, nodeMap, edgeMap, int(kept))
 	s.nodes, s.edges = nodes, edges
+	s.out, s.in = cow.Lists[EdgeID]{}, cow.Lists[EdgeID]{}
+	s.edgesIndexed.Store(0)
 
 	relist := make(map[Sym][]NodeID)
 	for _, mv := range moves {
@@ -104,10 +106,13 @@ func (s *Store) Resequence(dropNodes []NodeID, moves []NodeMove, dropEdges []Edg
 	return nodeMap
 }
 
-// remapIRIs takes the iri index through the node id map. The index cannot
-// forget a key, so when a node it holds was dropped it is built again, first
-// node in id order first.
+// remapIRIs takes the iri index, which Resequence brought up to date first,
+// through the node id map: it keeps its registration order, which a rebuild
+// in the new id order would not when a node moved. The index cannot forget a
+// key, so when a node it holds was dropped it is built again, first node in
+// id order first.
 func (s *Store) remapIRIs(nodeMap []NodeID) {
+	defer s.nodesIndexed.Store(int64(s.nodes.Len()))
 	type entry struct {
 		iri string
 		id  NodeID
@@ -167,29 +172,6 @@ func (s *Store) newNodeIDs(dropNodes []NodeID, moves []NodeMove) []NodeID {
 		}
 	}
 	return nodeMap
-}
-
-// remapAdjacency rebuilds an adjacency table under new node and edge ids. The
-// lists are carved, without spare capacity, out of one array: nothing is
-// shared with the old table, whoever else reads it.
-func remapAdjacency(old *cow.Lists[EdgeID], nodeMap []NodeID, edgeMap []EdgeID, nEdges int) cow.Lists[EdgeID] {
-	var lists cow.Lists[EdgeID]
-	slab := make([]EdgeID, 0, nEdges)
-	for i := old.Next(0); i >= 0; i = old.Next(i + 1) {
-		if nodeMap[i] == NoNode {
-			continue
-		}
-		start := len(slab)
-		for _, e := range old.At(i) {
-			if id := edgeMap[e]; id != noEdge {
-				slab = append(slab, id)
-			}
-		}
-		if len(slab) > start {
-			lists.Set(int(nodeMap[i]), slab[start:len(slab):len(slab)])
-		}
-	}
-	return lists
 }
 
 // remapIDs rewrites an id list through idMap, leaving out the ids mapped to

@@ -133,7 +133,9 @@ func TestQmixAllocBudget(t *testing.T) {
 // TestApproxStoreBytesTracksHeap: the estimate the snapshot cache evicts on is
 // within 30 % of what a store costs the heap. The store measured is the qmix
 // store loaded from its export — how a finished job's snapshot reaches the
-// cache, and the one way to have a store share no string with a graph.
+// cache, and the one way to have a store share no string with a graph — and
+// then read once, which builds its adjacency and iri index, as the first
+// query of a cached snapshot does.
 func TestApproxStoreBytesTracksHeap(t *testing.T) {
 	snap, _ := qmix(t)
 	var nodes, edges bytes.Buffer
@@ -152,6 +154,8 @@ func TestApproxStoreBytesTracksHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	store.Out(0)
+	store.IRIUnique()
 	measured := heap() - before
 	runtime.KeepAlive(&nodes) // or the export's death would count as the store's saving
 	runtime.KeepAlive(&edges)
