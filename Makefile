@@ -27,12 +27,15 @@ bench-layers:
 # ingest, parallel F_dt and export), and everything a live graph's writer
 # shares with its snapshots' readers (cow containers, the dictionary's term
 # index, store, query executor and both engines, serving tier, daemon).
-# verify and CI's fail-fast race step both call it.
+# verify and CI's fail-fast race step both call it. The parallel loader's
+# tests run ten times more: its three stages hand buffers to each other, and
+# the detector sees a race only in a schedule a run happens to take.
 RACE_PKGS = ./internal/obs ./internal/rio ./internal/rdf ./internal/core \
 	./internal/cow ./internal/pg ./internal/qexec ./internal/sparql \
 	./internal/cypher ./internal/serve ./internal/server
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -count=10 -run Parallel ./internal/rio
 
 # verify is the pre-commit gate: static checks, formatting, the race list,
 # the full test suite (including the corrupted-input corpus tests), and a

@@ -23,12 +23,12 @@ import (
 // not the CSV encoder.
 func TestOutOfCoreShedsGraphSameBytes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ingests and transforms 175 k triples twice")
+		t.Skip("ingests and transforms 262 k triples twice")
 	}
 	const budgetMB = 4
 	const budget = budgetMB << 20
 
-	g0 := datagen.Generate(datagen.Profiles()["XL"], 0.1, 1)
+	g0 := datagen.Generate(datagen.Profiles()["XL"], 0.15, 1)
 	var nt bytes.Buffer
 	if err := rio.WriteNTriples(&nt, g0); err != nil {
 		t.Fatal(err)

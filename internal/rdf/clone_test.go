@@ -3,6 +3,8 @@ package rdf
 import (
 	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -66,6 +68,7 @@ func TestCloneContract(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { cloneContract(t, seed) })
 	}
+	t.Run("bytes", cloneBytesIsolation)
 }
 
 func cloneContract(t *testing.T, seed int64) {
@@ -224,4 +227,159 @@ func cloneContract(t *testing.T, seed int64) {
 	if len(fam) < 4 {
 		t.Fatalf("only %d family members: the schedule never cloned a clone", len(fam))
 	}
+}
+
+func mustLookup(t *testing.T, g *Graph, tm Term) TermID {
+	t.Helper()
+	id, ok := g.Dict().Lookup(tm)
+	if !ok {
+		t.Fatalf("%v is not interned", tm)
+	}
+	return id
+}
+
+// addScribbled is AddBytes of tr from buffers it overwrites once the call
+// returns: whatever the graph keeps of the terms, it must have copied.
+func addScribbled(g *Graph, tr Triple) bool {
+	var tb [3]TermBytes
+	for i, tm := range [3]Term{tr.S, tr.P, tr.O} {
+		tb[i] = TermBytes{Kind: tm.Kind, Value: []byte(tm.Value), Datatype: []byte(tm.Datatype), Lang: []byte(tm.Lang)}
+	}
+	added := g.AddBytes(&tb[0], &tb[1], &tb[2])
+	for i := range tb {
+		for _, b := range [][]byte{tb[i].Value, tb[i].Datatype, tb[i].Lang} {
+			for j := range b {
+				b[j] = '#'
+			}
+		}
+	}
+	return added
+}
+
+// cloneBytesIsolation: terms admitted from bytes live in the dictionary's
+// chunks, and Term hands out strings that alias them. After a Clone of a
+// bytes-loaded graph, both sides AddBytes new typed and language-tagged
+// terms — filling the chunk room the original kept, opening chunks of their
+// own, and some values too long to share a chunk — while readers decode the
+// clone, then each side's terms, names included, on the other side; then the
+// original spills, dropping its chunks. Every term either side returned
+// before, and every term each side holds, must read back unchanged, and
+// neither side may see the other's new terms until it adds them.
+func cloneBytesIsolation(t *testing.T) {
+	term := func(side string, i int) Term {
+		switch i % 5 {
+		case 0:
+			return NewTypedLiteral(fmt.Sprintf("%s typed %d", side, i), fmt.Sprintf("http://example.org/dt/%s%d", side, i%7))
+		case 1:
+			return NewLangLiteral(fmt.Sprintf("%s tagged %d", side, i), fmt.Sprintf("x-%s%d", side, i%5))
+		case 2:
+			return NewLiteral(side + strings.Repeat("v", i%3*bigValue/2)) // up to past bigValue
+		default:
+			return NewIRI(fmt.Sprintf("http://example.org/%s/%d", side, i))
+		}
+	}
+	triple := func(side string, i int) Triple {
+		return NewTriple(NewIRI(fmt.Sprintf("http://example.org/s%d", i%17)), NewIRI(fmt.Sprintf("http://example.org/p%d", i%3)), term(side, i))
+	}
+	// decode returns every term of g's dictionary: held aliases the chunks,
+	// want is a private copy of the same strings.
+	decode := func(g *Graph) (held, want []Term) {
+		for id := 0; id < g.Dict().Len(); id++ {
+			tm := g.Dict().Term(TermID(id))
+			held = append(held, tm)
+			want = append(want, Term{Kind: tm.Kind, Value: strings.Clone(tm.Value), Datatype: strings.Clone(tm.Datatype), Lang: strings.Clone(tm.Lang)})
+		}
+		return held, want
+	}
+	requireTerms := func(what string, g *Graph, held, want []Term) {
+		t.Helper()
+		for id, w := range want {
+			if got := g.Dict().Term(TermID(id)); got != w {
+				t.Fatalf("%s: term %d reads %v, want %v", what, id, got, w)
+			}
+			if held[id] != w {
+				t.Fatalf("%s: term %d decoded before now reads %v, want %v", what, id, held[id], w)
+			}
+		}
+	}
+
+	g := NewGraph()
+	for i := 0; i < 400; i++ {
+		addScribbled(g, triple("base", i))
+	}
+	held, want := decode(g)
+	c := g.Clone()
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() { // a snapshot's reader, beside the writers
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for id := range want {
+				if c.Dict().Term(TermID(id)) != want[id] {
+					panic(fmt.Sprintf("clone term %d changed under a reader", id))
+				}
+			}
+		}
+	}()
+	for i := 0; i < 400; i++ {
+		addScribbled(g, triple("orig", i))
+	}
+	close(stop)
+	wg.Wait()
+	for i := 0; i < 400; i++ {
+		addScribbled(c, triple("clone", i))
+	}
+	requireTerms("original", g, held, want)
+	requireTerms("clone", c, held, want)
+	gHeld, gWant := decode(g)
+	cHeld, cWant := decode(c)
+
+	for _, side := range [...]struct {
+		name        string
+		g           *Graph
+		own, others string
+	}{{"original", g, "orig", "clone"}, {"clone", c, "clone", "orig"}} {
+		for i := 0; i < 400; i++ {
+			own, other := term(side.own, i), term(side.others, i)
+			if id, ok := side.g.Dict().Lookup(own); !ok || side.g.Dict().Term(id) != own {
+				t.Fatalf("%s: its own term %v reads %d,%v", side.name, own, id, ok)
+			}
+			if id, ok := side.g.Dict().Lookup(other); ok {
+				t.Fatalf("%s: holds the other side's term %v as %d", side.name, other, id)
+			}
+		}
+	}
+	// Then each side takes the other's terms, datatypes and tags included,
+	// as names of its own.
+	for _, side := range [...]struct {
+		name   string
+		g      *Graph
+		others string
+	}{{"original", g, "clone"}, {"clone", c, "orig"}} {
+		for i := 0; i < 400; i++ {
+			addScribbled(side.g, triple(side.others, i))
+		}
+		for i := 0; i < 400; i++ {
+			if tm := term(side.others, i); side.g.Dict().Term(mustLookup(t, side.g, tm)) != tm {
+				t.Fatalf("%s: the other side's term %v reads %v", side.name, tm, side.g.Dict().Term(mustLookup(t, side.g, tm)))
+			}
+		}
+	}
+	requireTerms("original", g, gHeld, gWant)
+	requireTerms("clone", c, cHeld, cWant)
+	gHeld, gWant = decode(g)
+	cHeld, cWant = decode(c)
+
+	if err := g.Spill(t.TempDir(), nil); err != nil {
+		t.Fatal(err)
+	}
+	requireTerms("spilled original", g, gHeld, gWant)
+	requireTerms("clone after the original spilled", c, cHeld, cWant)
 }

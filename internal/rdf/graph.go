@@ -22,117 +22,6 @@ var (
 	cIndexEntries = obs.Default.Counter("rdf.graph.index_entries")
 )
 
-// TermID is a dense dictionary id for an interned term.
-type TermID uint32
-
-// noID marks an absent dictionary entry.
-const noID = ^TermID(0)
-
-// Dict interns RDF terms to dense ids. A Dict may be shared between graphs
-// (for example between two snapshots of an evolving KG) so that ids are
-// comparable across them.
-//
-// A spilled dictionary (see Graph.Spill) keeps ids [0, base) in the spill's
-// segment files and only terms interned afterwards in the resident tail; id
-// assignment is identical either way.
-type Dict struct {
-	idx   termIndex  // resident tail: term → position in terms
-	terms []Term     // resident tail: ids [base, base+len); append-only
-	arena *termArena // disk-backed ids [0, base); nil when unspilled
-	base  TermID     // arena term count; 0 when unspilled
-	// names holds the datatype IRIs and language tags that terms interned
-	// from bytes carry, one string each: they repeat on every typed or
-	// tagged literal.
-	names map[string]string
-}
-
-// NewDict returns an empty dictionary.
-func NewDict() *Dict { return &Dict{} }
-
-// clone returns a dictionary with the same id assignments that either side
-// may keep interning into: the term slice is shared (the clone's capacity
-// clipped, so only d appends in place), the hash index as termIndex.share
-// says, the arena as the immutable value it is.
-func (d *Dict) clone() *Dict {
-	if d.arena != nil {
-		d.arena.shared = true
-	}
-	n := len(d.terms)
-	return &Dict{idx: d.idx.share(), terms: d.terms[:n:n], arena: d.arena, base: d.base}
-}
-
-// grow reserves room for n more terms.
-func (d *Dict) grow(n int) {
-	d.idx.grow(n)
-	d.terms = slices.Grow(d.terms, n)
-}
-
-// Intern returns the id for the term, assigning a fresh one if necessary.
-// The term is hashed once: a miss inserts where the lookup ended.
-func (d *Dict) Intern(t Term) TermID { return intern(d, keyOf(&t)) }
-
-// intern is Intern for either key form. Only a miss in both the resident
-// index and the spilled arena stores a term, and only then is a key over
-// borrowed bytes copied.
-func intern[S string | []byte](d *Dict, k *termKey[S]) TermID {
-	h := k.hash()
-	slot, pos, ok := find(&d.idx, h, k, d.terms)
-	if ok {
-		return d.base + TermID(pos)
-	}
-	if d.arena != nil {
-		if id, ok := arenaLookup(d.arena, k); ok {
-			return id
-		}
-	}
-	d.idx.insert(slot, h, len(d.terms))
-	d.terms = append(d.terms, Term{Kind: k.Kind, Value: string(k.Value), Datatype: name(d, k.Datatype), Lang: name(d, k.Lang)})
-	cDictTerms.Inc()
-	return d.base + TermID(len(d.terms)-1)
-}
-
-// name returns s as a string: s itself when it is one, else the copy of
-// these bytes the dictionary holds in names, made on first use.
-func name[S string | []byte](d *Dict, s S) string {
-	b, ok := any(s).([]byte)
-	if !ok || len(b) == 0 {
-		return string(s)
-	}
-	if n, ok := d.names[string(b)]; ok {
-		return n
-	}
-	if d.names == nil {
-		d.names = make(map[string]string)
-	}
-	n := string(b)
-	d.names[n] = n
-	return n
-}
-
-// Lookup returns the id for the term and whether it is interned.
-func (d *Dict) Lookup(t Term) (TermID, bool) {
-	k := keyOf(&t)
-	if _, pos, ok := find(&d.idx, k.hash(), k, d.terms); ok {
-		return d.base + TermID(pos), true
-	}
-	if d.arena != nil {
-		return arenaLookup(d.arena, k)
-	}
-	return 0, false
-}
-
-// Term returns the term for an id. It panics on an out-of-range id,
-// which always indicates a bug (ids are only produced by Intern).
-func (d *Dict) Term(id TermID) Term {
-	if d.arena != nil && id < d.base {
-		return d.arena.term(id)
-	}
-	return d.terms[id-d.base]
-}
-
-// Len returns the number of interned terms.
-func (d *Dict) Len() int { return int(d.base) + len(d.terms) }
-
 // encTriple is a dictionary-encoded triple: 12 bytes, comparable.
 type encTriple struct {
 	s, p, o TermID
@@ -502,10 +391,25 @@ func shortest(s, p, o []int32) []int32 {
 // Grow reserves room for n more triples, so that adding them regrows neither
 // the triple log, the tombstones, the duplicate index nor the dictionary. It
 // is a hint from a loader that knows how much input is coming: a graph that
-// receives more, fewer or no triples afterwards behaves the same. The
-// dictionary is sized for one new term every other triple — knowledge graphs
-// sit on either side of that, and its index costs 16 bytes per reserved term.
+// receives more, fewer or no triples afterwards behaves the same. It is
+// GrowDict and GrowLog, the reservations of AddBytes's two halves.
 func (g *Graph) Grow(n int) {
+	g.GrowDict(n)
+	g.GrowLog(n)
+}
+
+// GrowDict is Grow's reservation for InternBytes: the dictionary, sized for
+// one new term every other triple — knowledge graphs sit on either side of
+// that, and its index costs 16 bytes per reserved term.
+func (g *Graph) GrowDict(n int) {
+	if n > 0 {
+		g.dict.grow(n / 2)
+	}
+}
+
+// GrowLog is Grow's reservation for AdmitEncoded: the triple log, the
+// tombstones and the duplicate index.
+func (g *Graph) GrowLog(n int) {
 	if n <= 0 {
 		return
 	}
@@ -515,7 +419,6 @@ func (g *Graph) Grow(n int) {
 	if cap(g.dead)-len(g.dead) < n {
 		g.dead, g.deadShared = slices.Grow(g.dead, n), false // a fresh array is private
 	}
-	g.dict.grow(n / 2)
 }
 
 // Add inserts a triple, returning false if it was already present.
@@ -524,7 +427,7 @@ func (g *Graph) Add(t Triple) bool {
 	if !t.Valid() {
 		panic(fmt.Sprintf("rdf: invalid triple %v", t))
 	}
-	return add(g, keyOf(&t.S), keyOf(&t.P), keyOf(&t.O))
+	return g.AdmitEncoded(encode(g, keyOf(&t.S), keyOf(&t.P), keyOf(&t.O)))
 }
 
 // AddBytes is Add for a statement whose terms are read straight out of a
@@ -533,26 +436,48 @@ func (g *Graph) Add(t Triple) bool {
 // without building a string, and only a new term's bytes are copied. The
 // terms are passed by pointer only to spare the copies; AddBytes neither
 // writes nor keeps them. It panics when the kinds cannot form a triple.
+//
+// AddBytes is AdmitEncoded(InternBytes(s, p, o)).
 func (g *Graph) AddBytes(s, p, o *TermBytes) bool {
+	return g.AdmitEncoded(g.InternBytes(s, p, o))
+}
+
+// EncTriple is a statement as dictionary ids: what InternBytes hands to
+// AdmitEncoded.
+type EncTriple = encTriple
+
+// InternBytes is AddBytes's first half: it resolves the statement's terms to
+// ids, interning the ones the dictionary lacks, and admits nothing. It writes
+// the dictionary and the graph's memory of recent terms, and nothing
+// AdmitEncoded or GrowLog reads or writes, so one goroutine may run
+// InternBytes and GrowDict while another runs AdmitEncoded and GrowLog on the
+// same graph; no other method may run meanwhile. It panics when the kinds
+// cannot form a triple.
+func (g *Graph) InternBytes(s, p, o *TermBytes) EncTriple {
 	if !validKinds(s.Kind, p.Kind, o.Kind) {
 		panic(fmt.Sprintf("rdf: invalid statement of kinds %v %v %v", s.Kind, p.Kind, o.Kind))
 	}
-	return add(g, bytesKey(s), bytesKey(p), bytesKey(o))
+	return encode(g, bytesKey(s), bytesKey(p), bytesKey(o))
 }
 
-func add[S string | []byte](g *Graph, s, p, o *termKey[S]) bool {
+// encode resolves a statement's terms to ids, the subject and the predicate
+// through the recent-term memory.
+func encode[S string | []byte](g *Graph, s, p, o *termKey[S]) encTriple {
 	r := g.recent
 	if r == nil {
 		r = new(recentTerms)
 		g.recent = r
 	}
-	return g.addEnc(encTriple{recall(&r.s, g.dict, s), recall(predicateSlot(r, p), g.dict, p), intern(g.dict, o)})
+	return encTriple{recall(&r.s, g.dict, s), recall(predicateSlot(r, p), g.dict, p), intern(g.dict, o)}
 }
 
-// addEnc admits e unless it is live already. Admission writes the triple log,
-// the tombstones and the duplicate index; the posting lists catch up on the
-// next read.
-func (g *Graph) addEnc(e encTriple) bool {
+// AdmitEncoded is AddBytes's second half: it admits the statement
+// InternBytes encoded unless it is live already, returning whether it did.
+// It writes the triple log, the tombstones and the duplicate index only; the
+// posting lists catch up on the next read. Statements must be admitted in
+// the order they were encoded for the graph to be the one AddBytes would
+// have built.
+func (g *Graph) AdmitEncoded(e EncTriple) bool {
 	g.ownPresent()
 	h := e.hash()
 	slot, _, ok := findTriple(g.present, h, e, g.triples)
@@ -623,7 +548,11 @@ func (g *Graph) Has(t Triple) bool {
 
 // decode turns an encoded triple back into terms.
 func (g *Graph) decode(e encTriple) Triple {
-	return Triple{S: g.dict.Term(e.s), P: g.dict.Term(e.p), O: g.dict.Term(e.o)}
+	d := g.dict
+	if min(e.s, e.p, e.o) >= d.base { // resident: Dict.resident inlines, Term does not
+		return Triple{S: d.resident(e.s), P: d.resident(e.p), O: d.resident(e.o)}
+	}
+	return Triple{S: d.Term(e.s), P: d.Term(e.p), O: d.Term(e.o)}
 }
 
 // ForEach calls fn for every live triple until fn returns false.

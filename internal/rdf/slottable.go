@@ -2,7 +2,7 @@ package rdf
 
 // slotTable is an open-addressing hash table of positions: linear probing, a
 // slot holding 32 bits of an entry's hash and the entry's position in a
-// slice the table's user keeps (Dict.terms for the dictionary's term index,
+// slice the table's user keeps (Dict.recs for the dictionary's term index,
 // Graph.triples for the duplicate index). The entry itself is not stored a
 // second time — a candidate slot is confirmed against that slice — so a slot
 // is 8 bytes whatever the entry, a lookup hashes once, and a miss can be

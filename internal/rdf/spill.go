@@ -501,7 +501,7 @@ func (g *Graph) writeSegment(w io.Writer, sg *segment, folded []*segment) (int64
 			if id < d.base {
 				payload = append(payload, d.arena.record(id)...)
 			} else {
-				payload = appendTermRecord(payload, d.terms[id-d.base])
+				payload = appendTermRecord(payload, d.Term(id))
 			}
 		}
 		off, err := fw.frame(payload)
@@ -647,15 +647,16 @@ func (g *Graph) Spill(dir string, fsys ckpt.FS) error {
 	if d.arena != nil {
 		arena.hash, arena.over = d.arena.handOffIndex()
 	} else {
-		arena.hash, arena.over = make(map[uint64]TermID, len(d.terms)), make(map[uint64][]TermID)
+		arena.hash, arena.over = make(map[uint64]TermID, len(d.recs)), make(map[uint64][]TermID)
 	}
-	for i := range d.terms {
-		arena.addHash(keyOf(&d.terms[i]).hash64(), d.base+TermID(i))
+	for id := d.base; id < sg.t1; id++ {
+		t := d.Term(id)
+		arena.addHash(keyOf(&t).hash64(), id)
 	}
 	d.arena = arena
 	d.base = sg.t1
 	d.idx = termIndex{}
-	d.terms = nil
+	d.recs, d.chunks, d.room = nil, [][]byte{nil}, nil
 	g.spill = newGraphSpill(dir, segs, sg.s1, dead)
 	g.triples = nil
 	g.dead = nil

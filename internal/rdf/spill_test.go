@@ -708,9 +708,10 @@ func (noSyncFS) SyncDir(string) error { return nil }
 // FuzzSpillSchedule interleaves Add, Remove, Spill, Clone, TruncateFrom,
 // Unremove of the last removed slot and Match reads on one graph, two bytes an
 // operation, and holds it — and every clone taken on the way, whatever was
-// spilled, folded and unlinked after it — to a twin that never spilled. The
-// first byte's low four bits pick the operation; 0-7 mean what they meant
-// before the last three operations existed.
+// spilled, folded and unlinked after it — to a twin that never spilled and
+// admits through Add only. The first byte's low four bits pick the
+// operation; 0-7 mean what they meant before the last three operations
+// existed, except that the odd adds go through AddBytes.
 func FuzzSpillSchedule(f *testing.F) {
 	f.Add([]byte("\x00\x01\x00\x12\x06\x00\x00\x23\x04\x01\x07\x00\x06\x00\x00\x01\x06\x00"))
 	var folding []byte // ten spills with a clone held across the fold
@@ -752,9 +753,15 @@ func FuzzSpillSchedule(f *testing.F) {
 		removedAt := int32(-1)
 		for i := 0; i+1 < len(ops); i += 2 {
 			switch tr := triple(ops[i+1]); ops[i] & 15 {
-			case 0, 1, 2, 3:
+			case 0, 2:
 				if got.Add(tr) != want.Add(tr) {
 					t.Fatalf("op %d: Add(%v) differs from the resident twin", i/2, tr)
+				}
+			case 1, 3:
+				// From bytes: the graph's terms live in its dictionary's
+				// chunks, which Spill drops and Clone shares.
+				if addScribbled(got, tr) != want.Add(tr) {
+					t.Fatalf("op %d: AddBytes(%v) differs from the resident twin", i/2, tr)
 				}
 			case 4, 5:
 				slot, _ := want.IndexOf(tr)

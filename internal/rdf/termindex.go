@@ -13,11 +13,11 @@ import (
 var cIndexFolds = obs.Default.Counter("rdf.dict.index_folds")
 
 // termIndex is the dictionary's hash index, slotTables over the resident
-// terms, each slot confirmed against Dict.terms. Like cow.Map it is insert-only
+// terms, each slot confirmed against Dict.recs. Like cow.Map it is insert-only
 // and split in two so that a Clone does not walk it: an immutable base shared
 // by all clones plus a private overlay holding the terms interned since.
 // Until its first Clone the overlay is the whole index. Both tables store
-// positions in the same terms slice (a clone's view of it is clipped, never
+// positions in the same recs slice (a clone's view of it is clipped, never
 // renumbered).
 type termIndex struct {
 	base *slotTable // shared; never written once a clone holds it
@@ -67,9 +67,10 @@ func (k *termKey[S]) hash() uint32 {
 	return uint32((h * 0x9E3779B97F4A7C15) >> 32)
 }
 
-// is reports whether the key is the term t.
-func (k *termKey[S]) is(t *Term) bool {
-	return k.Kind == t.Kind && string(k.Value) == t.Value && string(k.Datatype) == t.Datatype && string(k.Lang) == t.Lang
+// is reports whether the key is the resident term r of d.
+func (k *termKey[S]) is(d *Dict, r *termRec) bool {
+	return k.Kind == r.kind && string(k.Value) == string(d.value(r)) &&
+		string(k.Datatype) == d.names[r.dt] && string(k.Lang) == d.names[r.lang]
 }
 
 // matches reports whether the key is the term r holds the bytes of.
@@ -78,9 +79,9 @@ func (k *termKey[S]) matches(r *termKey[[]byte]) bool {
 		string(k.Datatype) == string(r.Datatype) && string(k.Lang) == string(r.Lang)
 }
 
-// findIn looks k up among terms. When k is absent, slot is where insert
-// would put it (valid until the next insert or grow).
-func findIn[S string | []byte](tt *slotTable, h uint32, k *termKey[S], terms []Term) (slot, pos int, ok bool) {
+// findIn looks k up among d's resident terms. When k is absent, slot is
+// where insert would put it (valid until the next insert or grow).
+func findIn[S string | []byte](tt *slotTable, h uint32, k *termKey[S], d *Dict) (slot, pos int, ok bool) {
 	if len(tt.slots) == 0 {
 		return 0, 0, false
 	}
@@ -91,7 +92,7 @@ func findIn[S string | []byte](tt *slotTable, h uint32, k *termKey[S], terms []T
 			return i, 0, false
 		}
 		if uint32(s>>32) == h {
-			if pos := int(uint32(s)) - 1; k.is(&terms[pos]) {
+			if pos := int(uint32(s)) - 1; k.is(d, &d.recs[pos]) {
 				return i, pos, true
 			}
 		}
@@ -106,13 +107,13 @@ func (x *termIndex) len() int {
 }
 
 // find is findIn over both tables; slot belongs to the overlay.
-func find[S string | []byte](x *termIndex, h uint32, k *termKey[S], terms []Term) (slot, pos int, ok bool) {
+func find[S string | []byte](x *termIndex, h uint32, k *termKey[S], d *Dict) (slot, pos int, ok bool) {
 	if x.base != nil {
-		if _, pos, ok := findIn(x.base, h, k, terms); ok {
+		if _, pos, ok := findIn(x.base, h, k, d); ok {
 			return 0, pos, true
 		}
 	}
-	return findIn(&x.over, h, k, terms)
+	return findIn(&x.over, h, k, d)
 }
 
 func (x *termIndex) insert(slot int, h uint32, pos int) { x.over.insert(slot, h, pos) }

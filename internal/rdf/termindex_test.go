@@ -143,7 +143,7 @@ func TestDictGrow(t *testing.T) {
 		want[i], _ = d.Lookup(tm)
 	}
 	d.grow(4000)
-	slots, capTerms := len(d.idx.over.slots), cap(d.terms)
+	slots, capTerms := len(d.idx.over.slots), cap(d.recs)
 	for i, tm := range terms[:500] {
 		if got, ok := d.Lookup(tm); !ok || got != want[i] {
 			t.Fatalf("%v: id %d,%v after grow, want %d", tm, got, ok, want[i])
@@ -152,9 +152,47 @@ func TestDictGrow(t *testing.T) {
 	for _, tm := range terms {
 		d.Intern(tm)
 	}
-	if len(d.idx.over.slots) != slots || cap(d.terms) != capTerms {
+	if len(d.idx.over.slots) != slots || cap(d.recs) != capTerms {
 		t.Fatalf("interning %d terms into room for 4000 more regrew: slots %d→%d, terms cap %d→%d",
-			d.Len(), slots, len(d.idx.over.slots), capTerms, cap(d.terms))
+			d.Len(), slots, len(d.idx.over.slots), capTerms, cap(d.recs))
+	}
+}
+
+// TestDictEmptyValues: a term whose value is empty, met from a string or
+// from bytes, reads back from a fresh graph, a clone of an empty one and a
+// spilled one — dictionaries with no chunk for it to lie in.
+func TestDictEmptyValues(t *testing.T) {
+	spilled := NewGraph()
+	spilled.Add(NewTriple(ex("s"), ex("p"), ex("o")))
+	if err := spilled.Spill(t.TempDir(), nil); err != nil {
+		t.Fatal(err)
+	}
+	empty := []Term{NewLiteral(""), NewTypedLiteral("", XSDInteger), NewLangLiteral("", "en"), NewIRI("")}
+	for _, c := range []struct {
+		name string
+		g    func() *Graph
+	}{
+		{"fresh", NewGraph},
+		{"clone_of_empty", func() *Graph { return NewGraph().Clone() }},
+		{"spilled", func() *Graph { return spilled.Clone() }},
+	} {
+		for _, bytesFirst := range []bool{false, true} {
+			g := c.g()
+			for _, tm := range empty {
+				tr := NewTriple(NewIRI(""), NewIRI(""), tm)
+				if bytesFirst {
+					addScribbled(g, tr)
+				} else {
+					g.Add(tr)
+				}
+				if id, ok := g.Dict().Lookup(tm); !ok || g.Dict().Term(id) != tm {
+					t.Fatalf("%s (bytes first %v): %v reads %d,%v as %v", c.name, bytesFirst, tm, id, ok, g.Dict().Term(id))
+				}
+			}
+			if !g.Has(NewTriple(NewIRI(""), NewIRI(""), NewLiteral(""))) {
+				t.Fatalf("%s (bytes first %v): the statement of empty terms is missing", c.name, bytesFirst)
+			}
+		}
 	}
 }
 

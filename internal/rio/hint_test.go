@@ -71,10 +71,10 @@ func TestLoadNTriplesHintIsInvisible(t *testing.T) {
 }
 
 // TestLoadNTriplesHintedAllocs guards the sized load: once the hint is taken
-// nothing the graph owns grows again, so what is left per triple is the
-// strings of the terms it introduces. A regrowth is few allocations but many
-// bytes, so the unsized load of the same document is held against it in
-// bytes.
+// nothing the graph owns grows again, and a term it introduces is copied into
+// the dictionary's chunks rather than made a string, so next to nothing is
+// allocated per triple. A regrowth is few allocations but many bytes, so the
+// unsized load of the same document is held against it in bytes.
 func TestLoadNTriplesHintedAllocs(t *testing.T) {
 	doc, triples := hintDocument(t)
 	load := func(r func() io.Reader) (allocs, bytes float64) {
@@ -93,8 +93,8 @@ func TestLoadNTriplesHintedAllocs(t *testing.T) {
 	allocs, hinted := load(func() io.Reader { return bytes.NewReader(doc) })
 	_, plain := load(func() io.Reader { return opaque{bytes.NewReader(doc)} })
 	t.Logf("hinted: %.2f allocs and %.0f bytes per triple; unsized: %.0f bytes", allocs, hinted, plain)
-	if allocs > 1.0 {
-		t.Fatalf("hinted LoadNTriples allocates %.2f times per triple, want <= 1.0", allocs)
+	if allocs > 0.1 {
+		t.Fatalf("hinted LoadNTriples allocates %.2f times per triple, want <= 0.1", allocs)
 	}
 	if hinted > 0.85*plain {
 		t.Fatalf("hinted load allocates %.0f bytes per triple, the unsized load %.0f: something still regrows", hinted, plain)

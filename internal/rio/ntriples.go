@@ -175,6 +175,12 @@ func admit(g *rdf.Graph, st *ntStatement[[]byte]) {
 	g.AddBytes((*rdf.TermBytes)(&st[0]), (*rdf.TermBytes)(&st[1]), (*rdf.TermBytes)(&st[2]))
 }
 
+// internStatement is admit's first half (Graph.InternBytes): the statement's
+// ids in g's dictionary, for the parallel loader's log stage to admit.
+func internStatement(g *rdf.Graph, st *ntStatement[[]byte]) rdf.EncTriple {
+	return g.InternBytes((*rdf.TermBytes)(&st[0]), (*rdf.TermBytes)(&st[1]), (*rdf.TermBytes)(&st[2]))
+}
+
 // ntParser is the N-Triples line grammar, the only one in the package: every
 // reader and loader parses through it.
 type ntParser[S bytestring] struct {

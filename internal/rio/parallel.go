@@ -25,9 +25,10 @@ const (
 	// window's triple buffers stay around a megabyte.
 	ntBlockSize = 128 << 10
 	// ntLookAhead bounds the blocks that exist at once — being parsed, parsed
-	// and waiting, or being admitted — whatever the input size and the worker
-	// count. Admission is one goroutine, so parsers beyond a handful only
-	// queue up behind it.
+	// and waiting, or being interned — whatever the input size and the worker
+	// count, and likewise the blocks of ids between the two in-order stages.
+	// Admission is two goroutines, so parsers beyond a handful only queue up
+	// behind it.
 	ntLookAhead = 4
 )
 
@@ -49,7 +50,7 @@ type ntBlock struct {
 }
 
 // ntBuffers is what a block's statements point into, and the statements. A
-// block owns its buffers until it is admitted; then they pass to a block
+// block owns its buffers until it is interned; then they pass to a block
 // handed out later.
 type ntBuffers struct {
 	text    []byte // the input bytes read for the block
@@ -57,31 +58,48 @@ type ntBuffers struct {
 	stmts   []ntStatement[[]byte]
 }
 
+// idBlock is a block's statements as ids, on their way from the dictionary
+// stage to the log stage.
+type idBlock struct {
+	ids  []rdf.EncTriple
+	grow int // the GrowLog hint to apply after the block (block 0 only)
+}
+
+// testHookAdmit, when set, is called by the log stage before it admits block
+// k: tests use it to hold that stage back and to see when it runs.
+var testHookAdmit func(k int)
+
 // LoadNTriplesParallel parses an N-Triples document of the given size from r
 // and returns the loaded graph, parsing on up to the given number of workers.
 //
 // The input is cut into fixed-size blocks. The workers only parse: each turns
-// a block's lines into triples and parse errors. One in-order stage — the
-// calling goroutine — takes block k as soon as it is parsed, delivers its
-// lenient-mode errors through the sequential reader's error budget and admits
-// its triples with Graph.Add, while the workers parse the blocks after it.
-// Only that stage writes the dictionary and the graph, and it makes the calls
-// LoadNTriplesWith makes in the order LoadNTriplesWith makes them, so term
-// ids, admission order, posting lists and every error outcome (strict
-// *ParseError with its global line number, OnError sequence,
-// ErrTooManyErrors, I/O failure, cancellation) are those of LoadNTriplesWith
-// over the same bytes. At most ntLookAhead blocks are in memory at a time,
-// and a failure stops the workers within that window. workers <= 1 runs the
+// a block's lines into triples and parse errors. Admission is two in-order
+// stages, the halves of Graph.AddBytes. The dictionary stage — the calling
+// goroutine — takes block k as soon as it is parsed, delivers its
+// lenient-mode errors through the sequential reader's error budget and
+// resolves its statements to ids with Graph.InternBytes; the log stage, one
+// goroutine, admits block k-1's ids with Graph.AdmitEncoded meanwhile, while
+// the workers parse the blocks after k. Each stage is the only writer of its
+// half of the graph and makes the calls LoadNTriplesWith makes in the order
+// LoadNTriplesWith makes them, so term ids, admission order, posting lists
+// and every error outcome (strict *ParseError with its global line number,
+// OnError sequence, ErrTooManyErrors, I/O failure, cancellation) are those of
+// LoadNTriplesWith over the same bytes. At most ntLookAhead blocks are parsed
+// or being parsed at a time and at most ntLookAhead blocks of ids are between
+// the stages; a failure stops the workers within that window, and the load
+// returns only once the log stage has exited. workers <= 1 runs the
 // sequential loader unchanged.
 func LoadNTriplesParallel(ctx context.Context, r io.ReaderAt, size int64, opts Options, workers int) (*rdf.Graph, error) {
 	return LoadNTriplesParallelTraced(ctx, r, size, opts, workers, nil)
 }
 
-// LoadNTriplesParallelTraced is LoadNTriplesParallel recording its two
+// LoadNTriplesParallelTraced is LoadNTriplesParallel recording its three
 // overlapping stages as child spans of span (nil disables tracing): "parse"
-// (blocks, bytes, busy_ns summed over the workers) and "intern" (triples,
-// skipped, busy_ns, and wait_ns spent waiting for the next block — the stage
-// with no wait is the bottleneck).
+// (blocks, bytes, busy_ns summed over the workers), "intern" (triples,
+// skipped, busy_ns, and wait_ns spent waiting for the next parsed block or
+// for a free id buffer) and "admit" (triples, busy_ns, and wait_ns spent
+// waiting for the next block of ids). The stage with no wait is the
+// bottleneck.
 func LoadNTriplesParallelTraced(ctx context.Context, r io.ReaderAt, size int64, opts Options, workers int, span *obs.Span) (*rdf.Graph, error) {
 	if workers <= 1 {
 		return LoadNTriplesWith(ctx, io.NewSectionReader(r, 0, size), opts)
@@ -95,7 +113,7 @@ func loadNTriplesBlocks(ctx context.Context, r io.ReaderAt, size int64, opts Opt
 	start := time.Now()
 	nb := int((size + blockSize - 1) / blockSize)
 	cParRanges.Add(int64(nb))
-	parse, intern := span.StartSpan("parse"), span.StartSpan("intern")
+	parse, intern, admitSpan := span.StartSpan("parse"), span.StartSpan("intern"), span.StartSpan("admit")
 
 	// A lenient block buffers at most budget+1 errors: replaying that many
 	// from one block already exhausts the budget.
@@ -104,13 +122,13 @@ func loadNTriplesBlocks(ctx context.Context, r io.ReaderAt, size int64, opts Opt
 		capErrs = m + 1
 	}
 
-	// The in-order stage hands out block k+ntLookAhead-1 no earlier than it
+	// The dictionary stage hands out block k+ntLookAhead-1 no earlier than it
 	// takes block k, so a send on work never blocks and the parsers cannot run
 	// ahead of the window.
 	work := make(chan *ntBlock, ntLookAhead)
 	var (
 		wg        sync.WaitGroup
-		stop      atomic.Bool // set on return: blocks still queued are not parsed
+		stop      atomic.Bool // set on failure: blocks still queued are neither parsed nor admitted
 		parseBusy atomic.Int64
 		parsed    atomic.Int64 // bytes
 	)
@@ -132,10 +150,47 @@ func loadNTriplesBlocks(ctx context.Context, r io.ReaderAt, size int64, opts Opt
 	}
 
 	g := rdf.NewGraph()
+
+	// The log stage. At most ntLookAhead id buffers exist, so neither its
+	// input nor the free list it hands buffers back on ever blocks a send.
+	var (
+		toLog     = make(chan idBlock, ntLookAhead)
+		freeIDs   = make(chan []rdf.EncTriple, ntLookAhead)
+		logDone   = make(chan struct{})
+		admitted  int64
+		admitBusy time.Duration
+		admitWait time.Duration
+	)
+	go func() {
+		defer close(logDone)
+		for k := 0; ; k++ {
+			t0 := time.Now()
+			b, ok := <-toLog
+			t1 := time.Now()
+			admitWait += t1.Sub(t0)
+			if !ok {
+				return
+			}
+			if !stop.Load() {
+				if testHookAdmit != nil {
+					testHookAdmit(k)
+				}
+				for _, e := range b.ids {
+					g.AdmitEncoded(e)
+				}
+				g.GrowLog(b.grow)
+				admitted += int64(len(b.ids))
+			}
+			freeIDs <- b.ids[:0]
+			admitBusy += time.Since(t1)
+		}
+	}()
+
 	sink := errorSink{opts: &opts, counter: ntSkipped}
 	var (
 		window  [ntLookAhead]*ntBlock
-		spare   []ntBuffers // buffers of admitted blocks, for the blocks handed out next
+		spare   []ntBuffers // buffers of interned blocks, for the blocks handed out next
+		idBufs  int         // id buffers made
 		next    int         // first block not handed out yet
 		line    int         // lines in the blocks before the current one
 		triples int64
@@ -183,22 +238,37 @@ func loadNTriplesBlocks(ctx context.Context, r io.ReaderAt, size int64, opts Opt
 			if b.ioErr != nil {
 				return b.ioErr
 			}
-			for i := range b.stmts {
-				admit(g, &b.stmts[i])
+			var ids []rdf.EncTriple
+			if idBufs < ntLookAhead {
+				idBufs++
+				ids = make([]rdf.EncTriple, 0, len(b.stmts))
+			} else {
+				t0 := time.Now()
+				ids = <-freeIDs
+				wait += time.Since(t0)
 			}
+			for i := range b.stmts {
+				ids = append(ids, internStatement(g, &b.stmts[i]))
+			}
+			grow := 0
 			if k == 0 && b.bytes > 0 {
 				// The sequential loader's size hint, from the first block's
 				// bytes per statement instead of the first hintAfter lines'.
-				g.Grow(int((size - int64(b.bytes)) * int64(len(b.stmts)) / int64(b.bytes)))
+				grow = int((size - int64(b.bytes)) * int64(len(b.stmts)) / int64(b.bytes))
+				g.GrowDict(grow)
 			}
+			toLog <- idBlock{ids, grow}
 			triples += int64(len(b.stmts))
 			line += b.lines
 			spare = append(spare, ntBuffers{b.text[:0], b.scratch[:0], b.stmts[:0]})
 		}
 	}
 	err := inOrder()
-	stop.Store(true)
+	internEnd := time.Since(start)
+	stop.Store(err != nil)
+	close(toLog)
 	close(work)
+	<-logDone
 	wg.Wait()
 
 	elapsed := time.Since(start)
@@ -208,9 +278,13 @@ func loadNTriplesBlocks(ctx context.Context, r io.ReaderAt, size int64, opts Opt
 	parse.End()
 	intern.Count("triples", triples)
 	intern.Count("skipped", int64(sink.n))
-	intern.Count("busy_ns", int64(elapsed-wait))
+	intern.Count("busy_ns", int64(internEnd-wait))
 	intern.Count("wait_ns", int64(wait))
 	intern.End()
+	admitSpan.Count("triples", admitted)
+	admitSpan.Count("busy_ns", int64(admitBusy))
+	admitSpan.Count("wait_ns", int64(admitWait))
+	admitSpan.End()
 	ntMeter.Observe(triples, elapsed)
 	if err != nil {
 		return nil, err

@@ -283,7 +283,9 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // error, an exhausted error budget, a failed read, a cancelled context — ends
 // it within the look-ahead window of where it happened, not after the rest of
 // a multi-megabyte input has been read and parsed, and no goroutine of the
-// load outlives the call.
+// load outlives the call: the log stage, held back here so that it is busy
+// when the load fails, admits nothing once the call has returned, and the
+// goroutine count goes back to where it was.
 func TestLoadNTriplesParallelStopsEarly(t *testing.T) {
 	body := syntheticNT(60000) // ~5 MB, some twenty blocks
 	if len(body) < 2*ntLookAhead*ntBlockSize {
@@ -294,6 +296,10 @@ func TestLoadNTriplesParallelStopsEarly(t *testing.T) {
 	window := int64(ntLookAhead) * (ntBlockSize + ntBlockSize/32 + 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// A malformed line in the sixth block, once the log stage has work.
+	cut := strings.IndexByte(body[5*ntBlockSize:], '\n') + 5*ntBlockSize + 1
+	lateLine := strings.Count(body[:cut], "\n") + 1
+	late := body[:cut] + "garbage\n" + body[cut:]
 	cases := []struct {
 		name   string
 		src    string
@@ -311,6 +317,11 @@ func TestLoadNTriplesParallelStopsEarly(t *testing.T) {
 			}},
 		{name: "budget_exhausted_in_first_block", src: strings.Repeat("garbage\n", 10) + body, opts: Options{Lenient: true, MaxErrors: 3}, failAt: -1, within: window,
 			check: func(err error) bool { return errors.Is(err, ErrTooManyErrors) }},
+		{name: "strict_error_in_sixth_block", src: late, failAt: -1, within: 6*ntBlockSize + window,
+			check: func(err error) bool {
+				var pe *ParseError
+				return errors.As(err, &pe) && pe.Line == lateLine
+			}},
 		{name: "read_failure_in_first_block", src: body, failAt: 0, within: window,
 			check: func(err error) bool { return errors.Is(err, errInjectedRead) }},
 		{name: "cancelled_at_third_block", src: body, ctx: ctx, failAt: -1, within: 3*ntBlockSize + window,
@@ -329,7 +340,17 @@ func TestLoadNTriplesParallelStopsEarly(t *testing.T) {
 			if c == nil {
 				c = context.Background()
 			}
+			var returned atomic.Bool
+			var admittedLate atomic.Int64
+			testHookAdmit = func(int) {
+				time.Sleep(time.Millisecond)
+				if returned.Load() {
+					admittedLate.Add(1)
+				}
+			}
 			g, err := LoadNTriplesParallel(c, r, int64(len(tc.src)), tc.opts, 4)
+			returned.Store(true)
+			defer func() { testHookAdmit = nil }()
 			if g != nil || !tc.check(err) {
 				t.Fatalf("graph %v, err %v", g != nil, err)
 			}
@@ -345,46 +366,100 @@ func TestLoadNTriplesParallelStopsEarly(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
+			if n := admittedLate.Load(); n > 0 {
+				t.Fatalf("the log stage admitted %d blocks after the load returned", n)
+			}
 		})
 	}
 }
 
-// TestLoadNTriplesParallelLookAheadBound holds the in-order stage back (its
-// OnError hook dawdles) while parsing is as cheap as it gets, and checks on
-// every read that the parsers never work further ahead of the block being
-// delivered than the look-ahead window.
+// TestLoadNTriplesParallelLookAheadBound holds each stage back in turn and
+// checks the window it must not outrun. First the dictionary stage (its
+// OnError hook dawdles) while parsing is as cheap as it gets: on every read,
+// the parsers never work further ahead of the block being delivered than the
+// look-ahead window. Then the log stage (its test hook dawdles): whenever it
+// starts a block, the dictionary stage is no more blocks of ids ahead of it
+// than the look-ahead window either, because the id buffers are recycled
+// within it.
 func TestLoadNTriplesParallelLookAheadBound(t *testing.T) {
-	const (
-		lineLen   = 8
-		blockSize = 64 // eight lines exactly, so a line number names its block
-		blocks    = 300
-	)
-	src := strings.Repeat("garbage\n", blocks*blockSize/lineLen)
-	var delivering atomic.Int64 // block whose errors the in-order stage last delivered
-	var maxAhead atomic.Int64
-	r := &countingReaderAt{r: strings.NewReader(src), failAt: -1, onRead: func(off int64) {
-		ahead := (off+1)/blockSize - delivering.Load()
-		for {
-			m := maxAhead.Load()
-			if ahead <= m || maxAhead.CompareAndSwap(m, ahead) {
-				break
+	t.Run("parse", func(t *testing.T) {
+		const (
+			lineLen   = 8
+			blockSize = 64 // eight lines exactly, so a line number names its block
+			blocks    = 300
+		)
+		src := strings.Repeat("garbage\n", blocks*blockSize/lineLen)
+		var delivering atomic.Int64 // block whose errors the in-order stage last delivered
+		var maxAhead atomic.Int64
+		r := &countingReaderAt{r: strings.NewReader(src), failAt: -1, onRead: func(off int64) {
+			raiseTo(&maxAhead, (off+1)/blockSize-delivering.Load())
+		}}
+		opts := Options{Lenient: true, MaxErrors: -1, OnError: func(pe ParseError) {
+			delivering.Store(int64(pe.Line-1) * lineLen / blockSize)
+			if pe.Line%(blockSize/lineLen) == 1 {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}}
+		if _, err := loadNTriplesBlocks(context.Background(), r, int64(len(src)), opts, 8, nil, blockSize); err != nil {
+			t.Fatal(err)
+		}
+		// A read for block j happens once the stage has taken block j-lookAhead+1,
+		// that is, after it delivered block j-lookAhead.
+		if m := maxAhead.Load(); m > ntLookAhead {
+			t.Fatalf("a parser read %d blocks ahead of the in-order stage, look-ahead is %d", m, ntLookAhead)
+		} else if m < 1 {
+			t.Fatalf("parsers never ran ahead (max %d): the test exercised nothing", m)
+		}
+	})
+	t.Run("ids", func(t *testing.T) {
+		const (
+			lineLen   = 16
+			blockSize = 8 * lineLen // a malformed line, then seven statements
+			blocks    = 200
+		)
+		var b strings.Builder
+		for i := 0; i < blocks; i++ {
+			b.WriteString("garbage 0123456\n")
+			for j := 0; j < 7; j++ {
+				fmt.Fprintf(&b, "<s> <p> \"%03d\" .\n", (i*7+j)%1000)
 			}
 		}
-	}}
-	opts := Options{Lenient: true, MaxErrors: -1, OnError: func(pe ParseError) {
-		delivering.Store(int64(pe.Line-1) * lineLen / blockSize)
-		if pe.Line%(blockSize/lineLen) == 1 {
+		src := b.String()
+		var delivering atomic.Int64 // block the dictionary stage last took
+		var maxAhead atomic.Int64
+		testHookAdmit = func(k int) {
+			raiseTo(&maxAhead, delivering.Load()-int64(k))
 			time.Sleep(50 * time.Microsecond)
 		}
-	}}
-	if _, err := loadNTriplesBlocks(context.Background(), r, int64(len(src)), opts, 8, nil, blockSize); err != nil {
-		t.Fatal(err)
-	}
-	// A read for block j happens once the stage has taken block j-lookAhead+1,
-	// that is, after it delivered block j-lookAhead.
-	if m := maxAhead.Load(); m > ntLookAhead {
-		t.Fatalf("a parser read %d blocks ahead of the in-order stage, look-ahead is %d", m, ntLookAhead)
-	} else if m < 1 {
-		t.Fatalf("parsers never ran ahead (max %d): the test exercised nothing", m)
+		defer func() { testHookAdmit = nil }()
+		opts := Options{Lenient: true, MaxErrors: -1, OnError: func(pe ParseError) {
+			delivering.Store(int64(pe.Line-1) * lineLen / blockSize)
+		}}
+		g, err := loadNTriplesBlocks(context.Background(), strings.NewReader(src), int64(len(src)), opts, 2, nil, blockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Len() != 1000 {
+			t.Fatalf("loaded %d triples, want 1000", g.Len())
+		}
+		// The log stage holds block k's ids and at most ntLookAhead-1 blocks
+		// of ids wait behind it; the dictionary stage delivers a block's
+		// errors before it takes an id buffer for it, so it is at most
+		// ntLookAhead blocks ahead.
+		if m := maxAhead.Load(); m > ntLookAhead {
+			t.Fatalf("the dictionary stage ran %d blocks ahead of the log stage, look-ahead is %d", m, ntLookAhead)
+		} else if m < 2 {
+			t.Fatalf("the dictionary stage never ran ahead (max %d): the test exercised nothing", m)
+		}
+	})
+}
+
+// raiseTo lifts m to v when v is larger.
+func raiseTo(m *atomic.Int64, v int64) {
+	for {
+		old := m.Load()
+		if v <= old || m.CompareAndSwap(old, v) {
+			return
+		}
 	}
 }

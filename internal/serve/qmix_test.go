@@ -14,6 +14,7 @@ import (
 	"github.com/s3pg/s3pg/internal/exp"
 	"github.com/s3pg/s3pg/internal/pg"
 	"github.com/s3pg/s3pg/internal/rdf"
+	"github.com/s3pg/s3pg/internal/rio"
 	"github.com/s3pg/s3pg/internal/shapeex"
 )
 
@@ -128,6 +129,41 @@ func TestQmixAllocBudget(t *testing.T) {
 	if limit := uint64(39e6 / 4); round > limit {
 		t.Errorf("one round of the mix allocates %d bytes, want <= %d", round, limit)
 	}
+}
+
+// TestApproxGraphBytesTracksHeap: the graph half of a snapshot's cost is
+// within 30 % of what a graph costs the heap. The graph measured is the qmix
+// graph loaded from its N-Triples — the byte path every loader takes, so its
+// terms live in the dictionary's chunks and share no string with the export —
+// and then read once, which builds its posting lists, as the first query of a
+// cached snapshot does.
+func TestApproxGraphBytesTracksHeap(t *testing.T) {
+	snap, _ := qmix(t)
+	var nt bytes.Buffer
+	if err := rio.WriteNTriples(&nt, snap.Graph); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	g, err := rio.LoadNTriples(bytes.NewReader(nt.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.MatchCount(nil, &rdf.A, nil)
+	measured := heap() - before
+	runtime.KeepAlive(&nt) // or the export's death would count as the graph's saving
+	est := approxGraphBytes(g)
+	t.Logf("estimate %d B, measured %d B (%.2f), %d terms, %d triples", est, measured, float64(est)/float64(measured), g.Dict().Len(), g.Len())
+	if ratio := float64(est) / float64(measured); ratio < 0.7 || ratio > 1.3 {
+		t.Fatalf("approxGraphBytes = %d, the heap grew by %d: off by more than 30 %%", est, measured)
+	}
+	runtime.KeepAlive(g)
 }
 
 // TestApproxStoreBytesTracksHeap: the estimate the snapshot cache evicts on is

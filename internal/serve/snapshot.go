@@ -47,24 +47,24 @@ func (s *Snapshot) Bytes() int64 {
 	return s.cost
 }
 
-// approxGraphBytes estimates the heap cost of a dictionary-encoded RDF
-// graph: 12 bytes per encoded triple plus roughly 3 index entries, and the
-// dictionary's term strings with their headers.
+// approxGraphBytes estimates the heap cost of a dictionary-encoded RDF graph
+// that has been read once, from its layout (DESIGN.md §4): a term is a
+// 24-byte record plus its value bytes in the dictionary's chunks (datatype
+// IRIs and language tags are interned, so they cost nothing per term), a
+// hash-index slot (8 bytes, at most half full) and a posting-list header in
+// each of the three indexes (24 bytes each, dense by id); a triple is 12
+// bytes in the log, a tombstone byte, a duplicate-index slot and three 4-byte
+// postings.
 func approxGraphBytes(g *rdf.Graph) int64 {
 	if g == nil {
 		return 0
 	}
-	var b int64
 	d := g.Dict()
+	b := int64(d.Len()) * (24 + 16 + 3*24)
 	for i := 0; i < d.Len(); i++ {
-		t := d.Term(rdf.TermID(i))
-		// Term struct (~56B incl. string headers) plus string payloads.
-		b += 56 + int64(len(t.Value)+len(t.Datatype)+len(t.Lang))
+		b += int64(len(d.Term(rdf.TermID(i)).Value))
 	}
-	// encTriple (12B) + ~3 index postings (4B each) + duplicate-index slots
-	// (8B each, at most half full).
-	b += int64(g.Len()) * (12 + 12 + 16)
-	return b
+	return b + int64(g.Len())*(12+1+16+3*4)
 }
 
 // approxStoreBytes estimates the heap cost of a property graph store from
