@@ -27,15 +27,22 @@ bench-layers:
 # ingest, parallel F_dt and export), and everything a live graph's writer
 # shares with its snapshots' readers (cow containers, the dictionary's term
 # index, store, query executor and both engines, serving tier, daemon).
-# verify and CI's fail-fast race step both call it. The parallel loader's
-# tests run ten times more: its three stages hand buffers to each other, and
-# the detector sees a race only in a schedule a run happens to take.
+# verify and CI's fail-fast race step both call it. The N-Triples loader's
+# tests (every test in internal/rio/load_test.go) run ten times more: its
+# workers hand the reader and buffers to each other and to two in-order
+# stages, and the detector sees a race only in a schedule a run happens to
+# take. The step fails when LOADER_TESTS misses a test that file declares,
+# so a renamed test cannot drop out of it unnoticed.
 RACE_PKGS = ./internal/obs ./internal/rio ./internal/rdf ./internal/core \
 	./internal/cow ./internal/pg ./internal/qexec ./internal/sparql \
 	./internal/cypher ./internal/serve ./internal/server
+LOADER_TESTS = ^TestLoadNTriples
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -count=10 -run Parallel ./internal/rio
+	@listed="$$($(GO) test -list '$(LOADER_TESTS)' ./internal/rio)"; \
+	for t in $$(sed -n 's/^func \(Test[A-Za-z0-9_]*\)(.*/\1/p' internal/rio/load_test.go); do \
+		echo "$$listed" | grep -qx "$$t" || { echo "race: $(LOADER_TESTS) does not match $$t"; exit 1; }; done
+	$(GO) test -race -count=10 -run '$(LOADER_TESTS)' ./internal/rio
 
 # verify is the pre-commit gate: static checks, formatting, the race list,
 # the full test suite (including the corrupted-input corpus tests), and a
@@ -49,8 +56,9 @@ verify:
 	$(MAKE) fuzz
 
 # fuzz runs every native fuzz target for FUZZTIME each: the N-Triples and
-# Turtle parsers (strict and lenient), the three N-Triples graph loaders
-# against each other, the Cypher lexer and parser, the
+# Turtle parsers (strict and lenient), the N-Triples graph loader on 1, 2
+# and 4 workers over short reads against a statement-by-statement load, the
+# Cypher lexer and parser, the
 # SPARQL parser, both engines' executor against the reference evaluator it
 # replaced, the /query JSON writer against encoding/json, a spilled
 # graph under random Add/Remove/Spill/Clone schedules against a twin that

@@ -34,7 +34,8 @@
 //
 // The data subcommand additionally takes a heap budget:
 //
-//	-max-mem n                soft heap watermark in MiB (0 = off): past it
+//	-max-mem n                soft heap watermark in MiB (0 = off), checked
+//	                          every 4096 statements at any -workers: past it
 //	                          the graph spills to disk and the run continues
 //	                          out-of-core
 //	-spill policy             where -max-mem spills: auto (beside the data
@@ -390,7 +391,10 @@ func loadShapes(ctx context.Context, path string, rf *resFlags) (*s3pg.ShapeSche
 	return shacl.FromGraph(g)
 }
 
-func loadData(ctx context.Context, path string, rf *resFlags, span *obs.Span) (*s3pg.Graph, error) {
+// loadData loads the N-Triples file at path on rf.workers workers, a pipe or
+// a device as well as a regular file. hook, when not nil, is the -max-mem
+// governor's (memFlags.governor).
+func loadData(ctx context.Context, path string, rf *resFlags, span *obs.Span, hook func(*rdf.Graph) error) (*s3pg.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -400,18 +404,7 @@ func loadData(ctx context.Context, path string, rf *resFlags, span *obs.Span) (*
 	if span != nil {
 		sp = span.StartSpan("ingest")
 	}
-	// The parallel loader cuts blocks by offset, which takes a file that has
-	// a length and can be read at one: a pipe, a device or /dev/stdin streams
-	// through the sequential loader at every -workers.
-	var g *s3pg.Graph
-	fi, err := f.Stat()
-	switch {
-	case err != nil:
-	case rf.workers > 1 && fi.Mode().IsRegular() && fi.Size() > 0:
-		g, err = rio.LoadNTriplesParallelTraced(ctx, f, fi.Size(), rf.rioOptions(), rf.workers, sp)
-	default:
-		g, err = rio.LoadNTriplesWith(ctx, f, rf.rioOptions())
-	}
+	g, err := rio.IngestNTriples(ctx, f, rf.rioOptions(), rf.workers, sp, hook)
 	if err == nil {
 		sp.Count("triples", int64(g.Len()))
 	}
@@ -582,15 +575,11 @@ func cmdData(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var g *s3pg.Graph
-	var gov *rdf.Governor
-	if mem.maxMemMB > 0 {
-		// Under a heap budget: governed sequential ingest, spilling the graph
-		// out-of-core at the watermark instead of dying.
-		g, gov, err = loadDataGoverned(ctx, *dataPath, rf, span, mem, stderr)
-	} else {
-		g, err = loadData(ctx, *dataPath, rf, span)
-	}
+	// Under a heap budget the load asks the governor every 4096 statements,
+	// at any -workers, and spills the graph out-of-core at the watermark
+	// instead of dying.
+	gov, hook := mem.governor(ctx, *dataPath, stderr)
+	g, err := loadData(ctx, *dataPath, rf, span, hook)
 	if err != nil {
 		return err
 	}
@@ -728,7 +717,7 @@ func cmdValidate(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	g, err := loadData(ctx, *dataPath, rf, span)
+	g, err := loadData(ctx, *dataPath, rf, span, nil)
 	if err != nil {
 		return err
 	}
@@ -823,7 +812,7 @@ func cmdExtract(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	g, err := loadData(ctx, *dataPath, rf, span)
+	g, err := loadData(ctx, *dataPath, rf, span, nil)
 	if err != nil {
 		return err
 	}

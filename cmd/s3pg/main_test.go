@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -322,55 +323,104 @@ func TestRunMetricsToFile(t *testing.T) {
 
 // TestCmdDataFromPipe feeds -data through a FIFO — what /dev/stdin is under
 // `cat d.nt | s3pg data -data /dev/stdin` — at -workers 1 and 4: a pipe has
-// no length and cannot be read at an offset, and every output must still be
-// the regular file's, byte for byte.
+// no length and cannot be read at an offset, and every outcome must still be
+// the regular file's. A clean input writes the same bytes; a dirty one under
+// -lenient prints the same skip summary too; a strict one with a bad line
+// fails with the same error, global line number included. The dirty inputs
+// span several of the loader's blocks.
 func TestCmdDataFromPipe(t *testing.T) {
 	dir, shapes, data := writeFixtures(t)
-	src, err := os.ReadFile(data)
+	clean, err := os.ReadFile(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outputs := func(tag, dataPath, workers string) [3][]byte {
-		var out [3][]byte
+	lines := strings.SplitAfter(strings.Repeat(string(clean), 1+(400<<10)/len(clean)), "\n")
+	var dirty, bad strings.Builder
+	garbage := 0
+	for i, line := range lines {
+		dirty.WriteString(line)
+		if i%97 == 0 {
+			dirty.WriteString("this line is garbage\n")
+			garbage++
+		}
+		bad.WriteString(line)
+		if i == len(lines)*3/4 {
+			bad.WriteString("<http://ex.org/a> <http://ex.org/p> .\n")
+		}
+	}
+	type outcome struct {
+		files  [3][]byte
+		stderr string
+		err    string
+	}
+	run := func(tag, dataPath, workers string, extra ...string) outcome {
+		var out outcome
+		var stderr bytes.Buffer
 		paths := [3]string{filepath.Join(dir, tag+"-nodes.csv"), filepath.Join(dir, tag+"-edges.csv"), filepath.Join(dir, tag+"-schema.ddl")}
-		if err := cmdData([]string{
+		args := append([]string{
 			"-workers", workers, "-shapes", shapes, "-data", dataPath,
 			"-nodes", paths[0], "-edges", paths[1], "-schema", paths[2],
-		}, io.Discard, io.Discard); err != nil {
-			t.Fatalf("data %s: %v", tag, err)
+		}, extra...)
+		if err := cmdData(args, io.Discard, &stderr); err != nil {
+			out.err = err.Error()
+			return out
 		}
+		out.stderr = stderr.String()
 		for i, p := range paths {
-			if out[i], err = os.ReadFile(p); err != nil {
+			var err error
+			if out.files[i], err = os.ReadFile(p); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return out
 	}
-	want := outputs("file", data, "1")
-	if len(want[0]) == 0 || len(want[1]) == 0 {
-		t.Fatal("reference run wrote empty outputs")
-	}
-	for _, workers := range []string{"1", "4"} {
-		fifo := filepath.Join(dir, "fifo-"+workers)
-		if err := syscall.Mkfifo(fifo, 0o600); err != nil {
-			t.Skipf("mkfifo: %v", err)
-		}
-		wrote := make(chan error, 1)
-		go func() {
-			w, err := os.OpenFile(fifo, os.O_WRONLY, 0)
-			if err == nil {
-				_, err = w.Write(src)
-				w.Close()
-			}
-			wrote <- err
-		}()
-		got := outputs("pipe-"+workers, fifo, workers)
-		if err := <-wrote; err != nil {
+	for _, tc := range []struct {
+		name  string
+		src   string
+		extra []string
+		check func(outcome) bool // what the regular file's run must show
+	}{
+		{"clean", string(clean), nil, func(o outcome) bool { return o.err == "" && len(o.files[0]) > 0 && len(o.files[1]) > 0 }},
+		{"lenient", dirty.String(), []string{"-lenient"}, func(o outcome) bool {
+			return o.err == "" && strings.Contains(o.stderr, fmt.Sprintf("skipped %d malformed statement(s)", garbage))
+		}},
+		{"strict_bad_line", bad.String(), nil, func(o outcome) bool {
+			return strings.Contains(o.err, fmt.Sprintf("line %d:", len(lines)*3/4+2))
+		}},
+	} {
+		path := filepath.Join(dir, tc.name+".nt")
+		if err := os.WriteFile(path, []byte(tc.src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for i, name := range []string{"nodes.csv", "edges.csv", "schema.ddl"} {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Errorf("-workers %s from a pipe: %s differs from the regular file's (%d bytes, want %d)", workers, name, len(got[i]), len(want[i]))
+		want := run(tc.name+"-file", path, "1", tc.extra...)
+		if !tc.check(want) {
+			t.Fatalf("%s: the regular file's run: err %q, stderr %q", tc.name, want.err, want.stderr)
+		}
+		for _, workers := range []string{"1", "4"} {
+			fifo := filepath.Join(dir, tc.name+"-fifo-"+workers)
+			if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+				t.Skipf("mkfifo: %v", err)
+			}
+			wrote := make(chan error, 1)
+			go func() {
+				w, err := os.OpenFile(fifo, os.O_WRONLY, 0)
+				if err == nil {
+					_, err = w.Write([]byte(tc.src))
+					w.Close()
+				}
+				wrote <- err
+			}()
+			got := run(tc.name+"-pipe-"+workers, fifo, workers, tc.extra...)
+			if err := <-wrote; err != nil && got.err == "" {
+				t.Fatal(err)
+			}
+			if got.err != want.err || got.stderr != want.stderr {
+				t.Errorf("%s at -workers %s from a pipe: err %q, stderr %q; the regular file's: err %q, stderr %q", tc.name, workers, got.err, got.stderr, want.err, want.stderr)
+			}
+			for i, name := range []string{"nodes.csv", "edges.csv", "schema.ddl"} {
+				if !bytes.Equal(got.files[i], want.files[i]) {
+					t.Errorf("%s at -workers %s from a pipe: %s differs from the regular file's (%d bytes, want %d)", tc.name, workers, name, len(got.files[i]), len(want.files[i]))
+				}
 			}
 		}
 	}

@@ -1,10 +1,10 @@
 package main
 
 // Out-of-core support for the data path (DESIGN.md §10): when -max-mem is
-// set, the ingest loop runs under a memory-pressure governor that spills the
-// graph's dictionary, triple log, and posting lists to CRC-framed on-disk
-// segments and continues over paged reads, instead of dying at the
-// watermark.
+// set, the loader asks a memory-pressure governor every 4096 statements, at
+// any -workers, and the governor spills the graph's dictionary, triple log,
+// and posting lists to CRC-framed on-disk segments past the watermark; the
+// run continues over paged reads instead of dying.
 
 import (
 	"context"
@@ -16,9 +16,7 @@ import (
 	"github.com/s3pg/s3pg"
 	"github.com/s3pg/s3pg/internal/ckpt"
 	"github.com/s3pg/s3pg/internal/faultio"
-	"github.com/s3pg/s3pg/internal/obs"
 	"github.com/s3pg/s3pg/internal/rdf"
-	"github.com/s3pg/s3pg/internal/rio"
 )
 
 // memFlags carries the data subcommand's heap budget.
@@ -29,7 +27,7 @@ type memFlags struct {
 
 func addMemFlags(fs *flag.FlagSet) *memFlags {
 	mem := &memFlags{}
-	fs.IntVar(&mem.maxMemMB, "max-mem", 0, "soft heap watermark in `MiB` (0 = off): past it the graph spills to disk (-spill) and the run continues out-of-core")
+	fs.IntVar(&mem.maxMemMB, "max-mem", 0, "soft heap watermark in `MiB` (0 = off), checked every 4096 statements at any -workers: past it the graph spills to disk (-spill) and the run continues out-of-core")
 	fs.StringVar(&mem.spill, "spill", "auto", "where -max-mem spills: auto (beside the data file) or a `directory`")
 	return mem
 }
@@ -53,10 +51,6 @@ func (mem *memFlags) spillDir(dataPath string) string {
 	}
 	return mem.spill
 }
-
-// governEvery is how many scanned statements pass between heap checks; a
-// runtime.ReadMemStats per statement would dominate ingest.
-const governEvery = 4096
 
 // retryFS retries transient faults around each filesystem operation of a
 // spill commit — the same per-commit resilience the outputs get from
@@ -112,80 +106,37 @@ func (f retryFile) Sync() error { return f.r.retry(func() error { return f.File.
 // transient retries.
 func spillCommitFS() ckpt.FS { return retryFS{inner: commitFS()} }
 
-// loadDataGoverned streams the input sequentially under a memory-pressure
-// governor: every governEvery statements the heap is checked against the
-// -max-mem watermark, and when it trips the graph spills to disk and the
-// ingest continues out-of-core. Parallel ingest is not used here — the
-// governor needs to interleave with admission, and a run that asked for a
-// heap budget has opted into trading speed for footprint.
-func loadDataGoverned(ctx context.Context, path string, rf *resFlags, span *obs.Span, mem *memFlags, stderr io.Writer) (*s3pg.Graph, *rdf.Governor, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
+// governor returns the run's -max-mem governor and the load hook that asks
+// it, after every 4096th statement and once at the end, whether the heap is
+// past the watermark, spilling the graph when it is; nil and nil without a
+// budget. A failed Spill leaves the graph untouched (the in-memory swap
+// happens only after the segment commits), so retrying a transient fault is
+// safe: the retry writes the same contents again.
+func (mem *memFlags) governor(ctx context.Context, dataPath string, stderr io.Writer) (*rdf.Governor, func(*rdf.Graph) error) {
+	if mem.maxMemMB <= 0 {
+		return nil, nil
 	}
-	defer f.Close()
 	gv := rdf.NewGovernor(rdf.SpillConfig{
-		Dir:    mem.spillDir(path),
+		Dir:    mem.spillDir(dataPath),
 		FS:     spillCommitFS(),
 		HighMB: mem.maxMemMB,
 	})
-	var sp *obs.Span
-	if span != nil {
-		sp = span.StartSpan("ingest")
-	}
-	g := rdf.NewGraph()
-	sc := rio.NewNTriplesScanner(f, rf.rioOptions())
-	// A failed Spill leaves the graph untouched (the in-memory swap happens
-	// only after the segment commits), so retrying a transient fault is
-	// safe: the retry writes the same contents again.
-	maybeSpill := func() (bool, error) {
+	return gv, func(g *rdf.Graph) error {
 		var spilled bool
 		err := faultio.Retry(ctx, commitRetryPolicy(), func() error {
 			var gerr error
 			spilled, gerr = gv.Maybe(g)
 			return gerr
 		})
-		return spilled, err
+		if err != nil {
+			return fmt.Errorf("spill: %w", err)
+		}
+		if spilled {
+			fmt.Fprintf(stderr, "s3pg: heap over -max-mem %d MiB: spilled %d triple slots to %s, continuing out-of-core\n",
+				mem.maxMemMB, g.NumSlots(), gv.Dir())
+		}
+		return nil
 	}
-	n := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			sp.End()
-			return nil, nil, err
-		}
-		ok, serr := sc.ScanInto(g)
-		if serr != nil {
-			sp.End()
-			return nil, nil, serr
-		}
-		if !ok {
-			break
-		}
-		n++
-		if n%governEvery == 0 {
-			spilled, gerr := maybeSpill()
-			if gerr != nil {
-				sp.End()
-				return nil, nil, fmt.Errorf("spill: %w", gerr)
-			}
-			if spilled {
-				fmt.Fprintf(stderr, "s3pg: heap over -max-mem %d MiB: spilled %d triple slots to %s, continuing out-of-core\n",
-					mem.maxMemMB, g.NumSlots(), gv.Dir())
-			}
-		}
-	}
-	// Final governed check so the transform starts from a shed heap when the
-	// tail grew past the watermark since the last boundary.
-	if spilled, gerr := maybeSpill(); gerr != nil {
-		sp.End()
-		return nil, nil, fmt.Errorf("spill: %w", gerr)
-	} else if spilled {
-		fmt.Fprintf(stderr, "s3pg: heap over -max-mem %d MiB: spilled %d triple slots to %s, continuing out-of-core\n",
-			mem.maxMemMB, g.NumSlots(), gv.Dir())
-	}
-	sp.Count("triples", int64(g.Len()))
-	sp.End()
-	return g, gv, nil
 }
 
 // cleanupSpill removes the run's spill directory after the outputs are

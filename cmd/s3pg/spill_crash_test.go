@@ -27,7 +27,8 @@ func spillArgsFor(shapes, data, nodes, edges, schema, spillDir string, extra ...
 
 // TestSpillRunMatchesUnconstrained: the hard out-of-core gate at test scale —
 // a governed run under a 1 MiB watermark must spill (the heap is always past
-// that) and still produce outputs byte-identical to the unconstrained run.
+// that) and still produce outputs byte-identical to the unconstrained run, at
+// -workers 1 and with parallel parsing beside the governed admission.
 func TestSpillRunMatchesUnconstrained(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
@@ -41,23 +42,27 @@ func TestSpillRunMatchesUnconstrained(t *testing.T) {
 		t.Fatalf("baseline exit %d: %s", code, errOut)
 	}
 
-	n, e, s, _ := outPaths(t, filepath.Join(dir, "spill"))
-	spillDir := filepath.Join(dir, "graph.spill")
-	code, _, errOut := execCLI(t, nil, spillArgsFor(shapes, data, n, e, s, spillDir)...)
-	if code != 0 {
-		t.Fatalf("governed run exit %d: %s", code, errOut)
-	}
-	if !strings.Contains(errOut, "out-of-core") {
-		t.Fatalf("governed run did not report spilling: %s", errOut)
-	}
-	if !bytes.Equal(readFile(t, n), readFile(t, bn)) ||
-		!bytes.Equal(readFile(t, e), readFile(t, be)) ||
-		!bytes.Equal(readFile(t, s), readFile(t, bs)) {
-		t.Fatal("governed out-of-core outputs differ from the unconstrained run")
-	}
-	// Spilled state is scratch: a completed run cleans it up.
-	if _, err := os.Stat(spillDir); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("completed run left spill directory %s", spillDir)
+	for _, workers := range []string{"1", "2"} {
+		t.Run("workers="+workers, func(t *testing.T) {
+			n, e, s, _ := outPaths(t, filepath.Join(dir, "spill-"+workers))
+			spillDir := filepath.Join(dir, "graph.spill-"+workers)
+			code, _, errOut := execCLI(t, nil, spillArgsFor(shapes, data, n, e, s, spillDir, "-workers", workers)...)
+			if code != 0 {
+				t.Fatalf("governed run exit %d: %s", code, errOut)
+			}
+			if !strings.Contains(errOut, "out-of-core") {
+				t.Fatalf("governed run did not report spilling: %s", errOut)
+			}
+			if !bytes.Equal(readFile(t, n), readFile(t, bn)) ||
+				!bytes.Equal(readFile(t, e), readFile(t, be)) ||
+				!bytes.Equal(readFile(t, s), readFile(t, bs)) {
+				t.Fatal("governed out-of-core outputs differ from the unconstrained run")
+			}
+			// Spilled state is scratch: a completed run cleans it up.
+			if _, err := os.Stat(spillDir); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("completed run left spill directory %s", spillDir)
+			}
+		})
 	}
 }
 

@@ -821,11 +821,7 @@ func (m *Manager) loadData(ctx context.Context, path string, opts rio.Options) (
 		return nil, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	return rio.LoadNTriplesParallel(ctx, f, fi.Size(), opts, m.cfg.JobWorkers)
+	return rio.IngestNTriples(ctx, f, opts, m.cfg.JobWorkers, nil, nil)
 }
 
 // requeue puts a job back on the queue in StateQueued. free drains do not

@@ -178,7 +178,9 @@ func cloneContract(t *testing.T, seed int64) {
 			continue
 		case op < 13:
 			what = "Grow"
-			m.g.Grow(rng.Intn(300)) // a capacity hint: nothing observable may change
+			n := rng.Intn(300) // a capacity hint: nothing observable may change
+			m.g.GrowDict(n)
+			m.g.GrowLog(n)
 		case op < 55:
 			what = "Add"
 			tr := randTriple()

@@ -388,17 +388,13 @@ func shortest(s, p, o []int32) []int32 {
 	return s
 }
 
-// Grow reserves room for n more triples, so that adding them regrows neither
-// the triple log, the tombstones, the duplicate index nor the dictionary. It
-// is a hint from a loader that knows how much input is coming: a graph that
-// receives more, fewer or no triples afterwards behaves the same. It is
-// GrowDict and GrowLog, the reservations of AddBytes's two halves.
-func (g *Graph) Grow(n int) {
-	g.GrowDict(n)
-	g.GrowLog(n)
-}
-
-// GrowDict is Grow's reservation for InternBytes: the dictionary, sized for
+// GrowDict and GrowLog reserve room for n more triples, so that adding them
+// regrows neither the dictionary nor the triple log, the tombstones and the
+// duplicate index. They are hints from a loader that knows how much input is
+// coming: a graph that receives more, fewer or no triples afterwards behaves
+// the same.
+//
+// GrowDict is the reservation for InternBytes: the dictionary, sized for
 // one new term every other triple — knowledge graphs sit on either side of
 // that, and its index costs 16 bytes per reserved term.
 func (g *Graph) GrowDict(n int) {
@@ -407,7 +403,7 @@ func (g *Graph) GrowDict(n int) {
 	}
 }
 
-// GrowLog is Grow's reservation for AdmitEncoded: the triple log, the
+// GrowLog is the reservation for AdmitEncoded: the triple log, the
 // tombstones and the duplicate index.
 func (g *Graph) GrowLog(n int) {
 	if n <= 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"github.com/s3pg/s3pg/internal/rdf"
 )
@@ -106,12 +107,13 @@ func FuzzReadTurtle(f *testing.F) {
 	})
 }
 
-// FuzzLoadNTriplesPaths holds the graph loaders against each other on any
-// input, strict and lenient: LoadNTriplesWith (statements admitted from the
-// read buffer), ReadNTriplesWith + Graph.Add (rdf.Terms), and the block
-// loader with tiny blocks on 2 and 4 workers must build the same graph — the
-// same term under every id, the same encoded triple in every slot — or fail
-// the same way, after the same OnError calls.
+// FuzzLoadNTriplesPaths holds the loader against the reference on any input,
+// strict and lenient: the loader with tiny blocks on 1, 2 and 4 workers, fed
+// by a reader that returns half of what it is asked for so that partial
+// lines carry from block to block, must build the graph a
+// statement-by-statement Graph.Add of what ReadNTriplesWith hands out builds
+// — the same term under every id, the same encoded triple in every slot — or
+// fail the same way, after the same OnError calls.
 func FuzzLoadNTriplesPaths(f *testing.F) {
 	long := `<http://example.org/s> <http://example.org/p> "` + strings.Repeat("x", 70<<10) + `" .`
 	for _, s := range []string{
@@ -128,27 +130,13 @@ func FuzzLoadNTriplesPaths(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		ctx := context.Background()
 		for _, opts := range []Options{{}, {Lenient: true, MaxErrors: 3}} {
-			fused := observeLoad(opts, func(o Options) (*rdf.Graph, error) {
-				return LoadNTriplesWith(ctx, strings.NewReader(src), o)
-			})
-			viaTerms := observeLoad(opts, func(o Options) (*rdf.Graph, error) {
-				g := rdf.NewGraph()
-				if err := ReadNTriplesWith(ctx, strings.NewReader(src), o, func(tr rdf.Triple) error {
-					g.Add(tr)
-					return nil
-				}); err != nil {
-					return nil, err
-				}
-				return g, nil
-			})
-			requireSameOutcome(t, fused, viaTerms)
-			for _, workers := range []int{2, 4} {
-				blocks := observeLoad(opts, func(o Options) (*rdf.Graph, error) {
-					return loadNTriplesBlocks(ctx, strings.NewReader(src), int64(len(src)), o, workers, nil, 37)
+			ref := observeLoad(opts, referenceLoad(src))
+			for _, workers := range []int{1, 2, 4} {
+				got := observeLoad(opts, func(o Options) (*rdf.Graph, error) {
+					return loadNTriples(context.Background(), iotest.HalfReader(strings.NewReader(src)), o, workers, nil, nil, 37)
 				})
-				requireSameOutcome(t, fused, blocks)
+				requireSameOutcome(t, ref, got)
 			}
 		}
 	})

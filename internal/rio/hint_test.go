@@ -34,8 +34,8 @@ type opaque struct{ io.Reader }
 // graph — ids, admission order, everything an accessor can see.
 func TestLoadNTriplesHintIsInvisible(t *testing.T) {
 	doc, triples := hintDocument(t)
-	if triples <= hintAfter {
-		t.Fatalf("fixture has %d triples, the hint needs more than %d", triples, hintAfter)
+	if len(doc) <= ntBlockSize {
+		t.Fatalf("fixture has %d bytes, the hint needs more than a block's %d", len(doc), ntBlockSize)
 	}
 	hinted, err := LoadNTriples(bytes.NewReader(doc))
 	if err != nil {

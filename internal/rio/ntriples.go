@@ -67,45 +67,6 @@ func scanAll(ctx context.Context, sc *NTriplesScanner, fn TripleHandler) error {
 	}
 }
 
-// LoadNTriples parses an N-Triples document into a new graph.
-func LoadNTriples(r io.Reader) (*rdf.Graph, error) {
-	return LoadNTriplesWith(context.Background(), r, Options{})
-}
-
-// hintAfter is how many statements LoadNTriplesWith reads before it sizes the
-// graph: enough for a stable bytes-per-statement figure, few enough that the
-// graph has hardly grown yet.
-const hintAfter = 1024
-
-// LoadNTriplesWith is LoadNTriples with cancellation and fault-tolerance
-// control (see ReadNTriplesWith). Statements are admitted straight from the
-// read buffer (NTriplesScanner.ScanInto). When r can tell how long the
-// document is (inputSize), the graph is sized once, hintAfter statements in,
-// for the statements the remaining bytes should hold at the
-// bytes-per-statement seen so far.
-func LoadNTriplesWith(ctx context.Context, r io.Reader, opts Options) (*rdf.Graph, error) {
-	g := rdf.NewGraph()
-	size, sized := inputSize(r)
-	sc := NewNTriplesScanner(r, opts)
-	for {
-		if sc.Line()%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		ok, err := sc.ScanInto(g)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return g, nil
-		}
-		if sized && sc.Triples() == hintAfter {
-			g.Grow(int((size - sc.Offset()) * hintAfter / sc.Offset()))
-		}
-	}
-}
-
 // inputSize reports the length in bytes of the document r delivers, when r is
 // a reader that knows: a regular file, a section of one, or an in-memory
 // reader.
@@ -142,7 +103,7 @@ const maxQuotedDepth = 64
 
 // bytestring is what the N-Triples parser reads a line as: a string, for the
 // readers that hand out rdf.Terms (the terms are substrings of it), or the
-// bytes of a read buffer, for the loaders that admit statements into a graph
+// bytes of a read buffer, for the loader that admits statements into a graph
 // without making a string per line.
 type bytestring interface{ string | []byte }
 
@@ -169,14 +130,9 @@ func (st *ntStatement[S]) triple() rdf.Triple {
 	return rdf.NewTriple(st[0].term(), st[1].term(), st[2].term())
 }
 
-// admit adds a statement parsed from a read buffer to g. It is how every
-// N-Triples loader puts a statement into a graph.
-func admit(g *rdf.Graph, st *ntStatement[[]byte]) {
-	g.AddBytes((*rdf.TermBytes)(&st[0]), (*rdf.TermBytes)(&st[1]), (*rdf.TermBytes)(&st[2]))
-}
-
-// internStatement is admit's first half (Graph.InternBytes): the statement's
-// ids in g's dictionary, for the parallel loader's log stage to admit.
+// internStatement resolves a statement parsed from a read buffer to its ids
+// in g's dictionary (Graph.InternBytes), for the loader's log stage to
+// admit.
 func internStatement(g *rdf.Graph, st *ntStatement[[]byte]) rdf.EncTriple {
 	return g.InternBytes((*rdf.TermBytes)(&st[0]), (*rdf.TermBytes)(&st[1]), (*rdf.TermBytes)(&st[2]))
 }

@@ -22,11 +22,7 @@ type NTriplesScanner struct {
 	opts Options
 	sink errorSink
 
-	// One parser per line form: Scan parses a string made of the line,
-	// ScanInto the line's bytes in the read buffer.
 	asString ntParser[string]
-	inBuffer ntParser[[]byte]
-	st       ntStatement[[]byte] // ScanInto's statement
 
 	line    int
 	skipped int64
@@ -50,9 +46,6 @@ func (s *NTriplesScanner) Offset() int64 { return s.br.consumed() }
 
 // Line returns the number of input lines consumed so far.
 func (s *NTriplesScanner) Line() int { return s.line }
-
-// Triples returns how many statements Scan or ScanInto has produced.
-func (s *NTriplesScanner) Triples() int64 { return s.triples }
 
 // Skipped returns how many malformed statements lenient mode dropped.
 func (s *NTriplesScanner) Skipped() int64 { return s.skipped }
@@ -78,30 +71,6 @@ func (s *NTriplesScanner) Scan() (t rdf.Triple, ok bool, err error) {
 		}
 		s.triples++
 		return st.triple(), true, nil
-	}
-}
-
-// ScanInto admits the next statement into g and reports false at end of
-// input; malformed lines and errors are handled as Scan handles them. The
-// statement is parsed where it lies in the read buffer and admitted with
-// rdf.Graph.AddBytes, so a term g's dictionary already holds costs no
-// allocation.
-func (s *NTriplesScanner) ScanInto(g *rdf.Graph) (ok bool, err error) {
-	for {
-		raw, ok, err := s.next()
-		if !ok {
-			return false, err
-		}
-		s.inBuffer.scratch = s.inBuffer.scratch[:0]
-		if perr := s.inBuffer.parse(raw, &s.st); perr != nil {
-			if err := s.reject(perr); err != nil {
-				return false, err
-			}
-			continue
-		}
-		s.triples++
-		admit(g, &s.st)
-		return true, nil
 	}
 }
 

@@ -15,14 +15,13 @@ import (
 // longer-named entry point of their own package and must stay, each with the
 // caller that pins it. Keys are "pkg.Func" or "pkg.Recv.Method".
 var twinAllowlist = map[string]string{
-	"ckpt.WriteFileAtomic":     "bench/layers.go:379, the CSV and DDL commits of ckpt.commit_ms",
-	"core.InverseData":         "bench/batch.go:98 and the s3pg.InverseData facade",
-	"core.TransformSchema":     "bench/layers.go:341 (core.fst_ms) and the s3pg.TransformSchema facade",
-	"core.Transformer.Apply":   "bench/layers.go:363 (core.fdt_ns_per_triple) and s3pg.Transformer users",
-	"rdf.NewGraph":             "bench/layers.go:247 and :328, and the s3pg.NewGraph facade",
-	"rio.LoadNTriples":         "bench/layers.go:490 and the s3pg.LoadNTriples facade",
-	"rio.LoadNTriplesParallel": "bench/layers.go:312 (rio.load_par_ns_per_byte)",
-	"rio.ParseTurtle":          "bench/layers.go:176 (shacl.load_ms) and the s3pg.ParseTurtle facade",
+	"ckpt.WriteFileAtomic":   "bench/layers.go:379, the CSV and DDL commits of ckpt.commit_ms",
+	"core.InverseData":       "bench/batch.go:98 and the s3pg.InverseData facade",
+	"core.TransformSchema":   "bench/layers.go:341 (core.fst_ms) and the s3pg.TransformSchema facade",
+	"core.Transformer.Apply": "bench/layers.go:363 (core.fdt_ns_per_triple) and s3pg.Transformer users",
+	"rdf.NewGraph":           "bench/layers.go:247 and :328, and the s3pg.NewGraph facade",
+	"rio.LoadNTriples":       "bench/layers.go:490 and the s3pg.LoadNTriples facade",
+	"rio.ParseTurtle":        "bench/layers.go:176 (shacl.load_ms) and the s3pg.ParseTurtle facade",
 }
 
 // TestNoTwinEntryPoints fails when an exported function or method under
