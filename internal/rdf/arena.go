@@ -30,6 +30,8 @@ type termArena struct {
 	// shared is set once a clone's dictionary reads this arena: the next
 	// spill then extends a copy of the index instead of the maps.
 	shared bool
+	// valueBytes is the spilled terms' value bytes (Dict.ValueBytes).
+	valueBytes int64
 
 	mu    sync.Mutex
 	cache *lruCache[*termBlock]

@@ -218,5 +218,56 @@ func (d *Dict) resident(id TermID) Term {
 	return Term{Kind: r.kind, Value: chunkString(d.value(r)), Datatype: d.names[r.dt], Lang: d.names[r.lang]}
 }
 
+// View returns the kind and value of a term: what the query path writes and
+// compares, without building a Term. A resident term's value aliases the
+// dictionary's chunk, as Term's does, so viewing one allocates nothing; the
+// resident branch (residentView) is inlined. An operator that reads a
+// literal's datatype asks for it by id (DatatypeIRI).
+func (d *Dict) View(id TermID) (Kind, string) {
+	if id < d.base {
+		t := d.arena.term(id)
+		return t.Kind, t.Value
+	}
+	return d.residentView(id)
+}
+
+// residentView is View of a resident id; like resident, it takes no branch
+// and inlines.
+func (d *Dict) residentView(id TermID) (Kind, string) {
+	r := &d.recs[id-d.base]
+	return r.kind, chunkString(d.value(r))
+}
+
+// DatatypeIRI returns the term's effective datatype IRI, as
+// Term.DatatypeIRI does, reading the names table only for a literal.
+func (d *Dict) DatatypeIRI(id TermID) string {
+	if id < d.base {
+		return d.arena.term(id).DatatypeIRI()
+	}
+	r := &d.recs[id-d.base]
+	switch {
+	case r.kind != Literal:
+		return ""
+	case r.lang != 0:
+		return RDFLangString
+	case r.dt == 0:
+		return XSDString
+	}
+	return d.names[r.dt]
+}
+
+// ValueBytes returns the total length of the interned terms' values,
+// spilled ones included, without reading any of them.
+func (d *Dict) ValueBytes() int64 {
+	var n int64
+	if d.arena != nil {
+		n = d.arena.valueBytes
+	}
+	for i := range d.recs {
+		n += int64(d.recs[i].n)
+	}
+	return n
+}
+
 // Len returns the number of interned terms.
 func (d *Dict) Len() int { return int(d.base) + len(d.recs) }

@@ -649,6 +649,7 @@ func (g *Graph) Spill(dir string, fsys ckpt.FS) error {
 	} else {
 		arena.hash, arena.over = make(map[uint64]TermID, len(d.recs)), make(map[uint64][]TermID)
 	}
+	arena.valueBytes = d.ValueBytes()
 	for id := d.base; id < sg.t1; id++ {
 		t := d.Term(id)
 		arena.addHash(keyOf(&t).hash64(), id)

@@ -61,7 +61,8 @@ func (r *Response) AppendJSON(dst []byte) ([]byte, error) {
 		for j := 0; j < w; j++ {
 			dst = appendBreak(dst, j, 3)
 			if r.cypher == nil {
-				dst = appendTerm(dst, r.sparql.Term(i, j))
+				kind, value := r.sparql.View(i, j)
+				dst = appendTerm(dst, kind, value)
 				continue
 			}
 			var err error
@@ -102,14 +103,14 @@ func appendClose(dst []byte, n, depth int) []byte {
 	return append(dst, ']')
 }
 
-// appendTerm writes a SPARQL cell: the term's canonical string tr(µ), kind
-// for kind what sparql.CanonicalTerm returns.
-func appendTerm(dst []byte, t rdf.Term) []byte {
-	switch t.Kind {
+// appendTerm writes a SPARQL cell from its term's kind and value: the
+// canonical string tr(µ), kind for kind what sparql.CanonicalTerm returns.
+func appendTerm(dst []byte, kind rdf.Kind, value string) []byte {
+	switch kind {
 	case rdf.IRI, rdf.Literal:
-		return appendString(dst, t.Value)
+		return appendString(dst, value)
 	case rdf.Blank:
-		return append(appendEscaped(append(dst, `"_:`...), t.Value), '"')
+		return append(appendEscaped(append(dst, `"_:`...), value), '"')
 	default:
 		// An unbound variable, and a quoted triple: its Value is the
 		// dictionary's internal key, which never leaves the process.
@@ -193,15 +194,21 @@ func appendString(dst []byte, s string) []byte {
 
 // appendEscaped is the inside of a JSON string: the control characters,
 // '"', '\\', '<', '>', '&', U+2028 and U+2029 are escaped, invalid UTF-8
-// becomes U+FFFD.
+// becomes U+FFFD. A run of plain bytes is found eight bytes at a time, its
+// last few through the table, and copied with one append.
 func appendEscaped(dst []byte, s string) []byte {
-	start := 0
-	for i := 0; i < len(s); {
-		b := s[i]
-		if plain[b] {
-			i++
-			continue
+	start, i := 0, 0
+	for {
+		for i+8 <= len(s) && plainWord(load64(s[i:])) {
+			i += 8
 		}
+		for i < len(s) && plain[s[i]] {
+			i++
+		}
+		if i == len(s) {
+			break
+		}
+		b := s[i]
 		if b < utf8.RuneSelf {
 			dst = append(dst, s[start:i]...)
 			switch b {
@@ -224,16 +231,46 @@ func appendEscaped(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(append(dst, s[start:i]...), `\ufffd`...)
-			start = i + size
-		case c == '\u2028' || c == '\u2029':
-			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
-			start = i + size
+		for i < len(s) && s[i] >= utf8.RuneSelf { // a run of runes past ASCII
+			c, size := utf8.DecodeRuneInString(s[i:])
+			switch {
+			case c == utf8.RuneError && size == 1:
+				dst = append(append(dst, s[start:i]...), `\ufffd`...)
+				start = i + size
+			case c == '\u2028' || c == '\u2029':
+				dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+				start = i + size
+			}
+			i += size
 		}
-		i += size
 	}
 	return append(dst, s[start:]...)
+}
+
+// load64 returns the first eight bytes of s as a little-endian word; the
+// compiler makes it one load.
+func load64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// plainWord reports whether all eight bytes of w are plain: none below 0x20
+// or from 0x80 up, and none of '"', '\\', '<', '>', '&'. Each test is the
+// classic "has a zero byte" trick, (x - 0x01…) &^ x & 0x80…, which can set
+// a spurious flag only above a byte that truly matched, so the answer for
+// the word is exact. '"' (0x22) and '&' (0x26) differ in bit 2 alone, as do
+// '<' (0x3c) and '>' (0x3e) in bit 1, so setting that bit makes each pair
+// one comparison. The test is one straight-line expression, kept out of the
+// append loop as a function of its own; the compiler inlines it.
+func plainWord(w uint64) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	quot := (w | ones*0x04) ^ ones*0x26  // '"' or '&'
+	angle := (w | ones*0x02) ^ ones*0x3e // '<' or '>'
+	slash := w ^ ones*'\\'
+	t := (w - ones*0x20) &^ w // below 0x20
+	t |= (quot - ones) &^ quot
+	t |= (angle - ones) &^ angle
+	t |= (slash - ones) &^ slash
+	return (t|w)&highs == 0
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/s3pg/s3pg/internal/pg"
@@ -140,11 +142,76 @@ func TestRowJSONMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// wordTraps are the bytes appendEscaped's word test must stop at, and the
+// multi-byte sequences after which the scan must pick up again: each escaped
+// ASCII byte, the bounds of the control range, DEL (which stays literal), a
+// 2-, 3- and 4-byte rune, the two line separators JSON escapes, a lone
+// continuation byte and a truncated 3-byte sequence.
+var wordTraps = []string{
+	`"`, `\`, "<", ">", "&",
+	"\x00", "\x1f", "\x7f",
+	"é", "日", "🜚", "\u2028", "\u2029",
+	"\x80", "\xe2\x80",
+}
+
+// TestRowJSONWordBoundaries holds AppendJSON to encoding/json on plain runs
+// of 0 to 24 bytes with one trap at every offset: before, inside and after
+// each eight-byte word the scan reads, a multi-byte trap straddling a word
+// boundary included. The cells put the run at several offsets of their
+// value (an IRI's cell starts with "http://x/").
+func TestRowJSONWordBoundaries(t *testing.T) {
+	const run = "http://example.org/r_0-9~"
+	for _, trap := range wordTraps {
+		var strs []string
+		for n := 0; n <= 24; n++ {
+			for off := 0; off <= n; off++ {
+				strs = append(strs, run[:off]+trap+run[off:n])
+			}
+		}
+		values := make([]pg.Value, len(strs))
+		for i, s := range strs {
+			values[i] = s
+		}
+		snap := valueSnapshot(values, strs)
+		t.Run(fmt.Sprintf("%q", trap), func(t *testing.T) {
+			checkWire(t, mustExecute(t, snap, Request{Lang: "cypher", Query: `MATCH (n:T) RETURN n.i AS i, n.v AS v`}))
+			checkWire(t, mustExecute(t, snap, Request{Lang: "sparql", Query: `SELECT ?s ?o WHERE { ?s ?p ?o }`}))
+		})
+	}
+}
+
+// TestAppendJSONAllocatesNothing: a SPARQL answer over a resident graph
+// encodes into a buffer with room without allocating — the wire strings'
+// answer and every SPARQL answer of the query mix.
+func TestAppendJSONAllocatesNothing(t *testing.T) {
+	snaps := []*Snapshot{valueSnapshot(nil, wireStrings)}
+	reqs := []Request{{Lang: "sparql", Query: `SELECT ?s ?p ?o WHERE { ?s ?p ?o }`}}
+	qsnap, cases := qmix(t)
+	for _, c := range cases {
+		if c.req.Lang == "sparql" {
+			snaps, reqs = append(snaps, qsnap), append(reqs, c.req)
+		}
+	}
+	for i, req := range reqs {
+		r := mustExecute(t, snaps[i], req)
+		buf, err := r.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { buf, _ = r.AppendJSON(buf[:0]) }); allocs != 0 {
+			t.Errorf("%q: encoding %d rows into a %d-byte buffer allocates %.1f times", req.Query, r.Len(), cap(buf), allocs)
+		}
+	}
+}
+
 // FuzzRowJSON feeds arbitrary strings and numbers through both engines'
 // answers and both encoders.
 func FuzzRowJSON(f *testing.F) {
 	for i, s := range wireStrings {
 		f.Add(s, int64(i)<<uint(7*i), math.Float64frombits(uint64(i)<<57|uint64(i)), i%2 == 0)
+	}
+	for i, trap := range wordTraps { // past the first word, then a plain word after the trap
+		f.Add("0123456789ab"[:9+i%4]+trap+"tail of it", int64(i), float64(i), i%2 == 1)
 	}
 	f.Add("e", int64(-0), 1e21, true)
 	f.Add("e", int64(1), 9.999999999999999e-7, false)
@@ -154,4 +221,23 @@ func FuzzRowJSON(f *testing.F) {
 		checkWire(t, mustExecute(t, snap, Request{Lang: "cypher", Query: `MATCH (n:T) RETURN n.i AS i, n.v AS v`}))
 		checkWire(t, mustExecute(t, snap, Request{Lang: "sparql", Query: `SELECT ?s ?o WHERE { ?s ?p ?o }`}))
 	})
+}
+
+// BenchmarkAppendEscaped is the escape scan alone on the strings a /query
+// body is made of: an IRI, a long plain literal, and text that is mostly
+// multi-byte runes.
+func BenchmarkAppendEscaped(b *testing.B) {
+	for _, c := range []struct{ name, s string }{
+		{"iri", "http://dbpedia.org/resource/Berlin_Brandenburg_Airport"},
+		{"long", strings.Repeat("The quick brown fox jumps over the lazy dog. ", 24)},
+		{"runes", strings.Repeat("日本語のテキスト ", 32)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			dst := make([]byte, 0, 4*len(c.s))
+			b.SetBytes(int64(len(c.s)))
+			for i := 0; i < b.N; i++ {
+				dst = appendEscaped(dst[:0], c.s)
+			}
+		})
+	}
 }

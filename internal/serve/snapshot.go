@@ -60,10 +60,7 @@ func approxGraphBytes(g *rdf.Graph) int64 {
 		return 0
 	}
 	d := g.Dict()
-	b := int64(d.Len()) * (24 + 16 + 3*24)
-	for i := 0; i < d.Len(); i++ {
-		b += int64(len(d.Term(rdf.TermID(i)).Value))
-	}
+	b := int64(d.Len())*(24+16+3*24) + d.ValueBytes()
 	return b + int64(g.Len())*(12+1+16+3*4)
 }
 

@@ -10,7 +10,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -61,14 +60,7 @@ func (s *Server) handleGraphCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req GraphCreateRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("malformed request: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	st, err := s.cfg.Graphs.Create(r.PathValue("id"), req.Mode, req.Shapes, req.Data)

@@ -3,12 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"github.com/s3pg/s3pg/internal/fixtures"
 	"github.com/s3pg/s3pg/internal/jobs"
 )
 
@@ -229,5 +231,68 @@ func TestQueryAndUpdateBodyTooLarge(t *testing.T) {
 				t.Errorf("413 body should name the limit: %s", raw)
 			}
 		})
+	}
+}
+
+// TestBodyTrailingData: the JSON-bodied endpoints take one value and
+// nothing after it but white space. A second value or stray text used to be
+// dropped silently, the request served as if it were not there.
+func TestBodyTrailingData(t *testing.T) {
+	ts, _ := newGraphServer(t, GraphConfig{})
+	createUniversityGraph(t, ts, "uni")
+	create, err := json.Marshal(GraphCreateRequest{Mode: "parsimonious", Shapes: fixtures.UniversityShapesTurtle, Data: universityNT(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit, err := json.Marshal(SubmitRequest{Shapes: fixtures.UniversityShapesTurtle, Data: universityNT(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := []struct {
+		name, method, path, body string
+		ok                       int
+	}{
+		{"query", http.MethodPost, "/query", `{"graph":"uni","lang":"sparql","query":"SELECT ?s WHERE { ?s ?p ?o }"}`, http.StatusOK},
+		{"graph create", http.MethodPut, "/graphs/g", string(create), http.StatusCreated},
+		{"job submit", http.MethodPost, "/jobs", string(submit), http.StatusAccepted},
+	}
+	tails := []struct {
+		name, tail string
+		ok         bool
+	}{
+		{"clean", "", true},
+		{"trailing object", `{"max_rows":1}`, false},
+		{"trailing garbage", "garbage", false},
+		{"trailing whitespace", " \r\n\t ", true},
+	}
+	for _, rt := range routes {
+		for i, tl := range tails {
+			t.Run(rt.name+"/"+tl.name, func(t *testing.T) {
+				path := rt.path
+				if rt.method == http.MethodPut {
+					path += fmt.Sprint(i) // a fresh graph id per case
+				}
+				req, err := http.NewRequest(rt.method, ts.URL+path, strings.NewReader(rt.body+tl.tail))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				want := rt.ok
+				if !tl.ok {
+					want = http.StatusBadRequest
+				}
+				if resp.StatusCode != want {
+					t.Fatalf("%s %s: %d, want %d: %s", rt.method, path, resp.StatusCode, want, raw)
+				}
+				if !tl.ok && !strings.Contains(string(raw), "malformed request") {
+					t.Errorf("400 body should say the request is malformed: %s", raw)
+				}
+			})
+		}
 	}
 }

@@ -213,6 +213,30 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	s.writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// decodeBody decodes a request's JSON body into v: one value, followed by
+// nothing but white space, within MaxBodyBytes. On failure it writes the
+// error response — 413 past the limit, 400 otherwise — and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		_, err = dec.Token()
+		switch err {
+		case io.EOF:
+			return true
+		case nil:
+			err = errors.New("data after the JSON value")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", tooBig.Limit))
+		return false
+	}
+	s.writeError(w, http.StatusBadRequest, fmt.Errorf("malformed request: %w", err))
+	return false
+}
+
 // submitStatus maps a jobs admission error to its HTTP status.
 func submitStatus(err error) int {
 	switch {
@@ -240,14 +264,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("malformed request: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	spec := jobs.Spec{Mode: req.Mode, Lenient: req.Lenient}

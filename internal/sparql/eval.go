@@ -21,7 +21,7 @@ type table = qexec.Table[rdf.TermID]
 
 // Answer is a query's result before any term is decoded: rows of dictionary
 // ids over the graph's dictionary. Results materializes it; a caller that
-// serializes the answer reads it cell by cell with Term instead.
+// serializes the answer reads it cell by cell with View instead.
 type Answer struct {
 	Vars []string
 	// Truncated reports that the row cap passed to Run cut the answer.
@@ -50,6 +50,20 @@ func (a *Answer) Term(row, col int) rdf.Term {
 		return rdf.Term{}
 	}
 	return a.dict.Term(id)
+}
+
+// View is Term's kind and value, which is all a cell's canonical string
+// tr(µ) reads: a resident term's value aliases the dictionary, and nothing
+// is allocated. An unbound variable is kind 0.
+func (a *Answer) View(row, col int) (rdf.Kind, string) {
+	if a.scalar != nil {
+		return a.scalar.Kind, a.scalar.Value
+	}
+	id := a.rows.Data[row*a.rows.Stride+col]
+	if id == unbound {
+		return 0, ""
+	}
+	return a.dict.View(id)
 }
 
 // Results decodes the whole answer: one array of terms, cut into rows.
@@ -459,7 +473,7 @@ func (b *bgpOp) run(st *patStep) {
 	if st == nil {
 		for _, f := range b.filters {
 			// An expression error eliminates the solution, like false.
-			if v, err := b.pl.evalExpr(f, b.scratch); err != nil || !truthy(v) {
+			if v, err := b.pl.evalExpr(f, b.scratch); err != nil || !b.pl.truthy(&v) {
 				return
 			}
 		}
@@ -526,7 +540,7 @@ func (f *filterOp) eval(in *table, limit int) (*table, error) {
 	f.out.Reset(in.Stride)
 	err := qexec.Filter(f.pl.x, in, &f.out, limit, func(row []rdf.TermID) (bool, error) {
 		v, err := f.pl.evalExpr(f.e, row)
-		return err == nil && truthy(v), nil
+		return err == nil && f.pl.truthy(&v), nil
 	})
 	return &f.out, err
 }
@@ -615,12 +629,12 @@ func (pl *plan) termKey(id rdf.TermID) termKey {
 	if id == unbound {
 		return termKey{}
 	}
-	t := pl.dict.Term(id)
-	k := termKey{kind: t.Kind, s: t.Value}
-	if t.Kind != rdf.Literal {
+	kind, value := pl.dict.View(id)
+	k := termKey{kind: kind, s: value}
+	if kind != rdf.Literal {
 		return k
 	}
-	v, err := xsd.Parse(t.Value, t.DatatypeIRI())
+	v, err := xsd.Parse(value, pl.dict.DatatypeIRI(id))
 	if err != nil {
 		return k
 	}

@@ -78,35 +78,72 @@ func (pl *plan) lowerExpr(e Expr) lexpr {
 	}
 }
 
-// exprValue is the result of a filter expression: a term or a boolean. lit
-// is set when the term is a constant literal parsed at lowering.
+// exprValue is the result of a filter expression: a boolean, or a term as
+// the kind and value operators compare. The rest of a term — its datatype,
+// its language tag — is read only by an operator that needs it, from where
+// the term came from: a variable's from the dictionary by id, a constant's
+// from its lConst (with the literal parsed at lowering). A term STR, LANG
+// or DATATYPE made has neither: it is a plain literal or an IRI.
 type exprValue struct {
 	isBool bool
 	b      bool
-	term   rdf.Term
-	lit    *litValue
+	kind   rdf.Kind // 0: a boolean
+	value  string
+	id     rdf.TermID // a variable's term; unbound otherwise
+	c      *lConst    // a constant's term; nil otherwise
 }
 
-func boolValue(b bool) exprValue { return exprValue{isBool: true, b: b} }
+func boolValue(b bool) exprValue { return exprValue{isBool: true, b: b, id: unbound} }
 
-func truthy(v exprValue) bool {
+// madeValue is a term an operator made.
+func madeValue(kind rdf.Kind, value string) exprValue {
+	return exprValue{kind: kind, value: value, id: unbound}
+}
+
+// datatype is Term.DatatypeIRI of v's term.
+func (pl *plan) datatype(v *exprValue) string {
+	switch {
+	case v.kind != rdf.Literal:
+		return ""
+	case v.c != nil:
+		return v.c.term.DatatypeIRI()
+	case v.id != unbound:
+		return pl.dict.DatatypeIRI(v.id)
+	}
+	return rdf.XSDString
+}
+
+// term decodes v's whole term (for LANG and strict equality); the zero
+// Term for a boolean.
+func (pl *plan) term(v *exprValue) rdf.Term {
+	switch {
+	case v.c != nil:
+		return v.c.term
+	case v.id != unbound:
+		return pl.dict.Term(v.id)
+	}
+	return rdf.Term{Kind: v.kind, Value: v.value}
+}
+
+func (pl *plan) truthy(v *exprValue) bool {
 	if v.isBool {
 		return v.b
 	}
 	// Effective boolean value of a literal.
-	if v.term.IsLiteral() {
-		switch v.term.DatatypeIRI() {
+	if v.kind == rdf.Literal {
+		switch pl.datatype(v) {
 		case rdf.XSDBoolean:
-			return v.term.Value == "true" || v.term.Value == "1"
+			return v.value == "true" || v.value == "1"
 		default:
-			return v.term.Value != ""
+			return v.value != ""
 		}
 	}
-	return !v.term.IsZero()
+	return v.kind != 0
 }
 
 // evalExpr evaluates a lowered expression over one solution. This is the
-// one place a FILTER operand is decoded from its id.
+// one place a FILTER operand is read from its id, and only its kind and
+// value are: Dict.View, which allocates nothing for a resident term.
 func (pl *plan) evalExpr(e lexpr, row []rdf.TermID) (exprValue, error) {
 	switch x := e.(type) {
 	case *lVar:
@@ -114,19 +151,16 @@ func (pl *plan) evalExpr(e lexpr, row []rdf.TermID) (exprValue, error) {
 		if id == unbound {
 			return exprValue{}, errFilter
 		}
-		return exprValue{term: pl.dict.Term(id)}, nil
+		kind, value := pl.dict.View(id)
+		return exprValue{kind: kind, value: value, id: id}, nil
 	case *lConst:
-		v := exprValue{term: x.term}
-		if x.term.Kind == rdf.Literal {
-			v.lit = &x.lit
-		}
-		return v, nil
+		return exprValue{kind: x.term.Kind, value: x.term.Value, id: unbound, c: x}, nil
 	case *lNot:
 		v, err := pl.evalExpr(x.e, row)
 		if err != nil {
 			return exprValue{}, err
 		}
-		return boolValue(!truthy(v)), nil
+		return boolValue(!pl.truthy(&v)), nil
 	case *lBinary:
 		return pl.evalBinary(x, row)
 	case *lCall:
@@ -144,9 +178,9 @@ func (pl *plan) evalBinary(x *lBinary, row []rdf.TermID) (exprValue, error) {
 			if lerr != nil || rerr != nil {
 				return exprValue{}, errFilter
 			}
-			return boolValue(truthy(l) && truthy(r)), nil
+			return boolValue(pl.truthy(&l) && pl.truthy(&r)), nil
 		}
-		if lerr == nil && truthy(l) || rerr == nil && truthy(r) {
+		if lerr == nil && pl.truthy(&l) || rerr == nil && pl.truthy(&r) {
 			return boolValue(true), nil
 		}
 		if lerr != nil || rerr != nil {
@@ -162,14 +196,14 @@ func (pl *plan) evalBinary(x *lBinary, row []rdf.TermID) (exprValue, error) {
 	if err != nil {
 		return exprValue{}, err
 	}
-	cmp, err := compareExprTerms(l, r)
+	cmp, err := pl.compareExprTerms(&l, &r)
 	if err != nil {
 		// '=' and '!=' fall back to strict term (in)equality.
 		switch x.op {
 		case "=":
-			return boolValue(l.term == r.term), nil
+			return boolValue(pl.term(&l) == pl.term(&r)), nil
 		case "!=":
-			return boolValue(l.term != r.term), nil
+			return boolValue(pl.term(&l) != pl.term(&r)), nil
 		}
 		return exprValue{}, err
 	}
@@ -193,33 +227,32 @@ func (pl *plan) evalBinary(x *lBinary, row []rdf.TermID) (exprValue, error) {
 
 // compareExprTerms compares two terms under SPARQL operator semantics:
 // literals by value space, IRIs/blanks by identity-as-string.
-func compareExprTerms(l, r exprValue) (int, error) {
-	a, b := l.term, r.term
-	if a.IsZero() || b.IsZero() {
+func (pl *plan) compareExprTerms(l, r *exprValue) (int, error) {
+	if l.kind == 0 || r.kind == 0 {
 		return 0, errFilter
 	}
-	if a.Kind == rdf.Literal && b.Kind == rdf.Literal {
-		va, err := literalValue(l)
+	if l.kind == rdf.Literal && r.kind == rdf.Literal {
+		va, err := pl.literalValue(l)
 		if err != nil {
 			return 0, err
 		}
-		vb, err := literalValue(r)
+		vb, err := pl.literalValue(r)
 		if err != nil {
 			return 0, err
 		}
 		return xsd.Compare(va, vb)
 	}
-	if a.Kind != b.Kind {
+	if l.kind != r.kind {
 		return 0, errFilter
 	}
-	return strings.Compare(a.Value, b.Value), nil
+	return strings.Compare(l.value, r.value), nil
 }
 
-func literalValue(v exprValue) (xsd.Value, error) {
-	if v.lit != nil {
-		return v.lit.v, v.lit.err
+func (pl *plan) literalValue(v *exprValue) (xsd.Value, error) {
+	if v.c != nil {
+		return v.c.lit.v, v.c.lit.err
 	}
-	return xsd.Parse(v.term.Value, v.term.DatatypeIRI())
+	return xsd.Parse(v.value, pl.datatype(v))
 }
 
 func (pl *plan) evalCall(x *lCall, row []rdf.TermID) (exprValue, error) {
@@ -245,20 +278,20 @@ func (pl *plan) evalCall(x *lCall, row []rdf.TermID) (exprValue, error) {
 	}
 	switch x.fn {
 	case "ISIRI":
-		return boolValue(v.term.IsIRI()), nil
+		return boolValue(v.kind == rdf.IRI), nil
 	case "ISBLANK":
-		return boolValue(v.term.IsBlank()), nil
+		return boolValue(v.kind == rdf.Blank), nil
 	case "ISLITERAL":
-		return boolValue(v.term.IsLiteral()), nil
+		return boolValue(v.kind == rdf.Literal), nil
 	case "STR":
-		return exprValue{term: rdf.NewLiteral(v.term.Value)}, nil
+		return madeValue(rdf.Literal, v.value), nil
 	case "LANG":
-		return exprValue{term: rdf.NewLiteral(v.term.Lang)}, nil
+		return madeValue(rdf.Literal, pl.term(&v).Lang), nil
 	case "DATATYPE":
-		if !v.term.IsLiteral() {
+		if v.kind != rdf.Literal {
 			return exprValue{}, errFilter
 		}
-		return exprValue{term: rdf.NewIRI(v.term.DatatypeIRI())}, nil
+		return madeValue(rdf.IRI, pl.datatype(&v)), nil
 	case "REGEX", "CONTAINS", "STRSTARTS":
 		w, err := arg(1)
 		if err != nil {
@@ -266,20 +299,20 @@ func (pl *plan) evalCall(x *lCall, row []rdf.TermID) (exprValue, error) {
 		}
 		switch x.fn {
 		case "CONTAINS":
-			return boolValue(strings.Contains(v.term.Value, w.term.Value)), nil
+			return boolValue(strings.Contains(v.value, w.value)), nil
 		case "STRSTARTS":
-			return boolValue(strings.HasPrefix(v.term.Value, w.term.Value)), nil
+			return boolValue(strings.HasPrefix(v.value, w.value)), nil
 		}
 		re := x.re
 		if x.reBad {
 			return exprValue{}, errFilter
 		}
 		if re == nil {
-			if re, err = regexp.Compile(w.term.Value); err != nil {
+			if re, err = regexp.Compile(w.value); err != nil {
 				return exprValue{}, errFilter
 			}
 		}
-		return boolValue(re.MatchString(v.term.Value)), nil
+		return boolValue(re.MatchString(v.value)), nil
 	default:
 		return exprValue{}, errFilter
 	}
