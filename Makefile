@@ -32,17 +32,30 @@ bench-layers:
 # workers hand the reader and buffers to each other and to two in-order
 # stages, and the detector sees a race only in a schedule a run happens to
 # take. The step fails when LOADER_TESTS misses a test that file declares,
-# so a renamed test cannot drop out of it unnoticed.
+# so a renamed test cannot drop out of it unnoticed. The first-reader tests
+# (FIRST_READER_TESTS: readers racing to build a graph's postings, a store's
+# adjacency and iri index, and the cow.Watermark they share) run ten times
+# more for the same reason, and the step fails when their pattern misses one
+# of them.
 RACE_PKGS = ./internal/obs ./internal/rio ./internal/rdf ./internal/core \
 	./internal/cow ./internal/pg ./internal/qexec ./internal/sparql \
 	./internal/cypher ./internal/serve ./internal/server
 LOADER_TESTS = ^TestLoadNTriples
+FIRST_READER_TESTS = TestConcurrentFirstReaders TestStoreIndexConcurrentFirstReaders \
+	TestWatermarkConcurrentCatchUp
+FIRST_READER_PKGS = ./internal/rdf ./internal/pg ./internal/cow
+space := $(subst ,, )
+FIRST_READER_RUN = ^($(subst $(space),|,$(strip $(FIRST_READER_TESTS))))$$
 race:
 	$(GO) test -race $(RACE_PKGS)
 	@listed="$$($(GO) test -list '$(LOADER_TESTS)' ./internal/rio)"; \
 	for t in $$(sed -n 's/^func \(Test[A-Za-z0-9_]*\)(.*/\1/p' internal/rio/load_test.go); do \
 		echo "$$listed" | grep -qx "$$t" || { echo "race: $(LOADER_TESTS) does not match $$t"; exit 1; }; done
 	$(GO) test -race -count=10 -run '$(LOADER_TESTS)' ./internal/rio
+	@listed="$$($(GO) test -list '$(FIRST_READER_RUN)' $(FIRST_READER_PKGS))"; \
+	for t in $(FIRST_READER_TESTS); do \
+		echo "$$listed" | grep -qx "$$t" || { echo "race: $(FIRST_READER_RUN) matches no test $$t in $(FIRST_READER_PKGS)"; exit 1; }; done
+	$(GO) test -race -count=10 -run '$(FIRST_READER_RUN)' $(FIRST_READER_PKGS)
 
 # verify is the pre-commit gate: static checks, formatting, the race list,
 # the full test suite (including the corrupted-input corpus tests), and a

@@ -2,7 +2,9 @@
 // pg.Store.Clone: an id-indexed paged Table (and its slice-valued form,
 // Lists) and a Map without deletion. A Clone of either costs a page-table or
 // overlay copy, never a walk of the elements; afterwards either side may be
-// mutated and the other never observes it. Sharing rules are in DESIGN.md §9.
+// mutated and the other never observes it. Watermark and Grouper build the
+// indexes derived from such containers on first read. Sharing rules and that
+// mechanism are in DESIGN.md §9.
 //
 // Clone writes to its receiver (it revokes the receiver's right to write
 // shared pages in place), so it counts as a mutation for concurrency:

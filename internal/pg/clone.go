@@ -14,13 +14,11 @@ import "slices"
 // (mutNode, mutEdge). Only the label lists' headers and the per-label edge
 // counts are copied, one per label.
 //
-// Clone first brings s's adjacency and iri indexes up to date, as
-// rdf.Graph.Clone does its postings, so both sides share one watermark at the
-// element count: a snapshot that is only read never builds an index, and a
-// live store pays at each publish for the edges and nodes added since the
-// last one. Either side catches up on its own after that. Clone writes to
-// s's sharing state, so like any mutation it must not run concurrently with
-// another method of s.
+// Clone first brings s's adjacency and iri indexes up to date and starts the
+// clone at s's watermarks (DESIGN.md §9), so a snapshot that is only read
+// never builds an index and a live store pays at each publish for the edges
+// and nodes added since the last one. Clone writes to s's sharing state, so
+// like any mutation it must not run concurrently with another method of s.
 func (s *Store) Clone() *Store {
 	s.indexEdges()
 	s.indexIRIs()
@@ -35,8 +33,8 @@ func (s *Store) Clone() *Store {
 		byIRI:     s.byIRI.Clone(),
 		iriShared: s.iriShared,
 	}
-	c.edgesIndexed.Store(s.edgesIndexed.Load())
-	c.nodesIndexed.Store(s.nodesIndexed.Load())
+	c.edgesIndexed.Reset(s.edgesIndexed.Load())
+	c.nodesIndexed.Reset(s.nodesIndexed.Load())
 	for l, ids := range s.byLabel {
 		c.byLabel[l] = ids[:len(ids):len(ids)]
 	}

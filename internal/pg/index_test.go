@@ -57,6 +57,29 @@ func indexedStore(t *testing.T) (nodes, edges []byte, entries int64) {
 	return nb.Bytes(), eb.Bytes(), entries
 }
 
+// TestIndexedReadsAllocateNothing guards the read path of built indexes:
+// Out, In and NodeByIRI allocate nothing. A catch-up closure that escaped to
+// the heap would allocate on every read.
+func TestIndexedReadsAllocateNothing(t *testing.T) {
+	nodes, edges, _ := indexedStore(t)
+	s, err := LoadCSV(bytes.NewReader(nodes), bytes.NewReader(edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	iri := s.Node(1).PropSym(iriKey).(string)
+	s.Out(0)
+	s.NodeByIRI(iri) // builds the indexes
+	for name, read := range map[string]func(){
+		"Out":       func() { s.Out(0) },
+		"In":        func() { s.In(1) },
+		"NodeByIRI": func() { s.NodeByIRI(iri) },
+	} {
+		if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per run, want 0", name, allocs)
+		}
+	}
+}
+
 // TestStoreIndexConcurrentFirstReaders races eight readers to the first read
 // of a store's adjacency and iri index — a loaded store, and the clone of a
 // store nothing had read while its original keeps being written — and

@@ -22,8 +22,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"github.com/s3pg/s3pg/internal/cow"
 )
@@ -340,9 +338,8 @@ type Store struct {
 	in           cow.Lists[EdgeID]
 	byIRI        cow.Map[string, NodeID] // first node registered under each "iri" property
 	iriShared    bool                    // some iri was registered by a second node
-	edgesIndexed atomic.Int64
-	nodesIndexed atomic.Int64
-	indexMu      sync.Mutex // serializes the catch-up between concurrent readers
+	edgesIndexed cow.Watermark
+	nodesIndexed cow.Watermark
 }
 
 // NewStore returns an empty property graph.
@@ -478,13 +475,13 @@ func (s *Store) NodesByLabel(label string) []NodeID {
 
 // Out returns the outgoing edge ids of the node, in id order.
 func (s *Store) Out(id NodeID) []EdgeID {
-	s.indexEdges()
+	s.edgesIndexed.CatchUp(s.edges.Len(), s.addEdges) // inlines; indexEdges does not
 	return s.out.At(int(id))
 }
 
 // In returns the incoming edge ids of the node, in id order.
 func (s *Store) In(id NodeID) []EdgeID {
-	s.indexEdges()
+	s.edgesIndexed.CatchUp(s.edges.Len(), s.addEdges)
 	return s.in.At(int(id))
 }
 
@@ -500,7 +497,7 @@ func (s *Store) IRIUnique() bool {
 // NodeByIRI returns the first node registered under iri — the node whose
 // "iri" property equals it, unless the property was rewritten since.
 func (s *Store) NodeByIRI(iri string) (Node, bool) {
-	s.indexIRIs()
+	s.nodesIndexed.CatchUp(s.nodes.Len(), s.addIRIs)
 	id, ok := s.byIRI.Get(iri)
 	if !ok {
 		return Node{}, false

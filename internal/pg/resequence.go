@@ -84,7 +84,7 @@ func (s *Store) Resequence(dropNodes []NodeID, moves []NodeMove, dropEdges []Edg
 
 	s.nodes, s.edges = nodes, edges
 	s.out, s.in = cow.Lists[EdgeID]{}, cow.Lists[EdgeID]{}
-	s.edgesIndexed.Store(0)
+	s.edgesIndexed.Reset(0)
 
 	relist := make(map[Sym][]NodeID)
 	for _, mv := range moves {
@@ -112,7 +112,7 @@ func (s *Store) Resequence(dropNodes []NodeID, moves []NodeMove, dropEdges []Edg
 // key, so when a node it holds was dropped it is built again, first node in
 // id order first.
 func (s *Store) remapIRIs(nodeMap []NodeID) {
-	defer s.nodesIndexed.Store(int64(s.nodes.Len()))
+	defer s.nodesIndexed.Reset(s.nodes.Len())
 	type entry struct {
 		iri string
 		id  NodeID

@@ -98,14 +98,14 @@ func (g *Graph) TruncateFrom(n int) {
 	}
 	g.ownPresent()
 	tail := n - base
-	if indexed := int(g.indexed.Load()); indexed > tail {
+	if indexed := g.indexed.Load(); indexed > tail {
 		for i := indexed - 1; i >= tail; i-- {
 			e, idx := g.triples[i], int32(base+i)
 			g.popIndex(0, e.s, idx)
 			g.popIndex(1, e.p, idx)
 			g.popIndex(2, e.o, idx)
 		}
-		g.indexed.Store(int64(tail))
+		g.indexed.Reset(tail)
 	}
 	for i := len(g.triples) - 1; i >= tail; i-- {
 		if g.dead[i] {

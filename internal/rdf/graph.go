@@ -5,8 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/s3pg/s3pg/internal/cow"
 	"github.com/s3pg/s3pg/internal/obs"
@@ -85,8 +83,7 @@ type Graph struct {
 	// the first indexed tail slots. Admission does not write them; index
 	// brings them up to date before anything reads them.
 	post    [3]cow.Lists[int32]
-	indexed atomic.Int64
-	indexMu sync.Mutex // serializes index between concurrent readers
+	indexed cow.Watermark
 
 	spill *graphSpill // disk-backed slots [0, spill.slots); nil when unspilled
 
@@ -152,9 +149,10 @@ func (g *Graph) Dict() *Dict { return g.dict }
 // Len returns the number of live triples.
 func (g *Graph) Len() int { return g.numSlots() - g.nDead }
 
-// Spill-aware internal accessors. Every method that used to touch
-// g.triples/g.dead/g.present/g.by* directly goes through these, which is
-// the entire integration surface of the out-of-core representation.
+// Spill-aware internal accessors: a slot's triple and tombstone by global
+// slot number, spilled or in the tail. With postingFor and slotOf they are
+// how readers reach the out-of-core representation; AdmitEncoded,
+// TruncateFrom and Spill write the tail fields directly.
 
 // spillBase returns the number of disk-resident slots.
 func (g *Graph) spillBase() int {
@@ -224,79 +222,43 @@ func (g *Graph) ownPresent() {
 	g.present = tt
 }
 
-// index brings the tail's posting lists up to date before a read of them:
-// from empty by one counting sort (sortPostings), otherwise by appending the
-// slots admitted since the last read. Readers of a graph nobody mutates may
-// call it concurrently — the first one builds under indexMu, the others find
-// the watermark current and take no lock — so a freshly loaded graph can be
-// shared before anything has read it.
-func (g *Graph) index() {
-	n := int64(len(g.triples))
-	if g.indexed.Load() == n {
-		return
-	}
-	g.indexMu.Lock()
-	defer g.indexMu.Unlock()
-	from := g.indexed.Load()
-	if from == n {
-		return
-	}
-	base := g.spillBase()
-	if from == 0 {
-		g.post = sortPostings(g.triples, base, g.dict.Len())
-	} else {
-		for i := int(from); i < len(g.triples); i++ {
-			e, idx := g.triples[i], int32(base+i)
-			g.post[0].Append(int(e.s), idx)
-			g.post[1].Append(int(e.p), idx)
-			g.post[2].Append(int(e.o), idx)
-		}
-	}
-	cIndexEntries.Add(3 * (n - from))
-	g.indexed.Store(n)
-}
+// index brings the tail's posting lists up to date before a read of them
+// (cow.Watermark, DESIGN.md §9).
+func (g *Graph) index() { g.indexed.CatchUp(len(g.triples), g.addPostings) }
 
-// sortPostings builds the subject, predicate and object postings of triples,
-// whose first slot is base and whose ids are below ids, by counting sort: per
-// index one array holding every slot grouped by id, each id's list a window of
-// it with its capacity clipped, so an append to one list never writes into the
-// next. Slots ascend within a list as they do in triples.
-func sortPostings(triples []encTriple, base, ids int) (post [3]cow.Lists[int32]) {
-	var next, slots [3][]int32 // next[k][id]: where id's next slot goes in slots[k]
-	for k := range next {
-		next[k] = make([]int32, ids+1)
-		slots[k] = make([]int32, len(triples))
-	}
-	for _, e := range triples {
-		next[0][e.s+1]++
-		next[1][e.p+1]++
-		next[2][e.o+1]++
-	}
-	for k := range next {
-		for id := 1; id <= ids; id++ {
-			next[k][id] += next[k][id-1]
+// addPostings indexes tail slots [from, to): from empty by counting sort,
+// otherwise by appending them.
+func (g *Graph) addPostings(from, to int) {
+	base, tail := g.spillBase()+from, g.triples[from:to]
+	if from == 0 {
+		ids := g.dict.Len()
+		by := [3]cow.Grouper[int32]{cow.NewGrouper[int32](ids), cow.NewGrouper[int32](ids), cow.NewGrouper[int32](ids)}
+		for _, e := range tail {
+			by[0].Count(int(e.s))
+			by[1].Count(int(e.p))
+			by[2].Count(int(e.o))
+		}
+		for k := range by {
+			by[k].Sum()
+		}
+		for i, e := range tail {
+			slot := int32(base + i)
+			by[0].Place(int(e.s), slot)
+			by[1].Place(int(e.p), slot)
+			by[2].Place(int(e.o), slot)
+		}
+		for k := range by {
+			g.post[k] = by[k].Lists()
+		}
+	} else {
+		for i, e := range tail {
+			slot := int32(base + i)
+			g.post[0].Append(int(e.s), slot)
+			g.post[1].Append(int(e.p), slot)
+			g.post[2].Append(int(e.o), slot)
 		}
 	}
-	for i, e := range triples {
-		slot := int32(base + i)
-		slots[0][next[0][e.s]] = slot
-		next[0][e.s]++
-		slots[1][next[1][e.p]] = slot
-		next[1][e.p]++
-		slots[2][next[2][e.o]] = slot
-		next[2][e.o]++
-	}
-	// next[k][id] is now where id's list ends and id+1's begins.
-	for k := range post {
-		lo := int32(0)
-		for id, hi := range next[k][:ids] {
-			if hi > lo {
-				post[k].Set(id, slots[k][lo:hi:hi])
-			}
-			lo = hi
-		}
-	}
-	return post
+	cIndexEntries.Add(3 * int64(len(tail)))
 }
 
 // forEachSlot calls fn for every live slot in admission order until fn
@@ -825,13 +787,15 @@ func (g *Graph) AddAll(other *Graph) int {
 
 // Clone returns a logical copy: mutations on either side are invisible to
 // the other. Nothing is copied per triple or per term — the triple log, the
-// term slice and the posting arrays are shared (only g may append to them
-// in place; the clone's views are clipped), the posting tables and the
-// dictionary's hash index are shared copy-on-write (package cow), spilled
+// posting arrays and the dictionary's 24-byte term records, value chunks and
+// names are shared (only g may append to them in place; the clone's views
+// are clipped, see Dict.clone), the posting tables and the dictionary's hash
+// index are shared copy-on-write (package cow, termIndex.share), spilled
 // segments are shared as the immutable files they are, and the tombstones are
 // copied by whichever side first flips one. Slot indexes and term ids are
 // preserved. Clone first brings g's posting lists up to date, so the clone
-// starts indexed and a snapshot that is only read never builds an index.
+// starts at g's watermark (DESIGN.md §9) and a snapshot that is only read
+// never builds an index.
 // Clone writes to g's sharing state, so like any mutation it must not run
 // concurrently with another method of g.
 func (g *Graph) Clone() *Graph {
@@ -846,7 +810,7 @@ func (g *Graph) Clone() *Graph {
 		nDead:      g.nDead,
 		post:       [3]cow.Lists[int32]{g.post[0].Clone(), g.post[1].Clone(), g.post[2].Clone()},
 	}
-	c.indexed.Store(int64(n))
+	c.indexed.Reset(n)
 	if g.spill != nil {
 		c.spill = g.spill.share()
 	}

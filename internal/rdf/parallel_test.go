@@ -104,6 +104,32 @@ func TestDictInternNoAllocsOnHit(t *testing.T) {
 	}
 }
 
+// TestIndexedReadsAllocateNothing guards the read path of a built index:
+// Match over a bound subject (the watermark's check, the posting list, the
+// decode) allocates nothing, resident or spilled — a subject whose postings
+// are all in the tail, since merging a spilled list with a tail one
+// allocates by design. A catch-up closure that escaped to the heap would
+// allocate on every read.
+func TestIndexedReadsAllocateNothing(t *testing.T) {
+	for _, spilled := range []bool{false, true} {
+		g, s := spillFixture(120), ex("p7")
+		if spilled {
+			g, s = spillIn(t, spillFixture(120), 2, t.TempDir()), ex("late")
+			g.Add(NewTriple(s, ex("knows"), ex("p7")))
+			g.Add(NewTriple(s, A, ex("Person")))
+		}
+		n := 0
+		count := func(Triple) bool { n++; return true }
+		g.Match(&s, nil, nil, count) // builds the index
+		if allocs := testing.AllocsPerRun(100, func() { g.Match(&s, nil, nil, count) }); allocs != 0 {
+			t.Errorf("spilled=%v: Match over a bound subject allocates %.1f times per run, want 0", spilled, allocs)
+		}
+		if n == 0 {
+			t.Fatalf("spilled=%v: Match found nothing", spilled)
+		}
+	}
+}
+
 // TestConcurrentFirstReaders: eight goroutines query a graph nothing has read
 // yet — resident, and spilled with an unread tail — so that one of them
 // builds the posting lists while the others wait for it or read after it.

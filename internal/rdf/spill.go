@@ -664,7 +664,7 @@ func (g *Graph) Spill(dir string, fsys ckpt.FS) error {
 	g.deadShared = false
 	g.present = &slotTable{}
 	g.post = [3]cow.Lists[int32]{}
-	g.indexed.Store(0)
+	g.indexed.Reset(0)
 
 	cSpillBytes.Add(written)
 	cSpillSegments.Inc()
