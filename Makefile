@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race bench bench-e2e bench-layers verify fuzz chaos delta-chaos experiments
+.PHONY: build test race inline bench bench-e2e bench-layers verify fuzz chaos delta-chaos experiments
 
 build:
 	$(GO) build ./...
@@ -57,13 +57,24 @@ race:
 		echo "$$listed" | grep -qx "$$t" || { echo "race: $(FIRST_READER_RUN) matches no test $$t in $(FIRST_READER_PKGS)"; exit 1; }; done
 	$(GO) test -race -count=10 -run '$(FIRST_READER_RUN)' $(FIRST_READER_PKGS)
 
-# verify is the pre-commit gate: static checks, formatting, the race list,
-# the full test suite (including the corrupted-input corpus tests), and a
-# short fuzz pass over every parser entry point.
+# inline fails unless the compiler inlines the calls the hot paths are
+# written around (the list is in internal/tools/inlinecheck): the term
+# index's resident compare into its probe loop, for both key forms; the
+# resident branch of Dict.View; and the watermark's catch-up into the reads
+# of the RDF postings, the store's adjacency and its iri index. A lost inline
+# fails no test, it only makes the benchmark slower.
+inline:
+	$(GO) run ./internal/tools/inlinecheck
+
+# verify is the pre-commit gate: static checks, formatting, the inlines the
+# hot paths need, the race list, the full test suite (including the
+# corrupted-input corpus tests), and a short fuzz pass over every parser
+# entry point.
 verify:
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
+	$(MAKE) inline
 	$(MAKE) race
 	$(GO) test ./...
 	$(MAKE) fuzz

@@ -21,8 +21,8 @@ import (
 	"github.com/s3pg/s3pg/internal/datagen"
 	"github.com/s3pg/s3pg/internal/fixtures"
 	"github.com/s3pg/s3pg/internal/jobs"
-	"github.com/s3pg/s3pg/internal/obs"
 	"github.com/s3pg/s3pg/internal/pgschema"
+	"github.com/s3pg/s3pg/internal/promlint"
 	"github.com/s3pg/s3pg/internal/rio"
 	"github.com/s3pg/s3pg/internal/shacl"
 	"github.com/s3pg/s3pg/internal/shapeex"
@@ -373,7 +373,7 @@ func (d *daemon) scrapePrometheus(t *testing.T) string {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("prometheus scrape content type %q", ct)
 	}
-	if err := obs.LintPrometheus(bytes.NewReader(raw)); err != nil {
+	if err := promlint.Lint(bytes.NewReader(raw)); err != nil {
 		t.Errorf("%v\nexposition:\n%s", err, raw)
 	}
 	for _, name := range []string{"s3pgd_http_request_seconds", "s3pgd_job_queue_wait_seconds", "s3pgd_build_info"} {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"text/tabwriter"
 	"time"
 
@@ -318,7 +319,29 @@ func avgTime(reps int, fn func()) time.Duration {
 	return sp.Wall() / time.Duration(reps)
 }
 
-// MonotonicityResult holds the §5.4 measurements.
+// monotonicityRuns is how many timed runs each §5.4 figure is the median of,
+// after one untimed warm-up: a single run swings with one GC pause or
+// descheduling (6.9–91.9 % saved over 25 single-run reproductions).
+const monotonicityRuns = 5
+
+// medianWall returns the median wall time of monotonicityRuns runs of fn,
+// each timed by measure after setup (when not nil) has run outside the span,
+// following one warm-up run.
+func medianWall(name string, setup func(), fn func(*obs.Span)) time.Duration {
+	walls := make([]time.Duration, monotonicityRuns+1)
+	for i := range walls {
+		if setup != nil {
+			setup()
+		}
+		walls[i] = measure(name, fn).Wall()
+	}
+	walls = walls[1:] // the warm-up
+	slices.Sort(walls)
+	return walls[len(walls)/2]
+}
+
+// MonotonicityResult holds the §5.4 measurements; each duration is a median
+// (medianWall).
 type MonotonicityResult struct {
 	BaseTriples  int
 	DeltaTriples int
@@ -345,38 +368,40 @@ func RunMonotonicity(e *Env) (*MonotonicityResult, error) {
 
 	res := &MonotonicityResult{BaseTriples: s1.Len(), DeltaTriples: delta.Len()}
 
-	res.FullParsimonious = measure("full.s1.parsimonious", func(sp *obs.Span) {
+	res.FullParsimonious = medianWall("full.s1.parsimonious", nil, func(sp *obs.Span) {
 		if _, err := core.TransformWith(context.Background(), s1, sg, core.Parsimonious, sp, core.TransformOptions{}); err != nil {
 			panic(err)
 		}
-	}).Wall()
-	res.FullNonParsimonious = measure("full.s1.nonparsimonious", func(sp *obs.Span) {
+	})
+	res.FullNonParsimonious = medianWall("full.s1.nonparsimonious", nil, func(sp *obs.Span) {
 		if _, err := core.TransformWith(context.Background(), s1, sg, core.NonParsimonious, sp, core.TransformOptions{}); err != nil {
 			panic(err)
 		}
-	}).Wall()
+	})
 
 	s2 := s1.Clone()
 	s2.AddAll(delta)
-	res.FullS2Parsimonious = measure("full.s2.parsimonious", func(sp *obs.Span) {
+	res.FullS2Parsimonious = medianWall("full.s2.parsimonious", nil, func(sp *obs.Span) {
 		if _, err := core.TransformWith(context.Background(), s2, sg, core.Parsimonious, sp, core.TransformOptions{}); err != nil {
 			panic(err)
 		}
-	}).Wall()
+	})
 
-	// Incremental: transform S1 once, then apply only Δ.
-	tr, err := core.NewTransformer(sg, core.NonParsimonious)
-	if err != nil {
-		return nil, err
-	}
-	if err := tr.Apply(s1); err != nil {
-		return nil, err
-	}
-	res.IncrementalDelta = measure("incremental.delta", func(sp *obs.Span) {
+	// Incremental: each run transforms S1 afresh, untimed, then applies only Δ.
+	var tr *core.Transformer
+	res.IncrementalDelta = medianWall("incremental.delta", func() {
+		var err error
+		if tr, err = core.NewTransformer(sg, core.NonParsimonious); err == nil {
+			err = tr.Apply(s1)
+		}
+		if err != nil {
+			panic(err)
+		}
+	}, func(sp *obs.Span) {
 		if err := tr.ApplyParallel(context.Background(), delta, 1, sp); err != nil {
 			panic(err)
 		}
-	}).Wall()
+	})
 	res.SavingsPct = 1 - float64(res.IncrementalDelta)/float64(res.FullS2Parsimonious)
 
 	back, err := core.InverseData(tr.Store(), tr.Schema())

@@ -19,9 +19,6 @@ type JSONL struct {
 	c  io.Closer // nil when the sink doesn't own the stream
 }
 
-// NewJSONL wraps an existing writer (it is not closed by Close).
-func NewJSONL(w io.Writer) *JSONL { return &JSONL{w: w} }
-
 // CreateJSONL opens path in append mode (creating it if needed) and returns
 // a sink that owns the file.
 func CreateJSONL(path string) (*JSONL, error) {

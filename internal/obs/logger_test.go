@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -100,7 +101,7 @@ func TestJSONLWriteAndNilSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b bytes.Buffer
-	j := NewJSONL(&b)
+	j := newJSONL(&b)
 	if err := j.Write(map[string]string{"phase": "spool"}); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestJSONLWriteAndNilSafety(t *testing.T) {
 
 func TestJSONLWriteSpanTree(t *testing.T) {
 	var b bytes.Buffer
-	j := NewJSONL(&b)
+	j := newJSONL(&b)
 	rec := SpanRecord{
 		Name:   "run",
 		WallNS: 100,
@@ -154,3 +155,6 @@ func TestJSONLWriteSpanTree(t *testing.T) {
 		}
 	}
 }
+
+// newJSONL wraps an existing writer (it is not closed by Close).
+func newJSONL(w io.Writer) *JSONL { return &JSONL{w: w} }

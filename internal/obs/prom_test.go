@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/s3pg/s3pg/internal/promlint"
 )
 
 // promSnapshot builds a registry with one of everything — including labeled
@@ -38,7 +40,7 @@ func renderProm(t *testing.T, s Snapshot) string {
 
 func TestWritePrometheusPassesLint(t *testing.T) {
 	out := renderProm(t, promSnapshot())
-	if err := LintPrometheus(strings.NewReader(out)); err != nil {
+	if err := promlint.Lint(strings.NewReader(out)); err != nil {
 		t.Fatalf("lint: %v\n%s", err, out)
 	}
 	for _, want := range []string{
@@ -75,10 +77,11 @@ func TestWritePrometheusHelpTypeOncePerFamily(t *testing.T) {
 	help := map[string]int{}
 	typ := map[string]int{}
 	for _, line := range strings.Split(out, "\n") {
-		kind, name, _, ok := parseComment(line)
-		if !ok {
+		f := strings.Fields(line)
+		if len(f) < 3 || f[0] != "#" || f[1] != "HELP" && f[1] != "TYPE" {
 			continue
 		}
+		kind, name := f[1], f[2]
 		if kind == "HELP" {
 			help[name]++
 		} else {
@@ -107,7 +110,7 @@ func TestWritePrometheusEmptyHistogramStillRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if err := LintPrometheus(strings.NewReader(out)); err != nil {
+	if err := promlint.Lint(strings.NewReader(out)); err != nil {
 		t.Fatalf("lint: %v\n%s", err, out)
 	}
 	for _, want := range []string{
@@ -180,7 +183,7 @@ func TestLintPrometheusRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := LintPrometheus(strings.NewReader(tc.body)); err == nil {
+			if err := promlint.Lint(strings.NewReader(tc.body)); err == nil {
 				t.Fatalf("lint accepted:\n%s", tc.body)
 			}
 		})
@@ -203,7 +206,7 @@ g 1 1712345678901
 `
 	// "free text..." is not a comment — drop it; keep the rest.
 	body = strings.Replace(body, "free text comment follows:\n", "", 1)
-	if err := LintPrometheus(strings.NewReader(body)); err != nil {
+	if err := promlint.Lint(strings.NewReader(body)); err != nil {
 		t.Fatalf("lint rejected valid body: %v", err)
 	}
 }

@@ -158,7 +158,7 @@ func (s *Span) Child(name string) *Span {
 }
 
 // SpanRecord is the machine-readable form of a span tree; it marshals to
-// JSON and round-trips through SpanFromJSON.
+// JSON, and WriteJSON's output decodes back into it.
 type SpanRecord struct {
 	Name       string           `json:"name"`
 	WallNS     int64            `json:"wall_ns"`
@@ -198,14 +198,6 @@ func (s *Span) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s.Record())
-}
-
-// SpanFromJSON parses a span tree previously written with WriteJSON (or the
-// marshalled SpanRecord).
-func SpanFromJSON(r io.Reader) (SpanRecord, error) {
-	var rec SpanRecord
-	err := json.NewDecoder(r).Decode(&rec)
-	return rec, err
 }
 
 // Wall returns the record's wall time as a duration.

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -39,7 +41,7 @@ func TestSpanNestingAndJSONRoundTrip(t *testing.T) {
 	if err := root.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := SpanFromJSON(&buf)
+	back, err := spanFromJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,4 +100,11 @@ func TestSpanEndIdempotentAndAllocs(t *testing.T) {
 	if s.AllocBytes() < 1<<20 {
 		t.Fatalf("allocation delta %d did not capture the 1MiB allocation", s.AllocBytes())
 	}
+}
+
+// spanFromJSON parses a span tree written with WriteJSON.
+func spanFromJSON(r io.Reader) (SpanRecord, error) {
+	var rec SpanRecord
+	err := json.NewDecoder(r).Decode(&rec)
+	return rec, err
 }

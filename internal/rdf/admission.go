@@ -62,19 +62,15 @@ func (g *Graph) Unremove(idx int32, t Triple) bool {
 	if live {
 		return false
 	}
-	if sp := g.spill; sp != nil {
-		if _, live := sp.slotOf(e); live {
+	if g.spill != nil {
+		if _, live := g.spilledSlotOf(e); live {
 			return false
 		}
 	}
-	if base := g.spillBase(); i < base {
-		g.spill.setDead(i, false)
-	} else {
+	if base := g.spillBase(); i >= base {
 		g.present.insert(slot, h, i-base)
-		g.ownDead()
-		g.dead[i-base] = false
 	}
-	g.nDead--
+	g.setDead(i, false)
 	return true
 }
 
@@ -108,14 +104,15 @@ func (g *Graph) TruncateFrom(n int) {
 		g.indexed.Reset(tail)
 	}
 	for i := len(g.triples) - 1; i >= tail; i-- {
-		if g.dead[i] {
-			g.nDead--
+		if g.slotDead(base + i) {
+			g.setDead(base+i, false)
 		} else if slot, _, ok := findTriple(g.present, g.triples[i].hash(), g.triples[i], g.triples); ok {
 			g.present.remove(slot)
 		}
 	}
 	g.triples = g.triples[:tail:tail]
-	g.dead = g.dead[:tail:tail]
+	words := (n + 63) / 64
+	g.dead = g.dead[:words:words]
 }
 
 // popIndex removes the tail entry of a posting list, asserting it is the

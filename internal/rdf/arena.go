@@ -11,8 +11,9 @@ import (
 // the spill's segments (ascending, disjoint id ranges) as
 // CRC-framed blocks of arenaBlockTerms records, read on demand through a
 // bounded LRU. What stays resident per spilled term is a block offset share
-// (8 bytes / arenaBlockTerms) and one entry in the 64-bit hash index that
-// serves Intern/Lookup — the strings themselves live on disk.
+// (8 bytes / arenaBlockTerms) and its entry in the Dict's hash index, which
+// confirms a spilled candidate here (arenaHas) — the strings themselves live
+// on disk.
 //
 // An arena is immutable: a spill installs a new one over the longer segment
 // list. Terms interned after the spill go to the Dict's in-memory tail.
@@ -21,15 +22,6 @@ import (
 // concurrent queries.
 type termArena struct {
 	segs []*segment // ids [0, Dict.base) resolve here
-
-	// hash serves Lookup/Intern over spilled terms: 64-bit FNV-1a of the
-	// term → id, with a rare overflow list when two terms collide. A hit is
-	// confirmed against the candidate's record, so collisions cannot alias.
-	hash map[uint64]TermID
-	over map[uint64][]TermID
-	// shared is set once a clone's dictionary reads this arena: the next
-	// spill then extends a copy of the index instead of the maps.
-	shared bool
 	// valueBytes is the spilled terms' value bytes (Dict.ValueBytes).
 	valueBytes int64
 
@@ -67,29 +59,6 @@ const (
 
 func newArena(segs []*segment) *termArena {
 	return &termArena{segs: segs, cache: newLRU[*termBlock](arenaCacheBlocks)}
-}
-
-// hash64 is 64-bit FNV-1a over all identity fields of the term, with 0x1f
-// separators so field boundaries cannot alias.
-func (k *termKey[S]) hash64() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h = (h ^ uint64(k.Kind)) * prime64
-	for i := 0; i < len(k.Value); i++ {
-		h = (h ^ uint64(k.Value[i])) * prime64
-	}
-	h = (h ^ 0x1f) * prime64
-	for i := 0; i < len(k.Datatype); i++ {
-		h = (h ^ uint64(k.Datatype[i])) * prime64
-	}
-	h = (h ^ 0x1f) * prime64
-	for i := 0; i < len(k.Lang); i++ {
-		h = (h ^ uint64(k.Lang[i])) * prime64
-	}
-	return h
 }
 
 // appendTermRecord serializes one term: kind byte plus three length-prefixed
@@ -162,33 +131,6 @@ func (b *termBlock) key(i int) termKey[[]byte] {
 func (b *termBlock) term(i int) Term {
 	k := b.key(i)
 	return Term{Kind: k.Kind, Value: string(k.Value), Datatype: string(k.Datatype), Lang: string(k.Lang)}
-}
-
-// addHash indexes the spilled term with hash64 h under id.
-func (a *termArena) addHash(h uint64, id TermID) {
-	if _, ok := a.hash[h]; !ok {
-		a.hash[h] = id
-		return
-	}
-	a.over[h] = append(a.over[h], id)
-}
-
-// handOffIndex returns the hash index for the next arena to extend with its
-// tail terms: the maps themselves, or copies when a clone still looks terms
-// up through this arena.
-func (a *termArena) handOffIndex() (map[uint64]TermID, map[uint64][]TermID) {
-	if !a.shared {
-		return a.hash, a.over
-	}
-	hash := make(map[uint64]TermID, len(a.hash))
-	for h, id := range a.hash {
-		hash[h] = id
-	}
-	over := make(map[uint64][]TermID, len(a.over))
-	for h, ids := range a.over {
-		over[h] = ids[:len(ids):len(ids)]
-	}
-	return hash, over
 }
 
 // readTermBlock reads block b of sg straight from disk (no cache).
@@ -288,22 +230,4 @@ func arenaHas[S string | []byte](a *termArena, id TermID, k *termKey[S]) bool {
 	blk, i := a.locate(id)
 	rec := blk.key(i)
 	return k.matches(&rec)
-}
-
-// arenaLookup finds the id of a spilled term, if present.
-func arenaLookup[S string | []byte](a *termArena, k *termKey[S]) (TermID, bool) {
-	h := k.hash64()
-	id, ok := a.hash[h]
-	if !ok {
-		return 0, false
-	}
-	if arenaHas(a, id, k) {
-		return id, true
-	}
-	for _, cand := range a.over[h] {
-		if arenaHas(a, cand, k) {
-			return cand, true
-		}
-	}
-	return 0, false
 }

@@ -23,11 +23,12 @@ const noID = ^TermID(0)
 // Term hands out a Term whose Value aliases the chunk, so decoding a term
 // allocates nothing.
 //
-// A spilled dictionary (see Graph.Spill) keeps ids [0, base) in the spill's
-// segment files and only terms interned afterwards in the resident tail; id
-// assignment is identical either way.
+// A spilled dictionary (see Graph.Spill) keeps the bytes of ids [0, base) in
+// the spill's segment files and only terms interned afterwards in the
+// resident tail; id assignment is identical either way, and one hash index
+// finds both.
 type Dict struct {
-	idx  termIndex // resident tail: term → position in recs
+	idx  termIndex // every term, spilled or resident: term → id
 	recs []termRec // resident tail: ids [base, base+len); append-only
 	// chunks hold the resident terms' value bytes; chunks[0] is empty, the
 	// chunk of every empty value. room is the unwritten rest of
@@ -77,9 +78,6 @@ func NewDict() *Dict { return &Dict{chunks: [][]byte{nil}, names: []string{""}} 
 // hash index as termIndex.share says, the names map until either side adds
 // a name, the arena as the immutable value it is.
 func (d *Dict) clone() *Dict {
-	if d.arena != nil {
-		d.arena.shared = true
-	}
 	d.namesShared = true
 	return &Dict{
 		idx:         d.idx.share(),
@@ -103,26 +101,21 @@ func (d *Dict) grow(n int) {
 // The term is hashed once: a miss inserts where the lookup ended.
 func (d *Dict) Intern(t Term) TermID { return intern(d, keyOf(&t)) }
 
-// intern is Intern for either key form. Only a miss in both the resident
-// index and the spilled arena stores a term, and only then are its bytes
-// copied.
+// intern is Intern for either key form. Only a miss stores a term, and only
+// then are its bytes copied.
 func intern[S string | []byte](d *Dict, k *termKey[S]) TermID {
 	h := k.hash()
-	slot, pos, ok := find(&d.idx, h, k, d)
+	slot, id, ok := find(&d.idx, h, k, d)
 	if ok {
-		return d.base + TermID(pos)
+		return id
 	}
-	if d.arena != nil {
-		if id, ok := arenaLookup(d.arena, k); ok {
-			return id
-		}
-	}
-	d.idx.insert(slot, h, len(d.recs))
+	id = TermID(d.Len())
+	d.idx.insert(slot, h, id)
 	r := termRec{kind: k.Kind, dt: nameID(d, k.Datatype), lang: nameID(d, k.Lang)}
 	r.chunk, r.off, r.n = storeValue(d, k.Value)
 	d.recs = append(d.recs, r)
 	cDictTerms.Inc()
-	return d.base + TermID(len(d.recs)-1)
+	return id
 }
 
 // storeValue copies v into the chunks and returns where it lies.
@@ -192,13 +185,8 @@ func chunkString(b []byte) string { return unsafe.String(unsafe.SliceData(b), le
 // Lookup returns the id for the term and whether it is interned.
 func (d *Dict) Lookup(t Term) (TermID, bool) {
 	k := keyOf(&t)
-	if _, pos, ok := find(&d.idx, k.hash(), k, d); ok {
-		return d.base + TermID(pos), true
-	}
-	if d.arena != nil {
-		return arenaLookup(d.arena, k)
-	}
-	return 0, false
+	_, id, ok := find(&d.idx, k.hash(), k, d)
+	return id, ok
 }
 
 // Term returns the term for an id. It panics on an out-of-range id,

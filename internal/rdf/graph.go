@@ -67,9 +67,12 @@ func findTriple(tt *slotTable, h uint32, e encTriple, triples []encTriple) (slot
 type Graph struct {
 	dict    *Dict
 	triples []encTriple // resident tail (all slots when unspilled); append-only
-	dead    []bool      // tombstones for tail slots
-	// deadShared is set while a clone may hold the dead array: appends past
-	// its length stay in place, flipping a slot copies the array first.
+	// dead is the tombstone bitset over every slot, spilled or in the tail:
+	// bit i of word i/64, one word per 64 slots, bits past the last slot 0.
+	// deadShared is set while a clone may hold the words: a word appended
+	// past their length stays in place, setting or clearing a bit (setDead)
+	// copies them first.
+	dead       []uint64
 	deadShared bool
 	// present is the duplicate index: a slotTable over the live tail
 	// triples, by position in triples. It serves the writer (Add's duplicate
@@ -152,7 +155,8 @@ func (g *Graph) Len() int { return g.numSlots() - g.nDead }
 // Spill-aware internal accessors: a slot's triple and tombstone by global
 // slot number, spilled or in the tail. With postingFor and slotOf they are
 // how readers reach the out-of-core representation; AdmitEncoded,
-// TruncateFrom and Spill write the tail fields directly.
+// TruncateFrom and Spill write the tail fields directly, setDead the
+// tombstones.
 
 // spillBase returns the number of disk-resident slots.
 func (g *Graph) spillBase() int {
@@ -177,32 +181,21 @@ func (g *Graph) encAt(i int) encTriple {
 }
 
 // slotDead reports whether (global) slot i is tombstoned.
-func (g *Graph) slotDead(i int) bool {
-	if sp := g.spill; sp != nil {
-		if i < sp.slots {
-			return sp.isDead(i)
-		}
-		return g.dead[i-sp.slots]
-	}
-	return g.dead[i]
-}
+func (g *Graph) slotDead(i int) bool { return g.dead[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// killSlot tombstones (global) slot i.
-func (g *Graph) killSlot(i int) {
-	if sp := g.spill; sp != nil && i < sp.slots {
-		sp.setDead(i, true)
-	} else {
-		g.ownDead()
-		g.dead[i-g.spillBase()] = true
-	}
-	g.nDead++
-}
-
-// ownDead makes the tail tombstones private before a slot is flipped.
-func (g *Graph) ownDead() {
+// setDead tombstones (dead) or restores (global) slot i, which must be live
+// or dead respectively, copying the bitset first while a clone may hold it.
+func (g *Graph) setDead(i int, dead bool) {
 	if g.deadShared {
-		g.dead = append([]bool(nil), g.dead...)
-		g.deadShared = false
+		g.dead, g.deadShared = slices.Clone(g.dead), false
+	}
+	w, bit := i>>6, uint64(1)<<(uint(i)&63)
+	if dead {
+		g.dead[w] |= bit
+		g.nDead++
+	} else {
+		g.dead[w] &^= bit
+		g.nDead--
 	}
 }
 
@@ -213,8 +206,9 @@ func (g *Graph) ownPresent() {
 	}
 	tt := &slotTable{}
 	tt.grow(len(g.triples))
+	base := g.spillBase()
 	for i, e := range g.triples {
-		if !g.dead[i] {
+		if !g.slotDead(base + i) {
 			h := e.hash()
 			tt.insert(tt.free(h), h, i)
 		}
@@ -271,7 +265,7 @@ func (g *Graph) forEachSlot(fn func(slot int, e encTriple) bool) {
 				base := sg.s0 + pg*pageTriples
 				for j, e := range sp.log.page(si, pg) {
 					slot := base + j
-					if sp.isDead(slot) {
+					if g.slotDead(slot) {
 						continue
 					}
 					if !fn(slot, e) {
@@ -283,7 +277,7 @@ func (g *Graph) forEachSlot(fn func(slot int, e encTriple) bool) {
 	}
 	base := g.spillBase()
 	for i, e := range g.triples {
-		if g.dead[i] {
+		if g.slotDead(base + i) {
 			continue
 		}
 		if !fn(base+i, e) {
@@ -292,27 +286,16 @@ func (g *Graph) forEachSlot(fn func(slot int, e encTriple) bool) {
 	}
 }
 
-// postingFor returns the full posting list for id on index k (0=subject,
-// 1=predicate, 2=object), spilled part first (slots ascend across the
-// concatenation, preserving the admission-order invariant). The result must
-// not be mutated; it aliases cache or index state unless both parts are
-// non-empty.
-func (g *Graph) postingFor(k int, id TermID) []int32 {
+// postingFor returns the posting list for id on index k (0=subject,
+// 1=predicate, 2=object) in two parts, the spilled one and the tail's: slots
+// ascend across spilled then tail, the admission-order invariant. Neither
+// part may be mutated; they alias cache or index state.
+func (g *Graph) postingFor(k int, id TermID) (spilled, tail []int32) {
 	g.index()
-	tail := g.post[k].At(int(id))
-	if g.spill == nil {
-		return tail
+	if g.spill != nil {
+		spilled = g.spill.post[k].posting(id)
 	}
-	spilled := g.spill.post[k].posting(id)
-	if len(tail) == 0 {
-		return spilled
-	}
-	if len(spilled) == 0 {
-		return tail
-	}
-	merged := make([]int32, 0, len(spilled)+len(tail))
-	merged = append(merged, spilled...)
-	return append(merged, tail...)
+	return spilled, g.post[k].At(int(id))
 }
 
 // slotOf finds the live slot holding e: the tail's duplicate index when the
@@ -328,16 +311,15 @@ func (g *Graph) slotOf(e encTriple) (int32, bool) {
 		g.index()
 		base := g.spillBase()
 		for _, idx := range shortest(g.post[0].At(int(e.s)), g.post[1].At(int(e.p)), g.post[2].At(int(e.o))) {
-			if i := int(idx) - base; !g.dead[i] && g.triples[i] == e {
+			if !g.slotDead(int(idx)) && g.triples[int(idx)-base] == e {
 				return idx, true
 			}
 		}
 	}
-	sp := g.spill
-	if sp == nil {
+	if g.spill == nil {
 		return 0, false
 	}
-	return sp.slotOf(e)
+	return g.spilledSlotOf(e)
 }
 
 func shortest(s, p, o []int32) []int32 {
@@ -374,8 +356,8 @@ func (g *Graph) GrowLog(n int) {
 	g.ownPresent()
 	g.present.grow(n)
 	g.triples = slices.Grow(g.triples, n)
-	if cap(g.dead)-len(g.dead) < n {
-		g.dead, g.deadShared = slices.Grow(g.dead, n), false // a fresh array is private
+	if words := (g.numSlots() + n + 63) / 64; cap(g.dead) < words {
+		g.dead, g.deadShared = slices.Grow(g.dead, words-len(g.dead)), false // a fresh array is private
 	}
 }
 
@@ -442,14 +424,16 @@ func (g *Graph) AdmitEncoded(e EncTriple) bool {
 	if ok {
 		return false
 	}
-	if sp := g.spill; sp != nil {
-		if _, ok := sp.slotOf(e); ok {
+	if g.spill != nil {
+		if _, ok := g.spilledSlotOf(e); ok {
 			return false
 		}
 	}
+	if g.numSlots()&63 == 0 {
+		g.dead = append(g.dead, 0)
+	}
 	g.present.insert(slot, h, len(g.triples))
 	g.triples = append(g.triples, e)
-	g.dead = append(g.dead, false)
 	cGraphTriples.Inc()
 	return true
 }
@@ -473,15 +457,15 @@ func (g *Graph) Remove(t Triple) bool {
 	g.ownPresent()
 	if slot, pos, ok := findTriple(g.present, e.hash(), e, g.triples); ok {
 		g.present.remove(slot)
-		g.killSlot(g.spillBase() + pos)
+		g.setDead(g.spillBase()+pos, true)
 		return true
 	}
 	if g.spill == nil {
 		return false
 	}
-	idx, ok := g.spill.slotOf(e)
+	idx, ok := g.spilledSlotOf(e)
 	if ok {
-		g.killSlot(int(idx))
+		g.setDead(int(idx), true)
 	}
 	return ok
 }
@@ -564,44 +548,7 @@ func (g *Graph) Match(s, p, o *Term, fn func(Triple) bool) {
 		}
 		oe = id
 	}
-	g.matchEnc(se, pe, oe, fn)
-}
-
-func (g *Graph) matchEnc(se, pe, oe TermID, fn func(Triple) bool) {
-	// Fully bound: hash (or spilled posting-intersection) lookup.
-	if se != noID && pe != noID && oe != noID {
-		e := encTriple{se, pe, oe}
-		if _, ok := g.slotOf(e); ok {
-			fn(g.decode(e))
-		}
-		return
-	}
-	list, bound := g.candidateList(se, pe, oe)
-	if !bound {
-		// No bound component: full scan.
-		g.forEachSlot(func(_ int, e encTriple) bool {
-			return fn(g.decode(e))
-		})
-		return
-	}
-	for _, idx := range list {
-		if g.slotDead(int(idx)) {
-			continue
-		}
-		e := g.encAt(int(idx))
-		if se != noID && e.s != se {
-			continue
-		}
-		if pe != noID && e.p != pe {
-			continue
-		}
-		if oe != noID && e.o != oe {
-			continue
-		}
-		if !fn(g.decode(e)) {
-			return
-		}
-	}
+	g.MatchEncoded(se, pe, oe, func(s, p, o TermID) bool { return fn(g.decode(encTriple{s, p, o})) })
 }
 
 // MatchEncoded is Match over dictionary ids, for callers that join on ids
@@ -610,58 +557,55 @@ func (g *Graph) matchEnc(se, pe, oe TermID, fn func(Triple) bool) {
 // this graph's dictionary. Triples arrive in the order Match yields them and
 // are never decoded; fn returning false stops the iteration.
 func (g *Graph) MatchEncoded(se, pe, oe TermID, fn func(s, p, o TermID) bool) {
+	// Fully bound: hash (or spilled posting-intersection) lookup.
 	if se != noID && pe != noID && oe != noID {
 		if _, ok := g.slotOf(encTriple{se, pe, oe}); ok {
 			fn(se, pe, oe)
 		}
 		return
 	}
-	list, bound := g.candidateList(se, pe, oe)
+	spilled, tail, bound := g.candidateList(se, pe, oe)
 	if !bound {
+		// No bound component: full scan.
 		g.forEachSlot(func(_ int, e encTriple) bool {
 			return fn(e.s, e.p, e.o)
 		})
 		return
 	}
-	for _, idx := range list {
-		if g.slotDead(int(idx)) {
-			continue
-		}
-		e := g.encAt(int(idx))
-		if se != noID && e.s != se {
-			continue
-		}
-		if pe != noID && e.p != pe {
-			continue
-		}
-		if oe != noID && e.o != oe {
-			continue
-		}
-		if !fn(e.s, e.p, e.o) {
-			return
+	for _, list := range [2][]int32{spilled, tail} {
+		for _, idx := range list {
+			if g.slotDead(int(idx)) {
+				continue
+			}
+			e := g.encAt(int(idx))
+			if se != noID && e.s != se || pe != noID && e.p != pe || oe != noID && e.o != oe {
+				continue
+			}
+			if !fn(e.s, e.p, e.o) {
+				return
+			}
 		}
 	}
 }
 
-// candidateList picks the shortest posting list among the bound components.
-// The second result reports whether any component was bound; when it is true
-// the returned list (possibly empty) is authoritative.
-func (g *Graph) candidateList(se, pe, oe TermID) ([]int32, bool) {
-	var best []int32
-	have := false
-	consider := func(k int, id TermID, bound bool) {
-		if !bound {
+// candidateList picks the shortest posting list among the bound components,
+// by the summed length of its two parts (see postingFor). The third result
+// reports whether any component was bound; when it is true the returned
+// lists (possibly empty) are authoritative.
+func (g *Graph) candidateList(se, pe, oe TermID) (spilled, tail []int32, bound bool) {
+	consider := func(k int, id TermID) {
+		if id == noID {
 			return
 		}
-		l := g.postingFor(k, id)
-		if !have || len(l) < len(best) {
-			best, have = l, true
+		s, t := g.postingFor(k, id)
+		if !bound || len(s)+len(t) < len(spilled)+len(tail) {
+			spilled, tail, bound = s, t, true
 		}
 	}
-	consider(0, se, se != noID)
-	consider(2, oe, oe != noID)
-	consider(1, pe, pe != noID)
-	return best, have
+	consider(0, se)
+	consider(2, oe)
+	consider(1, pe)
+	return spilled, tail, bound
 }
 
 // MatchCount returns the number of live triples matching the pattern.
@@ -790,12 +734,12 @@ func (g *Graph) AddAll(other *Graph) int {
 // posting arrays and the dictionary's 24-byte term records, value chunks and
 // names are shared (only g may append to them in place; the clone's views
 // are clipped, see Dict.clone), the posting tables and the dictionary's hash
-// index are shared copy-on-write (package cow, termIndex.share), spilled
-// segments are shared as the immutable files they are, and the tombstones are
-// copied by whichever side first flips one. Slot indexes and term ids are
-// preserved. Clone first brings g's posting lists up to date, so the clone
-// starts at g's watermark (DESIGN.md §9) and a snapshot that is only read
-// never builds an index.
+// index are shared copy-on-write (package cow, termIndex.share), the spill
+// handle and its segments are shared as the immutable values they are, and
+// the tombstone bitset is copied by whichever side first flips a bit. Slot
+// indexes and term ids are preserved. Clone first brings g's posting lists
+// up to date, so the clone starts at g's watermark (DESIGN.md §9) and a
+// snapshot that is only read never builds an index.
 // Clone writes to g's sharing state, so like any mutation it must not run
 // concurrently with another method of g.
 func (g *Graph) Clone() *Graph {
@@ -805,15 +749,13 @@ func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		dict:       g.dict.clone(),
 		triples:    g.triples[:n:n],
-		dead:       g.dead[:n:n],
+		dead:       slices.Clip(g.dead),
 		deadShared: true,
 		nDead:      g.nDead,
 		post:       [3]cow.Lists[int32]{g.post[0].Clone(), g.post[1].Clone(), g.post[2].Clone()},
+		spill:      g.spill,
 	}
 	c.indexed.Reset(n)
-	if g.spill != nil {
-		c.spill = g.spill.share()
-	}
 	return c
 }
 

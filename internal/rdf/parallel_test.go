@@ -107,14 +107,17 @@ func TestDictInternNoAllocsOnHit(t *testing.T) {
 // TestIndexedReadsAllocateNothing guards the read path of a built index:
 // Match over a bound subject (the watermark's check, the posting list, the
 // decode) allocates nothing, resident or spilled — a subject whose postings
-// are all in the tail, since merging a spilled list with a tail one
-// allocates by design. A catch-up closure that escaped to the heap would
-// allocate on every read.
+// are all in the tail, and one with postings in a segment and in the tail,
+// which Match walks part by part rather than merging. A catch-up closure
+// that escaped to the heap would allocate on every read.
 func TestIndexedReadsAllocateNothing(t *testing.T) {
-	for _, spilled := range []bool{false, true} {
-		g, s := spillFixture(120), ex("p7")
-		if spilled {
-			g, s = spillIn(t, spillFixture(120), 2, t.TempDir()), ex("late")
+	for _, tc := range []struct {
+		name, subject string
+		spilled       bool
+	}{{"resident", "p7", false}, {"tail", "late", true}, {"segment+tail", "p7", true}} {
+		g, s := spillFixture(120), ex(tc.subject)
+		if tc.spilled {
+			g = spillIn(t, spillFixture(120), 2, t.TempDir())
 			g.Add(NewTriple(s, ex("knows"), ex("p7")))
 			g.Add(NewTriple(s, A, ex("Person")))
 		}
@@ -122,10 +125,10 @@ func TestIndexedReadsAllocateNothing(t *testing.T) {
 		count := func(Triple) bool { n++; return true }
 		g.Match(&s, nil, nil, count) // builds the index
 		if allocs := testing.AllocsPerRun(100, func() { g.Match(&s, nil, nil, count) }); allocs != 0 {
-			t.Errorf("spilled=%v: Match over a bound subject allocates %.1f times per run, want 0", spilled, allocs)
+			t.Errorf("%s: Match over a bound subject allocates %.1f times per run, want 0", tc.name, allocs)
 		}
 		if n == 0 {
-			t.Fatalf("spilled=%v: Match found nothing", spilled)
+			t.Fatalf("%s: Match found nothing", tc.name)
 		}
 	}
 }

@@ -1,13 +1,13 @@
 package rdf
 
 // slotTable is an open-addressing hash table of positions: linear probing, a
-// slot holding 32 bits of an entry's hash and the entry's position in a
-// slice the table's user keeps (Dict.recs for the dictionary's term index,
-// Graph.triples for the duplicate index). The entry itself is not stored a
-// second time — a candidate slot is confirmed against that slice — so a slot
-// is 8 bytes whatever the entry, a lookup hashes once, and a miss can be
-// turned into an insert at the slot the lookup ended on. The lookups are
-// findIn (terms) and findTriple (triples).
+// slot holding 32 bits of an entry's hash and the entry's position in what
+// the table's user keeps (the term id for the dictionary's term index, the
+// index into Graph.triples for the duplicate index). The entry itself is not
+// stored a second time — a candidate slot is confirmed against the term or
+// the triple — so a slot is 8 bytes whatever the entry, a lookup hashes
+// once, and a miss can be turned into an insert at the slot the lookup ended
+// on. The lookups are findIn (terms) and findTriple (triples).
 type slotTable struct {
 	slots []uint64 // hash<<32 | position+1; 0 is empty; len is a power of two
 	n     int

@@ -64,21 +64,19 @@ const (
 )
 
 // graphSpill is the resident handle on a graph's spilled slots: the segment
-// list, bounded caches, and the mutable tombstone bitset over spilled slots.
+// list and bounded caches over it. It is immutable (the caches are
+// goroutine-safe), so clones share it; the tombstones of spilled slots are
+// the graph's, like every other slot's.
 type graphSpill struct {
 	dir   string
 	segs  []*segment // ascending, disjoint slot ranges covering [0,slots)
 	slots int
 	log   *pageLog
 	post  [3]*postIndex
-	dead  []uint64 // bitset over [0,slots); mutable (Remove after spill)
-	// deadShared is set while another handle may hold the bitset; setDead
-	// copies it first.
-	deadShared bool
 }
 
-func newGraphSpill(dir string, segs []*segment, slots int, dead []uint64) *graphSpill {
-	sp := &graphSpill{dir: dir, segs: segs, slots: slots, dead: dead,
+func newGraphSpill(dir string, segs []*segment, slots int) *graphSpill {
+	sp := &graphSpill{dir: dir, segs: segs, slots: slots,
 		log: &pageLog{segs: segs, cache: newLRU[[]encTriple](pageCacheSize)}}
 	for k := range sp.post {
 		sp.post[k] = &postIndex{k: k, segs: segs, cache: newLRU[*postFrame](postCacheSize)}
@@ -86,38 +84,13 @@ func newGraphSpill(dir string, segs []*segment, slots int, dead []uint64) *graph
 	return sp
 }
 
-// share returns a second handle over the same immutable segments, for
-// Clone. The tombstone bitset is shared until either handle sets a bit.
-func (sp *graphSpill) share() *graphSpill {
-	sp.deadShared = true
-	c := *sp
-	return &c
-}
-
-func (sp *graphSpill) isDead(slot int) bool {
-	return sp.dead[slot>>6]&(1<<(uint(slot)&63)) != 0
-}
-
-// setDead tombstones (dead) or restores a spilled slot.
-func (sp *graphSpill) setDead(slot int, dead bool) {
-	if sp.deadShared {
-		sp.dead = append([]uint64(nil), sp.dead...)
-		sp.deadShared = false
-	}
-	if dead {
-		sp.dead[slot>>6] |= 1 << (uint(slot) & 63)
-	} else {
-		sp.dead[slot>>6] &^= 1 << (uint(slot) & 63)
-	}
-}
-
-// slotOf finds the live spilled slot holding e. A segment written before one
-// of e's terms was interned cannot hold it, and segments ascend in t1, so a
-// triple naming a term newer than the last spill returns before any read.
-// Within a segment the predicate's list — the longest — is fetched only when
-// subject and object both occur there.
-func (sp *graphSpill) slotOf(e encTriple) (int32, bool) {
-	newest := max(e.s, e.p, e.o)
+// spilledSlotOf finds the live spilled slot holding e; the graph must be
+// spilled. A segment written before one of e's terms was interned cannot hold
+// it, and segments ascend in t1, so a triple naming a term newer than the
+// last spill returns before any read. Within a segment the predicate's list —
+// the longest — is fetched only when subject and object both occur there.
+func (g *Graph) spilledSlotOf(e encTriple) (int32, bool) {
+	sp, newest := g.spill, max(e.s, e.p, e.o)
 	for si := len(sp.segs) - 1; si >= 0 && newest < sp.segs[si].t1; si-- {
 		s := sp.post[0].in(si, e.s)
 		if len(s) == 0 {
@@ -128,7 +101,7 @@ func (sp *graphSpill) slotOf(e encTriple) (int32, bool) {
 			continue
 		}
 		for _, idx := range shortest(s, sp.post[1].in(si, e.p), o) {
-			if !sp.isDead(int(idx)) && sp.log.triple(int(idx)) == e {
+			if !g.slotDead(int(idx)) && sp.log.triple(int(idx)) == e {
 				return idx, true
 			}
 		}
@@ -628,40 +601,14 @@ func (g *Graph) Spill(dir string, fsys ckpt.FS) error {
 	}
 	segs := append(kept, sg)
 
-	// Tombstones over [0,s1): the spilled prefix's bitset plus the tail's.
-	dead := make([]uint64, (sg.s1+63)/64)
-	tailBase := 0
-	if sp != nil {
-		copy(dead, sp.dead)
-		tailBase = sp.slots
-	}
-	for i, dd := range g.dead {
-		if dd {
-			dead[(tailBase+i)>>6] |= 1 << (uint(tailBase+i) & 63)
-		}
-	}
-
-	// The hash index is carried over from the previous arena (ids are
-	// stable) and extended with the tail.
+	// Ids and slots keep their numbers, so the dictionary's index and the
+	// tombstones stay as they are: only the tail's bytes and postings go.
 	arena := newArena(segs)
-	if d.arena != nil {
-		arena.hash, arena.over = d.arena.handOffIndex()
-	} else {
-		arena.hash, arena.over = make(map[uint64]TermID, len(d.recs)), make(map[uint64][]TermID)
-	}
 	arena.valueBytes = d.ValueBytes()
-	for id := d.base; id < sg.t1; id++ {
-		t := d.Term(id)
-		arena.addHash(keyOf(&t).hash64(), id)
-	}
-	d.arena = arena
-	d.base = sg.t1
-	d.idx = termIndex{}
+	d.arena, d.base = arena, sg.t1
 	d.recs, d.chunks, d.room = nil, [][]byte{nil}, nil
-	g.spill = newGraphSpill(dir, segs, sg.s1, dead)
+	g.spill = newGraphSpill(dir, segs, sg.s1)
 	g.triples = nil
-	g.dead = nil
-	g.deadShared = false
 	g.present = &slotTable{}
 	g.post = [3]cow.Lists[int32]{}
 	g.indexed.Reset(0)

@@ -42,6 +42,9 @@ func assertGraphsEqual(t *testing.T, got, want *Graph) {
 		t.Fatalf("Len: got %d, want %d", got.Len(), want.Len())
 	}
 	gt, wt := got.Triples(), want.Triples()
+	if len(gt) != got.Len() || len(wt) != want.Len() {
+		t.Fatalf("Len disagrees with the triples ForEach yields: %d / %d, %d / %d", got.Len(), len(gt), want.Len(), len(wt))
+	}
 	if !reflect.DeepEqual(gt, wt) {
 		t.Fatalf("Triples diverge: got %d triples, want %d", len(gt), len(wt))
 	}
@@ -255,9 +258,9 @@ func TestRespillMultiGeneration(t *testing.T) {
 	assertGraphsEqual(t, got, want)
 
 	segs := got.spill.segs
-	if len(segs) != 4 || bitCount(got.spill.dead) != 1 || got.spill.slots != want.NumSlots() || segs[3].t1 != TermID(want.Dict().Len()) {
+	if len(segs) != 4 || bitCount(got.dead) != 1 || got.spill.slots != want.NumSlots() || segs[3].t1 != TermID(want.Dict().Len()) {
 		t.Fatalf("%d segments, %d tombstones, %d slots, %d terms; want 4, 1, %d, %d",
-			len(segs), bitCount(got.spill.dead), got.spill.slots, segs[3].t1, want.NumSlots(), want.Dict().Len())
+			len(segs), bitCount(got.dead), got.spill.slots, segs[3].t1, want.NumSlots(), want.Dict().Len())
 	}
 	// The fourth spill wrote only its tail: the earlier segments are the
 	// files the first three spills committed.
@@ -724,6 +727,14 @@ func FuzzSpillSchedule(f *testing.F) {
 	f.Add(folding)
 	// Reads, a truncation and an Unremove on either side of a spill.
 	f.Add([]byte("\x00\x01\x00\x12\x00\x23\x0c\x01\x04\x12\x06\x00\x00\x34\x0d\x12\x08\x01\x0a\x00\x0e\x23\x04\x01\x0a\x00\x0c\x01"))
+	// A clone taken before a spill, then a spilled triple removed and never
+	// restored: the tombstone bitset is the graph's and shared with the
+	// clone, which must not see the bit.
+	f.Add([]byte("\x00\x01\x00\x12\x00\x23\x07\x00\x06\x00\x04\x01\x0c\x01"))
+	// Spilled terms re-added beside new ones, every id found through the one
+	// term index, then a clone and a second spill, then reads.
+	f.Add([]byte("\x00\x01\x00\x52\x01\x63\x00\x84\x06\x00\x01\x0a\x00\x11\x00\x52\x01\x45\x00\xa6" +
+		"\x07\x00\x06\x00\x0c\x52\x0d\x11\x0e\x63\x0c\x45\x0d\xa6"))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 512 {
 			return

@@ -12,13 +12,14 @@ import (
 // whole index.
 var cIndexFolds = obs.Default.Counter("rdf.dict.index_folds")
 
-// termIndex is the dictionary's hash index, slotTables over the resident
-// terms, each slot confirmed against Dict.recs. Like cow.Map it is insert-only
-// and split in two so that a Clone does not walk it: an immutable base shared
-// by all clones plus a private overlay holding the terms interned since.
-// Until its first Clone the overlay is the whole index. Both tables store
-// positions in the same recs slice (a clone's view of it is clipped, never
-// renumbered).
+// termIndex is the dictionary's hash index over every term it holds,
+// resident or spilled: slotTables of ids, each hit confirmed against its term
+// (findIn). Ids never change, so a spill leaves the index as it is. Like
+// cow.Map it is insert-only and split in two so that a Clone does not walk
+// it: an immutable base shared by all clones plus a private overlay holding
+// the terms interned since. Until its first Clone the overlay is the whole
+// index. A clone assigns the ids the original had assigned to the same terms,
+// so the shared base means the same to both.
 type termIndex struct {
 	base *slotTable // shared; never written once a clone holds it
 	over slotTable  // private
@@ -36,9 +37,9 @@ var termSeed = maphash.MakeSeed()
 // term as strings (S = string) or as bytes its caller owns (S = []byte). Its
 // two instances have the layouts of Term and TermBytes, so either converts to
 // a key in place. The two forms of one term hash alike — maphash.Bytes and
-// maphash.String agree on equal contents, and so does hash64 — and match the
-// same stored term, so they map to one id. Keys are passed by pointer: a
-// non-inlined call copies a key passed by value, 80 bytes at a time.
+// maphash.String agree on equal contents — and match the same stored term,
+// so they map to one id. Keys are passed by pointer: a non-inlined call
+// copies a key passed by value, 80 bytes at a time.
 type termKey[S string | []byte] struct {
 	Kind                  Kind
 	Value, Datatype, Lang S
@@ -79,9 +80,12 @@ func (k *termKey[S]) matches(r *termKey[[]byte]) bool {
 		string(k.Datatype) == string(r.Datatype) && string(k.Lang) == string(r.Lang)
 }
 
-// findIn looks k up among d's resident terms. When k is absent, slot is
-// where insert would put it (valid until the next insert or grow).
-func findIn[S string | []byte](tt *slotTable, h uint32, k *termKey[S], d *Dict) (slot, pos int, ok bool) {
+// findIn looks k up in one table of d's index. A candidate whose hash bits
+// match is confirmed against its term: a resident one against its record,
+// compared here (termKey.is inlines into the loop; make inline checks it), a
+// spilled one in its arena block. When k is absent, slot is where insert
+// would put it (valid until the next insert or grow).
+func findIn[S string | []byte](tt *slotTable, h uint32, k *termKey[S], d *Dict) (slot int, id TermID, ok bool) {
 	if len(tt.slots) == 0 {
 		return 0, 0, false
 	}
@@ -92,8 +96,13 @@ func findIn[S string | []byte](tt *slotTable, h uint32, k *termKey[S], d *Dict) 
 			return i, 0, false
 		}
 		if uint32(s>>32) == h {
-			if pos := int(uint32(s)) - 1; k.is(d, &d.recs[pos]) {
-				return i, pos, true
+			id := TermID(uint32(s)) - 1
+			if id >= d.base {
+				if k.is(d, &d.recs[id-d.base]) {
+					return i, id, true
+				}
+			} else if arenaHas(d.arena, id, k) {
+				return i, id, true
 			}
 		}
 	}
@@ -107,16 +116,16 @@ func (x *termIndex) len() int {
 }
 
 // find is findIn over both tables; slot belongs to the overlay.
-func find[S string | []byte](x *termIndex, h uint32, k *termKey[S], d *Dict) (slot, pos int, ok bool) {
+func find[S string | []byte](x *termIndex, h uint32, k *termKey[S], d *Dict) (slot int, id TermID, ok bool) {
 	if x.base != nil {
-		if _, pos, ok := findIn(x.base, h, k, d); ok {
-			return 0, pos, true
+		if _, id, ok := findIn(x.base, h, k, d); ok {
+			return 0, id, true
 		}
 	}
 	return findIn(&x.over, h, k, d)
 }
 
-func (x *termIndex) insert(slot int, h uint32, pos int) { x.over.insert(slot, h, pos) }
+func (x *termIndex) insert(slot int, h uint32, id TermID) { x.over.insert(slot, h, int(id)) }
 
 // grow makes room for n more terms without another resize.
 func (x *termIndex) grow(n int) { x.over.grow(n) }

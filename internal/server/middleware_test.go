@@ -13,6 +13,7 @@ import (
 
 	"github.com/s3pg/s3pg/internal/jobs"
 	"github.com/s3pg/s3pg/internal/obs"
+	"github.com/s3pg/s3pg/internal/promlint"
 )
 
 func TestRequestIDAssignedAndPropagated(t *testing.T) {
@@ -108,7 +109,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 	body := rr.Body.String()
-	if err := obs.LintPrometheus(strings.NewReader(body)); err != nil {
+	if err := promlint.Lint(strings.NewReader(body)); err != nil {
 		t.Fatalf("exposition fails lint: %v\n%s", err, body)
 	}
 	for _, want := range []string{

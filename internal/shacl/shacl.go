@@ -124,13 +124,6 @@ func (p *PropertyShape) Category() Category {
 	}
 }
 
-// SingleValued reports whether the cardinality admits at most one value
-// ([0..1] or [1..1]), the precondition for the parsimonious key/value
-// encoding (Algorithm 1, lines 21–23).
-func (p *PropertyShape) SingleValued() bool {
-	return p.MaxCount == 1
-}
-
 // NodeShape is ⟨s, τ_s, Φ_s⟩ of Definition 2.2.
 type NodeShape struct {
 	// Name is the shape IRI s.
@@ -210,15 +203,6 @@ func (s *Schema) EffectiveProperties(name string) []*PropertyShape {
 	}
 	walk(name)
 	return out
-}
-
-// PropertyCount returns the total number of property shapes (owned only).
-func (s *Schema) PropertyCount() int {
-	n := 0
-	for _, ns := range s.shapes {
-		n += len(ns.Properties)
-	}
-	return n
 }
 
 // Equal reports whether two schemas contain the same shapes with the same
