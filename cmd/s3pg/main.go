@@ -459,11 +459,13 @@ func commitAtomic(path string, fn func(io.Writer) error) error {
 // file's rows and bytes on span. Each file is individually
 // complete-or-absent; the edges file commits first, so a crash between the
 // two renames leaves a stale-nodes/new-edges pair at worst — running the
-// command again repairs it.
+// command again repairs it. The edges commit makes one attempt: each attempt
+// writes the nodes too, so only the outer retry, with a fresh nodes file,
+// may run it again.
 func writeStoreAtomic(store *pg.Store, nodesPath, edgesPath string, workers int, span *obs.Span) error {
 	var nodeBytes, edgeBytes int64
 	err := commitAtomic(nodesPath, func(nw io.Writer) error {
-		return commitAtomic(edgesPath, func(ew io.Writer) error {
+		return ckpt.WriteFileAtomicFS(commitFS(), edgesPath, 0o644, func(ew io.Writer) error {
 			n, e := &byteCounter{w: nw}, &byteCounter{w: ew}
 			err := store.WriteCSVParallel(n, e, workers)
 			nodeBytes, edgeBytes = n.n, e.n // the last attempt's

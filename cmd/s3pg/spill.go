@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"github.com/s3pg/s3pg"
-	"github.com/s3pg/s3pg/internal/ckpt"
 	"github.com/s3pg/s3pg/internal/faultio"
 	"github.com/s3pg/s3pg/internal/rdf"
 )
@@ -52,73 +51,22 @@ func (mem *memFlags) spillDir(dataPath string) string {
 	return mem.spill
 }
 
-// retryFS retries transient faults around each filesystem operation of a
-// spill commit — the same per-commit resilience the outputs get from
-// commitAtomic. Without it, one transient fault anywhere in a spill's
-// commit would restart the entire spill, which under a deterministic
-// fault schedule never converges.
-type retryFS struct {
-	inner ckpt.FS
-}
-
-func (r retryFS) retry(fn func() error) error {
-	return faultio.Retry(context.Background(), commitRetryPolicy(), fn)
-}
-
-func (r retryFS) CreateTemp(dir, pattern string) (ckpt.File, error) {
-	var f ckpt.File
-	err := r.retry(func() error {
-		var cerr error
-		f, cerr = r.inner.CreateTemp(dir, pattern)
-		return cerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return retryFile{f, r}, nil
-}
-
-func (r retryFS) Rename(oldpath, newpath string) error {
-	return r.retry(func() error { return r.inner.Rename(oldpath, newpath) })
-}
-
-func (r retryFS) Remove(name string) error { return r.inner.Remove(name) }
-
-func (r retryFS) Chmod(name string, mode os.FileMode) error {
-	return r.retry(func() error { return r.inner.Chmod(name, mode) })
-}
-
-func (r retryFS) SyncDir(dir string) error {
-	return r.retry(func() error { return r.inner.SyncDir(dir) })
-}
-
-// retryFile retries transient sync faults; an injected sync fault fires
-// before the real fsync, so the retry syncs the same complete file.
-type retryFile struct {
-	ckpt.File
-	r retryFS
-}
-
-func (f retryFile) Sync() error { return f.r.retry(func() error { return f.File.Sync() }) }
-
-// spillCommitFS is the filesystem spill writes go through: the process-wide
-// commit FS (possibly fault-injecting via S3PG_FAULT_FS) behind per-op
-// transient retries.
-func spillCommitFS() ckpt.FS { return retryFS{inner: commitFS()} }
-
 // governor returns the run's -max-mem governor and the load hook that asks
 // it, after every 4096th statement and once at the end, whether the heap is
 // past the watermark, spilling the graph when it is; nil and nil without a
 // budget. A failed Spill leaves the graph untouched (the in-memory swap
-// happens only after the segment commits), so retrying a transient fault is
-// safe: the retry writes the same contents again.
+// happens only after the segment is renamed into place), so the hook retries
+// a transient fault by spilling again: the retry writes the same contents.
+// A spill makes two filesystem operations, a create and a rename, so any
+// transient fault period the outputs' 8-operation commit gets through, a
+// spill gets through too.
 func (mem *memFlags) governor(ctx context.Context, dataPath string, stderr io.Writer) (*rdf.Governor, func(*rdf.Graph) error) {
 	if mem.maxMemMB <= 0 {
 		return nil, nil
 	}
 	gv := rdf.NewGovernor(rdf.SpillConfig{
 		Dir:    mem.spillDir(dataPath),
-		FS:     spillCommitFS(),
+		FS:     commitFS(),
 		HighMB: mem.maxMemMB,
 	})
 	return gv, func(g *rdf.Graph) error {

@@ -113,13 +113,14 @@ func TestMaxMemSpillsBesideDataByDefault(t *testing.T) {
 // TestCrashDuringSpillRecovery reruns over what a dead run leaves in the
 // spill directory: the leftovers of a killed run (a MANIFEST of the layout
 // that had one, stale segment files, a temporary a rename never claimed),
-// and the directory of a run failed by a hard fault in one spill's commit —
+// and the directory of a run failed by a hard fault in one spill's write —
 // a rename fault in the first spill, a middle one, the one that folds the
-// first tier and the first one after that fold; a file-sync fault that
-// discards the first segment before it is named; and a directory-sync fault
-// after the rename, which leaves a durable segment the run never adopted
-// (beside the tier it would have folded, at the fold). The rerun must write
-// the unconstrained run's bytes and remove the directory.
+// first tier and the first one after that fold, and a create fault that
+// fails the first spill before its segment exists. No filesystem operation
+// follows a segment's rename, so no fault leaves a named segment the run
+// never adopted; the killed run's stale segments stand for those. The rerun
+// must write the unconstrained run's bytes and remove the directory. A run
+// whose spills meet transient faults must do the same without a rerun.
 func TestCrashDuringSpillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
@@ -134,10 +135,10 @@ func TestCrashDuringSpillRecovery(t *testing.T) {
 		"-nodes", bn, "-edges", be, "-schema", bs); code != 0 {
 		t.Fatalf("baseline exit %d: %s", code, errOut)
 	}
-	// Every commit of a governed run before its outputs is a spill's, and a
-	// commit makes one file sync, one rename and one directory sync, so
-	// failrename=k (failsync=k, failsyncdir=k) fails the k-th spill — if the
-	// run spills k times.
+	// Every file a governed run writes before its outputs is a spill's
+	// segment, written through one create and one rename and never synced,
+	// so failcreate=k (failrename=k) fails the k-th spill — if the run
+	// spills k times.
 	n, e, s, _ := outPaths(t, filepath.Join(dir, "schedule"))
 	code, _, errOut := execCLI(t, nil, spillArgsFor(shapes, data, n, e, s, filepath.Join(dir, "schedule.spill"))...)
 	if code != 0 {
@@ -158,18 +159,13 @@ func TestCrashDuringSpillRecovery(t *testing.T) {
 		name     string
 		leftover map[string]string // files a killed run left, or nil
 		fault    string            // the hard fault that fails a spill, or ""
-		// unadopted is the segment the faulted spill renamed into place
-		// before failing, or "".
-		unadopted string
 	}{
 		{name: "killed-run-leftovers", leftover: killed},
 		{name: "failed-first-spill", fault: "failrename=1"},
 		{name: "failed-middle-spill", fault: "failrename=5"},
 		{name: "failed-folding-spill", fault: fmt.Sprintf("failrename=%d", fold)},
 		{name: "after-fold", fault: fmt.Sprintf("failrename=%d", fold+1)},
-		{name: "failed-first-sync", fault: "failsync=1"},
-		{name: "unadopted-first-segment", fault: "failsyncdir=1", unadopted: "seg-000000"},
-		{name: "unadopted-folding-segment", fault: fmt.Sprintf("failsyncdir=%d", fold), unadopted: fmt.Sprintf("seg-%06d", fold-1)},
+		{name: "failed-first-create", fault: "failcreate=1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			caseDir := filepath.Join(dir, "dead-"+tc.name)
@@ -197,11 +193,6 @@ func TestCrashDuringSpillRecovery(t *testing.T) {
 				if tmps, _ := filepath.Glob(filepath.Join(spillDir, "*.tmp-*")); len(tmps) != 0 {
 					t.Fatalf("failed spill left temporaries %v", tmps)
 				}
-				if tc.unadopted != "" {
-					if _, err := os.Stat(filepath.Join(spillDir, tc.unadopted)); err != nil {
-						t.Fatalf("failed spill did not leave its renamed segment %s: %v", tc.unadopted, err)
-					}
-				}
 			}
 
 			code, _, errOut := execCLI(t, nil, spillArgsFor(shapes, data, n, e, s, spillDir)...)
@@ -218,6 +209,31 @@ func TestCrashDuringSpillRecovery(t *testing.T) {
 			}
 		})
 	}
+
+	// A spill makes two filesystem operations, so a transient fault every
+	// 9th one lands in the 5th spill's create and, the retried spill
+	// counting one more, in the 9th's; the load hook spills again after
+	// each. Later faults land in the output commit, whose nodes+edges
+	// attempt of 8 operations fits between two, so the run succeeds with no
+	// file written twice.
+	t.Run("transient-faults-in-spills", func(t *testing.T) {
+		caseDir := filepath.Join(dir, "transient")
+		n, e, s, _ := outPaths(t, caseDir)
+		spillDir := filepath.Join(caseDir, "graph.spill")
+		code, _, errOut := execCLI(t, []string{faultFSEnv + "=fstransientevery=9"},
+			spillArgsFor(shapes, data, n, e, s, spillDir)...)
+		if code != 0 {
+			t.Fatalf("transient faults in spills should be retried to success, got exit %d: %s", code, errOut)
+		}
+		if !bytes.Equal(readFile(t, n), readFile(t, bn)) ||
+			!bytes.Equal(readFile(t, e), readFile(t, be)) ||
+			!bytes.Equal(readFile(t, s), readFile(t, bs)) {
+			t.Fatal("outputs differ from the unconstrained run")
+		}
+		if _, err := os.Stat(spillDir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("run left spill directory %s", spillDir)
+		}
+	})
 }
 
 // TestFaultInjectedSpill drives the governed run through the fault-injecting

@@ -2,7 +2,8 @@
 // file commits (temp file in the destination directory → Sync → Rename →
 // directory sync), so a reader of the destination path never observes a
 // torn file. An interrupted run leaves each output complete or absent and is
-// recovered by running it again.
+// recovered by running it again. A scratch file (WriteScratchFileFS) takes
+// the same path without the fsyncs.
 package ckpt
 
 import (
@@ -84,7 +85,23 @@ func WriteFileAtomic(path string, perm os.FileMode, fn func(io.Writer) error) er
 
 // WriteFileAtomicFS is WriteFileAtomic over an explicit FS, the seam the
 // fault-injection tests use to prove the no-torn-outputs property.
-func WriteFileAtomicFS(fsys FS, path string, perm os.FileMode, fn func(io.Writer) error) (err error) {
+func WriteFileAtomicFS(fsys FS, path string, perm os.FileMode, fn func(io.Writer) error) error {
+	return writeFile(fsys, path, perm, true, fn)
+}
+
+// WriteScratchFileFS writes a scratch file — one only the writing process
+// reads, so a crash leaves it garbage whatever it holds — as
+// WriteFileAtomicFS does, except that neither the file nor the directory is
+// fsynced and the file keeps its temporary's mode (0600). path still holds
+// the whole output or nothing, and a failure before the rename removes the
+// temporary.
+func WriteScratchFileFS(fsys FS, path string, fn func(io.Writer) error) error {
+	return writeFile(fsys, path, 0, false, fn)
+}
+
+// writeFile is the commit behind both: durable adds the two fsyncs and the
+// chmod to perm.
+func writeFile(fsys FS, path string, perm os.FileMode, durable bool, fn func(io.Writer) error) (err error) {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
@@ -111,15 +128,19 @@ func WriteFileAtomicFS(fsys FS, path string, perm os.FileMode, fn func(io.Writer
 		f.Close()
 		return fmt.Errorf("ckpt: atomic %s: %w", path, err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("ckpt: atomic %s: sync: %w", path, err)
+	if durable {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return fmt.Errorf("ckpt: atomic %s: sync: %w", path, err)
+		}
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("ckpt: atomic %s: close: %w", path, err)
 	}
-	if err := fsys.Chmod(tmp, perm); err != nil {
-		return fmt.Errorf("ckpt: atomic %s: chmod: %w", path, err)
+	if durable {
+		if err := fsys.Chmod(tmp, perm); err != nil {
+			return fmt.Errorf("ckpt: atomic %s: chmod: %w", path, err)
+		}
 	}
 	if err := fsys.Rename(tmp, path); err != nil {
 		return fmt.Errorf("ckpt: atomic %s: rename: %w", path, err)
@@ -128,8 +149,10 @@ func WriteFileAtomicFS(fsys FS, path string, perm os.FileMode, fn func(io.Writer
 	// name: the abort cleanup must not run even if the directory sync below
 	// fails (the new content is visible, just not yet durable).
 	committed = true
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("ckpt: atomic %s: sync dir: %w", path, err)
+	if durable {
+		if err := fsys.SyncDir(dir); err != nil {
+			return fmt.Errorf("ckpt: atomic %s: sync dir: %w", path, err)
+		}
 	}
 	cCommits.Inc()
 	cCommitBytes.Add(written)

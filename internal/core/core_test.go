@@ -8,6 +8,7 @@ import (
 
 	"github.com/s3pg/s3pg/internal/core"
 	"github.com/s3pg/s3pg/internal/fixtures"
+	"github.com/s3pg/s3pg/internal/pg"
 	"github.com/s3pg/s3pg/internal/pgschema"
 	"github.com/s3pg/s3pg/internal/rdf"
 	"github.com/s3pg/s3pg/internal/shacl"
@@ -564,5 +565,42 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUntypedSelfLoopIsEntityEdge: a statement whose object is its own
+// untyped subject, first made an entity by that statement, is an edge from
+// the subject's node to itself — also when an earlier statement already
+// encoded that IRI as a resource value node.
+func TestUntypedSelfLoopIsEntityEdge(t *testing.T) {
+	a := fixtures.Ex("loop")
+	loop := rdf.NewTriple(a, rdf.NewIRI(fixtures.ExNS+"p"), a)
+	earlier := rdf.NewTriple(fixtures.Ex("x"), rdf.NewIRI(fixtures.ExNS+"q"), a)
+	for _, tc := range []struct {
+		name    string
+		triples []rdf.Triple
+	}{
+		{"alone", []rdf.Triple{loop}},
+		{"after-value-node", []rdf.Triple{earlier, loop}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := rdf.NewGraph()
+			for _, tr := range tc.triples {
+				g.Add(tr)
+			}
+			store, _, err := core.Transform(g, fixtures.UniversityShapes(), core.Parsimonious)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loops := 0
+			for id := 0; id < store.NumEdges(); id++ {
+				if e := store.Edge(pg.EdgeID(id)); e.From == e.To {
+					loops++
+				}
+			}
+			if loops != 1 {
+				t.Fatalf("%d self-loop edges, want 1 (%d nodes, %d edges)", loops, store.NumNodes(), store.NumEdges())
+			}
+		})
 	}
 }

@@ -553,15 +553,19 @@ func (c *commit) statement(s, p, o rdf.TermID) (annotation bool, err error) {
 			return true, nil
 		}
 	}
-	oT := c.dict.Term(o)
-	if oT.IsTripleTerm() {
-		tr := c.triple(s, p, o)
-		err := fmt.Errorf("core: quoted triples in object position are not supported: %v", tr)
-		if t.lenient {
-			t.degrade("skipped: "+err.Error(), tr)
-			return false, nil
+	// An object this call already gave an entity node is an IRI or a blank
+	// node, so it needs no decode.
+	var oT rdf.Term
+	if c.nodeID[o] == noNode {
+		if oT = c.dict.Term(o); oT.IsTripleTerm() {
+			tr := c.triple(s, p, o)
+			err := fmt.Errorf("core: quoted triples in object position are not supported: %v", tr)
+			if t.lenient {
+				t.degrade("skipped: "+err.Error(), tr)
+				return false, nil
+			}
+			return false, err
 		}
-		return false, err
 	}
 	if sid == noNode {
 		sid = c.entity(s, sT)
@@ -578,17 +582,17 @@ func (c *commit) statement(s, p, o rdf.TermID) (annotation bool, err error) {
 	r := c.route(sn, p)
 
 	var oid pg.NodeID
-	if oT.IsResource() {
+	if oid = c.nodeID[o]; oid != noNode {
 		// Case 1 (lines 16–20): the object is a known entity → entity edge.
+		// Read after the subject's entity exists, so a self-loop finds it.
+	} else if oT.IsResource() {
 		// An IRI or blank object never declared as an entity is encoded as a
 		// resource value node so no information is dropped.
-		if oid = c.nodeID[o]; oid == noNode {
-			if known, ok := t.entities()[oT]; ok {
-				c.nodeID[o] = known
-				oid = known
-			} else {
-				oid = c.resourceValue(o, oT)
-			}
+		if known, ok := t.entities()[oT]; ok {
+			c.nodeID[o] = known
+			oid = known
+		} else {
+			oid = c.resourceValue(o, oT)
 		}
 	} else {
 		// Case 2 (lines 21–23): parsimonious key/value encoding, applicable

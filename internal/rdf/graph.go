@@ -25,11 +25,17 @@ type encTriple struct {
 	s, p, o TermID
 }
 
-// hash spreads the triple's ids over 32 bits for the duplicate index: one
-// 64×64→128-bit multiply of the ids against fixed odd constants, folded.
-func (e encTriple) hash() uint32 {
+// mix spreads the triple's ids over 64 bits: one 64×64→128-bit multiply of
+// the ids against fixed odd constants, its halves folded. The duplicate index
+// (hash) and the segment filters (filterKey) both draw on it.
+func (e encTriple) mix() uint64 {
 	hi, lo := bits.Mul64(uint64(e.s)<<32|uint64(e.p)^0xa0761d6478bd642f, uint64(e.o)^0xe7037ed1a0b428db)
-	h := hi ^ lo
+	return hi ^ lo
+}
+
+// hash folds mix to 32 bits for the duplicate index.
+func (e encTriple) hash() uint32 {
+	h := e.mix()
 	return uint32(h ^ h>>32)
 }
 
@@ -300,8 +306,8 @@ func (g *Graph) postingFor(k int, id TermID) (spilled, tail []int32) {
 
 // slotOf finds the live slot holding e: the tail's duplicate index when the
 // graph has one, else — a clone that was never mutated — a scan of e's
-// shortest posting list; then the spilled prefix, which keeps no resident
-// hash.
+// shortest posting list; then the spilled prefix, on disk but for each
+// segment's triple filter (see spilledSlotOf).
 func (g *Graph) slotOf(e encTriple) (int32, bool) {
 	if g.present != nil {
 		if _, pos, ok := findTriple(g.present, e.hash(), e, g.triples); ok {

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -87,11 +88,16 @@ func newGraphSpill(dir string, segs []*segment, slots int) *graphSpill {
 // spilledSlotOf finds the live spilled slot holding e; the graph must be
 // spilled. A segment written before one of e's terms was interned cannot hold
 // it, and segments ascend in t1, so a triple naming a term newer than the
-// last spill returns before any read. Within a segment the predicate's list —
-// the longest — is fetched only when subject and object both occur there.
+// last spill returns before any read; nor can a segment whose filter rules e
+// out, which is what most segments say of a triple being admitted. Within a
+// segment the predicate's list — the longest — is fetched only when subject
+// and object both occur there.
 func (g *Graph) spilledSlotOf(e encTriple) (int32, bool) {
-	sp, newest := g.spill, max(e.s, e.p, e.o)
+	sp, newest, key := g.spill, max(e.s, e.p, e.o), e.filterKey()
 	for si := len(sp.segs) - 1; si >= 0 && newest < sp.segs[si].t1; si-- {
+		if !sp.segs[si].filter.mayHold(key) {
+			continue
+		}
 		s := sp.post[0].in(si, e.s)
 		if len(s) == 0 {
 			continue
@@ -108,6 +114,41 @@ func (g *Graph) spilledSlotOf(e encTriple) (int32, bool) {
 	}
 	return 0, false
 }
+
+// tripleFilter is a segment's Bloom filter over the triples in its slots,
+// dead ones included, filterBitsPerSlot bits a slot: a triple sets four bits
+// of one 64-bit word. A triple with one of its bits clear is in none of the
+// segment's slots; one with all four set may be (about 1 absent triple in 50
+// is), and is looked up in the segment's postings.
+type tripleFilter []uint64
+
+const filterBitsPerSlot = 10
+
+// filterKey is where a triple lands in every tripleFilter: the spread whose
+// top bits pick its word, and its four bits in that word.
+type filterKey struct{ spread, bits uint64 }
+
+func (e encTriple) filterKey() filterKey {
+	h := e.mix()
+	// The bits come from a second spread of h, so they do not follow the
+	// top bits of h that pick the word.
+	b := h * 0x9e3779b97f4a7c15
+	return filterKey{h, 1<<(b>>58) | 1<<(b>>52&63) | 1<<(b>>46&63) | 1<<(b>>40&63)}
+}
+
+func newTripleFilter(slots int) tripleFilter {
+	return make(tripleFilter, (filterBitsPerSlot*slots+63)/64+1)
+}
+
+func (f tripleFilter) word(k filterKey) *uint64 {
+	i, _ := bits.Mul64(k.spread, uint64(len(f)))
+	return &f[i]
+}
+
+func (f tripleFilter) add(k filterKey) { *f.word(k) |= k.bits }
+
+// mayHold reports whether a triple with key k may be in the filter's slots.
+func (f tripleFilter) mayHold(k filterKey) bool { return *f.word(k)&k.bits == k.bits }
 
 // pageLog reads the spilled triple log: per segment, fixed-size CRC-framed
 // pages (the last may be short), so a page's offset is computed, not indexed.
@@ -462,8 +503,8 @@ func (g *Graph) writePostings(fw *frameWriter, sg *segment, k int, folded []*seg
 }
 
 // writeSegment streams sg's sections — terms [t0,t1), slots [s0,s1), their
-// postings — filling in sg's directory as the offsets are known, and returns
-// the bytes written.
+// postings — filling in sg's directory as the offsets are known and its
+// filter as the slots go by, and returns the bytes written.
 func (g *Graph) writeSegment(w io.Writer, sg *segment, folded []*segment) (int64, error) {
 	fw := &frameWriter{w: w}
 	var payload []byte
@@ -485,10 +526,12 @@ func (g *Graph) writeSegment(w io.Writer, sg *segment, folded []*segment) (int64
 	}
 
 	sg.pageOff = fw.off
+	sg.filter = newTripleFilter(sg.s1 - sg.s0)
 	for base := sg.s0; base < sg.s1; base += pageTriples {
 		payload = payload[:0]
 		for i := base; i < min(base+pageTriples, sg.s1); i++ {
 			e := g.encAt(i)
+			sg.filter.add(e.filterKey())
 			payload = binary.LittleEndian.AppendUint32(payload, uint32(e.s))
 			payload = binary.LittleEndian.AppendUint32(payload, uint32(e.p))
 			payload = binary.LittleEndian.AppendUint32(payload, uint32(e.o))
@@ -545,9 +588,11 @@ func (g *Graph) TailLen() int { return len(g.triples) }
 // to a new segment file under dir and swaps the in-memory representation to
 // paged reads over it, freeing the resident copies. Ids, slot indexes, and
 // every iteration order are preserved exactly; the operation is
-// output-invisible. fsys is the commit seam (nil = the real filesystem). A
-// spill is one atomic commit, the segment's; a failed one leaves the graph
-// as it was, so the spill can be retried.
+// output-invisible. fsys is the write seam (nil = the real filesystem). A
+// spill is one scratch write, the segment's (ckpt.WriteScratchFileFS: renamed
+// into place, never fsynced, since no other process reads it and a crash
+// ends the only one that does); a failed one leaves the graph as it was, so
+// the spill can be retried.
 //
 // When a tier of the segment list is full (see spillFanIn) the spill folds
 // it: the one file it writes then holds those segments' contents as well as
@@ -585,7 +630,7 @@ func (g *Graph) Spill(dir string, fsys ckpt.FS) error {
 	}
 
 	var written int64
-	if err := ckpt.WriteFileAtomicFS(fsys, sg.path, 0o644, func(w io.Writer) (err error) {
+	if err := ckpt.WriteScratchFileFS(fsys, sg.path, func(w io.Writer) (err error) {
 		written, err = g.writeSegment(w, sg, folded)
 		return err
 	}); err != nil {

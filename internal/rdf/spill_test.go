@@ -558,26 +558,14 @@ func TestSpillCorruptionPanicsOnRead(t *testing.T) {
 					}
 					sg := g.spill.segs[i]
 					frame := tc.at(sg)
-					f, err := os.OpenFile(sg.path, os.O_RDWR, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b := make([]byte, 1)
-					if _, err := f.ReadAt(b, frame+5); err != nil {
-						t.Fatal(err)
-					}
-					b[0] ^= 0x40
-					if _, err := f.WriteAt(b, frame+5); err != nil {
-						t.Fatal(err)
-					}
-					f.Close()
+					flipPayloadByte(t, sg.path, frame)
 
 					var r any
 					func() {
 						defer func() { r = recover() }()
 						tc.read(g, sg)
 					}()
-					err, _ = r.(error)
+					err, _ := r.(error)
 					var ce *CorruptSpillError
 					if !errors.Is(err, ErrSpillCorrupt) || !errors.As(err, &ce) {
 						t.Fatalf("read over a flipped byte: recovered %v, want a *CorruptSpillError panic", r)
@@ -589,6 +577,156 @@ func TestSpillCorruptionPanicsOnRead(t *testing.T) {
 			}
 		})
 	}
+}
+
+// flipPayloadByte flips a bit in the first payload byte of the frame at
+// offset frame of the segment file at path.
+func flipPayloadByte(t *testing.T, path string, frame int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, frame+5); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b, frame+5); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpillFilterSkipsSegments corrupts every posting frame and triple page of
+// a live three-segment spill, then asks Has and Add about absent triples
+// whose terms are all spilled: a segment whose filter rules a triple out is
+// not read, so neither panics. At most one absent triple in ten may get past
+// all three filters; those would read the corrupt frames and are not asked.
+func TestSpillFilterSkipsSegments(t *testing.T) {
+	g := spillIn(t, spillFixture(300), 3, t.TempDir())
+	if n := len(g.spill.segs); n != 3 {
+		t.Fatalf("three spills left %d segments", n)
+	}
+	for _, sg := range g.spill.segs {
+		for k := range sg.post {
+			for _, d := range sg.post[k] {
+				flipPayloadByte(t, sg.path, d.off)
+			}
+		}
+		for pg := 0; pg < sg.numPages(); pg++ {
+			flipPayloadByte(t, sg.path, sg.pageOff+int64(pg)*pageFrameBytes)
+		}
+	}
+	id := func(x Term) TermID {
+		v, ok := g.Dict().Lookup(x)
+		if !ok || v >= g.Dict().base {
+			t.Fatalf("%v is not a spilled term", x)
+		}
+		return v
+	}
+	var absent []Triple
+	tried := 0
+	for i := 0; i < 300; i++ {
+		for _, j := range []int{i + 2, i + 7, i + 150} {
+			tried++
+			tr := NewTriple(ex(fmt.Sprintf("p%d", i)), ex("knows"), ex(fmt.Sprintf("p%d", j%300)))
+			e := encTriple{id(tr.S), id(tr.P), id(tr.O)}
+			ruledOut := true
+			for _, sg := range g.spill.segs {
+				ruledOut = ruledOut && (max(e.s, e.p, e.o) >= sg.t1 || !sg.filter.mayHold(e.filterKey()))
+			}
+			if ruledOut {
+				absent = append(absent, tr)
+			}
+		}
+	}
+	passed := tried - len(absent)
+	t.Logf("%d of %d absent triples got past the segment filters", passed, tried)
+	if passed*10 > tried {
+		t.Fatalf("%d of %d absent triples got past the segment filters", passed, tried)
+	}
+	for _, tr := range absent {
+		if g.Has(tr) {
+			t.Fatalf("Has(%v) = true for an absent triple", tr)
+		}
+	}
+	for _, tr := range absent {
+		if !g.Add(tr) {
+			t.Fatalf("Add(%v) = false for an absent triple", tr)
+		}
+	}
+}
+
+// TestSpillFilterAfterFold: the nine spills of a fixture leave one folded
+// tier-1 segment, whose filter was built over the folded segments' slots as
+// well as the tail's. Has, IndexOf, Remove and Unremove find every triple the
+// resident twin holds there.
+func TestSpillFilterAfterFold(t *testing.T) {
+	want := spillFixture(400)
+	got := spillIn(t, want, 9, t.TempDir())
+	if segs := got.spill.segs; len(segs) != 1 || segs[0].tier != 1 {
+		t.Fatalf("nine spills left %d segments, want one of tier 1", len(segs))
+	}
+	for _, tr := range want.Triples() {
+		slot, ok := want.IndexOf(tr)
+		if !got.Has(tr) {
+			t.Fatalf("Has(%v) = false after the fold", tr)
+		}
+		if s, ok2 := got.IndexOf(tr); !ok || !ok2 || s != slot {
+			t.Fatalf("IndexOf(%v) = %d, %v after the fold, want %d", tr, s, ok2, slot)
+		}
+		if !got.Remove(tr) || got.Has(tr) {
+			t.Fatalf("Remove(%v) after the fold did not take it", tr)
+		}
+		if !got.Unremove(slot, tr) || !got.Has(tr) {
+			t.Fatalf("Unremove(%d, %v) after the fold did not restore it", slot, tr)
+		}
+	}
+	assertGraphsEqual(t, got, want)
+}
+
+// countingFS counts the calls a spill makes through the ckpt.FS seam.
+type countingFS struct {
+	ckpt.FS
+	creates, renames, syncs, dirSyncs int
+}
+
+type countingFile struct {
+	ckpt.File
+	fs *countingFS
+}
+
+func (f countingFile) Sync() error { f.fs.syncs++; return f.File.Sync() }
+
+func (fs *countingFS) CreateTemp(dir, pattern string) (ckpt.File, error) {
+	fs.creates++
+	f, err := fs.FS.CreateTemp(dir, pattern)
+	return countingFile{f, fs}, err
+}
+
+func (fs *countingFS) Rename(oldpath, newpath string) error {
+	fs.renames++
+	return fs.FS.Rename(oldpath, newpath)
+}
+
+func (fs *countingFS) SyncDir(dir string) error { fs.dirSyncs++; return fs.FS.SyncDir(dir) }
+
+// TestSpillIsScratch: a spill writes its segment through the FS seam — one
+// temporary, one rename — and fsyncs neither the file nor the directory.
+func TestSpillIsScratch(t *testing.T) {
+	g, fs, dir := spillFixture(200), &countingFS{FS: ckpt.OSFS}, t.TempDir()
+	for i := 0; i < 10; i++ { // the ninth folds
+		g.Add(NewTriple(ex(fmt.Sprintf("s%d", i)), ex("q"), NewLiteral("v")))
+		if err := g.Spill(dir, fs); err != nil {
+			t.Fatalf("Spill %d: %v", i, err)
+		}
+	}
+	if fs.creates != 10 || fs.renames != 10 || fs.syncs != 0 || fs.dirSyncs != 0 {
+		t.Fatalf("ten spills made %d creates, %d renames, %d file syncs, %d directory syncs; want 10, 10, 0, 0",
+			fs.creates, fs.renames, fs.syncs, fs.dirSyncs)
+	}
+	assertDirHolds(t, dir, g)
 }
 
 func TestGovernorHysteresis(t *testing.T) {
@@ -692,22 +830,6 @@ func TestSpilledGraphSortedAccessors(t *testing.T) {
 	}
 }
 
-// noSyncFS is the real filesystem without the fsyncs, for a fuzz target that
-// spills thousands of times a second; what a failed run leaves behind is
-// cmd/s3pg's TestCrashDuringSpillRecovery's business.
-type noSyncFS struct{ ckpt.FS }
-
-type noSyncFile struct{ ckpt.File }
-
-func (noSyncFile) Sync() error { return nil }
-
-func (fs noSyncFS) CreateTemp(dir, pattern string) (ckpt.File, error) {
-	f, err := fs.FS.CreateTemp(dir, pattern)
-	return noSyncFile{f}, err
-}
-
-func (noSyncFS) SyncDir(string) error { return nil }
-
 // FuzzSpillSchedule interleaves Add, Remove, Spill, Clone, TruncateFrom,
 // Unremove of the last removed slot and Match reads on one graph, two bytes an
 // operation, and holds it — and every clone taken on the way, whatever was
@@ -735,6 +857,17 @@ func FuzzSpillSchedule(f *testing.F) {
 	// term index, then a clone and a second spill, then reads.
 	f.Add([]byte("\x00\x01\x00\x52\x01\x63\x00\x84\x06\x00\x01\x0a\x00\x11\x00\x52\x01\x45\x00\xa6" +
 		"\x07\x00\x06\x00\x0c\x52\x0d\x11\x0e\x63\x0c\x45\x0d\xa6"))
+	// Nine spills fold tier 0, then every spilled triple is added again,
+	// through Add and AddBytes: the folded segment's filter lets each through
+	// to the lookup that finds it, and none is admitted twice.
+	var refold []byte
+	for i := byte(0); i < 9; i++ {
+		refold = append(refold, 0, i*29, 6, 0)
+	}
+	for i := byte(0); i < 9; i++ {
+		refold = append(refold, 0, i*29, 1, i*29)
+	}
+	f.Add(refold)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 512 {
 			return
@@ -782,7 +915,7 @@ func FuzzSpillSchedule(f *testing.F) {
 					removed, removedAt = tr, slot
 				}
 			case 6:
-				if err := got.Spill(dir, noSyncFS{ckpt.OSFS}); err != nil {
+				if err := got.Spill(dir, nil); err != nil {
 					t.Fatalf("op %d: Spill: %v", i/2, err)
 				}
 			case 7:

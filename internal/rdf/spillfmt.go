@@ -127,6 +127,7 @@ type segment struct {
 	blockOff []int64      // frame offset of each arenaBlockTerms-term block
 	pageOff  int64        // offset of the first triple page; pages are fixed-size
 	post     [3][]postDir // posting frames per index (s,p,o), ids ascending
+	filter   tripleFilter // the triples of slots [s0,s1)
 }
 
 // postDir locates one posting frame and the id range it covers.

@@ -33,6 +33,8 @@ var checks = []struct{ file, fn, callee string }{
 	{"internal/rdf/termindex.go", "findIn", "(*termKey[go.shape.[]uint8]).is"},
 	// The query path's view of a resident term takes no call.
 	{"internal/rdf/dict.go", "View", "(*Dict).residentView"},
+	// A spilled lookup asks each segment's filter before it reads the disk.
+	{"internal/rdf/spill.go", "spilledSlotOf", "tripleFilter.mayHold"},
 	// An index built on first read costs a read one atomic load once built.
 	{"internal/rdf/graph.go", "postingFor", "cow.(*Watermark).CatchUp"},
 	{"internal/pg/pg.go", "Out", "cow.(*Watermark).CatchUp"},
