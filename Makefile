@@ -90,8 +90,12 @@ verify:
 # never spilled, a live graph edited in place under random update scripts
 # against a twin that rebuilds on every batch, the property-graph store under
 # random mutator/Clone/Resequence scripts against its map-based model,
-# pg.LoadCSV on arbitrary bytes, and the CSV row encoder against
-# encoding/csv over the same fields, read back by pg.LoadCSV. New crashers
+# pg.LoadCSV on arbitrary bytes, the CSV row encoder against
+# encoding/csv over the same fields, read back by pg.LoadCSV, and the WAL's
+# two payload encoders: an update batch against the fmt renderer it
+# replaced (and back through DecodeDelta), its change record against
+# encoding/json. SPARQL Update parses are held to a parse through a graph
+# per data block. New crashers
 # land in testdata/fuzz/ and become regression tests.
 FUZZ_TARGETS = \
 	FuzzParseNTriplesLine:./internal/rio \
@@ -102,6 +106,8 @@ FUZZ_TARGETS = \
 	FuzzParse:./internal/cypher \
 	FuzzParse:./internal/sparql \
 	FuzzParseUpdate:./internal/sparql \
+	FuzzDeltaEncode:./internal/rdf \
+	FuzzPGDeltaEncode:./internal/core \
 	FuzzEvalDifferential:./internal/cypher \
 	FuzzEvalDifferential:./internal/sparql \
 	FuzzRowJSON:./internal/serve \

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -236,17 +238,39 @@ func TestCrashDuringSpillRecovery(t *testing.T) {
 	})
 }
 
+// faultSpills is how many spills a governed run over the fault matrix's
+// input makes: University @ 9.5 (≈ 56 k statements) spills at the first
+// check and then each time the resident tail has grown past the governor's
+// 10 000-statement minimum, after 4 096, 16 384, 28 672, 40 960 and 53 248
+// statements.
+const faultSpills = 5
+
+// spillCount reads the count of the "ran out-of-core: N spill(s)" line of a
+// run's stderr, -1 when the line is missing.
+func spillCount(stderr string) int {
+	m := regexp.MustCompile(`ran out-of-core: (\d+) spill\(s\)`).FindStringSubmatch(stderr)
+	if m == nil {
+		return -1
+	}
+	n, _ := strconv.Atoi(m[1])
+	return n
+}
+
 // TestFaultInjectedSpill drives the governed run through the fault-injecting
-// filesystem. Transient regimes must be absorbed by the retry policy and
-// converge to byte-identical outputs in one run; hard regimes must fail the
-// run cleanly — no committed outputs — after which a fault-free rerun
-// recovers byte-identically.
+// filesystem. A spill makes two counted filesystem operations, the segment's
+// create and its rename (no fsync), and the run makes five spills before
+// the outputs' commit, so the spill rows' faults land in a spill: the
+// transient one must be absorbed by the retry policy and converge to
+// byte-identical outputs in one run; the hard ones must fail the run cleanly
+// in a spill — no committed outputs — after which a fault-free rerun
+// recovers byte-identically. One row fails the first fsync, which is the
+// outputs' commit's: spills make none.
 func TestFaultInjectedSpill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
 	dir := t.TempDir()
-	shapes, data := writeGeneratedDataset(t, dir, 0.5, false)
+	shapes, data := writeGeneratedDataset(t, dir, 9.5, false)
 
 	bn, be, bs, _ := outPaths(t, filepath.Join(dir, "base"))
 	if code, _, errOut := execCLI(t, nil, "data", "-shapes", shapes, "-data", data,
@@ -257,17 +281,21 @@ func TestFaultInjectedSpill(t *testing.T) {
 	cases := []struct {
 		name, spec string
 		transient  bool
+		inSpill    bool // the (first) fault lands in a spill
 	}{
+		// Operations 1-8 are the first four spills' creates and renames, so
+		// the 9th, the fifth spill's create, takes the first transient fault.
 		// The nested nodes+edges commit spans 8 counted FS ops per attempt,
-		// so the transient period must exceed that or every retry of the
-		// output commit deterministically re-faults.
-		{"transient-fs", "fstransientevery=30", true},
-		{"hard-sync", "failsync=1", false},
-		{"hard-rename", "failrename=2", false},
+		// so the period must exceed that or every retry of the output commit
+		// deterministically re-faults.
+		{"transient-spill-create", "fstransientevery=9", true, true},
+		{"hard-spill-create", "failcreate=1", false, true},
+		{"hard-spill-rename", "failrename=2", false, true},
+		{"hard-sync-commit", "failsync=1", false, false},
 		// shortevery=1 makes every write short: per-file fault schedules
 		// restart with each retry's fresh temp file, so this regime never
 		// converges and must fail cleanly instead.
-		{"short-writes", "seed=7,shortevery=1", false},
+		{"short-writes", "seed=7,shortevery=1", false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -276,14 +304,23 @@ func TestFaultInjectedSpill(t *testing.T) {
 			spillDir := filepath.Join(caseDir, "graph.spill")
 
 			code, _, errOut := execCLI(t, []string{faultFSEnv + "=" + tc.spec},
-				spillArgsFor(shapes, data, n, e, s, spillDir)...)
+				spillArgsFor(shapes, data, n, e, s, spillDir, "-metrics", filepath.Join(caseDir, "metrics.json"))...)
 			if tc.transient {
 				if code != 0 {
 					t.Fatalf("transient faults should be retried to success, got exit %d: %s", code, errOut)
 				}
+				if got := spillCount(errOut); got != faultSpills {
+					t.Fatalf("the run made %d spills, want %d: %s", got, faultSpills, errOut)
+				}
+				if m := readFile(t, filepath.Join(caseDir, "metrics.json")); !regexp.MustCompile(`"cli\.commit\.retries": *[1-9]`).Match(m) {
+					t.Fatalf("no transient fault was retried: %s", m)
+				}
 			} else if code == 0 {
 				t.Fatalf("hard fault regime %q did not fail the run", tc.spec)
 			} else {
+				if got := strings.Contains(errOut, "error: spill: "); got != tc.inSpill {
+					t.Fatalf("the fault landed in a spill: %v, want %v: %s", got, tc.inSpill, errOut)
+				}
 				for _, p := range []string{n, e, s} {
 					if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
 						t.Fatalf("failed run left output %s", p)
@@ -293,6 +330,9 @@ func TestFaultInjectedSpill(t *testing.T) {
 				code, _, errOut = execCLI(t, nil, spillArgsFor(shapes, data, n, e, s, spillDir)...)
 				if code != 0 {
 					t.Fatalf("recovery rerun exit %d: %s", code, errOut)
+				}
+				if got := spillCount(errOut); got != faultSpills {
+					t.Fatalf("the rerun made %d spills, want %d: %s", got, faultSpills, errOut)
 				}
 			}
 			if !bytes.Equal(readFile(t, n), readFile(t, bn)) ||

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 
+	"github.com/s3pg/s3pg/internal/jsonstr"
 	"github.com/s3pg/s3pg/internal/obs"
 	"github.com/s3pg/s3pg/internal/pg"
 	"github.com/s3pg/s3pg/internal/pgschema"
@@ -109,10 +110,75 @@ func (d *PGDelta) Empty() bool {
 	return len(d.Nodes) == 0 && len(d.Edges) == 0 && d.SchemaDDL == ""
 }
 
-// Encode serializes the delta as canonical JSON (one line, no trailing
-// newline). The encoding is deterministic: fields are struct-ordered and the
-// entry lists canonically sorted.
-func (d *PGDelta) Encode() ([]byte, error) { return json.Marshal(d) }
+// Encode appends the delta's canonical JSON (one line, no trailing newline)
+// to dst: byte for byte what json.Marshal makes of it — struct field order,
+// omitempty, HTML-safe string escaping — written straight from the fields.
+// The encoding is deterministic: the entry lists are canonically sorted.
+func (d *PGDelta) Encode(dst []byte) []byte {
+	dst = append(dst, '{')
+	sep := false
+	field := func(name string) {
+		if sep {
+			dst = append(dst, ',')
+		}
+		sep = true
+		dst = append(append(append(dst, '"'), name...), `":`...)
+	}
+	if d.LSN != 0 {
+		field("lsn")
+		dst = strconv.AppendUint(dst, d.LSN, 10)
+	}
+	if len(d.Nodes) > 0 {
+		field("nodes")
+		for i := range d.Nodes {
+			n := &d.Nodes[i]
+			dst = append(dst, listSep(i)...)
+			dst = jsonstr.Append(append(dst, `{"op":`...), n.Op)
+			dst = jsonstr.Append(append(dst, `,"key":`...), n.Key)
+			if len(n.Labels) > 0 {
+				dst = append(dst, `,"labels":`...)
+				for j, l := range n.Labels {
+					dst = jsonstr.Append(append(dst, listSep(j)...), l)
+				}
+				dst = append(dst, ']')
+			}
+			if n.Props != "" {
+				dst = jsonstr.Append(append(dst, `,"props":`...), n.Props)
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if len(d.Edges) > 0 {
+		field("edges")
+		for i := range d.Edges {
+			e := &d.Edges[i]
+			dst = append(dst, listSep(i)...)
+			dst = jsonstr.Append(append(dst, `{"op":`...), e.Op)
+			dst = jsonstr.Append(append(dst, `,"from":`...), e.From)
+			dst = jsonstr.Append(append(dst, `,"label":`...), e.Label)
+			dst = jsonstr.Append(append(dst, `,"to":`...), e.To)
+			if e.Props != "" {
+				dst = jsonstr.Append(append(dst, `,"props":`...), e.Props)
+			}
+			dst = append(strconv.AppendInt(append(dst, `,"count":`...), int64(e.Count), 10), '}')
+		}
+		dst = append(dst, ']')
+	}
+	if d.SchemaDDL != "" {
+		field("schema_ddl")
+		dst = jsonstr.Append(dst, d.SchemaDDL)
+	}
+	return append(dst, '}')
+}
+
+// listSep opens a JSON array for its first element and separates the rest.
+func listSep(i int) string {
+	if i == 0 {
+		return "["
+	}
+	return ","
+}
 
 // DecodePGDelta parses an Encode result.
 func DecodePGDelta(b []byte) (*PGDelta, error) {
@@ -124,13 +190,10 @@ func DecodePGDelta(b []byte) (*PGDelta, error) {
 }
 
 // Digest returns the SHA-256 of the canonical encoding — the replay
-// determinism fingerprint recorded in APPLIED log records.
+// determinism fingerprint recorded in APPLIED log records. The encoding
+// cannot fail, so neither can Digest; its error result is always nil.
 func (d *PGDelta) Digest() (string, error) {
-	b, err := d.Encode()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
+	sum := sha256.Sum256(d.Encode(nil))
 	return hex.EncodeToString(sum[:]), nil
 }
 

@@ -62,9 +62,7 @@ func (tw *twins) apply(t testing.TB, d *rdf.Delta, step string) *PGDelta {
 		t.Fatalf("%s: in place: %v; rebuilt: %v", step, gerr, werr)
 	}
 	if gerr == nil {
-		gb, _ := got.Encode()
-		wb, _ := want.Encode()
-		if !bytes.Equal(gb, wb) {
+		if gb, wb := got.Encode(nil), want.Encode(nil); !bytes.Equal(gb, wb) {
 			t.Fatalf("%s: PGDelta differs\nin place: %s\n rebuilt: %s", step, gb, wb)
 		}
 	}

@@ -338,11 +338,7 @@ func TestApplyDeltaChangeStreamOps(t *testing.T) {
 		}
 	}
 	// Round trip through the wire encoding.
-	enc, err := pgd.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := core.DecodePGDelta(enc)
+	back, err := core.DecodePGDelta(pgd.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

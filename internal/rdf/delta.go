@@ -1,9 +1,8 @@
 package rdf
 
 import (
-	"bufio"
 	"fmt"
-	"io"
+	"strconv"
 	"strings"
 )
 
@@ -30,63 +29,51 @@ func (d *Delta) Len() int { return len(d.Deletes) + len(d.Inserts) }
 // deltaHeader is the version-bearing first line of the serialized form.
 const deltaHeader = "S3PG-DELTA 1"
 
-// WriteTo serializes the delta in a line-oriented, versioned format: a
-// header line, then one N-Triples statement per line prefixed with "D "
-// (delete) or "I " (insert). The encoding is canonical — terms are written
-// in N-Triples syntax with escaped lexicals — so the byte form round-trips
-// exactly through ReadDeltaFrom and is safe to frame inside a WAL record.
-func (d *Delta) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	count := func(c int, err error) error {
-		n += int64(c)
-		return err
-	}
-	if err := count(fmt.Fprintf(bw, "%s %d %d\n", deltaHeader, len(d.Deletes), len(d.Inserts))); err != nil {
-		return n, err
-	}
-	for _, t := range d.Deletes {
-		if err := count(fmt.Fprintf(bw, "D %s\n", t.String())); err != nil {
-			return n, err
+// Encode serializes the delta in a line-oriented, versioned format: a header
+// line "S3PG-DELTA 1 <deletes> <inserts>", then one N-Triples statement per
+// line prefixed with "D " (delete) or "I " (insert). The encoding is
+// canonical — terms are written in N-Triples syntax with escaped lexicals —
+// so the byte form round-trips exactly through DecodeDelta and is safe to
+// frame inside a WAL record.
+func (d *Delta) Encode() []byte {
+	size := len(deltaHeader) + 2*21
+	for _, ts := range [2][]Triple{d.Deletes, d.Inserts} {
+		for i := range ts {
+			size += 6 + termSize(&ts[i].S) + termSize(&ts[i].P) + termSize(&ts[i].O)
 		}
+	}
+	dst := append(make([]byte, 0, size), deltaHeader...)
+	dst = strconv.AppendInt(append(dst, ' '), int64(len(d.Deletes)), 10)
+	dst = strconv.AppendInt(append(dst, ' '), int64(len(d.Inserts)), 10)
+	dst = append(dst, '\n')
+	for _, t := range d.Deletes {
+		dst = append(t.AppendTo(append(dst, "D "...)), '\n')
 	}
 	for _, t := range d.Inserts {
-		if err := count(fmt.Fprintf(bw, "I %s\n", t.String())); err != nil {
-			return n, err
-		}
+		dst = append(t.AppendTo(append(dst, "I "...)), '\n')
 	}
-	return n, bw.Flush()
+	return dst
 }
 
-// Encode returns the serialized form of WriteTo as a byte slice.
-func (d *Delta) Encode() []byte {
-	var sb strings.Builder
-	if _, err := d.WriteTo(&sb); err != nil {
-		// strings.Builder never fails; a non-nil error is a bug.
-		panic(err)
-	}
-	return []byte(sb.String())
-}
-
-// DecodeDelta parses the serialized form produced by WriteTo/Encode.
-// The caller supplies parseLine to decode one N-Triples statement (the rio
-// package provides it; taking it as a parameter keeps rdf free of a parser
-// dependency cycle).
+// DecodeDelta parses the serialized form produced by Encode. The caller
+// supplies parseLine to decode one N-Triples statement (the rio package
+// provides it; taking it as a parameter keeps rdf free of a parser
+// dependency cycle). Lines past the header's counts are ignored.
 func DecodeDelta(data []byte, parseLine func(string) (Triple, error)) (*Delta, error) {
-	lines := strings.Split(string(data), "\n")
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("rdf: empty delta")
-	}
+	src := string(data)
+	header, rest, _ := strings.Cut(src, "\n")
 	var nDel, nIns int
-	if _, err := fmt.Sscanf(lines[0], deltaHeader+" %d %d", &nDel, &nIns); err != nil {
-		return nil, fmt.Errorf("rdf: bad delta header %q: %v", lines[0], err)
+	if _, err := fmt.Sscanf(header, deltaHeader+" %d %d", &nDel, &nIns); err != nil {
+		return nil, fmt.Errorf("rdf: bad delta header %q: %v", header, err)
 	}
-	if nDel < 0 || nIns < 0 || nDel+nIns > len(lines)-1 {
+	lines := strings.Count(src, "\n")
+	if nDel < 0 || nIns < 0 || nDel+nIns > lines {
 		return nil, fmt.Errorf("rdf: delta header counts (%d, %d) exceed payload", nDel, nIns)
 	}
-	d := &Delta{}
+	d := &Delta{Deletes: withRoom(min(nDel, lines)), Inserts: withRoom(min(nIns, lines))}
 	for i := 1; i <= nDel+nIns; i++ {
-		line := lines[i]
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		if len(line) < 2 || (line[0] != 'D' && line[0] != 'I') || line[1] != ' ' {
 			return nil, fmt.Errorf("rdf: delta line %d: bad prefix %q", i, line)
 		}
@@ -111,4 +98,12 @@ func DecodeDelta(data []byte, parseLine func(string) (Triple, error)) (*Delta, e
 			len(d.Deletes), len(d.Inserts), nDel, nIns)
 	}
 	return d, nil
+}
+
+// withRoom returns a slice with room for n triples, nil for none.
+func withRoom(n int) []Triple {
+	if n == 0 {
+		return nil
+	}
+	return make([]Triple, 0, n)
 }

@@ -125,65 +125,86 @@ func (t Term) DatatypeIRI() string {
 	return t.Datatype
 }
 
-// String renders the term in N-Triples syntax.
+// String renders the term in N-Triples syntax. An IRI and a blank node,
+// the common terms, cost one allocation.
 func (t Term) String() string {
 	switch t.Kind {
 	case IRI:
 		return "<" + t.Value + ">"
 	case Blank:
 		return "_:" + t.Value
+	}
+	return string(t.AppendTo(make([]byte, 0, termSize(&t))))
+}
+
+// AppendTo appends the term in N-Triples syntax, the bytes String returns,
+// to dst.
+func (t Term) AppendTo(dst []byte) []byte {
+	switch t.Kind {
+	case IRI:
+		return append(append(append(dst, '<'), t.Value...), '>')
+	case Blank:
+		return append(append(dst, "_:"...), t.Value...)
 	case Literal:
-		var b strings.Builder
-		b.WriteByte('"')
-		b.WriteString(EscapeLiteral(t.Value))
-		b.WriteByte('"')
+		dst = append(appendLiteralEscaped(append(dst, '"'), t.Value), '"')
 		if t.Lang != "" {
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
+			dst = append(append(dst, '@'), t.Lang...)
 		} else if t.Datatype != "" {
-			b.WriteString("^^<")
-			b.WriteString(t.Datatype)
-			b.WriteByte('>')
+			dst = append(append(append(dst, "^^<"...), t.Datatype...), '>')
 		}
-		return b.String()
+		return dst
 	case TripleTerm:
 		if q, ok := t.AsTriple(); ok {
-			return "<< " + q.S.String() + " " + q.P.String() + " " + q.O.String() + " >>"
+			dst = q.S.AppendTo(append(dst, "<< "...))
+			dst = q.P.AppendTo(append(dst, ' '))
+			return append(q.O.AppendTo(append(dst, ' ')), " >>"...)
 		}
-		return "<< malformed >>"
+		return append(dst, "<< malformed >>"...)
 	default:
-		return "<invalid term>"
+		return append(dst, "<invalid term>"...)
 	}
 }
+
+// termSize bounds the length of the term's N-Triples form when it is an
+// IRI, a blank node or a literal without escapes: room enough to append it
+// without growing.
+func termSize(t *Term) int { return len(t.Value) + len(t.Datatype) + len(t.Lang) + 6 }
+
+// literalSpecials are the bytes EscapeLiteral escapes.
+const literalSpecials = "\"\\\n\r\t"
 
 // EscapeLiteral escapes a lexical form for embedding in a double-quoted
 // N-Triples / Turtle literal.
 func EscapeLiteral(s string) string {
-	if !strings.ContainsAny(s, "\"\\\n\r\t") {
+	if !strings.ContainsAny(s, literalSpecials) {
 		return s
 	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	// Byte-wise: every escaped character is ASCII, so multi-byte sequences —
-	// including invalid UTF-8 — pass through unchanged and serialization
-	// round-trips the lexical form exactly.
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteByte(c)
+	return string(appendLiteralEscaped(make([]byte, 0, len(s)+8), s))
+}
+
+// appendLiteralEscaped appends s with EscapeLiteral's escapes. It works
+// byte-wise: every escaped character is ASCII, so multi-byte sequences —
+// including invalid UTF-8 — pass through unchanged and serialization
+// round-trips the lexical form exactly.
+func appendLiteralEscaped(dst []byte, s string) []byte {
+	for {
+		i := strings.IndexAny(s, literalSpecials)
+		if i < 0 {
+			return append(dst, s...)
 		}
+		dst = append(dst, s[:i]...)
+		switch s[i] {
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		default: // '"', '\\'
+			dst = append(dst, '\\', s[i])
+		}
+		s = s[i+1:]
 	}
-	return b.String()
 }
 
 // Triple is a single RDF statement.
@@ -196,7 +217,13 @@ func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
 
 // String renders the triple as an N-Triples statement (without newline).
 func (t Triple) String() string {
-	return t.S.String() + " " + t.P.String() + " " + t.O.String() + " ."
+	return string(t.AppendTo(make([]byte, 0, termSize(&t.S)+termSize(&t.P)+termSize(&t.O)+4)))
+}
+
+// AppendTo appends the statement String returns to dst.
+func (t Triple) AppendTo(dst []byte) []byte {
+	dst = t.P.AppendTo(append(t.S.AppendTo(dst), ' '))
+	return append(t.O.AppendTo(append(dst, ' ')), " ."...)
 }
 
 // Valid reports whether the triple is well formed per Definition 2.1,

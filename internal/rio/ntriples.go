@@ -420,16 +420,11 @@ func isAlphaNum(c byte) bool {
 func WriteNTriples(w io.Writer, g *rdf.Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var err error
+	var line []byte
 	g.ForEach(func(t rdf.Triple) bool {
-		if _, werr := bw.WriteString(t.String()); werr != nil {
-			err = werr
-			return false
-		}
-		if werr := bw.WriteByte('\n'); werr != nil {
-			err = werr
-			return false
-		}
-		return true
+		line = append(t.AppendTo(line[:0]), '\n')
+		_, err = bw.Write(line)
+		return err == nil
 	})
 	if err != nil {
 		return err

@@ -25,6 +25,18 @@ func ParseTurtle(src string) (*rdf.Graph, error) {
 // stand. Parsing hard-stops with ErrTooManyErrors once opts.MaxErrors
 // malformed statements have been skipped.
 func ParseTurtleWith(ctx context.Context, src string, opts Options) (*rdf.Graph, error) {
+	g := rdf.NewGraph()
+	if err := ReadTurtleWith(ctx, src, opts, func(t rdf.Triple) { g.Add(t) }); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// ReadTurtleWith parses a Turtle document, streaming each triple to emit in
+// document order without building a graph; a duplicate is emitted as often
+// as it occurs. Options apply as in ParseTurtleWith. On an error, emit may
+// already have seen the triples before it.
+func ReadTurtleWith(ctx context.Context, src string, opts Options, emit func(rdf.Triple)) error {
 	start := time.Now()
 	p := &ttlParser{
 		ctx:      ctx,
@@ -32,14 +44,11 @@ func ParseTurtleWith(ctx context.Context, src string, opts Options) (*rdf.Graph,
 		sink:     errorSink{opts: &opts, counter: ttlSkipped},
 		src:      src,
 		prefixes: map[string]string{},
-		g:        rdf.NewGraph(),
+		emitTo:   emit,
 	}
 	err := p.parse()
 	ttlMeter.Observe(p.triples, time.Since(start))
-	if err != nil {
-		return nil, err
-	}
-	return p.g, nil
+	return err
 }
 
 // maxTurtleDepth bounds blank-node property list, collection, and quoted
@@ -59,13 +68,13 @@ type ttlParser struct {
 	prefixes map[string]string
 	base     string
 	blankSeq int
-	g        *rdf.Graph
+	emitTo   func(rdf.Triple)
 	triples  int64 // triples emitted, duplicates included
 }
 
-// emit adds one parsed triple to the graph.
+// emit hands one parsed triple to the caller.
 func (p *ttlParser) emit(t rdf.Triple) {
-	p.g.Add(t)
+	p.emitTo(t)
 	p.triples++
 }
 

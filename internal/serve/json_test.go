@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"github.com/s3pg/s3pg/internal/pg"
@@ -142,7 +141,7 @@ func TestRowJSONMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// wordTraps are the bytes appendEscaped's word test must stop at, and the
+// wordTraps are the bytes jsonstr.AppendEscaped's word test must stop at, and the
 // multi-byte sequences after which the scan must pick up again: each escaped
 // ASCII byte, the bounds of the control range, DEL (which stays literal), a
 // 2-, 3- and 4-byte rune, the two line separators JSON escapes, a lone
@@ -221,23 +220,4 @@ func FuzzRowJSON(f *testing.F) {
 		checkWire(t, mustExecute(t, snap, Request{Lang: "cypher", Query: `MATCH (n:T) RETURN n.i AS i, n.v AS v`}))
 		checkWire(t, mustExecute(t, snap, Request{Lang: "sparql", Query: `SELECT ?s ?o WHERE { ?s ?p ?o }`}))
 	})
-}
-
-// BenchmarkAppendEscaped is the escape scan alone on the strings a /query
-// body is made of: an IRI, a long plain literal, and text that is mostly
-// multi-byte runes.
-func BenchmarkAppendEscaped(b *testing.B) {
-	for _, c := range []struct{ name, s string }{
-		{"iri", "http://dbpedia.org/resource/Berlin_Brandenburg_Airport"},
-		{"long", strings.Repeat("The quick brown fox jumps over the lazy dog. ", 24)},
-		{"runes", strings.Repeat("日本語のテキスト ", 32)},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			dst := make([]byte, 0, 4*len(c.s))
-			b.SetBytes(int64(len(c.s)))
-			for i := 0; i < b.N; i++ {
-				dst = appendEscaped(dst[:0], c.s)
-			}
-		})
-	}
 }

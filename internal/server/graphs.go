@@ -361,10 +361,7 @@ func replay(dir, mode string, recs []wal.Record, hi uint64, emit func(*core.PGDe
 			return nil, 0, fmt.Errorf("wal lsn %d: replay rejected: %w", r.LSN, err)
 		}
 		pd.LSN = r.LSN
-		digest, err := pd.Digest()
-		if err != nil {
-			return nil, 0, fmt.Errorf("wal lsn %d: %w", r.LSN, err)
-		}
+		digest, _ := pd.Digest() // its error is always nil
 		if want, ok := applied[r.LSN]; ok && want != digest {
 			return nil, 0, fmt.Errorf("wal lsn %d: replay digest %s != recorded %s (nondeterministic apply)",
 				r.LSN, digest, want)
@@ -454,7 +451,8 @@ func (m *GraphManager) List() []*GraphStatus {
 
 // Update runs one parsed SPARQL Update batch through a graph: admission,
 // apply, durable WAL append, publish. The returned result's LSN is durable —
-// the UPDATE record was fsynced before this returns.
+// the batch's UPDATE and APPLIED records were fsynced, together, before this
+// returns.
 func (m *GraphManager) Update(id string, d *rdf.Delta) (*UpdateResult, error) {
 	gs, err := m.get(id)
 	if err != nil {
@@ -488,29 +486,25 @@ func (m *GraphManager) applyOne(gs *graphSession, d *rdf.Delta) (*UpdateResult, 
 		return nil, fmt.Errorf("%w: %v", ErrDeltaRejected, err)
 	}
 	m.stall(m.cfg.StallWAL)
-	lsn, err := gs.wlog.AppendUpdate(d.Encode())
+	// One write and one fsync make the batch durable: its UPDATE record and
+	// the APPLIED record carrying the digest of its effect, which is computed
+	// under the log's lock once the batch's LSN is known.
+	var digest string
+	lsn, err := gs.wlog.AppendBatch(d.Encode(), func(lsn uint64) []byte {
+		pd.LSN = lsn
+		digest, _ = pd.Digest() // its error is always nil
+		return []byte(digest)
+	})
 	if err != nil {
 		// The in-memory state is now ahead of the log; continuing would
 		// assign wrong LSNs to later batches. Poison the session — only a
-		// process restart (full replay) recovers it.
+		// process restart (full replay) recovers it. Nothing was
+		// acknowledged: whether the batch survives the restart depends on
+		// whether its UPDATE record reached the disk.
 		gs.broken = err
 		cGraphBroken.Inc()
 		m.cfg.Log.Error("graph_wal_append_failed", "graph", gs.id, "error", err)
 		return nil, fmt.Errorf("%w: %v", ErrGraphBroken, err)
-	}
-	pd.LSN = lsn
-	digest, err := pd.Digest()
-	if err != nil {
-		// Encoding a PGDelta cannot realistically fail; treat it as a
-		// determinism-witness loss, not a lost batch.
-		m.cfg.Log.Error("graph_digest_failed", "graph", gs.id, "lsn", lsn, "error", err)
-	} else if err := gs.wlog.AppendApplied(lsn, []byte(digest)); err != nil {
-		// The UPDATE record is durable, so the batch is accepted and the
-		// ack below is truthful; but the log is poisoned (a torn frame may
-		// follow), so later updates must bounce until a restart.
-		gs.broken = err
-		cGraphBroken.Inc()
-		m.cfg.Log.Error("graph_wal_applied_failed", "graph", gs.id, "lsn", lsn, "error", err)
 	}
 
 	gs.histMu.Lock()

@@ -173,12 +173,10 @@ func (s *Server) handleGraphChanges(w http.ResponseWriter, r *http.Request) {
 		// see the 200 immediately, not when the first delta happens to land.
 		flusher.Flush()
 	}
+	var line []byte
 	err := s.cfg.Graphs.Changes(id, from, follow, r.Context().Done(), func(pd *core.PGDelta) error {
-		b, err := pd.Encode()
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(b, '\n')); err != nil {
+		line = append(pd.Encode(line[:0]), '\n')
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 		if flusher != nil {

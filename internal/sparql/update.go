@@ -34,8 +34,14 @@ func ParseUpdate(src string) (*rdf.Delta, error) {
 	if len(src) > MaxUpdateBytes {
 		return nil, fmt.Errorf("sparql: update request exceeds %d bytes", MaxUpdateBytes)
 	}
-	u := &updateParser{src: src}
+	u := &updateParser{src: src, readBlock: readTurtleBlock}
 	return u.parse()
+}
+
+// readTurtleBlock parses a data block (its preamble prepended) with the
+// Turtle parser, streaming each statement to emit.
+func readTurtleBlock(src string, emit func(rdf.Triple)) error {
+	return rio.ReadTurtleWith(context.Background(), src, rio.Options{}, emit)
 }
 
 type updateParser struct {
@@ -46,6 +52,8 @@ type updateParser struct {
 	// the SPARQL spelling natively). Per the SPARQL grammar a declaration may
 	// also appear between operations and scopes to the rest of the request.
 	preamble strings.Builder
+	// readBlock parses one data block, emitting its statements in order.
+	readBlock func(src string, emit func(rdf.Triple)) error
 }
 
 func (u *updateParser) errf(format string, args ...any) error {
@@ -97,25 +105,26 @@ func (u *updateParser) keyword(kw string) bool {
 }
 
 func (u *updateParser) parse() (*rdf.Delta, error) {
-	// net folds the sequential operations into a last-op-wins map keyed by
-	// the triple's canonical N-Triples form; order preserves first appearance
-	// so the resulting Delta is deterministic for a given request.
+	// The sequential operations fold into a last-op-wins table keyed by each
+	// triple's N-Triples form; the table keeps first appearances in order, so
+	// the resulting Delta is deterministic for a given request.
 	type netOp struct {
 		triple rdf.Triple
 		insert bool
 	}
-	net := make(map[string]*netOp)
-	var order []string
-	record := func(triples []rdf.Triple, insert bool) {
-		for _, t := range triples {
-			key := t.String()
-			if op, ok := net[key]; ok {
-				op.insert = insert
-				continue
-			}
-			net[key] = &netOp{triple: t, insert: insert}
-			order = append(order, key)
+	var (
+		net   []netOp
+		index = make(map[string]int)
+		key   []byte
+	)
+	record := func(t rdf.Triple, insert bool) {
+		key = t.AppendTo(key[:0])
+		if i, ok := index[string(key)]; ok {
+			net[i].insert = insert
+			return
 		}
+		index[string(key)] = len(net)
+		net = append(net, netOp{triple: t, insert: insert})
 	}
 	ops := 0
 	for {
@@ -133,26 +142,26 @@ func (u *updateParser) parse() (*rdf.Delta, error) {
 				return nil, err
 			}
 		case u.keyword("INSERT"):
-			triples, err := u.dataBlock("INSERT")
-			if err != nil {
+			if err := u.dataBlock("INSERT", func(t rdf.Triple) { record(t, true) }); err != nil {
 				return nil, err
 			}
-			record(triples, true)
 			ops++
 			if err := u.operationSeparator(); err != nil {
 				return nil, err
 			}
 		case u.keyword("DELETE"):
-			triples, err := u.dataBlock("DELETE")
-			if err != nil {
+			var blank rdf.Triple // the block's first statement with a blank node
+			if err := u.dataBlock("DELETE", func(t rdf.Triple) {
+				if blank.S.IsZero() && hasBlank(t) {
+					blank = t
+				}
+				record(t, false)
+			}); err != nil {
 				return nil, err
 			}
-			for _, t := range triples {
-				if hasBlank(t) {
-					return nil, fmt.Errorf("sparql: update: blank nodes are not allowed in DELETE DATA: %v", t)
-				}
+			if !blank.S.IsZero() {
+				return nil, fmt.Errorf("sparql: update: blank nodes are not allowed in DELETE DATA: %v", blank)
 			}
-			record(triples, false)
 			ops++
 			if err := u.operationSeparator(); err != nil {
 				return nil, err
@@ -165,8 +174,7 @@ func (u *updateParser) parse() (*rdf.Delta, error) {
 		return nil, fmt.Errorf("sparql: update: no INSERT DATA / DELETE DATA operation")
 	}
 	delta := &rdf.Delta{}
-	for _, key := range order {
-		op := net[key]
+	for _, op := range net {
 		if op.insert {
 			delta.Inserts = append(delta.Inserts, op.triple)
 		} else {
@@ -211,33 +219,33 @@ func (u *updateParser) declaration(kw string, withName bool) error {
 }
 
 // dataBlock consumes "DATA { … }" after INSERT/DELETE and parses the block
-// body as Turtle under the accumulated preamble.
-func (u *updateParser) dataBlock(verb string) ([]rdf.Triple, error) {
+// body as Turtle under the accumulated preamble, handing each statement to
+// emit in document order.
+func (u *updateParser) dataBlock(verb string, emit func(rdf.Triple)) error {
 	u.ws()
 	if !u.keyword("DATA") {
-		return nil, u.errf("%s must be followed by DATA (pattern-based updates are not supported)", verb)
+		return u.errf("%s must be followed by DATA (pattern-based updates are not supported)", verb)
 	}
 	u.ws()
 	if u.pos >= len(u.src) || u.src[u.pos] != '{' {
-		return nil, u.errf("%s DATA expects '{'", verb)
+		return u.errf("%s DATA expects '{'", verb)
 	}
 	u.pos++
 	if mark := u.pos; func() bool { u.ws(); return u.keyword("GRAPH") }() {
 		// blockBody would reject the nested brace anyway; give the common
 		// named-graph form a precise error instead of a generic one.
-		return nil, fmt.Errorf("sparql: update: GRAPH blocks are not supported (the service owns one default graph)")
+		return fmt.Errorf("sparql: update: GRAPH blocks are not supported (the service owns one default graph)")
 	} else {
 		u.pos = mark
 	}
 	body, err := u.blockBody()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	g, err := rio.ParseTurtleWith(context.Background(), u.preamble.String()+body, rio.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("sparql: update: %s DATA block: %w", verb, err)
+	if err := u.readBlock(u.preamble.String()+body, emit); err != nil {
+		return fmt.Errorf("sparql: update: %s DATA block: %w", verb, err)
 	}
-	return g.Triples(), nil
+	return nil
 }
 
 // blockBody consumes up to the matching '}' (the cursor sits just past the

@@ -1,11 +1,12 @@
 // Package wal implements the durable delta log behind incremental
 // transformation: an append-only, CRC-framed record log with atomic segment
-// rotation and torn-tail recovery. The service appends an UPDATE record
-// (fsynced) before acknowledging a batch, so an acknowledged batch survives
-// any crash; replaying the log through the deterministic ApplyDelta engine
-// re-derives the exact post-batch state, which is what makes application
-// exactly-once — a batch is applied "twice" only in the sense that the replay
-// recomputes the same result, never that its effects double.
+// rotation and torn-tail recovery. The service writes an update batch's
+// UPDATE record and its APPLIED record with one write and one fsync before
+// acknowledging the batch, so an acknowledged batch survives any crash;
+// replaying the log through the deterministic ApplyDelta engine re-derives
+// the exact post-batch state, which is what makes application exactly-once —
+// a batch is applied "twice" only in the sense that the replay recomputes the
+// same result, never that its effects double.
 //
 // On-disk layout: the log directory holds numbered segment files
 // (wal-00000001.seg, …). Segments are created atomically (temp file → header
@@ -24,7 +25,14 @@
 // final bytes of the final segment, silently truncated) from mid-segment
 // corruption (valid records follow the damage, or the damage is not in the
 // last segment: rejected loudly — bit rot must never silently drop accepted
-// batches).
+// batches). One shape of valid-after-damage is a torn tail too: a power loss
+// during a batch's paired write may keep the APPLIED frame's sectors and lose
+// some of the UPDATE frame's, which leaves damage followed only by the
+// APPLIED frame of the LSN after the last intact UPDATE. When the damage
+// reads as unwritten storage (see unwritten), the pair never finished its
+// fsync, was never acknowledged, and is truncated whole; the same shape with
+// damage that does not, such as a bit flip in a pair that was fsynced, is
+// ErrCorrupt.
 package wal
 
 import (
@@ -115,9 +123,9 @@ type Options struct {
 	SegmentBytes int64
 }
 
-// Log is an open write-ahead log. Appends are serialized and each fsyncs
-// before returning, so a returned LSN is durable. Log is safe for concurrent
-// use.
+// Log is an open write-ahead log. Appends are serialized and each makes one
+// write and one fsync before returning, so a returned LSN is durable. Log is
+// safe for concurrent use.
 type Log struct {
 	dir  string
 	fsys ckpt.FS
@@ -157,7 +165,7 @@ func Open(dir string, opts Options) (*Log, []Record, error) {
 	var recs []Record
 	for i, seg := range segs {
 		last := i == len(segs)-1
-		segRecs, validLen, torn, err := parseSegment(seg.path, seg.seq, last)
+		segRecs, validLen, torn, err := parseSegment(seg.path, seg.seq, last, l.lastUpdate)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -218,22 +226,40 @@ func (l *Log) admitRecovered(r Record, path string) error {
 	return nil
 }
 
-// AppendUpdate appends an UPDATE record carrying payload (an encoded
-// rdf.Delta) and returns its LSN. The record is fsynced before the call
-// returns: the LSN may be acknowledged to a client.
-func (l *Log) AppendUpdate(payload []byte) (uint64, error) {
+// AppendBatch appends one update batch: its UPDATE record, carrying update
+// (an encoded rdf.Delta), and its APPLIED record, in one write and one
+// fsync. applied is called under the log's lock with the LSN the batch gets
+// and returns the APPLIED payload (a digest of the batch's effect), or nil
+// to write the UPDATE record alone. When AppendBatch returns the LSN, both
+// records are durable: the LSN may be acknowledged to a client.
+func (l *Log) AppendBatch(update []byte, applied func(lsn uint64) []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	lsn := l.lastUpdate + 1
-	if err := l.appendLocked(lsn, KindUpdate, payload); err != nil {
+	digest := applied(lsn)
+	frames := []Record{{LSN: lsn, Kind: KindUpdate, Payload: update}}
+	if digest != nil {
+		frames = append(frames, Record{LSN: lsn, Kind: KindApplied, Payload: digest})
+	}
+	if err := l.appendLocked(frames); err != nil {
 		return 0, err
 	}
 	l.lastUpdate = lsn
+	if digest != nil {
+		l.lastApplied = lsn
+	}
 	return lsn, nil
 }
 
-// AppendApplied appends an APPLIED record confirming the update at lsn with a
-// digest of its effect (see KindApplied).
+// AppendUpdate appends an UPDATE record carrying payload (an encoded
+// rdf.Delta) alone and returns its LSN. The record is fsynced before the
+// call returns.
+func (l *Log) AppendUpdate(payload []byte) (uint64, error) {
+	return l.AppendBatch(payload, func(uint64) []byte { return nil })
+}
+
+// AppendApplied appends an APPLIED record alone, confirming the update at
+// lsn with a digest of its effect (see KindApplied).
 func (l *Log) AppendApplied(lsn uint64, digest []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -241,7 +267,7 @@ func (l *Log) AppendApplied(lsn uint64, digest []byte) error {
 		return fmt.Errorf("wal: applied LSN %d out of order (applied %d, update %d)",
 			lsn, l.lastApplied, l.lastUpdate)
 	}
-	if err := l.appendLocked(lsn, KindApplied, digest); err != nil {
+	if err := l.appendLocked([]Record{{LSN: lsn, Kind: KindApplied, Payload: digest}}); err != nil {
 		return err
 	}
 	l.lastApplied = lsn
@@ -264,19 +290,23 @@ func (l *Log) Close() error {
 	return err
 }
 
-// appendLocked frames and durably writes one record, rotating first when the
-// active segment is over the threshold. Any I/O failure poisons the log (the
-// active segment may now end in a torn frame, which only a reopen's recovery
-// may repair).
-func (l *Log) appendLocked(lsn uint64, kind Kind, payload []byte) error {
+// appendLocked frames recs and durably writes them with one write and one
+// fsync, rotating first when the active segment is over the threshold, so
+// the records of one call share a segment. Any I/O failure poisons the log
+// (the active segment may now end in a torn frame, which only a reopen's
+// recovery may repair).
+func (l *Log) appendLocked(recs []Record) error {
+	lsn := recs[0].LSN
 	if l.closed {
 		return ErrClosed
 	}
 	if l.failed != nil {
 		return fmt.Errorf("%w (cause: %v)", ErrFailed, l.failed)
 	}
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("wal: record payload %d bytes exceeds %d", len(payload), MaxRecordBytes)
+	for _, r := range recs {
+		if len(r.Payload) > MaxRecordBytes {
+			return fmt.Errorf("wal: record payload %d bytes exceeds %d", len(r.Payload), MaxRecordBytes)
+		}
 	}
 	if l.size >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
@@ -293,8 +323,15 @@ func (l *Log) appendLocked(lsn uint64, kind Kind, payload []byte) error {
 			cRotations.Inc()
 		}
 	}
-	frame := encodeFrame(lsn, kind, payload)
-	if _, err := l.f.Write(frame); err != nil {
+	size := 0
+	for _, r := range recs {
+		size += recHeaderSize + len(r.Payload)
+	}
+	buf := make([]byte, 0, size)
+	for _, r := range recs {
+		buf = appendFrame(buf, r)
+	}
+	if _, err := l.f.Write(buf); err != nil {
 		l.failed = err
 		return fmt.Errorf("wal: append LSN %d: %w", lsn, err)
 	}
@@ -302,9 +339,9 @@ func (l *Log) appendLocked(lsn uint64, kind Kind, payload []byte) error {
 		l.failed = err
 		return fmt.Errorf("wal: append LSN %d: sync: %w", lsn, err)
 	}
-	l.size += int64(len(frame))
-	cAppends.Inc()
-	cBytes.Add(int64(len(frame)))
+	l.size += int64(len(buf))
+	cAppends.Add(int64(len(recs)))
+	cBytes.Add(int64(len(buf)))
 	return nil
 }
 
@@ -366,18 +403,17 @@ func (l *Log) openSegment(seq uint64) error {
 	return nil
 }
 
-// encodeFrame serializes one record in the framing documented at the top of
+// appendFrame appends one record in the framing documented at the top of
 // the file.
-func encodeFrame(lsn uint64, kind Kind, payload []byte) []byte {
-	frame := make([]byte, recHeaderSize+len(payload))
-	copy(frame, recMagic)
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(frame[12:20], lsn)
-	frame[20] = byte(kind)
-	copy(frame[recHeaderSize:], payload)
-	crc := crc32.ChecksumIEEE(frame[12:])
-	binary.LittleEndian.PutUint32(frame[8:12], crc)
-	return frame
+func appendFrame(dst []byte, r Record) []byte {
+	start := len(dst)
+	dst = append(dst, recMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // the CRC, below
+	dst = binary.LittleEndian.AppendUint64(dst, r.LSN)
+	dst = append(append(dst, byte(r.Kind)), r.Payload...)
+	binary.LittleEndian.PutUint32(dst[start+8:], crc32.ChecksumIEEE(dst[start+12:]))
+	return dst
 }
 
 // parseFrame decodes the record at the start of data, returning the record
@@ -408,12 +444,13 @@ func parseFrame(data []byte) (Record, int, error) {
 	}, total, nil
 }
 
-// parseSegment reads and validates one segment file. On a frame error it
-// applies the torn-tail policy: damage at the very end of the final segment
-// is a torn append (report torn=true with the length of the valid prefix);
-// damage anywhere else — earlier segments, or damage followed by a valid
-// frame — is ErrCorrupt.
-func parseSegment(path string, wantSeq uint64, last bool) (recs []Record, validLen int64, torn bool, err error) {
+// parseSegment reads and validates one segment file. lastUpdate is the LSN
+// of the last UPDATE record of the segments before it. On a frame error it
+// applies the torn-tail policy: damage at the very end of the final segment,
+// or a torn pair there (see tornTail), is a torn append (report torn=true
+// with the length of the valid prefix); damage anywhere else — earlier
+// segments, or damage followed by any other valid frame — is ErrCorrupt.
+func parseSegment(path string, wantSeq uint64, last bool, lastUpdate uint64) (recs []Record, validLen int64, torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("wal: read %s: %w", path, err)
@@ -431,10 +468,13 @@ func parseSegment(path string, wantSeq uint64, last bool) (recs []Record, validL
 	for off < len(data) {
 		rec, n, perr := parseFrame(data[off:])
 		if perr != nil {
-			if !last || hasValidFrameAfter(data, off+1) {
+			if !last || !tornTail(data, off, lastUpdate) {
 				return nil, 0, false, fmt.Errorf("%w: %s: offset %d: %v", ErrCorrupt, path, off, perr)
 			}
 			return recs, int64(off), true, nil
+		}
+		if rec.Kind == KindUpdate {
+			lastUpdate = rec.LSN
 		}
 		recs = append(recs, rec)
 		off += n
@@ -442,27 +482,58 @@ func parseSegment(path string, wantSeq uint64, last bool) (recs []Record, validL
 	return recs, int64(off), false, nil
 }
 
-// hasValidFrameAfter reports whether a fully intact frame starts anywhere at
-// or after from — the signal that damage earlier in the segment is corruption
-// (records were lost in the middle), not a torn tail.
-func hasValidFrameAfter(data []byte, from int) bool {
-	for from < len(data) {
+// tornTail reports whether the damage at off, in the final segment, is what
+// a crash mid-append leaves: no intact frame starts after off, or exactly
+// one does, it is the APPLIED frame of the LSN after lastUpdate (the last
+// intact UPDATE), and the damage before it reads as unwritten storage — the
+// second half of a batch's paired write whose first half did not all reach
+// the disk. Any other intact frame after the damage means records were lost
+// in the middle.
+func tornTail(data []byte, off int, lastUpdate uint64) bool {
+	var found []Record
+	at := 0 // where found[0] starts
+	for from := off + 1; from < len(data) && len(found) < 2; from++ {
 		i := bytes.Index(data[from:], []byte(recMagic))
 		if i < 0 {
-			return false
+			break
 		}
 		from += i
-		if _, _, err := parseFrame(data[from:]); err == nil {
+		if r, _, err := parseFrame(data[from:]); err == nil {
+			if len(found) == 0 {
+				at = from
+			}
+			found = append(found, r)
+		}
+	}
+	return len(found) == 0 ||
+		len(found) == 1 && found[0].Kind == KindApplied && found[0].LSN == lastUpdate+1 &&
+			unwritten(data, off, at)
+}
+
+// sectorSize is the unit a disk writes whole; a power loss drops sectors,
+// never parts of one.
+const sectorSize = 512
+
+// unwritten reports whether the damaged span data[off:end), which an intact
+// frame follows at end, holds a sector a write never reached: one that
+// overlaps the span, ends at or before end, and reads all zero over its part
+// of the span (the file had grown past it; its new bytes never landed). A
+// sector reaching end holds the intact frame's first bytes, so it was
+// written. A frame that was fsynced whole has no such sector: the one
+// holding its first byte holds the nonzero magic, and an UPDATE payload is
+// text.
+func unwritten(data []byte, off, end int) bool {
+	for s := off - off%sectorSize; s+sectorSize <= end; s += sectorSize {
+		if len(bytes.TrimLeft(data[max(s, off):s+sectorSize], "\x00")) == 0 {
 			return true
 		}
-		from++
 	}
 	return false
 }
 
 // ReadRecords reads the records at dir without opening the log for appends:
-// segments are parsed read-only, an incomplete frame at the very tail of the
-// final segment is skipped (never truncated — it may be a live writer's
+// segments are parsed read-only, an incomplete frame (or torn pair) at the
+// very tail of the final segment is skipped (never truncated — it may be a live writer's
 // in-flight append, not a tear), and stray temp files are left in place. The
 // recovered records pass the same LSN invariants Open enforces. Callers on a
 // live log must pause appends for the duration of the read so no synced frame
@@ -475,7 +546,7 @@ func ReadRecords(dir string) ([]Record, error) {
 	check := &Log{}
 	var recs []Record
 	for i, seg := range segs {
-		segRecs, _, _, err := parseSegment(seg.path, seg.seq, i == len(segs)-1)
+		segRecs, _, _, err := parseSegment(seg.path, seg.seq, i == len(segs)-1, check.lastUpdate)
 		if err != nil {
 			return nil, err
 		}

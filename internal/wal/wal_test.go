@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"github.com/s3pg/s3pg/internal/ckpt"
 	"github.com/s3pg/s3pg/internal/faultio"
 )
 
@@ -160,10 +162,10 @@ func TestTornTailTruncatedSilently(t *testing.T) {
 			return append(b, []byte(recMagic)...) // frame cut inside its header
 		}},
 		{"partial payload", func(b []byte) []byte {
-			return append(b, encodeFrame(99, KindUpdate, []byte("never-synced"))[:recHeaderSize+4]...)
+			return append(b, appendFrame(nil, Record{LSN: 99, Kind: KindUpdate, Payload: []byte("never-synced")})[:recHeaderSize+4]...)
 		}},
 		{"corrupt final crc", func(b []byte) []byte {
-			f := encodeFrame(99, KindUpdate, []byte("torn"))
+			f := appendFrame(nil, Record{LSN: 99, Kind: KindUpdate, Payload: []byte("torn")})
 			f[len(f)-1] ^= 0xff
 			return append(b, f...)
 		}},
@@ -526,5 +528,257 @@ func TestConcurrentAppendHammer(t *testing.T) {
 	}
 	if n := replay(); n != 0 {
 		t.Fatalf("second replay re-applied %d records", n)
+	}
+}
+
+// countingFS is the real filesystem, counting the fsyncs of the files it
+// creates.
+type countingFS struct {
+	ckpt.FS
+	syncs atomic.Int64
+}
+
+type countingFile struct {
+	ckpt.File
+	fs *countingFS
+}
+
+func (c *countingFS) CreateTemp(dir, pattern string) (ckpt.File, error) {
+	f, err := c.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return &countingFile{File: f, fs: c}, nil
+}
+
+func (f *countingFile) Sync() error {
+	f.fs.syncs.Add(1)
+	return f.File.Sync()
+}
+
+// digestOf is the APPLIED payload the pair tests write for an LSN.
+func digestOf(lsn uint64) []byte { return []byte(fmt.Sprintf("digest-%d", lsn)) }
+
+// appendPairs appends n batches through AppendBatch, each with its APPLIED
+// record.
+func appendPairs(t *testing.T, l *Log, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := l.AppendBatch([]byte(fmt.Sprintf("update-%02d", i)), digestOf); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestAppendBatchOneSyncPerBatch(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &countingFS{FS: ckpt.OSFS}
+	l, _, err := Open(dir, Options{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := fsys.syncs.Load() // the segment header's
+	const n = 5
+	appendPairs(t, l, n)
+	if got := fsys.syncs.Load() - before; got != n {
+		t.Fatalf("%d batches made %d fsyncs, want one each", n, got)
+	}
+	// A digest left out writes the UPDATE record alone, with the same one
+	// fsync.
+	if lsn, err := l.AppendBatch([]byte("no digest"), func(uint64) []byte { return nil }); err != nil || lsn != n+1 {
+		t.Fatalf("AppendBatch without a digest: lsn=%d err=%v", lsn, err)
+	}
+	if got := fsys.syncs.Load() - before; got != n+1 {
+		t.Fatalf("%d batches made %d fsyncs", n+1, got)
+	}
+	l.Close()
+	_, recs, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2*n+1 {
+		t.Fatalf("recovered %d records, want %d", len(recs), 2*n+1)
+	}
+	for i := 0; i < n; i++ {
+		u, a := recs[2*i], recs[2*i+1]
+		lsn := uint64(i + 1)
+		if u.Kind != KindUpdate || u.LSN != lsn || a.Kind != KindApplied || a.LSN != lsn || !bytes.Equal(a.Payload, digestOf(lsn)) {
+			t.Fatalf("batch %d recovered as %+v, %+v", lsn, u, a)
+		}
+	}
+	if r := recs[2*n]; r.Kind != KindUpdate || r.LSN != n+1 {
+		t.Fatalf("last record %+v", r)
+	}
+}
+
+// pairFrames is the bytes AppendBatch writes for a batch.
+func pairFrames(lsn uint64) (update, applied []byte) {
+	return appendFrame(nil, Record{LSN: lsn, Kind: KindUpdate, Payload: []byte(fmt.Sprintf("update-%02d", lsn-1))}),
+		appendFrame(nil, Record{LSN: lsn, Kind: KindApplied, Payload: digestOf(lsn)})
+}
+
+// bigUpdate is an UPDATE frame for lsn whose text payload is over two
+// sectors long, so a lost sector can fall inside it.
+func bigUpdate(lsn uint64) []byte {
+	payload := bytes.Repeat([]byte("I <http://x/s> <http://x/p> \"o\" .\n"), 40)
+	return appendFrame(nil, Record{LSN: lsn, Kind: KindUpdate, Payload: payload})
+}
+
+// zeroed is b with its bytes [i, j) set to zero: sectors that never reached
+// the disk.
+func zeroed(b []byte, i, j int) []byte {
+	out := append([]byte(nil), b...)
+	clear(out[i:j])
+	return out
+}
+
+// flipped is b with one bit of byte i flipped: bit rot.
+func flipped(b []byte, i int) []byte {
+	out := append([]byte(nil), b...)
+	out[i] ^= 0x10
+	return out
+}
+
+func TestTornPairRecovery(t *testing.T) {
+	u4, a4 := bigUpdate(4), appendFrame(nil, Record{LSN: 4, Kind: KindApplied, Payload: digestOf(4)})
+	u5, a5 := pairFrames(5)
+	_, a3 := pairFrames(3)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// The tail starts after the segment header and three pairs; the first
+	// sector boundary inside u4 is `first` bytes into it.
+	clean := segHeaderSize
+	for lsn := uint64(1); lsn <= 3; lsn++ {
+		u, a := pairFrames(lsn)
+		clean += len(u) + len(a)
+	}
+	first := sectorSize - clean%sectorSize
+	if first+2*sectorSize > len(u4) {
+		t.Fatalf("u4 (%d bytes from offset %d) does not hold two whole sectors", len(u4), clean)
+	}
+	lastBoundary := (clean+len(u4))/sectorSize*sectorSize - clean // a4 starts in the sector from here
+	for _, c := range []struct {
+		name string
+		tail []byte
+		// keep is how many tail bytes survive recovery, -1 for ErrCorrupt.
+		keep    int
+		records int
+	}{
+		{"tear inside APPLIED keeps the UPDATE", cat(u4, a4[:len(a4)-3]), len(u4), 7},
+		{"tear inside APPLIED header keeps the UPDATE", cat(u4, a4[:5]), len(u4), 7},
+		{"tear inside UPDATE drops both", cat(u4[:len(u4)-2]), 0, 6},
+		{"tear inside UPDATE header drops both", cat(u4[:recHeaderSize-1]), 0, 6},
+		{"lost first UPDATE sector, intact APPLIED", cat(zeroed(u4, 0, first), a4), 0, 6},
+		{"lost middle UPDATE sector, intact APPLIED", cat(zeroed(u4, first, first+sectorSize), a4), 0, 6},
+		{"lost UPDATE sectors, intact APPLIED, zero tail", cat(zeroed(u4, 0, len(u4)), a4, make([]byte, 64)), 0, 6},
+		{"bit flip in the UPDATE payload, intact APPLIED", cat(flipped(u4, recHeaderSize+100), a4), -1, 0},
+		{"bit flip in the UPDATE magic, intact APPLIED", cat(flipped(u4, 0), a4), -1, 0},
+		{"bit flip in the UPDATE's last byte, intact APPLIED", cat(flipped(u4, len(u4)-1), a4), -1, 0},
+		{"zeros short of a sector, intact APPLIED", cat(zeroed(u4, first+1, first+sectorSize), a4), -1, 0},
+		{"zeros only in the APPLIED frame's sector", cat(zeroed(u4, lastBoundary, len(u4)), a4), -1, 0},
+		{"damage, then an UPDATE", cat(zeroed(u4, 0, first), u5), -1, 0},
+		{"damage, then two frames", cat(zeroed(u4, 0, first), a4, u5), -1, 0},
+		{"damage, then a whole pair", cat(zeroed(u4, 0, first), u5, a5), -1, 0},
+		{"damage, then the APPLIED of an intact UPDATE", cat(zeroed(u4, 0, first), a3), -1, 0},
+		{"damage, then an APPLIED two LSNs ahead", cat(zeroed(u4, 0, first), a5), -1, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendPairs(t, l, 3)
+			l.Close()
+			path := lastSegment(t, dir)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(data) != clean {
+				t.Fatalf("the segment holds %d bytes, want %d", len(data), clean)
+			}
+			if err := os.WriteFile(path, append(data, c.tail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			read, rerr := ReadRecords(dir)
+			l, recs, err := Open(dir, Options{})
+			if c.keep < 0 {
+				if !errors.Is(err, ErrCorrupt) || !errors.Is(rerr, ErrCorrupt) {
+					t.Fatalf("Open: %v, ReadRecords: %v; want ErrCorrupt from both", err, rerr)
+				}
+				return
+			}
+			if err != nil || rerr != nil {
+				t.Fatalf("Open: %v, ReadRecords: %v", err, rerr)
+			}
+			defer l.Close()
+			if len(recs) != c.records || len(read) != c.records {
+				t.Fatalf("Open recovered %d records, ReadRecords %d, want %d", len(recs), len(read), c.records)
+			}
+			if info, err := os.Stat(path); err != nil || info.Size() != int64(clean+c.keep) {
+				t.Fatalf("segment is %v bytes after recovery, want %d (%v)", info.Size(), clean+c.keep, err)
+			}
+			// The next batch gets the LSN after the surviving UPDATEs.
+			want := uint64(3 + c.records - 6)
+			if lsn, err := l.AppendBatch([]byte("next"), digestOf); err != nil || lsn != want+1 {
+				t.Fatalf("append after recovery: lsn=%d err=%v, want %d", lsn, err, want+1)
+			}
+		})
+	}
+	t.Run("torn pair in a non-final segment", func(t *testing.T) {
+		dir := t.TempDir()
+		l, _, err := Open(dir, Options{SegmentBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendPairs(t, l, 3)
+		l.Close()
+		first := filepath.Join(dir, segFiles(t, dir)[0])
+		data, err := os.ReadFile(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u2, a2 := bigUpdate(2), appendFrame(nil, Record{LSN: 2, Kind: KindApplied, Payload: digestOf(2)})
+		if err := os.WriteFile(first, append(data, cat(zeroed(u2, 0, len(u2)), a2)...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("damage in a non-final segment not rejected: %v", err)
+		}
+	})
+}
+
+// TestSingleFrameLogReopens: a log whose batches were written one frame per
+// append, the APPLIED record in the segment after its UPDATE, reopens with
+// every record and takes paired appends after it.
+func TestSingleFrameLogReopens(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{SegmentBytes: 1}) // every append rotates first
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		lsn, err := l.AppendUpdate([]byte(fmt.Sprintf("update-%02d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendApplied(lsn, digestOf(lsn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	if files := segFiles(t, dir); len(files) < 6 {
+		t.Fatalf("want an UPDATE and its APPLIED in different segments, got %v", files)
+	}
+	l, recs, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(recs) != 6 {
+		t.Fatalf("recovered %d records, want 6", len(recs))
+	}
+	if lsn, err := l.AppendBatch([]byte("paired"), digestOf); err != nil || lsn != 4 {
+		t.Fatalf("paired append after reopen: lsn=%d err=%v", lsn, err)
 	}
 }
