@@ -89,9 +89,9 @@ func TestSecondSignalAbortsImmediately(t *testing.T) {
 	// The degradation summary is printed after the last safe point, just
 	// before the commits, so a signal sent once it shows finds the run
 	// committing; a graceful stop then waits for the commits. Transient FS
-	// faults stretch them across retry backoffs (the nested nodes+edges
-	// commit counts 8 FS ops per attempt, so the period must exceed that) —
-	// room for the second signal.
+	// faults stretch them across retry backoffs (an output commit counts 4
+	// FS ops per attempt, so a period of 9 faults a different op of each
+	// retry) — room for the second signal.
 	faultEnv := faultFSEnv + "=fstransientevery=9"
 
 	aborted := false

@@ -70,13 +70,11 @@ import (
 	"time"
 
 	"github.com/s3pg/s3pg"
+	"github.com/s3pg/s3pg/internal/batch"
 	"github.com/s3pg/s3pg/internal/ckpt"
 	"github.com/s3pg/s3pg/internal/core"
 	"github.com/s3pg/s3pg/internal/faultio"
 	"github.com/s3pg/s3pg/internal/obs"
-	"github.com/s3pg/s3pg/internal/pg"
-	"github.com/s3pg/s3pg/internal/rdf"
-	"github.com/s3pg/s3pg/internal/rio"
 	"github.com/s3pg/s3pg/internal/shacl"
 )
 
@@ -281,7 +279,7 @@ func (o *obsFlags) begin(name string, stdout, stderr io.Writer) (*obs.Span, func
 		if o.metrics == "-" {
 			return snap.WriteJSON(stdout)
 		}
-		return ckpt.WriteFileAtomicFS(commitFS(), o.metrics, 0o644, snap.WriteJSON)
+		return commitAtomic(o.metrics, snap.WriteJSON)
 	}
 	return span, finish, nil
 }
@@ -293,7 +291,6 @@ type resFlags struct {
 	maxErrors int
 	timeout   time.Duration
 	workers   int
-	log       parseLog
 }
 
 // addResFlags registers the resilience flags. withLenient is false for
@@ -328,44 +325,10 @@ func (rf *resFlags) context() (context.Context, context.CancelFunc) {
 	return context.WithCancel(baseContext)
 }
 
-// rioOptions builds the reader options implementing the chosen policy,
-// recording skipped statements in rf.log.
-func (rf *resFlags) rioOptions() rio.Options {
-	return rio.Options{Lenient: rf.lenient, MaxErrors: rf.maxErrors, OnError: rf.log.record}
-}
-
-// summarize prints the lenient-mode skip summary to stderr (satisfying the
-// "report, don't hide" contract); it prints nothing when nothing was
-// skipped or in strict mode.
-func (rf *resFlags) summarize(stderr io.Writer) { rf.log.summarize(stderr) }
-
-// parseLog retains the first few skipped-statement errors for the stderr
-// summary and counts the rest.
-type parseLog struct {
-	count int
-	first []rio.ParseError
-}
-
-const maxShownParseErrors = 5
-
-func (l *parseLog) record(e rio.ParseError) {
-	l.count++
-	if len(l.first) < maxShownParseErrors {
-		l.first = append(l.first, e)
-	}
-}
-
-func (l *parseLog) summarize(stderr io.Writer) {
-	if l.count == 0 {
-		return
-	}
-	fmt.Fprintf(stderr, "s3pg: lenient: skipped %d malformed statement(s):\n", l.count)
-	for i := range l.first {
-		fmt.Fprintf(stderr, "  %v\n", &l.first[i])
-	}
-	if rest := l.count - len(l.first); rest > 0 {
-		fmt.Fprintf(stderr, "  … and %d more\n", rest)
-	}
+// batchOptions configures the batch run for these flags, under span and with
+// its lenient report on stderr ("report, don't hide").
+func (rf *resFlags) batchOptions(span *obs.Span, stderr io.Writer) batch.Options {
+	return batch.Options{Lenient: rf.lenient, MaxErrors: rf.maxErrors, Workers: rf.workers, Span: span, Log: stderr}
 }
 
 func parseMode(s string) (s3pg.Mode, error) {
@@ -377,39 +340,6 @@ func parseMode(s string) (s3pg.Mode, error) {
 	default:
 		return 0, usagef("unknown mode %q", s)
 	}
-}
-
-func loadShapes(ctx context.Context, path string, rf *resFlags) (*s3pg.ShapeSchema, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	g, err := rio.ParseTurtleWith(ctx, string(src), rf.rioOptions())
-	if err != nil {
-		return nil, err
-	}
-	return shacl.FromGraph(g)
-}
-
-// loadData loads the N-Triples file at path on rf.workers workers, a pipe or
-// a device as well as a regular file. hook, when not nil, is the -max-mem
-// governor's (memFlags.governor).
-func loadData(ctx context.Context, path string, rf *resFlags, span *obs.Span, hook func(*rdf.Graph) error) (*s3pg.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var sp *obs.Span
-	if span != nil {
-		sp = span.StartSpan("ingest")
-	}
-	g, err := rio.IngestNTriples(ctx, f, rf.rioOptions(), rf.workers, sp, hook)
-	if err == nil {
-		sp.Count("triples", int64(g.Len()))
-	}
-	sp.End()
-	return g, err
 }
 
 // S3PG_FAULT_FS is a test hook that routes every atomic commit through a
@@ -455,42 +385,6 @@ func commitAtomic(path string, fn func(io.Writer) error) error {
 	})
 }
 
-// writeStoreAtomic commits the node and edge CSV exports, counting each
-// file's rows and bytes on span. Each file is individually
-// complete-or-absent; the edges file commits first, so a crash between the
-// two renames leaves a stale-nodes/new-edges pair at worst — running the
-// command again repairs it. The edges commit makes one attempt: each attempt
-// writes the nodes too, so only the outer retry, with a fresh nodes file,
-// may run it again.
-func writeStoreAtomic(store *pg.Store, nodesPath, edgesPath string, workers int, span *obs.Span) error {
-	var nodeBytes, edgeBytes int64
-	err := commitAtomic(nodesPath, func(nw io.Writer) error {
-		return ckpt.WriteFileAtomicFS(commitFS(), edgesPath, 0o644, func(ew io.Writer) error {
-			n, e := &byteCounter{w: nw}, &byteCounter{w: ew}
-			err := store.WriteCSVParallel(n, e, workers)
-			nodeBytes, edgeBytes = n.n, e.n // the last attempt's
-			return err
-		})
-	})
-	span.Count("nodes_rows", int64(store.NumNodes()))
-	span.Count("nodes_bytes", nodeBytes)
-	span.Count("edges_rows", int64(store.NumEdges()))
-	span.Count("edges_bytes", edgeBytes)
-	return err
-}
-
-// byteCounter counts what is written through it.
-type byteCounter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *byteCounter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // writeOut emits content to stdout, or commits it atomically to path: a
 // crash or injected fault mid-write never leaves a torn file behind.
 func writeOut(path, content string, stdout io.Writer) error {
@@ -527,12 +421,11 @@ func cmdSchema(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	shapes, err := loadShapes(ctx, *shapesPath, rf)
+	in, err := rf.batchOptions(span, stderr).Read(ctx, *shapesPath, "")
 	if err != nil {
 		return err
 	}
-	rf.summarize(stderr)
-	schema, err := core.TransformSchemaTraced(shapes, m, span)
+	schema, err := core.TransformSchemaTraced(in.Shapes, m, span)
 	if err != nil {
 		return err
 	}
@@ -573,68 +466,28 @@ func cmdData(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	shapes, err := loadShapes(ctx, *shapesPath, rf)
-	if err != nil {
-		return err
-	}
-	// Under a heap budget the load asks the governor every 4096 statements,
-	// at any -workers, and spills the graph out-of-core at the watermark
-	// instead of dying.
+	// Under -max-mem the load spills the graph past the watermark instead of
+	// dying (memFlags.governor).
+	o := rf.batchOptions(span, stderr)
 	gov, hook := mem.governor(ctx, *dataPath, stderr)
-	g, err := loadData(ctx, *dataPath, rf, span, hook)
-	if err != nil {
-		return err
-	}
-	rf.summarize(stderr)
-	if rf.lenient {
-		// Data-vs-shapes validation pass: in lenient mode non-conformance is
-		// reported (stderr summary + shacl.violations counter) rather than
-		// failed on; the transformation then degrades gracefully over it.
-		var sp *obs.Span
-		if span != nil {
-			sp = span.StartSpan("validate")
+	o.Hook = hook
+	outputs := map[string]string{batch.EdgesFile: *edgesOut, batch.NodesFile: *nodesOut, batch.SchemaFile: *schemaOut}
+	res, err := o.Run(ctx, m, *shapesPath, *dataPath, func(name string, write func(io.Writer) error) error {
+		if name == batch.SchemaFile && *schemaOut == "" {
+			return write(stdout)
 		}
-		violations, verr := shacl.ValidateContext(ctx, g, shapes)
-		sp.Count("violations", int64(len(violations)))
-		sp.End()
-		if verr != nil {
-			return verr
-		}
-		if len(violations) > 0 {
-			fmt.Fprintf(stderr, "s3pg: lenient: %s\n", shacl.NewViolationReport(violations))
-		}
-	}
-	tr, err := core.TransformWith(ctx, g, shapes, m, span, core.TransformOptions{Lenient: rf.lenient, Workers: rf.workers})
-	if err != nil {
-		return err
-	}
-	// The last safe point: a signal that arrived after the transform's own
-	// checks still leaves the outputs untouched.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	store, schema := tr.Store(), tr.Schema()
-	if n := tr.DegradedCount(); n > 0 {
-		fmt.Fprintf(stderr, "s3pg: lenient: %d statement(s) transformed via degradation fallbacks\n", n)
-	}
-	// The export span covers the three files' rendering and atomic commits.
-	ex := span.StartSpan("export")
-	err = writeStoreAtomic(store, *nodesOut, *edgesOut, rf.workers, ex)
-	if err == nil {
-		ddl := s3pg.WriteDDL(schema)
-		ex.Count("schema_bytes", int64(len(ddl)))
-		err = writeOut(*schemaOut, ddl, stdout)
-	}
-	ex.End()
+		return commitAtomic(outputs[name], write)
+	})
 	if err != nil {
 		return err
 	}
 	if gov != nil && gov.Spills() > 0 {
 		fmt.Fprintf(stderr, "s3pg: ran out-of-core: %d spill(s) to %s\n", gov.Spills(), gov.Dir())
 	}
-	cleanupSpill(gov, g)
+	cleanupSpill(gov, res.Graph)
+	store := res.Transformer.Store()
 	fmt.Fprintf(stderr, "transformed %d triples into %d nodes, %d edges (%d relationship types)\n",
-		g.Len(), store.NumNodes(), store.NumEdges(), store.RelTypes())
+		res.Graph.Len(), store.NumNodes(), store.NumEdges(), store.RelTypes())
 	return finish()
 }
 
@@ -715,24 +568,14 @@ func cmdValidate(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	shapes, err := loadShapes(ctx, *shapesPath, rf)
+	o := rf.batchOptions(span, stderr)
+	in, err := o.Read(ctx, *shapesPath, *dataPath)
 	if err != nil {
 		return err
 	}
-	g, err := loadData(ctx, *dataPath, rf, span, nil)
+	violations, err := o.Validate(ctx, in.Graph, in.Shapes)
 	if err != nil {
 		return err
-	}
-	rf.summarize(stderr)
-	var sp *obs.Span
-	if span != nil {
-		sp = span.StartSpan("validate")
-	}
-	violations, verr := shacl.ValidateContext(ctx, g, shapes)
-	sp.Count("violations", int64(len(violations)))
-	sp.End()
-	if verr != nil {
-		return verr
 	}
 	for _, v := range violations {
 		fmt.Fprintln(stdout, v)
@@ -814,16 +657,12 @@ func cmdExtract(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	g, err := loadData(ctx, *dataPath, rf, span, nil)
+	in, err := rf.batchOptions(span, stderr).Read(ctx, "", *dataPath)
 	if err != nil {
 		return err
 	}
-	rf.summarize(stderr)
-	var sp *obs.Span
-	if span != nil {
-		sp = span.StartSpan("extract")
-	}
-	shapes := s3pg.ExtractShapes(g, *minSupport)
+	sp := span.StartSpan("extract")
+	shapes := s3pg.ExtractShapes(in.Graph, *minSupport)
 	sp.Count("node_shapes", int64(shapes.Len()))
 	sp.End()
 	ttl, err := s3pg.ShapesToTurtle(shapes)

@@ -3,15 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/s3pg/s3pg"
+	"github.com/s3pg/s3pg/internal/batch"
 	"github.com/s3pg/s3pg/internal/fixtures"
+	"github.com/s3pg/s3pg/internal/jobs"
 	"github.com/s3pg/s3pg/internal/obs"
 )
 
@@ -112,7 +116,7 @@ func TestRunLenientSummary(t *testing.T) {
 	if !strings.Contains(msg, "unterminated") {
 		t.Fatalf("stderr %q shows no offending statement detail", msg)
 	}
-	if rest := corruptions - maxShownParseErrors; rest > 0 {
+	if rest := corruptions - batch.MaxShownSkips; rest > 0 {
 		if !strings.Contains(msg, fmt.Sprintf("and %d more", rest)) {
 			t.Fatalf("stderr %q lacks the overflow marker for %d more", msg, rest)
 		}
@@ -155,6 +159,63 @@ func TestRunLenientAcceptance(t *testing.T) {
 	}
 	if !g.Equal(fixtures.UniversityGraph()) {
 		t.Fatal("lenient transform of the corrupted fixture does not round-trip to the clean graph")
+	}
+}
+
+// TestLenientJobMatchesCLI: an s3pgd job reads its shapes as `s3pg data`
+// does. A malformed statement in them refuses a strict job at submission;
+// a lenient job skips it, and its outputs are the bytes `s3pg data -lenient`
+// writes for the same input.
+func TestLenientJobMatchesCLI(t *testing.T) {
+	dir, _, data, corruptions := writeCorruptFixtures(t)
+	shapesSrc := strings.Replace(fixtures.UniversityShapesTurtle, "shape:Student a sh:NodeShape",
+		"shape:Broken a sh:NodeShape ; sh:targetClass ] .\n\nshape:Student a sh:NodeShape", 1)
+	shapes := filepath.Join(dir, "broken.ttl")
+	if err := os.WriteFile(shapes, []byte(shapesSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cli := map[string]string{
+		batch.NodesFile:  filepath.Join(dir, "n.csv"),
+		batch.EdgesFile:  filepath.Join(dir, "e.csv"),
+		batch.SchemaFile: filepath.Join(dir, "s.ddl"),
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"data", "-lenient", "-shapes", shapes, "-data", data,
+		"-nodes", cli[batch.NodesFile], "-edges", cli[batch.EdgesFile], "-schema", cli[batch.SchemaFile],
+	}, &stdout, &stderr); code != exitOK {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+
+	m, err := jobs.Open(jobs.Config{Dir: filepath.Join(dir, "spool"), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	dataSrc := string(readFile(t, data))
+	if _, err := m.Submit(jobs.Spec{}, shapesSrc, dataSrc); !errors.Is(err, jobs.ErrInvalid) {
+		t.Fatalf("strict job over malformed shapes: %v, want ErrInvalid", err)
+	}
+	j, err := m.Submit(jobs.Spec{Lenient: true}, shapesSrc, dataSrc)
+	if err != nil {
+		t.Fatalf("lenient job over malformed shapes: %v", err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); !j.State.Terminal() && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		if j, err = m.Get(j.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if j.State != jobs.StateDone || j.Skipped != int64(corruptions)+1 {
+		t.Fatalf("job ended %s with %d skipped, want done with %d: %s", j.State, j.Skipped, corruptions+1, j.Error)
+	}
+	for name, path := range cli {
+		out, err := m.OutputPath(j.ID, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(readFile(t, out), readFile(t, path)) {
+			t.Errorf("the job's %s differs from s3pg data -lenient's", name)
+		}
 	}
 }
 

@@ -496,7 +496,10 @@ func TestChaosMatrix(t *testing.T) {
 			t.Run(fc.name+"/"+sc.name, func(t *testing.T) {
 				spool := filepath.Join(t.TempDir(), "spool")
 
-				d := startDaemon(t, spool, "phase1", fc.env)
+				// Every run stalls once it is running, so the signal sent
+				// on seeing a job running lands inside its run.
+				phase1Env := append([]string{deltaStallEnv + "=run=500ms"}, fc.env...)
+				d := startDaemon(t, spool, "phase1", phase1Env)
 				if code, raw, err := d.get("/healthz"); err != nil || code != http.StatusOK {
 					t.Fatalf("healthz: %d %s %v", code, raw, err)
 				}

@@ -51,10 +51,11 @@ const (
 //   - S3PGD_EXIT_FILE, when set, receives the daemon's exit reason just
 //     before it terminates — the chaos harness reads it to distinguish a
 //     clean drain from a forced abort.
-//   - S3PGD_DELTA_STALL ("apply=50ms", "wal=50ms", or both comma-separated)
-//     stalls every live-graph update at the named point — just before
-//     ApplyDelta or just before the WAL append — so the delta chaos matrix
-//     can SIGKILL the daemon deterministically inside either window.
+//   - S3PGD_DELTA_STALL ("apply=50ms", "wal=50ms", "run=200ms", or several
+//     comma-separated) stalls every live-graph update at the named point —
+//     just before ApplyDelta or just before the WAL append — or every job run
+//     once it is running, so the chaos matrices can signal the daemon
+//     deterministically inside the window.
 const (
 	faultFSEnv    = "S3PG_FAULT_FS"
 	exitFileEnv   = "S3PGD_EXIT_FILE"
@@ -125,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer trace.Close()
 	}
 
-	mgr, err := jobs.Open(jobs.Config{
+	jobsCfg := jobs.Config{
 		Dir:         *spool,
 		QueueDepth:  *queueDepth,
 		Workers:     *workers,
@@ -136,12 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Retry:       retry,
 		Log:         logger.With("component", "jobs"),
 		Trace:       trace,
-	})
-	if err != nil {
-		logger.Error("open_spool_failed", "spool", *spool, "error", err)
-		return exitError
 	}
-
 	graphCfg := server.GraphConfig{
 		Dir:        filepath.Join(*spool, "graphs"),
 		FS:         commitFS,
@@ -149,11 +145,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Log:        logger.With("component", "graphs"),
 	}
 	if spec := os.Getenv(deltaStallEnv); spec != "" {
-		if err := parseDeltaStall(spec, &graphCfg); err != nil {
+		if err := parseDeltaStall(spec, &graphCfg, &jobsCfg); err != nil {
 			fmt.Fprintf(stderr, "s3pgd: error: %s: %v\n", deltaStallEnv, err)
 			return exitUsage
 		}
 		logger.Info("delta_stall_active", "env", deltaStallEnv, "spec", spec)
+	}
+	mgr, err := jobs.Open(jobsCfg)
+	if err != nil {
+		logger.Error("open_spool_failed", "spool", *spool, "error", err)
+		return exitError
 	}
 	graphs, err := server.OpenGraphs(graphCfg)
 	if err != nil {
@@ -264,9 +265,10 @@ func shutdown(srv *server.Server, httpSrv *http.Server, mgr *jobs.Manager, graph
 	return exitOK
 }
 
-// parseDeltaStall parses the S3PGD_DELTA_STALL spec ("apply=50ms,wal=20ms")
-// into the graph config's chaos hooks.
-func parseDeltaStall(spec string, cfg *server.GraphConfig) error {
+// parseDeltaStall parses the S3PGD_DELTA_STALL spec ("apply=50ms,wal=20ms",
+// "run=200ms") into the graph config's chaos hooks and the jobs config's
+// BeforeRun.
+func parseDeltaStall(spec string, cfg *server.GraphConfig, jcfg *jobs.Config) error {
 	for _, kv := range strings.Split(spec, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
@@ -281,8 +283,10 @@ func parseDeltaStall(spec string, cfg *server.GraphConfig) error {
 			cfg.StallApply = d
 		case "wal":
 			cfg.StallWAL = d
+		case "run":
+			jcfg.BeforeRun = func(string) { time.Sleep(d) }
 		default:
-			return fmt.Errorf("unknown stall point %q (want apply or wal)", key)
+			return fmt.Errorf("unknown stall point %q (want apply, wal or run)", key)
 		}
 	}
 	return nil

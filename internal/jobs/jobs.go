@@ -1,12 +1,13 @@
 // Package jobs turns the one-shot RDF→PG transformation pipeline into a
 // long-running job service: transformation requests are accepted into a
 // bounded queue with admission control, persisted to a spool directory
-// before they are acknowledged, and executed by a worker pool on the path
-// `s3pg data` takes — load, core.TransformWith, atomic commit. Every accepted
-// job therefore either completes or survives a crash, a graceful drain, or a
-// restart: the spool holds its inputs, a drained or crashed run is run again
-// from them, and the outputs are those of `s3pg data` on the same input,
-// byte for byte (see DESIGN.md §4d and §6).
+// before they are acknowledged, and executed by a worker pool as the batch
+// run of `s3pg data` (internal/batch: read, transform, commit edges.csv,
+// nodes.csv and schema.ddl), which Rerun repeats without the commits for a
+// finished job's query snapshot. Every accepted job either completes or
+// survives a crash, a drain or a restart: the spool holds its inputs, a lost
+// run is run again from them, and the outputs are those of `s3pg data` on the
+// same input, byte for byte (see DESIGN.md §4d and §6).
 //
 // Failure model:
 //
@@ -30,6 +31,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"github.com/s3pg/s3pg/internal/batch"
 )
 
 // State is a job's lifecycle position.
@@ -133,9 +136,9 @@ const (
 	manifestFile = "job.json"
 	dataFile     = "data.nt"
 	shapesFile   = "shapes.ttl"
-	nodesFile    = "nodes.csv"
-	edgesFile    = "edges.csv"
-	schemaFile   = "schema.ddl"
+	nodesFile    = batch.NodesFile
+	edgesFile    = batch.EdgesFile
+	schemaFile   = batch.SchemaFile
 	// staleCkptFile is the chunked pipeline's checkpoint, swept on Open.
 	staleCkptFile = "run.ckpt"
 )

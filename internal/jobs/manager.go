@@ -10,18 +10,16 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"github.com/s3pg/s3pg/internal/batch"
 	"github.com/s3pg/s3pg/internal/ckpt"
 	"github.com/s3pg/s3pg/internal/core"
 	"github.com/s3pg/s3pg/internal/faultio"
 	"github.com/s3pg/s3pg/internal/obs"
-	"github.com/s3pg/s3pg/internal/pgschema"
-	"github.com/s3pg/s3pg/internal/rdf"
-	"github.com/s3pg/s3pg/internal/rio"
-	"github.com/s3pg/s3pg/internal/shacl"
 )
 
 // Admission-control and lifecycle errors. The HTTP layer maps these to
@@ -87,8 +85,8 @@ type Config struct {
 	QueueDepth int
 	// Workers is the worker-pool size. Default 2.
 	Workers int
-	// JobWorkers is the per-job parallelism of the ingest and of
-	// core.TransformWith. Default 1.
+	// JobWorkers is the per-job parallelism of the ingest, the transform
+	// and the export. Default 1.
 	JobWorkers int
 	// MaxMemMB is the soft high heap watermark: once exceeded, submissions
 	// are rejected with ErrMemPressure and readiness reports not-ready until
@@ -440,9 +438,7 @@ func (m *Manager) Submit(spec Spec, shapes, data string) (Job, error) {
 	if spec.Timeout < 0 {
 		return Job{}, fmt.Errorf("%w: negative timeout", ErrInvalid)
 	}
-	if g, err := rio.ParseTurtleWith(m.ctx, shapes, rio.Options{}); err != nil {
-		return Job{}, fmt.Errorf("%w: shapes: %v", ErrInvalid, err)
-	} else if _, err := shacl.FromGraph(g); err != nil {
+	if _, err := m.options(spec).Shapes(m.ctx, shapes); err != nil {
 		return Job{}, fmt.Errorf("%w: shapes: %v", ErrInvalid, err)
 	}
 
@@ -472,7 +468,7 @@ func (m *Manager) Submit(spec Spec, shapes, data string) (Job, error) {
 	queueEv := m.recordPhase(j, PhaseQueued, "")
 	// The manifest commit is the acknowledgment point: after it, the job is
 	// recoverable from the spool alone — timeline included.
-	if err := m.commitManifest(m.ctx, j); err != nil {
+	if err := m.commitManifest(m.ctx, snapshotJob(j)); err != nil {
 		return Job{}, err
 	}
 
@@ -523,39 +519,51 @@ func (m *Manager) List() []Job {
 // OutputPath resolves one of a finished job's result files, guarding against
 // path escapes and unfinished jobs.
 func (m *Manager) OutputPath(id, name string) (string, error) {
-	ok := false
-	for _, f := range OutputFiles {
-		if name == f {
-			ok = true
-		}
-	}
-	if !ok {
+	if !slices.Contains(OutputFiles, name) {
 		return "", fmt.Errorf("%w: no such output %q", ErrInvalid, name)
 	}
-	j, err := m.Get(id)
-	if err != nil {
+	if _, err := m.done(id); err != nil {
 		return "", err
-	}
-	if j.State != StateDone {
-		return "", fmt.Errorf("%w: job %s is %s", ErrInvalid, id, j.State)
 	}
 	return filepath.Join(m.jobDir(id), name), nil
 }
 
-// QuerySource resolves the retained inputs of a finished job for the query
-// serving tier: the shapes and data files plus the transformation mode. Only
-// done jobs are queryable — their inputs and outputs are committed and
-// immutable in the spool.
-func (m *Manager) QuerySource(id string) (shapesPath, dataPath, mode string, err error) {
-	j, err := m.Get(id)
+// Rerun runs a finished job again without the commits, with the job's Spec
+// and the manager's JobWorkers, and returns what the run read and built: the
+// graph and the property graph the job committed. It is how the query tier
+// loads a job. A drain cancels it.
+func (m *Manager) Rerun(id string) (*batch.Result, error) {
+	j, err := m.done(id)
 	if err != nil {
-		return "", "", "", err
+		return nil, err
 	}
-	if j.State != StateDone {
-		return "", "", "", fmt.Errorf("%w: job %s is %s, not queryable", ErrInvalid, id, j.State)
+	return m.run(m.ctx, id, j.Spec, nil)
+}
+
+// done returns a snapshot of a job that is done, ErrInvalid for one that is
+// not.
+func (m *Manager) done(id string) (Job, error) {
+	j, err := m.Get(id)
+	if err == nil && j.State != StateDone {
+		err = fmt.Errorf("%w: job %s is %s", ErrInvalid, id, j.State)
+	}
+	return j, err
+}
+
+// options is the batch run configuration of a job with spec: a lenient job
+// skips malformed statements without an error budget.
+func (m *Manager) options(spec Spec) batch.Options {
+	return batch.Options{Lenient: spec.Lenient, MaxErrors: -1, Workers: m.cfg.JobWorkers}
+}
+
+// run is the batch run over a job's spooled inputs.
+func (m *Manager) run(ctx context.Context, id string, spec Spec, commit batch.Commit) (*batch.Result, error) {
+	mode, err := core.ParseMode(spec.Mode)
+	if err != nil {
+		return nil, err
 	}
 	dir := m.jobDir(id)
-	return filepath.Join(dir, shapesFile), filepath.Join(dir, dataFile), j.Mode, nil
+	return m.options(spec).Run(ctx, mode, filepath.Join(dir, shapesFile), filepath.Join(dir, dataFile), commit)
 }
 
 // Drain stops accepting work, wakes idle workers, cancels running jobs with
@@ -612,10 +620,7 @@ func (m *Manager) commit(ctx context.Context, path string, fn func(io.Writer) er
 }
 
 // commitManifest persists a job snapshot as its manifest.
-func (m *Manager) commitManifest(ctx context.Context, j *Job) error {
-	m.mu.Lock()
-	snap := snapshotJob(j)
-	m.mu.Unlock()
+func (m *Manager) commitManifest(ctx context.Context, snap Job) error {
 	return m.commit(ctx, filepath.Join(m.jobDir(snap.ID), manifestFile), func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -628,7 +633,10 @@ func (m *Manager) commitManifest(ctx context.Context, j *Job) error {
 // are the recovery record); only the Submit-time commit and the
 // done-transition are load-bearing.
 func (m *Manager) persistManifest(j *Job) {
-	if err := m.commitManifest(context.Background(), j); err != nil {
+	m.mu.Lock()
+	snap := snapshotJob(j)
+	m.mu.Unlock()
+	if err := m.commitManifest(context.Background(), snap); err != nil {
 		m.cfg.Log.Warn("manifest_update_failed", "job_id", j.ID, "error", err)
 	}
 }
@@ -713,71 +721,33 @@ func draining(ctx context.Context) bool {
 	return errors.Is(context.Cause(ctx), ErrDraining)
 }
 
-// transform is one run of a job, on the path `s3pg data` takes: load the
-// spooled shapes and data, core.TransformWith, commit the outputs. A drain
-// or a crash loses the run, never the job — the spool holds its inputs and
-// the rerun produces the same bytes.
+// transform is one run of a job: the batch run of `s3pg data` over its
+// spooled inputs, committing the outputs into its spool directory. A drain or
+// a crash loses the run, never the job — the spool holds its inputs and the
+// rerun produces the same bytes.
 func (m *Manager) transform(ctx context.Context, id string, spec Spec) error {
 	dir := m.jobDir(id)
-	shapesSrc, err := os.ReadFile(filepath.Join(dir, shapesFile))
-	if err != nil {
-		return err
-	}
-	sg, err := rio.ParseTurtleWith(ctx, string(shapesSrc), rio.Options{})
-	if err != nil {
-		return err
-	}
-	shapes, err := shacl.FromGraph(sg)
-	if err != nil {
-		return err
-	}
-	mode, err := core.ParseMode(spec.Mode)
-	if err != nil {
-		return err
-	}
-	var skipped int64
-	g, err := m.loadData(ctx, filepath.Join(dir, dataFile), rio.Options{
-		Lenient: spec.Lenient, MaxErrors: -1,
-		OnError: func(rio.ParseError) { skipped++ },
+	var commitErr error
+	res, err := m.run(ctx, id, spec, func(name string, write func(io.Writer) error) error {
+		commitErr = m.commit(ctx, filepath.Join(dir, name), write)
+		return commitErr
 	})
-	if err != nil {
-		return err
-	}
-	tr, err := core.TransformWith(ctx, g, shapes, mode, nil,
-		core.TransformOptions{Lenient: spec.Lenient, Workers: m.cfg.JobWorkers})
-	if err != nil {
-		return err
+	switch {
+	case commitErr != nil && !draining(ctx):
+		return m.requeueOrFail(id, commitErr)
+	case err != nil:
+		return err // runJob fails the job, or requeues it on a drain
 	}
 
-	// Commit the outputs. Each file is complete-or-absent; the manifest
-	// flips to done only after all three are committed.
-	store, schema := tr.Store(), tr.Schema()
-	outputs := []struct {
-		name  string
-		write func(io.Writer) error
-	}{
-		{nodesFile, func(w io.Writer) error { return store.WriteCSV(w, nil) }},
-		{edgesFile, func(w io.Writer) error { return store.WriteCSV(nil, w) }},
-		{schemaFile, func(w io.Writer) error {
-			_, err := io.WriteString(w, pgschema.WriteDDL(schema))
-			return err
-		}},
-	}
-	for _, out := range outputs {
-		if err := m.commit(ctx, filepath.Join(dir, out.name), out.write); err != nil {
-			if draining(ctx) {
-				return err // runJob requeues
-			}
-			return m.requeueOrFail(id, err)
-		}
-	}
-
+	// Each output is complete-or-absent; the manifest flips to done only
+	// after all three are committed.
+	store := res.Transformer.Store()
 	m.mu.Lock()
 	j := m.jobs[id]
 	j.Finished = time.Now().UTC()
-	j.Statements, j.Skipped = int64(g.Len()), skipped
+	j.Statements, j.Skipped = int64(res.Graph.Len()), res.Skipped
 	j.Nodes, j.Edges = int64(store.NumNodes()), int64(store.NumEdges())
-	j.Degraded = tr.DegradedCount()
+	j.Degraded = res.Transformer.DegradedCount()
 	j.Outputs = append([]string(nil), OutputFiles...)
 	commitEv := m.recordPhase(j, PhaseCommit, "")
 	runFor := j.Finished.Sub(j.Started)
@@ -785,11 +755,7 @@ func (m *Manager) transform(ctx context.Context, id string, spec Spec) error {
 	done.State = StateDone
 	m.mu.Unlock()
 	m.trace(id, commitEv)
-	if err := m.commit(ctx, filepath.Join(m.jobDir(id), manifestFile), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(done)
-	}); err != nil {
+	if err := m.commitManifest(ctx, done); err != nil {
 		// Outputs are committed but the done-marker is not: requeue; the
 		// rerun reproduces the same bytes and re-commits the manifest.
 		return m.requeueOrFail(id, err)
@@ -802,7 +768,7 @@ func (m *Manager) transform(ctx context.Context, id string, spec Spec) error {
 	hRunTime.Observe(runFor.Seconds())
 	cCompleted.Inc()
 	m.cfg.Log.Info("job_done", "job_id", id,
-		"statements", g.Len(), "nodes", store.NumNodes(), "edges", store.NumEdges(),
+		"statements", res.Graph.Len(), "nodes", store.NumNodes(), "edges", store.NumEdges(),
 		"run_seconds", runFor.Seconds())
 	// Advisory rewrite so the manifest carries the done event too; the
 	// load-bearing done-transition is the commit above. The event is stamped
@@ -811,17 +777,6 @@ func (m *Manager) transform(ctx context.Context, id string, spec Spec) error {
 	// done manifest this rewrite never reached.
 	m.persistManifest(j)
 	return nil
-}
-
-// loadData reads a spooled N-Triples file at the job parallelism, as the
-// CLI's loader does.
-func (m *Manager) loadData(ctx context.Context, path string, opts rio.Options) (*rdf.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return rio.IngestNTriples(ctx, f, opts, m.cfg.JobWorkers, nil, nil)
 }
 
 // requeue puts a job back on the queue in StateQueued. free drains do not

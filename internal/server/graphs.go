@@ -13,6 +13,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,13 +28,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/s3pg/s3pg/internal/batch"
 	"github.com/s3pg/s3pg/internal/ckpt"
 	"github.com/s3pg/s3pg/internal/core"
 	"github.com/s3pg/s3pg/internal/obs"
 	"github.com/s3pg/s3pg/internal/rdf"
 	"github.com/s3pg/s3pg/internal/rio"
 	"github.com/s3pg/s3pg/internal/serve"
-	"github.com/s3pg/s3pg/internal/shacl"
 	"github.com/s3pg/s3pg/internal/wal"
 )
 
@@ -392,15 +393,13 @@ func buildDeltaState(mode, shapesTTL, dataNT string) (*core.DeltaState, core.Mod
 	if err != nil {
 		return nil, 0, err
 	}
-	sgGraph, err := rio.ParseTurtle(shapesTTL)
+	// The batch run's read step, strict and on one worker.
+	var read batch.Options
+	sg, err := read.Shapes(context.Background(), shapesTTL)
 	if err != nil {
 		return nil, 0, fmt.Errorf("shapes: %w", err)
 	}
-	sg, err := shacl.FromGraph(sgGraph)
-	if err != nil {
-		return nil, 0, fmt.Errorf("shapes: %w", err)
-	}
-	g, err := rio.LoadNTriples(strings.NewReader(dataNT))
+	g, err := read.Data(context.Background(), strings.NewReader(dataNT))
 	if err != nil {
 		return nil, 0, fmt.Errorf("data: %w", err)
 	}

@@ -66,11 +66,12 @@ func newGraphServer(t *testing.T, cfg GraphConfig) (*httptest.Server, *GraphMana
 
 func createUniversityGraph(t *testing.T, ts *httptest.Server, id string) {
 	t.Helper()
-	body, err := json.Marshal(GraphCreateRequest{
-		Mode:   "parsimonious",
-		Shapes: fixtures.UniversityShapesTurtle,
-		Data:   universityNT(t),
-	})
+	createGraph(t, ts, id, fixtures.UniversityShapesTurtle, universityNT(t))
+}
+
+func createGraph(t *testing.T, ts *httptest.Server, id, shapes, data string) {
+	t.Helper()
+	body, err := json.Marshal(GraphCreateRequest{Mode: "parsimonious", Shapes: shapes, Data: data})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,8 @@
 // transformed property graph or SPARQL over its source RDF graph, against
 // an immutable snapshot resolved from either a live graph session
 // (/graphs/{id}, served at its latest applied LSN) or a finished transform
-// job (loaded once from its spooled outputs into the LRU snapshot cache).
+// job (built once by the job's own run, without its commits, into the LRU
+// snapshot cache).
 // Admission, deadlines, and row caps are enforced here; evaluation itself
 // is internal/serve.
 package server
@@ -12,15 +13,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"time"
 
 	"github.com/s3pg/s3pg/internal/jobs"
 	"github.com/s3pg/s3pg/internal/obs"
-	"github.com/s3pg/s3pg/internal/pg"
-	"github.com/s3pg/s3pg/internal/rio"
+	"github.com/s3pg/s3pg/internal/pgschema"
 	"github.com/s3pg/s3pg/internal/serve"
 )
 
@@ -172,7 +171,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// querySourceStatus maps snapshot-resolution failures to HTTP statuses.
+// querySourceStatus maps the failures to resolve a graph or a job — for a
+// query snapshot or a job's output file — to HTTP statuses.
 func querySourceStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrUnknownGraph), errors.Is(err, jobs.ErrUnknownJob):
@@ -189,50 +189,16 @@ func querySourceStatus(err error) int {
 	}
 }
 
-// loadJobSnapshot materializes a finished job as a query snapshot: the
-// property graph side is bulk-loaded from the job's exported CSVs (cheaper
-// than re-running the transform), the RDF side re-parsed from the retained
-// source N-Triples. Job outputs are immutable, so the snapshot carries
-// LSN 0 forever and the cache never needs to invalidate it.
+// loadJobSnapshot materializes a finished job as a query snapshot: its own
+// batch run without the commits, which is cheaper than loading its outputs
+// (Table 4, DBpedia2022 @ 0.001: T 38.0 ms, L 76.6 ms) and answers as a live
+// graph over the same input does. Job outputs are immutable, so the snapshot
+// carries LSN 0 forever and the cache never needs to invalidate it.
 func (s *Server) loadJobSnapshot(id string) (*serve.Snapshot, error) {
-	_, dataPath, _, err := s.cfg.Manager.QuerySource(id)
+	res, err := s.cfg.Manager.Rerun(id)
 	if err != nil {
 		return nil, err
 	}
-	df, err := os.Open(dataPath)
-	if err != nil {
-		return nil, err
-	}
-	defer df.Close()
-	g, err := rio.LoadNTriples(df)
-	if err != nil {
-		return nil, fmt.Errorf("job %s source: %w", id, err)
-	}
-	paths := make([]string, len(jobs.OutputFiles))
-	for i, name := range jobs.OutputFiles {
-		p, err := s.cfg.Manager.OutputPath(id, name)
-		if err != nil {
-			return nil, err
-		}
-		paths[i] = p
-	}
-	nf, err := os.Open(paths[0])
-	if err != nil {
-		return nil, err
-	}
-	defer nf.Close()
-	ef, err := os.Open(paths[1])
-	if err != nil {
-		return nil, err
-	}
-	defer ef.Close()
-	store, err := pg.LoadCSV(nf, ef)
-	if err != nil {
-		return nil, fmt.Errorf("job %s outputs: %w", id, err)
-	}
-	ddl, err := os.ReadFile(paths[2])
-	if err != nil {
-		return nil, err
-	}
-	return serve.NewSnapshot(g, store, string(ddl), 0), nil
+	tr := res.Transformer
+	return serve.NewSnapshot(res.Graph, tr.Store(), pgschema.WriteDDL(tr.Schema()), 0), nil
 }

@@ -155,6 +155,58 @@ func TestQueryJobSnapshotCache(t *testing.T) {
 	}
 }
 
+// TestQueryJobAnswersAsLiveGraph: a finished job answers every query as a
+// live graph over the same input does, because both are the one transform
+// of that input. A lenient job over a malformed line is queryable (its
+// snapshot used to re-parse the source strictly and answer 500), and a CRLF
+// inside a literal comes back as written (the snapshot used to load the
+// job's CSVs, which folded it to LF).
+func TestQueryJobAnswersAsLiveGraph(t *testing.T) {
+	genShapes, genData := testDataset()
+	uniData := universityNT(t) + `<http://example.org/univ#bob> <http://example.org/univ#email> "line1\r\nline2" .` + "\n"
+	for _, tc := range []struct {
+		name                string
+		shapes, data, clean string // clean is the live graph's input
+		lenient             bool
+		skipped             int64
+		queries             []QueryRequest
+	}{
+		{"lenient job over a malformed line", genShapes,
+			"<http://example.org/s> <http://example.org/p> .\n" + genData, genData, true, 1,
+			[]QueryRequest{{Lang: "cypher", Query: `MATCH (n) RETURN count(*) AS n`}}},
+		{"a CRLF inside a literal", fixtures.UniversityShapesTurtle, uniData, uniData, false, 0,
+			[]QueryRequest{
+				{Lang: "cypher", Query: `MATCH (p)-[:email]->(v) RETURN v.value AS e`},
+				{Lang: "sparql", Query: `SELECT ?e WHERE { ?p <http://example.org/univ#email> ?e }`},
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, _ := newGraphServer(t, GraphConfig{})
+			h := ts.Config.Handler
+			j := submitJob(t, h, SubmitRequest{Lenient: tc.lenient, Shapes: tc.shapes, Data: tc.data})
+			if done := waitDone(t, h, j.ID); done.State != jobs.StateDone || done.Skipped != tc.skipped {
+				t.Fatalf("job ended %s with %d skipped, want done with %d: %s", done.State, done.Skipped, tc.skipped, done.Error)
+			}
+			createGraph(t, ts, "live", tc.shapes, tc.clean)
+			for _, q := range tc.queries {
+				q.Job = j.ID
+				fromJob, code, raw := postQuery(t, ts, q)
+				if code != http.StatusOK {
+					t.Fatalf("%s over the job: %d %s", q.Query, code, raw)
+				}
+				q.Job, q.Graph = "", "live"
+				fromGraph, code, graphRaw := postQuery(t, ts, q)
+				if code != http.StatusOK {
+					t.Fatalf("%s over the live graph: %d %s", q.Query, code, graphRaw)
+				}
+				if len(fromJob.Rows) == 0 || fmt.Sprint(fromJob.Columns, fromJob.Rows) != fmt.Sprint(fromGraph.Columns, fromGraph.Rows) {
+					t.Fatalf("%s: the job answers\n%s\nthe live graph\n%s", q.Query, raw, graphRaw)
+				}
+			}
+		})
+	}
+}
+
 func TestQueryErrorMapping(t *testing.T) {
 	ts, _ := newGraphServer(t, GraphConfig{})
 	createUniversityGraph(t, ts, "uni")

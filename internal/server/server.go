@@ -303,15 +303,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleOutput(w http.ResponseWriter, r *http.Request) {
 	cReqStatus.Inc()
 	path, err := s.cfg.Manager.OutputPath(r.PathValue("id"), r.PathValue("name"))
-	switch {
-	case errors.Is(err, jobs.ErrUnknownJob):
-		s.writeError(w, http.StatusNotFound, err)
-		return
-	case errors.Is(err, jobs.ErrInvalid):
-		s.writeError(w, http.StatusConflict, err)
-		return
-	case err != nil:
-		s.writeError(w, http.StatusInternalServerError, err)
+	if err != nil {
+		s.writeError(w, querySourceStatus(err), err)
 		return
 	}
 	f, err := os.Open(path)

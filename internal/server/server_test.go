@@ -92,7 +92,12 @@ func doJSON(t *testing.T, h http.Handler, method, path string, body any) (*httpt
 func submitOne(t *testing.T, h http.Handler) jobs.Job {
 	t.Helper()
 	shapes, data := testDataset()
-	rr, raw := doJSON(t, h, "POST", "/jobs", SubmitRequest{Shapes: shapes, Data: data})
+	return submitJob(t, h, SubmitRequest{Shapes: shapes, Data: data})
+}
+
+func submitJob(t *testing.T, h http.Handler, req SubmitRequest) jobs.Job {
+	t.Helper()
+	rr, raw := doJSON(t, h, "POST", "/jobs", req)
 	if rr.Code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", rr.Code, raw)
 	}

@@ -118,3 +118,83 @@ func twinOf(pkg string, fn *ast.FuncDecl) string {
 		}
 	}
 }
+
+// pipelineAllowlist names the packages, by directory, that may call the
+// batch run's two stages directly — core.TransformWith and
+// rio.IngestNTriples — outside _test.go files and bench/, each with the
+// reason. Everything else that turns N-Triples into a property graph goes
+// through internal/batch (or uses its read step), so the CLI, the job worker
+// and a job's query snapshot cannot drift apart again.
+var pipelineAllowlist = map[string]string{
+	"internal/batch": "the batch run itself: read, validate, transform, commit",
+	"internal/exp":   "the paper's timing harness, which times core.TransformWith alone (Table 4's T, §5.4)",
+	".":              "the s3pg facade: TransformWith is its public name for core.TransformWith",
+}
+
+// TestNoPipelineOutsideBatch fails when a package outside pipelineAllowlist
+// calls core.TransformWith or rio.IngestNTriples: a fourth load → transform
+// pipeline beside `s3pg data`, the job worker and a job's snapshot. Calls
+// inside internal/core and internal/rio themselves (the packages' own
+// wrappers) are not selector calls and are not counted.
+func TestNoPipelineOutsideBatch(t *testing.T) {
+	const mod = "github.com/s3pg/s3pg/internal/"
+	stages := map[string]string{mod + "core": "TransformWith", mod + "rio": "IngestNTriples"}
+	used := make(map[string]bool)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		names := make(map[string]string) // local import name → the stage it must not call
+		for _, imp := range f.Imports {
+			ipath := strings.Trim(imp.Path.Value, `"`)
+			if stage, ok := stages[ipath]; ok {
+				local := ipath[strings.LastIndex(ipath, "/")+1:]
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+				names[local] = stage
+			}
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && names[x.Name] == sel.Sel.Name {
+				if _, ok := pipelineAllowlist[dir]; ok {
+					used[dir] = true
+				} else {
+					t.Errorf("%s: %s.%s outside internal/batch: run the batch run (or its read step) instead, or list %s in pipelineAllowlist with the reason", fset.Position(sel.Pos()), x.Name, sel.Sel.Name, dir)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir, why := range pipelineAllowlist {
+		if why == "" {
+			t.Errorf("pipelineAllowlist[%q] gives no reason", dir)
+		}
+		if !used[dir] {
+			t.Errorf("pipelineAllowlist[%q] calls neither stage: drop the entry", dir)
+		}
+	}
+}
