@@ -95,7 +95,8 @@ verify:
 # two payload encoders: an update batch against the fmt renderer it
 # replaced (and back through DecodeDelta), its change record against
 # encoding/json. SPARQL Update parses are held to a parse through a graph
-# per data block. New crashers
+# per data block, and every spelling of an RDF term must read as that term
+# in Turtle, a SPARQL pattern, a FILTER and an INSERT DATA block. New crashers
 # land in testdata/fuzz/ and become regression tests.
 FUZZ_TARGETS = \
 	FuzzParseNTriplesLine:./internal/rio \
@@ -106,6 +107,7 @@ FUZZ_TARGETS = \
 	FuzzParse:./internal/cypher \
 	FuzzParse:./internal/sparql \
 	FuzzParseUpdate:./internal/sparql \
+	FuzzTermSyntax:./internal/sparql \
 	FuzzDeltaEncode:./internal/rdf \
 	FuzzPGDeltaEncode:./internal/core \
 	FuzzEvalDifferential:./internal/cypher \

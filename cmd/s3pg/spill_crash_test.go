@@ -215,9 +215,9 @@ func TestCrashDuringSpillRecovery(t *testing.T) {
 	// A spill makes two filesystem operations, so a transient fault every
 	// 9th one lands in the 5th spill's create and, the retried spill
 	// counting one more, in the 9th's; the load hook spills again after
-	// each. Later faults land in the output commit, whose nodes+edges
-	// attempt of 8 operations fits between two, so the run succeeds with no
-	// file written twice.
+	// each. Later faults land in the output commits, three of them (edges,
+	// nodes, schema) whose attempts of 4 operations each fit between two, so
+	// the run succeeds with no file written twice.
 	t.Run("transient-faults-in-spills", func(t *testing.T) {
 		caseDir := filepath.Join(dir, "transient")
 		n, e, s, _ := outPaths(t, caseDir)
@@ -285,8 +285,8 @@ func TestFaultInjectedSpill(t *testing.T) {
 	}{
 		// Operations 1-8 are the first four spills' creates and renames, so
 		// the 9th, the fifth spill's create, takes the first transient fault.
-		// The nested nodes+edges commit spans 8 counted FS ops per attempt,
-		// so the period must exceed that or every retry of the output commit
+		// Each of the three output commits spans 4 counted FS ops per
+		// attempt, so the period must exceed that or every retry of a commit
 		// deterministically re-faults.
 		{"transient-spill-create", "fstransientevery=9", true, true},
 		{"hard-spill-create", "failcreate=1", false, true},

@@ -739,6 +739,68 @@ func TestTraceFileJSONL(t *testing.T) {
 	}
 }
 
+// TestDaemonLogKeysOnce: every daemon log line names each key once — a
+// component's logger rebinds "component" instead of adding a second one —
+// and a restart over a spool that holds the graphs directory warns about
+// no spool entry.
+func TestDaemonLogKeysOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	spool := filepath.Join(t.TempDir(), "spool")
+	var logs []string
+	for _, name := range []string{"phase1", "phase2"} {
+		d := startDaemon(t, spool, name, nil)
+		if name == "phase1" {
+			d.waitAllDone(t, []string{d.submit(t).ID})
+		}
+		if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if code := d.wait(); code != 0 {
+			t.Fatalf("drain exit %d (log: %s)", code, d.logPath)
+		}
+		logs = append(logs, d.logPath)
+	}
+	components := map[string]bool{}
+	for _, path := range logs {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			dec := json.NewDecoder(strings.NewReader(line))
+			if _, err := dec.Token(); err != nil {
+				t.Fatalf("log line not JSON: %q: %v", line, err)
+			}
+			fields := map[string]string{}
+			for dec.More() {
+				key, err := dec.Token()
+				if err != nil {
+					t.Fatalf("log line %q: %v", line, err)
+				}
+				var v any
+				if err := dec.Decode(&v); err != nil {
+					t.Fatalf("log line %q: %v", line, err)
+				}
+				if _, dup := fields[key.(string)]; dup {
+					t.Errorf("key %q twice in %s", key, line)
+				}
+				fields[key.(string)] = fmt.Sprint(v)
+			}
+			components[fields["component"]] = true
+			if fields["msg"] == "spool_entry_skipped" {
+				t.Errorf("restart warned about a spool entry: %s", line)
+			}
+		}
+	}
+	for _, c := range []string{"s3pgd", "jobs", "server"} {
+		if !components[c] {
+			t.Errorf("no log line of component %q in %v", c, logs)
+		}
+	}
+}
+
 // TestDaemonAdmissionControl: a daemon at -max-mem 1 MiB (always exceeded by
 // a running Go process) rejects submissions with 503 + Retry-After and
 // reports not-ready, while /healthz stays green.

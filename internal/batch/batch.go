@@ -67,8 +67,6 @@ type Result struct {
 	// the shapes and the data.
 	Skipped int64
 	shown   []rio.ParseError
-	// Violations are the lenient validation pass's findings.
-	Violations []shacl.Violation
 	// Transformer holds the property graph and its PG-Schema.
 	Transformer *core.Transformer
 }
@@ -156,21 +154,24 @@ func (o Options) Validate(ctx context.Context, g *rdf.Graph, shapes *shacl.Schem
 // Run is the batch run over the shapes and the data at the given paths:
 // read both, validate in lenient mode, transform in mode, and, when commit
 // is not nil, commit EdgesFile, NodesFile and SchemaFile in that order. A
-// cancellation of ctx stops the run before its first commit, not between
-// two.
+// run without commit, such as a finished job's query snapshot, only
+// rebuilds what a committing run built and reports, so it does not
+// validate. A cancellation of ctx stops the run before its first commit,
+// not between two.
 func (o Options) Run(ctx context.Context, mode core.Mode, shapesPath, dataPath string, commit Commit) (*Result, error) {
 	r, err := o.Read(ctx, shapesPath, dataPath)
 	if err != nil {
 		return nil, err
 	}
-	if o.Lenient {
+	if o.Lenient && commit != nil {
 		// Non-conformance is reported, not failed on; the transform then
 		// degrades over it.
-		if r.Violations, err = o.Validate(ctx, r.Graph, r.Shapes); err != nil {
+		vs, err := o.Validate(ctx, r.Graph, r.Shapes)
+		if err != nil {
 			return nil, err
 		}
-		if len(r.Violations) > 0 && o.Log != nil {
-			fmt.Fprintf(o.Log, "s3pg: lenient: %s\n", shacl.NewViolationReport(r.Violations))
+		if len(vs) > 0 && o.Log != nil {
+			fmt.Fprintf(o.Log, "s3pg: lenient: %s\n", shacl.NewViolationReport(vs))
 		}
 	}
 	r.Transformer, err = core.TransformWith(ctx, r.Graph, r.Shapes, mode, o.Span,

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"time"
 
 	"github.com/s3pg/s3pg/internal/batch"
@@ -145,6 +146,9 @@ const (
 
 // OutputFiles is the fixed set of result files a finished job exposes.
 var OutputFiles = []string{nodesFile, edgesFile, schemaFile}
+
+// jobIDShape matches the ids newJobID returns.
+var jobIDShape = regexp.MustCompile(`^j[0-9]{6,}-[0-9a-f]{8}$`)
 
 // newJobID returns a queue-ordered, collision-resistant job id: a sequence
 // prefix for human-readable ordering plus random bytes so ids stay unique

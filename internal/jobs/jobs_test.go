@@ -17,7 +17,9 @@ import (
 	"github.com/s3pg/s3pg/internal/ckpt"
 	"github.com/s3pg/s3pg/internal/datagen"
 	"github.com/s3pg/s3pg/internal/faultio"
+	"github.com/s3pg/s3pg/internal/fixtures"
 	"github.com/s3pg/s3pg/internal/obs"
+	"github.com/s3pg/s3pg/internal/rdf"
 	"github.com/s3pg/s3pg/internal/rio"
 	"github.com/s3pg/s3pg/internal/shacl"
 	"github.com/s3pg/s3pg/internal/shapeex"
@@ -143,6 +145,36 @@ func TestSubmitRunsToDone(t *testing.T) {
 		if len(raw) == 0 {
 			t.Fatalf("output %s is empty", name)
 		}
+	}
+}
+
+// TestRerunDoesNotValidate: a finished lenient job's query snapshot reruns
+// the job without its commits, and only a run that commits validates, so
+// rerunning the job leaves shacl.violations where the job's run left it.
+func TestRerunDoesNotValidate(t *testing.T) {
+	violations := obs.Default.Counter("shacl.violations")
+	// A Person without the name its shape requires.
+	data := "<" + fixtures.ExNS + "zed> <" + rdf.RDFType + "> <" + fixtures.ExNS + "Person> .\n"
+	m := mustOpen(t, testConfig(t))
+	before := violations.Value()
+	j, err := m.Submit(Spec{Lenient: true}, fixtures.UniversityShapesTurtle, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitTerminal(t, m, j.ID); got.State != StateDone {
+		t.Fatalf("job ended %s: %s", got.State, got.Error)
+	}
+	ran := violations.Value()
+	if ran == before {
+		t.Fatal("the job's run counted no violation")
+	}
+	for range 2 {
+		if _, err := m.Rerun(j.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := violations.Value(); got != ran {
+		t.Fatalf("shacl.violations went from %d to %d over two reruns", ran, got)
 	}
 }
 

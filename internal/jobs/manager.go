@@ -186,14 +186,14 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	var recovered []*Job
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
+		if !e.IsDir() || !jobIDShape.MatchString(e.Name()) {
+			continue // not a job's directory, such as the daemon's graphs/
 		}
 		dir := filepath.Join(cfg.Dir, e.Name())
 		m.sweepAbandoned(dir)
 		j, err := loadManifest(dir)
 		if err != nil {
-			// Never-acknowledged (or foreign) directory: not a lost job.
+			// A never-acknowledged job: not a lost one.
 			cfg.Log.Warn("spool_entry_skipped", "entry", e.Name(), "error", err)
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 )
@@ -19,37 +20,45 @@ import (
 // "request_id" / "job_id".
 type Logger struct {
 	h slog.Handler
+	// root is h without the bound attributes, which attrs holds, each key
+	// once, so that With can rebind a key instead of repeating it.
+	root  slog.Handler
+	attrs []slog.Attr
 }
 
 // NewLogger returns a Logger writing JSON lines to w, tagged with component.
 // Writes are serialized by the handler, so one Logger may be shared across
 // goroutines and a line never interleaves with another.
 func NewLogger(w io.Writer, component string) *Logger {
-	h := slog.NewJSONHandler(w, nil)
-	var l *Logger
+	l := &Logger{h: slog.NewJSONHandler(w, nil)}
+	l.root = l.h
 	if component != "" {
-		l = &Logger{h: h.WithAttrs([]slog.Attr{slog.String("component", component)})}
-	} else {
-		l = &Logger{h: h}
+		l = l.With("component", component)
 	}
 	return l
 }
 
 // With returns a child logger whose records all carry the given key/value
-// pairs (e.g. a job_id bound once at pickup). Safe on a nil receiver.
+// pairs (e.g. a job_id bound once at pickup); a key bound already, such as
+// "component", takes the new value. Safe on a nil receiver.
 func (l *Logger) With(kv ...any) *Logger {
 	if l == nil || len(kv) == 0 {
 		return l
 	}
-	var attrs []slog.Attr
+	attrs := slices.Clone(l.attrs)
 	for i := 0; i+1 < len(kv); i += 2 {
 		key, ok := kv[i].(string)
 		if !ok {
 			continue
 		}
-		attrs = append(attrs, slog.Any(key, normalizeLogValue(kv[i+1])))
+		a := slog.Any(key, normalizeLogValue(kv[i+1]))
+		if j := slices.IndexFunc(attrs, func(b slog.Attr) bool { return b.Key == key }); j >= 0 {
+			attrs[j] = a
+		} else {
+			attrs = append(attrs, a)
+		}
 	}
-	return &Logger{h: l.h.WithAttrs(attrs)}
+	return &Logger{h: l.root.WithAttrs(attrs), root: l.root, attrs: attrs}
 }
 
 // Handler exposes the underlying slog handler so callers can adapt foreign

@@ -387,8 +387,12 @@ func decodeEscape[S bytestring](s S) (rune, int, error) {
 		return '\n', 2, nil
 	case 'r':
 		return '\r', 2, nil
-	case '"':
-		return '"', 2, nil
+	case 'b':
+		return '\b', 2, nil
+	case 'f':
+		return '\f', 2, nil
+	case '"', '\'':
+		return rune(s[1]), 2, nil
 	case '\\':
 		return '\\', 2, nil
 	case 'u', 'U':

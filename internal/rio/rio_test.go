@@ -2,6 +2,8 @@ package rio
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -63,6 +65,10 @@ func TestParseNTriplesLine(t *testing.T) {
 		{
 			`<http://a/s> <http://a/p> <http://a/o>.#`,
 			rdf.NewTriple(rdf.NewIRI("http://a/s"), rdf.NewIRI("http://a/p"), rdf.NewIRI("http://a/o")),
+		},
+		{
+			`<http://a/s> <http://a/p> "x\by\fz\'" .`,
+			rdf.NewTriple(rdf.NewIRI("http://a/s"), rdf.NewIRI("http://a/p"), rdf.NewLiteral("x\by\fz'")),
 		},
 	}
 	for _, c := range cases {
@@ -315,6 +321,100 @@ func TestParseTurtleErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := ParseTurtle(src); err == nil {
 			t.Errorf("expected parse error for %q", src)
+		}
+	}
+}
+
+// TestTurtleTerms: each row's object, read by the Turtle parser, is the
+// given term.
+func TestTurtleTerms(t *testing.T) {
+	const pre = "@prefix ex: <http://example.org/> .\n@base <http://base.org/> .\nex:s ex:p "
+	ex := func(l string) rdf.Term { return rdf.NewIRI("http://example.org/" + l) }
+	for _, c := range []struct {
+		obj  string
+		want rdf.Term
+	}{
+		{`"x\by\fz\'\"\r"`, rdf.NewLiteral("x\by\fz'\"\r")},
+		{`'it\'s'`, rdf.NewLiteral("it's")},
+		{`"caf\u00E9"`, rdf.NewLiteral("café")},
+		{`"""a "quoted"\t\"""` + "\n" + `line"""`, rdf.NewLiteral("a \"quoted\"\t\"\"\"\nline")},
+		{`'''x\u0041'''@EN`, rdf.NewLangLiteral("xA", "en")},
+		{`ex:café`, ex("café")},
+		{`ex:a\,b\!c\~`, ex("a,b!c~")},
+		{`ex:a.b..c`, ex("a.b..c")},
+		{`ex:a:b%20c`, ex("a:b%20c")},
+		{`ex:`, ex("")},
+		{`<rel>`, rdf.NewIRI("http://base.org/rel")},
+		{`1.5e3`, rdf.NewTypedLiteral("1.5e3", rdf.XSDDouble)},
+		{`-7`, rdf.NewTypedLiteral("-7", rdf.XSDInteger)},
+		{`true`, rdf.NewTypedLiteral("true", rdf.XSDBoolean)},
+		{`_:été.1`, rdf.NewBlank("été.1")},
+	} {
+		g, err := ParseTurtle(pre + c.obj + " .")
+		if err != nil {
+			t.Errorf("%s: %v", c.obj, err)
+			continue
+		}
+		if got := g.Objects(ex("s"), ex("p")); len(got) != 1 || got[0] != c.want {
+			t.Errorf("%s read as %v, want %v", c.obj, got, c.want)
+		}
+	}
+}
+
+// TestIRIRefCharacters: an IRI reference holding a character IRIREF
+// excludes is a *ParseError in strict mode; lenient mode skips the
+// statement, counts it, and keeps the rest.
+func TestIRIRefCharacters(t *testing.T) {
+	for _, iri := range []string{"<http://a b>", "<http://a<b>", `<http://a"b>`, "<http://a{b}>",
+		"<http://a|b>", "<http://a^b>", "<http://a`b>", `<http://a\b>`, "<http://a\tb>", "<http://a\nb>"} {
+		src := "<http://s> <http://p> " + iri + " .\n<http://s> <http://p> <http://o> .\n"
+		var pe *ParseError
+		if _, err := ParseTurtle(src); !errors.As(err, &pe) {
+			t.Errorf("%q: strict error %v, want a *ParseError", iri, err)
+		}
+		skipped := 0
+		g, err := ParseTurtleWith(context.Background(), src, Options{Lenient: true, OnError: func(ParseError) { skipped++ }})
+		if err != nil || skipped != 1 || g.Len() != 1 {
+			t.Errorf("%q: lenient read kept %v, skipped %d, error %v; want 1 triple, 1 skip, no error", iri, g, skipped, err)
+		}
+	}
+}
+
+// TestQuotedTripleComponents: a quoted triple's components are Turtle-star's
+// — no blank node property list or collection, whose triples would be
+// asserted while the quoted triple is not.
+func TestQuotedTripleComponents(t *testing.T) {
+	for _, src := range []string{
+		"<< [ <http://p> 1 ] <http://q> <http://r> >> <http://s> <http://t> .",
+		"<http://s> <http://t> << <http://a> <http://q> ( 1 2 ) >> .",
+	} {
+		if g, err := ParseTurtle(src); err == nil {
+			t.Errorf("%s read as %v", src, g.Triples())
+		}
+	}
+	g, err := ParseTurtle("<< [] <http://q> () >> <http://s> [ <http://p> 1 ] .")
+	if err != nil || g.Len() != 2 {
+		t.Fatalf("read as %v, %v; want 2 triples", g, err)
+	}
+}
+
+// TestNewEscapesRoundTrip: the literal that \b, \f and \' spell, read from
+// N-Triples or Turtle, serializes through Term.AppendTo to a line both read
+// back to the same triple.
+func TestNewEscapesRoundTrip(t *testing.T) {
+	want := rdf.NewLiteral("a\bb\fc'd")
+	const spelled = `<http://s> <http://p> "a\bb\fc\'d" .`
+	nt, err := ParseNTriplesLine(spelled)
+	if err != nil || nt.O != want {
+		t.Fatalf("N-Triples read %v, %v; want %v", nt.O, err, want)
+	}
+	line := string(nt.AppendTo(nil))
+	if back, err := ParseNTriplesLine(line); err != nil || back != nt {
+		t.Fatalf("N-Triples read %q back as %v, %v", line, back, err)
+	}
+	for _, src := range []string{spelled, line} {
+		if g, err := ParseTurtle(src); err != nil || g.Len() != 1 || !g.Has(nt) {
+			t.Fatalf("Turtle read %q as %v, %v", src, g, err)
 		}
 	}
 }

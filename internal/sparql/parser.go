@@ -5,18 +5,19 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"github.com/s3pg/s3pg/internal/rdf"
+	"github.com/s3pg/s3pg/internal/rio"
 )
 
-// Parse parses a SELECT query in the supported subset.
+// Parse parses a SELECT query in the supported subset. Its terms and its
+// PREFIX and BASE declarations are read by rio.Cursor, as Turtle reads them.
 func Parse(src string) (*Query, error) {
-	p := &parser{src: src, q: &Query{Prefixes: map[string]string{}, Limit: -1}}
-	p.q.Prefixes["xsd"] = rdf.XSDNS
-	p.q.Prefixes["rdf"] = rdf.RDFNS
-	p.q.Prefixes["rdfs"] = rdf.RDFSNS
+	q := &Query{Prefixes: map[string]string{"xsd": rdf.XSDNS, "rdf": rdf.RDFNS, "rdfs": rdf.RDFSNS}, Limit: -1}
+	p := &parser{Cursor: rio.Cursor{Src: src, Prefixes: q.Prefixes}, q: q}
 	if err := p.parse(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sparql: %w", err)
 	}
 	return p.q, nil
 }
@@ -31,101 +32,81 @@ func MustParse(src string) *Query {
 }
 
 type parser struct {
-	src string
-	pos int
-	q   *Query
-}
-
-func (p *parser) errf(format string, args ...any) error {
-	start := p.pos - 15
-	if start < 0 {
-		start = 0
-	}
-	end := p.pos + 15
-	if end > len(p.src) {
-		end = len(p.src)
-	}
-	return fmt.Errorf("sparql: %s (near %q)", fmt.Sprintf(format, args...), p.src[start:end])
+	rio.Cursor
+	q *Query
 }
 
 func (p *parser) parse() error {
 	for {
-		p.ws()
-		if !p.keyword("PREFIX") {
+		p.SkipWS()
+		if p.Peek() == '@' { // Turtle's spelling, not SPARQL's
 			break
 		}
-		p.ws()
-		name, ok := p.until(':')
-		if !ok {
-			return p.errf("malformed PREFIX")
-		}
-		p.pos++ // ':'
-		p.ws()
-		iri, err := p.iriRef()
-		if err != nil {
+		if ok, err := p.Directive(); err != nil {
 			return err
+		} else if !ok {
+			break
 		}
-		p.q.Prefixes[name] = iri
 	}
-	if p.keyword("ASK") {
+	if p.Keyword("ASK") {
 		// ASK [WHERE] { ... } — the WHERE keyword is optional per the
 		// SPARQL grammar.
 		p.q.Ask = true
-		p.ws()
-		p.keyword("WHERE")
-		p.ws()
+		p.SkipWS()
+		p.Keyword("WHERE")
+		p.SkipWS()
 		group, err := p.group()
 		if err != nil {
 			return err
 		}
 		p.q.Where = group
-		p.ws()
-		if p.pos < len(p.src) {
-			return p.errf("trailing input after ASK group")
+		p.SkipWS()
+		if p.Pos < len(p.Src) {
+			return p.Errorf("trailing input after ASK group")
 		}
 		return nil
 	}
-	if !p.keyword("SELECT") {
-		return p.errf("expected SELECT or ASK")
+	if !p.Keyword("SELECT") {
+		return p.Errorf("expected SELECT or ASK")
 	}
-	p.ws()
-	if p.keyword("DISTINCT") {
+	p.SkipWS()
+	if p.Keyword("DISTINCT") {
 		p.q.Distinct = true
-		p.ws()
+		p.SkipWS()
 	}
 	// Projection: *, variables, or (COUNT(*) AS ?c).
 	switch {
-	case p.peek() == '*':
-		p.pos++
-	case p.peek() == '(':
-		p.pos++
-		p.ws()
-		if !p.keyword("COUNT") {
-			return p.errf("only COUNT(*) aggregation is supported")
+	case p.Peek() == '*':
+		p.Pos++
+	case p.Peek() == '(':
+		p.Pos++
+		p.SkipWS()
+		if !p.Keyword("COUNT") {
+			return p.Errorf("only COUNT(*) aggregation is supported")
 		}
-		p.ws()
+		p.SkipWS()
 		if !p.literalToken("(*)") && !p.literalToken("( * )") {
-			return p.errf("expected (*) after COUNT")
+			return p.Errorf("expected (*) after COUNT")
 		}
-		p.ws()
-		if !p.keyword("AS") {
-			return p.errf("expected AS in COUNT projection")
+		p.SkipWS()
+		if !p.Keyword("AS") {
+			return p.Errorf("expected AS in COUNT projection")
 		}
-		p.ws()
+		p.SkipWS()
 		v, err := p.variable()
 		if err != nil {
 			return err
 		}
 		p.q.CountVar = v
-		p.ws()
-		if p.peek() != ')' {
-			return p.errf("expected ')' closing COUNT projection")
+		p.SkipWS()
+		if p.Peek() != ')' {
+			return p.Errorf("expected ')' closing COUNT projection")
 		}
-		p.pos++
+		p.Pos++
 	default:
 		for {
-			p.ws()
-			if p.peek() != '?' {
+			p.SkipWS()
+			if p.Peek() != '?' {
 				break
 			}
 			v, err := p.variable()
@@ -135,39 +116,39 @@ func (p *parser) parse() error {
 			p.q.Vars = append(p.q.Vars, v)
 		}
 		if len(p.q.Vars) == 0 {
-			return p.errf("no projection variables")
+			return p.Errorf("no projection variables")
 		}
 	}
-	p.ws()
-	if !p.keyword("WHERE") {
-		return p.errf("expected WHERE")
+	p.SkipWS()
+	if !p.Keyword("WHERE") {
+		return p.Errorf("expected WHERE")
 	}
-	p.ws()
+	p.SkipWS()
 	group, err := p.group()
 	if err != nil {
 		return err
 	}
 	p.q.Where = group
 
-	p.ws()
-	if p.keyword("ORDER") {
-		p.ws()
-		if !p.keyword("BY") {
-			return p.errf("expected BY after ORDER")
+	p.SkipWS()
+	if p.Keyword("ORDER") {
+		p.SkipWS()
+		if !p.Keyword("BY") {
+			return p.Errorf("expected BY after ORDER")
 		}
 		for {
-			p.ws()
+			p.SkipWS()
 			desc := false
-			if p.keyword("DESC") {
+			if p.Keyword("DESC") {
 				desc = true
-				p.ws()
-				if p.peek() != '(' {
-					return p.errf("expected '(' after DESC")
+				p.SkipWS()
+				if p.Peek() != '(' {
+					return p.Errorf("expected '(' after DESC")
 				}
-				p.pos++
-				p.ws()
+				p.Pos++
+				p.SkipWS()
 			}
-			if p.peek() != '?' {
+			if p.Peek() != '?' {
 				break
 			}
 			v, err := p.variable()
@@ -175,11 +156,11 @@ func (p *parser) parse() error {
 				return err
 			}
 			if desc {
-				p.ws()
-				if p.peek() != ')' {
-					return p.errf("expected ')' after DESC variable")
+				p.SkipWS()
+				if p.Peek() != ')' {
+					return p.Errorf("expected ')' after DESC variable")
 				}
-				p.pos++
+				p.Pos++
 			}
 			p.q.OrderBy = append(p.q.OrderBy, OrderKey{Var: v, Desc: desc})
 		}
@@ -187,10 +168,10 @@ func (p *parser) parse() error {
 	// LIMIT and OFFSET are accepted in either order, each at most once.
 	sawLimit, sawOffset := false, false
 	for {
-		p.ws()
+		p.SkipWS()
 		switch {
-		case !sawLimit && p.keyword("LIMIT"):
-			p.ws()
+		case !sawLimit && p.Keyword("LIMIT"):
+			p.SkipWS()
 			n, err := p.number()
 			if err != nil {
 				return err
@@ -198,8 +179,8 @@ func (p *parser) parse() error {
 			p.q.Limit = int(n)
 			sawLimit = true
 			continue
-		case !sawOffset && p.keyword("OFFSET"):
-			p.ws()
+		case !sawOffset && p.Keyword("OFFSET"):
+			p.SkipWS()
 			n, err := p.number()
 			if err != nil {
 				return err
@@ -210,9 +191,9 @@ func (p *parser) parse() error {
 		}
 		break
 	}
-	p.ws()
-	if p.pos < len(p.src) {
-		return p.errf("trailing input")
+	p.SkipWS()
+	if p.Pos < len(p.Src) {
+		return p.Errorf("trailing input")
 	}
 	return nil
 }
@@ -220,35 +201,35 @@ func (p *parser) parse() error {
 // group parses { elements } where elements are triples blocks, FILTER,
 // OPTIONAL groups, and group-level UNION chains.
 func (p *parser) group() (*Group, error) {
-	if p.peek() != '{' {
-		return nil, p.errf("expected '{'")
+	if p.Peek() != '{' {
+		return nil, p.Errorf("expected '{'")
 	}
-	p.pos++
+	p.Pos++
 	g := &Group{}
 	for {
-		p.ws()
+		p.SkipWS()
 		switch {
-		case p.peek() == '}':
-			p.pos++
+		case p.Peek() == '}':
+			p.Pos++
 			return g, nil
-		case p.keyword("FILTER"):
-			p.ws()
-			if p.peek() != '(' {
-				return nil, p.errf("expected '(' after FILTER")
+		case p.Keyword("FILTER"):
+			p.SkipWS()
+			if p.Peek() != '(' {
+				return nil, p.Errorf("expected '(' after FILTER")
 			}
 			e, err := p.parenExpr()
 			if err != nil {
 				return nil, err
 			}
 			g.Elements = append(g.Elements, Filter{Expr: e})
-		case p.keyword("OPTIONAL"):
-			p.ws()
+		case p.Keyword("OPTIONAL"):
+			p.SkipWS()
 			sub, err := p.group()
 			if err != nil {
 				return nil, err
 			}
 			g.Elements = append(g.Elements, Optional{Group: sub})
-		case p.peek() == '{':
+		case p.Peek() == '{':
 			// Brace-delimited branch: expect a UNION chain.
 			first, err := p.group()
 			if err != nil {
@@ -256,11 +237,11 @@ func (p *parser) group() (*Group, error) {
 			}
 			u := Union{Branches: []*Group{first}}
 			for {
-				p.ws()
-				if !p.keyword("UNION") {
+				p.SkipWS()
+				if !p.Keyword("UNION") {
 					break
 				}
-				p.ws()
+				p.SkipWS()
 				next, err := p.group()
 				if err != nil {
 					return nil, err
@@ -268,8 +249,8 @@ func (p *parser) group() (*Group, error) {
 				u.Branches = append(u.Branches, next)
 			}
 			g.Elements = append(g.Elements, u)
-		case p.pos >= len(p.src):
-			return nil, p.errf("unterminated group")
+		case p.Pos >= len(p.Src):
+			return nil, p.Errorf("unterminated group")
 		default:
 			bgp, err := p.triplesBlock()
 			if err != nil {
@@ -285,50 +266,50 @@ func (p *parser) group() (*Group, error) {
 func (p *parser) triplesBlock() (BGP, error) {
 	var bgp BGP
 	for {
-		p.ws()
+		p.SkipWS()
 		subj, err := p.termOrVar()
 		if err != nil {
 			return bgp, err
 		}
 		for {
-			p.ws()
+			p.SkipWS()
 			pred, err := p.verb()
 			if err != nil {
 				return bgp, err
 			}
 			for {
-				p.ws()
+				p.SkipWS()
 				obj, err := p.termOrVar()
 				if err != nil {
 					return bgp, err
 				}
 				bgp.Patterns = append(bgp.Patterns, TriplePattern{S: subj, P: pred, O: obj})
-				p.ws()
-				if p.peek() == ',' {
-					p.pos++
+				p.SkipWS()
+				if p.Peek() == ',' {
+					p.Pos++
 					continue
 				}
 				break
 			}
-			p.ws()
-			if p.peek() == ';' {
-				p.pos++
-				p.ws()
+			p.SkipWS()
+			if p.Peek() == ';' {
+				p.Pos++
+				p.SkipWS()
 				// A dangling ';' before '.' or '}' is tolerated.
-				if c := p.peek(); c == '.' || c == '}' {
+				if c := p.Peek(); c == '.' || c == '}' {
 					break
 				}
 				continue
 			}
 			break
 		}
-		p.ws()
-		if p.peek() == '.' {
-			p.pos++
-			p.ws()
+		p.SkipWS()
+		if p.Peek() == '.' {
+			p.Pos++
+			p.SkipWS()
 		}
 		// Stop when the next token is not the start of a new triple.
-		c := p.peek()
+		c := p.Peek()
 		if c == '}' || c == '{' || c == 0 ||
 			p.peekKeyword("FILTER") || p.peekKeyword("OPTIONAL") || p.peekKeyword("UNION") {
 			return bgp, nil
@@ -337,216 +318,76 @@ func (p *parser) triplesBlock() (BGP, error) {
 }
 
 func (p *parser) verb() (TermOrVar, error) {
-	if p.peek() == 'a' && p.pos+1 < len(p.src) && isSpaceByte(p.src[p.pos+1]) {
-		p.pos++
+	if p.Peek() == 'a' && p.Pos+1 < len(p.Src) && isSpaceByte(p.Src[p.Pos+1]) {
+		p.Pos++
 		return TermOrVar{Term: rdf.A}, nil
 	}
 	return p.termOrVar()
 }
 
 func (p *parser) termOrVar() (TermOrVar, error) {
-	p.ws()
-	switch c := p.peek(); {
-	case c == '?':
+	p.SkipWS()
+	if p.Peek() == '?' {
 		v, err := p.variable()
-		if err != nil {
-			return TermOrVar{}, err
-		}
-		return TermOrVar{Var: v}, nil
-	case c == '<':
-		iri, err := p.iriRef()
-		if err != nil {
-			return TermOrVar{}, err
-		}
-		return TermOrVar{Term: rdf.NewIRI(iri)}, nil
-	case c == '"':
-		t, err := p.literal()
-		if err != nil {
-			return TermOrVar{}, err
-		}
-		return TermOrVar{Term: t}, nil
-	case c == '+' || c == '-' || c >= '0' && c <= '9':
-		t, err := p.numericLiteral()
-		if err != nil {
-			return TermOrVar{}, err
-		}
-		return TermOrVar{Term: t}, nil
-	case c == '_':
-		return TermOrVar{}, p.errf("blank node patterns are not supported; use a variable")
-	default:
-		t, err := p.pname()
-		if err != nil {
-			return TermOrVar{}, err
-		}
-		return TermOrVar{Term: t}, nil
+		return TermOrVar{Var: v}, err
 	}
+	t, err := p.term()
+	return TermOrVar{Term: t}, err
 }
 
 func (p *parser) variable() (string, error) {
-	if p.peek() != '?' {
-		return "", p.errf("expected variable")
+	if p.Peek() != '?' {
+		return "", p.Errorf("expected variable")
 	}
-	p.pos++
-	start := p.pos
-	for p.pos < len(p.src) && isNameByte(p.src[p.pos]) {
-		p.pos++
+	p.Pos++
+	name := p.name()
+	if name == "" {
+		return "", p.Errorf("empty variable name")
 	}
-	if p.pos == start {
-		return "", p.errf("empty variable name")
-	}
-	return p.src[start:p.pos], nil
+	return name, nil
 }
 
-func (p *parser) iriRef() (string, error) {
-	if p.peek() != '<' {
-		return "", p.errf("expected IRI")
+// term reads an RDF term. SPARQL reads a blank node in a pattern as a
+// variable, which this subset does not do, so it refuses one.
+func (p *parser) term() (rdf.Term, error) {
+	start := p.Pos
+	t, err := p.Term()
+	if err == nil && blankIn(t) {
+		p.Pos = start
+		err = p.Errorf("blank node patterns are not supported; use a variable")
 	}
-	end := strings.IndexByte(p.src[p.pos:], '>')
-	if end < 0 {
-		return "", p.errf("unterminated IRI")
-	}
-	iri := p.src[p.pos+1 : p.pos+end]
-	p.pos += end + 1
-	return iri, nil
+	return t, err
 }
 
-func (p *parser) pname() (rdf.Term, error) {
-	start := p.pos
-	for p.pos < len(p.src) && isNameByte(p.src[p.pos]) {
-		p.pos++
-	}
-	if p.pos >= len(p.src) || p.src[p.pos] != ':' {
-		return rdf.Term{}, p.errf("expected prefixed name")
-	}
-	prefix := p.src[start:p.pos]
-	p.pos++
-	localStart := p.pos
-	for p.pos < len(p.src) && (isNameByte(p.src[p.pos]) || p.src[p.pos] == '.') {
-		p.pos++
-	}
-	// A trailing '.' is a statement terminator, not part of the local name.
-	for p.pos > localStart && p.src[p.pos-1] == '.' {
-		p.pos--
-	}
-	ns, ok := p.q.Prefixes[prefix]
-	if !ok {
-		return rdf.Term{}, p.errf("undeclared prefix %q", prefix)
-	}
-	return rdf.NewIRI(ns + p.src[localStart:p.pos]), nil
-}
-
-func (p *parser) literal() (rdf.Term, error) {
-	// p.peek() == '"'
-	p.pos++
-	var b strings.Builder
-	for {
-		if p.pos >= len(p.src) {
-			return rdf.Term{}, p.errf("unterminated literal")
-		}
-		c := p.src[p.pos]
-		if c == '"' {
-			p.pos++
-			break
-		}
-		if c == '\\' && p.pos+1 < len(p.src) {
-			p.pos++
-			switch p.src[p.pos] {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			default:
-				b.WriteByte(p.src[p.pos])
-			}
-			p.pos++
-			continue
-		}
-		b.WriteByte(c)
-		p.pos++
-	}
-	lex := b.String()
-	if p.peek() == '@' {
-		p.pos++
-		start := p.pos
-		for p.pos < len(p.src) && (isNameByte(p.src[p.pos]) || p.src[p.pos] == '-') {
-			p.pos++
-		}
-		return rdf.NewLangLiteral(lex, p.src[start:p.pos]), nil
-	}
-	if strings.HasPrefix(p.src[p.pos:], "^^") {
-		p.pos += 2
-		var dt rdf.Term
-		var err error
-		if p.peek() == '<' {
-			iri, ierr := p.iriRef()
-			if ierr != nil {
-				return rdf.Term{}, ierr
-			}
-			dt = rdf.NewIRI(iri)
-		} else {
-			dt, err = p.pname()
-			if err != nil {
-				return rdf.Term{}, err
-			}
-		}
-		return rdf.NewTypedLiteral(lex, dt.Value), nil
-	}
-	return rdf.NewLiteral(lex), nil
-}
-
-func (p *parser) numericLiteral() (rdf.Term, error) {
-	start := p.pos
-	if c := p.peek(); c == '+' || c == '-' {
-		p.pos++
-	}
-	hasDot := false
-	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		if c >= '0' && c <= '9' {
-			p.pos++
-		} else if c == '.' && !hasDot && p.pos+1 < len(p.src) && p.src[p.pos+1] >= '0' && p.src[p.pos+1] <= '9' {
-			hasDot = true
-			p.pos++
-		} else {
-			break
-		}
-	}
-	lex := p.src[start:p.pos]
-	if lex == "" || lex == "+" || lex == "-" {
-		return rdf.Term{}, p.errf("malformed number")
-	}
-	if hasDot {
-		return rdf.NewTypedLiteral(lex, rdf.XSDDecimal), nil
-	}
-	return rdf.NewTypedLiteral(lex, rdf.XSDInteger), nil
-}
-
+// number reads a LIMIT or OFFSET count.
 func (p *parser) number() (int64, error) {
-	start := p.pos
-	for p.pos < len(p.src) && p.src[p.pos] >= '0' && p.src[p.pos] <= '9' {
-		p.pos++
+	start := p.Pos
+	if b := p.Peek(); b >= '0' && b <= '9' {
+		if t, err := p.Term(); err == nil && t.Datatype == rdf.XSDInteger {
+			if n, err := strconv.ParseInt(t.Value, 10, 64); err == nil {
+				return n, nil
+			}
+		}
 	}
-	if p.pos == start {
-		return 0, p.errf("expected number")
-	}
-	return strconv.ParseInt(p.src[start:p.pos], 10, 64)
+	p.Pos = start
+	return 0, p.Errorf("expected number")
 }
 
 // parenExpr parses a parenthesized expression.
 func (p *parser) parenExpr() (Expr, error) {
-	if p.peek() != '(' {
-		return nil, p.errf("expected '('")
+	if p.Peek() != '(' {
+		return nil, p.Errorf("expected '('")
 	}
-	p.pos++
+	p.Pos++
 	e, err := p.orExpr()
 	if err != nil {
 		return nil, err
 	}
-	p.ws()
-	if p.peek() != ')' {
-		return nil, p.errf("expected ')'")
+	p.SkipWS()
+	if p.Peek() != ')' {
+		return nil, p.Errorf("expected ')'")
 	}
-	p.pos++
+	p.Pos++
 	return e, nil
 }
 
@@ -556,11 +397,11 @@ func (p *parser) orExpr() (Expr, error) {
 		return nil, err
 	}
 	for {
-		p.ws()
-		if !strings.HasPrefix(p.src[p.pos:], "||") {
+		p.SkipWS()
+		if !strings.HasPrefix(p.Src[p.Pos:], "||") {
 			return l, nil
 		}
-		p.pos += 2
+		p.Pos += 2
 		r, err := p.andExpr()
 		if err != nil {
 			return nil, err
@@ -575,11 +416,11 @@ func (p *parser) andExpr() (Expr, error) {
 		return nil, err
 	}
 	for {
-		p.ws()
-		if !strings.HasPrefix(p.src[p.pos:], "&&") {
+		p.SkipWS()
+		if !strings.HasPrefix(p.Src[p.Pos:], "&&") {
 			return l, nil
 		}
-		p.pos += 2
+		p.Pos += 2
 		r, err := p.cmpExpr()
 		if err != nil {
 			return nil, err
@@ -593,14 +434,14 @@ func (p *parser) cmpExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.ws()
+	p.SkipWS()
 	for _, op := range []string{"!=", "<=", ">=", "=", "<", ">"} {
-		if strings.HasPrefix(p.src[p.pos:], op) {
+		if strings.HasPrefix(p.Src[p.Pos:], op) {
 			// '<' beginning an IRI is not a comparison.
-			if op == "<" && p.looksLikeIRI() {
+			if op == "<" && p.atTerm() {
 				break
 			}
-			p.pos += len(op)
+			p.Pos += len(op)
 			r, err := p.primaryExpr()
 			if err != nil {
 				return nil, err
@@ -611,20 +452,20 @@ func (p *parser) cmpExpr() (Expr, error) {
 	return l, nil
 }
 
-func (p *parser) looksLikeIRI() bool {
-	rest := p.src[p.pos:]
-	end := strings.IndexByte(rest, '>')
-	if end <= 1 {
-		return false
-	}
-	return !strings.ContainsAny(rest[1:end], " \t\n")
+// atTerm reports whether a term, such as an IRI reference, starts at the
+// cursor.
+func (p *parser) atTerm() bool {
+	start := p.Pos
+	_, err := p.Term()
+	p.Pos = start
+	return err == nil
 }
 
 func (p *parser) primaryExpr() (Expr, error) {
-	p.ws()
-	switch c := p.peek(); {
+	p.SkipWS()
+	switch c := p.Peek(); {
 	case c == '!':
-		p.pos++
+		p.Pos++
 		e, err := p.primaryExpr()
 		if err != nil {
 			return nil, err
@@ -638,45 +479,24 @@ func (p *parser) primaryExpr() (Expr, error) {
 			return nil, err
 		}
 		return VarExpr{Name: v}, nil
-	case c == '"':
-		t, err := p.literal()
-		if err != nil {
-			return nil, err
-		}
-		return ConstExpr{Term: t}, nil
-	case c == '<':
-		iri, err := p.iriRef()
-		if err != nil {
-			return nil, err
-		}
-		return ConstExpr{Term: rdf.NewIRI(iri)}, nil
-	case c == '+' || c == '-' || c >= '0' && c <= '9':
-		t, err := p.numericLiteral()
-		if err != nil {
-			return nil, err
-		}
-		return ConstExpr{Term: t}, nil
 	default:
-		// Function call or prefixed name.
-		start := p.pos
-		for p.pos < len(p.src) && isNameByte(p.src[p.pos]) {
-			p.pos++
-		}
-		word := p.src[start:p.pos]
-		p.ws()
-		if p.peek() == '(' {
+		// A function call, or a constant term.
+		start := p.Pos
+		word := p.name()
+		p.SkipWS()
+		if word != "" && p.Peek() == '(' {
 			fn := strings.ToUpper(word)
 			switch fn {
 			case "BOUND", "ISIRI", "ISLITERAL", "ISBLANK", "STR", "LANG", "DATATYPE", "REGEX", "CONTAINS", "STRSTARTS":
 			default:
-				return nil, p.errf("unsupported function %q", word)
+				return nil, p.Errorf("unsupported function %q", word)
 			}
-			p.pos++
+			p.Pos++
 			var args []Expr
 			for {
-				p.ws()
-				if p.peek() == ')' {
-					p.pos++
+				p.SkipWS()
+				if p.Peek() == ')' {
+					p.Pos++
 					break
 				}
 				a, err := p.orExpr()
@@ -684,101 +504,59 @@ func (p *parser) primaryExpr() (Expr, error) {
 					return nil, err
 				}
 				args = append(args, a)
-				p.ws()
-				if p.peek() == ',' {
-					p.pos++
+				p.SkipWS()
+				if p.Peek() == ',' {
+					p.Pos++
 				}
 			}
 			return CallExpr{Func: fn, Args: args}, nil
 		}
-		// Prefixed name constant: rewind and reparse.
-		p.pos = start
-		t, err := p.pname()
-		if err != nil {
-			return nil, err
-		}
-		return ConstExpr{Term: t}, nil
+		p.Pos = start
+		t, err := p.term()
+		return ConstExpr{Term: t}, err
 	}
 }
 
 // Lexical helpers.
 
-func (p *parser) peek() byte {
-	if p.pos >= len(p.src) {
-		return 0
-	}
-	return p.src[p.pos]
-}
-
-func (p *parser) ws() {
-	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		if c == '#' {
-			for p.pos < len(p.src) && p.src[p.pos] != '\n' {
-				p.pos++
-			}
-			continue
-		}
-		if !isSpaceByte(c) {
-			return
-		}
-		p.pos++
-	}
-}
-
-// keyword consumes a case-insensitive keyword followed by a non-name byte.
-func (p *parser) keyword(w string) bool {
-	if len(p.src)-p.pos < len(w) {
-		return false
-	}
-	if !strings.EqualFold(p.src[p.pos:p.pos+len(w)], w) {
-		return false
-	}
-	rest := p.src[p.pos+len(w):]
-	if rest != "" && isNameByte(rest[0]) {
-		return false
-	}
-	p.pos += len(w)
-	return true
-}
-
 func (p *parser) peekKeyword(w string) bool {
-	save := p.pos
-	ok := p.keyword(w)
-	p.pos = save
+	save := p.Pos
+	ok := p.Keyword(w)
+	p.Pos = save
 	return ok
 }
 
 // literalToken consumes an exact string (ignoring internal spacing rules).
 func (p *parser) literalToken(s string) bool {
 	compact := strings.ReplaceAll(s, " ", "")
-	i := p.pos
+	i := p.Pos
 	for _, want := range []byte(compact) {
-		for i < len(p.src) && isSpaceByte(p.src[i]) {
+		for i < len(p.Src) && isSpaceByte(p.Src[i]) {
 			i++
 		}
-		if i >= len(p.src) || p.src[i] != want {
+		if i >= len(p.Src) || p.Src[i] != want {
 			return false
 		}
 		i++
 	}
-	p.pos = i
+	p.Pos = i
 	return true
 }
 
-func (p *parser) until(stop byte) (string, bool) {
-	end := strings.IndexByte(p.src[p.pos:], stop)
-	if end < 0 {
-		return "", false
+// name reads a variable or function name: letters, digits and '_'.
+func (p *parser) name() string {
+	start := p.Pos
+	for p.Pos < len(p.Src) {
+		r, n := rune(p.Src[p.Pos]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRuneInString(p.Src[p.Pos:])
+		}
+		if r != '_' && !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			break
+		}
+		p.Pos += n
 	}
-	out := p.src[p.pos : p.pos+end]
-	p.pos += end
-	return out, true
+	return p.Src[start:p.Pos]
 }
 
 func isSpaceByte(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
-
-func isNameByte(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
-		c == '_' || c >= 0x80 && unicode.IsLetter(rune(c))
-}

@@ -209,6 +209,15 @@ func TestParseErrors(t *testing.T) {
 		`SELECT ?s WHERE { ?s <http://x/p ?o }`,
 		`SELECT (SUM(*) AS ?c) WHERE { ?s ?p ?o }`,
 		`SELECT ?s WHERE { ?s ?p ?o . FILTER(UNKNOWNFN(?o)) }`,
+		// Term syntax outside the grammar is refused, not read as another term.
+		"SELECT ?s WHERE { ?s <http://p> \"line\nbreak\" }",
+		`SELECT ?s WHERE { ?s <http://p> "\q" }`,
+		`SELECT ?s WHERE { ?s <http://p> <http://a b> }`,
+		`SELECT ?s WHERE { ?s <http://p> _:b }`,
+		`SELECT ?s WHERE { ?s <http://p> [] }`,
+		`SELECT ?s WHERE { ?s <http://p> [ <http://q> 1 ] }`,
+		`SELECT ?s WHERE { ?s <http://p> ?o FILTER(?o = _:b) }`,
+		`SELECT ?s WHERE { ?s <http://p> << _:b <http://q> 1 >> }`,
 	}
 	for _, src := range bad {
 		if _, err := sparql.Parse(src); err == nil {

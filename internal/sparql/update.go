@@ -1,9 +1,8 @@
 package sparql
 
 import (
-	"context"
 	"fmt"
-	"strings"
+	"maps"
 
 	"github.com/s3pg/s3pg/internal/rdf"
 	"github.com/s3pg/s3pg/internal/rio"
@@ -25,86 +24,41 @@ const MaxUpdateBytes = 64 << 20
 // semantics, applying the net Delta (deletes, then inserts) leaves the
 // graph exactly where the sequential execution would.
 //
-// The quad blocks use the Turtle subset of the data block grammar
-// (prefixed names, literals, collections, RDF-star quoted triples); GRAPH
-// blocks, WHERE-pattern forms (INSERT/DELETE … WHERE, DELETE WHERE), and
-// LOAD/CLEAR/DROP are out of scope and rejected with a parse error.
-// Blank nodes are forbidden in DELETE DATA, per the SPARQL grammar.
+// A data block is a TriplesTemplate read in place by rio.Cursor: Turtle's
+// triples (prefixed names, literals, collections, RDF-star quoted triples)
+// separated by '.', the last '.' optional. GRAPH blocks, WHERE-pattern
+// forms (INSERT/DELETE … WHERE, DELETE WHERE), and LOAD/CLEAR/DROP are out
+// of scope and rejected with a parse error, which names the request's own
+// line and column. Blank nodes are forbidden in DELETE DATA, per the SPARQL
+// grammar.
 func ParseUpdate(src string) (*rdf.Delta, error) {
 	if len(src) > MaxUpdateBytes {
 		return nil, fmt.Errorf("sparql: update request exceeds %d bytes", MaxUpdateBytes)
 	}
-	u := &updateParser{src: src, readBlock: readTurtleBlock}
-	return u.parse()
-}
-
-// readTurtleBlock parses a data block (its preamble prepended) with the
-// Turtle parser, streaming each statement to emit.
-func readTurtleBlock(src string, emit func(rdf.Triple)) error {
-	return rio.ReadTurtleWith(context.Background(), src, rio.Options{}, emit)
+	return newUpdateParser(src).parse()
 }
 
 type updateParser struct {
-	src string
-	pos int
-	// preamble accumulates the PREFIX/BASE declarations seen so far, verbatim;
-	// they are replayed ahead of every data block (the Turtle parser accepts
-	// the SPARQL spelling natively). Per the SPARQL grammar a declaration may
-	// also appear between operations and scopes to the rest of the request.
-	preamble strings.Builder
-	// readBlock parses one data block, emitting its statements in order.
-	readBlock func(src string, emit func(rdf.Triple)) error
+	rio.Cursor
+	// readBlock reads a data block's statements, the cursor past its '{',
+	// handing them to emit in order: triplesTemplate streams them, and the
+	// tests' oracle collects each block into a graph first.
+	readBlock func(u *updateParser, emit func(rdf.Triple)) error
 }
 
-func (u *updateParser) errf(format string, args ...any) error {
-	start := u.pos - 20
-	if start < 0 {
-		start = 0
+func newUpdateParser(src string) *updateParser {
+	return &updateParser{
+		Cursor:    rio.Cursor{Src: src, Prefixes: map[string]string{}},
+		readBlock: (*updateParser).triplesTemplate,
 	}
-	end := u.pos + 20
-	if end > len(u.src) {
-		end = len(u.src)
-	}
-	return fmt.Errorf("sparql: update: %s (near %q)", fmt.Sprintf(format, args...), u.src[start:end])
 }
 
-// ws skips whitespace and '#' comments.
-func (u *updateParser) ws() {
-	for u.pos < len(u.src) {
-		c := u.src[u.pos]
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			u.pos++
-		case c == '#':
-			for u.pos < len(u.src) && u.src[u.pos] != '\n' {
-				u.pos++
-			}
-		default:
-			return
+func (u *updateParser) parse() (_ *rdf.Delta, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("sparql: update: %w", err)
 		}
-	}
-}
-
-// keyword consumes kw case-insensitively when it appears at the cursor as a
-// whole word.
-func (u *updateParser) keyword(kw string) bool {
-	if u.pos+len(kw) > len(u.src) {
-		return false
-	}
-	if !strings.EqualFold(u.src[u.pos:u.pos+len(kw)], kw) {
-		return false
-	}
-	if end := u.pos + len(kw); end < len(u.src) {
-		if c := u.src[end]; c == '_' || c == ':' ||
-			'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' {
-			return false
-		}
-	}
-	u.pos += len(kw)
-	return true
-}
-
-func (u *updateParser) parse() (*rdf.Delta, error) {
+	}()
 	// The sequential operations fold into a last-op-wins table keyed by each
 	// triple's N-Triples form; the table keeps first appearances in order, so
 	// the resulting Delta is deterministic for a given request.
@@ -128,28 +82,23 @@ func (u *updateParser) parse() (*rdf.Delta, error) {
 	}
 	ops := 0
 	for {
-		u.ws()
-		if u.pos >= len(u.src) {
+		u.SkipWS()
+		if u.Pos >= len(u.Src) {
 			break
 		}
+		if u.Peek() != '@' { // Turtle's spelling, not SPARQL's
+			if ok, err := u.Directive(); err != nil {
+				return nil, err
+			} else if ok {
+				continue
+			}
+		}
 		switch {
-		case u.keyword("PREFIX"):
-			if err := u.declaration("PREFIX", true); err != nil {
-				return nil, err
-			}
-		case u.keyword("BASE"):
-			if err := u.declaration("BASE", false); err != nil {
-				return nil, err
-			}
-		case u.keyword("INSERT"):
+		case u.Keyword("INSERT"):
 			if err := u.dataBlock("INSERT", func(t rdf.Triple) { record(t, true) }); err != nil {
 				return nil, err
 			}
-			ops++
-			if err := u.operationSeparator(); err != nil {
-				return nil, err
-			}
-		case u.keyword("DELETE"):
+		case u.Keyword("DELETE"):
 			var blank rdf.Triple // the block's first statement with a blank node
 			if err := u.dataBlock("DELETE", func(t rdf.Triple) {
 				if blank.S.IsZero() && hasBlank(t) {
@@ -160,18 +109,18 @@ func (u *updateParser) parse() (*rdf.Delta, error) {
 				return nil, err
 			}
 			if !blank.S.IsZero() {
-				return nil, fmt.Errorf("sparql: update: blank nodes are not allowed in DELETE DATA: %v", blank)
-			}
-			ops++
-			if err := u.operationSeparator(); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("blank nodes are not allowed in DELETE DATA: %v", blank)
 			}
 		default:
-			return nil, u.errf("expected PREFIX, BASE, INSERT DATA or DELETE DATA")
+			return nil, u.Errorf("expected PREFIX, BASE, INSERT DATA or DELETE DATA")
+		}
+		ops++
+		if err := u.operationSeparator(); err != nil {
+			return nil, err
 		}
 	}
 	if ops == 0 {
-		return nil, fmt.Errorf("sparql: update: no INSERT DATA / DELETE DATA operation")
+		return nil, fmt.Errorf("no INSERT DATA / DELETE DATA operation")
 	}
 	delta := &rdf.Delta{}
 	for _, op := range net {
@@ -184,165 +133,83 @@ func (u *updateParser) parse() (*rdf.Delta, error) {
 	return delta, nil
 }
 
-// declaration consumes the remainder of a PREFIX/BASE declaration (the
-// keyword is already consumed) and records it verbatim for the block parses.
-func (u *updateParser) declaration(kw string, withName bool) error {
-	start := u.pos
-	u.ws()
-	if withName {
-		for u.pos < len(u.src) && u.src[u.pos] != ':' {
-			if c := u.src[u.pos]; c == ' ' && strings.TrimSpace(u.src[start:u.pos]) != "" {
-				return u.errf("malformed %s name", kw)
-			} else if c == '<' || c == '\n' {
-				return u.errf("malformed %s declaration", kw)
-			}
-			u.pos++
-		}
-		if u.pos >= len(u.src) {
-			return u.errf("unterminated %s declaration", kw)
-		}
-		u.pos++ // ':'
-	}
-	u.ws()
-	if u.pos >= len(u.src) || u.src[u.pos] != '<' {
-		return u.errf("%s expects an IRI reference", kw)
-	}
-	end := strings.IndexByte(u.src[u.pos:], '>')
-	if end < 0 {
-		return u.errf("unterminated IRI in %s declaration", kw)
-	}
-	u.pos += end + 1
-	u.preamble.WriteString(kw)
-	u.preamble.WriteString(u.src[start:u.pos])
-	u.preamble.WriteByte('\n')
-	return nil
-}
-
-// dataBlock consumes "DATA { … }" after INSERT/DELETE and parses the block
-// body as Turtle under the accumulated preamble, handing each statement to
-// emit in document order.
+// dataBlock consumes "DATA { … }" after INSERT/DELETE, handing each
+// statement of the block to emit in document order.
 func (u *updateParser) dataBlock(verb string, emit func(rdf.Triple)) error {
-	u.ws()
-	if !u.keyword("DATA") {
-		return u.errf("%s must be followed by DATA (pattern-based updates are not supported)", verb)
+	u.SkipWS()
+	if !u.Keyword("DATA") {
+		return u.Errorf("%s must be followed by DATA (pattern-based updates are not supported)", verb)
 	}
-	u.ws()
-	if u.pos >= len(u.src) || u.src[u.pos] != '{' {
-		return u.errf("%s DATA expects '{'", verb)
+	u.SkipWS()
+	if !u.Eat('{') {
+		return u.Errorf("%s DATA expects '{'", verb)
 	}
-	u.pos++
-	if mark := u.pos; func() bool { u.ws(); return u.keyword("GRAPH") }() {
-		// blockBody would reject the nested brace anyway; give the common
-		// named-graph form a precise error instead of a generic one.
-		return fmt.Errorf("sparql: update: GRAPH blocks are not supported (the service owns one default graph)")
-	} else {
-		u.pos = mark
+	u.SkipWS()
+	if start := u.Pos; u.Keyword("GRAPH") {
+		u.Pos = start
+		return u.Errorf("GRAPH blocks are not supported (the service owns one default graph)")
 	}
-	body, err := u.blockBody()
-	if err != nil {
-		return err
-	}
-	if err := u.readBlock(u.preamble.String()+body, emit); err != nil {
-		return fmt.Errorf("sparql: update: %s DATA block: %w", verb, err)
+	if err := u.readBlock(u, emit); err != nil {
+		return fmt.Errorf("%s DATA block: %w", verb, err)
 	}
 	return nil
 }
 
-// blockBody consumes up to the matching '}' (the cursor sits just past the
-// opening brace) and returns the body. String literals in both quote styles
-// (short and long), IRI references, and comments are skipped opaquely so a
-// '}' inside them does not close the block.
-func (u *updateParser) blockBody() (string, error) {
-	start := u.pos
-	for u.pos < len(u.src) {
-		switch c := u.src[u.pos]; c {
-		case '}':
-			body := u.src[start:u.pos]
-			u.pos++
-			return body, nil
-		case '{':
-			return "", u.errf("nested '{' inside a data block")
-		case '"', '\'':
-			if err := u.skipString(c); err != nil {
-				return "", err
-			}
-		case '<':
-			// IRI reference: skip to '>' on the same line. "<<" (quoted
-			// triple) is plain syntax with no embeddable '}' and needs no
-			// special casing beyond not treating it as an IRI.
-			if u.pos+1 < len(u.src) && u.src[u.pos+1] == '<' {
-				u.pos += 2
-				continue
-			}
-			end := strings.IndexByte(u.src[u.pos:], '>')
-			if end < 0 {
-				return "", u.errf("unterminated IRI in data block")
-			}
-			u.pos += end + 1
-		case '#':
-			for u.pos < len(u.src) && u.src[u.pos] != '\n' {
-				u.pos++
-			}
-		default:
-			u.pos++
-		}
-	}
-	return "", u.errf("unterminated data block (missing '}')")
-}
-
-// skipString advances past a short or long string literal opened by quote.
-func (u *updateParser) skipString(quote byte) error {
-	long := strings.HasPrefix(u.src[u.pos:], strings.Repeat(string(quote), 3))
-	if long {
-		u.pos += 3
-		end := strings.Index(u.src[u.pos:], strings.Repeat(string(quote), 3))
-		if end < 0 {
-			return u.errf("unterminated long string in data block")
-		}
-		u.pos += end + 3
-		return nil
-	}
-	u.pos++
-	for u.pos < len(u.src) {
-		switch u.src[u.pos] {
-		case '\\':
-			u.pos += 2
-		case quote:
-			u.pos++
+// triplesTemplate reads a block's statements up to and past its '}'. It
+// reads them with a cursor of its own, so that each block numbers its
+// anonymous blank nodes from 1 and a PREFIX or BASE inside a block holds for
+// that block only.
+func (u *updateParser) triplesTemplate(emit func(rdf.Triple)) error {
+	blk := rio.Cursor{Src: u.Src, Pos: u.Pos, Prefixes: u.Prefixes, Base: u.Base}
+	defer func() { u.Pos = blk.Pos }()
+	own := false // whether blk.Prefixes is the block's own copy
+	for {
+		blk.SkipWS()
+		switch {
+		case blk.Pos >= len(blk.Src):
+			return blk.Errorf("unterminated data block (missing '}')")
+		case blk.Eat('}'):
 			return nil
-		case '\n':
-			return u.errf("newline in short string in data block")
-		default:
-			u.pos++
+		}
+		if probe := (rio.Cursor{Src: blk.Src, Pos: blk.Pos}); !own &&
+			(probe.Eat('@') || probe.Keyword("PREFIX")) {
+			blk.Prefixes, own = maps.Clone(blk.Prefixes), true
+		}
+		if ok, err := blk.Directive(); err != nil {
+			return err
+		} else if ok {
+			continue
+		}
+		if err := blk.Triples(emit); err != nil {
+			return err
+		}
+		blk.SkipWS()
+		if b := blk.Peek(); !blk.Eat('.') && b != '}' && blk.Pos < len(blk.Src) {
+			return blk.Errorf("expected '.' or '}' after a statement")
 		}
 	}
-	return u.errf("unterminated string in data block")
 }
 
 // operationSeparator enforces the grammar between operations: either a ';'
 // (a trailing one before end of input is allowed) or a clean end of input.
 func (u *updateParser) operationSeparator() error {
-	u.ws()
-	if u.pos >= len(u.src) {
-		return nil
+	u.SkipWS()
+	if u.Pos < len(u.Src) && !u.Eat(';') {
+		return u.Errorf("expected ';' between update operations")
 	}
-	if u.src[u.pos] != ';' {
-		return u.errf("expected ';' between update operations")
-	}
-	u.pos++
 	return nil
 }
 
 // hasBlank reports whether any position of the triple (descending into
 // quoted triples) is a blank node.
-func hasBlank(t rdf.Triple) bool {
-	for _, term := range []rdf.Term{t.S, t.O} {
-		if term.IsBlank() {
-			return true
-		}
-		if inner, ok := term.AsTriple(); ok && hasBlank(inner) {
-			return true
-		}
+func hasBlank(t rdf.Triple) bool { return blankIn(t.S) || blankIn(t.O) }
+
+// blankIn reports whether the term is a blank node or a quoted triple that
+// holds one.
+func blankIn(t rdf.Term) bool {
+	if t.Kind != rdf.TripleTerm {
+		return t.IsBlank()
 	}
-	return false
+	inner, ok := t.AsTriple()
+	return ok && hasBlank(inner)
 }

@@ -1,21 +1,19 @@
 package sparql
 
 import (
-	"context"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/s3pg/s3pg/internal/rdf"
-	"github.com/s3pg/s3pg/internal/rio"
 )
 
-// graphBlock is the data-block reader the oracle uses: the block parsed into
-// a graph of its own and its statements read back out of it, in admission
-// order, each once.
-func graphBlock(src string, emit func(rdf.Triple)) error {
-	g, err := rio.ParseTurtleWith(context.Background(), src, rio.Options{})
-	if err != nil {
+// graphBlock is the data-block reader the oracle uses: the block collected
+// into a graph of its own and its statements read back out of it, in
+// admission order, each once.
+func graphBlock(u *updateParser, emit func(rdf.Triple)) error {
+	g := rdf.NewGraph()
+	if err := u.triplesTemplate(func(t rdf.Triple) { g.Add(t) }); err != nil {
 		return err
 	}
 	for _, t := range g.Triples() {
@@ -29,7 +27,9 @@ func graphBlock(src string, emit func(rdf.Triple)) error {
 func checkAgainstGraphOracle(t *testing.T, src string) {
 	t.Helper()
 	got, gerr := ParseUpdate(src)
-	want, werr := (&updateParser{src: src, readBlock: graphBlock}).parse()
+	oracle := newUpdateParser(src)
+	oracle.readBlock = graphBlock
+	want, werr := oracle.parse()
 	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
 		t.Fatalf("%q: error %v, graph oracle %v", src, gerr, werr)
 	}
@@ -72,6 +72,9 @@ func FuzzParseUpdate(f *testing.F) {
 	f.Add("INSERT DATA { " + strings.Repeat("<<", 200))
 	f.Add("DELETE DATA { _:b <http://p> <http://o> . }")
 	f.Add(";;;")
+	f.Add("INSERT DATA { <http://s> <http://p> <http://o> }")
+	f.Add("PREFIX ex: <http://example.org/>\nINSERT DATA { ex:a ex:p 'x' ; ex:q ex:café } ; DELETE DATA { ex:a ex:p 'y' }")
+	f.Add("INSERT DATA { <http://s> <http://p> '''multi\nline''' , 'it\\'s' , \"caf\\u00E9\" }")
 	for _, src := range updateOracleSeeds {
 		f.Add(src)
 	}
