@@ -88,7 +88,8 @@ verify:
 # replaced, the /query JSON writer against encoding/json, a spilled
 # graph under random Add/Remove/Spill/Clone schedules against a twin that
 # never spilled, a live graph edited in place under random update scripts
-# against a twin that rebuilds on every batch, the property-graph store under
+# against a twin that rebuilds on every batch, both twins' change records
+# against a direct diff of the stores, the property-graph store under
 # random mutator/Clone/Resequence scripts against its map-based model,
 # pg.LoadCSV on arbitrary bytes, the CSV row encoder against
 # encoding/csv over the same fields, read back by pg.LoadCSV, and the WAL's

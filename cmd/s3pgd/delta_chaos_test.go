@@ -142,8 +142,8 @@ func fetchGraphStream(t *testing.T, d *daemon, id string, from uint64) ([]*core.
 	sc.Buffer(make([]byte, 1<<20), 64<<20)
 	for sc.Scan() {
 		line := append([]byte(nil), sc.Bytes()...)
-		pd, err := core.DecodePGDelta(line)
-		if err != nil {
+		pd := &core.PGDelta{}
+		if err := json.Unmarshal(line, pd); err != nil {
 			t.Fatalf("stream record: %v\n%s", err, line)
 		}
 		recs = append(recs, pd)
@@ -179,8 +179,8 @@ func followGraph(d *daemon, id string) *follower {
 		sc.Buffer(make([]byte, 1<<20), 64<<20)
 		for sc.Scan() {
 			line := append([]byte(nil), sc.Bytes()...)
-			pd, err := core.DecodePGDelta(line)
-			if err != nil {
+			pd := &core.PGDelta{}
+			if err := json.Unmarshal(line, pd); err != nil {
 				return // torn tail of a killed connection
 			}
 			f.mu.Lock()

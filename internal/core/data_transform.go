@@ -183,9 +183,6 @@ func (t *Transformer) foldPending() {
 	t.pending = nil
 }
 
-// Mode returns the transformation mode.
-func (t *Transformer) Mode() Mode { return t.mode }
-
 // SetLenient switches the degradation policy on or off. With it on, Apply
 // keeps transforming dirty inputs: untyped subjects get the GenericClass
 // label, literal rdf:type objects are string-coerced into ordinary property
@@ -193,9 +190,6 @@ func (t *Transformer) Mode() Mode { return t.mode }
 // quoted triples, malformed annotations) are skipped — each case recorded as
 // a degradation and counted in the core.transform.degraded counter.
 func (t *Transformer) SetLenient(on bool) { t.lenient = on }
-
-// Lenient reports whether the degradation policy is active.
-func (t *Transformer) Lenient() bool { return t.lenient }
 
 // DegradedCount returns how many statements were degraded or skipped.
 func (t *Transformer) DegradedCount() int64 { return t.degradedCount }
@@ -214,9 +208,6 @@ func (t *Transformer) Store() *pg.Store { return t.store }
 
 // Schema returns the PG-Schema (possibly extended by fallback routes).
 func (t *Transformer) Schema() *pgschema.Schema { return t.mapping.Schema() }
-
-// Mapping returns the F_st correspondence table.
-func (t *Transformer) Mapping() *Mapping { return t.mapping }
 
 // Apply converts the triples of g into the property graph. Calling it on an
 // initial graph performs the full transformation; calling it again on a
@@ -405,8 +396,11 @@ func (t *Transformer) applyAnnotation(tr rdf.Triple) error {
 	eid, ok := t.edgeOf[tr.S]
 	if !ok {
 		base, _ := tr.S.AsTriple()
-		return fmt.Errorf("core: annotated statement %v is not realized as an edge "+
-			"(missing from the data, or key/value-routed — use the non-parsimonious mode)", base)
+		cause := "missing from the data, or key/value-routed — use the non-parsimonious mode"
+		if t.mode == NonParsimonious {
+			cause = "missing from the data"
+		}
+		return fmt.Errorf("core: annotated statement %v is not realized as an edge (%s)", base, cause)
 	}
 	if !tr.O.IsLiteral() || tr.O.Lang != "" {
 		return fmt.Errorf("core: annotation value %v must be a plain or typed literal", tr.O)

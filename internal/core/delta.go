@@ -4,9 +4,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -105,11 +105,6 @@ type PGDelta struct {
 	SchemaDDL string `json:"schema_ddl,omitempty"`
 }
 
-// Empty reports whether the batch had no property-graph effect.
-func (d *PGDelta) Empty() bool {
-	return len(d.Nodes) == 0 && len(d.Edges) == 0 && d.SchemaDDL == ""
-}
-
 // Encode appends the delta's canonical JSON (one line, no trailing newline)
 // to dst: byte for byte what json.Marshal makes of it — struct field order,
 // omitempty, HTML-safe string escaping — written straight from the fields.
@@ -178,15 +173,6 @@ func listSep(i int) string {
 		return "["
 	}
 	return ","
-}
-
-// DecodePGDelta parses an Encode result.
-func DecodePGDelta(b []byte) (*PGDelta, error) {
-	d := &PGDelta{}
-	if err := json.Unmarshal(b, d); err != nil {
-		return nil, fmt.Errorf("core: decode pg delta: %w", err)
-	}
-	return d, nil
 }
 
 // Digest returns the SHA-256 of the canonical encoding — the replay
@@ -290,9 +276,6 @@ func (s *DeltaState) Store() *pg.Store { return s.t.Store() }
 // SchemaDDL returns the current (possibly data-extended) PG-Schema DDL.
 func (s *DeltaState) SchemaDDL() string { return s.ddl }
 
-// Mode returns the transformation mode.
-func (s *DeltaState) Mode() Mode { return s.mode }
-
 // WriteCSV exports the maintained property graph in the bulk CSV format; a
 // nil writer's file is not rendered.
 func (s *DeltaState) WriteCSV(nodeW, edgeW io.Writer) error {
@@ -336,9 +319,11 @@ type removal struct {
 // deleted or added to a known resource, the first use of a schema extension
 // deleted, an RDF-star annotation anywhere — is answered by Prop. 4.1
 // (invertibility: the retained RDF graph determines the property graph
-// exactly): the state is recomputed from the live graph and the effect
-// emitted as a diff. Both paths produce output, and a PGDelta, byte-identical
-// to what a from-scratch transform of the final graph gives.
+// exactly): the state is recomputed from the live graph. Both paths produce
+// output byte-identical to what a from-scratch transform of the final graph
+// gives, and one emitter words the PGDelta of both: the net effect of what a
+// batch took away from the store and what it appended. A batch that deletes
+// an annotated statement but keeps the annotation is refused.
 func (s *DeltaState) ApplyDelta(d *rdf.Delta) (*PGDelta, error) {
 	cDeltaBatches.Inc()
 	for _, tr := range d.Inserts {
@@ -396,6 +381,14 @@ func (s *DeltaState) ApplyDelta(d *rdf.Delta) (*PGDelta, error) {
 		return nil
 	}
 
+	if s.quoted > 0 {
+		for _, r := range removed {
+			if err := s.keepsAnnotation(r.tr); err != nil {
+				return nil, rejected(err, rollback)
+			}
+		}
+	}
+
 	var es *editScript
 	reason := reasonForced
 	switch {
@@ -411,6 +404,21 @@ func (s *DeltaState) ApplyDelta(d *rdf.Delta) (*PGDelta, error) {
 	return s.applyInPlace(es, added, nPre, rollback)
 }
 
+// keepsAnnotation refuses a deleted statement the live graph still
+// annotates: the annotation would have no edge to be a property of.
+func (s *DeltaState) keepsAnnotation(stmt rdf.Triple) error {
+	q, err := rdf.NewTripleTerm(stmt)
+	if err != nil || s.g.Has(stmt) {
+		return nil
+	}
+	var kept error
+	s.g.Match(&q, nil, nil, func(ann rdf.Triple) bool {
+		kept = fmt.Errorf("core: the batch deletes the annotated statement %v but keeps its annotation %v", stmt, ann)
+		return false
+	})
+	return kept
+}
+
 // rejected rolls the graph back and words the rejection.
 func rejected(err error, rollback func() error) error {
 	cDeltaRejected.Inc()
@@ -423,17 +431,36 @@ func rejected(err error, rollback func() error) error {
 }
 
 // rebuild recomputes the transformation of the live graph from the base
-// shapes and replaces the state, emitting the old→new difference. A strict-
-// mode rejection (an orphaned annotation after its statement was deleted, a
+// shapes and replaces the state; its change records take the whole old store
+// away and append the whole new one, so emit nets them to the difference. A
+// strict-mode rejection (an annotation of a statement the graph lacks, a
 // malformed annotation value, …) rolls the graph back and leaves the previous
-// state untouched. It is the fallback of the in-place path, its recovery, and
-// the oracle the differential tests hold it to.
+// state untouched. It is the fallback of the in-place path and its recovery.
 func (s *DeltaState) rebuild(reason string, rollback func() error) (*PGDelta, error) {
 	nt, err := s.retransform()
 	if err != nil {
 		return nil, rejected(err, rollback)
 	}
-	delta, keys, err := diffTransformers(s.t, s.keys, nt)
+	// The old key table is short when the old store is an in-place edit that
+	// was given up half way.
+	oldKeys, err := nodeKeys(s.t, s.keys)
+	if err != nil {
+		return nil, err
+	}
+	old := s.t.store
+	ne := &netEffect{old: old, oldKeys: oldKeys,
+		gone: make([]pg.NodeID, old.NumNodes()), dropped: make([]pg.EdgeID, old.NumEdges())}
+	for i := range ne.gone {
+		ne.gone[i] = pg.NodeID(i)
+	}
+	for i := range ne.dropped {
+		ne.dropped[i] = pg.EdgeID(i)
+	}
+	keys, err := nodeKeys(nt, nil)
+	if err != nil {
+		return nil, err
+	}
+	delta, err := ne.emit(nt.store, keys, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -700,13 +727,17 @@ func (s *DeltaState) kvEntry(sn pg.Node, tr rdf.Triple) (kvRemoval, bool) {
 	return kvRemoval{}, false
 }
 
-// netEffect is what an in-place batch takes away and may change, recorded
-// before it writes: the delta is the net effect, so a node or an edge that
-// goes and comes back the same is no change.
+// netEffect is the removed side of a batch's change records and the records
+// it may change, taken before it writes. The removed nodes and edges are read
+// from old, the store as the batch found it, with its key table: the in-place
+// path leaves what it drops there, untouched, until the records are out, and
+// a rebuild takes away the whole of the store it replaces.
 type netEffect struct {
-	gone    map[string]NodeChange // the dropped nodes, by key
-	edges   map[edgeIdent]int     // count changes per edge identity
-	touched []nodeSnap            // the nodes key/value entries leave or join: the batch's subjects
+	old     *pg.Store
+	oldKeys []string
+	gone    []pg.NodeID // the nodes taken away
+	dropped []pg.EdgeID // the edges taken away
+	touched []nodeSnap  // the nodes key/value entries leave or join: the batch's subjects
 }
 
 // nodeSnap is a node's encoded record before a batch wrote to it.
@@ -719,23 +750,10 @@ type nodeSnap struct {
 // store has them now. It writes nothing.
 func (s *DeltaState) effectBefore(es *editScript, added []rdf.Triple) (*netEffect, error) {
 	store := s.t.store
-	ne := &netEffect{gone: make(map[string]NodeChange, len(es.dropNodes)), edges: make(map[edgeIdent]int)}
+	ne := &netEffect{old: store, oldKeys: s.keys, gone: es.dropNodes, dropped: es.dropEdges}
 	seen := make(map[pg.NodeID]bool)
 	for _, id := range es.dropNodes {
-		n := store.Node(id)
-		props, err := n.EncodeProps()
-		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", id, err)
-		}
-		ne.gone[s.keys[id]] = NodeChange{Op: OpDelete, Key: s.keys[id], Labels: n.Labels(), Props: props}
 		seen[id] = true
-	}
-	for _, id := range es.dropEdges {
-		ident, err := identOf(store.Edge(id), s.keys)
-		if err != nil {
-			return nil, err
-		}
-		ne.edges[ident]--
 	}
 	touch := func(id pg.NodeID) error {
 		if seen[id] {
@@ -787,7 +805,12 @@ func (s *DeltaState) applyInPlace(es *editScript, added []rdf.Triple, nPre int, 
 	for _, r := range es.kv {
 		t.store.RemovePropValue(r.node, r.key, r.value)
 	}
-	delta, err := s.appendAndEmit(ne, added, nPre, es.newTyped)
+	n0, e0 := len(s.keys), t.store.NumEdges()
+	var delta *PGDelta
+	err = s.appendTriples(added, nPre, es.newTyped)
+	if err == nil {
+		delta, err = ne.emit(t.store, s.keys, n0, e0)
+	}
 	if err != nil {
 		err = rejected(err, rollback)
 		if _, rerr := s.rebuild(reasonApplyError, nil); rerr != nil {
@@ -826,13 +849,11 @@ func (s *DeltaState) applyInPlace(es *editScript, added []rdf.Triple, nPre int, 
 	return delta, nil
 }
 
-// appendAndEmit applies the batch's new triples to the edited store and
-// returns the net effect of the batch. Ids are still the pre-batch ones, with
-// what was appended after them.
-func (s *DeltaState) appendAndEmit(ne *netEffect, added []rdf.Triple, nPre, newTyped int) (*PGDelta, error) {
+// appendTriples applies the batch's new triples to the edited store and
+// extends the key table over the nodes they create. Ids are still the
+// pre-batch ones, with what was appended after them.
+func (s *DeltaState) appendTriples(added []rdf.Triple, nPre, newTyped int) error {
 	t := s.t
-	store := t.store
-	n0, e0 := len(s.keys), store.NumEdges()
 	if len(added) > 0 {
 		dg := rdf.NewGraph()
 		for _, tr := range added {
@@ -840,59 +861,112 @@ func (s *DeltaState) appendAndEmit(ne *netEffect, added []rdf.Triple, nPre, newT
 		}
 		t.slotBase = nPre
 		if err := t.Apply(dg); err != nil {
-			return nil, err
+			return err
 		}
 		if t.typedNodes != newTyped {
-			return nil, fmt.Errorf("core: delta: phase 1 created %d entities, the plan has %d", t.typedNodes, newTyped)
+			return fmt.Errorf("core: delta: phase 1 created %d entities, the plan has %d", t.typedNodes, newTyped)
 		}
 	}
 	keys, err := nodeKeys(t, s.keys)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.keys = keys
+	return nil
+}
 
+// emit returns the net effect of a batch that left store, with the key table
+// keys: the touched records that changed, and the removed side against the
+// appended one — every node from n0 and every edge from e0 on. A node or an
+// edge that goes and comes back the same is no change.
+func (ne *netEffect) emit(store *pg.Store, keys []string, n0, e0 int) (*PGDelta, error) {
 	delta := &PGDelta{}
+	var err error // the first record that could not be encoded
+	encode := func(what string, id uint32, r interface{ EncodeProps() (string, error) }) string {
+		props, e := r.EncodeProps()
+		if e != nil && err == nil {
+			err = fmt.Errorf("core: delta: %s %d: %w", what, id, e)
+		}
+		return props
+	}
+	nodeProps := func(n pg.Node) string { return encode("node", uint32(n.ID), n) }
 	for _, sn := range ne.touched {
 		n := store.Node(sn.id)
-		props, err := n.EncodeProps()
-		if err != nil {
-			return nil, fmt.Errorf("core: delta: node %d: %w", sn.id, err)
-		}
-		if props != sn.props {
-			delta.Nodes = append(delta.Nodes, NodeChange{
-				Op: OpUpdate, Key: keys[sn.id], Labels: n.Labels(), Props: props,
-			})
+		if props := nodeProps(n); props != sn.props {
+			delta.Nodes = append(delta.Nodes, NodeChange{Op: OpUpdate, Key: keys[sn.id], Labels: n.Labels(), Props: props})
 		}
 	}
+
+	// post gives a removed node its id in store: that of the appended node
+	// with its key, or else one of its own, which keyOf resolves — its old id
+	// when store is the one it was in, an id past store's nodes when not.
+	byKey := make(map[string]int, len(ne.gone))
+	for i, id := range ne.gone {
+		byKey[ne.oldKeys[id]] = i
+	}
+	post := make(map[pg.NodeID]pg.NodeID, len(ne.gone))
 	for id := n0; id < store.NumNodes(); id++ {
-		n := store.Node(pg.NodeID(id))
-		props, err := n.EncodeProps()
-		if err != nil {
-			return nil, fmt.Errorf("core: delta: node %d: %w", id, err)
-		}
-		nc := NodeChange{Op: OpCreate, Key: keys[id], Labels: n.Labels(), Props: props}
-		if was, back := ne.gone[nc.Key]; back {
-			delete(ne.gone, nc.Key)
-			if was.Props == props && sameLabels(was.Labels, nc.Labels) {
+		n, op := store.Node(pg.NodeID(id)), OpCreate
+		if i, back := byKey[keys[id]]; back {
+			was := ne.old.Node(ne.gone[i])
+			post[was.ID], op = n.ID, OpUpdate
+			if slices.Equal(was.Labels(), n.Labels()) && (sameProps(was, n) || nodeProps(was) == nodeProps(n)) {
 				continue
 			}
-			nc.Op = OpUpdate
 		}
-		delta.Nodes = append(delta.Nodes, nc)
+		delta.Nodes = append(delta.Nodes, NodeChange{Op: op, Key: keys[id], Labels: n.Labels(), Props: nodeProps(n)})
 	}
-	for _, nc := range ne.gone {
-		delta.Nodes = append(delta.Nodes, nc)
+	for i, id := range ne.gone {
+		if _, back := post[id]; back {
+			continue
+		}
+		if ne.old != store {
+			post[id] = pg.NodeID(len(keys) + i)
+		}
+		was := ne.old.Node(id)
+		delta.Nodes = append(delta.Nodes, NodeChange{Op: OpDelete, Key: ne.oldKeys[id], Labels: was.Labels(), Props: nodeProps(was)})
+	}
+	keyOf := func(id pg.NodeID) string {
+		if int(id) < len(keys) {
+			return keys[id]
+		}
+		return ne.oldKeys[ne.gone[int(id)-len(keys)]]
+	}
+
+	// An edge is counted by its label, its record and its ends as ids in
+	// store: a removed edge's ends renamed by post.
+	type edgeIdent struct {
+		from, to     pg.NodeID
+		label, props string
+	}
+	counts := make(map[edgeIdent]int, len(ne.dropped))
+	count := func(e pg.Edge, rename map[pg.NodeID]pg.NodeID, by int) {
+		ident := edgeIdent{e.From, e.To, e.Label(), encode("edge", uint32(e.ID), e)}
+		if id, ok := rename[e.From]; ok {
+			ident.from = id
+		}
+		if id, ok := rename[e.To]; ok {
+			ident.to = id
+		}
+		counts[ident] += by
+	}
+	for _, id := range ne.dropped {
+		count(ne.old.Edge(id), post, -1)
 	}
 	for id := e0; id < store.NumEdges(); id++ {
-		ident, err := identOf(store.Edge(pg.EdgeID(id)), keys)
-		if err != nil {
-			return nil, err
-		}
-		ne.edges[ident]++
+		count(store.Edge(pg.EdgeID(id)), nil, 1)
 	}
-	delta.Edges = edgeChanges(ne.edges)
-	return delta, nil
+	for ident, n := range counts {
+		ec := EdgeChange{Op: OpCreate, From: keyOf(ident.from), Label: ident.label, To: keyOf(ident.to), Props: ident.props, Count: n}
+		switch {
+		case n < 0:
+			ec.Op, ec.Count = OpDelete, -n
+		case n == 0:
+			continue
+		}
+		delta.Edges = append(delta.Edges, ec)
+	}
+	return delta, err
 }
 
 // stampSchema renders the schema and records it in the delta when the batch
@@ -934,37 +1008,6 @@ func (delta *PGDelta) canonicalize() {
 	})
 }
 
-// edgeChanges turns multiset count changes per edge identity into entries.
-func edgeChanges(counts map[edgeIdent]int) []EdgeChange {
-	var out []EdgeChange
-	for ident, n := range counts {
-		switch {
-		case n > 0:
-			out = append(out, EdgeChange{
-				Op: OpCreate, From: ident.from, Label: ident.label, To: ident.to, Props: ident.props, Count: n,
-			})
-		case n < 0:
-			out = append(out, EdgeChange{
-				Op: OpDelete, From: ident.from, Label: ident.label, To: ident.to, Props: ident.props, Count: -n,
-			})
-		}
-	}
-	return out
-}
-
-// edgeIdent is the structural identity of an edge for multiset diffing.
-type edgeIdent struct {
-	from, label, to, props string
-}
-
-func identOf(e pg.Edge, keys []string) (edgeIdent, error) {
-	props, err := e.EncodeProps()
-	if err != nil {
-		return edgeIdent{}, fmt.Errorf("core: delta: edge %d: %w", e.ID, err)
-	}
-	return edgeIdent{from: keys[e.From], label: e.Label(), to: keys[e.To], props: props}, nil
-}
-
 // nodeKeys extends keys — the stable change-stream keys of the first
 // len(keys) nodes of the transformer's store — to every node: "e:<iri>" for
 // entity nodes and a quoted lexical tuple for value nodes, mirroring the node
@@ -982,23 +1025,17 @@ func nodeKeys(t *Transformer, keys []string) ([]string, error) {
 }
 
 func nodeKey(m *Mapping, n pg.Node) (string, error) {
-	isValue := false
-	if n.Prop("value") != nil {
-		for _, l := range n.Labels() {
-			if _, ok := m.DatatypeOfValueLabel(l); ok {
-				isValue = true
-				break
-			}
-		}
-	}
-	if isValue {
+	if m.isValueNode(n) {
+		var scratch [128]byte
 		if res, _ := n.Prop("res").(bool); res {
 			v, _ := n.Prop("value").(string)
-			return "v:r:" + strconv.Quote(v), nil
+			return string(strconv.AppendQuote(append(scratch[:0], "v:r:"...), v)), nil
 		}
 		dt, _ := n.Prop("dt").(string)
 		lang, _ := n.Prop("lang").(string)
-		return "v:l:" + strconv.Quote(lexicalOf(n)) + ":" + strconv.Quote(dt) + ":" + strconv.Quote(lang), nil
+		b := strconv.AppendQuote(append(scratch[:0], "v:l:"...), lexicalOf(n))
+		b = strconv.AppendQuote(append(b, ':'), dt)
+		return string(strconv.AppendQuote(append(b, ':'), lang)), nil
 	}
 	iri, ok := n.Prop("iri").(string)
 	if !ok {
@@ -1007,107 +1044,9 @@ func nodeKey(m *Mapping, n pg.Node) (string, error) {
 	return "e:" + iri, nil
 }
 
-// nodeMap indexes a store's nodes by change-stream key.
-func nodeMap(t *Transformer, keys []string) map[string]pg.Node {
-	store := t.Store()
-	m := make(map[string]pg.Node, len(keys))
-	for id, k := range keys {
-		m[k] = store.Node(pg.NodeID(id))
-	}
-	return m
-}
-
-// diffTransformers computes the exact old→new difference keyed by stable
-// identities: node creates/updates/deletes by key, edge creates/deletes as
-// multiset count changes per (source, label, target, record) quadruple.
-//
-// oldKeys is the old store's key table; the new store's is returned.
-func diffTransformers(oldT *Transformer, oldKeys []string, newT *Transformer) (*PGDelta, []string, error) {
-	// The old table is short when the old store is an in-place edit that was
-	// given up half way.
-	oldKeys, err := nodeKeys(oldT, oldKeys)
-	if err != nil {
-		return nil, nil, err
-	}
-	newKeys, err := nodeKeys(newT, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	oldNodes, newNodes := nodeMap(oldT, oldKeys), nodeMap(newT, newKeys)
-	delta := &PGDelta{}
-	encode := func(n pg.Node) (string, error) {
-		props, err := n.EncodeProps()
-		if err != nil {
-			return "", fmt.Errorf("core: delta: node %d: %w", n.ID, err)
-		}
-		return props, nil
-	}
-	for key, on := range oldNodes {
-		nn, ok := newNodes[key]
-		if !ok {
-			props, err := encode(on)
-			if err != nil {
-				return nil, nil, err
-			}
-			delta.Nodes = append(delta.Nodes, NodeChange{
-				Op: OpDelete, Key: key, Labels: on.Labels(), Props: props,
-			})
-			continue
-		}
-		if sameProps(on, nn) && sameLabels(on.Labels(), nn.Labels()) {
-			continue
-		}
-		oldProps, err := encode(on)
-		if err != nil {
-			return nil, nil, err
-		}
-		newProps, err := encode(nn)
-		if err != nil {
-			return nil, nil, err
-		}
-		if oldProps != newProps || !sameLabels(on.Labels(), nn.Labels()) {
-			delta.Nodes = append(delta.Nodes, NodeChange{
-				Op: OpUpdate, Key: key, Labels: nn.Labels(), Props: newProps,
-			})
-		}
-	}
-	for key, nn := range newNodes {
-		if _, ok := oldNodes[key]; ok {
-			continue
-		}
-		props, err := encode(nn)
-		if err != nil {
-			return nil, nil, err
-		}
-		delta.Nodes = append(delta.Nodes, NodeChange{
-			Op: OpCreate, Key: key, Labels: nn.Labels(), Props: props,
-		})
-	}
-
-	counts := make(map[edgeIdent]int)
-	for ei := 0; ei < oldT.Store().NumEdges(); ei++ {
-		e := oldT.Store().Edge(pg.EdgeID(ei))
-		ident, err := identOf(e, oldKeys)
-		if err != nil {
-			return nil, nil, err
-		}
-		counts[ident]--
-	}
-	for ei := 0; ei < newT.Store().NumEdges(); ei++ {
-		e := newT.Store().Edge(pg.EdgeID(ei))
-		ident, err := identOf(e, newKeys)
-		if err != nil {
-			return nil, nil, err
-		}
-		counts[ident]++
-	}
-	delta.Edges = edgeChanges(counts)
-	return delta, newKeys, nil
-}
-
 // sameProps reports whether two records are identical key for key and value
 // for value, with no numeric coercion. Identical records encode identically,
-// so the diff encodes only the nodes for which this fails.
+// so emit encodes only the nodes that come back for which this fails.
 func sameProps(a, b pg.Node) bool {
 	if a.NumProps() != b.NumProps() {
 		return false
@@ -1134,18 +1073,6 @@ func sameValue(a, b pg.Value) bool {
 	}
 	for i := range la {
 		if !sameValue(la[i], lb[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameLabels(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -24,10 +26,11 @@ func exportState(t *testing.T, s *core.DeltaState) (nodes, edges []byte, ddl str
 }
 
 // exportBaseline runs the from-scratch full transformation of the state's
-// current graph — the byte-equality oracle every incremental step must match.
-func exportBaseline(t *testing.T, s *core.DeltaState) (nodes, edges []byte, ddl string) {
+// current graph in its mode — the byte-equality oracle every incremental step
+// must match.
+func exportBaseline(t *testing.T, s *core.DeltaState, mode core.Mode) (nodes, edges []byte, ddl string) {
 	t.Helper()
-	store, spg, err := core.Transform(s.Graph(), fixtures.UniversityShapes(), s.Mode())
+	store, spg, err := core.Transform(s.Graph(), fixtures.UniversityShapes(), mode)
 	if err != nil {
 		t.Fatalf("baseline transform: %v", err)
 	}
@@ -38,10 +41,10 @@ func exportBaseline(t *testing.T, s *core.DeltaState) (nodes, edges []byte, ddl 
 	return nb.Bytes(), eb.Bytes(), pgschema.WriteDDL(spg)
 }
 
-func assertMatchesBaseline(t *testing.T, s *core.DeltaState, step string) {
+func assertMatchesBaseline(t *testing.T, s *core.DeltaState, mode core.Mode, step string) {
 	t.Helper()
 	gotN, gotE, gotDDL := exportState(t, s)
-	wantN, wantE, wantDDL := exportBaseline(t, s)
+	wantN, wantE, wantDDL := exportBaseline(t, s, mode)
 	if !bytes.Equal(gotN, wantN) {
 		t.Fatalf("%s: nodes.csv diverged from full re-transform\n got: %s\nwant: %s", step, gotN, wantN)
 	}
@@ -87,14 +90,14 @@ func TestApplyDeltaInsertOnlyRidesFastPath(t *testing.T) {
 	if s.FastApplies() != 1 || s.Rebuilds() != 0 {
 		t.Fatalf("fast=%d rebuilds=%d, want 1/0", s.FastApplies(), s.Rebuilds())
 	}
-	if pgd.Empty() {
+	if string(pgd.Encode(nil)) == "{}" {
 		t.Fatal("insert batch produced an empty PG delta")
 	}
 	// ex:email is uncovered by the shapes → the batch extends the schema.
 	if pgd.SchemaDDL == "" || !strings.Contains(pgd.SchemaDDL, "email") {
 		t.Fatalf("schema extension not reported: %q", pgd.SchemaDDL)
 	}
-	assertMatchesBaseline(t, s, "insert-only")
+	assertMatchesBaseline(t, s, core.Parsimonious, "insert-only")
 }
 
 func TestApplyDeltaTypeInsertIsAppliedInPlace(t *testing.T) {
@@ -114,7 +117,7 @@ func TestApplyDeltaTypeInsertIsAppliedInPlace(t *testing.T) {
 	if s.FastApplies() != 1 || s.Rebuilds() != 0 {
 		t.Fatalf("fast=%d rebuilds=%d, want 1/0", s.FastApplies(), s.Rebuilds())
 	}
-	assertMatchesBaseline(t, s, "typed insert")
+	assertMatchesBaseline(t, s, core.Parsimonious, "typed insert")
 
 	// Typing a resource the graph already knows changes how its statements
 	// are routed: that is still a rebuild.
@@ -125,7 +128,7 @@ func TestApplyDeltaTypeInsertIsAppliedInPlace(t *testing.T) {
 	if path, reason := s.LastPath(); s.Rebuilds() != 1 || path != "rebuild" || reason != "retyped_subject" {
 		t.Fatalf("rebuilds=%d, served by %s (%s), want a retyped_subject rebuild", s.Rebuilds(), path, reason)
 	}
-	assertMatchesBaseline(t, s, "retyped")
+	assertMatchesBaseline(t, s, core.Parsimonious, "retyped")
 }
 
 func TestApplyDeltaDeleteHeavy(t *testing.T) {
@@ -150,7 +153,7 @@ func TestApplyDeltaDeleteHeavy(t *testing.T) {
 	if deletes == 0 {
 		t.Fatalf("delete-heavy batch reported no node deletions: %+v", pgd.Nodes)
 	}
-	assertMatchesBaseline(t, s, "delete-heavy")
+	assertMatchesBaseline(t, s, core.Parsimonious, "delete-heavy")
 }
 
 func TestApplyDeltaMixedChurnSequence(t *testing.T) {
@@ -182,7 +185,7 @@ func TestApplyDeltaMixedChurnSequence(t *testing.T) {
 		if _, err := s.ApplyDelta(mustUpdate(t, src)); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-		assertMatchesBaseline(t, s, src[:60])
+		assertMatchesBaseline(t, s, core.Parsimonious, src[:60])
 	}
 	if s.FastApplies() == 0 || s.Rebuilds() == 0 {
 		t.Fatalf("churn sequence should exercise both paths: fast=%d rebuilds=%d", s.FastApplies(), s.Rebuilds())
@@ -200,7 +203,7 @@ func TestApplyDeltaAnnotations(t *testing.T) {
 	if _, err := s.ApplyDelta(ins); err != nil {
 		t.Fatal(err)
 	}
-	assertMatchesBaseline(t, s, "annotated insert")
+	assertMatchesBaseline(t, s, core.Parsimonious, "annotated insert")
 
 	// With annotations present, even pure inserts must take the rebuild path
 	// (the annotation pass does not commute with appended triples).
@@ -211,14 +214,14 @@ func TestApplyDeltaAnnotations(t *testing.T) {
 	if s.Rebuilds() != rebuilds+1 {
 		t.Fatalf("insert with annotations present did not rebuild (rebuilds=%d)", s.Rebuilds())
 	}
-	assertMatchesBaseline(t, s, "insert under annotations")
+	assertMatchesBaseline(t, s, core.Parsimonious, "insert under annotations")
 
 	// Deleting the annotated statement while keeping the annotation orphans
-	// it — strict mode rejects the batch and the state must roll back.
+	// it — the batch is refused and the state must roll back.
 	gotN, gotE, gotDDL := exportState(t, s)
 	before := s.Graph().Clone()
 	_, err := s.ApplyDelta(mustUpdate(t, exPrefix+`DELETE DATA { ex:carol ex:knows ex:bob . }`))
-	if err == nil || !strings.Contains(err.Error(), "not realized as an edge") {
+	if err == nil || !strings.Contains(err.Error(), "but keeps its annotation") {
 		t.Fatalf("orphaned annotation not rejected: %v", err)
 	}
 	if !s.Graph().Equal(before) {
@@ -236,38 +239,61 @@ func TestApplyDeltaAnnotations(t *testing.T) {
 	}`)); err != nil {
 		t.Fatal(err)
 	}
-	assertMatchesBaseline(t, s, "annotation removed")
+	assertMatchesBaseline(t, s, core.Parsimonious, "annotation removed")
 }
 
 func TestApplyDeltaRejectionsRollBackExactly(t *testing.T) {
-	s := newUniversityState(t)
-	gotN, gotE, _ := exportState(t, s)
-	before := s.Graph().Clone()
-	cases := []string{
-		// Typed quoted triple.
-		exPrefix + `INSERT DATA { << ex:bob ex:advisedBy ex:alice >> a ex:Claim . }`,
-		// Annotation on a statement that does not exist.
-		exPrefix + `INSERT DATA { << ex:bob ex:advisedBy ex:zed >> ex:since "2020"^^xsd:gYear . }`,
-		// Annotation with a language-tagged value.
-		exPrefix + `INSERT DATA { << ex:bob ex:advisedBy ex:alice >> ex:note "hi"@en . }`,
+	missing := exPrefix + `INSERT DATA { << ex:bob ex:advisedBy ex:zed >> ex:since "2020"^^xsd:gYear . }`
+	note := exPrefix + `INSERT DATA { ex:bob ex:note "n1" . << ex:bob ex:note "n1" >> ex:certainty "0.1" . }`
+	renote := exPrefix + `DELETE DATA { ex:bob ex:note "n1" } ; INSERT DATA { ex:bob ex:note "n2" . }`
+	const noteKept = `core: delta rejected: core: the batch deletes the annotated statement <http://example.org/univ#bob> <http://example.org/univ#note> "n1" . ` +
+		`but keeps its annotation << <http://example.org/univ#bob> <http://example.org/univ#note> "n1" >> <http://example.org/univ#certainty> "0.1" .`
+	rows := []struct {
+		name  string
+		mode  core.Mode
+		setup string // an accepted batch before the rejected one
+		src   string
+		want  string // the error; "" takes any
+	}{
+		{"typed quoted triple", core.Parsimonious, "", exPrefix + `INSERT DATA { << ex:bob ex:advisedBy ex:alice >> a ex:Claim . }`, ""},
+		{"annotation of a missing statement", core.Parsimonious, "", missing, ""},
+		{"annotation of a missing statement", core.NonParsimonious, "", missing, `core: delta rejected: core: annotated statement ` +
+			`<http://example.org/univ#bob> <http://example.org/univ#advisedBy> <http://example.org/univ#zed> . is not realized as an edge (missing from the data)`},
+		{"annotation with a language-tagged value", core.Parsimonious, "", exPrefix + `INSERT DATA { << ex:bob ex:advisedBy ex:alice >> ex:note "hi"@en . }`, ""},
+		{"statement deleted under its kept annotation", core.Parsimonious, note, renote, noteKept},
+		{"statement deleted under its kept annotation", core.NonParsimonious, note, renote, noteKept},
 	}
-	for _, src := range cases {
-		if _, err := s.ApplyDelta(mustUpdate(t, src)); err == nil {
-			t.Fatalf("batch %q was not rejected", src)
-		}
-		if !s.Graph().Equal(before) {
-			t.Fatalf("batch %q left the RDF graph changed", src)
-		}
-		n2, e2, _ := exportState(t, s)
-		if !bytes.Equal(gotN, n2) || !bytes.Equal(gotE, e2) {
-			t.Fatalf("batch %q left the property graph changed", src)
-		}
+	for _, row := range rows {
+		t.Run(fmt.Sprintf("%s/%v", row.name, row.mode), func(t *testing.T) {
+			s, err := core.NewDeltaState(fixtures.UniversityGraph(), fixtures.UniversityShapes(), row.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.setup != "" {
+				if _, err := s.ApplyDelta(mustUpdate(t, row.setup)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gotN, gotE, _ := exportState(t, s)
+			before := s.Graph().Clone()
+			_, err = s.ApplyDelta(mustUpdate(t, row.src))
+			if err == nil || row.want != "" && err.Error() != row.want {
+				t.Fatalf("error %v\nwant %s", err, row.want)
+			}
+			if !s.Graph().Equal(before) {
+				t.Fatal("the rejected batch left the RDF graph changed")
+			}
+			n2, e2, _ := exportState(t, s)
+			if !bytes.Equal(gotN, n2) || !bytes.Equal(gotE, e2) {
+				t.Fatal("the rejected batch left the property graph changed")
+			}
+			// The state is still usable after the rejection.
+			if _, err := s.ApplyDelta(mustUpdate(t, exPrefix+`INSERT DATA { ex:alice ex:office "B2-201" . }`)); err != nil {
+				t.Fatal(err)
+			}
+			assertMatchesBaseline(t, s, row.mode, "after the rejection")
+		})
 	}
-	// The state is still usable after rejections.
-	if _, err := s.ApplyDelta(mustUpdate(t, exPrefix+`INSERT DATA { ex:alice ex:office "B2-201" . }`)); err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesBaseline(t, s, "after rejections")
 }
 
 func TestApplyDeltaNoopBatch(t *testing.T) {
@@ -280,8 +306,8 @@ func TestApplyDeltaNoopBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pgd.Empty() {
-		t.Fatalf("no-op batch produced changes: %+v", pgd)
+	if got := string(pgd.Encode(nil)); got != "{}" {
+		t.Fatalf("no-op batch produced changes: %s", got)
 	}
 	n2, e2, ddl2 := exportState(t, s)
 	if !bytes.Equal(n1, n2) || !bytes.Equal(e1, e2) || ddl1 != ddl2 {
@@ -338,8 +364,8 @@ func TestApplyDeltaChangeStreamOps(t *testing.T) {
 		}
 	}
 	// Round trip through the wire encoding.
-	back, err := core.DecodePGDelta(pgd.Encode(nil))
-	if err != nil {
+	var back core.PGDelta
+	if err := json.Unmarshal(pgd.Encode(nil), &back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Nodes) != len(pgd.Nodes) || len(back.Edges) != len(pgd.Edges) {

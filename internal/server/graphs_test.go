@@ -122,8 +122,8 @@ func fetchChanges(t *testing.T, ts *httptest.Server, id string, from uint64) []*
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(nil, 16<<20)
 	for sc.Scan() {
-		pd, err := core.DecodePGDelta(sc.Bytes())
-		if err != nil {
+		pd := &core.PGDelta{}
+		if err := json.Unmarshal(sc.Bytes(), pd); err != nil {
 			t.Fatalf("bad stream line: %v\n%s", err, sc.Text())
 		}
 		out = append(out, pd)
@@ -416,8 +416,8 @@ func TestGraphFollowStreamDelivers(t *testing.T) {
 		if !ok {
 			t.Fatal("stream closed before delivering the delta")
 		}
-		pd, err := core.DecodePGDelta([]byte(line))
-		if err != nil {
+		pd := &core.PGDelta{}
+		if err := json.Unmarshal([]byte(line), pd); err != nil {
 			t.Fatalf("bad stream line: %v\n%s", err, line)
 		}
 		dg, err := pd.Digest()
