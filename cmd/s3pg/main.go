@@ -231,15 +231,13 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 // off it. The returned finish func must run after the command body: it ends
 // the span, stops profiling, and emits the trace and metrics output.
 func (o *obsFlags) begin(name string, stdout, stderr io.Writer) (*obs.Span, func() error, error) {
-	var stop func() error
+	stop := func() error { return nil }
 	if o.pprof != "" {
 		s, err := obs.StartProfiles(o.pprof)
 		if err != nil {
 			return nil, nil, err
 		}
 		stop = s
-	} else {
-		stop = obs.EnvProfiles()
 	}
 	var span *obs.Span
 	if o.trace || o.traceFile != "" || o.metrics != "" {
@@ -342,47 +340,34 @@ func parseMode(s string) (s3pg.Mode, error) {
 	}
 }
 
-// S3PG_FAULT_FS is a test hook that routes every atomic commit through a
-// fault-injecting filesystem, so the robustness tests can exercise the real
-// binary. Its value is a comma-separated k=v list over the faultio Plan and
-// FS knobs, e.g. "seed=7,shortevery=3,failsync=1".
-const faultFSEnv = "S3PG_FAULT_FS"
-
 var cCommitRetries = obs.Default.Counter("cli.commit.retries")
 
-// commitFS resolves the filesystem all atomic commits go through, once per
-// process: the real one, or the env-configured fault injector.
+// commitFS resolves the filesystem all atomic commits and spills go through,
+// once per process: the real one, or the S3PG_FAULT_FS fault injector (a
+// test hook that lets the robustness tests exercise the real binary).
 var commitFS = sync.OnceValue(func() ckpt.FS {
-	spec := os.Getenv(faultFSEnv)
-	if spec == "" {
-		return ckpt.OSFS
-	}
-	fsys, err := faultio.ParseFS(spec)
+	fsys, _, err := faultio.FSFromEnv()
 	if err != nil {
-		panic(fmt.Sprintf("%s: %v", faultFSEnv, err))
+		panic(err.Error())
 	}
 	return fsys
 })
 
-// commitRetryPolicy is the default backoff with per-retry accounting: each
+// commitRetry is the default backoff with per-retry accounting: each
 // scheduled retry bumps the cli.commit.retries counter, so a -metrics
 // snapshot distinguishes this process's commit retry storms from the global
 // faultio.retry.attempts tally.
-func commitRetryPolicy() faultio.RetryPolicy {
+var commitRetry = func() faultio.RetryPolicy {
 	p := faultio.DefaultRetryPolicy
 	p.OnRetry = func(attempt int, err error) { cCommitRetries.Inc() }
 	return p
-}
+}()
 
-// commitAtomic writes one output file atomically through the (possibly
-// fault-injecting) commit filesystem, retrying transient faults with capped
-// exponential backoff. Hard failures abort with the output path untouched.
-// A commit that has started runs to its end: a signal stops the run before
-// its first commit, not between two.
+// commitAtomic commits one output file through the commit filesystem,
+// retrying transient faults. A commit that has started runs to its end: a
+// signal stops the run before its first commit, not between two.
 func commitAtomic(path string, fn func(io.Writer) error) error {
-	return faultio.Retry(context.Background(), commitRetryPolicy(), func() error {
-		return ckpt.WriteFileAtomicFS(commitFS(), path, 0o644, fn)
-	})
+	return faultio.Commit(context.Background(), commitFS(), commitRetry, path, fn)
 }
 
 // writeOut emits content to stdout, or commits it atomically to path: a

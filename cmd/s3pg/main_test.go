@@ -17,6 +17,12 @@ import (
 	"github.com/s3pg/s3pg/internal/rio"
 )
 
+// faultFSEnv is the test hook (read by faultio.FSFromEnv) that routes every
+// atomic commit and spill of the real binary through a fault-injecting
+// filesystem: a comma-separated k=v list over the faultio Plan and FS
+// knobs, e.g. "seed=7,shortevery=3,failsync=1".
+const faultFSEnv = "S3PG_FAULT_FS"
+
 // writeFixtures materializes the university fixture as CLI input files.
 func writeFixtures(t *testing.T) (dir, shapes, data string) {
 	t.Helper()

@@ -71,7 +71,7 @@ func (mem *memFlags) governor(ctx context.Context, dataPath string, stderr io.Wr
 	})
 	return gv, func(g *rdf.Graph) error {
 		var spilled bool
-		err := faultio.Retry(ctx, commitRetryPolicy(), func() error {
+		err := faultio.Retry(ctx, commitRetry, func() error {
 			var gerr error
 			spilled, gerr = gv.Maybe(g)
 			return gerr

@@ -92,7 +92,7 @@ func churnBatches(t *testing.T, base *rdf.Graph, n int) ([]*rdf.Delta, []string)
 	texts := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		d := datagen.EvolveChurn(scratch, p, churn, int64(1000+i))
-		if d.Empty() {
+		if d.Len() == 0 {
 			t.Fatalf("batch %d is empty", i)
 		}
 		batches = append(batches, d)

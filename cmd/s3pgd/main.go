@@ -103,14 +103,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 
-	commitFS := ckpt.FS(ckpt.OSFS)
-	if spec := os.Getenv(faultFSEnv); spec != "" {
-		injected, err := faultio.ParseFS(spec)
-		if err != nil {
-			fmt.Fprintf(stderr, "s3pgd: error: %s: %v\n", faultFSEnv, err)
-			return exitUsage
-		}
-		commitFS = injected
+	commitFS, spec, err := faultio.FSFromEnv()
+	if err != nil {
+		fmt.Fprintf(stderr, "s3pgd: error: %v\n", err)
+		return exitUsage
+	}
+	if spec != "" {
 		logger.Info("fault_injection_active", "env", faultFSEnv, "spec", spec)
 	}
 	retry := faultio.DefaultRetryPolicy

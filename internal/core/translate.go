@@ -56,9 +56,6 @@ type propPattern struct {
 	pred  string // predicate IRI
 	obj   string // object variable
 	route *Route // nil when the subject's label has no route (error later)
-	// entityOnly is true when every target of the route is an entity type,
-	// so only the edge realization exists.
-	entityOnly bool
 }
 
 type translator struct {
@@ -105,25 +102,8 @@ func (t *translator) resolveRoutes() error {
 			return fmt.Errorf("core: no mapping for property %s on %s", p.pred, label)
 		}
 		p.route = r
-		if r.Kind == RouteEdge {
-			p.entityOnly = t.edgeTargetsAllEntities(r.Name)
-		}
 	}
 	return nil
-}
-
-// edgeTargetsAllEntities reports whether every target of every edge type
-// with the label is a non-value node type (then COALESCE is unnecessary but
-// harmless; we still use it for uniformity — what matters is branch count).
-func (t *translator) edgeTargetsAllEntities(label string) bool {
-	for _, et := range t.m.Schema().EdgeTypesByLabel(label) {
-		for _, target := range et.Targets {
-			if nt := t.m.Schema().NodeType(target); nt == nil || nt.Value {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // realization chooses KV (false) or edge (true) for each property pattern.

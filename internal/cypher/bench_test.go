@@ -86,3 +86,12 @@ func BenchmarkEvalCross(b *testing.B) {
 		}
 	}
 }
+
+// MustParse parses or panics; for the tests' statically known queries.
+func MustParse(src string) *Query {
+	q, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}

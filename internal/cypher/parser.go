@@ -18,15 +18,6 @@ func Parse(src string) (*Query, error) {
 	return q, nil
 }
 
-// MustParse parses or panics; for statically known workload queries.
-func MustParse(src string) *Query {
-	q, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 type parser struct {
 	lex *lexer
 }

@@ -36,12 +36,6 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig returns the configuration the committed EXPERIMENTS.md was
-// produced with.
-func DefaultConfig(w io.Writer) Config {
-	return Config{Scale: 0.001, Seed: 1, W: w, MinSupport: 0.02, Workers: 1}
-}
-
 // DatasetNames lists the Table 2 datasets in presentation order.
 var DatasetNames = []string{"DBpedia2020", "DBpedia2022", "Bio2RDFCT"}
 

@@ -1,7 +1,8 @@
 // Package faultio provides deterministic, seed-driven fault injection for
-// io.Reader/io.Writer pipelines and the filesystem operations behind atomic
-// output commits, plus a retry helper with capped exponential backoff and
-// jitter for transient sink errors.
+// io.Writer pipelines and the filesystem operations behind atomic output
+// commits, a retry helper with capped exponential backoff and jitter for
+// transient sink errors, and the one retrying atomic commit (Commit) every
+// durable output of both binaries takes.
 //
 // Every injected fault is a pure function of the Plan (seed and thresholds)
 // and the byte/operation position at which it fires, so a failing run can be
@@ -128,40 +129,6 @@ func (s *state) begin(op string, n int) (limit int, err error) {
 	return limit, nil
 }
 
-// Reader wraps an io.Reader with the plan's fault schedule.
-type Reader struct {
-	r io.Reader
-	s *state
-}
-
-// NewReader returns a fault-injecting reader over r.
-func NewReader(r io.Reader, plan Plan) *Reader {
-	return &Reader{r: r, s: newState(plan)}
-}
-
-// Offset returns how many bytes have been successfully read through the
-// wrapper.
-func (f *Reader) Offset() int64 { return f.s.off }
-
-// Read implements io.Reader, applying transient faults, short reads, and the
-// hard fail-at-byte fault.
-func (f *Reader) Read(p []byte) (int, error) {
-	if !f.s.plan.enabled() {
-		return f.r.Read(p)
-	}
-	limit, err := f.s.begin("read", len(p))
-	if err != nil {
-		return 0, err
-	}
-	if limit == 0 && len(p) > 0 {
-		// The fail-at offset is exactly here: fail without consuming input.
-		return 0, f.s.hardErr("read")
-	}
-	n, err := f.r.Read(p[:limit])
-	f.s.off += int64(n)
-	return n, err
-}
-
 // Writer wraps an io.Writer with the plan's fault schedule.
 type Writer struct {
 	w io.Writer
@@ -172,10 +139,6 @@ type Writer struct {
 func NewWriter(w io.Writer, plan Plan) *Writer {
 	return &Writer{w: w, s: newState(plan)}
 }
-
-// Offset returns how many bytes have been successfully written through the
-// wrapper.
-func (f *Writer) Offset() int64 { return f.s.off }
 
 // Write implements io.Writer. Short writes return n < len(p) with a nil
 // error from the underlying writer's perspective but — per the io.Writer

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/s3pg/s3pg/internal/ckpt"
 )
 
 func TestZeroPlanIsInert(t *testing.T) {
@@ -348,4 +353,112 @@ func TestFSTransientEvery(t *testing.T) {
 	if fails != 4 || oks != 4 {
 		t.Fatalf("every-2nd schedule fired %d/8 times (%d passed through)", fails, oks)
 	}
+}
+
+// TestCommitRetriesTransientFaults: Commit rides out a transient fault in
+// any of an atomic commit's four filesystem operations by writing the whole
+// file again (a period of 5 or more leaves an attempt room to succeed),
+// counting each retry on the policy's OnRetry, and returns a hard fault at
+// once with the destination untouched and no temporary left.
+func TestCommitRetriesTransientFaults(t *testing.T) {
+	noSleep := RetryPolicy{Sleep: func(time.Duration) {}}
+	for every := 5; every <= 9; every++ {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "out.csv")
+		retries := 0
+		p := noSleep
+		p.OnRetry = func(int, error) { retries++ }
+		fsys := &FS{TransientEvery: every}
+		for i := 0; i < 3; i++ {
+			body := fmt.Sprintf("commit %d\n", i)
+			if err := Commit(context.Background(), fsys, p, path, func(w io.Writer) error {
+				_, err := io.WriteString(w, body)
+				return err
+			}); err != nil {
+				t.Fatalf("every %d, commit %d: %v", every, i, err)
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) != body {
+				t.Fatalf("every %d, commit %d: file holds %q (%v), want %q", every, i, got, err, body)
+			}
+		}
+		if retries == 0 {
+			t.Errorf("every %d: three commits through the schedule never retried", every)
+		}
+		assertNoTemps(t, dir)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.csv")
+	calls := 0
+	err := Commit(context.Background(), &FS{FailRename: 1}, noSleep, path, func(w io.Writer) error {
+		calls++
+		_, err := io.WriteString(w, "x")
+		return err
+	})
+	if !errors.Is(err, ErrInjected) || calls != 1 {
+		t.Fatalf("hard fault: err %v after %d writes, want ErrInjected after 1", err, calls)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("hard fault left the destination behind: %v", err)
+	}
+	assertNoTemps(t, dir)
+}
+
+func assertNoTemps(t *testing.T, dir string) {
+	t.Helper()
+	if temps, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(temps) != 0 {
+		t.Fatalf("temporaries left behind: %v", temps)
+	}
+}
+
+// TestFSFromEnv: unset, commits go to the real filesystem; a spec builds the
+// fault injector it names; a malformed one is an error naming the variable.
+func TestFSFromEnv(t *testing.T) {
+	t.Setenv(envFS, "")
+	if fsys, spec, err := FSFromEnv(); err != nil || spec != "" || fsys != ckpt.OSFS {
+		t.Fatalf("unset: %v %q %v", fsys, spec, err)
+	}
+	t.Setenv(envFS, "seed=3,fstransientevery=9")
+	fsys, spec, err := FSFromEnv()
+	if err != nil || spec != "seed=3,fstransientevery=9" {
+		t.Fatalf("set: %q %v", spec, err)
+	}
+	if f, ok := fsys.(*FS); !ok || f.Plan.Seed != 3 || f.TransientEvery != 9 {
+		t.Fatalf("set: got %#v", fsys)
+	}
+	t.Setenv(envFS, "bogus")
+	if _, _, err := FSFromEnv(); err == nil || !strings.HasPrefix(err.Error(), "S3PG_FAULT_FS: faultio: malformed entry") {
+		t.Fatalf("malformed: %v", err)
+	}
+}
+
+// Reader is the read side of a Plan's schedule: the same state a Writer
+// keeps, driven by reads. Only these tests read through it.
+type Reader struct {
+	r io.Reader
+	s *state
+}
+
+// NewReader returns a fault-injecting reader over r.
+func NewReader(r io.Reader, plan Plan) *Reader {
+	return &Reader{r: r, s: newState(plan)}
+}
+
+// Read implements io.Reader, applying transient faults, short reads, and the
+// hard fail-at-byte fault.
+func (f *Reader) Read(p []byte) (int, error) {
+	if !f.s.plan.enabled() {
+		return f.r.Read(p)
+	}
+	limit, err := f.s.begin("read", len(p))
+	if err != nil {
+		return 0, err
+	}
+	if limit == 0 && len(p) > 0 {
+		// The fail-at offset is exactly here: fail without consuming input.
+		return 0, f.s.hardErr("read")
+	}
+	n, err := f.r.Read(p[:limit])
+	f.s.off += int64(n)
+	return n, err
 }

@@ -107,9 +107,30 @@ func (f *faultFile) Sync() error {
 	return f.File.Sync()
 }
 
+// envFS is the environment variable both binaries read their commit
+// filesystem from: unset, commits go to the real filesystem; set, through a
+// fault-injecting FS built from its ParseFS spec, so the robustness and
+// chaos tests can drive the real binaries.
+const envFS = "S3PG_FAULT_FS"
+
+// FSFromEnv returns the filesystem S3PG_FAULT_FS names and the spec it was
+// built from: ckpt.OSFS and "" when the variable is unset. A malformed spec
+// is an error that names the variable. The FS counts its operations, so a
+// process builds it once and routes every commit through that one value.
+func FSFromEnv() (ckpt.FS, string, error) {
+	spec := os.Getenv(envFS)
+	if spec == "" {
+		return ckpt.OSFS, "", nil
+	}
+	fsys, err := ParseFS(spec)
+	if err != nil {
+		return nil, spec, fmt.Errorf("%s: %v", envFS, err)
+	}
+	return fsys, spec, nil
+}
+
 // ParseFS builds a fault-injecting FS from a "k=v,k=v" spec — the format of
-// the S3PG_FAULT_FS environment hook shared by cmd/s3pg and cmd/s3pgd, e.g.
-// "seed=7,shortevery=3,failsync=1" or "fstransientevery=4".
+// S3PG_FAULT_FS, e.g. "seed=7,shortevery=3,failsync=1" or "fstransientevery=4".
 func ParseFS(spec string) (*FS, error) {
 	fsys := &FS{}
 	for _, kv := range strings.Split(spec, ",") {

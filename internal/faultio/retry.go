@@ -3,9 +3,11 @@ package faultio
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"time"
 
+	"github.com/s3pg/s3pg/internal/ckpt"
 	"github.com/s3pg/s3pg/internal/obs"
 )
 
@@ -140,4 +142,15 @@ func sleepInterruptible(ctx context.Context, sleep func(time.Duration), d time.D
 	case <-done:
 		return nil
 	}
+}
+
+// Commit writes path atomically through fsys (ckpt.WriteFileAtomicFS, mode
+// 0644), retrying transient faults under p: the one commit every durable
+// output takes, from the CLI's files to a job's and a live graph's. Each
+// retry rewrites the file from scratch, so fn must be repeatable. Hard
+// failures return at once with path untouched.
+func Commit(ctx context.Context, fsys ckpt.FS, p RetryPolicy, path string, fn func(io.Writer) error) error {
+	return Retry(ctx, p, func() error {
+		return ckpt.WriteFileAtomicFS(fsys, path, 0o644, fn)
+	})
 }

@@ -266,7 +266,7 @@ func TestAdmissionMemHysteresis(t *testing.T) {
 	cfg.MaxMemMB = 100
 	m := mustOpen(t, cfg)
 	heap := uint64(50) << 20
-	m.readHeap = func() uint64 { return heap }
+	m.memLatch.ReadHeap = func() uint64 { return heap }
 
 	if err := m.Ready(); err != nil {
 		t.Fatalf("under the band: %v", err)

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -35,12 +34,6 @@ var (
 // errRequeue is the internal signal that a run ended by putting the job back
 // on the queue (drain or retryable commit failure), not by finishing it.
 var errRequeue = errors.New("jobs: requeued")
-
-// memLowPercent places the low watermark of the admission hysteresis band at
-// this share of MaxMemMB: the pressure latch set at MaxMemMB clears only once
-// the heap drops under it, so admission does not flap around a single
-// threshold while the heap hovers there.
-const memLowPercent = 80
 
 // The commit circuit breaker (see Breaker) opens after breakerThreshold
 // consecutive exhausted commits and re-probes after breakerCooldown.
@@ -90,7 +83,7 @@ type Config struct {
 	JobWorkers int
 	// MaxMemMB is the soft high heap watermark: once exceeded, submissions
 	// are rejected with ErrMemPressure and readiness reports not-ready until
-	// the heap falls back under the low watermark (memLowPercent of it).
+	// the heap falls back under the low watermark (80 % of it).
 	// 0 = off.
 	MaxMemMB int
 	// MaxAttempts bounds worker pickups per job before a retryable commit
@@ -149,13 +142,9 @@ type Manager struct {
 	running   int
 	draining  bool
 	seq       int64
-	// memLatched is the admission hysteresis latch: set when the heap
-	// crosses MaxMemMB, cleared only once it drops under the low watermark.
-	memLatched bool
-
-	// readHeap samples the live heap; overridable in tests. Nil means
-	// runtime.ReadMemStats HeapAlloc.
-	readHeap func() uint64
+	// memLatch closes admission once the heap crosses MaxMemMB and opens it
+	// again only under the low watermark; nil (never set) when MaxMemMB is 0.
+	memLatch *obs.HeapLatch
 
 	wg sync.WaitGroup
 }
@@ -176,6 +165,9 @@ func Open(cfg Config) (*Manager, error) {
 		cfg:     cfg,
 		breaker: NewBreaker(breakerThreshold, breakerCooldown),
 		jobs:    make(map[string]*Job),
+	}
+	if cfg.MaxMemMB > 0 {
+		m.memLatch = obs.NewHeapLatch(cfg.MaxMemMB, gMemPressure)
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.ctx, m.cancel = context.WithCancelCause(context.Background())
@@ -308,39 +300,6 @@ func (m *Manager) updateGauges() {
 	gRunning.Set(int64(m.running))
 }
 
-// memPressure reports the admission hysteresis latch: it sets when the heap
-// crosses the MaxMemMB high watermark and clears only once the heap falls
-// back under memLowPercent of it, so admission decisions do not flap while
-// the heap hovers around a single threshold. The jobs.mem.pressure gauge
-// mirrors the latch on /metrics.
-func (m *Manager) memPressure() bool {
-	if m.cfg.MaxMemMB <= 0 {
-		return false
-	}
-	heap := m.heapBytes()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.memLatched {
-		if heap <= uint64(m.cfg.MaxMemMB*memLowPercent/100)<<20 {
-			m.memLatched = false
-			gMemPressure.Set(0)
-		}
-	} else if heap > uint64(m.cfg.MaxMemMB)<<20 {
-		m.memLatched = true
-		gMemPressure.Set(1)
-	}
-	return m.memLatched
-}
-
-func (m *Manager) heapBytes() uint64 {
-	if m.readHeap != nil {
-		return m.readHeap()
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
-}
-
 // Ready reports whether the manager should be advertised as ready for new
 // work: nil, or the admission-control error a submission would hit.
 func (m *Manager) Ready() error {
@@ -353,7 +312,7 @@ func (m *Manager) Ready() error {
 	if m.breaker.State() != "closed" {
 		return ErrBreakerOpen
 	}
-	if m.memPressure() {
+	if set, _ := m.memLatch.Sample(); set {
 		return ErrMemPressure
 	}
 	return nil
@@ -422,7 +381,7 @@ func (m *Manager) Submit(spec Spec, shapes, data string) (Job, error) {
 		}
 	}()
 
-	if m.memPressure() {
+	if set, _ := m.memLatch.Sample(); set {
 		cRejectedMem.Inc()
 		return Job{}, ErrMemPressure
 	}
@@ -597,8 +556,8 @@ func (m *Manager) Drain(ctx context.Context) error {
 // Close is Drain without a deadline, for tests and defers.
 func (m *Manager) Close() error { return m.Drain(context.Background()) }
 
-// commit writes one file atomically through the breaker, the retry policy,
-// and the (possibly fault-injecting) commit filesystem.
+// commit is faultio.Commit behind the breaker, logging and counting each
+// retry beside the policy's own OnRetry.
 func (m *Manager) commit(ctx context.Context, path string, fn func(io.Writer) error) error {
 	if err := m.breaker.Allow(); err != nil {
 		return err
@@ -612,9 +571,7 @@ func (m *Manager) commit(ctx context.Context, path string, fn func(io.Writer) er
 			inner(attempt, err)
 		}
 	}
-	err := faultio.Retry(ctx, p, func() error {
-		return ckpt.WriteFileAtomicFS(m.cfg.FS, path, 0o644, fn)
-	})
+	err := faultio.Commit(ctx, m.cfg.FS, p, path, fn)
 	m.breaker.Record(err)
 	return err
 }

@@ -48,12 +48,6 @@ func (m *Meter) Busy() time.Duration {
 	return time.Duration(m.busyNS.Load())
 }
 
-// Rate returns the sustained throughput in events per second, or 0 when no
-// time window has been observed.
-func (m *Meter) Rate() float64 {
-	return rate(m.Count(), m.Busy())
-}
-
 // rate is the meter rate computation: count per busy-second, 0 without a
 // window.
 func rate(count int64, busy time.Duration) float64 {

@@ -43,3 +43,9 @@ func TestMeterObserveAccumulates(t *testing.T) {
 		t.Fatalf("snapshot = %+v", s)
 	}
 }
+
+// Rate returns the sustained throughput in events per second, or 0 when no
+// time window has been observed.
+func (m *Meter) Rate() float64 {
+	return rate(m.Count(), m.Busy())
+}

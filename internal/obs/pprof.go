@@ -11,10 +11,6 @@ import (
 	"runtime/pprof"
 )
 
-// EnvPprofDir is the environment variable that, when set to a directory,
-// enables profiling of any instrumented run without code or flag changes.
-const EnvPprofDir = "S3PG_PPROF"
-
 // StartProfiles begins a CPU profile at dir/cpu.pprof and returns a stop
 // function that ends it and writes a heap profile to dir/heap.pprof. The
 // directory is created if needed.
@@ -64,21 +60,4 @@ func RegisterPprofHandlers(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
-}
-
-// EnvProfiles starts profiling when the S3PG_PPROF environment variable
-// names a directory, returning the stop function; otherwise (or on error,
-// reported on stderr) it returns a no-op stop so callers can defer
-// unconditionally.
-func EnvProfiles() func() error {
-	dir := os.Getenv(EnvPprofDir)
-	if dir == "" {
-		return func() error { return nil }
-	}
-	stop, err := StartProfiles(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return func() error { return nil }
-	}
-	return stop
 }

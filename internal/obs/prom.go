@@ -42,25 +42,27 @@ func LabeledName(family string, kv ...string) string {
 	if len(kv)%2 != 0 {
 		kv = append(kv, "")
 	}
-	type pair struct{ k, v string }
-	pairs := make([]pair, 0, len(kv)/2)
+	pairs := make([][2]string, 0, len(kv)/2)
 	for i := 0; i+1 < len(kv); i += 2 {
-		pairs = append(pairs, pair{kv[i], kv[i+1]})
+		pairs = append(pairs, [2]string{kv[i], kv[i+1]})
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
+	return family + "{" + labelBlock(pairs) + "}"
+}
+
+// labelBlock renders key/value pairs as an exposition label block,
+// k1="v1",k2="v2", keys sorted and values escaped. It sorts pairs in place.
+func labelBlock(pairs [][2]string) string {
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i][0] < pairs[j][0] })
 	var sb strings.Builder
-	sb.WriteString(family)
-	sb.WriteByte('{')
 	for i, p := range pairs {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		sb.WriteString(p.k)
+		sb.WriteString(p[0])
 		sb.WriteString(`="`)
-		sb.WriteString(escapeLabelValue(p.v))
+		sb.WriteString(escapeLabelValue(p[1]))
 		sb.WriteByte('"')
 	}
-	sb.WriteByte('}')
 	return sb.String()
 }
 
@@ -125,10 +127,30 @@ func promValue(v float64) string {
 
 // promFamily accumulates one metric family before emission.
 type promFamily struct {
-	name  string // sanitized, prefixed
-	typ   string
-	help  string
-	lines []string // fully rendered sample lines
+	name   string // sanitized, prefixed
+	typ    string
+	help   string
+	series []promSeries
+}
+
+// promSeries is one series of a family: its sort key and its rendered
+// sample lines (a histogram's buckets, sum and count, in that order).
+type promSeries struct {
+	key   string
+	lines []string
+}
+
+// add appends a series with the label block labels (from its registry key,
+// "" when unlabeled) and its sample lines. A plain family's series sort as
+// their lines `name{labels} value` would, so the key closes the block with
+// its "}" (`a="x",b="y"}` before `a="x"}`); a histogram's series sort by the
+// bare block, keeping their lines together.
+func (f *promFamily) add(labels string, lines ...string) {
+	key := labels
+	if labels != "" && f.typ != "histogram" {
+		key += "}"
+	}
+	f.series = append(f.series, promSeries{key, lines})
 }
 
 // sampleLine renders `name{labels} value`.
@@ -176,23 +198,24 @@ func (s Snapshot) WritePrometheus(w io.Writer, prefix string, extra ...PromSerie
 	for raw, v := range s.Counters {
 		family, labels := splitLabeledName(raw)
 		f := get(family, "counter", "S3PG counter "+family+".")
-		f.lines = append(f.lines, sampleLine(f.name, labels, strconv.FormatInt(v, 10)))
+		f.add(labels, sampleLine(f.name, labels, strconv.FormatInt(v, 10)))
 	}
 	for raw, v := range s.Gauges {
 		family, labels := splitLabeledName(raw)
 		f := get(family, "gauge", "S3PG gauge "+family+".")
-		f.lines = append(f.lines, sampleLine(f.name, labels, strconv.FormatInt(v, 10)))
+		f.add(labels, sampleLine(f.name, labels, strconv.FormatInt(v, 10)))
 	}
 	for raw, m := range s.Meters {
 		family, labels := splitLabeledName(raw)
 		fc := get(family+".count", "counter", "S3PG meter "+family+": observed events.")
-		fc.lines = append(fc.lines, sampleLine(fc.name, labels, strconv.FormatInt(m.Count, 10)))
+		fc.add(labels, sampleLine(fc.name, labels, strconv.FormatInt(m.Count, 10)))
 		fb := get(family+".busy_seconds", "counter", "S3PG meter "+family+": accumulated observation window.")
-		fb.lines = append(fb.lines, sampleLine(fb.name, labels, promValue(m.Busy().Seconds())))
+		fb.add(labels, sampleLine(fb.name, labels, promValue(m.Busy().Seconds())))
 	}
 	for raw, h := range s.Histograms {
 		family, labels := splitLabeledName(raw)
 		f := get(family, "histogram", "S3PG histogram "+family+".")
+		var lines []string
 		cum := int64(0)
 		sawInf := false
 		for _, b := range h.Buckets {
@@ -200,15 +223,16 @@ func (s Snapshot) WritePrometheus(w io.Writer, prefix string, extra ...PromSerie
 			if b.LE == "+Inf" {
 				sawInf = true
 			}
-			f.lines = append(f.lines, sampleLine(f.name+"_bucket",
+			lines = append(lines, sampleLine(f.name+"_bucket",
 				joinLabels(labels, `le="`+escapeLabelValue(b.LE)+`"`), strconv.FormatInt(b.Count, 10)))
 		}
 		if !sawInf {
-			f.lines = append(f.lines, sampleLine(f.name+"_bucket",
+			lines = append(lines, sampleLine(f.name+"_bucket",
 				joinLabels(labels, `le="+Inf"`), strconv.FormatInt(cum, 10)))
 		}
-		f.lines = append(f.lines, sampleLine(f.name+"_sum", labels, promValue(h.Sum)))
-		f.lines = append(f.lines, sampleLine(f.name+"_count", labels, strconv.FormatInt(h.Count, 10)))
+		lines = append(lines, sampleLine(f.name+"_sum", labels, promValue(h.Sum)),
+			sampleLine(f.name+"_count", labels, strconv.FormatInt(h.Count, 10)))
+		f.add(labels, lines...)
 	}
 	for _, e := range extra {
 		typ := e.Type
@@ -216,12 +240,8 @@ func (s Snapshot) WritePrometheus(w io.Writer, prefix string, extra ...PromSerie
 			typ = "untyped"
 		}
 		f := get(e.Name, typ, e.Help)
-		var kv []string
-		for _, l := range e.Labels {
-			kv = append(kv, l[0], l[1])
-		}
-		_, labels := splitLabeledName(LabeledName("x", kv...))
-		f.lines = append(f.lines, sampleLine(f.name, labels, promValue(e.Value)))
+		labels := labelBlock(append([][2]string(nil), e.Labels...))
+		f.add(labels, sampleLine(f.name, labels, promValue(e.Value)))
 	}
 
 	names := make([]string, 0, len(fams))
@@ -239,94 +259,21 @@ func (s Snapshot) WritePrometheus(w io.Writer, prefix string, extra ...PromSerie
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {
 			return err
 		}
-		// Histogram sample lines must keep their _bucket ≤ _sum ≤ _count
-		// structure per series; sorting whole lines preserves it because the
-		// label block sorts with the series. For plain families sorting is
-		// just determinism.
-		if f.typ != "histogram" {
-			sort.Strings(f.lines)
-		} else {
-			f.lines = sortHistogramLines(f.lines, f.name)
-		}
-		for _, l := range f.lines {
-			if _, err := io.WriteString(w, l+"\n"); err != nil {
-				return err
+		// Ties (two registry keys that sanitize to one family and block)
+		// fall back to the first sample line, so the body stays deterministic.
+		sort.Slice(f.series, func(i, j int) bool {
+			a, b := f.series[i], f.series[j]
+			return a.key < b.key || a.key == b.key && a.lines[0] < b.lines[0]
+		})
+		for _, sr := range f.series {
+			for _, l := range sr.lines {
+				if _, err := io.WriteString(w, l+"\n"); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
-}
-
-// sortHistogramLines orders a histogram family's rendered lines: series
-// (identified by their label block minus "le") sorted lexicographically,
-// and within each series _bucket lines in ascending le order followed by
-// _sum then _count. The incoming lines are already grouped per series in
-// that order, so a stable sort by series key is sufficient.
-func sortHistogramLines(lines []string, famName string) []string {
-	type keyed struct {
-		key  string
-		seq  int
-		line string
-	}
-	ks := make([]keyed, len(lines))
-	for i, l := range lines {
-		key := histogramSeriesKey(l, famName)
-		ks[i] = keyed{key: key, seq: i, line: l}
-	}
-	sort.SliceStable(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	out := make([]string, len(lines))
-	for i, k := range ks {
-		out[i] = k.line
-	}
-	return out
-}
-
-// histogramSeriesKey extracts the label block of a histogram sample line and
-// strips its "le" label, yielding the series identity shared by the
-// _bucket/_sum/_count lines of one series.
-func histogramSeriesKey(line, famName string) string {
-	rest := strings.TrimPrefix(line, famName)
-	i := strings.IndexByte(rest, '{')
-	if i < 0 {
-		return ""
-	}
-	j := strings.LastIndexByte(rest, '}')
-	if j < i {
-		return ""
-	}
-	var kept []string
-	for _, part := range splitLabelPairs(rest[i+1 : j]) {
-		if !strings.HasPrefix(part, `le="`) {
-			kept = append(kept, part)
-		}
-	}
-	return strings.Join(kept, ",")
-}
-
-// splitLabelPairs splits a rendered label block on the commas between
-// pairs, honoring quoted values (which may themselves contain commas).
-func splitLabelPairs(block string) []string {
-	var parts []string
-	start, inQuote := 0, false
-	for i := 0; i < len(block); i++ {
-		switch block[i] {
-		case '\\':
-			if inQuote {
-				i++ // skip the escaped byte
-			}
-		case '"':
-			inQuote = !inQuote
-		case ',':
-			if !inQuote {
-				parts = append(parts, block[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if start < len(block) {
-		parts = append(parts, block[start:])
-	}
-	return parts
 }
 
 // escapeHelp applies the exposition format's HELP escapes: backslash and

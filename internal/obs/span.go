@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"runtime"
 	"sort"
@@ -142,21 +141,6 @@ func (s *Span) Counter(key string) int64 {
 	return s.counters[key]
 }
 
-// Child returns the first child span with the given name, or nil.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.children {
-		if c.name == name {
-			return c
-		}
-	}
-	return nil
-}
-
 // SpanRecord is the machine-readable form of a span tree; it marshals to
 // JSON, and WriteJSON's output decodes back into it.
 type SpanRecord struct {
@@ -191,13 +175,6 @@ func (s *Span) Record() SpanRecord {
 		r.Children = append(r.Children, c.Record())
 	}
 	return r
-}
-
-// WriteJSON writes the span tree as indented JSON.
-func (s *Span) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s.Record())
 }
 
 // Wall returns the record's wall time as a duration.

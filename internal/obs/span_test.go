@@ -108,3 +108,25 @@ func spanFromJSON(r io.Reader) (SpanRecord, error) {
 	err := json.NewDecoder(r).Decode(&rec)
 	return rec, err
 }
+
+// Child returns the first child span with the given name, or nil.
+func (s *Span) Child(name string) *Span {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.children {
+		if c.name == name {
+			return c
+		}
+	}
+	return nil
+}
+
+// WriteJSON writes the span tree as indented JSON.
+func (s *Span) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(s.Record())
+}

@@ -150,9 +150,6 @@ func (s *Schema) AddEdgeType(et *EdgeType) {
 // NodeType returns the node type by name, or nil.
 func (s *Schema) NodeType(name string) *NodeType { return s.nodeTypes[name] }
 
-// EdgeType returns the edge type by name, or nil.
-func (s *Schema) EdgeType(name string) *EdgeType { return s.edgeTypes[name] }
-
 // NodeTypes returns node types in insertion order.
 func (s *Schema) NodeTypes() []*NodeType {
 	out := make([]*NodeType, 0, len(s.nodeOrder))

@@ -369,3 +369,6 @@ func TestRemoveEdgeTypeAndKeys(t *testing.T) {
 		}
 	}
 }
+
+// EdgeType returns the edge type by name, or nil.
+func (s *Schema) EdgeType(name string) *EdgeType { return s.edgeTypes[name] }

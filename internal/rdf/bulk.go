@@ -1,15 +1,9 @@
 package rdf
 
 // NumSlots returns the number of triple slots, live and tombstoned. Slot
-// indexes are stable for the life of the graph and usable with EncodedAt;
-// spilling does not renumber them.
+// indexes are stable for the life of the graph, as ForEachEncoded hands
+// them out; spilling does not renumber them.
 func (g *Graph) NumSlots() int { return g.numSlots() }
-
-// EncodedAt returns the encoded triple in slot i and whether it is live.
-func (g *Graph) EncodedAt(i int) (s, p, o TermID, live bool) {
-	e := g.encAt(i)
-	return e.s, e.p, e.o, !g.slotDead(i)
-}
 
 // ForEachEncoded calls fn for every live triple slot in admission order (the
 // same order ForEach observes) until fn returns false, passing the slot

@@ -385,3 +385,15 @@ func cloneBytesIsolation(t *testing.T) {
 	requireTerms("spilled original", g, gHeld, gWant)
 	requireTerms("clone after the original spilled", c, cHeld, cWant)
 }
+
+// EncodedAt returns the encoded triple in slot i and whether it is live.
+func (g *Graph) EncodedAt(i int) (s, p, o TermID, live bool) {
+	e := g.encAt(i)
+	return e.s, e.p, e.o, !g.slotDead(i)
+}
+
+// AddBytes is Add through its two halves, AdmitEncoded(InternBytes(s, p, o)),
+// the way the N-Triples loader admits a statement.
+func (g *Graph) AddBytes(s, p, o *TermBytes) bool {
+	return g.AdmitEncoded(g.InternBytes(s, p, o))
+}

@@ -20,9 +20,6 @@ type Delta struct {
 	Inserts []Triple
 }
 
-// Empty reports whether the delta carries no changes.
-func (d *Delta) Empty() bool { return len(d.Deletes) == 0 && len(d.Inserts) == 0 }
-
 // Len returns the total number of change statements.
 func (d *Delta) Len() int { return len(d.Deletes) + len(d.Inserts) }
 

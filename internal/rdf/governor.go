@@ -7,21 +7,13 @@ import (
 	"github.com/s3pg/s3pg/internal/obs"
 )
 
-// gSpillPressure is 1 while the governor's latch is set (heap above the low
-// watermark since last tripping the high one), 0 otherwise.
+// gSpillPressure mirrors the governor's heap latch: 1 from the moment the
+// heap crosses HighMB until a sample is at or under the low watermark.
 var gSpillPressure = obs.Default.Gauge("rdf.spill.pressure")
 
-const (
-	// spillLowPercent places the low watermark, which clears the pressure
-	// latch once the post-spill heap drops under it, at this share of
-	// HighMB. The high/low gap is the hysteresis band that keeps spilling
-	// (and the rdf.spill.pressure gauge admission decisions read) from
-	// flapping around a single threshold.
-	spillLowPercent = 80
-	// minTailTriples is the smallest resident tail worth a re-spill; below
-	// it a spill could not meaningfully shrink the heap.
-	minTailTriples = 10000
-)
+// minTailTriples is the smallest resident tail worth a re-spill; below it a
+// spill could not meaningfully shrink the heap.
+const minTailTriples = 10000
 
 // SpillConfig parameterizes a memory-pressure Governor.
 type SpillConfig struct {
@@ -31,7 +23,7 @@ type SpillConfig struct {
 	FS ckpt.FS
 	// HighMB is the heap watermark (HeapAlloc, MiB) that triggers a spill.
 	HighMB int
-	// ReadHeap overrides the heap sampler (tests); nil = runtime.MemStats.
+	// ReadHeap overrides the latch's heap sampler (tests); nil = HeapAlloc.
 	ReadHeap func() uint64
 }
 
@@ -40,44 +32,26 @@ type SpillConfig struct {
 // and continue instead of dying at the limit. It is single-goroutine, like
 // the graph mutations it performs.
 type Governor struct {
-	cfg     SpillConfig
-	lowMB   int
-	latched bool
-	spills  int
+	cfg    SpillConfig
+	latch  *obs.HeapLatch
+	spills int
 }
 
-// NewGovernor returns a governor over the config, applying defaults.
+// NewGovernor returns a governor over the config.
 func NewGovernor(cfg SpillConfig) *Governor {
-	if cfg.ReadHeap == nil {
-		cfg.ReadHeap = func() uint64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return ms.HeapAlloc
-		}
-	}
-	return &Governor{cfg: cfg, lowMB: cfg.HighMB * spillLowPercent / 100}
+	latch := obs.NewHeapLatch(cfg.HighMB, gSpillPressure)
+	latch.ReadHeap = cfg.ReadHeap
+	return &Governor{cfg: cfg, latch: latch}
 }
 
 // Maybe spills g if the heap is over the high watermark and the graph has a
-// tail worth spilling. It returns whether a spill ran. A graph whose tail
-// is already on disk cannot be shrunk further — Maybe then reports no spill
-// and leaves the pressure latch set; the caller keeps running (degraded,
-// not dead), which is the point of the governor.
+// tail worth spilling. It returns whether a spill ran. Inside the latch's
+// hysteresis band nothing spills. A graph whose tail is already on disk
+// cannot be shrunk further — Maybe then reports no spill and leaves the
+// latch set; the caller keeps running (degraded, not dead), which is the
+// point of the governor.
 func (gv *Governor) Maybe(g *Graph) (bool, error) {
-	heap := gv.cfg.ReadHeap()
-	if !gv.latched {
-		if heap <= uint64(gv.cfg.HighMB)<<20 {
-			return false, nil
-		}
-		gv.latched = true
-		gSpillPressure.Set(1)
-	} else if heap <= uint64(gv.lowMB)<<20 {
-		gv.latched = false
-		gSpillPressure.Set(0)
-		return false, nil
-	}
-	if heap <= uint64(gv.cfg.HighMB)<<20 {
-		// Inside the hysteresis band: under pressure but not spill-worthy.
+	if _, over := gv.latch.Sample(); !over {
 		return false, nil
 	}
 	if g.Spilled() && g.TailLen() < minTailTriples {
@@ -88,10 +62,7 @@ func (gv *Governor) Maybe(g *Graph) (bool, error) {
 	}
 	gv.spills++
 	runtime.GC()
-	if gv.cfg.ReadHeap() <= uint64(gv.lowMB)<<20 {
-		gv.latched = false
-		gSpillPressure.Set(0)
-	}
+	gv.latch.Sample() // the spill may have cleared the pressure
 	return true, nil
 }
 

@@ -96,7 +96,7 @@ type Graph struct {
 
 	spill *graphSpill // disk-backed slots [0, spill.slots); nil when unspilled
 
-	recent *recentTerms // id reuse for Add and AddBytes; nil until the first one
+	recent *recentTerms // id reuse for Add and InternBytes; nil until the first one
 }
 
 // recentTerms lets Add resolve a repeated subject or predicate by comparing
@@ -376,24 +376,20 @@ func (g *Graph) Add(t Triple) bool {
 	return g.AdmitEncoded(encode(g, keyOf(&t.S), keyOf(&t.P), keyOf(&t.O)))
 }
 
-// AddBytes is Add for a statement whose terms are read straight out of a
-// buffer (see TermBytes): the same ids, slot and duplicate semantics as Add
-// of the equivalent Triple, but a term the dictionary already holds is found
-// without building a string, and only a new term's bytes are copied. The
-// terms are passed by pointer only to spare the copies; AddBytes neither
-// writes nor keeps them. It panics when the kinds cannot form a triple.
-//
-// AddBytes is AdmitEncoded(InternBytes(s, p, o)).
-func (g *Graph) AddBytes(s, p, o *TermBytes) bool {
-	return g.AdmitEncoded(g.InternBytes(s, p, o))
-}
-
 // EncTriple is a statement as dictionary ids: what InternBytes hands to
 // AdmitEncoded.
 type EncTriple = encTriple
 
-// InternBytes is AddBytes's first half: it resolves the statement's terms to
-// ids, interning the ones the dictionary lacks, and admits nothing. It writes
+// InternBytes and AdmitEncoded are Add in two halves, for a statement whose
+// terms are read straight out of a buffer (see TermBytes):
+// AdmitEncoded(InternBytes(s, p, o)) has the same ids, slot and duplicate
+// semantics as Add of the equivalent Triple, but a term the dictionary
+// already holds is found without building a string, and only a new term's
+// bytes are copied. The terms are passed by pointer only to spare the
+// copies; InternBytes neither writes nor keeps them.
+//
+// InternBytes is the first half: it resolves the statement's terms to ids,
+// interning the ones the dictionary lacks, and admits nothing. It writes
 // the dictionary and the graph's memory of recent terms, and nothing
 // AdmitEncoded or GrowLog reads or writes, so one goroutine may run
 // InternBytes and GrowDict while another runs AdmitEncoded and GrowLog on the
@@ -417,12 +413,12 @@ func encode[S string | []byte](g *Graph, s, p, o *termKey[S]) encTriple {
 	return encTriple{recall(&r.s, g.dict, s), recall(predicateSlot(r, p), g.dict, p), intern(g.dict, o)}
 }
 
-// AdmitEncoded is AddBytes's second half: it admits the statement
+// AdmitEncoded is Add's second half: it admits the statement
 // InternBytes encoded unless it is live already, returning whether it did.
 // It writes the triple log, the tombstones and the duplicate index only; the
 // posting lists catch up on the next read. Statements must be admitted in
-// the order they were encoded for the graph to be the one AddBytes would
-// have built.
+// the order they were encoded for the graph to be the one Add would have
+// built.
 func (g *Graph) AdmitEncoded(e EncTriple) bool {
 	g.ownPresent()
 	h := e.hash()

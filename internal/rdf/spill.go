@@ -3,9 +3,9 @@
 // triple log, and the subject/predicate/object posting lists — to disk,
 // leaving behind a small in-memory "tail" that absorbs writes arriving after
 // the spill. Slot indexes and term ids are preserved exactly, so every
-// accessor (ForEach, Match, EncodedAt, CSV export, the evaluators) observes
-// the same admission order and the same bytes as the fully-resident graph:
-// spilling is invisible to output.
+// accessor (ForEach, Match, ForEachEncoded, CSV export, the evaluators)
+// observes the same admission order and the same bytes as the fully-resident
+// graph: spilling is invisible to output.
 //
 // The disk side is an append-only list of immutable segment files, one per
 // spill, each holding only what the tail held. The files are scratch: only

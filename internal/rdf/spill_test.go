@@ -738,12 +738,13 @@ func TestGovernorHysteresis(t *testing.T) {
 		ReadHeap: func() uint64 { return heap },
 	})
 	g := spillFixture(100)
+	gSpillPressure.Set(0) // process-wide: a governor of an earlier run may have left it set
 
 	heap = 50 << 20
 	if sp, err := gv.Maybe(g); err != nil || sp {
 		t.Fatalf("Maybe under watermark: (%v,%v)", sp, err)
 	}
-	if gv.latched {
+	if gSpillPressure.Value() != 0 {
 		t.Fatal("under pressure before trip")
 	}
 
@@ -753,7 +754,7 @@ func TestGovernorHysteresis(t *testing.T) {
 	if sp, err := gv.Maybe(g); err != nil || !sp {
 		t.Fatalf("Maybe over watermark: (%v,%v)", sp, err)
 	}
-	if !gv.latched {
+	if gSpillPressure.Value() != 1 {
 		t.Fatal("latch not set after trip")
 	}
 	if !g.Spilled() {
@@ -765,7 +766,7 @@ func TestGovernorHysteresis(t *testing.T) {
 	if sp, err := gv.Maybe(g); err != nil || sp {
 		t.Fatalf("Maybe inside band: (%v,%v)", sp, err)
 	}
-	if !gv.latched {
+	if gSpillPressure.Value() != 1 {
 		t.Fatal("latch cleared inside band")
 	}
 
@@ -774,7 +775,7 @@ func TestGovernorHysteresis(t *testing.T) {
 	if sp, err := gv.Maybe(g); err != nil || sp {
 		t.Fatalf("Maybe under low watermark: (%v,%v)", sp, err)
 	}
-	if gv.latched {
+	if gSpillPressure.Value() != 0 {
 		t.Fatal("latch not cleared under low watermark")
 	}
 	if gv.Spills() != 1 {

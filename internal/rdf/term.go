@@ -58,7 +58,7 @@ type Term struct {
 // TermBytes is a term read straight out of a buffer its caller owns: a
 // Term's fields as byte slices, in the form the Term constructors give them
 // (an xsd:string datatype empty, a language tag in lower case). It is what
-// Graph.AddBytes admits. The graph keeps no reference to the slices; a term
+// Graph.InternBytes encodes. The graph keeps no reference to the slices; a term
 // its dictionary has not seen is copied, one it has seen costs nothing.
 type TermBytes struct {
 	Kind                  Kind

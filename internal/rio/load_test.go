@@ -92,8 +92,8 @@ func requireSameOutcome(t *testing.T, seq, par ntOutcome) {
 }
 
 // requireIdentical asserts the two graphs are the same in every way the
-// pipeline can observe: dictionary id assignment, the triple in every slot,
-// and the order of every posting list.
+// pipeline can observe: dictionary id assignment, the live triple in every
+// slot, and the order of every posting list.
 func requireIdentical(t *testing.T, seq, par *rdf.Graph) {
 	t.Helper()
 	sd, pd := seq.Dict(), par.Dict()
@@ -108,11 +108,21 @@ func requireIdentical(t *testing.T, seq, par *rdf.Graph) {
 	if seq.NumSlots() != par.NumSlots() {
 		t.Fatalf("slot counts differ: sequential %d, parallel %d", seq.NumSlots(), par.NumSlots())
 	}
-	for i := 0; i < seq.NumSlots(); i++ {
-		ss, sp, so, sl := seq.EncodedAt(i)
-		ps, pp, po, pl := par.EncodedAt(i)
-		if ss != ps || sp != pp || so != po || sl != pl {
-			t.Fatalf("slot %d: sequential (%d %d %d live=%v), parallel (%d %d %d live=%v)", i, ss, sp, so, sl, ps, pp, po, pl)
+	slots := func(g *rdf.Graph) (out [][4]int) {
+		g.ForEachEncoded(func(slot int, s, p, o rdf.TermID) bool {
+			out = append(out, [4]int{slot, int(s), int(p), int(o)})
+			return true
+		})
+		return out
+	}
+	ss, ps := slots(seq), slots(par)
+	if len(ss) != len(ps) {
+		t.Fatalf("live slots differ: sequential %d, parallel %d", len(ss), len(ps))
+	}
+	for i := range ss {
+		if ss[i] != ps[i] {
+			t.Fatalf("live slot %d: sequential (slot %d: %d %d %d), parallel (slot %d: %d %d %d)", i,
+				ss[i][0], ss[i][1], ss[i][2], ss[i][3], ps[i][0], ps[i][1], ps[i][2], ps[i][3])
 		}
 	}
 	const any = ^rdf.TermID(0)
@@ -237,12 +247,15 @@ func TestLoadNTriplesParallelMatchesSequential(t *testing.T) {
 						if par.err != nil {
 							return
 						}
-						parse, intern, admit := span.Child("parse"), span.Child("intern"), span.Child("admit")
-						if got := parse.Counter("bytes"); got != int64(len(in.src)) {
+						stage := make(map[string]map[string]int64)
+						for _, c := range span.Record().Children {
+							stage[c.Name] = c.Counters
+						}
+						if got := stage["parse"]["bytes"]; got != int64(len(in.src)) {
 							t.Fatalf("parse counted %d bytes, the input has %d", got, len(in.src))
 						}
-						if intern.Counter("triples") != par.metered || admit.Counter("triples") != par.metered {
-							t.Fatalf("intern counted %d statements, admit %d, want %d", intern.Counter("triples"), admit.Counter("triples"), par.metered)
+						if stage["intern"]["triples"] != par.metered || stage["admit"]["triples"] != par.metered {
+							t.Fatalf("intern counted %d statements, admit %d, want %d", stage["intern"]["triples"], stage["admit"]["triples"], par.metered)
 						}
 					})
 				}

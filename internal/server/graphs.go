@@ -31,6 +31,7 @@ import (
 	"github.com/s3pg/s3pg/internal/batch"
 	"github.com/s3pg/s3pg/internal/ckpt"
 	"github.com/s3pg/s3pg/internal/core"
+	"github.com/s3pg/s3pg/internal/faultio"
 	"github.com/s3pg/s3pg/internal/obs"
 	"github.com/s3pg/s3pg/internal/rdf"
 	"github.com/s3pg/s3pg/internal/rio"
@@ -251,28 +252,24 @@ func (m *GraphManager) createLocked(id, mode, shapesTTL, dataNT string) (*graphS
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	writes := []struct{ name, body string }{
+	metaBody, err := json.Marshal(graphMeta{Mode: md.String()})
+	if err != nil {
+		return nil, err
+	}
+	// Each commit rides out transient faults as a job's do; meta.json goes
+	// last (see OpenGraphs).
+	for _, wr := range []struct{ name, body string }{
 		{graphShapesFile, shapesTTL},
 		{graphSourceFile, dataNT},
-	}
-	for _, wr := range writes {
-		err := ckpt.WriteFileAtomicFS(m.cfg.FS, filepath.Join(dir, wr.name), 0o644, func(w io.Writer) error {
+		{graphMetaFile, string(metaBody)},
+	} {
+		err := faultio.Commit(context.Background(), m.cfg.FS, faultio.DefaultRetryPolicy, filepath.Join(dir, wr.name), func(w io.Writer) error {
 			_, werr := io.WriteString(w, wr.body)
 			return werr
 		})
 		if err != nil {
 			return nil, err
 		}
-	}
-	metaBody, err := json.Marshal(graphMeta{Mode: md.String()})
-	if err != nil {
-		return nil, err
-	}
-	if err := ckpt.WriteFileAtomicFS(m.cfg.FS, filepath.Join(dir, graphMetaFile), 0o644, func(w io.Writer) error {
-		_, werr := w.Write(metaBody)
-		return werr
-	}); err != nil {
-		return nil, err
 	}
 	wlog, recs, err := wal.Open(filepath.Join(dir, graphWALDir), wal.Options{FS: m.cfg.FS})
 	if err != nil {

@@ -17,8 +17,10 @@ import (
 	"time"
 
 	"github.com/s3pg/s3pg/internal/core"
+	"github.com/s3pg/s3pg/internal/faultio"
 	"github.com/s3pg/s3pg/internal/fixtures"
 	"github.com/s3pg/s3pg/internal/jobs"
+	"github.com/s3pg/s3pg/internal/obs"
 	"github.com/s3pg/s3pg/internal/pgschema"
 	"github.com/s3pg/s3pg/internal/rio"
 	"github.com/s3pg/s3pg/internal/sparql"
@@ -637,4 +639,59 @@ func TestGraphUpdateAdmission(t *testing.T) {
 		t.Fatalf("second update while queue full: %d %s, want 429", code, raw)
 	}
 	wg.Wait()
+}
+
+// TestGraphCreateRidesOutTransientFaults: PUT /graphs commits its snapshot
+// through the retrying commit a job's files take. Under a filesystem that
+// fails every ninth operation transiently — the third file's create, after
+// the first two commits' four operations each — the create is a 201, and
+// the graph reopens from its directory with its meta, shapes and source and
+// an empty WAL, exporting what a fault-free create exports.
+func TestGraphCreateRidesOutTransientFaults(t *testing.T) {
+	dir := t.TempDir()
+	retries := obs.Default.Counter("faultio.retry.attempts")
+	before := retries.Value()
+	ts, m := newGraphServer(t, GraphConfig{Dir: dir, FS: &faultio.FS{TransientEvery: 9}})
+	createUniversityGraph(t, ts, "uni")
+	if retries.Value() == before {
+		t.Fatal("the fault schedule never fired: the create was not retried")
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	nt := universityNT(t)
+	for name, want := range map[string]string{graphShapesFile: fixtures.UniversityShapesTurtle, graphSourceFile: nt} {
+		if got, err := os.ReadFile(filepath.Join(dir, "uni", name)); err != nil || string(got) != want {
+			t.Fatalf("%s after the create: %d bytes (%v), want the %d bytes sent", name, len(got), err, len(want))
+		}
+	}
+	var meta graphMeta
+	if raw, err := os.ReadFile(filepath.Join(dir, "uni", graphMetaFile)); err != nil || json.Unmarshal(raw, &meta) != nil || meta.Mode != "parsimonious" {
+		t.Fatalf("%s after the create: %+v (%v)", graphMetaFile, meta, err)
+	}
+	if recs, err := wal.ReadRecords(filepath.Join(dir, "uni", graphWALDir)); err != nil || len(recs) != 0 {
+		t.Fatalf("the fresh WAL holds %d records (%v), want none", len(recs), err)
+	}
+
+	reopened := newGraphManager(t, GraphConfig{Dir: dir})
+	if st, err := reopened.Status("uni"); err != nil || st.LSN != 0 || st.Mode != "parsimonious" {
+		t.Fatalf("reopened status %+v (%v)", st, err)
+	}
+	ref := newGraphManager(t, GraphConfig{})
+	if _, err := ref.Create("uni", "parsimonious", fixtures.UniversityShapesTurtle, nt); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"nodes.csv", "edges.csv", "schema.ddl"} {
+		var got, want bytes.Buffer
+		if err := reopened.Export("uni", name, &got); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Export("uni", name, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("reopened %s differs from a fault-free create's", name)
+		}
+	}
 }

@@ -43,15 +43,6 @@ func (r *ViolationReport) Count(shape string, kind ViolationKind) int {
 	return r.ByShape[shape][kind]
 }
 
-// KindTotal returns the number of violations of a kind across all shapes.
-func (r *ViolationReport) KindTotal(kind ViolationKind) int {
-	n := 0
-	for _, m := range r.ByShape {
-		n += m[kind]
-	}
-	return n
-}
-
 // String renders the report as one line per shape, shapes sorted by name and
 // kinds in constraint-family order, e.g.:
 //

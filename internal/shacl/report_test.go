@@ -137,3 +137,12 @@ func TestValidateContextCancel(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// KindTotal returns the number of violations of a kind across all shapes.
+func (r *ViolationReport) KindTotal(kind ViolationKind) int {
+	n := 0
+	for _, m := range r.ByShape {
+		n += m[kind]
+	}
+	return n
+}

@@ -588,3 +588,12 @@ func refEvalCall(x CallExpr, b refBinding) (refExprValue, error) {
 func ReferenceEvalCtx(ctx context.Context, g *rdf.Graph, q *Query) (*Results, error) {
 	return refEvalCtx(ctx, g, q)
 }
+
+// MustParse parses or panics; for the tests' statically known queries.
+func MustParse(src string) *Query {
+	q, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}

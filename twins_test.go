@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -99,24 +100,10 @@ func twinOf(pkg string, fn *ast.FuncDecl) string {
 	if !ast.IsExported(callee) || len(callee) <= len(name) || !strings.HasPrefix(callee, name) {
 		return ""
 	}
-	if fn.Recv == nil {
-		return pkg + "." + name
+	if recv := recvName(fn); recv != "" {
+		return pkg + "." + recv + "." + name
 	}
-	typ := fn.Recv.List[0].Type
-	for {
-		switch x := typ.(type) {
-		case *ast.StarExpr:
-			typ = x.X
-		case *ast.IndexExpr:
-			typ = x.X
-		case *ast.IndexListExpr:
-			typ = x.X
-		case *ast.Ident:
-			return pkg + "." + x.Name + "." + name
-		default:
-			return pkg + "." + name
-		}
-	}
+	return pkg + "." + name
 }
 
 // pipelineAllowlist names the packages, by directory, that may call the
@@ -195,6 +182,152 @@ func TestNoPipelineOutsideBatch(t *testing.T) {
 		}
 		if !used[dir] {
 			t.Errorf("pipelineAllowlist[%q] calls neither stage: drop the entry", dir)
+		}
+	}
+}
+
+// testOnlyAllowlist names the exported functions and methods under internal/
+// that no non-test file references but that stay, each with the test that
+// needs it. Keys are "pkg.Func" or "pkg.Recv.Method".
+var testOnlyAllowlist = map[string]string{
+	"rio.ReadNTriplesWith": "referenceLoad in internal/rio/load_test.go: the statement-by-statement reader TestLoadNTriplesParallelMatchesSequential, TestLoadNTriplesParallelShortInput and FuzzLoadNTriplesPaths hold every load to",
+}
+
+// testSupportPackages are the packages whose whole purpose is to serve
+// tests; their exports are exempt from TestNoTestOnlyExports.
+var testSupportPackages = map[string]bool{
+	"internal/fixtures": true,
+	"internal/qtest":    true,
+	"internal/promlint": true,
+}
+
+// interfaceMethods are method names a type declares to satisfy an interface
+// (of the standard library or of a caller) rather than to be called by name;
+// TestNoTestOnlyExports does not ask for a named caller of them.
+var interfaceMethods = map[string]bool{
+	"Error": true, "Unwrap": true, "String": true, // error, fmt.Stringer
+	"Len": true, "Less": true, "Swap": true, // sort.Interface
+	"Enabled": true, "Handle": true, "WithAttrs": true, "WithGroup": true, // slog.Handler
+	"ServeHTTP": true, "MarshalJSON": true,
+}
+
+// TestNoTestOnlyExports fails when an exported function or method under
+// internal/ is referenced by no non-test file of the module (bench/ and
+// examples/ included): a name only tests call belongs in the tests. The scan
+// is by name — a package function counts as referenced by pkg.Name from
+// another package or by Name inside its own, a method by any .Name selector —
+// so it can miss a test-only method that shares its name with a used one, but
+// never flags a used name.
+func TestNoTestOnlyExports(t *testing.T) {
+	const mod = "github.com/s3pg/s3pg/"
+	decls := make(map[string]string) // key → the reference that keeps it
+	refs := make(map[string]bool)    // "dir.Name" for functions, ".Name" for methods
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		imports := make(map[string]string) // local name → module-relative dir
+		for _, imp := range f.Imports {
+			ipath := strings.Trim(imp.Path.Value, `"`)
+			if !strings.HasPrefix(ipath, mod) {
+				continue
+			}
+			local := ipath[strings.LastIndex(ipath, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = strings.TrimPrefix(ipath, mod)
+		}
+		declared := make(map[*ast.Ident]bool)
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declared[fn.Name] = true
+			if !strings.HasPrefix(dir, "internal/") || testSupportPackages[dir] || !ast.IsExported(fn.Name.Name) {
+				continue
+			}
+			if fn.Recv == nil {
+				decls[f.Name.Name+"."+fn.Name.Name] = dir + "." + fn.Name.Name
+			} else if !interfaceMethods[fn.Name.Name] {
+				decls[f.Name.Name+"."+recvName(fn)+"."+fn.Name.Name] = "." + fn.Name.Name
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+					refs[imports[id.Name]+"."+x.Sel.Name] = true
+					return false
+				}
+				refs["."+x.Sel.Name] = true
+			case *ast.Ident:
+				if !declared[x] {
+					refs[dir+"."+x.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found []string
+	for key, ref := range decls {
+		if !refs[ref] {
+			found = append(found, key)
+		}
+	}
+	sort.Strings(found)
+	for _, key := range found {
+		if _, ok := testOnlyAllowlist[key]; !ok {
+			t.Errorf("%s has no caller outside _test.go files: move it into its package's tests, or list it in testOnlyAllowlist with the test that needs it", key)
+		}
+	}
+	for key, why := range testOnlyAllowlist {
+		if why == "" {
+			t.Errorf("testOnlyAllowlist[%q] gives no reason", key)
+		}
+		if !slices.Contains(found, key) {
+			t.Errorf("testOnlyAllowlist[%q] names no test-only export: drop the entry", key)
+		}
+	}
+}
+
+// recvName returns the receiver type name of method fn, "" for a function.
+func recvName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return ""
+	}
+	typ := fn.Recv.List[0].Type
+	for {
+		switch x := typ.(type) {
+		case *ast.StarExpr:
+			typ = x.X
+		case *ast.IndexExpr:
+			typ = x.X
+		case *ast.IndexListExpr:
+			typ = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
 		}
 	}
 }
