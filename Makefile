@@ -60,10 +60,11 @@ race:
 # inline fails unless the compiler inlines the calls the hot paths are
 # written around (the list is in internal/tools/inlinecheck): the term
 # index's resident compare into its probe loop, for both key forms; the
-# resident branch of Dict.View; a segment's triple filter into the spilled
-# lookup; and the watermark's catch-up into the reads of the RDF postings,
-# the store's adjacency and its iri index. A lost inline
-# fails no test, it only makes the benchmark slower.
+# resident probe of Dict.View and of a SPARQL answer cell; a segment's
+# triple filter into the spilled lookup; the watermark's catch-up into the
+# reads of the RDF postings, the store's adjacency and its iri index; and a
+# live grow batch's value-node probe and change-record sort rank. A lost
+# inline fails no test, it only makes the benchmark slower.
 inline:
 	$(GO) run ./internal/tools/inlinecheck
 

@@ -249,6 +249,31 @@ func TestFaultInjectedCommitNeverTearsOutputs(t *testing.T) {
 	}
 }
 
+// TestMalformedFaultFSFailsBeforeInput: a malformed S3PG_FAULT_FS stops a run
+// before it reads any input — the data file here does not exist, so an error
+// naming it would mean the input came first — with one error line and exit 1,
+// no stack dump and no output.
+func TestMalformedFaultFSFailsBeforeInput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	dir, shapes, _ := writeFixtures(t)
+	n, e, s, _ := outPaths(t, filepath.Join(dir, "out"))
+	code, _, errOut := execCLI(t, []string{faultFSEnv + "=bogus"}, "data", "-shapes", shapes,
+		"-data", filepath.Join(dir, "missing.nt"), "-nodes", n, "-edges", e, "-schema", s)
+	if code != exitError {
+		t.Fatalf("exit %d, want %d (stderr: %s)", code, exitError, errOut)
+	}
+	if want := "s3pg: error: " + faultFSEnv + ": "; !strings.HasPrefix(errOut, want) || strings.Count(errOut, "\n") != 1 {
+		t.Fatalf("stderr %q, want one line starting %q", errOut, want)
+	}
+	for _, p := range []string{n, e, s} {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("the run left output %s", p)
+		}
+	}
+}
+
 // requireCommittedPrefix checks what a run that failed at its k-th output
 // commit left behind: the k-1 outputs committed before it (edges, nodes,
 // schema, in that order) hold the uninterrupted run's bytes, and the others

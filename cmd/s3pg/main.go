@@ -193,12 +193,14 @@ func runCommand(cmd func([]string, io.Writer, io.Writer) error, args []string, s
 }
 
 // parseFlags parses args with a one-line error on failure instead of the
-// flag package's multi-line dump; -h/-help still prints the defaults.
+// flag package's multi-line dump; -h/-help still prints the defaults. Once
+// the flags parse, it resolves the commit filesystem (commitFS).
 func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) error {
 	fs.SetOutput(io.Discard)
 	err := fs.Parse(args)
 	if err == nil {
-		return nil
+		_, err = commitFS()
+		return err
 	}
 	if errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(stderr, "usage: s3pg %s [flags]\n", fs.Name())
@@ -345,12 +347,11 @@ var cCommitRetries = obs.Default.Counter("cli.commit.retries")
 // commitFS resolves the filesystem all atomic commits and spills go through,
 // once per process: the real one, or the S3PG_FAULT_FS fault injector (a
 // test hook that lets the robustness tests exercise the real binary).
-var commitFS = sync.OnceValue(func() ckpt.FS {
+// parseFlags resolves it, so a malformed value fails a run before it reads
+// any input.
+var commitFS = sync.OnceValues(func() (ckpt.FS, error) {
 	fsys, _, err := faultio.FSFromEnv()
-	if err != nil {
-		panic(err.Error())
-	}
-	return fsys
+	return fsys, err
 })
 
 // commitRetry is the default backoff with per-retry accounting: each
@@ -367,7 +368,11 @@ var commitRetry = func() faultio.RetryPolicy {
 // retrying transient faults. A commit that has started runs to its end: a
 // signal stops the run before its first commit, not between two.
 func commitAtomic(path string, fn func(io.Writer) error) error {
-	return faultio.Commit(context.Background(), commitFS(), commitRetry, path, fn)
+	fsys, err := commitFS()
+	if err != nil {
+		return err
+	}
+	return faultio.Commit(context.Background(), fsys, commitRetry, path, fn)
 }
 
 // writeOut emits content to stdout, or commits it atomically to path: a

@@ -64,9 +64,10 @@ func (mem *memFlags) governor(ctx context.Context, dataPath string, stderr io.Wr
 	if mem.maxMemMB <= 0 {
 		return nil, nil
 	}
+	fsys, _ := commitFS() // parseFlags has resolved it without error
 	gv := rdf.NewGovernor(rdf.SpillConfig{
 		Dir:    mem.spillDir(dataPath),
-		FS:     commitFS(),
+		FS:     fsys,
 		HighMB: mem.maxMemMB,
 	})
 	return gv, func(g *rdf.Graph) error {

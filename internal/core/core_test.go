@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -602,5 +603,30 @@ func TestUntypedSelfLoopIsEntityEdge(t *testing.T) {
 				t.Fatalf("%d self-loop edges, want 1 (%d nodes, %d edges)", loops, store.NumNodes(), store.NumEdges())
 			}
 		})
+	}
+}
+
+// TestExtendEdgeTargetsAfterNewEdgeType: ExtendEdgeTargets skips a pair it
+// has already made complete, but an edge type added since with the same
+// label still gets the target.
+func TestExtendEdgeTargetsAfterNewEdgeType(t *testing.T) {
+	m, err := core.BuildMapping(pgschema.NewSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := m.EnsureClassLabel("http://example.org/A"), m.EnsureClassLabel("http://example.org/B")
+	edge := m.EnsureEdgeRoute(a, "http://example.org/p").Name
+	m.ExtendEdgeTargets(edge, b)
+	m.ExtendEdgeTargets(edge, b)
+	m.EnsureEdgeRoute(b, "http://example.org/p") // a second edge type labelled edge
+	m.ExtendEdgeTargets(edge, b)
+	ets, target := m.Schema().EdgeTypesByLabel(edge), m.Schema().NodeTypeByLabel(b).Name
+	if len(ets) != 2 {
+		t.Fatalf("%d edge types labelled %s, want 2", len(ets), edge)
+	}
+	for _, et := range ets {
+		if !slices.Equal(et.Targets, []string{target}) {
+			t.Fatalf("edge type %s has targets %v, want [%s]", et.Name, et.Targets, target)
+		}
 	}
 }

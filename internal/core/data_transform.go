@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/s3pg/s3pg/internal/obs"
@@ -54,17 +55,24 @@ type Transformer struct {
 	mapping *Mapping
 	store   *pg.Store
 
-	// nodeOf is the Ψ_ETD companion, entity → PG node, read through
-	// entities(): an apply call leaves the entities it created in pending,
-	// by dictionary id, and the first read folds them in, so a transform
-	// nothing asks by term hashes none.
-	nodeOf  map[rdf.Term]pg.NodeID
-	pending []createdEntities
-	// valNode maps a literal/resource value to its value node. The ids sit in
-	// cells (valCell allocates them a slab at a time) so that renumbering the
-	// store rewrites them in one walk over the map, hashing no key.
-	valNode map[valKey]*pg.NodeID
+	// ids is the Ψ_ETD companion by id in dict, the first graph's dictionary
+	// (home): ids never change, so one table serves every apply call, and a
+	// term is hashed by no statement it occurs in.
+	dict *rdf.Dict
+	ids  []termNodes
+	// valNode maps a value to its value node by tag, then lexical (a map
+	// keyed by one string grows cheaply): what ids' value column reads
+	// through, so distinct terms sharing a value key (an IRI whose text is
+	// "_:x", blank node x) share the node. The ids sit in cells so that
+	// renumbering the store rewrites them in one walk, hashing no key.
+	valNode map[valTag]map[string]*pg.NodeID
 	idSlab  []pg.NodeID
+	// The names the router resolves, as pg.Syms, kept across apply calls:
+	// a class's label, and the routing of a (subject label set, predicate)
+	// pair, made on first use.
+	classes map[rdf.TermID]pg.Sym
+	routes  map[uint64]*routed
+	lits    []litVal // the apply call's per-term literal values; nil parses on demand
 	// dtValue holds each datatype IRI as the "dt" value of its value nodes:
 	// boxed once, not once per node.
 	dtValue map[string]pg.Value
@@ -86,11 +94,13 @@ type Transformer struct {
 	// many nodes phase 1 of the last apply call created. triggers holds the
 	// slots of the statements whose routing extended the schema (the mapping's
 	// revision moved): what they added — its name, its place in the DDL —
-	// depends on their being where they are in the stream. slotBase is added
-	// to the slots recorded: the live graph's slot of a delta graph's slot 0.
-	typedNodes int
-	triggers   map[int]struct{}
-	slotBase   int
+	// depends on their being where they are in the stream. frozen holds the
+	// records of nodes below frozenBelow as they were before their first
+	// write of a batch applied in place (freeze); frozenBelow is 0 otherwise.
+	typedNodes  int
+	triggers    map[int]struct{}
+	frozen      map[pg.NodeID]pg.Node
+	frozenBelow pg.NodeID
 
 	// lenient enables the degradation policy: statements that strict mode
 	// rejects are realized through documented fallbacks or skipped and
@@ -100,13 +110,45 @@ type Transformer struct {
 	degradedCount int64
 }
 
-// valKey identifies a value node: the exact lexical, datatype, language tag,
-// and whether it encodes an untyped resource rather than a literal.
+// valKey identifies a value node: the exact lexical and what it is read as.
 type valKey struct {
-	lex  string
-	dt   string
-	lang string
-	res  bool
+	lex string
+	tag valTag
+}
+
+// valTag is a literal's datatype and language tag, or res for an untyped
+// resource.
+type valTag struct {
+	dt, lang string
+	res      bool
+}
+
+// valueKey is the valNode key of a term encoded as a value node.
+func valueKey(o rdf.Term) valKey {
+	if o.IsResource() {
+		return valKey{lex: termIRI(o), tag: valTag{res: true}}
+	}
+	return valKey{lex: o.Value, tag: valTag{dt: o.DatatypeIRI(), lang: o.Lang}}
+}
+
+// valueNode returns the cell of the value node with key k, nil when none.
+func (t *Transformer) valueNode(k valKey) *pg.NodeID { return t.valNode[k.tag][k.lex] }
+
+// addValueNode records id as the value node with key k, in a cell of the id
+// slab.
+func (t *Transformer) addValueNode(k valKey, id pg.NodeID) {
+	byLex := t.valNode[k.tag]
+	if byLex == nil {
+		byLex = make(map[string]*pg.NodeID)
+		t.valNode[k.tag] = byLex
+	}
+	if len(t.idSlab) == 0 {
+		t.idSlab = make([]pg.NodeID, 512)
+	}
+	cell := &t.idSlab[0]
+	t.idSlab = t.idSlab[1:]
+	*cell = id
+	byLex[k.lex] = cell
 }
 
 // NewTransformer builds the PG-Schema for the shape schema via F_st and
@@ -131,8 +173,7 @@ func NewTransformerForSchema(spg *pgschema.Schema, mode Mode) (*Transformer, err
 		mode:    mode,
 		mapping: m,
 		store:   pg.NewStore(),
-		nodeOf:  make(map[rdf.Term]pg.NodeID),
-		valNode: make(map[valKey]*pg.NodeID),
+		valNode: make(map[valTag]map[string]*pg.NodeID),
 		dtValue: make(map[string]pg.Value),
 		edgeOf:  make(map[rdf.Term]pg.EdgeID),
 
@@ -144,43 +185,45 @@ func NewTransformerForSchema(spg *pgschema.Schema, mode Mode) (*Transformer, err
 	return t, nil
 }
 
-// createdEntities are the entities one apply call created: their terms, by
-// id in dict, with their nodes.
-type createdEntities struct {
-	dict    *rdf.Dict
-	created []createdEntity
-}
+// termNodes is what a term is in the store: the entity node it names and
+// the value node it was encoded as, noNode when none.
+type termNodes struct{ entity, value pg.NodeID }
 
-type createdEntity struct {
-	term rdf.TermID
-	node pg.NodeID
-}
-
-// entities returns nodeOf with the pending entities folded in. Every read and
-// write of nodeOf goes through it.
-func (t *Transformer) entities() map[rdf.Term]pg.NodeID {
-	if len(t.pending) > 0 {
-		t.foldPending()
+// home returns g, or, when g's terms are in another dictionary than the first
+// graph's, g re-added into a copy of that one, which no graph shares.
+func (t *Transformer) home(g *rdf.Graph) *rdf.Graph {
+	switch {
+	case t.dict == nil:
+		t.dict = g.Dict()
+	case g.Dict() != t.dict:
+		t.dict = t.dict.Clone()
+		h := rdf.NewGraphWithDict(t.dict)
+		h.AddAll(g)
+		return h
 	}
-	return t.nodeOf
+	return g
 }
 
-// foldPending moves the pending entities into nodeOf, sizing the map once
-// when it is still empty.
-func (t *Transformer) foldPending() {
-	if len(t.nodeOf) == 0 {
-		n := 0
-		for _, p := range t.pending {
-			n += len(p.created)
+// freeze keeps node id's record as it is, before a write (pg.Store.Frozen),
+// when a batch applied in place found the node and has not written it yet.
+func (t *Transformer) freeze(id pg.NodeID) {
+	if id >= t.frozenBelow {
+		return
+	}
+	if _, done := t.frozen[id]; !done {
+		if t.frozen == nil {
+			t.frozen = make(map[pg.NodeID]pg.Node)
 		}
-		t.nodeOf = make(map[rdf.Term]pg.NodeID, n)
+		t.frozen[id] = t.store.Frozen(id)
 	}
-	for _, p := range t.pending {
-		for _, e := range p.created {
-			t.nodeOf[p.dict.Term(e.term)] = e.node
-		}
+}
+
+// entityOf returns the entity node of a term, noNode when it names none.
+func (t *Transformer) entityOf(term rdf.Term) pg.NodeID {
+	if id, ok := t.dict.Lookup(term); ok && int(id) < len(t.ids) {
+		return t.ids[id].entity
 	}
-	t.pending = nil
+	return noNode
 }
 
 // SetLenient switches the degradation policy on or off. With it on, Apply
@@ -221,11 +264,11 @@ func (t *Transformer) Apply(g *rdf.Graph) error {
 // cancellation checks.
 const ctxCheckInterval = 4096
 
-// apply is Algorithm 1 over the graph's dictionary-encoded triples, in
-// admission order. It is the one statement router every entry point runs:
-// lits is nil when literal values are parsed on demand, or ApplyParallel's
-// prefilled per-term table.
-func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, lits []litVal, span *obs.Span) error {
+// apply is Algorithm 1 over the graph's dictionary-encoded triples from slot
+// from on, in admission order; g's dictionary is the transformer's. It is the
+// one statement router every entry point runs: lits is nil when literal
+// values are parsed on demand, or ApplyParallel's prefilled per-term table.
+func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, from int, lits []litVal, span *obs.Span) error {
 	nodes0, edges0 := t.store.NumNodes(), t.store.NumEdges()
 	start := time.Now()
 	defer func() {
@@ -234,9 +277,16 @@ func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, lits []litVal, sp
 		mTransformEdges.Observe(int64(t.store.NumEdges()-edges0), elapsed)
 	}()
 
-	c := newCommit(t, g.Dict(), lits)
-	defer c.flush()
-	aID, hasA := c.dict.Lookup(rdf.A)
+	if n := t.dict.Len(); n > len(t.ids) {
+		// slices.Grow amortises: a live graph's batches add a few terms each.
+		t.ids = slices.Grow(t.ids, n-len(t.ids))
+		for len(t.ids) < n {
+			t.ids = append(t.ids, termNodes{noNode, noNode})
+		}
+	}
+	t.lits = lits
+	defer func() { t.lits = nil }()
+	aID, hasA := t.dict.Lookup(rdf.A)
 
 	// Phase 1 (Algorithm 1, lines 4–14): collect entity types and create
 	// PG nodes with labels and the iri key. Under the lenient policy,
@@ -248,7 +298,7 @@ func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, lits []litVal, sp
 	var err error
 	var coerced []rdf.TermID // subject, object pairs
 	if hasA {
-		g.ForEachEncoded(func(slot int, s, p, o rdf.TermID) bool {
+		g.ForEachEncodedFrom(from, func(slot int, s, p, o rdf.TermID) bool {
 			if p != aID {
 				return true
 			}
@@ -260,21 +310,21 @@ func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, lits []litVal, sp
 			seen++
 			typeTriples++
 			var sT, oT rdf.Term
-			if c.nodeID[s] == noNode {
-				if sT = c.dict.Term(s); sT.IsTripleTerm() {
+			if t.ids[s].entity == noNode {
+				if sT = t.dict.Term(s); sT.IsTripleTerm() {
 					if t.lenient {
-						t.degrade("skipped: quoted triples cannot be typed", c.triple(s, p, o))
+						t.degrade("skipped: quoted triples cannot be typed", t.triple(s, p, o))
 						return true
 					}
-					err = fmt.Errorf("core: quoted triples cannot be typed: %v", c.triple(s, p, o))
+					err = fmt.Errorf("core: quoted triples cannot be typed: %v", t.triple(s, p, o))
 					return false
 				}
 			}
-			label, known := c.classes[o]
+			label, known := t.classes[o]
 			if !known {
-				if oT = c.dict.Term(o); !oT.IsIRI() {
+				if oT = t.dict.Term(o); !oT.IsIRI() {
 					if t.lenient {
-						t.degrade("coerced: rdf:type object is not an IRI, realized as a property statement", c.triple(s, p, o))
+						t.degrade("coerced: rdf:type object is not an IRI, realized as a property statement", t.triple(s, p, o))
 						coerced = append(coerced, s, o)
 						return true
 					}
@@ -282,14 +332,14 @@ func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, lits []litVal, sp
 					return false
 				}
 			}
-			id := c.entity(s, sT)
+			id := t.entity(s, sT)
 			if !known {
 				name := t.mapping.LabelOfClass(oT.Value)
 				if name == "" {
 					name = t.mapping.EnsureClassLabel(oT.Value)
-					t.triggers[t.slotBase+slot] = struct{}{}
+					t.triggers[slot] = struct{}{}
 				}
-				label = c.class(o, name)
+				label = t.class(o, name)
 			}
 			t.store.AddLabelSym(id, label)
 			return true
@@ -311,7 +361,7 @@ func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, lits []litVal, sp
 	nodes1, kv1 := t.store.NumNodes(), t.kvProps
 	var annotations []rdf.Triple
 	seen = 0
-	g.ForEachEncoded(func(slot int, s, p, o rdf.TermID) bool {
+	g.ForEachEncodedFrom(from, func(slot int, s, p, o rdf.TermID) bool {
 		if seen%ctxCheckInterval == 0 {
 			if err = ctx.Err(); err != nil {
 				return false
@@ -323,11 +373,11 @@ func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, lits []litVal, sp
 		}
 		rev := t.mapping.rev
 		var annotation bool
-		if annotation, err = c.statement(s, p, o); annotation {
-			annotations = append(annotations, c.triple(s, p, o))
+		if annotation, err = t.statement(s, p, o); annotation {
+			annotations = append(annotations, t.triple(s, p, o))
 		}
 		if t.mapping.rev != rev {
-			t.triggers[t.slotBase+slot] = struct{}{}
+			t.triggers[slot] = struct{}{}
 		}
 		return err == nil
 	})
@@ -336,7 +386,7 @@ func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, lits []litVal, sp
 		// realized like any other property statement, so the information is
 		// preserved as a string-coerced value node.
 		for i := 0; i < len(coerced); i += 2 {
-			c.statement(coerced[i], aID, coerced[i+1])
+			t.statement(coerced[i], aID, coerced[i+1])
 		}
 	}
 	cTransformKV.Add(t.kvProps - kv1)
@@ -470,32 +520,6 @@ type litVal struct {
 	canonical bool
 }
 
-// commit is the state of one apply call: TermID-indexed caches in front of
-// the transformer's term-keyed maps, so a term is hashed once per Apply, not
-// once per statement it occurs in, and the names the router resolves — a
-// class's label, a predicate's route for a label set — as pg.Syms, resolved
-// once per Apply, so the store is written by integers. The node caches are
-// read-through — a miss consults the map before creating anything, which
-// seeds entries left by earlier Apply calls, and preserves dedup in the
-// exotic case of distinct terms sharing a value key (an IRI whose text is
-// "_:x" colliding with blank node x). Value nodes are written through;
-// entity nodes created by this call go to the transformer's pending list in
-// one batch (flush) — a term has one id per dictionary, so nothing can look
-// them up by term in between — and reach nodeOf on its next read.
-type commit struct {
-	t       *Transformer
-	dict    *rdf.Dict
-	nodeID  []pg.NodeID     // entity term → node, noNode when unknown
-	valID   []pg.NodeID     // value term → value node, noNode when unknown
-	created []createdEntity // entities created by this call, not yet in nodeOf
-	lits    []litVal        // per-term literal values; nil = parse on demand
-
-	// The name caches, made on first use: a delta of a few statements
-	// allocates none it does not need.
-	classes map[rdf.TermID]pg.Sym // class term → its label
-	routes  map[uint64]*routed    // (subject label set, predicate) → its routing
-}
-
 // routed is the routing of a (subject label set, predicate) pair as of
 // mapping revision rev: the route, the key a KV route writes and, once a
 // statement of the pair became an edge, the edge label edgeLabelFor gave.
@@ -512,47 +536,29 @@ type routed struct {
 	edgeName string
 }
 
-func newCommit(t *Transformer, dict *rdf.Dict, lits []litVal) *commit {
-	n := dict.Len()
-	ids := make([]pg.NodeID, 2*n)
-	for i := range ids {
-		ids[i] = noNode
-	}
-	return &commit{t: t, dict: dict, nodeID: ids[:n], valID: ids[n:], lits: lits}
-}
-
-// flush hands the entities this call created to the transformer's pending
-// list.
-func (c *commit) flush() {
-	if len(c.created) > 0 {
-		c.t.pending = append(c.t.pending, createdEntities{c.dict, c.created})
-	}
-}
-
 // triple decodes a statement for an error, a degradation or an annotation.
-func (c *commit) triple(s, p, o rdf.TermID) rdf.Triple {
-	return rdf.NewTriple(c.dict.Term(s), c.dict.Term(p), c.dict.Term(o))
+func (t *Transformer) triple(s, p, o rdf.TermID) rdf.Triple {
+	return rdf.NewTriple(t.dict.Term(s), t.dict.Term(p), t.dict.Term(o))
 }
 
 // statement routes one non-type triple (Algorithm 1, lines 15–31). It reports
 // an RDF-star annotation (quoted-triple subject) back to the caller, which
 // defers it; a statement strict mode rejects is an error, under the lenient
 // policy a recorded degradation.
-func (c *commit) statement(s, p, o rdf.TermID) (annotation bool, err error) {
-	t := c.t
-	sid := c.nodeID[s]
+func (t *Transformer) statement(s, p, o rdf.TermID) (annotation bool, err error) {
+	sid := t.ids[s].entity
 	var sT rdf.Term
 	if sid == noNode {
-		if sT = c.dict.Term(s); sT.IsTripleTerm() {
+		if sT = t.dict.Term(s); sT.IsTripleTerm() {
 			return true, nil
 		}
 	}
-	// An object this call already gave an entity node is an IRI or a blank
-	// node, so it needs no decode.
+	// An object that is an entity is an IRI or a blank node, so it needs no
+	// decode.
 	var oT rdf.Term
-	if c.nodeID[o] == noNode {
-		if oT = c.dict.Term(o); oT.IsTripleTerm() {
-			tr := c.triple(s, p, o)
+	if t.ids[o].entity == noNode {
+		if oT = t.dict.Term(o); oT.IsTripleTerm() {
+			tr := t.triple(s, p, o)
 			err := fmt.Errorf("core: quoted triples in object position are not supported: %v", tr)
 			if t.lenient {
 				t.degrade("skipped: "+err.Error(), tr)
@@ -562,49 +568,45 @@ func (c *commit) statement(s, p, o rdf.TermID) (annotation bool, err error) {
 		}
 	}
 	if sid == noNode {
-		sid = c.entity(s, sT)
+		sid = t.entity(s, sT)
 	}
 	sn := t.store.Node(sid)
 	if len(sn.Labels()) == 0 && t.lenient {
 		// Degradation policy: a subject with no rdf:type (hence no shape)
 		// gets the generic rdfs:Resource label so its properties attach to a
 		// labelled node; routes fall back to data-extended edge types.
-		t.degrade("generic label: subject has no rdf:type, labelled as rdfs:Resource", c.triple(s, p, o))
+		t.degrade("generic label: subject has no rdf:type, labelled as rdfs:Resource", t.triple(s, p, o))
 		t.store.AddLabel(sid, t.mapping.EnsureClassLabel(GenericClass))
 		sn = t.store.Node(sid)
 	}
-	r := c.route(sn, p)
+	r := t.route(sn, p)
 
 	var oid pg.NodeID
-	if oid = c.nodeID[o]; oid != noNode {
+	if oid = t.ids[o].entity; oid != noNode {
 		// Case 1 (lines 16–20): the object is a known entity → entity edge.
 		// Read after the subject's entity exists, so a self-loop finds it.
 	} else if oT.IsResource() {
 		// An IRI or blank object never declared as an entity is encoded as a
 		// resource value node so no information is dropped.
-		if known, ok := t.entities()[oT]; ok {
-			c.nodeID[o] = known
-			oid = known
-		} else {
-			oid = c.resourceValue(o, oT)
-		}
+		oid = t.resourceValue(o, oT)
 	} else {
 		// Case 2 (lines 21–23): parsimonious key/value encoding, applicable
 		// when the route says KV and the literal's datatype matches
 		// canonically.
 		dt := oT.DatatypeIRI()
 		if route := r.route; route != nil && route.Kind == RouteKV && oT.Lang == "" && dt == route.Datatype {
-			if lv := c.literal(o, oT.Value, dt); lv.canonical {
+			if lv := t.literal(o, oT.Value, dt); lv.canonical {
+				t.freeze(sid)
 				t.store.AppendPropSym(sid, r.key, lv.native)
 				t.kvProps++
 				return false, nil
 			}
 		}
 		// Case 3 (lines 24–31): literal value node plus edge.
-		oid = c.literalValue(o, oT.Value, dt, oT.Lang)
+		oid = t.literalValue(o, oT.Value, dt, oT.Lang)
 	}
 	if !r.hasEdge {
-		r.edgeName, r.fallback = t.edgeLabelFor(r.route, sn.Labels(), c.dict.Term(p).Value)
+		r.edgeName, r.fallback = t.edgeLabelFor(r.route, sn.Labels(), t.dict.Term(p).Value)
 		r.edge, r.hasEdge = t.store.Intern(r.edgeName), true
 	}
 	t.store.AddEdgeSym(sid, oid, r.edge)
@@ -614,59 +616,54 @@ func (c *commit) statement(s, p, o rdf.TermID) (annotation bool, err error) {
 	return false, nil
 }
 
-// class records the label of class term o for the rest of the call.
-func (c *commit) class(o rdf.TermID, name string) pg.Sym {
-	if c.classes == nil {
-		c.classes = make(map[rdf.TermID]pg.Sym)
+// class records the label of class term o.
+func (t *Transformer) class(o rdf.TermID, name string) pg.Sym {
+	if t.classes == nil {
+		t.classes = make(map[rdf.TermID]pg.Sym)
 	}
-	l := c.t.store.Intern(name)
-	c.classes[o] = l
+	l := t.store.Intern(name)
+	t.classes[o] = l
 	return l
 }
 
 // route returns the routing of predicate p for the subject node sn, resolving
-// it when the pair is new to this call or the mapping has moved since.
-func (c *commit) route(sn pg.Node, p rdf.TermID) *routed {
-	m, key := c.t.mapping, uint64(sn.LabelSet())<<32|uint64(p)
-	r := c.routes[key]
+// it when the pair is new or the mapping has moved since.
+func (t *Transformer) route(sn pg.Node, p rdf.TermID) *routed {
+	m, key := t.mapping, uint64(sn.LabelSet())<<32|uint64(p)
+	r := t.routes[key]
 	if r != nil && r.rev == m.rev {
 		return r
 	}
 	if r == nil {
-		if c.routes == nil {
-			c.routes = make(map[uint64]*routed)
+		if t.routes == nil {
+			t.routes = make(map[uint64]*routed)
 		}
 		r = new(routed)
-		c.routes[key] = r
+		t.routes[key] = r
 	}
-	*r = routed{rev: m.rev, route: m.Route(sn.Labels(), c.dict.Term(p).Value)}
+	*r = routed{rev: m.rev, route: m.Route(sn.Labels(), t.dict.Term(p).Value)}
 	if r.route != nil && r.route.Kind == RouteKV {
-		r.key = c.t.store.Intern(r.route.Name)
+		r.key = t.store.Intern(r.route.Name)
 	}
 	return r
 }
 
 // entity returns the PG node for an entity, creating it with its iri key on
 // first sight (Algorithm 1, lines 9–14).
-func (c *commit) entity(s rdf.TermID, sT rdf.Term) pg.NodeID {
-	if id := c.nodeID[s]; id != noNode {
+func (t *Transformer) entity(s rdf.TermID, sT rdf.Term) pg.NodeID {
+	if id := t.ids[s].entity; id != noNode {
 		return id
 	}
-	t := c.t
-	id, ok := t.entities()[sT]
-	if !ok {
-		props := [...]pg.KV{{Key: t.keys.iri, Value: termIRI(sT)}}
-		id = t.store.AddNodeSym(nil, props[:]).ID
-		c.created = append(c.created, createdEntity{s, id})
-	}
-	c.nodeID[s] = id
+	props := [...]pg.KV{{Key: t.keys.iri, Value: termIRI(sT)}}
+	id := t.store.AddNodeSym(nil, props[:]).ID
+	t.ids[s].entity = id
 	return id
 }
 
 // literal returns the typed value of literal term o.
-func (c *commit) literal(o rdf.TermID, lex, dt string) litVal {
-	if c.lits != nil {
-		return c.lits[o]
+func (t *Transformer) literal(o rdf.TermID, lex, dt string) litVal {
+	if t.lits != nil {
+		return t.lits[o]
 	}
 	native, canonical := nativeValue(lex, dt)
 	return litVal{native, canonical}
@@ -675,18 +672,17 @@ func (c *commit) literal(o rdf.TermID, lex, dt string) litVal {
 // literalValue returns (deduplicated) the value node encoding a literal:
 // label from the datatype, value as a typed scalar, plus dt/lang bookkeeping
 // and the exact lexical when formatting would lose it.
-func (c *commit) literalValue(o rdf.TermID, lex, dt, lang string) pg.NodeID {
-	if id := c.valID[o]; id != noNode {
+func (t *Transformer) literalValue(o rdf.TermID, lex, dt, lang string) pg.NodeID {
+	if id := t.ids[o].value; id != noNode {
 		return id
 	}
-	t := c.t
-	key := valKey{lex: lex, dt: dt, lang: lang}
+	key := valKey{lex: lex, tag: valTag{dt: dt, lang: lang}}
 	var id pg.NodeID
-	if cell, ok := t.valNode[key]; ok {
+	if cell := t.valueNode(key); cell != nil {
 		id = *cell
 	} else {
 		label := t.store.Intern(t.mapping.EnsureValueLabel(dt))
-		lv := c.literal(o, lex, dt)
+		lv := t.literal(o, lex, dt)
 		dtv, ok := t.dtValue[dt]
 		if !ok {
 			dtv = dt
@@ -705,41 +701,29 @@ func (c *commit) literalValue(o rdf.TermID, lex, dt, lang string) pg.NodeID {
 		}
 		props[n] = pg.KV{Key: t.keys.value, Value: lv.native}
 		id = t.store.AddNodeSym([]pg.Sym{label}, props[:n+1]).ID
-		t.valNode[key] = t.valCell(id)
+		t.addValueNode(key, id)
 	}
-	c.valID[o] = id
+	t.ids[o].value = id
 	return id
 }
 
 // resourceValue encodes an IRI/blank object that is not an entity.
-func (c *commit) resourceValue(o rdf.TermID, oT rdf.Term) pg.NodeID {
-	if id := c.valID[o]; id != noNode {
+func (t *Transformer) resourceValue(o rdf.TermID, oT rdf.Term) pg.NodeID {
+	if id := t.ids[o].value; id != noNode {
 		return id
 	}
-	t := c.t
-	key := valKey{lex: termIRI(oT), res: true}
+	key := valueKey(oT)
 	var id pg.NodeID
-	if cell, ok := t.valNode[key]; ok {
+	if cell := t.valueNode(key); cell != nil {
 		id = *cell
 	} else {
 		label := t.store.Intern(t.mapping.EnsureValueLabel(rdf.XSDAnyURI))
 		props := [...]pg.KV{{Key: t.keys.res, Value: true}, {Key: t.keys.value, Value: key.lex}}
 		id = t.store.AddNodeSym([]pg.Sym{label}, props[:]).ID
-		t.valNode[key] = t.valCell(id)
+		t.addValueNode(key, id)
 	}
-	c.valID[o] = id
+	t.ids[o].value = id
 	return id
-}
-
-// valCell returns a cell of the id slab holding id.
-func (t *Transformer) valCell(id pg.NodeID) *pg.NodeID {
-	if len(t.idSlab) == 0 {
-		t.idSlab = make([]pg.NodeID, 512)
-	}
-	cell := &t.idSlab[0]
-	t.idSlab = t.idSlab[1:]
-	*cell = id
-	return cell
 }
 
 // nativeValue converts a lexical form into the typed PG value, reporting

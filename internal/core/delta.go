@@ -1,14 +1,18 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
+	"sync"
 
 	"github.com/s3pg/s3pg/internal/jsonstr"
 	"github.com/s3pg/s3pg/internal/obs"
@@ -175,12 +179,20 @@ func listSep(i int) string {
 	return ","
 }
 
+// encodeBufs are the buffers Digest encodes into, reused across batches.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Digest returns the SHA-256 of the canonical encoding — the replay
 // determinism fingerprint recorded in APPLIED log records. The encoding
 // cannot fail, so neither can Digest; its error result is always nil.
 func (d *PGDelta) Digest() (string, error) {
-	sum := sha256.Sum256(d.Encode(nil))
-	return hex.EncodeToString(sum[:]), nil
+	buf := encodeBufs.Get().(*[]byte)
+	*buf = d.Encode((*buf)[:0])
+	sum := sha256.Sum256(*buf)
+	encodeBufs.Put(buf)
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	return string(digest[:]), nil
 }
 
 // DeltaState is the live state of an incrementally maintained transformation:
@@ -263,7 +275,6 @@ func (s *DeltaState) retransform() (*Transformer, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.entities() // a rebuilt batch pays for the entity map, no grow batch after it
 	return t, nil
 }
 
@@ -355,16 +366,18 @@ func (s *DeltaState) ApplyDelta(d *rdf.Delta) (*PGDelta, error) {
 		}
 	}
 	nPre := s.g.NumSlots()
-	var added []rdf.Triple
+	var typings []rdf.Triple // the rdf:type statements the batch added
 	for _, tr := range d.Inserts {
 		if s.g.Add(tr) {
-			added = append(added, tr)
+			if tr.P == rdf.A {
+				typings = append(typings, tr)
+			}
 			if tr.S.IsTripleTerm() {
 				s.quoted++
 			}
 		}
 	}
-	if len(removed) == 0 && len(added) == 0 {
+	if len(removed) == 0 && s.g.NumSlots() == nPre {
 		s.lastReason = ""
 		return &PGDelta{}, nil
 	}
@@ -396,12 +409,12 @@ func (s *DeltaState) ApplyDelta(d *rdf.Delta) (*PGDelta, error) {
 	case quoted0 > 0 || s.quoted > 0:
 		reason = reasonAnnotation
 	default:
-		es, reason = s.plan(removed, added)
+		es, reason = s.plan(removed, typings)
 	}
 	if es == nil {
 		return s.rebuild(reason, rollback)
 	}
-	return s.applyInPlace(es, added, nPre, rollback)
+	return s.applyInPlace(es, nPre, rollback)
 }
 
 // keepsAnnotation refuses a deleted statement the live graph still
@@ -494,14 +507,11 @@ type editScript struct {
 	newTyped  int        // entities the batch's rdf:type inserts create
 }
 
-// resourceKey is the value-node key of a resource that is not an entity.
-func resourceKey(t rdf.Term) valKey { return valKey{lex: termIRI(t), res: true} }
-
 // plan decides, without writing anything, whether the batch can be applied in
 // place, and lays out the edit script if so; otherwise it names the reason.
-// removed and added are what the batch changed in the graph, which already
-// holds the result.
-func (s *DeltaState) plan(removed []removal, added []rdf.Triple) (*editScript, string) {
+// removed and typings are the triples the batch removed from the graph and
+// the rdf:type ones it added; the graph already holds the result.
+func (s *DeltaState) plan(removed []removal, typings []rdf.Triple) (*editScript, string) {
 	t := s.t
 	store, m := t.store, t.mapping
 	es := &editScript{}
@@ -512,20 +522,17 @@ func (s *DeltaState) plan(removed []removal, added []rdf.Triple) (*editScript, s
 	// routed (its labels select the routes) and whether mentions of it are
 	// edges to an entity or to a value node.
 	var newTyped map[rdf.Term]struct{}
-	for _, tr := range added {
-		if tr.P != rdf.A {
-			continue
-		}
+	for _, tr := range typings {
 		if m.LabelOfClass(tr.O.Value) == "" {
 			return nil, reasonPhase1Schema
 		}
 		if _, seen := newTyped[tr.S]; seen {
 			continue
 		}
-		if _, known := t.entities()[tr.S]; known {
+		if t.entityOf(tr.S) != noNode {
 			return nil, reasonRetyped
 		}
-		if _, known := t.valNode[resourceKey(tr.S)]; known {
+		if t.valueNode(valueKey(tr.S)) != nil {
 			return nil, reasonRetyped
 		}
 		if newTyped == nil {
@@ -551,8 +558,8 @@ func (s *DeltaState) plan(removed []removal, added []rdf.Triple) (*editScript, s
 		if _, first := t.triggers[int(r.slot)]; first {
 			return nil, reasonFirstTrigger
 		}
-		sid, ok := t.entities()[r.tr.S]
-		if !ok {
+		sid := t.entityOf(r.tr.S)
+		if sid == noNode {
 			return nil, reasonApplyError
 		}
 		sn := store.Node(sid)
@@ -666,16 +673,11 @@ func (s *DeltaState) plan(removed []removal, added []rdf.Triple) (*editScript, s
 func (s *DeltaState) edgeOf(sid pg.NodeID, tr rdf.Triple) (hit pg.Edge, hits int, value pg.NodeID, vk valKey) {
 	t := s.t
 	entity := noNode
-	if o := tr.O; o.IsResource() {
-		if id, ok := t.entities()[o]; ok {
-			entity = id
-		}
-		vk = resourceKey(o)
-	} else {
-		vk = valKey{lex: o.Value, dt: o.DatatypeIRI(), lang: o.Lang}
+	if tr.O.IsResource() {
+		entity = t.entityOf(tr.O)
 	}
-	value = noNode
-	if cell, ok := t.valNode[vk]; ok {
+	value, vk = noNode, valueKey(tr.O)
+	if cell := t.valueNode(vk); cell != nil {
 		value = *cell
 	}
 	// The shorter side: a hub's out-list can be long, a common value's in-list too.
@@ -735,51 +737,9 @@ func (s *DeltaState) kvEntry(sn pg.Node, tr rdf.Triple) (kvRemoval, bool) {
 type netEffect struct {
 	old     *pg.Store
 	oldKeys []string
-	gone    []pg.NodeID // the nodes taken away
-	dropped []pg.EdgeID // the edges taken away
-	touched []nodeSnap  // the nodes key/value entries leave or join: the batch's subjects
-}
-
-// nodeSnap is a node's encoded record before a batch wrote to it.
-type nodeSnap struct {
-	id    pg.NodeID
-	props string
-}
-
-// effectBefore records the script's removals and the batch's subjects as the
-// store has them now. It writes nothing.
-func (s *DeltaState) effectBefore(es *editScript, added []rdf.Triple) (*netEffect, error) {
-	store := s.t.store
-	ne := &netEffect{old: store, oldKeys: s.keys, gone: es.dropNodes, dropped: es.dropEdges}
-	seen := make(map[pg.NodeID]bool)
-	for _, id := range es.dropNodes {
-		seen[id] = true
-	}
-	touch := func(id pg.NodeID) error {
-		if seen[id] {
-			return nil
-		}
-		seen[id] = true
-		props, err := store.Node(id).EncodeProps()
-		if err != nil {
-			return fmt.Errorf("node %d: %w", id, err)
-		}
-		ne.touched = append(ne.touched, nodeSnap{id, props})
-		return nil
-	}
-	for _, r := range es.kv {
-		if err := touch(r.node); err != nil {
-			return nil, err
-		}
-	}
-	for _, tr := range added {
-		if id, ok := s.t.entities()[tr.S]; ok {
-			if err := touch(id); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return ne, nil
+	gone    []pg.NodeID           // the nodes taken away
+	dropped []pg.EdgeID           // the edges taken away
+	touched map[pg.NodeID]pg.Node // the records the batch wrote, as they were (Transformer.freeze)
 }
 
 // applyInPlace edits the store by the script and advances the transformer by
@@ -789,26 +749,35 @@ func (s *DeltaState) effectBefore(es *editScript, added []rdf.Triple) (*netEffec
 // past it (which planning should have made impossible) leaves a partly edited
 // store: the graph is rolled back, the state recomputed from it, and the
 // batch rejected.
-func (s *DeltaState) applyInPlace(es *editScript, added []rdf.Triple, nPre int, rollback func() error) (*PGDelta, error) {
+func (s *DeltaState) applyInPlace(es *editScript, nPre int, rollback func() error) (*PGDelta, error) {
 	t := s.t
-	ne, err := s.effectBefore(es, added)
-	if err != nil {
-		return nil, rejected(err, rollback)
-	}
-
+	n0, e0 := len(s.keys), t.store.NumEdges()
+	t.frozenBelow = pg.NodeID(n0)
+	defer func() { t.frozen, t.frozenBelow = nil, 0 }()
 	for _, k := range es.entities {
-		delete(t.entities(), k)
+		if id, ok := t.dict.Lookup(k); ok {
+			t.ids[id].entity = noNode
+		}
 	}
 	for _, k := range es.values {
-		delete(t.valNode, k)
+		if delete(t.valNode[k.tag], k.lex); len(t.valNode[k.tag]) == 0 {
+			delete(t.valNode, k.tag)
+		}
+	}
+	if len(es.values) > 0 {
+		// The value column names nodes the script drops.
+		for i := range t.ids {
+			t.ids[i].value = noNode
+		}
 	}
 	for _, r := range es.kv {
+		t.freeze(r.node)
 		t.store.RemovePropValue(r.node, r.key, r.value)
 	}
-	n0, e0 := len(s.keys), t.store.NumEdges()
 	var delta *PGDelta
-	err = s.appendTriples(added, nPre, es.newTyped)
+	err := s.appendTriples(nPre, es.newTyped)
 	if err == nil {
+		ne := &netEffect{old: t.store, oldKeys: s.keys, gone: es.dropNodes, dropped: es.dropEdges, touched: t.frozen}
 		delta, err = ne.emit(t.store, s.keys, n0, e0)
 	}
 	if err != nil {
@@ -828,14 +797,18 @@ func (s *DeltaState) applyInPlace(es *editScript, added []rdf.Triple, nPre int, 
 			}
 		}
 		s.keys = keys
-		nodeOf := t.entities()
-		for k, id := range nodeOf {
-			if nodeMap[id] != id {
-				nodeOf[k] = nodeMap[id]
+		for i, tn := range t.ids {
+			if tn.entity != noNode {
+				t.ids[i].entity = nodeMap[tn.entity]
+			}
+			if tn.value != noNode {
+				t.ids[i].value = nodeMap[tn.value]
 			}
 		}
-		for _, cell := range t.valNode {
-			*cell = nodeMap[*cell]
+		for _, byLex := range t.valNode {
+			for _, cell := range byLex {
+				*cell = nodeMap[*cell]
+			}
 		}
 	}
 	s.typed += es.newTyped
@@ -849,18 +822,14 @@ func (s *DeltaState) applyInPlace(es *editScript, added []rdf.Triple, nPre int, 
 	return delta, nil
 }
 
-// appendTriples applies the batch's new triples to the edited store and
-// extends the key table over the nodes they create. Ids are still the
-// pre-batch ones, with what was appended after them.
-func (s *DeltaState) appendTriples(added []rdf.Triple, nPre, newTyped int) error {
+// appendTriples applies the batch's new triples, the graph's slots from nPre
+// on, to the edited store and extends the key table over the nodes they
+// create. Ids are still the pre-batch ones, with what was appended after
+// them.
+func (s *DeltaState) appendTriples(nPre, newTyped int) error {
 	t := s.t
-	if len(added) > 0 {
-		dg := rdf.NewGraph()
-		for _, tr := range added {
-			dg.Add(tr)
-		}
-		t.slotBase = nPre
-		if err := t.Apply(dg); err != nil {
+	if s.g.NumSlots() > nPre {
+		if err := t.apply(context.Background(), s.g, nPre, nil, nil); err != nil {
 			return err
 		}
 		if t.typedNodes != newTyped {
@@ -890,10 +859,11 @@ func (ne *netEffect) emit(store *pg.Store, keys []string, n0, e0 int) (*PGDelta,
 		return props
 	}
 	nodeProps := func(n pg.Node) string { return encode("node", uint32(n.ID), n) }
-	for _, sn := range ne.touched {
-		n := store.Node(sn.id)
-		if props := nodeProps(n); props != sn.props {
-			delta.Nodes = append(delta.Nodes, NodeChange{Op: OpUpdate, Key: keys[sn.id], Labels: n.Labels(), Props: props})
+	for _, was := range ne.touched {
+		if n := store.Node(was.ID); !sameProps(was, n) {
+			if props := nodeProps(n); props != nodeProps(was) {
+				delta.Nodes = append(delta.Nodes, NodeChange{Op: OpUpdate, Key: keys[n.ID], Labels: n.Labels(), Props: props})
+			}
 		}
 	}
 
@@ -939,7 +909,7 @@ func (ne *netEffect) emit(store *pg.Store, keys []string, n0, e0 int) (*PGDelta,
 		from, to     pg.NodeID
 		label, props string
 	}
-	counts := make(map[edgeIdent]int, len(ne.dropped))
+	counts := make(map[edgeIdent]int, max(len(ne.dropped), store.NumEdges()-e0))
 	count := func(e pg.Edge, rename map[pg.NodeID]pg.NodeID, by int) {
 		ident := edgeIdent{e.From, e.To, e.Label(), encode("edge", uint32(e.ID), e)}
 		if id, ok := rename[e.From]; ok {
@@ -956,6 +926,13 @@ func (ne *netEffect) emit(store *pg.Store, keys []string, n0, e0 int) (*PGDelta,
 	for id := e0; id < store.NumEdges(); id++ {
 		count(store.Edge(pg.EdgeID(id)), nil, 1)
 	}
+	changed := 0
+	for _, n := range counts {
+		if n != 0 {
+			changed++
+		}
+	}
+	delta.Edges = make([]EdgeChange, 0, changed)
 	for ident, n := range counts {
 		ec := EdgeChange{Op: OpCreate, From: keyOf(ident.from), Label: ident.label, To: keyOf(ident.to), Props: ident.props, Count: n}
 		switch {
@@ -982,30 +959,42 @@ func (s *DeltaState) stampSchema(delta *PGDelta) {
 // canonicalize puts the entry lists in canonical order: deletes, then
 // updates, then creates, each sorted by identity.
 func (delta *PGDelta) canonicalize() {
-	rank := map[string]int{OpDelete: 0, OpUpdate: 1, OpCreate: 2}
-	sort.Slice(delta.Nodes, func(i, j int) bool {
-		a, b := delta.Nodes[i], delta.Nodes[j]
-		if rank[a.Op] != rank[b.Op] {
-			return rank[a.Op] < rank[b.Op]
-		}
-		return a.Key < b.Key
+	delta.Nodes = sortedBy(delta.Nodes, func(a, b *NodeChange) int {
+		return cmp.Or(opRank(a.Op)-opRank(b.Op), strings.Compare(a.Key, b.Key))
 	})
-	sort.Slice(delta.Edges, func(i, j int) bool {
-		a, b := delta.Edges[i], delta.Edges[j]
-		if rank[a.Op] != rank[b.Op] {
-			return rank[a.Op] < rank[b.Op]
-		}
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.Label != b.Label {
-			return a.Label < b.Label
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return a.Props < b.Props
+	delta.Edges = sortedBy(delta.Edges, func(a, b *EdgeChange) int {
+		return cmp.Or(opRank(a.Op)-opRank(b.Op), strings.Compare(a.From, b.From),
+			strings.Compare(a.Label, b.Label), strings.Compare(a.To, b.To), strings.Compare(a.Props, b.Props))
 	})
+}
+
+// sortedBy returns list sorted by cmp, moving each entry once: a sort in
+// place moves an entry's strings, pointers the collector sees, at every swap.
+func sortedBy[T any](list []T, cmp func(a, b *T) int) []T {
+	if len(list) < 2 {
+		return list
+	}
+	perm := make([]int32, len(list))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(i, j int32) int { return cmp(&list[i], &list[j]) })
+	sorted := make([]T, len(list))
+	for i, j := range perm {
+		sorted[i] = list[j]
+	}
+	return sorted
+}
+
+// opRank is an operation's place in the canonical order.
+func opRank(op string) int {
+	switch op {
+	case OpDelete:
+		return 0
+	case OpUpdate:
+		return 1
+	}
+	return 2
 }
 
 // nodeKeys extends keys — the stable change-stream keys of the first
@@ -1029,13 +1018,13 @@ func nodeKey(m *Mapping, n pg.Node) (string, error) {
 		var scratch [128]byte
 		if res, _ := n.Prop("res").(bool); res {
 			v, _ := n.Prop("value").(string)
-			return string(strconv.AppendQuote(append(scratch[:0], "v:r:"...), v)), nil
+			return string(appendQuoted(append(scratch[:0], "v:r:"...), v)), nil
 		}
 		dt, _ := n.Prop("dt").(string)
 		lang, _ := n.Prop("lang").(string)
-		b := strconv.AppendQuote(append(scratch[:0], "v:l:"...), lexicalOf(n))
-		b = strconv.AppendQuote(append(b, ':'), dt)
-		return string(strconv.AppendQuote(append(b, ':'), lang)), nil
+		b := appendQuoted(append(scratch[:0], "v:l:"...), lexicalOf(n))
+		b = appendQuoted(append(b, ':'), dt)
+		return string(appendQuoted(append(b, ':'), lang)), nil
 	}
 	iri, ok := n.Prop("iri").(string)
 	if !ok {
@@ -1044,9 +1033,21 @@ func nodeKey(m *Mapping, n pg.Node) (string, error) {
 	return "e:" + iri, nil
 }
 
+// appendQuoted appends s as strconv.AppendQuote does: between quotes as it is
+// when it is printable ASCII with no quote or backslash, as most keys are.
+func appendQuoted(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
 // sameProps reports whether two records are identical key for key and value
-// for value, with no numeric coercion. Identical records encode identically,
-// so emit encodes only the nodes that come back for which this fails.
+// for value, with no numeric coercion and floats compared by their bits.
+// Identical records encode identically, so emit encodes only the records for
+// which this fails.
 func sameProps(a, b pg.Node) bool {
 	if a.NumProps() != b.NumProps() {
 		return false
@@ -1062,19 +1063,15 @@ func sameProps(a, b pg.Node) bool {
 }
 
 func sameValue(a, b pg.Value) bool {
-	la, ok := a.([]pg.Value)
-	if !ok {
-		_, bList := b.([]pg.Value)
-		return !bList && a == b
+	switch x := a.(type) {
+	case []pg.Value:
+		y, ok := b.([]pg.Value)
+		return ok && slices.EqualFunc(x, y, sameValue)
+	case float64:
+		// -0 == 0, yet the two encode apart.
+		y, ok := b.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
 	}
-	lb, ok := b.([]pg.Value)
-	if !ok || len(la) != len(lb) {
-		return false
-	}
-	for i := range la {
-		if !sameValue(la[i], lb[i]) {
-			return false
-		}
-	}
-	return true
+	_, bList := b.([]pg.Value)
+	return !bList && a == b
 }

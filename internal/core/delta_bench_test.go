@@ -125,6 +125,34 @@ func runLiveCycles(b *testing.B, scale float64, step string) {
 	b.ReportMetric(float64(nFolds)/float64(b.N), "folds/op")
 }
 
+// TestApplyDeltaGrowAllocBudget is the CPU-independent gate on the live grow
+// path: a bench-shaped batch (BenchmarkApplyDeltaGrow's, at 35k triples)
+// allocates at most half the bytes and half the allocations it took while
+// every batch was re-interned into a throwaway graph, its subjects'
+// pre-images were JSON-encoded and its change records sorted by reflection:
+// 177 KB and 291. The mean over a run of batches counts the tables' growth,
+// as the benchmark's B/op does.
+func TestApplyDeltaGrowAllocBudget(t *testing.T) {
+	lc := newLiveCycle(t, benchScales[0].scale, 1)
+	lc.apply(t)
+	batches := float64(len(lc.batches) - lc.next)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for lc.next < len(lc.batches) {
+		lc.apply(t)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / batches
+	allocs := float64(after.Mallocs-before.Mallocs) / batches
+	t.Logf("a grow batch of %d statements, mean of %.0f: %.0f B, %.0f allocs", benchStmts, batches, bytes, allocs)
+	if bytes > 177e3/2 {
+		t.Errorf("a grow batch allocates %.0f B, want <= %.0f", bytes, 177e3/2)
+	}
+	if allocs > 291/2 {
+		t.Errorf("a grow batch allocates %.0f times, want <= %d", allocs, 291/2)
+	}
+}
+
 func BenchmarkApplyDeltaGrow(b *testing.B) {
 	for _, sc := range benchScales {
 		b.Run(fmt.Sprintf("triples=%s", sc.name), func(b *testing.B) { runLiveCycles(b, sc.scale, "apply") })

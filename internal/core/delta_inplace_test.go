@@ -230,8 +230,17 @@ func (tw *twins) compare(t testing.TB, step string) {
 	if !reflect.DeepEqual(tw.free.keys, tw.forced.keys) {
 		t.Fatalf("%s: key tables differ", step)
 	}
-	if !reflect.DeepEqual(ft.entities(), rt.entities()) || !reflect.DeepEqual(ft.valNode, rt.valNode) {
+	if !reflect.DeepEqual(entityMap(ft), entityMap(rt)) || !reflect.DeepEqual(ft.valNode, rt.valNode) {
 		t.Fatalf("%s: the transformers' node tables differ", step)
+	}
+	for id, tn := range ft.ids {
+		if tn.value == noNode {
+			continue
+		}
+		o := ft.dict.Term(rdf.TermID(id))
+		if cell := ft.valueNode(valueKey(o)); cell == nil || *cell != tn.value {
+			t.Fatalf("%s: %v caches value node %d, the value map has %v", step, o, tn.value, cell)
+		}
 	}
 	if !reflect.DeepEqual(ft.triggers, rt.triggers) {
 		t.Fatalf("%s: first-trigger slots %v, rebuilt %v", step, ft.triggers, rt.triggers)
@@ -239,6 +248,21 @@ func (tw *twins) compare(t testing.TB, step string) {
 	if tw.free.typed != tw.forced.typed || tw.free.quoted != tw.forced.quoted {
 		t.Fatalf("%s: typed %d quoted %d, rebuilt %d %d", step, tw.free.typed, tw.free.quoted, tw.forced.typed, tw.forced.quoted)
 	}
+}
+
+// ForgetRoutes drops the router's caches, so that the next statement is
+// routed as by a transformer that never kept any (TestRouteCacheInvisible).
+func (t *Transformer) ForgetRoutes() { t.classes, t.routes = nil, nil }
+
+// entityMap is a transformer's entity table by term.
+func entityMap(tr *Transformer) map[rdf.Term]pg.NodeID {
+	m := make(map[rdf.Term]pg.NodeID)
+	for id, tn := range tr.ids {
+		if tn.entity != noNode {
+			m[tr.dict.Term(rdf.TermID(id))] = tn.entity
+		}
+	}
+	return m
 }
 
 // baseline holds the free twin against a from-scratch transform of its graph.

@@ -61,6 +61,9 @@ type Mapping struct {
 
 	names    *namer
 	edgeSeen map[string]int
+	// extended is the revision at which ExtendEdgeTargets last had each
+	// (edge label, target label) pair: until rev moves, nothing is to add.
+	extended map[[2]string]uint64
 
 	// rev counts the extensions instance data has made (the Ensure* methods
 	// and ExtendEdgeTargets, when they add something): the schema's DDL is
@@ -85,6 +88,7 @@ func BuildMapping(spg *pgschema.Schema) (*Mapping, error) {
 		annotDT:      make(map[string]string),
 		names:        newNamer(),
 		edgeSeen:     make(map[string]int),
+		extended:     make(map[[2]string]uint64),
 	}
 	for _, nt := range spg.NodeTypes() {
 		if nt.Value {
@@ -371,6 +375,11 @@ func (m *Mapping) EnsureKVEscapeEdge(sourceLabel string, route *Route) {
 // ExtendEdgeTargets makes sure every edge type with the label accepts the
 // target type (schema evolution for fallback and non-conforming data).
 func (m *Mapping) ExtendEdgeTargets(edgeLabel, targetLabel string) {
+	pair := [2]string{edgeLabel, targetLabel}
+	if rev, ok := m.extended[pair]; ok && rev == m.rev {
+		return
+	}
+	defer func() { m.extended[pair] = m.rev }()
 	target := m.spg.NodeTypeByLabel(targetLabel)
 	if target == nil {
 		return

@@ -26,8 +26,9 @@ var cParallelApplies = obs.Default.Counter("core.transform.parallel_applies")
 // incremental calls. workers <= 1 fills nothing in advance and parses
 // literals as statements need them.
 func (t *Transformer) ApplyParallel(ctx context.Context, g *rdf.Graph, workers int, span *obs.Span) error {
+	g = t.home(g)
 	if workers <= 1 {
-		return t.apply(ctx, g, nil, span)
+		return t.apply(ctx, g, 0, nil, span)
 	}
 	cParallelApplies.Inc()
 
@@ -62,5 +63,5 @@ func (t *Transformer) ApplyParallel(ctx context.Context, g *rdf.Graph, workers i
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return t.apply(ctx, g, lits, span)
+	return t.apply(ctx, g, 0, lits, span)
 }

@@ -244,11 +244,11 @@ func TestApplyParallelAnnotationsAcrossChunks(t *testing.T) {
 }
 
 // TestRouteCacheInvisible: a transformer routes each (label set, predicate)
-// pair once per Apply and writes the store by pg.Sym after. Routing every
-// statement in an Apply call of its own — where nothing can be reused from
-// one statement to the next — must give the same bytes: the cache is only
-// ever an earlier answer to the same question, dropped when the mapping
-// moves. The input leaves most classes and predicates uncovered (fallback
+// pair once, keeps the routing across Apply calls and writes the store by
+// pg.Sym after. Routing every statement in an Apply call of its own, with the
+// caches dropped before each — so nothing is reused from one statement to
+// the next — must give the same bytes: the cache is only ever an earlier
+// answer to the same question, dropped when the mapping moves. The input leaves most classes and predicates uncovered (fallback
 // routes whose targets grow), sends KV-routed properties down their escape
 // edges after KV writes, has untyped subjects, and has a fallback route for
 // (Person, regNo) take over, mid-stream, the pair (Person+Student, regNo)
@@ -313,6 +313,7 @@ func TestRouteCacheInvisible(t *testing.T) {
 				}
 				one := rdf.NewGraph()
 				one.Add(tr)
+				each.ForgetRoutes()
 				eachErr = each.Apply(one)
 			}
 			if (wholeErr == nil) != (eachErr == nil) || wholeErr != nil && wholeErr.Error() != eachErr.Error() {

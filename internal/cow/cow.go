@@ -85,6 +85,13 @@ func (t *Table[T]) Edit(i int, shared func(*T)) *T {
 	return &p.v[i&pageMask]
 }
 
+// Private reports whether element i is on a page private to t: one Edit
+// writes in place, copying nothing.
+func (t *Table[T]) Private(i int) bool {
+	pi := i >> pageBits
+	return pi < len(t.pages) && t.pages[pi] != nil && t.pages[pi].own == t.own
+}
+
 // writable returns the page holding element i, private to t: grown or
 // allocated when absent, copied when it is shared with a clone. foreign
 // reports a copy of a page another lineage made.

@@ -81,10 +81,7 @@ func (p RetryPolicy) resolve() RetryPolicy {
 // carries its own cause) is never held hostage by a backoff schedule.
 func Retry(ctx context.Context, p RetryPolicy, fn func() error) error {
 	p = p.resolve()
-	var rng *rand.Rand
-	if p.Jitter > 0 {
-		rng = rand.New(rand.NewSource(p.Seed))
-	}
+	var rng *rand.Rand // made at the first retry: an attempt that succeeds allocates nothing
 	delay := p.BaseDelay
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -104,7 +101,10 @@ func Retry(ctx context.Context, p RetryPolicy, fn func() error) error {
 			p.OnRetry(attempt, err)
 		}
 		d := delay
-		if rng != nil {
+		if p.Jitter > 0 {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(p.Seed))
+			}
 			d = time.Duration(float64(d) * (1 - p.Jitter/2 + p.Jitter*rng.Float64()))
 		}
 		if err := sleepInterruptible(ctx, p.Sleep, d); err != nil {

@@ -459,6 +459,16 @@ func (s *Store) Node(id NodeID) Node {
 	return Node{ID: id, record: record{r.props, &s.names}, set: r.set}
 }
 
+// Frozen returns Node(id) as a handle the store's later writes leave as it
+// is: the next write to the node's record copies it first, as it does while a
+// clone shares the record. A record no write follows costs nothing.
+func (s *Store) Frozen(id NodeID) Node {
+	if s.nodes.Private(int(id)) {
+		s.nodes.Edit(int(id), nil).own = false
+	}
+	return s.Node(id)
+}
+
 // Edge returns the edge by id.
 func (s *Store) Edge(id EdgeID) Edge {
 	r := s.edges.At(int(id))

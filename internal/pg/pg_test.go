@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -81,6 +82,43 @@ func TestAddEdgeOutOfRangePanics(t *testing.T) {
 	}()
 	s := NewStore()
 	s.AddEdge(0, 1, "x", nil)
+}
+
+// TestFrozenKeepsRecord: a Frozen handle reads the record as it was, whatever
+// the store writes to the node after, on a page of its own and on one a clone
+// shares.
+func TestFrozenKeepsRecord(t *testing.T) {
+	for _, cloned := range []bool{false, true} {
+		s := NewStore()
+		id := s.AddNode([]string{"A"}, map[string]Value{"k": int64(1), "m": "x"}).ID
+		s.AppendProp(id, "k", int64(2)) // the record is the store's own now
+		if cloned {
+			_ = s.Clone()
+		}
+		frozen, want := s.Frozen(id), "k=[1,2];m=x"
+		s.AppendProp(id, "k", int64(3))
+		s.SetProp(id, "a", "new")
+		s.RemovePropValue(id, "m", "x")
+		if got := propsOf(frozen); got != want {
+			t.Fatalf("cloned=%v: frozen handle reads %s, want %s", cloned, got, want)
+		}
+		if got := propsOf(s.Node(id)); got != "a=new;k=[1,2,3]" {
+			t.Fatalf("cloned=%v: the node reads %s after the writes", cloned, got)
+		}
+	}
+}
+
+// propsOf renders a record as key=value pairs in key order.
+func propsOf(n Node) string {
+	var b strings.Builder
+	for i := 0; i < n.NumProps(); i++ {
+		k, v := n.PropAt(i)
+		if i > 0 {
+			b.WriteByte(';')
+		}
+		fmt.Fprintf(&b, "%s=%s", k, strings.ReplaceAll(fmt.Sprint(v), " ", ","))
+	}
+	return b.String()
 }
 
 func TestAddLabel(t *testing.T) {

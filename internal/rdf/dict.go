@@ -91,6 +91,10 @@ func (d *Dict) clone() *Dict {
 	}
 }
 
+// Clone returns a dictionary with the same id assignments that either side
+// may keep interning into, at the cost of a few slice headers.
+func (d *Dict) Clone() *Dict { return d.clone() }
+
 // grow reserves room for n more terms.
 func (d *Dict) grow(n int) {
 	d.idx.grow(n)
@@ -209,21 +213,25 @@ func (d *Dict) resident(id TermID) Term {
 // View returns the kind and value of a term: what the query path writes and
 // compares, without building a Term. A resident term's value aliases the
 // dictionary's chunk, as Term's does, so viewing one allocates nothing; the
-// resident branch (residentView) is inlined. An operator that reads a
+// resident probe (ResidentView) is inlined. An operator that reads a
 // literal's datatype asks for it by id (DatatypeIRI).
 func (d *Dict) View(id TermID) (Kind, string) {
-	if id < d.base {
-		t := d.arena.term(id)
-		return t.Kind, t.Value
+	if k, v, ok := d.ResidentView(id); ok {
+		return k, v
 	}
-	return d.residentView(id)
+	t := d.arena.term(id)
+	return t.Kind, t.Value
 }
 
-// residentView is View of a resident id; like resident, it takes no branch
-// and inlines.
-func (d *Dict) residentView(id TermID) (Kind, string) {
+// ResidentView is View of a resident id, and ok false for a spilled one. It
+// makes no call, so it inlines into a caller that tries it before View: a
+// query cell of a resident term then costs no call at all.
+func (d *Dict) ResidentView(id TermID) (k Kind, v string, ok bool) {
+	if id < d.base {
+		return 0, "", false
+	}
 	r := &d.recs[id-d.base]
-	return r.kind, chunkString(d.value(r))
+	return r.kind, chunkString(d.value(r)), true
 }
 
 // DatatypeIRI returns the term's effective datatype IRI, as

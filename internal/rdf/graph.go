@@ -261,17 +261,21 @@ func (g *Graph) addPostings(from, to int) {
 	cIndexEntries.Add(3 * int64(len(tail)))
 }
 
-// forEachSlot calls fn for every live slot in admission order until fn
-// returns false. The spilled prefix streams page by page, so a full scan
-// over an out-of-core graph keeps only one page resident at a time.
-func (g *Graph) forEachSlot(fn func(slot int, e encTriple) bool) {
-	if sp := g.spill; sp != nil {
+// forEachSlot calls fn for every live slot from slot from on, in admission
+// order, until fn returns false. The spilled prefix streams page by page, so
+// a full scan over an out-of-core graph keeps only one page resident at a
+// time, and pages wholly before from are not read.
+func (g *Graph) forEachSlot(from int, fn func(slot int, e encTriple) bool) {
+	if sp := g.spill; sp != nil && from < sp.slots {
 		for si, sg := range sp.segs {
 			for pg := 0; pg < sg.numPages(); pg++ {
 				base := sg.s0 + pg*pageTriples
+				if base+pageTriples <= from {
+					continue
+				}
 				for j, e := range sp.log.page(si, pg) {
 					slot := base + j
-					if g.slotDead(slot) {
+					if slot < from || g.slotDead(slot) {
 						continue
 					}
 					if !fn(slot, e) {
@@ -282,11 +286,12 @@ func (g *Graph) forEachSlot(fn func(slot int, e encTriple) bool) {
 		}
 	}
 	base := g.spillBase()
-	for i, e := range g.triples {
-		if g.slotDead(base + i) {
+	first := min(max(from, base), base+len(g.triples))
+	for i, e := range g.triples[first-base:] {
+		if g.slotDead(first + i) {
 			continue
 		}
-		if !fn(base+i, e) {
+		if !fn(first+i, e) {
 			return
 		}
 	}
@@ -508,7 +513,7 @@ func (g *Graph) decode(e encTriple) Triple {
 // scan paths, ForEachEncoded, and the posting-list indexes all observe this
 // same order; the parallel ingest and transform merges depend on it.
 func (g *Graph) ForEach(fn func(Triple) bool) {
-	g.forEachSlot(func(_ int, e encTriple) bool {
+	g.forEachSlot(0, func(_ int, e encTriple) bool {
 		return fn(g.decode(e))
 	})
 }
@@ -569,7 +574,7 @@ func (g *Graph) MatchEncoded(se, pe, oe TermID, fn func(s, p, o TermID) bool) {
 	spilled, tail, bound := g.candidateList(se, pe, oe)
 	if !bound {
 		// No bound component: full scan.
-		g.forEachSlot(func(_ int, e encTriple) bool {
+		g.forEachSlot(0, func(_ int, e encTriple) bool {
 			return fn(e.s, e.p, e.o)
 		})
 		return

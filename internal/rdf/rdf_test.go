@@ -359,7 +359,7 @@ func TestEscapeLiteral(t *testing.T) {
 // predicates returns all distinct predicate IRIs, sorted (a test oracle).
 func (g *Graph) predicates() []Term {
 	seen := make(map[TermID]struct{})
-	g.forEachSlot(func(_ int, e encTriple) bool {
+	g.forEachSlot(0, func(_ int, e encTriple) bool {
 		seen[e.p] = struct{}{}
 		return true
 	})

@@ -92,6 +92,15 @@ func assertGraphsEqual(t *testing.T, got, want *Graph) {
 	if !reflect.DeepEqual(gotSlots, wantSlots) {
 		t.Fatalf("ForEachEncoded slot order diverges")
 	}
+	// From any slot on: inside the spilled prefix, at its end, in the tail.
+	spilled := got.NumSlots() - got.TailLen()
+	for _, from := range []int{1, pageTriples - 1, pageTriples + 1, spilled - 1, spilled, spilled + 1, got.NumSlots()} {
+		var fromSlots []int
+		got.ForEachEncodedFrom(from, func(slot int, s, p, o TermID) bool { fromSlots = append(fromSlots, slot); return true })
+		if want := wantSlots[sort.SearchInts(wantSlots, from):]; !slices.Equal(fromSlots, want) {
+			t.Fatalf("ForEachEncodedFrom(%d): %d slots, want %d", from, len(fromSlots), len(want))
+		}
+	}
 	if gp, wp := got.predicates(), want.predicates(); !reflect.DeepEqual(gp, wp) {
 		t.Fatalf("Predicates diverge: %v vs %v", gp, wp)
 	}

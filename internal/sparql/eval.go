@@ -63,6 +63,9 @@ func (a *Answer) View(row, col int) (rdf.Kind, string) {
 	if id == unbound {
 		return 0, ""
 	}
+	if k, v, ok := a.dict.ResidentView(id); ok {
+		return k, v
+	}
 	return a.dict.View(id)
 }
 

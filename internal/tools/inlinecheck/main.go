@@ -31,8 +31,10 @@ var checks = []struct{ file, fn, callee string }{
 	// for both key forms (Intern, Lookup; InternBytes).
 	{"internal/rdf/termindex.go", "findIn", "(*termKey[go.shape.string]).is"},
 	{"internal/rdf/termindex.go", "findIn", "(*termKey[go.shape.[]uint8]).is"},
-	// The query path's view of a resident term takes no call.
-	{"internal/rdf/dict.go", "View", "(*Dict).residentView"},
+	// The query path's view of a resident term takes no call: neither a
+	// SPARQL answer cell nor the dictionary's own View.
+	{"internal/rdf/dict.go", "View", "(*Dict).ResidentView"},
+	{"internal/sparql/eval.go", "View", "rdf.(*Dict).ResidentView"},
 	// A spilled lookup asks each segment's filter before it reads the disk.
 	{"internal/rdf/spill.go", "spilledSlotOf", "tripleFilter.mayHold"},
 	// An index built on first read costs a read one atomic load once built.
@@ -40,6 +42,10 @@ var checks = []struct{ file, fn, callee string }{
 	{"internal/pg/pg.go", "Out", "cow.(*Watermark).CatchUp"},
 	{"internal/pg/pg.go", "In", "cow.(*Watermark).CatchUp"},
 	{"internal/pg/pg.go", "NodeByIRI", "cow.(*Watermark).CatchUp"},
+	// A live grow batch: a new literal's value-node probe and the change
+	// records' sort compare take no call for the lookup and the op's rank.
+	{"internal/core/data_transform.go", "literalValue", "(*Transformer).valueNode"},
+	{"internal/core/delta.go", "canonicalize", "opRank"},
 }
 
 func main() {
