@@ -36,16 +36,23 @@ bench-layers:
 # (FIRST_READER_TESTS: readers racing to build a graph's postings, a store's
 # adjacency and iri index, and the cow.Watermark they share) run ten times
 # more for the same reason, and the step fails when their pattern misses one
-# of them.
+# of them. So do the live-update tests (LIVE_UPDATE_TESTS: every test in
+# internal/server/graphs_wal_test.go and internal/wal/batch_test.go): a
+# batch's fsync runs on a goroutine of its own while ApplyDelta, the digest
+# and the APPLIED write run beside it, and the step fails when the pattern
+# misses a test either file declares.
 RACE_PKGS = ./internal/obs ./internal/rio ./internal/rdf ./internal/core \
 	./internal/cow ./internal/pg ./internal/qexec ./internal/sparql \
-	./internal/cypher ./internal/serve ./internal/server
+	./internal/cypher ./internal/serve ./internal/server ./internal/wal
 LOADER_TESTS = ^TestLoadNTriples
 FIRST_READER_TESTS = TestConcurrentFirstReaders TestStoreIndexConcurrentFirstReaders \
 	TestWatermarkConcurrentCatchUp
 FIRST_READER_PKGS = ./internal/rdf ./internal/pg ./internal/cow
 space := $(subst ,, )
 FIRST_READER_RUN = ^($(subst $(space),|,$(strip $(FIRST_READER_TESTS))))$$
+LIVE_UPDATE_TESTS = ^Test(Graph(UpdateOneSyncPerBatch|FailedPairedWriteAcksNothing|TornPairRecovery|SingleFrameSpoolReopens|RejectedBatchLeavesNoRecord|RecoveryDropsRejectedTail)|Batch[A-Za-z]*|RetractRecoveredUpdate|ConcurrentBatchHammer)$$
+LIVE_UPDATE_FILES = internal/server/graphs_wal_test.go internal/wal/batch_test.go
+LIVE_UPDATE_PKGS = ./internal/server ./internal/wal
 race:
 	$(GO) test -race $(RACE_PKGS)
 	@listed="$$($(GO) test -list '$(LOADER_TESTS)' ./internal/rio)"; \
@@ -56,6 +63,10 @@ race:
 	for t in $(FIRST_READER_TESTS); do \
 		echo "$$listed" | grep -qx "$$t" || { echo "race: $(FIRST_READER_RUN) matches no test $$t in $(FIRST_READER_PKGS)"; exit 1; }; done
 	$(GO) test -race -count=10 -run '$(FIRST_READER_RUN)' $(FIRST_READER_PKGS)
+	@listed="$$($(GO) test -list '$(LIVE_UPDATE_TESTS)' $(LIVE_UPDATE_PKGS))"; \
+	for t in $$(sed -n 's/^func \(Test[A-Za-z0-9_]*\)(.*/\1/p' $(LIVE_UPDATE_FILES)); do \
+		echo "$$listed" | grep -qx "$$t" || { echo "race: $(LIVE_UPDATE_TESTS) does not match $$t"; exit 1; }; done
+	$(GO) test -race -count=10 -run '$(LIVE_UPDATE_TESTS)' $(LIVE_UPDATE_PKGS)
 
 # inline fails unless the compiler inlines the calls the hot paths are
 # written around (the list is in internal/tools/inlinecheck): the term

@@ -102,6 +102,7 @@ type daemon struct {
 	cmd      *exec.Cmd
 	addr     string
 	spool    string
+	addrFile string
 	exitFile string
 	logPath  string
 	waitErr  chan error
@@ -121,6 +122,14 @@ func chaosLogDir(t *testing.T) string {
 
 // startDaemon launches the daemon against spool and waits until it serves.
 func startDaemon(t *testing.T, spool, name string, extraEnv []string, extraArgs ...string) *daemon {
+	t.Helper()
+	d := launchDaemon(t, spool, name, extraEnv, extraArgs...)
+	d.awaitAddr(5 * time.Millisecond)
+	return d
+}
+
+// launchDaemon starts the daemon against spool without waiting for it.
+func launchDaemon(t *testing.T, spool, name string, extraEnv []string, extraArgs ...string) *daemon {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -152,7 +161,7 @@ func startDaemon(t *testing.T, spool, name string, extraEnv []string, extraArgs 
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	d := &daemon{t: t, cmd: cmd, spool: spool, exitFile: exitFile, logPath: logPath, waitErr: make(chan error, 1)}
+	d := &daemon{t: t, cmd: cmd, spool: spool, addrFile: addrFile, exitFile: exitFile, logPath: logPath, waitErr: make(chan error, 1)}
 	go func() {
 		d.waitErr <- cmd.Wait()
 		logF.Close()
@@ -165,24 +174,29 @@ func startDaemon(t *testing.T, spool, name string, extraEnv []string, extraArgs 
 			<-d.waitErr
 		}
 	})
+	return d
+}
 
+// awaitAddr polls for the daemon's address file every poll and records the
+// address it holds.
+func (d *daemon) awaitAddr(poll time.Duration) {
+	d.t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
-		raw, err := os.ReadFile(addrFile)
+		raw, err := os.ReadFile(d.addrFile)
 		if err == nil && len(raw) > 0 {
 			d.addr = strings.TrimSpace(string(raw))
-			return d
+			return
 		}
 		select {
 		case werr := <-d.waitErr:
 			d.waitErr <- werr
-			t.Fatalf("daemon exited before serving: %v (log: %s)", werr, d.logPath)
+			d.t.Fatalf("daemon exited before serving: %v (log: %s)", werr, d.logPath)
 		default:
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(poll)
 	}
-	t.Fatalf("daemon never wrote %s (log: %s)", addrFile, d.logPath)
-	return nil
+	d.t.Fatalf("daemon never wrote %s (log: %s)", d.addrFile, d.logPath)
 }
 
 // wait blocks for process exit and returns the exit code.
@@ -797,6 +811,30 @@ func TestDaemonLogKeysOnce(t *testing.T) {
 	for _, c := range []string{"s3pgd", "jobs", "server"} {
 		if !components[c] {
 			t.Errorf("no log line of component %q in %v", c, logs)
+		}
+	}
+}
+
+// TestDaemonSIGTERMAtReadiness: a SIGTERM sent the moment the address file
+// appears drains the daemon to exit 0, ten runs in a row. The signal
+// handler is registered before the listener opens, so no signal that
+// follows readiness can kill the daemon undrained.
+func TestDaemonSIGTERMAtReadiness(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	for i := 0; i < 10; i++ {
+		spool := filepath.Join(t.TempDir(), "spool")
+		d := launchDaemon(t, spool, fmt.Sprintf("run%d", i), nil, "-lameduck", "0s")
+		d.awaitAddr(50 * time.Microsecond)
+		if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if code := d.wait(); code != 0 {
+			t.Fatalf("run %d: exit %d after a SIGTERM at readiness (log: %s)", i, code, d.logPath)
+		}
+		if !logHasEvent(t, d.logPath, "drained") {
+			t.Fatalf("run %d: no drained record in the log (log: %s)", i, d.logPath)
 		}
 	}
 }

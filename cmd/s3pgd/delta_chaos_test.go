@@ -35,8 +35,9 @@ import (
 //     accepted prefix of batches — nothing lost, nothing torn, nothing extra.
 //
 // Three kill positions are exercised via the S3PGD_DELTA_STALL hook: during
-// ApplyDelta, during the WAL append, and (no stall) while updates and a
-// follow stream are interleaving at full speed.
+// ApplyDelta (the batch's UPDATE record written and its fsync under way),
+// before the WAL append, and (no stall) while updates and a follow stream
+// are interleaving at full speed.
 
 // sparqlText renders a typed delta back to a SPARQL Update request the way a
 // client would write it. Triple.String() emits N-Triples statements, which
@@ -228,8 +229,9 @@ func TestDeltaChaosMatrix(t *testing.T) {
 		killAfter time.Duration
 	}{
 		// 75ms stalls open a wide deterministic window: the kill lands while
-		// a batch is inside ApplyDelta (accepted LSNs all durable) or between
-		// apply and the WAL fsync (the in-flight batch must vanish, not ack).
+		// a batch is inside ApplyDelta (its UPDATE record written, so the
+		// unacknowledged batch may survive as the one in flight) or before
+		// its UPDATE record is written (the in-flight batch must vanish).
 		{"kill-mid-apply", []string{deltaStallEnv + "=apply=75ms"}, 400 * time.Millisecond},
 		{"kill-mid-wal", []string{deltaStallEnv + "=wal=75ms"}, 400 * time.Millisecond},
 		// No stall: updates and the follow stream interleave at full speed

@@ -53,9 +53,10 @@ const (
 //     clean drain from a forced abort.
 //   - S3PGD_DELTA_STALL ("apply=50ms", "wal=50ms", "run=200ms", or several
 //     comma-separated) stalls every live-graph update at the named point —
-//     just before ApplyDelta or just before the WAL append — or every job run
-//     once it is running, so the chaos matrices can signal the daemon
-//     deterministically inside the window.
+//     "wal" just before its UPDATE record is written to the WAL, "apply"
+//     just before ApplyDelta, once that record is written and its fsync
+//     under way — or every job run once it is running, so the chaos
+//     matrices can signal the daemon deterministically inside the window.
 const (
 	faultFSEnv    = "S3PG_FAULT_FS"
 	exitFileEnv   = "S3PGD_EXIT_FILE"
@@ -174,6 +175,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		QueryTimeout:       *queryTimeout,
 		QueryMaxRows:       *queryMaxRows,
 	})
+	// The handler is registered before the listener opens: a signal that
+	// arrives once -addr-file says the daemon is ready must drain it, not
+	// kill it.
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		logger.Error("listen_failed", "addr", *addr, "error", err)
@@ -199,9 +206,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	logger.Info("serving", "addr", ln.Addr().String(), "spool", *spool,
 		"workers", *workers, "queue_depth", *queueDepth, "pprof", *pprofHTTP, "version", version)
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 
 	select {
 	case err := <-serveErr:

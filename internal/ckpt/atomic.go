@@ -23,13 +23,16 @@ var (
 	cCommitAborts = obs.Default.Counter("ckpt.commit_aborts")
 )
 
-// File is the writable handle the atomic committer needs: the subset of
-// *os.File it uses, so tests can substitute fault-injecting files.
+// File is the writable handle the atomic committer and the WAL need: the
+// subset of *os.File they use, so tests can substitute fault-injecting
+// files. Truncate and Seek are the WAL's, which cuts a retracted record off
+// the end of its segment.
 type File interface {
-	io.Writer
+	io.WriteSeeker
 	Sync() error
 	Close() error
 	Name() string
+	Truncate(size int64) error
 }
 
 // FS abstracts the filesystem operations behind an atomic commit. OSFS is

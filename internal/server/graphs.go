@@ -89,10 +89,11 @@ type GraphConfig struct {
 	QueueDepth int
 	// Log receives structured records. Nil discards them.
 	Log *obs.Logger
-	// StallApply and StallWAL are chaos-test hooks: a sleep inserted before
-	// ApplyDelta / before the WAL append of every update, opening a wide,
-	// deterministic window for SIGKILL to land mid-apply or mid-append.
-	// Zero (production) inserts nothing.
+	// StallWAL and StallApply are chaos-test hooks: a sleep inserted before
+	// every update's UPDATE record is written to the WAL, and one before its
+	// ApplyDelta, once the record is written and its fsync under way. They
+	// open a wide, deterministic window for SIGKILL to land before the
+	// append or mid-apply. Zero (production) inserts nothing.
 	StallApply, StallWAL time.Duration
 }
 
@@ -106,8 +107,8 @@ type GraphManager struct {
 	draining bool
 }
 
-// graphSession is one live graph. applyMu serializes the update path — apply
-// to the in-memory state, append to the WAL, publish to the history — so the
+// graphSession is one live graph. applyMu serializes the update path — append
+// to the WAL, apply to the in-memory state, publish to the history — so the
 // WAL's LSN order is the apply order is the stream order. histMu guards the
 // published history and gates subscribers; it is never held across I/O.
 type graphSession struct {
@@ -301,12 +302,20 @@ func (m *GraphManager) loadGraph(id string) (*graphSession, error) {
 		return nil, err
 	}
 	gs := m.newSession(id, dir, wlog)
-	gs.state, gs.mode, err = replay(dir, meta.Mode, recs, math.MaxUint64, func(pd *core.PGDelta) error {
+	var dropped uint64
+	gs.state, gs.mode, dropped, err = replay(dir, meta.Mode, recs, math.MaxUint64, func(pd *core.PGDelta) error {
 		gs.hist = append(gs.hist, pd)
 		gs.trimHistLocked() // bound restart memory the same way live appends are
 		cGraphRecovered.Inc()
 		return nil
 	})
+	if err == nil && dropped != 0 {
+		// The replay dropped a batch that was never acknowledged: cut its
+		// record off the log too, so the next batch takes its LSN.
+		if err = wlog.Retract(dropped); err == nil {
+			m.cfg.Log.Warn("graph_dropped_unacknowledged", "graph", id, "lsn", dropped)
+		}
+	}
 	if err != nil {
 		wlog.Close()
 		return nil, err
@@ -323,19 +332,24 @@ func (m *GraphManager) loadGraph(id string) (*graphSession, error) {
 // logged and apply is deterministic, so every record must re-apply cleanly,
 // and where an APPLIED digest was recorded the replayed delta must reproduce
 // it exactly: either failing means the snapshot or the engine changed
-// underneath the log.
-func replay(dir, mode string, recs []wal.Record, hi uint64, emit func(*core.PGDelta) error) (*core.DeltaState, core.Mode, error) {
+// underneath the log. One record is the exception. A batch's UPDATE record
+// is written before the batch is applied, and the batch is acknowledged
+// only once the apply returned, so the log's last record, an UPDATE with no
+// APPLIED record, may be a batch the process died applying. When the replay
+// rejects that record, the engine rejected the batch, which was therefore
+// never acknowledged: replay drops it and returns its LSN as dropped.
+func replay(dir, mode string, recs []wal.Record, hi uint64, emit func(*core.PGDelta) error) (_ *core.DeltaState, _ core.Mode, dropped uint64, _ error) {
 	shapesRaw, err := os.ReadFile(filepath.Join(dir, graphShapesFile))
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	dataRaw, err := os.ReadFile(filepath.Join(dir, graphSourceFile))
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	state, md, err := buildDeltaState(mode, string(shapesRaw), string(dataRaw))
 	if err != nil {
-		return nil, 0, fmt.Errorf("snapshot: %w", err)
+		return nil, 0, 0, fmt.Errorf("snapshot: %w", err)
 	}
 	applied := make(map[uint64]string)
 	for _, r := range recs {
@@ -343,7 +357,7 @@ func replay(dir, mode string, recs []wal.Record, hi uint64, emit func(*core.PGDe
 			applied[r.LSN] = string(r.Payload)
 		}
 	}
-	for _, r := range recs {
+	for i, r := range recs {
 		if r.Kind != wal.KindUpdate {
 			continue
 		}
@@ -352,23 +366,26 @@ func replay(dir, mode string, recs []wal.Record, hi uint64, emit func(*core.PGDe
 		}
 		d, err := rdf.DecodeDelta(r.Payload, rio.ParseNTriplesLine)
 		if err != nil {
-			return nil, 0, fmt.Errorf("wal lsn %d: %w", r.LSN, err)
+			return nil, 0, 0, fmt.Errorf("wal lsn %d: %w", r.LSN, err)
 		}
 		pd, err := state.ApplyDelta(d)
 		if err != nil {
-			return nil, 0, fmt.Errorf("wal lsn %d: replay rejected: %w", r.LSN, err)
+			if i == len(recs)-1 {
+				return state, md, r.LSN, nil // the last record, so no APPLIED record follows it
+			}
+			return nil, 0, 0, fmt.Errorf("wal lsn %d: replay rejected: %w", r.LSN, err)
 		}
 		pd.LSN = r.LSN
 		digest, _ := pd.Digest() // its error is always nil
 		if want, ok := applied[r.LSN]; ok && want != digest {
-			return nil, 0, fmt.Errorf("wal lsn %d: replay digest %s != recorded %s (nondeterministic apply)",
+			return nil, 0, 0, fmt.Errorf("wal lsn %d: replay digest %s != recorded %s (nondeterministic apply)",
 				r.LSN, digest, want)
 		}
 		if err := emit(pd); err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 	}
-	return state, md, nil
+	return state, md, 0, nil
 }
 
 func (m *GraphManager) newSession(id, dir string, wlog *wal.Log) *graphSession {
@@ -447,8 +464,7 @@ func (m *GraphManager) List() []*GraphStatus {
 
 // Update runs one parsed SPARQL Update batch through a graph: admission,
 // apply, durable WAL append, publish. The returned result's LSN is durable —
-// the batch's UPDATE and APPLIED records were fsynced, together, before this
-// returns.
+// the batch's UPDATE record was fsynced before this returns.
 func (m *GraphManager) Update(id string, d *rdf.Delta) (*UpdateResult, error) {
 	gs, err := m.get(id)
 	if err != nil {
@@ -470,38 +486,35 @@ func (m *GraphManager) applyOne(gs *graphSession, d *rdf.Delta) (*UpdateResult, 
 		return nil, fmt.Errorf("%w: %v", ErrGraphBroken, gs.broken)
 	}
 
-	// Apply to memory first: a rejected batch never consumes an LSN and
-	// never reaches the WAL, so the log holds applied batches only and the
-	// change stream stays dense. Nothing is acknowledged yet — if the WAL
-	// append below fails or the process dies first, the client never saw a
-	// 202 and recovery (which replays the WAL alone) simply won't have it.
+	// The batch's UPDATE record is written first and its fsync runs while the
+	// batch is applied, its digest computed and its APPLIED record written:
+	// the 202 waits for the longer of the fsync and the apply, not for both.
+	// Nothing is acknowledged before both have returned. A batch the engine
+	// rejects has its record cut off the log again before the 4xx, so the log
+	// holds applied batches only, a rejected batch consumes no LSN and the
+	// change stream stays dense. If the process dies first, the client never
+	// saw a 202: recovery replays the record if it reached the disk, or drops
+	// it if the replay rejects it (see loadGraph).
+	m.stall(m.cfg.StallWAL)
+	b, err := gs.wlog.Begin(d.Encode())
+	if err != nil {
+		return nil, m.breakSession(gs, err)
+	}
 	m.stall(m.cfg.StallApply)
 	pd, err := gs.state.ApplyDelta(d)
 	if err != nil {
 		cGraphRejected.Inc()
+		if aerr := b.Abort(); aerr != nil {
+			return nil, m.breakSession(gs, aerr)
+		}
 		return nil, fmt.Errorf("%w: %v", ErrDeltaRejected, err)
 	}
-	m.stall(m.cfg.StallWAL)
-	// One write and one fsync make the batch durable: its UPDATE record and
-	// the APPLIED record carrying the digest of its effect, which is computed
-	// under the log's lock once the batch's LSN is known.
-	var digest string
-	lsn, err := gs.wlog.AppendBatch(d.Encode(), func(lsn uint64) []byte {
-		pd.LSN = lsn
-		digest, _ = pd.Digest() // its error is always nil
-		return []byte(digest)
-	})
-	if err != nil {
-		// The in-memory state is now ahead of the log; continuing would
-		// assign wrong LSNs to later batches. Poison the session — only a
-		// process restart (full replay) recovers it. Nothing was
-		// acknowledged: whether the batch survives the restart depends on
-		// whether its UPDATE record reached the disk.
-		gs.broken = err
-		cGraphBroken.Inc()
-		m.cfg.Log.Error("graph_wal_append_failed", "graph", gs.id, "error", err)
-		return nil, fmt.Errorf("%w: %v", ErrGraphBroken, err)
+	pd.LSN = b.LSN
+	digest, _ := pd.Digest() // its error is always nil
+	if err := b.Commit([]byte(digest)); err != nil {
+		return nil, m.breakSession(gs, err)
 	}
+	lsn := b.LSN
 
 	gs.histMu.Lock()
 	gs.hist = append(gs.hist, pd)
@@ -521,6 +534,19 @@ func (m *GraphManager) applyOne(gs *graphSession, d *rdf.Delta) (*UpdateResult, 
 	}
 	m.cfg.Log.Info("graph_update_applied", fields...)
 	return &UpdateResult{LSN: lsn, Digest: digest, Nodes: len(pd.Nodes), Edges: len(pd.Edges)}, nil
+}
+
+// breakSession poisons a session whose log failed: the in-memory state may
+// be ahead of the log, or the log may hold a record it should not, and
+// continuing would assign wrong LSNs to later batches. Only a process
+// restart (full replay) recovers it. Nothing was acknowledged: whether the
+// batch survives the restart depends on whether its UPDATE record reached
+// the disk and the replay accepts it. Caller holds applyMu.
+func (m *GraphManager) breakSession(gs *graphSession, err error) error {
+	gs.broken = err
+	cGraphBroken.Inc()
+	m.cfg.Log.Error("graph_wal_append_failed", "graph", gs.id, "error", err)
+	return fmt.Errorf("%w: %v", ErrGraphBroken, err)
 }
 
 func (m *GraphManager) stall(d time.Duration) {
@@ -590,7 +616,7 @@ func (m *GraphManager) Changes(id string, from uint64, follow bool, done <-chan 
 			if err != nil {
 				return err
 			}
-			if _, _, err := replay(gs.dir, gs.mode.String(), recs, base, func(pd *core.PGDelta) error {
+			if _, _, _, err := replay(gs.dir, gs.mode.String(), recs, base, func(pd *core.PGDelta) error {
 				if pd.LSN < next {
 					return nil
 				}

@@ -16,6 +16,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"github.com/s3pg/s3pg/internal/core"
 	"github.com/s3pg/s3pg/internal/obs"
@@ -97,8 +98,7 @@ func (s *Server) handleGraphUpdate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, ErrGraphDraining)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	src, err := io.ReadAll(body)
+	src, err := readBody(r, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -108,7 +108,7 @@ func (s *Server) handleGraphUpdate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	d, err := sparql.ParseUpdate(string(src))
+	d, err := sparql.ParseUpdate(src)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -119,6 +119,23 @@ func (s *Server) handleGraphUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusAccepted, res)
+}
+
+// maxBodyPresize caps the buffer readBody sizes up front by a request's
+// Content-Length, which a client may state without sending the bytes.
+const maxBodyPresize = 1 << 20
+
+// readBody reads a request body whole into one buffer, sized by the
+// request's Content-Length, that becomes the returned string without a copy.
+func readBody(r *http.Request, body io.Reader) (string, error) {
+	var sb strings.Builder
+	if n := r.ContentLength; n > 0 {
+		sb.Grow(int(min(n, maxBodyPresize)))
+	}
+	if _, err := io.CopyBuffer(&sb, body, make([]byte, 4<<10)); err != nil {
+		return "", err
+	}
+	return sb.String(), nil
 }
 
 // handleGraphChanges streams PG deltas as JSONL over a chunked response. The

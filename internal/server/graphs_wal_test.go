@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -265,5 +266,143 @@ func TestGraphSingleFrameSpoolReopens(t *testing.T) {
 	}
 	if res, err := m2.Update("uni", d); err != nil || res.LSN != n+1 {
 		t.Fatalf("update after reopen: %+v %v", res, err)
+	}
+}
+
+// rejectedUpdate is a batch ApplyDelta rejects: it annotates a statement
+// the graph does not hold.
+const rejectedUpdate = exPrefixDecl + `INSERT DATA { << ex:bob ex:missing ex:nothing >> ex:since "2020" . }`
+
+// walRecords reads the graph's log as it lies on disk.
+func walRecords(t *testing.T, dir string) []wal.Record {
+	t.Helper()
+	recs, err := wal.ReadRecords(filepath.Join(dir, "uni", graphWALDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestGraphRejectedBatchLeavesNoRecord: a batch the engine rejects after its
+// UPDATE record was written leaves no record in the log and consumes no LSN;
+// the graph stays healthy and its next batch takes the LSN.
+func TestGraphRejectedBatchLeavesNoRecord(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &syncFS{FS: ckpt.OSFS}
+	m := newGraphManager(t, GraphConfig{Dir: dir, FS: fsys})
+	if _, err := m.Create("uni", "parsimonious", fixtures.UniversityShapesTurtle, universityNT(t)); err != nil {
+		t.Fatal(err)
+	}
+	digests := applyUpdates(t, m, 2)
+	d, err := sparql.ParseUpdate(rejectedUpdate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Update("uni", d); !errors.Is(err, ErrDeltaRejected) {
+		t.Fatalf("rejected batch: %v, want ErrDeltaRejected", err)
+	}
+	if recs := walRecords(t, dir); len(recs) != 4 {
+		t.Fatalf("the log holds %d records after the rejection, want the 4 of the two batches", len(recs))
+	}
+	if st, err := m.Status("uni"); err != nil || st.LSN != 2 || st.Broken != "" {
+		t.Fatalf("status after the rejection: %+v %v", st, err)
+	}
+	d, err = sparql.ParseUpdate(emailUpdate(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Update("uni", d)
+	if err != nil || res.LSN != 3 {
+		t.Fatalf("the batch after the rejection: %+v %v, want LSN 3", res, err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs := walRecords(t, dir)
+	if len(recs) != 6 || recs[4].LSN != 3 || string(recs[4].Payload) != string(d.Encode()) {
+		t.Fatalf("the log after the next batch: %d records", len(recs))
+	}
+	if got, want := replayedDigests(t, dir), append(digests, res.Digest); !equalStrings(got, want) {
+		t.Fatalf("replayed digests %v, want %v", got, want)
+	}
+}
+
+// TestGraphRecoveryDropsRejectedTail: a log whose last record is an UPDATE
+// with no APPLIED record that the replay rejects (the process died applying
+// a batch the engine rejects, so it was never acknowledged) reopens without
+// that record, healthy, and the next batch takes its LSN. The same record
+// with an APPLIED record, or with a record after it, fails the open.
+func TestGraphRecoveryDropsRejectedTail(t *testing.T) {
+	d, err := sparql.ParseUpdate(rejectedUpdate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		after func(l *wal.Log) error // appends after the rejected UPDATE
+		opens bool
+	}{
+		{"alone at the tail", func(*wal.Log) error { return nil }, true},
+		{"with an APPLIED record", func(l *wal.Log) error { return l.AppendApplied(3, []byte("digest")) }, false},
+		{"followed by an UPDATE", func(l *wal.Log) error { _, err := l.AppendUpdate(d.Encode()); return err }, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m := newGraphManager(t, GraphConfig{Dir: dir})
+			if _, err := m.Create("uni", "parsimonious", fixtures.UniversityShapesTurtle, universityNT(t)); err != nil {
+				t.Fatal(err)
+			}
+			digests := applyUpdates(t, m, 2)
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l, _, err := wal.Open(filepath.Join(dir, "uni", graphWALDir), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lsn, err := l.AppendUpdate(d.Encode()); err != nil || lsn != 3 {
+				t.Fatalf("appending the rejected batch: %d %v", lsn, err)
+			}
+			if err := c.after(l); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			m2, err := OpenGraphs(GraphConfig{Dir: dir})
+			if !c.opens {
+				if err == nil {
+					m2.Close()
+					t.Fatal("the open succeeded")
+				}
+				if !strings.Contains(err.Error(), "replay rejected") {
+					t.Fatalf("the open failed for another reason: %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err := m2.Status("uni"); err != nil || st.LSN != 2 || st.Broken != "" {
+				t.Fatalf("status after the reopen: %+v %v", st, err)
+			}
+			if recs := walRecords(t, dir); len(recs) != 4 {
+				t.Fatalf("the log holds %d records after the reopen, want 4", len(recs))
+			}
+			next, err := sparql.ParseUpdate(emailUpdate(t, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := m2.Update("uni", next)
+			if err != nil || res.LSN != 3 {
+				t.Fatalf("the batch after the reopen: %+v %v, want LSN 3", res, err)
+			}
+			if err := m2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := replayedDigests(t, dir), append(digests, res.Digest); !equalStrings(got, want) {
+				t.Fatalf("replayed digests %v, want %v", got, want)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package sparql
 import (
 	"fmt"
 	"maps"
+	"strings"
 
 	"github.com/s3pg/s3pg/internal/rdf"
 	"github.com/s3pg/s3pg/internal/rio"
@@ -12,6 +13,10 @@ import (
 // parser itself (the service layer applies its own body limits first): a
 // pathological request cannot make the tokenizer allocate unboundedly.
 const MaxUpdateBytes = 64 << 20
+
+// maxPresize caps the statements ParseUpdate sizes its tables for up front;
+// a larger request grows them as it goes.
+const maxPresize = 1 << 12
 
 // ParseUpdate parses a SPARQL Update request in the supported subset —
 // `INSERT DATA { … }` and `DELETE DATA { … }` operations, optionally
@@ -59,26 +64,24 @@ func (u *updateParser) parse() (_ *rdf.Delta, err error) {
 			err = fmt.Errorf("sparql: update: %w", err)
 		}
 	}()
-	// The sequential operations fold into a last-op-wins table keyed by each
-	// triple's N-Triples form; the table keeps first appearances in order, so
-	// the resulting Delta is deterministic for a given request.
-	type netOp struct {
-		triple rdf.Triple
-		insert bool
-	}
+	// The sequential operations fold into a last-op-wins table keyed by the
+	// triple itself: every field of its three terms, the identity the graph's
+	// dictionary gives a term. The table keeps first appearances in order, so
+	// the resulting Delta is deterministic for a given request. It is sized
+	// by the body's lines: a client's body is mostly a statement a line.
+	hint := min(strings.Count(u.Src, "\n")+1, maxPresize)
 	var (
-		net   []netOp
-		index = make(map[string]int)
-		key   []byte
+		stmts  = make([]rdf.Triple, 0, hint)
+		insert = make([]bool, 0, hint)
+		index  = make(map[rdf.Triple]int, hint)
 	)
-	record := func(t rdf.Triple, insert bool) {
-		key = t.AppendTo(key[:0])
-		if i, ok := index[string(key)]; ok {
-			net[i].insert = insert
+	record := func(t rdf.Triple, ins bool) {
+		if i, ok := index[t]; ok {
+			insert[i] = ins
 			return
 		}
-		index[string(key)] = len(net)
-		net = append(net, netOp{triple: t, insert: insert})
+		index[t] = len(stmts)
+		stmts, insert = append(stmts, t), append(insert, ins)
 	}
 	ops := 0
 	for {
@@ -122,13 +125,24 @@ func (u *updateParser) parse() (_ *rdf.Delta, err error) {
 	if ops == 0 {
 		return nil, fmt.Errorf("no INSERT DATA / DELETE DATA operation")
 	}
+	// Inserts keep their order in place at the front of stmts, deletes go
+	// to a slice of their own: a grow batch's statements become its Inserts
+	// without a copy.
 	delta := &rdf.Delta{}
-	for _, op := range net {
-		if op.insert {
-			delta.Inserts = append(delta.Inserts, op.triple)
+	n := 0
+	for i, t := range stmts {
+		if insert[i] {
+			stmts[n] = t
+			n++
 		} else {
-			delta.Deletes = append(delta.Deletes, op.triple)
+			if delta.Deletes == nil {
+				delta.Deletes = make([]rdf.Triple, 0, len(stmts)-i)
+			}
+			delta.Deletes = append(delta.Deletes, t)
 		}
+	}
+	if n > 0 {
+		delta.Inserts = stmts[:n:n]
 	}
 	return delta, nil
 }

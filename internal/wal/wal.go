@@ -1,12 +1,24 @@
 // Package wal implements the durable delta log behind incremental
 // transformation: an append-only, CRC-framed record log with atomic segment
-// rotation and torn-tail recovery. The service writes an update batch's
-// UPDATE record and its APPLIED record with one write and one fsync before
-// acknowledging the batch, so an acknowledged batch survives any crash;
-// replaying the log through the deterministic ApplyDelta engine re-derives
-// the exact post-batch state, which is what makes application exactly-once —
-// a batch is applied "twice" only in the sense that the replay recomputes the
-// same result, never that its effects double.
+// rotation and torn-tail recovery.
+//
+// Durability. The service writes an update batch through Begin, which writes
+// the batch's UPDATE record and starts its fsync, then applies the batch
+// while that fsync runs, and ends it with Commit, which writes the APPLIED
+// record and waits for the fsync. The batch is acknowledged only after both
+// the fsync and the apply have returned, so an acknowledged batch survives
+// any crash at the cost of one fsync, which runs beside the apply instead of
+// after it. Its APPLIED record becomes durable with the next batch's fsync,
+// the fsync before a rotation, or the one at Close; it is a check on the
+// replay, not a record the replay needs (see KindApplied). A batch the engine
+// rejects ends with Abort, which cuts its UPDATE record off the log before
+// the rejection is answered: it consumes no LSN. Replaying the UPDATE records
+// through the deterministic ApplyDelta engine re-derives the exact post-batch
+// state, which is what makes application exactly-once — a batch is applied
+// "twice" only in the sense that the replay recomputes the same result, never
+// that its effects double. An UPDATE record that is the log's last record,
+// has no APPLIED record and is rejected by the replay was never acknowledged
+// (the process died inside its apply); the caller drops it with Retract.
 //
 // On-disk layout: the log directory holds numbered segment files
 // (wal-00000001.seg, …). Segments are created atomically (temp file → header
@@ -25,14 +37,15 @@
 // final bytes of the final segment, silently truncated) from mid-segment
 // corruption (valid records follow the damage, or the damage is not in the
 // last segment: rejected loudly — bit rot must never silently drop accepted
-// batches). One shape of valid-after-damage is a torn tail too: a power loss
-// during a batch's paired write may keep the APPLIED frame's sectors and lose
-// some of the UPDATE frame's, which leaves damage followed only by the
-// APPLIED frame of the LSN after the last intact UPDATE. When the damage
-// reads as unwritten storage (see unwritten), the pair never finished its
-// fsync, was never acknowledged, and is truncated whole; the same shape with
-// damage that does not, such as a bit flip in a pair that was fsynced, is
-// ErrCorrupt.
+// batches). Two shapes of valid-after-damage are torn tails too, both left
+// by a power loss that kept later sectors and lost earlier ones, and both
+// followed only by frames of the LSN after the last intact UPDATE (n): a
+// damaged UPDATE(n+1) before its APPLIED(n+1), and a damaged APPLIED(n),
+// written but not yet synced, before UPDATE(n+1) and maybe APPLIED(n+1).
+// When the damage reads as unwritten storage (see unwritten), the fsync of
+// UPDATE(n+1) never finished, so batch n+1 was never acknowledged, and the
+// tail is truncated from the damage on; the same shapes with damage that
+// does not, such as a bit flip in frames that were fsynced, are ErrCorrupt.
 package wal
 
 import (
@@ -41,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -57,6 +71,7 @@ var (
 	cRotations = obs.Default.Counter("wal.rotations")
 	cRecovered = obs.Default.Counter("wal.recovered_records")
 	cTornTails = obs.Default.Counter("wal.torn_tails")
+	cRetracted = obs.Default.Counter("wal.retracted_records")
 )
 
 const (
@@ -123,9 +138,10 @@ type Options struct {
 	SegmentBytes int64
 }
 
-// Log is an open write-ahead log. Appends are serialized and each makes one
-// write and one fsync before returning, so a returned LSN is durable. Log is
-// safe for concurrent use.
+// Log is an open write-ahead log. Appends are serialized: AppendUpdate and
+// AppendApplied each make one write and one fsync before returning, and a
+// batch holds the log from Begin to its Commit or Abort. Log is safe for
+// concurrent use.
 type Log struct {
 	dir  string
 	fsys ckpt.FS
@@ -138,8 +154,30 @@ type Log struct {
 	size        int64
 	lastUpdate  uint64
 	lastApplied uint64
-	failed      error
-	closed      bool
+	// tail is where the log's last record starts while that record is an
+	// UPDATE with no APPLIED record: what Abort and Retract cut off. Its
+	// path is empty otherwise.
+	tail frameAt
+	// unsynced is set while the active segment holds a batch's APPLIED
+	// record that no fsync has covered yet.
+	unsynced bool
+	synced   chan error // the result of a batch's fsync
+	failed   error
+	closed   bool
+}
+
+// frameAt locates a frame: its segment file and its offset in it.
+type frameAt struct {
+	path string
+	off  int64
+}
+
+// Batch is an update batch between Begin and its Commit or Abort, one of
+// which must be called exactly once. While it is open the log is locked.
+type Batch struct {
+	// LSN is the batch's LSN, the token its acknowledgment carries.
+	LSN uint64
+	l   *Log
 }
 
 // Open recovers the log at dir (creating it if absent) and returns the
@@ -161,7 +199,7 @@ func Open(dir string, opts Options) (*Log, []Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	l := &Log{dir: dir, fsys: fsys, opts: opts}
+	l := &Log{dir: dir, fsys: fsys, opts: opts, synced: make(chan error, 1)}
 	var recs []Record
 	for i, seg := range segs {
 		last := i == len(segs)-1
@@ -180,14 +218,20 @@ func Open(dir string, opts Options) (*Log, []Record, error) {
 				return nil, nil, err
 			}
 		}
+		if n := len(segRecs); n > 0 {
+			l.tail = frameAt{}
+			if r := segRecs[n-1]; r.Kind == KindUpdate {
+				l.tail = frameAt{seg.path, validLen - int64(recHeaderSize+len(r.Payload))}
+			}
+		}
 		recs = append(recs, segRecs...)
 	}
 	cRecovered.Add(int64(len(recs)))
 	// Resume into a fresh segment rather than appending to a recovered one:
 	// every writable file then flows through fsys.CreateTemp (the fault
-	// seam), and a recovered segment is never mutated again. A header-only
-	// final segment is removed first so repeated restarts do not accumulate
-	// empty segments.
+	// seam), and a recovered segment is never appended to again (Retract
+	// may still cut its last record). A header-only final segment is removed
+	// first so repeated restarts do not accumulate empty segments.
 	nextSeq := uint64(1)
 	if n := len(segs); n > 0 {
 		nextSeq = segs[n-1].seq + 1
@@ -226,40 +270,130 @@ func (l *Log) admitRecovered(r Record, path string) error {
 	return nil
 }
 
-// AppendBatch appends one update batch: its UPDATE record, carrying update
-// (an encoded rdf.Delta), and its APPLIED record, in one write and one
-// fsync. applied is called under the log's lock with the LSN the batch gets
-// and returns the APPLIED payload (a digest of the batch's effect), or nil
-// to write the UPDATE record alone. When AppendBatch returns the LSN, both
-// records are durable: the LSN may be acknowledged to a client.
-func (l *Log) AppendBatch(update []byte, applied func(lsn uint64) []byte) (uint64, error) {
+// Begin starts an update batch: it writes the batch's UPDATE record, carrying
+// update (an encoded rdf.Delta), at the next LSN, and starts the record's
+// fsync, which runs while the caller applies the batch. The fsync also makes
+// the previous batch's APPLIED record durable. The log stays locked until
+// the batch ends with Commit or Abort, so the batch's two records stay
+// adjacent in one segment (rotation happens only before an UPDATE record);
+// every other call on the log waits. On error no batch is open.
+func (l *Log) Begin(update []byte) (*Batch, error) {
+	l.mu.Lock()
+	lsn := l.lastUpdate + 1
+	off, err := l.writeLocked(Record{LSN: lsn, Kind: KindUpdate, Payload: update}, true)
+	if err != nil {
+		l.mu.Unlock()
+		return nil, err
+	}
+	l.lastUpdate, l.tail, l.unsynced = lsn, frameAt{l.path, off}, false
+	go func(f ckpt.File) { l.synced <- f.Sync() }(l.f)
+	return &Batch{LSN: lsn, l: l}, nil
+}
+
+// Commit ends a batch the caller applied: it writes the APPLIED record,
+// carrying applied (a digest of the batch's effect), while the UPDATE
+// record's fsync may still run, then waits for that fsync. When Commit
+// returns nil the UPDATE record is durable and the LSN may be acknowledged.
+// The APPLIED record is synced by the next batch's fsync, or before a
+// rotation, or at Close.
+func (b *Batch) Commit(applied []byte) error {
+	l := b.l
+	defer l.mu.Unlock()
+	_, werr := l.writeLocked(Record{LSN: b.LSN, Kind: KindApplied, Payload: applied}, false)
+	if werr == nil {
+		l.lastApplied, l.tail, l.unsynced = b.LSN, frameAt{}, true
+	}
+	if err := l.awaitSync(b.LSN); err != nil {
+		return err
+	}
+	return werr
+}
+
+// Abort ends a batch the caller could not apply: once the UPDATE record's
+// fsync has returned, it cuts the record off the segment, fsyncs the cut and
+// gives the LSN back. The log then holds no record of the batch, and the
+// next batch takes its LSN.
+func (b *Batch) Abort() error {
+	l := b.l
+	defer l.mu.Unlock()
+	if err := l.awaitSync(b.LSN); err != nil {
+		return err
+	}
+	return l.retractLocked()
+}
+
+// awaitSync waits, under l.mu, for the fsync Begin started; the goroutine
+// running it takes no lock, so the wait ends. A failure poisons the log.
+func (l *Log) awaitSync(lsn uint64) error {
+	if err := <-l.synced; err != nil {
+		l.failed = err
+		return fmt.Errorf("wal: append LSN %d: sync: %w", lsn, err)
+	}
+	return nil
+}
+
+// Retract removes the UPDATE record at lsn, which must be the log's last
+// record and have no APPLIED record: an update Open recovered that the
+// caller's replay rejects, which was therefore never acknowledged. The cut
+// is fsynced, and the next batch takes lsn.
+func (l *Log) Retract(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	lsn := l.lastUpdate + 1
-	digest := applied(lsn)
-	frames := []Record{{LSN: lsn, Kind: KindUpdate, Payload: update}}
-	if digest != nil {
-		frames = append(frames, Record{LSN: lsn, Kind: KindApplied, Payload: digest})
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
-	if err := l.appendLocked(frames); err != nil {
-		return 0, err
+	if l.tail.path == "" || lsn != l.lastUpdate {
+		return fmt.Errorf("wal: retract LSN %d: not the last record, an UPDATE without its APPLIED record (last update %d)",
+			lsn, l.lastUpdate)
 	}
-	l.lastUpdate = lsn
-	if digest != nil {
-		l.lastApplied = lsn
+	return l.retractLocked()
+}
+
+// retractLocked cuts the log's last record, the UPDATE record at l.tail, and
+// fsyncs the cut. A failure poisons the log.
+func (l *Log) retractLocked() error {
+	t := l.tail
+	var err error
+	if t.path != l.path {
+		err = truncateFile(t.path, t.off) // a recovered segment
+	} else if err = l.f.Truncate(t.off); err == nil {
+		// The next write goes where the record began, not past a hole.
+		if _, err = l.f.Seek(t.off, io.SeekStart); err == nil {
+			err = l.f.Sync()
+		}
+		l.size = t.off
 	}
-	return lsn, nil
+	if err != nil {
+		l.failed = err
+		return fmt.Errorf("wal: retract LSN %d: %w", l.lastUpdate, err)
+	}
+	l.lastUpdate--
+	l.tail = frameAt{}
+	cRetracted.Inc()
+	return nil
 }
 
 // AppendUpdate appends an UPDATE record carrying payload (an encoded
 // rdf.Delta) alone and returns its LSN. The record is fsynced before the
 // call returns.
 func (l *Log) AppendUpdate(payload []byte) (uint64, error) {
-	return l.AppendBatch(payload, func(uint64) []byte { return nil })
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	lsn := l.lastUpdate + 1
+	off, err := l.writeLocked(Record{LSN: lsn, Kind: KindUpdate, Payload: payload}, true)
+	if err == nil {
+		err = l.syncLocked(lsn)
+	}
+	if err != nil {
+		return 0, err
+	}
+	l.lastUpdate, l.tail = lsn, frameAt{l.path, off}
+	return lsn, nil
 }
 
 // AppendApplied appends an APPLIED record alone, confirming the update at
-// lsn with a digest of its effect (see KindApplied).
+// lsn with a digest of its effect (see KindApplied). The record is fsynced
+// before the call returns.
 func (l *Log) AppendApplied(lsn uint64, digest []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -267,14 +401,19 @@ func (l *Log) AppendApplied(lsn uint64, digest []byte) error {
 		return fmt.Errorf("wal: applied LSN %d out of order (applied %d, update %d)",
 			lsn, l.lastApplied, l.lastUpdate)
 	}
-	if err := l.appendLocked([]Record{{LSN: lsn, Kind: KindApplied, Payload: digest}}); err != nil {
+	_, err := l.writeLocked(Record{LSN: lsn, Kind: KindApplied, Payload: digest}, true)
+	if err == nil {
+		err = l.syncLocked(lsn)
+	}
+	if err != nil {
 		return err
 	}
-	l.lastApplied = lsn
+	l.lastApplied, l.tail = lsn, frameAt{}
 	return nil
 }
 
-// Close finalizes the active segment. Further appends return ErrClosed.
+// Close finalizes the active segment, first syncing the last batch's APPLIED
+// record if no fsync has covered it. Further appends return ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -285,36 +424,47 @@ func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	err := l.f.Close()
+	var err error
+	if l.unsynced {
+		err = l.f.Sync()
+	}
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
 	l.f = nil
 	return err
 }
 
-// appendLocked frames recs and durably writes them with one write and one
-// fsync, rotating first when the active segment is over the threshold, so
-// the records of one call share a segment. Any I/O failure poisons the log
-// (the active segment may now end in a torn frame, which only a reopen's
-// recovery may repair).
-func (l *Log) appendLocked(recs []Record) error {
-	lsn := recs[0].LSN
+// usableLocked reports why the log takes no more appends, if it does not.
+func (l *Log) usableLocked() error {
 	if l.closed {
 		return ErrClosed
 	}
 	if l.failed != nil {
 		return fmt.Errorf("%w (cause: %v)", ErrFailed, l.failed)
 	}
-	for _, r := range recs {
-		if len(r.Payload) > MaxRecordBytes {
-			return fmt.Errorf("wal: record payload %d bytes exceeds %d", len(r.Payload), MaxRecordBytes)
-		}
+	return nil
+}
+
+// writeLocked frames r and writes it at the end of the active segment, and
+// returns the offset the frame starts at. With rotate it first opens the
+// next segment when the active one is over the threshold; a batch's APPLIED
+// record is written without, so it stays beside its UPDATE record. A failed
+// write poisons the log (the segment may now end in a torn frame, which only
+// a reopen's recovery may repair).
+func (l *Log) writeLocked(r Record, rotate bool) (int64, error) {
+	if err := l.usableLocked(); err != nil {
+		return 0, err
 	}
-	if l.size >= l.opts.SegmentBytes {
+	if len(r.Payload) > MaxRecordBytes {
+		return 0, fmt.Errorf("wal: record payload %d bytes exceeds %d", len(r.Payload), MaxRecordBytes)
+	}
+	if rotate && l.size >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
-			if l.f == nil {
-				// The old segment was closed but the next one never opened:
-				// there is nothing to append to, and rotateLocked already
-				// poisoned the log. Fail the append rather than write to nil.
-				return fmt.Errorf("wal: append LSN %d: rotate: %w", lsn, err)
+			if l.failed != nil {
+				// The old segment's fsync failed, or the next segment never
+				// opened: rotateLocked poisoned the log.
+				return 0, fmt.Errorf("wal: append LSN %d: rotate: %w", r.LSN, err)
 			}
 			// Close failed with the handle still set: the current segment
 			// stays active (merely oversized) and rotation is retried next
@@ -323,33 +473,40 @@ func (l *Log) appendLocked(recs []Record) error {
 			cRotations.Inc()
 		}
 	}
-	size := 0
-	for _, r := range recs {
-		size += recHeaderSize + len(r.Payload)
-	}
-	buf := make([]byte, 0, size)
-	for _, r := range recs {
-		buf = appendFrame(buf, r)
-	}
+	buf := appendFrame(make([]byte, 0, recHeaderSize+len(r.Payload)), r)
 	if _, err := l.f.Write(buf); err != nil {
 		l.failed = err
-		return fmt.Errorf("wal: append LSN %d: %w", lsn, err)
+		return 0, fmt.Errorf("wal: append LSN %d: %w", r.LSN, err)
 	}
+	off := l.size
+	l.size += int64(len(buf))
+	cAppends.Inc()
+	cBytes.Add(int64(len(buf)))
+	return off, nil
+}
+
+// syncLocked fsyncs the active segment; a failure poisons the log.
+func (l *Log) syncLocked(lsn uint64) error {
 	if err := l.f.Sync(); err != nil {
 		l.failed = err
 		return fmt.Errorf("wal: append LSN %d: sync: %w", lsn, err)
 	}
-	l.size += int64(len(buf))
-	cAppends.Add(int64(len(recs)))
-	cBytes.Add(int64(len(buf)))
+	l.unsynced = false
 	return nil
 }
 
-// rotateLocked finalizes the active segment and opens the next one.
+// rotateLocked finalizes the active segment and opens the next one. A batch's
+// APPLIED record the segment ends with is synced first: no later fsync
+// reaches this file.
 func (l *Log) rotateLocked() error {
+	if l.unsynced {
+		if err := l.syncLocked(l.lastApplied); err != nil {
+			return err
+		}
+	}
 	if err := l.f.Close(); err != nil {
-		// The closed-but-unrotated segment is still fully synced (every
-		// append synced); treat the close error as a failed rotation only.
+		// The closed-but-unrotated segment is still fully synced; treat the
+		// close error as a failed rotation only.
 		return err
 	}
 	l.f = nil
@@ -447,7 +604,7 @@ func parseFrame(data []byte) (Record, int, error) {
 // parseSegment reads and validates one segment file. lastUpdate is the LSN
 // of the last UPDATE record of the segments before it. On a frame error it
 // applies the torn-tail policy: damage at the very end of the final segment,
-// or a torn pair there (see tornTail), is a torn append (report torn=true
+// or one of the torn shapes tornTail accepts there, is a torn append (report torn=true
 // with the length of the valid prefix); damage anywhere else — earlier
 // segments, or damage followed by any other valid frame — is ErrCorrupt.
 func parseSegment(path string, wantSeq uint64, last bool, lastUpdate uint64) (recs []Record, validLen int64, torn bool, err error) {
@@ -468,7 +625,8 @@ func parseSegment(path string, wantSeq uint64, last bool, lastUpdate uint64) (re
 	for off < len(data) {
 		rec, n, perr := parseFrame(data[off:])
 		if perr != nil {
-			if !last || !tornTail(data, off, lastUpdate) {
+			pending := len(recs) > 0 && recs[len(recs)-1].Kind == KindUpdate
+			if !last || !tornTail(data, off, lastUpdate, pending) {
 				return nil, 0, false, fmt.Errorf("%w: %s: offset %d: %v", ErrCorrupt, path, off, perr)
 			}
 			return recs, int64(off), true, nil
@@ -483,16 +641,19 @@ func parseSegment(path string, wantSeq uint64, last bool, lastUpdate uint64) (re
 }
 
 // tornTail reports whether the damage at off, in the final segment, is what
-// a crash mid-append leaves: no intact frame starts after off, or exactly
-// one does, it is the APPLIED frame of the LSN after lastUpdate (the last
-// intact UPDATE), and the damage before it reads as unwritten storage — the
-// second half of a batch's paired write whose first half did not all reach
-// the disk. Any other intact frame after the damage means records were lost
-// in the middle.
-func tornTail(data []byte, off int, lastUpdate uint64) bool {
+// a crash mid-append leaves. Either no intact frame starts after off, or the
+// damage reads as unwritten storage and is followed only by frames of the
+// LSN after lastUpdate (the last intact UPDATE, n), in one of two shapes: an
+// APPLIED(n+1) alone, the second half of a batch whose UPDATE did not all
+// reach the disk; or, when pending says the segment's last intact record is
+// UPDATE(n), an UPDATE(n+1) and maybe its APPLIED, behind the APPLIED(n) that
+// was written but not yet synced when UPDATE(n+1)'s fsync began. Either way
+// that fsync never finished. Any other intact frame after the damage means
+// records were lost in the middle.
+func tornTail(data []byte, off int, lastUpdate uint64, pending bool) bool {
 	var found []Record
 	at := 0 // where found[0] starts
-	for from := off + 1; from < len(data) && len(found) < 2; from++ {
+	for from := off + 1; from < len(data) && len(found) < 3; from++ {
 		i := bytes.Index(data[from:], []byte(recMagic))
 		if i < 0 {
 			break
@@ -505,9 +666,21 @@ func tornTail(data []byte, off int, lastUpdate uint64) bool {
 			found = append(found, r)
 		}
 	}
-	return len(found) == 0 ||
-		len(found) == 1 && found[0].Kind == KindApplied && found[0].LSN == lastUpdate+1 &&
-			unwritten(data, off, at)
+	if len(found) == 0 {
+		return true
+	}
+	if len(found) > 2 || !unwritten(data, off, at) {
+		return false
+	}
+	for _, r := range found {
+		if r.LSN != lastUpdate+1 {
+			return false
+		}
+	}
+	if found[0].Kind == KindApplied {
+		return len(found) == 1
+	}
+	return pending && (len(found) == 1 || found[1].Kind == KindApplied)
 }
 
 // sectorSize is the unit a disk writes whole; a power loss drops sectors,
@@ -520,8 +693,8 @@ const sectorSize = 512
 // of the span (the file had grown past it; its new bytes never landed). A
 // sector reaching end holds the intact frame's first bytes, so it was
 // written. A frame that was fsynced whole has no such sector: the one
-// holding its first byte holds the nonzero magic, and an UPDATE payload is
-// text.
+// holding its first byte holds the nonzero magic, and both payloads, an
+// UPDATE's delta and an APPLIED digest, are text.
 func unwritten(data []byte, off, end int) bool {
 	for s := off - off%sectorSize; s+sectorSize <= end; s += sectorSize {
 		if len(bytes.TrimLeft(data[max(s, off):s+sectorSize], "\x00")) == 0 {
@@ -532,7 +705,7 @@ func unwritten(data []byte, off, end int) bool {
 }
 
 // ReadRecords reads the records at dir without opening the log for appends:
-// segments are parsed read-only, an incomplete frame (or torn pair) at the
+// segments are parsed read-only, an incomplete frame (or torn shape) at the
 // very tail of the final segment is skipped (never truncated — it may be a live writer's
 // in-flight append, not a tear), and stray temp files are left in place. The
 // recovered records pass the same LSN invariants Open enforces. Callers on a

@@ -559,59 +559,29 @@ func (f *countingFile) Sync() error {
 // digestOf is the APPLIED payload the pair tests write for an LSN.
 func digestOf(lsn uint64) []byte { return []byte(fmt.Sprintf("digest-%d", lsn)) }
 
-// appendPairs appends n batches through AppendBatch, each with its APPLIED
-// record.
+// commitBatch runs one batch through Begin and Commit and returns its LSN.
+func commitBatch(t *testing.T, l *Log, update []byte) uint64 {
+	t.Helper()
+	b, err := l.Begin(update)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Commit(digestOf(b.LSN)); err != nil {
+		t.Fatal(err)
+	}
+	return b.LSN
+}
+
+// appendPairs appends n batches through Begin and Commit, each with its
+// APPLIED record.
 func appendPairs(t *testing.T, l *Log, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := l.AppendBatch([]byte(fmt.Sprintf("update-%02d", i)), digestOf); err != nil {
-			t.Fatal(err)
-		}
+		commitBatch(t, l, []byte(fmt.Sprintf("update-%02d", i)))
 	}
 }
 
-func TestAppendBatchOneSyncPerBatch(t *testing.T) {
-	dir := t.TempDir()
-	fsys := &countingFS{FS: ckpt.OSFS}
-	l, _, err := Open(dir, Options{FS: fsys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := fsys.syncs.Load() // the segment header's
-	const n = 5
-	appendPairs(t, l, n)
-	if got := fsys.syncs.Load() - before; got != n {
-		t.Fatalf("%d batches made %d fsyncs, want one each", n, got)
-	}
-	// A digest left out writes the UPDATE record alone, with the same one
-	// fsync.
-	if lsn, err := l.AppendBatch([]byte("no digest"), func(uint64) []byte { return nil }); err != nil || lsn != n+1 {
-		t.Fatalf("AppendBatch without a digest: lsn=%d err=%v", lsn, err)
-	}
-	if got := fsys.syncs.Load() - before; got != n+1 {
-		t.Fatalf("%d batches made %d fsyncs", n+1, got)
-	}
-	l.Close()
-	_, recs, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2*n+1 {
-		t.Fatalf("recovered %d records, want %d", len(recs), 2*n+1)
-	}
-	for i := 0; i < n; i++ {
-		u, a := recs[2*i], recs[2*i+1]
-		lsn := uint64(i + 1)
-		if u.Kind != KindUpdate || u.LSN != lsn || a.Kind != KindApplied || a.LSN != lsn || !bytes.Equal(a.Payload, digestOf(lsn)) {
-			t.Fatalf("batch %d recovered as %+v, %+v", lsn, u, a)
-		}
-	}
-	if r := recs[2*n]; r.Kind != KindUpdate || r.LSN != n+1 {
-		t.Fatalf("last record %+v", r)
-	}
-}
-
-// pairFrames is the bytes AppendBatch writes for a batch.
+// pairFrames is the bytes appendPairs writes for a batch.
 func pairFrames(lsn uint64) (update, applied []byte) {
 	return appendFrame(nil, Record{LSN: lsn, Kind: KindUpdate, Payload: []byte(fmt.Sprintf("update-%02d", lsn-1))}),
 		appendFrame(nil, Record{LSN: lsn, Kind: KindApplied, Payload: digestOf(lsn)})
@@ -656,6 +626,16 @@ func TestTornPairRecovery(t *testing.T) {
 		t.Fatalf("u4 (%d bytes from offset %d) does not hold two whole sectors", len(u4), clean)
 	}
 	lastBoundary := (clean+len(u4))/sectorSize*sectorSize - clean // a4 starts in the sector from here
+	// u4s is an UPDATE(4) sized so that the APPLIED(4) after it starts `lead`
+	// bytes before a sector boundary: a power loss can lose that sector, the
+	// APPLIED frame's first bytes with it, and keep the next one.
+	const lead = 20
+	u4s := appendFrame(nil, Record{LSN: 4, Kind: KindUpdate,
+		Payload: bytes.Repeat([]byte("u"), 2*sectorSize-lead-(clean+recHeaderSize)%sectorSize)})
+	if (clean+len(u4s))%sectorSize != sectorSize-lead {
+		t.Fatalf("a4 after u4s starts at %d in its sector", (clean+len(u4s))%sectorSize)
+	}
+	u6, _ := pairFrames(6)
 	for _, c := range []struct {
 		name string
 		tail []byte
@@ -680,6 +660,18 @@ func TestTornPairRecovery(t *testing.T) {
 		{"damage, then a whole pair", cat(zeroed(u4, 0, first), u5, a5), -1, 0},
 		{"damage, then the APPLIED of an intact UPDATE", cat(zeroed(u4, 0, first), a3), -1, 0},
 		{"damage, then an APPLIED two LSNs ahead", cat(zeroed(u4, 0, first), a5), -1, 0},
+		// An APPLIED record is synced by the next batch's fsync, which a
+		// power loss can cut short: the tail from the damaged APPLIED(4) on
+		// was never acknowledged beyond UPDATE(4).
+		{"lost APPLIED sector, then the next UPDATE", cat(u4s, zeroed(a4, 0, lead), u5), len(u4s), 7},
+		{"lost APPLIED sector, then the next pair", cat(u4s, zeroed(a4, 0, lead), u5, a5), len(u4s), 7},
+		{"lost APPLIED and UPDATE sectors, then the next APPLIED", cat(u4s, zeroed(a4, 0, lead), zeroed(u5, 0, len(u5)), a5), len(u4s), 7},
+		{"bit flip in the APPLIED, then the next UPDATE", cat(u4s, flipped(a4, recHeaderSize+3), u5), -1, 0},
+		{"bit flip in the APPLIED, then the next pair", cat(u4s, flipped(a4, 0), u5, a5), -1, 0},
+		{"zeros short of the APPLIED sector, then the next UPDATE", cat(u4s, zeroed(a4, 1, lead), u5), -1, 0},
+		{"lost APPLIED sector, then an UPDATE two LSNs ahead", cat(u4s, zeroed(a4, 0, lead), u6), -1, 0},
+		{"lost APPLIED sector, then three frames", cat(u4s, zeroed(a4, 0, lead), u5, a5, u6), -1, 0},
+		{"zeros after a whole pair, then the next UPDATE", cat(u4s, a4, make([]byte, sectorSize), u5), -1, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -720,8 +712,8 @@ func TestTornPairRecovery(t *testing.T) {
 			}
 			// The next batch gets the LSN after the surviving UPDATEs.
 			want := uint64(3 + c.records - 6)
-			if lsn, err := l.AppendBatch([]byte("next"), digestOf); err != nil || lsn != want+1 {
-				t.Fatalf("append after recovery: lsn=%d err=%v, want %d", lsn, err, want+1)
+			if lsn := commitBatch(t, l, []byte("next")); lsn != want+1 {
+				t.Fatalf("append after recovery: lsn=%d, want %d", lsn, want+1)
 			}
 		})
 	}
@@ -778,7 +770,7 @@ func TestSingleFrameLogReopens(t *testing.T) {
 	if len(recs) != 6 {
 		t.Fatalf("recovered %d records, want 6", len(recs))
 	}
-	if lsn, err := l.AppendBatch([]byte("paired"), digestOf); err != nil || lsn != 4 {
-		t.Fatalf("paired append after reopen: lsn=%d err=%v", lsn, err)
+	if lsn := commitBatch(t, l, []byte("paired")); lsn != 4 {
+		t.Fatalf("paired append after reopen: lsn=%d", lsn)
 	}
 }
