@@ -27,20 +27,18 @@ bench-layers:
 # ingest, parallel F_dt and export), and everything a live graph's writer
 # shares with its snapshots' readers (cow containers, the dictionary's term
 # index, store, query executor and both engines, serving tier, daemon).
-# verify and CI's fail-fast race step both call it. The N-Triples loader's
-# tests (every test in internal/rio/load_test.go) run ten times more: its
-# workers hand the reader and buffers to each other and to two in-order
-# stages, and the detector sees a race only in a schedule a run happens to
-# take. The step fails when LOADER_TESTS misses a test that file declares,
-# so a renamed test cannot drop out of it unnoticed. The first-reader tests
-# (FIRST_READER_TESTS: readers racing to build a graph's postings, a store's
-# adjacency and iri index, and the cow.Watermark they share) run ten times
-# more for the same reason, and the step fails when their pattern misses one
-# of them. So do the live-update tests (LIVE_UPDATE_TESTS: every test in
-# internal/server/graphs_wal_test.go and internal/wal/batch_test.go): a
+# verify and CI's fail-fast race step both call it. Three sets of tests
+# then run ten times more, because the detector sees a race only in a
+# schedule a run happens to take: the N-Triples loader's (every test in
+# internal/rio/load_test.go: its workers hand the reader and buffers to each
+# other and to two in-order stages), the first readers' (FIRST_READER_TESTS:
+# readers racing to build a graph's postings, a store's adjacency and iri
+# index, and the cow.Watermark they share) and the live update's (every test
+# in internal/server/graphs_wal_test.go and internal/wal/batch_test.go: a
 # batch's fsync runs on a goroutine of its own while ApplyDelta, the digest
-# and the APPLIED write run beside it, and the step fails when the pattern
-# misses a test either file declares.
+# and the APPLIED write run beside it). race_rerun runs each set, and fails
+# first when the set's -run pattern misses one of its tests, so a renamed
+# test cannot drop out of it unnoticed.
 RACE_PKGS = ./internal/obs ./internal/rio ./internal/rdf ./internal/core \
 	./internal/cow ./internal/pg ./internal/qexec ./internal/sparql \
 	./internal/cypher ./internal/serve ./internal/server ./internal/wal
@@ -53,20 +51,23 @@ FIRST_READER_RUN = ^($(subst $(space),|,$(strip $(FIRST_READER_TESTS))))$$
 LIVE_UPDATE_TESTS = ^Test(Graph(UpdateOneSyncPerBatch|FailedPairedWriteAcksNothing|TornPairRecovery|SingleFrameSpoolReopens|RejectedBatchLeavesNoRecord|RecoveryDropsRejectedTail)|Batch[A-Za-z]*|RetractRecoveredUpdate|ConcurrentBatchHammer)$$
 LIVE_UPDATE_FILES = internal/server/graphs_wal_test.go internal/wal/batch_test.go
 LIVE_UPDATE_PKGS = ./internal/server ./internal/wal
+
+# race_rerun checks that the -run pattern $(1) matches each test $(3) names in
+# the packages $(2), then runs them ten times under the race detector.
+define race_rerun
+@listed="$$($(GO) test -list '$(1)' $(2))"; \
+for t in $(3); do \
+	echo "$$listed" | grep -qx "$$t" || { echo "race: $(1) does not match $$t in $(2)"; exit 1; }; done
+$(GO) test -race -count=10 -run '$(1)' $(2)
+endef
+# tests_in names the tests the files $(1) declare.
+tests_in = $(shell sed -n 's/^func \(Test[A-Za-z0-9_]*\).*/\1/p' $(1))
+
 race:
 	$(GO) test -race $(RACE_PKGS)
-	@listed="$$($(GO) test -list '$(LOADER_TESTS)' ./internal/rio)"; \
-	for t in $$(sed -n 's/^func \(Test[A-Za-z0-9_]*\)(.*/\1/p' internal/rio/load_test.go); do \
-		echo "$$listed" | grep -qx "$$t" || { echo "race: $(LOADER_TESTS) does not match $$t"; exit 1; }; done
-	$(GO) test -race -count=10 -run '$(LOADER_TESTS)' ./internal/rio
-	@listed="$$($(GO) test -list '$(FIRST_READER_RUN)' $(FIRST_READER_PKGS))"; \
-	for t in $(FIRST_READER_TESTS); do \
-		echo "$$listed" | grep -qx "$$t" || { echo "race: $(FIRST_READER_RUN) matches no test $$t in $(FIRST_READER_PKGS)"; exit 1; }; done
-	$(GO) test -race -count=10 -run '$(FIRST_READER_RUN)' $(FIRST_READER_PKGS)
-	@listed="$$($(GO) test -list '$(LIVE_UPDATE_TESTS)' $(LIVE_UPDATE_PKGS))"; \
-	for t in $$(sed -n 's/^func \(Test[A-Za-z0-9_]*\)(.*/\1/p' $(LIVE_UPDATE_FILES)); do \
-		echo "$$listed" | grep -qx "$$t" || { echo "race: $(LIVE_UPDATE_TESTS) does not match $$t"; exit 1; }; done
-	$(GO) test -race -count=10 -run '$(LIVE_UPDATE_TESTS)' $(LIVE_UPDATE_PKGS)
+	$(call race_rerun,$(LOADER_TESTS),./internal/rio,$(call tests_in,internal/rio/load_test.go))
+	$(call race_rerun,$(FIRST_READER_RUN),$(FIRST_READER_PKGS),$(FIRST_READER_TESTS))
+	$(call race_rerun,$(LIVE_UPDATE_TESTS),$(LIVE_UPDATE_PKGS),$(call tests_in,$(LIVE_UPDATE_FILES)))
 
 # inline fails unless the compiler inlines the calls the hot paths are
 # written around (the list is in internal/tools/inlinecheck): the term

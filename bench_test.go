@@ -419,12 +419,12 @@ func naiveSinglePass(g *rdf.Graph) *pg.Store {
 		sid := merge(t.S.Value)
 		switch {
 		case t.P == rdf.A:
-			st.AddLabel(sid, core.LocalName(t.O.Value))
+			st.AddLabel(sid, rdf.LocalName(t.O.Value))
 		case t.O.IsResource():
-			st.AddEdge(sid, merge(t.O.Value), core.LocalName(t.P.Value), nil)
+			st.AddEdge(sid, merge(t.O.Value), rdf.LocalName(t.P.Value), nil)
 		default:
 			vn := st.AddNode([]string{"VALUE"}, map[string]pg.Value{"value": t.O.Value})
-			st.AddEdge(sid, vn.ID, core.LocalName(t.P.Value), nil)
+			st.AddEdge(sid, vn.ID, rdf.LocalName(t.P.Value), nil)
 		}
 		return true
 	})

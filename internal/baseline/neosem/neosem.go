@@ -78,21 +78,21 @@ func Transform(g *rdf.Graph) (*pg.Store, *Stats) {
 		tx.touch(sid)
 		if tr.P == rdf.A {
 			if tr.O.IsIRI() {
-				st.AddLabel(sid, localName(tr.O.Value))
+				st.AddLabel(sid, rdf.LocalName(tr.O.Value))
 			}
 			return true
 		}
 		if tr.O.IsResource() {
 			oid := merge(tr.O)
 			tx.touch(oid)
-			st.AddEdge(sid, oid, localName(tr.P.Value), nil)
+			st.AddEdge(sid, oid, rdf.LocalName(tr.P.Value), nil)
 			return true
 		}
 		// Literal → property with ARRAY multivalue handling. The array's
 		// element type is the Neo4j *storage* type: dates, gYears and
 		// unknown datatypes are stored as strings, so only arrays fixed to
 		// a numeric or boolean storage type can reject later values.
-		key := localName(tr.P.Value)
+		key := rdf.LocalName(tr.P.Value)
 		dt := storageDT(tr.O.DatatypeIRI())
 		pk := propKey{sid, key}
 		if st.Node(sid).Prop(key) == nil {
@@ -205,16 +205,4 @@ func nativeNeoValue(lex, dt string) pg.Value {
 	default:
 		return lex
 	}
-}
-
-func localName(iri string) string {
-	for i := len(iri) - 1; i >= 0; i-- {
-		if iri[i] == '#' || iri[i] == '/' {
-			if i+1 < len(iri) {
-				return iri[i+1:]
-			}
-			break
-		}
-	}
-	return iri
 }

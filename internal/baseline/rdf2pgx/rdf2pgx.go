@@ -70,7 +70,7 @@ func Transform(g *rdf.Graph) (*pg.Store, *Stats) {
 	g.Match(nil, &typePred, nil, func(tr rdf.Triple) bool {
 		sid := ensure(tr.S)
 		if tr.O.IsIRI() {
-			st.AddLabel(sid, localName(tr.O.Value))
+			st.AddLabel(sid, rdf.LocalName(tr.O.Value))
 		}
 		return true
 	})
@@ -92,7 +92,7 @@ func Transform(g *rdf.Graph) (*pg.Store, *Stats) {
 		}
 		sid := ensure(tr.S)
 		r := ranges[tr.P.Value]
-		key := localName(tr.P.Value)
+		key := rdf.LocalName(tr.P.Value)
 		if r.object {
 			if !tr.O.IsResource() {
 				stats.DroppedLiterals++ // literal under an object property
@@ -221,16 +221,4 @@ func nativeValue(lex, dt string) pg.Value {
 	default:
 		return lex
 	}
-}
-
-func localName(iri string) string {
-	for i := len(iri) - 1; i >= 0; i-- {
-		if iri[i] == '#' || iri[i] == '/' {
-			if i+1 < len(iri) {
-				return iri[i+1:]
-			}
-			break
-		}
-	}
-	return iri
 }

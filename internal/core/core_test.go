@@ -507,20 +507,6 @@ func TestLangLiteralRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLocalName(t *testing.T) {
-	cases := map[string]string{
-		"http://example.org/univ#Person": "Person",
-		"http://example.org/univ/Person": "Person",
-		"urn:isbn:123":                   "urn:isbn:123",
-		"http://x/#":                     "http://x/#",
-	}
-	for in, want := range cases {
-		if got := core.LocalName(in); got != want {
-			t.Errorf("LocalName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 // Property: random ABox graphs over the university schema always round trip
 // through the transformation in both modes.
 func TestQuickRoundTrip(t *testing.T) {

@@ -78,14 +78,6 @@ type Transformer struct {
 	dtValue map[string]pg.Value
 	// keys are the record keys F_dt writes, interned in the store.
 	keys struct{ iri, dt, lang, lex, res, value pg.Sym }
-	// edgeOf indexes statement → PG edge so RDF-star annotations (quoted-
-	// triple subjects) can attach to the statement's edge. It is lazy: it
-	// covers edges [0, indexedUpTo) and grows only when an annotation pass
-	// runs (indexStatementEdges), so an input without annotations never
-	// builds a statement key.
-	edgeOf      map[rdf.Term]pg.EdgeID
-	indexedUpTo int
-
 	// kvProps counts key/value-inlined literals for span accounting (plain
 	// int: Apply is single-goroutine).
 	kvProps int64
@@ -175,7 +167,6 @@ func NewTransformerForSchema(spg *pgschema.Schema, mode Mode) (*Transformer, err
 		store:   pg.NewStore(),
 		valNode: make(map[valTag]map[string]*pg.NodeID),
 		dtValue: make(map[string]pg.Value),
-		edgeOf:  make(map[rdf.Term]pg.EdgeID),
 
 		triggers: make(map[int]struct{}),
 	}
@@ -401,7 +392,6 @@ func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, from int, lits []
 		pa := span.StartSpan("phase2.annotations")
 		pa.Count("annotations", int64(len(annotations)))
 		defer pa.End()
-		t.indexStatementEdges()
 		for _, tr := range annotations {
 			if err := t.applyAnnotation(tr); err != nil {
 				if t.lenient {
@@ -415,27 +405,6 @@ func (t *Transformer) apply(ctx context.Context, g *rdf.Graph, from int, lits []
 	return nil
 }
 
-// indexStatementEdges extends the statement → edge index over the edges
-// created since the last annotation pass, in edge-id order, so when a
-// statement is realized by several edges (the same statement applied in two
-// Apply calls) the last one wins. The key of an edge is the statement the
-// inverse mapping M reconstructs from it — by Prop. 4.1 the statement that
-// created it — so nothing is recorded per edge while statements are routed.
-// An edge M cannot invert, or whose terms a quoted triple cannot carry, is
-// not annotatable and stays out of the index.
-func (t *Transformer) indexStatementEdges() {
-	for ; t.indexedUpTo < t.store.NumEdges(); t.indexedUpTo++ {
-		e := t.store.Edge(pg.EdgeID(t.indexedUpTo))
-		st, err := edgeStatement(t.store, t.mapping, e)
-		if err != nil {
-			continue
-		}
-		if key, err := rdf.NewTripleTerm(st); err == nil {
-			t.edgeOf[key] = e.ID
-		}
-	}
-}
-
 // applyAnnotation attaches an RDF-star annotation << s p o >> a v to the PG
 // edge realizing the statement (s, p, o), as an edge property. Annotation
 // values must be literals of a standard datatype in canonical form — the
@@ -443,9 +412,13 @@ func (t *Transformer) indexStatementEdges() {
 // like key/value node properties, cannot carry language tags or exotic
 // lexicals.
 func (t *Transformer) applyAnnotation(tr rdf.Triple) error {
-	eid, ok := t.edgeOf[tr.S]
-	if !ok {
-		base, _ := tr.S.AsTriple()
+	base, _ := tr.S.AsTriple()
+	var hit pg.Edge
+	hits := 0
+	if sid := t.entityOf(base.S); sid != noNode {
+		hit, hits, _, _ = t.edgeOf(sid, base)
+	}
+	if hits == 0 {
 		cause := "missing from the data, or key/value-routed — use the non-parsimonious mode"
 		if t.mode == NonParsimonious {
 			cause = "missing from the data"
@@ -463,12 +436,49 @@ func (t *Transformer) applyAnnotation(tr rdf.Triple) error {
 	if !canonical {
 		return fmt.Errorf("core: annotation value %v has a non-canonical lexical form", tr.O)
 	}
-	key, err := t.mapping.EnsureAnnotation(t.store.Edge(eid).Label(), tr.P.Value, dt)
+	key, err := t.mapping.EnsureAnnotation(hit.Label(), tr.P.Value, dt)
 	if err != nil {
 		return err
 	}
-	t.store.AppendEdgeProp(eid, key, native)
+	t.store.AppendEdgeProp(hit.ID, key, native)
 	return nil
+}
+
+// edgeOf is the one answer to which edge realizes a statement of the node
+// sid (Prop. 4.1): an edge from it, to the node its object has as an entity
+// or as a value, with a label of its predicate. It returns the one with the
+// highest id — the last applied, when the same statement arrived in two Apply
+// calls — and how many there are, and the value node the object has (noNode
+// when none) with its valNode key.
+func (t *Transformer) edgeOf(sid pg.NodeID, tr rdf.Triple) (hit pg.Edge, hits int, value pg.NodeID, vk valKey) {
+	entity := noNode
+	if tr.O.IsResource() {
+		entity = t.entityOf(tr.O)
+	}
+	value, vk = noNode, valueKey(tr.O)
+	if cell := t.valueNode(vk); cell != nil {
+		value = *cell
+	}
+	// The shorter side: a hub's out-list can be long, a common value's in-list too.
+	lists := [2][]pg.EdgeID{t.store.Out(sid)}
+	if a, b := t.store.In(entity), t.store.In(value); len(a)+len(b) < len(lists[0]) {
+		lists = [2][]pg.EdgeID{a, b}
+	}
+	for _, list := range lists {
+		for _, eid := range list {
+			e := t.store.Edge(eid)
+			if e.From != sid || (e.To != entity && e.To != value) {
+				continue
+			}
+			if p, ok := t.mapping.PredOfEdgeLabel(e.Label()); ok && p == tr.P.Value {
+				if hits == 0 || e.ID > hit.ID {
+					hit = e
+				}
+				hits++
+			}
+		}
+	}
+	return hit, hits, value, vk
 }
 
 // extendTargets widens a fallback edge type to accept the target node's

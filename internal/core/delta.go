@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -563,7 +562,7 @@ func (s *DeltaState) plan(removed []removal, typings []rdf.Triple) (*editScript,
 			return nil, reasonApplyError
 		}
 		sn := store.Node(sid)
-		hit, hits, value, vk := s.edgeOf(sid, r.tr)
+		hit, hits, value, vk := t.edgeOf(sid, r.tr)
 		switch {
 		case hits == 1:
 			es.dropEdges = append(es.dropEdges, hit.ID)
@@ -664,40 +663,6 @@ func (s *DeltaState) plan(removed []removal, typings []rdf.Triple) (*editScript,
 		return nil, reasonApplyError
 	}
 	return es, ""
-}
-
-// edgeOf looks for the edge realizing a live statement of the node sid: from
-// it, to the node its object has as an entity or as a value, with a label of
-// its predicate. It returns the last such edge and how many there are, and
-// the value node the object has (noNode when none) with its valNode key.
-func (s *DeltaState) edgeOf(sid pg.NodeID, tr rdf.Triple) (hit pg.Edge, hits int, value pg.NodeID, vk valKey) {
-	t := s.t
-	entity := noNode
-	if tr.O.IsResource() {
-		entity = t.entityOf(tr.O)
-	}
-	value, vk = noNode, valueKey(tr.O)
-	if cell := t.valueNode(vk); cell != nil {
-		value = *cell
-	}
-	// The shorter side: a hub's out-list can be long, a common value's in-list too.
-	lists := [2][]pg.EdgeID{t.store.Out(sid)}
-	if a, b := t.store.In(entity), t.store.In(value); len(a)+len(b) < len(lists[0]) {
-		lists = [2][]pg.EdgeID{a, b}
-	}
-	for _, list := range lists {
-		for _, eid := range list {
-			e := t.store.Edge(eid)
-			if e.From != sid || (e.To != entity && e.To != value) {
-				continue
-			}
-			if p, ok := t.mapping.PredOfEdgeLabel(e.Label()); ok && p == tr.P.Value {
-				hit = e
-				hits++
-			}
-		}
-	}
-	return hit, hits, value, vk
 }
 
 // creationKey orders the phase-2 nodes: by the edge of the statement that
@@ -1055,23 +1020,9 @@ func sameProps(a, b pg.Node) bool {
 	for i := 0; i < a.NumProps(); i++ {
 		ka, va := a.PropAt(i)
 		kb, vb := b.PropAt(i)
-		if ka != kb || !sameValue(va, vb) {
+		if ka != kb || !pg.SameValue(va, vb) {
 			return false
 		}
 	}
 	return true
-}
-
-func sameValue(a, b pg.Value) bool {
-	switch x := a.(type) {
-	case []pg.Value:
-		y, ok := b.([]pg.Value)
-		return ok && slices.EqualFunc(x, y, sameValue)
-	case float64:
-		// -0 == 0, yet the two encode apart.
-		y, ok := b.(float64)
-		return ok && math.Float64bits(x) == math.Float64bits(y)
-	}
-	_, bList := b.([]pg.Value)
-	return !bList && a == b
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/s3pg/s3pg/internal/pgschema"
+	"github.com/s3pg/s3pg/internal/rdf"
 	"github.com/s3pg/s3pg/internal/xsd"
 )
 
@@ -294,7 +295,7 @@ func (m *Mapping) EnsureValueLabel(datatype string) string {
 		return l
 	}
 	label := m.names.Name("value:" + datatype)
-	if label == sanitizeName(LocalName("value:"+datatype)) {
+	if label == sanitizeName(rdf.LocalName("value:"+datatype)) {
 		// Prefer the conventional short name when free.
 		short := xsd.ShortName(datatype)
 		if _, taken := m.dtOfValLabel[short]; !taken {

@@ -9,16 +9,9 @@ package core
 import (
 	"fmt"
 	"strings"
-)
 
-// LocalName extracts the local part of an IRI: the substring after the last
-// '#' or '/' (or the whole IRI when neither occurs).
-func LocalName(iri string) string {
-	if i := strings.LastIndexAny(iri, "#/"); i >= 0 && i+1 < len(iri) {
-		return iri[i+1:]
-	}
-	return iri
-}
+	"github.com/s3pg/s3pg/internal/rdf"
+)
 
 // sanitizeName rewrites a string into a safe PG label / property key:
 // letters, digits and underscores, starting with a letter.
@@ -62,7 +55,7 @@ func (n *namer) Name(iri string) string {
 	if name, ok := n.byIRI[iri]; ok {
 		return name
 	}
-	base := sanitizeName(LocalName(iri))
+	base := sanitizeName(rdf.LocalName(iri))
 	name := base
 	for i := 2; ; i++ {
 		owner, taken := n.byName[name]

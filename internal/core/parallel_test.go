@@ -211,9 +211,9 @@ func TestApplyParallelCancelled(t *testing.T) {
 
 // TestApplyParallelAnnotationsAcrossChunks: the annotated statements and
 // their annotations arrive in different ApplyParallel calls at different
-// worker counts; the statement index the second call builds covers the first
-// call's edges whatever parallelism made them, and the result is the
-// sequential one-shot run's, byte for byte.
+// worker counts; the second call's annotations find the first call's edges
+// whatever parallelism made them, and the result is the sequential one-shot
+// run's, byte for byte.
 func TestApplyParallelAnnotationsAcrossChunks(t *testing.T) {
 	var statements, annotations []rdf.Triple
 	starGraph(t).ForEach(func(tr rdf.Triple) bool {

@@ -241,7 +241,8 @@ func TestStarAnnotationOfEarlierApply(t *testing.T) {
 
 func TestStarIndexExtendedAcrossApplies(t *testing.T) {
 	// Chunk 1 annotates one of its own edges; chunk 2 brings a new edge and
-	// annotates it and an edge of chunk 1, so the index is extended twice.
+	// annotates it and an edge of chunk 1, so an annotation pass finds edges
+	// of its own Apply call and of an earlier one.
 	base := fixtures.UniversityGraph().Triples()
 	ann := starAnnotations(t) // [0] on advisedBy, [1] and [2] on takesCourse
 	extra := rdf.NewTriple(fixtures.Ex("bob"), fixtures.Ex("advisedBy"), fixtures.Ex("DB"))

@@ -78,20 +78,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 // receiver.
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start).Seconds()) }
 
-// Count returns the total number of observations (zero for nil). It is
-// derived from the buckets, so Count and Snapshot bucket totals always
-// agree.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
 // HistogramBucket is one cumulative bucket of a snapshot. LE is the upper
 // bound rendered exactly as Prometheus exposition expects ("+Inf" for the
 // overflow bucket), which also keeps the JSON form infinity-free.

@@ -28,10 +28,6 @@ func (m *Meter) Observe(n int64, d time.Duration) {
 	}
 }
 
-// Add records n events without a time window (count-only usage). Safe on a
-// nil receiver.
-func (m *Meter) Add(n int64) { m.Observe(n, 0) }
-
 // Count returns the total observed events (zero for a nil receiver).
 func (m *Meter) Count() int64 {
 	if m == nil {

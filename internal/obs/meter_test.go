@@ -28,7 +28,7 @@ func TestMeterObserveAccumulates(t *testing.T) {
 	m.Observe(100, time.Second)
 	m.Observe(200, 2*time.Second)
 	m.Observe(5, -time.Second) // negative windows are ignored
-	m.Add(10)                  // count-only
+	m.Observe(10, 0)           // count-only
 	if m.Count() != 315 {
 		t.Fatalf("count = %d, want 315", m.Count())
 	}

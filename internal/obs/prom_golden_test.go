@@ -37,7 +37,7 @@ func goldenRegistry() *Registry {
 	r.Gauge(LabeledName("pool.size", "pool", odd)).Set(2)
 	r.Meter("rio.parse").Observe(1000, 250*time.Millisecond)
 	r.Meter(LabeledName("stage", "name", "x,y")).Observe(10, 1500*time.Millisecond)
-	r.Meter(LabeledName("stage", "name", "idle")).Add(4)
+	r.Meter(LabeledName("stage", "name", "idle")).Observe(4, 0)
 	run := r.Histogram("job.run.seconds")
 	run.Observe(0.003)
 	run.Observe(1.5)

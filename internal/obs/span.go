@@ -93,14 +93,6 @@ func (s *Span) Count(key string, n int64) {
 	s.mu.Unlock()
 }
 
-// Name returns the span's name ("" for nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // Wall returns the measured wall time (the running time if End has not been
 // called; zero for nil).
 func (s *Span) Wall() time.Duration {
@@ -113,15 +105,6 @@ func (s *Span) Wall() time.Duration {
 	return s.wall
 }
 
-// AllocBytes returns the cumulative bytes allocated during the span
-// (meaningful after End; zero for nil).
-func (s *Span) AllocBytes() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.allocBytes
-}
-
 // HeapGrowth returns the net heap growth over the span (meaningful after
 // End; zero for nil).
 func (s *Span) HeapGrowth() uint64 {
@@ -129,16 +112,6 @@ func (s *Span) HeapGrowth() uint64 {
 		return 0
 	}
 	return s.heapGrowth
-}
-
-// Counter returns the span counter's value (zero for nil or absent).
-func (s *Span) Counter(key string) int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters[key]
 }
 
 // SpanRecord is the machine-readable form of a span tree; it marshals to

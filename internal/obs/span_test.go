@@ -25,7 +25,7 @@ func TestSpanNestingAndJSONRoundTrip(t *testing.T) {
 	fdt.End()
 	root.End()
 
-	if root.Child("F_dt").Child("phase2.properties").Counter("edges") != 100 {
+	if root.Child("F_dt").Child("phase2.properties").counters["edges"] != 100 {
 		t.Fatal("span counters did not accumulate")
 	}
 	if root.Wall() <= 0 {
@@ -72,10 +72,10 @@ func TestNilSpanNoOp(t *testing.T) {
 	child.End()
 	grand := child.StartSpan("grand")
 	grand.End()
-	if s.Wall() != 0 || s.AllocBytes() != 0 || s.HeapGrowth() != 0 || s.Counter("k") != 0 {
+	if s.Wall() != 0 || s.HeapGrowth() != 0 {
 		t.Fatal("nil span must read zero")
 	}
-	if s.Name() != "" || s.Child("x") != nil {
+	if s.Child("x") != nil {
 		t.Fatal("nil span must have empty identity")
 	}
 	if rec := s.Record(); rec.Name != "" || len(rec.Children) != 0 {
@@ -97,8 +97,8 @@ func TestSpanEndIdempotentAndAllocs(t *testing.T) {
 	if s.Wall() != first {
 		t.Fatal("End is not idempotent")
 	}
-	if s.AllocBytes() < 1<<20 {
-		t.Fatalf("allocation delta %d did not capture the 1MiB allocation", s.AllocBytes())
+	if s.allocBytes < 1<<20 {
+		t.Fatalf("allocation delta %d did not capture the 1MiB allocation", s.allocBytes)
 	}
 }
 

@@ -664,21 +664,23 @@ func propValues(cur, v Value) (arr []Value, at int) {
 	if !ok {
 		arr = []Value{cur}
 	}
-	for at < len(arr) && !sameScalar(arr[at], v) {
+	for at < len(arr) && !SameValue(arr[at], v) {
 		at++
 	}
 	return arr, at
 }
 
-// sameScalar is identity of two non-array values: floats compare by bits, so
-// that NaN finds itself and -0 does not find 0.
-func sameScalar(a, b Value) bool {
+// SameValue is identity of two values, arrays element by element: no numeric
+// coercion, and floats compare by bits, so that NaN finds itself and -0 does
+// not find 0 (the two encode apart).
+func SameValue(a, b Value) bool {
 	switch x := a.(type) {
+	case []Value:
+		y, ok := b.([]Value)
+		return ok && slices.EqualFunc(x, y, SameValue)
 	case float64:
 		y, ok := b.(float64)
 		return ok && math.Float64bits(x) == math.Float64bits(y)
-	case []Value:
-		return false
 	}
 	_, bList := b.([]Value)
 	return !bList && a == b

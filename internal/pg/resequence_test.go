@@ -276,6 +276,30 @@ func TestResequenceRejectsDanglingEdge(t *testing.T) {
 	s.Resequence([]NodeID{b}, nil, nil)
 }
 
+// TestSameValue: identity, not equality — no numeric coercion, floats by
+// their bits, arrays element by element.
+func TestSameValue(t *testing.T) {
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	for _, c := range []struct {
+		a, b Value
+		want bool
+	}{
+		{nan, nan, true},
+		{0.0, negZero, false},
+		{int64(1), 1.0, false},
+		{"x", "x", true},
+		{"x", []Value{"x"}, false},
+		{[]Value{"x"}, "x", false},
+		{[]Value{nan, int64(2)}, []Value{nan, int64(2)}, true},
+		{[]Value{0.0}, []Value{negZero}, false},
+		{[]Value{"x"}, []Value{"x", "y"}, false},
+	} {
+		if got := SameValue(c.a, c.b); got != c.want {
+			t.Errorf("SameValue(%#v, %#v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
 func TestRemovePropValue(t *testing.T) {
 	s := NewStore()
 	id := s.AddNode(nil, nil).ID

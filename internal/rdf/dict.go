@@ -101,12 +101,10 @@ func (d *Dict) grow(n int) {
 	d.recs = slices.Grow(d.recs, n)
 }
 
-// Intern returns the id for the term, assigning a fresh one if necessary.
-// The term is hashed once: a miss inserts where the lookup ended.
-func (d *Dict) Intern(t Term) TermID { return intern(d, keyOf(&t)) }
-
-// intern is Intern for either key form. Only a miss stores a term, and only
-// then are its bytes copied.
+// intern returns the id for the term with key k, in either key form,
+// assigning a fresh one if necessary. The term is hashed once: a miss inserts
+// where the lookup ended. Only a miss stores a term, and only then are its
+// bytes copied.
 func intern[S string | []byte](d *Dict, k *termKey[S]) TermID {
 	h := k.hash()
 	slot, id, ok := find(&d.idx, h, k, d)

@@ -11,6 +11,20 @@ import (
 
 func ex(local string) Term { return NewIRI("http://example.org/" + local) }
 
+func TestLocalName(t *testing.T) {
+	cases := map[string]string{
+		"http://example.org/univ#Person": "Person",
+		"http://example.org/univ/Person": "Person",
+		"urn:isbn:123":                   "urn:isbn:123",
+		"http://x/#":                     "http://x/#",
+	}
+	for in, want := range cases {
+		if got := LocalName(in); got != want {
+			t.Errorf("LocalName(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
 func TestTermConstructors(t *testing.T) {
 	iri := NewIRI("http://example.org/a")
 	if !iri.IsIRI() || iri.IsLiteral() || iri.IsBlank() {

@@ -7,6 +7,11 @@ import (
 
 // TestDictInternAgainstModel interns a long stream with many repeats through
 // every resize of the index and holds ids, Lookup and Term against a map.
+// Intern returns the id for the term, assigning a fresh one if necessary:
+// the dictionary's one-term entry point, which only tests call (the graph
+// interns through its own paths).
+func (d *Dict) Intern(t Term) TermID { return intern(d, keyOf(&t)) }
+
 func TestDictInternAgainstModel(t *testing.T) {
 	d := NewDict()
 	model := make(map[Term]TermID)

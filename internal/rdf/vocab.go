@@ -1,5 +1,7 @@
 package rdf
 
+import "strings"
+
 // Well-known vocabulary IRIs used across the system.
 const (
 	RDFNS  = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -53,3 +55,12 @@ const (
 
 // A is the type predicate term (rdf:type), named after the Turtle shorthand.
 var A = NewIRI(RDFType)
+
+// LocalName extracts the local part of an IRI: the substring after the last
+// '#' or '/' (or the whole IRI when neither occurs, or when it ends there).
+func LocalName(iri string) string {
+	if i := strings.LastIndexAny(iri, "#/"); i >= 0 && i+1 < len(iri) {
+		return iri[i+1:]
+	}
+	return iri
+}

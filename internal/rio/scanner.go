@@ -25,7 +25,6 @@ type NTriplesScanner struct {
 	asString ntParser[string]
 
 	line    int
-	skipped int64
 	triples int64
 
 	start    time.Time
@@ -46,9 +45,6 @@ func (s *NTriplesScanner) Offset() int64 { return s.br.consumed() }
 
 // Line returns the number of input lines consumed so far.
 func (s *NTriplesScanner) Line() int { return s.line }
-
-// Skipped returns how many malformed statements lenient mode dropped.
-func (s *NTriplesScanner) Skipped() int64 { return s.skipped }
 
 // Scan returns the next statement. ok is false at end of input. Malformed
 // lines abort in strict mode and are skipped in lenient mode; I/O errors
@@ -108,7 +104,6 @@ func (s *NTriplesScanner) reject(perr *ParseError) error {
 		s.observe()
 		return fmt.Errorf("rio: %w", perr)
 	}
-	s.skipped++
 	if err := s.sink.record(*perr); err != nil {
 		s.observe()
 		return err

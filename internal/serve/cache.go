@@ -9,7 +9,7 @@ import (
 )
 
 // Cache metrics (obs.Default registry). The loads counter is the witness
-// for the bench hard gate: cache hits must never touch the load path.
+// that a hit never touches the load path.
 var (
 	cCacheHits      = obs.Default.Counter("serve.cache.hits")
 	cCacheMisses    = obs.Default.Counter("serve.cache.misses")
@@ -54,9 +54,6 @@ type Cache struct {
 	mu       sync.Mutex // writers: insert, evict, single-flight registry
 	used     int64
 	inflight map[string]*loadCall
-
-	// Local counters mirroring the obs ones, for tests and the bench gate.
-	hits, misses, loads, evictions atomic.Int64
 }
 
 // NewCache returns a cache that evicts least-recently-used snapshots once
@@ -76,11 +73,9 @@ func NewCache(budget int64) *Cache {
 func (c *Cache) Get(ctx context.Context, key string, load func() (*Snapshot, error)) (*Snapshot, bool, error) {
 	if e, ok := (*c.index.Load())[key]; ok {
 		e.lastUsed.Store(c.clock.Add(1))
-		c.hits.Add(1)
 		cCacheHits.Inc()
 		return e.snap, true, nil
 	}
-	c.misses.Add(1)
 	cCacheMisses.Inc()
 
 	c.mu.Lock()
@@ -103,7 +98,6 @@ func (c *Cache) Get(ctx context.Context, key string, load func() (*Snapshot, err
 	c.inflight[key] = call
 	c.mu.Unlock()
 
-	c.loads.Add(1)
 	cCacheLoads.Inc()
 	call.snap, call.err = load()
 	if call.err == nil {
@@ -151,36 +145,10 @@ func (c *Cache) insertLocked(key string, snap *Snapshot) {
 		}
 		delete(next, victimKey)
 		c.used -= victim.snap.Bytes()
-		c.evictions.Add(1)
 		cCacheEvictions.Inc()
 	}
 
 	c.index.Store(&next)
 	gCacheBytes.Set(c.used)
 	gCacheEntries.Set(int64(len(next)))
-}
-
-// CacheStats is a point-in-time view of the cache counters.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Loads     int64 `json:"loads"`
-	Evictions int64 `json:"evictions"`
-	Bytes     int64 `json:"bytes"`
-	Entries   int   `json:"entries"`
-}
-
-// Stats returns current counter values.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	used := c.used
-	c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Loads:     c.loads.Load(),
-		Evictions: c.evictions.Load(),
-		Bytes:     used,
-		Entries:   len(*c.index.Load()),
-	}
 }

@@ -39,6 +39,7 @@ func TestSnapshotBytesPositive(t *testing.T) {
 
 func TestCacheHitMissAndSingleFlight(t *testing.T) {
 	c := NewCache(1 << 30)
+	loads0, hits0 := cCacheLoads.Value(), cCacheHits.Value()
 	var loadCount atomic.Int64
 	load := func() (*Snapshot, error) {
 		loadCount.Add(1)
@@ -76,9 +77,8 @@ func TestCacheHitMissAndSingleFlight(t *testing.T) {
 	if err != nil || !hit {
 		t.Fatalf("hit = %v, err = %v", hit, err)
 	}
-	st := c.Stats()
-	if st.Loads != 1 || st.Hits < 1 {
-		t.Fatalf("stats = %+v", st)
+	if loads, hits := cCacheLoads.Value()-loads0, cCacheHits.Value()-hits0; loads != 1 || hits < 1 {
+		t.Fatalf("serve.cache.loads +%d, serve.cache.hits +%d; want +1 and at least +1", loads, hits)
 	}
 }
 
@@ -104,13 +104,13 @@ func TestCacheEvictsLRUWithinBudget(t *testing.T) {
 		return func() (*Snapshot, error) { return testSnapshot(0, 0), nil }
 	}
 	ctx := context.Background()
+	evictions0 := cCacheEvictions.Value()
 	c.Get(ctx, "a", mk("a"))
 	c.Get(ctx, "b", mk("b"))
 	c.Get(ctx, "a", mk("a")) // touch a so b is the LRU victim
 	c.Get(ctx, "c", mk("c"))
-	st := c.Stats()
-	if st.Evictions != 1 || st.Entries != 2 {
-		t.Fatalf("stats = %+v, want 1 eviction and 2 entries", st)
+	if evictions, entries := cCacheEvictions.Value()-evictions0, len(*c.index.Load()); evictions != 1 || entries != 2 {
+		t.Fatalf("%d evictions and %d entries, want 1 and 2", evictions, entries)
 	}
 	if _, hit, _ := c.Get(ctx, "a", mk("a")); !hit {
 		t.Fatal("recently used entry was evicted")
@@ -118,8 +118,8 @@ func TestCacheEvictsLRUWithinBudget(t *testing.T) {
 	if _, hit, _ := c.Get(ctx, "b", mk("b")); hit {
 		t.Fatal("LRU entry survived over-budget insert")
 	}
-	if c.Stats().Bytes > c.budget+one.Bytes() {
-		t.Fatalf("bytes accounting off: %+v vs budget %d", c.Stats(), c.budget)
+	if c.used > c.budget+one.Bytes() {
+		t.Fatalf("bytes accounting off: %d vs budget %d", c.used, c.budget)
 	}
 }
 

@@ -744,9 +744,11 @@ func (gs *graphSession) snapshot() (*serve.Snapshot, error) {
 	}
 	// Stale (or first) read: publish under applyMu — Clone needs a quiescent
 	// state and writes to the live structures' sharing state. The clones
-	// share the live graph's memory (DESIGN.md §9): this costs microseconds
-	// whatever the size of the graph, and the next batch copies the pages
-	// and records it touches.
+	// share the live graph's memory (DESIGN.md §9) and copy nothing per
+	// triple, node or edge, but the graph's Clone first indexes the triples
+	// applied since the last publish, copying each posting page they append
+	// to that the previous snapshot still shares. The next batch copies the
+	// pages and records it touches.
 	gs.applyMu.Lock()
 	defer gs.applyMu.Unlock()
 	if gs.broken != nil {

@@ -38,11 +38,6 @@ func (r *ViolationReport) Add(v Violation) {
 	r.Total++
 }
 
-// Count returns the number of violations of a kind for a shape.
-func (r *ViolationReport) Count(shape string, kind ViolationKind) int {
-	return r.ByShape[shape][kind]
-}
-
 // String renders the report as one line per shape, shapes sorted by name and
 // kinds in constraint-family order, e.g.:
 //

@@ -21,6 +21,11 @@ func reportFixture() []Violation {
 	}
 }
 
+// Count returns the number of violations of a kind for a shape.
+func (r *ViolationReport) Count(shape string, kind ViolationKind) int {
+	return r.ByShape[shape][kind]
+}
+
 func TestViolationReportCounts(t *testing.T) {
 	r := NewViolationReport(reportFixture())
 	if r.Total != 6 {

@@ -178,23 +178,11 @@ func pruneAlternatives(st *propStats, opts Options) *shacl.PropertyShape {
 }
 
 func shapeName(classIRI string, taken map[string]bool) string {
-	base := ShapeNS + localName(classIRI)
+	base := ShapeNS + rdf.LocalName(classIRI)
 	name := base
 	for i := 2; taken[name]; i++ {
 		name = fmt.Sprintf("%s_%d", base, i)
 	}
 	taken[name] = true
 	return name
-}
-
-func localName(iri string) string {
-	for i := len(iri) - 1; i >= 0; i-- {
-		if iri[i] == '#' || iri[i] == '/' {
-			if i+1 < len(iri) {
-				return iri[i+1:]
-			}
-			break
-		}
-	}
-	return iri
 }

@@ -2,8 +2,11 @@ package s3pg_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"slices"
@@ -190,7 +193,12 @@ func TestNoPipelineOutsideBatch(t *testing.T) {
 // that no non-test file references but that stay, each with the test that
 // needs it. Keys are "pkg.Func" or "pkg.Recv.Method".
 var testOnlyAllowlist = map[string]string{
-	"rio.ReadNTriplesWith": "referenceLoad in internal/rio/load_test.go: the statement-by-statement reader TestLoadNTriplesParallelMatchesSequential, TestLoadNTriplesParallelShortInput and FuzzLoadNTriplesPaths hold every load to",
+	"rio.ReadNTriplesWith":       "referenceLoad in internal/rio/load_test.go: the statement-by-statement reader TestLoadNTriplesParallelMatchesSequential, TestLoadNTriplesParallelShortInput and FuzzLoadNTriplesPaths hold every load to",
+	"rio.NTriplesScanner.Offset": "TestScannerOffsets, TestScannerLongLine and TestScannerLenient in internal/rio/scanner_test.go: the line-granular resume point a scan reaches",
+	"pg.Store.Equal":             "TestFacadeNTriplesAndCSV in s3pg_test.go and the pg model, clone, resequence and CSV tests: the order-sensitive store equality they hold round trips to",
+	"pg.Store.Labels":            "twins.compare in internal/core/delta_inplace_test.go and the pg model and resequence tests: the node label set two stores must share",
+	"pgschema.Schema.Equal":      "TestFacadePipeline in s3pg_test.go, TestSchemaDDLRoundTripBothModes in internal/core/core_test.go and the pgschema tests: the schema equality DDL round trips are held to",
+	"serve.Response.Rows":        "TestConcurrentQueriesByteEqualNoReload in internal/server/load_test.go and the serve tests: the materialized answer the wire JSON is checked against",
 }
 
 // testSupportPackages are the packages whose whole purpose is to serve
@@ -212,86 +220,114 @@ var interfaceMethods = map[string]bool{
 }
 
 // TestNoTestOnlyExports fails when an exported function or method under
-// internal/ is referenced by no non-test file of the module (bench/ and
-// examples/ included): a name only tests call belongs in the tests. The scan
-// is by name — a package function counts as referenced by pkg.Name from
-// another package or by Name inside its own, a method by any .Name selector —
-// so it can miss a test-only method that shares its name with a used one, but
-// never flags a used name.
+// internal/ is used by no non-test file of the module (bench/ and examples/
+// included): a name only tests call belongs in the tests. Uses are resolved
+// by type, every package type-checked once from source (go/importer's source
+// mode for the standard library), so a test-only method that shares its name
+// with a used one is found. A method also counts as used when the module
+// calls an interface method of the same name that its type implements, or
+// when interfaceMethods names it.
 func TestNoTestOnlyExports(t *testing.T) {
-	const mod = "github.com/s3pg/s3pg/"
-	decls := make(map[string]string) // key → the reference that keeps it
-	refs := make(map[string]bool)    // "dir.Name" for functions, ".Name" for methods
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "source", nil)
+	info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+	checked := make(map[string]*types.Package) // by import path
+	var check func(path string) (*types.Package, error)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if path == modulePath || strings.HasPrefix(path, modulePath+"/") {
+			return check(path)
+		}
+		return std.Import(path)
+	})}
+	check = func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		bp, err := build.Default.ImportDir(moduleDir(path), 0)
+		if err != nil {
+			return nil, err
+		}
+		var files []*ast.File
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(bp.Dir, name), nil, 0)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		pkg, err := conf.Check(path, fset, files, info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = pkg
+		return pkg, nil
+	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+		ipath := modulePath
+		if path != "." {
+			ipath += "/" + filepath.ToSlash(path)
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		imports := make(map[string]string) // local name → module-relative dir
-		for _, imp := range f.Imports {
-			ipath := strings.Trim(imp.Path.Value, `"`)
-			if !strings.HasPrefix(ipath, mod) {
-				continue
-			}
-			local := ipath[strings.LastIndex(ipath, "/")+1:]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = strings.TrimPrefix(ipath, mod)
-		}
-		declared := make(map[*ast.Ident]bool)
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fn.Name] = true
-			if !strings.HasPrefix(dir, "internal/") || testSupportPackages[dir] || !ast.IsExported(fn.Name.Name) {
-				continue
-			}
-			if fn.Recv == nil {
-				decls[f.Name.Name+"."+fn.Name.Name] = dir + "." + fn.Name.Name
-			} else if !interfaceMethods[fn.Name.Name] {
-				decls[f.Name.Name+"."+recvName(fn)+"."+fn.Name.Name] = "." + fn.Name.Name
+		if _, err := check(ipath); err != nil {
+			if _, none := err.(*build.NoGoError); !none {
+				return err
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.SelectorExpr:
-				if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
-					refs[imports[id.Name]+"."+x.Sel.Name] = true
-					return false
-				}
-				refs["."+x.Sel.Name] = true
-			case *ast.Ident:
-				if !declared[x] {
-					refs[dir+"."+x.Name] = true
-				}
-			}
-			return true
-		})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	used := make(map[*types.Func]bool)
+	var called []*types.Func // interface methods the module calls
+	for _, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			fn = fn.Origin()
+			used[fn] = true
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				called = append(called, fn)
+			}
+		}
+	}
+	reached := func(m *types.Func, typ types.Type) bool {
+		for _, fn := range called {
+			iface := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if fn.Name() == m.Name() && types.Implements(types.NewPointer(typ), iface) {
+				return true
+			}
+		}
+		return false
+	}
 	var found []string
-	for key, ref := range decls {
-		if !refs[ref] {
-			found = append(found, key)
+	for path, pkg := range checked {
+		if dir := moduleDir(path); !strings.HasPrefix(dir, "internal/") || testSupportPackages[dir] {
+			continue
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				if obj.Exported() && !used[obj] {
+					found = append(found, pkg.Name()+"."+name)
+				}
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() || types.IsInterface(named) {
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					m := named.Method(i)
+					if m.Exported() && !used[m] && !interfaceMethods[m.Name()] && !reached(m, named) {
+						found = append(found, pkg.Name()+"."+name+"."+m.Name())
+					}
+				}
+			}
 		}
 	}
 	sort.Strings(found)
@@ -309,6 +345,22 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 }
+
+// modulePath is the module path; moduleDir maps one of its import paths to the
+// package's directory, relative to the module root.
+const modulePath = "github.com/s3pg/s3pg"
+
+func moduleDir(path string) string {
+	if path == modulePath {
+		return "."
+	}
+	return strings.TrimPrefix(path, modulePath+"/")
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // recvName returns the receiver type name of method fn, "" for a function.
 func recvName(fn *ast.FuncDecl) string {
