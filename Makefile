@@ -110,7 +110,9 @@ verify:
 # replaced (and back through DecodeDelta), its change record against
 # encoding/json. SPARQL Update parses are held to a parse through a graph
 # per data block, and every spelling of an RDF term must read as that term
-# in Turtle, a SPARQL pattern, a FILTER and an INSERT DATA block. New crashers
+# in Turtle, a SPARQL pattern, a FILTER and an INSERT DATA block. The
+# mapping F_dt used, over a generated graph under thinned shapes, must be the
+# one BuildMapping rebuilds from the extended schema's DDL. New crashers
 # land in testdata/fuzz/ and become regression tests.
 FUZZ_TARGETS = \
 	FuzzParseNTriplesLine:./internal/rio \
@@ -129,6 +131,7 @@ FUZZ_TARGETS = \
 	FuzzRowJSON:./internal/serve \
 	FuzzSpillSchedule:./internal/rdf \
 	FuzzApplyDeltaInPlace:./internal/core \
+	FuzzMappingRoundTrip:./internal/core \
 	FuzzStoreOps:./internal/pg \
 	FuzzLoadCSV:./internal/pg \
 	FuzzWriteCSV:./internal/pg

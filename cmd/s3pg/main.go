@@ -39,7 +39,9 @@
 //	                          the graph spills to disk and the run continues
 //	                          out-of-core
 //	-spill policy             where -max-mem spills: auto (beside the data
-//	                          file, the default) or a directory
+//	                          file, the default) or a directory (if it
+//	                          exists, a fresh one inside it); the run
+//	                          removes only what it made
 //
 // All file outputs are committed atomically (temp file + rename), so an
 // interrupted run leaves either the previous complete file or the new
@@ -459,7 +461,11 @@ func cmdData(args []string, stdout, stderr io.Writer) error {
 	// Under -max-mem the load spills the graph past the watermark instead of
 	// dying (memFlags.governor).
 	o := rf.batchOptions(span, stderr)
-	gov, hook := mem.governor(ctx, *dataPath, stderr)
+	gov, hook, err := mem.governor(ctx, *dataPath, stderr)
+	if err != nil {
+		return err
+	}
+	defer cleanupSpill(gov)
 	o.Hook = hook
 	outputs := map[string]string{batch.EdgesFile: *edgesOut, batch.NodesFile: *nodesOut, batch.SchemaFile: *schemaOut}
 	res, err := o.Run(ctx, m, *shapesPath, *dataPath, func(name string, write func(io.Writer) error) error {
@@ -474,7 +480,6 @@ func cmdData(args []string, stdout, stderr io.Writer) error {
 	if gov != nil && gov.Spills() > 0 {
 		fmt.Fprintf(stderr, "s3pg: ran out-of-core: %d spill(s) to %s\n", gov.Spills(), gov.Dir())
 	}
-	cleanupSpill(gov, res.Graph)
 	store := res.Transformer.Store()
 	fmt.Fprintf(stderr, "transformed %d triples into %d nodes, %d edges (%d relationship types)\n",
 		res.Graph.Len(), store.NumNodes(), store.NumEdges(), store.RelTypes())

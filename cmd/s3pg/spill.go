@@ -8,12 +8,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"github.com/s3pg/s3pg"
 	"github.com/s3pg/s3pg/internal/faultio"
 	"github.com/s3pg/s3pg/internal/rdf"
 )
@@ -27,7 +27,7 @@ type memFlags struct {
 func addMemFlags(fs *flag.FlagSet) *memFlags {
 	mem := &memFlags{}
 	fs.IntVar(&mem.maxMemMB, "max-mem", 0, "soft heap watermark in `MiB` (0 = off), checked every 4096 statements at any -workers: past it the graph spills to disk (-spill) and the run continues out-of-core")
-	fs.StringVar(&mem.spill, "spill", "auto", "where -max-mem spills: auto (beside the data file) or a `directory`")
+	fs.StringVar(&mem.spill, "spill", "auto", "where -max-mem spills: auto (beside the data file) or a `directory` (if it exists, a fresh one inside it); the run removes only what it made")
 	return mem
 }
 
@@ -43,12 +43,18 @@ func (mem *memFlags) validate() error {
 	return nil
 }
 
-// spillDir resolves the spill directory for a run over dataPath.
-func (mem *memFlags) spillDir(dataPath string) string {
-	if mem.spill == "auto" {
-		return dataPath + ".spill"
+// spillDir resolves the spill directory for a run over dataPath. A
+// directory that is already there is not the run's to remove, so the run
+// spills into a fresh directory inside it instead.
+func (mem *memFlags) spillDir(dataPath string) (string, error) {
+	dir := mem.spill
+	if dir == "auto" {
+		dir = dataPath + ".spill"
 	}
-	return mem.spill
+	if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
+		return dir, nil
+	}
+	return os.MkdirTemp(dir, "s3pg-spill-*")
 }
 
 // governor returns the run's -max-mem governor and the load hook that asks
@@ -60,16 +66,16 @@ func (mem *memFlags) spillDir(dataPath string) string {
 // A spill makes two filesystem operations, a create and a rename, so any
 // transient fault period the outputs' 8-operation commit gets through, a
 // spill gets through too.
-func (mem *memFlags) governor(ctx context.Context, dataPath string, stderr io.Writer) (*rdf.Governor, func(*rdf.Graph) error) {
+func (mem *memFlags) governor(ctx context.Context, dataPath string, stderr io.Writer) (*rdf.Governor, func(*rdf.Graph) error, error) {
 	if mem.maxMemMB <= 0 {
-		return nil, nil
+		return nil, nil, nil
+	}
+	dir, err := mem.spillDir(dataPath)
+	if err != nil {
+		return nil, nil, fmt.Errorf("spill: %w", err)
 	}
 	fsys, _ := commitFS() // parseFlags has resolved it without error
-	gv := rdf.NewGovernor(rdf.SpillConfig{
-		Dir:    mem.spillDir(dataPath),
-		FS:     fsys,
-		HighMB: mem.maxMemMB,
-	})
+	gv := rdf.NewGovernor(rdf.SpillConfig{Dir: dir, FS: fsys, HighMB: mem.maxMemMB})
 	return gv, func(g *rdf.Graph) error {
 		var spilled bool
 		err := faultio.Retry(ctx, commitRetry, func() error {
@@ -85,16 +91,21 @@ func (mem *memFlags) governor(ctx context.Context, dataPath string, stderr io.Wr
 				mem.maxMemMB, g.NumSlots(), gv.Dir())
 		}
 		return nil
-	}
+	}, nil
 }
 
-// cleanupSpill removes the run's spill directory after the outputs are
-// committed: spilled state is scratch, not a recovery artifact (the
+// cleanupSpill removes what the run spilled, however the run ends short of
+// a kill: spilled state is scratch, not a recovery artifact (the
 // whole-graph path recovers by re-running), so leaving it would only leak
-// disk. Best-effort; open handles keep working via POSIX unlink semantics.
-func cleanupSpill(gv *rdf.Governor, g *s3pg.Graph) {
-	if gv == nil || !g.Spilled() {
-		return
+// disk. The spill directory is the run's own (spillDir); one the run never
+// spilled to is removed only when empty. Best-effort; open handles keep
+// working via POSIX unlink semantics.
+func cleanupSpill(gv *rdf.Governor) {
+	switch {
+	case gv == nil:
+	case gv.Spills() > 0:
+		os.RemoveAll(gv.Dir())
+	default:
+		os.Remove(gv.Dir())
 	}
-	os.RemoveAll(g.SpillDir())
 }

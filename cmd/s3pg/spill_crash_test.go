@@ -120,9 +120,12 @@ func TestMaxMemSpillsBesideDataByDefault(t *testing.T) {
 // first tier and the first one after that fold, and a create fault that
 // fails the first spill before its segment exists. No filesystem operation
 // follows a segment's rename, so no fault leaves a named segment the run
-// never adopted; the killed run's stale segments stand for those. The rerun
-// must write the unconstrained run's bytes and remove the directory. A run
-// whose spills meet transient faults must do the same without a rerun.
+// never adopted; the killed run's stale segments stand for those. A failed
+// run removes the directory it made; the rerun must write the unconstrained
+// run's bytes and remove what it made, and nothing else: the killed run's
+// leftovers sit in a directory that was there before the rerun, so they
+// stay. A run whose spills meet transient faults must do the same without
+// a rerun.
 func TestCrashDuringSpillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
@@ -173,8 +176,10 @@ func TestCrashDuringSpillRecovery(t *testing.T) {
 			caseDir := filepath.Join(dir, "dead-"+tc.name)
 			n, e, s, _ := outPaths(t, caseDir)
 			spillDir := filepath.Join(caseDir, "graph.spill")
-			if err := os.MkdirAll(spillDir, 0o755); err != nil {
-				t.Fatal(err)
+			if tc.leftover != nil {
+				if err := os.MkdirAll(spillDir, 0o755); err != nil {
+					t.Fatal(err)
+				}
 			}
 			for name, body := range tc.leftover {
 				if err := os.WriteFile(filepath.Join(spillDir, name), []byte(body), 0o644); err != nil {
@@ -192,8 +197,8 @@ func TestCrashDuringSpillRecovery(t *testing.T) {
 						t.Fatalf("failed run left output %s", p)
 					}
 				}
-				if tmps, _ := filepath.Glob(filepath.Join(spillDir, "*.tmp-*")); len(tmps) != 0 {
-					t.Fatalf("failed spill left temporaries %v", tmps)
+				if _, err := os.Stat(spillDir); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("failed run left its spill directory %s", spillDir)
 				}
 			}
 
@@ -206,8 +211,23 @@ func TestCrashDuringSpillRecovery(t *testing.T) {
 				!bytes.Equal(readFile(t, s), readFile(t, bs)) {
 				t.Fatal("rerun outputs differ from the unconstrained run")
 			}
-			if _, err := os.Stat(spillDir); !errors.Is(err, os.ErrNotExist) {
-				t.Fatalf("rerun left spill directory %s", spillDir)
+			if tc.leftover == nil {
+				if _, err := os.Stat(spillDir); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("rerun left spill directory %s", spillDir)
+				}
+				return
+			}
+			entries, err := os.ReadDir(spillDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, en := range entries {
+				if body, ok := tc.leftover[en.Name()]; !ok || string(readFile(t, filepath.Join(spillDir, en.Name()))) != body {
+					t.Fatalf("rerun left %s in the killed run's directory, or changed it", en.Name())
+				}
+			}
+			if len(entries) != len(tc.leftover) {
+				t.Fatalf("rerun removed the killed run's leftovers: %d of %d remain", len(entries), len(tc.leftover))
 			}
 		})
 	}
@@ -236,6 +256,52 @@ func TestCrashDuringSpillRecovery(t *testing.T) {
 			t.Fatalf("run left spill directory %s", spillDir)
 		}
 	})
+}
+
+// TestSpillIntoExistingDirectoryKeepsItsFiles: -spill names a directory
+// that already holds files. The run spills into a fresh directory inside
+// it, writes the unconstrained run's bytes, and removes only what it made.
+func TestSpillIntoExistingDirectoryKeepsItsFiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	dir := t.TempDir()
+	shapes, data := writeGeneratedDataset(t, dir, 0.5, false)
+	bn, be, bs, _ := outPaths(t, filepath.Join(dir, "base"))
+	if code, _, errOut := execCLI(t, nil, dataArgsFor(shapes, data, bn, be, bs)...); code != 0 {
+		t.Fatalf("baseline exit %d: %s", code, errOut)
+	}
+	spillDir := filepath.Join(dir, "work")
+	kept := map[string]string{"sentinel.txt": "mine", filepath.Join("sub", "x"): "also mine"}
+	for name, body := range kept {
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(spillDir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(spillDir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, e, s, _ := outPaths(t, filepath.Join(dir, "out"))
+	code, _, errOut := execCLI(t, nil, spillArgsFor(shapes, data, n, e, s, spillDir)...)
+	if code != 0 {
+		t.Fatalf("governed run exit %d: %s", code, errOut)
+	}
+	if spillCount(errOut) < 1 {
+		t.Fatalf("governed run did not spill: %s", errOut)
+	}
+	if !bytes.Equal(readFile(t, n), readFile(t, bn)) ||
+		!bytes.Equal(readFile(t, e), readFile(t, be)) ||
+		!bytes.Equal(readFile(t, s), readFile(t, bs)) {
+		t.Fatal("governed out-of-core outputs differ from the unconstrained run")
+	}
+	for name, body := range kept {
+		if got, err := os.ReadFile(filepath.Join(spillDir, name)); err != nil || string(got) != body {
+			t.Fatalf("%s after the run: %q, %v", name, got, err)
+		}
+	}
+	if entries, _ := os.ReadDir(spillDir); len(entries) != 2 {
+		t.Fatalf("the run left %d entries in %s, want the 2 it found", len(entries), spillDir)
+	}
 }
 
 // faultSpills is how many spills a governed run over the fault matrix's

@@ -154,8 +154,6 @@ func NewTransformer(sg *shacl.Schema, mode Mode) (*Transformer, error) {
 }
 
 // NewTransformerForSchema returns a transformer for an existing PG-Schema.
-// Every caller passes fresh F_st output: a schema data has already extended,
-// parsed back from its DDL, would not route like the live mapping did.
 func NewTransformerForSchema(spg *pgschema.Schema, mode Mode) (*Transformer, error) {
 	m, err := BuildMapping(spg)
 	if err != nil {
@@ -496,17 +494,17 @@ func (t *Transformer) extendTargets(edgeLabel string, target pg.NodeID) {
 // second result reports whether the label belongs to a fallback route whose
 // targets should grow with the data.
 func (t *Transformer) edgeLabelFor(route *Route, sLabels []string, pred string) (string, bool) {
-	label := ""
-	if len(sLabels) > 0 {
-		label = sLabels[0]
-	}
 	if route != nil {
 		if route.Kind == RouteKV {
 			// Values escaping the KV encoding need the label → predicate
 			// correspondence recorded in the schema for the inverse mapping.
-			t.mapping.EnsureKVEscapeEdge(label, route)
+			t.mapping.EnsureKVEscapeEdge(sLabels, route)
 		}
 		return route.Name, route.Fallback
+	}
+	label := ""
+	if len(sLabels) > 0 {
+		label = sLabels[0]
 	}
 	r := t.mapping.EnsureEdgeRoute(label, pred)
 	return r.Name, true

@@ -41,7 +41,11 @@ type liveCycle struct {
 	next    int
 }
 
-func newLiveCycle(tb testing.TB, scale float64, seed int64) *liveCycle {
+// newLiveCycle returns a live cycle with n batches. About one statement in
+// five of an Evolve delta passes the filter (a new entity's are typed in
+// the delta only), so it draws deltas of n batches' size under successive
+// seeds until n batches' worth have passed.
+func newLiveCycle(tb testing.TB, scale float64, seed int64, n int) *liveCycle {
 	tb.Helper()
 	p := datagen.Profiles()["DBpedia2022"]
 	g := datagen.Generate(p, scale, seed)
@@ -50,16 +54,22 @@ func newLiveCycle(tb testing.TB, scale float64, seed int64) *liveCycle {
 	typed := func(t rdf.Term) bool {
 		return !t.IsIRI() || !strings.HasPrefix(t.Value, p.NS) || g.MatchCount(&t, &rdf.A, nil) > 0
 	}
-	// Enough statements for a few hundred batches whatever the graph size.
-	frac := float64(400*benchStmts) / float64(g.Len())
-	datagen.Evolve(g, p, frac, seed+1).ForEach(func(t rdf.Triple) bool {
-		if t.P != rdf.A && typed(t.S) && typed(t.O) {
-			stmts = append(stmts, t)
+	want := n * benchStmts
+	seen := make(map[rdf.Triple]bool)
+	for s := seed + 1; len(stmts) < want; s++ {
+		if s > seed+100 {
+			tb.Fatalf("100 Evolve deltas gave %d grow statements, want %d", len(stmts), want)
 		}
-		return true
-	})
+		datagen.Evolve(g, p, float64(want)/float64(g.Len()), s).ForEach(func(t rdf.Triple) bool {
+			if t.P != rdf.A && typed(t.S) && typed(t.O) && !seen[t] {
+				seen[t] = true
+				stmts = append(stmts, t)
+			}
+			return true
+		})
+	}
 	lc := &liveCycle{}
-	for lo := 0; lo+benchStmts <= len(stmts); lo += benchStmts {
+	for lo := 0; lo < want; lo += benchStmts {
 		lc.batches = append(lc.batches, &rdf.Delta{Inserts: stmts[lo : lo+benchStmts]})
 	}
 	st, err := core.NewDeltaState(g, sg, core.NonParsimonious)
@@ -82,12 +92,12 @@ var (
 	sinkStore *pg.Store
 )
 
-// runLiveCycles drives b.N cycles, timing only the named step ("apply",
-// "graph" or "store").
+// runLiveCycles drives b.N cycles over one live graph, timing only the
+// named step ("apply", "graph" or "store").
 func runLiveCycles(b *testing.B, scale float64, step string) {
 	mapFolds, indexFolds := obs.Default.Counter("cow.map.folds"), obs.Default.Counter("rdf.dict.index_folds")
 	folds := func() int64 { return mapFolds.Value() + indexFolds.Value() }
-	lc := newLiveCycle(b, scale, 1)
+	lc := newLiveCycle(b, scale, 1, b.N+1)
 	lc.apply(b)
 	sinkGraph, sinkStore = lc.st.Graph().Clone(), lc.st.Store().Clone()
 	b.ReportAllocs()
@@ -110,9 +120,6 @@ func runLiveCycles(b *testing.B, scale float64, step string) {
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		if lc.next == len(lc.batches) {
-			lc = newLiveCycle(b, scale, int64(i))
-		}
 		timed("apply", func() { lc.apply(b) })
 		timed("graph", func() { sinkGraph = lc.st.Graph().Clone() })
 		timed("store", func() { sinkStore = lc.st.Store().Clone() })
@@ -133,7 +140,7 @@ func runLiveCycles(b *testing.B, scale float64, step string) {
 // 177 KB and 291. The mean over a run of batches counts the tables' growth,
 // as the benchmark's B/op does.
 func TestApplyDeltaGrowAllocBudget(t *testing.T) {
-	lc := newLiveCycle(t, benchScales[0].scale, 1)
+	lc := newLiveCycle(t, benchScales[0].scale, 1, 74)
 	lc.apply(t)
 	batches := float64(len(lc.batches) - lc.next)
 	var before, after runtime.MemStats

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/s3pg/s3pg/internal/pgschema"
 	"github.com/s3pg/s3pg/internal/rdf"
@@ -40,13 +41,22 @@ type routeKey struct {
 
 // Mapping is the F_st correspondence table: how classes map to labels,
 // datatypes to value-node labels, and predicates to keys or edge labels.
-// It is derived entirely from the PG-Schema (BuildMapping), which is what
-// makes the inverse mapping M computable from PG and S_PG alone.
+// It is a function of the PG-Schema alone (Prop. 4.1, Def. 3.2), which
+// makes the inverse mapping M computable from PG and S_PG alone. One rule
+// registers every type, read from S_PG by BuildMapping or just added by F_dt
+// for data the shapes do not cover (the Ensure* methods), so the DDL of a
+// schema the data extended rebuilds the mapping F_dt used.
 //
-// During data transformation the mapping may grow: predicates or classes in
-// the instance data that the shapes do not cover are given fallback routes,
-// extending both the mapping and the underlying PG-Schema (mirroring what a
-// shape-extraction pass would have produced).
+// A node type maps its label to its class or datatype, and routes each of
+// its effective properties to a key/value attribute. An edge type maps its
+// label to its predicate and declares its properties as RDF-star annotation
+// keys. What it routes depends on its kind, read from S_PG:
+//   - shape-declared (a PG-Key exists for its source label and edge label):
+//     its source and every descendant route the predicate to the edge;
+//   - a KV escape edge (no PG-Key, and its source routes the predicate to a
+//     key): it carries the values the key cannot hold and routes nothing;
+//   - data-extended (any other key-less edge type): a Fallback route for its
+//     source label only, whose targets grow as the data reveals them.
 type Mapping struct {
 	spg *pgschema.Schema
 
@@ -62,6 +72,8 @@ type Mapping struct {
 
 	names    *namer
 	edgeSeen map[string]int
+	// descendants lists by label the node types carrying it or inheriting it.
+	descendants map[string][]*pgschema.NodeType
 	// extended is the revision at which ExtendEdgeTargets last had each
 	// (edge label, target label) pair: until rev moves, nothing is to add.
 	extended map[[2]string]uint64
@@ -74,7 +86,7 @@ type Mapping struct {
 }
 
 // BuildMapping derives the mapping from a PG-Schema produced by
-// TransformSchema (or parsed back from its DDL).
+// TransformSchema (or parsed back from its DDL, extended or not).
 func BuildMapping(spg *pgschema.Schema) (*Mapping, error) {
 	m := &Mapping{
 		spg:          spg,
@@ -89,107 +101,140 @@ func BuildMapping(spg *pgschema.Schema) (*Mapping, error) {
 		annotDT:      make(map[string]string),
 		names:        newNamer(),
 		edgeSeen:     make(map[string]int),
+		descendants:  make(map[string][]*pgschema.NodeType),
 		extended:     make(map[[2]string]uint64),
 	}
 	for _, nt := range spg.NodeTypes() {
-		if nt.Value {
-			m.dtOfValLabel[nt.Label] = nt.Datatype
-			if _, ok := m.valLabelOfDT[nt.Datatype]; !ok {
-				m.valLabelOfDT[nt.Datatype] = nt.Label
-			}
-			m.names.Claim("value:"+nt.Datatype, nt.Label)
-			continue
-		}
-		if nt.ClassIRI != "" {
-			if prev, ok := m.labelOfClass[nt.ClassIRI]; ok && prev != nt.Label {
-				return nil, fmt.Errorf("core: class %s mapped to two labels (%s, %s)", nt.ClassIRI, prev, nt.Label)
-			}
-			m.labelOfClass[nt.ClassIRI] = nt.Label
-			m.classOfLabel[nt.Label] = nt.ClassIRI
-			m.names.Claim(nt.ClassIRI, nt.Label)
+		if err := m.registerNode(nt); err != nil {
+			return nil, err
 		}
 	}
-
-	// Key/value routes: each node type's effective properties apply to
-	// nodes carrying its label.
-	for _, nt := range spg.NodeTypes() {
-		if nt.Value {
-			continue
-		}
-		for _, p := range spg.EffectiveProperties(nt.Name) {
-			if p.IRI == "" {
-				continue
-			}
-			r := &Route{
-				Kind: RouteKV, PredIRI: p.IRI, Name: p.Key,
-				Datatype: xsd.FromShortName(p.Type),
-			}
-			m.routes[routeKey{nt.Label, p.IRI}] = r
-			m.kvByName[routeKey{nt.Label, p.Key}] = r
-			m.names.Claim(p.IRI, p.Key)
-		}
-	}
-
-	// Edge routes: an edge type sourced at type S applies to nodes of S and
-	// of every type inheriting from S.
-	descendants := make(map[string][]*pgschema.NodeType)
-	for _, nt := range spg.NodeTypes() {
-		if nt.Value {
-			continue
-		}
-		seen := make(map[string]bool)
-		var walk func(name string)
-		walk = func(name string) {
-			if seen[name] {
-				return
-			}
-			seen[name] = true
-			descendants[name] = append(descendants[name], nt)
-			cur := spg.NodeType(name)
-			if cur == nil {
-				return
-			}
-			for _, parent := range cur.Extends {
-				walk(parent)
-			}
-		}
-		walk(nt.Name)
-	}
-	// A label serving both as an entity label and a value label would make
-	// node classification ambiguous; F_st's naming discipline prevents it,
-	// so treat it as corruption.
-	for l := range m.dtOfValLabel {
-		if _, clash := m.classOfLabel[l]; clash {
-			return nil, fmt.Errorf("core: label %q is both a class label and a value label", l)
-		}
-	}
-
 	for _, et := range spg.EdgeTypes() {
-		if et.IRI == "" {
-			continue
-		}
-		if prev, ok := m.predOfEdge[et.Label]; ok && prev != et.IRI {
-			return nil, fmt.Errorf("core: edge label %s mapped to two predicates (%s, %s)", et.Label, prev, et.IRI)
-		}
-		m.predOfEdge[et.Label] = et.IRI
-		m.names.Claim(et.IRI, et.Label)
-		m.edgeSeen[typeName(et.Label)]++
-		for _, nt := range descendants[et.Source] {
-			m.routes[routeKey{nt.Label, et.IRI}] = &Route{
-				Kind: RouteEdge, PredIRI: et.IRI, Name: et.Label,
-			}
-		}
-		// Edge record keys are RDF-star annotation declarations.
-		for _, p := range et.Properties {
-			if p.IRI == "" {
-				continue
-			}
-			m.annotPred[p.Key] = p.IRI
-			m.annotDT[p.Key] = xsd.FromShortName(p.Type)
-			m.names.Claim(p.IRI, p.Key)
+		if err := m.registerEdge(et); err != nil {
+			return nil, err
 		}
 	}
 	return m, nil
+}
+
+// registerNode is the node type half of the rule.
+func (m *Mapping) registerNode(nt *pgschema.NodeType) error {
+	// A label serving both as an entity label and a value label would make
+	// node classification ambiguous; F_st's naming discipline prevents it,
+	// so treat it as corruption.
+	_, asClass := m.classOfLabel[nt.Label]
+	if _, asValue := m.dtOfValLabel[nt.Label]; nt.Value && asClass || nt.ClassIRI != "" && asValue {
+		return fmt.Errorf("core: label %q is both a class label and a value label", nt.Label)
+	}
+	if nt.Value {
+		m.dtOfValLabel[nt.Label] = nt.Datatype
+		if _, ok := m.valLabelOfDT[nt.Datatype]; !ok {
+			m.valLabelOfDT[nt.Datatype] = nt.Label
+		}
+		m.names.Claim("value:"+nt.Datatype, nt.Label)
+		return nil
+	}
+	if nt.ClassIRI != "" {
+		if prev, ok := m.labelOfClass[nt.ClassIRI]; ok && prev != nt.Label {
+			return fmt.Errorf("core: class %s mapped to two labels (%s, %s)", nt.ClassIRI, prev, nt.Label)
+		}
+		m.labelOfClass[nt.ClassIRI] = nt.Label
+		m.classOfLabel[nt.Label] = nt.ClassIRI
+		m.names.Claim(nt.ClassIRI, nt.Label)
+	}
+	for _, l := range m.spg.EffectiveLabels(nt.Name) {
+		m.descendants[l] = append(m.descendants[l], nt)
+	}
+	for _, p := range m.spg.EffectiveProperties(nt.Name) {
+		if p.IRI == "" {
+			continue
+		}
+		r := &Route{Kind: RouteKV, PredIRI: p.IRI, Name: p.Key, Datatype: xsd.FromShortName(p.Type)}
+		m.routes[routeKey{nt.Label, p.IRI}] = r
+		m.kvByName[routeKey{nt.Label, p.Key}] = r
+		m.names.Claim(p.IRI, p.Key)
+	}
+	return nil
+}
+
+// registerEdge is the edge type half of the rule; its three kinds are
+// told apart from S_PG alone (see Mapping).
+func (m *Mapping) registerEdge(et *pgschema.EdgeType) error {
+	if et.IRI == "" {
+		return nil
+	}
+	if prev, ok := m.predOfEdge[et.Label]; ok && prev != et.IRI {
+		return fmt.Errorf("core: edge label %s mapped to two predicates (%s, %s)", et.Label, prev, et.IRI)
+	}
+	m.predOfEdge[et.Label] = et.IRI
+	m.names.Claim(et.IRI, et.Label)
+	m.edgeSeen[typeName(et.Label)]++
+	for _, p := range et.Properties {
+		m.registerAnnotation(p)
+	}
+	src := m.spg.NodeType(et.Source)
+	if src == nil {
+		return nil
+	}
+	r := &Route{Kind: RouteEdge, PredIRI: et.IRI, Name: et.Label}
+	switch kv := m.routes[routeKey{src.Label, et.IRI}]; {
+	case slices.ContainsFunc(m.spg.Keys, func(k *pgschema.Key) bool {
+		return k.SourceLabel == src.Label && k.EdgeLabel == et.Label
+	}):
+		for _, nt := range m.descendants[src.Label] {
+			m.routes[routeKey{nt.Label, et.IRI}] = r
+		}
+	case kv != nil && kv.Kind == RouteKV:
+	default:
+		r.Fallback = true
+		m.routes[routeKey{src.Label, et.IRI}] = r
+	}
+	return nil
+}
+
+// registerAnnotation declares an edge record key as an RDF-star annotation.
+func (m *Mapping) registerAnnotation(p *pgschema.Property) {
+	if p.IRI == "" {
+		return
+	}
+	m.annotPred[p.Key] = p.IRI
+	m.annotDT[p.Key] = xsd.FromShortName(p.Type)
+	m.names.Claim(p.IRI, p.Key)
+}
+
+// grew counts an extension of the schema the rule has registered. The
+// Ensure* methods extend F_st output (or its DDL) with names no registered
+// type holds, so a registration error there is a defect, not bad data.
+func (m *Mapping) grew(err error) {
+	if err != nil {
+		panic(err)
+	}
+	m.rev++
+}
+
+// addNodeType extends the schema with a node type and registers it.
+func (m *Mapping) addNodeType(nt *pgschema.NodeType) {
+	m.spg.AddNodeType(nt)
+	m.grew(m.registerNode(nt))
+}
+
+// addEdgeType extends the schema with a key-less edge type for pred from the
+// node type of sourceLabel, and registers it: a data-extended route, or a KV
+// escape edge when the source routes pred to a key.
+func (m *Mapping) addEdgeType(sourceLabel, edgeLabel, pred string) {
+	src := m.spg.NodeTypeByLabel(sourceLabel)
+	if src == nil {
+		// Only an untyped subject's empty label has no node type.
+		src = &pgschema.NodeType{Name: typeName(sourceLabel), Label: sourceLabel}
+		m.addNodeType(src)
+	}
+	name := typeName(edgeLabel)
+	if n := m.edgeSeen[name]; n > 0 {
+		name = fmt.Sprintf("%s_%d", name, n+1)
+	}
+	et := &pgschema.EdgeType{Name: name, Label: edgeLabel, IRI: pred, Source: src.Name}
+	m.spg.AddEdgeType(et)
+	m.grew(m.registerEdge(et))
 }
 
 // Annotation resolves an edge property key to its RDF-star annotation
@@ -202,23 +247,20 @@ func (m *Mapping) Annotation(key string) (pred, datatype string, ok bool) {
 // EnsureAnnotation registers an RDF-star annotation predicate as an edge
 // property key, declaring it on every edge type carrying the label.
 func (m *Mapping) EnsureAnnotation(edgeLabel, pred, datatype string) (string, error) {
-	key := m.names.Name(pred)
+	key := m.names.free(pred)
 	if existing, ok := m.annotPred[key]; ok && existing != pred {
 		return "", fmt.Errorf("core: annotation key %q already bound to %s", key, existing)
 	}
 	if dt, ok := m.annotDT[key]; ok && dt != datatype {
 		return "", fmt.Errorf("core: annotation %s carries mixed datatypes (%s vs %s)", pred, dt, datatype)
 	}
-	m.annotPred[key] = pred
-	m.annotDT[key] = datatype
 	for _, et := range m.spg.EdgeTypesByLabel(edgeLabel) {
 		if et.Prop(key) == nil {
+			p := &pgschema.Property{Key: key, Type: xsd.ShortName(datatype), IRI: pred,
+				Optional: true, Array: true, Min: 0, Max: pgschema.Unbounded}
+			et.Properties = append(et.Properties, p)
+			m.registerAnnotation(p)
 			m.rev++
-			et.Properties = append(et.Properties, &pgschema.Property{
-				Key: key, Type: xsd.ShortName(datatype),
-				Optional: true, Array: true, Min: 0, Max: pgschema.Unbounded,
-				IRI: pred,
-			})
 		}
 	}
 	return key, nil
@@ -273,18 +315,12 @@ func (m *Mapping) EnsureClassLabel(class string) string {
 	if l, ok := m.labelOfClass[class]; ok {
 		return l
 	}
-	label := m.names.Name(class)
-	// The label may collide with an existing type's label only if the namer
-	// was seeded inconsistently; AddNodeType would replace, so guard.
-	nt := &pgschema.NodeType{Name: typeName(label), Label: label, ClassIRI: class}
-	for i := 2; m.spg.NodeType(nt.Name) != nil; i++ {
-		label = fmt.Sprintf("%s_%d", m.names.Name(class), i)
-		nt = &pgschema.NodeType{Name: typeName(label), Label: label, ClassIRI: class}
+	base := m.names.free(class)
+	label := base
+	for i := 2; m.spg.NodeType(typeName(label)) != nil || !m.names.freeFor(label, class); i++ {
+		label = fmt.Sprintf("%s_%d", base, i)
 	}
-	m.spg.AddNodeType(nt)
-	m.labelOfClass[class] = label
-	m.classOfLabel[label] = class
-	m.rev++
+	m.addNodeType(&pgschema.NodeType{Name: typeName(label), Label: label, ClassIRI: class})
 	return label
 }
 
@@ -294,24 +330,18 @@ func (m *Mapping) EnsureValueLabel(datatype string) string {
 	if l, ok := m.valLabelOfDT[datatype]; ok {
 		return l
 	}
-	label := m.names.Name("value:" + datatype)
-	if label == sanitizeName(rdf.LocalName("value:"+datatype)) {
+	iri := "value:" + datatype
+	label := m.names.free(iri)
+	if short := xsd.ShortName(datatype); label == sanitizeName(rdf.LocalName(iri)) && m.names.freeFor(short, iri) {
 		// Prefer the conventional short name when free.
-		short := xsd.ShortName(datatype)
-		if _, taken := m.dtOfValLabel[short]; !taken {
-			label = short
-			m.names.Claim("value:"+datatype, label)
-		}
+		label = short
 	}
 	nt := &pgschema.NodeType{Name: typeName(label), Label: label, Value: true, Datatype: datatype}
 	for i := 2; m.spg.NodeType(nt.Name) != nil; i++ {
 		nt.Name = fmt.Sprintf("%s_%d", typeName(label), i)
 	}
-	m.spg.AddNodeType(nt)
-	m.dtOfValLabel[nt.Label] = datatype
-	m.valLabelOfDT[datatype] = nt.Label
-	m.rev++
-	return nt.Label
+	m.addNodeType(nt)
+	return label
 }
 
 // EnsureEdgeRoute returns (creating if needed) an edge route for a predicate
@@ -322,55 +352,26 @@ func (m *Mapping) EnsureEdgeRoute(label, pred string) *Route {
 	if r, ok := m.routes[routeKey{label, pred}]; ok && r.Kind == RouteEdge {
 		return r
 	}
-	edgeLabel := m.names.Name(pred)
-	m.predOfEdge[edgeLabel] = pred
-	src := m.spg.NodeTypeByLabel(label)
-	if src == nil {
-		// Label without a node type can only happen for fallback labels,
-		// which EnsureClassLabel always declares; create defensively.
-		src = &pgschema.NodeType{Name: typeName(label), Label: label}
-		m.spg.AddNodeType(src)
-	}
-	base := typeName(edgeLabel)
-	m.edgeSeen[base]++
-	name := base
-	if n := m.edgeSeen[base]; n > 1 {
-		name = fmt.Sprintf("%s_%d", base, n)
-	}
-	m.spg.AddEdgeType(&pgschema.EdgeType{
-		Name: name, Label: edgeLabel, IRI: pred, Source: src.Name,
-	})
-	r := &Route{Kind: RouteEdge, PredIRI: pred, Name: edgeLabel, Fallback: true}
-	m.routes[routeKey{label, pred}] = r
-	m.rev++
-	return r
+	m.addEdgeType(label, m.names.free(pred), pred)
+	return m.routes[routeKey{label, pred}]
 }
 
 // EnsureKVEscapeEdge registers the edge realization of a KV-routed property
-// for values that cannot be inlined (wrong datatype, language tag, or
-// non-canonical lexical). The edge reuses the KV key as its label and an
-// edge type is added so the label → predicate correspondence survives in the
-// serialized schema — the §4.1.1 monotone response to a property turning out
-// to be heterogeneous.
-func (m *Mapping) EnsureKVEscapeEdge(sourceLabel string, route *Route) {
+// for values that cannot be inlined (wrong datatype, language tag, IRI, or
+// non-canonical lexical). The edge reuses the KV key as its label, and its
+// edge type, sourced at the subject's label that routes the predicate to
+// the key, keeps the label → predicate correspondence in the serialized
+// schema: the §4.1.1 monotone response to a heterogeneous property.
+func (m *Mapping) EnsureKVEscapeEdge(sourceLabels []string, route *Route) {
 	if _, ok := m.predOfEdge[route.Name]; ok {
 		return
 	}
-	m.predOfEdge[route.Name] = route.PredIRI
-	m.rev++
-	src := m.spg.NodeTypeByLabel(sourceLabel)
-	if src == nil {
-		return
+	for _, l := range sourceLabels {
+		if m.routes[routeKey{l, route.PredIRI}] == route {
+			m.addEdgeType(l, route.Name, route.PredIRI)
+			return
+		}
 	}
-	base := typeName(route.Name)
-	m.edgeSeen[base]++
-	name := base
-	if n := m.edgeSeen[base]; n > 1 {
-		name = fmt.Sprintf("%s_%d", base, n)
-	}
-	m.spg.AddEdgeType(&pgschema.EdgeType{
-		Name: name, Label: route.Name, IRI: route.PredIRI, Source: src.Name,
-	})
 }
 
 // ExtendEdgeTargets makes sure every edge type with the label accepts the
@@ -386,14 +387,7 @@ func (m *Mapping) ExtendEdgeTargets(edgeLabel, targetLabel string) {
 		return
 	}
 	for _, et := range m.spg.EdgeTypesByLabel(edgeLabel) {
-		has := false
-		for _, t := range et.Targets {
-			if t == target.Name {
-				has = true
-				break
-			}
-		}
-		if !has {
+		if !slices.Contains(et.Targets, target.Name) {
 			et.Targets = append(et.Targets, target.Name)
 			m.rev++
 		}

@@ -50,23 +50,30 @@ func newNamer() *namer {
 	return &namer{byIRI: make(map[string]string), byName: make(map[string]string)}
 }
 
-// Name returns the stable unique name for the IRI.
+// Name returns the stable unique name for the IRI, claiming it.
 func (n *namer) Name(iri string) string {
+	name := n.free(iri)
+	n.Claim(iri, name)
+	return name
+}
+
+// free returns the name Name would give the IRI, claiming nothing.
+func (n *namer) free(iri string) string {
 	if name, ok := n.byIRI[iri]; ok {
 		return name
 	}
 	base := sanitizeName(rdf.LocalName(iri))
 	name := base
-	for i := 2; ; i++ {
-		owner, taken := n.byName[name]
-		if !taken || owner == iri {
-			break
-		}
+	for i := 2; !n.freeFor(name, iri); i++ {
 		name = fmt.Sprintf("%s_%d", base, i)
 	}
-	n.byIRI[iri] = name
-	n.byName[name] = iri
 	return name
+}
+
+// freeFor reports whether name is unclaimed or already the IRI's.
+func (n *namer) freeFor(name, iri string) bool {
+	owner, taken := n.byName[name]
+	return !taken || owner == iri
 }
 
 // Claim registers an existing name → IRI binding (used when rebuilding a

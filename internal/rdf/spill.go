@@ -570,14 +570,6 @@ func foldStart(segs []*segment) (n, tier int) {
 // Spilled reports whether part of the graph is disk-resident.
 func (g *Graph) Spilled() bool { return g.spill != nil }
 
-// SpillDir returns the directory of the graph's last spill, or "".
-func (g *Graph) SpillDir() string {
-	if g.spill == nil {
-		return ""
-	}
-	return g.spill.dir
-}
-
 // TailLen returns the number of triple slots admitted since the last spill
 // (everything, for an unspilled graph): the resident write tail a further
 // Spill would move to disk.

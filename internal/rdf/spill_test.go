@@ -285,8 +285,8 @@ func TestRespillMultiGeneration(t *testing.T) {
 		t.Fatalf("Spill to a second directory: %v", err)
 	}
 	assertGraphsEqual(t, got, want)
-	if got.SpillDir() != other || len(got.spill.segs) != 1 {
-		t.Fatalf("SpillDir = %s listing %d segments, want %s listing one", got.SpillDir(), len(got.spill.segs), other)
+	if got.spill.dir != other || len(got.spill.segs) != 1 {
+		t.Fatalf("spill dir %s listing %d segments, want %s listing one", got.spill.dir, len(got.spill.segs), other)
 	}
 	assertDirHolds(t, other, got)
 }

@@ -9,16 +9,12 @@ import (
 	"github.com/s3pg/s3pg/internal/rdf"
 )
 
-// NTriplesScanner streams an N-Triples document one statement at a time while
-// tracking the exact byte offset of the first unconsumed input byte.
-//
-// Offsets advance line by line — after Scan returns, Offset() covers every
-// line consumed to produce (or skip past) the returned statement, so it
-// always points at a line start (or EOF). Lenient-mode error handling matches
-// ReadNTriplesWith: malformed lines are skipped, reported, counted, and the
-// scan aborts with ErrTooManyErrors once the budget is exhausted.
+// NTriplesScanner streams an N-Triples document one statement at a time.
+// Lenient-mode error handling matches ReadNTriplesWith: malformed lines are
+// skipped, reported, counted, and the scan aborts with ErrTooManyErrors once
+// the budget is exhausted.
 type NTriplesScanner struct {
-	br   *byteCountReader
+	br   *lineReader
 	opts Options
 	sink errorSink
 
@@ -35,13 +31,10 @@ type NTriplesScanner struct {
 
 // NewNTriplesScanner wraps r.
 func NewNTriplesScanner(r io.Reader, opts Options) *NTriplesScanner {
-	s := &NTriplesScanner{br: newByteCountReader(r, 64*1024), opts: opts}
+	s := &NTriplesScanner{br: &lineReader{r: r, buf: make([]byte, 64*1024)}, opts: opts}
 	s.sink = errorSink{opts: &s.opts, counter: ntSkipped}
 	return s
 }
-
-// Offset returns the byte offset of the first unconsumed input byte.
-func (s *NTriplesScanner) Offset() int64 { return s.br.consumed() }
 
 // Line returns the number of input lines consumed so far.
 func (s *NTriplesScanner) Line() int { return s.line }
@@ -121,38 +114,27 @@ func (s *NTriplesScanner) observe() {
 	ntMeter.Observe(s.triples, time.Since(s.start))
 }
 
-// byteCountReader is a buffered line reader that knows how many bytes of the
-// underlying stream the lines it returned account for.
-type byteCountReader struct {
+// lineReader is a buffered line reader with no upper bound on line length.
+type lineReader struct {
 	r    io.Reader
 	buf  []byte
 	long []byte // a line that did not fit in buf, assembled
 	pos  int    // next unread byte in buf
 	n    int    // valid bytes in buf
-	read int64  // bytes handed out via readLine
 	err  error
 }
-
-func newByteCountReader(r io.Reader, size int) *byteCountReader {
-	return &byteCountReader{r: r, buf: make([]byte, size)}
-}
-
-// consumed returns the stream offset of the first byte readLine has not yet
-// returned.
-func (b *byteCountReader) consumed() int64 { return b.read }
 
 // readLine returns the next line including its trailing newline, like
 // bufio.Reader.ReadSlice('\n'): in the reader's buffer, valid until the next
 // call. At end of input it returns the final (possibly empty) unterminated
 // line together with io.EOF. There is no upper bound on line length.
-func (b *byteCountReader) readLine() ([]byte, error) {
+func (b *lineReader) readLine() ([]byte, error) {
 	b.long = b.long[:0]
 	for {
 		if b.pos < b.n {
 			if i := bytes.IndexByte(b.buf[b.pos:b.n], '\n'); i >= 0 {
 				line := b.buf[b.pos : b.pos+i+1]
 				b.pos += i + 1
-				b.read += int64(i + 1)
 				if len(b.long) == 0 {
 					return line, nil
 				}
@@ -160,7 +142,6 @@ func (b *byteCountReader) readLine() ([]byte, error) {
 				return b.long, nil
 			}
 			b.long = append(b.long, b.buf[b.pos:b.n]...)
-			b.read += int64(b.n - b.pos)
 			b.pos = b.n
 		}
 		if b.err != nil {

@@ -15,13 +15,11 @@ const scannerDoc = "" +
 	"<http://x/c> <http://x/p> \"w\"@en .\n" +
 	"<http://x/d> <http://x/p> <http://x/a> ." // no trailing newline
 
-// TestScannerOffsets: after every Scan, Offset() must point at the start of
-// the next unread line: scanning from that offset reproduces the remaining
-// statements exactly.
-func TestScannerOffsets(t *testing.T) {
+// TestScannerStatements: comment and blank lines are skipped, and a last
+// line without a newline is a statement like any other.
+func TestScannerStatements(t *testing.T) {
 	sc := NewNTriplesScanner(strings.NewReader(scannerDoc), Options{})
 	var stmts []string
-	var marks []int64
 	for {
 		tr, ok, err := sc.Scan()
 		if err != nil {
@@ -31,41 +29,12 @@ func TestScannerOffsets(t *testing.T) {
 			break
 		}
 		stmts = append(stmts, tr.String())
-		marks = append(marks, sc.Offset())
 	}
-	if len(stmts) != 4 {
-		t.Fatalf("got %d statements, want 4", len(stmts))
+	if len(stmts) != 4 || !strings.Contains(stmts[3], "http://x/d") {
+		t.Fatalf("got statements %q, want 4 ending with d's", stmts)
 	}
-	if got := sc.Offset(); got != int64(len(scannerDoc)) {
-		t.Fatalf("final offset %d, want %d", got, len(scannerDoc))
-	}
-	// Every offset is a line start: the suffix of the document from there
-	// holds exactly the rest of the statement stream.
-	for i, off := range marks {
-		rs := NewNTriplesScanner(strings.NewReader(scannerDoc[off:]), Options{})
-		var rest []string
-		for {
-			tr, ok, err := rs.Scan()
-			if err != nil {
-				t.Fatalf("scan from %d: %v", off, err)
-			}
-			if !ok {
-				break
-			}
-			rest = append(rest, tr.String())
-		}
-		want := stmts[i+1:]
-		if len(rest) != len(want) {
-			t.Fatalf("scan after stmt %d: got %d statements, want %d", i, len(rest), len(want))
-		}
-		for j := range rest {
-			if rest[j] != want[j] {
-				t.Fatalf("scan after stmt %d: statement %d = %q, want %q", i, j, rest[j], want[j])
-			}
-		}
-		if got := off + rs.Offset(); got != int64(len(scannerDoc)) {
-			t.Fatalf("scan after stmt %d: final offset %d, want %d", i, got, len(scannerDoc))
-		}
+	if sc.Line() != 6 {
+		t.Fatalf("consumed %d lines, want 6", sc.Line())
 	}
 }
 
@@ -89,13 +58,10 @@ func TestScannerLongLine(t *testing.T) {
 	if _, ok, _ = sc.Scan(); ok {
 		t.Fatal("expected EOF")
 	}
-	if sc.Offset() != int64(len(doc)) {
-		t.Fatalf("offset %d, want %d", sc.Offset(), len(doc))
-	}
 }
 
-// TestScannerLenient: malformed lines are skipped and tallied, offsets still
-// advance over them, and the error budget aborts the scan.
+// TestScannerLenient: malformed lines are skipped and tallied, and the error
+// budget aborts the scan.
 func TestScannerLenient(t *testing.T) {
 	doc := "<http://x/a> <http://x/p> <http://x/b> .\n" +
 		"this is not a triple\n" +
@@ -121,9 +87,6 @@ func TestScannerLenient(t *testing.T) {
 	}
 	if reported[0].Line != 2 {
 		t.Fatalf("reported line %d, want 2", reported[0].Line)
-	}
-	if sc.Offset() != int64(len(doc)) {
-		t.Fatalf("offset %d, want %d", sc.Offset(), len(doc))
 	}
 
 	// Budget exhaustion hard-stops.

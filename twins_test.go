@@ -193,12 +193,11 @@ func TestNoPipelineOutsideBatch(t *testing.T) {
 // that no non-test file references but that stay, each with the test that
 // needs it. Keys are "pkg.Func" or "pkg.Recv.Method".
 var testOnlyAllowlist = map[string]string{
-	"rio.ReadNTriplesWith":       "referenceLoad in internal/rio/load_test.go: the statement-by-statement reader TestLoadNTriplesParallelMatchesSequential, TestLoadNTriplesParallelShortInput and FuzzLoadNTriplesPaths hold every load to",
-	"rio.NTriplesScanner.Offset": "TestScannerOffsets, TestScannerLongLine and TestScannerLenient in internal/rio/scanner_test.go: the line-granular resume point a scan reaches",
-	"pg.Store.Equal":             "TestFacadeNTriplesAndCSV in s3pg_test.go and the pg model, clone, resequence and CSV tests: the order-sensitive store equality they hold round trips to",
-	"pg.Store.Labels":            "twins.compare in internal/core/delta_inplace_test.go and the pg model and resequence tests: the node label set two stores must share",
-	"pgschema.Schema.Equal":      "TestFacadePipeline in s3pg_test.go, TestSchemaDDLRoundTripBothModes in internal/core/core_test.go and the pgschema tests: the schema equality DDL round trips are held to",
-	"serve.Response.Rows":        "TestConcurrentQueriesByteEqualNoReload in internal/server/load_test.go and the serve tests: the materialized answer the wire JSON is checked against",
+	"rio.ReadNTriplesWith":  "referenceLoad in internal/rio/load_test.go: the statement-by-statement reader TestLoadNTriplesParallelMatchesSequential, TestLoadNTriplesParallelShortInput and FuzzLoadNTriplesPaths hold every load to",
+	"pg.Store.Equal":        "TestFacadeNTriplesAndCSV in s3pg_test.go and the pg model, clone, resequence and CSV tests: the order-sensitive store equality they hold round trips to",
+	"pg.Store.Labels":       "twins.compare in internal/core/delta_inplace_test.go and the pg model and resequence tests: the node label set two stores must share",
+	"pgschema.Schema.Equal": "TestFacadePipeline in s3pg_test.go, TestSchemaDDLRoundTripBothModes in internal/core/core_test.go and the pgschema tests: the schema equality DDL round trips are held to",
+	"serve.Response.Rows":   "TestConcurrentQueriesByteEqualNoReload in internal/server/load_test.go and the serve tests: the materialized answer the wire JSON is checked against",
 }
 
 // testSupportPackages are the packages whose whole purpose is to serve
